@@ -43,8 +43,8 @@ bench-check:
 
 # Documentation gate: every doctest in the observability-facing modules
 # must run, every audited public object must carry a docstring, and the
-# generated CLI/settings reference (docs/CLI.md, docs/SETTINGS.md) must
-# match what the code actually exposes.
+# generated CLI/settings reference (docs/CLI.md, docs/SETTINGS.md) and
+# DESIGN.md's per-package line-count table must match the code.
 docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/obs src/repro/service src/repro/utils/timing.py \
@@ -53,10 +53,13 @@ docs-check:
 		src/repro/grids/sparsity.py src/repro/fleet src/repro/tune
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py --check
+	$(PYTHON) tools/loc_table.py --check
 
-# Regenerate the committed CLI/settings reference from the code.
+# Regenerate the committed CLI/settings reference and the DESIGN.md
+# line-count table from the code.
 docs:
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py
+	$(PYTHON) tools/loc_table.py --write
 
 # Span trace of a real physics run, openable at https://ui.perfetto.dev.
 # --force: the artifacts are regenerated on every invocation.

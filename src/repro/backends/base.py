@@ -8,10 +8,12 @@ this reproduction: the four phase operations the drivers need
 :meth:`~ExecutionBackend.density_on_grid`,
 :meth:`~ExecutionBackend.potential_matrix`,
 :meth:`~ExecutionBackend.first_order_dm`), implemented once as
-batch-ordered numpy math so every registered backend is *bit-exact*
-with every other — backends differ only in where the per-batch basis
-blocks come from (full cached table, bounded LRU block cache, device
-buffers) and in what bookkeeping each launch is charged.
+one loop over the builder's batch views
+(:class:`~repro.grids.sparsity.BatchViews` — dense is the all-column
+view, not a second code path) so every registered backend is
+*bit-exact* with every other — backends differ only in where a view's
+basis block comes from (full cached table, bounded LRU block cache,
+device buffers) and in what bookkeeping each launch is charged.
 
 Every backend records a per-phase :class:`BackendProfile` (calls,
 elements processed, wall seconds, block-cache hits/misses, device
@@ -29,18 +31,18 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import BackendError, GridError
-from repro.grids.batching import GridBatch
+from repro.grids.sparsity import BatchView, SparsityStats
 from repro.obs.tracer import obs_counter, obs_span
+from repro.utils.linalg import symmetrize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dft.hamiltonian import MatrixBuilder
-    from repro.grids.sparsity import SparsityPattern
 
 
 # ----------------------------------------------------------------------
 # The shared batch-local kernel math.
 #
-# All backends call these exact functions in the exact same batch order,
+# All backends call these exact functions in the exact same view order,
 # which is what makes the numpy/batched/device parity *bitwise* rather
 # than merely approximate: given bit-identical basis blocks, the
 # floating-point operation sequence is identical.
@@ -120,15 +122,12 @@ class BackendProfile:
     def record(self, phase: str, elements: int, seconds: float) -> None:
         self.phases.setdefault(phase, PhaseStats()).record(elements, seconds)
 
-    def record_screening(
-        self, blocks_active: int, blocks_dense: int, elements_active: int,
-        elements_dense: int,
-    ) -> None:
-        """Charge one batch's screened contraction to the profile."""
-        self.screen_blocks_evaluated += int(blocks_active)
-        self.screen_blocks_skipped += int(blocks_dense - blocks_active)
-        self.screen_elements_active += int(elements_active)
-        self.screen_elements_dense += int(elements_dense)
+    def record_screening(self, stats: SparsityStats) -> None:
+        """Charge one screened Sumup/H pass: the pattern's own totals."""
+        self.screen_blocks_evaluated += stats.blocks_active
+        self.screen_blocks_skipped += stats.blocks_dense - stats.blocks_active
+        self.screen_elements_active += stats.elements_active
+        self.screen_elements_dense += stats.elements_dense
 
     def total_seconds(self) -> float:
         return sum(s.seconds for s in self.phases.values())
@@ -178,7 +177,7 @@ class ExecutionBackend:
     name or a configured instance) and bound to one
     :class:`~repro.dft.hamiltonian.MatrixBuilder` via :meth:`bind`
     before use.  Subclasses override :meth:`basis_block` (where a
-    batch's ``(batch_points, n_basis)`` chi table comes from) and may
+    view's ``(batch_points, n_cols)`` chi table comes from) and may
     wrap the phase implementations with device launches; the numerical
     work itself is shared so results stay bit-identical across
     backends.
@@ -220,15 +219,6 @@ class ExecutionBackend:
             )
         return self.builder
 
-    def _require_pattern(self) -> "SparsityPattern":
-        pattern = self._require_bound().pattern
-        if pattern is None:
-            raise BackendError(
-                f"backend {self.name!r} has no screening pattern; "
-                "basis_block_active() needs screening_threshold > 0"
-            )
-        return pattern
-
     # ------------------------------------------------------------------
     # Validation shared by all backends
     # ------------------------------------------------------------------
@@ -251,69 +241,51 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # The four phase operations
     # ------------------------------------------------------------------
-    def basis_block(self, batch: GridBatch) -> np.ndarray:
-        """chi_mu table of one batch, ``(batch.n_points, n_basis)``."""
+    def basis_block(self, view: BatchView) -> np.ndarray:
+        """chi_mu table of one batch view, ``(n_points, n_cols)``.
+
+        Per-shell evaluation is independent of which other atoms are
+        requested, so a screened view's compact block is a *bitwise*
+        column slice of the dense one — the parity anchor that keeps
+        every engine identical whichever source it reads from.
+        """
         raise NotImplementedError
 
-    def basis_block_active(self, batch: GridBatch) -> np.ndarray:
-        """Compact chi table of one batch, ``(batch.n_points, n_active)``.
+    def _run_phase(self, phase: str, elements: int, impl, *args):
+        """Run one phase implementation under its span and profile row."""
+        start = time.perf_counter()
+        with obs_span(phase, category="backend", backend=self.name):
+            out = impl(*args)
+        self.profile.record(phase, elements, time.perf_counter() - start)
+        obs_counter(f"backend.{phase}.calls")
+        obs_counter(f"backend.{phase}.elements", elements)
+        return out
 
-        Columns are the pattern's active functions for this batch, in
-        ascending index order.  Per-shell evaluation is independent of
-        which other atoms are requested, so this compact block is a
-        *bitwise* column slice of the dense :meth:`basis_block` — the
-        parity anchor that keeps all screened backends identical.  The
-        default slices the dense block; subclasses override where a
-        cheaper compact source exists (cached table slice, compact LRU
-        entries).
+    def _grid_phase(self, phase: str, impl, arg: np.ndarray) -> np.ndarray:
+        """One Sumup/H sweep over the views, priced by the view set.
+
+        Screening is charged here — once per pass, from the pattern's
+        totals — so every engine, including ones that override the
+        phase implementations, reports the same counters; dense runs
+        stay all-zero.
         """
-        pattern = self._require_pattern()
-        return self.basis_block(batch)[:, pattern.active_functions[batch.index]]
-
-    def _phase_elements(self) -> int:
-        """Grid-point x function elements one Sumup/H pass contracts."""
         builder = self._require_bound()
+        out = self._run_phase(phase, builder.views.elements, impl, arg)
         if builder.pattern is not None:
-            return builder.pattern.stats.elements_active
-        return builder.grid.n_points * builder.basis.n_basis
-
-    def _record_screened_batch(self, batch: GridBatch) -> None:
-        """Charge one screened batch's block accounting to the profile."""
-        pattern = self._require_pattern()
-        builder = self._require_bound()
-        n_active = pattern.n_active(batch.index)
-        self.profile.record_screening(
-            blocks_active=len(pattern.active_atoms[batch.index]),
-            blocks_dense=builder.basis.structure.n_atoms,
-            elements_active=batch.n_points * n_active,
-            elements_dense=batch.n_points * builder.basis.n_basis,
-        )
+            stats = builder.pattern.stats
+            self.profile.record_screening(stats)
+            obs_counter("backend.screen.blocks_evaluated", stats.blocks_active)
+        return out
 
     def density_on_grid(self, density_matrix: np.ndarray) -> np.ndarray:
         """Pointwise density for one density matrix (Sumup phase)."""
-        builder = self._require_bound()
         p = self._check_density_matrix(density_matrix)
-        elements = self._phase_elements()
-        start = time.perf_counter()
-        with obs_span("Sumup", category="backend", backend=self.name):
-            out = self._density_impl(p)
-        self.profile.record("Sumup", elements, time.perf_counter() - start)
-        obs_counter("backend.Sumup.calls")
-        obs_counter("backend.Sumup.elements", elements)
-        return out
+        return self._grid_phase("Sumup", self._density_impl, p)
 
     def potential_matrix(self, potential_values: np.ndarray) -> np.ndarray:
         """``<chi_mu | v | chi_nu>`` for a pointwise potential (H phase)."""
-        builder = self._require_bound()
         v = self._check_potential(potential_values)
-        elements = self._phase_elements()
-        start = time.perf_counter()
-        with obs_span("H", category="backend", backend=self.name):
-            out = self._potential_impl(v)
-        self.profile.record("H", elements, time.perf_counter() - start)
-        obs_counter("backend.H.calls")
-        obs_counter("backend.H.elements", elements)
-        return out
+        return self._grid_phase("H", self._potential_impl, v)
 
     def first_order_dm(
         self,
@@ -324,94 +296,46 @@ class ExecutionBackend:
         f_occ: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(U, C^(1), P^(1))`` from a response Hamiltonian (DM phase)."""
-        builder = self._require_bound()
-        start = time.perf_counter()
-        with obs_span("DM", category="backend", backend=self.name):
-            out = self._dm_impl(h1, inv_gaps, c_occ, c_virt, f_occ)
         # The Sternheimer rotation itself stays dense (orbital space),
         # but under screening the response Hamiltonian only carries the
         # pattern's atom-pair blocks — charge just those elements.
-        if builder.pattern is not None:
-            elements = builder.pattern.matrix_nnz
-        else:
-            elements = int(np.asarray(h1).size)
-        self.profile.record("DM", elements, time.perf_counter() - start)
-        obs_counter("backend.DM.calls")
-        obs_counter("backend.DM.elements", elements)
-        return out
+        elements = self._require_bound().views.matrix_nnz
+        return self._run_phase(
+            "DM", elements, self._dm_impl, h1, inv_gaps, c_occ, c_virt, f_occ
+        )
 
     # ------------------------------------------------------------------
-    # Shared implementations (batch-ordered; overridable for devices)
+    # Shared implementations (view-ordered; overridable for devices)
     # ------------------------------------------------------------------
     def _density_impl(self, p: np.ndarray) -> np.ndarray:
-        builder = self._require_bound()
-        if builder.pattern is not None:
-            return self._density_impl_screened(p)
-        out = np.zeros(builder.grid.n_points)
-        for b in builder.batches:
-            out[b.point_indices] = density_block(self.basis_block(b), p)
-        return out
+        """Sumup: contract each view's chi block with its ``P`` sub-block.
 
-    def _density_impl_screened(self, p: np.ndarray) -> np.ndarray:
-        """Block-sparse Sumup: contract only each batch's active set.
-
-        Gathers the compact chi block and the matching ``P`` sub-block,
-        runs the *same* :func:`density_block` kernel, and scatters into
-        the batch's grid points — identical batch order and identical
-        compact math across every backend, so screened engines stay
-        bit-exact with each other.
+        Identical view order and identical block math across every
+        backend, so engines stay bit-exact with each other; points of
+        batches without a view keep density exactly zero.
         """
         builder = self._require_bound()
-        pattern = builder.pattern
         out = np.zeros(builder.grid.n_points)
-        for b in builder.batches:
-            self._record_screened_batch(b)
-            act = pattern.active_functions[b.index]
-            if act.size == 0:
-                continue
-            phi = self.basis_block_active(b)
-            out[b.point_indices] = density_block(phi, p[np.ix_(act, act)])
-        obs_counter("backend.screen.blocks_evaluated",
-                    self.profile.screen_blocks_evaluated)
+        for view in builder.views:
+            out[view.point_indices] = density_block(
+                self.basis_block(view), p[view.pair]
+            )
         return out
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
-        from repro.utils.linalg import symmetrize
+        """H integration: add each view's block at ``view.pair``.
 
-        builder = self._require_bound()
-        if builder.pattern is not None:
-            return self._potential_impl_screened(v)
-        wv = builder.grid.weights * v
-        nb = builder.basis.n_basis
-        acc = np.zeros((nb, nb))
-        for b in builder.batches:
-            acc += potential_block(self.basis_block(b), wv[b.point_indices])
-        return symmetrize(acc)
-
-    def _potential_impl_screened(self, v: np.ndarray) -> np.ndarray:
-        """Block-sparse H integration: scatter-add into active blocks.
-
-        Each batch contributes only its ``(n_active, n_active)`` block,
-        scatter-added into the dense accumulator at the active indices;
-        matrix entries outside the pattern's atom-pair block mask stay
-        exactly zero.
+        Matrix entries outside the views' atom-pair blocks stay exactly
+        zero.
         """
-        from repro.utils.linalg import symmetrize
-
         builder = self._require_bound()
-        pattern = builder.pattern
         wv = builder.grid.weights * v
         nb = builder.basis.n_basis
         acc = np.zeros((nb, nb))
-        for b in builder.batches:
-            self._record_screened_batch(b)
-            act = pattern.active_functions[b.index]
-            if act.size == 0:
-                continue
-            phi = self.basis_block_active(b)
-            acc[np.ix_(act, act)] += potential_block(phi, wv[b.point_indices])
-        obs_counter("backend.screen.blocks_evaluated",
-                    self.profile.screen_blocks_evaluated)
+        for view in builder.views:
+            acc[view.pair] += potential_block(
+                self.basis_block(view), wv[view.point_indices]
+            )
         return symmetrize(acc)
 
     def _dm_impl(
@@ -425,35 +349,18 @@ class ExecutionBackend:
         return first_order_dm_dense(h1, inv_gaps, c_occ, c_virt, f_occ)
 
     # ------------------------------------------------------------------
-    def _evaluate_block(
-        self, batch: GridBatch, active: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Evaluate one batch's basis block for real (profiled).
+    def _evaluate_block(self, view: BatchView) -> np.ndarray:
+        """Evaluate one view's basis block for real (profiled).
 
-        With *active* (the pattern's sorted index array for this batch),
-        only the active atoms are evaluated and the compact column block
-        is returned.  Per-shell evaluation does not depend on which
-        other atoms are requested, so the compact block is bitwise equal
+        Only the view's atoms are evaluated and only its columns
+        returned; see :meth:`basis_block` for why that is bitwise equal
         to slicing those columns out of a full evaluation.
         """
-        builder = self._require_bound()
         start = time.perf_counter()
-        if active is None:
-            phi_b = builder.basis.evaluate(
-                builder.grid.points[batch.point_indices],
-                atoms=batch.relevant_atoms,
-            )
-            elements = batch.n_points * builder.basis.n_basis
-        else:
-            pattern = self._require_pattern()
-            phi_b = builder.basis.evaluate(
-                builder.grid.points[batch.point_indices],
-                atoms=pattern.active_atoms[batch.index],
-            )[:, active]
-            elements = batch.n_points * int(active.size)
-        self.profile.record("basis", elements, time.perf_counter() - start)
+        phi_b = self._require_bound().evaluate_view(view)
+        self.profile.record("basis", phi_b.size, time.perf_counter() - start)
         obs_counter("backend.basis.blocks_evaluated")
-        obs_counter("backend.basis.elements", elements)
+        obs_counter("backend.basis.elements", phi_b.size)
         return phi_b
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
-from repro.grids.batching import GridBatch
+from repro.grids.sparsity import BatchView
 
 #: Default block-cache budget (bytes); ~64 MiB holds every block of the
 #: molecules the physics path targets while staying strictly bounded.
@@ -138,18 +138,24 @@ class BatchedBackend(ExecutionBackend):
         self.scope = scope
         self.profile.cache_max_bytes = self.cache.max_bytes
 
-    def _lookup(self, batch: GridBatch, key: CacheKey, active=None) -> np.ndarray:
-        """Cached block for *key*, with hit/miss/eviction counters kept
+    def basis_block(self, view: BatchView) -> np.ndarray:
+        """Cached block of *view*, with hit/miss/eviction counters kept
         per backend (not copied from the cache, which may be shared
         across molecules — each molecule's profile must charge only its
         own traffic)."""
         from repro.obs.tracer import obs_counter
 
+        # The active-set hash in a screened view's key makes compact
+        # entries self-invalidating: a different pattern (tighter
+        # threshold, new structure) can never alias a stale block.
+        key = block_cache_key(
+            view.index, scope=self.scope, active_hash=view.active_hash
+        )
         block = self.cache.get(key)
         if block is None:
             obs_counter("backend.cache.misses")
             self.profile.cache_misses += 1
-            block = self._evaluate_block(batch, active=active)
+            block = self._evaluate_block(view)
             evictions_before = self.cache.evictions
             self.cache.put(key, block)
             self.profile.cache_evictions += (
@@ -161,20 +167,3 @@ class BatchedBackend(ExecutionBackend):
         # Peak occupancy is a property of the (possibly shared) cache.
         self.profile.cache_peak_bytes = self.cache.peak_bytes
         return block
-
-    def basis_block(self, batch: GridBatch) -> np.ndarray:
-        return self._lookup(batch, block_cache_key(batch.index, scope=self.scope))
-
-    def basis_block_active(self, batch: GridBatch) -> np.ndarray:
-        pattern = self._require_pattern()
-        # The active-set hash in the key makes compact entries
-        # self-invalidating: a different pattern (tighter threshold,
-        # new structure) can never alias a stale compact block.
-        key = block_cache_key(
-            batch.index,
-            scope=self.scope,
-            active_hash=pattern.active_hash(batch.index),
-        )
-        return self._lookup(
-            batch, key, active=pattern.active_functions[batch.index]
-        )

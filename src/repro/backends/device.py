@@ -1,11 +1,11 @@
 """Device backend: the phase operations as priced OpenCL-model launches.
 
-Routes the same batch-ordered math through :class:`repro.ocl.device.Device`
-— one work-group per batch, work-items sized by the *largest* batch —
+Routes the same view-ordered math through :class:`repro.ocl.device.Device`
+— one work-group per batch view, work-items sized by the *largest* batch —
 so the priced kernel layer finally sits under the real SCF/CPSCF loops
-instead of beside them.  The kernel bodies call the exact shared block
-functions of :mod:`repro.backends.base`, so results are bit-identical
-to the ``numpy`` and ``batched`` backends while every launch and
+instead of beside them.  The kernel bodies run the exact shared view
+loops of :mod:`repro.backends.base`, so results are bit-identical to
+the ``numpy`` and ``batched`` backends while every launch and
 host<->device transfer is charged to the profile.
 """
 
@@ -15,14 +15,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import (
-    ExecutionBackend,
-    density_block,
-    first_order_dm_dense,
-    potential_block,
-)
+from repro.backends.base import ExecutionBackend, first_order_dm_dense
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
+from repro.grids.sparsity import BatchView
 from repro.ocl.buffers import DeviceBuffer
 from repro.ocl.device import Device
 from repro.ocl.kernel import Kernel, NDRange
@@ -51,58 +47,67 @@ class DeviceBackend(ExecutionBackend):
         # The table is assembled per batch with the shared evaluation, so
         # its rows are bitwise identical to the other backends' blocks.
         table = np.zeros((builder.grid.n_points, builder.basis.n_basis))
-        for b in builder.batches:
-            table[b.point_indices] = self._evaluate_block(b)
+        for view in builder.dense_views:
+            table[view.point_indices] = self._evaluate_block(view)
         self._phi = DeviceBuffer("basis_values", table)
         self._weights = DeviceBuffer("weights", builder.grid.weights)
         self._to_device(self._phi)
         self._to_device(self._weights)
 
-    def _ndrange(self, n_groups: Optional[int] = None) -> NDRange:
-        """One work-group per batch, items sized by the largest batch.
+    def _launch(
+        self, kernel: Kernel, buffers: Dict[str, DeviceBuffer], n_groups: int
+    ) -> None:
+        """Launch one work-group per scheduled batch, items sized by the
+        largest batch.
 
         Sizing by the *mean* batch (the old ``_ndrange`` bug) starves
         work-items whenever batches are uneven; the max guarantees every
-        point of every batch maps to an item.  Screened launches pass
-        *n_groups* to schedule only the batches with a non-empty active
-        set — the model prices only launched blocks.
+        point of every batch maps to an item.  Sumup/H pass the view
+        count as *n_groups*, so batches without a view are never
+        scheduled — the model prices only launched blocks.
         """
         builder = self._require_bound()
         items = max(1, max(b.n_points for b in builder.batches))
-        if n_groups is None:
-            n_groups = len(builder.batches)
-        return NDRange(n_groups=max(n_groups, 1), items_per_group=items)
-
-    def _screen_pricing(self) -> Tuple[float, float, int]:
-        """Point-weighted active-set sizes for screened kernel pricing.
-
-        Returns ``(avg_active, avg_active_sq, live_groups)``: the mean
-        active-function count per grid point, its square's mean (what a
-        per-point ``act x act`` contraction costs), and the number of
-        batches with a non-empty active set.  Replaces the dense
-        ``n_basis`` factors in the launch model, so the device is
-        charged only for the blocks it actually launches.
-        """
-        pattern = self._require_pattern()
-        builder = self._require_bound()
-        pts = np.array([b.n_points for b in builder.batches], dtype=float)
-        act = np.array(
-            [pattern.n_active(b.index) for b in builder.batches], dtype=float
-        )
-        total = max(pts.sum(), 1.0)
-        avg = float((pts * act).sum() / total)
-        avg_sq = float((pts * act * act).sum() / total)
-        return avg, avg_sq, int(np.count_nonzero(act > 0))
-
-    def _launch(
-        self,
-        kernel: Kernel,
-        buffers: Dict[str, DeviceBuffer],
-        ndrange: Optional[NDRange] = None,
-    ) -> None:
-        report = self.device.launch(kernel, ndrange or self._ndrange(), buffers)
+        ndrange = NDRange(n_groups=max(n_groups, 1), items_per_group=items)
+        report = self.device.launch(kernel, ndrange, buffers)
         self.profile.device_launches += 1
         self.profile.device_modeled_seconds += report.total_time
+
+    def _launch_phase(
+        self, name: str, flops_per_pair: float, shared,
+        arg: DeviceBuffer, out: DeviceBuffer, **resident: DeviceBuffer,
+    ) -> np.ndarray:
+        """Run one Sumup/H sweep as a kernel priced from the view set.
+
+        The kernel body *is* the base class's view loop (*shared*),
+        reading the staged table through :meth:`basis_block`; the device
+        only adds buffer traffic and a priced launch around it.  Per
+        grid point the contraction costs the mean ``cols x cols`` pair
+        count and reads the mean column count — exactly ``n_basis**2``
+        and ``n_basis`` on the dense views, so one pricing rule serves
+        both.  The fleet device fuses launches by *name*, hence the
+        screened kernels keep their own.
+        """
+        views = self._require_bound().views
+        self._to_device(arg)
+        self._to_device(out)
+
+        def body(bufs: Dict[str, DeviceBuffer]) -> None:
+            bufs[out.name].data[...] = shared(bufs[arg.name].data)
+
+        kernel = Kernel(
+            name=f"{name}_screened" if views.screened else name,
+            func=body,
+            flops_per_item=flops_per_pair * views.avg_cols_sq,
+            bytes_read_per_item=8.0 * views.avg_cols,
+            bytes_written_per_item=8.0,
+        )
+        self._launch(
+            kernel, {**resident, arg.name: arg, out.name: out},
+            n_groups=len(views),
+        )
+        self._from_device(out)
+        return out.data
 
     # Transfers are charged by delta, not by copying the device's
     # absolute counter: the device may be shared across molecules (the
@@ -122,150 +127,30 @@ class DeviceBackend(ExecutionBackend):
             self.device.bytes_transferred - before
         )
 
-    def basis_block(self, batch) -> np.ndarray:
+    def basis_block(self, view: BatchView) -> np.ndarray:
         if self._phi is None:
             raise BackendError("device backend used before bind()")
-        return self._phi.data[batch.point_indices]
+        # The staged table's rows, gathered to the view's columns.
+        return self._phi.data[view.point_indices][:, view.cols]
 
     # ------------------------------------------------------------------
     # Phase operations as kernel launches
     # ------------------------------------------------------------------
     def _density_impl(self, p: np.ndarray) -> np.ndarray:
-        builder = self._require_bound()
-        nb = builder.basis.n_basis
-        pattern = builder.pattern
-        p_buf = DeviceBuffer("p", p)
-        out = DeviceBuffer("n", np.zeros(builder.grid.n_points))
-        self._to_device(p_buf)
-        self._to_device(out)
-        batches = builder.batches
-
-        if pattern is None:
-
-            def body(bufs: Dict[str, DeviceBuffer]) -> None:
-                phi = bufs["basis_values"].data
-                p_local = bufs["p"].data
-                n = bufs["n"].data
-                for b in batches:
-                    idx = b.point_indices
-                    n[idx] = density_block(phi[idx], p_local)
-
-            kernel = Kernel(
-                name="sumup_density",
-                func=body,
-                flops_per_item=2.0 * nb**2,
-                bytes_read_per_item=8.0 * nb,
-                bytes_written_per_item=8.0,
-            )
-            ndrange = self._ndrange()
-        else:
-            # Block-sparse Sumup: gather the staged table's active
-            # columns per batch (same compact math as the other
-            # backends) and price the launch by the active sets only.
-            record = self._record_screened_batch
-
-            def body(bufs: Dict[str, DeviceBuffer]) -> None:
-                phi = bufs["basis_values"].data
-                p_local = bufs["p"].data
-                n = bufs["n"].data
-                for b in batches:
-                    record(b)
-                    act = pattern.active_functions[b.index]
-                    if act.size == 0:
-                        continue
-                    idx = b.point_indices
-                    n[idx] = density_block(
-                        phi[idx][:, act], p_local[np.ix_(act, act)]
-                    )
-
-            avg, avg_sq, groups = self._screen_pricing()
-            kernel = Kernel(
-                name="sumup_density_screened",
-                func=body,
-                flops_per_item=2.0 * avg_sq,
-                bytes_read_per_item=8.0 * avg,
-                bytes_written_per_item=8.0,
-            )
-            ndrange = self._ndrange(n_groups=groups)
-        self._launch(
-            kernel, {"basis_values": self._phi, "p": p_buf, "n": out},
-            ndrange=ndrange,
+        n_points = self._require_bound().grid.n_points
+        return self._launch_phase(
+            "sumup_density", 2.0, super()._density_impl,
+            DeviceBuffer("p", p), DeviceBuffer("n", np.zeros(n_points)),
+            basis_values=self._phi,
         )
-        self._from_device(out)
-        return out.data
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
-        from repro.utils.linalg import symmetrize
-
-        builder = self._require_bound()
-        nb = builder.basis.n_basis
-        pattern = builder.pattern
-        v_buf = DeviceBuffer("v", v)
-        out = DeviceBuffer("h", np.zeros((nb, nb)))
-        self._to_device(v_buf)
-        self._to_device(out)
-        batches = builder.batches
-
-        if pattern is None:
-
-            def body(bufs: Dict[str, DeviceBuffer]) -> None:
-                phi = bufs["basis_values"].data
-                wv = bufs["weights"].data * bufs["v"].data
-                acc = np.zeros((nb, nb))
-                for b in batches:
-                    idx = b.point_indices
-                    acc += potential_block(phi[idx], wv[idx])
-                bufs["h"].data[...] = symmetrize(acc)
-
-            kernel = Kernel(
-                name="h_integration",
-                func=body,
-                flops_per_item=3.0 * nb**2,
-                bytes_read_per_item=8.0 * nb,
-                bytes_written_per_item=8.0,
-            )
-            ndrange = self._ndrange()
-        else:
-            # Block-sparse H: per-batch (act x act) blocks scatter-added
-            # at the active indices; only live batches are scheduled.
-            record = self._record_screened_batch
-
-            def body(bufs: Dict[str, DeviceBuffer]) -> None:
-                phi = bufs["basis_values"].data
-                wv = bufs["weights"].data * bufs["v"].data
-                acc = np.zeros((nb, nb))
-                for b in batches:
-                    record(b)
-                    act = pattern.active_functions[b.index]
-                    if act.size == 0:
-                        continue
-                    idx = b.point_indices
-                    acc[np.ix_(act, act)] += potential_block(
-                        phi[idx][:, act], wv[idx]
-                    )
-                bufs["h"].data[...] = symmetrize(acc)
-
-            avg, avg_sq, groups = self._screen_pricing()
-            kernel = Kernel(
-                name="h_integration_screened",
-                func=body,
-                flops_per_item=3.0 * avg_sq,
-                bytes_read_per_item=8.0 * avg,
-                bytes_written_per_item=8.0,
-            )
-            ndrange = self._ndrange(n_groups=groups)
-        self._launch(
-            kernel,
-            {
-                "basis_values": self._phi,
-                "weights": self._weights,
-                "v": v_buf,
-                "h": out,
-            },
-            ndrange=ndrange,
+        nb = self._require_bound().basis.n_basis
+        return self._launch_phase(
+            "h_integration", 3.0, super()._potential_impl,
+            DeviceBuffer("v", v), DeviceBuffer("h", np.zeros((nb, nb))),
+            basis_values=self._phi, weights=self._weights,
         )
-        self._from_device(out)
-        return out.data
 
     def _dm_impl(
         self,
@@ -292,11 +177,8 @@ class DeviceBackend(ExecutionBackend):
 
         # Under screening h1 only carries the pattern's atom-pair
         # blocks, so the read side of the rotation is priced by the
-        # average nonzeros per row instead of the dense n_basis.
-        if builder.pattern is None:
-            nnz_per_row = float(nb)
-        else:
-            nnz_per_row = builder.pattern.matrix_nnz / max(nb, 1)
+        # average nonzeros per row (``n_basis`` on the dense views).
+        nnz_per_row = builder.views.matrix_nnz / max(nb, 1)
         kernel = Kernel(
             name="dm_response",
             func=body,
@@ -304,7 +186,9 @@ class DeviceBackend(ExecutionBackend):
             bytes_read_per_item=16.0,
             bytes_written_per_item=8.0,
         )
-        self._launch(kernel, {"h1": h1_buf, "p1": p1_buf})
+        self._launch(
+            kernel, {"h1": h1_buf, "p1": p1_buf}, n_groups=len(builder.batches)
+        )
         self._from_device(p1_buf)
         u, c1, _ = result["dm"]
         return u, c1, p1_buf.data

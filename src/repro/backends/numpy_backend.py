@@ -16,28 +16,21 @@ import numpy as np
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import register_backend
-from repro.grids.batching import GridBatch
+from repro.grids.sparsity import BatchView
 
 
 @register_backend("numpy")
 class NumpyBackend(ExecutionBackend):
     """Full-grid table backend (the bit-exact reference)."""
 
-    def basis_block(self, batch: GridBatch) -> np.ndarray:
+    def basis_block(self, view: BatchView) -> np.ndarray:
         builder = self._require_bound()
         if builder.table_cache_enabled:
             # Rows were written by exactly the same per-batch evaluation
             # this slice replays, so the values are bitwise identical to
             # a fresh evaluation — the parity anchor for all backends.
-            return builder.basis_values()[batch.point_indices]
-        return self._evaluate_block(batch)
-
-    def basis_block_active(self, batch: GridBatch) -> np.ndarray:
-        builder = self._require_bound()
-        active = self._require_pattern().active_functions[batch.index]
-        if builder.table_cache_enabled:
-            # Cached full-table rows are *sliced* by the active list —
-            # never re-evaluated — so table caching and screening
-            # compose: the cache hit survives, only the columns shrink.
-            return builder.basis_values()[batch.point_indices][:, active]
-        return self._evaluate_block(batch, active=active)
+            # Cached rows are *sliced* by the view's columns, never
+            # re-evaluated, so table caching and screening compose: the
+            # cache hit survives, only the columns shrink.
+            return builder.basis_values()[view.point_indices][:, view.cols]
+        return self._evaluate_block(view)

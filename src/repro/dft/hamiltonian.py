@@ -23,6 +23,7 @@ import numpy as np
 from repro.basis.basis_set import BasisSet
 from repro.grids.atom_grid import IntegrationGrid
 from repro.grids.batching import GridBatch, attach_relevant_atoms, build_batches
+from repro.grids.sparsity import BatchView, build_batch_views, build_sparsity_pattern
 from repro.utils.linalg import symmetrize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,12 +56,12 @@ class MatrixBuilder:
     screening_threshold:
         Batch-local basis-screening threshold
         (:mod:`repro.grids.sparsity`).  ``0.0`` (the default) disables
-        screening entirely — no pattern is built and every contraction
-        runs the exact dense code path, bitwise identical to the
+        screening entirely — no pattern is built and :attr:`views` is
+        the all-column dense list, bitwise identical to the
         pre-screening pipeline.  ``> 0`` builds a
         :class:`~repro.grids.sparsity.SparsityPattern` once and every
-        layer below (backends, kinetic, reference paths) contracts only
-        active functions.
+        layer below (backends, kinetic, reference paths) iterates views
+        that carry only active functions.
     """
 
     def __init__(
@@ -87,17 +88,21 @@ class MatrixBuilder:
         self._use_cache = grid.n_points * basis.n_basis <= self._cache_limit
         self._thrash_warned = False
 
-        # The pattern must exist before the backend binds: device
-        # staging and profile fill counters read it at bind time.
+        # The views must exist before the backend binds: device staging
+        # and profile fill counters read them at bind time.
         self.screening_threshold = float(screening_threshold)
+        #: All-column views — what ``screened=False`` references iterate.
+        self.dense_views = build_batch_views(self.batches, basis.n_basis)
+        self.pattern = None
+        #: The views every contraction of this builder iterates.
+        self.views = self.dense_views
         if self.screening_threshold > 0.0:
-            from repro.grids.sparsity import build_sparsity_pattern
-
             self.pattern = build_sparsity_pattern(
                 basis, self.batches, self.screening_threshold
             )
-        else:
-            self.pattern = None
+            self.views = build_batch_views(
+                self.batches, basis.n_basis, self.pattern
+            )
 
         from repro.backends.registry import resolve_backend
 
@@ -111,6 +116,12 @@ class MatrixBuilder:
     # ------------------------------------------------------------------
     # Basis tables
     # ------------------------------------------------------------------
+    def evaluate_view(self, view: BatchView) -> np.ndarray:
+        """One view's chi block, evaluated on the spot (never cached)."""
+        return self.basis.evaluate(
+            self.grid.points[view.point_indices], atoms=view.atoms
+        )[:, view.cols]
+
     def basis_values(self) -> np.ndarray:
         """chi_mu at every grid point, ``(n_points, n_basis)`` (cached)."""
         if self._values_cache is None:
@@ -126,11 +137,8 @@ class MatrixBuilder:
                     stacklevel=2,
                 )
             values = np.zeros((self.grid.n_points, self.basis.n_basis))
-            for b in self.batches:
-                idx = b.point_indices
-                values[idx] = self.basis.evaluate(
-                    self.grid.points[idx], atoms=b.relevant_atoms
-                )
+            for view in self.dense_views:
+                values[view.point_indices] = self.evaluate_view(view)
             if not self._use_cache:
                 return values
             self._values_cache = values
@@ -146,38 +154,24 @@ class MatrixBuilder:
     def kinetic(self) -> np.ndarray:
         """T_mu_nu = (1/2) <grad chi_mu | grad chi_nu> (by parts).
 
-        Under screening, each batch evaluates gradients only for its
-        active atoms and scatter-adds the compact block — the same
-        locality rule every other grid contraction follows.
+        Each view evaluates gradients only for its atoms and adds its
+        block at ``view.pair`` — the same locality rule every other
+        grid contraction follows.
         """
         w = self.grid.weights
         t = np.zeros((self.basis.n_basis, self.basis.n_basis))
         # Gradients are only needed here, once; integrate batch-wise to
-        # bound memory at (batch points x n_basis x 3).
-        for b in self.batches:
-            idx = b.point_indices
+        # bound memory at (batch points x n_cols x 3).
+        for view in self.views:
+            idx = view.point_indices
             wb = w[idx]
-            if self.pattern is not None:
-                act = self.pattern.active_functions[b.index]
-                if act.size == 0:
-                    continue
-                _, grads = self.basis.evaluate_with_gradients(
-                    self.grid.points[idx],
-                    atoms=self.pattern.active_atoms[b.index],
-                )
-                grads = grads[:, act, :]
-                sub = np.zeros((act.size, act.size))
-                for k in range(3):
-                    gk = grads[:, :, k]
-                    sub += gk.T @ (gk * wb[:, None])
-                t[np.ix_(act, act)] += sub
-                continue
             _, grads = self.basis.evaluate_with_gradients(
-                self.grid.points[idx], atoms=b.relevant_atoms
+                self.grid.points[idx], atoms=view.atoms
             )
+            grads = grads[:, view.cols, :]
             for k in range(3):
                 gk = grads[:, :, k]
-                t += gk.T @ (gk * wb[:, None])
+                t[view.pair] += gk.T @ (gk * wb[:, None])
         return symmetrize(0.5 * t)
 
     def nuclear_attraction(self) -> np.ndarray:
@@ -217,7 +211,7 @@ class MatrixBuilder:
     # backends are bit-exact with these (same batch order, same math).
     # When a screening pattern is active the references honor it by
     # default (so invariants stay bit-tight against screened backends);
-    # ``screened=False`` forces the fully dense derivation — that is the
+    # ``screened=False`` iterates the dense views instead — that is the
     # seam the ``screening_vs_dense`` invariant compares against.
     def reference_density(
         self, density_matrix: np.ndarray, screened: bool = True
@@ -227,20 +221,10 @@ class MatrixBuilder:
 
         p = np.asarray(density_matrix, dtype=float)
         out = np.zeros(self.grid.n_points)
-        pattern = self.pattern if screened else None
-        for b in self.batches:
-            idx = b.point_indices
-            if pattern is not None:
-                act = pattern.active_functions[b.index]
-                if act.size == 0:
-                    continue
-                phi_b = self.basis.evaluate(
-                    self.grid.points[idx], atoms=pattern.active_atoms[b.index]
-                )[:, act]
-                out[idx] = density_block(phi_b, p[np.ix_(act, act)])
-                continue
-            phi_b = self.basis.evaluate(self.grid.points[idx], atoms=b.relevant_atoms)
-            out[idx] = density_block(phi_b, p)
+        for view in self.views if screened else self.dense_views:
+            out[view.point_indices] = density_block(
+                self.evaluate_view(view), p[view.pair]
+            )
         return out
 
     def reference_potential_matrix(
@@ -251,18 +235,8 @@ class MatrixBuilder:
 
         wv = self.grid.weights * np.asarray(potential_values, dtype=float)
         acc = np.zeros((self.basis.n_basis, self.basis.n_basis))
-        pattern = self.pattern if screened else None
-        for b in self.batches:
-            idx = b.point_indices
-            if pattern is not None:
-                act = pattern.active_functions[b.index]
-                if act.size == 0:
-                    continue
-                phi_b = self.basis.evaluate(
-                    self.grid.points[idx], atoms=pattern.active_atoms[b.index]
-                )[:, act]
-                acc[np.ix_(act, act)] += potential_block(phi_b, wv[idx])
-                continue
-            phi_b = self.basis.evaluate(self.grid.points[idx], atoms=b.relevant_atoms)
-            acc += potential_block(phi_b, wv[idx])
+        for view in self.views if screened else self.dense_views:
+            acc[view.pair] += potential_block(
+                self.evaluate_view(view), wv[view.point_indices]
+            )
         return symmetrize(acc)

@@ -10,18 +10,24 @@ their union implies — built **once per structure** and shared by every
 execution backend, which is what turns the dense ``O(n_points x
 n_basis)`` contractions into block-sparse ones at scale.
 
+Every grid contraction below the drivers is one loop over a
+:class:`BatchViews` list (:func:`build_batch_views`): a view names a
+batch's points, its basis columns and the matching ``P`` / ``H``
+sub-block, and the dense case is simply the view whose columns are
+"all" — numpy slices, which gather nothing, so the dense floating-point
+sequence is the plain ``phi @ p`` / ``acc += block`` one.
+
 Threshold semantics (``RunSettings.screening_threshold``):
 
-* ``0.0`` — screening disabled.  No pattern is built and every layer
-  runs the exact pre-existing dense code path, so results are *bitwise*
-  identical to the unscreened pipeline.
+* ``0.0`` — screening disabled.  No pattern is built and the loop runs
+  over all-column slice views, so results are *bitwise* identical to
+  the unscreened pipeline.
 * ``> 0.0`` — functions whose amplitude proxy stays below the threshold
-  on a batch are dropped from that batch's contractions.  All three
-  backends share the same pattern and the same compact batch-ordered
-  math, so they remain bit-identical to *each other*; agreement with
-  the dense path is a physics-tolerance statement checked by the
-  ``screening_vs_dense`` invariant and the differential-conformance
-  ``screening`` axis.
+  on a batch are dropped from that batch's view.  All three backends
+  share the same views and the same batch-ordered math, so they remain
+  bit-identical to *each other*; agreement with the dense path is a
+  physics-tolerance statement checked by the ``screening_vs_dense``
+  invariant and the differential-conformance ``screening`` axis.
 
 :func:`modeled_block_counts` applies the same screening rule to the
 summary batches of :func:`repro.core.workload.synthetic_batches`
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,11 +121,11 @@ class SparsityStats:
 class SparsityPattern:
     """Who is non-negligible where: the structure's screening decisions.
 
-    Built once by :func:`build_sparsity_pattern` and consumed by every
-    layer below the drivers: backends gather compact basis blocks with
-    :attr:`active_functions`, evaluate only :attr:`active_atoms`, key
-    block caches on :meth:`active_hash`, and scatter-add contributions
-    into the atom-pair blocks of :attr:`block_mask`.
+    Built once by :func:`build_sparsity_pattern` and handed to every
+    layer below the drivers as :func:`build_batch_views` views: blocks
+    carry only :attr:`active_functions`, evaluate only
+    :attr:`active_atoms`, key block caches on :meth:`active_hash`, and
+    add contributions into the atom-pair blocks of :attr:`block_mask`.
     """
 
     def __init__(
@@ -170,10 +176,6 @@ class SparsityPattern:
     def n_batches(self) -> int:
         """Number of batches the pattern covers."""
         return len(self.active_functions)
-
-    def n_active(self, batch_index: int) -> int:
-        """Active-function count of one batch."""
-        return int(self.active_functions[batch_index].size)
 
     def active_hash(self, batch_index: int) -> str:
         """Stable digest of one batch's active set (block-cache key part).
@@ -251,6 +253,110 @@ def build_sparsity_pattern(
         block_mask=block_mask,
         batch_points=[b.n_points for b in batches],
         matrix_nnz=int(fn_counts @ block_mask @ fn_counts),
+    )
+
+
+@dataclass(frozen=True)
+class BatchView:
+    """One batch as every grid contraction sees it.
+
+    ``phi[:, cols]`` is the batch's chi block, ``p[pair]`` the matching
+    density sub-block and ``acc[pair] += block`` the H scatter.  On the
+    dense view *cols* and *pair* are ``slice(None)`` — numpy hands back
+    views, so nothing is gathered and the operation order is exactly
+    the plain ``phi @ p`` / ``acc += block`` one.  On a screened view
+    they are the batch's sorted active-function indices and their
+    ``np.ix_`` pair, computed once here rather than on every sweep.
+    """
+
+    index: int
+    point_indices: np.ndarray
+    cols: Union[slice, np.ndarray]
+    pair: Tuple
+    #: Atoms whose shells are evaluated for this batch's block.
+    atoms: Tuple[int, ...]
+    #: Block-cache key part: the active-set digest, ``None`` when dense.
+    active_hash: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class BatchViews:
+    """A builder's views in batch order, plus the sizes phases price from.
+
+    Batches whose active set is empty carry no view (nothing to
+    contract, nothing to launch) but still count in *n_points*, so the
+    per-point averages are over the whole grid.
+    """
+
+    views: Tuple[BatchView, ...]
+    #: Whether a pattern shaped the views (kernel names carry it).
+    screened: bool
+    n_points: int
+    #: Grid-point x function entries one Sumup/H pass contracts.
+    elements: int
+    #: ``sum(points * n_cols**2)`` — the per-point ``cols x cols`` work.
+    elements_sq: int
+    #: Function-pair entries an operator matrix carries (DM pricing).
+    matrix_nnz: int
+
+    def __iter__(self) -> Iterator[BatchView]:
+        return iter(self.views)
+
+    def __len__(self) -> int:
+        return len(self.views)
+
+    @property
+    def avg_cols(self) -> float:
+        """Mean column count per grid point (``n_basis`` when dense)."""
+        return self.elements / max(self.n_points, 1)
+
+    @property
+    def avg_cols_sq(self) -> float:
+        """Mean squared column count per grid point."""
+        return self.elements_sq / max(self.n_points, 1)
+
+
+def build_batch_views(
+    batches: Sequence[GridBatch],
+    n_basis: int,
+    pattern: Optional[SparsityPattern] = None,
+) -> BatchViews:
+    """The view list of one builder: dense without *pattern*, else screened.
+
+    This is the only place that knows the two cases apart; every
+    consumer iterates the result without branching.
+    """
+    n_points = sum(b.n_points for b in batches)
+    if pattern is None:
+        everything = slice(None)
+        views = tuple(
+            BatchView(
+                b.index, b.point_indices, everything, (everything, everything),
+                b.relevant_atoms,
+            )
+            for b in batches
+        )
+        return BatchViews(
+            views, False, n_points, n_points * n_basis,
+            n_points * n_basis**2, n_basis**2,
+        )
+    views = []
+    for b in batches:
+        act = pattern.active_functions[b.index]
+        if act.size:
+            views.append(
+                BatchView(
+                    b.index, b.point_indices, act, np.ix_(act, act),
+                    pattern.active_atoms[b.index], pattern.active_hash(b.index),
+                )
+            )
+    return BatchViews(
+        tuple(views),
+        True,
+        n_points,
+        sum(v.point_indices.size * v.cols.size for v in views),
+        sum(v.point_indices.size * v.cols.size**2 for v in views),
+        pattern.matrix_nnz,
     )
 
 

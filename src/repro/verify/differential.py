@@ -398,10 +398,11 @@ def combo_conformance(
             for owned in assignment.batches_of_rank:
                 partial = np.zeros((basis.n_basis, basis.n_basis))
                 for b in owned:
-                    batch = builder.batches[b]
+                    # Dense builder: one all-column view per batch.
+                    view = builder.views.views[b]
                     partial += potential_block(
-                        builder.backend.basis_block(batch),
-                        weights[batch.point_indices],
+                        builder.backend.basis_block(view),
+                        weights[view.point_indices],
                     )
                 per_rank.append(partial)
             for comm_name in comms:

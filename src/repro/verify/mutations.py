@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.backends.numpy_backend import NumpyBackend
 from repro.errors import VerificationError
-from repro.grids.batching import GridBatch
+from repro.grids.sparsity import BatchView
 
 #: Every seeded mutation and the bug class it models.
 MUTATIONS = {
@@ -56,7 +56,7 @@ BACKEND_MUTATIONS = (
 )
 
 #: Backend mutations that only bite when block-sparse screening is on
-#: (they corrupt the *active* block path; a dense run never calls it).
+#: (they corrupt *screened* views' blocks; a dense run has none).
 SCREENING_MUTATIONS = ("overscreened_block",)
 
 
@@ -79,28 +79,25 @@ class MutantBackend(NumpyBackend):
         self.mutation = mutation
         self._stale_dm: Optional[np.ndarray] = None
 
-    def basis_block(self, batch: GridBatch) -> np.ndarray:
-        block = super().basis_block(batch)
+    def basis_block(self, view: BatchView) -> np.ndarray:
+        block = super().basis_block(view)
         if self.mutation == "transposed_gather_map":
             return block[::-1]
         if self.mutation == "off_by_one_batch_slice" and block.shape[0] > 1:
             return np.vstack([block[1:], block[-1:]])
         if (
             self.mutation == "dropped_batch"
-            and batch.index == len(self._require_bound().batches) - 1
+            and view.index == len(self._require_bound().batches) - 1
         ):
             return np.zeros_like(block)
-        return block
-
-    def basis_block_active(self, batch: GridBatch) -> np.ndarray:
-        block = super().basis_block_active(batch)
-        if self.mutation == "overscreened_block" and batch.index == 0:
-            builder = self._require_bound()
-            act = builder.pattern.active_functions[0]
-            if act.size:
-                owner = int(builder.basis.function_atoms[act[0]])
-                block = block.copy()
-                block[:, builder.basis.function_atoms[act] == owner] = 0.0
+        if (
+            self.mutation == "overscreened_block"
+            and view.index == 0
+            and view.active_hash is not None
+        ):
+            fn_atom = self._require_bound().basis.function_atoms[view.cols]
+            block = block.copy()
+            block[:, fn_atom == fn_atom[0]] = 0.0
         return block
 
     def density_on_grid(self, density_matrix: np.ndarray) -> np.ndarray:

@@ -77,6 +77,11 @@ class TestPhaseParity:
         m_ref = builders["numpy"].potential_matrix(v)
         for name in ("batched", "device"):
             assert np.array_equal(m_ref, builders[name].potential_matrix(v)), name
+        # The backend-free reference is one more bit-exact column; on a
+        # dense builder both sides of its seam are the dense view list.
+        for screened in (True, False):
+            ref = builders["numpy"].reference_potential_matrix(v, screened=screened)
+            assert np.array_equal(m_ref, ref), screened
 
     def test_dipoles_bit_identical(self, builders):
         d_ref = builders["numpy"].dipole_matrices()
@@ -90,6 +95,9 @@ class TestPhaseParity:
         n_ref = density_on_grid(builders["numpy"], p)
         for name in ("batched", "device"):
             assert np.array_equal(n_ref, density_on_grid(builders[name], p)), name
+        for screened in (True, False):
+            ref = builders["numpy"].reference_density(p, screened=screened)
+            assert np.array_equal(n_ref, ref), screened
 
     def test_first_order_dm_bit_identical(self, builders, rng):
         nb = builders["numpy"].basis.n_basis

@@ -31,6 +31,7 @@ from repro.grids.sparsity import (
     DEFAULT_SCREENING_THRESHOLD,
     active_fraction_histogram,
 )
+from repro.obs.tracer import Tracer, activate
 
 BACKENDS = tuple(available_backends())
 
@@ -212,6 +213,23 @@ class TestScreenedBackendAgreement:
                 builder.backend.density_on_grid(p),
                 builder.potential_matrix(v),
             )
+            # The backend-free references iterate the same views, so
+            # they are one more bit-exact column on both sides of the
+            # seam: screened against this engine, dense against dense.
+            np.testing.assert_array_equal(
+                builder.reference_density(p), results[name][0]
+            )
+            np.testing.assert_array_equal(
+                builder.reference_potential_matrix(v), results[name][1]
+            )
+            np.testing.assert_array_equal(
+                builder.reference_density(p, screened=False),
+                reference.backend.density_on_grid(p),
+            )
+            np.testing.assert_array_equal(
+                builder.reference_potential_matrix(v, screened=False),
+                reference.potential_matrix(v),
+            )
         d0, m0 = results["numpy"]
         for name in BACKENDS[1:]:
             np.testing.assert_array_equal(results[name][0], d0)
@@ -287,6 +305,12 @@ class TestTableCacheCompose:
             np.testing.assert_array_equal(
                 table[b.point_indices][:, act], fresh
             )
+        # The same statement through the seam: the engine's one block
+        # source, fed a view, against the builder's fresh evaluation.
+        for view in screened.views.views[:4]:
+            np.testing.assert_array_equal(
+                screened.backend.basis_block(view), screened.evaluate_view(view)
+            )
 
     def test_over_limit_screened_path_matches_cached(self):
         dense_c, screened_c = _builders(
@@ -346,7 +370,7 @@ class TestBatchedLRUKeys:
         differing = [
             b
             for b in range(tight.n_batches)
-            if tight.n_active(b) != loose.n_active(b)
+            if tight.active_functions[b].size != loose.active_functions[b].size
         ]
         assert differing, "thresholds produced identical active sets"
         for b in differing:
@@ -370,6 +394,34 @@ class TestScreeningCounters:
         assert doc["fill_fraction"] == pytest.approx(stats.fill_fraction)
         assert tuple(doc["histogram"]) == stats.histogram
         assert doc["elements_active"] > 0
+
+    def test_blocks_evaluated_metric_is_linear_and_engine_independent(self):
+        """k screened Sumup+H passes read ``2 k blocks_active`` on every
+        engine — the counter is charged per pass, not re-added from the
+        profile's running total, and engines overriding the phase
+        implementations (device) emit it too."""
+        readings = {}
+        for name in BACKENDS:
+            _, screened = _builders(
+                _chain(21, 5), DEFAULT_SCREENING_THRESHOLD, backend=name
+            )
+            p, v = _probe_inputs(screened)
+            active = screened.pattern.stats.blocks_active
+            tracer = Tracer()
+            readings[name] = []
+            with activate(tracer):
+                for k in (1, 2, 3):
+                    screened.backend.density_on_grid(p)
+                    screened.potential_matrix(v)
+                    metric = tracer.metrics.counter(
+                        "backend.screen.blocks_evaluated"
+                    ).value
+                    assert metric == 2 * k * active
+                    readings[name].append(metric)
+            assert (
+                screened.backend.profile.screen_blocks_evaluated == 6 * active
+            )
+        assert len({tuple(r) for r in readings.values()}) == 1
 
     def test_dense_profile_reports_no_screening(self):
         dense, _ = _builders(_chain(21, 5), DEFAULT_SCREENING_THRESHOLD)
