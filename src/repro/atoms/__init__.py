@@ -3,6 +3,7 @@
 from repro.atoms.element import Element, element, ELEMENTS
 from repro.atoms.structure import Structure
 from repro.atoms.builders import (
+    BUILTIN_MOLECULES,
     hydrogen_molecule,
     water,
     methane,
@@ -19,6 +20,7 @@ __all__ = [
     "element",
     "ELEMENTS",
     "Structure",
+    "BUILTIN_MOLECULES",
     "hydrogen_molecule",
     "water",
     "methane",

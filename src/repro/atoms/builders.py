@@ -15,7 +15,7 @@ DESIGN.md section 2).
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -51,6 +51,14 @@ def water() -> Structure:
         ]
     )
     return Structure(["O", "H", "H"], coords, name="H2O")
+
+
+#: The molecules every ``--molecule`` flag, service payload and golden
+#: record may name instead of carrying a geometry.
+BUILTIN_MOLECULES: Dict[str, Callable[[], Structure]] = {
+    "h2": hydrogen_molecule,
+    "water": water,
+}
 
 
 def methane() -> Structure:

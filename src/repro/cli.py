@@ -38,7 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.atoms import polyethylene_units_for_atoms
-from repro.atoms.builders import polyethylene
+from repro.atoms.builders import BUILTIN_MOLECULES, polyethylene
 from repro.atoms.io import read_geometry_in
 from repro.config import get_settings
 from repro.core import OptimizationFlags, PerturbationSimulator
@@ -67,9 +67,7 @@ def _load_structure(args: argparse.Namespace):
     if not args.geometry:
         molecule = getattr(args, "molecule", None)
         if molecule:
-            from repro.atoms import hydrogen_molecule, water
-
-            return water() if molecule == "water" else hydrogen_molecule()
+            return BUILTIN_MOLECULES[molecule]()
         raise SystemExit(
             "provide a geometry.in path, --polyethylene N_ATOMS or --molecule"
         )
@@ -156,7 +154,6 @@ def _cmd_physics(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.atoms import hydrogen_molecule  # noqa: F401 (registry import)
     from repro.utils.reports import format_verify_report
     from repro.verify import (
         GOLDEN_MOLECULES,
@@ -240,11 +237,10 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.atoms import hydrogen_molecule, water
     from repro.runtime.faults import FaultRates
     from repro.testing.chaos import run_chaos
 
-    structure = water() if args.molecule == "water" else hydrogen_molecule()
+    structure = BUILTIN_MOLECULES[args.molecule]()
     rates = None
     if args.corruption_rate or args.straggler_rate or args.cycle_fault_rate:
         rates = FaultRates(
@@ -884,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--molecule",
-        choices=["h2", "water"],
+        choices=list(BUILTIN_MOLECULES),
         help="built-in molecule instead of a geometry.in path",
     )
     p_trace.set_defaults(func=_cmd_trace)
@@ -1000,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=2023)
     p_chaos.add_argument("--machine", default="hpc2", choices=["hpc1", "hpc2"])
     p_chaos.add_argument("--ranks", type=int, default=8)
-    p_chaos.add_argument("--molecule", default="h2", choices=["h2", "water"])
+    p_chaos.add_argument("--molecule", default="h2", choices=list(BUILTIN_MOLECULES))
     p_chaos.add_argument("--level", default="minimal",
                          choices=["minimal", "light", "tight"])
     p_chaos.add_argument("--corruption-rate", type=float, default=0.0,
@@ -1018,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
         "apply) the winning configuration",
     )
     add_common(p_tune, physics=True)
-    p_tune.add_argument("--molecule", choices=["h2", "water"],
+    p_tune.add_argument("--molecule", choices=list(BUILTIN_MOLECULES),
                         help="built-in molecule instead of a geometry.in path")
     p_tune.add_argument("--charge", type=int, default=0)
     p_tune.add_argument("--machine", default="hpc2", choices=["hpc1", "hpc2"],
@@ -1055,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reference molecules",
     )
     p_verify.add_argument("--molecule", default="all",
-                          choices=["h2", "water", "all"])
+                          choices=[*BUILTIN_MOLECULES, "all"])
     p_verify.add_argument("--level", default="minimal",
                           choices=["minimal", "light", "tight"])
     p_verify.add_argument("--ranks", type=int, default=4,
@@ -1093,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(content-addressed: repeated submissions are cache hits)",
     )
     add_common(p_submit, physics=True)
-    p_submit.add_argument("--molecule", choices=["h2", "water"],
+    p_submit.add_argument("--molecule", choices=list(BUILTIN_MOLECULES),
                           help="built-in molecule instead of a geometry.in path")
     p_submit.add_argument("--charge", type=int, default=0)
     p_submit.add_argument(

@@ -17,6 +17,7 @@ from repro.core.simulator import (
     PerturbationSimulator,
     SimulationReport,
     PhysicsResult,
+    iter_physics,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "PerturbationSimulator",
     "SimulationReport",
     "PhysicsResult",
+    "iter_physics",
 ]

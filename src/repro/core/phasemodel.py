@@ -95,10 +95,6 @@ class PhaseBreakdown:
     init: float
     comm_detail: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def cycle_total(self) -> float:
-        return sum(self.per_cycle.values())
-
 
 class PhaseModel:
     """Prices one (workload, machine, ranks, flags) configuration."""

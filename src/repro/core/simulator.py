@@ -4,7 +4,9 @@ One object, two modes:
 
 * ``run_physics()`` — real all-electron DFPT on the given molecule
   (small systems): returns ground state, polarizability tensor and
-  measured per-phase wall times.
+  measured per-phase wall times.  It drains :func:`iter_physics`, the
+  one place the SCF -> CPSCF -> alpha pipeline of Fig. 1 is written;
+  the fleet driver advances the same generator cycle by cycle.
 * ``run_model(machine, n_ranks, flags)`` — the exascale path: builds
   the workload summary, maps batches under the selected strategy and
   prices every phase with the device/communication models; used by all
@@ -14,7 +16,7 @@ One object, two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -22,13 +24,15 @@ from repro.atoms.structure import Structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import BackendProfile, ExecutionBackend
+    from repro.dft.hamiltonian import Substrate
+    from repro.runtime.faults import CycleFaultInjector
     from repro.verify.invariants import VerifyReport
 from repro.config import RunSettings, get_settings
 from repro.core.flags import OptimizationFlags
 from repro.core.phasemodel import PhaseBreakdown, PhaseCalibration, PhaseModel
 from repro.core.workload import Workload, build_workload, synthetic_batches
 from repro.dfpt.polarizability import polarizability_tensor
-from repro.dfpt.response import DFPTSolver
+from repro.dfpt.response import DFPTSolver, ResponseResult
 from repro.dft.scf import GroundState, SCFDriver
 from repro.errors import ExperimentError
 from repro.grids.batching import GridBatch
@@ -38,16 +42,20 @@ from repro.mapping.strategies import (
     locality_enhancing_mapping,
 )
 from repro.runtime.machines import MachineSpec
+from repro.utils import drain
 from repro.utils.timing import PhaseTimer
-
-#: Number of CPSCF cycles a typical production run needs (used to turn
-#: per-cycle model times into run totals; the paper reports per-cycle).
-TYPICAL_CPSCF_CYCLES = 12
 
 
 @dataclass
 class PhysicsResult:
-    """Outcome of a real (laptop-scale) DFPT run."""
+    """Outcome of a real (laptop-scale) DFPT run.
+
+    ``responses`` holds the three converged
+    :class:`~repro.dfpt.response.ResponseResult` objects (x, y, z) the
+    tensor was read from — by reference, never copied — so consumers
+    that need response matrices or restart counts read them here
+    instead of re-running the CPSCF loop.
+    """
 
     ground_state: GroundState
     polarizability: np.ndarray
@@ -55,6 +63,65 @@ class PhysicsResult:
     cpscf_iterations_per_direction: List[int] = field(default_factory=list)
     backend_profile: Optional["BackendProfile"] = None
     verify_report: Optional["VerifyReport"] = None
+    responses: List[ResponseResult] = field(default_factory=list)
+
+
+def iter_physics(
+    structure: Structure,
+    settings: RunSettings,
+    charge: int = 0,
+    *,
+    backend: Union[str, "ExecutionBackend", None] = None,
+    substrate: Optional["Substrate"] = None,
+    fault_injector: Optional["CycleFaultInjector"] = None,
+):
+    """The SCF -> CPSCF -> polarizability pipeline, one cycle per ``next()``.
+
+    Yields once after driver construction (substrate, integrals) and
+    once per SCF / CPSCF cycle — the suspension points a fleet
+    scheduler interleaves molecules at; the :class:`PhysicsResult` is
+    the generator's return value.  A sequential run drains it
+    (:meth:`PerturbationSimulator.run_physics`), so every consumer
+    executes the same floating-point sequence.  *substrate* injects a
+    shared :func:`~repro.dft.hamiltonian.build_substrate` result;
+    *fault_injector* forces checkpoint-restarts of cycles in both loops.
+    """
+    timer = PhaseTimer()
+    sub = substrate
+    driver = SCFDriver(
+        structure,
+        settings,
+        charge=charge,
+        timer=timer,
+        backend=backend,
+        basis=sub.basis if sub else None,
+        grid=sub.grid if sub else None,
+        batches=sub.batches if sub else None,
+    )
+    yield "constructed"
+    gs = yield from driver.iter_cycles(fault_injector=fault_injector)
+    solver = DFPTSolver(
+        gs,
+        settings.cpscf,
+        timer=timer,
+        fault_injector=fault_injector,
+        verifier=driver.verifier,
+    )
+    responses = []
+    for j in range(3):
+        responses.append((yield from solver.iter_direction(j)))
+    alpha = polarizability_tensor(gs, responses=responses)
+    if driver.verifier is not None:
+        driver.verifier.run_phase("polarizability", polarizability=alpha)
+    return PhysicsResult(
+        ground_state=gs,
+        polarizability=alpha,
+        phase_seconds=timer.as_dict(),
+        cpscf_iterations_per_direction=[r.iterations for r in responses],
+        backend_profile=driver.backend.profile,
+        verify_report=driver.verifier.report if driver.verifier else None,
+        responses=responses,
+    )
 
 
 @dataclass
@@ -76,11 +143,6 @@ class SimulationReport:
     @property
     def cycle_seconds(self) -> float:
         return sum(self.per_cycle_seconds.values())
-
-    @property
-    def feasible(self) -> bool:
-        """Does the per-rank Hamiltonian fit the machine's memory?"""
-        return self.memory_per_rank_bytes >= 0  # refined by caller w/ machine
 
 
 class PerturbationSimulator:
@@ -111,33 +173,10 @@ class PerturbationSimulator:
         Intended for molecules up to a few tens of atoms; the grid and
         basis grow quadratically beyond that.
         """
-        timer = PhaseTimer()
-        driver = SCFDriver(
-            self.structure,
-            self.settings,
-            charge=self.charge,
-            timer=timer,
-            backend=self.backend,
-        )
-        gs = driver.run()
-        solver = DFPTSolver(
-            gs, self.settings.cpscf, timer=timer, verifier=driver.verifier
-        )
-        alpha = np.empty((3, 3))
-        iterations = []
-        for j in range(3):
-            result = solver.solve_direction(j)
-            alpha[:, j] = result.polarizability_column(gs.dipoles)
-            iterations.append(result.iterations)
-        if driver.verifier is not None:
-            driver.verifier.run_phase("polarizability", polarizability=alpha)
-        return PhysicsResult(
-            ground_state=gs,
-            polarizability=alpha,
-            phase_seconds=timer.as_dict(),
-            cpscf_iterations_per_direction=iterations,
-            backend_profile=driver.backend.profile,
-            verify_report=driver.verifier.report if driver.verifier else None,
+        return drain(
+            iter_physics(
+                self.structure, self.settings, self.charge, backend=self.backend
+            )
         )
 
     # ------------------------------------------------------------------

@@ -2,30 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.config import CPSCFSettings
-from repro.dfpt.response import DFPTSolver
+from repro.dfpt.response import DFPTSolver, ResponseResult
 from repro.dft.scf import GroundState
 
 
 def polarizability_tensor(
     ground_state: GroundState,
     settings: Optional[CPSCFSettings] = None,
-    solver: Optional[DFPTSolver] = None,
+    responses: Optional[Sequence[ResponseResult]] = None,
 ) -> np.ndarray:
     """Static dipole polarizability alpha_IJ (atomic units, Bohr^3).
 
-    alpha_IJ = d mu_I / d xi_J = -Tr(P^(1,J) D_I): one CPSCF solve per
-    field direction J fills one column.
+    alpha_IJ = d mu_I / d xi_J = -Tr(P^(1,J) D_I): the converged
+    response for field direction J fills column J.  *responses* are the
+    three :meth:`~repro.dfpt.response.DFPTSolver.solve_all` results of
+    a CPSCF run already done; without them the run happens here.
     """
-    solver = solver or DFPTSolver(ground_state, settings)
+    if responses is None:
+        responses = DFPTSolver(ground_state, settings).solve_all()
     alpha = np.empty((3, 3))
-    for j in range(3):
-        result = solver.solve_direction(j)
-        alpha[:, j] = result.polarizability_column(ground_state.dipoles)
+    for result in responses:
+        alpha[:, result.direction] = result.polarizability_column(
+            ground_state.dipoles
+        )
     return alpha
 
 

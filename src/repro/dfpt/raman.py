@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.atoms.structure import Structure
 from repro.config import RunSettings, get_settings
-from repro.dfpt.polarizability import polarizability_tensor
+from repro.core.simulator import PerturbationSimulator
 from repro.dfpt.vibrations import AMU_IN_ME, NormalModes, ATOMIC_MASSES
-from repro.dft.scf import SCFDriver
 
 
 @dataclass
@@ -38,8 +37,8 @@ class RamanSpectrum:
 
 
 def _alpha_at(structure: Structure, settings: RunSettings, charge: int) -> np.ndarray:
-    gs = SCFDriver(structure, settings, charge=charge).run()
-    return polarizability_tensor(gs, settings.cpscf)
+    sim = PerturbationSimulator(structure, settings, charge=charge)
+    return sim.run_physics().polarizability
 
 
 def raman_spectrum(

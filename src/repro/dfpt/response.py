@@ -35,6 +35,7 @@ from repro.dft.xc import lda_xc_kernel
 from repro.errors import CPSCFConvergenceError
 from repro.obs.tracer import obs_event, trace_context
 from repro.runtime.faults import CycleFaultInjector
+from repro.utils import drain
 from repro.utils.timing import PhaseTimer
 
 
@@ -122,12 +123,7 @@ class DFPTSolver:
 
     def solve_direction(self, direction: int) -> ResponseResult:
         """Run the CPSCF loop for one Cartesian field direction."""
-        steps = self.iter_direction(direction)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
+        return drain(self.iter_direction(direction))
 
     def iter_direction(self, direction: int):
         """Generator form of :meth:`solve_direction`: one cycle per ``next()``.

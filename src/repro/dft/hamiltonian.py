@@ -16,21 +16,52 @@ across all three.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from repro.basis.basis_set import BasisSet
-from repro.grids.atom_grid import IntegrationGrid
+from repro.basis.basis_set import BasisSet, build_basis
+from repro.grids.atom_grid import IntegrationGrid, build_grid
 from repro.grids.batching import GridBatch, attach_relevant_atoms, build_batches
 from repro.grids.sparsity import BatchView, build_batch_views, build_sparsity_pattern
 from repro.utils.linalg import symmetrize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.atoms.structure import Structure
     from repro.backends.base import ExecutionBackend
+    from repro.config import GridSettings
 
 #: Cache chi(point) tables when n_points * n_basis stays below this.
 _CACHE_LIMIT: int = 40_000_000
+
+
+@dataclass
+class Substrate:
+    """One geometry's density-independent basis/grid/batch decomposition."""
+
+    basis: BasisSet
+    grid: IntegrationGrid
+    batches: List[GridBatch]
+
+
+def build_substrate(
+    structure: "Structure", grid_settings: "GridSettings"
+) -> Substrate:
+    """Build the basis, partitioned grid and atom-tagged batches of a run.
+
+    The one place the three are built together — by
+    :class:`~repro.dft.scf.SCFDriver` for itself, by the fleet's
+    substrate cache, the tuner's trial runner and the benchmarks to
+    share across builders.  Deterministic in its inputs, so a shared
+    substrate carries exactly the arrays a fresh build would.
+    """
+    basis = build_basis(structure)
+    grid = build_grid(structure, grid_settings, with_partition=True)
+    batches = attach_relevant_atoms(
+        build_batches(grid), structure, basis.atom_cutoffs
+    )
+    return Substrate(basis=basis, grid=grid, batches=batches)
 
 
 class MatrixBuilder:
@@ -79,8 +110,7 @@ class MatrixBuilder:
             grid.compute_partition_weights()
         if batches is None:
             batches = build_batches(grid)
-            batches = attach_relevant_atoms(batches, grid.structure, basis.atom_cutoffs)
-        elif batches and not batches[0].relevant_atoms:
+        if batches and not batches[0].relevant_atoms:
             batches = attach_relevant_atoms(batches, grid.structure, basis.atom_cutoffs)
         self.batches = batches
         self._values_cache: Optional[np.ndarray] = None

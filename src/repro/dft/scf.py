@@ -20,16 +20,17 @@ from repro.atoms.structure import Structure
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import ExecutionBackend
     from repro.verify.invariants import Verifier
-from repro.basis.basis_set import BasisSet, build_basis
+from repro.basis.basis_set import BasisSet
 from repro.config import RunSettings, get_settings
-from repro.dft.hamiltonian import MatrixBuilder
+from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.hartree import MultipoleSolver
 from repro.dft.mixing import PulayMixer
 from repro.dft.xc import lda_exchange_correlation
 from repro.errors import SCFConvergenceError
-from repro.grids.atom_grid import IntegrationGrid, build_grid
+from repro.grids.atom_grid import IntegrationGrid
 from repro.obs.tracer import obs_event, obs_span, trace_context
 from repro.runtime.faults import CycleFaultInjector
+from repro.utils import drain
 from repro.utils.linalg import (
     density_matrix_from_orbitals,
     solve_generalized_eigenproblem,
@@ -114,12 +115,14 @@ class SCFDriver:
         # A fleet driver may inject a shared basis/grid/batch substrate
         # (built once per distinct geometry); construction is identical
         # to building them here, so results are unaffected.
-        self.basis = basis if basis is not None else build_basis(structure)
-        self.grid = (
-            grid
-            if grid is not None
-            else build_grid(structure, self.settings.grids, with_partition=True)
-        )
+        if basis is None or grid is None:
+            own = build_substrate(structure, self.settings.grids)
+            if basis is None:
+                basis = own.basis
+            if grid is None:  # the batches index the grid they were cut from
+                grid, batches = own.grid, own.batches
+        self.basis = basis
+        self.grid = grid
         self.builder = MatrixBuilder(
             self.basis,
             self.grid,
@@ -187,12 +190,7 @@ class SCFDriver:
             redoes it, so converged results are bit-exact with a
             fault-free run.
         """
-        steps = self.iter_cycles(external_field, fault_injector)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
+        return drain(self.iter_cycles(external_field, fault_injector))
 
     def iter_cycles(
         self,

@@ -7,7 +7,6 @@ EXPERIMENTS.md records measured-vs-paper values.
 """
 
 from repro.experiments.common import (
-    polyethylene_workloads,
     POLY_ATOM_COUNTS,
     full_scale_enabled,
 )
@@ -26,7 +25,6 @@ from repro.experiments.fig16_weak import run_fig16_weak
 from repro.experiments.beyond200k import run_beyond200k
 
 __all__ = [
-    "polyethylene_workloads",
     "POLY_ATOM_COUNTS",
     "full_scale_enabled",
     "run_fig09a_memory",

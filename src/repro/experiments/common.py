@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.atoms.builders import polyethylene, polyethylene_units_for_atoms
 from repro.config import get_settings
@@ -32,13 +32,3 @@ def polyethylene_simulator(n_atoms: int, level: str = "light") -> PerturbationSi
     return PerturbationSimulator(polyethylene(n_units), get_settings(level))
 
 
-def polyethylene_workloads(
-    atom_counts: Sequence[int],
-) -> Dict[int, PerturbationSimulator]:
-    """Simulators for several chain lengths."""
-    return {n: polyethylene_simulator(n) for n in atom_counts}
-
-
-def default_rank_grid(paper_grid: Sequence[int], quick: Sequence[int]) -> List[int]:
-    """Choose the sweep: full paper grid or the quick subset."""
-    return list(paper_grid) if full_scale_enabled() else list(quick)

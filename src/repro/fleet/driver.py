@@ -21,9 +21,11 @@ which may change a single result bit:
    :class:`~repro.fleet.device.FleetDevice` can fuse the same-name
    kernel launches of different molecules at each round boundary.
 
-Each group's floating-point sequence is exactly the sequence of an
-isolated :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`
-call, which is what the fleet parity suite pins byte for byte.
+Each group advances the very generator
+(:func:`~repro.core.simulator.iter_physics`) that an isolated
+:meth:`~repro.core.simulator.PerturbationSimulator.run_physics` drains,
+so its floating-point sequence is that call's sequence — what the fleet
+parity suite pins byte for byte.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
-
-import numpy as np
+from typing import Any, Dict, Iterable, List
 
 from repro.backends.batched import DEFAULT_CACHE_BYTES, BatchedBackend, BlockCache
 from repro.fleet.device import FleetDevice
@@ -206,55 +206,23 @@ class FleetDriver:
     def _group_pipeline(self, group: FleetGroup):
         """Generator running one group's physics, one cycle per ``next()``.
 
-        The body replicates
-        :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`
-        call for call — same driver construction, same solver, same
-        verifier phases — with ``yield from`` threading the per-cycle
-        suspension points out to the round-robin scheduler.
+        Decodes the payload, picks the shared substrate and backend and
+        delegates to :func:`~repro.core.simulator.iter_physics` — the
+        same generator a sequential ``run_physics()`` drains — whose
+        per-cycle suspension points ``yield from`` threads out to the
+        round-robin scheduler.
         """
-        from repro.config import RunSettings
-        from repro.core.simulator import PhysicsResult
-        from repro.dfpt.response import DFPTSolver
-        from repro.dft.scf import SCFDriver
-        from repro.service.jobs import structure_from_dict
-        from repro.utils.timing import PhaseTimer
+        from repro.core.simulator import iter_physics
+        from repro.service.jobs import physics_from_payload
 
-        payload = group.tasks[0].payload
-        structure = structure_from_dict(payload["structure"])
-        settings = RunSettings.from_canonical_dict(payload["settings"])
+        structure, settings, charge = physics_from_payload(group.tasks[0].payload)
         register_basis_tables(self.registry, structure)
-        sub = self._substrates.substrate(structure, settings)
-        timer = PhaseTimer()
-        driver = SCFDriver(
+        physics = yield from iter_physics(
             structure,
             settings,
-            charge=int(payload.get("charge", 0)),
-            timer=timer,
+            charge,
             backend=self._backend_for(settings, scope=group.fingerprint),
-            basis=sub.basis,
-            grid=sub.grid,
-            batches=sub.batches,
-        )
-        yield "constructed"
-        gs = yield from driver.iter_cycles()
-        solver = DFPTSolver(
-            gs, settings.cpscf, timer=timer, verifier=driver.verifier
-        )
-        alpha = np.empty((3, 3))
-        iterations = []
-        for j in range(3):
-            result = yield from solver.iter_direction(j)
-            alpha[:, j] = result.polarizability_column(gs.dipoles)
-            iterations.append(result.iterations)
-        if driver.verifier is not None:
-            driver.verifier.run_phase("polarizability", polarizability=alpha)
-        physics = PhysicsResult(
-            ground_state=gs,
-            polarizability=alpha,
-            phase_seconds=timer.as_dict(),
-            cpscf_iterations_per_direction=iterations,
-            backend_profile=driver.backend.profile,
-            verify_report=driver.verifier.report if driver.verifier else None,
+            substrate=self._substrates.substrate(structure, settings),
         )
         return _GroupOutcome(
             structure=structure, settings=settings, physics=physics

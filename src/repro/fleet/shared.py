@@ -16,11 +16,11 @@ share *identical* density-independent data rather than recomputing it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.dft.hamiltonian import Substrate, build_substrate
 from repro.runtime.shm import SharedTableRegistry
 
 
@@ -67,15 +67,6 @@ def register_basis_tables(
     return registry.register(basis_signature(structure), build)
 
 
-@dataclass
-class Substrate:
-    """One geometry's shared basis/grid/batch decomposition."""
-
-    basis: object
-    grid: object
-    batches: list
-
-
 class SubstrateCache:
     """Per-geometry substrates shared by same-shape fleet groups.
 
@@ -96,9 +87,6 @@ class SubstrateCache:
         """The (possibly shared) substrate for one structure + settings."""
         import json
 
-        from repro.basis.basis_set import build_basis
-        from repro.grids.atom_grid import build_grid
-        from repro.grids.batching import attach_relevant_atoms, build_batches
         from repro.service.jobs import structure_fingerprint
 
         grids_key = json.dumps(
@@ -109,11 +97,7 @@ class SubstrateCache:
         if cached is not None:
             self.reused += 1
             return cached
-        basis = build_basis(structure)
-        grid = build_grid(structure, settings.grids, with_partition=True)
-        batches = build_batches(grid)
-        batches = attach_relevant_atoms(batches, structure, basis.atom_cutoffs)
-        built = Substrate(basis=basis, grid=grid, batches=batches)
+        built = build_substrate(structure, settings.grids)
         self._substrates[key] = built
         self.built += 1
         return built

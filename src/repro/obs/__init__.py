@@ -42,8 +42,6 @@ from repro.obs.tracer import (
     current_tracer,
     obs_counter,
     obs_event,
-    obs_gauge,
-    obs_histogram,
     obs_span,
     trace_context,
 )
@@ -59,7 +57,6 @@ from repro.obs.regress import (
     Band,
     MetricDelta,
     RegressionReport,
-    check_against_baseline,
     compare_reports,
     default_band,
     flatten,
@@ -78,8 +75,6 @@ __all__ = [
     "current_tracer",
     "obs_counter",
     "obs_event",
-    "obs_gauge",
-    "obs_histogram",
     "obs_span",
     "trace_context",
     "chrome_trace",
@@ -93,7 +88,6 @@ __all__ = [
     "Band",
     "MetricDelta",
     "RegressionReport",
-    "check_against_baseline",
     "compare_reports",
     "default_band",
     "flatten",

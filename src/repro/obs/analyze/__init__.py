@@ -28,7 +28,6 @@ dashboard is deterministic: same input files, same output bytes.
 
 from repro.obs.analyze.comms import (
     CommCell,
-    comm_counters,
     comm_matrix,
     render_comm_matrix,
     render_scheme_costs,
@@ -85,7 +84,6 @@ __all__ = [
     "Trend",
     "TrendReport",
     "append_entry",
-    "comm_counters",
     "comm_matrix",
     "critical_path",
     "detect_trends",

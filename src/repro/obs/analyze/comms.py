@@ -63,22 +63,6 @@ def comm_matrix(
     }
 
 
-def comm_counters(metrics: Mapping[str, object]) -> Dict[str, float]:
-    """Extract the ``comm.*`` counters from one metrics snapshot.
-
-    Accepts either a full :meth:`MetricsRegistry.as_dict` document or
-    its ``counters`` subtree.
-    """
-    counters = metrics.get("counters", metrics)
-    if not isinstance(counters, Mapping):
-        return {}
-    return {
-        str(k): float(v)  # type: ignore[arg-type]
-        for k, v in sorted(counters.items())
-        if str(k).startswith("comm.") and isinstance(v, (int, float))
-    }
-
-
 def render_comm_matrix(
     matrix: Mapping[Tuple[str, str], CommCell],
     counters: Mapping[str, float] = (),  # type: ignore[assignment]

@@ -320,15 +320,6 @@ class Timeline:
             for phase, row in self.busy_matrix(categories).items()
         }
 
-    def rank_busy(
-        self, categories: Optional[Sequence[str]] = None
-    ) -> Dict[int, float]:
-        """``rank -> summed busy seconds`` across all phases."""
-        out: Dict[int, float] = {r: 0.0 for r in range(self.n_ranks)}
-        for e in self._selected(categories):
-            out[e.rank] = out.get(e.rank, 0.0) + e.duration
-        return out
-
     def segments(self) -> List[str]:
         """Segment labels (SCF/CPSCF cycles) ordered by first start."""
         first: Dict[str, float] = {}

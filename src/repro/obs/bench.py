@@ -52,26 +52,20 @@ def build_builders(level: str, cache_limit: int) -> Dict[str, object]:
     contrast the benchmark exists to measure.
     """
     from repro.atoms import water
-    from repro.basis import build_basis
     from repro.config import get_settings
-    from repro.dft.hamiltonian import MatrixBuilder
-    from repro.grids import build_grid
+    from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 
-    structure = water()
-    settings = get_settings(level)
-    basis = build_basis(structure)
-    grid = build_grid(structure, settings.grids, with_partition=True)
-    reference = MatrixBuilder(basis, grid, backend="numpy", cache_limit=cache_limit)
-    builders: Dict[str, object] = {"numpy": reference}
-    for name in BACKEND_ORDER[1:]:
-        builders[name] = MatrixBuilder(
-            basis,
-            grid,
-            batches=reference.batches,
+    sub = build_substrate(water(), get_settings(level).grids)
+    return {
+        name: MatrixBuilder(
+            sub.basis,
+            sub.grid,
+            batches=sub.batches,
             backend=name,
             cache_limit=cache_limit,
         )
-    return builders
+        for name in BACKEND_ORDER
+    }
 
 
 def sweep(builder, n_sweeps: int, seed: int = BENCH_SEED) -> dict:
@@ -164,10 +158,8 @@ def sparse_emission(
     baseline pins the >= 3x payoff the locality seam exists for.
     """
     from repro.atoms import polyethylene
-    from repro.basis import build_basis
     from repro.config import get_settings
-    from repro.dft.hamiltonian import MatrixBuilder
-    from repro.grids import build_grid
+    from repro.dft.hamiltonian import MatrixBuilder, build_substrate
     from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 
     if n_sweeps < 1:
@@ -179,14 +171,12 @@ def sparse_emission(
             f"the sparse benchmark needs a positive threshold, got {threshold}"
         )
     structure = polyethylene(n_units)
-    settings = get_settings(level)
-    basis = build_basis(structure)
-    grid = build_grid(structure, settings.grids, with_partition=True)
-    dense = MatrixBuilder(basis, grid, backend="numpy")
+    sub = build_substrate(structure, get_settings(level).grids)
+    dense = MatrixBuilder(sub.basis, sub.grid, batches=sub.batches, backend="numpy")
     screened = MatrixBuilder(
-        basis,
-        grid,
-        batches=dense.batches,
+        sub.basis,
+        sub.grid,
+        batches=sub.batches,
         backend="numpy",
         screening_threshold=threshold,
     )
@@ -218,8 +208,8 @@ def sparse_emission(
         "n_units": n_units,
         "n_atoms": structure.n_atoms,
         "level": level,
-        "n_points": grid.n_points,
-        "n_basis": basis.n_basis,
+        "n_points": sub.grid.n_points,
+        "n_basis": sub.basis.n_basis,
         "n_sweeps": n_sweeps,
         "threshold": threshold,
         "sparsity": stats.as_dict(),
@@ -264,10 +254,10 @@ def fleet_emission(
     measurements are quarantined under ``timings``.
     """
     from repro.atoms import hydrogen_molecule
-    from repro.config import RunSettings, get_settings
+    from repro.config import get_settings
     from repro.core import PerturbationSimulator
     from repro.fleet import FleetDriver, fleet_tasks_from_requests
-    from repro.service.jobs import JobRequest, structure_from_dict
+    from repro.service.jobs import JobRequest, physics_from_payload
     from repro.service.worker import result_payload, stable_result_bytes
 
     if n_requests < 1 or n_distinct < 1 or n_distinct > n_requests:
@@ -301,9 +291,8 @@ def fleet_emission(
     reference_bytes: Dict[str, bytes] = {}
     seq_start = time.perf_counter()
     for task in tasks:
-        structure = structure_from_dict(task.payload["structure"])
-        run_settings = RunSettings.from_canonical_dict(task.payload["settings"])
-        sim = PerturbationSimulator(structure, run_settings)
+        structure, run_settings, charge = physics_from_payload(task.payload)
+        sim = PerturbationSimulator(structure, run_settings, charge=charge)
         result = sim.run_physics()
         profile = result.backend_profile.as_dict()["device"]
         sequential["modeled_seconds"] += profile["modeled_seconds"]

@@ -233,15 +233,6 @@ def load_baseline(path: Union[str, Path]) -> Dict[str, object]:
     return json.loads(path.read_text())
 
 
-def check_against_baseline(
-    fresh: Dict[str, object],
-    baseline_path: Union[str, Path],
-    overrides: Optional[Dict[str, Band]] = None,
-) -> RegressionReport:
-    """Convenience wrapper: load the baseline file, compare, report."""
-    return compare_reports(fresh, load_baseline(baseline_path), overrides=overrides)
-
-
 def baseline_run_parameters(baseline: Dict[str, object]) -> Tuple[str, int]:
     """The (level, n_sweeps) a fresh emission must use to be comparable.
 

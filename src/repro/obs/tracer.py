@@ -214,17 +214,3 @@ def obs_counter(name: str, amount: int = 1) -> None:
     tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.metrics.counter(name).inc(amount)
-
-
-def obs_gauge(name: str, value: float) -> None:
-    """Set a gauge on the ambient tracer's metrics registry."""
-    tracer = _ACTIVE.get()
-    if tracer is not None:
-        tracer.metrics.gauge(name).set(value)
-
-
-def obs_histogram(name: str, value: float) -> None:
-    """Observe one sample on the ambient tracer's metrics registry."""
-    tracer = _ACTIVE.get()
-    if tracer is not None:
-        tracer.metrics.histogram(name).observe(value)

@@ -23,7 +23,6 @@ from repro.ocl.transforms import (
     build_gather_map,
     apply_gather_map,
     eliminate_indirect_accesses,
-    IndirectEliminationReport,
 )
 from repro.ocl.fusion import (
     vertical_fusion,
@@ -45,7 +44,6 @@ __all__ = [
     "build_gather_map",
     "apply_gather_map",
     "eliminate_indirect_accesses",
-    "IndirectEliminationReport",
     "vertical_fusion",
     "horizontal_fusion",
     "FusionReport",

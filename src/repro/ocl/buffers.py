@@ -13,8 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import DeviceError
-
 
 class AddressSpace(enum.Enum):
     """OpenCL address spaces the model distinguishes."""
@@ -57,13 +55,6 @@ class DeviceBuffer:
     @property
     def nbytes(self) -> int:
         return int(self.data.nbytes)
-
-    def require_space(self, space: AddressSpace) -> None:
-        if self.space is not space:
-            raise DeviceError(
-                f"buffer {self.name!r} is in {self.space.value}, "
-                f"kernel expects {space.value}"
-            )
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,6 @@ updating the kernel's model declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -67,19 +66,6 @@ def collapse_kernel(kernel: Kernel, p_max: int) -> Kernel:
 # ----------------------------------------------------------------------
 # Indirect-access elimination (Section 4.3)
 # ----------------------------------------------------------------------
-@dataclass
-class IndirectEliminationReport:
-    """Outcome of replacing A[B[i]] by C[i]."""
-
-    array_name: str
-    n_accesses: int
-    build_reused: bool  # map built in a previous simulation of the system
-
-    def __post_init__(self) -> None:
-        if self.n_accesses < 0:
-            raise DeviceError("negative access count")
-
-
 def build_gather_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Materialize C = f(A) with C[i] = A[B[i]].
 

@@ -146,9 +146,6 @@ class SimCluster:
         self._shm_seq += 1
         return i
 
-    def alive_ranks(self) -> List[int]:
-        return [r for r in range(self.n_ranks) if r not in self.failed_ranks]
-
     def fail_rank(self, rank: int) -> None:
         """Mark one rank dead (fault injection)."""
         if not 0 <= rank < self.n_ranks:

@@ -36,6 +36,7 @@ from repro.service.jobs import (
     JobRequest,
     cache_key,
     canonical_settings,
+    physics_from_payload,
     settings_fingerprint,
     structure_fingerprint,
     structure_from_dict,
@@ -87,6 +88,7 @@ __all__ = [
     "WorkerStats",
     "cache_key",
     "canonical_settings",
+    "physics_from_payload",
     "result_payload",
     "run_physics_task",
     "settings_fingerprint",

@@ -25,17 +25,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.atoms.builders import BUILTIN_MOLECULES
 from repro.atoms.structure import Structure
 from repro.config import RunSettings, get_settings
 from repro.errors import ServiceError
 from repro.service.statestore import StateStore, SubmitOutcome
-
-#: Built-in molecules a payload may name instead of carrying geometry.
-_BUILTIN_MOLECULES = ("h2", "water")
 
 #: Coordinates are rounded to this many decimals (Bohr) before hashing
 #: so a cache key never depends on sub-femtometre float noise.
@@ -99,19 +97,6 @@ def cache_key(
     return "ck-" + hashlib.sha256(doc.encode()).hexdigest()[:32]
 
 
-def _builtin(name: str) -> Structure:
-    from repro.atoms import hydrogen_molecule, water
-
-    if name == "h2":
-        return hydrogen_molecule()
-    if name == "water":
-        return water()
-    raise ServiceError(
-        f"unknown built-in molecule {name!r}; expected one of "
-        f"{_BUILTIN_MOLECULES}"
-    )
-
-
 def structure_to_dict(structure: Structure) -> Dict[str, Any]:
     """JSON-friendly geometry block a task payload carries."""
     return {
@@ -149,7 +134,13 @@ class JobRequest:
         """The concrete geometry (resolving built-in names)."""
         if isinstance(self.molecule, Structure):
             return self.molecule
-        return _builtin(self.molecule)
+        try:
+            return BUILTIN_MOLECULES[self.molecule]()
+        except KeyError:
+            raise ServiceError(
+                f"unknown built-in molecule {self.molecule!r}; expected one "
+                f"of {tuple(BUILTIN_MOLECULES)}"
+            ) from None
 
     def key(self, commit: Optional[str] = None) -> str:
         """This request's content-addressed cache key."""
@@ -167,6 +158,31 @@ class JobRequest:
             "charge": int(self.charge),
             "seed": self.seed,
         }
+
+
+def physics_from_payload(
+    payload: Dict[str, Any]
+) -> Tuple[Structure, RunSettings, int]:
+    """Decode a task payload into the ``(structure, settings, charge)`` it runs.
+
+    The inverse of :meth:`JobRequest.payload`, shared by every consumer
+    of a payload (worker, fleet driver, wave planner, benchmarks).
+    Raises :class:`~repro.errors.ServiceError` for any other ``kind``.
+
+    >>> s, cfg, q = physics_from_payload(JobRequest("h2").payload())
+    >>> s.name, cfg.level, q
+    ('H2', 'light', 0)
+    """
+    kind = payload.get("kind")
+    if kind != "physics":
+        raise ServiceError(
+            f"unsupported payload kind {kind!r}; expected 'physics'"
+        )
+    return (
+        structure_from_dict(payload["structure"]),
+        RunSettings.from_canonical_dict(payload["settings"]),
+        int(payload.get("charge", 0)),
+    )
 
 
 def submit_job(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError
 from repro.obs import obs_counter, obs_event, obs_span
@@ -52,22 +52,11 @@ def run_physics_task(task: TaskRecord) -> Dict[str, Any]:
     execution backend, and returns the result payload described in
     :func:`result_payload`.
     """
-    from repro.config import RunSettings
     from repro.core import PerturbationSimulator
-    from repro.service.jobs import structure_from_dict
+    from repro.service.jobs import physics_from_payload
 
-    payload = task.payload
-    if payload.get("kind") != "physics":
-        raise ServiceError(
-            f"task {task.task_id} has unsupported payload kind "
-            f"{payload.get('kind')!r}"
-        )
-    structure = structure_from_dict(payload["structure"])
-    settings = RunSettings.from_canonical_dict(payload["settings"])
-    sim = PerturbationSimulator(
-        structure, settings, charge=int(payload.get("charge", 0))
-    )
-    result = sim.run_physics()
+    structure, settings, charge = physics_from_payload(task.payload)
+    result = PerturbationSimulator(structure, settings, charge=charge).run_physics()
     return result_payload(task, structure, settings, result)
 
 
@@ -178,96 +167,32 @@ class Worker:
             t = now if now is not None else self.store.now()
             sink.note(kind, t, worker=self.worker_id, **fields)
 
-    def _note_phase_work(
-        self, task: TaskRecord, result: Any, now: Optional[float]
-    ) -> None:
-        """Attribute a completed task's per-phase seconds to this worker."""
-        if not isinstance(result, dict):
-            return
-        phases = (result.get("timings") or {}).get("phase_seconds")
-        if phases:
-            self._note("phase_work", now, task=task.task_id,
-                       phases=dict(phases))
+    def step(self, now: Optional[float] = None, limit: int = 1) -> List[str]:
+        """Claim up to *limit* tasks and run them as one wave.
 
-    def step(self, now: Optional[float] = None) -> Optional[str]:
-        """Claim and process at most one task.
+        Returns one outcome per claimed task, in claim order —
+        ``"completed"``, ``"failed"`` or ``"crashed"`` (empty when
+        nothing was eligible).  Crash decisions are drawn **per claim**,
+        in claim order, so a ``worker_crash`` at claim index k abandons
+        the k-th and every later task of the wave (the partial-wave loss
+        a dying worker produces) while earlier tasks execute.  A crash
+        is silent: no ``complete``/``fail`` reaches the store, and
+        recovery is entirely the store's lease expiry.
 
-        Returns the outcome — ``"completed"``, ``"failed"``,
-        ``"crashed"`` or ``None`` (nothing eligible to claim).  A crash
-        abandons the task silently: no ``complete``/``fail`` reaches
-        the store, and recovery is entirely the store's lease expiry.
+        A sequential job is the wave of one: it and every task of a
+        custom runner go through ``runner(task)``; a wave of several
+        physics tasks runs through the worker's shared
+        :class:`~repro.fleet.driver.FleetDriver`, byte-identical to
+        running them one by one.
         """
-        claimed = self.store.claim(self.worker_id, limit=1, now=now)
-        if not claimed:
-            return None
-        task = claimed[0]
-        self.stats.claimed += 1
-        self._claim_counter += 1
-        obs_counter("service.tasks_claimed")
-        if self.fault_plan is not None:
-            ev = self.fault_plan.worker_fault(
-                f"worker:{self.worker_id}",
-                self._claim_counter - 1,
-                attempt=task.attempts - 1,
-            )
-            if ev is not None:
-                self.events.append(ev)
-                self.stats.crashes += 1
-                obs_counter("service.worker_crashes")
-                obs_event("worker_crash", worker=self.worker_id,
-                          task=task.task_id)
-                self._note("worker_crash", now, task=task.task_id)
-                return "crashed"
-        return self._process(task, now)
-
-    def _process(self, task: TaskRecord, now: Optional[float]) -> str:
-        """Run one already-claimed, crash-checked task to a terminal state."""
-        self.store.start(task.task_id, self.worker_id, now=now)
-        with obs_span(
-            "service.task", category="service", worker=self.worker_id,
-            task=task.task_id, key=task.key, attempt=task.attempts,
-        ):
-            try:
-                result = self.runner(task)
-            except Exception as exc:  # noqa: BLE001 — any task error requeues
-                self.store.fail(task.task_id, self.worker_id, str(exc), now=now)
-                self.stats.failed += 1
-                obs_counter("service.tasks_failed")
-                return "failed"
-        self.store.heartbeat(task.task_id, self.worker_id, now=now)
-        self.store.complete(task.task_id, self.worker_id, result, now=now)
-        self._note_phase_work(task, result, now)
-        self.stats.completed += 1
-        obs_counter("service.tasks_completed")
-        return "completed"
-
-    def step_fleet(
-        self, fleet_size: int, now: Optional[float] = None
-    ) -> List[str]:
-        """Claim up to *fleet_size* tasks and run them as one fleet wave.
-
-        Crash decisions are still drawn **per claim**, in claim order,
-        so a scheduled ``worker_crash`` at claim index k abandons the
-        k-th and every later task of the wave (exactly the partial-wave
-        loss a dying worker produces) while earlier tasks execute;
-        abandoned tasks are recovered by the store's lease expiry like
-        any crash.  Physics tasks run through a shared
-        :class:`~repro.fleet.driver.FleetDriver` (one wave = one fleet
-        run, byte-identical to sequential :meth:`step` results); other
-        runners fall back to sequential per-task execution.
-        """
-        claimed = self.store.claim(self.worker_id, limit=fleet_size, now=now)
         outcomes: List[str] = []
-        survivors: List[TaskRecord] = []
+        wave: List[TaskRecord] = []
         crashed = False
-        for task in claimed:
+        for task in self.store.claim(self.worker_id, limit=limit, now=now):
             self.stats.claimed += 1
             self._claim_counter += 1
             obs_counter("service.tasks_claimed")
-            if crashed:
-                outcomes.append("crashed")  # abandoned with the worker
-                continue
-            if self.fault_plan is not None:
+            if not crashed and self.fault_plan is not None:
                 ev = self.fault_plan.worker_fault(
                     f"worker:{self.worker_id}",
                     self._claim_counter - 1,
@@ -281,72 +206,81 @@ class Worker:
                               task=task.task_id)
                     self._note("worker_crash", now, task=task.task_id)
                     crashed = True
-                    outcomes.append("crashed")
-                    continue
-            survivors.append(task)
-        if not survivors:
+            if crashed:
+                outcomes.append("crashed")  # abandoned with the worker
+            else:
+                wave.append(task)
+        if not wave:
             return outcomes
-        if self.runner is not run_physics_task:
-            outcomes.extend(self._process(t, now) for t in survivors)
-            return outcomes
-        outcomes.extend(self._run_wave(survivors, now))
+        for task in wave:
+            self.store.start(task.task_id, self.worker_id, now=now)
+        if len(wave) > 1 and self.runner is run_physics_task:
+            results = self._run_fleet(wave)
+        else:
+            results = [self._run_one(task) for task in wave]
+        for task, (result, error) in zip(wave, results):
+            outcomes.append(self._settle(task, result, error, now))
         return outcomes
 
-    def _run_wave(
-        self, tasks: List[TaskRecord], now: Optional[float]
-    ) -> List[str]:
-        """Run one wave of physics tasks through the shared fleet driver."""
+    def _run_one(self, task: TaskRecord) -> Tuple[Any, Optional[str]]:
+        """``(result, None)`` of ``runner(task)``, or ``(None, error)``."""
+        with obs_span(
+            "service.task", category="service", worker=self.worker_id,
+            task=task.task_id, key=task.key, attempt=task.attempts,
+        ):
+            try:
+                return self.runner(task), None
+            except Exception as exc:  # noqa: BLE001 — any task error requeues
+                return None, f"{type(exc).__name__}: {exc}"
+
+    def _run_fleet(
+        self, wave: List[TaskRecord]
+    ) -> List[Tuple[Any, Optional[str]]]:
+        """One ``(result, error)`` per task of a physics wave, fleet-run."""
         from repro.fleet import FleetDriver, FleetTask
 
         if self._fleet_driver is None:
             # Persist across waves: registered basis tables outlive one
             # wave, so a long-lived worker amortizes them fleet to fleet.
             self._fleet_driver = FleetDriver()
-        for task in tasks:
-            self.store.start(task.task_id, self.worker_id, now=now)
-        fleet_tasks = [
-            FleetTask(key=t.key, payload=t.payload, task_id=t.task_id)
-            for t in tasks
-        ]
         with obs_span(
             "service.fleet", category="service", worker=self.worker_id,
-            n_tasks=len(tasks),
+            n_tasks=len(wave),
         ):
             try:
-                outcome = self._fleet_driver.run_tasks(fleet_tasks)
+                outcome = self._fleet_driver.run_tasks(
+                    FleetTask(key=t.key, payload=t.payload, task_id=t.task_id)
+                    for t in wave
+                )
             except Exception as exc:  # noqa: BLE001 — driver error requeues all
-                outcomes = []
-                for task in tasks:
-                    self.store.fail(
-                        task.task_id, self.worker_id, str(exc), now=now
-                    )
-                    self.stats.failed += 1
-                    obs_counter("service.tasks_failed")
-                    outcomes.append("failed")
-                return outcomes
-        outcomes = []
-        for task in tasks:
-            result = outcome.results.get(task.key)
-            if result is not None:
-                self.store.heartbeat(task.task_id, self.worker_id, now=now)
-                self.store.complete(
-                    task.task_id, self.worker_id, result, now=now
-                )
-                self._note_phase_work(task, result, now)
-                self.stats.completed += 1
-                obs_counter("service.tasks_completed")
-                outcomes.append("completed")
-            else:
-                self.store.fail(
-                    task.task_id,
-                    self.worker_id,
-                    outcome.errors.get(task.key, "fleet group failed"),
-                    now=now,
-                )
-                self.stats.failed += 1
-                obs_counter("service.tasks_failed")
-                outcomes.append("failed")
-        return outcomes
+                return [(None, f"{type(exc).__name__}: {exc}")] * len(wave)
+        return [
+            (outcome.results[t.key], None)
+            if t.key in outcome.results
+            else (None, outcome.errors.get(t.key, "fleet group failed"))
+            for t in wave
+        ]
+
+    def _settle(
+        self, task: TaskRecord, result: Any, error: Optional[str],
+        now: Optional[float],
+    ) -> str:
+        """Report one executed task's terminal state; count it once."""
+        if error is not None:
+            self.store.fail(task.task_id, self.worker_id, error, now=now)
+            self.stats.failed += 1
+            obs_counter("service.tasks_failed")
+            return "failed"
+        self.store.heartbeat(task.task_id, self.worker_id, now=now)
+        self.store.complete(task.task_id, self.worker_id, result, now=now)
+        if isinstance(result, dict):
+            phases = (result.get("timings") or {}).get("phase_seconds")
+            if phases:
+                self._note("phase_work", now, task=task.task_id,
+                           phases=dict(phases))
+        self.stats.completed += 1
+        obs_counter("service.tasks_completed")
+        return "completed"
 
 
 @dataclass
@@ -380,8 +314,8 @@ class WorkerPool:
     :meth:`run_until_idle` call.
 
     With ``fleet=N`` each worker step claims up to N tasks and runs
-    them as one fleet wave (:meth:`Worker.step_fleet`) instead of one
-    task at a time — same results byte for byte, amortized substrate.
+    them as one wave (:meth:`Worker.step` with ``limit=N``) instead of
+    one task at a time — same results byte for byte, amortized substrate.
     ``fleet="auto"`` delegates the wave size to a per-pool
     :class:`repro.tune.waves.WavePlanner`: each scheduling step claims
     the model-tuned wave for whatever is waiting.
@@ -443,14 +377,11 @@ class WorkerPool:
             self.now += self.dt
             self.store.expire_leases(now=self.now)
             for worker in self.workers:
+                # A sequential pool is the pool whose wave size is one.
+                wave = self.fleet or 1
                 if self._planner is not None:
-                    worker.step_fleet(
-                        self._planner.plan(self.store), now=self.now
-                    )
-                elif self.fleet is not None:
-                    worker.step_fleet(self.fleet, now=self.now)
-                else:
-                    worker.step(now=self.now)
+                    wave = self._planner.plan(self.store)
+                worker.step(now=self.now, limit=wave)
         for worker in self.workers:
             report.completed += worker.stats.completed
             report.failed += worker.stats.failed

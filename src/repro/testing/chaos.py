@@ -39,8 +39,7 @@ from repro.comm.schemes import (
     PackedHierarchicalAllreduce,
 )
 from repro.config import get_settings
-from repro.dfpt.response import DFPTSolver
-from repro.dft.scf import SCFDriver
+from repro.core.simulator import iter_physics
 from repro.runtime.faults import (
     CycleFaultInjector,
     FaultEvent,
@@ -51,6 +50,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.machines import HPC2_AMD, MachineSpec
 from repro.runtime.simmpi import CommStats, SimCluster
+from repro.utils import drain
 
 
 def default_rates() -> FaultRates:
@@ -255,16 +255,6 @@ def run_service_chaos(
     )
 
 
-def _polarizability(solver: DFPTSolver, dipoles: np.ndarray) -> tuple:
-    alpha = np.empty((3, 3))
-    restarts = 0
-    for j in range(3):
-        result = solver.solve_direction(j)
-        alpha[:, j] = result.polarizability_column(dipoles)
-        restarts += result.restarts
-    return alpha, restarts
-
-
 def run_chaos(
     structure: Optional[Structure] = None,
     level: str = "minimal",
@@ -295,19 +285,14 @@ def run_chaos(
     # ------------------------------------------------------------------
     # Fault-free reference
     # ------------------------------------------------------------------
-    ref_gs = SCFDriver(structure, settings).run()
-    ref_alpha, _ = _polarizability(
-        DFPTSolver(ref_gs, settings.cpscf), ref_gs.dipoles
-    )
+    reference = drain(iter_physics(structure, settings))
 
     # ------------------------------------------------------------------
     # Faulted physics: SCF + CPSCF with checkpoint-restart
     # ------------------------------------------------------------------
     plan = FaultPlan(seed=seed, rates=rates, schedule=schedule)
     injector = CycleFaultInjector(plan)
-    gs = SCFDriver(structure, settings).run(fault_injector=injector)
-    solver = DFPTSolver(gs, settings.cpscf, fault_injector=injector)
-    alpha, cpscf_restarts = _polarizability(solver, gs.dipoles)
+    faulted = drain(iter_physics(structure, settings, fault_injector=injector))
 
     # ------------------------------------------------------------------
     # Faulted communication: resilient rho_multipole reduction
@@ -335,13 +320,13 @@ def run_chaos(
         seed=seed,
         machine=machine.name,
         n_ranks=n_ranks,
-        polarizability=alpha,
-        reference_polarizability=ref_alpha,
+        polarizability=faulted.polarizability,
+        reference_polarizability=reference.polarizability,
         scheme_used=reduction_report.scheme,
         reduction_max_abs_err=err,
         comm_stats=cluster.stats,
         degradations=list(cluster.stats.degradations),
         fault_events=list(cluster.fault_events) + list(injector.events),
-        scf_restarts=gs.restarts,
-        cpscf_restarts=cpscf_restarts,
+        scf_restarts=faulted.ground_state.restarts,
+        cpscf_restarts=sum(r.restarts for r in faulted.responses),
     )

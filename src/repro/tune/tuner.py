@@ -174,20 +174,10 @@ class _TrialRunner:
     def __init__(self, structure: "Structure", settings: RunSettings) -> None:
         self.structure = structure
         self.settings = settings
-        self._prepared = False
+        self._substrate = None
         self._profiles: Dict[tuple, Dict[str, object]] = {}
         self._batches: Dict[int, object] = {}
         self.trial_wall_seconds = 0.0
-
-    def _prepare(self) -> None:
-        from repro.basis import build_basis
-        from repro.grids import build_grid
-
-        self.basis = build_basis(self.structure)
-        self.grid = build_grid(
-            self.structure, self.settings.grids, with_partition=True
-        )
-        self._prepared = True
 
     @staticmethod
     def trial_key(config: TunedConfig) -> tuple:
@@ -201,22 +191,26 @@ class _TrialRunner:
 
     def profile(self, config: TunedConfig) -> Dict[str, object]:
         """The backend-profile snapshot of one (cached) trial run."""
-        from repro.dft.hamiltonian import MatrixBuilder
+        from repro.dft.hamiltonian import MatrixBuilder, build_substrate
         from repro.grids.batching import build_batches
         from repro.obs.bench import BENCH_SEED, sweep
 
         key = self.trial_key(config)
         if key in self._profiles:
             return self._profiles[key]
-        if not self._prepared:
-            self._prepare()
+        if self._substrate is None:
+            grids = self.settings.grids
+            self._substrate = build_substrate(self.structure, grids)
+            # Trials that keep the default batching reuse its batches.
+            self._batches[grids.batch_target_points] = self._substrate.batches
+        sub = self._substrate
         bt = config.batch_target_points
         if bt not in self._batches:
-            self._batches[bt] = build_batches(self.grid, target_points=bt)
+            self._batches[bt] = build_batches(sub.grid, target_points=bt)
         start = time.perf_counter()
         builder = MatrixBuilder(
-            self.basis,
-            self.grid,
+            sub.basis,
+            sub.grid,
             batches=self._batches[bt],
             backend=config.backend,
             cache_limit=config.cache_limit,

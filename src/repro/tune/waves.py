@@ -59,15 +59,10 @@ class WavePlanner:
         kind, malformed structure/settings) — callers fall back to
         :data:`DEFAULT_WAVE`.
         """
-        if payload.get("kind") != "physics":
-            return None
-        try:
-            from repro.config import RunSettings
-            from repro.service.jobs import structure_from_dict
+        from repro.service.jobs import physics_from_payload
 
-            structure = structure_from_dict(payload["structure"])  # type: ignore[arg-type]
-            settings = RunSettings.from_canonical_dict(payload["settings"])  # type: ignore[arg-type]
-            charge = int(payload.get("charge", 0))  # type: ignore[arg-type]
+        try:
+            structure, settings, charge = physics_from_payload(payload)
         except Exception:  # noqa: BLE001 — unpriceable payload, wave of one
             return None
         fingerprint = workload_fingerprint(structure, settings, charge=charge)

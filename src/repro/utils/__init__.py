@@ -8,7 +8,24 @@ from repro.utils.linalg import (
     solve_generalized_eigenproblem,
 )
 
+
+def drain(gen):
+    """Run a generator to exhaustion; return its ``return`` value.
+
+    The eager form of every cycle generator in the pipeline
+    (``SCFDriver.iter_cycles``, ``DFPTSolver.iter_direction``,
+    ``iter_physics``): sequential execution *is* the generator path,
+    advanced by one caller instead of a round-robin scheduler.
+    """
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            return stop.value
+
+
 __all__ = [
+    "drain",
     "Stopwatch",
     "PhaseTimer",
     "TableFormatter",

@@ -142,28 +142,26 @@ def capture_physics_trace(
     (``integrals/*``, ``scf/*``, ``cpscf{j}/*``, ``polarizability``), so
     comparing two traces in key order *is* a bisection over phases.
     """
-    from repro.dft.scf import SCFDriver
-    from repro.dfpt.response import DFPTSolver
+    from repro.core.simulator import PerturbationSimulator
 
     settings = settings or get_settings("minimal")
-    driver = SCFDriver(structure, settings, backend=backend)
-    trace: Dict[str, np.ndarray] = {}
-    trace["integrals/overlap"] = driver._s
-    trace["integrals/kinetic"] = driver._t
-    trace["integrals/dipoles"] = driver._dipoles
-    gs = driver.run()
-    trace["scf/density_matrix"] = gs.density_matrix
-    trace["scf/density"] = gs.density
-    trace["scf/eigenvalues"] = gs.eigenvalues
-    trace["scf/total_energy"] = np.array(gs.total_energy)
-    solver = DFPTSolver(gs, settings.cpscf)
-    alpha = np.empty((3, 3))
-    for j in range(3):
-        result = solver.solve_direction(j)
-        trace[f"cpscf{j}/response_density_matrix"] = result.response_density_matrix
-        trace[f"cpscf{j}/response_density"] = result.response_density
-        alpha[:, j] = result.polarizability_column(gs.dipoles)
-    trace["polarizability"] = alpha
+    result = PerturbationSimulator(
+        structure, settings, backend=backend
+    ).run_physics()
+    gs = result.ground_state
+    trace: Dict[str, np.ndarray] = {
+        "integrals/overlap": gs.overlap,
+        "integrals/kinetic": gs.kinetic,
+        "integrals/dipoles": gs.dipoles,
+        "scf/density_matrix": gs.density_matrix,
+        "scf/density": gs.density,
+        "scf/eigenvalues": gs.eigenvalues,
+        "scf/total_energy": np.array(gs.total_energy),
+    }
+    for j, response in enumerate(result.responses):
+        trace[f"cpscf{j}/response_density_matrix"] = response.response_density_matrix
+        trace[f"cpscf{j}/response_density"] = response.response_density
+    trace["polarizability"] = result.polarizability
     return trace
 
 
@@ -364,23 +362,23 @@ def combo_conformance(
     """
     from repro.backends import available_backends
     from repro.backends.base import potential_block
-    from repro.basis.basis_set import build_basis
-    from repro.dft.hamiltonian import MatrixBuilder
-    from repro.grids.atom_grid import build_grid
+    from repro.dft.hamiltonian import MatrixBuilder, build_substrate
     from repro.testing.fixtures import make_cluster
 
     settings = settings or get_settings("minimal")
     backend_names = (
         list(backends) if backends is not None else list(available_backends())
     )
-    basis = build_basis(structure)
-    grid = build_grid(structure, settings.grids, with_partition=True)
+    sub = build_substrate(structure, settings.grids)
+    basis, grid = sub.basis, sub.grid
     weights = grid.weights
 
     pairs: List[PairResult] = []
     reference: Optional[np.ndarray] = None
     for backend_name in backend_names:
-        builder = MatrixBuilder(basis, grid, backend=backend_name)
+        builder = MatrixBuilder(
+            basis, grid, batches=sub.batches, backend=backend_name
+        )
         if reference is None:
             reference = builder.reference_potential_matrix(
                 np.ones(grid.n_points)

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.atoms.builders import BUILTIN_MOLECULES
 from repro.atoms.structure import Structure
 from repro.config import get_settings
 from repro.errors import GoldenUpdateError, VerificationError
@@ -29,16 +30,7 @@ from repro.verify.invariants import ALLCLOSE, PHYSICS, InvariantResult, VerifyRe
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_data"
 
 #: The reference molecules ``python -m repro verify`` covers.
-GOLDEN_MOLECULES: Dict[str, Callable[[], Structure]] = {}
-
-
-def _register_molecules() -> None:
-    from repro.atoms import hydrogen_molecule, water
-
-    GOLDEN_MOLECULES.update({"h2": hydrogen_molecule, "water": water})
-
-
-_register_molecules()
+GOLDEN_MOLECULES: Dict[str, Callable[[], Structure]] = BUILTIN_MOLECULES
 
 #: Per-field tolerance classes.  Matrices and energies are converged to
 #: tight SCF tolerances and reproducible across BLAS builds to well
@@ -92,17 +84,12 @@ def compute_golden_record(
     structure: Structure, level: str = "minimal"
 ) -> Dict[str, np.ndarray]:
     """Run the reference pipeline and snapshot it."""
-    from repro.dfpt.response import DFPTSolver
-    from repro.dft.scf import SCFDriver
+    from repro.core.simulator import PerturbationSimulator
 
-    settings = get_settings(level)
-    driver = SCFDriver(structure, settings)
-    gs = driver.run()
-    solver = DFPTSolver(gs, settings.cpscf)
-    alpha = np.empty((3, 3))
-    for j in range(3):
-        alpha[:, j] = solver.solve_direction(j).polarizability_column(gs.dipoles)
-    return record_from_run(gs, alpha, driver.n_electrons)
+    result = PerturbationSimulator(structure, get_settings(level)).run_physics()
+    return record_from_run(
+        result.ground_state, result.polarizability, structure.n_electrons
+    )
 
 
 def save_golden(

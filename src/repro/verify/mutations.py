@@ -108,11 +108,6 @@ class MutantBackend(NumpyBackend):
         return super().density_on_grid(density_matrix)
 
 
-def mutant_backend(mutation: str) -> MutantBackend:
-    """Instantiate the broken backend for one backend-level mutation."""
-    return MutantBackend(mutation)
-
-
 def flip_xc_kernel_sign(solver) -> None:
     """Apply ``wrong_xc_sign`` to a live :class:`~repro.dfpt.response.DFPTSolver`."""
     solver._fxc = -solver._fxc

@@ -118,3 +118,10 @@ class TestRunPhysics:
         assert np.linalg.eigvalsh(alpha).min() > 0
         assert set(result.phase_seconds) >= {"DM", "Sumup", "Rho", "H"}
         assert len(result.cpscf_iterations_per_direction) == 3
+        # The tensor is read off the retained responses, not recomputed.
+        assert [r.direction for r in result.responses] == [0, 1, 2]
+        columns = [
+            r.polarizability_column(result.ground_state.dipoles)
+            for r in result.responses
+        ]
+        assert np.array_equal(np.column_stack(columns), alpha)

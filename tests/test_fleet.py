@@ -32,7 +32,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.atoms import hydrogen_molecule, water
 from repro.backends.batched import block_cache_key
 from repro.config import RunSettings, get_settings
-from repro.core import PerturbationSimulator
+from repro.core import PerturbationSimulator, iter_physics
 from repro.fleet import (
     FleetDriver,
     FleetTask,
@@ -43,7 +43,11 @@ from repro.fleet import (
 )
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 from repro.runtime.shm import SharedTableRegistry
-from repro.service.jobs import JobRequest, structure_from_dict
+from repro.service.jobs import (
+    JobRequest,
+    physics_from_payload,
+    structure_from_dict,
+)
 from repro.service.worker import result_payload, stable_result_bytes
 
 
@@ -130,6 +134,38 @@ class TestFleetParityMatrix:
             report.device["launches"]["fused"]
             < report.device["launches"]["sequential"]
         )
+
+
+class TestOnePipeline:
+    """``iter_physics`` is the generator both execution modes advance."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "batched", "device"])
+    def test_hand_interleaved_generators_match_eager_runs(self, backend):
+        tasks = fleet_tasks_from_requests(
+            h2_requests(2, 2, backend), commit="seam"
+        )
+        decoded = [physics_from_payload(t.payload) for t in tasks]
+        eager = [
+            PerturbationSimulator(s, cfg, charge=q).run_physics()
+            for s, cfg, q in decoded
+        ]
+        # Advance the two molecules alternately, one cycle each, the
+        # way the fleet's round-robin scheduler does.
+        live = {i: iter_physics(*args) for i, args in enumerate(decoded)}
+        interleaved = {}
+        while live:
+            for i in sorted(live):
+                try:
+                    next(live[i])
+                except StopIteration as stop:
+                    interleaved[i] = stop.value
+                    del live[i]
+        for i, (task, (structure, cfg, _)) in enumerate(zip(tasks, decoded)):
+            assert stable_result_bytes(
+                result_payload(task, structure, cfg, interleaved[i])
+            ) == stable_result_bytes(
+                result_payload(task, structure, cfg, eager[i])
+            )
 
 
 class TestFleetOf16Acceptance:
@@ -341,3 +377,29 @@ class TestServiceFleetParity:
             }
 
         assert drain(None) == drain(2)
+
+    def test_failures_read_the_same_through_both_pools(self):
+        """One decode and one settle routine: a task that fails records
+        the same typed ``TypeName: message`` string whether it ran as a
+        wave of one or inside a fleet wave."""
+        from repro.service import StateStore, WorkerPool, submit_job
+        from repro.service.statestore import ERRORED
+
+        def drain(fleet):
+            store = StateStore(lease_seconds=5.0)
+            store.submit({"kind": "noop"}, key="ck-noop", max_retries=0, now=0.0)
+            submit_job(
+                store,
+                # An odd electron count: the restricted driver refuses.
+                JobRequest("water", get_settings("minimal"), charge=1,
+                           max_retries=0),
+                commit="svc", now=0.0,
+            )
+            WorkerPool(store, n_workers=1, fleet=fleet).run_until_idle()
+            return {t.key: t.error for t in store.tasks(ERRORED)}
+
+        sequential, fleet = drain(None), drain(2)
+        assert len(sequential) == 2
+        assert sequential == fleet
+        assert sequential["ck-noop"].startswith("ServiceError: ")
+        assert any(e.startswith("SCFConvergenceError: ") for e in fleet.values())

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.atoms import hydrogen_molecule
+from repro.config import get_settings
+from repro.core import PerturbationSimulator
 from repro.errors import GoldenUpdateError, VerificationError
 from repro.verify import (
     GOLDEN_MOLECULES,
@@ -11,6 +13,7 @@ from repro.verify import (
     compute_golden_record,
     golden_path,
     load_golden,
+    record_from_run,
     save_golden,
     verify_golden,
 )
@@ -44,6 +47,20 @@ class TestRegressionDetection:
     @pytest.fixture(scope="class")
     def h2_record(self):
         return compute_golden_record(hydrogen_molecule(), level="minimal")
+
+    def test_record_is_a_snapshot_of_run_physics(self, h2_record):
+        """The golden pipeline is ``run_physics`` — pinned so the two
+        cannot drift apart again."""
+        structure = hydrogen_molecule()
+        result = PerturbationSimulator(
+            structure, get_settings("minimal")
+        ).run_physics()
+        direct = record_from_run(
+            result.ground_state, result.polarizability, structure.n_electrons
+        )
+        assert set(direct) == set(h2_record)
+        for name, value in direct.items():
+            assert np.array_equal(value, h2_record[name]), name
 
     def test_tampered_field_is_named(self, h2_record):
         record = dict(h2_record)
