@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
 	analyze history-check service-check fleet-check tune-check slo-check \
-	verify
+	e2e-check verify
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
@@ -120,10 +120,16 @@ slo-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_telemetry.py
 	PYTHONPATH=src $(PYTHON) -m repro slo --gate BENCH_slo.json
 
+# End-to-end benchmark harness contract (BENCHMARK.json vs the harness)
+# plus a 2-atom smoke of all four workloads (~15 s): catches a module
+# the benchmark preloads or drives being deleted or renamed.
+e2e-check:
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e/test_harness.py
+
 # Physics-invariant + golden + differential-conformance check on H2,
 # plus the perf-regression, documentation, history-trend, service,
-# fleet, tuner and telemetry gates (all tier-1 sized).
+# fleet, tuner, telemetry and e2e-harness gates (all tier-1 sized).
 # `python -m repro verify` (no args) covers both reference molecules.
 verify: bench-check docs-check history-check service-check fleet-check \
-		tune-check slo-check
+		tune-check slo-check e2e-check
 	PYTHONPATH=src $(PYTHON) -m repro verify --molecule h2

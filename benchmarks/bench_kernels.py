@@ -14,7 +14,7 @@ from repro.basis import CubicSpline, build_basis, real_spherical_harmonics
 from repro.comm import BaselineRowwiseAllreduce, PackedAllreduce
 from repro.config import get_settings
 from repro.dfpt import DFPTSolver
-from repro.dft import MultipoleSolver, SCFDriver, density_on_grid
+from repro.dft import MultipoleSolver, SCFDriver
 from repro.grids import build_grid
 from repro.runtime import HPC1_SUNWAY, SimCluster
 
@@ -55,7 +55,9 @@ def test_bench_multipole_poisson(benchmark, water_gs):
 
 
 def test_bench_density_on_grid(benchmark, water_gs):
-    out = benchmark(density_on_grid, water_gs.builder, water_gs.density_matrix)
+    out = benchmark(
+        water_gs.builder.backend.density_on_grid, water_gs.density_matrix
+    )
     assert out.shape == (water_gs.grid.n_points,)
 
 

@@ -60,14 +60,14 @@ class DeviceBackend(ExecutionBackend):
         """Launch one work-group per scheduled batch, items sized by the
         largest batch.
 
-        Sizing by the *mean* batch (the old ``_ndrange`` bug) starves
-        work-items whenever batches are uneven; the max guarantees every
-        point of every batch maps to an item.  Sumup/H pass the view
-        count as *n_groups*, so batches without a view are never
-        scheduled — the model prices only launched blocks.
+        Sizing by the *mean* batch starves work-items whenever batches
+        are uneven; the max guarantees every point of every batch maps
+        to an item (no batches, no items: ``NDRange`` rejects it).
+        Sumup/H pass the view count as *n_groups*, so batches without a
+        view are never scheduled — the model prices only launched blocks.
         """
         builder = self._require_bound()
-        items = max(1, max(b.n_points for b in builder.batches))
+        items = max((b.n_points for b in builder.batches), default=0)
         ndrange = NDRange(n_groups=max(n_groups, 1), items_per_group=items)
         report = self.device.launch(kernel, ndrange, buffers)
         self.profile.device_launches += 1

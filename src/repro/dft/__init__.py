@@ -10,21 +10,12 @@ grid-integrated H/S matrices, and the self-consistency driver.
 from repro.dft.xc import lda_exchange_correlation, lda_xc_kernel, XCResult
 from repro.dft.hartree import MultipoleSolver, MultipoleExpansion
 from repro.dft.hamiltonian import MatrixBuilder
-from repro.dft.density import density_on_grid
 from repro.dft.mixing import PulayMixer
 from repro.dft.scf import SCFDriver, GroundState
 from repro.dft.occupations import (
     aufbau_occupations,
     fermi_occupations,
     smearing_entropy,
-)
-from repro.dft.xc_spin import lsda_exchange_correlation, SpinXCResult
-from repro.dft.uks import UKSDriver, SpinGroundState
-from repro.dft.cube import export_density_cube, read_cube, write_cube
-from repro.dft.checkpoint import (
-    CheckpointError,
-    save_ground_state,
-    load_ground_state_arrays,
 )
 
 __all__ = [
@@ -34,21 +25,10 @@ __all__ = [
     "MultipoleSolver",
     "MultipoleExpansion",
     "MatrixBuilder",
-    "density_on_grid",
     "PulayMixer",
     "SCFDriver",
     "GroundState",
     "aufbau_occupations",
     "fermi_occupations",
     "smearing_entropy",
-    "lsda_exchange_correlation",
-    "SpinXCResult",
-    "UKSDriver",
-    "SpinGroundState",
-    "export_density_cube",
-    "read_cube",
-    "write_cube",
-    "CheckpointError",
-    "save_ground_state",
-    "load_ground_state_arrays",
 ]

@@ -75,10 +75,3 @@ class PulayMixer:
         if not np.all(np.isfinite(sol)):
             return None
         return sol[:m]
-
-
-def linear_mix(old: np.ndarray, new: np.ndarray, factor: float) -> np.ndarray:
-    """Plain linear mixing ``(1-f) old + f new``."""
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"mixing factor must be in (0, 1], got {factor}")
-    return (1.0 - factor) * old + factor * new

@@ -21,14 +21,17 @@ CommCell(calls=2, nbytes=8192, seconds=2.0)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.comm.schemes import (
+    BaselineRowwiseAllreduce,
+    PackedAllreduce,
+    PackedHierarchicalAllreduce,
+    ReductionReport,
+)
 from repro.errors import CommunicationError
 from repro.obs.analyze.timeline import Timeline
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.comm.schemes import ReductionReport
-    from repro.hardware.machines import MachineModel
+from repro.runtime.machines import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -88,24 +91,18 @@ def render_comm_matrix(
 
 
 def scheme_cost_table(
-    machine: "MachineModel",
+    machine: MachineSpec,
     n_ranks: int,
     n_rows: int,
     row_bytes: int,
-) -> List[Tuple[str, "ReductionReport"]]:
+) -> List[Tuple[str, ReductionReport]]:
     """Estimate every reduction scheme at one problem scale (Fig. 10).
 
     Schemes a machine cannot run (hierarchical packing needs shared-
     memory windows) are skipped rather than failed, so the comparison
     table always renders.
     """
-    from repro.comm.schemes import (
-        BaselineRowwiseAllreduce,
-        PackedAllreduce,
-        PackedHierarchicalAllreduce,
-    )
-
-    rows: List[Tuple[str, "ReductionReport"]] = []
+    rows: List[Tuple[str, ReductionReport]] = []
     for scheme in (
         BaselineRowwiseAllreduce(),
         PackedAllreduce(),
@@ -120,7 +117,7 @@ def scheme_cost_table(
 
 
 def scheme_cost_seconds(
-    machine: "MachineModel",
+    machine: MachineSpec,
     n_ranks: int,
     n_rows: int,
     row_bytes: int,
@@ -140,7 +137,7 @@ def scheme_cost_seconds(
 
 
 def render_scheme_costs(
-    rows: Sequence[Tuple[str, "ReductionReport"]],
+    rows: Sequence[Tuple[str, ReductionReport]],
     machine_name: str,
     n_ranks: int,
 ) -> str:

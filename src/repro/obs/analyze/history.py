@@ -19,7 +19,6 @@ gate verdict and a timestamp.  On top of that log this module offers
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.obs.regress import baseline_run_parameters, default_band, flatten
+from repro.utils.journal import append_json_line, read_json_lines
 
 #: Entries considered by default for baselines and trend detection.
 DEFAULT_WINDOW = 5
@@ -69,29 +69,23 @@ def append_entry(
     }
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    append_json_line(out, entry)
     return entry
 
 
 def load_history(
     path: Union[str, Path], label: Optional[str] = None
 ) -> List[Dict[str, object]]:
-    """Read the history log, oldest first; missing file = empty history."""
+    """Read the history log, oldest first; missing file = empty history.
+
+    A torn final line (a killed ``bench-check``) is skipped.
+    """
     p = Path(path)
     if not p.exists():
         return []
+    lines, _ = read_json_lines(p, what="benchmark history", error=ExperimentError)
     entries: List[Dict[str, object]] = []
-    for i, line in enumerate(p.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            raise ExperimentError(
-                f"{p}:{i} is not valid JSON; the history log is corrupt"
-            ) from None
+    for i, entry in lines:
         if not isinstance(entry, dict) or "emission" not in entry:
             raise ExperimentError(f"{p}:{i} is not a history entry")
         if label is None or entry.get("label") == label:

@@ -30,9 +30,10 @@ telemetry journal is its own history).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.utils.journal import append_json_line, read_json_lines
 
 #: Store ops sampled 1:1 into telemetry events.
 STORE_OPS = (
@@ -106,8 +107,7 @@ class TelemetrySink:
     def _append(self, event: Dict[str, Any]) -> Dict[str, Any]:
         self.events.append(event)
         if self._path is not None:
-            with self._path.open("a") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+            append_json_line(self._path, event)
         return event
 
     def record_store_op(self, store_event: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -167,20 +167,9 @@ class TelemetrySink:
 def load_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Read one telemetry sidecar journal back into an event list.
 
-    Blank lines are skipped; corrupt lines raise ``ValueError`` with
-    the offending line number (mirroring the statestore's replay
-    contract).
+    Blank lines and a torn final line are skipped; any other corrupt
+    line raises ``ValueError`` with the offending line number (the
+    statestore's replay contract, :mod:`repro.utils.journal`).
     """
-    out: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"corrupt telemetry journal {path}:{lineno}: {exc}"
-            ) from None
-    return out
+    lines, _ = read_json_lines(path, what="telemetry journal", error=ValueError)
+    return [event for _, event in lines]

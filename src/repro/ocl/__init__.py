@@ -29,7 +29,6 @@ from repro.ocl.fusion import (
     horizontal_fusion,
     FusionReport,
 )
-from repro.ocl.kernels import OpenCLDFPTKernels, OpenCLResponsePipeline
 
 __all__ = [
     "DeviceBuffer",
@@ -47,6 +46,4 @@ __all__ = [
     "vertical_fusion",
     "horizontal_fusion",
     "FusionReport",
-    "OpenCLDFPTKernels",
-    "OpenCLResponsePipeline",
 ]

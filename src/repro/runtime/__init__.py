@@ -30,11 +30,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.simmpi import SimCluster, SimComm, CommStats
 from repro.runtime.shm import SharedWindow
-from repro.runtime.algorithms import (
-    ring_allreduce,
-    recursive_doubling_allreduce,
-    rabenseifner_allreduce,
-)
 from repro.runtime.trace import CycleTrace, Interval, trace_cycle
 
 __all__ = [
@@ -57,9 +52,6 @@ __all__ = [
     "SimComm",
     "CommStats",
     "SharedWindow",
-    "ring_allreduce",
-    "recursive_doubling_allreduce",
-    "rabenseifner_allreduce",
     "CycleTrace",
     "Interval",
     "trace_cycle",

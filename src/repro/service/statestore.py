@@ -50,7 +50,7 @@ True
 
 from __future__ import annotations
 
-import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import QuotaExceededError, ServiceError, TaskTransitionError
 from repro.utils.artifacts import prepare_artifact_path
+from repro.utils.journal import append_json_line, read_json_lines
 
 #: The task lifecycle states (DESIGN §12.2).
 WAITING = "waiting"
@@ -193,6 +194,7 @@ class StateStore:
         self._worker_heartbeats: Dict[str, float] = {}
         self._submit_counter = 0
         self._journal: Optional[Path] = None
+        self.torn_tail_bytes = 0  # half-written last line dropped on open
         if path is not None:
             path = Path(path)
             if fresh or not path.exists():
@@ -208,22 +210,18 @@ class StateStore:
     # Journal plumbing
     # ------------------------------------------------------------------
     def _replay(self, path: Path) -> None:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ServiceError(
-                    f"corrupt statestore journal {path}:{lineno}: {exc}"
-                ) from None
+        events, self.torn_tail_bytes = read_json_lines(
+            path, what="statestore journal", error=ServiceError
+        )
+        for _, event in events:
             self._apply(event)
+        if self.torn_tail_bytes:  # cut it off, or the next append fuses with it
+            os.truncate(path, path.stat().st_size - self.torn_tail_bytes)
 
     def _record(self, event: Dict[str, Any]) -> None:
         self._apply(event)
         if self._journal is not None:
-            with self._journal.open("a") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+            append_json_line(self._journal, event)
         if self.telemetry is not None:
             self.telemetry.record_store_op(event)
 
@@ -659,6 +657,8 @@ class StateStore:
             lines.append(
                 f"  oldest waiting task: {self.oldest_waiting_age(now):g}s"
             )
+        if self.torn_tail_bytes:
+            lines.append(f"  torn_tail_bytes={self.torn_tail_bytes} (dropped on open)")
         if self._tasks:
             table = TableFormatter(
                 ["task", "status", "prio", "attempts", "client", "worker", "key"],

@@ -1,0 +1,56 @@
+"""The one append-only JSON-lines journal idiom.
+
+The statestore journal, the telemetry sidecar and the benchmark history
+all write one sorted-key JSON document per line and read the file back
+line by line; this module is the only place that format is spelled out.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, List, Tuple, Type, Union
+
+
+def append_json_line(path: Union[str, Path], doc: Any) -> None:
+    """Append *doc* as one sorted-key JSON line (one open-write-close).
+
+    Sorted keys keep a deterministic run's journal byte-stable.  There
+    is no ``fsync``: a killed writer can leave a half-written last line,
+    which :func:`read_json_lines` recognises as a torn tail.
+    """
+    with Path(path).open("a") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def read_json_lines(
+    path: Union[str, Path], *, what: str, error: Type[Exception]
+) -> Tuple[List[Tuple[int, Any]], int]:
+    """Parse a journal into ``([(lineno, doc), ...], torn_tail_bytes)``.
+
+    Blank lines are skipped.  A final line with no trailing newline that
+    does not parse is the torn tail a killed writer leaves: it is left
+    out and its byte length returned, so the journal's owner can
+    truncate it before the next append.  An undecodable line anywhere
+    else raises *error* naming ``path:lineno``.
+
+    >>> import os, tempfile
+    >>> p = os.path.join(tempfile.mkdtemp(), "j.jsonl")
+    >>> append_json_line(p, {"b": 1, "a": 2})
+    >>> _ = open(p, "a").write('{"half')
+    >>> read_json_lines(p, what="demo journal", error=ValueError)
+    ([(1, {'a': 2, 'b': 1})], 6)
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    docs: List[Tuple[int, Any]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            # .decode() here: json.loads(bytes) sniffs the encoding per call.
+            docs.append((lineno, json.loads(line.decode())))
+        except ValueError as exc:  # JSONDecodeError, or a torn UTF-8 byte
+            if lineno == len(lines):  # nothing after it, not even "\n"
+                return docs, len(line)
+            raise error(f"corrupt {what} {path}:{lineno}: {exc}") from None
+    return docs, 0

@@ -6,6 +6,7 @@ backends for every phase operation, end to end through SCF and CPSCF.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from repro.backends import (
 from repro.basis import build_basis
 from repro.config import get_settings
 from repro.dfpt.response import DFPTSolver
-from repro.dft import SCFDriver, density_on_grid
+from repro.dft import SCFDriver
 from repro.dft.hamiltonian import MatrixBuilder
-from repro.errors import BackendError, GridError
+from repro.errors import BackendError, DeviceError, GridError
 from repro.grids import build_batches, build_grid
+from repro.ocl.kernel import Kernel
 
 ALL_BACKENDS = ("numpy", "batched", "device")
 
@@ -92,9 +94,9 @@ class TestPhaseParity:
         nb = builders["numpy"].basis.n_basis
         p = rng.normal(size=(nb, nb))
         p = p + p.T
-        n_ref = density_on_grid(builders["numpy"], p)
+        n_ref = builders["numpy"].backend.density_on_grid(p)
         for name in ("batched", "device"):
-            assert np.array_equal(n_ref, density_on_grid(builders[name], p)), name
+            assert np.array_equal(n_ref, builders[name].backend.density_on_grid(p)), name
         for screened in (True, False):
             ref = builders["numpy"].reference_density(p, screened=screened)
             assert np.array_equal(n_ref, ref), screened
@@ -200,7 +202,7 @@ class TestParityUnderBatchAndCacheVariation:
         # Twice: the second pass exercises cache hits / thrash paths.
         for _ in range(2):
             assert np.array_equal(
-                density_on_grid(ref, p), density_on_grid(streaming, p)
+                ref.backend.density_on_grid(p), streaming.backend.density_on_grid(p)
             )
 
 
@@ -278,7 +280,7 @@ class TestSharedCacheAcrossMolecules:
             # Twice: the second pass must hit the shared cache under
             # this molecule's own scoped keys, never its neighbour's.
             outputs[scope] = [
-                density_on_grid(builder, np.eye(nb)) for _ in range(2)
+                builder.backend.density_on_grid(np.eye(nb)) for _ in range(2)
             ]
         for scope, builder in builders.items():
             private = self._builder(
@@ -287,7 +289,7 @@ class TestSharedCacheAcrossMolecules:
                 BatchedBackend(),
             )
             nb = private.basis.n_basis
-            reference = density_on_grid(private, np.eye(nb))
+            reference = private.backend.density_on_grid(np.eye(nb))
             for pass_result in outputs[scope]:
                 assert np.array_equal(pass_result, reference)
 
@@ -303,7 +305,7 @@ class TestSharedCacheAcrossMolecules:
             )
             nb = builder.basis.n_basis
             for _ in range(2):
-                density_on_grid(builder, np.eye(nb))
+                builder.backend.density_on_grid(np.eye(nb))
             backends[scope] = backend
         hits = sum(b.profile.cache_hits for b in backends.values())
         misses = sum(b.profile.cache_misses for b in backends.values())
@@ -343,16 +345,18 @@ class TestBackendProfile:
             max(b.n_points for b in builder.batches) * nb * 8
         )
 
-    def test_device_launch_accounting(self, minimal_settings):
+    @pytest.mark.parametrize("machine", ["hpc1", "hpc2"])
+    def test_device_launch_accounting(self, minimal_settings, machine):
         h2 = hydrogen_molecule()
         builder = MatrixBuilder(
             build_basis(h2),
             build_grid(h2, minimal_settings.grids, with_partition=True),
-            backend="device",
+            backend=DeviceBackend(machine=machine),
         )
         backend = builder.backend
         assert backend.profile.device_bytes_transferred > 0  # staged tables
-        builder.potential_matrix(np.ones(builder.grid.n_points))
+        h = builder.potential_matrix(np.ones(builder.grid.n_points))
+        assert np.allclose(h, h.T)
         assert backend.profile.device_launches == 1
         assert backend.profile.device_modeled_seconds > 0.0
 
@@ -377,6 +381,59 @@ class TestBackendProfile:
         text = format_backend_profile(builder.backend.profile)
         assert "backend profile [batched]" in text
         assert "H" in text and "block cache" in text
+
+
+class TestDeviceLaunchSizing:
+    """One work-group per scheduled batch, work-items sized by the
+    *largest* batch (mean sizing starves uneven batches)."""
+
+    @pytest.fixture
+    def launched(self, minimal_settings, monkeypatch):
+        h2 = hydrogen_molecule()
+        builder = MatrixBuilder(
+            build_basis(h2),
+            build_grid(h2, minimal_settings.grids, with_partition=True),
+            backend="device",
+        )
+        ranges = []
+        price = builder.backend.device.launch
+        monkeypatch.setattr(
+            builder.backend.device, "launch",
+            lambda kernel, ndrange, buffers: (
+                ranges.append(ndrange) or price(kernel, ndrange, buffers)
+            ),
+        )
+
+        def launch(batches=None):
+            if batches is not None:
+                builder.batches = batches
+            builder.backend._launch(
+                Kernel(name="probe"), {}, n_groups=len(builder.batches)
+            )
+            return ranges[-1]
+
+        return builder, launch
+
+    def test_items_cover_largest_batch(self, launched):
+        _, launch = launched
+        nd = launch([
+            SimpleNamespace(n_points=n) for n in (4, 4, 4, 4, 4, 4, 4, 100)
+        ])
+        assert nd.n_groups == 8
+        # Mean sizing would give 128 // 8 = 16 items — too few for the
+        # 100-point batch; every batch must fit in one work-group.
+        assert nd.items_per_group == 100
+
+    def test_real_batches_cover_every_batch(self, launched):
+        builder, launch = launched
+        nd = launch()
+        assert nd.n_groups == len(builder.batches)
+        assert nd.items_per_group >= max(b.n_points for b in builder.batches)
+
+    def test_empty_batches_rejected(self, launched):
+        _, launch = launched
+        with pytest.raises(DeviceError, match="NDRange must be positive"):
+            launch([])
 
 
 class TestRegistryAndValidation:

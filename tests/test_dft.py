@@ -12,12 +12,10 @@ from repro.dft import (
     MultipoleSolver,
     PulayMixer,
     SCFDriver,
-    density_on_grid,
     lda_exchange_correlation,
     lda_xc_kernel,
 )
 from repro.dft.hartree import adams_moulton_cumulative
-from repro.dft.mixing import linear_mix
 from repro.errors import SCFConvergenceError
 from repro.grids import build_grid
 from repro.utils.linalg import density_matrix_from_orbitals
@@ -153,22 +151,16 @@ class TestMatrixBuilder:
 
     def test_density_integrates_to_electrons(self, h2_ground_state):
         gs = h2_ground_state
-        n = density_on_grid(gs.builder, gs.density_matrix)
+        n = gs.builder.backend.density_on_grid(gs.density_matrix)
         assert gs.grid.integrate(n) == pytest.approx(2.0, abs=1e-6)
 
     def test_density_nonnegative(self, h2_ground_state):
         gs = h2_ground_state
-        n = density_on_grid(gs.builder, gs.density_matrix)
+        n = gs.builder.backend.density_on_grid(gs.density_matrix)
         assert n.min() > -1e-10
 
 
 class TestMixing:
-    def test_linear_mix(self):
-        out = linear_mix(np.zeros(3), np.ones(3), 0.25)
-        assert np.allclose(out, 0.25)
-        with pytest.raises(ValueError):
-            linear_mix(np.zeros(3), np.ones(3), 0.0)
-
     def test_diis_solves_linear_fixed_point_fast(self):
         """DIIS on x -> Ax + b converges far faster than plain iteration."""
         rng = np.random.default_rng(0)

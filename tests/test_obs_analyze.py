@@ -5,6 +5,7 @@ bench emission and the benchmark history log."""
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -356,6 +357,14 @@ class TestScalingParity:
         assert len(with_shm) == len(without) + 1
         assert all(rep.total_time > 0 for _, rep in with_shm)
 
+    def test_scheme_cost_annotations_resolve(self):
+        # The machine annotation used to name a module that does not exist.
+        from repro.obs.analyze.comms import scheme_cost_seconds
+        from repro.runtime.machines import MachineSpec
+
+        for fn in (scheme_cost_table, scheme_cost_seconds):
+            assert typing.get_type_hints(fn)["machine"] is MachineSpec
+
 
 # ----------------------------------------------------------------------
 # Tentpole + satellite: benchmark history and byte-stable emission
@@ -427,8 +436,11 @@ class TestHistory:
     def test_corrupt_history_line_is_a_clear_error(self, tmp_path):
         log = tmp_path / "c.jsonl"
         log.write_text('{"emission": {}}\nnot json\n')
-        with pytest.raises(ExperimentError, match="corrupt"):
+        with pytest.raises(ExperimentError, match="corrupt.*c.jsonl:2"):
             load_history(log)
+        # ...but a half-written final line (no newline) is a torn tail.
+        log.write_text('{"emission": {}}\nnot js')
+        assert load_history(log) == [{"emission": {}}]
 
     def test_cli_history_trend_gate(self, tmp_path, capsys):
         log = tmp_path / "h.jsonl"

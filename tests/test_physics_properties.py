@@ -1,8 +1,8 @@
-"""Property-based tests of the occupation and spin-XC primitives.
+"""Property-based tests of the occupation primitives.
 
 The example-based suites pin specific molecules; these assert the
-algebraic contracts (electron-count conservation, entropy sign, the
-LSDA -> LDA closed-shell limit) over randomized spectra and densities.
+algebraic contracts (electron-count conservation, entropy sign) over
+randomized spectra.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from repro.dft.occupations import (
     fermi_occupations,
     smearing_entropy,
 )
-from repro.dft.xc import DENSITY_FLOOR, lda_exchange_correlation
-from repro.dft.xc_spin import lsda_energy_density, lsda_exchange_correlation
 
 
 def _spectrum(seed: int, n: int) -> np.ndarray:
@@ -106,44 +104,3 @@ class TestSmearingEntropy:
         # exact zero — negligible against any energy scale in the code.
         f = np.full(n_states, 2.0)
         assert abs(smearing_entropy(f, width)) < 1e-250
-
-
-class TestLsdaClosedShellLimit:
-    """LSDA at zeta = 0 must reduce to the restricted LDA functional."""
-
-    @given(
-        seed=st.integers(0, 10_000),
-        n_points=st.integers(1, 64),
-        scale=st.floats(1e-3, 10.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_energy_density_matches_lda(self, seed, n_points, scale):
-        rng = np.random.default_rng(seed)
-        n = scale * rng.uniform(0.0, 1.0, size=n_points)
-        exc_spin = lsda_energy_density(n / 2.0, n / 2.0)
-        exc_lda = lda_exchange_correlation(n).exc
-        np.testing.assert_allclose(exc_spin, exc_lda, rtol=1e-10, atol=1e-12)
-
-    @given(
-        seed=st.integers(0, 10_000),
-        n_points=st.integers(1, 32),
-        scale=st.floats(1e-2, 10.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_potentials_match_lda(self, seed, n_points, scale):
-        rng = np.random.default_rng(seed)
-        # Keep densities clear of the floor so both finite-difference
-        # derivative paths are in their smooth regime.
-        n = scale * rng.uniform(0.1, 1.0, size=n_points)
-        res = lsda_exchange_correlation(n / 2.0, n / 2.0)
-        vxc_lda = lda_exchange_correlation(n).vxc
-        # Spin channels are symmetric by construction...
-        np.testing.assert_allclose(res.vxc_up, res.vxc_dn, rtol=0, atol=1e-12)
-        # ...and each equals the restricted potential to FD accuracy.
-        np.testing.assert_allclose(res.vxc_up, vxc_lda, rtol=2e-5, atol=2e-5)
-
-    def test_below_floor_is_exactly_zero(self):
-        tiny = np.full(4, DENSITY_FLOOR / 4.0)
-        res = lsda_exchange_correlation(tiny, tiny)
-        assert np.all(res.exc == 0.0)
-        assert np.all(res.vxc_up == 0.0) and np.all(res.vxc_dn == 0.0)

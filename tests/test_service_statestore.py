@@ -10,6 +10,7 @@ byte-faithful journal replay.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -430,6 +431,43 @@ class TestJournalPersistence:
         path.write_text('{"op": "submit"\n')
         with pytest.raises(ServiceError):
             make_store(path=path)
+
+    def test_corrupt_line_mid_file_names_path_and_lineno(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        submit(store, "k1")
+        with path.open("a") as fh:
+            fh.write('{"op": "cla\n')
+        submit(store, "k2")
+        with pytest.raises(ServiceError, match=re.escape(f"{path}:2")):
+            make_store(path=path)
+
+    def test_torn_tail_reopens_to_pre_tear_state(self, tmp_path):
+        """A killed writer leaves half a line; every later open used to
+        raise ServiceError on it."""
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        submit(store, "k1")
+        (task,) = store.claim("w0", now=1.0)
+        store.complete(task.task_id, "w0", {"alpha": 2.5}, now=2.0)
+        submit(store, "k2")
+        before, clean = store.counts(), path.read_bytes()
+        with path.open("a") as fh:
+            fh.write('{"op": "claim", "task_id": "t-0000')
+
+        reopened = make_store(path=path)
+        assert reopened.counts() == before
+        assert reopened.result_for_key("k1") == {"alpha": 2.5}
+        assert reopened.torn_tail_bytes == 34
+        assert "torn_tail_bytes=34" in reopened.render_status(now=3.0)
+        assert path.read_bytes() == clean  # the tail was cut off
+
+        # Appends land on a line boundary again; the next open is clean.
+        reopened.claim("w1", now=3.0)
+        again = make_store(path=path)
+        assert again.torn_tail_bytes == 0
+        assert "torn_tail_bytes" not in again.render_status(now=4.0)
+        assert again.get("t-000002").status == CLAIMED
 
     def test_journal_lines_are_valid_sorted_json(self, tmp_path):
         path = tmp_path / "journal.jsonl"

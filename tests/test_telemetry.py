@@ -421,6 +421,14 @@ class TestSinkPlumbing:
         with pytest.raises(ValueError, match=":2"):
             load_events(path)
 
+    def test_load_events_skips_a_torn_tail(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = TelemetrySink(path)
+        sink.note("cache_hit", 4.0, task="t-000001", key="k")
+        with path.open("a") as fh:
+            fh.write('{"kind": "worker_cr')
+        assert load_events(path) == sink.events
+
     def test_note_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             TelemetrySink().note("surprise", 0.0)
