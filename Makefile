@@ -15,9 +15,12 @@ test:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
 
-# Just the fault/resilience smoke subset (also part of `make test`).
+# Just the fault/resilience smoke subset plus the Hartree plan and
+# Adams-Moulton parity tests (all also part of `make test`).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_dft.py \
+		-k "MultipoleSolver or AdamsMoulton"
 
 # Quick execution-backend comparison (numpy vs batched vs device) on an
 # over-cache-limit system, plus the dense-vs-screened block-sparse

@@ -17,39 +17,86 @@ from typing import Tuple
 import numpy as np
 
 
-def _solve_natural_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives at the knots for natural boundary conditions.
+class SplineSystem:
+    """The half of a natural cubic spline that depends on the knots only.
 
-    Solves the standard tridiagonal system with the Thomas algorithm,
-    vectorized over trailing axes of *y* (shape ``(n, ...)``).
+    Holds the validated abscissae, the forward-elimination factors of
+    the tridiagonal second-derivative system (Thomas algorithm) and the
+    interval lookup.  Every spline on one mesh can share one system, so
+    the factorisation and, through :meth:`weights`, the interpolation
+    coefficients at fixed evaluation points are computed once.
     """
-    n = x.shape[0]
-    h = np.diff(x)  # (n-1,)
-    # Right-hand side: 6 * divided-difference of first derivatives.
-    dy = np.diff(y, axis=0) / h.reshape(-1, *([1] * (y.ndim - 1)))
-    rhs = 6.0 * np.diff(dy, axis=0)  # (n-2, ...)
 
-    # Tridiagonal system: sub = h[:-1], diag = 2(h[i]+h[i+1]), sup = h[1:]
-    diag = 2.0 * (h[:-1] + h[1:]).copy()
-    sup = h[1:].copy()
-    sub = h[:-1].copy()
+    def __init__(self, x: np.ndarray) -> None:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.shape[0] < 2:
+            raise ValueError("spline needs at least two knots in a 1-D abscissa")
+        h = np.diff(x)
+        if np.any(h <= 0.0):
+            raise ValueError("spline abscissae must be strictly increasing")
+        self.x = x
+        self.h = h
+        # Tridiagonal system: sub = h[:-1], diag = 2(h[i]+h[i+1]), sup = h[1:]
+        self._denom = 2.0 * (h[:-1] + h[1:])  # starts as diag
+        self._c_prime = np.empty_like(self._denom)
+        for i in range(x.shape[0] - 2):
+            if i > 0:
+                self._denom[i] -= h[i] * self._c_prime[i - 1]
+            self._c_prime[i] = h[i + 1] / self._denom[i]
 
-    m = np.zeros_like(y)
-    if n > 2:
-        # Forward elimination.
-        c_prime = np.empty(n - 2)
-        d_prime = np.empty((n - 2,) + y.shape[1:])
-        c_prime[0] = sup[0] / diag[0]
-        d_prime[0] = rhs[0] / diag[0]
-        for i in range(1, n - 2):
-            denom = diag[i] - sub[i] * c_prime[i - 1]
-            c_prime[i] = sup[i] / denom
-            d_prime[i] = (rhs[i] - sub[i] * d_prime[i - 1]) / denom
-        # Back substitution into the interior knots.
-        m[n - 2] = d_prime[n - 3]
-        for i in range(n - 4, -1, -1):
-            m[i + 1] = d_prime[i] - c_prime[i] * m[i + 2]
-    return m
+    @property
+    def n_knots(self) -> int:
+        return self.x.shape[0]
+
+    def second_derivatives(self, y: np.ndarray) -> np.ndarray:
+        """Second derivatives at the knots for natural boundary conditions.
+
+        Vectorized over trailing axes of *y* (shape ``(n, ...)``); each
+        trailing column sees the same operations whatever it is stacked
+        with.
+        """
+        n = self.n_knots
+        if y.shape[0] != n:
+            raise ValueError(
+                f"knot count mismatch: {n} abscissae, {y.shape[0]} ordinates"
+            )
+        h, denom, c_prime = self.h, self._denom, self._c_prime
+        # Right-hand side: 6 * divided-difference of first derivatives.
+        dy = np.diff(y, axis=0) / h.reshape(-1, *([1] * (y.ndim - 1)))
+        rhs = 6.0 * np.diff(dy, axis=0)  # (n-2, ...)
+
+        m = np.zeros_like(y)
+        if n > 2:
+            # Forward elimination.
+            d_prime = np.empty((n - 2,) + y.shape[1:])
+            d_prime[0] = rhs[0] / denom[0]
+            for i in range(1, n - 2):
+                d_prime[i] = (rhs[i] - h[i] * d_prime[i - 1]) / denom[i]
+            # Back substitution into the interior knots.
+            m[n - 2] = d_prime[n - 3]
+            for i in range(n - 4, -1, -1):
+                m[i + 1] = d_prime[i] - c_prime[i] * m[i + 2]
+        return m
+
+    def locate(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Interval index of each *t* and *t* clamped to the knot range."""
+        idx = np.searchsorted(self.x, t, side="right") - 1
+        idx = np.clip(idx, 0, self.n_knots - 2)
+        return idx, np.clip(t, self.x[0], self.x[-1])
+
+    def weights(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Interpolation as a linear map of the tables, for fixed 1-D *t*.
+
+        Returns ``(idx, w)`` with ``w`` of shape ``(len(t), 4)`` such
+        that a spline ``(y, m)`` on this mesh takes the value
+        ``w0 y[idx] + w1 y[idx+1] + w2 m[idx] + w3 m[idx+1]`` at *t*.
+        """
+        idx, tc = self.locate(t)
+        h = self.h[idx]
+        a = (self.x[idx + 1] - tc) / h
+        b = (tc - self.x[idx]) / h
+        h2_6 = h**2 / 6.0
+        return idx, np.stack([a, b, (a**3 - a) * h2_6, (b**3 - b) * h2_6], axis=1)
 
 
 class CubicSpline:
@@ -63,19 +110,28 @@ class CubicSpline:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
+        system = SplineSystem(x)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.shape[0] < 2:
-            raise ValueError("spline needs at least two knots in a 1-D abscissa")
-        if y.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"knot count mismatch: {x.shape[0]} abscissae, {y.shape[0]} ordinates"
-            )
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("spline abscissae must be strictly increasing")
-        self.x = x
+        self._set(system, y, system.second_derivatives(y))
+
+    @classmethod
+    def from_tables(
+        cls, system: SplineSystem, y: np.ndarray, m: np.ndarray
+    ) -> "CubicSpline":
+        """Spline over tables already solved on *system*.
+
+        For callers that solve every spline of one mesh as stacked
+        columns and hand each its ``(y, m)`` slice.
+        """
+        self = cls.__new__(cls)
+        self._set(system, y, m)
+        return self
+
+    def _set(self, system: SplineSystem, y: np.ndarray, m: np.ndarray) -> None:
+        self.system = system
+        self.x = system.x
         self.y = y
-        self.m = _solve_natural_second_derivatives(x, y)  # second derivatives
+        self.m = m  # second derivatives
 
     @property
     def n_knots(self) -> int:
@@ -86,16 +142,11 @@ class CubicSpline:
         """Bytes held by the spline coefficient tables (x, y, y'')."""
         return self.x.nbytes + self.y.nbytes + self.m.nbytes
 
-    def _locate(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        idx = np.searchsorted(self.x, t, side="right") - 1
-        idx = np.clip(idx, 0, self.n_knots - 2)
-        return idx, np.clip(t, self.x[0], self.x[-1])
-
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the spline at points *t* (any shape)."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        idx, tc = self._locate(flat)
+        idx, tc = self.system.locate(flat)
         x0 = self.x[idx]
         x1 = self.x[idx + 1]
         h = x1 - x0
@@ -118,7 +169,7 @@ class CubicSpline:
         """First derivative of the spline at points *t*."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        idx, tc = self._locate(flat)
+        idx, tc = self.system.locate(flat)
         x0 = self.x[idx]
         x1 = self.x[idx + 1]
         h = x1 - x0

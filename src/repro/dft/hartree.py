@@ -15,16 +15,22 @@ pipeline the paper optimizes:
 3. **Back-interpolation** — the total potential at any point is the sum
    of splined atom-centered partial potentials plus analytic multipole
    far fields (the producer/consumer kernel pair of Section 4.2).
+
+Each stage is linear in the density, and everything but the density is
+fixed by the geometry: :class:`MultipoleSolver` computes that half once
+(per-species radial tables and spline factorisation, one
+back-interpolation plan per atom) and applies it per call (DESIGN §5.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from repro.basis.spline import CubicSpline
+from repro.basis.spline import CubicSpline, SplineSystem
 from repro.basis.ylm import n_lm, real_spherical_harmonics
 from repro.errors import GridError
 from repro.grids.atom_grid import IntegrationGrid
@@ -58,7 +64,7 @@ def adams_moulton_cumulative(f: np.ndarray, df: np.ndarray) -> np.ndarray:
     g = f * df.reshape(-1, *([1] * (f.ndim - 1)))
     out = np.zeros_like(g)
     n = g.shape[0]
-    if n == 0:
+    if n < 2:
         return out
     if n == 2:
         out[1] = 0.5 * (g[0] + g[1])
@@ -70,14 +76,11 @@ def adams_moulton_cumulative(f: np.ndarray, df: np.ndarray) -> np.ndarray:
     # Cubic-exact startup over the first four nodes.
     out[1] = (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]) / 24.0
     out[2] = out[1] + (-g[0] + 13.0 * g[1] + 13.0 * g[2] - g[3]) / 24.0
-    if n >= 4:
-        # Vectorized would hide the recurrence; the dependence chain is
-        # genuine (each step needs the previous), matching the paper's
-        # description of the integrator.
-        for k in range(3, n):
-            out[k] = out[k - 1] + (
-                9.0 * g[k] + 19.0 * g[k - 1] - 5.0 * g[k - 2] + g[k - 3]
-            ) / 24.0
+    # F[k] = F[k-1] + term_k is a running sum: write the corrector terms,
+    # then accumulate in place from F[2].  cumsum adds left to right, so
+    # every F[k] sees the additions the step-by-step recurrence makes.
+    out[3:] = (9.0 * g[3:] + 19.0 * g[2:-1] - 5.0 * g[1:-2] + g[:-3]) / 24.0
+    np.cumsum(out[2:], axis=0, out=out[2:])
     return out
 
 
@@ -117,13 +120,59 @@ class MultipoleExpansion:
         return int(sum(s.coefficient_nbytes for s in self.potential_splines))
 
 
+@dataclass(frozen=True)
+class _MeshGroup:
+    """Atoms sharing one radial mesh (one species) and what the mesh fixes.
+
+    The power tables carry a unit atom axis, ``(n_shells, 1, n_lm)``, so
+    they broadcast over the group's stacked moments.
+    """
+
+    atoms: Tuple[int, ...]
+    rows: np.ndarray  # grid rows of the atoms' points, atom after atom
+    system: SplineSystem  # knots = shell radii, Thomas factors
+    dr: np.ndarray  # ds/di of the mesh
+    r_inner: np.ndarray  # s^(l+2)
+    r_outer: np.ndarray  # s^(1-l)
+    r_lp1: np.ndarray  # s^(l+1)
+    r_l: np.ndarray  # s^l
+    r0_lp3: np.ndarray  # (n_lm,) first-shell radius to the (l+3)
+
+
+@dataclass(frozen=True)
+class _AtomPlan:
+    """Back-interpolation of one atom's partial potential at fixed points.
+
+    Everything the consumer kernel needs that the density cannot change:
+    which points lie inside the atom's radial mesh, their spline weights
+    as a sparse operator on the stacked ``[y; m]`` spline tables, and one
+    ``(n_points, n_lm)`` table whose first ``len(near)`` rows are the
+    harmonics ``Y`` at the near points and whose remaining rows are the
+    far-field factors ``pref * Y / r^(l+1)`` at the far points.
+    """
+
+    near: np.ndarray  # int32 point indices, r <= outermost shell
+    far: np.ndarray  # int32 point indices, the rest
+    weights: csr_matrix  # (n_near, 2 * n_shells), 4 nonzeros per row
+    table: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        w = self.weights
+        return int(
+            self.near.nbytes + self.far.nbytes + self.table.nbytes
+            + w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+        )
+
+
 class MultipoleSolver:
     """Poisson solver bound to one structure + integration grid.
 
-    The constructor precomputes everything density-independent (angular
-    harmonics on the shared angular rule, per-atom point bookkeeping,
-    point->atom distances and harmonics for back-interpolation), so both
-    the ground-state cycle and every CPSCF iteration reuse it.
+    Every density-independent quantity is computed once per solver: the
+    angular harmonics and per-species radial tables in the constructor,
+    and one back-interpolation plan per atom on its first use.  A call
+    is then three small linear steps, so both the ground-state cycle and
+    every CPSCF iteration pay only for what the density changes.
     """
 
     def __init__(self, grid: IntegrationGrid, l_max: int) -> None:
@@ -143,28 +192,50 @@ class MultipoleSolver:
 
         # The angular rule is shared by all shells of all atoms; recover
         # it from the first atom's first shell block.
-        n_atoms = self.structure.n_atoms
-        self._atom_slices: List[slice] = []
-        start = 0
-        for a in range(n_atoms):
-            n_pts = int(np.count_nonzero(grid.atom_index == a))
-            self._atom_slices.append(slice(start, start + n_pts))
-            start += n_pts
-        if start != grid.n_points:
+        n_shells = [len(r) for r in grid.shell_radii]
+        self._n_ang = int(np.count_nonzero(grid.atom_index == 0)) // n_shells[0]
+        starts = self._n_ang * np.concatenate([[0], np.cumsum(n_shells)])
+        if starts[-1] != grid.n_points or np.any(np.diff(grid.atom_index) < 0):
             raise GridError("grid points are not atom-major ordered")
-
-        first = self._atom_slices[0]
-        n_shells0 = len(grid.shell_radii[0])
-        self._n_ang = (first.stop - first.start) // n_shells0
-        ang_dirs = (
-            grid.points[first][: self._n_ang] - self.structure.coords[0]
-        )
+        ang_dirs = grid.points[: self._n_ang] - self.structure.coords[0]
         self._y_ang = real_spherical_harmonics(ang_dirs, l_max)  # (n_ang, n_lm)
-        self._w_ang = grid.angular_weights[first][: self._n_ang]
 
-        # Per-atom: distances and harmonics of *all* grid points w.r.t.
-        # that atom (the consumer-kernel geometry), computed lazily.
-        self._eval_cache: List[Optional[tuple]] = [None] * n_atoms
+        by_mesh: Dict[bytes, List[int]] = {}
+        for a, r in enumerate(grid.shell_radii):
+            by_mesh.setdefault(np.asarray(r, dtype=float).tobytes(), []).append(a)
+        self._groups = [
+            self._mesh_group(atoms, starts) for atoms in by_mesh.values()
+        ]
+        self._system = {a: g.system for g in self._groups for a in g.atoms}
+
+        # Per-atom back-interpolation plans for the grid's own points
+        # (the consumer-kernel geometry), built lazily.
+        self._plans: List[Optional[_AtomPlan]] = [None] * self.structure.n_atoms
+
+    def _mesh_group(self, atoms: List[int], starts: np.ndarray) -> _MeshGroup:
+        r = self.grid.shell_radii[atoms[0]]  # (n_shells,)
+        l_arr = self._l_of_lm[None, None, :]
+        rc = r[:, None, None]
+        return _MeshGroup(
+            atoms=tuple(atoms),
+            rows=np.concatenate([np.arange(starts[a], starts[a + 1]) for a in atoms]),
+            system=SplineSystem(r),
+            # Recover ds/di from the stored quadrature construction:
+            # radial weight w = r^2 dr/di was used in shells; rebuild
+            # dr/di from consecutive ratios of the log-like mesh by
+            # finite differences (exact enough for the quadrature).
+            dr=np.gradient(r),
+            r_inner=rc ** (l_arr + 2.0),
+            r_outer=rc ** (1.0 - l_arr),
+            r_lp1=rc ** (l_arr + 1.0),
+            r_l=rc**l_arr,
+            r0_lp3=r[0] ** (self._l_of_lm + 3.0),
+        )
+
+    @property
+    def plan_nbytes(self) -> int:
+        """Bytes held by the back-interpolation plans built so far."""
+        return sum(p.nbytes for p in self._plans if p is not None)
 
     # ------------------------------------------------------------------
     # Stage 1: multipole projection
@@ -176,48 +247,45 @@ class MultipoleSolver:
             raise GridError(
                 f"{rho.shape[0]} density samples for {self.grid.n_points} points"
             )
-        part = self.grid.partition_weights
-        moments: List[np.ndarray] = []
-        for a, sl in enumerate(self._atom_slices):
-            n_shells = len(self.grid.shell_radii[a])
-            vals = (rho[sl] * part[sl] * np.tile(self._w_ang, n_shells)).reshape(
-                n_shells, self._n_ang
-            )
-            moments.append(vals @ self._y_ang)  # (n_shells, n_lm)
+        # grid.angular_weights is the angular rule tiled over every shell.
+        vals = rho * self.grid.partition_weights * self.grid.angular_weights
+        moments: List[Optional[np.ndarray]] = [None] * self.structure.n_atoms
+        for group in self._groups:
+            # One batched matmul per species: (n_atoms, n_shells, n_ang) @ Y.
+            stacked = vals[group.rows].reshape(len(group.atoms), -1, self._n_ang)
+            for a, mom in zip(group.atoms, stacked @ self._y_ang):
+                moments[a] = mom  # (n_shells, n_lm)
         return MultipoleExpansion(moments=moments, l_max=self.l_max)
 
     # ------------------------------------------------------------------
     # Stage 2: radial Poisson via Adams-Moulton
     # ------------------------------------------------------------------
     def solve(self, expansion: MultipoleExpansion) -> MultipoleExpansion:
-        """Fill the partial-potential splines and far-field moments."""
-        splines: List[CubicSpline] = []
-        far: List[np.ndarray] = []
+        """Fill the partial-potential splines and far-field moments.
+
+        The atoms of one species are integrated and splined together as
+        ``(n_shells, n_atoms, n_lm)`` columns; no column's operations
+        depend on what it is stacked with.
+        """
+        n_atoms = self.structure.n_atoms
+        splines: List[Optional[CubicSpline]] = [None] * n_atoms
+        far: List[Optional[np.ndarray]] = [None] * n_atoms
         l_arr = self._l_of_lm  # (n_lm,)
-        for a, mom in enumerate(expansion.moments):
-            r = self.grid.shell_radii[a]  # (n_shells,)
-            # Recover ds/di from the stored quadrature construction:
-            # radial weight w = r^2 dr/di was used in shells; rebuild
-            # dr/di from consecutive ratios of the log-like mesh by
-            # finite differences (exact enough for the quadrature).
-            dr = np.gradient(r)
-            rl = r[:, None] ** (l_arr[None, :] + 2.0)  # s^(l+2)
-            inner = adams_moulton_cumulative(mom * rl, dr)
+        for group in self._groups:
+            mom = np.stack([expansion.moments[a] for a in group.atoms], axis=1)
+            inner = adams_moulton_cumulative(mom * group.r_inner, group.dr)
             # Inner boundary: density ~ constant below the first shell.
-            inner0 = mom[0] * r[0] ** (l_arr + 3.0) / (l_arr + 3.0)
-            inner = inner + inner0[None, :]
+            inner0 = mom[0] * group.r0_lp3 / (l_arr + 3.0)
+            inner = inner + inner0[None]
 
-            ru = r[:, None] ** (1.0 - l_arr[None, :])  # s^(1-l)
-            outer_cum = adams_moulton_cumulative(mom * ru, dr)
-            outer_total = outer_cum[-1]
-            outer = outer_total[None, :] - outer_cum
+            outer_cum = adams_moulton_cumulative(mom * group.r_outer, group.dr)
+            outer = outer_cum[-1][None] - outer_cum
 
-            v = self._pref[None, :] * (
-                inner / r[:, None] ** (l_arr[None, :] + 1.0)
-                + outer * r[:, None] ** l_arr[None, :]
-            )
-            splines.append(CubicSpline(r, v))
-            far.append(inner[-1])
+            v = self._pref * (inner / group.r_lp1 + outer * group.r_l)
+            m = group.system.second_derivatives(v)
+            for i, a in enumerate(group.atoms):
+                splines[a] = CubicSpline.from_tables(group.system, v[:, i], m[:, i])
+                far[a] = inner[-1, i]
         expansion.potential_splines = splines
         expansion.far_moments = far
         return expansion
@@ -225,17 +293,39 @@ class MultipoleSolver:
     # ------------------------------------------------------------------
     # Stage 3: back-interpolation (the consumer kernel)
     # ------------------------------------------------------------------
-    def _eval_geometry(self, atom: int, points: Optional[np.ndarray] = None):
-        """(r, Y) of evaluation points w.r.t. one atom (cached for the grid)."""
-        if points is None:
-            if self._eval_cache[atom] is None:
-                d = self.grid.points - self.structure.coords[atom]
-                r = np.linalg.norm(d, axis=1)
-                y = real_spherical_harmonics(d, self.l_max)
-                self._eval_cache[atom] = (r, y)
-            return self._eval_cache[atom]
-        d = np.atleast_2d(points) - self.structure.coords[atom]
-        return np.linalg.norm(d, axis=1), real_spherical_harmonics(d, self.l_max)
+    def _build_plan(self, atom: int, points: np.ndarray) -> _AtomPlan:
+        """Everything about *points* as seen from one atom, as a plan."""
+        system = self._system[atom]
+        d = points - self.structure.coords[atom]
+        r = np.linalg.norm(d, axis=1)
+        inside = r <= system.x[-1]
+        near = np.flatnonzero(inside).astype(np.int32)
+        far = np.flatnonzero(~inside).astype(np.int32)
+        n_near, n_shells = near.shape[0], system.n_knots
+
+        y = real_spherical_harmonics(d, self.l_max)
+        table = np.empty_like(y)
+        table[:n_near] = y[near]
+        table[n_near:] = (
+            self._pref * y[far] / r[far, None] ** (self._l_of_lm + 1.0)
+        )
+
+        idx, w = system.weights(r[near])
+        cols = idx[:, None] + np.array([0, 1, n_shells, n_shells + 1])
+        weights = csr_matrix(
+            (
+                w.ravel(),
+                cols.astype(np.int32).ravel(),
+                np.arange(0, 4 * n_near + 1, 4, dtype=np.int32),
+            ),
+            shape=(n_near, 2 * n_shells),
+        )
+        return _AtomPlan(near=near, far=far, weights=weights, table=table)
+
+    def _plan(self, atom: int) -> _AtomPlan:
+        if self._plans[atom] is None:
+            self._plans[atom] = self._build_plan(atom, self.grid.points)
+        return self._plans[atom]
 
     def evaluate(
         self,
@@ -246,31 +336,23 @@ class MultipoleSolver:
         """Total Hartree potential at grid points (default) or any points.
 
         Sums splined partial potentials inside each atom's radial mesh
-        and the analytic ``q_lm / r^(l+1)`` far field outside.
+        and the analytic ``q_lm / r^(l+1)`` far field outside.  Grid
+        points use the solver's cached plans; other *points* get a
+        throwaway plan from the same builder.
         """
         if expansion.potential_splines is None:
             raise GridError("expansion not solved; call solve() first")
-        n_pts = self.grid.n_points if points is None else np.atleast_2d(points).shape[0]
-        v = np.zeros(n_pts)
-        l_arr = self._l_of_lm
+        if points is not None:
+            points = np.atleast_2d(points)
+        v = np.zeros(self.grid.n_points if points is None else points.shape[0])
         atom_iter = range(self.structure.n_atoms) if atoms is None else atoms
         for a in atom_iter:
-            r, y = self._eval_geometry(a, points)
-            r_max = self.grid.shell_radii[a][-1]
-            near = r <= r_max
-            if np.any(near):
-                vr = expansion.potential_splines[a](r[near])  # (n_near, n_lm)
-                v[near] += np.einsum("ij,ij->i", vr, y[near])
-            far = ~near
-            if np.any(far):
-                q = expansion.far_moments[a]
-                rf = r[far]
-                vf = (
-                    self._pref[None, :]
-                    * q[None, :]
-                    / rf[:, None] ** (l_arr[None, :] + 1.0)
-                )
-                v[far] += np.einsum("ij,ij->i", vf, y[far])
+            plan = self._plan(a) if points is None else self._build_plan(a, points)
+            spline = expansion.potential_splines[a]
+            n_near = plan.near.shape[0]
+            vr = plan.weights @ np.concatenate([spline.y, spline.m])  # (n_near, n_lm)
+            v[plan.near] += np.einsum("ij,ij->i", vr, plan.table[:n_near])
+            v[plan.far] += plan.table[n_near:] @ expansion.far_moments[a]
         return v
 
     def hartree_potential(self, density_values: np.ndarray) -> np.ndarray:

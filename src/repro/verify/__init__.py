@@ -46,7 +46,12 @@ from repro.verify.invariants import (
     all_invariants,
     invariants_for,
 )
-from repro.verify.mutations import MUTATIONS, MutantBackend, flip_xc_kernel_sign
+from repro.verify.mutations import (
+    MUTATIONS,
+    MutantBackend,
+    flip_xc_kernel_sign,
+    shift_hartree_interval,
+)
 
 __all__ = [
     "ConformanceReport",
@@ -71,5 +76,6 @@ __all__ = [
     "run_conformance",
     "save_golden",
     "screening_conformance",
+    "shift_hartree_interval",
     "verify_golden",
 ]

@@ -476,6 +476,68 @@ def _gauss_law_monopole(ctx: CheckContext) -> Tuple[float, str]:
     return float(rel.max()), f"max |v r / N - 1| at r = {radius:.1f} Bohr"
 
 
+def direct_hartree_potential(
+    expansion, coords: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Solved *expansion* at *points* by direct spline evaluation.
+
+    The reference the planned back-interpolation is held to: per atom,
+    distances and harmonics are rebuilt from the coordinates, the
+    partial potential comes from ``CubicSpline.__call__`` inside the
+    radial mesh and from the analytic ``q_lm / r^(l+1)`` outside.
+    Nothing here reads a solver or its plans.
+    """
+    from repro.basis.ylm import real_spherical_harmonics
+
+    l_max = expansion.l_max
+    ls = np.concatenate([np.full(2 * l + 1, float(l)) for l in range(l_max + 1)])
+    pref = 4.0 * np.pi / (2.0 * ls + 1.0)
+    v = np.zeros(points.shape[0])
+    for a, spline in enumerate(expansion.potential_splines):
+        d = points - coords[a]
+        r = np.linalg.norm(d, axis=1)
+        y = real_spherical_harmonics(d, l_max)
+        near = r <= spline.x[-1]
+        v[near] += np.einsum("ij,ij->i", spline(r[near]), y[near])
+        far = ~near
+        vf = pref * expansion.far_moments[a] / r[far, None] ** (ls + 1.0)
+        v[far] += np.einsum("ij,ij->i", vf, y[far])
+    return v
+
+
+#: Seed and size of the grid-point sample ``hartree_plan_parity`` draws.
+_PLAN_PARITY_SEED = 20231112
+_PLAN_PARITY_SAMPLE = 512
+
+
+@invariant(
+    "hartree_plan_parity",
+    phase="scf",
+    cost="full",
+    tol_class=ALLCLOSE,
+    tolerance=1e-10,
+    description="planned Hartree back-interpolation matches direct spline evaluation",
+)
+def _hartree_plan_parity(ctx: CheckContext) -> Tuple[float, str]:
+    gs = ctx.gs
+    solver = gs.solver
+    expansion = solver.solve(solver.expand(gs.density))
+    n_points = gs.grid.n_points
+    rng = np.random.default_rng(_PLAN_PARITY_SEED)
+    sample = np.sort(
+        rng.choice(n_points, size=min(_PLAN_PARITY_SAMPLE, n_points), replace=False)
+    )
+    planned = solver.evaluate(expansion)[sample]
+    direct = direct_hartree_potential(
+        expansion, gs.structure.coords, gs.grid.points[sample]
+    )
+    scale = max(1.0, float(np.abs(direct).max()))
+    return (
+        float(np.abs(planned - direct).max()) / scale,
+        f"{sample.shape[0]} of {n_points} grid points",
+    )
+
+
 # ----------------------------------------------------------------------
 # CPSCF-phase invariants (one converged response direction)
 # ----------------------------------------------------------------------

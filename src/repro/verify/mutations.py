@@ -17,12 +17,16 @@ validation methodology (and this repo's invariant registry) must catch:
                           point row (first row lost, last duplicated)
 ``overscreened_block``    the screening pattern wrongly drops every
                           function of one batch's first owner atom
+``shifted_hartree_interval`` one atom's Hartree back-interpolation plan
+                          looks every point up one radial interval low
 ======================== ==============================================
 
-The first four backend-level mutations are applied by running a driver
-with a :class:`MutantBackend`; ``wrong_xc_sign`` lives in the CPSCF
-solver's cached kernel and is applied to a live solver with
-:func:`flip_xc_kernel_sign`.  Nothing here is imported by production
+The backend-level mutations are applied by running a driver with a
+:class:`MutantBackend`; ``wrong_xc_sign`` lives in the CPSCF solver's
+cached kernel and is applied to a live solver with
+:func:`flip_xc_kernel_sign`; ``shifted_hartree_interval`` lives in the
+multipole solver's cached plan and is applied to a live solver with
+:func:`shift_hartree_interval`.  Nothing here is imported by production
 code paths — it exists so tests can prove the checks have teeth.
 """
 
@@ -44,6 +48,7 @@ MUTATIONS = {
     "wrong_xc_sign": "CPSCF response potential uses -f_xc * n1",
     "off_by_one_batch_slice": "basis block shifted one point row",
     "overscreened_block": "screening drops one batch's first atom's functions",
+    "shifted_hartree_interval": "one atom's Hartree plan interval index off by one",
 }
 
 #: Mutations implemented as a broken execution backend.
@@ -111,3 +116,15 @@ class MutantBackend(NumpyBackend):
 def flip_xc_kernel_sign(solver) -> None:
     """Apply ``wrong_xc_sign`` to a live :class:`~repro.dfpt.response.DFPTSolver`."""
     solver._fxc = -solver._fxc
+
+
+def shift_hartree_interval(solver, atom: int = 0) -> None:
+    """Apply ``shifted_hartree_interval`` to a live :class:`~repro.dft.hartree.MultipoleSolver`.
+
+    Every near point of *atom* not already in the first radial interval
+    reads the spline tables one interval low; the weights are untouched.
+    The solver stays self-consistent (every call goes through the same
+    plan), so only a check that bypasses the plan can see it.
+    """
+    cols = solver._plan(atom).weights.indices.reshape(-1, 4)
+    cols[cols[:, 0] > 0] -= 1

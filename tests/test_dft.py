@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
-from repro.basis import build_basis
+from repro.atoms import hydrogen_molecule, methane, polyethylene, water
+from repro.basis import CubicSpline, build_basis, real_spherical_harmonics
 from repro.config import get_settings
 from repro.dft import (
     MatrixBuilder,
@@ -59,7 +59,42 @@ class TestXC:
         assert res.exc[0] < 0.0 and res.vxc[0] < 0.0
 
 
+def _adams_moulton_loop(f, df):
+    """The step-by-step recurrence ``adams_moulton_cumulative`` must reproduce."""
+    g = f * df.reshape(-1, *([1] * (f.ndim - 1)))
+    out = np.zeros_like(g)
+    out[1] = (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]) / 24.0
+    out[2] = out[1] + (-g[0] + 13.0 * g[1] + 13.0 * g[2] - g[3]) / 24.0
+    for k in range(3, g.shape[0]):
+        out[k] = out[k - 1] + (
+            9.0 * g[k] + 19.0 * g[k - 1] - 5.0 * g[k - 2] + g[k - 3]
+        ) / 24.0
+    return out
+
+
 class TestAdamsMoulton:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 27])
+    def test_every_length_integrates_a_constant(self, n):
+        # A constant is integrated exactly by every start-up formula.
+        out = adams_moulton_cumulative(np.ones(n), np.full(n, 0.5))
+        assert out.shape == (n,)
+        assert np.allclose(out, 0.5 * np.arange(n), atol=1e-14)
+
+    @given(
+        n=st.integers(4, 60),
+        k=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.0, 12.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_running_sum_is_the_recurrence_bit_for_bit(self, n, k, seed, spread):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-spread, spread, (n, k))
+        df = rng.uniform(1e-3, 2.0, n)
+        assert np.array_equal(
+            adams_moulton_cumulative(f, df), _adams_moulton_loop(f, df)
+        )
+
     def test_integrates_polynomial_exactly(self):
         # AM4 is exact for cubics on uniform meshes.
         x = np.linspace(0.0, 2.0, 41)
@@ -81,6 +116,151 @@ class TestAdamsMoulton:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adams_moulton_cumulative(np.zeros(5), np.zeros(4))
+
+
+def _direct_potential(solver, expansion, points):
+    """Spline call + analytic far field, atom by atom — no plan involved."""
+    ls = np.concatenate([np.full(2 * l + 1, float(l)) for l in range(solver.l_max + 1)])
+    pref = 4.0 * np.pi / (2.0 * ls + 1.0)
+    v = np.zeros(points.shape[0])
+    for a, spline in enumerate(expansion.potential_splines):
+        d = points - solver.structure.coords[a]
+        r = np.linalg.norm(d, axis=1)
+        y = real_spherical_harmonics(d, solver.l_max)
+        near = r <= solver.grid.shell_radii[a][-1]
+        v[near] += np.einsum("ij,ij->i", spline(r[near]), y[near])
+        vf = pref * expansion.far_moments[a] / r[~near, None] ** (ls + 1.0)
+        v[~near] += np.einsum("ij,ij->i", vf, y[~near])
+    return v
+
+
+def _per_atom_expansion(solver, rho):
+    """Stages 1-2 one atom at a time, each atom its own spline solve."""
+    grid = solver.grid
+    ls = np.concatenate([np.full(2 * l + 1, float(l)) for l in range(solver.l_max + 1)])
+    pref = 4.0 * np.pi / (2.0 * ls + 1.0)
+    n_ang = solver._y_ang.shape[0]
+    w_ang = grid.angular_weights[:n_ang]
+    moments, splines, far = [], [], []
+    for a, r in enumerate(grid.shell_radii):
+        sl = grid.points_of_atom(a)
+        vals = rho[sl] * grid.partition_weights[sl] * np.tile(w_ang, len(r))
+        mom = vals.reshape(len(r), n_ang) @ solver._y_ang
+        dr = np.gradient(r)
+        inner = adams_moulton_cumulative(mom * r[:, None] ** (ls + 2.0), dr)
+        inner = inner + (mom[0] * r[0] ** (ls + 3.0) / (ls + 3.0))[None, :]
+        outer_cum = adams_moulton_cumulative(mom * r[:, None] ** (1.0 - ls), dr)
+        outer = outer_cum[-1][None, :] - outer_cum
+        v = pref * (inner / r[:, None] ** (ls + 1.0) + outer * r[:, None] ** ls)
+        moments.append(mom)
+        splines.append(CubicSpline(r, v))
+        far.append(inner[-1])
+    return moments, splines, far
+
+
+_PLAN_MOLECULES = {
+    "h2": hydrogen_molecule,
+    "water": water,
+    "methane": methane,
+    "c2h6": lambda: polyethylene(1),
+}
+
+
+@pytest.fixture(scope="module", params=list(_PLAN_MOLECULES))
+def plan_case(request):
+    """(solver, bumpy test density) on one built-in molecule."""
+    structure = _PLAN_MOLECULES[request.param]()
+    grid = build_grid(structure, get_settings("minimal").grids, with_partition=True)
+    solver = MultipoleSolver(grid, l_max=4)
+    rng = np.random.default_rng(7)
+    centre = structure.coords.mean(axis=0) + 0.3
+    rho = np.exp(-0.4 * ((grid.points - centre) ** 2).sum(axis=1))
+    return solver, rho * (1.0 + 0.2 * rng.random(grid.n_points))
+
+
+class TestMultipoleSolverPlan:
+    def test_planned_potential_matches_direct_evaluation(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        planned = solver.evaluate(expansion)
+        direct = _direct_potential(solver, expansion, solver.grid.points)
+        assert np.allclose(planned, direct, rtol=1e-12, atol=0.0)
+
+    def test_explicit_grid_points_take_the_same_path(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        on_points = solver.evaluate(expansion, points=solver.grid.points)
+        assert np.array_equal(on_points, solver.evaluate(expansion))
+
+    def test_atom_subsets_add_up(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        atoms = list(range(solver.structure.n_atoms))
+        part = solver.evaluate(expansion, atoms=atoms[::2])
+        rest = solver.evaluate(expansion, atoms=atoms[1::2])
+        assert np.allclose(part + rest, solver.evaluate(expansion), rtol=1e-12, atol=1e-14)
+
+    def test_stacked_stages_equal_per_atom_stages_bit_for_bit(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        moments, splines, far = _per_atom_expansion(solver, rho)
+        for a in range(solver.structure.n_atoms):
+            assert np.array_equal(expansion.moments[a], moments[a])
+            assert np.array_equal(expansion.potential_splines[a].y, splines[a].y)
+            assert np.array_equal(expansion.potential_splines[a].m, splines[a].m)
+            assert np.array_equal(expansion.far_moments[a], far[a])
+
+    def test_plan_is_not_mutated_by_use(self, plan_case):
+        solver, rho = plan_case
+        first = solver.hartree_potential(rho)
+        solver.hartree_potential(rho[::-1].copy())
+        assert np.array_equal(solver.hartree_potential(rho), first)
+
+    def test_plan_bytes_formula(self, plan_case):
+        # Per atom: one (n_points, n_lm) float table, int32 near + far
+        # indices, and 4 weights + 4 int32 columns + 1 int32 row pointer
+        # per near point (plus the closing row pointer).
+        solver, rho = plan_case
+        solver.hartree_potential(rho)
+        n_points, n_lm = solver.grid.n_points, 25
+        n_near = sum(p.near.shape[0] for p in solver._plans)
+        n_atoms = solver.structure.n_atoms
+        assert solver.plan_nbytes == (
+            n_atoms * (n_points * (8 * n_lm + 4) + 4) + 52 * n_near
+        )
+        assert solver.plan_nbytes <= 1.29 * n_atoms * n_points * n_lm * 8
+
+
+class TestMultipoleSolverLinearity:
+    @pytest.fixture(scope="class")
+    def water_solver(self):
+        grid = build_grid(water(), get_settings("minimal").grids, with_partition=True)
+        solver = MultipoleSolver(grid, l_max=4)
+        # Smooth densities: grid-point noise puts O(noise) into the high-l
+        # channels at the innermost shells, which s^(1-l) amplifies until
+        # rounding in alpha*n1 + beta*n2 shows at 1e-9.
+        r2 = (grid.points**2).sum(axis=1)
+        n1 = np.exp(-0.5 * r2)
+        n2 = np.exp(-1.5 * r2) * grid.points[:, 2]
+        return solver, n1, n2, solver.hartree_potential(n1), solver.hartree_potential(n2)
+
+    @given(alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_potential_is_linear_in_the_density(self, water_solver, alpha, beta):
+        solver, n1, n2, v1, v2 = water_solver
+        v = solver.hartree_potential(alpha * n1 + beta * n2)
+        scale = np.abs(v1).max() + np.abs(v2).max()
+        assert np.abs(v - (alpha * v1 + beta * v2)).max() <= 1e-12 * scale
+
+    def test_chain_plan_fits_its_byte_budget(self):
+        # 69 % of the chain's atom-point pairs are inside a radial mesh;
+        # the rest carry no spline weights.
+        chain = polyethylene(4)
+        grid = build_grid(chain, get_settings("minimal").grids, with_partition=True)
+        solver = MultipoleSolver(grid, l_max=4)
+        solver.hartree_potential(np.ones(grid.n_points))
+        dense = chain.n_atoms * grid.n_points * 25 * 8
+        assert solver.plan_nbytes <= 1.2 * dense
 
 
 class TestMultipoleSolver:

@@ -24,7 +24,8 @@ class TestRegistry:
         names = [i.name for i in invs]
         assert len(names) == len(set(names))
         assert {i.phase for i in invs} <= set(PHASES)
-        assert len(invs) >= 15
+        assert len(invs) == 20
+        assert sum(i.cost == "full" for i in invs) == 6
 
     def test_bit_exact_checks_have_zero_tolerance(self):
         for inv in all_invariants():
@@ -115,6 +116,7 @@ class TestHonestRun:
         names = {r.name for r in report.results}
         assert "scf_stationarity" not in names
         assert "density_consistency" not in names
+        assert "hartree_plan_parity" not in names
         assert "dm_idempotent" in names
 
     def test_report_renders_with_summary(self, full_result):
@@ -129,6 +131,7 @@ class TestHonestRun:
             by_name.setdefault(r.name, r)
         assert by_name["overlap_hermitian"].residual == 0.0
         assert by_name["charge_integration"].residual < 1e-10
+        assert by_name["hartree_plan_parity"].residual < 1e-13
         assert by_name["polarizability_symmetric"].residual < 1e-10
 
 

@@ -12,7 +12,13 @@ from repro.config import get_settings
 from repro.dfpt.response import DFPTSolver
 from repro.dft.scf import SCFDriver
 from repro.errors import CPSCFConvergenceError, VerificationError
-from repro.verify import MUTATIONS, MutantBackend, Verifier, flip_xc_kernel_sign
+from repro.verify import (
+    MUTATIONS,
+    MutantBackend,
+    Verifier,
+    flip_xc_kernel_sign,
+    shift_hartree_interval,
+)
 from repro.verify.mutations import BACKEND_MUTATIONS, SCREENING_MUTATIONS
 
 #: Invariants expected to flag each backend mutation (at least these;
@@ -61,7 +67,11 @@ def _run_mutated(mutation):
 
 class TestBackendMutations:
     def test_every_mutation_is_named(self):
-        assert set(BACKEND_MUTATIONS) | {"wrong_xc_sign"} == set(MUTATIONS)
+        assert set(BACKEND_MUTATIONS) | {
+            "wrong_xc_sign",
+            "shifted_hartree_interval",
+        } == set(MUTATIONS)
+        assert len(MUTATIONS) == 7
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(VerificationError):
@@ -106,3 +116,20 @@ class TestXCSignMutation:
         except CPSCFConvergenceError:
             pass
         assert "cpscf_stationarity" in verifier.report.failed_names
+
+
+class TestHartreePlanMutation:
+    """``shifted_hartree_interval`` corrupts the solver's cached plan, so
+    every Hartree call — the SCF's and the stationarity check's — agrees
+    with every other; only the check that bypasses the plan sees it."""
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_only_plan_parity_kills_it(self, level):
+        verifier = Verifier(level)
+        driver = SCFDriver(
+            hydrogen_molecule(), get_settings("minimal"), verifier=verifier
+        )
+        shift_hartree_interval(driver.solver)
+        driver.run()
+        expected = ["hartree_plan_parity"] if level == "full" else []
+        assert verifier.report.failed_names == expected
