@@ -22,10 +22,10 @@ smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_dft.py \
 		-k "MultipoleSolver or AdamsMoulton"
 
-# Quick execution-backend comparison (numpy vs batched vs device) on an
-# over-cache-limit system, plus the dense-vs-screened block-sparse
-# payoff on a polyethylene chain; writes BENCH_backends.json and
-# BENCH_sparse.json at the repo root.
+# Quick execution-backend comparison (the host engine with a warm and a
+# cold block cache, and the device model), plus the dense-vs-screened
+# block-sparse payoff on a polyethylene chain; writes
+# BENCH_backends.json and BENCH_sparse.json at the repo root.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py --quick
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sparse.py --quick

@@ -1,26 +1,26 @@
-"""Execution-backend comparison on an over-cache-limit system.
+"""The host engine in two cache regimes, plus the device model.
 
-Forces ``cache_limit=0`` so the full basis table may not be held, then
-times repeated Sumup + H phase sweeps (the SCF/CPSCF hot loop) under
-each registered backend:
+Times repeated Sumup + H phase sweeps (the SCF/CPSCF hot loop) on water
+under three builders sharing one substrate:
 
-* ``numpy``  — the legacy over-limit path: every sweep re-evaluates
-  every basis block from scratch.
-* ``batched`` — bounded LRU block cache: blocks are evaluated once and
-  streamed from the cache on later sweeps.
+* ``warm``   — the host engine at its default block-cache budget: every
+  basis block is evaluated once and served from the cache afterwards.
+* ``cold``   — the same engine at budget 0: every block is evaluated on
+  every pass (what any grid over the budget degrades towards).
 * ``device`` — priced OpenCL-model launches over staged device buffers.
 
 The measurement itself lives in :mod:`repro.obs.bench` (shared with the
-``repro bench-check`` regression gate); this script prints the table,
-writes ``BENCH_backends.json`` at the repo root — including the
+``repro bench-check`` regression gate), which refuses to report unless
+all three outputs are bit-identical and each host row evaluated exactly
+the number of blocks its regime defines.  This script prints the table
+and writes ``BENCH_backends.json`` at the repo root, including the
 provenance block the regression gate and EXPERIMENTS.md footers rely
-on — and fails if batched does not beat the legacy path.  Run::
+on.  Run::
 
     PYTHONPATH=src python benchmarks/bench_backends.py [--quick]
 
-or via ``make bench-smoke``.  All three backends are verified
-bit-identical on every sweep before any timing is reported.  Compare a
-fresh run against the committed baseline with ``make bench-check``.
+or via ``make bench-smoke``.  Compare a fresh run against the committed
+baseline with ``make bench-check``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.obs.bench import backend_emission, emission_summary_rows
+from repro.obs.bench import backend_emission
 from repro.obs.report import Provenance
-from repro.utils.reports import TableFormatter
+from repro.utils.reports import TableFormatter, format_bytes, format_seconds
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 
@@ -40,15 +40,25 @@ def run(n_sweeps: int, level: str) -> dict:
     report = backend_emission(level, n_sweeps)
     print(
         f"water ({level}): {report['n_points']:,} grid points x "
-        f"{report['n_basis']} basis functions, cache_limit=0 "
-        f"(full table disallowed), {n_sweeps} Sumup+H sweeps"
+        f"{report['n_basis']} basis functions, {n_sweeps} Sumup+H sweeps"
     )
     table = TableFormatter(
-        ["backend", "wall", "speedup vs numpy", "cache peak", "launches"],
-        title="backend comparison (bit-identical outputs)",
+        ["row", "wall", "blocks evaluated", "cache peak", "launches"],
+        title="host cache regimes and device (bit-identical outputs)",
     )
-    for row in emission_summary_rows(report):
-        table.add_row(row)
+    for name, entry in report["backends"].items():
+        profile = entry["profile"]
+        table.add_row(
+            [
+                name,
+                format_seconds(entry["timings"]["wall_seconds"]),
+                profile["phases"]["basis"]["calls"],
+                format_bytes(profile["cache"]["peak_bytes"])
+                if profile["cache"]["misses"]
+                else "-",
+                profile["device"]["launches"] or "-",
+            ]
+        )
     print(table.render())
     print(Provenance(**report["provenance"]).footer_markdown())
     return report
@@ -67,9 +77,6 @@ def main(argv=None) -> int:
     report = run(n_sweeps, level)
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
-    if report["timings"]["batched_speedup_vs_numpy"] <= 1.0:
-        print("WARNING: batched did not beat the legacy over-limit path")
-        return 1
     return 0
 
 

@@ -1,15 +1,14 @@
 """Pluggable execution backends for the SCF/CPSCF hot phases.
 
-One seam (:class:`ExecutionBackend`), three bit-exact engines:
+One seam (:class:`ExecutionBackend`), two bit-exact engines:
 
-* ``numpy`` — the reference: full-grid cached basis table, O(grid) memory;
-* ``batched`` — per-batch streaming through a bounded LRU block cache,
-  O(batch) memory, nothing recomputed while the cache holds it;
+* ``numpy`` — the host engine: per-batch basis blocks through a bounded
+  LRU block cache, nothing recomputed while the cache holds it;
 * ``device`` — the same operations as priced launches on the
   :mod:`repro.ocl` accelerator model.
 
-Select one end-to-end with ``SCFDriver(..., backend="batched")`` /
-``DFPTSolver(..., backend=...)`` / ``repro physics ... --backend batched``.
+Select one end-to-end with ``SCFDriver(..., backend="device")`` /
+``DFPTSolver(..., backend=...)`` / ``repro physics ... --backend device``.
 """
 
 from repro.backends.base import (
@@ -29,7 +28,6 @@ from repro.backends.registry import (
 )
 
 # Importing the implementation modules registers the built-in backends.
-from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.batched import BatchedBackend, BlockCache, DEFAULT_CACHE_BYTES
 from repro.backends.device import DeviceBackend
 
@@ -41,7 +39,6 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DeviceBackend",
     "ExecutionBackend",
-    "NumpyBackend",
     "PhaseStats",
     "available_backends",
     "create_backend",

@@ -12,8 +12,8 @@ one loop over the builder's batch views
 (:class:`~repro.grids.sparsity.BatchViews` — dense is the all-column
 view, not a second code path) so every registered backend is
 *bit-exact* with every other — backends differ only in where a view's
-basis block comes from (full cached table, bounded LRU block cache,
-device buffers) and in what bookkeeping each launch is charged.
+basis block comes from (bounded LRU block cache, device buffers) and
+in what bookkeeping each launch is charged.
 
 Every backend records a per-phase :class:`BackendProfile` (calls,
 elements processed, wall seconds, block-cache hits/misses, device
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # The shared batch-local kernel math.
 #
 # All backends call these exact functions in the exact same view order,
-# which is what makes the numpy/batched/device parity *bitwise* rather
+# which is what makes the host/device parity *bitwise* rather
 # than merely approximate: given bit-identical basis blocks, the
 # floating-point operation sequence is identical.
 # ----------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Batch-local streaming backend with a bounded LRU block cache.
+"""The host engine: basis blocks from a bounded LRU block cache.
 
 The paper's Alg. 1 locality payoff applied to the single-node hot path:
-instead of one O(grid) basis table, per-:class:`GridBatch` chi blocks
-stream through a byte-bounded LRU cache and every contraction is
-accumulated batch by batch.  Memory stays O(cache bound) no matter how
-large the grid grows, and — unlike the legacy over-``_CACHE_LIMIT``
-path — blocks that fit the cache are *never* re-evaluated across
-SCF/CPSCF cycles.
+the unit of reuse is the batch-resident chi block, not a grid-wide
+table.  Per-:class:`GridBatch` blocks flow through a byte-bounded LRU
+cache: under the budget every block is evaluated once and served from
+the cache across SCF/CPSCF cycles; over it memory stays O(budget) and
+only what was evicted is evaluated again.  Registered as ``"numpy"``
+(the class and module keep their names — ``benchmarks/e2e`` imports
+them; DESIGN §8).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,18 +21,21 @@ from repro.backends.base import ExecutionBackend
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView
+from repro.obs.tracer import obs_counter
 
-#: Default block-cache budget (bytes); ~64 MiB holds every block of the
-#: molecules the physics path targets while staying strictly bounded.
-DEFAULT_CACHE_BYTES: int = 64 << 20
+#: Default block-cache budget (bytes): 40 M float64 chi values, 320 MB.
+#: Every system the physics path targets fits (the 32-atom benchmark
+#: chain holds 28 MB), so by default no block is evaluated twice; a
+#: larger grid degrades to LRU eviction, never to an O(grid) table.
+DEFAULT_CACHE_BYTES: int = 8 * 40_000_000
 
 
-#: Dense blocks key on the batch index; screened compact blocks key on
-#: ``(batch index, active-set hash)`` so a pattern change can never
-#: serve a stale compact block.  Backends sharing one cache across
-#: molecules (the fleet driver) additionally prefix every key with a
-#: per-molecule *scope*, so two molecules' batch 0 can never alias.
-CacheKey = Union[int, Tuple]
+#: ``(scope, batch index, active-set hash)``.  The hash (``None`` on a
+#: dense view) makes a screened block self-invalidating — a different
+#: pattern can never be served a stale compact block — and the scope
+#: (``None`` on a private cache, the fleet's molecule id on a shared
+#: one) keeps two molecules' batch 0 apart.
+CacheKey = Tuple[Optional[str], int, Optional[str]]
 
 
 def block_cache_key(
@@ -41,35 +45,16 @@ def block_cache_key(
 ) -> CacheKey:
     """The LRU key for one basis block.
 
-    Unscoped dense keys stay plain ints (the single-molecule layout the
-    backend benchmark pins); the screened variant appends the
-    pattern's active-set hash, and a *scope* (the fleet's molecule id)
-    prefixes either form so distinct molecules occupy disjoint key
-    spaces in a shared cache.
-
-    >>> block_cache_key(3)
-    3
-    >>> block_cache_key(3, active_hash="a1")
-    (3, 'a1')
-    >>> block_cache_key(3, scope="mol-0")
-    ('mol-0', 3)
     >>> block_cache_key(3, scope="mol-0", active_hash="a1")
     ('mol-0', 3, 'a1')
     """
-    key: Tuple = (int(batch_index),)
-    if active_hash is not None:
-        key = key + (active_hash,)
-    if scope is not None:
-        return (scope,) + key
-    return key[0] if len(key) == 1 else key
+    return (scope, batch_index, active_hash)
 
 
 class BlockCache:
     """Byte-bounded LRU cache of per-batch basis blocks.
 
-    Keys are :data:`CacheKey` values — plain batch indices for dense
-    ``(batch_points, n_basis)`` blocks, ``(batch, active-set hash)``
-    tuples for compact screened blocks.  Eviction is strict LRU, except
+    Keys are :data:`CacheKey` values.  Eviction is strict LRU, except
     that the most recently inserted block always survives (a single
     block larger than the budget must still be usable — it is simply
     evicted by the next insertion).
@@ -114,18 +99,14 @@ class BlockCache:
             self.current_bytes -= int(evicted.nbytes)
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._blocks.clear()
-        self.current_bytes = 0
 
-
-@register_backend("batched")
+@register_backend("numpy")
 class BatchedBackend(ExecutionBackend):
-    """Streaming backend: O(batch) working set, LRU-cached blocks."""
+    """Host engine: O(budget) working set, LRU-cached blocks."""
 
     def __init__(
         self,
-        max_cache_bytes: int = DEFAULT_CACHE_BYTES,
+        max_cache_bytes: Optional[int] = None,
         *,
         cache: Optional[BlockCache] = None,
         scope: Optional[str] = None,
@@ -134,7 +115,16 @@ class BatchedBackend(ExecutionBackend):
         # A fleet driver passes one shared `cache` to every molecule's
         # backend plus a per-molecule `scope` widening the keys; the
         # default remains a private cache with unscoped keys.
-        self.cache = cache if cache is not None else BlockCache(max_cache_bytes)
+        if cache is None:
+            cache = BlockCache(
+                DEFAULT_CACHE_BYTES if max_cache_bytes is None else max_cache_bytes
+            )
+        elif max_cache_bytes is not None:
+            raise BackendError(
+                "pass max_cache_bytes or a shared cache, not both: "
+                "a shared cache carries its own budget"
+            )
+        self.cache = cache
         self.scope = scope
         self.profile.cache_max_bytes = self.cache.max_bytes
 
@@ -143,14 +133,7 @@ class BatchedBackend(ExecutionBackend):
         per backend (not copied from the cache, which may be shared
         across molecules — each molecule's profile must charge only its
         own traffic)."""
-        from repro.obs.tracer import obs_counter
-
-        # The active-set hash in a screened view's key makes compact
-        # entries self-invalidating: a different pattern (tighter
-        # threshold, new structure) can never alias a stale block.
-        key = block_cache_key(
-            view.index, scope=self.scope, active_hash=view.active_hash
-        )
+        key = block_cache_key(view.index, self.scope, view.active_hash)
         block = self.cache.get(key)
         if block is None:
             obs_counter("backend.cache.misses")

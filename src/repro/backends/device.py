@@ -5,8 +5,8 @@ Routes the same view-ordered math through :class:`repro.ocl.device.Device`
 so the priced kernel layer finally sits under the real SCF/CPSCF loops
 instead of beside them.  The kernel bodies run the exact shared view
 loops of :mod:`repro.backends.base`, so results are bit-identical to
-the ``numpy`` and ``batched`` backends while every launch and
-host<->device transfer is charged to the profile.
+the ``numpy`` host engine while every launch and host<->device transfer
+is charged to the profile.
 """
 
 from __future__ import annotations

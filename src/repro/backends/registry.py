@@ -1,7 +1,7 @@
 """Backend registry: names -> :class:`ExecutionBackend` classes.
 
 Drivers accept ``backend=`` as either a registry name (``"numpy"``,
-``"batched"``, ``"device"``) or a pre-configured
+``"device"``) or a pre-configured
 :class:`~repro.backends.base.ExecutionBackend` instance; this module
 resolves both to a bound instance.
 """

@@ -4,7 +4,7 @@ Mirrors the artifact's workflow (geometry file in, timings and physical
 results out):
 
     python -m repro physics geometry.in --level minimal
-    python -m repro physics geometry.in --backend batched
+    python -m repro physics geometry.in --backend device
     python -m repro physics geometry.in --trace out.json
     python -m repro trace --molecule water --out trace.json --force
     python -m repro bench-check --baseline BENCH_backends.json --history BENCH_history.jsonl

@@ -8,7 +8,7 @@ so that examples, tests and benchmarks share one definition of "light".
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ class RunSettings:
     l_max_hartree: int = 6
     #: Exchange-correlation functional identifier (only LDA implemented).
     xc: str = "lda"
-    #: Execution backend for the grid-heavy phases: ``"numpy"`` (full
-    #: cached table, the reference), ``"batched"`` (bounded LRU block
-    #: streaming) or ``"device"`` (priced OpenCL-model launches).
+    #: Execution backend for the grid-heavy phases: ``"numpy"`` (the
+    #: host engine, basis blocks from a bounded LRU block cache) or
+    #: ``"device"`` (priced OpenCL-model launches).
     backend: str = "numpy"
     #: Physics-invariant verification level: ``"off"`` (no checks),
     #: ``"cheap"`` (O(n_basis^2) algebra at phase boundaries) or
@@ -103,12 +103,6 @@ class RunSettings:
     #: pre-screening pipeline; ``> 0`` drops basis functions whose
     #: amplitude proxy stays below the threshold on a batch.
     screening_threshold: float = 0.0
-    #: Basis-table element budget (``n_points * n_basis``) for the
-    #: full-table cache in :class:`repro.dft.hamiltonian.MatrixBuilder`;
-    #: ``None`` keeps the builder's default budget, ``0`` forbids the
-    #: full table (forcing the streaming paths).  A knob the auto-tuner
-    #: owns in ``mode="auto"``.
-    cache_limit: Optional[int] = None
     #: Closed-loop auto-tuner controls (:mod:`repro.tune`).
     tuning: TuningSettings = field(default_factory=TuningSettings)
 

@@ -8,14 +8,12 @@ paper's "H" phase, executed batch by batch.
 
 All grid contractions dispatch through the builder's
 :class:`~repro.backends.base.ExecutionBackend` (``numpy`` by default),
-so the same driver code runs on the full-table reference path, the
-batch-streaming LRU path or the priced device-kernel path — bit-exact
-across all three.
+so the same driver code runs on the host block cache or the priced
+device-kernel path — bit-exact across both.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Union
 
@@ -31,9 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.atoms.structure import Structure
     from repro.backends.base import ExecutionBackend
     from repro.config import GridSettings
-
-#: Cache chi(point) tables when n_points * n_basis stays below this.
-_CACHE_LIMIT: int = 40_000_000
 
 
 @dataclass
@@ -77,13 +72,9 @@ class MatrixBuilder:
         Optional pre-built batch list; built on demand otherwise.
     backend:
         Execution backend for the grid contractions: a registry name
-        (``"numpy"``, ``"batched"``, ``"device"``), a configured
+        (``"numpy"``, ``"device"``), a configured
         :class:`~repro.backends.base.ExecutionBackend` instance, or
-        ``None`` for the default reference backend.
-    cache_limit:
-        Override of the full-table element budget (``n_points *
-        n_basis``); defaults to the module-level ``_CACHE_LIMIT``.
-        Tests and benchmarks lower it to exercise the streaming paths.
+        ``None`` for the default host backend.
     screening_threshold:
         Batch-local basis-screening threshold
         (:mod:`repro.grids.sparsity`).  ``0.0`` (the default) disables
@@ -101,7 +92,6 @@ class MatrixBuilder:
         grid: IntegrationGrid,
         batches: Optional[List[GridBatch]] = None,
         backend: Union[str, "ExecutionBackend", None] = None,
-        cache_limit: Optional[int] = None,
         screening_threshold: float = 0.0,
     ) -> None:
         self.basis = basis
@@ -113,10 +103,6 @@ class MatrixBuilder:
         if batches and not batches[0].relevant_atoms:
             batches = attach_relevant_atoms(batches, grid.structure, basis.atom_cutoffs)
         self.batches = batches
-        self._values_cache: Optional[np.ndarray] = None
-        self._cache_limit = _CACHE_LIMIT if cache_limit is None else int(cache_limit)
-        self._use_cache = grid.n_points * basis.n_basis <= self._cache_limit
-        self._thrash_warned = False
 
         # The views must exist before the backend binds: device staging
         # and profile fill counters read them at bind time.
@@ -138,11 +124,6 @@ class MatrixBuilder:
 
         self.backend = resolve_backend(backend, self)
 
-    @property
-    def table_cache_enabled(self) -> bool:
-        """Whether the full chi table fits the element budget."""
-        return self._use_cache
-
     # ------------------------------------------------------------------
     # Basis tables
     # ------------------------------------------------------------------
@@ -153,26 +134,13 @@ class MatrixBuilder:
         )[:, view.cols]
 
     def basis_values(self) -> np.ndarray:
-        """chi_mu at every grid point, ``(n_points, n_basis)`` (cached)."""
-        if self._values_cache is None:
-            if not self._use_cache and not self._thrash_warned:
-                self._thrash_warned = True
-                warnings.warn(
-                    f"basis table ({self.grid.n_points} x {self.basis.n_basis} "
-                    f"elements) exceeds the cache limit ({self._cache_limit}); "
-                    "every basis_values() call re-evaluates the full grid. "
-                    "Use the 'batched' execution backend for bounded-memory "
-                    "streaming without re-evaluation.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            values = np.zeros((self.grid.n_points, self.basis.n_basis))
-            for view in self.dense_views:
-                values[view.point_indices] = self.evaluate_view(view)
-            if not self._use_cache:
-                return values
-            self._values_cache = values
-        return self._values_cache
+        """chi_mu at every grid point, ``(n_points, n_basis)``: assembled
+        from the dense views on every call, never held — engines read
+        blocks, not this table."""
+        values = np.zeros((self.grid.n_points, self.basis.n_basis))
+        for view in self.dense_views:
+            values[view.point_indices] = self.evaluate_view(view)
+        return values
 
     # ------------------------------------------------------------------
     # Density-independent matrices

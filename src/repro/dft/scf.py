@@ -128,7 +128,6 @@ class SCFDriver:
             self.grid,
             batches=batches,
             backend=backend if backend is not None else self.settings.backend,
-            cache_limit=self.settings.cache_limit,
             screening_threshold=self.settings.screening_threshold,
         )
         self.backend = self.builder.backend

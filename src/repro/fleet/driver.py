@@ -197,7 +197,7 @@ class FleetDriver:
         from repro.backends.device import DeviceBackend
 
         name = settings.backend
-        if name == "batched":
+        if name == "numpy":
             return BatchedBackend(cache=self._cache, scope=scope)
         if name == "device":
             return DeviceBackend(device=self._device)

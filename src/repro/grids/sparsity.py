@@ -23,7 +23,7 @@ Threshold semantics (``RunSettings.screening_threshold``):
   over all-column slice views, so results are *bitwise* identical to
   the unscreened pipeline.
 * ``> 0.0`` — functions whose amplitude proxy stays below the threshold
-  on a batch are dropped from that batch's view.  All three backends
+  on a batch are dropped from that batch's view.  Both backends
   share the same views and the same batch-ordered math, so they remain
   bit-identical to *each other*; agreement with the dense path is a
   physics-tolerance statement checked by the ``screening_vs_dense``

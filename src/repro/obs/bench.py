@@ -1,7 +1,7 @@
 """Backend-benchmark emission shared by the CLI gate and the bench script.
 
-The measurement itself (repeated Sumup + H sweeps over every registered
-execution backend on an over-cache-limit system, all outputs asserted
+The measurement itself (repeated Sumup + H sweeps over the host engine
+in its two cache regimes and the device model, all outputs asserted
 bit-identical) lives here so that both entry points produce the same
 ``BENCH_backends.json`` shape:
 
@@ -30,41 +30,40 @@ same code serialize to identical bytes (writers use sorted keys).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.obs.report import collect_provenance
 
-#: Registered backends in comparison order (numpy is the reference).
-BACKEND_ORDER = ("numpy", "batched", "device")
-
 #: Seed of the random density/potential inputs the sweeps contract.
 BENCH_SEED = 2023
 
 
-def build_builders(level: str, cache_limit: int) -> Dict[str, object]:
-    """One MatrixBuilder per backend over a shared basis/grid/batches.
+def build_builders(level: str) -> Dict[str, object]:
+    """One MatrixBuilder per emission row, in table order, on one substrate.
 
-    ``cache_limit=0`` disallows the full basis table, forcing the
-    legacy numpy path to re-evaluate every block per sweep — the
-    contrast the benchmark exists to measure.
+    The host engine under its default cache budget (``warm`` — every
+    block evaluated once), the same engine under budget 0 (``cold`` —
+    every block evaluated on every pass), and the device model.
     """
     from repro.atoms import water
+    from repro.backends.batched import BatchedBackend
     from repro.config import get_settings
     from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 
     sub = build_substrate(water(), get_settings(level).grids)
-    return {
-        name: MatrixBuilder(
-            sub.basis,
-            sub.grid,
-            batches=sub.batches,
-            backend=name,
-            cache_limit=cache_limit,
+
+    def builder(backend):
+        return MatrixBuilder(
+            sub.basis, sub.grid, batches=sub.batches, backend=backend
         )
-        for name in BACKEND_ORDER
+
+    return {
+        "warm": builder(BatchedBackend()),
+        "cold": builder(BatchedBackend(max_cache_bytes=0)),
+        "device": builder("device"),
     }
 
 
@@ -87,22 +86,31 @@ def sweep(builder, n_sweeps: int, seed: int = BENCH_SEED) -> dict:
 def backend_emission(level: str, n_sweeps: int) -> dict:
     """Run the full comparison; return the ``BENCH_backends.json`` document.
 
-    Raises :class:`~repro.errors.ExperimentError` if any backend's
-    outputs diverge bitwise from the numpy reference — a benchmark must
-    never time a wrong answer.
+    Raises :class:`~repro.errors.ExperimentError` if any row's outputs
+    diverge bitwise from the warm host engine, or if a host row's
+    ``basis`` evaluation count is not the one its cache regime defines
+    — a benchmark must never time a wrong answer or a wrong regime.
     """
     if n_sweeps < 1:
         raise ExperimentError(f"need >= 1 sweep, got {n_sweeps}")
-    builders = build_builders(level, cache_limit=0)
-    reference = builders["numpy"]
-    results = {name: sweep(builders[name], n_sweeps) for name in BACKEND_ORDER}
+    builders = build_builders(level)
+    reference = builders["warm"]
+    results = {row: sweep(b, n_sweeps) for row, b in builders.items()}
 
-    ref = results["numpy"]
-    for name in BACKEND_ORDER[1:]:
-        if not np.array_equal(ref["density"], results[name]["density"]):
-            raise ExperimentError(f"{name} density diverged from numpy")
-        if not np.array_equal(ref["potential"], results[name]["potential"]):
-            raise ExperimentError(f"{name} potential matrix diverged from numpy")
+    ref = results["warm"]
+    for row in ("cold", "device"):
+        if not np.array_equal(ref["density"], results[row]["density"]):
+            raise ExperimentError(f"{row} density diverged from warm")
+        if not np.array_equal(ref["potential"], results[row]["potential"]):
+            raise ExperimentError(f"{row} potential matrix diverged from warm")
+    # One Sumup and one H pass per sweep, each looking up every view.
+    n_views = len(reference.views)
+    for row, expected in (("warm", n_views), ("cold", 2 * n_sweeps * n_views)):
+        evaluated = builders[row].backend.profile.phases["basis"].calls
+        if evaluated != expected:
+            raise ExperimentError(
+                f"{row} regime evaluated {evaluated} blocks, expected {expected}"
+            )
 
     report: dict = {
         "system": "water",
@@ -110,29 +118,18 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
         "n_points": reference.grid.n_points,
         "n_basis": reference.basis.n_basis,
         "n_sweeps": n_sweeps,
-        "cache_limit": 0,
         "backends": {},
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
-    for name in BACKEND_ORDER:
-        profile, timed_phases = _split_profile(
-            builders[name].backend.profile.as_dict()
-        )
-        wall = results[name]["wall"]
-        speedup = ref["wall"] / wall if wall > 0 else float("inf")
-        report["backends"][name] = {
+    for row, builder in builders.items():
+        profile, timed_phases = _split_profile(builder.backend.profile.as_dict())
+        report["backends"][row] = {
             "profile": profile,
             "timings": {
                 "phases": timed_phases,
-                "speedup_vs_numpy": speedup,
-                "wall_seconds": wall,
+                "wall_seconds": results[row]["wall"],
             },
         }
-    report["timings"] = {
-        "batched_speedup_vs_numpy": report["backends"]["batched"]["timings"][
-            "speedup_vs_numpy"
-        ]
-    }
     return report
 
 
@@ -557,26 +554,3 @@ def stable_view(report: dict) -> dict:
         for k, v in report.items()
         if k != "timings"
     }
-
-
-def emission_summary_rows(report: dict) -> List[List[str]]:
-    """Table rows (backend, wall, speedup, cache peak, launches) for printing."""
-    from repro.utils.reports import format_bytes, format_seconds
-
-    rows = []
-    for name in BACKEND_ORDER:
-        entry = report["backends"][name]
-        profile = entry["profile"]
-        timings = entry["timings"]
-        rows.append(
-            [
-                name,
-                format_seconds(timings["wall_seconds"]),
-                f"{timings['speedup_vs_numpy']:.2f}x",
-                format_bytes(profile["cache"]["peak_bytes"])
-                if name == "batched"
-                else "-",
-                profile["device"]["launches"] or "-",
-            ]
-        )
-    return rows

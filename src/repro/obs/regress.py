@@ -17,7 +17,7 @@ key pattern:
 ``ignore``
     recorded but never gating.
 
->>> base = {"calls": 8, "wall_seconds": 1.0, "speedup_vs_numpy": 10.0}
+>>> base = {"calls": 8, "wall_seconds": 1.0, "wall_speedup": 10.0}
 >>> compare_reports(dict(base), dict(base)).ok
 True
 >>> bad = dict(base, wall_seconds=9.0)  # 9x slowdown
@@ -96,11 +96,11 @@ def default_band(key: str) -> Band:
     The rules encode the policy documented in DESIGN §10.6: anything
     deterministic is exact; anything wall-clock is one-sided.
 
-    >>> default_band("backends.numpy.profile.phases.H.calls").kind
+    >>> default_band("backends.warm.profile.phases.H.calls").kind
     'exact'
-    >>> default_band("backends.batched.wall_seconds").kind
+    >>> default_band("backends.cold.wall_seconds").kind
     'slowdown'
-    >>> default_band("batched_speedup_vs_numpy").kind
+    >>> default_band("screened_speedup_vs_dense").kind
     'floor'
     >>> default_band("diff.density_max_diff").kind
     'ignore'

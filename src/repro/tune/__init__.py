@@ -2,7 +2,7 @@
 
 The paper's authors hand-pick a configuration per machine — execution
 backend, rank→atom mapping, reduction scheme, kernel batching
-granularity, cache budget, screening threshold, fleet wave size.  This
+granularity, screening threshold, fleet wave size.  This
 package closes that loop: an analytic **cost-model stage** prices every
 candidate on the machine models, prior decisions in the benchmark
 history **warm-start** the short list, a bounded **measured stage**

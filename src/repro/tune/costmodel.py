@@ -38,29 +38,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.machines import MachineSpec
 
 
+#: Registry name -> the cost model's field prefix.
+_COST_PREFIX = {"numpy": "host", "device": "device"}
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Unit costs (seconds) the pricing stage multiplies counts by.
 
-    Calibrated once against the PR-2 backend benchmark's relative
-    speedups (batched ~10x, device ~35x over the re-evaluating path on
-    the benchmark system); their absolute scale cancels in every
-    tuned-vs-default comparison, only the ratios steer decisions.
+    Only their ratios steer decisions; the absolute scale cancels in
+    every tuned-vs-default comparison.  One host engine, one pair of
+    host costs (DESIGN §8 has the measurements behind the merge); the
+    device pair prices a cheaper element and a dearer launch.
     """
 
-    #: Per-element contraction cost of the numpy reference backend.
-    numpy_element_seconds: float = 1.0e-8
-    #: Per-element contraction cost of the batched streaming backend.
-    batched_element_seconds: float = 4.0e-9
+    #: Per-element contraction cost of the host engine (``numpy``).
+    host_element_seconds: float = 4.0e-9
     #: Per-element contraction cost of the priced device backend.
     device_element_seconds: float = 1.0e-9
-    #: Per-batch dispatch overhead of the numpy backend.
-    numpy_call_seconds: float = 2.0e-6
-    #: Per-batch dispatch overhead of the batched backend (LRU lookup).
-    batched_call_seconds: float = 5.0e-6
+    #: Per-batch dispatch overhead of the host engine (LRU lookup).
+    host_call_seconds: float = 5.0e-6
     #: Per-batch launch overhead of the device backend.
     device_call_seconds: float = 2.0e-5
-    #: Basis-table (re)evaluation cost per element.
+    #: Basis-block evaluation cost per element.
     eval_element_seconds: float = 2.0e-8
     #: Screening-pattern build cost per candidate (batch, atom) block.
     screen_block_seconds: float = 1.0e-7
@@ -77,21 +77,15 @@ class CostModel:
             },
         )
 
-    def element_seconds(self, backend: str) -> float:
-        """Per-element contraction cost for one backend name."""
-        return self._per_backend(backend, "element")
-
-    def call_seconds(self, backend: str) -> float:
-        """Per-batch dispatch/launch overhead for one backend name."""
-        return self._per_backend(backend, "call")
-
-    def _per_backend(self, backend: str, kind: str) -> float:
-        try:
-            return getattr(self, f"{backend}_{kind}_seconds")
-        except AttributeError:
-            raise TuningError(
-                f"cost model has no {kind} cost for backend {backend!r}"
-            ) from None
+    def kernel_seconds(self, backend: str, elements: float, calls: float) -> float:
+        """Contraction cost of *elements* over *calls* batch dispatches."""
+        if backend not in _COST_PREFIX:
+            raise TuningError(f"cost model has no unit costs for backend {backend!r}")
+        prefix = _COST_PREFIX[backend]
+        return (
+            elements * getattr(self, f"{prefix}_element_seconds")
+            + calls * getattr(self, f"{prefix}_call_seconds")
+        )
 
 
 #: The calibrated default model every tuner entry point shares.
@@ -253,20 +247,15 @@ def predict_cost(
     # Contraction work, parallel over ranks, stretched by the mapping's
     # point imbalance (the paper's Fig.-9 penalty).
     kernel = (
-        elements * model.element_seconds(config.backend)
-        + n_batches * model.call_seconds(config.backend)
-    ) / ranks * imbalance
-
-    # Basis-table evaluation: each rank evaluates only the functions of
-    # atoms its batches touch (the locality mapping's payoff).  A numpy
-    # builder without its full-table cache re-evaluates per sweep; the
-    # streaming/device paths evaluate each block once.
-    table_elements = elements * locality_fraction
-    cache_disabled = config.cache_limit is not None and (
-        elements > config.cache_limit
+        model.kernel_seconds(config.backend, elements, n_batches)
+        / ranks * imbalance
     )
-    eval_passes = 2.0 if (config.backend == "numpy" and cache_disabled) else 1.0
-    eval_cost = table_elements * model.eval_element_seconds * eval_passes / ranks
+
+    # Basis-block evaluation, once per block on every engine: each rank
+    # evaluates only the functions of atoms its batches touch (the
+    # locality mapping's payoff).
+    table_elements = elements * locality_fraction
+    eval_cost = table_elements * model.eval_element_seconds / ranks
 
     # Screening pattern build: every candidate (batch, atom) block is
     # tested once, dense or not.
@@ -300,7 +289,7 @@ def predict_cost(
     wave = float(max(1, config.fleet_wave))
     fleet_cost = model.fleet_setup_seconds / wave
     if config.backend == "device" and wave > 1.0:
-        launch_overhead = n_batches * model.call_seconds("device") / ranks
+        launch_overhead = n_batches * model.device_call_seconds / ranks
         fleet_cost -= launch_overhead * (wave - 1.0) / wave
 
     return CostPrediction(
@@ -344,15 +333,17 @@ def price_profile(
         kernel = float(device["modeled_seconds"]) / ranks * prediction.imbalance
     else:
         kernel = (
-            elements * model.element_seconds(config.backend)
-            + calls * model.call_seconds(config.backend)
-        ) / ranks * prediction.imbalance
+            model.kernel_seconds(config.backend, elements, calls)
+            / ranks * prediction.imbalance
+        )
 
-    evaluated = float(cache.get("misses", 0.0))
-    if evaluated > 0.0 and elements > 0.0:
-        # The batched backend counts block evaluations as cache misses;
-        # charge table evaluation for exactly the evaluated fraction.
-        miss_fraction = min(1.0, evaluated / max(calls, 1.0))
+    misses = float(cache.get("misses", 0.0))
+    if misses > 0.0 and elements > 0.0:
+        # The host engine counts block evaluations as cache misses;
+        # charge evaluation for exactly the evaluated share of its
+        # block lookups (both are per-block counts — phase `calls` are
+        # per-sweep and must not be mixed in).
+        miss_fraction = misses / (misses + float(cache.get("hits", 0.0)))
         eval_cost = (
             elements * miss_fraction * model.eval_element_seconds / ranks
         )

@@ -2,23 +2,23 @@
 
 One :class:`TunedConfig` bundles every performance knob the paper's
 authors hand-picked per machine — execution backend, rank→atom mapping
-strategy, reduction scheme, kernel batching granularity, basis-table
-cache budget, screening threshold and fleet wave size — into a single
-hashable value the tuner can enumerate, price, trial and record.
+strategy, reduction scheme, kernel batching granularity, screening
+threshold and fleet wave size — into a single hashable value the tuner
+can enumerate, price, trial and record.
 
 The space is *deterministic by construction*: :func:`search_space`
 returns candidates in one canonical sorted order regardless of how the
 axes were supplied, so two tuner runs over the same workload walk the
 same list and (given the same history) reach byte-identical decisions.
 
->>> cfg = TunedConfig(backend="batched", batch_target_points=100)
+>>> cfg = TunedConfig(backend="device", batch_target_points=100)
 >>> TunedConfig.from_dict(cfg.as_dict()) == cfg
 True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunSettings, TuningSettings
@@ -39,10 +39,6 @@ COMM_SCHEMES = ("baseline", "packed", "packed_hierarchical")
 #: Kernel batching granularities considered (paper: 100-300 points).
 BATCH_TARGET_CHOICES = (100, 200, 300)
 
-#: Basis-table cache budgets considered: the builder default (``None``)
-#: and the forced-streaming budget (``0``).
-CACHE_LIMIT_CHOICES = (None, 0)
-
 #: Fleet wave sizes considered when tuning for fleet execution.
 FLEET_WAVE_CHOICES = (1, 2, 4, 8)
 
@@ -51,9 +47,9 @@ FLEET_WAVE_CHOICES = (1, 2, 4, 8)
 class TunedConfig:
     """One point of the tuner's search space.
 
-    ``backend``, ``batch_target_points``, ``cache_limit`` and
-    ``screening_threshold`` are :class:`~repro.config.RunSettings`
-    knobs (applied by :meth:`apply`); ``mapping``, ``comm_scheme`` and
+    ``backend``, ``batch_target_points`` and ``screening_threshold``
+    are :class:`~repro.config.RunSettings` knobs (applied by
+    :meth:`apply`); ``mapping``, ``comm_scheme`` and
     ``fleet_wave`` are driver-level knobs consumed by the scale models,
     the conformance matrix and the service worker pool.
     """
@@ -62,21 +58,12 @@ class TunedConfig:
     mapping: str = "load_balancing"
     comm_scheme: str = "baseline"
     batch_target_points: int = 200
-    cache_limit: Optional[int] = None
     screening_threshold: float = 0.0
     fleet_wave: int = 1
 
     def sort_key(self) -> Tuple:
         """Canonical ordering key (ties in cost break on this)."""
-        return (
-            self.backend,
-            self.mapping,
-            self.comm_scheme,
-            self.batch_target_points,
-            -1 if self.cache_limit is None else self.cache_limit,
-            self.screening_threshold,
-            self.fleet_wave,
-        )
+        return astuple(self)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly snapshot (stable key order via sorted dumps)."""
@@ -85,7 +72,6 @@ class TunedConfig:
             "mapping": self.mapping,
             "comm_scheme": self.comm_scheme,
             "batch_target_points": int(self.batch_target_points),
-            "cache_limit": self.cache_limit,
             "screening_threshold": float(self.screening_threshold),
             "fleet_wave": int(self.fleet_wave),
         }
@@ -94,26 +80,22 @@ class TunedConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "TunedConfig":
         """Rebuild a config from :meth:`as_dict` output (exact round trip)."""
         d = dict(data)
-        cache = d.get("cache_limit")
         return cls(
             backend=str(d["backend"]),
             mapping=str(d["mapping"]),
             comm_scheme=str(d["comm_scheme"]),
             batch_target_points=int(d["batch_target_points"]),
-            cache_limit=None if cache is None else int(cache),
             screening_threshold=float(d["screening_threshold"]),
             fleet_wave=int(d.get("fleet_wave", 1)),
         )
 
     def describe(self) -> str:
         """One-line human-readable form for decision tables."""
-        cache = "default" if self.cache_limit is None else str(self.cache_limit)
         parts = [
             self.backend,
             self.mapping,
             self.comm_scheme,
             f"batch={self.batch_target_points}",
-            f"cache={cache}",
             f"screen={self.screening_threshold:g}",
         ]
         if self.fleet_wave != 1:
@@ -134,7 +116,6 @@ class TunedConfig:
         return replace(
             settings.with_grids(batch_target_points=self.batch_target_points),
             backend=self.backend,
-            cache_limit=self.cache_limit,
             screening_threshold=self.screening_threshold,
             tuning=TuningSettings(),
         )
@@ -150,7 +131,6 @@ def default_config(settings: RunSettings) -> TunedConfig:
     return TunedConfig(
         backend=settings.backend,
         batch_target_points=settings.grids.batch_target_points,
-        cache_limit=settings.cache_limit,
         screening_threshold=settings.screening_threshold,
     )
 
@@ -176,9 +156,6 @@ def search_space(
     batch_axis = sorted(
         set(BATCH_TARGET_CHOICES) | {settings.grids.batch_target_points}
     )
-    cache_axis: List[Optional[int]] = list(CACHE_LIMIT_CHOICES)
-    if settings.cache_limit not in cache_axis:
-        cache_axis.append(settings.cache_limit)
     screen_axis = sorted(
         {0.0, DEFAULT_SCREENING_THRESHOLD, settings.screening_threshold}
     )
@@ -190,7 +167,6 @@ def search_space(
             mapping=m,
             comm_scheme=c,
             batch_target_points=bt,
-            cache_limit=cl,
             screening_threshold=st,
             fleet_wave=w,
         )
@@ -198,7 +174,6 @@ def search_space(
         for m in MAPPING_STRATEGIES
         for c in COMM_SCHEMES
         for bt in batch_axis
-        for cl in cache_axis
         for st in screen_axis
         for w in wave_axis
     ]

@@ -55,7 +55,7 @@ HISTORY_LABEL = "tuner"
 #: Knobs the tuner owns; excluded from the workload fingerprint so one
 #: workload keeps one fingerprint no matter which knob values it
 #: currently carries (that is what makes warm starts find it again).
-TUNED_SETTINGS_KEYS = ("backend", "screening_threshold", "cache_limit", "tuning")
+TUNED_SETTINGS_KEYS = ("backend", "screening_threshold", "tuning")
 
 
 def workload_fingerprint(
@@ -66,8 +66,8 @@ def workload_fingerprint(
     """Content hash identifying one tunable workload.
 
     Covers the structure, the charge and every *non-tuned* settings
-    field; the tuner-owned knobs (backend, screening, cache budget,
-    batching granularity, the tuning block itself) are stripped first.
+    field; the tuner-owned knobs (backend, screening, batching
+    granularity, the tuning block itself) are stripped first.
     Two runs of the same physics with different hand-picked performance
     knobs therefore share a fingerprint — and share warm starts.
     """
@@ -117,11 +117,14 @@ def warm_start_configs(
     Scans every history entry filed under the tuner label — both direct
     ``repro tune`` appends and the per-workload decisions embedded in
     ``bench-check`` tuner emissions — newest first, deduplicated.
+    Decisions naming a backend that is no longer registered are skipped.
     """
     if history_path is None:
         return []
+    from repro.backends import available_backends
     from repro.obs.analyze.history import load_history
 
+    registered = available_backends()
     out: List[TunedConfig] = []
     for entry in reversed(load_history(history_path, label=HISTORY_LABEL)):
         for record in _decision_dicts(entry.get("emission")):
@@ -131,7 +134,7 @@ def warm_start_configs(
                 cfg = TunedConfig.from_dict(record["chosen"])  # type: ignore[arg-type]
             except (KeyError, TypeError, ValueError):
                 continue
-            if cfg not in out:
+            if cfg.backend in registered and cfg not in out:
                 out.append(cfg)
     return out
 
@@ -166,7 +169,7 @@ class _TrialRunner:
 
     One basis/grid build is shared across all trials; profiles are
     cached per *trial key* — the subset of knobs a single-process trial
-    can actually exercise (backend, batching, cache budget, screening).
+    can actually exercise (backend, batching, screening).
     Mapping/comm/fleet knobs do not change the trial, so candidates
     differing only there share one profile.
     """
@@ -185,7 +188,6 @@ class _TrialRunner:
         return (
             config.backend,
             config.batch_target_points,
-            config.cache_limit,
             config.screening_threshold,
         )
 
@@ -213,7 +215,6 @@ class _TrialRunner:
             sub.grid,
             batches=self._batches[bt],
             backend=config.backend,
-            cache_limit=config.cache_limit,
             screening_threshold=config.screening_threshold,
         )
         sweep(builder, 1, seed=BENCH_SEED)

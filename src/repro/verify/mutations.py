@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.batched import BatchedBackend
 from repro.errors import VerificationError
 from repro.grids.sparsity import BatchView
 
@@ -65,8 +65,8 @@ BACKEND_MUTATIONS = (
 SCREENING_MUTATIONS = ("overscreened_block",)
 
 
-class MutantBackend(NumpyBackend):
-    """A reference backend with exactly one seeded bug.
+class MutantBackend(BatchedBackend):
+    """The host engine with exactly one seeded bug.
 
     Not registered in the backend registry — pass an instance directly
     as the ``backend=`` argument of a driver under test.

@@ -1,8 +1,9 @@
 """Execution-backend seam: bit-exact parity, LRU cache, profiles, registry.
 
-The acceptance bar of the backend refactor is *bitwise* equality — not
-``allclose`` — between the ``numpy``, ``batched`` and ``device``
-backends for every phase operation, end to end through SCF and CPSCF.
+The acceptance bar of the backend seam is *bitwise* equality — not
+``allclose`` — between the ``numpy`` host engine (in every cache regime)
+and the ``device`` backend for every phase operation, end to end through
+SCF and CPSCF.
 """
 
 import warnings
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
+from repro.atoms import Structure, hydrogen_molecule, water
 from repro.backends import (
+    DEFAULT_CACHE_BYTES,
     BackendProfile,
     BatchedBackend,
     BlockCache,
     DeviceBackend,
-    NumpyBackend,
     available_backends,
     create_backend,
 )
@@ -29,9 +30,13 @@ from repro.dft import SCFDriver
 from repro.dft.hamiltonian import MatrixBuilder
 from repro.errors import BackendError, DeviceError, GridError
 from repro.grids import build_batches, build_grid
+from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 from repro.ocl.kernel import Kernel
 
-ALL_BACKENDS = ("numpy", "batched", "device")
+ALL_BACKENDS = ("numpy", "device")
+#: Builders compared against the default (warm) host engine: the same
+#: engine with a zero cache budget, and the device model.
+OTHERS = ("cold", "device")
 
 
 @pytest.fixture(scope="module", params=["h2", "water"])
@@ -45,39 +50,41 @@ def substrate(request, minimal_settings):
 
 @pytest.fixture(scope="module")
 def builders(substrate):
-    """One MatrixBuilder per backend, sharing the same batch list."""
+    """One MatrixBuilder per engine, sharing the same batch list."""
     basis, grid = substrate
     reference = MatrixBuilder(basis, grid, backend="numpy")
     out = {"numpy": reference}
-    for name in ("batched", "device"):
+    for name, backend in (
+        ("cold", BatchedBackend(max_cache_bytes=0)), ("device", "device"),
+    ):
         out[name] = MatrixBuilder(
-            basis, grid, batches=reference.batches, backend=name
+            basis, grid, batches=reference.batches, backend=backend
         )
     return out
 
 
 class TestPhaseParity:
-    """numpy / batched / device must agree to the last bit."""
+    """Warm host / cold host / device must agree to the last bit."""
 
     def test_overlap_bit_identical(self, builders):
         s_ref = builders["numpy"].overlap()
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(s_ref, builders[name].overlap()), name
 
     def test_kinetic_bit_identical(self, builders):
         t_ref = builders["numpy"].kinetic()
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(t_ref, builders[name].kinetic()), name
 
     def test_nuclear_attraction_bit_identical(self, builders):
         v_ref = builders["numpy"].nuclear_attraction()
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(v_ref, builders[name].nuclear_attraction()), name
 
     def test_potential_matrix_bit_identical(self, builders, rng):
         v = rng.normal(size=builders["numpy"].grid.n_points)
         m_ref = builders["numpy"].potential_matrix(v)
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(m_ref, builders[name].potential_matrix(v)), name
         # The backend-free reference is one more bit-exact column; on a
         # dense builder both sides of its seam are the dense view list.
@@ -87,7 +94,7 @@ class TestPhaseParity:
 
     def test_dipoles_bit_identical(self, builders):
         d_ref = builders["numpy"].dipole_matrices()
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(d_ref, builders[name].dipole_matrices()), name
 
     def test_density_bit_identical(self, builders, rng):
@@ -95,7 +102,7 @@ class TestPhaseParity:
         p = rng.normal(size=(nb, nb))
         p = p + p.T
         n_ref = builders["numpy"].backend.density_on_grid(p)
-        for name in ("batched", "device"):
+        for name in OTHERS:
             assert np.array_equal(n_ref, builders[name].backend.density_on_grid(p)), name
         for screened in (True, False):
             ref = builders["numpy"].reference_density(p, screened=screened)
@@ -116,7 +123,7 @@ class TestPhaseParity:
             np.full(n_occ, 2.0),
         )
         ref = builders["numpy"].backend.first_order_dm(*args)
-        for name in ("batched", "device"):
+        for name in OTHERS:
             out = builders[name].backend.first_order_dm(*args)
             for a, b in zip(ref, out):
                 assert np.array_equal(a, b), name
@@ -141,69 +148,165 @@ class TestEndToEndParity:
 
     def test_total_energy_bit_identical(self, per_backend_runs):
         e_ref = per_backend_runs["numpy"][0].total_energy
-        for name in ("batched", "device"):
-            assert per_backend_runs[name][0].total_energy == e_ref, name
+        assert per_backend_runs["device"][0].total_energy == e_ref
 
     def test_density_matrix_bit_identical(self, per_backend_runs):
         p_ref = per_backend_runs["numpy"][0].density_matrix
-        for name in ("batched", "device"):
-            assert np.array_equal(
-                p_ref, per_backend_runs[name][0].density_matrix
-            ), name
+        assert np.array_equal(
+            p_ref, per_backend_runs["device"][0].density_matrix
+        )
 
     def test_polarizability_bit_identical(self, per_backend_runs):
         a_ref = per_backend_runs["numpy"][1]
-        for name in ("batched", "device"):
-            assert np.array_equal(a_ref, per_backend_runs[name][1]), name
+        assert np.array_equal(a_ref, per_backend_runs["device"][1])
 
     def test_solver_inherits_ground_state_backend(self, minimal_settings):
         gs = SCFDriver(
-            hydrogen_molecule(), minimal_settings, backend="batched"
+            hydrogen_molecule(), minimal_settings, backend="device"
         ).run()
         solver = DFPTSolver(gs, minimal_settings.cpscf)
         assert solver.backend is gs.builder.backend
-        assert solver.backend.name == "batched"
+        assert solver.backend.name == "device"
 
     def test_settings_select_backend(self, minimal_settings):
-        settings = get_settings("minimal", backend="batched")
+        settings = get_settings("minimal", backend="device")
         driver = SCFDriver(hydrogen_molecule(), settings)
-        assert driver.backend.name == "batched"
+        assert driver.backend.name == "device"
+
+
+def _h_chain(n_atoms=5):
+    """A short H chain — elongated enough that screening drops blocks."""
+    coords = np.zeros((n_atoms, 3))
+    coords[:, 0] = 3.0 * np.arange(n_atoms)
+    return Structure(["H"] * n_atoms, coords, name=f"h{n_atoms}-chain")
+
+
+def _probe(builder, seed=0):
+    rng = np.random.default_rng(seed)
+    nb = builder.basis.n_basis
+    p = rng.normal(size=(nb, nb))
+    return p + p.T, rng.normal(size=builder.grid.n_points)
 
 
 class TestParityUnderBatchAndCacheVariation:
     @given(
         target_points=st.integers(min_value=16, max_value=200),
-        cache_limit=st.sampled_from([0, 1_000, 10_000_000]),
-        max_cache_bytes=st.sampled_from([0, 4096, 64 << 20]),
+        budget=st.sampled_from([0, 4096, "table", None]),
+        threshold=st.sampled_from([0.0, DEFAULT_SCREENING_THRESHOLD]),
     )
-    @hsettings(max_examples=10, deadline=None)
-    def test_hypothesis_parity(self, target_points, cache_limit, max_cache_bytes):
-        h2 = hydrogen_molecule()
+    @hsettings(max_examples=8, deadline=None)
+    def test_hypothesis_parity(self, target_points, budget, threshold):
+        """Every cache regime of the one host engine is bitwise the
+        backend-free reference, and a cached block is bitwise the slice
+        of the dense table."""
+        chain = _h_chain()
         settings = get_settings("minimal")
-        basis = build_basis(h2)
-        grid = build_grid(h2, settings.grids, with_partition=True)
-        batches = build_batches(grid, target_points=target_points)
-        ref = MatrixBuilder(
-            basis, grid, batches=batches, backend="numpy", cache_limit=cache_limit
-        )
-        streaming = MatrixBuilder(
+        basis = build_basis(chain)
+        grid = build_grid(chain, settings.grids, with_partition=True)
+        if budget == "table":
+            budget = 8 * grid.n_points * basis.n_basis
+        builder = MatrixBuilder(
             basis,
             grid,
-            batches=ref.batches,
-            backend=BatchedBackend(max_cache_bytes=max_cache_bytes),
-            cache_limit=cache_limit,
+            batches=build_batches(grid, target_points=target_points),
+            backend=BatchedBackend(max_cache_bytes=budget),
+            screening_threshold=threshold,
         )
-        rng = np.random.default_rng(target_points)
-        v = rng.normal(size=grid.n_points)
-        assert np.array_equal(ref.potential_matrix(v), streaming.potential_matrix(v))
-        nb = basis.n_basis
-        p = rng.normal(size=(nb, nb))
-        p = p + p.T
-        # Twice: the second pass exercises cache hits / thrash paths.
+        backend = builder.backend
+        p, v = _probe(builder, seed=target_points)
+        ref_n = builder.reference_density(p)
+        ref_m = builder.reference_potential_matrix(v)
+        # Twice: the second pass exercises cache hits / evictions.
         for _ in range(2):
+            assert np.array_equal(backend.density_on_grid(p), ref_n)
+            assert np.array_equal(builder.potential_matrix(v), ref_m)
+        table = builder.basis_values()
+        for view in builder.views:
             assert np.array_equal(
-                ref.backend.density_on_grid(p), streaming.backend.density_on_grid(p)
+                table[view.point_indices][:, view.cols], backend.basis_block(view)
             )
+
+
+class TestCacheRegimes:
+    """Exact counters of the one host engine, per cache regime."""
+
+    N_SWEEPS = 3
+
+    @pytest.fixture(params=[0.0, DEFAULT_SCREENING_THRESHOLD], ids=["dense", "screened"])
+    def chain_builder(self, request, minimal_settings):
+        chain = _h_chain()
+        basis = build_basis(chain)
+        grid = build_grid(chain, minimal_settings.grids, with_partition=True)
+
+        def build(backend):
+            builder = MatrixBuilder(
+                basis, grid, backend=backend, screening_threshold=request.param
+            )
+            if request.param:
+                assert builder.pattern.stats.fill_fraction < 1.0
+            return builder
+
+        return build
+
+    def _sweeps(self, builder):
+        p, v = _probe(builder)
+        for _ in range(self.N_SWEEPS):
+            builder.backend.density_on_grid(p)
+            builder.potential_matrix(v)
+
+    @pytest.mark.parametrize("budget", ["table", None], ids=["table", "default"])
+    def test_budget_covering_the_table_evaluates_each_view_once(
+        self, chain_builder, budget, monkeypatch
+    ):
+        probe = chain_builder("numpy")
+        if budget == "table":
+            budget = 8 * probe.grid.n_points * probe.basis.n_basis
+        builder = chain_builder(BatchedBackend(max_cache_bytes=budget))
+        self._sweeps(builder)
+        profile = builder.backend.profile
+        n_views = len(builder.views)
+        assert profile.phases["basis"].calls == n_views
+        assert profile.cache_misses == n_views
+        assert profile.cache_hits == (2 * self.N_SWEEPS - 1) * n_views
+        assert profile.cache_evictions == 0
+        assert profile.cache_peak_bytes <= 8 * builder.views.elements
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("basis.evaluate called with a warm cache")
+
+        monkeypatch.setattr(builder.basis, "evaluate", no_evaluate)
+        self._sweeps(builder)
+
+    def test_zero_budget_evaluates_every_view_every_pass(self, chain_builder):
+        builder = chain_builder(BatchedBackend(max_cache_bytes=0))
+        self._sweeps(builder)
+        profile = builder.backend.profile
+        lookups = 2 * self.N_SWEEPS * len(builder.views)
+        assert profile.phases["basis"].calls == lookups
+        assert profile.cache_misses == lookups and profile.cache_hits == 0
+        # The newest block always survives its own insertion.
+        assert profile.cache_evictions == lookups - 1
+
+    def test_default_backend_is_the_default_budget(self, chain_builder):
+        builder = chain_builder("numpy")
+        assert isinstance(builder.backend, BatchedBackend)
+        assert builder.backend.cache.max_bytes == DEFAULT_CACHE_BYTES == 320_000_000
+        assert builder.backend.profile.cache_max_bytes == DEFAULT_CACHE_BYTES
+
+    def test_basis_values_is_a_plain_uncached_assembly(self, chain_builder):
+        """No limit, no warning, nothing held: each call assembles the
+        dense table afresh and never touches the engine's cache."""
+        builder = chain_builder(BatchedBackend(max_cache_bytes=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, second = builder.basis_values(), builder.basis_values()
+        assert first is not second and np.array_equal(first, second)
+        assert first.shape == (builder.grid.n_points, builder.basis.n_basis)
+        assert "basis" not in builder.backend.profile.phases
+
+    def test_budget_and_shared_cache_are_exclusive(self):
+        with pytest.raises(BackendError, match="not both"):
+            BatchedBackend(max_cache_bytes=4096, cache=BlockCache(max_bytes=4096))
 
 
 class TestBlockCache:
@@ -322,7 +425,7 @@ class TestBackendProfile:
         builder = MatrixBuilder(
             build_basis(h2),
             build_grid(h2, minimal_settings.grids, with_partition=True),
-            backend="batched",
+            backend="numpy",
         )
         backend = builder.backend
         v = np.ones(builder.grid.n_points)
@@ -374,12 +477,12 @@ class TestBackendProfile:
         builder = MatrixBuilder(
             build_basis(h2),
             build_grid(h2, minimal_settings.grids, with_partition=True),
-            backend="batched",
+            backend="numpy",
         )
         builder.overlap()
         builder.overlap()
         text = format_backend_profile(builder.backend.profile)
-        assert "backend profile [batched]" in text
+        assert "backend profile [numpy]" in text
         assert "H" in text and "block cache" in text
 
 
@@ -438,15 +541,21 @@ class TestDeviceLaunchSizing:
 
 class TestRegistryAndValidation:
     def test_available_backends(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
+        assert available_backends() == ("device", "numpy") == tuple(sorted(ALL_BACKENDS))
 
     def test_unknown_name_raises(self):
         with pytest.raises(BackendError, match="unknown execution backend"):
             create_backend("cuda")
 
+    def test_batched_is_not_a_registry_name(self):
+        """The class kept its name; the registry has one host engine."""
+        with pytest.raises(BackendError, match="available: device, numpy"):
+            create_backend("batched")
+        assert isinstance(create_backend("numpy"), BatchedBackend)
+
     def test_unbound_use_raises(self):
         with pytest.raises(BackendError, match="not bound"):
-            NumpyBackend().density_on_grid(np.eye(2))
+            BatchedBackend().density_on_grid(np.eye(2))
 
     def test_rebinding_to_other_builder_raises(self, minimal_settings):
         h2 = hydrogen_molecule()
@@ -481,34 +590,3 @@ class TestRegistryAndValidation:
             backend.density_on_grid(np.eye(backend.builder.basis.n_basis + 1))
         with pytest.raises(GridError, match="potential samples"):
             backend.potential_matrix(np.ones(7))
-
-
-class TestCacheLimitThrash:
-    def test_basis_values_warns_once_over_limit(self, minimal_settings):
-        h2 = hydrogen_molecule()
-        builder = MatrixBuilder(
-            build_basis(h2),
-            build_grid(h2, minimal_settings.grids, with_partition=True),
-            cache_limit=0,
-        )
-        assert not builder.table_cache_enabled
-        with pytest.warns(RuntimeWarning, match="cache limit"):
-            builder.basis_values()
-        # Warned once per builder, not per call.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            builder.basis_values()
-
-    def test_numpy_backend_streams_over_limit(self, minimal_settings):
-        """Over the limit the reference backend must not rebuild the full
-        table per call — it evaluates per batch (the profiled path)."""
-        h2 = hydrogen_molecule()
-        builder = MatrixBuilder(
-            build_basis(h2),
-            build_grid(h2, minimal_settings.grids, with_partition=True),
-            cache_limit=0,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # basis_values() must not be hit
-            builder.overlap()
-        assert builder.backend.profile.phases["basis"].calls == len(builder.batches)

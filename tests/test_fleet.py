@@ -9,7 +9,7 @@ isolated :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`.
 Pinned here:
 
 * per-request payloads (via :func:`stable_result_bytes`) byte-identical
-  to sequential references across all three backends, with screening on
+  to sequential references across both backends, with screening on
   and off, under shuffled submission order;
 * a fleet-of-16 mixed-molecule acceptance run (device backend) with the
   model-throughput account cleared;
@@ -100,7 +100,7 @@ def fleet_bytes(outcome):
 class TestFleetParityMatrix:
     """Fleet-of-4 (2 distinct H2 variants) vs 4 isolated sequential runs."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "batched", "device"])
+    @pytest.mark.parametrize("backend", ["numpy", "device"])
     @pytest.mark.parametrize(
         "threshold", [0.0, DEFAULT_SCREENING_THRESHOLD],
         ids=["dense", "screened"],
@@ -139,7 +139,7 @@ class TestFleetParityMatrix:
 class TestOnePipeline:
     """``iter_physics`` is the generator both execution modes advance."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "batched", "device"])
+    @pytest.mark.parametrize("backend", ["numpy", "device"])
     def test_hand_interleaved_generators_match_eager_runs(self, backend):
         tasks = fleet_tasks_from_requests(
             h2_requests(2, 2, backend), commit="seam"
@@ -204,7 +204,7 @@ class TestPerMoleculeProfiles:
 
     def test_batched_cache_counters_sum_to_shared_totals(self):
         tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, "batched"), commit="prof"
+            h2_requests(4, 2, "numpy"), commit="prof"
         )
         outcome = FleetDriver().run_tasks(tasks)
         assert not outcome.errors
@@ -223,6 +223,36 @@ class TestPerMoleculeProfiles:
             p["cache"]["hits"] > 0 and p["cache"]["misses"] > 0
             for p in report.profiles.values()
         )
+
+    @pytest.mark.parametrize("budget", [None, 4096], ids=["default", "lru"])
+    def test_default_backend_wave_shares_one_scoped_cache(self, budget):
+        """Every host molecule of a wave reads the run's one block
+        cache under its own scope — whatever the budget, the results
+        stay byte-identical to isolated sequential runs."""
+        tasks = fleet_tasks_from_requests(
+            h2_requests(4, 2, get_settings("minimal").backend), commit="share"
+        )
+        driver = FleetDriver() if budget is None else FleetDriver(
+            max_cache_bytes=budget
+        )
+        outcome = driver.run_tasks(tasks)
+        assert not outcome.errors
+        assert fleet_bytes(outcome) == sequential_reference(tasks, dedup=True)
+        cache = driver._cache
+        scopes = {key[0] for key in cache._blocks}
+        assert scopes <= set(outcome.report.profiles)
+        if budget is None:
+            # Both molecules' blocks are resident side by side.
+            assert scopes == set(outcome.report.profiles)
+            assert outcome.report.cache["evictions"] == 0
+            per_molecule = max(
+                p["phases"]["basis"]["elements"]
+                for p in outcome.report.profiles.values()
+            )
+            assert outcome.report.cache["peak_bytes"] > 8 * per_molecule
+        else:
+            assert outcome.report.cache["evictions"] > 0
+            assert cache.current_bytes <= budget or len(cache) == 1
 
     def test_device_counters_sum_to_shared_totals(self):
         tasks = fleet_tasks_from_requests(
@@ -350,8 +380,8 @@ class TestScopedCacheKeys:
             for s in scopes
         }
         assert len(keys) == len(scopes)
-        # Scoped keys never collide with the unscoped single-molecule
-        # layouts either (plain int / (batch, hash) tuple).
+        # Scoped keys never collide with a private cache's unscoped
+        # ones either.
         assert block_cache_key(batch) not in keys
         assert block_cache_key(batch, active_hash="a1") not in keys
 

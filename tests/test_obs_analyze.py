@@ -372,8 +372,8 @@ class TestScalingParity:
 def _entry_doc(wall, speedup=10.0):
     return {
         "level": "minimal", "n_sweeps": 1,
-        "backends": {"batched": {"timings": {"wall_seconds": wall,
-                                             "speedup_vs_numpy": speedup}}},
+        "backends": {"cold": {"timings": {"wall_seconds": wall}}},
+        "timings": {"wall_speedup": speedup},
     }
 
 
@@ -401,7 +401,7 @@ class TestHistory:
                          provenance={})
         baseline = rolling_baseline(load_history(log), window=5)
         # 9.0 is outside the window; median_low of the last five is 1.4.
-        key = "backends.batched.timings.wall_seconds"
+        key = "backends.cold.timings.wall_seconds"
         assert baseline[key] == 1.4
         # Flat dict gates directly (flatten of flat == identity).
         from repro.obs.regress import compare_reports
@@ -472,25 +472,21 @@ class TestByteStableEmission:
         from repro.obs.bench import stable_view
 
         doc = emission_pair[0]
-        assert "wall_seconds" in doc["backends"]["numpy"]["timings"]
-        assert "batched_speedup_vs_numpy" in doc["timings"]
+        assert "wall_seconds" in doc["backends"]["warm"]["timings"]
         # Per-phase wall slices keep the leaf name "seconds" so the
         # regression gate's per-phase slowdown band still matches.
-        phases = doc["backends"]["numpy"]["timings"]["phases"]
+        phases = doc["backends"]["warm"]["timings"]["phases"]
         assert all(set(v) == {"seconds"} for v in phases.values())
         flat = json.dumps(stable_view(doc))
-        assert "wall_seconds" not in flat and "speedup" not in flat
+        assert "wall_seconds" not in flat and '"seconds"' not in flat
 
     def test_gate_still_sees_timings_via_flatten(self, emission_pair):
         from repro.obs.regress import default_band, flatten
 
         flat = flatten(emission_pair[0])
-        key = "backends.batched.timings.wall_seconds"
+        key = "backends.cold.timings.wall_seconds"
         assert key in flat
         assert default_band(key).kind == "slowdown"
-        assert default_band(
-            "timings.batched_speedup_vs_numpy"
-        ).kind == "floor"
 
     def test_bench_check_appends_history_and_gates_against_it(
         self, emission_pair, tmp_path, capsys
@@ -500,10 +496,8 @@ class TestByteStableEmission:
         relaxed = json.loads(json.dumps(emission_pair[0]))
         for entry in relaxed["backends"].values():
             entry["timings"]["wall_seconds"] *= 4.0
-            entry["timings"]["speedup_vs_numpy"] /= 4.0
             for stats in entry["timings"]["phases"].values():
                 stats["seconds"] *= 4.0
-        relaxed["timings"]["batched_speedup_vs_numpy"] /= 4.0
         append_entry(log, relaxed, recorded_at="t", provenance={})
         before = len(load_history(log))
         rc = cli_main([

@@ -40,9 +40,9 @@ class TestBands:
             Band("fuzzy").allows(1.0, 1.0)
 
     def test_default_band_policy(self):
-        assert default_band("backends.numpy.profile.phases.H.calls").kind == "exact"
-        assert default_band("backends.batched.wall_seconds").kind == "slowdown"
-        assert default_band("backends.device.speedup_vs_numpy").kind == "floor"
+        assert default_band("backends.warm.profile.phases.H.calls").kind == "exact"
+        assert default_band("backends.cold.wall_seconds").kind == "slowdown"
+        assert default_band("timings.screened_speedup_vs_dense").kind == "floor"
         assert default_band("model.modeled_seconds").kind == "relative"
         # Per-phase micro-times get a wider band than the aggregate wall.
         phase = default_band("backends.device.profile.phases.Sumup.seconds")
@@ -64,8 +64,8 @@ class TestCompareReports:
     BASE = {
         "n_sweeps": 8,
         "backends": {
-            "numpy": {"wall_seconds": 1.0, "profile": {"calls": 16}},
-            "batched": {"wall_seconds": 0.1, "speedup_vs_numpy": 10.0},
+            "cold": {"wall_seconds": 1.0, "profile": {"calls": 16}},
+            "warm": {"wall_seconds": 0.1, "wall_speedup": 10.0},
         },
     }
 
@@ -76,33 +76,33 @@ class TestCompareReports:
 
     def test_slowdown_beyond_tolerance_fails_naming_metric(self):
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["batched"]["wall_seconds"] = 0.9  # 9x slower
+        fresh["backends"]["warm"]["wall_seconds"] = 0.9  # 9x slower
         report = compare_reports(fresh, self.BASE)
         assert not report.ok
         offenders = [d.key for d in report.offenders]
-        assert offenders == ["backends.batched.wall_seconds"]
-        assert "backends.batched.wall_seconds" in report.render()
+        assert offenders == ["backends.warm.wall_seconds"]
+        assert "backends.warm.wall_seconds" in report.render()
         assert "FAIL" in report.render()
 
     def test_in_band_slowdown_passes(self):
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["batched"]["wall_seconds"] = 0.25  # 2.5x < 3x band
+        fresh["backends"]["warm"]["wall_seconds"] = 0.25  # 2.5x < 3x band
         assert compare_reports(fresh, self.BASE).ok
 
     def test_perturbed_work_counter_fails_exactly(self):
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["numpy"]["profile"]["calls"] = 17
+        fresh["backends"]["cold"]["profile"]["calls"] = 17
         report = compare_reports(fresh, self.BASE)
         assert [d.key for d in report.offenders] == [
-            "backends.numpy.profile.calls"
+            "backends.cold.profile.calls"
         ]
 
     def test_vanished_metric_is_a_regression(self):
         fresh = json.loads(json.dumps(self.BASE))
-        del fresh["backends"]["batched"]["speedup_vs_numpy"]
+        del fresh["backends"]["warm"]["wall_speedup"]
         report = compare_reports(fresh, self.BASE)
         assert [d.key for d in report.offenders] == [
-            "backends.batched.speedup_vs_numpy"
+            "backends.warm.wall_speedup"
         ]
 
     def test_new_metric_passes(self):
@@ -133,7 +133,7 @@ class TestEmissionGate:
     def test_emission_carries_parameters_and_provenance(self, emission):
         assert emission["level"] == "minimal"
         assert emission["n_sweeps"] == 1
-        assert set(emission["backends"]) == {"numpy", "batched", "device"}
+        assert set(emission["backends"]) == {"warm", "cold", "device"}
         assert emission["provenance"]["seed"] == 2023
 
     def test_emission_vs_itself_passes(self, emission):
@@ -141,24 +141,22 @@ class TestEmissionGate:
 
     def test_injected_slowdown_fails_gate(self, emission):
         slow = json.loads(json.dumps(emission))
-        slow["backends"]["batched"]["timings"]["wall_seconds"] *= 10.0
+        slow["backends"]["cold"]["timings"]["wall_seconds"] *= 10.0
         report = compare_reports(slow, emission)
         assert not report.ok
-        assert "backends.batched.timings.wall_seconds" in [
+        assert "backends.cold.timings.wall_seconds" in [
             d.key for d in report.offenders
         ]
 
 
 def _relaxed_baseline(emission: dict) -> dict:
     """A timing-jitter-proof baseline: deterministic counters stay exact,
-    wall/speedup bands get extra slack for a re-run on a loaded machine."""
+    wall bands get extra slack for a re-run on a loaded machine."""
     doc = json.loads(json.dumps(emission))
     for entry in doc["backends"].values():
         entry["timings"]["wall_seconds"] *= 4.0
-        entry["timings"]["speedup_vs_numpy"] /= 4.0
         for stats in entry["timings"]["phases"].values():
             stats["seconds"] *= 4.0
-    doc["timings"]["batched_speedup_vs_numpy"] /= 4.0
     return doc
 
 
@@ -177,11 +175,11 @@ class TestBenchCheckCLI:
         self, emission, tmp_path, capsys
     ):
         doc = _relaxed_baseline(emission)
-        doc["backends"]["numpy"]["profile"]["phases"]["Sumup"]["calls"] += 1
+        doc["backends"]["warm"]["profile"]["phases"]["Sumup"]["calls"] += 1
         baseline = tmp_path / "BENCH_perturbed.json"
         baseline.write_text(json.dumps(doc))
         rc = cli_main(["bench-check", "--baseline", str(baseline)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "backends.numpy.profile.phases.Sumup.calls" in out
+        assert "backends.warm.profile.phases.Sumup.calls" in out
         assert "FAIL" in out

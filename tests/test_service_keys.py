@@ -55,7 +55,7 @@ _settings = st.builds(
     scf=_scf,
     cpscf=_cpscf,
     l_max_hartree=st.integers(2, 8),
-    backend=st.sampled_from(["numpy", "batched", "device"]),
+    backend=st.sampled_from(["numpy", "device"]),
     verify=st.sampled_from(["off", "cheap", "full"]),
     screening_threshold=st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
 )
@@ -103,7 +103,7 @@ def test_key_distinct_under_any_single_field_change(s, data):
     flat = {
         "level": st.sampled_from(["minimal", "light", "tight", "custom"]),
         "l_max_hartree": st.integers(2, 9),
-        "backend": st.sampled_from(["numpy", "batched", "device"]),
+        "backend": st.sampled_from(["numpy", "device"]),
         "verify": st.sampled_from(["off", "cheap", "full"]),
         "screening_threshold": st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
         "xc": st.sampled_from(["lda", "pbe"]),

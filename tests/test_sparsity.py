@@ -6,10 +6,11 @@ The locality seam's contract, pinned from four sides:
 * threshold ``0.0`` is *disabled* — bitwise identical to the dense
   pre-screening path on every backend (property-tested over random
   chain molecules);
-* positive thresholds keep all three backends bit-identical to each
-  other and within physics tolerance of dense;
-* the numpy table cache composes with screening by *slicing* (never
-  re-evaluating), and the batched LRU keys on the active-set hash.
+* positive thresholds keep every backend bit-identical to each other
+  and within physics tolerance of dense;
+* the host block cache composes with screening: a cached compact block
+  is bitwise the column slice of the dense table, is never re-evaluated
+  under the budget, and the LRU keys on the active-set hash.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.atoms import Structure, polyethylene, water
-from repro.backends import available_backends
+from repro.backends import BatchedBackend, available_backends
 from repro.basis import build_basis
 from repro.config import get_settings
 from repro.dft.hamiltonian import MatrixBuilder
@@ -46,19 +47,28 @@ def _chain(seed: int, n_atoms: int) -> Structure:
     return Structure(["H"] * n_atoms, coords, name=f"chain{seed}")
 
 
-def _builders(structure, threshold, backend="numpy", **kwargs):
-    """(dense, screened) builders sharing one basis/grid/batches."""
+def _builders(structure, threshold, backend="numpy", max_cache_bytes=None):
+    """(dense, screened) builders sharing one basis/grid/batches.
+
+    *max_cache_bytes* gives each builder its own host engine with that
+    block-cache budget instead of the named backend.
+    """
     settings = get_settings("minimal")
     basis = build_basis(structure)
     grid = build_grid(structure, settings.grids, with_partition=True)
-    dense = MatrixBuilder(basis, grid, backend=backend, **kwargs)
+
+    def engine():
+        if max_cache_bytes is None:
+            return backend
+        return BatchedBackend(max_cache_bytes=max_cache_bytes)
+
+    dense = MatrixBuilder(basis, grid, backend=engine())
     screened = MatrixBuilder(
         basis,
         grid,
         batches=dense.batches,
-        backend=backend,
+        backend=engine(),
         screening_threshold=threshold,
-        **kwargs,
     )
     return dense, screened
 
@@ -272,14 +282,15 @@ class TestScreenedBackendAgreement:
 
 
 class TestTableCacheCompose:
-    """Regression: with the full chi table cached, the screened numpy
-    path must *slice* the table per batch, never re-evaluate."""
+    """Regression: the block cache and screening compose — a cached
+    compact block is the dense table's column slice, bit for bit, and
+    under the budget it is never evaluated a second time."""
 
     def test_no_reevaluation_after_table_build(self, monkeypatch):
         _, screened = _builders(_chain(9, 4), DEFAULT_SCREENING_THRESHOLD)
-        assert screened.table_cache_enabled
         p, v = _probe_inputs(screened)
-        screened.basis_values()  # populate the table cache
+        screened.backend.density_on_grid(p)  # the first sweep fills the cache
+        assert screened.backend.profile.cache_misses == len(screened.views)
         calls = {"n": 0}
         real_evaluate = screened.basis.evaluate
 
@@ -317,9 +328,8 @@ class TestTableCacheCompose:
             _chain(9, 4), DEFAULT_SCREENING_THRESHOLD
         )
         _, screened_s = _builders(
-            _chain(9, 4), DEFAULT_SCREENING_THRESHOLD, cache_limit=0
+            _chain(9, 4), DEFAULT_SCREENING_THRESHOLD, max_cache_bytes=0
         )
-        assert not screened_s.table_cache_enabled
         p, v = _probe_inputs(screened_c)
         np.testing.assert_array_equal(
             screened_c.backend.density_on_grid(p),
@@ -328,26 +338,28 @@ class TestTableCacheCompose:
         np.testing.assert_array_equal(
             screened_c.potential_matrix(v), screened_s.potential_matrix(v)
         )
+        assert screened_c.backend.profile.cache_hits == len(screened_c.views)
+        assert screened_s.backend.profile.cache_hits == 0
 
 
 class TestBatchedLRUKeys:
     def test_screened_keys_carry_the_active_set_hash(self):
         _, screened = _builders(
-            _chain(5, 4), DEFAULT_SCREENING_THRESHOLD, backend="batched"
+            _chain(5, 4), DEFAULT_SCREENING_THRESHOLD
         )
         p, _ = _probe_inputs(screened)
         screened.backend.density_on_grid(p)
         keys = list(screened.backend.cache._blocks.keys())
-        assert keys, "batched backend cached no blocks"
-        assert all(isinstance(k, tuple) and len(k) == 2 for k in keys)
+        assert keys, "host backend cached no blocks"
+        assert all(scope is None and h is not None for scope, _, h in keys)
         hashes = {screened.pattern.active_hash(i) for i, _ in enumerate(
             screened.batches
         )}
-        assert {h for _, h in keys} <= hashes
+        assert {h for _, _, h in keys} <= hashes
 
     def test_second_sweep_hits_the_cache(self):
         _, screened = _builders(
-            _chain(5, 4), DEFAULT_SCREENING_THRESHOLD, backend="batched"
+            _chain(5, 4), DEFAULT_SCREENING_THRESHOLD
         )
         p, _ = _probe_inputs(screened)
         first = screened.backend.density_on_grid(p)

@@ -42,13 +42,11 @@ MINIMAL = get_settings("minimal")
 
 # Tuner-owned knob variants: all must map to one workload fingerprint.
 _tuned_knobs = st.builds(
-    lambda backend, screening, cache, batch: get_settings(
+    lambda backend, screening, batch: get_settings(
         "minimal", backend=backend, screening_threshold=screening,
-        cache_limit=cache,
     ).with_grids(batch_target_points=batch),
-    backend=st.sampled_from(["numpy", "batched", "device"]),
+    backend=st.sampled_from(["numpy", "device"]),
     screening=st.sampled_from([0.0, 1e-6]),
-    cache=st.sampled_from([None, 0]),
     batch=st.sampled_from([64, 100, 300]),
 )
 
@@ -75,13 +73,11 @@ def test_fleet_axis_only_present_when_requested():
 
 def test_apply_rewrites_only_tuner_owned_knobs():
     cfg = TunedConfig(
-        backend="batched", batch_target_points=100,
-        cache_limit=0, screening_threshold=1e-6,
+        backend="device", batch_target_points=100, screening_threshold=1e-6,
     )
     applied = cfg.apply(MINIMAL.with_tuning(mode="auto"))
-    assert applied.backend == "batched"
+    assert applied.backend == "device"
     assert applied.grids.batch_target_points == 100
-    assert applied.cache_limit == 0
     assert applied.screening_threshold == 1e-6
     assert applied.tuning.mode == "off"
     assert applied.scf == MINIMAL.scf and applied.cpscf == MINIMAL.cpscf
@@ -91,10 +87,10 @@ def test_tuned_run_cache_key_equals_hand_picked_key():
     """A tuned run dedups onto the identical hand-picked config."""
     from repro.service import cache_key
 
-    cfg = TunedConfig(backend="batched", batch_target_points=100)
+    cfg = TunedConfig(backend="device", batch_target_points=100)
     applied = cfg.apply(MINIMAL.with_tuning(mode="auto", budget=7))
     hand_picked = get_settings(
-        "minimal", backend="batched"
+        "minimal", backend="device"
     ).with_grids(batch_target_points=100)
     key = lambda s: cache_key(water(), s, 0, commit="c", seed=1)  # noqa: E731
     assert key(applied) == key(hand_picked)
@@ -246,16 +242,86 @@ def test_warm_start_can_be_disabled(tmp_path):
     assert not d.warm_started
 
 
+def test_warm_start_skips_decisions_naming_a_retired_backend(tmp_path):
+    """A history written when ``batched`` was a registry name must not
+    break (or steer) the next decision."""
+    hist = tmp_path / "BENCH_history.jsonl"
+    first = tune(water(), MINIMAL, budget=0)
+    doc = first.as_dict()
+    doc["chosen"] = dict(doc["chosen"], backend="batched", cache_limit=0)
+    from repro.obs.analyze.history import append_entry
+
+    append_entry(hist, doc, label="tuner", recorded_at="t", provenance={})
+    assert warm_start_configs(hist, first.fingerprint) == []
+    second = tune(water(), MINIMAL, budget=0, history_path=hist)
+    assert not second.warm_started and second.chosen == first.chosen
+
+
+# ----------------------------------------------------------------------
+# Measured-stage pricing
+# ----------------------------------------------------------------------
+
+def test_price_profile_miss_fraction_is_per_block_lookup():
+    """Misses are block-level, so the evaluated share is misses over
+    block lookups (hits + misses) — not over the phase-level `calls`
+    (the committed baseline: 32 / 512 = 0.0625, not 32 / 48)."""
+    from repro.runtime import HPC2_AMD
+    from repro.tune.costmodel import WorkloadInputs, predict_cost, price_profile
+
+    cfg = default_config(MINIMAL)
+    prediction = predict_cost(WorkloadInputs(water(), MINIMAL), cfg, HPC2_AMD, 4)
+    model = DEFAULT_COST_MODEL
+    profile = {
+        "phases": {
+            "Sumup": {"calls": 8, "elements": 400_000},
+            "H": {"calls": 8, "elements": 400_000},
+            "basis": {"calls": 32, "elements": 200_000},
+        },
+        "cache": {"hits": 480, "misses": 32},
+        "device": {},
+    }
+    elements, calls = 1_000_000.0, 48.0
+    kernel = (
+        elements * model.host_element_seconds + calls * model.host_call_seconds
+    ) / 4.0 * prediction.imbalance
+    evaluation = elements * (32 / 512) * model.eval_element_seconds / 4.0
+    assert price_profile(profile, cfg, prediction, 4) == pytest.approx(
+        kernel
+        + evaluation
+        + prediction.screen_seconds
+        + prediction.comm_seconds
+        + prediction.fleet_seconds,
+        rel=1e-12,
+    )
+    # All-miss and no-cache profiles price the two ends of the range.
+    cold = dict(profile, cache={"hits": 0, "misses": 512})
+    assert price_profile(cold, cfg, prediction, 4) > price_profile(
+        profile, cfg, prediction, 4
+    )
+    no_cache = dict(profile, cache={})
+    assert price_profile(no_cache, cfg, prediction, 4) == pytest.approx(
+        kernel + prediction.total_seconds - prediction.kernel_seconds
+    )
+
+
 # ----------------------------------------------------------------------
 # The gate notices the tuner
 # ----------------------------------------------------------------------
 
-def test_perturbed_cost_model_fails_the_gate_naming_the_tuner():
+@pytest.fixture(scope="module")
+def tuner_baseline():
+    """One unperturbed emission, read-only, shared by the gate tests."""
+    from repro.obs.bench import tuner_emission
+
+    return tuner_emission(budget=1)
+
+
+def test_perturbed_cost_model_fails_the_gate_naming_the_tuner(tuner_baseline):
     """make tune-check goes red when the cost model changes."""
     from repro.obs.bench import tuner_emission
     from repro.obs.regress import compare_reports
 
-    baseline = tuner_emission(budget=1)
+    baseline = tuner_baseline
     fresh = tuner_emission(
         budget=1, cost_model=DEFAULT_COST_MODEL.perturbed(1.5)
     )
@@ -267,19 +333,17 @@ def test_perturbed_cost_model_fails_the_gate_naming_the_tuner():
     )
 
 
-def test_unperturbed_tuner_emission_passes_its_own_gate():
+def test_unperturbed_tuner_emission_passes_its_own_gate(tuner_baseline):
     from repro.obs.bench import tuner_emission
     from repro.obs.regress import compare_reports
 
-    baseline = tuner_emission(budget=1)
-    fresh = tuner_emission(budget=1)
-    assert compare_reports(fresh, baseline).ok
+    assert compare_reports(tuner_emission(budget=1), tuner_baseline).ok
 
 
-def test_tuner_emission_dispatches_from_baseline_tag():
-    from repro.obs.bench import emission_for_baseline, tuner_emission
+def test_tuner_emission_dispatches_from_baseline_tag(tuner_baseline):
+    from repro.obs.bench import emission_for_baseline
 
-    baseline = tuner_emission(budget=1)
+    baseline = tuner_baseline
     fresh = emission_for_baseline(baseline)
     assert fresh["benchmark"] == "tuner"
     assert fresh["budget"] == baseline["budget"]

@@ -89,10 +89,10 @@ class TestConformanceMatrix:
     def test_matrix_covers_every_axis(self, report):
         combo = [p for p in report.pairs if p.axis == "backend x mapping x comm"]
         labels = {p.a for p in combo}
-        # 3 backends x 2 mappings x 3 comm schemes
-        assert len(labels) == 3 * len(MAPPING_STRATEGIES) * len(COMM_SCHEMES)
+        # 2 backends x 2 mappings x 3 comm schemes
+        assert len(labels) == 2 * len(MAPPING_STRATEGIES) * len(COMM_SCHEMES)
         backend_pairs = [p for p in report.pairs if p.axis == "backend"]
-        assert len(backend_pairs) == 3  # C(3, 2)
+        assert len(backend_pairs) == 1  # C(2, 2)
 
     def test_backends_are_bit_exact(self, report):
         for p in report.pairs:
