@@ -64,51 +64,80 @@ class BasisFunction:
     cutoff: float
 
 
-@dataclass(frozen=True)
-class _ShellInstance:
-    """A species shell planted on a specific atom."""
+#: One species shell: ``(shell, spline of g_l, cutoff radius)``.
+_Shell = Tuple[RadialShell, CubicSpline, float]
 
-    atom: int
-    center: np.ndarray
-    shell: RadialShell
-    g_spline: CubicSpline
-    cutoff: float
-    first_index: int
+
+@dataclass(frozen=True)
+class _SpeciesTable:
+    """Every shell of one species, stacked for one-lookup evaluation.
+
+    The shells of a species share one radial mesh, so their tables sit
+    side by side on one :class:`~repro.basis.spline.SplineSystem` and a
+    single interval lookup per (point, atom) serves them all.
+    """
+
+    shells: List[_Shell]
+    atoms: np.ndarray  # atoms of this species, ascending
+    first_cols: np.ndarray  # each of those atoms' first basis column
+    radial: CubicSpline  # (n_knots, n_shells) value / second-derivative tables
+    cutoffs: np.ndarray  # (n_shells,)
+    l_max: int
+    shell_of_col: np.ndarray  # per function of one atom: its shell ...
+    lm_of_col: np.ndarray  # ... and its S_lm column, l*l + l + m
 
 
 class BasisSet:
     """All NAO basis functions of one structure.
 
-    Built via :func:`build_basis`; evaluation methods are vectorized over
-    points and screened by each shell's effective cutoff radius.
+    Built via :func:`build_basis` from the shells of each species present;
+    evaluation is one array program per species (DESIGN §5.2), screened
+    by each shell's cutoff radius.
     """
 
-    def __init__(self, structure: Structure, shells: List[_ShellInstance]) -> None:
+    def __init__(self, structure: Structure, species: Dict[str, List[_Shell]]) -> None:
         self.structure = structure
-        self._shells = shells
         self.functions: List[BasisFunction] = []
-        offsets = np.zeros(structure.n_atoms + 1, dtype=np.int64)
-        for inst in shells:
-            l = inst.shell.l
-            for m in range(-l, l + 1):
-                self.functions.append(
-                    BasisFunction(
-                        index=len(self.functions),
-                        atom=inst.atom,
-                        l=l,
-                        m=m,
-                        shell_label=inst.shell.label,
-                        cutoff=inst.cutoff,
+        for atom, symbol in enumerate(structure.symbols):
+            for shell, _, cutoff in species[symbol]:
+                for m in range(-shell.l, shell.l + 1):
+                    self.functions.append(
+                        BasisFunction(
+                            len(self.functions), atom, shell.l, m, shell.label, cutoff
+                        )
                     )
-                )
-            offsets[inst.atom + 1] += inst.shell.n_functions
-        self.atom_offsets = np.cumsum(offsets)
         self.n_basis = len(self.functions)
         self.function_atoms = np.array([f.atom for f in self.functions], dtype=np.int64)
+        self.atom_offsets = np.searchsorted(
+            self.function_atoms, np.arange(structure.n_atoms + 1)
+        )
         # Per-atom reach of the farthest basis function (for sparsity).
-        self.atom_cutoffs = np.zeros(structure.n_atoms)
-        for inst in shells:
-            self.atom_cutoffs[inst.atom] = max(self.atom_cutoffs[inst.atom], inst.cutoff)
+        self.atom_cutoffs = np.array(
+            [max(cutoff for _, _, cutoff in species[sym]) for sym in structure.symbols]
+        )
+        symbols = np.array(structure.symbols)
+        self._species = [
+            self._stack(shells, np.nonzero(symbols == symbol)[0])
+            for symbol, shells in species.items()
+        ]
+
+    def _stack(self, shells: List[_Shell], atoms: np.ndarray) -> _SpeciesTable:
+        splines = [spline for _, spline, _ in shells]
+        ls = [shell.l for shell, _, _ in shells]
+        return _SpeciesTable(
+            shells=shells,
+            atoms=atoms,
+            first_cols=self.atom_offsets[atoms],
+            radial=CubicSpline.from_tables(
+                splines[0].system,
+                np.stack([spline.y for spline in splines], axis=1),
+                np.stack([spline.m for spline in splines], axis=1),
+            ),
+            cutoffs=np.array([cutoff for _, _, cutoff in shells]),
+            l_max=max(ls),
+            shell_of_col=np.repeat(np.arange(len(ls)), [2 * l + 1 for l in ls]),
+            lm_of_col=np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in ls]),
+        )
 
     # ------------------------------------------------------------------
     # Indexing
@@ -135,61 +164,63 @@ class BasisSet:
         (other columns stay zero) — the screened path used by batch-local
         integration.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.zeros((points.shape[0], self.n_basis))
-        atom_filter = None if atoms is None else set(int(a) for a in atoms)
-        for inst in self._shells:
-            if atom_filter is not None and inst.atom not in atom_filter:
-                continue
-            d = points - inst.center
-            r = np.linalg.norm(d, axis=1)
-            mask = r <= inst.cutoff
-            if not np.any(mask):
-                continue
-            g = inst.g_spline(r[mask])
-            l = inst.shell.l
-            s_all = solid_harmonics(d[mask], l)
-            s = s_all[:, l * l : (l + 1) ** 2]
-            cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
-            values[np.nonzero(mask)[0], cols] = g[:, None] * s
-        return values
+        return self._evaluate(points, atoms, with_gradients=False)[0]
 
     def evaluate_with_gradients(
         self, points: np.ndarray, atoms: Optional[Sequence[int]] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Values and gradients: ``(n_points, n_basis)``, ``(n_points, n_basis, 3)``."""
+        return self._evaluate(points, atoms, with_gradients=True)
+
+    def _evaluate(
+        self, points: np.ndarray, atoms: Optional[Sequence[int]], with_gradients: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Both faces of evaluation: one array program per species.
+
+        Every (point, atom) pair of a species is one row: one interval
+        lookup serves all its shells, one solid-harmonics call its
+        ``l_max``, and one scatter writes the block.  Elementwise the
+        arithmetic is the per-shell loop's, so blocks are bit-identical
+        to it (``tests/setup_oracles.py``).
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n_pts = points.shape[0]
         values = np.zeros((n_pts, self.n_basis))
-        grads = np.zeros((n_pts, self.n_basis, 3))
-        atom_filter = None if atoms is None else set(int(a) for a in atoms)
-        for inst in self._shells:
-            if atom_filter is not None and inst.atom not in atom_filter:
+        grads = np.zeros((n_pts, self.n_basis, 3)) if with_gradients else None
+        n_atoms = self.structure.n_atoms
+        wanted = (
+            np.ones(n_atoms, dtype=bool)
+            if atoms is None
+            else np.isin(np.arange(n_atoms), atoms)
+        )
+        for table in self._species:
+            keep = wanted[table.atoms]
+            if not keep.any():
                 continue
-            d = points - inst.center
+            centers = self.structure.coords[table.atoms[keep]]
+            d = (points[:, None, :] - centers[None, :, :]).reshape(-1, 3)
             r = np.linalg.norm(d, axis=1)
-            mask = r <= inst.cutoff
-            if not np.any(mask):
-                continue
-            rm = r[mask]
-            dm = d[mask]
-            g = inst.g_spline(rm)
-            dg = inst.g_spline.derivative(rm)
-            l = inst.shell.l
-            s_all, grad_all = solid_harmonics_with_gradients(dm, l)
-            s = s_all[:, l * l : (l + 1) ** 2]
-            grad_s = grad_all[:, l * l : (l + 1) ** 2, :]
-            # Unit radial direction; safe at the nucleus because dg -> 0
-            # there for the splined smooth g_l.
-            safe_r = np.maximum(rm, 1e-12)
-            rhat = dm / safe_r[:, None]
-            rows = np.nonzero(mask)[0]
-            cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
-            values[rows, cols] = g[:, None] * s
-            grads[rows, cols, :] = (
-                (dg[:, None] * s)[:, :, None] * rhat[:, None, :]
-                + g[:, None, None] * grad_s
-            )
+            shell, lm = table.shell_of_col, table.lm_of_col
+            # Semantic, not cosmetic: a table is ~1e-8, not 0, at its cutoff.
+            inside = (r[:, None] <= table.cutoffs)[:, shell]
+            cols = (table.first_cols[keep][:, None] + np.arange(shell.size)).ravel()
+            if with_gradients:
+                g, dg = (x[:, shell] for x in table.radial.value_and_derivative(r))
+                s, grad_s = (
+                    x[:, lm] for x in solid_harmonics_with_gradients(d, table.l_max)
+                )
+                # Unit radial direction; safe at the nucleus because dg -> 0
+                # there for the splined smooth g_l.
+                rhat = d / np.maximum(r, 1e-12)[:, None]
+                grads[:, cols] = np.where(
+                    inside[:, :, None],
+                    (dg * s)[:, :, None] * rhat[:, None, :] + g[:, :, None] * grad_s,
+                    0.0,
+                ).reshape(n_pts, cols.size, 3)
+            else:
+                g = table.radial(r)[:, shell]
+                s = solid_harmonics(d, table.l_max)[:, lm]
+            values[:, cols] = np.where(inside, g * s, 0.0).reshape(n_pts, cols.size)
         return values, grads
 
     # ------------------------------------------------------------------
@@ -203,60 +234,22 @@ class BasisSet:
         reproduces the full cutoffs (no screening).
         """
         out = np.empty(self.n_basis)
-        for inst in self._shells:
-            r_eff = effective_shell_radius(
-                inst.g_spline, inst.cutoff, inst.shell.l, threshold
-            )
-            out[inst.first_index : inst.first_index + inst.shell.n_functions] = r_eff
+        for table in self._species:
+            reach = np.array(
+                [
+                    effective_shell_radius(spline, cutoff, shell.l, threshold)
+                    for shell, spline, cutoff in table.shells
+                ]
+            )[table.shell_of_col]
+            out[table.first_cols[:, None] + np.arange(reach.size)] = reach
         return out
-
-    def screened_atom_cutoffs(self, threshold: float) -> np.ndarray:
-        """Per-atom max of the screened function reaches, ``(n_atoms,)``."""
-        out = np.zeros(self.structure.n_atoms)
-        np.maximum.at(
-            out, self.function_atoms, self.screened_function_cutoffs(threshold)
-        )
-        return out
-
-    def interaction_pairs(self) -> List[Tuple[int, int]]:
-        """Atom pairs (i <= j) whose basis functions overlap somewhere.
-
-        Two atoms interact when their cutoff spheres intersect; this is
-        the sparsity pattern of H and S at the atom-block level.
-        """
-        coords = self.structure.coords
-        cut = self.atom_cutoffs
-        pairs: List[Tuple[int, int]] = []
-        # Cell list with the maximum possible interaction range.
-        reach = 2.0 * float(cut.max())
-        cell = max(reach, 1e-6)
-        keys = np.floor(coords / cell).astype(np.int64)
-        buckets: Dict[Tuple[int, int, int], List[int]] = {}
-        for idx, key in enumerate(map(tuple, keys)):
-            buckets.setdefault(key, []).append(idx)
-        offsets = [
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-        ]
-        for i in range(self.structure.n_atoms):
-            kx, ky, kz = keys[i]
-            for off in offsets:
-                for j in buckets.get((kx + off[0], ky + off[1], kz + off[2]), ()):
-                    if j < i:
-                        continue
-                    dist = float(np.linalg.norm(coords[i] - coords[j]))
-                    if dist <= cut[i] + cut[j]:
-                        pairs.append((i, j))
-        return pairs
 
 
 # Species-level cache: the radial tables depend only on the element.
-_SPECIES_CACHE: Dict[str, List[Tuple[RadialShell, CubicSpline, float]]] = {}
+_SPECIES_CACHE: Dict[str, List[_Shell]] = {}
 
 
-def _species_shells(symbol: str, z: int) -> List[Tuple[RadialShell, CubicSpline, float]]:
+def _species_shells(symbol: str, z: int) -> List[_Shell]:
     if symbol not in _SPECIES_CACHE:
         grid = LogRadialGrid.for_species(z, _RADIAL_KNOTS, r_max=12.0)
         entries = []
@@ -275,26 +268,15 @@ def build_basis(structure: Structure, level: str = "light") -> BasisSet:
     """
     if level != "light":
         raise BasisError(f"only the 'light' basis level is implemented, got {level!r}")
-    shells: List[_ShellInstance] = []
-    next_index = 0
-    for atom, (sym, elem) in enumerate(zip(structure.symbols, structure.elements)):
-        count = 0
-        for shell, spline, cutoff in _species_shells(sym, elem.z):
-            shells.append(
-                _ShellInstance(
-                    atom=atom,
-                    center=structure.coords[atom],
-                    shell=shell,
-                    g_spline=spline,
-                    cutoff=cutoff,
-                    first_index=next_index,
-                )
-            )
-            next_index += shell.n_functions
-            count += shell.n_functions
+    species: Dict[str, List[_Shell]] = {}
+    for sym, elem in zip(structure.symbols, structure.elements):
+        if sym in species:
+            continue
+        species[sym] = _species_shells(sym, elem.z)
+        count = sum(shell.n_functions for shell, _, _ in species[sym])
         if count != elem.n_basis_light:
             raise BasisError(
                 f"basis count mismatch for {sym}: built {count}, "
                 f"element table says {elem.n_basis_light}"
             )
-    return BasisSet(structure, shells)
+    return BasisSet(structure, species)

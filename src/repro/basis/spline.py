@@ -84,6 +84,20 @@ class SplineSystem:
         idx = np.clip(idx, 0, self.n_knots - 2)
         return idx, np.clip(t, self.x[0], self.x[-1])
 
+    def interval(
+        self, t: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where each 1-D *t* sits in its knot interval: ``(idx, a, b, h)``.
+
+        ``h`` is the interval's width and ``a``, ``b = 1 - a`` the
+        distances to its right and left knot in units of ``h`` — all a
+        cubic spline on this mesh needs, for values and derivatives
+        alike, so one lookup serves every table stacked on the mesh.
+        """
+        idx, tc = self.locate(t)
+        h = self.h[idx]
+        return idx, (self.x[idx + 1] - tc) / h, (tc - self.x[idx]) / h, h
+
     def weights(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Interpolation as a linear map of the tables, for fixed 1-D *t*.
 
@@ -91,10 +105,7 @@ class SplineSystem:
         that a spline ``(y, m)`` on this mesh takes the value
         ``w0 y[idx] + w1 y[idx+1] + w2 m[idx] + w3 m[idx+1]`` at *t*.
         """
-        idx, tc = self.locate(t)
-        h = self.h[idx]
-        a = (self.x[idx + 1] - tc) / h
-        b = (tc - self.x[idx]) / h
+        idx, a, b, h = self.interval(t)
         h2_6 = h**2 / 6.0
         return idx, np.stack([a, b, (a**3 - a) * h2_6, (b**3 - b) * h2_6], axis=1)
 
@@ -142,50 +153,48 @@ class CubicSpline:
         """Bytes held by the spline coefficient tables (x, y, y'')."""
         return self.x.nbytes + self.y.nbytes + self.m.nbytes
 
+    def _interval(self, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:meth:`SplineSystem.interval` of the flattened *t*, with
+        ``a``, ``b``, ``h`` shaped to broadcast over the table columns."""
+        idx, *local = self.system.interval(t.ravel())
+        tail = (-1,) + (1,) * (self.y.ndim - 1)
+        return (idx, *(v.reshape(tail) for v in local))
+
+    def _value(self, idx, a, b, h) -> np.ndarray:
+        return (
+            a * self.y[idx]
+            + b * self.y[idx + 1]
+            + ((a**3 - a) * self.m[idx] + (b**3 - b) * self.m[idx + 1])
+            * (h**2)
+            / 6.0
+        )
+
+    def _slope(self, idx, a, b, h) -> np.ndarray:
+        return (
+            (self.y[idx + 1] - self.y[idx]) / h
+            + (-(3.0 * a**2 - 1.0) * self.m[idx] + (3.0 * b**2 - 1.0) * self.m[idx + 1])
+            * h
+            / 6.0
+        )
+
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the spline at points *t* (any shape)."""
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        idx, tc = self.system.locate(flat)
-        x0 = self.x[idx]
-        x1 = self.x[idx + 1]
-        h = x1 - x0
-        a = (x1 - tc) / h
-        b = (tc - x0) / h
-        shape_tail = ([1] * (self.y.ndim - 1))
-        a_ = a.reshape(-1, *shape_tail)
-        b_ = b.reshape(-1, *shape_tail)
-        h_ = h.reshape(-1, *shape_tail)
-        val = (
-            a_ * self.y[idx]
-            + b_ * self.y[idx + 1]
-            + ((a_**3 - a_) * self.m[idx] + (b_**3 - b_) * self.m[idx + 1])
-            * (h_**2)
-            / 6.0
-        )
+        val = self._value(*self._interval(t))
         return val.reshape(t.shape + self.y.shape[1:])
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         """First derivative of the spline at points *t*."""
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        idx, tc = self.system.locate(flat)
-        x0 = self.x[idx]
-        x1 = self.x[idx + 1]
-        h = x1 - x0
-        a = (x1 - tc) / h
-        b = (tc - x0) / h
-        shape_tail = ([1] * (self.y.ndim - 1))
-        a_ = a.reshape(-1, *shape_tail)
-        b_ = b.reshape(-1, *shape_tail)
-        h_ = h.reshape(-1, *shape_tail)
-        der = (
-            (self.y[idx + 1] - self.y[idx]) / h_
-            + (-(3.0 * a_**2 - 1.0) * self.m[idx] + (3.0 * b_**2 - 1.0) * self.m[idx + 1])
-            * h_
-            / 6.0
-        )
+        der = self._slope(*self._interval(t))
         return der.reshape(t.shape + self.y.shape[1:])
+
+    def value_and_derivative(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(self(t), self.derivative(t))`` from one interval lookup."""
+        t = np.asarray(t, dtype=float)
+        where = self._interval(t)
+        shape = t.shape + self.y.shape[1:]
+        return self._value(*where).reshape(shape), self._slope(*where).reshape(shape)
 
 
 def spline_coefficient_nbytes(n_knots: int, n_channels: int) -> int:

@@ -192,11 +192,8 @@ class MultipoleSolver:
 
         # The angular rule is shared by all shells of all atoms; recover
         # it from the first atom's first shell block.
-        n_shells = [len(r) for r in grid.shell_radii]
-        self._n_ang = int(np.count_nonzero(grid.atom_index == 0)) // n_shells[0]
-        starts = self._n_ang * np.concatenate([[0], np.cumsum(n_shells)])
-        if starts[-1] != grid.n_points or np.any(np.diff(grid.atom_index) < 0):
-            raise GridError("grid points are not atom-major ordered")
+        first = grid.atom_slices[0]
+        self._n_ang = (first.stop - first.start) // len(grid.shell_radii[0])
         ang_dirs = grid.points[: self._n_ang] - self.structure.coords[0]
         self._y_ang = real_spherical_harmonics(ang_dirs, l_max)  # (n_ang, n_lm)
 
@@ -204,7 +201,7 @@ class MultipoleSolver:
         for a, r in enumerate(grid.shell_radii):
             by_mesh.setdefault(np.asarray(r, dtype=float).tobytes(), []).append(a)
         self._groups = [
-            self._mesh_group(atoms, starts) for atoms in by_mesh.values()
+            self._mesh_group(atoms) for atoms in by_mesh.values()
         ]
         self._system = {a: g.system for g in self._groups for a in g.atoms}
 
@@ -212,13 +209,13 @@ class MultipoleSolver:
         # (the consumer-kernel geometry), built lazily.
         self._plans: List[Optional[_AtomPlan]] = [None] * self.structure.n_atoms
 
-    def _mesh_group(self, atoms: List[int], starts: np.ndarray) -> _MeshGroup:
+    def _mesh_group(self, atoms: List[int]) -> _MeshGroup:
         r = self.grid.shell_radii[atoms[0]]  # (n_shells,)
         l_arr = self._l_of_lm[None, None, :]
         rc = r[:, None, None]
         return _MeshGroup(
             atoms=tuple(atoms),
-            rows=np.concatenate([np.arange(starts[a], starts[a + 1]) for a in atoms]),
+            rows=np.concatenate([self.grid.points_of_atom(a) for a in atoms]),
             system=SplineSystem(r),
             # Recover ds/di from the stored quadrature construction:
             # radial weight w = r^2 dr/di was used in shells; rebuild

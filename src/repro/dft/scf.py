@@ -145,7 +145,11 @@ class SCFDriver:
 
         if self.verifier is not None:
             self.verifier.run_phase(
-                "integrals", overlap=self._s, dipoles=self._dipoles
+                "integrals",
+                overlap=self._s,
+                dipoles=self._dipoles,
+                basis=self.basis,
+                grid=self.grid,
             )
 
     def _nuclear_repulsion(self) -> float:

@@ -9,7 +9,8 @@ partition weights are folded in on request — geometry-only consumers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -61,6 +62,21 @@ class IntegrationGrid:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def atom_slices(self) -> List[slice]:
+        """Each atom's points as one slice of the flat arrays.
+
+        The one place that knows the grid is atom-major: everything that
+        walks it atom by atom (partition weights, the multipole solver)
+        reads these slices, so the ordering is checked here, once.
+        """
+        if np.any(np.diff(self.atom_index) < 0):
+            raise GridError("grid points are not atom-major ordered")
+        bounds = np.searchsorted(
+            self.atom_index, np.arange(self.structure.n_atoms + 1)
+        )
+        return [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+
     @property
     def weights(self) -> np.ndarray:
         """Full integration weights (quadrature x partition).
@@ -78,8 +94,7 @@ class IntegrationGrid:
         """Compute (once) and return the Becke partition weights."""
         if self.partition_weights is None:
             w = np.empty(self.n_points)
-            for atom in range(self.structure.n_atoms):
-                sel = self.atom_index == atom
+            for atom, sel in enumerate(self.atom_slices):
                 w[sel] = becke_weights(
                     self.structure,
                     self.points[sel],
@@ -101,7 +116,8 @@ class IntegrationGrid:
 
     def points_of_atom(self, atom: int) -> np.ndarray:
         """Indices of the points owned by one atom."""
-        return np.nonzero(self.atom_index == atom)[0]
+        own = self.atom_slices[atom]
+        return np.arange(own.start, own.stop)
 
 
 def build_grid(

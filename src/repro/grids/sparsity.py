@@ -365,10 +365,10 @@ def screened_atom_cutoffs_light(
 ) -> np.ndarray:
     """Per-atom screened reach from the species radial tables (Bohr).
 
-    The modeled-scale analogue of
-    :meth:`~repro.basis.basis_set.BasisSet.screened_atom_cutoffs`:
-    species-level, no per-atom basis objects, cheap for million-atom
-    chains.  ``threshold <= 0`` gives the unscreened reaches.
+    The per-atom maximum of what
+    :meth:`~repro.basis.basis_set.BasisSet.screened_function_cutoffs`
+    gives per function, without a basis object: species-level, cheap for
+    million-atom chains.  ``threshold <= 0`` gives the unscreened reaches.
     """
     by_symbol: Dict[str, float] = {}
     out = np.empty(structure.n_atoms)

@@ -49,6 +49,7 @@ from repro.verify.invariants import (
 from repro.verify.mutations import (
     MUTATIONS,
     MutantBackend,
+    drop_radial_derivative,
     flip_xc_kernel_sign,
     shift_hartree_interval,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "classify",
     "compare_to_golden",
     "compute_golden_record",
+    "drop_radial_derivative",
     "first_divergent_phase",
     "flip_xc_kernel_sign",
     "golden_path",

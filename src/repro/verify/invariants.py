@@ -10,9 +10,9 @@ cost       when it runs
 ``cheap``  at ``RunSettings.verify = "cheap"`` and above — O(n_basis^2)
            algebra on matrices the driver already holds
 ``full``   only at ``"full"`` — re-derives quantities through an
-           independent path (fresh basis evaluation, Hartree rebuild,
-           far-field Gauss law), the checks that catch a *consistently
-           wrong* backend
+           independent path (fresh basis evaluation, finite differences,
+           Hartree rebuild, far-field Gauss law), the checks that catch
+           a *consistently wrong* backend
 ========== ===========================================================
 
 ========== ===========================================================
@@ -305,6 +305,48 @@ def _overlap_positive_definite(ctx: CheckContext) -> Tuple[float, str]:
 def _dipole_hermitian(ctx: CheckContext) -> float:
     d = ctx.dipoles
     return float(max(np.abs(d[j] - d[j].T).max() for j in range(d.shape[0])))
+
+
+#: Seed and size of the grid-point sample, and the central-difference
+#: step (Bohr), of ``basis_gradient_consistency``.
+_GRADIENT_SEED = 20231113
+_GRADIENT_SAMPLE = 64
+_GRADIENT_STEP = 1e-6
+
+
+@invariant(
+    "basis_gradient_consistency",
+    phase="integrals",
+    cost="full",
+    tol_class=ALLCLOSE,
+    # Of max|grad chi|: truncation falls as step^2 (1e-7 at this step on the
+    # steepest core sampled), round-off only shows below step 1e-7; 100x the
+    # worst measured, 1e5x below what a dropped gradient term leaves.
+    tolerance=1e-5,
+    description="grad chi matches central differences of chi; both evaluators agree on chi",
+)
+def _basis_gradient_consistency(ctx: CheckContext) -> Tuple[float, str]:
+    basis, grid = ctx.basis, ctx.grid
+    rng = np.random.default_rng(_GRADIENT_SEED)
+    size = min(_GRADIENT_SAMPLE, grid.n_points)
+    points = grid.points[np.sort(rng.choice(grid.n_points, size=size, replace=False))]
+    values, grads = basis.evaluate_with_gradients(points)
+    if not np.array_equal(values, basis.evaluate(points)):
+        return float("inf"), "evaluate and evaluate_with_gradients disagree on chi"
+    differences = np.empty_like(grads)
+    for k in range(3):
+        step = np.zeros(3)
+        step[k] = _GRADIENT_STEP
+        plus, minus = basis.evaluate(points + step), basis.evaluate(points - step)
+        differences[:, :, k] = (plus - minus) / (2.0 * _GRADIENT_STEP)
+        # A cutoff sphere between the two samples is a step, not a slope.
+        crossing = (plus == 0.0) != (minus == 0.0)
+        differences[crossing, k] = grads[crossing, k]
+    scale = max(1.0, float(np.abs(grads).max()))
+    return (
+        float(np.abs(differences - grads).max()) / scale,
+        f"{size} of {grid.n_points} grid points, step {_GRADIENT_STEP:g} Bohr",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ validation methodology (and this repo's invariant registry) must catch:
                           function of one batch's first owner atom
 ``shifted_hartree_interval`` one atom's Hartree back-interpolation plan
                           looks every point up one radial interval low
+``dropped_radial_derivative`` the stacked basis evaluator loses the
+                          ``dg/dr * rhat`` term of grad chi
 ======================== ==============================================
 
 The backend-level mutations are applied by running a driver with a
@@ -26,7 +28,9 @@ The backend-level mutations are applied by running a driver with a
 cached kernel and is applied to a live solver with
 :func:`flip_xc_kernel_sign`; ``shifted_hartree_interval`` lives in the
 multipole solver's cached plan and is applied to a live solver with
-:func:`shift_hartree_interval`.  Nothing here is imported by production
+:func:`shift_hartree_interval`; ``dropped_radial_derivative`` lives in
+the basis set's stacked species tables and is applied to a live basis
+with :func:`drop_radial_derivative`.  Nothing here is imported by production
 code paths — it exists so tests can prove the checks have teeth.
 """
 
@@ -49,6 +53,7 @@ MUTATIONS = {
     "off_by_one_batch_slice": "basis block shifted one point row",
     "overscreened_block": "screening drops one batch's first atom's functions",
     "shifted_hartree_interval": "one atom's Hartree plan interval index off by one",
+    "dropped_radial_derivative": "grad chi without its dg/dr * rhat term",
 }
 
 #: Mutations implemented as a broken execution backend.
@@ -128,3 +133,19 @@ def shift_hartree_interval(solver, atom: int = 0) -> None:
     """
     cols = solver._plan(atom).weights.indices.reshape(-1, 4)
     cols[cols[:, 0] > 0] -= 1
+
+
+def drop_radial_derivative(basis) -> None:
+    """Apply ``dropped_radial_derivative`` to a live :class:`~repro.basis.basis_set.BasisSet`.
+
+    Every species' stacked radial spline reports a zero derivative, so
+    ``evaluate_with_gradients`` keeps only ``g * grad S_lm``.  Values are
+    untouched and the kinetic matrix stays symmetric, so only a check
+    that differentiates chi itself can see it.
+    """
+    for table in basis._species:
+        spline = table.radial
+        spline.value_and_derivative = lambda t, spline=spline: (
+            spline(t),
+            np.zeros(np.shape(t) + spline.y.shape[1:]),
+        )

@@ -1,0 +1,203 @@
+"""The pre-PR-17 set-up primitives, kept verbatim as test oracles.
+
+Until PR 17 a basis block was a Python loop over every shell of every
+atom and the Becke weights a loop over every ordered atom pair.  Both
+became array programs (DESIGN §5.2); the loops below are the old bodies,
+moved here unchanged so the tests can hold the array programs to them —
+``np.array_equal`` for chi and grad chi (same elementwise math, same
+order), ``allclose(atol=2e-15, rtol=0)`` for the weights (``f*f*f``
+rounds differently from ``f**3``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.basis.basis_set import _species_shells
+from repro.basis.sets import RadialShell
+from repro.basis.solid_harmonics import solid_harmonics, solid_harmonics_with_gradients
+from repro.basis.spline import CubicSpline
+from repro.grids.partition import PARTNER_CUTOFF
+
+
+@dataclass(frozen=True)
+class ShellInstance:
+    """A species shell planted on a specific atom (the old loop's unit)."""
+
+    atom: int
+    center: np.ndarray
+    shell: RadialShell
+    g_spline: CubicSpline
+    cutoff: float
+    first_index: int
+
+
+def shell_instances(basis):
+    """Every (atom, shell) of *basis* in column order, rebuilt from its
+    public function list and the species radial tables."""
+    structure = basis.structure
+    out = []
+    for f in basis.functions:
+        if f.m != -f.l:
+            continue
+        (shell, spline, cutoff), = [
+            entry
+            for entry in _species_shells(structure.symbols[f.atom], structure.elements[f.atom].z)
+            if entry[0].label == f.shell_label
+        ]
+        assert cutoff == f.cutoff and shell.l == f.l
+        out.append(
+            ShellInstance(f.atom, structure.coords[f.atom], shell, spline, cutoff, f.index)
+        )
+    return out
+
+
+def oracle_spline_value(spline, t):
+    """``CubicSpline.__call__`` as it was: its own interval lookup."""
+    idx, tc = spline.system.locate(t)
+    x0 = spline.x[idx]
+    x1 = spline.x[idx + 1]
+    h = x1 - x0
+    a = (x1 - tc) / h
+    b = (tc - x0) / h
+    return (
+        a * spline.y[idx]
+        + b * spline.y[idx + 1]
+        + ((a**3 - a) * spline.m[idx] + (b**3 - b) * spline.m[idx + 1])
+        * (h**2)
+        / 6.0
+    )
+
+
+def oracle_spline_derivative(spline, t):
+    """``CubicSpline.derivative`` as it was: a second interval lookup."""
+    idx, tc = spline.system.locate(t)
+    x0 = spline.x[idx]
+    x1 = spline.x[idx + 1]
+    h = x1 - x0
+    a = (x1 - tc) / h
+    b = (tc - x0) / h
+    return (
+        (spline.y[idx + 1] - spline.y[idx]) / h
+        + (-(3.0 * a**2 - 1.0) * spline.m[idx] + (3.0 * b**2 - 1.0) * spline.m[idx + 1])
+        * h
+        / 6.0
+    )
+
+
+def oracle_evaluate(basis, points, atoms=None):
+    """``BasisSet.evaluate`` as a loop over shell instances."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.zeros((points.shape[0], basis.n_basis))
+    atom_filter = None if atoms is None else set(int(a) for a in atoms)
+    for inst in shell_instances(basis):
+        if atom_filter is not None and inst.atom not in atom_filter:
+            continue
+        d = points - inst.center
+        r = np.linalg.norm(d, axis=1)
+        mask = r <= inst.cutoff
+        if not np.any(mask):
+            continue
+        g = oracle_spline_value(inst.g_spline, r[mask])
+        l = inst.shell.l
+        s_all = solid_harmonics(d[mask], l)
+        s = s_all[:, l * l : (l + 1) ** 2]
+        cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
+        values[np.nonzero(mask)[0], cols] = g[:, None] * s
+    return values
+
+
+def oracle_evaluate_with_gradients(basis, points, atoms=None):
+    """``BasisSet.evaluate_with_gradients`` as a loop over shell instances."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n_pts = points.shape[0]
+    values = np.zeros((n_pts, basis.n_basis))
+    grads = np.zeros((n_pts, basis.n_basis, 3))
+    atom_filter = None if atoms is None else set(int(a) for a in atoms)
+    for inst in shell_instances(basis):
+        if atom_filter is not None and inst.atom not in atom_filter:
+            continue
+        d = points - inst.center
+        r = np.linalg.norm(d, axis=1)
+        mask = r <= inst.cutoff
+        if not np.any(mask):
+            continue
+        rm = r[mask]
+        dm = d[mask]
+        g = oracle_spline_value(inst.g_spline, rm)
+        dg = oracle_spline_derivative(inst.g_spline, rm)
+        l = inst.shell.l
+        s_all, grad_all = solid_harmonics_with_gradients(dm, l)
+        s = s_all[:, l * l : (l + 1) ** 2]
+        grad_s = grad_all[:, l * l : (l + 1) ** 2, :]
+        safe_r = np.maximum(rm, 1e-12)
+        rhat = dm / safe_r[:, None]
+        rows = np.nonzero(mask)[0]
+        cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
+        values[rows, cols] = g[:, None] * s
+        grads[rows, cols, :] = (
+            (dg[:, None] * s)[:, :, None] * rhat[:, None, :]
+            + g[:, None, None] * grad_s
+        )
+    return values, grads
+
+
+def _becke_step(mu, k):
+    f = mu
+    for _ in range(k):
+        f = 1.5 * f - 0.5 * f**3
+    return f
+
+
+def _size_adjustment(r_a, r_b):
+    chi = r_a / r_b
+    u = (chi - 1.0) / (chi + 1.0)
+    a = u / (u * u - 1.0)
+    return float(np.clip(a, -0.5, 0.5))
+
+
+def oracle_becke_weights(structure, points, owner, smoothing=3):
+    """``becke_weights`` as a loop over ordered partner pairs."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    partner_idx = structure.neighbors_within(owner, PARTNER_CUTOFF)
+    partner_idx = np.concatenate([[owner], partner_idx])
+
+    centers = structure.coords[partner_idx]  # (m, 3)
+    radii = np.array(
+        [structure.elements[a].covalent_radius for a in partner_idx]
+    )
+    m = partner_idx.shape[0]
+    if m == 1:
+        return np.ones(points.shape[0])
+
+    dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    sep = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+
+    cell = np.ones((points.shape[0], m))
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            mu = (dist[:, a] - dist[:, b]) / sep[a, b]
+            adj = _size_adjustment(radii[a], radii[b])
+            mu = mu + adj * (1.0 - mu**2)
+            mu = np.clip(mu, -1.0, 1.0)
+            cell[:, a] *= 0.5 * (1.0 - _becke_step(mu, smoothing))
+
+    total = cell.sum(axis=1)
+    total = np.where(total > 1e-300, total, 1.0)
+    return cell[:, 0] / total
+
+
+def oracle_partition_weights(grid):
+    """``IntegrationGrid.compute_partition_weights`` over the pair loop."""
+    w = np.empty(grid.n_points)
+    for atom in range(grid.structure.n_atoms):
+        sel = grid.atom_index == atom
+        w[sel] = oracle_becke_weights(
+            grid.structure, grid.points[sel], atom,
+            smoothing=grid.settings.becke_smoothing,
+        )
+    return w

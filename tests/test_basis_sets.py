@@ -125,11 +125,6 @@ class TestBasisSet:
             fd = (b.evaluate(dp) - b.evaluate(dm)) / (2 * eps)
             assert np.allclose(g[:, :, axis], fd, atol=1e-7)
 
-    def test_interaction_pairs_h2(self):
-        b = build_basis(hydrogen_molecule())
-        pairs = set(b.interaction_pairs())
-        assert (0, 1) in pairs or (1, 0) in pairs
-
     def test_atom_cutoffs_positive(self):
         b = build_basis(water())
         assert np.all(b.atom_cutoffs > 0)

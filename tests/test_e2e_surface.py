@@ -10,6 +10,7 @@ by name instead (DESIGN §8 lists the pinned names).
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,13 @@ from repro.backends import (
     ExecutionBackend,
     create_backend,
 )
+from repro.basis.basis_set import BasisSet, build_basis
 from repro.core import PerturbationSimulator
 from repro.dft.hamiltonian import MatrixBuilder
 from repro.dft.hartree import MultipoleSolver
+from repro.dft.scf import SCFDriver
+from repro.grids.atom_grid import build_grid
+from repro.grids.partition import becke_weights
 from repro.utils.timing import PhaseTimer
 
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
@@ -44,6 +49,20 @@ ATTRIBUTES = (
     (PhaseTimer, ("visits", "total", "phase")),
     (BackendProfile, ("cache_hits", "cache_misses", "screen_blocks_evaluated",
                       "phases")),
+)
+
+
+#: The *shapes* of the set-up calls the workloads make (ISSUE 17's fixed
+#: points): ``(callable, positional count, keywords)``.  ``self`` counts
+#: as a positional for the two methods.
+CALL_SHAPES = (
+    (build_basis, 1, ()),
+    (build_grid, 2, ("with_partition",)),
+    (SCFDriver, 2, ("timer", "basis", "grid")),
+    (MatrixBuilder, 2, ("batches", "backend", "screening_threshold")),
+    (BasisSet.evaluate, 2, ("atoms",)),
+    (BasisSet.evaluate_with_gradients, 2, ("atoms",)),
+    (becke_weights, 3, ("smoothing",)),
 )
 
 
@@ -123,3 +142,18 @@ def test_pinned_attributes_and_constructor_arguments():
     assert BatchedBackend(max_cache_bytes=1024).cache.max_bytes == 1024
     # ...and its dense/screened builders by the registry name "numpy".
     assert isinstance(create_backend("numpy"), ExecutionBackend)
+
+
+@pytest.mark.parametrize(
+    "fn,n_positional,keywords", CALL_SHAPES,
+    ids=[shape[0].__qualname__ for shape in CALL_SHAPES],
+)
+def test_setup_call_shapes_bind(fn, n_positional, keywords):
+    """A renamed or dropped parameter fails here, by name."""
+    inspect.signature(fn).bind(*[None] * n_positional, **dict.fromkeys(keywords))
+
+
+def test_becke_weights_takes_no_partner_list():
+    # Deleted in PR 17 (it returned another atom's weights when the owner
+    # was not listed first); the owner is entry 0 by construction.
+    assert "partners" not in inspect.signature(becke_weights).parameters

@@ -8,6 +8,7 @@ whole class of porting bug.
 import pytest
 
 from repro.atoms import hydrogen_molecule
+from repro.basis.basis_set import build_basis
 from repro.config import get_settings
 from repro.dfpt.response import DFPTSolver
 from repro.dft.scf import SCFDriver
@@ -16,6 +17,7 @@ from repro.verify import (
     MUTATIONS,
     MutantBackend,
     Verifier,
+    drop_radial_derivative,
     flip_xc_kernel_sign,
     shift_hartree_interval,
 )
@@ -70,8 +72,9 @@ class TestBackendMutations:
         assert set(BACKEND_MUTATIONS) | {
             "wrong_xc_sign",
             "shifted_hartree_interval",
+            "dropped_radial_derivative",
         } == set(MUTATIONS)
-        assert len(MUTATIONS) == 7
+        assert len(MUTATIONS) == 8
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(VerificationError):
@@ -132,4 +135,22 @@ class TestHartreePlanMutation:
         shift_hartree_interval(driver.solver)
         driver.run()
         expected = ["hartree_plan_parity"] if level == "full" else []
+        assert verifier.report.failed_names == expected
+
+
+class TestBasisGradientMutation:
+    """``dropped_radial_derivative`` leaves chi, S and a symmetric (wrong)
+    T behind, and the SCF converges self-consistently on them; only the
+    check that differentiates chi itself sees it."""
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_only_gradient_consistency_kills_it(self, level):
+        structure = hydrogen_molecule()
+        basis = build_basis(structure)
+        drop_radial_derivative(basis)
+        verifier = Verifier(level)
+        SCFDriver(
+            structure, get_settings("minimal"), verifier=verifier, basis=basis
+        ).run()
+        expected = ["basis_gradient_consistency"] if level == "full" else []
         assert verifier.report.failed_names == expected
