@@ -52,6 +52,7 @@ docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/obs src/repro/service src/repro/utils/timing.py \
 		src/repro/utils/balance.py src/repro/utils/artifacts.py \
+		src/repro/utils/scratch.py src/repro/backends/batched.py \
 		src/repro/runtime/trace.py src/repro/testing/docs.py \
 		src/repro/grids/sparsity.py src/repro/fleet src/repro/tune
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py

@@ -2,7 +2,7 @@
 
 One seam (:class:`ExecutionBackend`), two bit-exact engines:
 
-* ``numpy`` — the host engine: per-batch basis blocks through a bounded
+* ``numpy`` — the host engine: per-view basis blocks through a bounded
   LRU block cache, nothing recomputed while the cache holds it;
 * ``device`` — the same operations as priced launches on the
   :mod:`repro.ocl` accelerator model.
@@ -15,9 +15,9 @@ from repro.backends.base import (
     BackendProfile,
     ExecutionBackend,
     PhaseStats,
-    density_block,
     first_order_dm_dense,
-    potential_block,
+    quadratic_form_rows,
+    weighted_gram,
 )
 from repro.backends.registry import (
     DEFAULT_BACKEND,
@@ -42,9 +42,9 @@ __all__ = [
     "PhaseStats",
     "available_backends",
     "create_backend",
-    "density_block",
     "first_order_dm_dense",
-    "potential_block",
+    "quadratic_form_rows",
     "register_backend",
     "resolve_backend",
+    "weighted_gram",
 ]

@@ -8,10 +8,10 @@ this reproduction: the four phase operations the drivers need
 :meth:`~ExecutionBackend.density_on_grid`,
 :meth:`~ExecutionBackend.potential_matrix`,
 :meth:`~ExecutionBackend.first_order_dm`), implemented once as
-one loop over the builder's batch views
-(:class:`~repro.grids.sparsity.BatchViews` — dense is the all-column
-view, not a second code path) so every registered backend is
-*bit-exact* with every other — backends differ only in where a view's
+one loop over the builder's fused batch views
+(:class:`~repro.grids.sparsity.BatchViews` — dense and screened differ
+in a view's columns, not in the code path) so every registered backend
+is *bit-exact* with every other — backends differ only in where a view's
 basis block comes from (bounded LRU block cache, device buffers) and
 in what bookkeeping each launch is charged.
 
@@ -33,28 +33,75 @@ import numpy as np
 from repro.errors import BackendError, GridError
 from repro.grids.sparsity import BatchView, SparsityStats
 from repro.obs.tracer import obs_counter, obs_span
-from repro.utils.linalg import symmetrize
+from repro.utils.linalg import mirror_upper
+from repro.utils.scratch import scratch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dft.hamiltonian import MatrixBuilder
 
 
 # ----------------------------------------------------------------------
-# The shared batch-local kernel math.
+# The shared view-local kernel math.
 #
 # All backends call these exact functions in the exact same view order,
 # which is what makes the host/device parity *bitwise* rather
 # than merely approximate: given bit-identical basis blocks, the
-# floating-point operation sequence is identical.
+# floating-point operation sequence is identical.  Each skips the
+# flops the mathematics does not need, as far as numpy's BLAS lets it —
+# a quadratic form skips the zero quarter of its folded triangle, a
+# weighted Gram matrix is a symmetric rank-k update — and writes its one
+# rows x cols temporary into the caller's *work* block (the loops lease
+# the process's scratch block: repro.utils.scratch).
 # ----------------------------------------------------------------------
-def density_block(phi_b: np.ndarray, density_matrix: np.ndarray) -> np.ndarray:
-    """Pointwise density of one batch: ``sum_mu_nu P phi_mu phi_nu``."""
-    return np.einsum("pi,pi->p", phi_b @ density_matrix, phi_b, optimize=True)
+def fold_upper(matrix: np.ndarray) -> np.ndarray:
+    """Upper-triangular ``T`` with ``x @ T @ x == x @ matrix @ x`` for any
+    square *matrix*: both off-diagonal triangles land on the upper one."""
+    return np.triu(matrix, 1) + np.tril(matrix, -1).T + np.diag(np.diag(matrix))
 
 
-def potential_block(phi_b: np.ndarray, wv_b: np.ndarray) -> np.ndarray:
-    """One batch's contribution to ``<chi_mu | v | chi_nu>``."""
-    return phi_b.T @ (phi_b * wv_b[:, None])
+def quadratic_form_rows(
+    phi: np.ndarray, upper: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """``phi[p] @ upper @ phi[p]`` per row, *upper* upper-triangular.
+
+    The lower-left quarter of *upper* is zero, so the left half of
+    ``phi @ upper`` reads only the left half of *phi*: two products,
+    three quarters of a GEMM's flops.  numpy's own BLAS on purpose —
+    ``scipy.linalg.blas.dtrmm`` does half the flops, but scipy's wheel
+    carries a second OpenBLAS whose thread pool fights numpy's: with
+    threads unpinned on two cores a water SCF took 0.14-0.19 s instead
+    of 0.07 and one Sumup + Hartree + H round on the 26-atom chain
+    145-172 ms instead of 64 (DESIGN §8).
+    """
+    rows, n = phi.shape
+    half = n // 2
+    flat = work.reshape(-1)
+    left = flat[: rows * half].reshape(rows, half)
+    np.matmul(phi[:, :half], upper[:half, :half], out=left)
+    out = np.einsum("pi,pi->p", left, phi[:, :half])
+    right = flat[: rows * (n - half)].reshape(rows, n - half)
+    np.matmul(phi, upper[:, half:], out=right)
+    out += np.einsum("pi,pi->p", right, phi[:, half:])
+    return out
+
+
+def weighted_gram(phi: np.ndarray, wv: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``phi.T @ diag(wv) @ phi`` as ``A+.T @ A+ - A-.T @ A-``.
+
+    Rows are scaled by ``sqrt|wv|`` and split by the sign of *wv*
+    (zero-weight rows drop out), so each term is ``a.T @ a`` — numpy
+    routes that to ``syrk``, half a GEMM's flops and an exactly
+    symmetric result.
+    """
+    positive, negative = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
+    order = np.concatenate([positive, negative])
+    a = work[: order.size]
+    np.take(phi, order, axis=0, out=a, mode="clip")
+    a *= np.sqrt(np.abs(wv[order]))[:, None]
+    plus, minus = a[: positive.size], a[positive.size :]
+    gram = plus.T @ plus
+    gram -= minus.T @ minus
+    return gram
 
 
 def first_order_dm_dense(
@@ -83,8 +130,8 @@ class PhaseStats:
     elements: int = 0  # grid-point x basis (or matrix) elements processed
     seconds: float = 0.0
 
-    def record(self, elements: int, seconds: float) -> None:
-        self.calls += 1
+    def record(self, elements: int, seconds: float, calls: int = 1) -> None:
+        self.calls += int(calls)
         self.elements += int(elements)
         self.seconds += float(seconds)
 
@@ -96,7 +143,11 @@ class BackendProfile:
     Phases use the paper's names where they exist: ``Sumup`` (density on
     the grid), ``H`` (potential-matrix integration), ``DM`` (first-order
     density matrix) plus ``basis`` for actual basis-block evaluations
-    (cache misses evaluate; hits do not).
+    (cache misses evaluate; hits do not).  Phase rows are what the cost
+    models price — a batch is the dispatch unit and a dense block is
+    ``n_basis`` wide — so they do not move when execution fuses batches
+    or drops zero columns; the cache counters are real traffic, one
+    lookup per fused view.
     """
 
     backend: str
@@ -119,8 +170,10 @@ class BackendProfile:
     screen_fill_fraction: float = 0.0
     screen_histogram: Tuple[int, ...] = ()
 
-    def record(self, phase: str, elements: int, seconds: float) -> None:
-        self.phases.setdefault(phase, PhaseStats()).record(elements, seconds)
+    def record(
+        self, phase: str, elements: int, seconds: float, calls: int = 1
+    ) -> None:
+        self.phases.setdefault(phase, PhaseStats()).record(elements, seconds, calls)
 
     def record_screening(self, stats: SparsityStats) -> None:
         """Charge one screened Sumup/H pass: the pattern's own totals."""
@@ -227,27 +280,36 @@ class ExecutionBackend:
         nb = self._require_bound().basis.n_basis
         if p.shape != (nb, nb):
             raise ValueError(f"density matrix shape {p.shape}, basis size {nb}")
+        if not np.isfinite(p).all():
+            raise ValueError("density matrix has non-finite entries")
         return p
 
     def _check_potential(self, potential_values: np.ndarray) -> np.ndarray:
+        # The exact shape, not the leading length: an (n_points, 1) column
+        # would broadcast ``weights * v`` to an n_points x n_points outer
+        # product; and a NaN would fall out of the H kernel's sign split
+        # as a silently dropped row.
         v = np.asarray(potential_values, dtype=float)
         n_points = self._require_bound().grid.n_points
-        if v.shape[0] != n_points:
+        if v.shape != (n_points,):
             raise GridError(
-                f"{v.shape[0]} potential samples for {n_points} grid points"
+                f"potential samples of shape {v.shape} for {n_points} grid points"
             )
+        if not np.isfinite(v).all():
+            raise GridError("potential has non-finite samples")
         return v
 
     # ------------------------------------------------------------------
     # The four phase operations
     # ------------------------------------------------------------------
     def basis_block(self, view: BatchView) -> np.ndarray:
-        """chi_mu table of one batch view, ``(n_points, n_cols)``.
+        """chi_mu table of one view, ``(n_rows, n_cols)``, C-contiguous.
 
         Per-shell evaluation is independent of which other atoms are
-        requested, so a screened view's compact block is a *bitwise*
-        column slice of the dense one — the parity anchor that keeps
-        every engine identical whichever source it reads from.
+        requested and which other points share the call, so a view's
+        block is a *bitwise* row-and-column slice of the full table —
+        the parity anchor that keeps every engine identical whichever
+        source it reads from.
         """
         raise NotImplementedError
 
@@ -308,7 +370,8 @@ class ExecutionBackend:
     # Shared implementations (view-ordered; overridable for devices)
     # ------------------------------------------------------------------
     def _density_impl(self, p: np.ndarray) -> np.ndarray:
-        """Sumup: contract each view's chi block with its ``P`` sub-block.
+        """Sumup: the quadratic form of each view's chi block with its
+        ``P`` sub-block, ``P`` folded onto one triangle once per sweep.
 
         Identical view order and identical block math across every
         backend, so engines stay bit-exact with each other; points of
@@ -316,27 +379,35 @@ class ExecutionBackend:
         """
         builder = self._require_bound()
         out = np.zeros(builder.grid.n_points)
+        upper = fold_upper(p)
         for view in builder.views:
-            out[view.point_indices] = density_block(
-                self.basis_block(view), p[view.pair]
-            )
+            phi = self.basis_block(view)
+            with scratch(phi.shape) as work:
+                out[view.point_indices] = quadratic_form_rows(
+                    phi, view.gather(upper, upper=True), work
+                )
         return out
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
-        """H integration: add each view's block at ``view.pair``.
+        """H integration: add each view's weighted Gram block at its
+        columns, once per view.
 
         Matrix entries outside the views' atom-pair blocks stay exactly
-        zero.
+        zero.  The blocks are exactly symmetric, so only their run pairs
+        on and above the diagonal are added and the finished upper
+        triangle is mirrored: half the scatter traffic, and a result
+        that is symmetric by construction.
         """
         builder = self._require_bound()
         wv = builder.grid.weights * v
         nb = builder.basis.n_basis
         acc = np.zeros((nb, nb))
         for view in builder.views:
-            acc[view.pair] += potential_block(
-                self.basis_block(view), wv[view.point_indices]
-            )
-        return symmetrize(acc)
+            phi = self.basis_block(view)
+            with scratch(phi.shape) as work:
+                gram = weighted_gram(phi, wv[view.point_indices], work)
+            view.scatter_add(acc, gram, upper=True)
+        return mirror_upper(acc)
 
     def _dm_impl(
         self,
@@ -354,14 +425,19 @@ class ExecutionBackend:
 
         Only the view's atoms are evaluated and only its columns
         returned; see :meth:`basis_block` for why that is bitwise equal
-        to slicing those columns out of a full evaluation.
+        to slicing those columns out of a full evaluation.  The profile
+        is charged what the view's batches are priced at — one call per
+        member batch, all columns wide when dense — like every other
+        phase row.
         """
         start = time.perf_counter()
-        phi_b = self._require_bound().evaluate_view(view)
-        self.profile.record("basis", phi_b.size, time.perf_counter() - start)
-        obs_counter("backend.basis.blocks_evaluated")
-        obs_counter("backend.basis.elements", phi_b.size)
-        return phi_b
+        phi = self._require_bound().evaluate_view(view)
+        self.profile.record(
+            "basis", view.elements, time.perf_counter() - start, len(view.batches)
+        )
+        obs_counter("backend.basis.blocks_evaluated", len(view.batches))
+        obs_counter("backend.basis.elements", view.elements)
+        return phi
 
     def __repr__(self) -> str:
         bound = "bound" if self.builder is not None else "unbound"

@@ -1,8 +1,8 @@
 """The host engine: basis blocks from a bounded LRU block cache.
 
 The paper's Alg. 1 locality payoff applied to the single-node hot path:
-the unit of reuse is the batch-resident chi block, not a grid-wide
-table.  Per-:class:`GridBatch` blocks flow through a byte-bounded LRU
+the unit of reuse is the view-resident chi block, not a grid-wide
+table.  Per-view blocks flow through a byte-bounded LRU
 cache: under the budget every block is evaluated once and served from
 the cache across SCF/CPSCF cycles; over it memory stays O(budget) and
 only what was evicted is evaluated again.  Registered as ``"numpy"``
@@ -13,7 +13,7 @@ them; DESIGN §8).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -30,34 +30,35 @@ from repro.obs.tracer import obs_counter
 DEFAULT_CACHE_BYTES: int = 8 * 40_000_000
 
 
-#: ``(scope, batch index, active-set hash)``.  The hash (``None`` on a
-#: dense view) makes a screened block self-invalidating — a different
-#: pattern can never be served a stale compact block — and the scope
-#: (``None`` on a private cache, the fleet's molecule id on a shared
-#: one) keeps two molecules' batch 0 apart.
-CacheKey = Tuple[Optional[str], int, Optional[str]]
+#: ``(scope, rows digest, active-set hash)``.  The rows digest names the
+#: view's grid points, so views fused from different batch lists never
+#: share an entry; the hash (``None`` on a dense view) makes a screened
+#: block self-invalidating — a different pattern can never be served a
+#: stale compact block — and the scope (``None`` on a private cache, the
+#: fleet's molecule id on a shared one) keeps two molecules apart.
+CacheKey = Tuple[Optional[str], Hashable, Optional[str]]
 
 
 def block_cache_key(
-    batch_index: int,
+    rows: Hashable,
     scope: Optional[str] = None,
     active_hash: Optional[str] = None,
 ) -> CacheKey:
     """The LRU key for one basis block.
 
-    >>> block_cache_key(3, scope="mol-0", active_hash="a1")
-    ('mol-0', 3, 'a1')
+    >>> block_cache_key("9f2c", scope="mol-0", active_hash="a1")
+    ('mol-0', '9f2c', 'a1')
     """
-    return (scope, batch_index, active_hash)
+    return (scope, rows, active_hash)
 
 
 class BlockCache:
-    """Byte-bounded LRU cache of per-batch basis blocks.
+    """Byte-bounded LRU cache of per-view basis blocks.
 
-    Keys are :data:`CacheKey` values.  Eviction is strict LRU, except
-    that the most recently inserted block always survives (a single
-    block larger than the budget must still be usable — it is simply
-    evicted by the next insertion).
+    Keys are :data:`CacheKey` values.  Eviction is strict LRU, and a
+    block larger than the whole budget is handed back to its caller but
+    never kept, so a zero budget is the streaming regime however few
+    views there are.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -91,10 +92,12 @@ class BlockCache:
         """Insert a block, evicting least-recently-used ones over budget."""
         if key in self._blocks:
             self.current_bytes -= int(self._blocks.pop(key).nbytes)
+        if block.nbytes > self.max_bytes:
+            return
         self._blocks[key] = block
         self.current_bytes += int(block.nbytes)
         self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        while self.current_bytes > self.max_bytes and len(self._blocks) > 1:
+        while self.current_bytes > self.max_bytes:
             _, evicted = self._blocks.popitem(last=False)
             self.current_bytes -= int(evicted.nbytes)
             self.evictions += 1
@@ -133,7 +136,7 @@ class BatchedBackend(ExecutionBackend):
         per backend (not copied from the cache, which may be shared
         across molecules — each molecule's profile must charge only its
         own traffic)."""
-        key = block_cache_key(view.index, self.scope, view.active_hash)
+        key = block_cache_key(view.rows_hash, self.scope, view.active_hash)
         block = self.cache.get(key)
         if block is None:
             obs_counter("backend.cache.misses")

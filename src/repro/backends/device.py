@@ -1,7 +1,7 @@
 """Device backend: the phase operations as priced OpenCL-model launches.
 
 Routes the same view-ordered math through :class:`repro.ocl.device.Device`
-— one work-group per batch view, work-items sized by the *largest* batch —
+— one work-group per scheduled batch, work-items sized by the *largest* batch —
 so the priced kernel layer finally sits under the real SCF/CPSCF loops
 instead of beside them.  The kernel bodies run the exact shared view
 loops of :mod:`repro.backends.base`, so results are bit-identical to
@@ -18,7 +18,7 @@ import numpy as np
 from repro.backends.base import ExecutionBackend, first_order_dm_dense
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
-from repro.grids.sparsity import BatchView
+from repro.grids.sparsity import BatchView, build_batch_views
 from repro.ocl.buffers import DeviceBuffer
 from repro.ocl.device import Device
 from repro.ocl.kernel import Kernel, NDRange
@@ -44,11 +44,12 @@ class DeviceBackend(ExecutionBackend):
     def _on_bind(self) -> None:
         builder = self._require_bound()
         # Stage the density-independent tables into __global memory once.
-        # The table is assembled per batch with the shared evaluation, so
-        # its rows are bitwise identical to the other backends' blocks.
+        # The table is assembled from unscreened views with the shared
+        # (profiled) evaluation, so its rows are bitwise the other
+        # backends' blocks.
         table = np.zeros((builder.grid.n_points, builder.basis.n_basis))
-        for view in builder.dense_views:
-            table[view.point_indices] = self._evaluate_block(view)
+        for view in build_batch_views(builder.batches, builder.basis):
+            table[view.point_indices[:, None], view.cols] = self._evaluate_block(view)
         self._phi = DeviceBuffer("basis_values", table)
         self._weights = DeviceBuffer("weights", builder.grid.weights)
         self._to_device(self._phi)
@@ -63,8 +64,9 @@ class DeviceBackend(ExecutionBackend):
         Sizing by the *mean* batch starves work-items whenever batches
         are uneven; the max guarantees every point of every batch maps
         to an item (no batches, no items: ``NDRange`` rejects it).
-        Sumup/H pass the view count as *n_groups*, so batches without a
-        view are never scheduled — the model prices only launched blocks.
+        Sumup/H pass the views' batch count as *n_groups*, so batches
+        without work are never scheduled — the model prices only launched
+        blocks, and prices a batch, not a fused view, as the work-group.
         """
         builder = self._require_bound()
         items = max((b.n_points for b in builder.batches), default=0)
@@ -104,7 +106,7 @@ class DeviceBackend(ExecutionBackend):
         )
         self._launch(
             kernel, {**resident, arg.name: arg, out.name: out},
-            n_groups=len(views),
+            n_groups=views.n_batches,
         )
         self._from_device(out)
         return out.data
@@ -131,7 +133,7 @@ class DeviceBackend(ExecutionBackend):
         if self._phi is None:
             raise BackendError("device backend used before bind()")
         # The staged table's rows, gathered to the view's columns.
-        return self._phi.data[view.point_indices][:, view.cols]
+        return self._phi.data[view.point_indices[:, None], view.cols]
 
     # ------------------------------------------------------------------
     # Phase operations as kernel launches

@@ -4,7 +4,7 @@ A :class:`MatrixBuilder` binds a basis set to an integration grid and
 produces the density-independent matrices once (overlap, kinetic,
 nuclear attraction, dipole) plus cheap re-integration of potential
 matrices every SCF/CPSCF cycle — the computational pattern of the
-paper's "H" phase, executed batch by batch.
+paper's "H" phase, executed fused view by fused view.
 
 All grid contractions dispatch through the builder's
 :class:`~repro.backends.base.ExecutionBackend` (``numpy`` by default),
@@ -15,7 +15,7 @@ device-kernel path — bit-exact across both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.grids.atom_grid import IntegrationGrid, build_grid
 from repro.grids.batching import GridBatch, attach_relevant_atoms, build_batches
 from repro.grids.sparsity import BatchView, build_batch_views, build_sparsity_pattern
 from repro.utils.linalg import symmetrize
+from repro.utils.scratch import scratch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.atoms.structure import Structure
@@ -59,6 +60,14 @@ def build_substrate(
     return Substrate(basis=basis, grid=grid, batches=batches)
 
 
+#: Rows per basis-evaluation call inside a fused view: the evaluator's
+#: temporaries scale with rows x atoms x shells.  One builder of the
+#: 32-atom chain through overlap() + kinetic(): slabs of 64 / 256 / 1 024 /
+#: 2 048 rows peak at 87 / 93 / 110 / 118 MB RSS and take 0.61-0.71 /
+#: 0.62-0.68 / 0.57-0.64 s of kinetic(): memory grows, time barely moves.
+_SLAB_ROWS: int = 256
+
+
 class MatrixBuilder:
     """Integrates basis-pair matrix elements over the grid.
 
@@ -78,9 +87,9 @@ class MatrixBuilder:
     screening_threshold:
         Batch-local basis-screening threshold
         (:mod:`repro.grids.sparsity`).  ``0.0`` (the default) disables
-        screening entirely — no pattern is built and :attr:`views` is
-        the all-column dense list, bitwise identical to the
-        pre-screening pipeline.  ``> 0`` builds a
+        screening entirely — no pattern is built and a view carries the
+        columns of its batches' relevant atoms, outside which chi is
+        exactly zero there.  ``> 0`` builds a
         :class:`~repro.grids.sparsity.SparsityPattern` once and every
         layer below (backends, kinetic, reference paths) iterates views
         that carry only active functions.
@@ -107,18 +116,13 @@ class MatrixBuilder:
         # The views must exist before the backend binds: device staging
         # and profile fill counters read them at bind time.
         self.screening_threshold = float(screening_threshold)
-        #: All-column views — what ``screened=False`` references iterate.
-        self.dense_views = build_batch_views(self.batches, basis.n_basis)
         self.pattern = None
-        #: The views every contraction of this builder iterates.
-        self.views = self.dense_views
         if self.screening_threshold > 0.0:
             self.pattern = build_sparsity_pattern(
                 basis, self.batches, self.screening_threshold
             )
-            self.views = build_batch_views(
-                self.batches, basis.n_basis, self.pattern
-            )
+        #: The fused views every contraction of this builder iterates.
+        self.views = build_batch_views(self.batches, basis, self.pattern)
 
         from repro.backends.registry import resolve_backend
 
@@ -128,18 +132,31 @@ class MatrixBuilder:
     # Basis tables
     # ------------------------------------------------------------------
     def evaluate_view(self, view: BatchView) -> np.ndarray:
-        """One view's chi block, evaluated on the spot (never cached)."""
-        return self.basis.evaluate(
-            self.grid.points[view.point_indices], atoms=view.atoms
-        )[:, view.cols]
+        """One view's chi block, evaluated on the spot (never cached).
+
+        Filled a slab of rows at a time so the evaluator's temporaries
+        stay the size they have on a single batch; rows are independent,
+        so the block is bitwise the concatenation of its batches' blocks.
+        """
+        rows = view.point_indices
+        block = np.empty((rows.size, view.cols.size))
+        for lo in range(0, rows.size, _SLAB_ROWS):
+            idx = rows[lo : lo + _SLAB_ROWS]
+            block[lo : lo + idx.size] = self.basis.evaluate(
+                self.grid.points[idx], atoms=view.atoms
+            )[:, view.cols]
+        return block
 
     def basis_values(self) -> np.ndarray:
         """chi_mu at every grid point, ``(n_points, n_basis)``: assembled
-        from the dense views on every call, never held — engines read
+        from unscreened views on every call, never held — engines read
         blocks, not this table."""
+        views = self.views
+        if self.pattern is not None:
+            views = build_batch_views(self.batches, self.basis)
         values = np.zeros((self.grid.n_points, self.basis.n_basis))
-        for view in self.dense_views:
-            values[view.point_indices] = self.evaluate_view(view)
+        for view in views:
+            values[view.point_indices[:, None], view.cols] = self.evaluate_view(view)
         return values
 
     # ------------------------------------------------------------------
@@ -152,24 +169,29 @@ class MatrixBuilder:
     def kinetic(self) -> np.ndarray:
         """T_mu_nu = (1/2) <grad chi_mu | grad chi_nu> (by parts).
 
-        Each view evaluates gradients only for its atoms and adds its
-        block at ``view.pair`` — the same locality rule every other
-        grid contraction follows.
+        Each view evaluates gradients only for its atoms, a slab of rows
+        at a time (gradients are needed here once; memory stays at slab
+        rows x n_basis x 3), and adds its block at the view's columns —
+        the same locality rule and the same weighted-Gram kernel as
+        every other grid contraction.
         """
+        from repro.backends.base import weighted_gram
+
         w = self.grid.weights
         t = np.zeros((self.basis.n_basis, self.basis.n_basis))
-        # Gradients are only needed here, once; integrate batch-wise to
-        # bound memory at (batch points x n_cols x 3).
         for view in self.views:
-            idx = view.point_indices
-            wb = w[idx]
-            _, grads = self.basis.evaluate_with_gradients(
-                self.grid.points[idx], atoms=view.atoms
-            )
-            grads = grads[:, view.cols, :]
-            for k in range(3):
-                gk = grads[:, :, k]
-                t[view.pair] += gk.T @ (gk * wb[:, None])
+            cols = view.cols
+            block = np.zeros((cols.size, cols.size))
+            for lo in range(0, view.point_indices.size, _SLAB_ROWS):
+                idx = view.point_indices[lo : lo + _SLAB_ROWS]
+                _, grads = self.basis.evaluate_with_gradients(
+                    self.grid.points[idx], atoms=view.atoms
+                )
+                grads = grads[:, cols, :]
+                with scratch((idx.size, cols.size)) as work:
+                    for k in range(3):
+                        block += weighted_gram(grads[:, :, k], w[idx], work)
+            view.scatter_add(t, block)
         return symmetrize(0.5 * t)
 
     def nuclear_attraction(self) -> np.ndarray:
@@ -203,38 +225,39 @@ class MatrixBuilder:
     # ------------------------------------------------------------------
     # Backend-free reference paths (the verification seam)
     # ------------------------------------------------------------------
-    # These bypass the execution backend entirely: every batch's basis
-    # block is evaluated fresh, so the invariant registry can compare a
-    # backend's answers against an independent derivation.  Honest
-    # backends are bit-exact with these (same batch order, same math).
+    # These bypass the execution backend entirely: one batch at a time,
+    # its basis block evaluated fresh and contracted with a plain matrix
+    # product — no fusion, no folded triangle, no rank-k update — so the
+    # invariant registry compares a backend's answers against an
+    # independent derivation.  Honest backends agree with these to
+    # summation-order noise (1e-13 of the array's scale; DESIGN §8).
     # When a screening pattern is active the references honor it by
-    # default (so invariants stay bit-tight against screened backends);
-    # ``screened=False`` iterates the dense views instead — that is the
-    # seam the ``screening_vs_dense`` invariant compares against.
+    # default (so invariants stay tight against screened backends);
+    # ``screened=False`` ignores it — that is the seam the
+    # ``screening_vs_dense`` invariant compares against.
+    def _reference_views(self, screened: bool) -> Iterator[BatchView]:
+        pattern = self.pattern if screened else None
+        for batch in self.batches:
+            yield from build_batch_views([batch], self.basis, pattern)
+
     def reference_density(
         self, density_matrix: np.ndarray, screened: bool = True
     ) -> np.ndarray:
         """Pointwise density via direct per-batch evaluation."""
-        from repro.backends.base import density_block
-
         p = np.asarray(density_matrix, dtype=float)
         out = np.zeros(self.grid.n_points)
-        for view in self.views if screened else self.dense_views:
-            out[view.point_indices] = density_block(
-                self.evaluate_view(view), p[view.pair]
-            )
+        for view in self._reference_views(screened):
+            phi = self.evaluate_view(view)
+            out[view.point_indices] = np.einsum("pi,pi->p", phi @ view.gather(p), phi)
         return out
 
     def reference_potential_matrix(
         self, potential_values: np.ndarray, screened: bool = True
     ) -> np.ndarray:
         """``<chi_mu | v | chi_nu>`` via direct per-batch evaluation."""
-        from repro.backends.base import potential_block
-
         wv = self.grid.weights * np.asarray(potential_values, dtype=float)
         acc = np.zeros((self.basis.n_basis, self.basis.n_basis))
-        for view in self.views if screened else self.dense_views:
-            acc[view.pair] += potential_block(
-                self.evaluate_view(view), wv[view.point_indices]
-            )
+        for view in self._reference_views(screened):
+            phi = self.evaluate_view(view)
+            view.scatter_add(acc, phi.T @ (phi * wv[view.point_indices][:, None]))
         return symmetrize(acc)

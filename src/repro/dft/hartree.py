@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.basis.spline import CubicSpline, SplineSystem
 from repro.basis.ylm import n_lm, real_spherical_harmonics
 from repro.errors import GridError
 from repro.grids.atom_grid import IntegrationGrid
+from repro.utils.scratch import scratch
 
 
 def adams_moulton_cumulative(f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -144,24 +144,26 @@ class _AtomPlan:
     """Back-interpolation of one atom's partial potential at fixed points.
 
     Everything the consumer kernel needs that the density cannot change:
-    which points lie inside the atom's radial mesh, their spline weights
-    as a sparse operator on the stacked ``[y; m]`` spline tables, and one
-    ``(n_points, n_lm)`` table whose first ``len(near)`` rows are the
-    harmonics ``Y`` at the near points and whose remaining rows are the
-    far-field factors ``pref * Y / r^(l+1)`` at the far points.
+    which points lie inside the atom's radial mesh, the harmonics ``Y``
+    there — stored transposed, ``(n_lm, n_near)``, so the stacked spline
+    tables multiply them in one product — each near point's four spline
+    taps into that ``(2 n_shells, n_near)`` product as flat indices with
+    their weights, and the far-field factors ``pref * Y / r^(l+1)`` at
+    the remaining points.
     """
 
     near: np.ndarray  # int32 point indices, r <= outermost shell
     far: np.ndarray  # int32 point indices, the rest
-    weights: csr_matrix  # (n_near, 2 * n_shells), 4 nonzeros per row
-    table: np.ndarray
+    y_near: np.ndarray  # (n_lm, n_near)
+    taps: np.ndarray  # (4, n_near) int32 into the raveled product
+    tap_weights: np.ndarray  # (4, n_near): a, b, (a^3-a)h^2/6, (b^3-b)h^2/6
+    far_table: np.ndarray  # (n_far, n_lm)
 
     @property
     def nbytes(self) -> int:
-        w = self.weights
         return int(
-            self.near.nbytes + self.far.nbytes + self.table.nbytes
-            + w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+            self.near.nbytes + self.far.nbytes + self.y_near.nbytes
+            + self.taps.nbytes + self.tap_weights.nbytes + self.far_table.nbytes
         )
 
 
@@ -301,23 +303,16 @@ class MultipoleSolver:
         n_near, n_shells = near.shape[0], system.n_knots
 
         y = real_spherical_harmonics(d, self.l_max)
-        table = np.empty_like(y)
-        table[:n_near] = y[near]
-        table[n_near:] = (
-            self._pref * y[far] / r[far, None] ** (self._l_of_lm + 1.0)
-        )
-
         idx, w = system.weights(r[near])
-        cols = idx[:, None] + np.array([0, 1, n_shells, n_shells + 1])
-        weights = csr_matrix(
-            (
-                w.ravel(),
-                cols.astype(np.int32).ravel(),
-                np.arange(0, 4 * n_near + 1, 4, dtype=np.int32),
-            ),
-            shape=(n_near, 2 * n_shells),
+        rows = idx[:, None] + np.array([0, 1, n_shells, n_shells + 1])
+        return _AtomPlan(
+            near=near,
+            far=far,
+            y_near=np.ascontiguousarray(y[near].T),
+            taps=(rows * n_near + np.arange(n_near)[:, None]).T.astype(np.int32),
+            tap_weights=np.ascontiguousarray(w.T),
+            far_table=self._pref * y[far] / r[far, None] ** (self._l_of_lm + 1.0),
         )
-        return _AtomPlan(near=near, far=far, weights=weights, table=table)
 
     def _plan(self, atom: int) -> _AtomPlan:
         if self._plans[atom] is None:
@@ -346,10 +341,17 @@ class MultipoleSolver:
         for a in atom_iter:
             plan = self._plan(a) if points is None else self._build_plan(a, points)
             spline = expansion.potential_splines[a]
-            n_near = plan.near.shape[0]
-            vr = plan.weights @ np.concatenate([spline.y, spline.m])  # (n_near, n_lm)
-            v[plan.near] += np.einsum("ij,ij->i", vr, plan.table[:n_near])
-            v[plan.far] += plan.table[n_near:] @ expansion.far_moments[a]
+            # Nothing of order n_near x n_lm is allocated per call: the
+            # product and the four taps go to the process's scratch block.
+            stacked = np.concatenate([spline.y, spline.m])  # (2 n_shells, n_lm)
+            n_rows, n_near = stacked.shape[0], plan.near.shape[0]
+            with scratch((n_rows + 4, n_near)) as block:
+                z, tapped = block[:n_rows], block[n_rows:]
+                np.matmul(stacked, plan.y_near, out=z)
+                np.take(z.reshape(-1), plan.taps, out=tapped, mode="clip")
+                tapped *= plan.tap_weights
+                v[plan.near] += tapped.sum(axis=0)
+            v[plan.far] += plan.far_table @ expansion.far_moments[a]
         return v
 
     def hartree_potential(self, density_values: np.ndarray) -> np.ndarray:

@@ -150,6 +150,7 @@ class SCFDriver:
                 dipoles=self._dipoles,
                 basis=self.basis,
                 grid=self.grid,
+                batches=self.builder.batches,
             )
 
     def _nuclear_repulsion(self) -> float:
@@ -245,9 +246,12 @@ class SCFDriver:
                     v_h_values = self.solver.hartree_potential(n_values)
                 with self.timer.phase("xc"):
                     xc = lda_exchange_correlation(n_values)
+                    v_eff_values = v_h_values + xc.vxc
+                # The phase wraps the backend call alone (see the CPSCF
+                # loop's note); assembling h is three n_basis^2 adds.
                 with self.timer.phase("hamiltonian"):
-                    v_eff = self.backend.potential_matrix(v_h_values + xc.vxc)
-                    h = self._t + self._v_ext + v_eff + h_field
+                    v_eff = self.backend.potential_matrix(v_eff_values)
+                h = self._t + self._v_ext + v_eff + h_field
 
                 # Fault check sits before the DIIS push so a rolled-back
                 # cycle leaves the mixer history untouched (bit-exactness).

@@ -11,17 +11,18 @@ execution backend, which is what turns the dense ``O(n_points x
 n_basis)`` contractions into block-sparse ones at scale.
 
 Every grid contraction below the drivers is one loop over a
-:class:`BatchViews` list (:func:`build_batch_views`): a view names a
-batch's points, its basis columns and the matching ``P`` / ``H``
-sub-block, and the dense case is simply the view whose columns are
-"all" — numpy slices, which gather nothing, so the dense floating-point
-sequence is the plain ``phi @ p`` / ``acc += block`` one.
+:class:`BatchViews` list (:func:`build_batch_views`): a view fuses the
+batches that share one column set along points and names their rows,
+their basis columns and so the matching ``P`` / ``H`` sub-block.  Dense
+is the same loop with a different column rule — the functions of the
+batches' ``relevant_atoms``, outside which a full evaluation is exactly
+zero — so it drops no number, only flops on zeros.
 
 Threshold semantics (``RunSettings.screening_threshold``):
 
-* ``0.0`` — screening disabled.  No pattern is built and the loop runs
-  over all-column slice views, so results are *bitwise* identical to
-  the unscreened pipeline.
+* ``0.0`` — screening disabled.  No pattern is built and a view's
+  columns are those of its batches' relevant atoms: the only columns a
+  hard radial cutoff leaves nonzero there, so nothing is approximated.
 * ``> 0.0`` — functions whose amplitude proxy stays below the threshold
   on a batch are dropped from that batch's view.  Both backends
   share the same views and the same batch-ordered math, so they remain
@@ -256,42 +257,112 @@ def build_sparsity_pattern(
     )
 
 
+#: Most grid points one fused view holds.  Measured on the 32-atom chain's
+#: warm dense Sumup + H sweep (BLAS on one thread, min of 25, two runs):
+#: cap 128 -> 56-70 ms, 512 -> 42.5-45.0, 1 024 -> 41.4-43.2, 2 048 ->
+#: 39.8-41.7, 4 096 and 16 384 -> 39.0-41.4 (no column set of that chain
+#: has more rows; one of the 26-atom chain does).  A 2 048-row block is
+#: 2.9 MB on the 26-atom chain and 1.8 MB on the 32-atom one, so a cache
+#: budget of a quarter of the table (7.1 MB there) still holds three.
+#: Not a setting: where the rows are cut decides the summation order, and
+#: every engine and every run must cut at the same rows.
+MAX_VIEW_ROWS: int = 2048
+
+
 @dataclass(frozen=True)
 class BatchView:
-    """One batch as every grid contraction sees it.
+    """Batches sharing one column set, fused along points.
 
-    ``phi[:, cols]`` is the batch's chi block, ``p[pair]`` the matching
-    density sub-block and ``acc[pair] += block`` the H scatter.  On the
-    dense view *cols* and *pair* are ``slice(None)`` — numpy hands back
-    views, so nothing is gathered and the operation order is exactly
-    the plain ``phi @ p`` / ``acc += block`` one.  On a screened view
-    they are the batch's sorted active-function indices and their
-    ``np.ix_`` pair, computed once here rather than on every sweep.
+    The unit of every grid contraction: ``phi`` is the ``(rows, cols)``
+    chi block of :attr:`point_indices`, :meth:`gather` cuts the matching
+    ``P`` sub-block and :meth:`scatter_add` is the H scatter.  *cols* is
+    always a sorted index array — without a pattern the functions of the
+    batches' ``relevant_atoms`` (every other atom's shells are exactly
+    ``+0.0`` on these points: compaction, not screening), with one the
+    pattern's active functions.  Both index the operator matrix through
+    *runs*, the maximal stretches of consecutive columns as ``(matrix
+    slice, block slice)`` pairs: O(cols) to hold, never a ``cols**2``
+    index table, and a sub-block moves as a few strided copies.
     """
 
-    index: int
+    #: Grid rows of the block, member batch after member batch.
     point_indices: np.ndarray
-    cols: Union[slice, np.ndarray]
-    pair: Tuple
-    #: Atoms whose shells are evaluated for this batch's block.
+    cols: np.ndarray
+    #: Atoms whose shells are evaluated for this view's block.
     atoms: Tuple[int, ...]
-    #: Block-cache key part: the active-set digest, ``None`` when dense.
-    active_hash: Optional[str] = None
+    #: Member batch ids in row order.  A batch is a member of one view,
+    #: unless it alone exceeds the row cap.
+    batches: Tuple[int, ...]
+    #: Priced point x function entries: ``rows * n_basis`` when dense,
+    #: ``rows * cols.size`` when screened (what the cost models charge;
+    #: the dense block itself is the compact ``rows * cols.size``).
+    elements: int
+    #: Block-cache key parts: which rows, and — ``None`` when dense —
+    #: the pattern's digest of the active set.
+    rows_hash: str
+    active_hash: Optional[str]
+    runs: Tuple[Tuple[slice, slice], ...]
+
+    def gather(self, matrix: np.ndarray, upper: bool = False) -> np.ndarray:
+        """``matrix[cols][:, cols]`` as a new C-contiguous array.
+
+        With *upper* only the run pairs on and above the diagonal are
+        copied and the rest is zero — all an upper-triangular *matrix*
+        has, for half the traffic.
+        """
+        size = self.cols.size
+        block = np.zeros((size, size)) if upper else np.empty((size, size))
+        for i, (rows_m, rows_b) in enumerate(self.runs):
+            for cols_m, cols_b in self.runs[i if upper else 0 :]:
+                block[rows_b, cols_b] = matrix[rows_m, cols_m]
+        return block
+
+    def scatter_add(
+        self, matrix: np.ndarray, block: np.ndarray, upper: bool = False
+    ) -> None:
+        """``matrix[cols][:, cols] += block``, in place.
+
+        With *upper* only the run pairs on and above the diagonal are
+        added: every entry of *matrix* on or above its diagonal is then
+        complete and the strict lower triangle is not — all a symmetric
+        accumulator needs before it is mirrored, for half the traffic.
+        """
+        for i, (rows_m, rows_b) in enumerate(self.runs):
+            into, rows = matrix[rows_m], block[rows_b]
+            for cols_m, cols_b in self.runs[i if upper else 0 :]:
+                target = into[:, cols_m]
+                target += rows[:, cols_b]
+
+
+def _column_runs(cols: np.ndarray) -> Tuple[Tuple[slice, slice], ...]:
+    """Maximal runs of consecutive entries of sorted *cols*, each as the
+    slice of the full index range and the slice of *cols* it occupies."""
+    breaks = np.flatnonzero(np.diff(cols) != 1) + 1
+    starts = [0, *breaks.tolist()]
+    stops = [*breaks.tolist(), cols.size]
+    return tuple(
+        (slice(int(cols[a]), int(cols[a]) + z - a), slice(a, z))
+        for a, z in zip(starts, stops)
+    )
 
 
 @dataclass(frozen=True)
 class BatchViews:
-    """A builder's views in batch order, plus the sizes phases price from.
+    """The fused views of some batches, plus the sizes phases price from.
 
-    Batches whose active set is empty carry no view (nothing to
+    Batches whose column set is empty carry no view (nothing to
     contract, nothing to launch) but still count in *n_points*, so the
-    per-point averages are over the whole grid.
+    per-point averages are over the whole grid.  The priced fields do
+    not know about fusion or compaction: they are what one view per
+    batch, all columns wide when dense, would total.
     """
 
     views: Tuple[BatchView, ...]
     #: Whether a pattern shaped the views (kernel names carry it).
     screened: bool
     n_points: int
+    #: Batches with work — the work-groups a device launch schedules.
+    n_batches: int
     #: Grid-point x function entries one Sumup/H pass contracts.
     elements: int
     #: ``sum(points * n_cols**2)`` — the per-point ``cols x cols`` work.
@@ -316,47 +387,94 @@ class BatchViews:
         return self.elements_sq / max(self.n_points, 1)
 
 
+def _pack_rows(
+    members: Sequence[GridBatch],
+) -> List[List[Tuple[int, np.ndarray]]]:
+    """*members* in order, packed into runs of at most
+    :data:`MAX_VIEW_ROWS` rows as ``(batch id, point indices)`` pieces.
+
+    A run ends where the next batch would not fit, so a batch lies in one
+    view whole; only a batch larger than the cap is cut, into pieces of
+    its own.
+    """
+    packs: List[List[Tuple[int, np.ndarray]]] = []
+    current: List[Tuple[int, np.ndarray]] = []
+    held = 0
+    for b in members:
+        for lo in range(0, b.n_points, MAX_VIEW_ROWS):
+            piece = b.point_indices[lo : lo + MAX_VIEW_ROWS]
+            if held + piece.size > MAX_VIEW_ROWS:
+                packs.append(current)
+                current, held = [], 0
+            current.append((b.index, piece))
+            held += piece.size
+    if current:
+        packs.append(current)
+    return packs
+
+
 def build_batch_views(
     batches: Sequence[GridBatch],
-    n_basis: int,
+    basis: BasisSet,
     pattern: Optional[SparsityPattern] = None,
 ) -> BatchViews:
-    """The view list of one builder: dense without *pattern*, else screened.
+    """Fuse *batches* into views: one group per column set, cut at the cap.
 
-    This is the only place that knows the two cases apart; every
-    consumer iterates the result without branching.
+    Groups form in first-appearance batch order, a group's members keep
+    batch order, and they are packed whole into views of at most
+    :data:`MAX_VIEW_ROWS` rows — so the result depends on the batch list
+    alone.  This is the only place that knows dense from screened; every
+    consumer iterates the result without branching, and a consumer whose
+    unit is a batch (the reference seam) or a rank's share (the
+    conformance matrix) calls it on just those batches.
     """
-    n_points = sum(b.n_points for b in batches)
-    if pattern is None:
-        everything = slice(None)
-        views = tuple(
-            BatchView(
-                b.index, b.point_indices, everything, (everything, everything),
-                b.relevant_atoms,
-            )
-            for b in batches
-        )
-        return BatchViews(
-            views, False, n_points, n_points * n_basis,
-            n_points * n_basis**2, n_basis**2,
-        )
-    views = []
+    # Column set -> (cols, atoms, active-set digest, member batches).
+    groups: Dict[object, Tuple[np.ndarray, Tuple[int, ...], Optional[str], list]] = {}
     for b in batches:
-        act = pattern.active_functions[b.index]
-        if act.size:
+        if pattern is None:
+            key: object = b.relevant_atoms
+            if key not in groups:
+                cols = np.flatnonzero(np.isin(basis.function_atoms, key))
+                groups[key] = (cols, key, None, [])
+        else:
+            act = pattern.active_functions[b.index]
+            key = act.tobytes()
+            if key not in groups:
+                groups[key] = (
+                    act, pattern.active_atoms[b.index], pattern.active_hash(b.index), [],
+                )
+        groups[key][3].append(b)
+
+    views: List[BatchView] = []
+    priced: List[Tuple[int, int]] = []  # (points, priced width) per scheduled batch
+    for cols, atoms, active_hash, members in groups.values():
+        if not cols.size:
+            continue
+        width = basis.n_basis if pattern is None else cols.size
+        priced += [(b.n_points, width) for b in members]
+        runs = _column_runs(cols)
+        for pack in _pack_rows(members):
+            rows = np.concatenate([piece for _, piece in pack])
             views.append(
                 BatchView(
-                    b.index, b.point_indices, act, np.ix_(act, act),
-                    pattern.active_atoms[b.index], pattern.active_hash(b.index),
+                    point_indices=rows,
+                    cols=cols,
+                    atoms=atoms,
+                    batches=tuple(b for b, _ in pack),
+                    elements=rows.size * width,
+                    rows_hash=hashlib.sha1(rows.tobytes()).hexdigest()[:16],
+                    active_hash=active_hash,
+                    runs=runs,
                 )
             )
     return BatchViews(
-        tuple(views),
-        True,
-        n_points,
-        sum(v.point_indices.size * v.cols.size for v in views),
-        sum(v.point_indices.size * v.cols.size**2 for v in views),
-        pattern.matrix_nnz,
+        views=tuple(views),
+        screened=pattern is not None,
+        n_points=sum(b.n_points for b in batches),
+        n_batches=len(priced),
+        elements=sum(n * c for n, c in priced),
+        elements_sq=sum(n * c**2 for n, c in priced),
+        matrix_nnz=basis.n_basis**2 if pattern is None else pattern.matrix_nnz,
     )
 
 

@@ -15,6 +15,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def mirror_upper(a: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle (diagonal included) is
+    that of *a*; the strict lower triangle of *a* is ignored."""
+    return np.triu(a) + np.triu(a, 1).T
+
+
 def lowdin_orthogonalization(s: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
     """Return ``X`` with ``X.T @ S @ X = I`` via symmetric (Lowdin) scheme.
 

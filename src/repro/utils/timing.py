@@ -76,14 +76,17 @@ class PhaseTimer:
         >>> t.total("H") >= 0.0
         True
         """
-        start = time.perf_counter()
-        try:
-            with obs_span(name, category="phase"):
+        # The clock runs inside the tracer span, not around it: a visit
+        # times the phase body, not the span's own ~3 us of bookkeeping
+        # (3 % of a 100 us H2 Sumup).
+        with obs_span(name, category="phase"):
+            start = time.perf_counter()
+            try:
                 yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-            self._counts[name] = self._counts.get(name, 0) + 1
+            finally:
+                elapsed = time.perf_counter() - start
+                self._totals[name] = self._totals.get(name, 0.0) + elapsed
+                self._counts[name] = self._counts.get(name, 0) + 1
 
     def add(self, name: str, seconds: float, visits: int = 1) -> None:
         """Record externally-measured (e.g. model-predicted) time.

@@ -50,6 +50,7 @@ from repro.verify.mutations import (
     MUTATIONS,
     MutantBackend,
     drop_radial_derivative,
+    drop_relevant_atom,
     flip_xc_kernel_sign,
     shift_hartree_interval,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "compare_to_golden",
     "compute_golden_record",
     "drop_radial_derivative",
+    "drop_relevant_atom",
     "first_divergent_phase",
     "flip_xc_kernel_sign",
     "golden_path",

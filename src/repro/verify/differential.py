@@ -360,10 +360,11 @@ def combo_conformance(
     per-rank partials on a fault-free cluster, and the result is
     compared to the serially batch-ordered reference integration.
     """
-    from repro.backends import available_backends
-    from repro.backends.base import potential_block
+    from repro.backends import available_backends, weighted_gram
     from repro.dft.hamiltonian import MatrixBuilder, build_substrate
+    from repro.grids.sparsity import build_batch_views
     from repro.testing.fixtures import make_cluster
+    from repro.utils.scratch import scratch
 
     settings = settings or get_settings("minimal")
     backend_names = (
@@ -395,13 +396,14 @@ def combo_conformance(
             per_rank = []
             for owned in assignment.batches_of_rank:
                 partial = np.zeros((basis.n_basis, basis.n_basis))
-                for b in owned:
-                    # Dense builder: one all-column view per batch.
-                    view = builder.views.views[b]
-                    partial += potential_block(
-                        builder.backend.basis_block(view),
-                        weights[view.point_indices],
-                    )
+                # A rank fuses the batches it owns, as a rank's engine would.
+                for view in build_batch_views(
+                    [builder.batches[b] for b in owned], basis
+                ):
+                    phi = builder.backend.basis_block(view)
+                    with scratch(phi.shape) as work:
+                        gram = weighted_gram(phi, weights[view.point_indices], work)
+                    view.scatter_add(partial, gram)
                 per_rank.append(partial)
             for comm_name in comms:
                 cluster = make_cluster(n_ranks)

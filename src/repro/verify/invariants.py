@@ -349,6 +349,41 @@ def _basis_gradient_consistency(ctx: CheckContext) -> Tuple[float, str]:
     )
 
 
+#: Seed and size of the view sample ``compact_columns_exact`` draws.
+_COMPACT_SEED = 20231114
+_COMPACT_SAMPLE = 8
+
+
+@invariant(
+    "compact_columns_exact",
+    phase="integrals",
+    cost="full",
+    tol_class=BIT_EXACT,
+    # The evaluator masks every shell with where(r <= cutoff, ., 0.0): a
+    # column whose atom cannot reach a point is +0.0 there, not small —
+    # which is what makes dropping it from a dense view an identity.
+    tolerance=0.0,
+    description="an all-atom chi evaluation is exactly zero outside a dense view's columns",
+)
+def _compact_columns_exact(ctx: CheckContext) -> Tuple[float, str]:
+    from repro.grids.sparsity import build_batch_views
+
+    basis, grid = ctx.basis, ctx.grid
+    views = build_batch_views(ctx.batches, basis).views
+    rng = np.random.default_rng(_COMPACT_SEED)
+    size = min(_COMPACT_SAMPLE, len(views))
+    worst = 0.0
+    for i in np.sort(rng.choice(len(views), size=size, replace=False)):
+        view = views[i]
+        dropped = np.ones(basis.n_basis, dtype=bool)
+        dropped[view.cols] = False
+        for lo in range(0, view.point_indices.size, 256):
+            rows = view.point_indices[lo : lo + 256]
+            outside = basis.evaluate(grid.points[rows])[:, dropped]
+            worst = max(worst, float(np.abs(outside).max(initial=0.0)))
+    return worst, f"{size} of {len(views)} dense views"
+
+
 # ----------------------------------------------------------------------
 # SCF-phase invariants (converged ground state)
 # ----------------------------------------------------------------------

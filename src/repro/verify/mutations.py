@@ -21,6 +21,8 @@ validation methodology (and this repo's invariant registry) must catch:
                           looks every point up one radial interval low
 ``dropped_radial_derivative`` the stacked basis evaluator loses the
                           ``dg/dr * rhat`` term of grad chi
+``dropped_relevant_atom`` one batch's ``relevant_atoms`` loses its
+                          farthest atom before the views are fused
 ======================== ==============================================
 
 The backend-level mutations are applied by running a driver with a
@@ -30,12 +32,15 @@ cached kernel and is applied to a live solver with
 multipole solver's cached plan and is applied to a live solver with
 :func:`shift_hartree_interval`; ``dropped_radial_derivative`` lives in
 the basis set's stacked species tables and is applied to a live basis
-with :func:`drop_radial_derivative`.  Nothing here is imported by production
+with :func:`drop_radial_derivative`; ``dropped_relevant_atom`` lives in
+the batch list a driver is handed and is applied with
+:func:`drop_relevant_atom`.  Nothing here is imported by production
 code paths — it exists so tests can prove the checks have teeth.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -54,6 +59,7 @@ MUTATIONS = {
     "overscreened_block": "screening drops one batch's first atom's functions",
     "shifted_hartree_interval": "one atom's Hartree plan interval index off by one",
     "dropped_radial_derivative": "grad chi without its dg/dr * rhat term",
+    "dropped_relevant_atom": "one batch's farthest relevant atom is forgotten",
 }
 
 #: Mutations implemented as a broken execution backend.
@@ -90,24 +96,35 @@ class MutantBackend(BatchedBackend):
         self._stale_dm: Optional[np.ndarray] = None
 
     def basis_block(self, view: BatchView) -> np.ndarray:
-        block = super().basis_block(view)
-        if self.mutation == "transposed_gather_map":
-            return block[::-1]
-        if self.mutation == "off_by_one_batch_slice" and block.shape[0] > 1:
-            return np.vstack([block[1:], block[-1:]])
-        if (
-            self.mutation == "dropped_batch"
-            and view.index == len(self._require_bound().batches) - 1
-        ):
-            return np.zeros_like(block)
-        if (
-            self.mutation == "overscreened_block"
-            and view.index == 0
-            and view.active_hash is not None
-        ):
-            fn_atom = self._require_bound().basis.function_atoms[view.cols]
-            block = block.copy()
-            block[:, fn_atom == fn_atom[0]] = 0.0
+        """The honest block with each member batch's rows corrupted.
+
+        The bugs are batch-level (a gather map, a slice bound, a lost
+        batch), so they act on a fused view's member row ranges, not on
+        the view as a whole.
+        """
+        block = super().basis_block(view).copy()  # the cached array stays honest
+        builder = self._require_bound()
+        # Member batches lie whole and in order in the block (none of a
+        # mutant run's batches comes near the view row cap).
+        bounds = np.cumsum([0] + [builder.batches[b].n_points for b in view.batches])
+        if bounds[-1] != block.shape[0]:
+            raise VerificationError("mutant backends need batches under the view row cap")
+        for batch, lo, hi in zip(view.batches, bounds[:-1], bounds[1:]):
+            rows = block[lo:hi]
+            if self.mutation == "transposed_gather_map":
+                rows[:] = rows[::-1].copy()
+            elif self.mutation == "off_by_one_batch_slice":
+                rows[:-1] = rows[1:].copy()
+            elif self.mutation == "dropped_batch":
+                if batch == len(builder.batches) - 1:
+                    rows[:] = 0.0
+            elif (
+                self.mutation == "overscreened_block"
+                and batch == 0
+                and view.active_hash is not None
+            ):
+                fn_atom = builder.basis.function_atoms[view.cols]
+                rows[:, fn_atom == fn_atom[0]] = 0.0
         return block
 
     def density_on_grid(self, density_matrix: np.ndarray) -> np.ndarray:
@@ -131,8 +148,9 @@ def shift_hartree_interval(solver, atom: int = 0) -> None:
     The solver stays self-consistent (every call goes through the same
     plan), so only a check that bypasses the plan can see it.
     """
-    cols = solver._plan(atom).weights.indices.reshape(-1, 4)
-    cols[cols[:, 0] > 0] -= 1
+    plan = solver._plan(atom)
+    n_near = plan.near.shape[0]  # one row of the tapped product
+    plan.taps[:, plan.taps[0] >= n_near] -= n_near
 
 
 def drop_radial_derivative(basis) -> None:
@@ -149,3 +167,20 @@ def drop_radial_derivative(basis) -> None:
             spline(t),
             np.zeros(np.shape(t) + spline.y.shape[1:]),
         )
+
+
+def drop_relevant_atom(batches, structure, batch: int = 0):
+    """Apply ``dropped_relevant_atom``: a copy of *batches* in which one
+    batch forgets the relevant atom farthest from its centroid.
+
+    Every consumer — engine, references, kinetic — fuses views from the
+    same list, so all of them drop that atom's columns on that batch
+    consistently; only a check that evaluates *all* atoms can see it.
+    """
+    target = batches[batch]
+    atoms = np.array(target.relevant_atoms)
+    distance = np.linalg.norm(structure.coords[atoms] - target.centroid, axis=1)
+    kept = tuple(int(a) for a in np.delete(atoms, int(np.argmax(distance))))
+    out = list(batches)
+    out[batch] = replace(target, relevant_atoms=kept)
+    return out

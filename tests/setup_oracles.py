@@ -1,4 +1,5 @@
-"""The pre-PR-17 set-up primitives, kept verbatim as test oracles.
+"""The pre-PR-17 set-up primitives and the pre-PR-18 per-batch contraction
+loops, kept verbatim as test oracles.
 
 Until PR 17 a basis block was a Python loop over every shell of every
 atom and the Becke weights a loop over every ordered atom pair.  Both
@@ -7,6 +8,13 @@ moved here unchanged so the tests can hold the array programs to them —
 ``np.array_equal`` for chi and grad chi (same elementwise math, same
 order), ``allclose(atol=2e-15, rtol=0)`` for the weights (``f*f*f``
 rounds differently from ``f**3``).
+
+Until PR 18 Sumup, H and the kinetic matrix were one loop over one view
+per batch — all ``n_basis`` columns wide when dense, the pattern's
+active set gathered with ``np.ix_`` when screened — contracted with a
+plain GEMM.  The fused, column-compact engine (DESIGN §8) is held to
+these within ``CONTRACTION_RTOL`` of each array's largest entry: the
+summation order changed, nothing else.
 """
 
 from __future__ import annotations
@@ -201,3 +209,85 @@ def oracle_partition_weights(grid):
             smoothing=grid.settings.becke_smoothing,
         )
     return w
+
+
+# ----------------------------------------------------------------------
+# The per-batch contraction loops (pre-PR-18 ``backends/base.py`` and
+# ``MatrixBuilder.kinetic``)
+# ----------------------------------------------------------------------
+#: Engine vs per-batch loop, relative to the array's largest entry.
+#: Measured at most 2.4e-15 (H on the 32-atom chain).
+CONTRACTION_RTOL = 1e-13
+
+
+def assert_close_at_scale(got, want, rtol=CONTRACTION_RTOL):
+    """``max|got - want| <= rtol * max|want|`` (exact where *want* is 0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = float(np.abs(want).max()) if want.size else 0.0
+    assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
+
+
+def _per_batch_views(builder, screened):
+    """``(point_indices, atoms, cols, pair)`` per batch with work, as
+    ``build_batch_views`` listed them before fusion."""
+    pattern = builder.pattern if screened else None
+    everything = slice(None)
+    for b in builder.batches:
+        if pattern is None:
+            yield b.point_indices, b.relevant_atoms, everything, (everything, everything)
+        else:
+            act = pattern.active_functions[b.index]
+            if act.size:
+                yield b.point_indices, pattern.active_atoms[b.index], act, np.ix_(act, act)
+
+
+_BLOCKS = {}
+
+
+def _per_batch_blocks(builder, screened):
+    """The views with their chi blocks, evaluated once per builder (the
+    old engine's warm cache; a test contracts them many times)."""
+    key = (id(builder), bool(screened) and builder.pattern is not None)
+    if key not in _BLOCKS:
+        _BLOCKS[key] = builder, [
+            (idx, pair, builder.basis.evaluate(builder.grid.points[idx], atoms=atoms)[:, cols])
+            for idx, atoms, cols, pair in _per_batch_views(builder, screened)
+        ]
+    return _BLOCKS[key][1]
+
+
+def oracle_density_on_grid(builder, density_matrix, screened=True):
+    """Sumup, one ``phi @ P`` GEMM and a row dot per batch."""
+    p = np.asarray(density_matrix, dtype=float)
+    out = np.zeros(builder.grid.n_points)
+    for idx, pair, phi in _per_batch_blocks(builder, screened):
+        out[idx] = np.einsum("pi,pi->p", phi @ p[pair], phi)
+    return out
+
+
+def oracle_potential_matrix(builder, potential_values, screened=True):
+    """H, one ``phi.T @ (phi * wv)`` GEMM per batch."""
+    wv = builder.grid.weights * np.asarray(potential_values, dtype=float)
+    nb = builder.basis.n_basis
+    acc = np.zeros((nb, nb))
+    for idx, pair, phi in _per_batch_blocks(builder, screened):
+        acc[pair] += phi.T @ (phi * wv[idx][:, None])
+    return 0.5 * (acc + acc.T)
+
+
+def oracle_kinetic(builder):
+    """T, three GEMMs per batch."""
+    w = builder.grid.weights
+    nb = builder.basis.n_basis
+    t = np.zeros((nb, nb))
+    for idx, atoms, cols, pair in _per_batch_views(builder, screened=True):
+        _, grads = builder.basis.evaluate_with_gradients(
+            builder.grid.points[idx], atoms=atoms
+        )
+        grads = grads[:, cols, :]
+        for k in range(3):
+            gk = grads[:, :, k]
+            t[pair] += gk.T @ (gk * w[idx][:, None])
+    t = 0.5 * t
+    return 0.5 * (t + t.T)

@@ -3,7 +3,8 @@
 The acceptance bar of the backend seam is *bitwise* equality — not
 ``allclose`` — between the ``numpy`` host engine (in every cache regime)
 and the ``device`` backend for every phase operation, end to end through
-SCF and CPSCF.
+SCF and CPSCF.  The backend-free per-batch ``reference_*`` seam sums in
+another order and is held to 1e-13 of each array's largest entry.
 """
 
 import warnings
@@ -32,6 +33,7 @@ from repro.errors import BackendError, DeviceError, GridError
 from repro.grids import build_batches, build_grid
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 from repro.ocl.kernel import Kernel
+from tests.setup_oracles import assert_close_at_scale
 
 ALL_BACKENDS = ("numpy", "device")
 #: Builders compared against the default (warm) host engine: the same
@@ -86,11 +88,11 @@ class TestPhaseParity:
         m_ref = builders["numpy"].potential_matrix(v)
         for name in OTHERS:
             assert np.array_equal(m_ref, builders[name].potential_matrix(v)), name
-        # The backend-free reference is one more bit-exact column; on a
-        # dense builder both sides of its seam are the dense view list.
+        # The backend-free per-batch reference sums in another order; on
+        # a dense builder both sides of its seam are the same derivation.
         for screened in (True, False):
             ref = builders["numpy"].reference_potential_matrix(v, screened=screened)
-            assert np.array_equal(m_ref, ref), screened
+            assert_close_at_scale(m_ref, ref)
 
     def test_dipoles_bit_identical(self, builders):
         d_ref = builders["numpy"].dipole_matrices()
@@ -106,7 +108,7 @@ class TestPhaseParity:
             assert np.array_equal(n_ref, builders[name].backend.density_on_grid(p)), name
         for screened in (True, False):
             ref = builders["numpy"].reference_density(p, screened=screened)
-            assert np.array_equal(n_ref, ref), screened
+            assert_close_at_scale(n_ref, ref)
 
     def test_first_order_dm_bit_identical(self, builders, rng):
         nb = builders["numpy"].basis.n_basis
@@ -196,7 +198,8 @@ class TestParityUnderBatchAndCacheVariation:
     )
     @hsettings(max_examples=8, deadline=None)
     def test_hypothesis_parity(self, target_points, budget, threshold):
-        """Every cache regime of the one host engine is bitwise the
+        """Every cache regime of the one host engine is bitwise every
+        other and itself run to run, within summation order of the
         backend-free reference, and a cached block is bitwise the slice
         of the dense table."""
         chain = _h_chain()
@@ -214,12 +217,17 @@ class TestParityUnderBatchAndCacheVariation:
         )
         backend = builder.backend
         p, v = _probe(builder, seed=target_points)
-        ref_n = builder.reference_density(p)
-        ref_m = builder.reference_potential_matrix(v)
+        default = MatrixBuilder(
+            basis, grid, batches=builder.batches, screening_threshold=threshold
+        )
+        want_n = default.backend.density_on_grid(p)
+        want_m = default.potential_matrix(v)
+        assert_close_at_scale(want_n, builder.reference_density(p))
+        assert_close_at_scale(want_m, builder.reference_potential_matrix(v))
         # Twice: the second pass exercises cache hits / evictions.
         for _ in range(2):
-            assert np.array_equal(backend.density_on_grid(p), ref_n)
-            assert np.array_equal(builder.potential_matrix(v), ref_m)
+            assert np.array_equal(backend.density_on_grid(p), want_n)
+            assert np.array_equal(builder.potential_matrix(v), want_m)
         table = builder.basis_values()
         for view in builder.views:
             assert np.array_equal(
@@ -265,7 +273,8 @@ class TestCacheRegimes:
         self._sweeps(builder)
         profile = builder.backend.profile
         n_views = len(builder.views)
-        assert profile.phases["basis"].calls == n_views
+        # The basis row counts batches (the priced unit), the cache views.
+        assert profile.phases["basis"].calls == builder.views.n_batches
         assert profile.cache_misses == n_views
         assert profile.cache_hits == (2 * self.N_SWEEPS - 1) * n_views
         assert profile.cache_evictions == 0
@@ -282,10 +291,10 @@ class TestCacheRegimes:
         self._sweeps(builder)
         profile = builder.backend.profile
         lookups = 2 * self.N_SWEEPS * len(builder.views)
-        assert profile.phases["basis"].calls == lookups
+        assert profile.phases["basis"].calls == 2 * self.N_SWEEPS * builder.views.n_batches
         assert profile.cache_misses == lookups and profile.cache_hits == 0
-        # The newest block always survives its own insertion.
-        assert profile.cache_evictions == lookups - 1
+        # A block larger than the whole budget is never kept.
+        assert profile.cache_evictions == 0 and len(builder.backend.cache) == 0
 
     def test_default_backend_is_the_default_budget(self, chain_builder):
         builder = chain_builder("numpy")
@@ -337,12 +346,14 @@ class TestBlockCache:
         assert len(cache) == 2
         assert cache.peak_bytes <= 2000 + 800  # transiently one block over
 
-    def test_oversized_block_survives_until_next_insert(self):
-        cache = BlockCache(max_bytes=100)
+    def test_oversized_block_is_never_kept(self):
+        cache = BlockCache(max_bytes=1000)
         cache.put(0, self._block(800))
-        assert 0 in cache  # the only block is never evicted by its own put
-        cache.put(1, self._block(800))
-        assert 0 not in cache and 1 in cache
+        cache.put(1, self._block(1600))  # larger than the whole budget
+        assert 0 in cache and 1 not in cache
+        assert cache.current_bytes == 800 and cache.evictions == 0
+        cache.put(0, self._block(1600))  # a re-put that no longer fits
+        assert len(cache) == 0 and cache.current_bytes == 0
 
     def test_reinsert_updates_bytes(self):
         cache = BlockCache(max_bytes=1 << 20)

@@ -217,18 +217,73 @@ class TestMultipoleSolverPlan:
         assert np.array_equal(solver.hartree_potential(rho), first)
 
     def test_plan_bytes_formula(self, plan_case):
-        # Per atom: one (n_points, n_lm) float table, int32 near + far
-        # indices, and 4 weights + 4 int32 columns + 1 int32 row pointer
-        # per near point (plus the closing row pointer).
+        # Per atom: (n_lm, n_near) harmonics plus an (n_far, n_lm) far
+        # table — n_points * n_lm floats together — int32 near + far
+        # indices, and 4 weights + 4 int32 taps per near point.
         solver, rho = plan_case
         solver.hartree_potential(rho)
         n_points, n_lm = solver.grid.n_points, 25
         n_near = sum(p.near.shape[0] for p in solver._plans)
         n_atoms = solver.structure.n_atoms
         assert solver.plan_nbytes == (
-            n_atoms * (n_points * (8 * n_lm + 4) + 4) + 52 * n_near
+            n_atoms * n_points * (8 * n_lm + 4) + 48 * n_near
         )
         assert solver.plan_nbytes <= 1.29 * n_atoms * n_points * n_lm * 8
+
+
+class TestHartreeStageThreeAllocatesNothingLarge:
+    """No wall clock: glibc hands out megabyte arrays from the heap only
+    after the process has once freed one that large (its mmap threshold
+    is dynamic) and page-faults them in on every call otherwise, so a
+    per-call ``(n_near, n_lm)`` temporary costs 25 ms or 31 ms per solve
+    on the 26-chain depending on the process's allocation history.  The
+    guard runs in a fresh interpreter that builds the solver and nothing
+    else — the state in which the temporaries faulted (2 858 per call)."""
+
+    SCRIPT = """
+import resource, sys
+import numpy as np
+from repro.atoms import polyethylene
+from repro.config import get_settings
+from repro.dft.hartree import MultipoleSolver
+from repro.grids import build_grid
+
+grid = build_grid(polyethylene(1), get_settings("minimal").grids, with_partition=True)
+solver = MultipoleSolver(grid, l_max=4)
+rho = np.exp(-0.05 * ((grid.points - grid.points.mean(axis=0)) ** 2).sum(axis=1))
+for _ in range(3):
+    solver.hartree_potential(rho)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    solver.hartree_potential(rho)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+    def test_warm_calls_do_not_page_fault(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert float(out.stdout) < 50.0
+
+    def test_the_product_goes_to_the_held_scratch(self, plan_case):
+        from repro.utils import scratch as scratch_module
+
+        solver, rho = plan_case
+        solver.hartree_potential(rho)
+        held = scratch_module._block
+        assert held.size >= max(
+            (2 * solver._system[a].n_knots + 4) * p.near.shape[0]
+            for a, p in enumerate(solver._plans)
+        )
+        solver.hartree_potential(rho)
+        assert scratch_module._block is held
 
 
 class TestMultipoleSolverLinearity:

@@ -13,8 +13,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.atoms import hydrogen_molecule
 from repro.backends import (
     BackendProfile,
     BatchedBackend,
@@ -22,12 +24,14 @@ from repro.backends import (
     create_backend,
 )
 from repro.basis.basis_set import BasisSet, build_basis
+from repro.config import get_settings
 from repro.core import PerturbationSimulator
 from repro.dft.hamiltonian import MatrixBuilder
 from repro.dft.hartree import MultipoleSolver
 from repro.dft.scf import SCFDriver
 from repro.grids.atom_grid import build_grid
 from repro.grids.partition import becke_weights
+from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 from repro.utils.timing import PhaseTimer
 
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
@@ -142,6 +146,36 @@ def test_pinned_attributes_and_constructor_arguments():
     assert BatchedBackend(max_cache_bytes=1024).cache.max_bytes == 1024
     # ...and its dense/screened builders by the registry name "numpy".
     assert isinstance(create_backend("numpy"), ExecutionBackend)
+
+
+def test_what_the_workloads_read_off_live_objects():
+    """ISSUE 18's fixed points: the fused engine keeps every value the
+    harness reads where it reads it, with the meaning it had."""
+    structure = hydrogen_molecule()
+    settings = get_settings("minimal")
+    basis = build_basis(structure)
+    grid = build_grid(structure, settings.grids, with_partition=True)
+    dense = MatrixBuilder(basis, grid, backend="numpy")
+    screened = MatrixBuilder(
+        basis, grid, batches=dense.batches, backend="numpy",
+        screening_threshold=DEFAULT_SCREENING_THRESHOLD,
+    )
+    assert isinstance(dense.batches, list) and dense.pattern is None
+    assert dense.basis_values().shape == (grid.n_points, basis.n_basis)
+    stats = screened.pattern.stats
+    assert 0.0 < stats.fill_fraction <= 1.0 <= stats.block_reduction
+    for builder in (dense, screened):
+        backend = builder.backend
+        backend.density_on_grid(np.eye(basis.n_basis))
+        backend.potential_matrix(np.ones(grid.n_points))
+        profile = backend.profile
+        lookups = profile.cache_hits + profile.cache_misses
+        assert lookups == 2 * len(builder.views) and profile.cache_misses > 0
+        assert {"Sumup", "H", "basis"} <= set(profile.phases)
+        assert profile.phases["Sumup"].elements == builder.views.elements
+    assert dense.backend.profile.phases["H"].elements == grid.n_points * basis.n_basis
+    assert dense.backend.profile.screen_blocks_evaluated == 0
+    assert screened.backend.profile.screen_blocks_evaluated == 2 * stats.blocks_active
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,533 @@
+"""Fused batch views: the view algebra and the numerical contract.
+
+A view fuses the batches that share one column set along points
+(DESIGN §13.2); Sumup, H and the kinetic matrix contract it with a
+folded-triangle product and a sign-split ``syrk`` (DESIGN §8).  The first
+half pins what a view *is* — which points, which columns, in what order,
+at what memory — the second half what the engine built on it *computes*:
+bit for bit across engines, cache regimes and runs, and within 1e-13 of
+each array's largest entry of the two per-batch derivations
+(``MatrixBuilder.reference_*`` and the pre-fusion loop kept in
+:mod:`tests.setup_oracles`).
+"""
+
+import ast
+import functools
+import hashlib
+import inspect
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.atoms import methane, polyethylene
+from repro.atoms.builders import BUILTIN_MOLECULES
+from repro.backends import BatchedBackend, BlockCache
+from repro.config import get_settings
+from repro.core.simulator import iter_physics
+from repro.dfpt.response import DFPTSolver
+from repro.dft.hamiltonian import MatrixBuilder, build_substrate
+from repro.dft.scf import SCFDriver
+from repro.errors import GridError
+from repro.grids.sparsity import (
+    MAX_VIEW_ROWS,
+    build_batch_views,
+    build_sparsity_pattern,
+)
+from repro.utils import drain
+from repro.utils import scratch as scratch_module
+from tests.setup_oracles import (
+    assert_close_at_scale,
+    oracle_density_on_grid,
+    oracle_kinetic,
+    oracle_potential_matrix,
+)
+
+STRUCTURES = {name: make() for name, make in BUILTIN_MOLECULES.items()}
+STRUCTURES.update(
+    methane=methane(), polyethylene2=polyethylene(2), chain26=polyethylene(4)
+)
+THRESHOLDS = (0.0, 1e-8, 1e-6, 1e-4)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@functools.lru_cache(maxsize=None)
+def _substrate(name):
+    return build_substrate(STRUCTURES[name], get_settings("minimal").grids)
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern(name, threshold):
+    sub = _substrate(name)
+    if threshold == 0.0:
+        return None
+    return build_sparsity_pattern(sub.basis, sub.batches, threshold)
+
+
+@functools.lru_cache(maxsize=None)
+def _builder(name, threshold, backend="numpy"):
+    sub = _substrate(name)
+    return MatrixBuilder(
+        sub.basis, sub.grid, batches=sub.batches, backend=backend,
+        screening_threshold=threshold,
+    )
+
+
+def _column_set(name, threshold, batch):
+    """The columns one batch contracts: its relevant atoms' functions, or
+    the pattern's active set."""
+    pattern = _pattern(name, threshold)
+    if pattern is not None:
+        return pattern.active_functions[batch.index]
+    fn_atom = _substrate(name).basis.function_atoms
+    return np.flatnonzero(np.isin(fn_atom, batch.relevant_atoms))
+
+
+def _member_rows(view, batches):
+    """``(batch id, lo, hi)`` per member batch of *view*: members lie
+    whole and in order in the block (no test batch nears the row cap)."""
+    by_index = {b.index: b for b in batches}
+    bounds = np.cumsum([0] + [by_index[b].n_points for b in view.batches])
+    assert bounds[-1] == view.point_indices.size
+    return list(zip(view.batches, bounds[:-1], bounds[1:]))
+
+
+def _views_digest(views):
+    """One digest over everything that identifies a view list."""
+    h = hashlib.sha1()
+    for view in views:
+        for part in (view.point_indices, view.cols):
+            h.update(np.ascontiguousarray(part).tobytes())
+        h.update(repr((view.atoms, view.batches, view.rows_hash,
+                       view.active_hash, view.runs, view.elements)).encode())
+    return h.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The view algebra
+# ----------------------------------------------------------------------
+class TestViewAlgebra:
+    @given(
+        name=st.sampled_from(sorted(STRUCTURES)),
+        threshold=st.sampled_from(THRESHOLDS),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_views_partition_exactly_the_batches_they_were_given(
+        self, name, threshold, data
+    ):
+        sub, pattern = _substrate(name), _pattern(name, threshold)
+        picked = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.integers(0, len(sub.batches) - 1), unique=True),
+            )
+        )
+        batches = sub.batches if picked is None else [sub.batches[i] for i in picked]
+        views = build_batch_views(batches, sub.basis, pattern)
+        by_index = {b.index: b for b in batches}
+        with_work = [b for b in batches if _column_set(name, threshold, b).size]
+
+        # Every point of a batch with work lies in exactly one view, and
+        # no other point in any.
+        got = np.concatenate([v.point_indices for v in views] + [np.empty(0, int)])
+        want = np.concatenate([b.point_indices for b in with_work] + [np.empty(0, int)])
+        assert np.array_equal(np.sort(got), np.sort(want))
+
+        for view in views:
+            assert 0 < view.point_indices.size <= MAX_VIEW_ROWS
+            assert np.all(np.diff(view.cols) > 0)
+            for b, lo, hi in _member_rows(view, batches):
+                member = by_index[b]
+                assert np.array_equal(view.cols, _column_set(name, threshold, member))
+                assert np.array_equal(view.point_indices[lo:hi], member.point_indices)
+            # The runs are the columns, stretch by stretch.
+            assert np.array_equal(
+                np.concatenate([np.arange(m.start, m.stop) for m, _ in view.runs]),
+                view.cols,
+            )
+            assert np.array_equal(
+                np.concatenate([np.arange(b.start, b.stop) for _, b in view.runs]),
+                np.arange(view.cols.size),
+            )
+
+        # gather / scatter_add are the cols x cols sub-block, run by run;
+        # their ``upper`` forms are its on-and-above-diagonal half.
+        nb = sub.basis.n_basis
+        matrix = np.arange(nb * nb, dtype=float).reshape(nb, nb)
+        for view in list(views)[:3]:
+            pair = np.ix_(view.cols, view.cols)
+            assert np.array_equal(view.gather(matrix), matrix[pair])
+            assert np.array_equal(
+                view.gather(np.triu(matrix), upper=True), np.triu(matrix)[pair]
+            )
+            block = matrix[pair] + 1.0
+            full, half, want = matrix.copy(), matrix.copy(), matrix.copy()
+            want[pair] += block
+            view.scatter_add(full, block)
+            view.scatter_add(half, block, upper=True)
+            assert np.array_equal(full, want)
+            assert np.array_equal(np.triu(half), np.triu(want))
+
+        # The priced fields ignore fusion and compaction.
+        n_points = sum(b.n_points for b in batches)
+        widths = [
+            sub.basis.n_basis if pattern is None
+            else _column_set(name, threshold, b).size
+            for b in with_work
+        ]
+        assert views.screened == (pattern is not None)
+        assert views.n_points == n_points and views.n_batches == len(with_work)
+        if pattern is None:
+            assert views.elements == n_points * sub.basis.n_basis
+        else:
+            assert views.elements == sum(
+                b.n_points * c for b, c in zip(with_work, widths)
+            )
+        assert sum(v.elements for v in views) == sum(
+            b.n_points * c for b, c in zip(with_work, widths)
+        )
+
+        # O(cols), never O(cols^2): all index data a view list holds.
+        held = sum(
+            v.point_indices.nbytes + v.cols.nbytes
+            + 8 * len(v.batches) + 32 * len(v.runs)
+            for v in views
+        )
+        assert held <= 16 * sum(v.point_indices.size + v.cols.size for v in views)
+
+        # Same input, same views.
+        again = build_batch_views(batches, sub.basis, pattern)
+        assert _views_digest(again) == _views_digest(views)
+
+    def test_view_counts_of_the_benchmark_molecules(self):
+        counts = {
+            name: len(_builder(name, 0.0).views)
+            for name in ("h2", "water", "methane", "chain26")
+        }
+        assert counts == {"h2": 1, "water": 1, "methane": 2, "chain26": 36}
+        assert _builder("chain26", 0.0).views.n_batches == 256
+
+    def test_views_do_not_depend_on_the_hash_seed(self):
+        """Groups form in first-appearance order of a dict whose keys are
+        tuples and ``bytes``; their hashes move with the seed, the views
+        must not."""
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from tests.test_fused_views import _builder, _views_digest\n"
+            "print(_views_digest(_builder('polyethylene2', 0.0).views),\n"
+            "      _views_digest(_builder('polyethylene2', 1e-6).views))\n"
+        )
+        want = "{} {}".format(
+            _views_digest(_builder("polyethylene2", 0.0).views),
+            _views_digest(_builder("polyethylene2", 1e-6).views),
+        )
+        # This process runs under one seed; a child under another.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(SRC.parent)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == want
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_a_fused_block_is_its_batches_blocks_stacked(self, name, threshold):
+        builder = _builder(name, threshold)
+        basis, pattern = builder.basis, builder.pattern
+        alone = {}
+        for batch in builder.batches:
+            for view in build_batch_views([batch], basis, pattern):
+                assert view.batches == (batch.index,)
+                alone[batch.index] = (
+                    {int(p): i for i, p in enumerate(view.point_indices)},
+                    builder.evaluate_view(view),
+                )
+        for view in builder.views:
+            block = builder.evaluate_view(view)
+            assert block.flags.c_contiguous
+            assert block.shape == (view.point_indices.size, view.cols.size)
+            for b, lo, hi in _member_rows(view, builder.batches):
+                position, rows = alone[b]
+                take = [position[int(p)] for p in view.point_indices[lo:hi]]
+                assert np.array_equal(block[lo:hi], rows[take])
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_dense_views_drop_only_exact_zeros(self, name):
+        """What makes dense compaction an identity, not a threshold."""
+        builder = _builder(name, 0.0)
+        basis, points = builder.basis, builder.grid.points
+        for view in builder.views:
+            dropped = np.ones(basis.n_basis, dtype=bool)
+            dropped[view.cols] = False
+            for lo in range(0, view.point_indices.size, 512):
+                rows = view.point_indices[lo : lo + 512]
+                assert not basis.evaluate(points[rows])[:, dropped].any()
+
+
+# ----------------------------------------------------------------------
+# The numerical contract
+# ----------------------------------------------------------------------
+def _inputs(builder, seed=18):
+    rng = np.random.default_rng(seed)
+    nb = builder.basis.n_basis
+    p = rng.normal(size=(nb, nb))
+    return p + p.T, rng.normal(size=builder.grid.n_points)
+
+
+class TestAgainstThePerBatchDerivations:
+    """Engine vs ``reference_*`` and vs the pre-fusion loop: 1e-13 of the
+    array's scale (measured <= 2.4e-15)."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    @pytest.mark.parametrize("name", ["h2", "water", "methane", "chain26"])
+    def test_sumup_h_and_the_setup_matrices(self, name, threshold):
+        builder = _builder(name, threshold)
+        p, v = _inputs(builder)
+        density = builder.backend.density_on_grid(p)
+        assert_close_at_scale(density, builder.reference_density(p))
+        assert_close_at_scale(density, oracle_density_on_grid(builder, p))
+
+        potentials = {
+            "H": v,
+            "S": np.ones(builder.grid.n_points),
+            "V_ext": builder.external_potential(),
+            **{f"D{j}": builder.grid.points[:, j] for j in range(3)},
+        }
+        dipoles = builder.dipole_matrices()
+        for key, values in potentials.items():
+            got = builder.potential_matrix(values)
+            assert np.array_equal(got, got.T), key
+            if key not in ("D1", "D2"):  # one code path: D0 stands for all three
+                assert_close_at_scale(got, oracle_potential_matrix(builder, values))
+            if key == "H":  # the reference seam is one loop too
+                assert_close_at_scale(got, builder.reference_potential_matrix(values))
+            if key.startswith("D"):
+                assert np.array_equal(got, dipoles[int(key[1])])
+        assert np.array_equal(builder.overlap(), builder.potential_matrix(potentials["S"]))
+        kinetic = builder.kinetic()
+        assert np.array_equal(kinetic, kinetic.T)
+        assert_close_at_scale(kinetic, oracle_kinetic(builder))
+
+    def test_references_can_cross_the_screening_seam(self):
+        builder = _builder("chain26", 1e-6)
+        p, v = _inputs(builder)
+        assert_close_at_scale(
+            _builder("chain26", 0.0).backend.density_on_grid(p),
+            builder.reference_density(p, screened=False),
+        )
+        assert_close_at_scale(
+            oracle_potential_matrix(builder, v, screened=False),
+            builder.reference_potential_matrix(v, screened=False),
+        )
+
+
+class TestBitExactAcrossEnginesAndRegimes:
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    def test_every_engine_budget_scope_and_run(self, threshold):
+        reference = _builder("polyethylene2", threshold)
+        assert len(reference.views) > 1
+        sub = _substrate("polyethylene2")
+        p, v = _inputs(reference)
+        want = (reference.backend.density_on_grid(p), reference.potential_matrix(v))
+        table_bytes = 8 * sub.grid.n_points * sub.basis.n_basis
+        shared = BlockCache(max_bytes=table_bytes)
+        engines = [
+            "device",
+            *(BatchedBackend(max_cache_bytes=b) for b in (0, 4096, table_bytes, None)),
+            BatchedBackend(cache=shared, scope="mol-a"),
+        ]
+        for engine in engines:
+            builder = MatrixBuilder(
+                sub.basis, sub.grid, batches=sub.batches, backend=engine,
+                screening_threshold=threshold,
+            )
+            for _ in range(2):  # the second pass reads what the first cached
+                got = (builder.backend.density_on_grid(p), builder.potential_matrix(v))
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), engine
+        assert {key[0] for key in shared._blocks} == {"mol-a"}
+        # T evaluates its own gradient blocks and never reads an engine's:
+        # run to run is all there is to vary.
+        assert np.array_equal(builder.kinetic(), reference.kinetic())
+
+
+class TestKernelEdges:
+    def test_an_unsymmetric_density_matrix_gives_its_quadratic_form(self):
+        builder = _builder("polyethylene2", 0.0)
+        rng = np.random.default_rng(5)
+        nb = builder.basis.n_basis
+        p = rng.normal(size=(nb, nb))
+        assert np.abs(p - p.T).max() > 1.0
+        table = builder.basis_values()
+        want = np.einsum("pi,ij,pj->p", table, p, table)
+        got = builder.backend.density_on_grid(p)
+        assert_close_at_scale(got, want)
+        assert_close_at_scale(got, builder.backend.density_on_grid(0.5 * (p + p.T)))
+        assert_close_at_scale(got, builder.backend.density_on_grid(p.T))
+
+    @pytest.mark.parametrize(
+        "kind", ["positive", "negative", "mixed", "zero", "one_row"]
+    )
+    def test_the_sign_split_of_h(self, kind):
+        builder = _builder("polyethylene2", 0.0)
+        rng = np.random.default_rng(6)
+        n = builder.grid.n_points
+        v = {
+            "positive": rng.uniform(0.1, 2.0, n),
+            "negative": -rng.uniform(0.1, 2.0, n),
+            "mixed": rng.normal(size=n),
+            "zero": np.zeros(n),
+            "one_row": np.zeros(n),
+        }[kind]
+        if kind == "one_row":
+            row = int(np.argmax(builder.grid.weights))
+            v[row] = -3.0
+        table = builder.basis_values()
+        want = table.T @ (table * (builder.grid.weights * v)[:, None])
+        got = builder.potential_matrix(v)
+        assert np.array_equal(got, got.T)
+        if kind == "zero":
+            assert not got.any()
+        else:
+            assert_close_at_scale(got, 0.5 * (want + want.T))
+        if kind == "positive":
+            assert np.linalg.eigvalsh(got).min() > -1e-12
+        if kind == "one_row":
+            chi = table[row]
+            assert_close_at_scale(
+                got, -3.0 * builder.grid.weights[row] * np.outer(chi, chi)
+            )
+
+    def test_the_grid_kernels_stay_on_numpys_blas(self):
+        """scipy's wheel carries a second OpenBLAS with its own thread
+        pool; a loop alternating between the two stalls when threads are
+        not pinned (DESIGN §8), which no pinned benchmark sees."""
+        import repro.backends.base, repro.dft.hamiltonian, repro.dft.hartree
+
+        for module in (repro.backends.base, repro.dft.hamiltonian, repro.dft.hartree):
+            tree = ast.parse(inspect.getsource(module))
+            names = [
+                name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None), *(a.name for a in node.names)]
+            ]
+            assert not [n for n in names if n and n.split(".")[0] == "scipy"], module
+
+    def test_hostile_potentials_and_density_matrices_are_refused(self):
+        builder = _builder("h2", 0.0)
+        n, nb = builder.grid.n_points, builder.basis.n_basis
+        backend = builder.backend
+        # An (n, 1) column used to broadcast weights * v to n x n.
+        with pytest.raises(GridError, match="potential samples of shape"):
+            backend.potential_matrix(np.ones((n, 1)))
+        with pytest.raises(GridError, match="potential samples of shape"):
+            backend.potential_matrix(np.ones((n, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.ones(n)
+            v[n // 2] = bad
+            with pytest.raises(GridError, match="non-finite"):
+                backend.potential_matrix(v)
+            p = np.eye(nb)
+            p[0, -1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                backend.density_on_grid(p)
+
+
+class TestNoRowsByColsAllocationPerSweep:
+    def test_a_warm_sweep_stays_inside_the_held_scratch(self):
+        """Sumup's ``phi @ T`` and H's scaled copy go to the process's one
+        scratch block; what a sweep allocates is ``n_basis^2``-sized."""
+        sub = _substrate("chain26")
+        builder = MatrixBuilder(sub.basis, sub.grid, batches=sub.batches)
+        p, v = _inputs(builder)
+        backend = builder.backend
+        backend.density_on_grid(p), backend.potential_matrix(v)  # warm
+        largest = max(w.point_indices.size * w.cols.size for w in builder.views)
+        held = scratch_module._block
+        assert held.size >= largest
+        tracemalloc.start()
+        backend.density_on_grid(p), backend.potential_matrix(v)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert scratch_module._block is held
+        # Well under one rows x cols block (2.9 MB here): what is live at
+        # once is a handful of n_basis^2 arrays of 253 kB — the fold of P,
+        # the accumulator, its mirror, a view's cols x cols block.
+        assert peak < 8 * 8 * builder.basis.n_basis**2 < 0.75 * 8 * largest
+
+    def test_the_block_is_lent_to_one_kernel_step_at_a_time(self):
+        with scratch_module.scratch((4, 4)):
+            with pytest.raises(RuntimeError, match="already lent out"):
+                with scratch_module.scratch((2,)):
+                    pass
+        with scratch_module.scratch((2,)) as again:  # released on the way out
+            assert again.shape == (2,)
+
+    def test_one_block_per_process_not_per_molecule(self):
+        big = _builder("chain26", 0.0)
+        small = _builder("h2", 0.0)
+        p, _ = _inputs(big)
+        big.backend.density_on_grid(p)
+        held = scratch_module._block
+        small.backend.density_on_grid(np.eye(small.basis.n_basis))
+        assert scratch_module._block is held  # grown on demand, never shrunk
+
+
+# ----------------------------------------------------------------------
+# End to end against the parent commit
+# ----------------------------------------------------------------------
+#: Total energy (Ha) and polarizability diagonal saved from the parent
+#: commit (per-batch GEMM loops), as exact hex floats.
+PARENT = {
+    "h2": (
+        "-0x1.1e5449d653f52p+0",
+        ["0x1.08b26c8959245p+2", "0x1.08b26c895cc9fp+2", "0x1.9097165f98e8ap+2"],
+    ),
+    "water": (
+        "-0x1.2e14ba666b83ep+6",
+        ["0x1.70b5bc0e7c0b8p+3", "0x1.501df223e2cb6p+3", "0x1.147fe62455084p+3"],
+    ),
+    "chain26": (
+        "-0x1.362647103706dp+8",
+        ["0x1.18566ff0df8fcp+7", "0x1.68751adbd807ep+6", "0x1.55df0c830b553p+6"],
+    ),
+}
+
+
+class TestObservablesAgainstTheParent:
+    """Measured deltas (this commit - parent): energy +6.8e-14 / -5.7e-14 /
+    +4.5e-13 Ha, polarizability 3.4e-9 / 2.1e-12 / 4.7e-13 of its largest
+    entry (H2 / water / 26-chain)."""
+
+    @pytest.mark.parametrize("name", ["h2", "water"])
+    def test_energy_and_polarizability(self, name):
+        energy, diagonal = PARENT[name]
+        diagonal = np.array([float.fromhex(x) for x in diagonal])
+        result = drain(iter_physics(STRUCTURES[name], get_settings("minimal")))
+        assert abs(result.ground_state.total_energy - float.fromhex(energy)) < 1e-10
+        assert (
+            np.abs(np.diag(result.polarizability) - diagonal).max()
+            < 1e-8 * diagonal.max()
+        )
+
+    def test_the_26_chain_along_its_axis(self):
+        """SCF and the x response only, as ``chain26_physics`` runs it."""
+        energy, diagonal = PARENT["chain26"]
+        minimal = get_settings("minimal")
+        sub = _substrate("chain26")
+        gs = SCFDriver(
+            STRUCTURES["chain26"], minimal,
+            basis=sub.basis, grid=sub.grid, batches=sub.batches,
+        ).run()
+        assert abs(gs.total_energy - float.fromhex(energy)) < 1e-10
+        column = DFPTSolver(gs, minimal.cpscf).solve_direction(0)
+        alpha_xx = column.polarizability_column(gs.dipoles)[0]
+        assert abs(alpha_xx - float.fromhex(diagonal[0])) < 1e-8 * abs(alpha_xx)

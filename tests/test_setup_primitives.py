@@ -22,7 +22,7 @@ from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.scf import SCFDriver
 from repro.errors import GridError
 from repro.grids import becke_weights, build_grid
-from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
+from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD, build_batch_views
 from repro.utils import drain
 from tests.setup_oracles import (
     shell_instances,
@@ -137,7 +137,7 @@ class TestStackedEvaluation:
         builder = MatrixBuilder(
             basis, grid, screening_threshold=DEFAULT_SCREENING_THRESHOLD
         )
-        assert len(builder.dense_views) == 256
+        assert len(builder.batches) == 256
         _assert_views_match_oracle(builder)
 
     @pytest.mark.parametrize(
@@ -159,22 +159,23 @@ class TestStackedEvaluation:
 
 
 def _assert_views_match_oracle(builder):
-    """Every dense view's chi and grad chi equal the per-shell loop's, and
-    every screened view's block is a column slice of its dense one."""
+    """Every batch's chi and grad chi equal the per-shell loop's, a dense
+    view's block is its batches' blocks stacked and cut to its columns,
+    and every screened view's block is a column slice of the dense ones."""
     basis, points = builder.basis, builder.grid.points
-    dense = {}
-    for view in builder.dense_views:
-        pts = points[view.point_indices]
-        want_v, want_g = oracle_evaluate_with_gradients(basis, pts, view.atoms)
-        values, grads = basis.evaluate_with_gradients(pts, atoms=view.atoms)
+    dense = np.zeros((builder.grid.n_points, basis.n_basis))
+    for batch in builder.batches:
+        pts = points[batch.point_indices]
+        want_v, want_g = oracle_evaluate_with_gradients(basis, pts, batch.relevant_atoms)
+        values, grads = basis.evaluate_with_gradients(pts, atoms=batch.relevant_atoms)
         assert np.array_equal(values, want_v) and np.array_equal(grads, want_g)
-        dense[view.index] = builder.evaluate_view(view)
-        assert np.array_equal(dense[view.index], want_v)
-    assert builder.views is not builder.dense_views
-    for view in builder.views:
-        assert np.array_equal(
-            builder.evaluate_view(view), dense[view.index][:, view.cols]
-        )
+        dense[batch.point_indices] = want_v
+    assert builder.pattern is not None
+    for views in (build_batch_views(builder.batches, basis), builder.views):
+        for view in views:
+            assert np.array_equal(
+                builder.evaluate_view(view), dense[view.point_indices][:, view.cols]
+            )
 
 
 # ----------------------------------------------------------------------

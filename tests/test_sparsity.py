@@ -33,6 +33,7 @@ from repro.grids.sparsity import (
     active_fraction_histogram,
 )
 from repro.obs.tracer import Tracer, activate
+from tests.setup_oracles import assert_close_at_scale
 
 BACKENDS = tuple(available_backends())
 
@@ -223,22 +224,20 @@ class TestScreenedBackendAgreement:
                 builder.backend.density_on_grid(p),
                 builder.potential_matrix(v),
             )
-            # The backend-free references iterate the same views, so
-            # they are one more bit-exact column on both sides of the
-            # seam: screened against this engine, dense against dense.
-            np.testing.assert_array_equal(
-                builder.reference_density(p), results[name][0]
+            # The backend-free per-batch references differ by summation
+            # order only, on both sides of the seam: screened against
+            # this engine, dense against dense.
+            assert_close_at_scale(results[name][0], builder.reference_density(p))
+            assert_close_at_scale(
+                results[name][1], builder.reference_potential_matrix(v)
             )
-            np.testing.assert_array_equal(
-                builder.reference_potential_matrix(v), results[name][1]
-            )
-            np.testing.assert_array_equal(
-                builder.reference_density(p, screened=False),
+            assert_close_at_scale(
                 reference.backend.density_on_grid(p),
+                builder.reference_density(p, screened=False),
             )
-            np.testing.assert_array_equal(
-                builder.reference_potential_matrix(v, screened=False),
+            assert_close_at_scale(
                 reference.potential_matrix(v),
+                builder.reference_potential_matrix(v, screened=False),
             )
         d0, m0 = results["numpy"]
         for name in BACKENDS[1:]:
@@ -368,8 +367,8 @@ class TestBatchedLRUKeys:
         second = screened.backend.density_on_grid(p)
         profile = screened.backend.profile.as_dict()["cache"]
         np.testing.assert_array_equal(first, second)
-        assert profile["misses"] == misses_after_first
-        assert profile["hits"] >= len(screened.batches)
+        assert profile["misses"] == misses_after_first == len(screened.views)
+        assert profile["hits"] == len(screened.views)
 
     def test_distinct_thresholds_produce_distinct_keys(self):
         structure = _chain(5, 10)

@@ -24,8 +24,8 @@ class TestRegistry:
         names = [i.name for i in invs]
         assert len(names) == len(set(names))
         assert {i.phase for i in invs} <= set(PHASES)
-        assert len(invs) == 21
-        assert sum(i.cost == "full" for i in invs) == 7
+        assert len(invs) == 22
+        assert sum(i.cost == "full" for i in invs) == 8
 
     def test_bit_exact_checks_have_zero_tolerance(self):
         for inv in all_invariants():

@@ -11,6 +11,7 @@ from repro.atoms import hydrogen_molecule
 from repro.basis.basis_set import build_basis
 from repro.config import get_settings
 from repro.dfpt.response import DFPTSolver
+from repro.dft.hamiltonian import build_substrate
 from repro.dft.scf import SCFDriver
 from repro.errors import CPSCFConvergenceError, VerificationError
 from repro.verify import (
@@ -18,6 +19,7 @@ from repro.verify import (
     MutantBackend,
     Verifier,
     drop_radial_derivative,
+    drop_relevant_atom,
     flip_xc_kernel_sign,
     shift_hartree_interval,
 )
@@ -73,8 +75,9 @@ class TestBackendMutations:
             "wrong_xc_sign",
             "shifted_hartree_interval",
             "dropped_radial_derivative",
+            "dropped_relevant_atom",
         } == set(MUTATIONS)
-        assert len(MUTATIONS) == 8
+        assert len(MUTATIONS) == 9
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(VerificationError):
@@ -153,4 +156,31 @@ class TestBasisGradientMutation:
             structure, get_settings("minimal"), verifier=verifier, basis=basis
         ).run()
         expected = ["basis_gradient_consistency"] if level == "full" else []
+        assert verifier.report.failed_names == expected
+
+
+class TestRelevantAtomMutation:
+    """``dropped_relevant_atom`` shrinks one batch's column set before the
+    views are fused, so the engine, the references and the kinetic loop
+    all drop the same nonzero columns and agree with each other (H2's
+    energy moves by 0.058 Ha, self-consistently); only the check that
+    evaluates every atom on a view's points sees what was dropped."""
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_only_compact_columns_kills_it(self, level):
+        structure = hydrogen_molecule()
+        settings = get_settings("minimal")
+        substrate = build_substrate(structure, settings.grids)
+        batches = drop_relevant_atom(substrate.batches, structure)
+        assert len(batches[0].relevant_atoms) == 1
+        assert batches[1:] == substrate.batches[1:]
+        verifier = Verifier(level)
+        gs = SCFDriver(
+            structure, settings, verifier=verifier,
+            basis=substrate.basis, grid=substrate.grid, batches=batches,
+        ).run()
+        solver = DFPTSolver(gs, settings.cpscf, verifier=verifier)
+        for j in range(3):
+            solver.solve_direction(j)
+        expected = ["compact_columns_exact"] if level == "full" else []
         assert verifier.report.failed_names == expected
