@@ -101,13 +101,15 @@ class SplineSystem:
     def weights(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Interpolation as a linear map of the tables, for fixed 1-D *t*.
 
-        Returns ``(idx, w)`` with ``w`` of shape ``(len(t), 4)`` such
+        Returns ``(idx, w)`` with ``w`` of shape ``(4, len(t))`` such
         that a spline ``(y, m)`` on this mesh takes the value
-        ``w0 y[idx] + w1 y[idx+1] + w2 m[idx] + w3 m[idx+1]`` at *t*.
+        ``w0 y[idx] + w1 m[idx] + w2 y[idx+1] + w3 m[idx+1]`` at *t* —
+        the order of four consecutive rows of the interleaved table
+        ``y_0, m_0, y_1, m_1, ...``.
         """
         idx, a, b, h = self.interval(t)
         h2_6 = h**2 / 6.0
-        return idx, np.stack([a, b, (a**3 - a) * h2_6, (b**3 - b) * h2_6], axis=1)
+        return idx, np.stack([a, (a**3 - a) * h2_6, b, (b**3 - b) * h2_6])
 
 
 class CubicSpline:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.basis.spline import CubicSpline, SplineSystem
-from repro.basis.ylm import n_lm, real_spherical_harmonics
+from repro.basis.ylm import harmonics_by_channel, n_lm, real_spherical_harmonics
 from repro.errors import GridError
 from repro.grids.atom_grid import IntegrationGrid
 from repro.utils.scratch import scratch
@@ -143,27 +143,28 @@ class _MeshGroup:
 class _AtomPlan:
     """Back-interpolation of one atom's partial potential at fixed points.
 
-    Everything the consumer kernel needs that the density cannot change:
-    which points lie inside the atom's radial mesh, the harmonics ``Y``
-    there — stored transposed, ``(n_lm, n_near)``, so the stacked spline
-    tables multiply them in one product — each near point's four spline
-    taps into that ``(2 n_shells, n_near)`` product as flat indices with
-    their weights, and the far-field factors ``pref * Y / r^(l+1)`` at
-    the remaining points.
+    Everything the consumer kernel needs that the density cannot change.
+    The points inside the atom's radial mesh are held sorted by the
+    radial interval they fall in, so each populated interval is one
+    contiguous column run of the harmonics ``y_near`` and of the spline
+    weights: a run multiplies its interval's four spline rows and
+    nothing is gathered.  The remaining points carry the far-field
+    factors ``pref * Y / r^(l+1)``.  The three tables are channel-major
+    and C-contiguous.
     """
 
-    near: np.ndarray  # int32 point indices, r <= outermost shell
+    near: np.ndarray  # int32 point indices, r <= outermost shell, by interval
     far: np.ndarray  # int32 point indices, the rest
+    runs: Tuple[Tuple[int, int, int], ...]  # (interval, start, stop) along near
     y_near: np.ndarray  # (n_lm, n_near)
-    taps: np.ndarray  # (4, n_near) int32 into the raveled product
-    tap_weights: np.ndarray  # (4, n_near): a, b, (a^3-a)h^2/6, (b^3-b)h^2/6
-    far_table: np.ndarray  # (n_far, n_lm)
+    tap_weights: np.ndarray  # (4, n_near), SplineSystem.weights
+    far_table: np.ndarray  # (n_lm, n_far)
 
     @property
     def nbytes(self) -> int:
         return int(
             self.near.nbytes + self.far.nbytes + self.y_near.nbytes
-            + self.taps.nbytes + self.tap_weights.nbytes + self.far_table.nbytes
+            + self.tap_weights.nbytes + self.far_table.nbytes
         )
 
 
@@ -241,10 +242,13 @@ class MultipoleSolver:
     # ------------------------------------------------------------------
     def expand(self, density_values: np.ndarray) -> MultipoleExpansion:
         """Project a grid-sampled density onto ``rho_multipole``."""
+        # The exact shape, not the leading length: an (n_points, 1) column
+        # would broadcast against the weights to n_points x n_points.
         rho = np.asarray(density_values, dtype=float)
-        if rho.shape[0] != self.grid.n_points:
+        if rho.shape != (self.grid.n_points,) or not np.isfinite(rho).all():
             raise GridError(
-                f"{rho.shape[0]} density samples for {self.grid.n_points} points"
+                f"density must be {self.grid.n_points} finite samples, "
+                f"got shape {rho.shape}"
             )
         # grid.angular_weights is the angular rule tiled over every shell.
         vals = rho * self.grid.partition_weights * self.grid.angular_weights
@@ -298,20 +302,29 @@ class MultipoleSolver:
         d = points - self.structure.coords[atom]
         r = np.linalg.norm(d, axis=1)
         inside = r <= system.x[-1]
-        near = np.flatnonzero(inside).astype(np.int32)
-        far = np.flatnonzero(~inside).astype(np.int32)
-        n_near, n_shells = near.shape[0], system.n_knots
+        near, far = np.flatnonzero(inside), np.flatnonzero(~inside)
+        near = near[np.argsort(system.locate(r[near])[0], kind="stable")]
+        idx, w = system.weights(r[near])  # idx is non-decreasing now
+        intervals, starts = np.unique(idx, return_index=True)
+        stops = starts[1:].tolist() + [idx.shape[0]]
 
-        y = real_spherical_harmonics(d, self.l_max)
-        idx, w = system.weights(r[near])
-        rows = idx[:, None] + np.array([0, 1, n_shells, n_shells + 1])
+        y = harmonics_by_channel(d, self.l_max)  # (n_lm, n_points)
+        # np.take, not y[:, far]: an advanced index on the last axis does
+        # not come out C-contiguous, and the products then read strided.
+        far_table = np.take(y, far, axis=1)
+        inv_r = 1.0 / r[far]
+        power = inv_r  # 1 / r^(l+1): one more factor per l, no pow
+        for l in range(self.l_max + 1):
+            far_table[l * l : (l + 1) ** 2] *= power
+            power = power * inv_r
+        far_table *= self._pref[:, None]
         return _AtomPlan(
-            near=near,
-            far=far,
-            y_near=np.ascontiguousarray(y[near].T),
-            taps=(rows * n_near + np.arange(n_near)[:, None]).T.astype(np.int32),
-            tap_weights=np.ascontiguousarray(w.T),
-            far_table=self._pref * y[far] / r[far, None] ** (self._l_of_lm + 1.0),
+            near=near.astype(np.int32),
+            far=far.astype(np.int32),
+            runs=tuple(zip(intervals.tolist(), starts.tolist(), stops)),
+            y_near=np.take(y, near, axis=1),
+            tap_weights=w,
+            far_table=far_table,
         )
 
     def _plan(self, atom: int) -> _AtomPlan:
@@ -335,23 +348,30 @@ class MultipoleSolver:
         if expansion.potential_splines is None:
             raise GridError("expansion not solved; call solve() first")
         if points is not None:
-            points = np.atleast_2d(points)
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            if points.shape[1:] != (3,) or not np.isfinite(points).all():
+                raise GridError(f"points must be finite (n, 3), got shape {points.shape}")
         v = np.zeros(self.grid.n_points if points is None else points.shape[0])
         atom_iter = range(self.structure.n_atoms) if atoms is None else atoms
         for a in atom_iter:
             plan = self._plan(a) if points is None else self._build_plan(a, points)
             spline = expansion.potential_splines[a]
+            # Rows y_0, m_0, y_1, m_1, ...: interval i reads rows 2i..2i+3.
+            table = np.stack([spline.y, spline.m], axis=1).reshape(-1, self._n_lm)
             # Nothing of order n_near x n_lm is allocated per call: the
-            # product and the four taps go to the process's scratch block.
-            stacked = np.concatenate([spline.y, spline.m])  # (2 n_shells, n_lm)
-            n_rows, n_near = stacked.shape[0], plan.near.shape[0]
-            with scratch((n_rows + 4, n_near)) as block:
-                z, tapped = block[:n_rows], block[n_rows:]
-                np.matmul(stacked, plan.y_near, out=z)
-                np.take(z.reshape(-1), plan.taps, out=tapped, mode="clip")
-                tapped *= plan.tap_weights
-                v[plan.near] += tapped.sum(axis=0)
-            v[plan.far] += plan.far_table @ expansion.far_moments[a]
+            # run products go to the process's scratch block.
+            with scratch((4, plan.near.shape[0])) as z:
+                for i, lo, hi in plan.runs:
+                    np.matmul(
+                        table[2 * i : 2 * i + 4], plan.y_near[:, lo:hi], out=z[:, lo:hi]
+                    )
+                z *= plan.tap_weights
+                z[:2] += z[2:]  # the four terms summed in place, pairwise
+                z[0] += z[1]
+                # No point repeats in a plan, so this is v[near] += z[0];
+                # ufunc.at does it in half the time for int32 indices.
+                np.add.at(v, plan.near, z[0])
+            np.add.at(v, plan.far, expansion.far_moments[a] @ plan.far_table)
         return v
 
     def hartree_potential(self, density_values: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ from repro.obs.tracer import obs_event, obs_span, trace_context
 from repro.runtime.faults import CycleFaultInjector
 from repro.utils import drain
 from repro.utils.linalg import (
+    GeneralizedEigensolver,
     density_matrix_from_orbitals,
-    solve_generalized_eigenproblem,
 )
 from repro.utils.timing import PhaseTimer
 
@@ -141,6 +141,8 @@ class SCFDriver:
             self._v_ext = self.builder.potential_matrix(self._v_ext_values)
             self._dipoles = self.builder.dipole_matrices()
 
+        # S is constant over the cycles: orthogonalized once per driver.
+        self._eigensolver = GeneralizedEigensolver(self._s)
         self._e_nn = self._nuclear_repulsion()
 
         if self.verifier is not None:
@@ -221,7 +223,7 @@ class SCFDriver:
 
         # Initial guess: core Hamiltonian.
         h_core = self._t + self._v_ext + h_field
-        eps, c = solve_generalized_eigenproblem(h_core, self._s)
+        eps, c = self._eigensolver.solve(h_core)
         f = self._occupations(eps.shape[0])
         p = density_matrix_from_orbitals(c, f)
 
@@ -275,7 +277,7 @@ class SCFDriver:
                 h_mixed = mixer.push(h, commutator)
 
                 with self.timer.phase("eigensolver"):
-                    eps, c = solve_generalized_eigenproblem(h_mixed, self._s)
+                    eps, c = self._eigensolver.solve(h_mixed)
             f = self._occupations(eps.shape[0])
             p_new = density_matrix_from_orbitals(c, f)
 

@@ -3,6 +3,7 @@
 from repro.utils.timing import Stopwatch, PhaseTimer
 from repro.utils.reports import TableFormatter, format_bytes, format_seconds
 from repro.utils.linalg import (
+    GeneralizedEigensolver,
     symmetrize,
     lowdin_orthogonalization,
     solve_generalized_eigenproblem,
@@ -32,6 +33,7 @@ __all__ = [
     "format_bytes",
     "format_seconds",
     "symmetrize",
+    "GeneralizedEigensolver",
     "lowdin_orthogonalization",
     "solve_generalized_eigenproblem",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -35,6 +34,23 @@ def lowdin_orthogonalization(s: np.ndarray, threshold: float = 1e-10) -> np.ndar
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
+class GeneralizedEigensolver:
+    """``H C = S C diag(eps)`` for many ``H`` against one overlap ``S``.
+
+    The canonical orthogonalization ``X`` depends on ``S`` alone, so an
+    SCF loop — constant overlap, a new Hamiltonian every cycle —
+    diagonalizes ``S`` once here and only ``X.T H X`` per :meth:`solve`.
+    """
+
+    def __init__(self, s: np.ndarray) -> None:
+        self.x = lowdin_orthogonalization(s)
+
+    def solve(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(eps, C)``, eigenvalues ascending, ``C.T @ S @ C = I``."""
+        eps, c_ortho = np.linalg.eigh(symmetrize(self.x.T @ h @ self.x))
+        return eps, self.x @ c_ortho
+
+
 def solve_generalized_eigenproblem(
     h: np.ndarray, s: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -46,10 +62,7 @@ def solve_generalized_eigenproblem(
     handled gracefully; in that case fewer eigenpairs than ``len(h)`` may
     be returned.
     """
-    x = lowdin_orthogonalization(s)
-    h_ortho = symmetrize(x.T @ h @ x)
-    eps, c_ortho = np.linalg.eigh(h_ortho)
-    return eps, x @ c_ortho
+    return GeneralizedEigensolver(s).solve(h)
 
 
 def density_matrix_from_orbitals(

@@ -13,7 +13,7 @@ There is one block per process, not one per backend or solver: kernels
 do not nest and the drivers are single-threaded (a fleet interleaves
 molecules between kernel calls, never inside one — :func:`scratch`
 raises if that ever stops being true), so the largest
-request sizes it — 5.3 MB on the 26-atom chain — instead of every live
+request sizes it — 2.9 MB on the 26-atom chain — instead of every live
 molecule holding its own (a fleet wave of eight small molecules held
 6 MB of them, 5.5 % of that workload's peak RSS).
 """

@@ -143,14 +143,14 @@ def flip_xc_kernel_sign(solver) -> None:
 def shift_hartree_interval(solver, atom: int = 0) -> None:
     """Apply ``shifted_hartree_interval`` to a live :class:`~repro.dft.hartree.MultipoleSolver`.
 
-    Every near point of *atom* not already in the first radial interval
+    Every run of *atom*'s plan not already on the first radial interval
     reads the spline tables one interval low; the weights are untouched.
     The solver stays self-consistent (every call goes through the same
     plan), so only a check that bypasses the plan can see it.
     """
     plan = solver._plan(atom)
-    n_near = plan.near.shape[0]  # one row of the tapped product
-    plan.taps[:, plan.taps[0] >= n_near] -= n_near
+    low = tuple((max(i - 1, 0), lo, hi) for i, lo, hi in plan.runs)
+    solver._plans[atom] = replace(plan, runs=low)
 
 
 def drop_radial_derivative(basis) -> None:

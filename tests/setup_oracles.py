@@ -15,6 +15,13 @@ active set gathered with ``np.ix_`` when screened — contracted with a
 plain GEMM.  The fused, column-compact engine (DESIGN §8) is held to
 these within ``CONTRACTION_RTOL`` of each array's largest entry: the
 summation order changed, nothing else.
+
+Until PR 19 the real spherical harmonics were written point-major, one
+strided column per channel, and Hartree stage 3 was one stacked
+``[y; m] @ Y_near.T`` product per atom with the four spline taps
+gathered out of it.  The channel-major evaluation keeps every value
+(``array_equal``); the interval-sorted plan (DESIGN §5.1) is held to the
+stacked product within ``CONTRACTION_RTOL`` of ``max|v|``.
 """
 
 from __future__ import annotations
@@ -291,3 +298,85 @@ def oracle_kinetic(builder):
             t[pair] += gk.T @ (gk * w[idx][:, None])
     t = 0.5 * t
     return 0.5 * (t + t.T)
+
+
+# ----------------------------------------------------------------------
+# Hartree back-interpolation and harmonics as they were until PR 19
+# ----------------------------------------------------------------------
+def oracle_real_spherical_harmonics(directions, l_max):
+    """The row-major harmonics evaluation (25 strided column writes per
+    call) that ``basis.ylm.harmonics_by_channel`` replaced; values must
+    stay ``array_equal``."""
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    norms = np.linalg.norm(directions, axis=1)
+    safe = norms > 1e-300
+    unit = np.zeros_like(directions)
+    unit[safe] = directions[safe] / norms[safe, None]
+    unit[~safe] = (0.0, 0.0, 1.0)
+    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
+    cos_theta = np.clip(z, -1.0, 1.0)
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - cos_theta**2))
+
+    n = directions.shape[0]
+    p = np.zeros((n, l_max + 1, l_max + 1))
+    p[:, 0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
+    for m in range(1, l_max + 1):
+        p[:, m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * p[:, m - 1, m - 1]
+    for m in range(l_max):
+        p[:, m + 1, m] = np.sqrt(2.0 * m + 3.0) * cos_theta * p[:, m, m]
+    for m in range(l_max + 1):
+        for l in range(m + 2, l_max + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            p[:, l, m] = a * (cos_theta * p[:, l - 1, m] - b * p[:, l - 2, m])
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_phi = np.where(sin_theta > 1e-12, x / np.maximum(sin_theta, 1e-300), 1.0)
+        sin_phi = np.where(sin_theta > 1e-12, y / np.maximum(sin_theta, 1e-300), 0.0)
+    cos_m = np.ones((n, l_max + 1))
+    sin_m = np.zeros((n, l_max + 1))
+    for m in range(1, l_max + 1):
+        cos_m[:, m] = cos_m[:, m - 1] * cos_phi - sin_m[:, m - 1] * sin_phi
+        sin_m[:, m] = sin_m[:, m - 1] * cos_phi + cos_m[:, m - 1] * sin_phi
+
+    sqrt2 = np.sqrt(2.0)
+    out = np.zeros((n, (l_max + 1) ** 2))
+    for l in range(l_max + 1):
+        out[:, l * l + l] = p[:, l, 0]
+        for m in range(1, l + 1):
+            out[:, l * l + l + m] = sqrt2 * p[:, l, m] * cos_m[:, m]
+            out[:, l * l + l - m] = sqrt2 * p[:, l, m] * sin_m[:, m]
+    return out
+
+
+def oracle_stacked_product_potential(solver, expansion, points=None, atoms=None):
+    """Stage 3 of the Hartree solve as PRs 15-18 ran it: per atom ONE
+    ``[y; m] (2 n_shells, n_lm) @ Y_near.T`` product over all spline
+    rows, each near point's four taps gathered out of it with
+    ``np.take``, weighted and summed; the far table with the generic
+    ``pow``.  The interval-sorted plan does a thirteenth of the
+    multiply-adds and reorders the four-term sum, nothing else, so it is
+    held to this within 1e-13 of ``max|v|``."""
+    points = solver.grid.points if points is None else points
+    ls = np.concatenate([np.full(2 * l + 1, float(l)) for l in range(solver.l_max + 1)])
+    pref = 4.0 * np.pi / (2.0 * ls + 1.0)
+    v = np.zeros(points.shape[0])
+    for atom in range(solver.structure.n_atoms) if atoms is None else atoms:
+        spline = expansion.potential_splines[atom]
+        d = points - solver.structure.coords[atom]
+        r = np.linalg.norm(d, axis=1)
+        inside = r <= spline.x[-1]
+        near, far = np.flatnonzero(inside), np.flatnonzero(~inside)
+        n_near, n_shells = near.shape[0], spline.n_knots
+
+        y = oracle_real_spherical_harmonics(d, solver.l_max)
+        idx, a, b, h = spline.system.interval(r[near])
+        h2_6 = h**2 / 6.0
+        weights = np.stack([a, b, (a**3 - a) * h2_6, (b**3 - b) * h2_6])
+        rows = idx[:, None] + np.array([0, 1, n_shells, n_shells + 1])
+        taps = (rows * n_near + np.arange(n_near)[:, None]).T
+        z = np.concatenate([spline.y, spline.m]) @ np.ascontiguousarray(y[near].T)
+        v[near] += (np.take(z.reshape(-1), taps, mode="clip") * weights).sum(axis=0)
+        far_table = pref * y[far] / r[far, None] ** (ls + 1.0)
+        v[far] += far_table @ expansion.far_moments[atom]
+    return v

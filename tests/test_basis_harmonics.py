@@ -9,8 +9,16 @@ from repro.basis.solid_harmonics import (
     solid_harmonics,
     solid_harmonics_with_gradients,
 )
-from repro.basis.ylm import lm_index, lm_pairs, n_lm, real_spherical_harmonics
+from repro.basis.ylm import (
+    harmonics_by_channel,
+    lm_index,
+    lm_pairs,
+    n_lm,
+    real_spherical_harmonics,
+)
 from repro.grids.angular import angular_rule
+
+from .setup_oracles import oracle_real_spherical_harmonics
 
 
 class TestIndexing:
@@ -66,6 +74,30 @@ class TestYlm:
     def test_zero_vector_safe(self):
         y = real_spherical_harmonics(np.zeros((1, 3)), 4)
         assert np.all(np.isfinite(y))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), l_max=st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_channel_major_values_are_the_row_major_values(self, seed, n, l_max):
+        """One implementation, two layouts: the channel-major evaluation
+        writes contiguous rows where the old one wrote strided columns,
+        and every value — at the poles, at the zero vector, off the unit
+        sphere — keeps its bits."""
+        rng = np.random.default_rng(seed)
+        special = [
+            [0.0, 0.0, 1.0], [0.0, 0.0, -3.0], [0.0, 0.0, 0.0], [1e-310, 0.0, 0.0],
+            [2.0, 0.0, 0.0], [0.0, 1e-14, 1.0], [1e-200, 1e-200, 0.0],
+        ]
+        directions = np.concatenate([special, rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)])
+        want = oracle_real_spherical_harmonics(directions, l_max)
+        by_channel = harmonics_by_channel(directions, l_max)
+        by_point = real_spherical_harmonics(directions, l_max)
+        assert by_channel.shape == (n_lm(l_max), len(directions))
+        assert by_channel.flags.c_contiguous and by_point.flags.c_contiguous
+        assert np.array_equal(by_channel.T, want) and np.array_equal(by_point, want)
+
+    def test_no_points(self):
+        assert harmonics_by_channel(np.empty((0, 3)), 4).shape == (25, 0)
+        assert real_spherical_harmonics(np.empty((0, 3)), 4).shape == (0, 25)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

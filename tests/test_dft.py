@@ -16,9 +16,11 @@ from repro.dft import (
     lda_xc_kernel,
 )
 from repro.dft.hartree import adams_moulton_cumulative
-from repro.errors import SCFConvergenceError
+from repro.errors import GridError, SCFConvergenceError
 from repro.grids import build_grid
-from repro.utils.linalg import density_matrix_from_orbitals
+from repro.utils.linalg import density_matrix_from_orbitals, solve_generalized_eigenproblem
+
+from .setup_oracles import assert_close_at_scale, oracle_stacked_product_potential
 
 
 class TestXC:
@@ -166,16 +168,62 @@ _PLAN_MOLECULES = {
 }
 
 
-@pytest.fixture(scope="module", params=list(_PLAN_MOLECULES))
-def plan_case(request):
-    """(solver, bumpy test density) on one built-in molecule."""
-    structure = _PLAN_MOLECULES[request.param]()
+def _solver_with_density(structure):
     grid = build_grid(structure, get_settings("minimal").grids, with_partition=True)
     solver = MultipoleSolver(grid, l_max=4)
     rng = np.random.default_rng(7)
     centre = structure.coords.mean(axis=0) + 0.3
     rho = np.exp(-0.4 * ((grid.points - centre) ** 2).sum(axis=1))
     return solver, rho * (1.0 + 0.2 * rng.random(grid.n_points))
+
+
+@pytest.fixture(scope="module", params=list(_PLAN_MOLECULES))
+def plan_case(request):
+    """(solver, bumpy test density) on one built-in molecule."""
+    return _solver_with_density(_PLAN_MOLECULES[request.param]())
+
+
+@pytest.fixture(scope="module")
+def chain_case():
+    """The 26-atom chain's (solver, density), plans built: one per module."""
+    solver, rho = _solver_with_density(polyethylene(4))
+    solver.hartree_potential(rho)
+    return solver, rho
+
+
+def _plan_nbytes_formula(solver):
+    """Per atom: (n_lm, n_near) harmonics plus an (n_lm, n_far) far table
+    — n_points * n_lm floats together — int32 near + far indices, and
+    four float64 weights per near point."""
+    n_near = sum(p.near.shape[0] for p in solver._plans)
+    n_lm = solver._plans[0].y_near.shape[0]
+    return solver.structure.n_atoms * solver.grid.n_points * (8 * n_lm + 4) + 32 * n_near
+
+
+def _assert_plan_algebra(solver, atom, plan, points):
+    """What every plan must satisfy, whatever the points."""
+    x = solver.grid.shell_radii[atom]
+    r = np.linalg.norm(points - solver.structure.coords[atom], axis=1)
+    n_near = plan.near.shape[0]
+    # near and far partition the points at the outermost shell.
+    assert np.array_equal(np.sort(np.concatenate([plan.near, plan.far])), np.arange(len(r)))
+    assert np.all(r[plan.near] <= x[-1]) and np.all(r[plan.far] > x[-1])
+    # Runs are disjoint, contiguous, in interval order, and cover near.
+    intervals, starts, stops = (list(column) for column in zip(*plan.runs)) if plan.runs else ([], [], [])
+    assert intervals == sorted(set(intervals))
+    assert starts + [n_near] == [0] + stops  # each run starts where the last stopped
+    assert all(lo < hi for lo, hi in zip(starts, stops))
+    # Every point sits in its run's interval (radii below the first
+    # shell clamp to it), so the interval index never decreases.
+    rc = np.clip(r[plan.near], x[0], x[-1])
+    for i, lo, hi in plan.runs:
+        assert 0 <= i <= len(x) - 2
+        assert np.all((x[i] <= rc[lo:hi]) & (rc[lo:hi] <= x[i + 1]))
+    # The tables the run products read are channel-major and dense.
+    assert plan.y_near.shape == (25, n_near) and plan.y_near.flags.c_contiguous
+    assert plan.tap_weights.shape == (4, n_near) and plan.tap_weights.flags.c_contiguous
+    assert plan.far_table.shape == (25, plan.far.shape[0]) and plan.far_table.flags.c_contiguous
+    assert plan.near.dtype == plan.far.dtype == np.int32
 
 
 class TestMultipoleSolverPlan:
@@ -217,18 +265,135 @@ class TestMultipoleSolverPlan:
         assert np.array_equal(solver.hartree_potential(rho), first)
 
     def test_plan_bytes_formula(self, plan_case):
-        # Per atom: (n_lm, n_near) harmonics plus an (n_far, n_lm) far
-        # table — n_points * n_lm floats together — int32 near + far
-        # indices, and 4 weights + 4 int32 taps per near point.
         solver, rho = plan_case
         solver.hartree_potential(rho)
-        n_points, n_lm = solver.grid.n_points, 25
-        n_near = sum(p.near.shape[0] for p in solver._plans)
-        n_atoms = solver.structure.n_atoms
-        assert solver.plan_nbytes == (
-            n_atoms * n_points * (8 * n_lm + 4) + 48 * n_near
+        assert solver.plan_nbytes == _plan_nbytes_formula(solver)
+        dense = solver.structure.n_atoms * solver.grid.n_points * 25 * 8
+        assert solver.plan_nbytes <= 1.18 * dense  # all near: 1 + 36 / 200
+
+    def test_plan_matches_the_stacked_product_it_replaced(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        assert_close_at_scale(
+            solver.evaluate(expansion), oracle_stacked_product_potential(solver, expansion)
         )
-        assert solver.plan_nbytes <= 1.29 * n_atoms * n_points * n_lm * 8
+
+    def test_grid_plans_satisfy_the_plan_algebra(self, plan_case):
+        solver, rho = plan_case
+        solver.hartree_potential(rho)
+        for atom, plan in enumerate(solver._plans):
+            _assert_plan_algebra(solver, atom, plan, solver.grid.points)
+
+
+class TestMultipoleSolverPlanAlgebra:
+    """The interval-sorted plan on the chains and on points it was not
+    built for: knots, the mesh edge, inside the first shell, none."""
+
+    def test_chain_plans(self, chain_case):
+        solver, _ = chain_case
+        for atom, plan in enumerate(solver._plans):
+            _assert_plan_algebra(solver, atom, plan, solver.grid.points)
+        assert sum(len(p.runs) for p in solver._plans) == 478
+
+    def test_chain_plan_matches_the_stacked_product_it_replaced(self, chain_case):
+        solver, rho = chain_case
+        expansion = solver.solve(solver.expand(rho))
+        assert_close_at_scale(
+            solver.evaluate(expansion), oracle_stacked_product_potential(solver, expansion)
+        )
+
+    def test_fourteen_atom_chain(self):
+        solver, rho = _solver_with_density(polyethylene(2))
+        expansion = solver.solve(solver.expand(rho))
+        planned = solver.evaluate(expansion)
+        for atom, plan in enumerate(solver._plans):
+            _assert_plan_algebra(solver, atom, plan, solver.grid.points)
+        assert_close_at_scale(planned, oracle_stacked_product_potential(solver, expansion))
+
+    @pytest.fixture(scope="class")
+    def h2_case(self):
+        solver, rho = _solver_with_density(hydrogen_molecule())
+        return solver, solver.solve(solver.expand(rho))
+
+    def test_an_atom_with_no_far_points(self, h2_case):
+        # (H2's own grid has 25 far points per atom: half of the other
+        # atom's outermost shell.)  Keep the points inside both meshes.
+        solver, expansion = h2_case
+        r = np.linalg.norm(solver.grid.points[:, None] - solver.structure.coords, axis=2)
+        points = solver.grid.points[(r <= 10.0).all(axis=1)]
+        for atom in range(2):
+            plan = solver._build_plan(atom, points)
+            _assert_plan_algebra(solver, atom, plan, points)
+            assert plan.far.shape == (0,) and plan.far_table.shape == (25, 0)
+        assert np.allclose(
+            solver.evaluate(expansion, points=points),
+            _direct_potential(solver, expansion, points), rtol=1e-12, atol=0.0,
+        )
+
+    def test_points_on_knots_at_the_edge_and_inside_the_first_shell(self, h2_case):
+        solver, expansion = h2_case
+        x = solver.grid.shell_radii[0]
+        origin = solver.structure.coords[0]
+        radii = np.concatenate([x, [0.0, 0.5 * x[0], np.nextafter(x[-1], np.inf)]])
+        points = origin + radii[:, None] * np.array([0.0, 0.6, 0.8])
+        plan = solver._build_plan(0, points)
+        _assert_plan_algebra(solver, 0, plan, points)
+        interval_of = {
+            int(point): i for i, lo, hi in plan.runs for point in plan.near[lo:hi]
+        }
+        assert np.linalg.norm(points[len(x) - 1] - origin) == x[-1]
+        assert interval_of[len(x) - 1] == len(x) - 2  # r = x[-1]: near, last interval
+        assert interval_of[len(x)] == interval_of[len(x) + 1] == 0  # r < x[0]: clamped
+        assert plan.far.tolist() == [len(x) + 2]
+        direct = _direct_potential(solver, expansion, points)
+        assert np.allclose(solver.evaluate(expansion, points=points), direct, rtol=1e-12, atol=0.0)
+
+    def test_zero_points(self, h2_case):
+        solver, expansion = h2_case
+        plan = solver._build_plan(0, np.empty((0, 3)))
+        assert plan.runs == () and plan.nbytes == 0
+        assert solver.evaluate(expansion, points=np.empty((0, 3))).shape == (0,)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), spread=st.floats(0.01, 30.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_points(self, h2_case, seed, n, spread):
+        solver, expansion = h2_case
+        points = spread * np.random.default_rng(seed).normal(size=(n, 3))
+        for atom in range(2):
+            _assert_plan_algebra(solver, atom, solver._build_plan(atom, points), points)
+        assert_close_at_scale(
+            solver.evaluate(expansion, points=points),
+            oracle_stacked_product_potential(solver, expansion, points=points),
+        )
+        assert np.allclose(
+            solver.evaluate(expansion, points=points),
+            _direct_potential(solver, expansion, points), rtol=1e-12, atol=0.0,
+        )
+
+
+class TestMultipoleSolverHostileInputs:
+    """ROADMAP 5(c): a wrong-shaped or non-finite input is a GridError,
+    not an n_points x n_points broadcast or an all-NaN potential."""
+
+    def test_density_must_be_a_finite_vector(self, plan_case):
+        solver, rho = plan_case
+        for bad in (rho[:, None], rho[None, :], rho[:-1], np.float64(1.0)):
+            with pytest.raises(GridError, match="density"):
+                solver.expand(bad)
+        for poison in (np.nan, np.inf):
+            bad = rho.copy()
+            bad[3] = poison
+            with pytest.raises(GridError, match="finite"):
+                solver.hartree_potential(bad)
+
+    def test_points_must_be_finite_n_by_3(self, plan_case):
+        solver, rho = plan_case
+        expansion = solver.solve(solver.expand(rho))
+        for bad in (np.zeros((4, 2)), np.zeros((2, 2, 3)), np.zeros(0), [[0.0, np.nan, 0.0]]):
+            with pytest.raises(GridError, match="points"):
+                solver.evaluate(expansion, points=bad)
+        one = solver.evaluate(expansion, points=[0.1, 0.2, 0.3])  # a bare triple is one point
+        assert one.shape == (1,) and np.isfinite(one).all()
 
 
 class TestHartreeStageThreeAllocatesNothingLarge:
@@ -272,18 +437,22 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         )
         assert float(out.stdout) < 50.0
 
-    def test_the_product_goes_to_the_held_scratch(self, plan_case):
+    def test_the_product_goes_to_the_held_scratch(self, plan_case, monkeypatch):
+        from repro.dft import hartree as hartree_module
         from repro.utils import scratch as scratch_module
 
         solver, rho = plan_case
         solver.hartree_potential(rho)
         held = scratch_module._block
-        assert held.size >= max(
-            (2 * solver._system[a].n_knots + 4) * p.near.shape[0]
-            for a, p in enumerate(solver._plans)
+        leased = []
+        monkeypatch.setattr(
+            hartree_module, "scratch", lambda shape: leased.append(shape) or scratch_module.scratch(shape)
         )
         solver.hartree_potential(rho)
-        assert scratch_module._block is held
+        # One lease per atom, four rows per near point (not 2 n_shells + 4),
+        # on the block the process already holds.
+        assert leased == [(4, p.near.shape[0]) for p in solver._plans]
+        assert scratch_module._block is held and held.size >= max(4 * n for _, n in leased)
 
 
 class TestMultipoleSolverLinearity:
@@ -307,14 +476,12 @@ class TestMultipoleSolverLinearity:
         scale = np.abs(v1).max() + np.abs(v2).max()
         assert np.abs(v - (alpha * v1 + beta * v2)).max() <= 1e-12 * scale
 
-    def test_chain_plan_fits_its_byte_budget(self):
+    def test_chain_plan_fits_its_byte_budget(self, chain_case):
         # 69 % of the chain's atom-point pairs are inside a radial mesh;
         # the rest carry no spline weights.
-        chain = polyethylene(4)
-        grid = build_grid(chain, get_settings("minimal").grids, with_partition=True)
-        solver = MultipoleSolver(grid, l_max=4)
-        solver.hartree_potential(np.ones(grid.n_points))
-        dense = chain.n_atoms * grid.n_points * 25 * 8
+        solver, _ = chain_case
+        dense = solver.structure.n_atoms * solver.grid.n_points * 25 * 8
+        assert solver.plan_nbytes == _plan_nbytes_formula(solver)
         assert solver.plan_nbytes <= 1.2 * dense
 
 
@@ -459,6 +626,29 @@ class TestSCF:
         settings = minimal_settings.with_scf(max_iterations=1)
         with pytest.raises(SCFConvergenceError):
             SCFDriver(water(), settings).run()
+
+    def test_overlap_is_orthogonalized_once_per_driver(self, minimal_settings, monkeypatch):
+        """The factored-once eigensolver: one Lowdin per SCFDriver, and
+        every cycle's eigenpairs bit-identical to the free function,
+        which factors S again on each call."""
+        from repro.utils import linalg
+
+        calls = []
+        real = linalg.lowdin_orthogonalization
+        monkeypatch.setattr(
+            linalg, "lowdin_orthogonalization", lambda s: calls.append(1) or real(s)
+        )
+        driver = SCFDriver(water(), minimal_settings)
+        solved = []
+        solve = driver._eigensolver.solve
+        driver._eigensolver.solve = lambda h: solved.append((h.copy(), solve(h))) or solved[-1][1]
+        cycles = driver.iter_cycles()
+        for _ in range(3):
+            next(cycles)
+        assert len(calls) == 1 and len(solved) == 4  # the core guess + 3 cycles
+        for h, (eps, c) in solved:
+            eps_free, c_free = solve_generalized_eigenproblem(h, driver._s)
+            assert np.array_equal(eps, eps_free) and np.array_equal(c, c_free)
 
     def test_field_lowers_symmetry(self, minimal_settings):
         driver = SCFDriver(hydrogen_molecule(), minimal_settings)

@@ -502,32 +502,67 @@ PARENT = {
 }
 
 
+#: The same from the commit before PR 19 (Hartree stage 3 as one stacked
+#: ``(2 n_shells, n_lm) @ Y`` product per atom, Lowdin on every SCF
+#: cycle); of the chain only the x response was run.
+PARENT_OF_PR19 = {
+    "h2": (
+        "-0x1.1e5449d654564p+0",
+        ["0x1.08b26c5b8ca11p+2", "0x1.08b26c5b88d50p+2", "0x1.909716555b222p+2"],
+    ),
+    "water": (
+        "-0x1.2e14ba666b83dp+6",
+        ["0x1.70b5bc0e7869dp+3", "0x1.501df223dd204p+3", "0x1.147fe62454320p+3"],
+    ),
+    "chain26": ("-0x1.362647103706bp+8", ["0x1.18566ff0df542p+7"]),
+}
+
+
 class TestObservablesAgainstTheParent:
     """Measured deltas (this commit - parent): energy +6.8e-14 / -5.7e-14 /
     +4.5e-13 Ha, polarizability 3.4e-9 / 2.1e-12 / 4.7e-13 of its largest
-    entry (H2 / water / 26-chain)."""
+    entry (H2 / water / 26-chain).
+
+    PR 19 (interval-sorted Hartree plans; the potential moves by <= 7e-16
+    of max|v|) holds both anchors: against its own parent energy +1.5e-12
+    / +7.1e-14 / +1.1e-13 Ha and polarizability 7.3e-9 / 1.7e-12 / 3.7e-13,
+    against PR 18's parent 5.1e-10 / 5.3e-12 on H2 / water.  H2 is the
+    outlier by construction, not by either change: random relative noise
+    of 1e-16, 1e-15 or 1e-14 on every v_H moves its energy by 1-2e-12 Ha
+    and its alpha by 5-8e-9 through the CPSCF mixer (measured), so two
+    commits that differ in any rounding sit that far apart and the bound
+    against the second anchor is 5e-8 for H2.
+    """
+
+    ANCHORS = ((PARENT, {}), (PARENT_OF_PR19, {"h2": 5e-8}))
+
+    @classmethod
+    def _assert_anchored(cls, name, total_energy, alpha_diagonal):
+        for anchor, alpha_rtol in cls.ANCHORS:
+            energy, diagonal = anchor[name]
+            # (a run along x only has the xx entry to compare)
+            diagonal = np.array([float.fromhex(x) for x in diagonal[: len(alpha_diagonal)]])
+            assert abs(total_energy - float.fromhex(energy)) < 1e-10
+            assert (
+                np.abs(alpha_diagonal - diagonal).max()
+                < alpha_rtol.get(name, 1e-8) * diagonal.max()
+            )
 
     @pytest.mark.parametrize("name", ["h2", "water"])
     def test_energy_and_polarizability(self, name):
-        energy, diagonal = PARENT[name]
-        diagonal = np.array([float.fromhex(x) for x in diagonal])
         result = drain(iter_physics(STRUCTURES[name], get_settings("minimal")))
-        assert abs(result.ground_state.total_energy - float.fromhex(energy)) < 1e-10
-        assert (
-            np.abs(np.diag(result.polarizability) - diagonal).max()
-            < 1e-8 * diagonal.max()
+        self._assert_anchored(
+            name, result.ground_state.total_energy, np.diag(result.polarizability)
         )
 
     def test_the_26_chain_along_its_axis(self):
         """SCF and the x response only, as ``chain26_physics`` runs it."""
-        energy, diagonal = PARENT["chain26"]
         minimal = get_settings("minimal")
         sub = _substrate("chain26")
         gs = SCFDriver(
             STRUCTURES["chain26"], minimal,
             basis=sub.basis, grid=sub.grid, batches=sub.batches,
         ).run()
-        assert abs(gs.total_energy - float.fromhex(energy)) < 1e-10
         column = DFPTSolver(gs, minimal.cpscf).solve_direction(0)
-        alpha_xx = column.polarizability_column(gs.dipoles)[0]
-        assert abs(alpha_xx - float.fromhex(diagonal[0])) < 1e-8 * abs(alpha_xx)
+        alpha_xx = column.polarizability_column(gs.dipoles)[:1]
+        self._assert_anchored("chain26", gs.total_energy, alpha_xx)
