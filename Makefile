@@ -4,8 +4,8 @@
 PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
-	analyze history-check service-check fleet-check tune-check slo-check \
-	e2e-check verify
+	analyze service-check fleet-check tune-check slo-check e2e-check \
+	verify
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
@@ -34,15 +34,14 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_tuner.py --quick \
 		--output /tmp/BENCH_tuner_quick.json
 
-# Perf-regression gate: re-run each benchmark at its committed
-# baseline's own parameters and compare metric-by-metric (exact bands
-# for deterministic counters, one-sided bands for wall times/speedups).
-# Every run appends one provenance-stamped entry to BENCH_history.jsonl.
+# Counter and cost-model regression gate: re-run each benchmark at its
+# committed baseline's own parameters and compare metric-by-metric
+# (exact bands for deterministic counters, 1e-9 relative for modeled
+# seconds and their speedup ratios).  The emissions read no clock and
+# the gate writes nothing; wall time is gated by BENCHMARK.json.
 bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_backends.json \
-		--history BENCH_history.jsonl
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_sparse.json \
-		--history BENCH_history.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_backends.json
+	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_sparse.json
 
 # Documentation gate: every doctest in the observability-facing modules
 # must run, every audited public object must carry a docstring, and the
@@ -52,9 +51,10 @@ docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/obs src/repro/service src/repro/utils/timing.py \
 		src/repro/utils/balance.py src/repro/utils/artifacts.py \
-		src/repro/utils/scratch.py src/repro/backends/batched.py \
-		src/repro/runtime/trace.py src/repro/testing/docs.py \
-		src/repro/grids/sparsity.py src/repro/fleet src/repro/tune
+		src/repro/utils/scratch.py src/repro/utils/journal.py \
+		src/repro/backends/batched.py src/repro/runtime/trace.py \
+		src/repro/testing/docs.py src/repro/grids/sparsity.py \
+		src/repro/fleet src/repro/tune
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py --check
 	$(PYTHON) tools/loc_table.py --check
@@ -80,10 +80,6 @@ analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze scaling --atoms 602 \
 		--base-ranks 8 --points 2
 
-# Trend detection over the benchmark history (non-fatal when empty).
-history-check:
-	PYTHONPATH=src $(PYTHON) -m repro analyze history --path BENCH_history.jsonl
-
 # Simulation-service correctness contract: the statestore + cache-key
 # suites, the default-off worker-crash chaos sweeps, and the end-to-end
 # CLI demo (second identical submit must be a cache hit served from the
@@ -105,16 +101,14 @@ service-check:
 # fleet-throughput regression gate against the committed baseline.
 fleet-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fleet.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json \
-		--history BENCH_history.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json
 
 # Auto-tuner contract: the decision determinism/round-trip/never-slower
 # property suite plus the tuned-vs-default regression gate against the
-# committed baseline (its own lineage in BENCH_history.jsonl).
+# committed baseline.
 tune-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_tune.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_tuner.json \
-		--history BENCH_history.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_tuner.json
 
 # Service-telemetry contract: the rollup/alert/health property suite
 # plus the deterministic SLO scenario gated against its committed
@@ -122,7 +116,7 @@ tune-check:
 # chaos run fires the crash-rate alert byte-stably).
 slo-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_telemetry.py
-	PYTHONPATH=src $(PYTHON) -m repro slo --gate BENCH_slo.json
+	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_slo.json
 
 # End-to-end benchmark harness contract (BENCHMARK.json vs the harness)
 # plus a 2-atom smoke of all four workloads (~15 s): catches a module
@@ -131,9 +125,9 @@ e2e-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e/test_harness.py
 
 # Physics-invariant + golden + differential-conformance check on H2,
-# plus the perf-regression, documentation, history-trend, service,
-# fleet, tuner, telemetry and e2e-harness gates (all tier-1 sized).
+# plus the counter/model-regression, documentation, service, fleet,
+# tuner, telemetry and e2e-harness gates (all tier-1 sized).
 # `python -m repro verify` (no args) covers both reference molecules.
-verify: bench-check docs-check history-check service-check fleet-check \
-		tune-check slo-check e2e-check
+verify: bench-check docs-check service-check fleet-check tune-check \
+		slo-check e2e-check
 	PYTHONPATH=src $(PYTHON) -m repro verify --molecule h2

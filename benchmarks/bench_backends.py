@@ -1,7 +1,7 @@
 """The host engine in two cache regimes, plus the device model.
 
-Times repeated Sumup + H phase sweeps (the SCF/CPSCF hot loop) on water
-under three builders sharing one substrate:
+Counts the work of repeated Sumup + H phase sweeps (the SCF/CPSCF hot
+loop) on water under three builders sharing one substrate:
 
 * ``warm``   — the host engine at its default block-cache budget: every
   basis block is evaluated once and served from the cache afterwards.
@@ -12,10 +12,12 @@ under three builders sharing one substrate:
 The measurement itself lives in :mod:`repro.obs.bench` (shared with the
 ``repro bench-check`` regression gate), which refuses to report unless
 all three outputs are bit-identical and each host row evaluated exactly
-the number of blocks its regime defines.  This script prints the table
-and writes ``BENCH_backends.json`` at the repo root, including the
-provenance block the regression gate and EXPERIMENTS.md footers rely
-on.  Run::
+the number of blocks its regime defines.  This script prints the
+counter table and writes ``BENCH_backends.json`` at the repo root,
+including the provenance block the regression gate and EXPERIMENTS.md
+footers rely on.  No clock is read: the measured Sumup / H wall of these
+kernels is the ``chain32_kernels`` workload of ``BENCHMARK.json``
+(``python benchmarks/e2e/run.py``).  Run::
 
     PYTHONPATH=src python benchmarks/bench_backends.py [--quick]
 
@@ -43,7 +45,7 @@ def run(n_sweeps: int, level: str) -> dict:
         f"{report['n_basis']} basis functions, {n_sweeps} Sumup+H sweeps"
     )
     table = TableFormatter(
-        ["row", "wall", "blocks evaluated", "cache peak", "launches"],
+        ["row", "blocks evaluated", "cache peak", "launches", "modeled"],
         title="host cache regimes and device (bit-identical outputs)",
     )
     for name, entry in report["backends"].items():
@@ -51,12 +53,14 @@ def run(n_sweeps: int, level: str) -> dict:
         table.add_row(
             [
                 name,
-                format_seconds(entry["timings"]["wall_seconds"]),
                 profile["phases"]["basis"]["calls"],
                 format_bytes(profile["cache"]["peak_bytes"])
                 if profile["cache"]["misses"]
                 else "-",
                 profile["device"]["launches"] or "-",
+                format_seconds(profile["device"]["modeled_seconds"])
+                if profile["device"]["launches"]
+                else "-",
             ]
         )
     print(table.render())

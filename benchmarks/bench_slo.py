@@ -10,9 +10,12 @@ produces (the chaos run must fire ``crash_rate_spike`` at window 0 and
 clear it at window 2; the steady run must stay silent).
 
 The measurement lives in :func:`repro.obs.telemetry.slo.slo_emission`
-(shared with the ``repro slo --gate`` regression gate); this script
+(shared with the ``repro bench-check`` regression gate); this script
 prints the scenario dashboards, writes ``BENCH_slo.json`` at the repo
-root, and fails if the alert contract is violated.  Run::
+root, and fails if the alert contract is violated.  The scenario runs
+on the logical clock; measured service latencies are the
+``service_mix`` workload of ``BENCHMARK.json``
+(``python benchmarks/e2e/run.py``).  Run::
 
     PYTHONPATH=src python benchmarks/bench_slo.py
 

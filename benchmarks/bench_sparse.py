@@ -1,7 +1,7 @@
 """Block-sparse screening payoff on a polyethylene chain.
 
-Times repeated Sumup + H phase sweeps (the SCF/CPSCF hot loop) on an
-all-trans H(C2H4)nH chain — the paper's linear-scaling workload shape —
+Counts the work of repeated Sumup + H phase sweeps (the SCF/CPSCF hot
+loop) on an all-trans H(C2H4)nH chain — the paper's linear-scaling workload shape —
 under two builders sharing one basis/grid/batch decomposition:
 
 * ``dense``    — ``screening_threshold = 0``: every batch contracts the
@@ -14,12 +14,15 @@ The measurement itself lives in :mod:`repro.obs.bench` (shared with the
 ``repro bench-check`` regression gate); this script prints the table,
 writes ``BENCH_sparse.json`` at the repo root — provenance block
 included — and fails unless the screening pattern actually pays:
-block-evaluation reduction >= 3x and fill fraction < 30%.  Run::
+block-evaluation reduction >= 3x and fill fraction < 30%.  No clock is
+read: the measured dense-vs-screened wall is ``op_a_ms`` / ``op_b_ms``
+of the ``chain32_kernels`` workload of ``BENCHMARK.json``
+(``python benchmarks/e2e/run.py``).  Run::
 
     PYTHONPATH=src python benchmarks/bench_sparse.py [--quick]
 
 or via ``make bench-smoke``.  Screened outputs are checked against the
-dense ones within the physics tolerance before any timing is reported.
+dense ones within the physics tolerance before anything is reported.
 Compare a fresh run against the committed baseline with
 ``make bench-check``.
 """
@@ -32,7 +35,7 @@ from pathlib import Path
 
 from repro.obs.bench import sparse_emission
 from repro.obs.report import Provenance
-from repro.utils.reports import TableFormatter, format_seconds
+from repro.utils.reports import TableFormatter
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sparse.json"
 
@@ -54,14 +57,12 @@ def run(n_units: int, n_sweeps: int, level: str) -> dict:
         f"{report['threshold']:g}, {n_sweeps} Sumup+H sweeps"
     )
     table = TableFormatter(
-        ["builder", "wall", "blocks evaluated", "fill", "reduction"],
+        ["builder", "blocks evaluated", "fill", "reduction"],
         title="dense vs screened (outputs agree within physics tolerance)",
     )
-    timings = report["timings"]
     table.add_row(
         [
             "dense",
-            format_seconds(timings["dense_wall_seconds"]),
             f"{stats['blocks_dense']:,}",
             "1.000",
             "1.00x",
@@ -70,7 +71,6 @@ def run(n_units: int, n_sweeps: int, level: str) -> dict:
     table.add_row(
         [
             "screened",
-            format_seconds(timings["screened_wall_seconds"]),
             f"{stats['blocks_active']:,}",
             f"{stats['fill_fraction']:.3f}",
             f"{report['block_reduction']:.2f}x",

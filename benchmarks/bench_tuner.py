@@ -10,14 +10,18 @@ provenance.  The committed gate pins that
 * the deterministic cost-model floats are byte-stable (a cost-model
   change trips the relative band and names the tuner), and
 * the chosen config is never slower than the hand-picked default
-  (``tuned_speedup_vs_default`` / ``predicted_speedup_vs_default``
-  floor bands — both are >= 1 by the tuner's fallback guarantee).
+  (``tuned_speedup_vs_default`` / ``predicted_speedup_vs_default``,
+  ratios of those floats under the same band — both are >= 1 by the
+  tuner's fallback guarantee, and this script refuses a baseline where
+  either is not).
 
 The measurement lives in :func:`repro.obs.bench.tuner_emission` (shared
 with the ``repro bench-check`` regression gate); this script prints the
 per-workload decision tables, writes ``BENCH_tuner.json`` at the repo
 root, and fails if any decision came out slower than its default.
-Run::
+Every number is a counter or a modeled second; the repository's
+measured walls are the workloads of ``BENCHMARK.json``
+(``python benchmarks/e2e/run.py``).  Run::
 
     PYTHONPATH=src python benchmarks/bench_tuner.py [--quick]
 

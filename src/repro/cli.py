@@ -7,11 +7,10 @@ results out):
     python -m repro physics geometry.in --backend device
     python -m repro physics geometry.in --trace out.json
     python -m repro trace --molecule water --out trace.json --force
-    python -m repro bench-check --baseline BENCH_backends.json --history BENCH_history.jsonl
+    python -m repro bench-check --baseline BENCH_backends.json
     python -m repro analyze trace trace.json
     python -m repro analyze diff base.json fresh.json
     python -m repro analyze scaling --atoms 3002
-    python -m repro analyze history
     python -m repro model geometry.in --machine hpc2 --ranks 2048
     python -m repro model --polyethylene 30002 --machine hpc1 --ranks 4096 --baseline
     python -m repro chaos --seed 2023 --machine hpc2 --ranks 8
@@ -273,60 +272,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     import json as _json
+    from pathlib import Path
 
-    from repro.obs.analyze.history import (
-        append_entry,
-        latest_parameters,
-        load_history,
-        rolling_baseline,
-    )
-    from repro.obs.bench import emission_for_baseline
-    from repro.obs.regress import (
-        baseline_run_parameters,
-        compare_reports,
-        load_baseline,
-    )
+    from repro.obs.bench import baseline_run_parameters, emission_for_baseline
+    from repro.obs.regress import compare_reports, load_baseline
 
-    # The gate re-runs whichever emission kind ("backends", "sparse")
-    # the baseline came from; history entries of other kinds are a
-    # separate lineage and never mix into the rolling median.
-    history = load_history(args.history) if args.history else []
-    if args.against_history and history:
-        kind = str(history[-1].get("label", "backends"))
-        history = [e for e in history if str(e.get("label", "backends")) == kind]
-        params_doc = history[-1]["emission"]
-        level, n_sweeps = latest_parameters(history)
-        baseline = rolling_baseline(history, window=args.window)
-        print(
-            f"bench-check: fresh {kind} emission (level={level}, "
-            f"{n_sweeps} sweeps) "
-            f"vs rolling median of last {min(args.window, len(history))} "
-            f"history entr{'y' if len(history) == 1 else 'ies'} "
-            f"({args.history})"
-        )
-    else:
-        if args.against_history:
-            print(f"history {args.history} is empty; "
-                  "falling back to the committed baseline")
-        params_doc = baseline = load_baseline(args.baseline)
-        kind = str(baseline.get("benchmark", "backends"))
-        history = [e for e in history if str(e.get("label", "backends")) == kind]
-        level, n_sweeps = baseline_run_parameters(baseline)
-        print(f"bench-check: fresh {kind} emission (level={level}, "
-              f"{n_sweeps} sweeps) vs baseline {args.baseline}")
-    fresh = emission_for_baseline(params_doc)
+    # The gate re-runs whichever emission kind ("backends", "sparse",
+    # "fleet", "tuner", "slo") the baseline came from.
+    baseline = load_baseline(args.baseline)
+    kind, parameters = baseline_run_parameters(baseline)
+    settings = ", ".join(f"{k}={v}" for k, v in parameters.items())
+    print(f"bench-check: fresh {kind} emission ({settings}) "
+          f"vs baseline {args.baseline}")
+    fresh = emission_for_baseline(baseline)
     if args.write_fresh:
-        from pathlib import Path
-
         Path(args.write_fresh).write_text(
             _json.dumps(fresh, indent=2, sort_keys=True) + "\n"
         )
         print(f"fresh emission -> {args.write_fresh}")
     report = compare_reports(fresh, baseline)
     print(report.render())
-    if args.history:
-        append_entry(args.history, fresh, label=kind, gate_ok=report.ok)
-        print(f"history: appended entry #{len(history) + 1} -> {args.history}")
     return 0 if report.ok else 1
 
 
@@ -422,20 +387,6 @@ def _cmd_analyze_scaling(args: argparse.Namespace) -> int:
     print()
     print(render_scheme_costs(costs, HPC2_AMD.name, args.base_ranks))
     return 0
-
-
-def _cmd_analyze_history(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import detect_trends, load_history
-
-    entries = load_history(args.path)
-    if not entries:
-        print(f"no benchmark history at {args.path}")
-        return 0
-    report = detect_trends(
-        entries, window=args.window, threshold=args.threshold
-    )
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -758,28 +709,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         print("alerts: " + render_alerts(alerts))
         return 0
 
-    if args.gate:
-        from repro.obs.bench import emission_for_baseline
-        from repro.obs.regress import compare_reports, load_baseline
-
-        baseline = load_baseline(args.gate)
-        print(f"slo-check: fresh SLO emission "
-              f"(seed={baseline.get('seed')}, "
-              f"window={baseline.get('window')}) vs baseline {args.gate}")
-        fresh = emission_for_baseline(baseline)
-    else:
-        fresh = slo_emission(seed=args.seed, window=args.window)
+    fresh = slo_emission(seed=args.seed, window=args.window)
     if args.write_fresh:
         Path(args.write_fresh).write_text(
             _json.dumps(fresh, indent=2, sort_keys=True) + "\n"
         )
         print(f"fresh emission -> {args.write_fresh}")
     print(render_slo_emission(fresh))
-    if args.gate:
-        report = compare_reports(fresh, baseline)
-        print()
-        print(report.render())
-        return 0 if report.ok else 1
     return 0
 
 
@@ -887,8 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench-check",
-        help="perf-regression gate: fresh backend-benchmark emission vs a "
-        "committed BENCH_*.json baseline with per-metric tolerance bands",
+        help="counter and cost-model regression gate: fresh benchmark "
+        "emission vs a committed BENCH_*.json baseline with per-metric "
+        "tolerance bands (wall time is gated by BENCHMARK.json)",
     )
     p_bench.add_argument(
         "--baseline",
@@ -900,31 +837,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the fresh emission JSON here (baseline updates)",
     )
-    p_bench.add_argument(
-        "--history",
-        metavar="PATH",
-        help="append the provenance-stamped fresh emission to this "
-        "BENCH_history.jsonl log after gating",
-    )
-    p_bench.add_argument(
-        "--against-history",
-        action="store_true",
-        help="gate against the rolling median of the --history window "
-        "instead of the committed baseline",
-    )
-    p_bench.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="history entries in the rolling-baseline window (default: 5)",
-    )
     p_bench.set_defaults(func=_cmd_bench_check)
 
     p_an = sub.add_parser(
         "analyze",
         help="post-mortem analytics over recorded artifacts (traces, "
-        "run reports, benchmark history)",
+        "run reports)",
     )
     an_sub = p_an.add_subparsers(dest="analyze_command", required=True)
 
@@ -968,17 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_as.add_argument("--points", type=int, default=3,
                       help="doublings per series (default: 3)")
     p_as.set_defaults(func=_cmd_analyze_scaling)
-
-    p_ah = an_sub.add_parser(
-        "history",
-        help="trend detection over the benchmark history log",
-    )
-    p_ah.add_argument("--path", default="BENCH_history.jsonl",
-                      help="history log (default: ./BENCH_history.jsonl)")
-    p_ah.add_argument("--window", type=int, default=5, metavar="N")
-    p_ah.add_argument("--threshold", type=float, default=0.25,
-                      help="relative drift that flags a trend (default: 0.25)")
-    p_ah.set_defaults(func=_cmd_analyze_history)
 
     p_model = sub.add_parser("model", help="price a configuration at scale")
     add_common(p_model, physics=False)
@@ -1026,8 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--fleet", action="store_true",
                         help="also tune the fleet wave-size axis")
     p_tune.add_argument("--history", metavar="PATH",
-                        help="BENCH_history.jsonl to warm-start from and "
-                        "append the decision to")
+                        help="decision journal (JSONL, created if missing) "
+                        "to warm-start from and append the decision to")
     p_tune.add_argument("--no-warm-start", action="store_true",
                         help="ignore prior decisions in --history")
     p_tune.add_argument("--decision", metavar="PATH",
@@ -1108,8 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="auto: run the closed-loop tuner first and "
                           "submit under the chosen configuration")
     p_submit.add_argument("--tune-history", metavar="PATH",
-                          help="BENCH_history.jsonl the tuner warm-starts "
-                          "from and appends its decision to")
+                          help="decision journal (JSONL) the tuner "
+                          "warm-starts from and appends its decision to")
     add_store_opts(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
@@ -1169,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
         "slo",
         help="windowed SLO rollups, health and deterministic alerts over "
         "a telemetry journal — or the committed synthetic scenario "
-        "(gateable against BENCH_slo.json)",
+        "(gated by `repro bench-check --baseline BENCH_slo.json`)",
     )
     p_slo.add_argument("--window", type=float, default=4.0,
                        metavar="SECONDS",
@@ -1177,10 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: 4.0)")
     p_slo.add_argument("--seed", type=int, default=2023,
                        help="scenario seed for the synthetic SLO emission")
-    p_slo.add_argument("--gate", metavar="BASELINE",
-                       help="compare a fresh synthetic emission against a "
-                       "committed BENCH_slo.json; non-zero exit on "
-                       "regression (make slo-check)")
     p_slo.add_argument("--write-fresh", metavar="PATH",
                        help="write the fresh emission as sorted-key JSON "
                        "(use to [re]generate BENCH_slo.json)")

@@ -110,6 +110,7 @@ class PhaseModel:
         calibration: Optional[PhaseCalibration] = None,
         use_accelerator: bool = True,
         memory_model: Optional[HamiltonianMemoryModel] = None,
+        rank_quantities: Optional[tuple] = None,
     ) -> None:
         if n_ranks < 1:
             raise ExperimentError(f"need >= 1 rank, got {n_ranks}")
@@ -120,7 +121,9 @@ class PhaseModel:
         self.batches = batches
         self.assignment = assignment
         self.cal = calibration or PhaseCalibration()
-        self._memory_model_arg = memory_model
+        self._memory_model = memory_model or HamiltonianMemoryModel(
+            workload.structure
+        )
         self.use_accelerator = use_accelerator
         if use_accelerator:
             self.device = Device(machine.accelerator)
@@ -134,15 +137,25 @@ class PhaseModel:
             self.device = Device(HPC2_CPU_CORE)
             self._share = 1
 
-        self._derive_rank_quantities()
-
-    # ------------------------------------------------------------------
-    def _derive_rank_quantities(self) -> None:
-        pts = self.assignment.points_per_rank(self.batches)
-        self.points_per_rank = int(pts.max())
         self.batches_per_rank = max(
             1, math.ceil(len(self.batches) / self.n_ranks)
         )
+        #: What the mapping alone fixes, whatever the machine or flags —
+        #: the expensive part of pricing at scale.  Opaque to callers:
+        #: :meth:`PerturbationSimulator.phase_model` hands one model's to
+        #: the next model priced under the same assignment.
+        self.rank_quantities = rank_quantities or self._derive_rank_quantities()
+        (
+            self.points_per_rank,
+            self.basis_per_point,
+            self.near_atoms_per_point,
+            self.splines_per_rank,
+            self.memory_per_rank,
+        ) = self.rank_quantities
+
+    # ------------------------------------------------------------------
+    def _derive_rank_quantities(self) -> tuple:
+        pts = self.assignment.points_per_rank(self.batches)
 
         # Basis functions alive at a typical point: derived from the
         # batches' relevant-atom sets (sampled for big systems).
@@ -152,10 +165,8 @@ class PhaseModel:
             int(counts[list(b.relevant_atoms)].sum()) if b.relevant_atoms else 0
             for b in sample
         ]
-        self.basis_per_point = max(1.0, float(np.mean(per_batch)))
         # Atoms whose multipole mesh reaches a typical point.
         rel_atoms = [len(b.relevant_atoms) for b in sample]
-        self.near_atoms_per_point = max(1.0, float(np.mean(rel_atoms)))
 
         # Spline constructions per rank under this mapping (Fig. 9(c)),
         # computed for the representative (max-loaded) rank only so huge
@@ -172,14 +183,14 @@ class PhaseModel:
             sub,
             self.w.structure,
         )
-        self.splines_per_rank = int(sc[0])
-
         # Memory footprint per rank (feasibility; Figs. 9(a), weak scaling).
-        self._memory_model = self._memory_model_arg or HamiltonianMemoryModel(
-            self.w.structure
-        )
-        self.memory_per_rank = int(
-            self._memory_model.per_rank_bytes(self.assignment, self.batches).max()
+        memory = self._memory_model.per_rank_bytes(self.assignment, self.batches)
+        return (
+            int(pts.max()),
+            max(1.0, float(np.mean(per_batch))),
+            max(1.0, float(np.mean(rel_atoms))),
+            int(sc[0]),
+            int(memory.max()),
         )
 
     # ------------------------------------------------------------------

@@ -162,6 +162,7 @@ class PerturbationSimulator:
         self._workload: Optional[Workload] = None
         self._batches: Optional[List[GridBatch]] = None
         self._assignments: Dict[tuple, BatchAssignment] = {}
+        self._rank_quantities: Dict[tuple, tuple] = {}
         self._memory_model = None
 
     # ------------------------------------------------------------------
@@ -203,6 +204,40 @@ class PerturbationSimulator:
             self._assignments[key] = fn(self.batches, n_ranks)
         return self._assignments[key]
 
+    def phase_model(
+        self,
+        machine: MachineSpec,
+        n_ranks: int,
+        flags: OptimizationFlags,
+        calibration: Optional[PhaseCalibration] = None,
+        use_accelerator: bool = True,
+    ) -> PhaseModel:
+        """The priced model of one configuration.
+
+        What the mapping alone fixes (``PhaseModel.rank_quantities``) is
+        derived once per (ranks, strategy) pair, like :meth:`assignment`:
+        machines and flag sets priced under one mapping share it.
+        """
+        if self._memory_model is None:
+            from repro.mapping.memory_model import HamiltonianMemoryModel
+
+            self._memory_model = HamiltonianMemoryModel(self.structure)
+        key = (n_ranks, flags.locality_mapping)
+        model = PhaseModel(
+            workload=self.workload,
+            machine=machine,
+            n_ranks=n_ranks,
+            flags=flags,
+            batches=self.batches,
+            assignment=self.assignment(*key),
+            calibration=calibration,
+            use_accelerator=use_accelerator,
+            memory_model=self._memory_model,
+            rank_quantities=self._rank_quantities.get(key),
+        )
+        self._rank_quantities[key] = model.rank_quantities
+        return model
+
     def run_model(
         self,
         machine: MachineSpec,
@@ -218,21 +253,8 @@ class PerturbationSimulator:
                 f"{len(self.batches)} batches cannot feed {n_ranks} ranks; "
                 "reduce ranks or grid batch size"
             )
-        assignment = self.assignment(n_ranks, flags.locality_mapping)
-        if self._memory_model is None:
-            from repro.mapping.memory_model import HamiltonianMemoryModel
-
-            self._memory_model = HamiltonianMemoryModel(self.structure)
-        model = PhaseModel(
-            workload=self.workload,
-            machine=machine,
-            n_ranks=n_ranks,
-            flags=flags,
-            batches=self.batches,
-            assignment=assignment,
-            calibration=calibration,
-            use_accelerator=use_accelerator,
-            memory_model=self._memory_model,
+        model = self.phase_model(
+            machine, n_ranks, flags, calibration, use_accelerator
         )
         bd: PhaseBreakdown = model.breakdown()
         return SimulationReport(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.flags import OptimizationFlags
-from repro.core.phasemodel import PhaseModel
 from repro.core.simulator import PerturbationSimulator
 from repro.experiments.common import polyethylene_simulator
 from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD, MachineSpec
@@ -51,15 +50,7 @@ def _init_times(
     times = []
     for indirect in (False, True):
         flags = OptimizationFlags.all().but(indirect_elimination=indirect)
-        model = PhaseModel(
-            workload=sim.workload,
-            machine=machine,
-            n_ranks=n_ranks,
-            flags=flags,
-            batches=sim.batches,
-            assignment=sim.assignment(n_ranks, True),
-        )
-        times.append(model.init_time())
+        times.append(sim.phase_model(machine, n_ranks, flags).init_time())
     return times[0], times[1]  # (before, after)
 
 

@@ -17,7 +17,6 @@ from repro.basis.spline import spline_coefficient_nbytes
 from repro.basis.ylm import n_lm
 from repro.config import get_settings
 from repro.core.flags import OptimizationFlags
-from repro.core.phasemodel import PhaseModel
 from repro.experiments.common import polyethylene_simulator
 from repro.grids.shells import radial_shells_for_species
 from repro.ocl.device import Device
@@ -129,14 +128,7 @@ def run_fig12b_horizontal(
         for p in ranks:
             times = []
             for fusion in (False, True):
-                model = PhaseModel(
-                    workload=sim.workload,
-                    machine=HPC2_AMD,
-                    n_ranks=p,
-                    flags=OptimizationFlags.all().but(kernel_fusion=fusion),
-                    batches=sim.batches,
-                    assignment=sim.assignment(p, True),
-                )
-                times.append(model.rho_time())
+                flags = OptimizationFlags.all().but(kernel_fusion=fusion)
+                times.append(sim.phase_model(HPC2_AMD, p, flags).rho_time())
             rows.append((atoms, p, times[0], times[1], times[0] / times[1]))
     return Fig12bResult(rows=rows)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.flags import OptimizationFlags
-from repro.core.phasemodel import PhaseModel
 from repro.experiments.common import polyethylene_simulator
 from repro.runtime.machines import HPC2_AMD
 from repro.utils.reports import TableFormatter
@@ -55,14 +54,7 @@ def run_fig13_collapse(sweep: Dict[int, Sequence[int]] = None) -> Fig13Result:
         for p in ranks:
             times = []
             for collapse in (False, True):
-                model = PhaseModel(
-                    workload=sim.workload,
-                    machine=HPC2_AMD,
-                    n_ranks=p,
-                    flags=OptimizationFlags.all().but(loop_collapse=collapse),
-                    batches=sim.batches,
-                    assignment=sim.assignment(p, True),
-                )
-                times.append(model.rho_time())
+                flags = OptimizationFlags.all().but(loop_collapse=collapse)
+                times.append(sim.phase_model(HPC2_AMD, p, flags).rho_time())
             rows.append((atoms, p, times[0], times[1], times[0] / times[1]))
     return Fig13Result(rows=rows)

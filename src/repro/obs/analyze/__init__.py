@@ -14,8 +14,8 @@ dashboard is deterministic: same input files, same output bytes.
   and packed-vs-unpacked reduction cost tables (Fig. 10);
 * :mod:`~repro.obs.analyze.diff` — A/B wall-time attribution between
   two recorded runs ("explain the regression");
-* :mod:`~repro.obs.analyze.history` — append-only benchmark history
-  with rolling baselines and trend detection;
+* :mod:`~repro.obs.analyze.history` — the tuner's append-only
+  decision journal;
 * :mod:`~repro.obs.analyze.scaling` — the one place strong/weak
   scaling ratios are defined (Figs. 15/16).
 
@@ -35,15 +35,7 @@ from repro.obs.analyze.comms import (
     scheme_cost_table,
 )
 from repro.obs.analyze.diff import Contribution, RunDiff, diff_timelines
-from repro.obs.analyze.history import (
-    Trend,
-    TrendReport,
-    append_entry,
-    detect_trends,
-    latest_parameters,
-    load_history,
-    rolling_baseline,
-)
+from repro.obs.analyze.history import append_entry, load_history
 from repro.obs.analyze.imbalance import (
     MappingAttribution,
     PhaseImbalance,
@@ -81,14 +73,10 @@ __all__ = [
     "ScalingPoint",
     "Timeline",
     "TimelineEvent",
-    "Trend",
-    "TrendReport",
     "append_entry",
     "comm_matrix",
     "critical_path",
-    "detect_trends",
     "diff_timelines",
-    "latest_parameters",
     "load_history",
     "load_run",
     "mapping_attribution",
@@ -99,7 +87,6 @@ __all__ = [
     "strategy_imbalance_factors",
     "render_scaling",
     "render_scheme_costs",
-    "rolling_baseline",
     "scheme_cost_seconds",
     "scheme_cost_table",
     "strong_scaling",

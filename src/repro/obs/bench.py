@@ -20,17 +20,18 @@ The emission carries a :class:`~repro.obs.report.Provenance` block, so
 every ``BENCH_*.json`` names the commit, seed and machine models it was
 produced under (the EXPERIMENTS.md footer policy).
 
-The document is *byte-stable by construction*: every volatile
-measurement (wall seconds, speedups, per-phase wall slices) lives under
-a ``timings`` subtree, everything else is deterministic, and
-:func:`stable_view` strips the ``timings`` subtrees so two runs of the
-same code serialize to identical bytes (writers use sorted keys).
+The document is *byte-stable by construction*: no emission reads a
+clock — every leaf is a deterministic counter or a cost-model float —
+so two runs of the same code serialize to identical bytes outside the
+``provenance`` block (writers use sorted keys).  Wall time is measured
+and gated in one place, ``BENCHMARK.json`` + ``benchmarks/e2e``.
+:func:`stable_view` remains for the documents that *do* carry measured
+``timings`` for a reader (service result payloads, tuner decisions).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -68,19 +69,17 @@ def build_builders(level: str) -> Dict[str, object]:
 
 
 def sweep(builder, n_sweeps: int, seed: int = BENCH_SEED) -> dict:
-    """Time ``n_sweeps`` Sumup + H passes; return wall time and outputs."""
+    """Run ``n_sweeps`` Sumup + H passes on seeded inputs; return the outputs."""
     rng = np.random.default_rng(seed)
     nb = builder.basis.n_basis
     p = rng.normal(size=(nb, nb))
     p = p + p.T
     v = rng.normal(size=builder.grid.n_points)
     density = potential = None
-    start = time.perf_counter()
     for _ in range(n_sweeps):
         density = builder.backend.density_on_grid(p)
         potential = builder.potential_matrix(v)
-    wall = time.perf_counter() - start
-    return {"wall": wall, "density": density, "potential": potential}
+    return {"density": density, "potential": potential}
 
 
 def backend_emission(level: str, n_sweeps: int) -> dict:
@@ -89,7 +88,7 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
     Raises :class:`~repro.errors.ExperimentError` if any row's outputs
     diverge bitwise from the warm host engine, or if a host row's
     ``basis`` evaluation count is not the one its cache regime defines
-    — a benchmark must never time a wrong answer or a wrong regime.
+    — a benchmark must never count a wrong answer or a wrong regime.
     """
     if n_sweeps < 1:
         raise ExperimentError(f"need >= 1 sweep, got {n_sweeps}")
@@ -126,14 +125,11 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
     for row, builder in builders.items():
-        profile, timed_phases = _split_profile(builder.backend.profile.as_dict())
-        report["backends"][row] = {
-            "profile": profile,
-            "timings": {
-                "phases": timed_phases,
-                "wall_seconds": results[row]["wall"],
-            },
-        }
+        profile = builder.backend.profile.as_dict()
+        # Per-phase wall ``seconds`` are the snapshot's only clock reads.
+        for stats in profile["phases"].values():
+            del stats["seconds"]
+        report["backends"][row] = {"profile": profile}
     return report
 
 
@@ -154,9 +150,11 @@ def sparse_emission(
     *threshold*; both run ``n_sweeps`` Sumup + H sweeps.
 
     The screened outputs are checked against the dense ones within the
-    physics tolerance (1e-4) before any timing is reported, and the
+    physics tolerance (1e-4) before anything is reported, and the
     pattern's block-evaluation reduction is recorded — the committed
-    baseline pins the >= 3x payoff the locality seam exists for.
+    baseline pins the >= 3x payoff the locality seam exists for.  The
+    measured dense-vs-screened wall is ``chain32_kernels``
+    ``op_a_ms`` / ``op_b_ms`` on the end-to-end benchmark.
     """
     from repro.atoms import polyethylene
     from repro.config import get_settings
@@ -201,8 +199,6 @@ def sparse_emission(
         )
 
     stats = screened.pattern.stats
-    dense_wall = results["dense"]["wall"]
-    screened_wall = results["screened"]["wall"]
     return {
         "benchmark": "sparse",
         "system": "polyethylene",
@@ -219,13 +215,6 @@ def sparse_emission(
         "diff": {
             "density_max_diff": density_diff,
             "potential_max_diff": potential_diff,
-        },
-        "timings": {
-            "dense_wall_seconds": dense_wall,
-            "screened_wall_seconds": screened_wall,
-            "screened_speedup_vs_dense": (
-                dense_wall / screened_wall if screened_wall > 0 else float("inf")
-            ),
         },
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
@@ -246,13 +235,14 @@ def fleet_emission(
     request — and once through the
     :class:`~repro.fleet.driver.FleetDriver`.  Every per-request result
     payload is asserted byte-identical between the two before any
-    number is reported: the benchmark never times a wrong answer.
+    number is reported: the benchmark never counts a wrong answer.
 
     The gated headline is ``model.molecules_per_second_speedup`` — the
     deterministic device-model account (sequential modeled seconds of
     all requests over the fleet's fused modeled seconds), composing the
-    physics-dedup factor with cross-molecule launch fusion.  Wall
-    measurements are quarantined under ``timings``.
+    physics-dedup factor with cross-molecule launch fusion.  The
+    measured sequential-vs-fleet wall is ``service_mix``
+    ``op_a_ms`` / ``op_b_ms`` on the end-to-end benchmark.
     """
     from repro.atoms import hydrogen_molecule
     from repro.config import get_settings
@@ -290,7 +280,6 @@ def fleet_emission(
         "bytes": 0,
     }
     reference_bytes: Dict[str, bytes] = {}
-    seq_start = time.perf_counter()
     for task in tasks:
         structure, run_settings, charge = physics_from_payload(task.payload)
         sim = PerturbationSimulator(structure, run_settings, charge=charge)
@@ -302,13 +291,9 @@ def fleet_emission(
         reference_bytes[task.key] = stable_result_bytes(
             result_payload(task, structure, run_settings, result)
         )
-    seq_wall = time.perf_counter() - seq_start
 
     # Fleet run: shared tables, dedup groups, fused launches.
-    driver = FleetDriver()
-    fleet_start = time.perf_counter()
-    outcome = driver.run_tasks(tasks)
-    fleet_wall = time.perf_counter() - fleet_start
+    outcome = FleetDriver().run_tasks(tasks)
     if outcome.errors:
         raise ExperimentError(f"fleet run failed: {outcome.errors}")
     for key, payload in outcome.results.items():
@@ -351,13 +336,6 @@ def fleet_emission(
             "sequential_bytes": sequential["bytes"],
             "fleet_bytes": stats["bytes_transferred"],
         },
-        "timings": {
-            "sequential_wall_seconds": seq_wall,
-            "fleet_wall_seconds": fleet_wall,
-            "wall_speedup": (
-                seq_wall / fleet_wall if fleet_wall > 0 else float("inf")
-            ),
-        },
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
 
@@ -380,11 +358,12 @@ def tuner_emission(
       deterministic cost-model floats (relative band, any cost-model
       change trips the gate and names the tuner);
     * ``tuned_speedup_vs_default`` / ``predicted_speedup_vs_default``
-      — floor bands: the chosen config must stay no slower than the
-      hand-picked default.
+      — ratios of those floats, same band (the tuner's fallback
+      guarantee keeps both >= 1; ``benchmarks/bench_tuner.py`` refuses
+      to write a baseline where either is not).
 
-    The loop's wall time is quarantined under ``timings``; everything
-    else is deterministic, so the emission is byte-stable.
+    The decision's own measured ``timings`` (a reader's number, not a
+    gate's) are left out, so the emission is byte-stable.
 
     ``cost_model`` is injectable for gate-liveness testing (a perturbed
     model must make ``make tune-check`` fail).
@@ -413,11 +392,9 @@ def tuner_emission(
         "n_ranks": n_ranks,
         "budget": budget,
         "workloads": {},
-        "timings": {},
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
     for name, structure in workloads.items():
-        wall_start = time.perf_counter()
         decision = tune(
             structure,
             settings,
@@ -425,9 +402,8 @@ def tuner_emission(
             budget=budget,
             cost_model=model,
         )
-        wall = time.perf_counter() - wall_start
         doc = decision.as_dict()
-        timings = doc.pop("timings")
+        del doc["timings"]
         chosen = decision.chosen_outcome
         default = decision.default_outcome
         report["workloads"][name] = {
@@ -454,100 +430,80 @@ def tuner_emission(
             "tuned_speedup_vs_default": decision.measured_speedup,
             "predicted_speedup_vs_default": decision.predicted_speedup,
         }
-        report["timings"][name] = dict(timings, wall_seconds=wall)
     return report
+
+
+def _emissions() -> Dict[str, tuple]:
+    """kind -> (emission, ((run parameter, type), ...)), one row per baseline.
+
+    The parameters are the baseline's own top-level keys and the
+    emission's keyword names at once.
+    """
+    from repro.obs.telemetry.slo import slo_emission
+
+    return {
+        "backends": (backend_emission, (("level", str), ("n_sweeps", int))),
+        "sparse": (
+            sparse_emission,
+            (("n_units", int), ("n_sweeps", int), ("threshold", float),
+             ("level", str)),
+        ),
+        "fleet": (
+            fleet_emission,
+            (("level", str), ("n_requests", int), ("n_distinct", int),
+             ("backend", str)),
+        ),
+        "tuner": (
+            tuner_emission,
+            (("level", str), ("n_ranks", int), ("budget", int)),
+        ),
+        "slo": (slo_emission, (("seed", int), ("window", float))),
+    }
+
+
+def baseline_run_parameters(baseline: dict) -> Tuple[str, Dict[str, object]]:
+    """The (kind, keyword arguments) a fresh emission needs to be comparable.
+
+    The kind is the document's ``benchmark`` tag (absent in the original
+    backend emissions, so those default to ``"backends"``).
+
+    >>> baseline_run_parameters({"level": "light", "n_sweeps": 8})
+    ('backends', {'level': 'light', 'n_sweeps': 8})
+    """
+    kind = str(baseline.get("benchmark", "backends"))
+    try:
+        _, parameters = _emissions()[kind]
+    except KeyError:
+        raise ExperimentError(
+            f"unknown benchmark kind {kind!r} in baseline"
+        ) from None
+    try:
+        return kind, {name: cast(baseline[name]) for name, cast in parameters}
+    except (KeyError, TypeError, ValueError):
+        names = ", ".join(name for name, _ in parameters)
+        raise ExperimentError(
+            f"{kind} baseline is missing its run parameters ({names}); "
+            "regenerate it with the current benchmark"
+        ) from None
 
 
 def emission_for_baseline(baseline: dict) -> dict:
     """Re-run the emission that produced *baseline*, at its own parameters.
 
-    Dispatches on the document's ``benchmark`` tag (absent in the
-    original backend emissions, so those default to ``"backends"``) —
-    the regression gate stays one code path for every ``BENCH_*.json``.
+    The regression gate stays one code path for every ``BENCH_*.json``.
     """
-    from repro.obs.regress import baseline_run_parameters
-
-    kind = str(baseline.get("benchmark", "backends"))
-    level, n_sweeps = baseline_run_parameters(baseline)
-    if kind == "sparse":
-        try:
-            n_units = int(baseline["n_units"])
-            threshold = float(baseline["threshold"])
-        except (KeyError, TypeError, ValueError):
-            raise ExperimentError(
-                "sparse baseline is missing its run parameters "
-                "(n_units, threshold); regenerate it with the current benchmark"
-            ) from None
-        return sparse_emission(n_units, n_sweeps, threshold, level=level)
-    if kind == "fleet":
-        try:
-            n_requests = int(baseline["n_requests"])
-            n_distinct = int(baseline["n_distinct"])
-            backend = str(baseline["backend"])
-        except (KeyError, TypeError, ValueError):
-            raise ExperimentError(
-                "fleet baseline is missing its run parameters "
-                "(n_requests, n_distinct, backend); regenerate it with the "
-                "current benchmark"
-            ) from None
-        return fleet_emission(
-            level=level,
-            n_requests=n_requests,
-            n_distinct=n_distinct,
-            backend=backend,
-        )
-    if kind == "tuner":
-        try:
-            n_ranks = int(baseline["n_ranks"])
-            budget = int(baseline["budget"])
-        except (KeyError, TypeError, ValueError):
-            raise ExperimentError(
-                "tuner baseline is missing its run parameters "
-                "(n_ranks, budget); regenerate it with the current benchmark"
-            ) from None
-        return tuner_emission(level=level, n_ranks=n_ranks, budget=budget)
-    if kind == "slo":
-        from repro.obs.telemetry.slo import slo_emission
-
-        try:
-            seed = int(baseline["seed"])
-            window = float(baseline["window"])
-        except (KeyError, TypeError, ValueError):
-            raise ExperimentError(
-                "slo baseline is missing its run parameters "
-                "(seed, window); regenerate it with the current benchmark"
-            ) from None
-        return slo_emission(seed=seed, window=window)
-    if kind != "backends":
-        raise ExperimentError(f"unknown benchmark kind {kind!r} in baseline")
-    return backend_emission(level, n_sweeps)
-
-
-def _split_profile(profile: dict) -> tuple:
-    """Separate a profile dict into (deterministic part, timed phases).
-
-    Per-phase wall ``seconds`` are the only volatile leaves of a
-    :meth:`BackendProfile.as_dict` snapshot (calls/elements/cache/device
-    counters and modeled seconds are deterministic); they move to the
-    emission's ``timings.phases`` subtree, keeping the leaf name
-    ``seconds`` so the regression gate's per-phase slowdown band still
-    applies.
-    """
-    phases = {}
-    timed = {}
-    for name, stats in profile["phases"].items():
-        stats = dict(stats)
-        timed[name] = {"seconds": stats.pop("seconds")}
-        phases[name] = stats
-    return dict(profile, phases=phases), timed
+    kind, parameters = baseline_run_parameters(baseline)
+    return _emissions()[kind][0](**parameters)
 
 
 def stable_view(report: dict) -> dict:
-    """The emission with every ``timings`` subtree removed, recursively.
+    """A document with every ``timings`` subtree removed, recursively.
 
-    What remains is deterministic, so serializing it with sorted keys
-    yields identical bytes across repeated runs of the same code — the
-    property the byte-stability test pins.
+    For documents that carry measured seconds for a reader (service
+    result payloads, tuner decisions): what remains is deterministic,
+    so serializing it with sorted keys yields identical bytes across
+    repeated runs of the same code.  The ``BENCH_*.json`` emissions
+    carry no such subtree to strip.
 
     >>> stable_view({"a": 1, "timings": {"wall": 0.3},
     ...              "b": {"timings": {}, "calls": 2}})

@@ -2,28 +2,27 @@
 
 Benchmark artifacts (``BENCH_*.json``) are flattened to dotted metric
 paths and compared metric-by-metric under a *tolerance band* chosen by
-key pattern:
+key pattern.  The emissions read no clock, so every band is two-sided;
+wall time is gated in one place, ``BENCHMARK.json`` + ``benchmarks/e2e``.
 
 ``exact``
     deterministic work counters (calls, elements, cache hits/misses,
-    launches, grid/basis sizes, modeled seconds) — any drift means the
-    work itself changed, which is exactly what the gate must catch;
-``slowdown``
-    measured wall seconds — one-sided: getting faster always passes,
-    getting slower beyond ``(1 + tol)x`` the baseline fails;
-``floor``
-    speedup ratios — one-sided: higher is fine, falling below
-    ``baseline / tol`` fails;
+    launches, grid/basis sizes) — any drift means the work itself
+    changed, which is exactly what the gate must catch;
+``relative``
+    cost-model floats (``modeled_seconds`` and every ``*speedup*``
+    ratio of them) — deterministic arithmetic, 1e-9 of slack for
+    library-level reduction-order jitter;
 ``ignore``
     recorded but never gating.
 
->>> base = {"calls": 8, "wall_seconds": 1.0, "wall_speedup": 10.0}
+>>> base = {"calls": 8, "modeled_seconds": 1.0, "model_speedup": 10.0}
 >>> compare_reports(dict(base), dict(base)).ok
 True
->>> bad = dict(base, wall_seconds=9.0)  # 9x slowdown
+>>> bad = dict(base, model_speedup=9.0)
 >>> rep = compare_reports(bad, base)
 >>> rep.ok, [d.key for d in rep.offenders]
-(False, ['wall_seconds'])
+(False, ['model_speedup'])
 """
 
 from __future__ import annotations
@@ -31,20 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ExperimentError
-
-#: Default slack for one-sided wall-time comparisons (fail above 3x base).
-WALL_SLOWDOWN_TOLERANCE = 2.0
-
-#: Slack for per-phase micro-times (fail above 10x base).  These are
-#: sub-50ms slices of the total, so scheduler noise on a loaded machine
-#: moves them far more than the aggregate wall they sum into.
-PHASE_SLOWDOWN_TOLERANCE = 9.0
-
-#: Default slack for one-sided speedup floors (fail below base / 3).
-SPEEDUP_FLOOR_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -53,13 +41,13 @@ class Band:
 
     >>> Band("exact").allows(3.0, 3.0)
     True
-    >>> Band("slowdown", 2.0).allows(baseline=1.0, fresh=2.9)
+    >>> Band("relative", 1e-9).allows(baseline=1.0, fresh=1.0 + 1e-12)
     True
-    >>> Band("slowdown", 2.0).allows(baseline=1.0, fresh=3.1)
+    >>> Band("relative", 1e-9).allows(baseline=1.0, fresh=0.99)
     False
     """
 
-    kind: str  # "exact" | "slowdown" | "floor" | "relative" | "ignore"
+    kind: str  # "exact" | "relative" | "ignore"
     tol: float = 0.0
 
     def allows(self, baseline: float, fresh: float) -> bool:
@@ -68,10 +56,6 @@ class Band:
             return True
         if self.kind == "exact":
             return fresh == baseline
-        if self.kind == "slowdown":
-            return fresh <= baseline * (1.0 + self.tol)
-        if self.kind == "floor":
-            return fresh >= baseline / self.tol if self.tol > 0 else True
         if self.kind == "relative":
             scale = max(abs(baseline), 1e-300)
             return abs(fresh - baseline) / scale <= self.tol
@@ -79,29 +63,24 @@ class Band:
 
     def describe(self) -> str:
         """Short human-readable form for report rows."""
-        if self.kind == "exact":
-            return "exact"
-        if self.kind == "ignore":
-            return "ignore"
-        if self.kind == "slowdown":
-            return f"<= {1.0 + self.tol:g}x base"
-        if self.kind == "floor":
-            return f">= base/{self.tol:g}"
-        return f"+-{self.tol:g} rel"
+        if self.kind == "relative":
+            return f"+-{self.tol:g} rel"
+        return self.kind
 
 
 def default_band(key: str) -> Band:
     """The tolerance policy for one flattened metric key.
 
-    The rules encode the policy documented in DESIGN §10.6: anything
-    deterministic is exact; anything wall-clock is one-sided.
+    The rules encode the policy documented in DESIGN §10.6: counters
+    are exact, cost-model floats are relative, BLAS-noise residuals are
+    recorded only.
 
     >>> default_band("backends.warm.profile.phases.H.calls").kind
     'exact'
-    >>> default_band("backends.cold.wall_seconds").kind
-    'slowdown'
-    >>> default_band("screened_speedup_vs_dense").kind
-    'floor'
+    >>> default_band("model.fleet.modeled_seconds").kind
+    'relative'
+    >>> default_band("model.molecules_per_second_speedup").kind
+    'relative'
     >>> default_band("diff.density_max_diff").kind
     'ignore'
     """
@@ -111,17 +90,10 @@ def default_band(key: str) -> Band:
         # (it refuses to report past the physics tolerance) but their
         # exact value is BLAS-library noise — recorded, never gating.
         return Band("ignore")
-    if "speedup" in leaf:
-        return Band("floor", SPEEDUP_FLOOR_FACTOR)
-    if leaf == "modeled_seconds":
-        # Cost-model output: deterministic float arithmetic, but allow
-        # for library-level reduction-order jitter.
+    if leaf == "modeled_seconds" or "speedup" in leaf:
+        # Cost-model output and ratios of it: deterministic float
+        # arithmetic, but allow for library-level reduction-order jitter.
         return Band("relative", 1e-9)
-    if leaf == "seconds":
-        # Per-phase profile slices: tiny absolute times, noisy under load.
-        return Band("slowdown", PHASE_SLOWDOWN_TOLERANCE)
-    if "wall" in leaf or leaf.endswith("_seconds"):
-        return Band("slowdown", WALL_SLOWDOWN_TOLERANCE)
     return Band("exact")
 
 
@@ -231,18 +203,3 @@ def load_baseline(path: Union[str, Path]) -> Dict[str, object]:
             "commit its JSON output"
         )
     return json.loads(path.read_text())
-
-
-def baseline_run_parameters(baseline: Dict[str, object]) -> Tuple[str, int]:
-    """The (level, n_sweeps) a fresh emission must use to be comparable.
-
-    >>> baseline_run_parameters({"level": "light", "n_sweeps": 8})
-    ('light', 8)
-    """
-    try:
-        return str(baseline["level"]), int(baseline["n_sweeps"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        raise ExperimentError(
-            "baseline is missing its run parameters (level, n_sweeps); "
-            "regenerate it with the current benchmark"
-        ) from None

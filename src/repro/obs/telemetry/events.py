@@ -33,7 +33,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.utils.journal import append_json_line, read_json_lines
+from repro.utils.journal import (
+    append_json_line,
+    read_json_lines,
+    truncate_torn_tail,
+)
 
 #: Store ops sampled 1:1 into telemetry events.
 STORE_OPS = (
@@ -95,6 +99,8 @@ class TelemetrySink:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             if fresh or not self._path.exists():
                 self._path.write_text("")
+            else:  # resuming: a killed writer may have left half a line
+                truncate_torn_tail(self._path)
 
     @property
     def path(self) -> Optional[Path]:

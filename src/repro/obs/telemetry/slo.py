@@ -4,7 +4,7 @@ Service SLOs are gated exactly like the compute benchmarks: a committed
 scenario runs the real statestore + worker pool on the logical clock,
 its telemetry stream is rolled up into windows, the alert engine walks
 the windows, and the resulting document is compared metric-by-metric
-against ``BENCH_slo.json`` by ``repro slo --gate`` / ``make slo-check``.
+against ``BENCH_slo.json`` by ``repro bench-check`` / ``make slo-check``.
 
 Two scenario variants share one queue shape (:data:`N_JOBS` synthetic
 jobs, :data:`N_WORKERS` workers, lease :data:`LEASE_SECONDS`, followed
@@ -22,15 +22,15 @@ by a resubmission sweep that produces pure cache hits):
     ``crash_rate_spike``, which hysteresis clears two quiet windows
     later.  The exact alert sequence is byte-stable and pinned.
 
-Everything in the emission outside ``timings`` derives from the logical
-clock, so ``stable_bytes`` of two runs are identical; the scenario wall
-times are quarantined per DESIGN §11.8.
+Everything in the emission derives from the logical clock — the
+rollups' ``timings.phase_seconds`` included, which are the *modeled*
+numbers :func:`scenario_runner` returns — so two runs serialize to
+identical bytes; no wall clock is read (DESIGN §11.8).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -223,21 +223,19 @@ def slo_emission(
 ) -> Dict[str, Any]:
     """Run both scenario variants; return the ``BENCH_slo.json`` document.
 
-    ``level`` / ``n_sweeps`` exist for the shared baseline dispatch
-    (:func:`repro.obs.regress.baseline_run_parameters`); the scenario
-    has no physics level.  Scenario wall clocks are quarantined under
-    ``timings`` with leaf name ``seconds`` (the micro-time slowdown
-    band — these are millisecond-scale queue drains).
+    ``level`` / ``n_sweeps`` are the header every ``BENCH_*.json``
+    shares; the scenario has no physics level, and the parameters the
+    gate re-runs it at are ``seed`` and ``window``
+    (:func:`repro.obs.bench.baseline_run_parameters`).
     """
     from repro.obs.report import collect_provenance
 
-    docs: Dict[str, Any] = {}
-    walls: Dict[str, Any] = {}
-    for name, faults in (("steady", False), ("chaos", True)):
-        start = time.perf_counter()
-        run = run_slo_scenario(faults=faults, seed=seed, window=window)
-        walls[name] = {"seconds": time.perf_counter() - start}
-        docs[name] = _scenario_doc(run)
+    docs = {
+        name: _scenario_doc(
+            run_slo_scenario(faults=faults, seed=seed, window=window)
+        )
+        for name, faults in (("steady", False), ("chaos", True))
+    }
     return {
         "benchmark": "slo",
         "system": "synthetic-queue",
@@ -250,7 +248,6 @@ def slo_emission(
         "n_workers": N_WORKERS,
         "lease_seconds": LEASE_SECONDS,
         "scenarios": docs,
-        "timings": walls,
         "provenance": collect_provenance(seed=seed).as_dict(),
     }
 

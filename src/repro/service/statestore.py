@@ -50,7 +50,6 @@ True
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +57,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import QuotaExceededError, ServiceError, TaskTransitionError
 from repro.utils.artifacts import prepare_artifact_path
-from repro.utils.journal import append_json_line, read_json_lines
+from repro.utils.journal import (
+    append_json_line,
+    read_json_lines,
+    truncate_torn_tail,
+)
 
 #: The task lifecycle states (DESIGN §12.2).
 WAITING = "waiting"
@@ -210,13 +213,12 @@ class StateStore:
     # Journal plumbing
     # ------------------------------------------------------------------
     def _replay(self, path: Path) -> None:
-        events, self.torn_tail_bytes = read_json_lines(
+        self.torn_tail_bytes = truncate_torn_tail(path)
+        events, _ = read_json_lines(
             path, what="statestore journal", error=ServiceError
         )
         for _, event in events:
             self._apply(event)
-        if self.torn_tail_bytes:  # cut it off, or the next append fuses with it
-            os.truncate(path, path.stat().st_size - self.torn_tail_bytes)
 
     def _record(self, event: Dict[str, Any]) -> None:
         self._apply(event)

@@ -4,13 +4,13 @@ The paper's authors hand-pick a configuration per machine — execution
 backend, rank→atom mapping, reduction scheme, kernel batching
 granularity, screening threshold, fleet wave size.  This
 package closes that loop: an analytic **cost-model stage** prices every
-candidate on the machine models, prior decisions in the benchmark
-history **warm-start** the short list, a bounded **measured stage**
+candidate on the machine models, prior decisions in the tuner's
+journal **warm-start** the short list, a bounded **measured stage**
 re-prices the short list from seeded trial runs through the real
 builder seam, and the winner — never predicted or measured slower than
 the hand-picked default — ships as a :class:`TunerDecision` recorded in
-the RunReport and appended to ``BENCH_history.jsonl``, where the next
-run finds it.
+the RunReport and appended to the ``--history`` journal, where the
+next run finds it.
 
 Entry points: ``repro tune`` (inspect a decision), ``repro submit
 --tune`` (tune then run), ``repro serve --fleet auto``

@@ -6,8 +6,8 @@ benchmark).  One invocation:
 
 1. **prices** every candidate in :func:`repro.tune.space.search_space`
    with the analytic cost model (:mod:`repro.tune.costmodel`),
-2. **warm-starts** the short list from prior decisions in
-   ``BENCH_history.jsonl`` whose workload fingerprint matches,
+2. **warm-starts** the short list from prior decisions in the
+   ``--history`` journal whose workload fingerprint matches,
 3. **trials** the short list — seeded single-sweep runs through the
    real :class:`~repro.dft.hamiltonian.MatrixBuilder` seam, re-priced
    from their deterministic backend-profile counters,
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.atoms.structure import Structure
     from repro.runtime.machines import MachineSpec
 
-#: History label under which tuner decisions and emissions are filed.
+#: History label under which tuner decisions are filed.
 HISTORY_LABEL = "tuner"
 
 #: Knobs the tuner owns; excluded from the workload fingerprint so one
@@ -91,22 +91,8 @@ def workload_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Warm start: mine prior decisions out of the benchmark history.
+# Warm start: prior decisions out of the tuner's own journal.
 # ----------------------------------------------------------------------
-
-def _decision_dicts(node: object) -> List[Dict[str, object]]:
-    """Every sub-dict of *node* that looks like a TunerDecision record."""
-    found: List[Dict[str, object]] = []
-    if isinstance(node, dict):
-        if "fingerprint" in node and "chosen" in node:
-            found.append(node)
-        for value in node.values():
-            found.extend(_decision_dicts(value))
-    elif isinstance(node, list):
-        for value in node:
-            found.extend(_decision_dicts(value))
-    return found
-
 
 def warm_start_configs(
     history_path: Optional[Union[str, Path]],
@@ -114,10 +100,10 @@ def warm_start_configs(
 ) -> List[TunedConfig]:
     """Chosen configs of prior decisions matching *fingerprint*.
 
-    Scans every history entry filed under the tuner label — both direct
-    ``repro tune`` appends and the per-workload decisions embedded in
-    ``bench-check`` tuner emissions — newest first, deduplicated.
-    Decisions naming a backend that is no longer registered are skipped.
+    Reads every history entry filed under the tuner label — an entry's
+    ``emission`` is the decision :func:`append_decision` wrote — newest
+    first, deduplicated.  Decisions naming a backend that is no longer
+    registered are skipped.
     """
     if history_path is None:
         return []
@@ -127,24 +113,23 @@ def warm_start_configs(
     registered = available_backends()
     out: List[TunedConfig] = []
     for entry in reversed(load_history(history_path, label=HISTORY_LABEL)):
-        for record in _decision_dicts(entry.get("emission")):
-            if record.get("fingerprint") != fingerprint:
+        record = entry["emission"]
+        try:
+            if record["fingerprint"] != fingerprint:
                 continue
-            try:
-                cfg = TunedConfig.from_dict(record["chosen"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError):
-                continue
-            if cfg.backend in registered and cfg not in out:
-                out.append(cfg)
+            cfg = TunedConfig.from_dict(record["chosen"])
+        except (KeyError, TypeError, ValueError):
+            continue
+        if cfg.backend in registered and cfg not in out:
+            out.append(cfg)
     return out
 
 
 def append_decision(
     history_path: Union[str, Path],
     decision: TunerDecision,
-    gate_ok: Optional[bool] = None,
 ) -> Dict[str, object]:
-    """File one decision in the benchmark history (the feedback edge).
+    """File one decision in the tuner's journal (the feedback edge).
 
     The next :func:`tune` over the same workload fingerprint reads it
     back as a warm start — this append is what closes the loop.
@@ -155,8 +140,7 @@ def append_decision(
         history_path,
         decision.as_dict(),
         label=HISTORY_LABEL,
-        gate_ok=gate_ok,
-        provenance=decision.provenance or None,
+        provenance=decision.provenance,
     )
 
 

@@ -8,6 +8,7 @@ line by line; this module is the only place that format is spelled out.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, List, Tuple, Type, Union
 
@@ -17,10 +18,43 @@ def append_json_line(path: Union[str, Path], doc: Any) -> None:
 
     Sorted keys keep a deterministic run's journal byte-stable.  There
     is no ``fsync``: a killed writer can leave a half-written last line,
-    which :func:`read_json_lines` recognises as a torn tail.
+    which :func:`read_json_lines` recognises as a torn tail and
+    :func:`truncate_torn_tail` cuts off.
     """
     with Path(path).open("a") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def truncate_torn_tail(path: Union[str, Path]) -> int:
+    """Cut a half-written last line off *path*; return the bytes cut.
+
+    The one repair every journal owner runs when it opens an existing
+    file to append to it — once at open, never per append.  Without it
+    the next append fuses with the torn tail into a corrupt *mid-file*
+    line and every later read rejects the whole journal.  Only the
+    bytes after the last newline are read.  A whole last line that
+    merely lacks its newline is terminated, not cut.
+    """
+    with Path(path).open("rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        reach = 4096
+        while True:
+            start = max(0, size - reach)
+            fh.seek(start)
+            tail = fh.read()
+            if start == 0 or b"\n" in tail:
+                break
+            reach *= 2
+        tail = tail[tail.rfind(b"\n") + 1 :]
+        if not tail.strip():
+            return 0
+        try:
+            json.loads(tail.decode())
+        except ValueError:
+            fh.truncate(size - len(tail))
+            return len(tail)
+        fh.write(b"\n")
+        return 0
 
 
 def read_json_lines(
@@ -30,9 +64,10 @@ def read_json_lines(
 
     Blank lines are skipped.  A final line with no trailing newline that
     does not parse is the torn tail a killed writer leaves: it is left
-    out and its byte length returned, so the journal's owner can
-    truncate it before the next append.  An undecodable line anywhere
-    else raises *error* naming ``path:lineno``.
+    out and its byte length returned (a reader that does not own the
+    journal just skips it; the owner has :func:`truncate_torn_tail`).
+    An undecodable line anywhere else raises *error* naming
+    ``path:lineno``.
 
     >>> import os, tempfile
     >>> p = os.path.join(tempfile.mkdtemp(), "j.jsonl")

@@ -6,10 +6,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import ExperimentError
-from repro.obs.bench import backend_emission
+from repro.obs.bench import backend_emission, baseline_run_parameters
 from repro.obs.regress import (
     Band,
-    baseline_run_parameters,
     compare_reports,
     default_band,
     flatten,
@@ -23,31 +22,30 @@ class TestBands:
         assert band.allows(8, 8)
         assert not band.allows(8, 9)
 
-    def test_slowdown_band_is_one_sided(self):
-        band = Band("slowdown", 2.0)
-        assert band.allows(baseline=1.0, fresh=0.1)  # faster always passes
-        assert band.allows(baseline=1.0, fresh=2.9)
-        assert not band.allows(baseline=1.0, fresh=3.1)
-
-    def test_floor_band_is_one_sided(self):
-        band = Band("floor", 3.0)
-        assert band.allows(baseline=9.0, fresh=100.0)  # higher always passes
-        assert band.allows(baseline=9.0, fresh=3.5)
-        assert not band.allows(baseline=9.0, fresh=2.9)
+    def test_relative_band_is_two_sided(self):
+        band = Band("relative", 1e-9)
+        assert band.allows(baseline=1.0, fresh=1.0 + 1e-12)
+        assert not band.allows(baseline=1.0, fresh=1.01)
+        assert not band.allows(baseline=1.0, fresh=0.99)  # "faster" fails too
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ExperimentError):
-            Band("fuzzy").allows(1.0, 1.0)
+        # ...the one-sided wall bands included: they went with the clocks.
+        for kind in ("fuzzy", "slowdown", "floor"):
+            with pytest.raises(ExperimentError):
+                Band(kind, 2.0).allows(1.0, 1.0)
 
     def test_default_band_policy(self):
         assert default_band("backends.warm.profile.phases.H.calls").kind == "exact"
-        assert default_band("backends.cold.wall_seconds").kind == "slowdown"
-        assert default_band("timings.screened_speedup_vs_dense").kind == "floor"
-        assert default_band("model.modeled_seconds").kind == "relative"
-        # Per-phase micro-times get a wider band than the aggregate wall.
-        phase = default_band("backends.device.profile.phases.Sumup.seconds")
-        wall = default_band("backends.device.wall_seconds")
-        assert phase.kind == "slowdown" and phase.tol > wall.tol
+        assert default_band("model.modeled_seconds") == Band("relative", 1e-9)
+        # A ratio of modeled seconds is as deterministic as its terms.
+        assert default_band("model.molecules_per_second_speedup") == Band(
+            "relative", 1e-9
+        )
+        assert default_band("diff.density_max_diff").kind == "ignore"
+        assert {
+            default_band(key).kind
+            for key in ("n_points", "cache.hits", "launches.fused", "x.seconds")
+        } == {"exact"}
 
 
 class TestFlatten:
@@ -64,8 +62,8 @@ class TestCompareReports:
     BASE = {
         "n_sweeps": 8,
         "backends": {
-            "cold": {"wall_seconds": 1.0, "profile": {"calls": 16}},
-            "warm": {"wall_seconds": 0.1, "wall_speedup": 10.0},
+            "cold": {"modeled_seconds": 1.0, "profile": {"calls": 16}},
+            "warm": {"modeled_seconds": 0.1, "model_speedup": 10.0},
         },
     }
 
@@ -75,18 +73,20 @@ class TestCompareReports:
         assert "PASS" in report.render()
 
     def test_slowdown_beyond_tolerance_fails_naming_metric(self):
+        """A *modeled* slowdown: 1 % where the band is 1e-9 (and where
+        the deleted wall band let 3x through)."""
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["warm"]["wall_seconds"] = 0.9  # 9x slower
+        fresh["backends"]["warm"]["modeled_seconds"] = 0.101
         report = compare_reports(fresh, self.BASE)
         assert not report.ok
         offenders = [d.key for d in report.offenders]
-        assert offenders == ["backends.warm.wall_seconds"]
-        assert "backends.warm.wall_seconds" in report.render()
+        assert offenders == ["backends.warm.modeled_seconds"]
+        assert "backends.warm.modeled_seconds" in report.render()
         assert "FAIL" in report.render()
 
     def test_in_band_slowdown_passes(self):
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["warm"]["wall_seconds"] = 0.25  # 2.5x < 3x band
+        fresh["backends"]["warm"]["modeled_seconds"] = 0.1 * (1.0 + 1e-12)
         assert compare_reports(fresh, self.BASE).ok
 
     def test_perturbed_work_counter_fails_exactly(self):
@@ -99,15 +99,15 @@ class TestCompareReports:
 
     def test_vanished_metric_is_a_regression(self):
         fresh = json.loads(json.dumps(self.BASE))
-        del fresh["backends"]["warm"]["wall_speedup"]
+        del fresh["backends"]["warm"]["model_speedup"]
         report = compare_reports(fresh, self.BASE)
         assert [d.key for d in report.offenders] == [
-            "backends.warm.wall_speedup"
+            "backends.warm.model_speedup"
         ]
 
     def test_new_metric_passes(self):
         fresh = json.loads(json.dumps(self.BASE))
-        fresh["backends"]["device"] = {"wall_seconds": 0.01}
+        fresh["backends"]["device"] = {"modeled_seconds": 0.01}
         assert compare_reports(fresh, self.BASE).ok
 
     def test_missing_baseline_file(self, tmp_path):
@@ -116,11 +116,15 @@ class TestCompareReports:
 
     def test_baseline_run_parameters(self):
         assert baseline_run_parameters({"level": "light", "n_sweeps": 8}) == (
-            "light",
-            8,
+            "backends",
+            {"level": "light", "n_sweeps": 8},
         )
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match="level, n_sweeps"):
             baseline_run_parameters({"level": "light"})
+        kind, parameters = baseline_run_parameters(
+            {"benchmark": "slo", "seed": "7", "window": 4}
+        )
+        assert (kind, parameters) == ("slo", {"seed": 7, "window": 4.0})
 
 
 @pytest.fixture(scope="module")
@@ -140,24 +144,13 @@ class TestEmissionGate:
         assert compare_reports(emission, emission).ok
 
     def test_injected_slowdown_fails_gate(self, emission):
+        """The device row's modeled seconds, 1 % slower."""
         slow = json.loads(json.dumps(emission))
-        slow["backends"]["cold"]["timings"]["wall_seconds"] *= 10.0
+        slow["backends"]["device"]["profile"]["device"]["modeled_seconds"] *= 1.01
         report = compare_reports(slow, emission)
-        assert not report.ok
-        assert "backends.cold.timings.wall_seconds" in [
-            d.key for d in report.offenders
+        assert [d.key for d in report.offenders] == [
+            "backends.device.profile.device.modeled_seconds"
         ]
-
-
-def _relaxed_baseline(emission: dict) -> dict:
-    """A timing-jitter-proof baseline: deterministic counters stay exact,
-    wall bands get extra slack for a re-run on a loaded machine."""
-    doc = json.loads(json.dumps(emission))
-    for entry in doc["backends"].values():
-        entry["timings"]["wall_seconds"] *= 4.0
-        for stats in entry["timings"]["phases"].values():
-            stats["seconds"] *= 4.0
-    return doc
 
 
 class TestBenchCheckCLI:
@@ -165,7 +158,7 @@ class TestBenchCheckCLI:
         self, emission, tmp_path, capsys
     ):
         baseline = tmp_path / "BENCH_backends.json"
-        baseline.write_text(json.dumps(_relaxed_baseline(emission)))
+        baseline.write_text(json.dumps(emission))
         rc = cli_main(["bench-check", "--baseline", str(baseline)])
         out = capsys.readouterr().out
         assert rc == 0, out
@@ -174,7 +167,7 @@ class TestBenchCheckCLI:
     def test_perturbed_counter_exits_nonzero_naming_metric(
         self, emission, tmp_path, capsys
     ):
-        doc = _relaxed_baseline(emission)
+        doc = json.loads(json.dumps(emission))
         doc["backends"]["warm"]["profile"]["phases"]["Sumup"]["calls"] += 1
         baseline = tmp_path / "BENCH_perturbed.json"
         baseline.write_text(json.dumps(doc))

@@ -7,7 +7,7 @@ The properties pinned here are the ones ``make tune-check`` exists for:
 * the chosen configuration is never predicted *or* measured slower
   than the hand-picked default;
 * decisions round-trip exactly through ``as_dict``/``from_dict``, the
-  RunReport ``tuner`` block and the ``BENCH_history.jsonl`` lineage
+  RunReport ``tuner`` block and the ``--history`` decision journal
   (where the next run warm-starts from them);
 * a perturbed cost model trips the regression gate on the tuner's own
   ``modeled_seconds`` metrics — the gate provably notices the tuner.
@@ -205,7 +205,7 @@ def test_decision_round_trips_through_run_report(tmp_path):
 def test_decision_round_trips_through_history_jsonl(tmp_path):
     hist = tmp_path / "BENCH_history.jsonl"
     d = tune(water(), MINIMAL, budget=0, history_path=hist)
-    append_decision(hist, d, gate_ok=True)
+    append_decision(hist, d)
     line = hist.read_text().strip().splitlines()[-1]
     entry = json.loads(line)
     assert entry["label"] == "tuner"
@@ -252,6 +252,10 @@ def test_warm_start_skips_decisions_naming_a_retired_backend(tmp_path):
     from repro.obs.analyze.history import append_entry
 
     append_entry(hist, doc, label="tuner", recorded_at="t", provenance={})
+    # An entry that is not a decision at all (a pre-PR-20 bench-check
+    # emission filed under the same label) is skipped the same way.
+    append_entry(hist, {"workloads": {"water": {"decision": first.as_dict()}}},
+                 label="tuner", recorded_at="t", provenance={})
     assert warm_start_configs(hist, first.fingerprint) == []
     second = tune(water(), MINIMAL, budget=0, history_path=hist)
     assert not second.warm_started and second.chosen == first.chosen
@@ -309,11 +313,10 @@ def test_price_profile_miss_fraction_is_per_block_lookup():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def tuner_baseline():
-    """One unperturbed emission, read-only, shared by the gate tests."""
-    from repro.obs.bench import tuner_emission
-
-    return tuner_emission(budget=1)
+def tuner_baseline(tuner_emission_pair):
+    """One unperturbed emission, read-only, shared by the gate tests
+    (and, through the session fixture, with tests/test_bench_gate.py)."""
+    return tuner_emission_pair[0]
 
 
 def test_perturbed_cost_model_fails_the_gate_naming_the_tuner(tuner_baseline):
@@ -333,18 +336,15 @@ def test_perturbed_cost_model_fails_the_gate_naming_the_tuner(tuner_baseline):
     )
 
 
-def test_unperturbed_tuner_emission_passes_its_own_gate(tuner_baseline):
-    from repro.obs.bench import tuner_emission
+def test_unperturbed_tuner_emission_passes_its_own_gate(tuner_emission_pair):
     from repro.obs.regress import compare_reports
 
-    assert compare_reports(tuner_emission(budget=1), tuner_baseline).ok
+    first, rerun = tuner_emission_pair
+    assert compare_reports(rerun, first).ok
 
 
-def test_tuner_emission_dispatches_from_baseline_tag(tuner_baseline):
-    from repro.obs.bench import emission_for_baseline
-
-    baseline = tuner_baseline
-    fresh = emission_for_baseline(baseline)
+def test_tuner_emission_dispatches_from_baseline_tag(tuner_emission_pair):
+    baseline, fresh = tuner_emission_pair  # fresh = emission_for_baseline(...)
     assert fresh["benchmark"] == "tuner"
     assert fresh["budget"] == baseline["budget"]
     assert sorted(fresh["workloads"]) == sorted(baseline["workloads"])
