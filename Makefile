@@ -9,7 +9,7 @@ PYTHON ?= python
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=10
 
 # Full randomized fault-injection sweeps.
 chaos:
@@ -52,8 +52,8 @@ docs-check:
 		src/repro/obs src/repro/service src/repro/utils/timing.py \
 		src/repro/utils/balance.py src/repro/utils/artifacts.py \
 		src/repro/utils/scratch.py src/repro/utils/journal.py \
-		src/repro/backends/batched.py src/repro/runtime/trace.py \
-		src/repro/testing/docs.py src/repro/grids/sparsity.py \
+		src/repro/backends/batched.py src/repro/testing/docs.py \
+		src/repro/grids/sparsity.py src/repro/utils/neighbors.py \
 		src/repro/fleet src/repro/tune
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py --check

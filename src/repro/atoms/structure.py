@@ -7,7 +7,7 @@ bounding boxes, per-atom element data and electron counts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,37 +122,6 @@ class Structure:
         d = np.linalg.norm(self._coords - self._coords[i], axis=1)
         mask = (d <= cutoff) & (np.arange(self.n_atoms) != i)
         return np.nonzero(mask)[0]
-
-    def bonded_pairs(self, tolerance: float = 1.3) -> List[Tuple[int, int]]:
-        """Covalent bond list: pairs closer than tolerance * sum of radii.
-
-        Uses a uniform spatial hash so cost is near-linear in atom count.
-        """
-        max_radius = max(e.covalent_radius for e in self._elements)
-        cutoff = 2.0 * max_radius * tolerance
-        cell = max(cutoff, 1e-6)
-        keys = np.floor(self._coords / cell).astype(np.int64)
-        buckets: dict = {}
-        for idx, key in enumerate(map(tuple, keys)):
-            buckets.setdefault(key, []).append(idx)
-        pairs: List[Tuple[int, int]] = []
-        offsets = [
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-        ]
-        for idx in range(self.n_atoms):
-            kx, ky, kz = keys[idx]
-            ri = self._elements[idx].covalent_radius
-            for dx, dy, dz in offsets:
-                for jdx in buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                    if jdx <= idx:
-                        continue
-                    rj = self._elements[jdx].covalent_radius
-                    if self.distance(idx, jdx) <= tolerance * (ri + rj):
-                        pairs.append((idx, jdx))
-        return pairs
 
     # ------------------------------------------------------------------
     # Transformations

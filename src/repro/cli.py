@@ -15,7 +15,7 @@ results out):
     python -m repro model --polyethylene 30002 --machine hpc1 --ranks 4096 --baseline
     python -m repro chaos --seed 2023 --machine hpc2 --ranks 8
     python -m repro verify --molecule h2
-    python -m repro tune --molecule water --budget 2 --history BENCH_history.jsonl
+    python -m repro tune --molecule water --budget 2 --history PATH
     python -m repro submit --molecule h2 --level minimal --store service.jsonl
     python -m repro submit --molecule h2 --tune auto --store service.jsonl
     python -m repro serve --store service.jsonl --workers 2 --fleet auto

@@ -68,8 +68,8 @@ class TuningSettings:
     #: Measured-stage trial budget: how many top cost-model candidates
     #: get a real (seeded, single-sweep) trial run before the decision.
     budget: int = 3
-    #: Warm-start the measured stage from prior ``BENCH_history.jsonl``
-    #: tuner decisions with a matching workload fingerprint.
+    #: Warm-start the measured stage from the prior tuner decisions in
+    #: the ``--history PATH`` journal with a matching workload fingerprint.
     warm_start: bool = True
     #: Simulated rank count the mapping/communication terms are priced at.
     n_ranks: int = 4

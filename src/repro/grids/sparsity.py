@@ -48,7 +48,8 @@ from repro.atoms.structure import Structure
 from repro.basis.basis_set import BasisSet, _species_shells, effective_shell_radius
 from repro.config import RunSettings, get_settings
 from repro.errors import GridError
-from repro.grids.batching import GridBatch
+from repro.grids.batching import GridBatch, bounding_spheres
+from repro.utils.neighbors import sphere_overlaps
 
 #: Threshold used when screening is requested without an explicit value
 #: (``repro physics --screening``): tight enough that light-basis
@@ -201,7 +202,6 @@ def build_sparsity_pattern(
     basis: BasisSet,
     batches: Sequence[GridBatch],
     threshold: float,
-    chunk: int = 256,
 ) -> SparsityPattern:
     """Screen every batch against every function's effective reach.
 
@@ -211,8 +211,7 @@ def build_sparsity_pattern(
     Because ``r_eff`` never exceeds the hard cutoff, active atoms are
     always a subset of the batch's geometric ``relevant_atoms`` — which
     is what makes compact screened blocks bitwise slices of the dense
-    ones.  Chunked over batches to bound the distance matrix at
-    ``(chunk, n_atoms)``.
+    ones.
     """
     if threshold <= 0.0:
         raise GridError(
@@ -223,26 +222,18 @@ def build_sparsity_pattern(
     fn_atom = basis.function_atoms
     coords = basis.structure.coords
     n_atoms = basis.structure.n_atoms
-    centroids = np.array([b.centroid for b in batches])
-    radii = np.array([b.radius for b in batches])
-
-    active_functions: List[np.ndarray] = []
+    # One search at function level: each function sits on its atom, and
+    # row b of the CSR *is* batch b's active set.
+    indptr, indices = sphere_overlaps(
+        *bounding_spheres(batches), coords[fn_atom], fn_cut
+    )
+    active_functions = np.split(indices, indptr[1:-1]) if len(batches) else []
     active_atoms: List[Tuple[int, ...]] = []
     block_mask = np.zeros((n_atoms, n_atoms), dtype=bool)
-    for start in range(0, len(batches), chunk):
-        stop = min(start + chunk, len(batches))
-        # (chunk, n_atoms) centroid->atom distances, broadcast to the
-        # function level through each function's owning atom.
-        d = np.linalg.norm(
-            centroids[start:stop, None, :] - coords[None, :, :], axis=2
-        )
-        hits = d[:, fn_atom] <= fn_cut[None, :] + radii[start:stop, None]
-        for row in range(stop - start):
-            act = np.nonzero(hits[row])[0].astype(np.int64)
-            active_functions.append(act)
-            aa = np.unique(fn_atom[act])
-            active_atoms.append(tuple(int(a) for a in aa))
-            block_mask[np.ix_(aa, aa)] = True
+    for act in active_functions:
+        aa = np.unique(fn_atom[act])
+        active_atoms.append(tuple(int(a) for a in aa))
+        block_mask[np.ix_(aa, aa)] = True
 
     fn_counts = np.bincount(fn_atom, minlength=n_atoms)
     return SparsityPattern(
@@ -536,36 +527,11 @@ def modeled_block_counts(
     n_basis = int(basis_counts.sum())
     cutoffs = screened_atom_cutoffs_light(structure, threshold)
 
-    # Cell list sized by the farthest screened reach plus the envelope.
-    cell = max(float(cutoffs.max()) + _SUMMARY_BATCH_RADIUS, 1e-6)
-    keys = np.floor(coords / cell).astype(np.int64)
-    buckets: Dict[Tuple[int, int, int], List[int]] = {}
-    for idx, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(idx)
-    offsets = [
-        (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-
-    blocks_active = 0
-    elements_active = 0
-    # One vectorized pass per occupied cell: all its atoms against the
-    # candidate atoms of the 27-neighbourhood.
-    for key, members in buckets.items():
-        cand: List[int] = []
-        for off in offsets:
-            cand.extend(
-                buckets.get((key[0] + off[0], key[1] + off[1], key[2] + off[2]), ())
-            )
-        cand_arr = np.array(cand, dtype=np.int64)
-        mem = np.array(members, dtype=np.int64)
-        d = np.linalg.norm(
-            coords[mem][:, None, :] - coords[cand_arr][None, :, :], axis=2
-        )
-        hits = d <= cutoffs[cand_arr][None, :] + _SUMMARY_BATCH_RADIUS
-        nbr_blocks = hits.sum(axis=1)  # active atoms per member batch site
-        nbr_basis = hits @ basis_counts[cand_arr]  # active functions
-        blocks_active += int((n_frag[mem] * nbr_blocks).sum())
-        elements_active += int((ppa[mem] * nbr_basis).sum())
+    # Every summary batch of an atom sees what the atom's envelope sees.
+    indptr, indices = sphere_overlaps(coords, _SUMMARY_BATCH_RADIUS, coords, cutoffs)
+    nbr_basis = np.add.reduceat(basis_counts[indices], indptr[:-1])
+    blocks_active = int((n_frag * np.diff(indptr)).sum())
+    elements_active = int((ppa * nbr_basis).sum())
 
     n_batches = int(n_frag.sum())
     n_points = int(ppa.sum())

@@ -10,7 +10,7 @@ basis cutoff radii decide which atom blocks are nonzero.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.basis.basis_set import _species_shells
 from repro.errors import MappingError
 from repro.grids.batching import GridBatch
 from repro.mapping.strategies import BatchAssignment
+from repro.utils.neighbors import sphere_overlaps
 
 _BYTES_VALUE = 8
 _BYTES_COL = 4
@@ -47,43 +48,6 @@ def atom_basis_counts(structure: Structure) -> np.ndarray:
     return np.array([e.n_basis_light for e in structure.elements], dtype=np.int64)
 
 
-def interacting_atom_pairs(
-    structure: Structure, cutoffs: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Atom pairs (i <= j, including i == j) with overlapping cutoff spheres.
-
-    Near-linear cell-list search; this is the atom-block sparsity
-    pattern of H and S.
-    """
-    coords = structure.coords
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if cutoffs.shape[0] != structure.n_atoms:
-        raise MappingError(
-            f"{cutoffs.shape[0]} cutoffs for {structure.n_atoms} atoms"
-        )
-    reach = 2.0 * float(cutoffs.max())
-    cell = max(reach, 1e-6)
-    keys = np.floor(coords / cell).astype(np.int64)
-    buckets: Dict[Tuple[int, int, int], List[int]] = {}
-    for idx, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(idx)
-    offsets = [
-        (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-    pairs: List[Tuple[int, int]] = []
-    for i in range(structure.n_atoms):
-        pairs.append((i, i))
-        kx, ky, kz = keys[i]
-        ci = coords[i]
-        for off in offsets:
-            for j in buckets.get((kx + off[0], ky + off[1], kz + off[2]), ()):
-                if j <= i:
-                    continue
-                if np.linalg.norm(ci - coords[j]) <= cutoffs[i] + cutoffs[j]:
-                    pairs.append((i, j))
-    return pairs
-
-
 class HamiltonianMemoryModel:
     """Storage estimates for both mapping strategies on one system."""
 
@@ -104,11 +68,20 @@ class HamiltonianMemoryModel:
     def global_sparse_nnz(self) -> int:
         """Nonzeros of the global Hamiltonian at atom-block granularity."""
         if self._nnz_cache is None:
-            nnz = 0
-            for i, j in interacting_atom_pairs(self.structure, self.cutoffs):
-                block = int(self.basis_counts[i]) * int(self.basis_counts[j])
-                nnz += block if i == j else 2 * block
-            self._nnz_cache = nnz
+            n_atoms = self.structure.n_atoms
+            if self.cutoffs.shape[0] != n_atoms:
+                raise MappingError(
+                    f"{self.cutoffs.shape[0]} cutoffs for {n_atoms} atoms"
+                )
+            # Atom blocks whose cutoff spheres overlap (the symmetric
+            # pattern of H and S): block (i, j) holds b_i * b_j entries,
+            # and every atom's row has at least itself in it.
+            coords = self.structure.coords
+            indptr, indices = sphere_overlaps(
+                coords, self.cutoffs, coords, self.cutoffs
+            )
+            row_basis = np.add.reduceat(self.basis_counts[indices], indptr[:-1])
+            self._nnz_cache = int(self.basis_counts @ row_basis)
         return self._nnz_cache
 
     def global_sparse_csr_bytes(self) -> int:

@@ -11,13 +11,14 @@ total work and far more per-rank splines.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.atoms.structure import Structure
-from repro.grids.batching import GridBatch
+from repro.grids.batching import GridBatch, bounding_spheres
 from repro.mapping.strategies import BatchAssignment
+from repro.utils.neighbors import sphere_overlaps
 
 #: Outer radius of the per-atom radial mesh on which partial Hartree
 #: potentials are splined (matches grids.shells default r_outer).
@@ -29,7 +30,6 @@ def spline_counts_per_rank(
     batches: Sequence[GridBatch],
     structure: Structure,
     mesh_radius: float = MULTIPOLE_MESH_RADIUS,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Cubic splines each rank constructs for the v^(1) evaluation.
 
@@ -37,23 +37,15 @@ def spline_counts_per_rank(
     rank's batch bounding spheres (reuse within a rank is free — the
     paper's Fig. 4(b) insight).
     """
-    coords = structure.coords
-    centroids = np.array([b.centroid for b in batches])
-    radii = np.array([b.radius for b in batches])
-
-    # Relevant-atom bitsets per batch, computed in chunks.
-    batch_atoms: List[np.ndarray] = []
-    for start in range(0, len(batches), chunk):
-        stop = min(start + chunk, len(batches))
-        d = np.linalg.norm(centroids[start:stop, None, :] - coords[None, :, :], axis=2)
-        hits = d <= (mesh_radius + radii[start:stop, None])
-        for row in range(stop - start):
-            batch_atoms.append(np.nonzero(hits[row])[0])
+    indptr, indices = sphere_overlaps(
+        *bounding_spheres(batches), structure.coords, mesh_radius
+    )
+    ends = indptr.tolist()
 
     counts = np.empty(assignment.n_ranks, dtype=np.int64)
     for r, owned in enumerate(assignment.batches_of_rank):
         atoms: set = set()
         for b in owned:
-            atoms.update(batch_atoms[b].tolist())
+            atoms.update(indices[ends[b] : ends[b + 1]].tolist())
         counts[r] = len(atoms)
     return counts

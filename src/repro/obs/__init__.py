@@ -47,7 +47,6 @@ from repro.obs.tracer import (
 )
 from repro.obs.export import (
     chrome_trace,
-    cycle_trace_events,
     service_track_events,
     span_events,
     write_chrome_trace,
@@ -78,7 +77,6 @@ __all__ = [
     "obs_span",
     "trace_context",
     "chrome_trace",
-    "cycle_trace_events",
     "service_track_events",
     "span_events",
     "write_chrome_trace",

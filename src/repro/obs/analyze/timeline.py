@@ -1,14 +1,12 @@
 """Timeline reconstruction and critical-path extraction (DESIGN §11.2).
 
 A :class:`Timeline` is the normalized, analysis-ready view of one
-recorded run.  Three artifact sources feed it:
+recorded run.  Two artifact sources feed it:
 
 * live :class:`~repro.obs.tracer.Span` lists from an active tracer
   (:meth:`Timeline.from_spans`);
 * Chrome trace-event JSON written by :mod:`repro.obs.export`
-  (:meth:`Timeline.from_chrome_trace` / :func:`load_run`);
-* modeled :class:`~repro.runtime.trace.CycleTrace` per-rank timelines
-  (:meth:`Timeline.from_cycle_trace`).
+  (:meth:`Timeline.from_chrome_trace` / :func:`load_run`).
 
 Every event carries ``(rank, phase, start, end)`` plus the *segment* it
 belongs to — one SCF or CPSCF cycle, reconstructed from the ambient
@@ -19,10 +17,8 @@ attribution can point at them.
 :func:`critical_path` answers the question the raw artifacts only
 imply: which (rank, phase) chain bounds the wall time of each cycle.
 
->>> from repro.runtime.trace import CycleTrace, Interval
->>> ct = CycleTrace(2, [Interval(0, "DM", 0.0, 1.0),
-...                     Interval(1, "DM", 0.0, 3.0)])
->>> tl = Timeline.from_cycle_trace(ct)
+>>> tl = Timeline("demo", [TimelineEvent(0, "DM", 0.0, 1.0),
+...                         TimelineEvent(1, "DM", 0.0, 3.0)])
 >>> cp = critical_path(tl)
 >>> (cp.steps[0].phase, cp.steps[0].rank)
 ('DM', 1)
@@ -47,7 +43,6 @@ from repro.errors import ExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Span
-    from repro.runtime.trace import CycleTrace
 
 _US = 1e-6  # trace-event microseconds -> seconds
 
@@ -226,40 +221,6 @@ class Timeline:
             )
         return cls(label=label or "trace", events=events, faults=faults)
 
-    @classmethod
-    def from_cycle_trace(
-        cls,
-        trace: "CycleTrace",
-        label: str = "modeled",
-        fault_events: Sequence[object] = (),
-    ) -> "Timeline":
-        """Build from one modeled per-rank cycle timeline.
-
-        ``fault_events`` (e.g. the :class:`~repro.runtime.faults.FaultEvent`
-        list a chaos run collected) become fault marks so the modeled
-        ``Idle``/``Retry`` intervals stay attributable.
-        """
-        events = [
-            TimelineEvent(
-                rank=iv.rank,
-                phase=iv.phase,
-                start=iv.start,
-                end=iv.end,
-                category="model",
-            )
-            for iv in trace.intervals
-        ]
-        faults = [
-            FaultMark(
-                kind=str(getattr(ev, "kind", "fault")),
-                rank=int(getattr(ev, "rank", -1)),
-                site=str(getattr(ev, "site", "")),
-                delay=float(getattr(ev, "delay", 0.0)),
-            )
-            for ev in fault_events
-        ]
-        return cls(label=label, events=events, faults=faults)
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -279,15 +240,13 @@ class Timeline:
     def primary_categories(self) -> Tuple[str, ...]:
         """The category set busy-time accounting defaults to.
 
-        Driver ``phase`` spans (or a modeled trace's ``model``
-        intervals) are sequential and non-overlapping; nested
-        ``backend``/``comm`` spans would double-count against them, so
-        analysis prefers the outermost family present.
+        Driver ``phase`` spans are sequential and non-overlapping;
+        nested ``backend``/``comm`` spans would double-count against
+        them, so analysis prefers the outermost family when present.
         """
         present = {e.category for e in self.events}
-        for preferred in ("phase", "model"):
-            if preferred in present:
-                return (preferred,)
+        if "phase" in present:
+            return ("phase",)
         return tuple(sorted(present))
 
     def _selected(

@@ -4,9 +4,8 @@ Two sources feed one ``traceEvents`` JSON file:
 
 * real :class:`~repro.obs.tracer.Span` records from a measured physics
   run (track = the span's ``rank`` attribute, default rank 0);
-* synthesized per-rank tracks from a modeled
-  :class:`~repro.runtime.trace.CycleTrace`, so the straggler view of
-  the scale model can be opened in the same UI as a measured trace.
+* the fleet-level service telemetry journal (one track per worker plus
+  the queue), so a served job opens in the same UI as a measured run.
 
 Timestamps are microseconds (the trace-event format's unit), strictly
 non-negative, and non-decreasing in emission order within each track.
@@ -25,15 +24,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Span
-    from repro.runtime.trace import CycleTrace
 
 #: Process ids used for the track families.
 MEASURED_PID = 0
-MODELED_PID = 1
 #: Fleet-level service telemetry tracks (one per worker + the queue).
 SERVICE_PID = 2
 
@@ -82,36 +79,6 @@ def span_events(
         events.append(base)
     metas = [_meta(pid, tid, name) for tid, name in sorted(seen_tids.items())]
     return metas + sorted(events, key=lambda e: (e["tid"], e["ts"]))
-
-
-def cycle_trace_events(
-    trace: "CycleTrace", pid: int = MODELED_PID, label: str = "modeled"
-) -> List[Dict[str, object]]:
-    """Synthesized per-rank tracks from one modeled cycle timeline.
-
-    Each :class:`~repro.runtime.trace.Interval` becomes a complete
-    event on its rank's track; zero-duration intervals are dropped
-    (they carry no information and would render as 0-width slivers).
-    """
-    events: List[Dict[str, object]] = [
-        _meta(pid, r, f"{label} rank {r}") for r in range(trace.n_ranks)
-    ]
-    for iv in sorted(trace.intervals, key=lambda iv: (iv.rank, iv.start)):
-        if iv.duration <= 0.0:
-            continue
-        events.append(
-            {
-                "name": iv.phase,
-                "cat": "model",
-                "ph": "X",
-                "pid": pid,
-                "tid": iv.rank,
-                "ts": max(0.0, iv.start) * _US,
-                "dur": iv.duration * _US,
-                "args": {"rank": iv.rank},
-            }
-        )
-    return events
 
 
 #: Queue-level telemetry instants shown on the service ``queue`` track.
@@ -211,11 +178,10 @@ def service_track_events(
 
 def chrome_trace(
     spans: Sequence["Span"] = (),
-    cycle_traces: Iterable["CycleTrace"] = (),
     metadata: Optional[Dict[str, object]] = None,
     telemetry_events: Sequence[Dict[str, object]] = (),
 ) -> Dict[str, object]:
-    """Assemble one trace-event document from spans and modeled cycles.
+    """Assemble one trace-event document from spans and service telemetry.
 
     ``metadata`` lands in the document's ``otherData`` section (the
     format's free-form run-provenance slot); ``telemetry_events`` adds
@@ -223,8 +189,6 @@ def chrome_trace(
     """
     events: List[Dict[str, object]] = []
     events.extend(span_events(spans))
-    for i, ct in enumerate(cycle_traces):
-        events.extend(cycle_trace_events(ct, pid=MODELED_PID + i))
     if telemetry_events:
         events.extend(service_track_events(telemetry_events))
     doc: Dict[str, object] = {
@@ -239,15 +203,11 @@ def chrome_trace(
 def write_chrome_trace(
     path: Union[str, Path],
     spans: Sequence["Span"] = (),
-    cycle_traces: Iterable["CycleTrace"] = (),
     metadata: Optional[Dict[str, object]] = None,
     telemetry_events: Sequence[Dict[str, object]] = (),
 ) -> Path:
     """Write a Perfetto-loadable JSON file; returns the path written."""
     path = Path(path)
-    doc = chrome_trace(
-        spans, cycle_traces, metadata=metadata,
-        telemetry_events=telemetry_events,
-    )
+    doc = chrome_trace(spans, metadata=metadata, telemetry_events=telemetry_events)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path

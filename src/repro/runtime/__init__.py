@@ -30,7 +30,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.simmpi import SimCluster, SimComm, CommStats
 from repro.runtime.shm import SharedWindow
-from repro.runtime.trace import CycleTrace, Interval, trace_cycle
 
 __all__ = [
     "AcceleratorSpec",
@@ -52,7 +51,4 @@ __all__ = [
     "SimComm",
     "CommStats",
     "SharedWindow",
-    "CycleTrace",
-    "Interval",
-    "trace_cycle",
 ]

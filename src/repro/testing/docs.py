@@ -45,7 +45,6 @@ AUDITED_MODULES = (
     "repro.utils.artifacts",
     "repro.utils.balance",
     "repro.utils.timing",
-    "repro.runtime.trace",
     "repro.grids.sparsity",
     "repro.fleet",
     "repro.fleet.driver",

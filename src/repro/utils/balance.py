@@ -1,15 +1,12 @@
 """The single load-imbalance definition shared across the codebase.
 
 Load imbalance is always the **max/mean ratio** of per-worker load
-(1.0 = perfect balance).  Two subsystems historically carried their own
-copies of this formula — the modeled per-rank timelines
-(:meth:`repro.runtime.trace.CycleTrace.imbalance`, load = busy seconds)
-and the batch mappings
+(1.0 = perfect balance).  The batch mappings
 (:meth:`repro.mapping.strategies.BatchAssignment.imbalance`, load =
-grid points) — and the analysis layer
-(:mod:`repro.obs.analyze.imbalance`) adds a third caller.  All three
-now delegate here, so "imbalance" can never silently mean two different
-things in one report.
+grid points) and the analysis layer
+(:mod:`repro.obs.analyze.imbalance`, load = busy seconds) both delegate
+here, so "imbalance" can never silently mean two different things in
+one report.
 
 >>> max_mean_imbalance([3.0, 1.0])
 1.5

@@ -22,6 +22,12 @@ strided column per channel, and Hartree stage 3 was one stacked
 gathered out of it.  The channel-major evaluation keeps every value
 (``array_equal``); the interval-sorted plan (DESIGN §5.1) is held to the
 stacked product within ``CONTRACTION_RTOL`` of ``max|v|``.
+
+Until PR 21 "which spheres overlap" was written seven times — chunked
+all-pairs loops and bucket-dict cell lists.  The one cell-list primitive
+(``repro.utils.neighbors.sphere_overlaps``) is held ``array_equal`` to
+the all-pairs body those loops shared: same distance expression, same
+inclusive comparison.
 """
 
 from __future__ import annotations
@@ -380,3 +386,18 @@ def oracle_stacked_product_potential(solver, expansion, points=None, atoms=None)
         far_table = pref * y[far] / r[far, None] ** (ls + 1.0)
         v[far] += far_table @ expansion.far_moments[atom]
     return v
+
+
+# ----------------------------------------------------------------------
+# Neighbour search (pre-PR-21: the all-pairs branch every caller carried)
+# ----------------------------------------------------------------------
+def sphere_overlaps_oracle(x, rho, y, sigma):
+    """CSR of every ``|x_i - y_j| <= rho_i + sigma_j`` by brute force."""
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    y = np.asarray(y, dtype=float).reshape(-1, 3)
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (x.shape[0],))
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (y.shape[0],))
+    d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    hits = d <= rho[:, None] + sigma[None, :]
+    indptr = np.concatenate(([0], np.cumsum(hits.sum(axis=1))))
+    return indptr, np.nonzero(hits)[1]

@@ -80,10 +80,6 @@ class TestStructure:
         assert set(w.neighbors_within(0, 3.0)) == {1, 2}
         assert w.neighbors_within(0, 0.1).size == 0
 
-    def test_bonded_pairs_water(self):
-        pairs = set(water().bonded_pairs())
-        assert pairs == {(0, 1), (0, 2)}
-
     def test_translate_and_center(self):
         w = water().translated([1.0, 2.0, 3.0]).centered()
         assert np.allclose(w.centroid(), 0.0, atol=1e-12)

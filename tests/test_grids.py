@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
+from repro.atoms import hydrogen_molecule, polyethylene, rbd_like_protein, water
 from repro.config import get_settings
+from repro.core.workload import build_workload, synthetic_batches
 from repro.errors import GridError
 from repro.grids import (
     angular_rule,
@@ -16,7 +17,9 @@ from repro.grids import (
     cut_plane_partition,
     radial_shells_for_species,
 )
-from repro.grids.batching import _attach_relevant_atoms_celllist
+from repro.grids.batching import bounding_spheres
+from repro.mapping import atom_cutoffs_light
+from tests.setup_oracles import sphere_overlaps_oracle
 
 
 class TestAngularRules:
@@ -181,14 +184,31 @@ class TestBatching:
             assert set(b.owner_atoms) <= set(b.relevant_atoms)
 
     def test_celllist_matches_dense_path(self, minimal_settings):
+        # One cell (water, real batches), a line of cells (602-atom chain)
+        # and a 3-D cloud of them (protein, one summary batch per atom),
+        # each held to the all-pairs oracle in slabs of rows.
         w = water()
         grid = build_grid(w, minimal_settings.grids)
-        batches = build_batches(grid, target_points=128)
-        cut = np.full(3, 6.5)
-        dense = attach_relevant_atoms(batches, w, cut)
-        cells = _attach_relevant_atoms_celllist(batches, w, cut)
-        for a, b in zip(dense, cells):
-            assert a.relevant_atoms == b.relevant_atoms
+        cases = [(w, build_batches(grid, target_points=128), np.full(3, 6.5))]
+        for s, target in ((polyethylene(100), None), (rbd_like_protein(), 10**9)):
+            batches = synthetic_batches(build_workload(s), target_points=target)
+            cases.append((s, batches, atom_cutoffs_light(s)))
+        for s, batches, cut in cases:
+            attached = attach_relevant_atoms(batches, s, cut)
+            centroids, radii = bounding_spheres(batches)
+            for lo in range(0, len(batches), 512):
+                rows = slice(lo, lo + 512)
+                indptr, indices = sphere_overlaps_oracle(
+                    centroids[rows], radii[rows], s.coords, cut
+                )
+                for b, a, z in zip(attached[rows], indptr, indptr[1:]):
+                    assert b.relevant_atoms == tuple(indices[a:z].tolist())
+
+    def test_attach_edges(self):
+        w = water()
+        assert attach_relevant_atoms([], w, np.full(3, 6.5)) == []
+        with pytest.raises(GridError, match="2 cutoffs for 3 atoms"):
+            attach_relevant_atoms([], w, np.full(2, 6.5))
 
     def test_invalid_target(self, rng):
         with pytest.raises(GridError):

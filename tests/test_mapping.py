@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atoms import polyethylene, rbd_like_protein, water
+from repro.atoms import hydrogen_molecule, polyethylene, rbd_like_protein, water
 from repro.config import get_settings
 from repro.core.workload import build_workload, synthetic_batches
 from repro.errors import MappingError
@@ -115,6 +115,25 @@ class TestMemoryModel:
         diag = sum(int(c) ** 2 for c in atom_basis_counts(w))
         assert model.global_sparse_nnz() >= diag
 
+    # Recorded at the parent of PR 21 (253d9c2, Python pair list).
+    @pytest.mark.parametrize(
+        "structure, nnz",
+        [
+            (hydrogen_molecule(), 100),
+            (water(), 441),
+            (polyethylene(4), 31214),
+            (polyethylene(100), 1301294),
+        ],
+        ids=["h2", "water", "pe4", "chain602"],
+    )
+    def test_nnz_equals_the_parents(self, structure, nnz):
+        assert HamiltonianMemoryModel(structure).global_sparse_nnz() == nnz
+
+    def test_mismatched_cutoffs_rejected(self):
+        model = HamiltonianMemoryModel(water(), cutoffs=np.ones(2))
+        with pytest.raises(MappingError, match="2 cutoffs for 3 atoms"):
+            model.global_sparse_nnz()
+
     def test_dense_local_formula(self, chain_batches):
         structure, batches = chain_batches
         model = HamiltonianMemoryModel(structure)
@@ -135,6 +154,31 @@ class TestSplineModel:
         sp_ex = spline_counts_per_rank(a_ex, batches, structure)
         sp_lo = spline_counts_per_rank(a_lo, batches, structure)
         assert sp_lo.mean() < 0.5 * sp_ex.mean()
+
+    # Recorded at the parent of PR 21 (253d9c2, chunked all-pairs loop):
+    # locality mapping of the summary batches over min(16, batches) ranks;
+    # under load balancing every rank touched every atom.
+    @pytest.mark.parametrize(
+        "structure, locality",
+        [
+            (hydrogen_molecule(), [2] * 12),
+            (water(), [3] * 16),
+            (polyethylene(4),
+             [17, 17, 20, 20, 23, 23, 26, 26, 26, 26, 23, 23, 19, 20, 17, 17]),
+            (polyethylene(100),
+             [53, 65, 67, 65, 67, 65, 67, 65, 65, 67, 65, 67, 65, 67, 65, 52]),
+        ],
+        ids=["h2", "water", "pe4", "chain602"],
+    )
+    def test_counts_equal_the_parents(self, structure, locality):
+        batches = synthetic_batches(build_workload(structure))
+        ranks = len(locality)
+        a_lo = locality_enhancing_mapping(batches, ranks)
+        a_ex = load_balancing_mapping(batches, ranks)
+        assert spline_counts_per_rank(a_lo, batches, structure).tolist() == locality
+        assert np.all(
+            spline_counts_per_rank(a_ex, batches, structure) == structure.n_atoms
+        )
 
     def test_counts_bounded_by_atom_total(self, chain_batches):
         structure, batches = chain_batches

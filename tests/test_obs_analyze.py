@@ -34,7 +34,6 @@ from repro.obs.analyze import (
 )
 from repro.runtime.faults import CycleFaultInjector, FaultPlan, ScheduledFault
 from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD
-from repro.runtime.trace import CycleTrace, Interval
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.balance import max_mean_imbalance
 
@@ -54,21 +53,14 @@ class TestSharedImbalance:
         with pytest.raises(ValueError, match="zero total load"):
             max_mean_imbalance([0.0, 0.0])
 
-    def test_cycle_trace_and_mapping_agree_on_identical_loads(self):
-        # Same per-worker loads through both call sites: the values must
-        # be identical because both delegate to the shared helper.
+    def test_mapping_agrees_with_helper_on_identical_loads(self):
+        # The mapping call site delegates to the shared helper.
         loads = [3, 1]
-        trace = CycleTrace(2, [Interval(0, "H", 0.0, 3.0),
-                               Interval(1, "H", 0.0, 1.0)])
         assignment = BatchAssignment("test", 2, ((0,), (1,)))
         batches = [SimpleNamespace(n_points=n) for n in loads]
-        assert trace.imbalance() == max_mean_imbalance(loads)
         assert assignment.imbalance(batches) == max_mean_imbalance(loads)
-        assert trace.imbalance() == assignment.imbalance(batches)
 
     def test_domain_specific_errors_preserved(self):
-        with pytest.raises(ExperimentError, match="no work"):
-            CycleTrace(2, []).imbalance()
         with pytest.raises(MappingError, match="no grid points"):
             BatchAssignment("test", 1, ((0,),)).imbalance(
                 [SimpleNamespace(n_points=0)]
@@ -176,15 +168,6 @@ class TestTimeline:
         ]
         assert cp.bound_seconds == 6.0
         assert cp.wall_seconds == 6.0
-
-    def test_modeled_cycle_trace_timeline(self):
-        ct = CycleTrace(2, [Interval(0, "DM", 0.0, 1.0),
-                            Interval(1, "DM", 0.0, 3.0)])
-        ev = SimpleNamespace(kind="straggler", rank=1, site="", delay=2.0)
-        tl = Timeline.from_cycle_trace(ct, fault_events=[ev])
-        assert tl.primary_categories() == ("model",)
-        assert critical_path(tl).steps[0].rank == 1
-        assert tl.faults[0].kind == "straggler"
 
     def test_load_run_degrades_run_report_to_phase_sequence(self, tmp_path):
         doc = {"label": "r", "phase_seconds": {"scf": 2.0, "cpscf": 3.0}}

@@ -5,8 +5,6 @@ from collections import defaultdict
 
 from repro.cli import main as cli_main
 from repro.obs import Tracer, chrome_trace, write_chrome_trace
-from repro.obs.export import MEASURED_PID, MODELED_PID, cycle_trace_events
-from repro.runtime import trace_cycle
 
 
 def _make_tracer() -> Tracer:
@@ -60,24 +58,6 @@ class TestChromeTrace:
         fault = next(e for e in doc["traceEvents"] if e["name"] == "cycle_fault")
         assert fault["ph"] == "i" and fault["s"] == "t"
         assert fault["args"]["site"] == "scf[2]"
-
-    def test_modeled_cycle_trace_synthesis(self):
-        ct = trace_cycle(
-            {"DM": 1.0, "Sumup": 2.0, "Comm": 0.5}, points_per_rank=[100, 50]
-        )
-        events = cycle_trace_events(ct)
-        metas = [e for e in events if e["ph"] == "M"]
-        assert len(metas) == ct.n_ranks
-        slices = [e for e in events if e["ph"] == "X"]
-        assert all(e["pid"] == MODELED_PID for e in slices)
-        assert {e["tid"] for e in slices} == {0, 1}
-        assert all(e["dur"] > 0.0 for e in slices)  # zero-width dropped
-
-    def test_measured_and_modeled_share_one_document(self):
-        ct = trace_cycle({"DM": 1.0}, points_per_rank=[10])
-        doc = chrome_trace(_make_tracer().spans, cycle_traces=[ct])
-        pids = {e["pid"] for e in doc["traceEvents"]}
-        assert pids == {MEASURED_PID, MODELED_PID}
 
 
 class TestTraceCLI:

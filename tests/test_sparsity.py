@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.atoms import Structure, polyethylene, water
+from repro.atoms import Structure, hydrogen_molecule, polyethylene, water
 from repro.backends import BatchedBackend, available_backends
 from repro.basis import build_basis
 from repro.config import get_settings
-from repro.dft.hamiltonian import MatrixBuilder
+from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.errors import GridError
 from repro.grids import (
     build_grid,
@@ -160,6 +160,35 @@ class TestPatternConstruction:
         assert loose.stats.blocks_active <= tight.stats.blocks_active
         assert not np.any(loose.block_mask & ~tight.block_mask)
 
+
+    # Recorded at the parent of PR 21 (253d9c2, per-chunk all-pairs loop),
+    # minimal grids: (threshold, blocks_active, elements_active, matrix_nnz,
+    # histogram).  The shared search must not move one of them.
+    @pytest.mark.parametrize(
+        "structure, threshold, blocks, elements, nnz, histogram",
+        [
+            (hydrogen_molecule(), 1e-6, 32, 8320, 100, [0] * 9 + [16]),
+            (water(), 1e-6, 96, 33306, 441, [0] * 9 + [32]),
+            (polyethylene(4), 1e-6, 5578, 1925444, 31684,
+             [0, 0, 0, 0, 6, 0, 49, 30, 69, 102]),
+            (polyethylene(4), 1e-3, 5441, 1753638, 31684,
+             [0, 0, 0, 0, 11, 47, 34, 57, 61, 46]),
+        ],
+        ids=["h2", "water", "pe4-1e-6", "pe4-1e-3"],
+    )
+    def test_pattern_equals_the_parents(
+        self, structure, threshold, blocks, elements, nnz, histogram
+    ):
+        sub = build_substrate(structure, get_settings("minimal").grids)
+        pattern = build_sparsity_pattern(sub.basis, sub.batches, threshold)
+        stats = pattern.stats
+        assert (stats.blocks_active, stats.elements_active) == (blocks, elements)
+        assert pattern.matrix_nnz == nnz
+        assert list(stats.histogram) == histogram
+        fn_atom = sub.basis.function_atoms
+        for act, atoms in zip(pattern.active_functions, pattern.active_atoms):
+            assert act.dtype == np.int64 and np.all(np.diff(act) > 0)
+            assert atoms == tuple(np.unique(fn_atom[act]).tolist())
 
 class TestHistogramDoctestNeighbour:
     def test_histogram_edge_cases(self):
@@ -465,3 +494,18 @@ class TestModeledBlockCounts:
         assert doc["blocks_dense"] == doc["n_batches"] * doc["n_atoms"]
         assert 0.0 < doc["fill_fraction"] <= 1.0
         assert doc["threshold"] == 1e-6
+
+    # Recorded at the parent of PR 21 (253d9c2, bucket-dict cell list).
+    @pytest.mark.parametrize(
+        "structure, blocks, elements",
+        [
+            (hydrogen_molecule(), 24, 24000),
+            (water(), 69, 96600),
+            (polyethylene(4), 3928, 5251000),
+            (polyethylene(100), 123160, 166732600),
+        ],
+        ids=["h2", "water", "pe4", "chain602"],
+    )
+    def test_counts_equal_the_parents(self, structure, blocks, elements):
+        doc = modeled_block_counts(structure)
+        assert (doc["blocks_active"], doc["elements_active"]) == (blocks, elements)
