@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
 	analyze service-check fleet-check tune-check slo-check e2e-check \
-	verify
+	verify profile-model
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
@@ -70,6 +70,12 @@ docs:
 trace:
 	PYTHONPATH=src $(PYTHON) -m repro trace --molecule water --level minimal \
 		--out trace.json --report run_report.json --force
+
+# Profile order of the scale models: one priced 10 004-atom configuration
+# under cProfile (the report first, then the top of the cumulative list).
+profile-model:
+	PYTHONPATH=src $(PYTHON) -m cProfile -s cumulative -m repro model \
+		--polyethylene 10004 --ranks 2048 --baseline | head -60
 
 # Post-mortem analytics: record a trace, then render the timeline /
 # critical-path / imbalance dashboard and the scaling-attribution tables.

@@ -151,6 +151,7 @@ class PhaseModel:
             self.near_atoms_per_point,
             self.splines_per_rank,
             self.memory_per_rank,
+            self.dm_local_basis,
         ) = self.rank_quantities
 
     # ------------------------------------------------------------------
@@ -171,26 +172,23 @@ class PhaseModel:
         # Spline constructions per rank under this mapping (Fig. 9(c)),
         # computed for the representative (max-loaded) rank only so huge
         # batch sets stay cheap.
-        owned = self.assignment.batches_of_rank
-        rep_rank = int(np.argmax(pts))
-        sub = [self.batches[b] for b in owned[rep_rank]]
-        sc = spline_counts_per_rank(
-            BatchAssignment(
-                strategy=self.assignment.strategy,
-                n_ranks=1,
-                batches_of_rank=(tuple(range(len(sub))),),
-            ),
-            sub,
-            self.w.structure,
-        )
+        sub = [self.batches[b] for b in self.assignment.batches_of_rank[int(np.argmax(pts))]]
+        one_rank = BatchAssignment(self.assignment.strategy, 1, (tuple(range(len(sub))),))
+        sc = spline_counts_per_rank(one_rank, sub, self.w.structure)
         # Memory footprint per rank (feasibility; Figs. 9(a), weak scaling).
         memory = self._memory_model.per_rank_bytes(self.assignment, self.batches)
+        # Basis functions of the first rank with the most atoms (DM, locality off).
+        dm_local_basis = 1
+        if not self.flags.locality_mapping:
+            rep = max(self.assignment.atoms_per_rank(self.batches), key=len)
+            dm_local_basis = max(1, int(counts[rep].sum()))
         return (
             int(pts.max()),
             max(1.0, float(np.mean(per_batch))),
             max(1.0, float(np.mean(rel_atoms))),
             int(sc[0]),
             int(memory.max()),
+            dm_local_basis,
         )
 
     # ------------------------------------------------------------------
@@ -336,13 +334,8 @@ class PhaseModel:
         if not self.flags.locality_mapping:
             # Global sparse CSR traversal: more elements touched and a
             # latency penalty per access (bounded by the cap).
-            model = self._memory_model
-            local = self.assignment.atoms_per_rank(self.batches)
-            counts = atom_basis_counts(self.w.structure)
-            rep = max(local, key=len)
-            n_loc = max(1, int(counts[np.asarray(list(rep), dtype=np.int64)].sum()))
-            nnz_ratio = model.global_sparse_nnz() / (
-                self.n_ranks * float(n_loc) ** 2
+            nnz_ratio = self._memory_model.global_sparse_nnz() / (
+                self.n_ranks * float(self.dm_local_basis) ** 2
             )
             spec = self.device.spec
             gather = spec.offchip_latency / (

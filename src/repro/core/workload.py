@@ -10,9 +10,8 @@ memory and phase models consume.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -20,9 +19,10 @@ from repro.atoms.structure import Structure
 from repro.basis.ylm import n_lm
 from repro.config import GridSettings, RunSettings, get_settings
 from repro.grids.angular import angular_rule
-from repro.grids.batching import GridBatch
+from repro.grids.batching import BatchArrays, BatchList, GridBatch
 from repro.grids.shells import radial_shells_for_species
 from repro.mapping.memory_model import atom_basis_counts, atom_cutoffs_light
+from repro.utils.neighbors import sphere_overlaps
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def synthetic_batches(
     ~``target_points``.  Centroids are atom positions, radii the grid
     extent — the quantities the mapping strategies and memory models
     read.  Relevant-atom sets are attached with the same cutoff logic
-    as the real batches.
+    as the real batches, and the list carries its :class:`BatchArrays`.
     """
     structure = workload.structure
     if target_points is None:
@@ -144,26 +144,32 @@ def synthetic_batches(
     dim = int(np.argmax(hi - lo))
     order = np.argsort(coords[:, dim], kind="stable")
 
-    batches: List[GridBatch] = []
-    for a in order:
-        a = int(a)
-        frags = int(n_frag[a])
-        base = int(ppa[a]) // frags
-        extra = int(ppa[a]) - base * frags
-        for k in range(frags):
-            npts = base + (1 if k < extra else 0)
-            batches.append(
-                GridBatch(
-                    index=len(batches),
-                    point_indices=np.empty(npts, dtype=np.int64),
-                    centroid=coords[a].copy(),
-                    radius=2.0,  # one atom's grid fragment envelope (Bohr)
-                    owner_atoms=(a,),
-                    relevant_atoms=(),
-                )
-            )
+    # Atom a's k-th fragment: base_a points, one more for the first mass_a mod n_frag_a.
+    frags = n_frag[order]
+    atom_of = np.repeat(order, frags)
+    k = np.arange(atom_of.shape[0]) - np.repeat(np.cumsum(frags) - frags, frags)
+    base = ppa // n_frag
+    points = base[atom_of] + (k < (ppa % n_frag)[atom_of])
+    centroids = coords[atom_of]
+    radii = np.full(atom_of.shape[0], 2.0)  # one atom's grid fragment envelope (Bohr)
+    indptr, indices = sphere_overlaps(centroids, radii, coords, cutoffs)
 
-    # Attach relevant atoms (same rule as the real pipeline).
-    from repro.grids.batching import attach_relevant_atoms
-
-    return attach_relevant_atoms(batches, structure, cutoffs)
+    # The models read a summary batch's point count, never its indices: one
+    # read-only zero-stride buffer per distinct count, no bytes behind it.
+    zero = np.zeros((), dtype=np.int64)
+    no_indices = {n: np.broadcast_to(zero, (n,)) for n in np.unique(points).tolist()}
+    ends = indptr.tolist()
+    batches = (
+        GridBatch(
+            index=i,
+            point_indices=no_indices[n],
+            centroid=centroid,
+            radius=2.0,
+            owner_atoms=(a,),
+            relevant_atoms=tuple(indices[lo:hi].tolist()),
+        )
+        for i, (n, centroid, a, lo, hi) in enumerate(
+            zip(points.tolist(), centroids, atom_of.tolist(), ends, ends[1:])
+        )
+    )
+    return BatchList(batches, BatchArrays(points, centroids, radii, indptr, indices))

@@ -10,7 +10,8 @@ Section 3.1 distribute over MPI ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +54,56 @@ class GridBatch:
     @property
     def n_points(self) -> int:
         return self.point_indices.shape[0]
+
+
+class BatchArrays(NamedTuple):
+    """What the mapping and the per-rank models read off ``n`` batches; row
+    ``b`` of the CSR ``(indptr, indices)`` is ``batches[b].relevant_atoms``."""
+
+    points: np.ndarray  # (n,) int64
+    centroids: np.ndarray  # (n, 3)
+    radii: np.ndarray  # (n,)
+    indptr: np.ndarray  # (n + 1,) int64
+    indices: np.ndarray  # int64 atom ids
+
+
+class BatchList(List[GridBatch]):
+    """A batch list carrying the :class:`BatchArrays` it was built from: a
+    memo :func:`batch_arrays` trusts only while the lengths still match."""
+
+    def __init__(self, batches, arrays: BatchArrays) -> None:
+        super().__init__(batches)
+        self.arrays = arrays
+
+
+def csr_of_rows(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of a list of integer tuples."""
+    indptr = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
+    return indptr, np.fromiter(chain.from_iterable(rows), np.int64, int(indptr[-1]))
+
+
+def _carried(batches: Sequence[GridBatch]) -> Optional[BatchArrays]:
+    arrays = getattr(batches, "arrays", None)
+    return arrays if arrays is not None and len(arrays.points) == len(batches) else None
+
+
+def batch_points(batches: Sequence[GridBatch]) -> np.ndarray:
+    """Grid points per batch; reads nothing of a batch but ``n_points``."""
+    carried = _carried(batches)
+    if carried is not None:
+        return carried.points
+    return np.fromiter((b.n_points for b in batches), np.int64, len(batches))
+
+
+def batch_arrays(batches: Sequence[GridBatch]) -> BatchArrays:
+    """The :class:`BatchArrays` of *batches*: the carried copy when the list
+    still has its length, one pass over the batches otherwise."""
+    return _carried(batches) or BatchArrays(
+        batch_points(batches),
+        np.array([b.centroid for b in batches], dtype=float).reshape(-1, 3),
+        np.array([b.radius for b in batches], dtype=float),
+        *csr_of_rows([b.relevant_atoms for b in batches]),
+    )
 
 
 def cut_plane_partition(
@@ -114,12 +165,6 @@ def build_batches(
     return batches
 
 
-def bounding_spheres(batches: Sequence[GridBatch]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(n, 3)`` centroids and ``(n,)`` radii of *batches*, as arrays."""
-    centroids = np.array([b.centroid for b in batches]).reshape(-1, 3)
-    return centroids, np.array([b.radius for b in batches])
-
-
 def attach_relevant_atoms(
     batches: Sequence[GridBatch],
     structure: Structure,
@@ -137,13 +182,14 @@ def attach_relevant_atoms(
         raise GridError(
             f"{atom_cutoffs.shape[0]} cutoffs for {structure.n_atoms} atoms"
         )
+    base = batch_arrays(batches)
     indptr, indices = sphere_overlaps(
-        *bounding_spheres(batches), structure.coords, atom_cutoffs
+        base.centroids, base.radii, structure.coords, atom_cutoffs
     )
     ends = indptr.tolist()
     # The constructor, not dataclasses.replace (1.4 vs 10 us per batch), and a
     # row at a time: the whole index list as Python objects is 33 MB at 2 M.
-    return [
+    attached = (
         GridBatch(
             index=b.index,
             point_indices=b.point_indices,
@@ -153,4 +199,5 @@ def attach_relevant_atoms(
             relevant_atoms=tuple(indices[lo:hi].tolist()),
         )
         for b, lo, hi in zip(batches, ends, ends[1:])
-    ]
+    )
+    return BatchList(attached, base._replace(indptr=indptr, indices=indices))

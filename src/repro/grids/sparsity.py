@@ -48,7 +48,7 @@ from repro.atoms.structure import Structure
 from repro.basis.basis_set import BasisSet, _species_shells, effective_shell_radius
 from repro.config import RunSettings, get_settings
 from repro.errors import GridError
-from repro.grids.batching import GridBatch, bounding_spheres
+from repro.grids.batching import GridBatch, batch_arrays
 from repro.utils.neighbors import sphere_overlaps
 
 #: Threshold used when screening is requested without an explicit value
@@ -224,9 +224,8 @@ def build_sparsity_pattern(
     n_atoms = basis.structure.n_atoms
     # One search at function level: each function sits on its atom, and
     # row b of the CSR *is* batch b's active set.
-    indptr, indices = sphere_overlaps(
-        *bounding_spheres(batches), coords[fn_atom], fn_cut
-    )
+    _, centroids, radii, _, _ = batch_arrays(batches)
+    indptr, indices = sphere_overlaps(centroids, radii, coords[fn_atom], fn_cut)
     active_functions = np.split(indices, indptr[1:-1]) if len(batches) else []
     active_atoms: List[Tuple[int, ...]] = []
     block_mask = np.zeros((n_atoms, n_atoms), dtype=bool)

@@ -26,6 +26,5 @@ __all__ = [
     "atom_cutoffs_light",
     "atom_basis_counts",
     "spline_counts_per_rank",
-    "spline_counts_per_rank",
     "MULTIPOLE_MESH_RADIUS",
 ]

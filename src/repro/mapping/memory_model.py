@@ -18,7 +18,7 @@ from repro.atoms.structure import Structure
 from repro.basis.basis_set import _species_shells
 from repro.errors import MappingError
 from repro.grids.batching import GridBatch
-from repro.mapping.strategies import BatchAssignment
+from repro.mapping.strategies import BatchAssignment, segment_sums
 from repro.utils.neighbors import sphere_overlaps
 
 _BYTES_VALUE = 8
@@ -109,17 +109,11 @@ class HamiltonianMemoryModel:
         it typically covers most of the system — the same formula then
         reproduces why dense storage is not even an option there.
         """
-        if batches and not batches[0].relevant_atoms and len(batches[0].owner_atoms):
-            # Fall back to owner atoms when relevance was never attached.
-            atom_sets = assignment.atoms_per_rank(batches, use_relevant=False)
-        else:
-            atom_sets = assignment.atoms_per_rank(batches, use_relevant=True)
-        out = np.empty(assignment.n_ranks, dtype=np.int64)
-        for r, atoms in enumerate(atom_sets):
-            atoms = np.asarray(list(atoms), dtype=np.int64)
-            n_loc = int(self.basis_counts[atoms].sum()) if atoms.size else 0
-            out[r] = _BYTES_VALUE * n_loc * n_loc
-        return out
+        # Fall back to owner atoms when relevance was never attached.
+        bare = len(batches) and not batches[0].relevant_atoms and len(batches[0].owner_atoms)
+        rank_ptr, atoms = assignment.rank_atoms(batches, use_relevant=not bare)
+        n_loc = segment_sums(self.basis_counts[atoms], rank_ptr)
+        return _BYTES_VALUE * n_loc * n_loc
 
     def per_rank_bytes(
         self,

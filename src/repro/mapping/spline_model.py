@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.atoms.structure import Structure
-from repro.grids.batching import GridBatch, bounding_spheres
-from repro.mapping.strategies import BatchAssignment
+from repro.grids.batching import GridBatch, batch_arrays
+from repro.mapping.strategies import BatchAssignment, rank_atom_csr
 from repro.utils.neighbors import sphere_overlaps
 
 #: Outer radius of the per-atom radial mesh on which partial Hartree
@@ -37,15 +37,6 @@ def spline_counts_per_rank(
     rank's batch bounding spheres (reuse within a rank is free — the
     paper's Fig. 4(b) insight).
     """
-    indptr, indices = sphere_overlaps(
-        *bounding_spheres(batches), structure.coords, mesh_radius
-    )
-    ends = indptr.tolist()
-
-    counts = np.empty(assignment.n_ranks, dtype=np.int64)
-    for r, owned in enumerate(assignment.batches_of_rank):
-        atoms: set = set()
-        for b in owned:
-            atoms.update(indices[ends[b] : ends[b + 1]].tolist())
-        counts[r] = len(atoms)
-    return counts
+    _, centroids, radii, _, _ = batch_arrays(batches)
+    reach = sphere_overlaps(centroids, radii, structure.coords, mesh_radius)
+    return np.diff(rank_atom_csr(assignment, *reach)[0])

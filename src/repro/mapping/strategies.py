@@ -14,13 +14,26 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MappingError
-from repro.grids.batching import GridBatch
+from repro.grids.batching import GridBatch, batch_arrays, batch_points, csr_of_rows
 from repro.utils.balance import max_mean_imbalance
+from repro.utils.neighbors import ranges
+
+#: Window of ``(rank, atom)`` keys :func:`rank_atom_csr` sorts at once.  A
+#: constant, not a setting: a slab is whole ranks, so its distinct pairs are its
+#: own and results are bit-for-bit independent of it; it only bounds the
+#: key-length temporaries.  2^14 / 2^18 / 2^22 on the 2 069 374 keys of a scattered
+#: 2 048-rank assignment (10 004 atoms): 61 / 56 / 62 ms, peak RSS +34 / +39 / +63 MB.
+_SLAB_ELEMENTS: int = 1 << 18
+
+
+def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Integer sums of ``values[ptr[i]:ptr[i + 1]]``; 0 where ``reduceat`` errs: empty."""
+    return np.diff(np.append(0, np.cumsum(values, dtype=np.int64))[ptr])
 
 
 @dataclass(frozen=True)
@@ -33,30 +46,21 @@ class BatchAssignment:
 
     def points_per_rank(self, batches: Sequence[GridBatch]) -> np.ndarray:
         """Grid points owned by each rank."""
-        return np.array(
-            [
-                sum(batches[b].n_points for b in owned)
-                for owned in self.batches_of_rank
-            ],
-            dtype=np.int64,
-        )
+        slot_ptr, ids = _owned_slots(self, len(batches))
+        return segment_sums(batch_points(batches)[ids], slot_ptr)
+
+    def rank_atoms(self, batches: Sequence[GridBatch], use_relevant: bool = True):
+        """:func:`rank_atom_csr` over the batches' relevant (or owner) atoms."""
+        if use_relevant:
+            return rank_atom_csr(self, *batch_arrays(batches)[3:])
+        return rank_atom_csr(self, *csr_of_rows([b.owner_atoms for b in batches]))
 
     def atoms_per_rank(
         self, batches: Sequence[GridBatch], use_relevant: bool = True
     ) -> List[np.ndarray]:
         """Union of (relevant or owner) atom ids per rank (sorted arrays)."""
-        out: List[np.ndarray] = []
-        empty = np.empty(0, dtype=np.int64)
-        for owned in self.batches_of_rank:
-            parts = [
-                np.asarray(
-                    batches[b].relevant_atoms if use_relevant else batches[b].owner_atoms,
-                    dtype=np.int64,
-                )
-                for b in owned
-            ]
-            out.append(np.unique(np.concatenate(parts)) if parts else empty)
-        return out
+        rank_ptr, atoms = self.rank_atoms(batches, use_relevant)
+        return np.split(atoms, rank_ptr[1:-1])
 
     def imbalance(self, batches: Sequence[GridBatch]) -> float:
         """max/mean point-count ratio (1.0 = perfect balance).
@@ -71,89 +75,115 @@ class BatchAssignment:
             raise MappingError("assignment owns no grid points") from None
 
 
+def _owned_slots(assignment: BatchAssignment, n_batches: int):
+    """``(slot_ptr, ids)``: rank ``r`` owns ``ids[slot_ptr[r]:slot_ptr[r + 1]]``,
+    every id checked against *n_batches*.  Pairs of (rank of slot, batch id),
+    not a rank-of-batch scatter: an assignment need not be a partition."""
+    owned = assignment.batches_of_rank
+    if len(owned) != assignment.n_ranks:
+        raise MappingError(f"{len(owned)} batch lists for {assignment.n_ranks} ranks")
+    slot_ptr, ids = csr_of_rows(owned)
+    bad = ids[(ids < 0) | (ids >= n_batches)]
+    if bad.size:
+        raise MappingError(f"batch id {bad[0]} is not one of {n_batches} batches")
+    return slot_ptr, ids
+
+
+def rank_atom_csr(assignment: BatchAssignment, indptr: np.ndarray, indices: np.ndarray):
+    """Distinct ``(rank, atom)`` pairs of *assignment* as CSR ``(rank_ptr, atoms)``:
+    ``(indptr, indices)`` is a batch -> atom CSR; rank ``r``'s atoms, ascending,
+    are ``atoms[rank_ptr[r]:rank_ptr[r + 1]]``.  Sort and a neighbour mask: numpy
+    2.4's hash-based unique takes 1.2 s against 23 ms on the 2 M all-distinct
+    keys of a scattered assignment (EXPERIMENTS.md)."""
+    n_ranks = assignment.n_ranks
+    slot_ptr, ids = _owned_slots(assignment, indptr.shape[0] - 1)
+    starts, lens = indptr[ids], indptr[ids + 1] - indptr[ids]
+    n_atoms = int(indices.max()) + 1 if indices.size else 1
+    key_ptr = np.append(0, np.cumsum(lens))[slot_ptr]  # keys before each rank
+    counts, parts = np.zeros(n_ranks, dtype=np.int64), [np.empty(0, dtype=np.int64)]
+    # A slab: the whole ranks whose first key falls in one _SLAB_ELEMENTS window.
+    cuts = np.flatnonzero(np.diff(key_ptr[:-1] // _SLAB_ELEMENTS, prepend=-1))
+    for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [n_ranks]):
+        slots = slice(slot_ptr[lo], slot_ptr[hi])
+        key = np.repeat(np.arange(lo, hi) * n_atoms, np.diff(key_ptr[lo : hi + 1]))
+        key += indices[ranges(starts[slots], lens[slots])]
+        key.sort()
+        distinct = np.ones(key.shape[0], dtype=bool)
+        distinct[1:] = key[1:] != key[:-1]
+        key = key[distinct]
+        counts[lo:hi] = np.diff(np.searchsorted(key, np.arange(lo, hi + 1) * n_atoms))
+        parts.append(key % n_atoms)
+    return np.append(0, np.cumsum(counts)), np.concatenate(parts)
+
+
 def _validate(batches: Sequence[GridBatch], n_ranks: int) -> None:
     if n_ranks < 1:
         raise MappingError(f"need >= 1 rank, got {n_ranks}")
     if len(batches) < n_ranks:
-        raise MappingError(
-            f"{len(batches)} batches cannot feed {n_ranks} ranks"
-        )
+        raise MappingError(f"{len(batches)} batches cannot feed {n_ranks} ranks")
 
 
-def load_balancing_mapping(
-    batches: Sequence[GridBatch], n_ranks: int
-) -> BatchAssignment:
+def load_balancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> BatchAssignment:
     """Existing strategy: greedy least-loaded (by grid points).
 
     Batches are visited in construction order; ties broken by rank id —
-    deterministic.  Because construction order interleaves space, the
-    batches of one rank end up scattered across the whole system.
+    deterministic.  Construction order runs along space while the least-loaded
+    rank cycles, so the batches of one rank end up scattered across the system.
     """
     _validate(batches, n_ranks)
-    heap: List[Tuple[int, int]] = [(0, r) for r in range(n_ranks)]
-    heapq.heapify(heap)
+    heap: List[Tuple[int, int]] = [(0, r) for r in range(n_ranks)]  # sorted: a heap
     owned: List[List[int]] = [[] for _ in range(n_ranks)]
-    # Visit in an order that interleaves space (round-robin over the
-    # spatially sorted list), mirroring how FHI-aims' batch stream
-    # arrives atom by atom rather than sorted.
-    for b in batches:
-        points, rank = heapq.heappop(heap)
-        owned[rank].append(b.index)
-        heapq.heappush(heap, (points + b.n_points, rank))
-    return BatchAssignment(
-        strategy="load_balancing",
-        n_ranks=n_ranks,
-        batches_of_rank=tuple(tuple(o) for o in owned),
-    )
+    # Construction order, as FHI-aims' batch stream arrives atom by atom.
+    for b, n_points in enumerate(batch_points(batches).tolist()):
+        load, rank = heap[0]
+        owned[rank].append(b)
+        heapq.heapreplace(heap, (load + n_points, rank))
+    return BatchAssignment("load_balancing", n_ranks, tuple(map(tuple, owned)))
 
 
-def locality_enhancing_mapping(
-    batches: Sequence[GridBatch], n_ranks: int
-) -> BatchAssignment:
+def locality_enhancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> BatchAssignment:
     """Algorithm 1: locality-enhancing recursive bisection.
 
-    Direct transcription of the paper's pseudo-code: processes are halved
-    (ceil left), batches are projected on the dimension where their
-    centroids spread the largest range, sorted, and split at the pivot
-    ``p`` with ``sum_{i<=p} points_i <= (total points) * |P_l|/|P|`` —
-    generalized from the paper's 1/2 so odd process counts stay balanced.
+    The paper's pseudo-code, one level of the recursion at a time over all
+    segments: processes are halved (ceil left), batches are projected on the
+    dimension where their centroids spread the largest range, sorted, and split
+    at the pivot ``p`` with ``sum_{i<=p} points_i <= (total points) * |P_l|/|P|``
+    — generalized from the paper's 1/2 so odd process counts stay balanced.
     """
     _validate(batches, n_ranks)
-    centroids = np.array([b.centroid for b in batches])
-    points = np.array([b.n_points for b in batches], dtype=np.int64)
-
-    owned: List[List[int]] = [[] for _ in range(n_ranks)]
-
-    def recurse(rank_lo: int, rank_hi: int, idx: np.ndarray) -> None:
-        n_procs = rank_hi - rank_lo
-        if n_procs == 1:
-            owned[rank_lo].extend(int(i) for i in idx)
-            return
-        if idx.size < n_procs:
-            raise MappingError(
-                f"bisection ran out of batches ({idx.size} for {n_procs} ranks)"
-            )
-        left_procs = (n_procs + 1) // 2  # ceil(n/2), paper line 5
-        # Line 7: dimension of largest centroid spread.
-        sub = centroids[idx]
-        spans = sub.max(axis=0) - sub.min(axis=0)
-        dim = int(np.argmax(spans))
-        # Line 8: sort by projection.
-        order = np.argsort(sub[:, dim], kind="stable")
-        sorted_idx = idx[order]
+    arrays, n = batch_arrays(batches), len(batches)
+    order = np.arange(n, dtype=np.int64)  # batch ids, segment after segment
+    # Segment s is order[starts[s]:starts[s + 1]] and feeds ranks lo[s]..hi[s].
+    starts, lo, hi = (np.array([v], dtype=np.int64) for v in (0, 0, n_ranks))
+    while (hi - lo).max() > 1:
+        procs = hi - lo
+        split = procs > 1
+        sizes = np.diff(np.append(starts, n))
+        if np.any(sizes < procs):
+            size, need = sizes[sizes < procs][0], procs[sizes < procs][0]
+            raise MappingError(f"bisection ran out of batches ({size} for {need} ranks)")
+        left = (procs + 1) // 2  # ceil(n/2), paper line 5
+        seg = np.repeat(np.arange(starts.shape[0]), sizes)
+        # Line 7: dimension of largest centroid spread, per segment.
+        sub = arrays.centroids[order]
+        spans = np.maximum.reduceat(sub, starts) - np.minimum.reduceat(sub, starts)
+        dim = np.argmax(spans, axis=1)
+        # Line 8: sort by projection within each segment.  lexsort is stable: ties
+        # (one atom's fragments) and a finished segment's constant key keep their order.
+        value = np.where(split[seg], sub[np.arange(n), dim[seg]], 0.0)
+        order = order[np.lexsort((value, seg))]
         # Lines 9-11: point-count pivot, proportional to |P_l|.
-        cum = np.cumsum(points[sorted_idx])
-        pivot = cum[-1] * left_procs / n_procs
-        p = int(np.searchsorted(cum, pivot, side="right"))
+        cum = np.cumsum(arrays.points[order])
+        cum -= np.append(0, cum)[starts][seg]
+        pivot = cum[starts + sizes - 1] * left / procs
+        p = np.bincount(seg[cum <= pivot[seg]], minlength=starts.shape[0])
         # Both sides must receive at least as many batches as ranks.
-        p = max(p, left_procs)
-        p = min(p, idx.size - (n_procs - left_procs))
-        recurse(rank_lo, rank_lo + left_procs, sorted_idx[:p])
-        recurse(rank_lo + left_procs, rank_hi, sorted_idx[p:])
-
-    recurse(0, n_ranks, np.arange(len(batches), dtype=np.int64))
-    return BatchAssignment(
-        strategy="locality_enhancing",
-        n_ranks=n_ranks,
-        batches_of_rank=tuple(tuple(o) for o in owned),
-    )
+        p = np.minimum(np.maximum(p, left), sizes - (procs - left))
+        # Children in order: (start, lo, lo + left), (start + p, lo + left, hi).
+        keep = np.stack((np.ones_like(split), split), axis=1).ravel()
+        mid = np.where(split, lo + left, hi)
+        starts = np.stack((starts, starts + p), axis=1).ravel()[keep]
+        lo, hi = (np.stack(pair, axis=1).ravel()[keep] for pair in ((lo, mid), (mid, hi)))
+    order, ptr = order.tolist(), np.append(starts, n).tolist()
+    owned = tuple(tuple(order[a:z]) for a, z in zip(ptr, ptr[1:]))
+    return BatchAssignment("locality_enhancing", n_ranks, owned)

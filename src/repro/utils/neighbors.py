@@ -28,7 +28,7 @@ def _radii(r, n: int, name: str) -> np.ndarray:
     return np.broadcast_to(r, (n,))
 
 
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(start, count)])``."""
     return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
@@ -70,7 +70,7 @@ def sphere_overlaps(x, rho, y, sigma) -> Tuple[np.ndarray, np.ndarray]:
     base = cells[:, None] + (np.repeat(near, 3) * ny + np.tile(near, 3)) * nz
     lo = np.searchsorted(y_keys, base - 1, side="left")
     count = np.searchsorted(y_keys, base + 1, side="right") - lo
-    cand_all = y_order[_ranges(lo.ravel(), count.ravel())]
+    cand_all = y_order[ranges(lo.ravel(), count.ravel())]
     cand_ptr = np.append(0, np.cumsum(count.sum(axis=1)))
 
     counts, blocks = np.zeros(n, dtype=np.int64), []
@@ -86,5 +86,5 @@ def sphere_overlaps(x, rho, y, sigma) -> Tuple[np.ndarray, np.ndarray]:
     indptr = np.append(0, np.cumsum(counts))
     indices = np.empty(indptr[-1], dtype=np.int64)
     for q, cols in blocks:
-        indices[_ranges(indptr[q], counts[q])] = cols
+        indices[ranges(indptr[q], counts[q])] = cols
     return indptr, indices

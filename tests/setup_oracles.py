@@ -28,10 +28,17 @@ all-pairs loops and bucket-dict cell lists.  The one cell-list primitive
 (``repro.utils.neighbors.sphere_overlaps``) is held ``array_equal`` to
 the all-pairs body those loops shared: same distance expression, same
 inclusive comparison.
+
+Until PR 22 Alg. 1 was a recursion (14 333 calls at 4 096 ranks), the
+greedy mapping a heap pop + push per batch, a rank's atoms one
+``np.unique`` per rank and its spline atoms one ``set.update`` per batch.
+The array programs in ``repro.mapping`` are held to these bodies with
+``==``: the arithmetic and every tie-break are unchanged.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,3 +408,81 @@ def sphere_overlaps_oracle(x, rho, y, sigma):
     hits = d <= rho[:, None] + sigma[None, :]
     indptr = np.concatenate(([0], np.cumsum(hits.sum(axis=1))))
     return indptr, np.nonzero(hits)[1]
+
+
+# ----------------------------------------------------------------------
+# Mapping and per-rank reductions (pre-PR-22 loops)
+# ----------------------------------------------------------------------
+def locality_mapping_oracle(batches, n_ranks):
+    """Alg. 1 as the recursion it was; ``batches_of_rank`` out."""
+    from repro.errors import MappingError
+
+    centroids = np.array([b.centroid for b in batches])
+    points = np.array([b.n_points for b in batches], dtype=np.int64)
+    owned = [[] for _ in range(n_ranks)]
+
+    def recurse(rank_lo, rank_hi, idx):
+        n_procs = rank_hi - rank_lo
+        if n_procs == 1:
+            owned[rank_lo].extend(int(i) for i in idx)
+            return
+        if idx.size < n_procs:
+            raise MappingError(
+                f"bisection ran out of batches ({idx.size} for {n_procs} ranks)"
+            )
+        left_procs = (n_procs + 1) // 2
+        sub = centroids[idx]
+        spans = sub.max(axis=0) - sub.min(axis=0)
+        dim = int(np.argmax(spans))
+        order = np.argsort(sub[:, dim], kind="stable")
+        sorted_idx = idx[order]
+        cum = np.cumsum(points[sorted_idx])
+        pivot = cum[-1] * left_procs / n_procs
+        p = int(np.searchsorted(cum, pivot, side="right"))
+        p = max(p, left_procs)
+        p = min(p, idx.size - (n_procs - left_procs))
+        recurse(rank_lo, rank_lo + left_procs, sorted_idx[:p])
+        recurse(rank_lo + left_procs, rank_hi, sorted_idx[p:])
+
+    recurse(0, n_ranks, np.arange(len(batches), dtype=np.int64))
+    return tuple(tuple(o) for o in owned)
+
+
+def load_balancing_oracle(batches, n_ranks):
+    """Greedy least-loaded as one heap pop and push per batch."""
+    heap = [(0, r) for r in range(n_ranks)]
+    heapq.heapify(heap)
+    owned = [[] for _ in range(n_ranks)]
+    for b in batches:
+        points, rank = heapq.heappop(heap)
+        owned[rank].append(b.index)
+        heapq.heappush(heap, (points + b.n_points, rank))
+    return tuple(tuple(o) for o in owned)
+
+
+def atoms_per_rank_oracle(assignment, batches, use_relevant=True):
+    """One ``np.unique`` over a list comprehension per rank."""
+    out = []
+    empty = np.empty(0, dtype=np.int64)
+    for owned in assignment.batches_of_rank:
+        parts = [
+            np.asarray(
+                batches[b].relevant_atoms if use_relevant else batches[b].owner_atoms,
+                dtype=np.int64,
+            )
+            for b in owned
+        ]
+        out.append(np.unique(np.concatenate(parts)) if parts else empty)
+    return out
+
+
+def spline_counts_oracle(assignment, indptr, indices):
+    """Distinct atoms per rank of a batch -> atom CSR, one ``set`` per rank."""
+    ends = indptr.tolist()
+    counts = np.empty(assignment.n_ranks, dtype=np.int64)
+    for r, owned in enumerate(assignment.batches_of_rank):
+        atoms = set()
+        for b in owned:
+            atoms.update(indices[ends[b] : ends[b + 1]].tolist())
+        counts[r] = len(atoms)
+    return counts

@@ -17,7 +17,7 @@ from repro.grids import (
     cut_plane_partition,
     radial_shells_for_species,
 )
-from repro.grids.batching import bounding_spheres
+from repro.grids.batching import BatchArrays, batch_arrays
 from repro.mapping import atom_cutoffs_light
 from tests.setup_oracles import sphere_overlaps_oracle
 
@@ -195,7 +195,7 @@ class TestBatching:
             cases.append((s, batches, atom_cutoffs_light(s)))
         for s, batches, cut in cases:
             attached = attach_relevant_atoms(batches, s, cut)
-            centroids, radii = bounding_spheres(batches)
+            centroids, radii = batch_arrays(batches)[1:3]
             for lo in range(0, len(batches), 512):
                 rows = slice(lo, lo + 512)
                 indptr, indices = sphere_overlaps_oracle(
@@ -203,6 +203,45 @@ class TestBatching:
                 )
                 for b, a, z in zip(attached[rows], indptr, indptr[1:]):
                     assert b.relevant_atoms == tuple(indices[a:z].tolist())
+
+    def test_batch_arrays_carried_equal_derived(self, minimal_settings):
+        w = water()
+        real = attach_relevant_atoms(
+            build_batches(build_grid(w, minimal_settings.grids), target_points=128),
+            w,
+            np.full(3, 6.5),
+        )
+        cases = [real] + [
+            synthetic_batches(build_workload(s)) for s in (polyethylene(100), rbd_like_protein())
+        ]
+        for carried in cases:
+            assert isinstance(carried, list) and carried.arrays is batch_arrays(carried)
+            derived = batch_arrays(list(carried))
+            for name, a, b in zip(BatchArrays._fields, carried.arrays, derived):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert derived.points.tolist() == [b.n_points for b in carried]
+            assert all(
+                b.relevant_atoms == tuple(derived.indices[lo:hi].tolist())
+                for b, lo, hi in zip(carried, derived.indptr, derived.indptr[1:])
+            )
+        # A carried copy is a memo: once the list's length moves it is re-derived.
+        stale = cases[1].arrays
+        cases[1].append(cases[1][0])
+        fresh = batch_arrays(cases[1])
+        assert fresh is not stale and fresh.points.shape[0] == stale.points.shape[0] + 1
+        assert fresh.points[-1] == cases[1][0].n_points
+
+    def test_batch_arrays_of_nothing(self):
+        empty = batch_arrays([])
+        assert [a.shape for a in empty] == [(0,), (0, 3), (0,), (1,), (0,)]
+        assert empty.indptr.tolist() == [0]
+
+    def test_summary_batches_hold_no_index_bytes(self):
+        batches = synthetic_batches(build_workload(polyethylene(4)))
+        for b in batches:
+            idx = b.point_indices
+            assert idx.dtype == np.int64 and idx.shape == (b.n_points,)
+            assert idx.strides == (0,) and not idx.flags.writeable and not idx.any()
 
     def test_attach_edges(self):
         w = water()

@@ -17,6 +17,13 @@ from repro.mapping import (
     locality_enhancing_mapping,
     spline_counts_per_rank,
 )
+from repro.utils.neighbors import sphere_overlaps
+from tests.setup_oracles import (
+    atoms_per_rank_oracle,
+    load_balancing_oracle,
+    locality_mapping_oracle,
+    spline_counts_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +78,29 @@ class TestStrategies:
         for owned in a.batches_of_rank:
             xs = [batches[b].centroid[0] for b in owned]
             assert max(xs) - min(xs) < 0.35 * chain_length
+
+    @pytest.mark.parametrize("n_ranks", [7, 64, 1024])
+    def test_equal_the_loops_on_real_geometry(self, chain_batches, n_ranks):
+        # The chain (1-D, ~8 fragments tied at every atom) and the protein (3-D).
+        protein = rbd_like_protein()
+        cases = [chain_batches, (protein, synthetic_batches(build_workload(protein), 10**9))]
+        for structure, batches in cases:
+            plain = list(batches)  # no carried arrays: the derived path
+            lo = locality_enhancing_mapping(batches, n_ranks)
+            ex = load_balancing_mapping(batches, n_ranks)
+            assert lo.batches_of_rank == locality_mapping_oracle(plain, n_ranks)
+            assert lo == locality_enhancing_mapping(plain, n_ranks)
+            assert ex.batches_of_rank == load_balancing_oracle(plain, n_ranks)
+            indptr, indices = sphere_overlaps(
+                [b.centroid for b in batches], 2.0, structure.coords, 10.0
+            )
+            for a in (lo, ex):
+                got, want = a.atoms_per_rank(batches), atoms_per_rank_oracle(a, plain)
+                assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+                assert np.array_equal(
+                    spline_counts_per_rank(a, batches, structure),
+                    spline_counts_oracle(a, indptr, indices),
+                )
 
     def test_more_ranks_than_batches_rejected(self, chain_batches):
         _, batches = chain_batches

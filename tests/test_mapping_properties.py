@@ -9,10 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.grids.batching import GridBatch
+import repro.mapping.strategies as strategies
+from repro.errors import MappingError
+from repro.grids.batching import GridBatch, csr_of_rows
 from repro.mapping.strategies import (
+    BatchAssignment,
     load_balancing_mapping,
     locality_enhancing_mapping,
+    rank_atom_csr,
+)
+from tests.setup_oracles import (
+    atoms_per_rank_oracle,
+    load_balancing_oracle,
+    locality_mapping_oracle,
+    spline_counts_oracle,
 )
 
 
@@ -86,6 +96,122 @@ class TestAlgorithm1Properties:
         a1 = locality_enhancing_mapping(batches, 8)
         a2 = locality_enhancing_mapping(batches, 8)
         assert a1.batches_of_rank == a2.batches_of_rank
+
+
+def _tied_batches(rng: np.random.Generator, n: int, n_atoms: int) -> list:
+    """Batches built to tie: centroids on a coarse lattice (exact duplicates,
+    equal spans), point counts with zeros and repeats."""
+    lattice = rng.integers(0, 3, size=(n, 3)).astype(float) * rng.choice([0.0, 1.0, 2.5], 3)
+    pos = np.where(rng.random((n, 1)) < 0.7, lattice, rng.uniform(-3, 3, (n, 3)))
+    points = rng.choice([0, 0, 1, 5, 5, 5, 100], size=n)
+    rows = [
+        tuple(sorted(rng.choice(n_atoms, size=rng.integers(0, 5), replace=False).tolist()))
+        for _ in range(n)
+    ]
+    return [
+        GridBatch(
+            index=i,
+            point_indices=np.zeros(int(points[i]), dtype=np.int64),
+            centroid=pos[i],
+            radius=1.0,
+            owner_atoms=(int(rng.integers(n_atoms)),),
+            relevant_atoms=rows[i],
+        )
+        for i in range(n)
+    ]
+
+
+def _loose_assignment(rng: np.random.Generator, n: int, n_ranks: int) -> BatchAssignment:
+    """Not a partition: a batch may be unowned or sit under two ranks, and
+    the last rank owns nothing."""
+    owned = [[] for _ in range(n_ranks)]
+    for b in range(n):
+        for r in rng.choice(max(1, n_ranks - 1), size=rng.integers(0, 3)).tolist():
+            owned[r].append(b)
+    return BatchAssignment("loose", n_ranks, tuple(tuple(o) for o in owned))
+
+
+class TestArrayProgramsAgainstOracles:
+    """PR 22's array programs equal the loops they replaced, with ``==``."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60), pick=st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_both_mappings(self, seed, n, pick):
+        rng = np.random.default_rng(seed)
+        batches = _tied_batches(rng, n, n_atoms=9)
+        n_ranks = min(n, [1, 2, 3, 7, n][pick])
+        got = locality_enhancing_mapping(batches, n_ranks)
+        assert got.batches_of_rank == locality_mapping_oracle(batches, n_ranks)
+        assert {type(b) for owned in got.batches_of_rank for b in owned} <= {int}
+        assert load_balancing_mapping(
+            batches, n_ranks
+        ).batches_of_rank == load_balancing_oracle(batches, n_ranks)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40), n_ranks=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_per_rank_reductions(self, seed, n, n_ranks):
+        from repro.atoms import polyethylene
+        from repro.mapping import HamiltonianMemoryModel
+
+        rng = np.random.default_rng(seed)
+        batches = _tied_batches(rng, n, n_atoms=8)
+        a = _loose_assignment(rng, n, n_ranks)
+        assert a.points_per_rank(batches).tolist() == [
+            sum(batches[b].n_points for b in owned) for owned in a.batches_of_rank
+        ]
+        model = HamiltonianMemoryModel(polyethylene(1))  # 8 atoms
+        indptr, indices = csr_of_rows([b.relevant_atoms for b in batches])
+        results = []
+        for slab in (1, 7, strategies._SLAB_ELEMENTS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(strategies, "_SLAB_ELEMENTS", slab)
+                for use_relevant in (True, False):
+                    got = a.atoms_per_rank(batches, use_relevant)
+                    want = atoms_per_rank_oracle(a, batches, use_relevant)
+                    assert len(got) == n_ranks
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and np.array_equal(g, w)
+                dense = model.dense_local_bytes(a, batches)
+                rank_ptr, atoms = rank_atom_csr(a, indptr, indices)
+            assert dense.dtype == np.int64 and dense.tolist() == [
+                8 * int(model.basis_counts[atoms_r].sum()) ** 2
+                # Owner atoms when the first batch never had relevance attached.
+                for atoms_r in atoms_per_rank_oracle(a, batches, bool(batches[0].relevant_atoms))
+            ]
+            assert np.array_equal(np.diff(rank_ptr), spline_counts_oracle(a, indptr, indices))
+            results.append((rank_ptr.tolist(), atoms.tolist()))
+        assert results[0] == results[1] == results[2]
+
+    def test_ids_that_are_not_ids(self):
+        from repro.atoms import polyethylene
+        from repro.mapping import HamiltonianMemoryModel, spline_counts_per_rank
+
+        structure = polyethylene(1)
+        batches = _tied_batches(np.random.default_rng(0), 4, n_atoms=8)
+        model = HamiltonianMemoryModel(structure)
+        for owned, message in (
+            (((0, 4), (1,)), "batch id 4 is not one of 4 batches"),
+            (((0,), (-1,)), "batch id -1 is not one of 4 batches"),
+            (((0, 1, 2),), "1 batch lists for 2 ranks"),
+        ):
+            a = BatchAssignment("loose", 2, owned)
+            for call in (
+                lambda: a.points_per_rank(batches),
+                lambda: a.atoms_per_rank(batches),
+                lambda: a.atoms_per_rank(batches, use_relevant=False),
+                lambda: model.dense_local_bytes(a, batches),
+                lambda: spline_counts_per_rank(a, batches, structure),
+            ):
+                with pytest.raises(MappingError, match=message):
+                    call()
+
+    def test_too_few_batches(self):
+        batches = _tied_batches(np.random.default_rng(1), 3, n_atoms=8)
+        for fn in (locality_enhancing_mapping, load_balancing_mapping):
+            with pytest.raises(MappingError, match="3 batches cannot feed 4 ranks"):
+                fn(batches, 4)
+            with pytest.raises(MappingError, match="need >= 1 rank, got 0"):
+                fn(batches, 0)
 
 
 class TestModelInvariants:
