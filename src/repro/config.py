@@ -124,11 +124,13 @@ class RunSettings:
         Two :class:`RunSettings` built from the same field values — in
         any keyword order — produce identical dicts, which is what the
         service layer's content-addressed cache keys hash (see
-        :func:`repro.service.jobs.cache_key`).
+        :func:`repro.service.jobs.cache_key`); ``+ 0.0`` makes a ``-0.0``
+        field, equal to ``0.0``, serialize as ``0.0`` too.
         """
         def _sorted(d: Dict[str, Any]) -> Dict[str, Any]:
             return {
-                k: _sorted(v) if isinstance(v, dict) else v
+                k: _sorted(v) if isinstance(v, dict)
+                else v + 0.0 if isinstance(v, float) else v
                 for k, v in sorted(d.items())
             }
 

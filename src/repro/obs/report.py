@@ -17,13 +17,14 @@ True
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import BackendProfile
@@ -78,28 +79,48 @@ class Provenance:
         return "> provenance: " + " · ".join(parts)
 
 
+#: The directory this package was loaded from (``<checkout>/src/repro``).
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _git_state(package_dir: Path) -> Tuple[str, bool]:
+    """``(commit, dirty)`` of the checkout *package_dir* belongs to.
+
+    The commit counts only when the enclosing work tree's ``src/repro``
+    *is* *package_dir*: a package installed into a venv inside another
+    project's checkout answers ``("unknown", False)``, as does a copy
+    outside any checkout.  Memoized — one read per process;
+    ``_git_state.cache_clear()`` is the test hook.
+    """
+    def git(*args: str) -> "subprocess.CompletedProcess[str]":
+        return subprocess.run(["git", *args], cwd=package_dir,
+                              capture_output=True, text=True, timeout=10)
+
+    try:
+        out = git("rev-parse", "--show-toplevel", "--short", "HEAD")
+        top, _, commit = out.stdout.strip().partition("\n")
+        if (out.returncode != 0 or Path(top).resolve() / "src" / "repro"
+                != package_dir.resolve()):
+            return "unknown", False
+        st = git("status", "--porcelain")
+        return commit, st.returncode == 0 and bool(st.stdout.strip())
+    except (OSError, subprocess.SubprocessError):
+        return "unknown", False
+
+
 def collect_provenance(seed: Optional[int] = None) -> Provenance:
     """Gather the current repo/environment provenance.
 
-    Works outside a git checkout (commit stays ``"unknown"``); never
-    raises — a report writer must not fail the run it documents.
+    A fresh :class:`Provenance` per call (own ``seed``, own ``machines``
+    list, ``REPRO_FULL_SCALE`` read now), but the commit and dirty flag
+    describe the checkout as it was when this process first asked: the
+    running code was loaded from that checkout, so a commit made since
+    would stamp results the old code computed.  Works outside a git
+    checkout (commit stays ``"unknown"``); never raises — a report
+    writer must not fail the run it documents.
     """
-    commit, dirty = "unknown", False
-    try:
-        here = Path(__file__).resolve().parent
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=here, capture_output=True, text=True, timeout=10,
-        )
-        if out.returncode == 0:
-            commit = out.stdout.strip()
-            st = subprocess.run(
-                ["git", "status", "--porcelain"],
-                cwd=here, capture_output=True, text=True, timeout=10,
-            )
-            dirty = st.returncode == 0 and bool(st.stdout.strip())
-    except (OSError, subprocess.SubprocessError):  # pragma: no cover
-        pass
+    commit, dirty = _git_state(_PACKAGE_DIR)
     try:
         import numpy
 

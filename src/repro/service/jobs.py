@@ -57,8 +57,9 @@ def settings_fingerprint(settings: RunSettings) -> str:
 
 def structure_fingerprint(structure: Structure) -> str:
     """SHA-256 hex digest of (symbols, rounded coordinates)."""
+    # ``+ 0.0`` turns a rounded -0.0 into 0.0: -1e-13 and 1e-13 hash alike.
     coords = np.round(np.asarray(structure.coords, dtype=float),
-                      _COORD_DECIMALS)
+                      _COORD_DECIMALS) + 0.0
     doc = json.dumps(
         {"symbols": list(structure.symbols), "coords": coords.tolist()},
         sort_keys=True,
@@ -76,8 +77,8 @@ def cache_key(
 ) -> str:
     """Deterministic content-addressed key for one simulation request.
 
-    ``commit`` defaults to the current repo commit from
-    :func:`repro.obs.report.collect_provenance`, so results cached at
+    ``commit`` defaults to this process's checkout commit (read once, by
+    :func:`repro.obs.report.collect_provenance`), so results cached at
     one code version are never served at another.
     """
     if commit is None:

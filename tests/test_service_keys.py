@@ -2,19 +2,26 @@
 
 The service result cache is only sound if its keys are (a) invariant
 under representational noise — keyword ordering, equal-value
-reconstruction, canonical-dict round trips — and (b) distinct under
-*any* single physics-relevant change (a settings field, a coordinate,
-the charge, the commit, the seed).
+reconstruction, canonical-dict round trips, a signed zero — and (b)
+distinct under *any* single physics-relevant change (a settings field,
+a coordinate, the charge, the commit, the seed).  The commit ingredient
+comes from :func:`repro.obs.report.collect_provenance`, which reads git
+once per process and only from the checkout the package lives in.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import shutil
+import subprocess
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
+from repro.atoms import Structure, hydrogen_molecule, water
 from repro.config import (
     CPSCFSettings,
     GridSettings,
@@ -22,7 +29,19 @@ from repro.config import (
     SCFSettings,
     get_settings,
 )
-from repro.service import JobRequest, cache_key, settings_fingerprint
+from repro.obs import report
+from repro.obs.report import RunReport, collect_provenance
+from repro.obs.telemetry import TelemetrySink
+from repro.service import (
+    JobRequest,
+    StateStore,
+    WorkerPool,
+    cache_key,
+    result_payload,
+    settings_fingerprint,
+    structure_fingerprint,
+    submit_job,
+)
 
 COMMIT = "deadbee"
 
@@ -96,6 +115,26 @@ def test_key_invariant_under_canonical_round_trip(s):
     assert settings_fingerprint(rebuilt) == settings_fingerprint(s)
 
 
+@given(s=_settings)
+@hsettings(max_examples=20, deadline=None)
+def test_key_invariant_under_signed_zero_setting(s):
+    """``-0.0 == 0.0`` as a field value, so the two share one key."""
+    pos = dataclasses.replace(s, screening_threshold=0.0)
+    neg = dataclasses.replace(s, screening_threshold=-0.0)
+    assert neg == pos
+    assert settings_fingerprint(neg) == settings_fingerprint(pos)
+
+
+@given(eps=st.floats(0.0, 4e-13, allow_nan=False))
+@hsettings(max_examples=25, deadline=None)
+def test_key_invariant_when_a_coordinate_straddles_zero(eps):
+    """z = -eps and z = +eps both round to zero: one fingerprint."""
+    def h2(z):
+        return Structure(["H", "H"], np.array([[0.0, 0.0, z], [0.0, 0.0, 1.4]]))
+
+    assert structure_fingerprint(h2(-eps)) == structure_fingerprint(h2(eps))
+
+
 @given(s=_settings, data=st.data())
 @hsettings(max_examples=60, deadline=None)
 def test_key_distinct_under_any_single_field_change(s, data):
@@ -163,3 +202,89 @@ def test_key_is_stable_across_processes_shape():
                     commit=COMMIT)
     assert key.startswith("ck-") and len(key) == 3 + 32
     int(key[3:], 16)  # hex body parses
+
+
+@pytest.mark.parametrize("molecule,level,key", [
+    (hydrogen_molecule, "minimal", "ck-fd7e0941aee8be53b6c7f01f85aa845b"),
+    (hydrogen_molecule, "light", "ck-7ad158dd5d3d39f5d8c33fa90f2f2156"),
+    (water, "minimal", "ck-b70ea2cee50c6f4fd35bc346beb143b9"),
+    (water, "light", "ck-ac914a55849f4c08d57ab9228bee09a9"),
+])
+def test_recorded_keys_hold(molecule, level, key):
+    """Keys recorded before the signed-zero normalisation still match."""
+    assert cache_key(molecule(), get_settings(level), commit=COMMIT) == key
+
+
+# ----------------------------------------------------------------------
+# The commit ingredient: git read once per process, from our checkout
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_git_memo():
+    """Clear the memoized git read before and after the test."""
+    report._git_state.cache_clear()
+    yield
+    report._git_state.cache_clear()
+
+
+def test_git_is_read_once_per_process(fresh_git_memo, monkeypatch, tmp_path):
+    real, seen = subprocess.run, []
+
+    def counting(argv, *args, **kwargs):
+        seen.append(argv[1])
+        return real(argv, *args, **kwargs)
+
+    monkeypatch.setattr(report.subprocess, "run", counting)
+    s = get_settings("minimal")
+    store = StateStore(tmp_path / "journal.jsonl")
+    for i in range(50):
+        assert submit_job(store, JobRequest("h2", s, seed=i)).fresh
+    pool = WorkerPool(store, n_workers=2, runner=lambda task: {"ok": True})
+    assert pool.run_until_idle().completed == 50
+    ground = SimpleNamespace(total_energy=-1.1, iterations=5,
+                             dipole_moment=lambda: np.zeros(3))
+    physics = SimpleNamespace(
+        ground_state=ground, cpscf_iterations_per_direction=(4, 4, 4),
+        polarizability=np.eye(3), phase_seconds={},
+    )
+    payload = result_payload(store.tasks()[0], hydrogen_molecule(), s, physics)
+    run = RunReport.from_run("once", seed=3)
+    TelemetrySink().write_provenance(seed=3)
+    assert seen.count("rev-parse") <= 1 and seen.count("status") <= 1
+    assert payload["provenance"]["commit"] == run.provenance.commit
+
+
+def test_default_commit_is_the_provenance_commit():
+    mol, s = hydrogen_molecule(), get_settings("minimal")
+    assert cache_key(mol, s) == cache_key(mol, s,
+                                          commit=collect_provenance().commit)
+
+
+def test_each_provenance_is_a_fresh_object():
+    a, b = collect_provenance(seed=1), collect_provenance(seed=2)
+    assert a is not b and (a.seed, b.seed) == (1, 2)
+    a.machines.append("mutated")
+    assert "mutated" not in collect_provenance().machines
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_only_from_the_checkout_the_package_lives_in(fresh_git_memo,
+                                                            tmp_path):
+    """A package inside *another* project's work tree stamps no commit."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    own = tmp_path / "src" / "repro"
+    foreign = tmp_path / "venv" / "lib" / "site-packages" / "repro"
+    own.mkdir(parents=True)
+    (own / "__init__.py").write_text("")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one commit")
+    assert report._git_state(own) == (git("rev-parse", "--short", "HEAD"),
+                                      False)
+    foreign.mkdir(parents=True)
+    assert report._git_state(foreign) == ("unknown", False)
