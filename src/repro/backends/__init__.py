@@ -14,6 +14,7 @@ Select one end-to-end with ``SCFDriver(..., backend="device")`` /
 from repro.backends.base import (
     BackendProfile,
     ExecutionBackend,
+    Factored,
     PhaseStats,
     first_order_dm_dense,
     quadratic_form_rows,
@@ -39,6 +40,7 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DeviceBackend",
     "ExecutionBackend",
+    "Factored",
     "PhaseStats",
     "available_backends",
     "create_backend",

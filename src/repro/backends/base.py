@@ -85,6 +85,18 @@ def quadratic_form_rows(
     return out
 
 
+def factored_form_rows(
+    phi: np.ndarray, factors: np.ndarray, k: int, work: np.ndarray
+) -> np.ndarray:
+    """``phi[p] @ P @ phi[p]`` per row, ``P = L Lᵀ`` from *factors* ``L`` (*k*
+    columns) or ``L Rᵀ + R Lᵀ`` from ``[L | R]``: one product and a row dot."""
+    a = work.reshape(-1)[: phi.shape[0] * factors.shape[1]].reshape(phi.shape[0], -1)
+    np.matmul(phi, factors, out=a)
+    if a.shape[1] == k:
+        return np.einsum("pi,pi->p", a, a)
+    return 2.0 * np.einsum("pi,pi->p", a[:, :k], a[:, k:])
+
+
 def weighted_gram(phi: np.ndarray, wv: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``phi.T @ diag(wv) @ phi`` as ``A+.T @ A+ - A-.T @ A-``.
 
@@ -117,6 +129,26 @@ def first_order_dm_dense(
     c1_occ = c_virt @ u  # (n_basis, n_occ)
     p1 = (c1_occ * f_occ[None, :]) @ c_occ.T
     return u, c1_occ, p1 + p1.T  # Eq. (7): C1 C + C C1
+
+
+@dataclass(frozen=True)
+class Factored:
+    """A density matrix by its ``(n_basis, k)`` factors: ``P = L Lᵀ``,
+    or ``L Rᵀ + R Lᵀ`` with a *right* (DESIGN §8)."""
+
+    left: np.ndarray
+    right: Optional[np.ndarray] = None
+
+    @classmethod
+    def occupied(cls, c: np.ndarray, occupations: np.ndarray) -> "Factored":
+        """``L = C_occ sqrt(f_occ)`` of ``P = C diag(f) Cᵀ``."""
+        occ = occupations > 0.0
+        return cls(c[:, occ] * np.sqrt(occupations[occ]))
+
+    def matrix(self) -> np.ndarray:
+        """The dense ``P`` (references, device pricing)."""
+        half = self.left @ (self.left if self.right is None else self.right).T
+        return half if self.right is None else half + half.T
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +307,17 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # Validation shared by all backends
     # ------------------------------------------------------------------
-    def _check_density_matrix(self, density_matrix: np.ndarray) -> np.ndarray:
-        p = np.asarray(density_matrix, dtype=float)
+    def _check_density_matrix(self, dm):
         nb = self._require_bound().basis.n_basis
+        if isinstance(dm, Factored):
+            parts = [np.asarray(a, dtype=float) for a in (dm.left, dm.right) if a is not None]
+            if len({a.shape for a in parts}) != 1 or parts[0].ndim != 2 or len(parts[0]) != nb:
+                shapes = [a.shape for a in parts]
+                raise ValueError(f"density factors of shapes {shapes}, basis size {nb}")
+            if not all(np.isfinite(a).all() for a in parts):
+                raise ValueError("density factors have non-finite entries")
+            return Factored(*parts)
+        p = np.asarray(dm, dtype=float)
         if p.shape != (nb, nb):
             raise ValueError(f"density matrix shape {p.shape}, basis size {nb}")
         if not np.isfinite(p).all():
@@ -339,8 +379,8 @@ class ExecutionBackend:
             obs_counter("backend.screen.blocks_evaluated", stats.blocks_active)
         return out
 
-    def density_on_grid(self, density_matrix: np.ndarray) -> np.ndarray:
-        """Pointwise density for one density matrix (Sumup phase)."""
+    def density_on_grid(self, density_matrix) -> np.ndarray:
+        """Pointwise density for one density matrix, array or :class:`Factored` (Sumup)."""
         p = self._check_density_matrix(density_matrix)
         return self._grid_phase("Sumup", self._density_impl, p)
 
@@ -369,9 +409,10 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # Shared implementations (view-ordered; overridable for devices)
     # ------------------------------------------------------------------
-    def _density_impl(self, p: np.ndarray) -> np.ndarray:
-        """Sumup: the quadratic form of each view's chi block with its
-        ``P`` sub-block, ``P`` folded onto one triangle once per sweep.
+    def _density_impl(self, density) -> np.ndarray:
+        """Sumup: each view's block times its rows of a :class:`Factored`
+        density's ``[L | R]``, stacked once per sweep, or the quadratic
+        form of its ``P`` sub-block, ``P`` folded once per sweep.
 
         Identical view order and identical block math across every
         backend, so engines stay bit-exact with each other; points of
@@ -379,12 +420,18 @@ class ExecutionBackend:
         """
         builder = self._require_bound()
         out = np.zeros(builder.grid.n_points)
-        upper = fold_upper(p)
+        factored = isinstance(density, Factored)
+        if factored:
+            k = density.left.shape[1]
+            factors = np.hstack([a for a in (density.left, density.right) if a is not None])
+        else:
+            upper, factors = fold_upper(density), np.empty((0, 0))
         for view in builder.views:
             phi = self.basis_block(view)
-            with scratch(phi.shape) as work:
-                out[view.point_indices] = quadratic_form_rows(
-                    phi, view.gather(upper, upper=True), work
+            with scratch((len(phi), max(phi.shape[1], factors.shape[1]))) as work:
+                out[view.point_indices] = (
+                    factored_form_rows(phi, factors[view.cols], k, work) if factored
+                    else quadratic_form_rows(phi, view.gather(upper, upper=True), work)
                 )
         return out
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend, first_order_dm_dense
+from repro.backends.base import ExecutionBackend, Factored, first_order_dm_dense
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView, build_batch_views
@@ -138,10 +138,14 @@ class DeviceBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Phase operations as kernel launches
     # ------------------------------------------------------------------
-    def _density_impl(self, p: np.ndarray) -> np.ndarray:
+    def _density_impl(self, density) -> np.ndarray:
+        # The paper's Sumup reads a DM: a factored density is priced and
+        # moved as its P, while the body runs the shared loop on the factors.
         n_points = self._require_bound().grid.n_points
+        loop = super()._density_impl
+        p = density.matrix() if isinstance(density, Factored) else density
         return self._launch_phase(
-            "sumup_density", 2.0, super()._density_impl,
+            "sumup_density", 2.0, lambda _: loop(density),
             DeviceBuffer("p", p), DeviceBuffer("n", np.zeros(n_points)),
             basis_values=self._phi,
         )

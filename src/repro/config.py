@@ -7,7 +7,7 @@ so that examples, tests and benchmarks share one definition of "light".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, Mapping
 
 
@@ -124,17 +124,18 @@ class RunSettings:
         Two :class:`RunSettings` built from the same field values — in
         any keyword order — produce identical dicts, which is what the
         service layer's content-addressed cache keys hash (see
-        :func:`repro.service.jobs.cache_key`); ``+ 0.0`` makes a ``-0.0``
-        field, equal to ``0.0``, serialize as ``0.0`` too.
+        :func:`repro.service.jobs.cache_key`); by the *declared* type, an
+        equal ``0``, ``-0.0`` or ``0.0`` in a float field is ``0.0``.
         """
-        def _sorted(d: Dict[str, Any]) -> Dict[str, Any]:
+        def _canonical(obj) -> Dict[str, Any]:
             return {
-                k: _sorted(v) if isinstance(v, dict)
-                else v + 0.0 if isinstance(v, float) else v
-                for k, v in sorted(d.items())
+                f.name: _canonical(v) if is_dataclass(v)
+                else float(v) + 0.0 if f.type == "float" else v
+                for f in sorted(fields(obj), key=lambda f: f.name)
+                for v in [getattr(obj, f.name)]
             }
 
-        return _sorted(asdict(self))
+        return _canonical(self)
 
     @classmethod
     def from_canonical_dict(cls, data: Mapping[str, Any]) -> "RunSettings":

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.backends.base import Factored
 from repro.config import CPSCFSettings
 from repro.constants import EIGENVALUE_GAP_FLOOR
 from repro.dft.scf import GroundState
@@ -140,7 +141,9 @@ class DFPTSolver:
         cfg = self.settings
         h1_ext = -gs.dipoles[direction]
 
+        # P1 = X C_occ^T + C_occ X^T, X = C1 f_occ mixed alongside (DESIGN §8)
         p1 = np.zeros_like(gs.density_matrix)
+        x1 = np.zeros_like(self._c_occ)
         c1 = np.zeros_like(self._c_occ)
         n1 = np.zeros_like(gs.density)
         v1_total = np.zeros_like(gs.density)
@@ -152,7 +155,7 @@ class DFPTSolver:
         while iteration <= cfg.max_iterations:
             # Checkpoint of the last converged cycle; an injected fault
             # discards this cycle's work and restarts from here.
-            checkpoint = p1.copy()
+            checkpoint = p1.copy(), x1.copy()
             with trace_context(
                 backend=self.backend.name,
                 loop="cpscf",
@@ -160,7 +163,7 @@ class DFPTSolver:
                 cycle=iteration,
             ):
                 with self.timer.phase("Sumup"):
-                    n1 = self.backend.density_on_grid(p1)
+                    n1 = self.backend.density_on_grid(Factored(x1, self._c_occ))
                 # Rho is the whole response potential, H the integration
                 # alone: a phase that wraps one backend call and nothing
                 # else stays comparable with a span of that call from
@@ -183,7 +186,7 @@ class DFPTSolver:
                     "cycle_fault", category="fault",
                     site=f"cpscf{direction}[{iteration}]", attempt=attempt,
                 )
-                p1 = checkpoint  # restore: redo this cycle from scratch
+                p1, x1 = checkpoint  # restore: redo this cycle from scratch
                 restarts += 1
                 attempt += 1
                 yield iteration
@@ -192,8 +195,9 @@ class DFPTSolver:
 
             residual = float(np.abs(p1_new - p1).max())
             p1 = p1 + cfg.mixing_factor * (p1_new - p1)
+            x1 = x1 + cfg.mixing_factor * (c1 * self._f_occ - x1)
             if residual < cfg.response_tolerance:
-                n1 = self.backend.density_on_grid(p1)
+                n1 = self.backend.density_on_grid(Factored(x1, self._c_occ))
                 if self.verifier is not None:
                     self.verifier.run_phase(
                         "cpscf", gs=gs, p1=p1, h1=h1, direction=direction

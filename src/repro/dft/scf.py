@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 import numpy as np
 
 from repro.atoms.structure import Structure
+from repro.backends.base import Factored
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import ExecutionBackend
@@ -226,6 +227,7 @@ class SCFDriver:
         eps, c = self._eigensolver.solve(h_core)
         f = self._occupations(eps.shape[0])
         p = density_matrix_from_orbitals(c, f)
+        occupied = Factored.occupied(c, f)  # Sumup's P = L L^T (DESIGN §8)
 
         mixer = PulayMixer(history=scf.pulay_history, linear_factor=scf.mixing_factor)
         e_old = np.inf
@@ -238,12 +240,12 @@ class SCFDriver:
         while iteration <= scf.max_iterations:
             # Checkpoint of the last converged cycle; an injected fault
             # below discards this cycle's work and restarts from here.
-            checkpoint = p.copy()
+            checkpoint = p.copy(), occupied
             with trace_context(
                 backend=self.backend.name, loop="scf", cycle=iteration
             ):
                 with self.timer.phase("density"):
-                    n_values = self.backend.density_on_grid(p)
+                    n_values = self.backend.density_on_grid(occupied)
                 with self.timer.phase("hartree"):
                     v_h_values = self.solver.hartree_potential(n_values)
                 with self.timer.phase("xc"):
@@ -264,7 +266,7 @@ class SCFDriver:
                         "cycle_fault", category="fault",
                         site=f"scf[{iteration}]", attempt=attempt,
                     )
-                    p = checkpoint
+                    p, occupied = checkpoint
                     restarts += 1
                     attempt += 1
                     yield iteration
@@ -293,10 +295,10 @@ class SCFDriver:
             delta_e = abs(e_total - e_old)
             delta_p = float(np.abs(p_new - p).max())
             e_old = e_total
-            p = p_new
+            p, occupied = p_new, Factored.occupied(c, f)
 
             if delta_e < scf.energy_tolerance and delta_p < scf.density_tolerance:
-                n_values = self.backend.density_on_grid(p)
+                n_values = self.backend.density_on_grid(occupied)
                 gs = GroundState(
                     structure=self.structure,
                     basis=self.basis,

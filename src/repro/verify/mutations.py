@@ -40,8 +40,8 @@ code paths — it exists so tests can prove the checks have teeth.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class MutantBackend(BatchedBackend):
             )
         super().__init__()
         self.mutation = mutation
-        self._stale_dm: Optional[np.ndarray] = None
+        self._stale_dm = None
 
     def basis_block(self, view: BatchView) -> np.ndarray:
         """The honest block with each member batch's rows corrupted.
@@ -127,10 +127,10 @@ class MutantBackend(BatchedBackend):
                 rows[:, fn_atom == fn_atom[0]] = 0.0
         return block
 
-    def density_on_grid(self, density_matrix: np.ndarray) -> np.ndarray:
+    def density_on_grid(self, density_matrix) -> np.ndarray:
         if self.mutation == "stale_dm_snapshot":
-            if self._stale_dm is None:
-                self._stale_dm = np.array(density_matrix, dtype=float, copy=True)
+            if self._stale_dm is None:  # an array or a Factored, as it came
+                self._stale_dm = copy.deepcopy(density_matrix)
             density_matrix = self._stale_dm
         return super().density_on_grid(density_matrix)
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atoms import methane, polyethylene
 from repro.atoms.builders import BUILTIN_MOLECULES
-from repro.backends import BatchedBackend, BlockCache
+from repro.backends import BatchedBackend, BlockCache, Factored, available_backends
 from repro.config import get_settings
 from repro.core.simulator import iter_physics
 from repro.dfpt.response import DFPTSolver
@@ -35,10 +35,12 @@ from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.scf import SCFDriver
 from repro.errors import GridError
 from repro.grids.sparsity import (
+    DEFAULT_SCREENING_THRESHOLD,
     MAX_VIEW_ROWS,
     build_batch_views,
     build_sparsity_pattern,
 )
+from repro.runtime.faults import CycleFaultInjector, FaultPlan, ScheduledFault
 from repro.utils import drain
 from repro.utils import scratch as scratch_module
 from tests.setup_oracles import (
@@ -441,6 +443,93 @@ class TestKernelEdges:
                 backend.density_on_grid(p)
 
 
+def _factors(builder, seed=21):
+    """Random ``(L, X, C)``, each ``(n_basis, n_basis // 5)``: about the
+    occupied share of the columns."""
+    rng = np.random.default_rng(seed)
+    shape = (builder.basis.n_basis, max(1, builder.basis.n_basis // 5))
+    return tuple(rng.normal(size=shape) for _ in range(3))
+
+
+class TestFactoredSumup:
+    """The drivers' Sumup form: ``P`` by its factors (DESIGN §8)."""
+
+    @pytest.mark.parametrize(
+        "threshold", [0.0, DEFAULT_SCREENING_THRESHOLD], ids=["dense", "screened"]
+    )
+    @pytest.mark.parametrize("name", ["h2", "water", "chain26"])
+    def test_both_forms_match_the_array_form(self, name, threshold):
+        backend = _builder(name, threshold).backend
+        left, x, c = _factors(backend.builder)
+        for density in (Factored(left), Factored(x, c)):
+            got = backend.density_on_grid(density)
+            want = backend.density_on_grid(density.matrix())
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    def test_every_engine_is_bitwise_the_host_engine(self, threshold):
+        reference = _builder("polyethylene2", threshold)
+        left, x, c = _factors(reference)
+        for density in (Factored(left), Factored(x, c)):
+            want = reference.backend.density_on_grid(density)
+            for engine in available_backends():
+                got = _builder("polyethylene2", threshold, engine).backend
+                assert np.array_equal(got.density_on_grid(density), want), engine
+
+    def test_bad_factors_raise_the_array_forms_errors(self):
+        backend = _builder("h2", 0.0).backend
+        nb = backend.builder.basis.n_basis
+        with pytest.raises(ValueError, match="basis size"):
+            backend.density_on_grid(Factored(np.ones((nb + 1, 2))))
+        with pytest.raises(ValueError, match="basis size"):
+            backend.density_on_grid(Factored(np.ones(nb)))
+        with pytest.raises(ValueError, match="basis size"):  # mismatched k
+            backend.density_on_grid(Factored(np.ones((nb, 2)), np.ones((nb, 3))))
+        for bad in (np.nan, np.inf):
+            x = np.ones((nb, 2))
+            x[0, 1] = bad
+            for density in (Factored(x), Factored(np.ones((nb, 2)), x)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    backend.density_on_grid(density)
+
+    def test_the_drivers_hand_sumup_only_factors(self):
+        seen = []
+
+        class Spy(BatchedBackend):
+            def density_on_grid(self, density_matrix):
+                seen.append(type(density_matrix))
+                return super().density_on_grid(density_matrix)
+
+        minimal = get_settings("minimal")
+        gs = SCFDriver(STRUCTURES["h2"], minimal, backend=Spy()).run()
+        DFPTSolver(gs, minimal.cpscf).solve_direction(0)
+        assert len(seen) > gs.iterations + 1  # every SCF cycle, the re-evaluation, CPSCF
+        assert set(seen) == {Factored}
+
+    def test_a_late_cycle_fault_restores_the_factors_too(self):
+        """A fault past the first cycle, where the factors are no longer
+        the initial guess: the rerun is bit-exact, grid densities included."""
+        minimal = get_settings("minimal")
+        structure = STRUCTURES["h2"]
+
+        def faults(site):
+            plan = FaultPlan(schedule=[ScheduledFault("cycle_fault", 3, site=site)])
+            return CycleFaultInjector(plan)
+
+        clean = SCFDriver(structure, minimal).run()
+        faulted = SCFDriver(structure, minimal).run(fault_injector=faults("scf"))
+        assert faulted.restarts == 1
+        assert faulted.total_energy == clean.total_energy
+        assert np.array_equal(faulted.density, clean.density)
+        want = DFPTSolver(clean, minimal.cpscf).solve_direction(2)
+        got = DFPTSolver(
+            clean, minimal.cpscf, fault_injector=faults("cpscf2")
+        ).solve_direction(2)
+        assert got.restarts == 1
+        assert np.array_equal(got.response_density, want.response_density)
+        assert np.array_equal(got.response_density_matrix, want.response_density_matrix)
+
+
 class TestNoRowsByColsAllocationPerSweep:
     def test_a_warm_sweep_stays_inside_the_held_scratch(self):
         """Sumup's ``phi @ T`` and H's scaled copy go to the process's one
@@ -522,6 +611,11 @@ class TestObservablesAgainstTheParent:
     """Measured deltas (this commit - parent): energy +6.8e-14 / -5.7e-14 /
     +4.5e-13 Ha, polarizability 3.4e-9 / 2.1e-12 / 4.7e-13 of its largest
     entry (H2 / water / 26-chain).
+
+    Sumup at the rank of the density (the drivers hand ``density_on_grid``
+    the factors of ``P`` and ``P^(1)``) holds both anchors: against its
+    own parent energy -2.1e-12 / -4.3e-14 / +2.3e-13 Ha and polarizability
+    1.4e-9 / 4.6e-12 / 2.6e-13, SCF iterations and CPSCF cycles unchanged.
 
     PR 19 (interval-sorted Hartree plans; the potential moves by <= 7e-16
     of max|v|) holds both anchors: against its own parent energy +1.5e-12

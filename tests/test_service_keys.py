@@ -125,6 +125,23 @@ def test_key_invariant_under_signed_zero_setting(s):
     assert settings_fingerprint(neg) == settings_fingerprint(pos)
 
 
+@pytest.mark.parametrize("level", ["minimal", "light"])
+def test_an_int_in_a_float_field_keys_as_its_float(level):
+    """``0 == 0.0`` and ``1 == 1.0`` as field values, top-level and
+    nested, so each pair shares one key — the float's, already pinned."""
+    s = get_settings(level)
+    pairs = [
+        (dataclasses.replace(s, screening_threshold=0), s),
+        (s.with_scf(mixing_factor=1), s.with_scf(mixing_factor=1.0)),
+        (s.with_grids(radial_multiplier=1), s),
+    ]
+    for as_int, as_float in pairs:
+        assert as_int == as_float
+        assert settings_fingerprint(as_int) == settings_fingerprint(as_float)
+        assert (cache_key(hydrogen_molecule(), as_int, commit=COMMIT)
+                == cache_key(hydrogen_molecule(), as_float, commit=COMMIT))
+
+
 @given(eps=st.floats(0.0, 4e-13, allow_nan=False))
 @hsettings(max_examples=25, deadline=None)
 def test_key_invariant_when_a_coordinate_straddles_zero(eps):
@@ -211,7 +228,8 @@ def test_key_is_stable_across_processes_shape():
     (water, "light", "ck-ac914a55849f4c08d57ab9228bee09a9"),
 ])
 def test_recorded_keys_hold(molecule, level, key):
-    """Keys recorded before the signed-zero normalisation still match."""
+    """Keys recorded before the signed-zero normalisation and the
+    declared-type one still match."""
     assert cache_key(molecule(), get_settings(level), commit=COMMIT) == key
 
 
