@@ -4,7 +4,7 @@
 PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
-	analyze service-check fleet-check tune-check slo-check e2e-check \
+	analyze service-check fleet-check slo-check e2e-check \
 	verify profile-model
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
@@ -31,8 +31,6 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sparse.py --quick
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --quick \
 		--output /tmp/BENCH_fleet_quick.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_tuner.py --quick \
-		--output /tmp/BENCH_tuner_quick.json
 
 # Counter and cost-model regression gate: re-run each benchmark at its
 # committed baseline's own parameters and compare metric-by-metric
@@ -54,7 +52,7 @@ docs-check:
 		src/repro/utils/scratch.py src/repro/utils/journal.py \
 		src/repro/backends/batched.py src/repro/testing/docs.py \
 		src/repro/grids/sparsity.py src/repro/utils/neighbors.py \
-		src/repro/fleet src/repro/tune
+		src/repro/fleet
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py --check
 	$(PYTHON) tools/loc_table.py --check
@@ -109,13 +107,6 @@ fleet-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fleet.py
 	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json
 
-# Auto-tuner contract: the decision determinism/round-trip/never-slower
-# property suite plus the tuned-vs-default regression gate against the
-# committed baseline.
-tune-check:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_tune.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_tuner.json
-
 # Service-telemetry contract: the rollup/alert/health property suite
 # plus the deterministic SLO scenario gated against its committed
 # baseline (steady run fires zero alerts; the seeded worker_crash
@@ -132,8 +123,8 @@ e2e-check:
 
 # Physics-invariant + golden + differential-conformance check on H2,
 # plus the counter/model-regression, documentation, service, fleet,
-# tuner, telemetry and e2e-harness gates (all tier-1 sized).
+# telemetry and e2e-harness gates (all tier-1 sized).
 # `python -m repro verify` (no args) covers both reference molecules.
-verify: bench-check docs-check service-check fleet-check tune-check \
-		slo-check e2e-check
+verify: bench-check docs-check service-check fleet-check slo-check \
+		e2e-check
 	PYTHONPATH=src $(PYTHON) -m repro verify --molecule h2

@@ -15,10 +15,8 @@ results out):
     python -m repro model --polyethylene 30002 --machine hpc1 --ranks 4096 --baseline
     python -m repro chaos --seed 2023 --machine hpc2 --ranks 8
     python -m repro verify --molecule h2
-    python -m repro tune --molecule water --budget 2 --history PATH
     python -m repro submit --molecule h2 --level minimal --store service.jsonl
-    python -m repro submit --molecule h2 --tune auto --store service.jsonl
-    python -m repro serve --store service.jsonl --workers 2 --fleet auto
+    python -m repro serve --store service.jsonl --workers 2 --fleet 4
     python -m repro status --store service.jsonl
     python -m repro info
 
@@ -49,15 +47,17 @@ from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.reports import format_backend_profile, format_bytes, format_seconds
 
 
-def _fleet_arg(value: str):
-    if value == "auto":
-        return "auto"
+def _positive_int(value: str) -> int:
+    """argparse type for sizes: a bad value exits 2 before any file opens."""
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
+        n = 0  # rejected below with the same message
+    if n < 1:
         raise argparse.ArgumentTypeError(
-            f"expected a wave size or 'auto', got {value!r}"
-        ) from None
+            f"expected a positive integer, got {value!r}"
+        )
+    return n
 
 
 def _load_structure(args: argparse.Namespace):
@@ -278,7 +278,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     from repro.obs.regress import compare_reports, load_baseline
 
     # The gate re-runs whichever emission kind ("backends", "sparse",
-    # "fleet", "tuner", "slo") the baseline came from.
+    # "fleet", "slo") the baseline came from.
     baseline = load_baseline(args.baseline)
     kind, parameters = baseline_run_parameters(baseline)
     settings = ", ".join(f"{k}={v}" for k, v in parameters.items())
@@ -389,88 +389,6 @@ def _cmd_analyze_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tune import TunerDecision, append_decision, tune
-
-    if args.replay:
-        decision = TunerDecision.load(args.replay)
-        print(f"replaying recorded decision {args.replay}")
-        print(decision.render_ascii())
-        return 0
-    structure = _load_structure(args)
-    settings = get_settings(args.level).with_tuning(
-        mode="auto",
-        budget=args.budget,
-        n_ranks=args.ranks,
-        warm_start=not args.no_warm_start,
-    )
-    decision = tune(
-        structure,
-        settings,
-        machine=machine_by_name(args.machine),
-        fleet=args.fleet,
-        history_path=args.history,
-    )
-    print(decision.render_ascii())
-    if args.decision:
-        path = prepare_artifact_path(args.decision, force=args.force)
-        decision.write(path)
-        print(f"\ndecision artifact -> {path}")
-    if args.history:
-        append_decision(args.history, decision)
-        print(f"decision appended to history -> {args.history}")
-    if not args.apply:
-        return 0
-
-    # Apply the winner and run the real pipeline under it, recording
-    # predicted-vs-actual in the RunReport's tuner block.
-    from repro.obs import RunReport, Tracer, activate
-
-    effective = decision.apply(settings)
-    print(f"\napplying chosen config and running physics "
-          f"(backend={effective.backend})")
-    report_path = None
-    if args.report:
-        report_path = prepare_artifact_path(args.report, force=args.force)
-    sim = PerturbationSimulator(structure, effective, charge=args.charge)
-    tracer = Tracer()
-    with activate(tracer):
-        result = sim.run_physics()
-    gs = result.ground_state
-    actual_wall = sum(result.phase_seconds.values())
-    chosen = decision.chosen_outcome
-    print(f"SCF converged in {gs.iterations} iterations: "
-          f"E = {gs.total_energy:.6f} Ha")
-    print(f"predicted {chosen.predicted_seconds:.3e} modeled s; "
-          f"actual run wall {format_seconds(actual_wall)}")
-    report = RunReport.from_run(
-        label=f"tuned:{structure.name}:{args.level}",
-        timer=None,
-        backend_profile=result.backend_profile,
-        tracer=tracer,
-        tuner={
-            "decision": decision.as_dict(),
-            "predicted": {"modeled_seconds": chosen.predicted_seconds},
-            "measured": (
-                None
-                if chosen.measured_seconds is None
-                else {"modeled_seconds": chosen.measured_seconds}
-            ),
-            "actual": {
-                "timings": {
-                    "wall_seconds": actual_wall,
-                    "phase_seconds": dict(result.phase_seconds),
-                }
-            },
-        },
-    )
-    report.phase_seconds = dict(result.phase_seconds)
-    if report_path:
-        report.write(report_path)
-        print(f"run report (with tuner block) -> {report_path}")
-    return 0
-
-
 def _open_store(args: argparse.Namespace) -> "object":
     from repro.service import StateStore
 
@@ -488,23 +406,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     store = _open_store(args)
     structure = _load_structure(args)
     settings = get_settings(args.level, backend=args.backend)
-    if args.tune == "auto":
-        from repro.tune import append_decision, tune
-
-        decision = tune(
-            structure,
-            settings.with_tuning(mode="auto"),
-            history_path=args.tune_history,
-            charge=args.charge,
-        )
-        # The applied settings carry tuning.mode="off", so this job's
-        # cache key equals the same hand-picked configuration's key.
-        settings = decision.apply(settings)
-        print(f"tuner: chose [{decision.chosen.describe()}] over "
-              f"{decision.space_size} candidates "
-              f"(predicted {decision.predicted_speedup:.2f}x vs default)")
-        if args.tune_history:
-            append_decision(args.tune_history, decision)
     request = JobRequest(
         molecule=structure,
         settings=settings,
@@ -583,10 +484,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"serving with injected worker crashes "
               f"(rate={args.crash_rate}, seed={args.seed})")
-    if args.fleet == "auto":
-        print("fleet mode: wave sizes chosen per scheduling step by the "
-              "model-only auto-tuner")
-    elif args.fleet is not None:
+    if args.fleet is not None:
         print(f"fleet mode: waves of up to {args.fleet} task(s) per worker "
               f"share one execution substrate")
     pool = WorkerPool(
@@ -914,44 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-SCF/CPSCF-cycle fault probability")
     p_chaos.set_defaults(func=_cmd_chaos)
 
-    p_tune = sub.add_parser(
-        "tune",
-        help="closed-loop auto-tuner: price the config space on the "
-        "machine models, trial the short list, report (and optionally "
-        "apply) the winning configuration",
-    )
-    add_common(p_tune, physics=True)
-    p_tune.add_argument("--molecule", choices=list(BUILTIN_MOLECULES),
-                        help="built-in molecule instead of a geometry.in path")
-    p_tune.add_argument("--charge", type=int, default=0)
-    p_tune.add_argument("--machine", default="hpc2", choices=["hpc1", "hpc2"],
-                        help="machine model the comm terms are priced on")
-    p_tune.add_argument("--ranks", type=int, default=4,
-                        help="ranks the mapping/comm terms are priced at")
-    p_tune.add_argument("--budget", type=int, default=3,
-                        help="measured-stage trial budget (0 = model only)")
-    p_tune.add_argument("--fleet", action="store_true",
-                        help="also tune the fleet wave-size axis")
-    p_tune.add_argument("--history", metavar="PATH",
-                        help="decision journal (JSONL, created if missing) "
-                        "to warm-start from and append the decision to")
-    p_tune.add_argument("--no-warm-start", action="store_true",
-                        help="ignore prior decisions in --history")
-    p_tune.add_argument("--decision", metavar="PATH",
-                        help="write the TunerDecision JSON artifact here")
-    p_tune.add_argument("--replay", metavar="PATH",
-                        help="render a recorded decision artifact instead "
-                        "of tuning")
-    p_tune.add_argument("--apply", action="store_true",
-                        help="run the real pipeline under the chosen config "
-                        "and record predicted-vs-actual in the RunReport")
-    p_tune.add_argument("--report", metavar="PATH",
-                        help="with --apply: write the RunReport (including "
-                        "the tuner block) here")
-    p_tune.add_argument("--force", action="store_true",
-                        help="overwrite existing --decision/--report artifacts")
-    p_tune.set_defaults(func=_cmd_tune)
-
     p_verify = sub.add_parser(
         "verify",
         help="invariants + goldens + differential conformance on the "
@@ -1011,12 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="retry budget before terminal errored state")
     p_submit.add_argument("--no-run", action="store_true",
                           help="only enqueue; do not drain with an inline worker")
-    p_submit.add_argument("--tune", default="off", choices=["off", "auto"],
-                          help="auto: run the closed-loop tuner first and "
-                          "submit under the chosen configuration")
-    p_submit.add_argument("--tune-history", metavar="PATH",
-                          help="decision journal (JSONL) the tuner "
-                          "warm-starts from and appends its decision to")
     add_store_opts(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
@@ -1025,14 +879,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain the statestore with a worker pool (optionally under "
         "injected worker crashes)",
     )
-    p_serve.add_argument("--workers", type=int, default=2,
+    p_serve.add_argument("--workers", type=_positive_int, default=2,
                          help="pool size (default: 2)")
-    p_serve.add_argument("--fleet", type=_fleet_arg, default=None,
-                         metavar="N|auto",
+    p_serve.add_argument("--fleet", type=_positive_int, default=None,
+                         metavar="N",
                          help="fleet mode: claim waves of up to N tasks per "
                          "worker and run them through one shared substrate "
-                         "(bit-identical to sequential draining); 'auto' "
-                         "lets the model-only tuner pick each wave size")
+                         "(bit-identical to sequential draining)")
     p_serve.add_argument("--max-steps", type=int, default=10_000,
                          help="scheduling-step budget before giving up")
     p_serve.add_argument("--crash-rate", type=float, default=0.0,

@@ -50,32 +50,6 @@ class CPSCFSettings:
 
 
 @dataclass(frozen=True)
-class TuningSettings:
-    """Closed-loop auto-tuner controls (:mod:`repro.tune`).
-
-    ``mode`` selects who picks the performance knobs: ``"off"`` keeps
-    the hand-chosen values in the surrounding :class:`RunSettings`;
-    ``"auto"`` lets the tuner search the configuration space and apply
-    the winning configuration before the run.  A tuned run's *effective*
-    settings always carry ``mode="off"`` again (the tuner rewrites the
-    knobs it owns), so the service cache key of a tuned run equals the
-    key of the identical hand-picked configuration and tuned runs dedup
-    correctly.
-    """
-
-    #: ``"off"`` (human-picked knobs) or ``"auto"`` (tuner-picked).
-    mode: str = "off"
-    #: Measured-stage trial budget: how many top cost-model candidates
-    #: get a real (seeded, single-sweep) trial run before the decision.
-    budget: int = 3
-    #: Warm-start the measured stage from the prior tuner decisions in
-    #: the ``--history PATH`` journal with a matching workload fingerprint.
-    warm_start: bool = True
-    #: Simulated rank count the mapping/communication terms are priced at.
-    n_ranks: int = 4
-
-
-@dataclass(frozen=True)
 class RunSettings:
     """Everything a simulation needs besides the structure itself."""
 
@@ -103,8 +77,6 @@ class RunSettings:
     #: pre-screening pipeline; ``> 0`` drops basis functions whose
     #: amplitude proxy stays below the threshold on a batch.
     screening_threshold: float = 0.0
-    #: Closed-loop auto-tuner controls (:mod:`repro.tune`).
-    tuning: TuningSettings = field(default_factory=TuningSettings)
 
     def with_grids(self, **kwargs) -> "RunSettings":
         """Return a copy with modified grid settings."""
@@ -145,18 +117,14 @@ class RunSettings:
         s.as_canonical_dict()) == s`` for every ``s``.
         """
         d = dict(data)
-        tuning = d.pop("tuning", None)
+        # Payloads journaled while settings carried a tuner block still decode.
+        d.pop("tuning", None)
         return cls(
             grids=GridSettings(**d.pop("grids")),
             scf=SCFSettings(**d.pop("scf")),
             cpscf=CPSCFSettings(**d.pop("cpscf")),
-            tuning=TuningSettings(**tuning) if tuning else TuningSettings(),
             **d,
         )
-
-    def with_tuning(self, **kwargs) -> "RunSettings":
-        """Return a copy with modified tuning settings."""
-        return replace(self, tuning=replace(self.tuning, **kwargs))
 
 
 _PRESETS: Dict[str, RunSettings] = {

@@ -48,8 +48,7 @@ def build_substrate(
 
     The one place the three are built together — by
     :class:`~repro.dft.scf.SCFDriver` for itself, by the fleet's
-    substrate cache, the tuner's trial runner and the benchmarks to
-    share across builders.  Deterministic in its inputs, so a shared
+    substrate cache and by the benchmarks to share across builders.  Deterministic in its inputs, so a shared
     substrate carries exactly the arrays a fresh build would.
     """
     basis = build_basis(structure)

@@ -14,8 +14,6 @@ dashboard is deterministic: same input files, same output bytes.
   and packed-vs-unpacked reduction cost tables (Fig. 10);
 * :mod:`~repro.obs.analyze.diff` — A/B wall-time attribution between
   two recorded runs ("explain the regression");
-* :mod:`~repro.obs.analyze.history` — the tuner's append-only
-  decision journal;
 * :mod:`~repro.obs.analyze.scaling` — the one place strong/weak
   scaling ratios are defined (Figs. 15/16).
 
@@ -31,11 +29,9 @@ from repro.obs.analyze.comms import (
     comm_matrix,
     render_comm_matrix,
     render_scheme_costs,
-    scheme_cost_seconds,
     scheme_cost_table,
 )
 from repro.obs.analyze.diff import Contribution, RunDiff, diff_timelines
-from repro.obs.analyze.history import append_entry, load_history
 from repro.obs.analyze.imbalance import (
     MappingAttribution,
     PhaseImbalance,
@@ -43,7 +39,6 @@ from repro.obs.analyze.imbalance import (
     phase_imbalances,
     render_mapping_attributions,
     render_phase_imbalances,
-    strategy_imbalance_factors,
 )
 from repro.obs.analyze.scaling import (
     ScalingPoint,
@@ -73,21 +68,17 @@ __all__ = [
     "ScalingPoint",
     "Timeline",
     "TimelineEvent",
-    "append_entry",
     "comm_matrix",
     "critical_path",
     "diff_timelines",
-    "load_history",
     "load_run",
     "mapping_attribution",
     "phase_imbalances",
     "render_comm_matrix",
     "render_mapping_attributions",
     "render_phase_imbalances",
-    "strategy_imbalance_factors",
     "render_scaling",
     "render_scheme_costs",
-    "scheme_cost_seconds",
     "scheme_cost_table",
     "strong_scaling",
     "weak_scaling",

@@ -116,26 +116,6 @@ def scheme_cost_table(
     return rows
 
 
-def scheme_cost_seconds(
-    machine: MachineSpec,
-    n_ranks: int,
-    n_rows: int,
-    row_bytes: int,
-) -> Dict[str, float]:
-    """Total modeled seconds per feasible reduction scheme.
-
-    The cost-model extraction seam the auto-tuner's pricing stage reads
-    (:mod:`repro.tune.costmodel`): the same estimates
-    :func:`scheme_cost_table` renders for humans, reduced to one
-    deterministic ``{scheme name: total seconds}`` mapping.  Schemes
-    the machine cannot run are simply absent.
-    """
-    return {
-        name: rep.total_time
-        for name, rep in scheme_cost_table(machine, n_ranks, n_rows, row_bytes)
-    }
-
-
 def render_scheme_costs(
     rows: Sequence[Tuple[str, ReductionReport]],
     machine_name: str,

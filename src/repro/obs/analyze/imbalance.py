@@ -19,7 +19,7 @@ locality-vs-load-balancing comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.obs.analyze.timeline import Timeline
 from repro.utils.balance import max_mean_imbalance
@@ -139,34 +139,6 @@ def mapping_attribution(
         mean_atoms=sum(atoms) / len(atoms) if atoms else 0.0,
         max_atoms=max(atoms, default=0),
     )
-
-
-def strategy_imbalance_factors(
-    batches: Sequence["GridBatch"],
-    n_ranks: int,
-) -> Dict[str, "MappingAttribution"]:
-    """Both mapping strategies' attribution on one batch set.
-
-    The cost-model extraction seam the auto-tuner's pricing stage reads
-    (:mod:`repro.tune.costmodel`): keys are the strategy names the
-    tuner's configuration space uses (``"load_balancing"``,
-    ``"locality"``), values the full :class:`MappingAttribution` so the
-    model can price both the point-balance penalty (``imbalance``) and
-    the locality payoff (``mean_atoms``) deterministically.
-    """
-    from repro.mapping.strategies import (
-        load_balancing_mapping,
-        locality_enhancing_mapping,
-    )
-
-    return {
-        "load_balancing": mapping_attribution(
-            load_balancing_mapping(batches, n_ranks), batches
-        ),
-        "locality": mapping_attribution(
-            locality_enhancing_mapping(batches, n_ranks), batches
-        ),
-    }
 
 
 def render_mapping_attributions(

@@ -1,4 +1,4 @@
-"""Strong/weak scaling math shared by the figures and the CLI (§11.7).
+"""Strong/weak scaling math shared by the figures and the CLI (§11.6).
 
 The Fig. 15/16 experiment scripts and ``repro analyze scaling`` all
 compute speedups and efficiencies through these two functions, so the

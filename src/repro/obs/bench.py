@@ -26,7 +26,7 @@ so two runs of the same code serialize to identical bytes outside the
 ``provenance`` block (writers use sorted keys).  Wall time is measured
 and gated in one place, ``BENCHMARK.json`` + ``benchmarks/e2e``.
 :func:`stable_view` remains for the documents that *do* carry measured
-``timings`` for a reader (service result payloads, tuner decisions).
+``timings`` for a reader (service result payloads).
 """
 
 from __future__ import annotations
@@ -340,99 +340,6 @@ def fleet_emission(
     }
 
 
-def tuner_emission(
-    level: str = "minimal",
-    n_ranks: int = 4,
-    budget: int = 2,
-    cost_model=None,
-) -> dict:
-    """Tuned-vs-default comparison; the ``BENCH_tuner.json`` document.
-
-    Runs the full closed loop (:func:`repro.tune.tuner.tune`) over two
-    committed workloads — the water molecule (the backend benchmark's
-    system) and a short polyethylene chain (the screening benchmark's
-    shape) — and records each :class:`~repro.tune.decision.TunerDecision`
-    verbatim.  The gated headlines per workload:
-
-    * ``decision.candidates[].predicted/measured.modeled_seconds`` —
-      deterministic cost-model floats (relative band, any cost-model
-      change trips the gate and names the tuner);
-    * ``tuned_speedup_vs_default`` / ``predicted_speedup_vs_default``
-      — ratios of those floats, same band (the tuner's fallback
-      guarantee keeps both >= 1; ``benchmarks/bench_tuner.py`` refuses
-      to write a baseline where either is not).
-
-    The decision's own measured ``timings`` (a reader's number, not a
-    gate's) are left out, so the emission is byte-stable.
-
-    ``cost_model`` is injectable for gate-liveness testing (a perturbed
-    model must make ``make tune-check`` fail).
-    """
-    from repro.atoms import polyethylene, water
-    from repro.config import get_settings
-    from repro.tune.costmodel import DEFAULT_COST_MODEL
-    from repro.tune.tuner import tune
-
-    if n_ranks < 1:
-        raise ExperimentError(f"need >= 1 rank, got {n_ranks}")
-    if budget < 1:
-        raise ExperimentError(
-            f"the tuner benchmark needs a positive trial budget, got {budget}"
-        )
-    model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-    settings = get_settings(level)
-    workloads = {
-        "water": water(),
-        "polyethylene4": polyethylene(4),
-    }
-    report: dict = {
-        "benchmark": "tuner",
-        "level": level,
-        "n_sweeps": 1,  # one seeded sweep per measured trial
-        "n_ranks": n_ranks,
-        "budget": budget,
-        "workloads": {},
-        "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
-    }
-    for name, structure in workloads.items():
-        decision = tune(
-            structure,
-            settings,
-            n_ranks=n_ranks,
-            budget=budget,
-            cost_model=model,
-        )
-        doc = decision.as_dict()
-        del doc["timings"]
-        chosen = decision.chosen_outcome
-        default = decision.default_outcome
-        report["workloads"][name] = {
-            "decision": doc,
-            # Absolute modeled costs gate under the relative band: a
-            # uniform cost-model perturbation cancels out of every
-            # speedup ratio but not out of these.
-            "chosen_cost": {
-                "predicted": {"modeled_seconds": chosen.predicted_seconds},
-                "measured": (
-                    None
-                    if chosen.measured_seconds is None
-                    else {"modeled_seconds": chosen.measured_seconds}
-                ),
-            },
-            "default_cost": {
-                "predicted": {"modeled_seconds": default.predicted_seconds},
-                "measured": (
-                    None
-                    if default.measured_seconds is None
-                    else {"modeled_seconds": default.measured_seconds}
-                ),
-            },
-            "tuned_speedup_vs_default": decision.measured_speedup,
-            "predicted_speedup_vs_default": decision.predicted_speedup,
-        }
-    return report
-
-
 def _emissions() -> Dict[str, tuple]:
     """kind -> (emission, ((run parameter, type), ...)), one row per baseline.
 
@@ -452,10 +359,6 @@ def _emissions() -> Dict[str, tuple]:
             fleet_emission,
             (("level", str), ("n_requests", int), ("n_distinct", int),
              ("backend", str)),
-        ),
-        "tuner": (
-            tuner_emission,
-            (("level", str), ("n_ranks", int), ("budget", int)),
         ),
         "slo": (slo_emission, (("seed", int), ("window", float))),
     }
@@ -500,9 +403,9 @@ def stable_view(report: dict) -> dict:
     """A document with every ``timings`` subtree removed, recursively.
 
     For documents that carry measured seconds for a reader (service
-    result payloads, tuner decisions): what remains is deterministic,
-    so serializing it with sorted keys yields identical bytes across
-    repeated runs of the same code.  The ``BENCH_*.json`` emissions
+    result payloads): what remains is deterministic, so serializing it
+    with sorted keys yields identical bytes across repeated runs of the
+    same code.  The ``BENCH_*.json`` emissions
     carry no such subtree to strip.
 
     >>> stable_view({"a": 1, "timings": {"wall": 0.3},

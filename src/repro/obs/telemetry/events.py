@@ -11,7 +11,7 @@ as sorted-key JSON lines, so a telemetry journal is byte-stable for a
 deterministic (logical-clock) run and replayable into the exact same
 rollups by :func:`load_events`.  Wall-clock material (per-phase seconds
 of completed tasks) is kept under the event's ``timings`` field so the
-rollup layer can quarantine it per DESIGN §11.8.
+rollup layer can quarantine it per DESIGN §11.7.
 
 The sink attaches to a store at construction
 (``StateStore(telemetry=sink)``) or later via

@@ -13,7 +13,7 @@ logical clock and computes, per window:
 * **queue pressure** — tasks still waiting at the window's end and the
   oldest waiting task's age at that instant;
 * **work attribution** — per-phase seconds summed over completed
-  payloads, quarantined under ``timings`` (DESIGN §11.8) because phase
+  payloads, quarantined under ``timings`` (DESIGN §11.7) because phase
   walls are the one wall-clock-dependent input.
 
 Everything outside ``timings`` depends only on the event stream, so two

@@ -25,7 +25,7 @@ by a resubmission sweep that produces pure cache hits):
 Everything in the emission derives from the logical clock — the
 rollups' ``timings.phase_seconds`` included, which are the *modeled*
 numbers :func:`scenario_runner` returns — so two runs serialize to
-identical bytes; no wall clock is read (DESIGN §11.8).
+identical bytes; no wall clock is read (DESIGN §11.7).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.obs import obs_counter, obs_event, obs_span
@@ -316,9 +316,7 @@ class WorkerPool:
     With ``fleet=N`` each worker step claims up to N tasks and runs
     them as one wave (:meth:`Worker.step` with ``limit=N``) instead of
     one task at a time — same results byte for byte, amortized substrate.
-    ``fleet="auto"`` delegates the wave size to a per-pool
-    :class:`repro.tune.waves.WavePlanner`: each scheduling step claims
-    the model-tuned wave for whatever is waiting.
+    Without ``fleet`` the pool drains sequentially (a wave size of one).
     """
 
     def __init__(
@@ -330,23 +328,14 @@ class WorkerPool:
         fault_plan: Optional[FaultPlan] = None,
         start_time: Optional[float] = None,
         dt: float = 1.0,
-        fleet: Union[int, str, None] = None,
+        fleet: Optional[int] = None,
     ) -> None:
         if n_workers < 1:
             raise ServiceError(f"need >= 1 worker, got {n_workers}")
         if dt <= 0:
             raise ServiceError(f"dt must be > 0, got {dt}")
-        self._planner = None
-        if fleet == "auto":
-            from repro.tune.waves import WavePlanner
-
-            self._planner = WavePlanner()
-        elif isinstance(fleet, str):
-            raise ServiceError(
-                f"fleet must be a wave size or 'auto', got {fleet!r}"
-            )
-        elif fleet is not None and fleet < 1:
-            raise ServiceError(f"fleet size must be >= 1, got {fleet}")
+        if fleet is not None and (not isinstance(fleet, int) or fleet < 1):
+            raise ServiceError(f"fleet must be a wave size >= 1, got {fleet!r}")
         self.fleet = fleet
         self.store = store
         self.workers = [
@@ -378,10 +367,7 @@ class WorkerPool:
             self.store.expire_leases(now=self.now)
             for worker in self.workers:
                 # A sequential pool is the pool whose wave size is one.
-                wave = self.fleet or 1
-                if self._planner is not None:
-                    wave = self._planner.plan(self.store)
-                worker.step(now=self.now, limit=wave)
+                worker.step(now=self.now, limit=self.fleet or 1)
         for worker in self.workers:
             report.completed += worker.stats.completed
             report.failed += worker.stats.failed

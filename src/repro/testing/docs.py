@@ -30,7 +30,6 @@ AUDITED_MODULES = (
     "repro.obs.analyze.imbalance",
     "repro.obs.analyze.comms",
     "repro.obs.analyze.diff",
-    "repro.obs.analyze.history",
     "repro.obs.analyze.scaling",
     "repro.obs.telemetry",
     "repro.obs.telemetry.events",
@@ -50,12 +49,6 @@ AUDITED_MODULES = (
     "repro.fleet.driver",
     "repro.fleet.device",
     "repro.fleet.shared",
-    "repro.tune",
-    "repro.tune.space",
-    "repro.tune.costmodel",
-    "repro.tune.decision",
-    "repro.tune.tuner",
-    "repro.tune.waves",
 )
 
 

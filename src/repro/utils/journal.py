@@ -1,8 +1,8 @@
 """The one append-only JSON-lines journal idiom.
 
-The statestore journal, the telemetry sidecar and the benchmark history
-all write one sorted-key JSON document per line and read the file back
-line by line; this module is the only place that format is spelled out.
+The statestore journal and the telemetry sidecar both write one
+sorted-key JSON document per line and read the file back line by line;
+this module is the only place that format is spelled out.
 """
 
 from __future__ import annotations

@@ -48,15 +48,6 @@ def water_ground_state(minimal_settings):
     return SCFDriver(water(), minimal_settings).run()
 
 
-@pytest.fixture(scope="session")
-def tuner_emission_pair():
-    """One tuner emission and the gate's own re-run of it (read-only)."""
-    from repro.obs.bench import emission_for_baseline, tuner_emission
-
-    first = tuner_emission(budget=1)
-    return first, emission_for_baseline(first)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230712)

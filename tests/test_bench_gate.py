@@ -1,6 +1,6 @@
 """The counter/model gate is alive without a clock, for every emission
 kind behind a ``BENCH_*.json``; and a torn journal tail ends in a
-defined state for each of the three journal owners."""
+defined state for each of the two journal owners."""
 
 import copy
 import json
@@ -8,18 +8,15 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.obs.analyze.history import append_entry, load_history
 from repro.obs.bench import (
     backend_emission,
     emission_for_baseline,
     fleet_emission,
     sparse_emission,
-    tuner_emission,
 )
 from repro.obs.regress import Band, compare_reports, default_band, flatten
 from repro.obs.telemetry import TelemetrySink, load_events, slo_emission
 from repro.service.statestore import StateStore
-from repro.tune.costmodel import DEFAULT_COST_MODEL
 from repro.utils.journal import truncate_torn_tail
 
 #: The smallest run of each kind that still exercises its counters.
@@ -31,11 +28,9 @@ EMISSIONS = {
 }
 
 
-@pytest.fixture(scope="module", params=[*sorted(EMISSIONS), "tuner"])
+@pytest.fixture(scope="module", params=sorted(EMISSIONS))
 def runs(request):
     """(kind, one emission, the gate's own re-run of it) — built once."""
-    if request.param == "tuner":  # shared with tests/test_tune.py
-        return ("tuner", *request.getfixturevalue("tuner_emission_pair"))
     first = EMISSIONS[request.param]()
     return request.param, first, emission_for_baseline(first)
 
@@ -127,17 +122,6 @@ def test_fleet_model_speedup_scaled_down_fails_naming_the_metric():
     assert offenders == ["model.molecules_per_second_speedup"]
 
 
-def test_slightly_perturbed_cost_model_fails_naming_the_tuner(
-    tuner_emission_pair,
-):
-    fresh = tuner_emission(budget=1, cost_model=DEFAULT_COST_MODEL.perturbed(1.01))
-    offenders = [
-        d.key for d in compare_reports(fresh, tuner_emission_pair[0]).offenders
-    ]
-    assert offenders and all(key.startswith("workloads.") for key in offenders)
-    assert any(key.endswith("modeled_seconds") for key in offenders)
-
-
 def test_unknown_band_kind_and_benchmark_tag_still_raise():
     for kind in ("fuzzy", "slowdown", "floor"):
         with pytest.raises(ExperimentError, match="unknown tolerance-band"):
@@ -168,17 +152,10 @@ def _telemetry(path):
     return open_and_append, lambda: [e["key"] for e in load_events(path)], lambda n: f"k{n}"
 
 
-def _tuner_history(path):
-    def open_and_append(n):
-        append_entry(path, {"n": n}, label="tuner", recorded_at="t", provenance={})
-
-    return open_and_append, lambda: [e["emission"]["n"] for e in load_history(path)], lambda n: n
-
-
-@pytest.mark.parametrize("owner", [_statestore, _telemetry, _tuner_history])
+@pytest.mark.parametrize("owner", [_statestore, _telemetry])
 def test_torn_tail_then_append_loads_every_whole_line(owner, tmp_path):
-    """Failed at the parent for the sidecar and the history: the append
-    fused with the half line into a corrupt line *inside* the file."""
+    """Failed before the shared repair for the sidecar: the append fused
+    with the half line into a corrupt line *inside* the file."""
     path = tmp_path / "journal.jsonl"
     open_and_append, load, name = owner(path)
     open_and_append(1)

@@ -183,3 +183,17 @@ class TestRunReport:
         )
         doc = json.loads(path.read_text())
         assert doc["wall_seconds"] == 1.0
+
+
+def test_docstring_audit_reports_every_offender():
+    """A broken module is itself an offender, and the audit keeps going,
+    reporting every later module in the same run."""
+    from repro.testing.docs import AUDITED_MODULES, missing_docstrings
+
+    assert missing_docstrings(["repro.obs.analyze", "repro.service.worker"]) == []
+    offenders = missing_docstrings(
+        ["repro.no_such_module", "repro.also_missing", *AUDITED_MODULES]
+    )
+    assert any("repro.no_such_module" in o for o in offenders)
+    assert any("repro.also_missing" in o for o in offenders)
+    assert len(offenders) == 2

@@ -1,6 +1,6 @@
 """Trace analytics & scaling attribution (repro.obs.analyze) + satellites:
-the shared imbalance definition, artifact-path hardening, byte-stable
-bench emission and the tuner's history journal."""
+the shared imbalance definition, artifact-path hardening and byte-stable
+bench emission."""
 
 import json
 import subprocess
@@ -21,10 +21,8 @@ from repro.obs import Span, Tracer, activate, write_chrome_trace
 from repro.obs.analyze import (
     Timeline,
     TimelineEvent,
-    append_entry,
     critical_path,
     diff_timelines,
-    load_history,
     load_run,
     mapping_attribution,
     phase_imbalances,
@@ -339,45 +337,14 @@ class TestScalingParity:
 
     def test_scheme_cost_annotations_resolve(self):
         # The machine annotation used to name a module that does not exist.
-        from repro.obs.analyze.comms import scheme_cost_seconds
         from repro.runtime.machines import MachineSpec
 
-        for fn in (scheme_cost_table, scheme_cost_seconds):
-            assert typing.get_type_hints(fn)["machine"] is MachineSpec
+        assert typing.get_type_hints(scheme_cost_table)["machine"] is MachineSpec
 
 
 # ----------------------------------------------------------------------
-# The tuner's history journal and the clock-free bench emission
+# The clock-free bench emission
 # ----------------------------------------------------------------------
-class TestHistory:
-    def test_append_and_load_roundtrip(self, tmp_path):
-        log = tmp_path / "BENCH_history.jsonl"
-        append_entry(log, {"n": 1}, label="tuner",
-                     recorded_at="2026-08-06T00:00:00+00:00",
-                     provenance={"commit": "abc"})
-        append_entry(log, {"n": 2}, label="other",
-                     recorded_at="2026-08-06T01:00:00+00:00",
-                     provenance={"commit": "abc"})
-        entries = load_history(log)
-        assert [e["label"] for e in entries] == ["tuner", "other"]
-        assert entries[0]["provenance"]["commit"] == "abc"
-        assert [e["emission"] for e in load_history(log, label="tuner")] == [
-            {"n": 1}
-        ]
-        # Lines are sorted-key JSON (reviewable diffs).
-        line = log.read_text().splitlines()[0]
-        assert line == json.dumps(json.loads(line), sort_keys=True)
-
-    def test_corrupt_history_line_is_a_clear_error(self, tmp_path):
-        log = tmp_path / "c.jsonl"
-        log.write_text('{"emission": {}}\nnot json\n')
-        with pytest.raises(ExperimentError, match="corrupt.*c.jsonl:2"):
-            load_history(log)
-        # ...but a half-written final line (no newline) is a torn tail.
-        log.write_text('{"emission": {}}\nnot js')
-        assert load_history(log) == [{"emission": {}}]
-
-
 @pytest.fixture(scope="module")
 def emission_pair():
     from repro.obs.bench import backend_emission

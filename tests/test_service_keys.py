@@ -37,6 +37,7 @@ from repro.service import (
     StateStore,
     WorkerPool,
     cache_key,
+    physics_from_payload,
     result_payload,
     settings_fingerprint,
     structure_fingerprint,
@@ -222,15 +223,57 @@ def test_key_is_stable_across_processes_shape():
 
 
 @pytest.mark.parametrize("molecule,level,key", [
-    (hydrogen_molecule, "minimal", "ck-fd7e0941aee8be53b6c7f01f85aa845b"),
-    (hydrogen_molecule, "light", "ck-7ad158dd5d3d39f5d8c33fa90f2f2156"),
-    (water, "minimal", "ck-b70ea2cee50c6f4fd35bc346beb143b9"),
-    (water, "light", "ck-ac914a55849f4c08d57ab9228bee09a9"),
+    (hydrogen_molecule, "minimal", "ck-920bb577e2e472e2ec97f02d75e8444c"),
+    (hydrogen_molecule, "light", "ck-ec4b9c329257f7abc5b20fefc5129267"),
+    (water, "minimal", "ck-17c02024327ba9f3a2953d7eb11cece0"),
+    (water, "light", "ck-6f2d3e0303a71a35398f10ef337101f3"),
 ])
 def test_recorded_keys_hold(molecule, level, key):
     """Keys recorded before the signed-zero normalisation and the
-    declared-type one still match."""
+    declared-type one still match.  Re-pinned once, when the settings
+    dict lost its ``tuning`` block: a key also hashes the commit, so
+    keys already change with every commit and no cached result is
+    stranded that a new commit would not have stranded anyway."""
     assert cache_key(molecule(), get_settings(level), commit=COMMIT) == key
+
+
+#: A payload journaled while the settings still carried a ``tuning`` block.
+_PAYLOAD_WITH_TUNING = {
+    "charge": 0, "kind": "physics", "seed": None,
+    "settings": {
+        "backend": "numpy",
+        "cpscf": {"max_iterations": 40, "mixing_factor": 0.5,
+                  "response_tolerance": 1e-06},
+        "grids": {"batch_target_points": 64, "becke_smoothing": 3,
+                  "n_angular": 26, "n_radial_base": 16,
+                  "radial_multiplier": 1.0},
+        "l_max_hartree": 4, "level": "minimal",
+        "scf": {"density_tolerance": 1e-06, "energy_tolerance": 1e-08,
+                "max_iterations": 60, "mixing_factor": 0.35,
+                "occupation_width": 0.0, "pulay_history": 6},
+        "screening_threshold": 0.0,
+        "tuning": {"budget": 3, "mode": "off", "n_ranks": 4,
+                   "warm_start": True},
+        "verify": "off", "xc": "lda",
+    },
+    "structure": {
+        "coords": [[0.0, 0.0, -0.700521474398773],
+                   [0.0, 0.0, 0.700521474398773]],
+        "name": "H2", "symbols": ["H", "H"],
+    },
+}
+
+
+def test_a_payload_with_a_tuning_block_still_decodes():
+    structure, settings, charge = physics_from_payload(_PAYLOAD_WITH_TUNING)
+    assert settings == get_settings("minimal") and charge == 0
+    assert structure_fingerprint(structure) == structure_fingerprint(
+        hydrogen_molecule()
+    )
+    assert JobRequest("h2", settings).payload()["settings"] == {
+        k: v for k, v in _PAYLOAD_WITH_TUNING["settings"].items()
+        if k != "tuning"
+    }
 
 
 # ----------------------------------------------------------------------

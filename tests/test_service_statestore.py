@@ -28,6 +28,7 @@ from repro.service import (
     RUNNING,
     WAITING,
     StateStore,
+    WorkerPool,
 )
 
 
@@ -510,6 +511,24 @@ class TestArtifactGuard:
         assert rc == 2
         assert "--force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--fleet", "0"), ("--fleet", "-1"), ("--fleet", "auto"),
+        ("--workers", "0"),
+    ])
+    def test_cli_serve_bad_size_exits_2_before_opening_the_store(
+        self, tmp_path, capsys, flag, value
+    ):
+        """Used to print "waves of up to 0 task(s)" and create the
+        journal and its telemetry sidecar before failing."""
+        from repro.cli import main
+
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", str(path), flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestQueriesAndRendering:
     def test_tasks_filter_validates_status(self):
@@ -544,3 +563,8 @@ class TestQueriesAndRendering:
             StateStore(lease_seconds=0.0)
         with pytest.raises(ServiceError):
             StateStore(backoff_factor=0.5)
+
+    @pytest.mark.parametrize("fleet", [0, -1, "auto", "3"])
+    def test_worker_pool_rejects_a_bad_fleet(self, fleet):
+        with pytest.raises(ServiceError, match="wave size"):
+            WorkerPool(make_store(), fleet=fleet)
