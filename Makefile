@@ -121,10 +121,10 @@ slo-check:
 e2e-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e/test_harness.py
 
-# Physics-invariant + golden + differential-conformance check on H2,
+# Physics-invariant + golden + differential-conformance check on both
+# reference molecules (H2, and water for its two species' radial meshes),
 # plus the counter/model-regression, documentation, service, fleet,
 # telemetry and e2e-harness gates (all tier-1 sized).
-# `python -m repro verify` (no args) covers both reference molecules.
 verify: bench-check docs-check service-check fleet-check slo-check \
 		e2e-check
-	PYTHONPATH=src $(PYTHON) -m repro verify --molecule h2
+	PYTHONPATH=src $(PYTHON) -m repro verify

@@ -11,14 +11,16 @@ pipeline the paper optimizes:
 2. **Radial Poisson solve** — per (atom, lm) channel, the radial
    potential is two cumulative integrals computed with the
    Adams-Moulton linear multistep quadrature (the loop that Section 4.4
-   collapses), then splined: ``delta_v_hart_part_spl``.
+   collapses), then splined: ``delta_v_hart_part_spl``.  Both are fixed
+   linear maps of the moments, built once into one operator per (radial
+   mesh, l): a call is one matmul per (species, l).
 3. **Back-interpolation** — the total potential at any point is the sum
    of splined atom-centered partial potentials plus analytic multipole
    far fields (the producer/consumer kernel pair of Section 4.2).
 
 Each stage is linear in the density, and everything but the density is
 fixed by the geometry: :class:`MultipoleSolver` computes that half once
-(per-species radial tables and spline factorisation, one
+(the angular harmonics, the per-species radial operators, one
 back-interpolation plan per atom) and applies it per call (DESIGN §5.1).
 """
 
@@ -120,23 +122,32 @@ class MultipoleExpansion:
         return int(sum(s.coefficient_nbytes for s in self.potential_splines))
 
 
+def _radial_operator(system: SplineSystem, dr: np.ndarray, l: int) -> np.ndarray:
+    """Stage 2 of one ``l`` channel as a ``(2n + 1, n)`` matrix: moments on
+    the ``n`` shells of *system* -> spline values ``v``, their second
+    derivatives ``m`` and the far-field moment, stacked as rows.  Column
+    ``j`` is the two Adams-Moulton sweeps, the inner boundary and the
+    tridiagonal solve applied to a unit moment on shell ``j``; a unit
+    column's ``outer[-1] - outer`` is exactly 0 past its stencil, so the
+    ``s^(1-l)``-amplified inner shells never cancel in rounding."""
+    r = system.x[:, None]
+    unit = np.eye(r.shape[0])
+    inner = adams_moulton_cumulative(unit * r ** (l + 2.0), dr)
+    # Inner boundary: density ~ constant below the first shell.
+    inner[:, 0] += r[0, 0] ** (l + 3.0) / (l + 3.0)
+    outer = adams_moulton_cumulative(unit * r ** (1.0 - l), dr)
+    v = 4.0 * np.pi / (2 * l + 1) * (inner / r ** (l + 1.0) + (outer[-1] - outer) * r**l)
+    return np.vstack([v, system.second_derivatives(v), inner[-1:]])
+
+
 @dataclass(frozen=True)
 class _MeshGroup:
-    """Atoms sharing one radial mesh (one species) and what the mesh fixes.
-
-    The power tables carry a unit atom axis, ``(n_shells, 1, n_lm)``, so
-    they broadcast over the group's stacked moments.
-    """
+    """Atoms sharing one radial mesh (one species) and what the mesh fixes."""
 
     atoms: Tuple[int, ...]
     rows: np.ndarray  # grid rows of the atoms' points, atom after atom
     system: SplineSystem  # knots = shell radii, Thomas factors
-    dr: np.ndarray  # ds/di of the mesh
-    r_inner: np.ndarray  # s^(l+2)
-    r_outer: np.ndarray  # s^(1-l)
-    r_lp1: np.ndarray  # s^(l+1)
-    r_l: np.ndarray  # s^l
-    r0_lp3: np.ndarray  # (n_lm,) first-shell radius to the (l+3)
+    operators: Tuple[np.ndarray, ...]  # per l, _radial_operator of the mesh
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ class MultipoleSolver:
     """Poisson solver bound to one structure + integration grid.
 
     Every density-independent quantity is computed once per solver: the
-    angular harmonics and per-species radial tables in the constructor,
+    angular harmonics and per-species radial operators in the constructor,
     and one back-interpolation plan per atom on its first use.  A call
     is then three small linear steps, so both the ground-state cycle and
     every CPSCF iteration pay only for what the density changes.
@@ -186,11 +197,10 @@ class MultipoleSolver:
         self.l_max = l_max
         self._n_lm = n_lm(l_max)
 
-        # Per-l prefactors 4 pi / (2l+1), expanded over lm channels.
+        # Per-l far-field prefactors 4 pi / (2l+1), expanded over lm channels.
         ls = np.concatenate(
             [np.full(2 * l + 1, l) for l in range(l_max + 1)]
         ).astype(float)
-        self._l_of_lm = ls
         self._pref = 4.0 * np.pi / (2.0 * ls + 1.0)
 
         # The angular rule is shared by all shells of all atoms; recover
@@ -214,22 +224,16 @@ class MultipoleSolver:
 
     def _mesh_group(self, atoms: List[int]) -> _MeshGroup:
         r = self.grid.shell_radii[atoms[0]]  # (n_shells,)
-        l_arr = self._l_of_lm[None, None, :]
-        rc = r[:, None, None]
+        # dr: a finite-difference guess at the mesh Jacobian ds/di, and the
+        # source of the far-field phantom monopole (ROADMAP 2: ≈ 4.4e-3 e
+        # per atom at `minimal`); the analytic dr/di is computed, and
+        # discarded, in grids/shells.radial_shells_for_species.
+        system, dr = SplineSystem(r), np.gradient(r)
         return _MeshGroup(
             atoms=tuple(atoms),
             rows=np.concatenate([self.grid.points_of_atom(a) for a in atoms]),
-            system=SplineSystem(r),
-            # Recover ds/di from the stored quadrature construction:
-            # radial weight w = r^2 dr/di was used in shells; rebuild
-            # dr/di from consecutive ratios of the log-like mesh by
-            # finite differences (exact enough for the quadrature).
-            dr=np.gradient(r),
-            r_inner=rc ** (l_arr + 2.0),
-            r_outer=rc ** (1.0 - l_arr),
-            r_lp1=rc ** (l_arr + 1.0),
-            r_l=rc**l_arr,
-            r0_lp3=r[0] ** (self._l_of_lm + 3.0),
+            system=system,
+            operators=tuple(_radial_operator(system, dr, l) for l in range(self.l_max + 1)),
         )
 
     @property
@@ -266,29 +270,24 @@ class MultipoleSolver:
     def solve(self, expansion: MultipoleExpansion) -> MultipoleExpansion:
         """Fill the partial-potential splines and far-field moments.
 
-        The atoms of one species are integrated and splined together as
-        ``(n_shells, n_atoms, n_lm)`` columns; no column's operations
-        depend on what it is stacked with.
+        The atoms of one species are stacked as ``(n_shells, n_lm, n_atoms)``
+        columns, so each ``l`` is one product of the mesh's operator with
+        the contiguous block of its ``2l+1`` channels of every atom.
         """
         n_atoms = self.structure.n_atoms
         splines: List[Optional[CubicSpline]] = [None] * n_atoms
         far: List[Optional[np.ndarray]] = [None] * n_atoms
-        l_arr = self._l_of_lm  # (n_lm,)
         for group in self._groups:
-            mom = np.stack([expansion.moments[a] for a in group.atoms], axis=1)
-            inner = adams_moulton_cumulative(mom * group.r_inner, group.dr)
-            # Inner boundary: density ~ constant below the first shell.
-            inner0 = mom[0] * group.r0_lp3 / (l_arr + 3.0)
-            inner = inner + inner0[None]
-
-            outer_cum = adams_moulton_cumulative(mom * group.r_outer, group.dr)
-            outer = outer_cum[-1][None] - outer_cum
-
-            v = self._pref * (inner / group.r_lp1 + outer * group.r_l)
-            m = group.system.second_derivatives(v)
+            k, n = len(group.atoms), group.system.n_knots
+            mom = np.stack([expansion.moments[a] for a in group.atoms], axis=2).reshape(n, -1)
+            out = np.empty((2 * n + 1, mom.shape[1]))  # rows v, m, far
+            for l, op in enumerate(group.operators):
+                cols = slice(l * l * k, (l + 1) ** 2 * k)
+                np.matmul(op, mom[:, cols], out=out[:, cols])
+            out = out.reshape(2 * n + 1, -1, k)
             for i, a in enumerate(group.atoms):
-                splines[a] = CubicSpline.from_tables(group.system, v[:, i], m[:, i])
-                far[a] = inner[-1, i]
+                splines[a] = CubicSpline.from_tables(group.system, out[:n, :, i], out[n:-1, :, i])
+                far[a] = out[-1, :, i]
         expansion.potential_splines = splines
         expansion.far_moments = far
         return expansion

@@ -27,7 +27,7 @@ from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.hartree import MultipoleSolver
 from repro.dft.mixing import PulayMixer
 from repro.dft.xc import lda_exchange_correlation
-from repro.errors import SCFConvergenceError
+from repro.errors import GeometryError, SCFConvergenceError
 from repro.grids.atom_grid import IntegrationGrid
 from repro.obs.tracer import obs_event, obs_span, trace_context
 from repro.runtime.faults import CycleFaultInjector
@@ -36,6 +36,7 @@ from repro.utils.linalg import (
     GeneralizedEigensolver,
     density_matrix_from_orbitals,
 )
+from repro.utils.neighbors import sphere_overlaps
 from repro.utils.timing import PhaseTimer
 
 
@@ -72,6 +73,20 @@ class GroundState:
         )
         nuclear = self.structure.nuclear_charges @ self.structure.coords
         return electronic + nuclear
+
+
+def _reject_coincident_nuclei(structure: Structure) -> None:
+    """GeometryError naming two nuclei closer than 1e-6 Bohr, raised before
+    the Becke partition divides by their distance and the overlap loses rank."""
+    indptr, cols = sphere_overlaps(structure.coords, 5e-7, structure.coords, 5e-7)
+    rows = np.repeat(np.arange(structure.n_atoms), np.diff(indptr))
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
+    if pairs:
+        i, j = pairs[0]
+        raise GeometryError(
+            f"atoms {i} ({structure.symbols[i]}) and {j} ({structure.symbols[j]}) "
+            f"are {structure.distance(i, j):.3g} Bohr apart, closer than 1e-06"
+        )
 
 
 class SCFDriver:
@@ -112,6 +127,7 @@ class SCFDriver:
                 residual=0.0,
             )
         self.n_electrons = n_electrons
+        _reject_coincident_nuclei(structure)
 
         # A fleet driver may inject a shared basis/grid/batch substrate
         # (built once per distinct geometry); construction is identical

@@ -1,9 +1,15 @@
-"""CLI subcommands and the dielectric-properties module."""
+"""CLI subcommands, hostile geometries and the dielectric-properties module."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.atoms import Structure
 from repro.cli import main
+from repro.config import get_settings
+from repro.dft import SCFDriver
+from repro.errors import GeometryError
 from repro.dfpt.dielectric import (
     clausius_mossotti_dielectric,
     polarizability_anisotropy,
@@ -84,3 +90,47 @@ class TestCLI:
     def test_missing_input_errors(self):
         with pytest.raises(SystemExit):
             main(["model"])
+
+
+class TestHostileGeometries:
+    """Non-finite and coincident nuclei are a GeometryError (exit 2 at the
+    CLI), not a LinAlgError traceback or a GridError after a stream of
+    RuntimeWarnings."""
+
+    @pytest.mark.parametrize("second, message", [
+        ("0 0 0", "0 Bohr apart"),
+        ("0 0 1e-7", "Bohr apart"),
+        ("nan 0 0.7", "non-finite"),
+        ("0 -inf 0.7", "non-finite"),
+    ])
+    def test_physics_exits_2(self, tmp_path, capsys, second, message):
+        path = tmp_path / "geometry.in"
+        path.write_text(f"atom 0 0 0 H\natom {second} H\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["physics", str(path), "--level", "minimal"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and message in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_structure_rejects_non_finite_coordinates(self, bad):
+        coords = np.zeros((3, 3))
+        coords[1] = [0.0, 1.4, 0.0]
+        coords[2, 2] = bad
+        with pytest.raises(GeometryError, match="atom 2 has a non-finite"):
+            Structure(["O", "H", "H"], coords)
+
+    def test_scf_driver_names_the_coincident_pair_before_the_grid(self, monkeypatch):
+        from repro.dft import scf
+
+        monkeypatch.setattr(scf, "build_substrate", lambda *a: pytest.fail("grid built"))
+        coords = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [5e-7, 0.0, 1.4], [0.0, 3.0, 0.0]]
+        with pytest.raises(GeometryError, match=r"atoms 1 \(H\) and 2 \(H\) are 5e-07 Bohr"):
+            SCFDriver(Structure(["H"] * 4, coords), get_settings("minimal"))
+
+    def test_the_bound_is_one_micro_bohr(self):
+        from repro.dft.scf import _reject_coincident_nuclei
+
+        _reject_coincident_nuclei(Structure(["H"] * 3, [[0, 0, 0], [0, 0, 1.01e-6], [0, 0, 2.02e-6]]))
+        with pytest.raises(GeometryError, match=r"atoms 1 \(H\) and 2 \(H\) are 9.9e-07"):
+            _reject_coincident_nuclei(Structure(["H"] * 3, [[0, 0, 0], [0, 0, 1.01e-6], [0, 0, 2e-6]]))
