@@ -15,12 +15,15 @@ test:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
 
-# Just the fault/resilience smoke subset plus the Hartree plan and
-# Adams-Moulton parity tests (all also part of `make test`).
+# Just the fault/resilience smoke subset, the Hartree plan and
+# Adams-Moulton parity tests, and the basis evaluator's bitwise tests
+# against the per-shell loop (all also part of `make test`).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_dft.py \
 		-k "MultipoleSolver or AdamsMoulton"
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_setup_primitives.py \
+		-k StackedEvaluation
 
 # Quick execution-backend comparison (the host engine with a warm and a
 # cold block cache, and the device model), plus the dense-vs-screened

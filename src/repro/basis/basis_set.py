@@ -156,72 +156,90 @@ class BasisSet:
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(
-        self, points: np.ndarray, atoms: Optional[Sequence[int]] = None
+        self,
+        points: np.ndarray,
+        atoms: Optional[Sequence[int]] = None,
+        cols: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Values chi_mu(r) at *points*, ``(n_points, n_basis)``.
+        """Values chi_mu(r) at *points*, ``(n_points, n_cols)``.
 
-        If *atoms* is given, only functions on those atoms are evaluated
-        (other columns stay zero) — the screened path used by batch-local
-        integration.
+        *cols* picks the block's columns (sorted basis indices, all
+        ``n_basis`` by default).  If *atoms* is given, only functions on
+        those atoms are evaluated (other columns stay zero) — the screened
+        path used by batch-local integration.
         """
-        return self._evaluate(points, atoms, with_gradients=False)[0]
+        return self._evaluate(points, atoms, cols, with_gradients=False)[0]
 
     def evaluate_with_gradients(
-        self, points: np.ndarray, atoms: Optional[Sequence[int]] = None
+        self,
+        points: np.ndarray,
+        atoms: Optional[Sequence[int]] = None,
+        cols: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Values and gradients: ``(n_points, n_basis)``, ``(n_points, n_basis, 3)``."""
-        return self._evaluate(points, atoms, with_gradients=True)
+        """Values and component-major gradients: ``(n_points, n_cols)``,
+        ``(3, n_points, n_cols)`` — each ``grads[k]`` C-contiguous."""
+        return self._evaluate(points, atoms, cols, with_gradients=True)
 
     def _evaluate(
-        self, points: np.ndarray, atoms: Optional[Sequence[int]], with_gradients: bool
+        self, points: np.ndarray, atoms: Optional[Sequence[int]],
+        cols: Optional[np.ndarray], with_gradients: bool,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Both faces of evaluation: one array program per species.
 
-        Every (point, atom) pair of a species is one row: one interval
-        lookup serves all its shells, one solid-harmonics call its
-        ``l_max``, and one scatter writes the block.  Elementwise the
-        arithmetic is the per-shell loop's, so blocks are bit-identical
-        to it (``tests/setup_oracles.py``).
+        Every (point, atom) pair of a species within its largest cutoff
+        is one row: one interval lookup serves all its shells, one
+        solid-harmonics call its ``l_max``, and one flat scatter per
+        component writes the block.  Elementwise the arithmetic is the
+        per-shell loop's, so blocks are bit-identical to it
+        (``tests/setup_oracles.py``).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n_pts = points.shape[0]
-        values = np.zeros((n_pts, self.n_basis))
-        grads = np.zeros((n_pts, self.n_basis, 3)) if with_gradients else None
-        n_atoms = self.structure.n_atoms
-        wanted = (
-            np.ones(n_atoms, dtype=bool)
-            if atoms is None
-            else np.isin(np.arange(n_atoms), atoms)
-        )
+        cols = np.arange(self.n_basis) if cols is None else np.asarray(cols, dtype=np.int64)
+        size = n_pts * cols.size
+        # Row 0 the values, rows 1-3 the gradient components; each row's
+        # last slot absorbs the functions of an atom outside *cols*.
+        out = np.zeros((4 if with_gradients else 1, size + 1))
+        slot = np.full(self.n_basis, -1)
+        slot[cols] = np.arange(cols.size)
+        wanted = np.zeros(self.structure.n_atoms, dtype=bool)
+        wanted[slice(None) if atoms is None else np.asarray(atoms, dtype=np.int64)] = True
         for table in self._species:
-            keep = wanted[table.atoms]
-            if not keep.any():
-                continue
+            shell, lm = table.shell_of_col, table.lm_of_col
+            dest = slot[table.first_cols[:, None] + np.arange(shell.size)]
+            keep = np.flatnonzero(wanted[table.atoms] & (dest >= 0).any(axis=1))
             centers = self.structure.coords[table.atoms[keep]]
             d = (points[:, None, :] - centers[None, :, :]).reshape(-1, 3)
             r = np.linalg.norm(d, axis=1)
-            shell, lm = table.shell_of_col, table.lm_of_col
+            pairs = np.flatnonzero(r <= table.cutoffs.max())
+            if not pairs.size:
+                continue
+            d, r = d[pairs], r[pairs]
+            row, atom = np.divmod(pairs, keep.size)
+            dest = dest[keep][atom]
+            flat = row[:, None] * cols.size + dest
+            flat[dest < 0] = size
             # Semantic, not cosmetic: a table is ~1e-8, not 0, at its cutoff.
-            inside = (r[:, None] <= table.cutoffs)[:, shell]
-            cols = (table.first_cols[keep][:, None] + np.arange(shell.size)).ravel()
+            inside = r[:, None] <= table.cutoffs
             if with_gradients:
-                g, dg = (x[:, shell] for x in table.radial.value_and_derivative(r))
-                s, grad_s = (
-                    x[:, lm] for x in solid_harmonics_with_gradients(d, table.l_max)
+                g, dg = (
+                    np.where(inside, x, 0.0)[:, shell]
+                    for x in table.radial.value_and_derivative(r)
                 )
+                s, grad_s = solid_harmonics_with_gradients(d, table.l_max)
+                s = s[:, lm]
                 # Unit radial direction; safe at the nucleus because dg -> 0
                 # there for the splined smooth g_l.
                 rhat = d / np.maximum(r, 1e-12)[:, None]
-                grads[:, cols] = np.where(
-                    inside[:, :, None],
-                    (dg * s)[:, :, None] * rhat[:, None, :] + g[:, :, None] * grad_s,
-                    0.0,
-                ).reshape(n_pts, cols.size, 3)
+                dgs = dg * s
+                for k in range(3):
+                    out[1 + k, flat] = dgs * rhat[:, k, None] + g * grad_s[:, lm, k]
             else:
-                g = table.radial(r)[:, shell]
+                g = np.where(inside, table.radial(r), 0.0)[:, shell]
                 s = solid_harmonics(d, table.l_max)[:, lm]
-            values[:, cols] = np.where(inside, g * s, 0.0).reshape(n_pts, cols.size)
-        return values, grads
+            out[0, flat] = g * s
+        blocks = out[:, :size].reshape(out.shape[0], n_pts, cols.size)
+        return blocks[0], (blocks[1:] if with_gradients else None)
 
     # ------------------------------------------------------------------
     # Screening

@@ -7,8 +7,23 @@ so that examples, tests and benchmarks share one definition of "light".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, Mapping
+
+from repro.errors import SettingsError
+
+
+def checked_screening_threshold(value: float) -> float:
+    """*value* as a float, or :class:`~repro.errors.SettingsError` unless
+    it is finite and ``>= 0`` (NaN would fail every comparison and pass
+    for "no screening"; ``inf`` would screen out every function)."""
+    threshold = float(value)
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise SettingsError(
+            f"screening threshold must be finite and >= 0, got {threshold!r}"
+        )
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,9 @@ class RunSettings:
     #: pre-screening pipeline; ``> 0`` drops basis functions whose
     #: amplitude proxy stays below the threshold on a batch.
     screening_threshold: float = 0.0
+
+    def __post_init__(self) -> None:
+        checked_screening_threshold(self.screening_threshold)
 
     def with_grids(self, **kwargs) -> "RunSettings":
         """Return a copy with modified grid settings."""

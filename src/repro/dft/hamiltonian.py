@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.basis.basis_set import BasisSet, build_basis
+from repro.config import checked_screening_threshold
 from repro.grids.atom_grid import IntegrationGrid, build_grid
 from repro.grids.batching import GridBatch, attach_relevant_atoms, build_batches
 from repro.grids.sparsity import BatchView, build_batch_views, build_sparsity_pattern
@@ -61,9 +62,12 @@ def build_substrate(
 
 #: Rows per basis-evaluation call inside a fused view: the evaluator's
 #: temporaries scale with rows x atoms x shells.  One builder of the
-#: 32-atom chain through overlap() + kinetic(): slabs of 64 / 256 / 1 024 /
-#: 2 048 rows peak at 87 / 93 / 110 / 118 MB RSS and take 0.61-0.71 /
-#: 0.62-0.68 / 0.57-0.64 s of kinetic(): memory grows, time barely moves.
+#: 32-atom chain through overlap() + kinetic() (OMP_NUM_THREADS=1, 2-core
+#: Xeon VM): slabs of 64 / 256 / 1 024 / 2 048 rows peak at 64 / 68 / 78 /
+#: 82 MB RSS and take 0.38-0.62 / 0.28-0.33 / 0.29-0.39 / 0.29-0.32 s of
+#: kinetic(): past 256 memory grows and time does not move.  Slab
+#: boundaries also set the order of kinetic's block sum, so changing
+#: this changes T in its last bits.
 _SLAB_ROWS: int = 256
 
 
@@ -91,7 +95,8 @@ class MatrixBuilder:
         exactly zero there.  ``> 0`` builds a
         :class:`~repro.grids.sparsity.SparsityPattern` once and every
         layer below (backends, kinetic, reference paths) iterates views
-        that carry only active functions.
+        that carry only active functions.  NaN, ``inf`` or a negative
+        value is a :class:`~repro.errors.SettingsError`.
     """
 
     def __init__(
@@ -102,6 +107,7 @@ class MatrixBuilder:
         backend: Union[str, "ExecutionBackend", None] = None,
         screening_threshold: float = 0.0,
     ) -> None:
+        self.screening_threshold = checked_screening_threshold(screening_threshold)
         self.basis = basis
         self.grid = grid
         if grid.partition_weights is None:
@@ -114,7 +120,6 @@ class MatrixBuilder:
 
         # The views must exist before the backend binds: device staging
         # and profile fill counters read them at bind time.
-        self.screening_threshold = float(screening_threshold)
         self.pattern = None
         if self.screening_threshold > 0.0:
             self.pattern = build_sparsity_pattern(
@@ -142,8 +147,8 @@ class MatrixBuilder:
         for lo in range(0, rows.size, _SLAB_ROWS):
             idx = rows[lo : lo + _SLAB_ROWS]
             block[lo : lo + idx.size] = self.basis.evaluate(
-                self.grid.points[idx], atoms=view.atoms
-            )[:, view.cols]
+                self.grid.points[idx], atoms=view.atoms, cols=view.cols
+            )
         return block
 
     def basis_values(self) -> np.ndarray:
@@ -168,11 +173,12 @@ class MatrixBuilder:
     def kinetic(self) -> np.ndarray:
         """T_mu_nu = (1/2) <grad chi_mu | grad chi_nu> (by parts).
 
-        Each view evaluates gradients only for its atoms, a slab of rows
-        at a time (gradients are needed here once; memory stays at slab
-        rows x n_basis x 3), and adds its block at the view's columns —
-        the same locality rule and the same weighted-Gram kernel as
-        every other grid contraction.
+        Each view evaluates gradients only for its atoms and columns, a
+        slab of rows at a time (gradients are needed here once; memory
+        stays at 3 x slab rows x view columns), and adds its block at the
+        view's columns — the same locality rule and the same
+        weighted-Gram kernel as every other grid contraction, fed one
+        contiguous gradient component at a time.
         """
         from repro.backends.base import weighted_gram
 
@@ -184,12 +190,11 @@ class MatrixBuilder:
             for lo in range(0, view.point_indices.size, _SLAB_ROWS):
                 idx = view.point_indices[lo : lo + _SLAB_ROWS]
                 _, grads = self.basis.evaluate_with_gradients(
-                    self.grid.points[idx], atoms=view.atoms
+                    self.grid.points[idx], atoms=view.atoms, cols=cols
                 )
-                grads = grads[:, cols, :]
                 with scratch((idx.size, cols.size)) as work:
                     for k in range(3):
-                        block += weighted_gram(grads[:, :, k], w[idx], work)
+                        block += weighted_gram(grads[k], w[idx], work)
             view.scatter_add(t, block)
         return symmetrize(0.5 * t)
 

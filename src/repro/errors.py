@@ -12,6 +12,10 @@ class ReproError(Exception):
     """Base class of all :mod:`repro` exceptions."""
 
 
+class SettingsError(ReproError):
+    """A run-settings value outside its domain (e.g. a NaN threshold)."""
+
+
 class GeometryError(ReproError):
     """Malformed structure input (unknown element, bad geometry file...)."""
 

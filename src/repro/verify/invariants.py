@@ -333,15 +333,15 @@ def _basis_gradient_consistency(ctx: CheckContext) -> Tuple[float, str]:
     values, grads = basis.evaluate_with_gradients(points)
     if not np.array_equal(values, basis.evaluate(points)):
         return float("inf"), "evaluate and evaluate_with_gradients disagree on chi"
-    differences = np.empty_like(grads)
+    differences = np.empty_like(grads)  # component-major, as grads
     for k in range(3):
         step = np.zeros(3)
         step[k] = _GRADIENT_STEP
         plus, minus = basis.evaluate(points + step), basis.evaluate(points - step)
-        differences[:, :, k] = (plus - minus) / (2.0 * _GRADIENT_STEP)
+        differences[k] = (plus - minus) / (2.0 * _GRADIENT_STEP)
         # A cutoff sphere between the two samples is a step, not a slope.
         crossing = (plus == 0.0) != (minus == 0.0)
-        differences[crossing, k] = grads[crossing, k]
+        differences[k][crossing] = grads[k][crossing]
     scale = max(1.0, float(np.abs(grads).max()))
     return (
         float(np.abs(differences - grads).max()) / scale,
@@ -359,8 +359,9 @@ _COMPACT_SAMPLE = 8
     phase="integrals",
     cost="full",
     tol_class=BIT_EXACT,
-    # The evaluator masks every shell with where(r <= cutoff, ., 0.0): a
-    # column whose atom cannot reach a point is +0.0 there, not small —
+    # The evaluator skips every (point, atom) pair beyond the atom's reach
+    # and masks each shell's radial part with where(r <= cutoff, ., 0.0): a
+    # column whose atom cannot reach a point is 0.0 there, not small —
     # which is what makes dropping it from a dense view an identity.
     tolerance=0.0,
     description="an all-atom chi evaluation is exactly zero outside a dense view's columns",

@@ -115,8 +115,9 @@ def oracle_spline_derivative(spline, t):
     )
 
 
-def oracle_evaluate(basis, points, atoms=None):
-    """``BasisSet.evaluate`` as a loop over shell instances."""
+def oracle_evaluate(basis, points, atoms=None, cols=None):
+    """``BasisSet.evaluate`` as a loop over shell instances; *cols* slices
+    the full-width result."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.zeros((points.shape[0], basis.n_basis))
     atom_filter = None if atoms is None else set(int(a) for a in atoms)
@@ -132,13 +133,15 @@ def oracle_evaluate(basis, points, atoms=None):
         l = inst.shell.l
         s_all = solid_harmonics(d[mask], l)
         s = s_all[:, l * l : (l + 1) ** 2]
-        cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
-        values[np.nonzero(mask)[0], cols] = g[:, None] * s
-    return values
+        span = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
+        values[np.nonzero(mask)[0], span] = g[:, None] * s
+    return values if cols is None else values[:, cols]
 
 
-def oracle_evaluate_with_gradients(basis, points, atoms=None):
-    """``BasisSet.evaluate_with_gradients`` as a loop over shell instances."""
+def oracle_evaluate_with_gradients(basis, points, atoms=None, cols=None):
+    """``BasisSet.evaluate_with_gradients`` as a loop over shell instances;
+    the point-major gradients are handed out component-major, and *cols*
+    slices both full-width results."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
     values = np.zeros((n_pts, basis.n_basis))
@@ -163,13 +166,16 @@ def oracle_evaluate_with_gradients(basis, points, atoms=None):
         safe_r = np.maximum(rm, 1e-12)
         rhat = dm / safe_r[:, None]
         rows = np.nonzero(mask)[0]
-        cols = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
-        values[rows, cols] = g[:, None] * s
-        grads[rows, cols, :] = (
+        span = slice(inst.first_index, inst.first_index + inst.shell.n_functions)
+        values[rows, span] = g[:, None] * s
+        grads[rows, span, :] = (
             (dg[:, None] * s)[:, :, None] * rhat[:, None, :]
             + g[:, None, None] * grad_s
         )
-    return values, grads
+    grads = grads.transpose(2, 0, 1)  # component-major, as the evaluator's
+    if cols is None:
+        return values, grads
+    return values[:, cols], grads[:, :, cols]
 
 
 def _becke_step(mu, k):
@@ -305,9 +311,7 @@ def oracle_kinetic(builder):
         _, grads = builder.basis.evaluate_with_gradients(
             builder.grid.points[idx], atoms=atoms
         )
-        grads = grads[:, cols, :]
-        for k in range(3):
-            gk = grads[:, :, k]
+        for gk in grads[:, :, cols]:
             t[pair] += gk.T @ (gk * w[idx][:, None])
     t = 0.5 * t
     return 0.5 * (t + t.T)

@@ -8,6 +8,7 @@ import pytest
 from repro.atoms import Structure
 from repro.cli import main
 from repro.config import get_settings
+from repro.core import PerturbationSimulator
 from repro.dft import SCFDriver
 from repro.errors import GeometryError
 from repro.dfpt.dielectric import (
@@ -90,6 +91,44 @@ class TestCLI:
     def test_missing_input_errors(self):
         with pytest.raises(SystemExit):
             main(["model"])
+
+
+class TestScreeningFlag:
+    """``--screening`` takes a finite threshold >= 0: NaN and negative
+    values used to run the dense path silently, ``inf`` screened out every
+    function and ended 60 iterations later in an SCFConvergenceError."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--screening", "nan"], ["--screening=-1"], ["--screening", "inf"]],
+        ids=["nan", "negative", "inf"],
+    )
+    def test_a_bad_threshold_exits_2_without_a_traceback(self, flag, capsys):
+        argv = ["physics", "--polyethylene", "8", "--level", "minimal", *flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: screening threshold must be")
+        assert "Traceback" not in captured.err and "SCF" not in captured.out
+
+    def test_zero_is_the_exact_dense_path(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+        from repro.atoms import hydrogen_molecule, write_geometry_in
+
+        runs = []
+
+        class Recording(PerturbationSimulator):
+            def run_physics(self, *args, **kwargs):
+                runs.append((self.settings, super().run_physics(*args, **kwargs)))
+                return runs[-1][1]
+
+        monkeypatch.setattr(cli, "PerturbationSimulator", Recording)
+        path = tmp_path / "geometry.in"
+        write_geometry_in(hydrogen_molecule(), path)
+        assert main(["physics", str(path), "--level", "minimal"]) == 0
+        assert main(["physics", str(path), "--level", "minimal", "--screening", "0"]) == 0
+        (dense_settings, dense), (zero_settings, zero) = runs
+        assert zero_settings == dense_settings and zero_settings.screening_threshold == 0.0
+        assert zero.ground_state.total_energy == dense.ground_state.total_energy
+        assert np.array_equal(zero.polarizability, dense.polarizability)
 
 
 class TestHostileGeometries:

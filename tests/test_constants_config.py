@@ -1,9 +1,16 @@
 """Units, conversions and settings presets."""
 
+import math
+
 import pytest
 
 from repro import constants
-from repro.config import get_settings, GridSettings
+from repro.atoms import hydrogen_molecule
+from repro.basis.basis_set import build_basis
+from repro.config import get_settings, GridSettings, RunSettings
+from repro.dft.hamiltonian import MatrixBuilder
+from repro.errors import SettingsError
+from repro.grids.atom_grid import build_grid
 
 
 class TestConstants:
@@ -55,3 +62,31 @@ class TestSettings:
     def test_grid_settings_defaults(self):
         g = GridSettings()
         assert 100 <= g.batch_target_points <= 300  # paper's batch size
+
+
+class TestScreeningThresholdDomain:
+    """A NaN threshold passed every ``> 0`` test as "dense", broke settings
+    equality and reached the cache key; ``inf`` screened out every
+    function.  Both, and any negative value, are a :class:`SettingsError`."""
+
+    BAD = [math.nan, math.inf, -math.inf, -1.0, -1e-300]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_run_settings_refuse_it(self, bad):
+        with pytest.raises(SettingsError, match="finite and >= 0"):
+            get_settings("minimal", screening_threshold=bad)
+        with pytest.raises(SettingsError):
+            RunSettings(screening_threshold=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_matrix_builder_refuses_it(self, bad, minimal_settings):
+        structure = hydrogen_molecule()
+        grid = build_grid(structure, minimal_settings.grids, with_partition=True)
+        with pytest.raises(SettingsError, match="finite and >= 0"):
+            MatrixBuilder(build_basis(structure), grid, screening_threshold=bad)
+
+    @pytest.mark.parametrize("good", [0, 0.0, -0.0, 1e-6, 1e300])
+    def test_finite_non_negative_values_pass(self, good):
+        s = get_settings("minimal", screening_threshold=good)
+        assert s == get_settings("minimal", screening_threshold=good)
+        assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s

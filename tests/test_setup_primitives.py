@@ -103,6 +103,37 @@ class TestStackedEvaluation:
             assert np.array_equal(basis.evaluate(points, atoms=atoms), want_v)
             assert np.array_equal(oracle_evaluate(basis, points, atoms), want_v)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BASES)),
+        seed=st.integers(0, 2**32 - 1),
+        n_random=st.integers(0, 24),
+        choice=st.integers(0, 4),
+    )
+    def test_columns_are_the_per_shell_loops_columns(self, name, seed, n_random, choice):
+        basis = BASES[name]
+        rng = np.random.default_rng(seed)
+        points = _probe_points(basis, rng, n_random)
+        atoms = _atom_choices(basis.structure.n_atoms, rng)[choice]
+        subset = np.flatnonzero(rng.random(basis.n_basis) < 0.5)
+        for cols in (np.arange(0), np.arange(basis.n_basis), subset):
+            want_v, want_g = oracle_evaluate_with_gradients(basis, points, atoms, cols)
+            values, grads = basis.evaluate_with_gradients(points, atoms=atoms, cols=cols)
+            assert values.shape == (points.shape[0], cols.size)
+            assert grads.shape == (3, points.shape[0], cols.size)
+            assert np.array_equal(values, want_v) and np.array_equal(grads, want_g)
+            assert np.array_equal(basis.evaluate(points, atoms=atoms, cols=cols), want_v)
+            assert np.array_equal(oracle_evaluate(basis, points, atoms, cols), want_v)
+            if atoms is not None:  # columns of atoms not asked for: exact zeros
+                absent = ~np.isin(basis.function_atoms[cols], atoms)
+                assert not values[:, absent].any() and not grads[:, :, absent].any()
+
+    def test_gradient_components_are_contiguous(self, rng):
+        basis = BASES["water"]
+        cols = np.array([0, 3, 4, 12])
+        _, grads = basis.evaluate_with_gradients(rng.normal(size=(9, 3)), cols=cols)
+        assert all(component.flags.c_contiguous for component in grads)
+
     def test_edge_points_do_what_they_should(self):
         basis = BASES["water"]
         inst = shell_instances(basis)[0]  # O 1s: ends where its table is ~1e-8, not 0
@@ -121,7 +152,7 @@ class TestStackedEvaluation:
         assert basis.evaluate(np.zeros((0, 3))).shape == (0, basis.n_basis)
         values, grads = basis.evaluate_with_gradients(np.zeros(3))
         assert values.shape == (1, basis.n_basis)
-        assert grads.shape == (1, basis.n_basis, 3)
+        assert grads.shape == (3, 1, basis.n_basis)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_views_dense_and_screened(self, name, minimal_settings):
