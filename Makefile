@@ -4,7 +4,7 @@
 PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
-	analyze service-check fleet-check slo-check e2e-check \
+	analyze service-check fleet-check e2e-check \
 	verify profile-model
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
@@ -87,13 +87,14 @@ analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze scaling --atoms 602 \
 		--base-ranks 8 --points 2
 
-# Simulation-service correctness contract: the statestore + cache-key
-# suites, the default-off worker-crash chaos sweeps, and the end-to-end
-# CLI demo (second identical submit must be a cache hit served from the
-# journal-replayed result store, no recomputation).
+# Simulation-service correctness contract: the statestore, cache-key and
+# journal-reader (rollup / health / fleet trace) suites, the default-off
+# worker-crash chaos sweeps, and the end-to-end CLI demo (second
+# identical submit must be a cache hit served from the journal-replayed
+# result store, no recomputation; `repro slo` reads the demo's journal).
 service-check:
-	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/test_service_statestore.py tests/test_service_keys.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_service_statestore.py \
+		tests/test_service_keys.py tests/test_telemetry.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m service tests/test_service_chaos.py
 	rm -rf .service-demo
 	PYTHONPATH=src $(PYTHON) -m repro submit --molecule h2 --level minimal \
@@ -101,6 +102,7 @@ service-check:
 	PYTHONPATH=src $(PYTHON) -m repro submit --molecule h2 --level minimal \
 		--store .service-demo/journal.jsonl | grep -q "cache hit"
 	PYTHONPATH=src $(PYTHON) -m repro status --store .service-demo/journal.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro slo --store .service-demo/journal.jsonl
 	rm -rf .service-demo
 
 # Fleet contract: the bit-exactness parity suite (fleet-of-N vs N
@@ -110,14 +112,6 @@ fleet-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fleet.py
 	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json
 
-# Service-telemetry contract: the rollup/alert/health property suite
-# plus the deterministic SLO scenario gated against its committed
-# baseline (steady run fires zero alerts; the seeded worker_crash
-# chaos run fires the crash-rate alert byte-stably).
-slo-check:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_telemetry.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_slo.json
-
 # End-to-end benchmark harness contract (BENCHMARK.json vs the harness)
 # plus a 2-atom smoke of all four workloads (~15 s): catches a module
 # the benchmark preloads or drives being deleted or renamed.
@@ -126,8 +120,7 @@ e2e-check:
 
 # Physics-invariant + golden + differential-conformance check on both
 # reference molecules (H2, and water for its two species' radial meshes),
-# plus the counter/model-regression, documentation, service, fleet,
-# telemetry and e2e-harness gates (all tier-1 sized).
-verify: bench-check docs-check service-check fleet-check slo-check \
-		e2e-check
+# plus the counter/model-regression, documentation, service, fleet and
+# e2e-harness gates (all tier-1 sized).
+verify: bench-check docs-check service-check fleet-check e2e-check
 	PYTHONPATH=src $(PYTHON) -m repro verify

@@ -18,6 +18,7 @@ results out):
     python -m repro submit --molecule h2 --level minimal --store service.jsonl
     python -m repro serve --store service.jsonl --workers 2 --fleet 4
     python -m repro status --store service.jsonl
+    python -m repro slo --store service.jsonl --window 4
     python -m repro info
 
 Artifact-writing commands refuse to overwrite an existing output file
@@ -29,6 +30,8 @@ and a one-line message instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from typing import List, Optional
 
@@ -58,6 +61,24 @@ def _positive_int(value: str) -> int:
             f"expected a positive integer, got {value!r}"
         )
     return n
+
+
+def _finite_float(value: str, *, positive: bool) -> float:
+    """argparse type for a finite float >= 0 (> 0 if *positive*).
+
+    NaN passes every ``<`` / ``<=`` guard behind it, so it is refused
+    here, before any file opens.
+    """
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan  # rejected below with the same message
+    if not math.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(
+            f"expected a finite {kind} number, got {value!r}"
+        )
+    return x
 
 
 def _load_structure(args: argparse.Namespace):
@@ -278,7 +299,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     from repro.obs.regress import compare_reports, load_baseline
 
     # The gate re-runs whichever emission kind ("backends", "sparse",
-    # "fleet", "slo") the baseline came from.
+    # "fleet") the baseline came from.
     baseline = load_baseline(args.baseline)
     kind, parameters = baseline_run_parameters(baseline)
     settings = ", ".join(f"{k}={v}" for k, v in parameters.items())
@@ -460,28 +481,19 @@ def _print_service_result(result) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import (
-        AlertEngine,
-        TelemetrySink,
-        render_alerts,
-        rollup,
-        telemetry_path_for,
-        window_origin,
-    )
     from repro.runtime.faults import FaultPlan, FaultRates
     from repro.service import WorkerPool
+    from repro.service.slo import journal_events, worker_spans
 
-    store = _open_store(args)
-    # Every serve drain is telemetered: lifecycle transitions stream
-    # into the sidecar journal next to the statestore journal.
-    sink = TelemetrySink(telemetry_path_for(args.store), fresh=args.fresh)
-    sink.write_provenance(seed=args.seed)
-    store.attach_telemetry(sink)
     plan = None
-    if args.crash_rate > 0.0:
+    if args.crash_rate != 0.0:  # NaN included: FaultRates rejects it
         plan = FaultPlan(
             seed=args.seed, rates=FaultRates(worker_crash=args.crash_rate)
         )
+    store = _open_store(args)
+    # This drain's journal lines are the ones after what is there now.
+    n_before = len(journal_events(args.store)) if args.trace else 0
+    if plan is not None:
         print(f"serving with injected worker crashes "
               f"(rate={args.crash_rate}, seed={args.seed})")
     if args.fleet is not None:
@@ -492,15 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     report = pool.run_until_idle(max_steps=args.max_steps)
     print(report.summary())
-    windows = rollup(
-        sink.events, args.slo_window,
-        t0=window_origin(sink.events, args.slo_window),
-    )
-    alerts = AlertEngine().evaluate(windows, sink=sink)
-    print(f"telemetry: {len(sink.events)} event(s) -> {sink.path}; "
-          f"{len(windows)} rollup window(s) at {args.slo_window:g}s")
-    if alerts:
-        print(render_alerts(alerts))
     if args.trace:
         from repro.obs import write_chrome_trace
         from repro.obs.report import collect_provenance
@@ -508,7 +511,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_path = prepare_artifact_path(args.trace, force=args.force)
         write_chrome_trace(
             trace_path,
-            telemetry_events=sink.events,
+            worker_spans(journal_events(args.store)[n_before:]),
             metadata=collect_provenance(seed=args.seed).as_dict(),
         )
         print(f"fleet trace (one track per worker) -> {trace_path} "
@@ -516,32 +519,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print()
     print(store.render_status(now=pool.now))
     return 0 if report.idle else 1
-
-
-def _render_watch_telemetry(args: argparse.Namespace) -> str:
-    """The telemetry tail (rollups + alerts) of one --watch refresh."""
-    from repro.obs.telemetry import (
-        AlertEngine,
-        load_events,
-        render_alerts,
-        render_windows,
-        rollup,
-        telemetry_path_for,
-        window_origin,
-    )
-
-    sidecar = telemetry_path_for(args.store)
-    if not sidecar.exists():
-        return "no telemetry journal yet (runs appear after `repro serve`)"
-    events = load_events(sidecar)
-    windows = rollup(
-        events, args.window, t0=window_origin(events, args.window)
-    )
-    alerts = AlertEngine().evaluate(windows)
-    tail = windows[-3:]
-    return "\n".join(
-        [render_windows(tail), "alerts: " + render_alerts(alerts)]
-    )
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -562,58 +539,19 @@ def _cmd_status(args: argparse.Namespace) -> int:
         store = _open_store(args)
         print(f"--- repro status --watch (refresh {i + 1}) ---")
         print(store.render_status())
-        print()
-        print(_render_watch_telemetry(args))
         print(flush=True)
     return 0
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
+    from repro.service.slo import journal_events, render_windows, rollup, window_origin
 
-    from repro.errors import ExperimentError
-    from repro.obs.telemetry import (
-        AlertEngine,
-        load_events,
-        render_alerts,
-        render_slo_emission,
-        render_windows,
-        rollup,
-        slo_emission,
-        telemetry_path_for,
-        window_origin,
-    )
-
-    if args.journal or args.store:
-        path = (
-            Path(args.journal) if args.journal
-            else telemetry_path_for(args.store)
-        )
-        if not path.exists():
-            raise ExperimentError(
-                f"no telemetry journal at {path}; drain the store with "
-                "`repro serve` first (it records one automatically)"
-            )
-        events = load_events(path)
-        windows = rollup(
-            events, args.window, t0=window_origin(events, args.window)
-        )
-        alerts = AlertEngine().evaluate(windows)
-        print(f"telemetry journal {path}: {len(events)} event(s), "
-              f"{len(windows)} window(s) at {args.window:g}s")
-        print()
-        print(render_windows(windows))
-        print("alerts: " + render_alerts(alerts))
-        return 0
-
-    fresh = slo_emission(seed=args.seed, window=args.window)
-    if args.write_fresh:
-        Path(args.write_fresh).write_text(
-            _json.dumps(fresh, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"fresh emission -> {args.write_fresh}")
-    print(render_slo_emission(fresh))
+    events = journal_events(args.store)
+    windows = rollup(events, args.window, t0=window_origin(events, args.window))
+    print(f"statestore journal {args.store}: {len(events)} event(s), "
+          f"{len(windows)} window(s) at {args.window:g}s")
+    print()
+    print(render_windows(windows))
     return 0
 
 
@@ -895,13 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--lease-seconds", type=float, default=30.0,
                          help="claim lease before a silent worker's task "
                          "is requeued")
-    p_serve.add_argument("--slo-window", type=float, default=4.0,
-                         metavar="SECONDS",
-                         help="rollup window width for the post-drain SLO "
-                         "summary and alert evaluation (default: 4.0)")
     p_serve.add_argument("--trace", metavar="PATH",
                          help="write a fleet Chrome/Perfetto trace of the "
-                         "drain: one track per worker plus a queue track")
+                         "drain: one track per worker, one span per claim")
     add_store_opts(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -912,40 +846,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("--watch", action="store_true",
                           help="refresh the dashboard repeatedly instead of "
                           "printing one snapshot")
-    p_status.add_argument("--interval", type=float, default=2.0,
+    p_status.add_argument("--interval", default=2.0,
+                          type=functools.partial(_finite_float, positive=False),
                           metavar="SECONDS",
                           help="--watch refresh period (default: 2.0)")
     p_status.add_argument("--iterations", type=int, default=0, metavar="N",
                           help="stop --watch after N refreshes "
                           "(default: 0 = until interrupted)")
-    p_status.add_argument("--window", type=float, default=4.0,
-                          metavar="SECONDS",
-                          help="rollup window width for the --watch "
-                          "telemetry tail (default: 4.0)")
     add_store_opts(p_status)
     p_status.set_defaults(func=_cmd_status)
 
     p_slo = sub.add_parser(
         "slo",
-        help="windowed SLO rollups, health and deterministic alerts over "
-        "a telemetry journal — or the committed synthetic scenario "
-        "(gated by `repro bench-check --baseline BENCH_slo.json`)",
+        help="windowed SLO rollups (queue wait, time to result, "
+        "lease-expiry rate, queue age) read off a statestore journal",
     )
-    p_slo.add_argument("--window", type=float, default=4.0,
-                       metavar="SECONDS",
-                       help="rollup window width on the logical clock "
-                       "(default: 4.0)")
-    p_slo.add_argument("--seed", type=int, default=2023,
-                       help="scenario seed for the synthetic SLO emission")
-    p_slo.add_argument("--write-fresh", metavar="PATH",
-                       help="write the fresh emission as sorted-key JSON "
-                       "(use to [re]generate BENCH_slo.json)")
-    p_slo.add_argument("--journal", metavar="PATH",
-                       help="roll up an explicit telemetry journal instead "
-                       "of running the synthetic scenario")
-    p_slo.add_argument("--store", default=None, metavar="PATH",
-                       help="roll up the telemetry sidecar of this "
-                       "statestore journal (as written by `repro serve`)")
+    p_slo.add_argument("--store", required=True, metavar="PATH",
+                       help="statestore journal to read (never written)")
+    p_slo.add_argument("--window", default=4.0, metavar="SECONDS",
+                       type=functools.partial(_finite_float, positive=True),
+                       help="rollup window width in the journal's "
+                       "seconds (default: 4.0)")
     p_slo.set_defaults(func=_cmd_slo)
 
     p_info = sub.add_parser("info", help="show the machine presets")

@@ -1,6 +1,6 @@
 """repro.obs — the unified observability layer (DESIGN §10).
 
-Five pieces, one taxonomy:
+Four pieces, one taxonomy:
 
 * **spans** (:mod:`repro.obs.tracer`) — timed regions with phase /
   rank / cycle / backend / comm-scheme attributes, propagated
@@ -19,11 +19,10 @@ Five pieces, one taxonomy:
   ``PhaseTimer`` / ``BackendProfile`` / ``VerifyReport`` trio;
 * **the gate** (:mod:`repro.obs.regress`) — per-metric tolerance-band
   comparison of a fresh benchmark emission against a committed
-  ``BENCH_*.json`` baseline (``repro bench-check`` / ``make bench-check``);
-* **service telemetry** (:mod:`repro.obs.telemetry`) — fleet-wide SLO
-  rollups, per-worker health and deterministic alerting over the
-  statestore's logically-timestamped event stream
-  (``repro slo`` / ``make slo-check``).
+  ``BENCH_*.json`` baseline (``repro bench-check`` / ``make bench-check``).
+
+The service's SLO rollups, worker health and fleet trace are read off
+the statestore journal by :mod:`repro.service.slo`.
 
 >>> from repro.obs import Tracer, activate, obs_span
 >>> t = Tracer()
@@ -47,7 +46,6 @@ from repro.obs.tracer import (
 )
 from repro.obs.export import (
     chrome_trace,
-    service_track_events,
     span_events,
     write_chrome_trace,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "obs_span",
     "trace_context",
     "chrome_trace",
-    "service_track_events",
     "span_events",
     "write_chrome_trace",
     "Provenance",

@@ -346,8 +346,6 @@ def _emissions() -> Dict[str, tuple]:
     The parameters are the baseline's own top-level keys and the
     emission's keyword names at once.
     """
-    from repro.obs.telemetry.slo import slo_emission
-
     return {
         "backends": (backend_emission, (("level", str), ("n_sweeps", int))),
         "sparse": (
@@ -360,7 +358,6 @@ def _emissions() -> Dict[str, tuple]:
             (("level", str), ("n_requests", int), ("n_distinct", int),
              ("backend", str)),
         ),
-        "slo": (slo_emission, (("seed", int), ("window", float))),
     }
 
 

@@ -50,6 +50,7 @@ True
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,12 +162,6 @@ class StateStore:
         Time source used when a mutator is called without an explicit
         ``now`` (defaults to :func:`time.time`); tests pass logical
         times instead.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.events.TelemetrySink`.
-        Every **live** journal transition (plus cache hits, dedups and
-        lease expiries, which never reach the journal themselves) is
-        sampled into it; journal *replay* does not re-sample — the
-        telemetry journal is its own history.
     """
 
     def __init__(
@@ -179,8 +174,14 @@ class StateStore:
         backoff_base: float = 1.0,
         backoff_factor: float = 2.0,
         clock: Optional[Callable[[], float]] = None,
-        telemetry=None,
     ) -> None:
+        # Finite first: a NaN lease never expires and a NaN backoff is
+        # never eligible, and neither comparison below rejects NaN.
+        if not all(map(math.isfinite, (lease_seconds, backoff_base, backoff_factor))):
+            raise ServiceError(
+                "lease_seconds, backoff_base and backoff_factor must be "
+                f"finite, got {lease_seconds}, {backoff_base}, {backoff_factor}"
+            )
         if lease_seconds <= 0:
             raise ServiceError(f"lease_seconds must be > 0, got {lease_seconds}")
         if backoff_base < 0 or backoff_factor < 1.0:
@@ -189,7 +190,6 @@ class StateStore:
         self.backoff_base = float(backoff_base)
         self.backoff_factor = float(backoff_factor)
         self._clock = clock or time.time
-        self.telemetry = telemetry
         self._tasks: Dict[str, TaskRecord] = {}
         self._by_key: Dict[str, str] = {}
         self._results: Dict[str, Dict[str, Any]] = {}
@@ -224,22 +224,6 @@ class StateStore:
         self._apply(event)
         if self._journal is not None:
             append_json_line(self._journal, event)
-        if self.telemetry is not None:
-            self.telemetry.record_store_op(event)
-
-    def attach_telemetry(self, sink) -> None:
-        """Start sampling live transitions into *sink* from now on.
-
-        Past history is not backfilled — resume a telemetry sidecar
-        journal (:func:`repro.obs.telemetry.events.load_events`) for
-        that.
-        """
-        self.telemetry = sink
-
-    def _note(self, kind: str, t: float, **fields: Any) -> None:
-        """Record one non-journal telemetry instant, if a sink is attached."""
-        if self.telemetry is not None:
-            self.telemetry.note(kind, t, **fields)
 
     def _now(self, now: Optional[float]) -> float:
         return float(self._clock() if now is None else now)
@@ -365,16 +349,11 @@ class StateStore:
         if existing_id is not None:
             existing = self._tasks[existing_id]
             if existing.status == COMPLETE:
-                # Cache hits bypass the journal (no state changes), so
-                # the telemetry sample happens here, not in _record.
-                self._note("cache_hit", now, task=existing.task_id,
-                           key=key, client=client)
+                # Cache hits bypass the journal (no state changes).
                 return SubmitOutcome(
                     task=existing, cache_hit=True, result=self._results.get(key)
                 )
             if existing.live:
-                self._note("dedup", now, task=existing.task_id,
-                           key=key, client=client)
                 return SubmitOutcome(task=existing, deduplicated=True)
             if existing.status == ERRORED:
                 self._check_quota(client, now)
@@ -550,8 +529,6 @@ class StateStore:
         ]
         for task in sorted(expired, key=lambda t: t.submit_index):
             obs_counter("service.lease_expiries")
-            self._note("lease_expiry", now, task=task.task_id,
-                       worker=task.worker)
             self._requeue(task, error=f"lease expired (worker {task.worker})",
                           now=now, expired=True)
         return expired
@@ -639,11 +616,10 @@ class StateStore:
 
         Beyond the per-task table this surfaces the service health
         signals — per-worker last-heartbeat age with its
-        live/degraded/stuck verdict and the oldest-waiting queue age —
-        sourced from the same model the telemetry rollups use
-        (:mod:`repro.obs.telemetry.health`).
+        live/degraded/stuck verdict (:func:`repro.service.slo.health_from_store`)
+        and the oldest-waiting queue age.
         """
-        from repro.obs.telemetry.health import health_from_store
+        from repro.service.slo import health_from_store
         from repro.utils.reports import TableFormatter
 
         now = self._now(now)

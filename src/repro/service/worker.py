@@ -154,19 +154,6 @@ class Worker:
         self._claim_counter = 0
         self._fleet_driver = None  # lazily built by fleet-mode waves
 
-    def _note(self, kind: str, now: Optional[float], **fields: Any) -> None:
-        """Record one worker-side telemetry instant (crash, phase work).
-
-        The store's journal samples every lifecycle transition already;
-        these are the two signals the store never sees — a crash is
-        silence by definition, and per-phase work attribution lives in
-        the result payload the journal treats as opaque.
-        """
-        sink = getattr(self.store, "telemetry", None)
-        if sink is not None:
-            t = now if now is not None else self.store.now()
-            sink.note(kind, t, worker=self.worker_id, **fields)
-
     def step(self, now: Optional[float] = None, limit: int = 1) -> List[str]:
         """Claim up to *limit* tasks and run them as one wave.
 
@@ -204,7 +191,6 @@ class Worker:
                     obs_counter("service.worker_crashes")
                     obs_event("worker_crash", worker=self.worker_id,
                               task=task.task_id)
-                    self._note("worker_crash", now, task=task.task_id)
                     crashed = True
             if crashed:
                 outcomes.append("crashed")  # abandoned with the worker
@@ -273,11 +259,6 @@ class Worker:
             return "failed"
         self.store.heartbeat(task.task_id, self.worker_id, now=now)
         self.store.complete(task.task_id, self.worker_id, result, now=now)
-        if isinstance(result, dict):
-            phases = (result.get("timings") or {}).get("phase_seconds")
-            if phases:
-                self._note("phase_work", now, task=task.task_id,
-                           phases=dict(phases))
         self.stats.completed += 1
         obs_counter("service.tasks_completed")
         return "completed"

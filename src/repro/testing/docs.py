@@ -31,16 +31,11 @@ AUDITED_MODULES = (
     "repro.obs.analyze.comms",
     "repro.obs.analyze.diff",
     "repro.obs.analyze.scaling",
-    "repro.obs.telemetry",
-    "repro.obs.telemetry.events",
-    "repro.obs.telemetry.rollup",
-    "repro.obs.telemetry.health",
-    "repro.obs.telemetry.alerts",
-    "repro.obs.telemetry.slo",
     "repro.service",
     "repro.service.statestore",
     "repro.service.jobs",
     "repro.service.worker",
+    "repro.service.slo",
     "repro.utils.artifacts",
     "repro.utils.balance",
     "repro.utils.timing",

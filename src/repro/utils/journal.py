@@ -1,8 +1,10 @@
 """The one append-only JSON-lines journal idiom.
 
-The statestore journal and the telemetry sidecar both write one
-sorted-key JSON document per line and read the file back line by line;
-this module is the only place that format is spelled out.
+The statestore journal writes one sorted-key JSON document per line
+and is read back line by line — replayed by its one owner,
+:class:`~repro.service.statestore.StateStore`, and read without owning
+it by :func:`repro.service.slo.journal_events`; this module is the only
+place that format is spelled out.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The counter/model gate is alive without a clock, for every emission
 kind behind a ``BENCH_*.json``; and a torn journal tail ends in a
-defined state for each of the two journal owners."""
+defined state for the journal's owner."""
 
 import copy
 import json
@@ -15,7 +15,6 @@ from repro.obs.bench import (
     sparse_emission,
 )
 from repro.obs.regress import Band, compare_reports, default_band, flatten
-from repro.obs.telemetry import TelemetrySink, load_events, slo_emission
 from repro.service.statestore import StateStore
 from repro.utils.journal import truncate_torn_tail
 
@@ -24,7 +23,6 @@ EMISSIONS = {
     "backends": lambda: backend_emission("minimal", 1),
     "sparse": lambda: sparse_emission(4, 1),
     "fleet": lambda: fleet_emission(n_requests=4, n_distinct=2),
-    "slo": slo_emission,
 }
 
 
@@ -67,22 +65,14 @@ class TestEveryEmissionKind:
         )
 
     def test_no_clock_read_at_any_depth(self, runs):
-        kind, doc, again = runs
-        for path, value in _walk(doc):
+        _, doc, _ = runs
+        for path, _ in _walk(doc):
             key = path[-1] if path else ""
             if not isinstance(key, str):
                 continue
-            assert "wall" not in key, path
+            assert "wall" not in key and key != "timings", path
             if "seconds" in key:
-                assert key in ("modeled_seconds", "lease_seconds", "phase_seconds"), path
-            if key == "timings":
-                # The one named exception: an SLO rollup's phase seconds
-                # are the *modeled* numbers scenario_runner returns.
-                assert kind == "slo" and set(value) == {"phase_seconds"}, path
-                holder = again
-                for p in path:
-                    holder = holder[p]
-                assert holder == value
+                assert key == "modeled_seconds", path
 
     def test_gate_passes_its_own_rerun_and_compares_something(self, runs):
         _, first, second = runs
@@ -133,7 +123,7 @@ def test_unknown_band_kind_and_benchmark_tag_still_raise():
 
 
 # ----------------------------------------------------------------------
-# Torn tails: half a line, reopen, append, load — for each journal owner.
+# Torn tails: half a line, reopen, append, load — for the journal owner.
 # ----------------------------------------------------------------------
 def _statestore(path):
     def open_and_append(n):
@@ -145,17 +135,10 @@ def _statestore(path):
     return open_and_append, load, lambda n: f"k{n}"
 
 
-def _telemetry(path):
-    def open_and_append(n):
-        TelemetrySink(path).note("cache_hit", float(n), key=f"k{n}")
-
-    return open_and_append, lambda: [e["key"] for e in load_events(path)], lambda n: f"k{n}"
-
-
-@pytest.mark.parametrize("owner", [_statestore, _telemetry])
+@pytest.mark.parametrize("owner", [_statestore])
 def test_torn_tail_then_append_loads_every_whole_line(owner, tmp_path):
-    """Failed before the shared repair for the sidecar: the append fused
-    with the half line into a corrupt line *inside* the file."""
+    """Without the repair at open the append fuses with the half line
+    into a corrupt line *inside* the file."""
     path = tmp_path / "journal.jsonl"
     open_and_append, load, name = owner(path)
     open_and_append(1)

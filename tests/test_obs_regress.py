@@ -122,9 +122,14 @@ class TestCompareReports:
         with pytest.raises(ExperimentError, match="level, n_sweeps"):
             baseline_run_parameters({"level": "light"})
         kind, parameters = baseline_run_parameters(
-            {"benchmark": "slo", "seed": "7", "window": 4}
+            {"benchmark": "sparse", "n_units": "4", "n_sweeps": 2,
+             "threshold": 1, "level": "minimal"}
         )
-        assert (kind, parameters) == ("slo", {"seed": 7, "window": 4.0})
+        assert (kind, parameters) == ("sparse", {
+            "n_units": 4, "n_sweeps": 2, "threshold": 1.0, "level": "minimal",
+        })
+        with pytest.raises(ExperimentError, match="unknown benchmark kind 'slo'"):
+            baseline_run_parameters({"benchmark": "slo", "seed": 7, "window": 4})
 
 
 @pytest.fixture(scope="module")

@@ -31,7 +31,6 @@ from repro.config import (
 )
 from repro.obs import report
 from repro.obs.report import RunReport, collect_provenance
-from repro.obs.telemetry import TelemetrySink
 from repro.service import (
     JobRequest,
     StateStore,
@@ -309,7 +308,6 @@ def test_git_is_read_once_per_process(fresh_git_memo, monkeypatch, tmp_path):
     )
     payload = result_payload(store.tasks()[0], hydrogen_molecule(), s, physics)
     run = RunReport.from_run("once", seed=3)
-    TelemetrySink().write_provenance(seed=3)
     assert seen.count("rev-parse") <= 1 and seen.count("status") <= 1
     assert payload["provenance"]["commit"] == run.provenance.commit
 

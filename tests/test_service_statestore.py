@@ -511,22 +511,62 @@ class TestArtifactGuard:
         assert rc == 2
         assert "--force" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--fleet", "0"), ("--fleet", "-1"), ("--fleet", "auto"),
-        ("--workers", "0"),
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["serve", "--fleet", "0"], "positive integer", id="--fleet-0"),
+        pytest.param(["serve", "--fleet", "-1"], "positive integer", id="--fleet--1"),
+        pytest.param(["serve", "--fleet", "auto"], "positive integer", id="--fleet-auto"),
+        pytest.param(["serve", "--workers", "0"], "positive integer", id="--workers-0"),
+        pytest.param(["serve", "--crash-rate", "2"], "must be in [0, 1]",
+                     id="--crash-rate-2"),
+        pytest.param(["serve", "--crash-rate", "nan"], "must be in [0, 1]",
+                     id="--crash-rate-nan"),
+        pytest.param(["status", "--watch", "--iterations", "2", "--interval", "-1"],
+                     "finite non-negative", id="--interval--1"),
+        pytest.param(["status", "--watch", "--iterations", "2", "--interval", "nan"],
+                     "finite non-negative", id="--interval-nan"),
+        pytest.param(["slo", "--window", "nan"], "finite positive", id="--window-nan"),
+        pytest.param(["slo", "--window", "0"], "finite positive", id="--window-0"),
     ])
     def test_cli_serve_bad_size_exits_2_before_opening_the_store(
-        self, tmp_path, capsys, flag, value
+        self, tmp_path, capsys, argv, message
     ):
-        """Used to print "waves of up to 0 task(s)" and create the
-        journal and its telemetry sidecar before failing."""
+        """The sizes used to print "waves of up to 0 task(s)" and create
+        the journal before failing; ``--crash-rate 2`` failed only after
+        creating it, and ``nan`` ran a drain with no crash injected; a
+        bad ``--interval`` or ``--window`` ended in a traceback."""
         from repro.cli import main
 
         path = tmp_path / "s.jsonl"
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--store", str(path), flag, value])
-        assert exc.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        try:
+            code = main([*argv, "--store", str(path)])
+        except SystemExit as exc:  # argparse's own rejection
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["lease_seconds", "backoff_base", "backoff_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lease_or_backoff_refused_before_the_journal(
+        self, tmp_path, field, value
+    ):
+        """A NaN lease was journaled as a bare ``NaN`` token and never
+        expired; a NaN backoff made a failed task never eligible again."""
+        with pytest.raises(ServiceError, match="finite"):
+            StateStore(tmp_path / "s.jsonl", **{field: value})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_cli_non_finite_lease_exits_2_before_the_journal(
+        self, tmp_path, capsys, value
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "s.jsonl"
+        argv = ["serve", "--store", str(path), "--lease-seconds", value,
+                "--crash-rate", "0.9", "--max-steps", "50"]
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
