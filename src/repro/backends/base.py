@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import BackendError, GridError
+from repro.errors import BackendError
 from repro.grids.sparsity import BatchView, SparsityStats
 from repro.obs.tracer import obs_counter, obs_span
 from repro.utils.linalg import mirror_upper
@@ -89,12 +89,19 @@ def factored_form_rows(
     phi: np.ndarray, factors: np.ndarray, k: int, work: np.ndarray
 ) -> np.ndarray:
     """``phi[p] @ P @ phi[p]`` per row, ``P = L Lᵀ`` from *factors* ``L`` (*k*
-    columns) or ``L Rᵀ + R Lᵀ`` from ``[L | R]``: one product and a row dot."""
+    columns) or ``L Rᵀ + R Lᵀ`` from ``[L | R]``: one product and a row dot.
+    ``[L_1 | … | L_m | R]`` is m densities against one shared ``R``, still
+    one product.  Returns ``(n_densities, rows)``."""
     a = work.reshape(-1)[: phi.shape[0] * factors.shape[1]].reshape(phi.shape[0], -1)
     np.matmul(phi, factors, out=a)
     if a.shape[1] == k:
-        return np.einsum("pi,pi->p", a, a)
-    return 2.0 * np.einsum("pi,pi->p", a[:, :k], a[:, k:])
+        return np.einsum("pi,pi->p", a, a)[None]
+    right = a[:, -k:]
+    out = np.empty((a.shape[1] // k - 1, a.shape[0]))
+    for j, row in enumerate(out):
+        np.einsum("pi,pi->p", a[:, j * k : (j + 1) * k], right, out=row)
+    out *= 2.0
+    return out
 
 
 def weighted_gram(phi: np.ndarray, wv: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -134,7 +141,9 @@ def first_order_dm_dense(
 @dataclass(frozen=True)
 class Factored:
     """A density matrix by its ``(n_basis, k)`` factors: ``P = L Lᵀ``,
-    or ``L Rᵀ + R Lᵀ`` with a *right* (DESIGN §8)."""
+    or ``L Rᵀ + R Lᵀ`` with a *right* (DESIGN §8).  A *left* of shape
+    ``(m, n_basis, k)`` is m density matrices ``L_j Rᵀ + R L_jᵀ`` against
+    one shared *right* — the CPSCF field directions against ``C_occ``."""
 
     left: np.ndarray
     right: Optional[np.ndarray] = None
@@ -146,9 +155,10 @@ class Factored:
         return cls(c[:, occ] * np.sqrt(occupations[occ]))
 
     def matrix(self) -> np.ndarray:
-        """The dense ``P`` (references, device pricing)."""
+        """The dense ``P`` (references, device pricing); ``(m, n_basis,
+        n_basis)`` for m densities."""
         half = self.left @ (self.left if self.right is None else self.right).T
-        return half if self.right is None else half + half.T
+        return half if self.right is None else half + np.swapaxes(half, -1, -2)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +321,15 @@ class ExecutionBackend:
         nb = self._require_bound().basis.n_basis
         if isinstance(dm, Factored):
             parts = [np.asarray(a, dtype=float) for a in (dm.left, dm.right) if a is not None]
-            if len({a.shape for a in parts}) != 1 or parts[0].ndim != 2 or len(parts[0]) != nb:
+            left, *right = parts
+            # m densities: m >= 1 lefts, each shaped like the one shared right.
+            wide = left.ndim == 3
+            factor = left[0] if wide and len(left) else left
+            if (
+                (wide and not (right and len(left)))
+                or factor.ndim != 2 or len(factor) != nb
+                or any(r.shape != factor.shape for r in right)
+            ):
                 shapes = [a.shape for a in parts]
                 raise ValueError(f"density factors of shapes {shapes}, basis size {nb}")
             if not all(np.isfinite(a).all() for a in parts):
@@ -323,21 +341,6 @@ class ExecutionBackend:
         if not np.isfinite(p).all():
             raise ValueError("density matrix has non-finite entries")
         return p
-
-    def _check_potential(self, potential_values: np.ndarray) -> np.ndarray:
-        # The exact shape, not the leading length: an (n_points, 1) column
-        # would broadcast ``weights * v`` to an n_points x n_points outer
-        # product; and a NaN would fall out of the H kernel's sign split
-        # as a silently dropped row.
-        v = np.asarray(potential_values, dtype=float)
-        n_points = self._require_bound().grid.n_points
-        if v.shape != (n_points,):
-            raise GridError(
-                f"potential samples of shape {v.shape} for {n_points} grid points"
-            )
-        if not np.isfinite(v).all():
-            raise GridError("potential has non-finite samples")
-        return v
 
     # ------------------------------------------------------------------
     # The four phase operations
@@ -363,8 +366,10 @@ class ExecutionBackend:
         obs_counter(f"backend.{phase}.elements", elements)
         return out
 
-    def _grid_phase(self, phase: str, impl, arg: np.ndarray) -> np.ndarray:
-        """One Sumup/H sweep over the views, priced by the view set.
+    def _grid_phase(self, phase: str, impl, arg, k: int = 1) -> np.ndarray:
+        """One Sumup/H sweep over the views for *k* densities or
+        potentials, priced by the view set: one call of ``k x`` its
+        elements.
 
         Screening is charged here — once per pass, from the pattern's
         totals — so every engine, including ones that override the
@@ -372,7 +377,7 @@ class ExecutionBackend:
         stay all-zero.
         """
         builder = self._require_bound()
-        out = self._run_phase(phase, builder.views.elements, impl, arg)
+        out = self._run_phase(phase, k * builder.views.elements, impl, arg)
         if builder.pattern is not None:
             stats = builder.pattern.stats
             self.profile.record_screening(stats)
@@ -380,14 +385,21 @@ class ExecutionBackend:
         return out
 
     def density_on_grid(self, density_matrix) -> np.ndarray:
-        """Pointwise density for one density matrix, array or :class:`Factored` (Sumup)."""
+        """Pointwise density for one density matrix, array or :class:`Factored`
+        (Sumup): ``(n_points,)``, or ``(n_points, m)`` for a Factored of m
+        lefts against one right."""
         p = self._check_density_matrix(density_matrix)
-        return self._grid_phase("Sumup", self._density_impl, p)
+        k = len(p.left) if isinstance(p, Factored) and p.left.ndim == 3 else 1
+        return self._grid_phase("Sumup", self._density_impl, p, k)
 
     def potential_matrix(self, potential_values: np.ndarray) -> np.ndarray:
-        """``<chi_mu | v | chi_nu>`` for a pointwise potential (H phase)."""
-        v = self._check_potential(potential_values)
-        return self._grid_phase("H", self._potential_impl, v)
+        """``<chi_mu | v | chi_nu>`` for a pointwise potential (H phase):
+        ``(n_points,)`` gives one matrix, ``(n_points, k)`` k of them as
+        ``(k, n_basis, n_basis)``, each view's block read once for all k."""
+        v, wide = self._require_bound().grid.columns(potential_values, "potential samples")
+        v = v if wide else v[None]
+        out = self._grid_phase("H", self._potential_impl, v, len(v))
+        return out if wide else out[0]
 
     def first_order_dm(
         self,
@@ -411,50 +423,59 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     def _density_impl(self, density) -> np.ndarray:
         """Sumup: each view's block times its rows of a :class:`Factored`
-        density's ``[L | R]``, stacked once per sweep, or the quadratic
-        form of its ``P`` sub-block, ``P`` folded once per sweep.
+        density's ``[L | R]`` (or ``[L_1 | … | L_m | R]``), stacked once
+        per sweep, or the quadratic form of its ``P`` sub-block, ``P``
+        folded once per sweep.
 
         Identical view order and identical block math across every
         backend, so engines stay bit-exact with each other; points of
         batches without a view keep density exactly zero.
         """
         builder = self._require_bound()
-        out = np.zeros(builder.grid.n_points)
         factored = isinstance(density, Factored)
+        wide = factored and density.left.ndim == 3
         if factored:
-            k = density.left.shape[1]
-            factors = np.hstack([a for a in (density.left, density.right) if a is not None])
+            k = density.left.shape[-1]
+            lefts = list(density.left) if wide else [density.left]
+            factors = np.hstack(lefts + ([] if density.right is None else [density.right]))
         else:
-            upper, factors = fold_upper(density), np.empty((0, 0))
+            lefts, upper, factors = [density], fold_upper(density), np.empty((0, 0))
+        out = np.zeros((len(lefts), builder.grid.n_points))  # direction-major
         for view in builder.views:
             phi = self.basis_block(view)
             with scratch((len(phi), max(phi.shape[1], factors.shape[1]))) as work:
-                out[view.point_indices] = (
+                rows = (
                     factored_form_rows(phi, factors[view.cols], k, work) if factored
-                    else quadratic_form_rows(phi, view.gather(upper, upper=True), work)
+                    else quadratic_form_rows(phi, view.gather(upper, upper=True), work)[None]
                 )
-        return out
+            for out_j, rows_j in zip(out, rows):  # 1-D scatters: half a 2-D one's time
+                out_j[view.point_indices] = rows_j
+        return out.T if wide else out[0]
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
-        """H integration: add each view's weighted Gram block at its
-        columns, once per view.
+        """H integration of k direction-major potentials ``(k, n_points)``:
+        add each view's weighted Gram blocks at its columns, the view's
+        block read once for all k.
 
         Matrix entries outside the views' atom-pair blocks stay exactly
         zero.  The blocks are exactly symmetric, so only their run pairs
         on and above the diagonal are added and the finished upper
-        triangle is mirrored: half the scatter traffic, and a result
-        that is symmetric by construction.
+        triangles are mirrored: half the scatter traffic, and results
+        that are symmetric by construction.
         """
         builder = self._require_bound()
-        wv = builder.grid.weights * v
+        wv = v * builder.grid.weights
         nb = builder.basis.n_basis
-        acc = np.zeros((nb, nb))
+        acc = np.zeros((len(wv), nb, nb))
         for view in builder.views:
             phi = self.basis_block(view)
             with scratch(phi.shape) as work:
-                gram = weighted_gram(phi, wv[view.point_indices], work)
-            view.scatter_add(acc, gram, upper=True)
-        return mirror_upper(acc)
+                grams = [weighted_gram(phi, w[view.point_indices], work) for w in wv]
+            for acc_j, gram in zip(acc, grams):
+                view.scatter_add(acc_j, gram, upper=True)
+        for acc_j in acc:
+            mirror_upper(acc_j, out=acc_j)
+        return acc
 
     def _dm_impl(
         self,

@@ -56,10 +56,11 @@ class DeviceBackend(ExecutionBackend):
         self._to_device(self._weights)
 
     def _launch(
-        self, kernel: Kernel, buffers: Dict[str, DeviceBuffer], n_groups: int
+        self, kernel: Kernel, buffers: Dict[str, DeviceBuffer], n_groups: int,
+        k: int = 1,
     ) -> None:
         """Launch one work-group per scheduled batch, items sized by the
-        largest batch.
+        largest batch, times the *k* densities or potentials it carries.
 
         Sizing by the *mean* batch starves work-items whenever batches
         are uneven; the max guarantees every point of every batch maps
@@ -69,7 +70,7 @@ class DeviceBackend(ExecutionBackend):
         blocks, and prices a batch, not a fused view, as the work-group.
         """
         builder = self._require_bound()
-        items = max((b.n_points for b in builder.batches), default=0)
+        items = k * max((b.n_points for b in builder.batches), default=0)
         ndrange = NDRange(n_groups=max(n_groups, 1), items_per_group=items)
         report = self.device.launch(kernel, ndrange, buffers)
         self.profile.device_launches += 1
@@ -77,9 +78,10 @@ class DeviceBackend(ExecutionBackend):
 
     def _launch_phase(
         self, name: str, flops_per_pair: float, shared,
-        arg: DeviceBuffer, out: DeviceBuffer, **resident: DeviceBuffer,
+        arg: DeviceBuffer, out: DeviceBuffer, k: int, **resident: DeviceBuffer,
     ) -> np.ndarray:
-        """Run one Sumup/H sweep as a kernel priced from the view set.
+        """Run one Sumup/H sweep of *k* densities or potentials as one
+        kernel, priced from the view set at ``k x`` its items.
 
         The kernel body *is* the base class's view loop (*shared*),
         reading the staged table through :meth:`basis_block`; the device
@@ -106,7 +108,7 @@ class DeviceBackend(ExecutionBackend):
         )
         self._launch(
             kernel, {**resident, arg.name: arg, out.name: out},
-            n_groups=views.n_batches,
+            n_groups=views.n_batches, k=k,
         )
         self._from_device(out)
         return out.data
@@ -140,22 +142,25 @@ class DeviceBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _density_impl(self, density) -> np.ndarray:
         # The paper's Sumup reads a DM: a factored density is priced and
-        # moved as its P, while the body runs the shared loop on the factors.
+        # moved as its P (k of them, k-wide), while the body runs the
+        # shared loop on the factors.
         n_points = self._require_bound().grid.n_points
         loop = super()._density_impl
         p = density.matrix() if isinstance(density, Factored) else density
+        wide = p.ndim == 3
+        k = len(p) if wide else 1
         return self._launch_phase(
             "sumup_density", 2.0, lambda _: loop(density),
-            DeviceBuffer("p", p), DeviceBuffer("n", np.zeros(n_points)),
-            basis_values=self._phi,
+            DeviceBuffer("p", p), DeviceBuffer("n", np.zeros((n_points, k) if wide else n_points)),
+            k, basis_values=self._phi,
         )
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
         nb = self._require_bound().basis.n_basis
         return self._launch_phase(
             "h_integration", 3.0, super()._potential_impl,
-            DeviceBuffer("v", v), DeviceBuffer("h", np.zeros((nb, nb))),
-            basis_values=self._phi, weights=self._weights,
+            DeviceBuffer("v", v), DeviceBuffer("h", np.zeros((len(v), nb, nb))),
+            len(v), basis_values=self._phi, weights=self._weights,
         )
 
     def _dm_impl(

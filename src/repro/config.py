@@ -8,6 +8,7 @@ so that examples, tests and benchmarks share one definition of "light".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, Mapping
 
@@ -57,11 +58,29 @@ class SCFSettings:
 
 @dataclass(frozen=True)
 class CPSCFSettings:
-    """Coupled-perturbed SCF (DFPT) self-consistency controls."""
+    """Coupled-perturbed SCF (DFPT) self-consistency controls.
+
+    Checked on construction, like :func:`checked_screening_threshold`: a
+    tolerance of ``inf`` would stop after one cycle and report a wrong
+    polarizability, a NaN mixing factor would poison the response
+    factors, and neither is an error the run could name later.
+    """
 
     max_iterations: int = 40
     response_tolerance: float = 1e-6
     mixing_factor: float = 0.5
+
+    def __post_init__(self) -> None:
+        def number(value, kind) -> bool:
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        n, tol, mix = self.max_iterations, self.response_tolerance, self.mixing_factor
+        if not (number(n, numbers.Integral) and n >= 1):
+            raise SettingsError(f"CPSCF max_iterations must be an integer >= 1, got {n!r}")
+        if not (number(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+            raise SettingsError(f"CPSCF response_tolerance must be finite and > 0, got {tol!r}")
+        if not (number(mix, numbers.Real) and 0.0 < mix <= 1.0):  # NaN fails too
+            raise SettingsError(f"CPSCF mixing_factor must be in (0, 1], got {mix!r}")
 
 
 @dataclass(frozen=True)

@@ -107,9 +107,7 @@ def iter_physics(
         fault_injector=fault_injector,
         verifier=driver.verifier,
     )
-    responses = []
-    for j in range(3):
-        responses.append((yield from solver.iter_direction(j)))
+    responses = yield from solver.iter_directions((0, 1, 2))
     alpha = polarizability_tensor(gs, responses=responses)
     if driver.verifier is not None:
         driver.verifier.run_phase("polarizability", polarizability=alpha)

@@ -21,7 +21,8 @@ def polarizability_tensor(
     alpha_IJ = d mu_I / d xi_J = -Tr(P^(1,J) D_I): the converged
     response for field direction J fills column J.  *responses* are the
     three :meth:`~repro.dfpt.response.DFPTSolver.solve_all` results of
-    a CPSCF run already done; without them the run happens here.
+    a CPSCF run already done; without them the run happens here, the
+    three directions as one block of k-wide cycles.
     """
     if responses is None:
         responses = DFPTSolver(ground_state, settings).solve_all()

@@ -15,12 +15,22 @@ For a unit electric field along direction J the bare perturbation is
 iterated with linear mixing until the response density matrix is
 stationary.  Phase names deliberately match the paper's artifact
 (``DM``, ``Sumup``, ``Rho``, ``H``).
+
+The field directions are independent problems on one ground state, so
+they run as one block (:meth:`DFPTSolver.iter_directions`): a cycle makes
+one Sumup, one Rho and one H call k directions wide through the same
+seams — each view's basis block and the Hartree operators are read once
+for all k — and k DM calls.  Each direction keeps its own mixing,
+residual, convergence test and iteration count, and leaves the block when
+it converges; one direction is the block of one.  This is the host form
+of the paper's horizontal fusion (§1, item 3): independent work sharing
+one device becomes one launch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,106 +132,169 @@ class DFPTSolver:
             h1, self._inv_gaps, self._c_occ, self._c_virt, self._f_occ
         )
 
+    def _block_cycle(
+        self, x1: np.ndarray, h1_ext: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One CPSCF cycle of a block, one row of *x1* per direction:
+        ``(v1_total (n_points, k), h1, C1, P1_new)``, the last three
+        ``(k, …)``.  Only these outlive the call, so a generator suspended
+        between cycles (a fleet holds one per molecule) keeps no k-wide
+        temporary alive."""
+        factors = Factored(x1, self._c_occ)
+        with self.timer.phase("Sumup"):
+            n1 = self.backend.density_on_grid(factors)
+        # Rho is the whole response potential, H the integration
+        # alone: a phase that wraps one backend call and nothing
+        # else stays comparable with a span of that call from
+        # outside, however short the call (benchmarks/e2e
+        # reconciles the two within 5 % on H2).
+        with self.timer.phase("Rho"):
+            v1_total = self.gs.solver.hartree_potential(n1)
+            v1_total += self._fxc[:, None] * n1
+        with self.timer.phase("H"):
+            v1_matrix = self.backend.potential_matrix(v1_total)
+        h1 = h1_ext + v1_matrix
+        with self.timer.phase("DM"):
+            dms = [self._first_order_dm(h) for h in h1]
+        return v1_total, h1, np.stack([c for _, c, _ in dms]), np.stack([p for _, _, p in dms])
+
     def solve_direction(self, direction: int) -> ResponseResult:
         """Run the CPSCF loop for one Cartesian field direction."""
         return drain(self.iter_direction(direction))
 
     def iter_direction(self, direction: int):
-        """Generator form of :meth:`solve_direction`: one cycle per ``next()``.
+        """Generator form of :meth:`solve_direction`: :meth:`iter_directions`
+        of the one direction, whose :class:`ResponseResult` is the return
+        value (``StopIteration.value``)."""
+        (result,) = yield from self.iter_directions((direction,))
+        return result
 
-        Exactly :meth:`solve_direction`'s loop with a yield at every
-        cycle boundary, so a fleet driver can interleave CPSCF cycles
-        of different molecules without touching any single molecule's
-        floating-point sequence.  The converged :class:`ResponseResult`
-        is the generator's return value (``StopIteration.value``).
+    def iter_directions(self, directions: Sequence[int]):
+        """The CPSCF loop for a block of field directions, one cycle of the
+        whole block per ``next()``.
+
+        Every cycle makes one k-wide Sumup, Rho and H call for the k
+        directions still active and k DM calls, so the block shares each
+        view's basis block and the Hartree operators; every direction's
+        floating-point sequence is otherwise its own, and a direction
+        leaves the block when its own residual converges.  A fleet driver
+        interleaves these cycles with other molecules' without touching
+        any one molecule's sequence.  The converged results, in the order
+        of *directions*, are the generator's return value.
         """
-        if direction not in (0, 1, 2):
-            raise ValueError(f"direction must be 0, 1 or 2, got {direction}")
+        directions = checked_directions(directions)
         gs = self.gs
         cfg = self.settings
-        h1_ext = -gs.dipoles[direction]
+        active = list(directions)
+        h1_ext = -gs.dipoles[active]
 
-        # P1 = X C_occ^T + C_occ X^T, X = C1 f_occ mixed alongside (DESIGN §8)
-        p1 = np.zeros_like(gs.density_matrix)
-        x1 = np.zeros_like(self._c_occ)
-        c1 = np.zeros_like(self._c_occ)
-        n1 = np.zeros_like(gs.density)
-        v1_total = np.zeros_like(gs.density)
-        residual = np.inf
-        restarts = 0
-        attempt = 0
+        # P1 = X C_occ^T + C_occ X^T, X = C1 f_occ mixed alongside (DESIGN §8);
+        # one row per active direction.
+        p1 = np.zeros((len(active),) + gs.density_matrix.shape)
+        x1 = np.zeros((len(active),) + self._c_occ.shape)
+        residual = dict.fromkeys(active, np.inf)
+        restarts = dict.fromkeys(active, 0)
+        attempts = dict.fromkeys(active, 0)
+        results: Dict[int, ResponseResult] = {}
 
         iteration = 1
         while iteration <= cfg.max_iterations:
-            # Checkpoint of the last converged cycle; an injected fault
-            # discards this cycle's work and restarts from here.
-            checkpoint = p1.copy(), x1.copy()
             with trace_context(
                 backend=self.backend.name,
                 loop="cpscf",
-                direction=direction,
+                directions=list(active),
                 cycle=iteration,
             ):
-                with self.timer.phase("Sumup"):
-                    n1 = self.backend.density_on_grid(Factored(x1, self._c_occ))
-                # Rho is the whole response potential, H the integration
-                # alone: a phase that wraps one backend call and nothing
-                # else stays comparable with a span of that call from
-                # outside, however short the call (benchmarks/e2e
-                # reconciles the two within 5 % on H2).
-                with self.timer.phase("Rho"):
-                    v1_h = gs.solver.hartree_potential(n1)
-                    v1_xc = self._fxc * n1
-                    v1_total = v1_h + v1_xc
-                with self.timer.phase("H"):
-                    v1_matrix = self.backend.potential_matrix(v1_total)
-                h1 = h1_ext + v1_matrix
-                with self.timer.phase("DM"):
-                    _, c1, p1_new = self._first_order_dm(h1)
+                v1_total, h1, c1, p1_new = self._block_cycle(x1, h1_ext)
 
-            if self.fault_injector is not None and self.fault_injector.cycle_fault(
-                f"cpscf{direction}", iteration, attempt
-            ):
-                obs_event(
-                    "cycle_fault", category="fault",
-                    site=f"cpscf{direction}[{iteration}]", attempt=attempt,
-                )
-                p1, x1 = checkpoint  # restore: redo this cycle from scratch
-                restarts += 1
-                attempt += 1
-                yield iteration
-                continue
-            attempt = 0
+            # An injected fault on any direction loses the whole block
+            # cycle: nothing above touched p1 or x1, so dropping the cycle's
+            # work restarts every direction from the last completed cycle.
+            # Every active direction is polled, each with its own attempt
+            # count, so each is charged the restarts a run of its own makes.
+            if self.fault_injector is not None:
+                hits = [
+                    j for j in active
+                    if self.fault_injector.cycle_fault(f"cpscf{j}", iteration, attempts[j])
+                ]
+                for j in hits:
+                    obs_event(
+                        "cycle_fault", category="fault",
+                        site=f"cpscf{j}[{iteration}]", attempt=attempts[j],
+                    )
+                    restarts[j] += 1
+                    attempts[j] += 1
+                if hits:
+                    yield iteration
+                    continue
+            attempts = dict.fromkeys(active, 0)
 
-            residual = float(np.abs(p1_new - p1).max())
+            for row, j in enumerate(active):
+                residual[j] = float(np.abs(p1_new[row] - p1[row]).max())
             p1 = p1 + cfg.mixing_factor * (p1_new - p1)
             x1 = x1 + cfg.mixing_factor * (c1 * self._f_occ - x1)
-            if residual < cfg.response_tolerance:
-                n1 = self.backend.density_on_grid(Factored(x1, self._c_occ))
-                if self.verifier is not None:
-                    self.verifier.run_phase(
-                        "cpscf", gs=gs, p1=p1, h1=h1, direction=direction
+            done = [row for row, j in enumerate(active) if residual[j] < cfg.response_tolerance]
+            if done:
+                n1 = self.backend.density_on_grid(Factored(x1[done], self._c_occ)).T
+                for col, row in enumerate(done):
+                    j = active[row]
+                    if self.verifier is not None:
+                        self.verifier.run_phase(
+                            "cpscf", gs=gs, p1=p1[row], h1=h1[row], direction=j
+                        )
+                    results[j] = ResponseResult(
+                        direction=j,
+                        response_density_matrix=p1[row],
+                        response_orbitals=c1[row],
+                        response_density=np.ascontiguousarray(n1[col]),
+                        response_potential=np.ascontiguousarray(v1_total.T[row]),
+                        iterations=iteration,
+                        residual=residual[j],
+                        restarts=restarts[j],
                     )
-                return ResponseResult(
-                    direction=direction,
-                    response_density_matrix=p1,
-                    response_orbitals=c1,
-                    response_density=n1,
-                    response_potential=v1_total,
-                    iterations=iteration,
-                    residual=residual,
-                    restarts=restarts,
-                )
+                keep = [row for row in range(len(active)) if row not in done]
+                if not keep:
+                    return [results[j] for j in directions]
+                active = [active[row] for row in keep]
+                p1, x1, h1_ext = p1[keep], x1[keep], h1_ext[keep]
             iteration += 1
             yield iteration
 
+        first = active[0]
         raise CPSCFConvergenceError(
-            f"CPSCF direction {direction} did not converge in "
-            f"{cfg.max_iterations} iterations (residual {residual:.2e})",
+            f"CPSCF direction {first} did not converge in "
+            f"{cfg.max_iterations} iterations (residual {residual[first]:.2e})",
             iterations=cfg.max_iterations,
-            residual=residual,
+            residual=residual[first],
         )
 
     def solve_all(self) -> List[ResponseResult]:
-        """Responses for all three field directions."""
-        return [self.solve_direction(j) for j in range(3)]
+        """Responses for all three field directions, x, y, z, solved as one
+        block (:meth:`iter_directions`): one k-wide Sumup, Rho and H call
+        per cycle, each direction converging on its own test."""
+        return drain(self.iter_directions((0, 1, 2)))
+
+
+def checked_directions(directions: Sequence[int]) -> Tuple[int, ...]:
+    """*directions* as a tuple of distinct Cartesian axes 0, 1, 2.
+
+    Booleans and floats are refused even where they compare equal to an
+    axis (``True == 1``, ``1.0 == 1``): they would index the dipole
+    matrices as a mask or fail deep inside numpy.
+    """
+    try:
+        dirs = tuple(directions)
+    except TypeError:
+        raise ValueError(f"directions must be a sequence of 0, 1, 2, got {directions!r}") from None
+    bad = [
+        d for d in dirs
+        if isinstance(d, (bool, np.bool_))
+        or not isinstance(d, (int, np.integer))
+        or d not in (0, 1, 2)
+    ]
+    if not dirs or bad or len(set(dirs)) != len(dirs):
+        raise ValueError(
+            f"directions must be distinct field axes 0, 1, 2 (at least one), "
+            f"got {directions!r}"
+        )
+    return tuple(int(d) for d in dirs)

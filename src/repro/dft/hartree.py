@@ -22,6 +22,10 @@ Each stage is linear in the density, and everything but the density is
 fixed by the geometry: :class:`MultipoleSolver` computes that half once
 (the angular harmonics, the per-species radial operators, one
 back-interpolation plan per atom) and applies it per call (DESIGN §5.1).
+A call takes one density ``(n_points,)`` or k of them ``(n_points, k)``
+(the CPSCF field directions); the k columns ride through every stage's
+products as one more, direction-major, axis, so k = 1 makes the
+one-density products and k = 3 as many calls as one.
 """
 
 from __future__ import annotations
@@ -102,12 +106,17 @@ class MultipoleExpansion:
         ``q_lm = int s^(l+2) rho_lm ds`` for the analytic far field.
     l_max:
         Highest multipole angular momentum.
+    k:
+        ``None`` for one density; for k densities each atom's moments are
+        ``(k, n_shells, n_lm)``, its spline tables ``(n_shells, k, n_lm)``
+        and its far moments ``(k, n_lm)``.
     """
 
     moments: List[np.ndarray]
     l_max: int
     potential_splines: Optional[List[CubicSpline]] = None
     far_moments: Optional[List[np.ndarray]] = None
+    k: Optional[int] = None
 
     @property
     def rho_multipole_nbytes(self) -> int:
@@ -245,24 +254,23 @@ class MultipoleSolver:
     # Stage 1: multipole projection
     # ------------------------------------------------------------------
     def expand(self, density_values: np.ndarray) -> MultipoleExpansion:
-        """Project a grid-sampled density onto ``rho_multipole``."""
-        # The exact shape, not the leading length: an (n_points, 1) column
-        # would broadcast against the weights to n_points x n_points.
-        rho = np.asarray(density_values, dtype=float)
-        if rho.shape != (self.grid.n_points,) or not np.isfinite(rho).all():
-            raise GridError(
-                f"density must be {self.grid.n_points} finite samples, "
-                f"got shape {rho.shape}"
-            )
+        """Project a grid-sampled density, ``(n_points,)`` or k of them as
+        ``(n_points, k)``, onto ``rho_multipole``."""
+        rho, wide = self.grid.columns(density_values, "density")
         # grid.angular_weights is the angular rule tiled over every shell.
         vals = rho * self.grid.partition_weights * self.grid.angular_weights
         moments: List[Optional[np.ndarray]] = [None] * self.structure.n_atoms
         for group in self._groups:
-            # One batched matmul per species: (n_atoms, n_shells, n_ang) @ Y.
-            stacked = vals[group.rows].reshape(len(group.atoms), -1, self._n_ang)
-            for a, mom in zip(group.atoms, stacked @ self._y_ang):
-                moments[a] = mom  # (n_shells, n_lm)
-        return MultipoleExpansion(moments=moments, l_max=self.l_max)
+            # One batched matmul per species and all k densities:
+            # (k * n_atoms, n_shells, n_ang) @ Y.
+            n_shells = group.system.n_knots
+            stacked = np.take(vals, group.rows, axis=-1).reshape(-1, n_shells, self._n_ang)
+            stacked = stacked @ self._y_ang
+            if wide:
+                stacked = stacked.reshape(len(rho), len(group.atoms), n_shells, -1)
+            for i, a in enumerate(group.atoms):
+                moments[a] = stacked[:, i] if wide else stacked[i]  # (n_shells, n_lm)
+        return MultipoleExpansion(moments=moments, l_max=self.l_max, k=len(rho) if wide else None)
 
     # ------------------------------------------------------------------
     # Stage 2: radial Poisson via Adams-Moulton
@@ -270,24 +278,34 @@ class MultipoleSolver:
     def solve(self, expansion: MultipoleExpansion) -> MultipoleExpansion:
         """Fill the partial-potential splines and far-field moments.
 
-        The atoms of one species are stacked as ``(n_shells, n_lm, n_atoms)``
-        columns, so each ``l`` is one product of the mesh's operator with
-        the contiguous block of its ``2l+1`` channels of every atom.
+        The atoms of one species and the k densities are stacked as
+        ``(n_shells, n_lm, k, n_atoms)`` columns, so each ``l`` is one
+        product of the mesh's operator with the contiguous block of its
+        ``2l+1`` channels of every density and atom.
         """
         n_atoms = self.structure.n_atoms
         splines: List[Optional[CubicSpline]] = [None] * n_atoms
         far: List[Optional[np.ndarray]] = [None] * n_atoms
         for group in self._groups:
-            k, n = len(group.atoms), group.system.n_knots
-            mom = np.stack([expansion.moments[a] for a in group.atoms], axis=2).reshape(n, -1)
+            n, k = group.system.n_knots, expansion.k
+            mom = [expansion.moments[a] for a in group.atoms]
+            if k is None:
+                mom = np.stack(mom, axis=2)  # (n, n_lm, atoms)
+            else:
+                mom = np.stack(mom, axis=3).transpose(1, 2, 0, 3)  # (n, n_lm, k, atoms)
+            width = mom[0, 0].size
+            mom = mom.reshape(n, -1)
             out = np.empty((2 * n + 1, mom.shape[1]))  # rows v, m, far
             for l, op in enumerate(group.operators):
-                cols = slice(l * l * k, (l + 1) ** 2 * k)
+                cols = slice(l * l * width, (l + 1) ** 2 * width)
                 np.matmul(op, mom[:, cols], out=out[:, cols])
-            out = out.reshape(2 * n + 1, -1, k)
+            if k is None:
+                out = out.reshape(2 * n + 1, -1, len(group.atoms))
+            else:  # (rows, k, n_lm, atoms): each atom's tables direction-major
+                out = out.reshape(2 * n + 1, -1, k, len(group.atoms)).transpose(0, 2, 1, 3)
             for i, a in enumerate(group.atoms):
-                splines[a] = CubicSpline.from_tables(group.system, out[:n, :, i], out[n:-1, :, i])
-                far[a] = out[-1, :, i]
+                splines[a] = CubicSpline.from_tables(group.system, out[:n, ..., i], out[n:-1, ..., i])
+                far[a] = out[-1, ..., i]
         expansion.potential_splines = splines
         expansion.far_moments = far
         return expansion
@@ -342,7 +360,9 @@ class MultipoleSolver:
         Sums splined partial potentials inside each atom's radial mesh
         and the analytic ``q_lm / r^(l+1)`` far field outside.  Grid
         points use the solver's cached plans; other *points* get a
-        throwaway plan from the same builder.
+        throwaway plan from the same builder.  A k-wide expansion gives
+        ``(n_points, k)``: each run product is ``(4k, n_lm)`` rows, one
+        call for all k, and each density is accumulated on its own.
         """
         if expansion.potential_splines is None:
             raise GridError("expansion not solved; call solve() first")
@@ -350,29 +370,39 @@ class MultipoleSolver:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             if points.shape[1:] != (3,) or not np.isfinite(points).all():
                 raise GridError(f"points must be finite (n, 3), got shape {points.shape}")
-        v = np.zeros(self.grid.n_points if points is None else points.shape[0])
+        k = expansion.k or 1
+        v = np.zeros((k, self.grid.n_points if points is None else points.shape[0]))
+        v_rows = list(v)  # one accumulator per density
+        step, height = 2 * k, 4 * k  # table rows per knot, per interval
         atom_iter = range(self.structure.n_atoms) if atoms is None else atoms
         for a in atom_iter:
             plan = self._plan(a) if points is None else self._build_plan(a, points)
             spline = expansion.potential_splines[a]
-            # Rows y_0, m_0, y_1, m_1, ...: interval i reads rows 2i..2i+3.
+            # Rows y_0, m_0, y_1, m_1, ... each k densities deep: interval i
+            # reads the 4k rows from 2ik.
             table = np.stack([spline.y, spline.m], axis=1).reshape(-1, self._n_lm)
             # Nothing of order n_near x n_lm is allocated per call: the
             # run products go to the process's scratch block.
-            with scratch((4, plan.near.shape[0])) as z:
+            with scratch((height, plan.near.shape[0])) as z:
                 for i, lo, hi in plan.runs:
                     np.matmul(
-                        table[2 * i : 2 * i + 4], plan.y_near[:, lo:hi], out=z[:, lo:hi]
+                        table[step * i : step * i + height], plan.y_near[:, lo:hi],
+                        out=z[:, lo:hi],
                     )
-                z *= plan.tap_weights
-                z[:2] += z[2:]  # the four terms summed in place, pairwise
-                z[0] += z[1]
-                # No point repeats in a plan, so this is v[near] += z[0];
+                taps = z.reshape(4, k, -1)
+                taps *= plan.tap_weights[:, None]
+                taps[:2] += taps[2:]  # the four terms summed in place, pairwise
+                taps[0] += taps[1]
+                # No point repeats in a plan, so this is v_j[near] += taps[0, j];
                 # ufunc.at does it in half the time for int32 indices.
-                np.add.at(v, plan.near, z[0])
-            np.add.at(v, plan.far, expansion.far_moments[a] @ plan.far_table)
-        return v
+                for v_j, near_j in zip(v_rows, taps[0]):
+                    np.add.at(v_j, plan.near, near_j)
+            far = (expansion.far_moments[a] @ plan.far_table).reshape(k, -1)
+            for v_j, far_j in zip(v_rows, far):
+                np.add.at(v_j, plan.far, far_j)
+        return v.T if expansion.k is not None else v[0]
 
     def hartree_potential(self, density_values: np.ndarray) -> np.ndarray:
-        """Convenience: density -> potential at all grid points."""
+        """Convenience: density -> potential at all grid points, in the
+        density's shape, ``(n_points,)`` or ``(n_points, k)``."""
         return self.evaluate(self.solve(self.expand(density_values)))

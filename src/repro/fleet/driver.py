@@ -17,7 +17,7 @@ which may change a single result bit:
 3. **Cross-molecule interleaving** — every group advances one SCF or
    CPSCF cycle per round through the generator seams
    (:meth:`~repro.dft.scf.SCFDriver.iter_cycles`,
-   :meth:`~repro.dfpt.response.DFPTSolver.iter_direction`), so a shared
+   :meth:`~repro.dfpt.response.DFPTSolver.iter_directions`), so a shared
    :class:`~repro.fleet.device.FleetDevice` can fuse the same-name
    kernel launches of different molecules at each round boundary.
 

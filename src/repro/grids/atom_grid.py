@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +113,28 @@ class IntegrationGrid:
             )
         w = self.weights
         return np.tensordot(w, values, axes=(0, 0))
+
+    def columns(self, values, what: str) -> Tuple[np.ndarray, bool]:
+        """Checked point samples, and whether they came k-wide.
+
+        ``(n_points,)`` is one set of samples, returned as it is;
+        ``(n_points, k)`` with k >= 1 is k sets (the CPSCF field
+        directions), returned direction-major as ``(k, n_points)``.  The
+        exact shapes, not the leading length: a row vector or a 3-D array
+        would broadcast against the weights to n_points x n_points, and a
+        NaN would drop out of a sign split silently, so any other shape,
+        k = 0 or a non-finite sample is a :class:`GridError`.
+        """
+        v = np.asarray(values, dtype=float)
+        wide = v.ndim == 2
+        if v.ndim not in (1, 2) or v.shape[0] != self.n_points or v.size == 0:
+            raise GridError(
+                f"{what} of shape {v.shape} for {self.n_points} grid points "
+                "(want (n_points,) or (n_points, k), k >= 1)"
+            )
+        if not np.isfinite(v).all():
+            raise GridError(f"{what} with non-finite entries")
+        return (np.ascontiguousarray(v.T) if wide else v), wide
 
     def points_of_atom(self, atom: int) -> np.ndarray:
         """Indices of the points owned by one atom."""

@@ -10,7 +10,7 @@ recorded run.  Two artifact sources feed it:
 
 Every event carries ``(rank, phase, start, end)`` plus the *segment* it
 belongs to — one SCF or CPSCF cycle, reconstructed from the ambient
-``loop``/``direction``/``cycle`` attributes the drivers push — and
+``loop``/``directions``/``cycle`` attributes the drivers push — and
 injected faults survive as :class:`FaultMark` records, so post-mortem
 attribution can point at them.
 
@@ -92,8 +92,9 @@ class FaultMark:
 def _segment_of(attrs: Dict[str, object]) -> str:
     loop = attrs.get("loop")
     cycle = attrs.get("cycle")
-    if loop == "cpscf":
-        loop = f"cpscf{attrs.get('direction', '?')}"
+    if loop == "cpscf":  # a block of directions renders as cpscf0+1+2
+        directions = attrs.get("directions", [attrs.get("direction", "?")])
+        loop = "cpscf" + "+".join(str(d) for d in directions)
     if loop is not None:
         return str(loop) if cycle is None else f"{loop}[{cycle}]"
     if cycle is not None:

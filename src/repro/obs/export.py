@@ -46,7 +46,16 @@ def _meta(pid: int, tid: int, name: str) -> Dict[str, object]:
 
 
 def _clean_args(attrs: Dict[str, object]) -> Dict[str, object]:
-    return {k: v for k, v in attrs.items() if isinstance(v, (str, int, float, bool))}
+    """The JSON scalars of *attrs*, and lists of them (a CPSCF block's
+    ``directions``)."""
+    def scalar(v: object) -> bool:
+        return isinstance(v, (str, int, float, bool))
+
+    return {
+        k: list(v) if isinstance(v, (list, tuple)) else v
+        for k, v in attrs.items()
+        if scalar(v) or (isinstance(v, (list, tuple)) and all(map(scalar, v)))
+    }
 
 
 def span_events(

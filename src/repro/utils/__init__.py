@@ -14,7 +14,7 @@ def drain(gen):
     """Run a generator to exhaustion; return its ``return`` value.
 
     The eager form of every cycle generator in the pipeline
-    (``SCFDriver.iter_cycles``, ``DFPTSolver.iter_direction``,
+    (``SCFDriver.iter_cycles``, ``DFPTSolver.iter_directions``,
     ``iter_physics``): sequential execution *is* the generator path,
     advanced by one caller instead of a round-robin scheduler.
     """

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -14,10 +14,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def mirror_upper(a: np.ndarray) -> np.ndarray:
+def mirror_upper(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The symmetric matrix whose upper triangle (diagonal included) is
     that of *a*; the strict lower triangle of *a* is ignored."""
-    return np.triu(a) + np.triu(a, 1).T
+    return np.add(np.triu(a), np.triu(a, 1).T, out=out)
 
 
 def lowdin_orthogonalization(s: np.ndarray, threshold: float = 1e-10) -> np.ndarray:

@@ -128,11 +128,15 @@ class MutantBackend(BatchedBackend):
         return block
 
     def density_on_grid(self, density_matrix) -> np.ndarray:
-        if self.mutation == "stale_dm_snapshot":
-            if self._stale_dm is None:  # an array or a Factored, as it came
-                self._stale_dm = copy.deepcopy(density_matrix)
-            density_matrix = self._stale_dm
-        return super().density_on_grid(density_matrix)
+        if self.mutation != "stale_dm_snapshot":
+            return super().density_on_grid(density_matrix)
+        if self._stale_dm is None:  # an array or a Factored, as it came
+            self._stale_dm = copy.deepcopy(density_matrix)
+        stale = super().density_on_grid(self._stale_dm)
+        # Stale data at the asked-for width: a k-wide call gets the first
+        # density in each of its k columns.
+        left = getattr(density_matrix, "left", None)
+        return np.tile(stale[:, None], len(left)) if np.ndim(left) == 3 else stale
 
 
 def flip_xc_kernel_sign(solver) -> None:

@@ -17,6 +17,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.atoms import Structure, hydrogen_molecule, water
 from repro.backends import (
     DEFAULT_CACHE_BYTES,
+    Factored,
     BackendProfile,
     BatchedBackend,
     BlockCache,
@@ -129,6 +130,108 @@ class TestPhaseParity:
             out = builders[name].backend.first_order_dm(*args)
             for a, b in zip(ref, out):
                 assert np.array_equal(a, b), name
+
+
+class TestKWideSeams:
+    """Sumup and H take k densities / potentials through the same seam:
+    k = 1 is the one-dimensional call to the bit, and every engine stays
+    bitwise equal to every other on k-wide calls."""
+
+    K = 3
+
+    @staticmethod
+    def _factors(builder, rng, k):
+        nb = builder.basis.n_basis
+        n_occ = max(1, nb // 5)
+        return rng.normal(size=(k, nb, n_occ)), rng.normal(size=(nb, n_occ))
+
+    def test_one_column_is_the_one_dimensional_call(self, builders, rng):
+        backend = builders["numpy"].backend
+        x, c = self._factors(builders["numpy"], rng, 1)
+        v = rng.normal(size=builders["numpy"].grid.n_points)
+        assert np.array_equal(
+            backend.density_on_grid(Factored(x, c))[:, 0], backend.density_on_grid(Factored(x[0], c))
+        )
+        assert np.array_equal(backend.potential_matrix(v[:, None])[0], backend.potential_matrix(v))
+
+    def test_engines_agree_bitwise_on_k_wide_calls(self, builders, rng):
+        x, c = self._factors(builders["numpy"], rng, self.K)
+        v = rng.normal(size=(builders["numpy"].grid.n_points, self.K))
+        n_ref = builders["numpy"].backend.density_on_grid(Factored(x, c))
+        h_ref = builders["numpy"].backend.potential_matrix(v)
+        assert n_ref.shape == v.shape and h_ref.shape == (self.K, *builders["numpy"].overlap().shape)
+        for name in OTHERS:
+            backend = builders[name].backend
+            assert np.array_equal(n_ref, backend.density_on_grid(Factored(x, c))), name
+            assert np.array_equal(h_ref, backend.potential_matrix(v)), name
+
+    def test_k_wide_calls_match_column_by_column(self, builders, rng):
+        backend = builders["numpy"].backend
+        x, c = self._factors(builders["numpy"], rng, self.K)
+        v = rng.normal(size=(builders["numpy"].grid.n_points, self.K))
+        n_wide, h_wide = backend.density_on_grid(Factored(x, c)), backend.potential_matrix(v)
+        for j in range(self.K):
+            assert_close_at_scale(n_wide[:, j], backend.density_on_grid(Factored(x[j], c)))
+            assert np.array_equal(h_wide[j], backend.potential_matrix(v[:, j]))
+
+    def test_a_k_wide_call_is_one_call_of_k_times_the_elements(self, builders, rng):
+        builder = builders["numpy"]
+        x, c = self._factors(builder, rng, self.K)
+        v = rng.normal(size=(builder.grid.n_points, self.K))
+        phases = builder.backend.profile.phases
+        before = {p: (phases[p].calls, phases[p].elements) for p in ("Sumup", "H") if p in phases}
+        builder.backend.density_on_grid(Factored(x, c))
+        builder.backend.potential_matrix(v)
+        for phase in ("Sumup", "H"):
+            calls, elements = before.get(phase, (0, 0))
+            assert phases[phase].calls - calls == 1
+            assert phases[phase].elements - elements == self.K * builder.views.elements
+
+    def test_device_prices_a_k_wide_call_as_one_launch_of_k_times_the_items(
+        self, builders, rng, monkeypatch
+    ):
+        backend = builders["device"].backend
+        ranges = []
+        price = backend.device.launch
+        monkeypatch.setattr(
+            backend.device, "launch",
+            lambda kernel, ndrange, buffers: ranges.append(ndrange) or price(kernel, ndrange, buffers),
+        )
+        x, c = self._factors(builders["device"], rng, self.K)
+        v = rng.normal(size=(builders["device"].grid.n_points, self.K))
+        backend.density_on_grid(Factored(x[0], c))
+        backend.density_on_grid(Factored(x, c))
+        backend.potential_matrix(v[:, 0])
+        backend.potential_matrix(v)
+        one_sumup, wide_sumup, one_h, wide_h = ranges
+        for one, wide in ((one_sumup, wide_sumup), (one_h, wide_h)):
+            assert wide.n_groups == one.n_groups
+            assert wide.items_per_group == self.K * one.items_per_group
+
+    def test_hostile_k_wide_inputs_are_refused(self, builders, rng):
+        backend = builders["numpy"].backend
+        x, c = self._factors(builders["numpy"], rng, self.K)
+        n = builders["numpy"].grid.n_points
+        for bad in (
+            Factored(x[:0], c),  # k = 0
+            Factored(x),  # k lefts need the shared right
+            Factored(x[:, :-1], c[:-1]),  # wrong basis size
+            Factored(x, c[:, :-1]),  # lefts shaped unlike the right
+            Factored(x[..., None], c),  # 4-D
+        ):
+            with pytest.raises(ValueError, match="density factors"):
+                backend.density_on_grid(bad)
+        poisoned = x.copy()
+        poisoned[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            backend.density_on_grid(Factored(poisoned, c))
+        for bad in (np.ones((n, 0)), np.ones((n, 1, 1)), np.ones((n - 1, self.K))):
+            with pytest.raises(GridError, match="potential samples"):
+                backend.potential_matrix(bad)
+        v = np.ones((n, self.K))
+        v[3, 2] = np.inf
+        with pytest.raises(GridError, match="non-finite"):
+            backend.potential_matrix(v)
 
 
 class TestEndToEndParity:

@@ -7,7 +7,7 @@ import pytest
 from repro import constants
 from repro.atoms import hydrogen_molecule
 from repro.basis.basis_set import build_basis
-from repro.config import get_settings, GridSettings, RunSettings
+from repro.config import CPSCFSettings, get_settings, GridSettings, RunSettings
 from repro.dft.hamiltonian import MatrixBuilder
 from repro.errors import SettingsError
 from repro.grids.atom_grid import build_grid
@@ -89,4 +89,62 @@ class TestScreeningThresholdDomain:
     def test_finite_non_negative_values_pass(self, good):
         s = get_settings("minimal", screening_threshold=good)
         assert s == get_settings("minimal", screening_threshold=good)
+        assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s
+
+
+class TestCPSCFSettingsDomain:
+    """``response_tolerance=inf`` stopped H2 after one cycle at
+    alpha_zz = 4.55 instead of 6.26 and exited 0; a NaN mixing factor
+    surfaced as an untyped backend ValueError.  Each bad value is a
+    :class:`SettingsError` where the settings are made."""
+
+    BAD = [
+        {"response_tolerance": math.inf},
+        {"response_tolerance": math.nan},
+        {"response_tolerance": 0.0},
+        {"response_tolerance": -1e-6},
+        {"mixing_factor": math.nan},
+        {"mixing_factor": 0.0},
+        {"mixing_factor": 1.5},
+        {"mixing_factor": -0.5},
+        {"max_iterations": 0},
+        {"max_iterations": 2.0},
+        {"max_iterations": True},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+    def test_run_settings_refuse_it(self, bad):
+        with pytest.raises(SettingsError, match="CPSCF"):
+            get_settings("minimal").with_cpscf(**bad)
+        with pytest.raises(SettingsError, match="CPSCF"):
+            RunSettings(cpscf=CPSCFSettings(**bad))
+
+    @pytest.mark.parametrize("bad", BAD[:1] + BAD[4:5] + BAD[-1:], ids=["inf-tol", "nan-mix", "bool-iters"])
+    def test_a_journaled_job_request_refuses_it(self, bad):
+        """A payload written before the check decodes to the same error."""
+        from repro.service.jobs import JobRequest, physics_from_payload
+
+        payload = JobRequest("h2", settings=get_settings("minimal")).payload()
+        payload["settings"]["cpscf"].update(bad)
+        with pytest.raises(SettingsError, match="CPSCF"):
+            physics_from_payload(payload)
+
+    def test_the_cli_exits_2_without_a_traceback(self, monkeypatch, capsys):
+        from repro import cli
+
+        def preset(*args, **kwargs):
+            return get_settings(*args, **kwargs).with_cpscf(response_tolerance=math.inf)
+
+        monkeypatch.setattr(cli, "get_settings", preset)
+        assert cli.main(["physics", "--polyethylene", "8", "--level", "minimal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: CPSCF response_tolerance")
+        assert "Traceback" not in captured.err and "SCF" not in captured.out
+
+    @pytest.mark.parametrize("good", [
+        {"mixing_factor": 1.0}, {"mixing_factor": 1e-3}, {"response_tolerance": 1e-300},
+        {"max_iterations": 1},
+    ])
+    def test_edge_values_pass(self, good):
+        s = get_settings("minimal").with_cpscf(**good)
         assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s

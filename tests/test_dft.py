@@ -411,13 +411,59 @@ class TestMultipoleSolverPlanAlgebra:
         )
 
 
+class TestMultipoleSolverKWide:
+    """k densities ``(n_points, k)`` through one call: each stage's products
+    one k axis wider, the data direction-major, so k = 1 is the 1-D call."""
+
+    @staticmethod
+    def _columns(rho):
+        rng = np.random.default_rng(5)
+        return np.column_stack([rho, rho * rng.uniform(0.5, 1.5, rho.shape), rho[::-1].copy()])
+
+    def test_one_column_is_the_one_dimensional_call_bitwise(self, plan_case):
+        solver, rho = plan_case
+        assert np.array_equal(solver.hartree_potential(rho[:, None])[:, 0], solver.hartree_potential(rho))
+        expansion = solver.solve(solver.expand(rho[:, None]))
+        assert expansion.k == 1 and expansion.moments[0].shape[0] == 1
+
+    def test_k_columns_match_column_by_column(self, plan_case):
+        solver, rho = plan_case
+        rhos = self._columns(rho)
+        wide = solver.hartree_potential(rhos)
+        assert wide.shape == rhos.shape
+        for j in range(rhos.shape[1]):
+            assert_close_at_scale(wide[:, j], solver.hartree_potential(rhos[:, j]), rtol=1e-14)
+
+    def test_k_wide_evaluation_at_other_points(self, plan_case):
+        solver, rho = plan_case
+        rhos = self._columns(rho)
+        points = solver.grid.points[::7] + 0.05
+        wide = solver.evaluate(solver.solve(solver.expand(rhos)), points=points)
+        for j in range(rhos.shape[1]):
+            one = solver.evaluate(solver.solve(solver.expand(rhos[:, j])), points=points)
+            assert_close_at_scale(wide[:, j], one, rtol=1e-14)
+
+    def test_hostile_k_wide_inputs(self, plan_case):
+        solver, rho = plan_case
+        rhos = self._columns(rho)
+        rhos[5, 2] = np.nan
+        with pytest.raises(GridError, match="finite"):
+            solver.hartree_potential(rhos)
+        with pytest.raises(GridError, match="density"):
+            solver.hartree_potential(self._columns(rho)[:-1])
+
+
 class TestMultipoleSolverHostileInputs:
     """ROADMAP 5(c): a wrong-shaped or non-finite input is a GridError,
     not an n_points x n_points broadcast or an all-NaN potential."""
 
     def test_density_must_be_a_finite_vector(self, plan_case):
+        """(n_points,) or (n_points, k) with k >= 1; an (n_points, 1)
+        column is the k = 1 case of the k-wide call, so the broadcast
+        shapes left are a row, a 3-D stack and k = 0."""
         solver, rho = plan_case
-        for bad in (rho[:, None], rho[None, :], rho[:-1], np.float64(1.0)):
+        empty = np.empty((rho.shape[0], 0))
+        for bad in (rho[:, None, None], rho[None, :], rho[:-1], rho[:-1, None], empty, np.float64(1.0)):
             with pytest.raises(GridError, match="density"):
                 solver.expand(bad)
         for poison in (np.nan, np.inf):

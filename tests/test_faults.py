@@ -282,6 +282,52 @@ class TestDriverCheckpointRestart:
             faulted.response_density_matrix, reference.response_density_matrix
         )
 
+    def test_a_fault_in_the_block_redoes_the_whole_block_cycle(
+        self, minimal_settings, h2_ground_state
+    ):
+        """A fault on direction 1 loses the three-wide cycle; the rerun is
+        bit-exact with the clean block and the restart is charged to
+        direction 1 alone."""
+        from repro.utils import PhaseTimer, drain
+
+        def block(injector=None, timer=None):
+            solver = DFPTSolver(
+                h2_ground_state, minimal_settings.cpscf, timer=timer, fault_injector=injector
+            )
+            return drain(solver.iter_directions((0, 1, 2)))
+
+        clean = block()
+        plan = FaultPlan(schedule=[ScheduledFault("cycle_fault", 3, site="cpscf1")])
+        injector, timer = CycleFaultInjector(plan), PhaseTimer()
+        faulted = block(injector, timer)
+        assert [r.restarts for r in faulted] == [0, 1, 0]
+        assert [e.site for e in injector.events] == ["cpscf1[3]"]
+        assert timer.visits("Sumup") == max(r.iterations for r in clean) + 1
+        for got, want in zip(faulted, clean):
+            assert got.iterations == want.iterations
+            assert np.array_equal(got.response_density_matrix, want.response_density_matrix)
+            assert np.array_equal(got.response_density, want.response_density)
+
+    def test_each_direction_counts_its_own_attempts(self, minimal_settings, h2_ground_state):
+        """Faults on two directions of one cycle: each is charged its own
+        restart, and a persistent one exhausts only its own budget."""
+        plan = FaultPlan(schedule=[
+            ScheduledFault("cycle_fault", 2, site="cpscf0"),
+            ScheduledFault("cycle_fault", 2, site="cpscf2"),
+        ])
+        results = DFPTSolver(
+            h2_ground_state, minimal_settings.cpscf, fault_injector=CycleFaultInjector(plan)
+        ).solve_all()
+        assert [r.restarts for r in results] == [1, 0, 1]
+        persistent = FaultPlan(schedule=[
+            ScheduledFault("cycle_fault", 2, site="cpscf1", persistent=True)
+        ])
+        with pytest.raises(FaultInjectionError, match="cpscf1 cycle 2"):
+            DFPTSolver(
+                h2_ground_state, minimal_settings.cpscf,
+                fault_injector=CycleFaultInjector(persistent, max_restarts=2),
+            ).solve_all()
+
     def test_unsurvivable_cycle_raises(self, minimal_settings):
         plan = FaultPlan(
             schedule=[ScheduledFault("cycle_fault", 1, site="scf", persistent=True)]

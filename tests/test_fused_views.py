@@ -427,11 +427,12 @@ class TestKernelEdges:
         builder = _builder("h2", 0.0)
         n, nb = builder.grid.n_points, builder.basis.n_basis
         backend = builder.backend
-        # An (n, 1) column used to broadcast weights * v to n x n.
-        with pytest.raises(GridError, match="potential samples of shape"):
-            backend.potential_matrix(np.ones((n, 1)))
-        with pytest.raises(GridError, match="potential samples of shape"):
-            backend.potential_matrix(np.ones((n, 2)))
+        # (n, k) is k potentials; a row, a 3-D stack or k = 0 would
+        # broadcast weights * v or scatter nothing.
+        for bad in (np.ones((1, n)), np.ones((n, 1, 1)), np.ones((n, 0)), np.ones((n + 1, 2))):
+            with pytest.raises(GridError, match="potential samples of shape"):
+                backend.potential_matrix(bad)
+        assert backend.potential_matrix(np.ones((n, 2))).shape == (2, nb, nb)
         for bad in (np.nan, np.inf, -np.inf):
             v = np.ones(n)
             v[n // 2] = bad

@@ -141,6 +141,24 @@ class TestTimeline:
         assert segments.index("scf[1]") < segments.index("scf[2]")
         assert set(tl.busy_matrix()) >= {"density", "hartree", "eigensolver"}
 
+    def test_a_cpscf_block_renders_as_one_lane(self, minimal_settings, tmp_path):
+        """The three directions share one cycle: its spans carry the active
+        directions and the segment reads cpscf0+1+2[cycle]; once x and y
+        have converged (cycle 18 on H2), z runs alone as cpscf2[cycle]."""
+        from repro.dfpt.response import DFPTSolver
+
+        gs = SCFDriver(hydrogen_molecule(), minimal_settings).run()
+        tracer = Tracer()
+        with activate(tracer):
+            DFPTSolver(gs, minimal_settings.cpscf).solve_all()
+        sumup = [s for s in tracer.spans if s.name == "Sumup"]
+        assert sumup[0].attrs["directions"] == [0, 1, 2]
+        segments = Timeline.from_spans(tracer.spans).segments()
+        assert segments[0] == "cpscf0+1+2[1]" and "cpscf0+1+2[18]" in segments
+        assert "cpscf2[19]" in segments and "cpscf0[19]" not in segments
+        loaded = load_run(write_chrome_trace(tmp_path / "block.json", tracer.spans))
+        assert loaded.segments() == segments
+
     def test_chrome_trace_roundtrip_preserves_busy_accounting(
         self, traced_runs, tmp_path
     ):
