@@ -16,14 +16,20 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
 
 # Just the fault/resilience smoke subset, the Hartree plan and
-# Adams-Moulton parity tests, and the basis evaluator's bitwise tests
-# against the per-shell loop (all also part of `make test`).
+# Adams-Moulton parity tests, the basis evaluator's bitwise tests
+# against the per-shell loop, and the device layer's fast checks: the
+# ocl model's prices and counts, and the device backend's bitwise
+# parity with the host engine and its charges (all also part of
+# `make test`).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_dft.py \
 		-k "MultipoleSolver or AdamsMoulton"
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_setup_primitives.py \
 		-k StackedEvaluation
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_ocl.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_backends.py \
+		-k "device or Device or PhaseParity"
 
 # Quick execution-backend comparison (the host engine with a warm and a
 # cold block cache, and the device model), plus the dense-vs-screened

@@ -7,7 +7,8 @@ loop) on water under three builders sharing one substrate:
   basis block is evaluated once and served from the cache afterwards.
 * ``cold``   — the same engine at budget 0: every block is evaluated on
   every pass (what any grid over the budget degrades towards).
-* ``device`` — priced OpenCL-model launches over staged device buffers.
+* ``device`` — the ``warm`` engine, each phase charged as a priced
+  OpenCL-model launch plus its transfer bytes.
 
 The measurement itself lives in :mod:`repro.obs.bench` (shared with the
 ``repro bench-check`` regression gate), which refuses to report unless

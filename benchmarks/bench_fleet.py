@@ -6,8 +6,8 @@ bond-length variants, distinct request seeds) — executed twice:
 * ``sequential`` — one isolated ``run_physics`` per request, each
   paying its own substrate build and every kernel-launch overhead;
 * ``fleet``      — the :class:`~repro.fleet.driver.FleetDriver`:
-  basis tables registered once, identical-physics requests computed
-  once per group, SCF/CPSCF cycles of the groups interleaved so the
+  substrates built once per geometry, identical-physics requests
+  computed once per group, SCF/CPSCF cycles of the groups interleaved so the
   shared device fuses same-name launches at every round boundary.
 
 Every per-request result payload is asserted byte-identical between
@@ -55,9 +55,7 @@ def run(n_requests: int, n_distinct: int, level: str) -> dict:
         f"fleet of {n_requests} H2 jobs over {n_distinct} bond-length "
         f"variant(s) ({level}, {report['backend']} backend): "
         f"{report['groups']} physics group(s), {report['rounds']} "
-        f"interleaved round(s), basis tables registered "
-        f"{report['registry']['registered']}x / reused "
-        f"{report['registry']['reused']}x"
+        f"interleaved round(s)"
     )
     table = TableFormatter(
         ["mode", "modeled", "launches", "molecules/s (model)"],

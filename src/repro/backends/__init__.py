@@ -1,10 +1,11 @@
 """Pluggable execution backends for the SCF/CPSCF hot phases.
 
-One seam (:class:`ExecutionBackend`), two bit-exact engines:
+One seam (:class:`ExecutionBackend`), one host engine, two names:
 
 * ``numpy`` — the host engine: per-view basis blocks through a bounded
   LRU block cache, nothing recomputed while the cache holds it;
-* ``device`` — the same operations as priced launches on the
+* ``device`` — the same engine plus a price list: each phase it has run
+  is charged as a launch, and its transfers as bytes, on the
   :mod:`repro.ocl` accelerator model.
 
 Select one end-to-end with ``SCFDriver(..., backend="device")`` /

@@ -10,10 +10,11 @@ this reproduction: the four phase operations the drivers need
 :meth:`~ExecutionBackend.first_order_dm`), implemented once as
 one loop over the builder's fused batch views
 (:class:`~repro.grids.sparsity.BatchViews` — dense and screened differ
-in a view's columns, not in the code path) so every registered backend
-is *bit-exact* with every other — backends differ only in where a view's
-basis block comes from (bounded LRU block cache, device buffers) and
-in what bookkeeping each launch is charged.
+in a view's columns, not in the code path).  Both registered backends
+read their basis blocks from one source, the host engine's bounded LRU
+block cache, and so are *bit-exact* with each other; the ``device``
+backend differs only in the price it charges each phase on the
+:mod:`repro.ocl` accelerator model.
 
 Every backend records a per-phase :class:`BackendProfile` (calls,
 elements processed, wall seconds, block-cache hits/misses, device
@@ -224,9 +225,6 @@ class BackendProfile:
         self.screen_elements_active += stats.elements_active
         self.screen_elements_dense += stats.elements_dense
 
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.phases.values())
-
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON-friendly snapshot (used by the backend benchmark)."""
         return {
@@ -273,9 +271,8 @@ class ExecutionBackend:
     :class:`~repro.dft.hamiltonian.MatrixBuilder` via :meth:`bind`
     before use.  Subclasses override :meth:`basis_block` (where a
     view's ``(batch_points, n_cols)`` chi table comes from) and may
-    wrap the phase implementations with device launches; the numerical
-    work itself is shared so results stay bit-identical across
-    backends.
+    charge a price after the phase implementations; the numerical work
+    itself is shared so results stay bit-identical across backends.
     """
 
     #: Registry name, set by ``@register_backend``.
@@ -305,7 +302,7 @@ class ExecutionBackend:
         return self
 
     def _on_bind(self) -> None:
-        """Hook for subclasses (stage buffers, size caches...)."""
+        """Hook for subclasses (charge staged tables, size caches...)."""
 
     def _require_bound(self) -> "MatrixBuilder":
         if self.builder is None:

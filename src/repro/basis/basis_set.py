@@ -273,6 +273,10 @@ def _species_shells(symbol: str, z: int) -> List[_Shell]:
         entries = []
         for shell in light_shells(symbol):
             spline, cutoff = radial_function(shell, grid)
+            # Every molecule of the process shares these very arrays, so
+            # a write through one would corrupt all: refuse it.
+            for table in (spline.x, spline.y, spline.m):
+                table.setflags(write=False)
             entries.append((shell, spline, cutoff))
         _SPECIES_CACHE[symbol] = entries
     return _SPECIES_CACHE[symbol]

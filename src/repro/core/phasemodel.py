@@ -107,7 +107,6 @@ class PhaseModel:
         flags: OptimizationFlags,
         batches: Sequence[GridBatch],
         assignment: BatchAssignment,
-        calibration: Optional[PhaseCalibration] = None,
         use_accelerator: bool = True,
         memory_model: Optional[HamiltonianMemoryModel] = None,
         rank_quantities: Optional[tuple] = None,
@@ -120,7 +119,7 @@ class PhaseModel:
         self.flags = flags
         self.batches = batches
         self.assignment = assignment
-        self.cal = calibration or PhaseCalibration()
+        self.cal = PhaseCalibration()
         self._memory_model = memory_model or HamiltonianMemoryModel(
             workload.structure
         )

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.verify.invariants import VerifyReport
 from repro.config import RunSettings, get_settings
 from repro.core.flags import OptimizationFlags
-from repro.core.phasemodel import PhaseBreakdown, PhaseCalibration, PhaseModel
+from repro.core.phasemodel import PhaseBreakdown, PhaseModel
 from repro.core.workload import Workload, build_workload, synthetic_batches
 from repro.dfpt.polarizability import polarizability_tensor
 from repro.dfpt.response import DFPTSolver, ResponseResult
@@ -207,7 +207,6 @@ class PerturbationSimulator:
         machine: MachineSpec,
         n_ranks: int,
         flags: OptimizationFlags,
-        calibration: Optional[PhaseCalibration] = None,
         use_accelerator: bool = True,
     ) -> PhaseModel:
         """The priced model of one configuration.
@@ -228,7 +227,6 @@ class PerturbationSimulator:
             flags=flags,
             batches=self.batches,
             assignment=self.assignment(*key),
-            calibration=calibration,
             use_accelerator=use_accelerator,
             memory_model=self._memory_model,
             rank_quantities=self._rank_quantities.get(key),
@@ -241,7 +239,6 @@ class PerturbationSimulator:
         machine: MachineSpec,
         n_ranks: int,
         flags: Optional[OptimizationFlags] = None,
-        calibration: Optional[PhaseCalibration] = None,
         use_accelerator: bool = True,
     ) -> SimulationReport:
         """Price one configuration at scale."""
@@ -251,9 +248,7 @@ class PerturbationSimulator:
                 f"{len(self.batches)} batches cannot feed {n_ranks} ranks; "
                 "reduce ranks or grid batch size"
             )
-        model = self.phase_model(
-            machine, n_ranks, flags, calibration, use_accelerator
-        )
+        model = self.phase_model(machine, n_ranks, flags, use_accelerator)
         bd: PhaseBreakdown = model.breakdown()
         return SimulationReport(
             machine=machine.name,

@@ -6,8 +6,7 @@ Public surface of the cross-molecule batching layer:
   interleaving SCF/CPSCF cycles of deduplicated request groups;
 * :class:`~repro.fleet.device.FleetDevice` — shared device model that
   fuses same-kernel launches across molecules at round boundaries;
-* :mod:`repro.fleet.shared` — register-once basis tables and
-  per-geometry substrate sharing.
+* :mod:`repro.fleet.shared` — per-geometry substrate sharing.
 """
 
 from repro.fleet.device import FleetDevice
@@ -21,12 +20,7 @@ from repro.fleet.driver import (
     physics_fingerprint,
     plan_fleet,
 )
-from repro.fleet.shared import (
-    Substrate,
-    SubstrateCache,
-    basis_signature,
-    register_basis_tables,
-)
+from repro.fleet.shared import Substrate, SubstrateCache
 
 __all__ = [
     "FleetDevice",
@@ -37,9 +31,7 @@ __all__ = [
     "FleetTask",
     "Substrate",
     "SubstrateCache",
-    "basis_signature",
     "fleet_tasks_from_requests",
     "physics_fingerprint",
     "plan_fleet",
-    "register_basis_tables",
 ]

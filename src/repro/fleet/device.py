@@ -8,14 +8,12 @@ fleet launches through one shared device, and at each round boundary
 the launches queued during the round are priced in per-kernel fused
 groups.
 
-Execution and pricing are deliberately decoupled:
+Pricing never touches the numerics, which each molecule's backend has
+already run on the host when it charges a launch:
 
-* ``launch`` runs the kernel body **immediately** — each molecule's
-  data flow (and therefore every result bit) is identical to an
-  isolated run;
-* the returned :class:`~repro.ocl.kernel.LaunchReport` is the
-  **unfused** estimate, which is exactly what a sequential run would
-  have been charged, so per-molecule backend profiles stay
+* the :class:`~repro.ocl.kernel.LaunchReport` ``launch`` returns is
+  the **unfused** estimate, which is exactly what a sequential run
+  would have been charged, so per-molecule backend profiles stay
   attribution-correct;
 * the device's own ``n_launches`` / ``modeled_time`` counters are only
   advanced at :meth:`end_round`, with one launch overhead per fused
@@ -25,12 +23,10 @@ Execution and pricing are deliberately decoupled:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.ocl.buffers import AddressSpace, DeviceBuffer
 from repro.ocl.device import Device
 from repro.ocl.kernel import Kernel, LaunchReport, NDRange
-from repro.errors import DeviceError
 
 
 class FleetDevice(Device):
@@ -56,22 +52,9 @@ class FleetDevice(Device):
         #: Rounds that priced at least one launch.
         self.rounds = 0
 
-    def launch(
-        self,
-        kernel: Kernel,
-        ndrange: NDRange,
-        buffers: Optional[Dict[str, DeviceBuffer]] = None,
-    ) -> LaunchReport:
-        """Execute now, return the unfused price, defer the fleet account."""
-        buffers = buffers or {}
-        for buf in buffers.values():
-            if buf.space is AddressSpace.HOST:
-                raise DeviceError(
-                    f"buffer {buf.name!r} still on host; call to_device() first"
-                )
+    def launch(self, kernel: Kernel, ndrange: NDRange) -> LaunchReport:
+        """Queue the launch for the round; return its unfused price."""
         report = self.estimate(kernel, ndrange)
-        if kernel.func is not None:
-            kernel.func(buffers)
         self._round.append(report)
         self.sequential_launches += 1
         self.sequential_modeled_time += report.total_time

@@ -5,15 +5,14 @@ instead of one huge system across many ranks, many *small* requests
 share one execution substrate.  Three amortizations compose, none of
 which may change a single result bit:
 
-1. **Shared read-only tables** — radial spline tables are registered
-   once per distinct basis signature
-   (:func:`repro.fleet.shared.register_basis_tables`) and geometry
-   substrates once per distinct structure
+1. **Shared read-only substrates** — geometry substrates are built
+   once per distinct structure
    (:class:`repro.fleet.shared.SubstrateCache`);
-2. **Physics dedup** — requests with identical physics payloads
-   (structure + settings + charge; the seed is provenance only) are
-   grouped by :func:`physics_fingerprint` and computed once, then each
-   request's result document is stamped individually;
+2. **Physics dedup** — requests with the same physics (the service's
+   structure and settings fingerprints plus the charge; the seed is
+   provenance only) are grouped by :func:`physics_fingerprint` and
+   computed once, then each request's result document is stamped
+   individually;
 3. **Cross-molecule interleaving** — every group advances one SCF or
    CPSCF cycle per round through the generator seams
    (:meth:`~repro.dft.scf.SCFDriver.iter_cycles`,
@@ -37,8 +36,7 @@ from typing import Any, Dict, Iterable, List
 
 from repro.backends.batched import DEFAULT_CACHE_BYTES, BatchedBackend, BlockCache
 from repro.fleet.device import FleetDevice
-from repro.fleet.shared import SubstrateCache, register_basis_tables
-from repro.runtime.shm import SharedTableRegistry
+from repro.fleet.shared import SubstrateCache
 
 
 @dataclass
@@ -67,24 +65,37 @@ def fleet_tasks_from_requests(requests, commit: str = "fleet") -> List[FleetTask
 def physics_fingerprint(payload: Dict[str, Any]) -> str:
     """The dedup key of one physics payload.
 
-    Hashes exactly the fields that determine the computed numbers —
-    structure, canonical settings, charge.  The request ``seed`` is
-    deliberately excluded: it only stamps provenance, so two requests
-    differing only by seed share one computation.
+    Built from what the service's cache key is built from —
+    :func:`~repro.service.jobs.structure_fingerprint`,
+    :func:`~repro.service.jobs.settings_fingerprint` and the charge —
+    so only :mod:`repro.service.jobs` decides what counts as the same
+    physics: a structure's name, its signed zeros and its sub-rounding
+    noise do not split a group.  A payload that does not decode forms
+    its own group, so the error poisons only its own requests.  The
+    request ``seed`` is deliberately excluded: it only stamps
+    provenance, so two requests differing only by seed share one
+    computation.
 
-    >>> a = physics_fingerprint({"structure": {"x": 1}, "settings": {}, "seed": 1})
-    >>> b = physics_fingerprint({"structure": {"x": 1}, "settings": {}, "seed": 2})
-    >>> c = physics_fingerprint({"structure": {"x": 2}, "settings": {}})
+    >>> from repro.service.jobs import JobRequest
+    >>> a = physics_fingerprint(JobRequest("h2", seed=1).payload())
+    >>> b = physics_fingerprint(JobRequest("h2", seed=2).payload())
+    >>> c = physics_fingerprint(JobRequest("water").payload())
     >>> a == b, a == c
     (True, False)
     """
-    doc = {
-        "structure": payload.get("structure"),
-        "settings": payload.get("settings"),
-        "charge": int(payload.get("charge", 0)),
-    }
+    from repro.service.jobs import (
+        physics_from_payload,
+        settings_fingerprint,
+        structure_fingerprint,
+    )
+
+    try:
+        structure, settings, charge = physics_from_payload(payload)
+        doc = [structure_fingerprint(structure), settings_fingerprint(settings), charge]
+    except Exception:  # noqa: BLE001 — its own group, whose pipeline raises it
+        doc = ["undecodable", payload]
     return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()
+        json.dumps(doc, sort_keys=True, default=repr).encode()
     ).hexdigest()[:16]
 
 
@@ -121,11 +132,12 @@ def plan_fleet(tasks: Iterable[FleetTask]) -> FleetPlan:
     therefore the interleaved execution schedule — invariant under
     request permutation, one of the fleet parity suite's properties.
 
-    >>> t = lambda k, x: FleetTask(key=k, payload={"structure": {"x": x}})
-    >>> plan = plan_fleet([t("a", 1), t("b", 1), t("c", 2)])
+    >>> from repro.service.jobs import JobRequest
+    >>> t = lambda k, m: FleetTask(key=k, payload=JobRequest(m).payload())
+    >>> plan = plan_fleet([t("a", "h2"), t("b", "h2"), t("c", "water")])
     >>> len(plan.groups), plan.n_requests
     (2, 3)
-    >>> plan.canonical() == plan_fleet([t("c", 2), t("b", 1), t("a", 1)]).canonical()
+    >>> plan.canonical() == plan_fleet([t("c", "water"), t("b", "h2"), t("a", "h2")]).canonical()
     True
     """
     by_fp: Dict[str, List[FleetTask]] = {}
@@ -143,7 +155,6 @@ def plan_fleet(tasks: Iterable[FleetTask]) -> FleetPlan:
 class _GroupOutcome:
     """One group's finished physics, ready for per-request stamping."""
 
-    structure: Any
     settings: Any
     physics: Any
 
@@ -155,7 +166,6 @@ class FleetReport:
     n_requests: int = 0
     n_groups: int = 0
     rounds: int = 0
-    registry: Dict[str, int] = field(default_factory=dict)
     substrates: Dict[str, int] = field(default_factory=dict)
     profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cache: Dict[str, int] = field(default_factory=dict)
@@ -174,11 +184,8 @@ class FleetOutcome:
 class FleetDriver:
     """Run many physics requests through one shared execution substrate.
 
-    The driver owns the cross-run :class:`SharedTableRegistry` (basis
-    tables outlive individual fleet waves — a service worker reuses
-    them across :meth:`run_tasks` calls), while per-run resources (the
-    substrate cache, the shared block cache, the fused device) are
-    fresh each run so reports stay attributable.
+    Per-run resources (the substrate cache, the shared block cache, the
+    fused device) are fresh each run so reports stay attributable.
     """
 
     def __init__(
@@ -188,20 +195,15 @@ class FleetDriver:
     ) -> None:
         self.machine = machine
         self.max_cache_bytes = int(max_cache_bytes)
-        self.registry = SharedTableRegistry()
 
     # ------------------------------------------------------------------
     def _backend_for(self, settings, scope: str):
         """One molecule's backend, wired into the run's shared resources."""
-        from repro.backends.registry import create_backend
         from repro.backends.device import DeviceBackend
 
-        name = settings.backend
-        if name == "numpy":
-            return BatchedBackend(cache=self._cache, scope=scope)
-        if name == "device":
+        if settings.backend == "device":
             return DeviceBackend(device=self._device)
-        return create_backend(name)
+        return BatchedBackend(cache=self._cache, scope=scope)
 
     def _group_pipeline(self, group: FleetGroup):
         """Generator running one group's physics, one cycle per ``next()``.
@@ -216,7 +218,6 @@ class FleetDriver:
         from repro.service.jobs import physics_from_payload
 
         structure, settings, charge = physics_from_payload(group.tasks[0].payload)
-        register_basis_tables(self.registry, structure)
         physics = yield from iter_physics(
             structure,
             settings,
@@ -224,9 +225,7 @@ class FleetDriver:
             backend=self._backend_for(settings, scope=group.fingerprint),
             substrate=self._substrates.substrate(structure, settings),
         )
-        return _GroupOutcome(
-            structure=structure, settings=settings, physics=physics
-        )
+        return _GroupOutcome(settings=settings, physics=physics)
 
     # ------------------------------------------------------------------
     def run_tasks(self, tasks: Iterable[FleetTask]) -> FleetOutcome:
@@ -238,6 +237,7 @@ class FleetDriver:
         requests (recorded in ``errors``), never its neighbours.
         """
         from repro.runtime.machines import machine_by_name
+        from repro.service.jobs import structure_from_dict
         from repro.service.worker import result_payload
 
         plan = plan_fleet(tasks)
@@ -280,16 +280,18 @@ class FleetDriver:
             profile = out.physics.backend_profile
             if profile is not None:
                 profiles[group.fingerprint] = profile.as_dict()
+            # Each request is stamped with its own structure: a renamed
+            # request in a group keeps its name.
             for task in group.tasks:
                 results[task.key] = result_payload(
-                    task, out.structure, out.settings, out.physics
+                    task, structure_from_dict(task.payload["structure"]),
+                    out.settings, out.physics,
                 )
 
         report = FleetReport(
             n_requests=plan.n_requests,
             n_groups=len(plan.groups),
             rounds=rounds,
-            registry=self.registry.stats(),
             substrates={
                 "built": self._substrates.built,
                 "reused": self._substrates.reused,

@@ -6,9 +6,8 @@ Four pieces, one taxonomy:
   rank / cycle / backend / comm-scheme attributes, propagated
   ambiently through the SCF and CPSCF drivers, the execution backends,
   the simulated collectives and the fault injectors;
-* **metrics** (:mod:`repro.obs.metrics`) — deterministic counters,
-  gauges and histograms (bytes reduced, cache hits, blocks evaluated,
-  retries; the service layer adds ``service.tasks_claimed`` /
+* **metrics** (:mod:`repro.obs.metrics`) — deterministic counters
+  (bytes reduced, cache hits, blocks evaluated, retries; the service layer adds ``service.tasks_claimed`` /
   ``service.tasks_completed`` / ``service.tasks_failed`` /
   ``service.worker_crashes`` around its worker pool, and each task
   executes under a ``service``-category span carrying worker / task /
@@ -32,7 +31,7 @@ the statestore journal by :mod:`repro.service.slo`.
 1
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -62,8 +61,6 @@ from repro.obs.regress import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Span",
     "Tracer",

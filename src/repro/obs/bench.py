@@ -47,7 +47,8 @@ def build_builders(level: str) -> Dict[str, object]:
 
     The host engine under its default cache budget (``warm`` — every
     block evaluated once), the same engine under budget 0 (``cold`` —
-    every block evaluated on every pass), and the device model.
+    every block evaluated on every pass), and ``device``: the warm
+    engine with the device model's prices.
     """
     from repro.atoms import water
     from repro.backends.batched import BatchedBackend
@@ -86,8 +87,8 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
     """Run the full comparison; return the ``BENCH_backends.json`` document.
 
     Raises :class:`~repro.errors.ExperimentError` if any row's outputs
-    diverge bitwise from the warm host engine, or if a host row's
-    ``basis`` evaluation count is not the one its cache regime defines
+    diverge bitwise from the warm host engine, or if a row's ``basis``
+    evaluation count is not the one its cache regime defines
     — a benchmark must never count a wrong answer or a wrong regime.
     """
     if n_sweeps < 1:
@@ -105,7 +106,7 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
     # One Sumup and one H pass per sweep, each looking up every fused
     # view; the basis row counts the batches of the views evaluated.
     n_views, n_batches = len(reference.views), reference.views.n_batches
-    for row, passes in (("warm", 1), ("cold", 2 * n_sweeps)):
+    for row, passes in (("warm", 1), ("device", 1), ("cold", 2 * n_sweeps)):
         profile = builders[row].backend.profile
         evaluated = profile.phases["basis"].calls
         if (evaluated, profile.cache_misses) != (passes * n_batches, passes * n_views):
@@ -292,7 +293,7 @@ def fleet_emission(
             result_payload(task, structure, run_settings, result)
         )
 
-    # Fleet run: shared tables, dedup groups, fused launches.
+    # Fleet run: shared substrates, dedup groups, fused launches.
     outcome = FleetDriver().run_tasks(tasks)
     if outcome.errors:
         raise ExperimentError(f"fleet run failed: {outcome.errors}")
@@ -320,7 +321,6 @@ def fleet_emission(
         "n_distinct": n_distinct,
         "groups": outcome.report.n_groups,
         "rounds": outcome.report.rounds,
-        "registry": outcome.report.registry,
         "substrates": outcome.report.substrates,
         "launches": {
             "sequential": sequential["launches"],

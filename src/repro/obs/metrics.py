@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms for the observability layer (DESIGN §10.3).
+"""Counters for the observability layer (DESIGN §10.3).
 
 A *metric* is a named scalar accumulated over one run — bytes reduced,
 block-cache hits, basis blocks evaluated, collective retries — as
@@ -12,16 +12,14 @@ cross-backend tests assert.
 >>> reg = MetricsRegistry()
 >>> reg.counter("comm.bytes_reduced").inc(1024)
 >>> reg.counter("comm.bytes_reduced").inc(1024)
->>> reg.gauge("cache.peak_bytes").set(4096)
->>> reg.histogram("batch.points").observe(200)
 >>> reg.as_dict()["counters"]["comm.bytes_reduced"]
 2048
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -43,62 +41,6 @@ class Counter:
         self.value += int(amount)
 
 
-@dataclass
-class Gauge:
-    """Last-written scalar metric (e.g. a peak or a configuration value).
-
-    >>> g = Gauge("cache.peak_bytes")
-    >>> g.set(10.0); g.set_max(4.0); g.value
-    10.0
-    """
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Overwrite the gauge."""
-        self.value = float(value)
-
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum of all written values."""
-        self.value = max(self.value, float(value))
-
-
-@dataclass
-class Histogram:
-    """Streaming summary (count/sum/min/max) of observed samples.
-
-    Samples are not stored individually, so memory is O(1) no matter
-    how many observations arrive.
-
-    >>> h = Histogram("batch.points")
-    >>> for v in (100, 300, 200): h.observe(v)
-    >>> h.count, h.sum, h.min, h.max
-    (3, 600.0, 100.0, 300.0)
-    >>> round(h.mean, 1)
-    200.0
-    """
-
-    name: str
-    count: int = 0
-    sum: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        """Fold one sample in."""
-        v = float(value)
-        self.count += 1
-        self.sum += v
-        self.min = v if v < self.min else self.min
-        self.max = v if v > self.max else self.max
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 before any observation)."""
-        return self.sum / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
     """Get-or-create store of named metrics with a deterministic snapshot.
 
@@ -115,8 +57,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """The counter registered under *name* (created on first use)."""
@@ -124,51 +64,8 @@ class MetricsRegistry:
             self._counters[name] = Counter(name)
         return self._counters[name]
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under *name* (created on first use)."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram registered under *name* (created on first use)."""
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
-
-    def names(self) -> List[str]:
-        """All registered metric names, sorted."""
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
-
-    def as_dict(self) -> Dict[str, Dict[str, object]]:
+    def as_dict(self) -> Dict[str, Dict[str, int]]:
         """JSON-friendly snapshot, sorted by metric name."""
         return {
             "counters": {n: self._counters[n].value for n in sorted(self._counters)},
-            "gauges": {n: self._gauges[n].value for n in sorted(self._gauges)},
-            "histograms": {
-                n: {
-                    "count": h.count,
-                    "sum": h.sum,
-                    "min": h.min if h.count else 0.0,
-                    "max": h.max if h.count else 0.0,
-                    "mean": h.mean,
-                }
-                for n, h in sorted(self._histograms.items())
-            },
         }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's accumulations into this one."""
-        for name, c in other._counters.items():
-            self.counter(name).inc(c.value)
-        for name, g in other._gauges.items():
-            self.gauge(name).set_max(g.value)
-        for name, h in other._histograms.items():
-            mine = self.histogram(name)
-            mine.count += h.count
-            mine.sum += h.sum
-            if h.count:
-                mine.min = min(mine.min, h.min)
-                mine.max = max(mine.max, h.max)

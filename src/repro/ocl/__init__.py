@@ -1,11 +1,12 @@
 """Simulated OpenCL device layer (Section 4).
 
-Kernels are real Python callables executed over explicit device
-buffers — numerics are exact — while a per-launch performance model
-(launch overhead, compute width, off-chip traffic, indirect-access
-latency) prices each invocation on a device preset.  The paper's four
-kernel optimizations are implemented as transforms over these kernel
-objects:
+A kernel here is its declared work; the numerics it stands for run on
+the host, in the shared view loops of :mod:`repro.backends.base`, and
+are exact.  A per-launch performance model (launch overhead, compute
+width, off-chip traffic, indirect-access latency) prices each launch on
+a device preset, and the device counts launches and transferred bytes.
+The paper's four kernel optimizations are implemented as transforms
+over these kernel objects:
 
 * vertical fusion via on-chip RMA (4.2.1, Sunway),
 * horizontal fusion across ranks sharing a GPU (4.2.2, AMD),
@@ -13,7 +14,6 @@ objects:
 * fine-grained parallelization by loop collapse (4.4).
 """
 
-from repro.ocl.buffers import DeviceBuffer, AddressSpace
 from repro.ocl.kernel import Kernel, NDRange, LaunchReport
 from repro.ocl.device import Device
 from repro.ocl.transforms import (
@@ -31,8 +31,6 @@ from repro.ocl.fusion import (
 )
 
 __all__ = [
-    "DeviceBuffer",
-    "AddressSpace",
     "Kernel",
     "NDRange",
     "LaunchReport",

@@ -1,70 +1,37 @@
-"""The simulated accelerator: executes kernels, prices every launch.
+"""The simulated accelerator: prices every launch and counts it.
 
 One :class:`Device` instance models one accelerator (a Sunway core
-group or an AMD GPU).  ``launch`` runs the kernel's real computation
-(if it has one) and returns a :class:`LaunchReport` from the
-performance model; counters accumulate for phase-level reporting.
+group or an AMD GPU).  ``estimate`` prices one launch from the
+kernel's declarations; ``launch`` prices it *and* charges it to the
+device's counters, and ``transfer`` charges host<->device bytes.  The
+numerics themselves run on the host, in the shared view loops of
+:mod:`repro.backends.base`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
-
-from repro.errors import DeviceError
-from repro.ocl.buffers import AddressSpace, DeviceBuffer
 from repro.ocl.kernel import Kernel, LaunchReport, NDRange
 from repro.runtime.machines import AcceleratorSpec
 
 
 class Device:
-    """A priced, executable accelerator model."""
+    """A priced accelerator model."""
 
     def __init__(self, spec: AcceleratorSpec) -> None:
         self.spec = spec
         self.n_launches = 0
         self.modeled_time = 0.0
         self.bytes_transferred = 0
-        self.transfer_time = 0.0
 
-    # ------------------------------------------------------------------
-    # Host <-> device transfers
-    # ------------------------------------------------------------------
-    def to_device(self, buffer: DeviceBuffer, persistent: bool = False) -> DeviceBuffer:
-        """Move a host buffer into __global memory (charged)."""
-        if buffer.space is AddressSpace.GLOBAL:
-            return buffer
-        if persistent and not self.spec.persistent_buffers:
-            raise DeviceError(
-                f"{self.spec.name} cannot keep buffers resident across launches"
-            )
-        self.bytes_transferred += buffer.nbytes
-        self.transfer_time += buffer.nbytes / self.spec.host_bandwidth
-        buffer.space = AddressSpace.GLOBAL
-        buffer.persistent = persistent
-        return buffer
-
-    def from_device(self, buffer: DeviceBuffer) -> DeviceBuffer:
-        """Move a __global buffer back to the host (charged)."""
-        if buffer.space is AddressSpace.HOST:
-            return buffer
-        self.bytes_transferred += buffer.nbytes
-        self.transfer_time += buffer.nbytes / self.spec.host_bandwidth
-        buffer.space = AddressSpace.HOST
-        buffer.persistent = False
-        return buffer
+    def transfer(self, nbytes: int) -> None:
+        """Charge *nbytes* moved between host and device memory."""
+        self.bytes_transferred += int(nbytes)
 
     # ------------------------------------------------------------------
     # Launch
     # ------------------------------------------------------------------
     def estimate(self, kernel: Kernel, ndrange: NDRange) -> LaunchReport:
-        """Price one launch without executing anything."""
-        if kernel.local_bytes > self.spec.onchip_bytes:
-            raise DeviceError(
-                f"kernel {kernel.name!r} needs {kernel.local_bytes} B of "
-                f"__local memory; {self.spec.name} has {self.spec.onchip_bytes} B"
-            )
+        """Price one launch without charging it."""
         n_items = ndrange.n_items
 
         # Compute: items run on compute_units x lanes; a limited
@@ -96,22 +63,9 @@ class Device:
             indirect_time=indirect_time,
         )
 
-    def launch(
-        self,
-        kernel: Kernel,
-        ndrange: NDRange,
-        buffers: Optional[Dict[str, DeviceBuffer]] = None,
-    ) -> LaunchReport:
-        """Execute (if the kernel has a body) and price one launch."""
-        buffers = buffers or {}
-        for buf in buffers.values():
-            if buf.space is AddressSpace.HOST:
-                raise DeviceError(
-                    f"buffer {buf.name!r} still on host; call to_device() first"
-                )
+    def launch(self, kernel: Kernel, ndrange: NDRange) -> LaunchReport:
+        """Price one launch and charge it to the device's counters."""
         report = self.estimate(kernel, ndrange)
-        if kernel.func is not None:
-            kernel.func(buffers)
         self.n_launches += 1
         self.modeled_time += report.total_time
         return report
@@ -120,9 +74,3 @@ class Device:
     def rma_supported(self, nbytes: int) -> bool:
         """Can *nbytes* be shared on-chip via RMA (Section 4.2.1)?"""
         return 0 < nbytes <= self.spec.rma_max_bytes
-
-    def reset_counters(self) -> None:
-        self.n_launches = 0
-        self.modeled_time = 0.0
-        self.bytes_transferred = 0
-        self.transfer_time = 0.0

@@ -1,14 +1,14 @@
 """Kernel objects and the per-launch performance model.
 
-A :class:`Kernel` bundles a real Python function with the traffic and
-compute declarations the device model prices.  The two-level NDRange of
+A :class:`Kernel` is the traffic and compute declarations the device
+model prices; the computation it stands for runs on the host.  The two-level NDRange of
 Section 4.1 maps batches to work-groups and grid points to work-items.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import DeviceError
 
@@ -37,16 +37,12 @@ class NDRange:
 
 @dataclass
 class Kernel:
-    """One OpenCL kernel: real computation + model declarations.
+    """One OpenCL kernel as the model sees it: its declared work.
 
     Attributes
     ----------
     name:
         Kernel identifier.
-    func:
-        The computation: ``func(buffers: dict[str, DeviceBuffer]) -> None``
-        (writes its outputs into the bound buffers).  May be ``None`` for
-        model-only kernels used in scale studies.
     flops_per_item:
         Arithmetic work per work-item.
     bytes_read_per_item / bytes_written_per_item:
@@ -58,19 +54,14 @@ class Kernel:
         Number of work-items that can make progress concurrently inside
         a work-group; ``None`` means all of them.  The un-collapsed
         (p, m) Adams-Moulton loop has width ``p_max + 1`` (Section 4.4).
-    local_bytes:
-        ``__local`` scratch needed per work-group (capacity-checked).
     """
 
     name: str
-    func: Optional[Callable[[Dict[str, object]], None]] = None
     flops_per_item: float = 0.0
     bytes_read_per_item: float = 0.0
     bytes_written_per_item: float = 0.0
     indirect_accesses_per_item: float = 0.0
     parallel_width: Optional[int] = None
-    local_bytes: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def with_updates(self, **kwargs) -> "Kernel":
         """Copy with some declarations replaced (used by transforms)."""

@@ -8,85 +8,12 @@ barriers — no write conflicts, one physical copy per node instead of m.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import CommunicationError, ShmCorruptionError
 from repro.runtime.simmpi import SimCluster
-
-
-class SharedTableRegistry:
-    """Register-once store of read-only arrays shared across molecules.
-
-    The shared-window idea of :class:`SharedWindow` applied to the fleet
-    driver's host side: density-independent tables (the per-species
-    radial spline knots/values/curvatures of a basis set) are physically
-    identical for every molecule using the same basis, so the fleet
-    registers them **once per distinct key** and every later molecule
-    reuses the same arrays.  Registered ndarrays are marked read-only,
-    so any accidental write raises instead of corrupting a neighbour
-    molecule.
-
-    >>> registry = SharedTableRegistry()
-    >>> a = registry.register("H", lambda: [np.arange(3.0)])
-    >>> b = registry.register("H", lambda: [np.zeros(99)])  # not rebuilt
-    >>> a[0] is b[0], registry.registered, registry.reused
-    (True, 1, 1)
-    """
-
-    def __init__(self) -> None:
-        self._tables: Dict[str, Tuple] = {}
-        self.registered = 0
-        self.reused = 0
-        self.reuse_counts: Dict[str, int] = {}
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._tables
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def register(
-        self, key: str, build: Callable[[], Sequence[np.ndarray]]
-    ) -> Tuple:
-        """The arrays for *key*, built by *build* only on first request.
-
-        The first registration calls *build* and marks every returned
-        ndarray read-only; later registrations under the same key count
-        as reuses and return the very same objects without calling
-        *build*.
-        """
-        if key in self._tables:
-            self.reused += 1
-            self.reuse_counts[key] += 1
-            return self._tables[key]
-        arrays = tuple(build())
-        for arr in arrays:
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        self._tables[key] = arrays
-        self.registered += 1
-        self.reuse_counts[key] = 0
-        return arrays
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held once instead of once per molecule."""
-        return sum(
-            int(arr.nbytes)
-            for arrays in self._tables.values()
-            for arr in arrays
-            if isinstance(arr, np.ndarray)
-        )
-
-    def stats(self) -> Dict[str, int]:
-        """Deterministic counters for fleet reports and benchmarks."""
-        return {
-            "registered": self.registered,
-            "reused": self.reused,
-            "bytes_shared": self.nbytes,
-        }
 
 
 class SharedWindow:

@@ -226,8 +226,6 @@ class Worker:
         from repro.fleet import FleetDriver, FleetTask
 
         if self._fleet_driver is None:
-            # Persist across waves: registered basis tables outlive one
-            # wave, so a long-lived worker amortizes them fleet to fleet.
             self._fleet_driver = FleetDriver()
         with obs_span(
             "service.fleet", category="service", worker=self.worker_id,

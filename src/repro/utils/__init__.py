@@ -1,6 +1,6 @@
 """Shared utilities: timing, structured reports, small linear-algebra helpers."""
 
-from repro.utils.timing import Stopwatch, PhaseTimer
+from repro.utils.timing import PhaseTimer
 from repro.utils.reports import TableFormatter, format_bytes, format_seconds
 from repro.utils.linalg import (
     GeneralizedEigensolver,
@@ -27,7 +27,6 @@ def drain(gen):
 
 __all__ = [
     "drain",
-    "Stopwatch",
     "PhaseTimer",
     "TableFormatter",
     "format_bytes",

@@ -1,11 +1,8 @@
 """Wall-clock timing helpers used by the SCF/CPSCF drivers and benchmarks.
 
-Two levels are provided:
-
-* :class:`Stopwatch` — a context-manager around one measurement.
-* :class:`PhaseTimer` — named, accumulating phase timings mirroring the
-  per-phase breakdown the paper's artifact extracts from its output file
-  (``DM`` / ``Sumup`` / ``Rho`` / ``H`` / ``Comm``).
+:class:`PhaseTimer` holds named, accumulating phase timings mirroring
+the per-phase breakdown the paper's artifact extracts from its output
+file (``DM`` / ``Sumup`` / ``Rho`` / ``H`` / ``Comm``).
 
 When a :class:`~repro.obs.tracer.Tracer` is active (see
 :func:`repro.obs.tracer.activate`), every :meth:`PhaseTimer.phase`
@@ -19,31 +16,9 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.obs.tracer import obs_span
-
-
-class Stopwatch:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    >>> with Stopwatch() as sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
 
 
 class PhaseTimer:
@@ -117,17 +92,6 @@ class PhaseTimer:
         """
         return self._counts.get(name, 0)
 
-    @property
-    def grand_total(self) -> float:
-        """Sum over all phases.
-
-        >>> t = PhaseTimer()
-        >>> t.add("DM", 1.0); t.add("H", 2.0)
-        >>> t.grand_total
-        3.0
-        """
-        return sum(self._totals.values())
-
     def as_dict(self) -> Dict[str, float]:
         """Phase name -> accumulated seconds, in first-seen order.
 
@@ -137,15 +101,3 @@ class PhaseTimer:
         {'DM': 1.0}
         """
         return dict(self._totals)
-
-    def merge(self, other: "PhaseTimer") -> None:
-        """Fold another timer's totals into this one.
-
-        >>> a, b = PhaseTimer(), PhaseTimer()
-        >>> a.add("DM", 1.0); b.add("DM", 2.0)
-        >>> a.merge(b)
-        >>> a.total("DM"), a.visits("DM")
-        (3.0, 2)
-        """
-        for name, seconds in other._totals.items():
-            self.add(name, seconds, visits=other._counts.get(name, 1))

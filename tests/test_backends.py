@@ -195,7 +195,7 @@ class TestKWideSeams:
         price = backend.device.launch
         monkeypatch.setattr(
             backend.device, "launch",
-            lambda kernel, ndrange, buffers: ranges.append(ndrange) or price(kernel, ndrange, buffers),
+            lambda kernel, ndrange: ranges.append(ndrange) or price(kernel, ndrange),
         )
         x, c = self._factors(builders["device"], rng, self.K)
         v = rng.normal(size=(builders["device"].grid.n_points, self.K))
@@ -577,6 +577,45 @@ class TestBackendProfile:
         assert backend.profile.device_launches == 1
         assert backend.profile.device_modeled_seconds > 0.0
 
+    def test_device_reads_the_host_engines_blocks(self, substrate):
+        """The device is the host engine plus a price: the same sweeps
+        evaluate the same blocks and hit the same cache entries."""
+        basis, grid = substrate
+        engines = {"numpy": MatrixBuilder(basis, grid, backend="numpy")}
+        engines["device"] = MatrixBuilder(
+            basis, grid, batches=engines["numpy"].batches, backend="device"
+        )
+        nb = basis.n_basis
+        for builder in engines.values():
+            for _ in range(2):
+                builder.backend.density_on_grid(np.eye(nb))
+                builder.potential_matrix(np.ones(grid.n_points))
+        host, device = (engines[n].backend.profile for n in ("numpy", "device"))
+        counts = [(p.phases["basis"].calls, p.phases["basis"].elements) for p in (host, device)]
+        assert counts[0] == counts[1]
+        assert (device.cache_hits, device.cache_misses) == (
+            host.cache_hits, host.cache_misses,
+        )
+        assert device.cache_hits > 0 and device.cache_misses > 0
+
+    def test_device_charges_its_staged_tables_and_phase_buffers(self, substrate):
+        """Bind moves the basis table and the weights; a phase moves its
+        input once and its output buffer twice (zeroed in, result out)."""
+        basis, grid = substrate
+        builder = MatrixBuilder(basis, grid, backend="device")
+        profile = builder.backend.profile
+        nb, n_points = basis.n_basis, grid.n_points
+        staged = 8 * n_points * (nb + 1)
+        assert profile.device_bytes_transferred == staged
+        builder.backend.density_on_grid(np.eye(nb))
+        sumup = 8 * nb * nb + 2 * 8 * n_points
+        assert profile.device_bytes_transferred == staged + sumup
+        builder.potential_matrix(np.ones((n_points, 3)))
+        h = 3 * (8 * n_points + 2 * 8 * nb * nb)
+        assert profile.device_bytes_transferred == staged + sumup + h
+        assert profile.device_launches == builder.backend.device.n_launches == 2
+        assert profile.device_bytes_transferred == builder.backend.device.bytes_transferred
+
     def test_profile_as_dict_round_trip(self):
         profile = BackendProfile(backend="numpy")
         profile.record("H", elements=10, seconds=0.5)
@@ -616,17 +655,13 @@ class TestDeviceLaunchSizing:
         price = builder.backend.device.launch
         monkeypatch.setattr(
             builder.backend.device, "launch",
-            lambda kernel, ndrange, buffers: (
-                ranges.append(ndrange) or price(kernel, ndrange, buffers)
-            ),
+            lambda kernel, ndrange: ranges.append(ndrange) or price(kernel, ndrange),
         )
 
         def launch(batches=None):
             if batches is not None:
                 builder.batches = batches
-            builder.backend._launch(
-                Kernel(name="probe"), {}, n_groups=len(builder.batches)
-            )
+            builder.backend._launch(Kernel(name="probe"), n_groups=len(builder.batches))
             return ranges[-1]
 
         return builder, launch

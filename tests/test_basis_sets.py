@@ -129,6 +129,18 @@ class TestBasisSet:
         b = build_basis(water())
         assert np.all(b.atom_cutoffs > 0)
 
+    def test_species_spline_tables_refuse_writes(self):
+        """Every molecule of the process shares the species cache's
+        arrays, so a write through one basis set must raise."""
+        from repro.basis.basis_set import _SPECIES_CACHE
+
+        build_basis(water())
+        for symbol in ("H", "O"):
+            for _shell, spline, _cutoff in _SPECIES_CACHE[symbol]:
+                for table in (spline.x, spline.y, spline.m):
+                    with pytest.raises(ValueError, match="read-only"):
+                        table[0] = 99.0
+
     def test_unsupported_level(self):
         with pytest.raises(BasisError):
             build_basis(water(), level="tight")

@@ -1,7 +1,7 @@
 """Fleet bit-exactness harness: fleet-of-N vs N sequential runs.
 
 The tentpole contract of the fleet driver: executing many molecules
-through one shared substrate — shared basis tables, deduplicated
+through one shared substrate — shared geometry substrates, deduplicated
 physics groups, interleaved SCF/CPSCF cycles, fused device launches —
 changes **no result bytes** relative to running each request through an
 isolated :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`.
@@ -15,8 +15,10 @@ Pinned here:
   model-throughput account cleared;
 * per-molecule profile attribution: fleet per-group profiles sum to the
   shared cache/device totals;
-* hypothesis properties: plan permutation-invariance, register-once
-  basis tables, scoped LRU-key distinctness;
+* hypothesis properties: plan permutation-invariance, scoped LRU-key
+  distinctness;
+* one group per physics as the service keys it: a renamed request or
+  one written with signed zeros joins its group and keeps its own name;
 * service integration: a fleet-mode worker pool drains a statestore to
   the same bytes as a sequential pool (the cache-key path included).
 """
@@ -36,13 +38,11 @@ from repro.core import PerturbationSimulator, iter_physics
 from repro.fleet import (
     FleetDriver,
     FleetTask,
-    basis_signature,
     fleet_tasks_from_requests,
     physics_fingerprint,
     plan_fleet,
 )
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
-from repro.runtime.shm import SharedTableRegistry
 from repro.service.jobs import (
     JobRequest,
     physics_from_payload,
@@ -190,10 +190,6 @@ class TestFleetOf16Acceptance:
         report = outcome.report
         assert report.n_requests == 16
         assert report.n_groups == 4
-        # Two distinct basis signatures (H2, H2O): registered exactly
-        # once each, reused by the other same-signature groups.
-        assert report.registry["registered"] == 2
-        assert report.registry["reused"] == 2
         assert report.substrates == {"built": 4, "reused": 0}
         # The fused model account beats per-group sequential pricing.
         assert report.device["fusion_speedup"] > 1.0
@@ -304,8 +300,11 @@ class TestPlanProperties:
     )
     @hsettings(max_examples=40, deadline=None)
     def test_plan_is_permutation_invariant(self, payload_ids, seed):
+        payloads = [
+            JobRequest(m, charge=q).payload() for m in ("h2", "water") for q in (0, 2)
+        ]
         tasks = [
-            FleetTask(key=f"k{i}", payload={"structure": {"x": pid}})
+            FleetTask(key=f"k{i}", payload=payloads[pid])
             for i, pid in enumerate(payload_ids)
         ]
         shuffled = list(tasks)
@@ -320,45 +319,33 @@ class TestPlanProperties:
     )
     @hsettings(max_examples=20, deadline=None)
     def test_seed_never_splits_a_group(self, seeds):
-        payloads = [
-            {"structure": {"x": 1}, "settings": {"a": 2}, "seed": s}
-            for s in seeds
-        ]
+        payloads = [JobRequest("h2", seed=s).payload() for s in seeds]
         assert len({physics_fingerprint(p) for p in payloads}) == 1
 
 
-class TestSharedTableProperties:
-    @given(
-        keys=st.lists(
-            st.sampled_from(["light:H", "light:H|O", "light:C|H"]),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @hsettings(max_examples=40, deadline=None)
-    def test_registered_once_per_distinct_key(self, keys):
-        registry = SharedTableRegistry()
-        builds = {"n": 0}
+class TestOneGroupPerServicePhysics:
+    """The fleet groups by the service's own fingerprints: name, signed
+    zeros and seed never split one physics into several groups."""
 
-        def build():
-            builds["n"] += 1
-            return [np.zeros(3)]
-
-        for key in keys:
-            registry.register(key, build)
-        distinct = len(set(keys))
-        assert registry.registered == builds["n"] == distinct
-        assert registry.reused == len(keys) - distinct
-
-    def test_registered_arrays_are_read_only(self):
-        registry = SharedTableRegistry()
+    def test_renamed_and_signed_zero_requests_share_one_group(self):
+        settings = get_settings("minimal")
         h2 = hydrogen_molecule()
-        from repro.fleet import register_basis_tables
-
-        (first, *rest) = register_basis_tables(registry, h2)
-        assert basis_signature(h2) == "light:H"
-        with pytest.raises(ValueError):
-            first[0] = 99.0
+        flipped = structure_from_dict(
+            {"symbols": list(h2.symbols), "coords": np.where(h2.coords == 0.0, -0.0, h2.coords)}
+        )
+        renamed = structure_from_dict(
+            {"symbols": list(h2.symbols), "coords": h2.coords, "name": "hydrogen"}
+        )
+        requests = [
+            JobRequest(molecule, settings, seed=seed)
+            for seed, molecule in enumerate((h2, flipped, renamed))
+        ]
+        tasks = fleet_tasks_from_requests(requests, commit="groups")
+        assert len(plan_fleet(tasks).groups) == 1
+        outcome = FleetDriver().run_tasks(tasks)
+        assert not outcome.errors
+        assert fleet_bytes(outcome) == sequential_reference(tasks)
+        assert outcome.results[tasks[2].key]["molecule"] == "hydrogen"
 
 
 class TestScopedCacheKeys:

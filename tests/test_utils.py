@@ -13,15 +13,10 @@ from repro.utils.linalg import (
     unpack_lower_triangle,
 )
 from repro.utils.reports import TableFormatter, format_bytes, format_seconds
-from repro.utils.timing import PhaseTimer, Stopwatch
+from repro.utils.timing import PhaseTimer
 
 
 class TestTiming:
-    def test_stopwatch_measures_nonnegative(self):
-        with Stopwatch() as sw:
-            sum(range(1000))
-        assert sw.elapsed >= 0.0
-
     def test_phase_timer_accumulates(self):
         t = PhaseTimer()
         with t.phase("a"):
@@ -31,14 +26,13 @@ class TestTiming:
         assert t.visits("a") == 2
         assert t.total("a") >= 0.0
 
-    def test_phase_timer_add_and_merge(self):
-        t1, t2 = PhaseTimer(), PhaseTimer()
-        t1.add("x", 1.0)
-        t2.add("x", 2.0)
-        t2.add("y", 3.0)
-        t1.merge(t2)
-        assert t1.total("x") == pytest.approx(3.0)
-        assert t1.grand_total == pytest.approx(6.0)
+    def test_phase_timer_add(self):
+        t = PhaseTimer()
+        t.add("x", 1.0)
+        t.add("x", 2.0, visits=2)
+        t.add("y", 3.0)
+        assert t.total("x") == pytest.approx(3.0) and t.visits("x") == 3
+        assert t.as_dict() == {"x": 3.0, "y": 3.0}
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
