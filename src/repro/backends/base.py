@@ -212,6 +212,11 @@ class BackendProfile:
     screen_elements_dense: int = 0
     screen_fill_fraction: float = 0.0
     screen_histogram: Tuple[int, ...] = ()
+    # The fused views every sweep iterates and the share of their block
+    # entries that is merge padding (held, computed on, always zero),
+    # set at bind time.
+    view_count: int = 0
+    view_padded_fraction: float = 0.0
 
     def record(
         self, phase: str, elements: int, seconds: float, calls: int = 1
@@ -257,6 +262,10 @@ class BackendProfile:
                 "fill_fraction": self.screen_fill_fraction,
                 "histogram": list(self.screen_histogram),
             },
+            "views": {
+                "count": self.view_count,
+                "padded_fraction": self.view_padded_fraction,
+            },
         }
 
 
@@ -295,6 +304,8 @@ class ExecutionBackend:
             )
         self.builder = builder
         self._on_bind()
+        self.profile.view_count = len(builder.views)
+        self.profile.view_padded_fraction = builder.views.padded_fraction
         if builder.pattern is not None:
             stats = builder.pattern.stats
             self.profile.screen_fill_fraction = stats.fill_fraction

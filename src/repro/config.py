@@ -27,6 +27,31 @@ def checked_screening_threshold(value: float) -> float:
     return threshold
 
 
+def _number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_fields(owner: str, obj, counts=(), positive=(), fractions=(), least=None) -> None:
+    """:class:`~repro.errors.SettingsError` naming *owner* unless every
+    field in *counts* is an integer ``>= 1`` (``>= least[name]`` where
+    given; ``True`` is not a count), every field in *positive* a finite
+    number ``> 0`` and every field in *fractions* a number in ``(0, 1]``
+    (NaN fails every comparison, so it fails each of these)."""
+    least = least or {}
+    for name in counts:
+        n, low = getattr(obj, name), least.get(name, 1)
+        if not (_number(n, numbers.Integral) and n >= low):
+            raise SettingsError(f"{owner} {name} must be an integer >= {low}, got {n!r}")
+    for name in positive:
+        x = getattr(obj, name)
+        if not (_number(x, numbers.Real) and math.isfinite(x) and x > 0.0):
+            raise SettingsError(f"{owner} {name} must be finite and > 0, got {x!r}")
+    for name in fractions:
+        x = getattr(obj, name)
+        if not (_number(x, numbers.Real) and 0.0 < x <= 1.0):
+            raise SettingsError(f"{owner} {name} must be in (0, 1], got {x!r}")
+
+
 @dataclass(frozen=True)
 class GridSettings:
     """Integration-grid resolution for one run."""
@@ -43,10 +68,21 @@ class GridSettings:
     #: Becke partition-function stiffness (number of smoothing passes).
     becke_smoothing: int = 3
 
+    def __post_init__(self) -> None:
+        _check_fields(
+            "grid", self,
+            counts=("n_radial_base", "n_angular", "batch_target_points", "becke_smoothing"),
+            positive=("radial_multiplier",),
+        )
+
 
 @dataclass(frozen=True)
 class SCFSettings:
-    """Ground-state self-consistency controls."""
+    """Ground-state self-consistency controls.
+
+    Checked on construction like :class:`CPSCFSettings`; the DIIS mixer
+    needs two trial vectors, hence ``pulay_history >= 2``.
+    """
 
     max_iterations: int = 60
     density_tolerance: float = 1e-6
@@ -54,6 +90,18 @@ class SCFSettings:
     mixing_factor: float = 0.35
     pulay_history: int = 6
     occupation_width: float = 0.0  # Hartree; 0 => integer occupations
+
+    def __post_init__(self) -> None:
+        _check_fields(
+            "SCF", self,
+            counts=("max_iterations", "pulay_history"),
+            positive=("density_tolerance", "energy_tolerance"),
+            fractions=("mixing_factor",),
+            least={"pulay_history": 2},
+        )
+        width = self.occupation_width
+        if not (_number(width, numbers.Real) and math.isfinite(width) and width >= 0.0):
+            raise SettingsError(f"SCF occupation_width must be finite and >= 0, got {width!r}")
 
 
 @dataclass(frozen=True)
@@ -71,16 +119,12 @@ class CPSCFSettings:
     mixing_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        def number(value, kind) -> bool:
-            return isinstance(value, kind) and not isinstance(value, bool)
-
-        n, tol, mix = self.max_iterations, self.response_tolerance, self.mixing_factor
-        if not (number(n, numbers.Integral) and n >= 1):
-            raise SettingsError(f"CPSCF max_iterations must be an integer >= 1, got {n!r}")
-        if not (number(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-            raise SettingsError(f"CPSCF response_tolerance must be finite and > 0, got {tol!r}")
-        if not (number(mix, numbers.Real) and 0.0 < mix <= 1.0):  # NaN fails too
-            raise SettingsError(f"CPSCF mixing_factor must be in (0, 1], got {mix!r}")
+        _check_fields(
+            "CPSCF", self,
+            counts=("max_iterations",),
+            positive=("response_tolerance",),
+            fractions=("mixing_factor",),
+        )
 
 
 @dataclass(frozen=True)

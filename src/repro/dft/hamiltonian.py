@@ -140,7 +140,8 @@ class MatrixBuilder:
 
         Filled a slab of rows at a time so the evaluator's temporaries
         stay the size they have on a single batch; rows are independent,
-        so the block is bitwise the concatenation of its batches' blocks.
+        so the block is bitwise the concatenation of its batches' blocks,
+        each member's padding set to ``+0.0``.
         """
         rows = view.point_indices
         block = np.empty((rows.size, view.cols.size))
@@ -149,6 +150,7 @@ class MatrixBuilder:
             block[lo : lo + idx.size] = self.basis.evaluate(
                 self.grid.points[idx], atoms=view.atoms, cols=view.cols
             )
+        view.zero_padding(block)
         return block
 
     def basis_values(self) -> np.ndarray:
@@ -192,6 +194,7 @@ class MatrixBuilder:
                 _, grads = self.basis.evaluate_with_gradients(
                     self.grid.points[idx], atoms=view.atoms, cols=cols
                 )
+                view.zero_padding(grads, lo)
                 with scratch((idx.size, cols.size)) as work:
                     for k in range(3):
                         block += weighted_gram(grads[k], w[idx], work)

@@ -63,6 +63,11 @@ def format_backend_profile(profile: "BackendProfile") -> str:
             f"peak {format_bytes(profile.cache_peak_bytes)} "
             f"(bound {format_bytes(profile.cache_max_bytes)})"
         )
+    if profile.view_count:
+        lines.append(
+            f"views: {profile.view_count} fused, "
+            f"{profile.view_padded_fraction:.1%} of block entries padding"
+        )
     if profile.device_launches:
         lines.append(
             f"device: {profile.device_launches} launches, "

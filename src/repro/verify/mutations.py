@@ -104,12 +104,7 @@ class MutantBackend(BatchedBackend):
         """
         block = super().basis_block(view).copy()  # the cached array stays honest
         builder = self._require_bound()
-        # Member batches lie whole and in order in the block (none of a
-        # mutant run's batches comes near the view row cap).
-        bounds = np.cumsum([0] + [builder.batches[b].n_points for b in view.batches])
-        if bounds[-1] != block.shape[0]:
-            raise VerificationError("mutant backends need batches under the view row cap")
-        for batch, lo, hi in zip(view.batches, bounds[:-1], bounds[1:]):
+        for batch, lo, hi in zip(view.batches, view.bounds, view.bounds[1:]):
             rows = block[lo:hi]
             if self.mutation == "transposed_gather_map":
                 rows[:] = rows[::-1].copy()
@@ -123,8 +118,10 @@ class MutantBackend(BatchedBackend):
                 and batch == 0
                 and view.active_hash is not None
             ):
+                # The batch's own first atom: a merged view's first
+                # column may be padding there, zero already.
                 fn_atom = builder.basis.function_atoms[view.cols]
-                rows[:, fn_atom == fn_atom[0]] = 0.0
+                rows[:, fn_atom == builder.pattern.active_atoms[batch][0]] = 0.0
         return block
 
     def density_on_grid(self, density_matrix) -> np.ndarray:

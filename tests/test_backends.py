@@ -381,7 +381,14 @@ class TestCacheRegimes:
         assert profile.cache_misses == n_views
         assert profile.cache_hits == (2 * self.N_SWEEPS - 1) * n_views
         assert profile.cache_evictions == 0
-        assert profile.cache_peak_bytes <= 8 * builder.views.elements
+        # The cache holds every view's block, each the priced entries of its
+        # members (fewer when dense: zero columns are dropped) plus the
+        # merge padding.
+        held = sum(v.point_indices.size * v.cols.size for v in builder.views)
+        assert profile.cache_peak_bytes == 8 * held
+        assert held <= builder.views.elements + sum(
+            v.padded_elements for v in builder.views
+        )
 
         def no_evaluate(*args, **kwargs):
             raise AssertionError("basis.evaluate called with a warm cache")

@@ -148,3 +148,95 @@ class TestCPSCFSettingsDomain:
     def test_edge_values_pass(self, good):
         s = get_settings("minimal").with_cpscf(**good)
         assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s
+
+
+class TestSCFAndGridSettingsDomain:
+    """The ground-state and grid knobs get the CPSCF checks: a count is an
+    integer (not a bool) at least 1 — the DIIS history at least 2 — a
+    tolerance or the radial multiplier finite and positive, a mixing
+    factor in (0, 1] and a smearing width finite and non-negative."""
+
+    BAD_SCF = [
+        {"max_iterations": 0}, {"max_iterations": -3}, {"max_iterations": 60.0},
+        {"max_iterations": True}, {"pulay_history": 1}, {"pulay_history": False},
+        {"density_tolerance": math.nan}, {"density_tolerance": math.inf},
+        {"density_tolerance": 0.0}, {"density_tolerance": -1e-6},
+        {"energy_tolerance": math.nan}, {"energy_tolerance": math.inf},
+        {"energy_tolerance": 0.0}, {"energy_tolerance": True},
+        {"mixing_factor": math.nan}, {"mixing_factor": 0.0},
+        {"mixing_factor": 1.5}, {"mixing_factor": -0.35}, {"mixing_factor": math.inf},
+        {"occupation_width": math.nan}, {"occupation_width": math.inf},
+        {"occupation_width": -0.01}, {"occupation_width": True},
+    ]
+    BAD_GRIDS = [
+        {"n_radial_base": 0}, {"n_radial_base": -24}, {"n_radial_base": 24.0},
+        {"n_angular": True}, {"batch_target_points": 0},
+        {"becke_smoothing": 0}, {"becke_smoothing": 3.5},
+        {"radial_multiplier": math.nan}, {"radial_multiplier": math.inf},
+        {"radial_multiplier": 0.0}, {"radial_multiplier": -1.0},
+        {"radial_multiplier": True},
+    ]
+
+    @staticmethod
+    def _id(bad):
+        return "-".join(f"{k}={v}" for k, v in bad.items())
+
+    @pytest.mark.parametrize("bad", BAD_SCF, ids=_id.__func__)
+    def test_scf_settings_refuse_it(self, bad):
+        from repro.config import SCFSettings
+
+        with pytest.raises(SettingsError, match=f"SCF {next(iter(bad))}"):
+            get_settings("minimal").with_scf(**bad)
+        with pytest.raises(SettingsError, match="SCF"):
+            RunSettings(scf=SCFSettings(**bad))
+
+    @pytest.mark.parametrize("bad", BAD_GRIDS, ids=_id.__func__)
+    def test_grid_settings_refuse_it(self, bad):
+        with pytest.raises(SettingsError, match=f"grid {next(iter(bad))}"):
+            get_settings("minimal").with_grids(**bad)
+        with pytest.raises(SettingsError, match="grid"):
+            RunSettings(grids=GridSettings(**bad))
+
+    @pytest.mark.parametrize("part, bad", [
+        ("scf", {"mixing_factor": math.nan}), ("scf", {"density_tolerance": math.inf}),
+        ("grids", {"radial_multiplier": 0.0}), ("grids", {"n_angular": True}),
+    ], ids=["nan-mix", "inf-tol", "zero-multiplier", "bool-angular"])
+    def test_a_journaled_job_request_refuses_it(self, part, bad):
+        from repro.service.jobs import JobRequest, physics_from_payload
+
+        payload = JobRequest("h2", settings=get_settings("minimal")).payload()
+        payload["settings"][part].update(bad)
+        with pytest.raises(SettingsError):
+            physics_from_payload(payload)
+
+    @pytest.mark.parametrize("override", [
+        lambda s: s.with_scf(energy_tolerance=math.nan),
+        lambda s: s.with_grids(radial_multiplier=-1.0),
+    ], ids=["scf", "grid"])
+    def test_the_cli_exits_2_before_any_file_opens(
+        self, override, monkeypatch, capsys, tmp_path
+    ):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "get_settings", lambda *a, **k: override(get_settings(*a, **k)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["physics", "--polyethylene", "8", "--level", "minimal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_every_preset_and_its_journaled_form_decode(self):
+        from repro.config import _PRESETS
+
+        for level in _PRESETS:
+            s = get_settings(level)
+            assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s
+
+    @pytest.mark.parametrize("good", [
+        {"mixing_factor": 1.0}, {"occupation_width": 0.0}, {"occupation_width": 0.01},
+        {"max_iterations": 1}, {"pulay_history": 2}, {"energy_tolerance": 1e-300},
+    ])
+    def test_edge_values_pass(self, good):
+        s = get_settings("minimal").with_scf(**good)
+        assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s

@@ -1,6 +1,7 @@
 """Fused batch views: the view algebra and the numerical contract.
 
-A view fuses the batches that share one column set along points
+A view fuses the batches that share one column set — near-identical
+sets merged into their union, each member's padding zero — along points
 (DESIGN §13.2); Sumup, H and the kinetic matrix contract it with a
 folded-triangle product and a sign-split ``syrk`` (DESIGN §8).  The first
 half pins what a view *is* — which points, which columns, in what order,
@@ -37,8 +38,11 @@ from repro.errors import GridError
 from repro.grids.sparsity import (
     DEFAULT_SCREENING_THRESHOLD,
     MAX_VIEW_ROWS,
+    MERGE_WINDOW,
     build_batch_views,
     build_sparsity_pattern,
+    merge_column_sets,
+    view_cost,
 )
 from repro.runtime.faults import CycleFaultInjector, FaultPlan, ScheduledFault
 from repro.utils import drain
@@ -96,6 +100,7 @@ def _member_rows(view, batches):
     by_index = {b.index: b for b in batches}
     bounds = np.cumsum([0] + [by_index[b].n_points for b in view.batches])
     assert bounds[-1] == view.point_indices.size
+    assert view.bounds == tuple(bounds.tolist())
     return list(zip(view.batches, bounds[:-1], bounds[1:]))
 
 
@@ -103,10 +108,10 @@ def _views_digest(views):
     """One digest over everything that identifies a view list."""
     h = hashlib.sha1()
     for view in views:
-        for part in (view.point_indices, view.cols):
+        for part in (view.point_indices, view.cols, *view.padding):
             h.update(np.ascontiguousarray(part).tobytes())
-        h.update(repr((view.atoms, view.batches, view.rows_hash,
-                       view.active_hash, view.runs, view.elements)).encode())
+        h.update(repr((view.atoms, view.batches, view.rows_hash, view.active_hash,
+                       view.runs, view.elements, view.bounds)).encode())
     return h.hexdigest()
 
 
@@ -144,10 +149,16 @@ class TestViewAlgebra:
         for view in views:
             assert 0 < view.point_indices.size <= MAX_VIEW_ROWS
             assert np.all(np.diff(view.cols) > 0)
-            for b, lo, hi in _member_rows(view, batches):
-                member = by_index[b]
-                assert np.array_equal(view.cols, _column_set(name, threshold, member))
-                assert np.array_equal(view.point_indices[lo:hi], member.point_indices)
+            # The columns are the union of the members' own sets, and a
+            # member's padding is the rest of them.
+            own = [_column_set(name, threshold, by_index[b]) for b in view.batches]
+            assert np.array_equal(view.cols, np.unique(np.concatenate(own)))
+            for (b, lo, hi), mine, pad in zip(
+                _member_rows(view, batches), own, view.padding
+            ):
+                assert np.isin(mine, view.cols).all()
+                assert np.array_equal(pad, np.flatnonzero(~np.isin(view.cols, mine)))
+                assert np.array_equal(view.point_indices[lo:hi], by_index[b].point_indices)
             # The runs are the columns, stretch by stretch.
             assert np.array_equal(
                 np.concatenate([np.arange(m.start, m.stop) for m, _ in view.runs]),
@@ -198,7 +209,8 @@ class TestViewAlgebra:
         # O(cols), never O(cols^2): all index data a view list holds.
         held = sum(
             v.point_indices.nbytes + v.cols.nbytes
-            + 8 * len(v.batches) + 32 * len(v.runs)
+            + 16 * len(v.batches) + 32 * len(v.runs)
+            + sum(pad.nbytes for pad in {id(p): p for p in v.padding}.values())
             for v in views
         )
         assert held <= 16 * sum(v.point_indices.size + v.cols.size for v in views)
@@ -212,7 +224,7 @@ class TestViewAlgebra:
             name: len(_builder(name, 0.0).views)
             for name in ("h2", "water", "methane", "chain26")
         }
-        assert counts == {"h2": 1, "water": 1, "methane": 2, "chain26": 36}
+        assert counts == {"h2": 1, "water": 1, "methane": 2, "chain26": 10}
         assert _builder("chain26", 0.0).views.n_batches == 256
 
     def test_views_do_not_depend_on_the_hash_seed(self):
@@ -255,10 +267,15 @@ class TestViewAlgebra:
             block = builder.evaluate_view(view)
             assert block.flags.c_contiguous
             assert block.shape == (view.point_indices.size, view.cols.size)
-            for b, lo, hi in _member_rows(view, builder.batches):
+            for (b, lo, hi), pad in zip(_member_rows(view, builder.batches), view.padding):
+                # Each member on its own columns; its padding exactly +0.0.
                 position, rows = alone[b]
                 take = [position[int(p)] for p in view.point_indices[lo:hi]]
-                assert np.array_equal(block[lo:hi], rows[take])
+                mine = np.ones(view.cols.size, dtype=bool)
+                mine[pad] = False
+                assert np.array_equal(block[lo:hi][:, mine], rows[take])
+                padded = block[lo:hi][:, pad]
+                assert not padded.any() and not np.signbit(padded).any()
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_dense_views_drop_only_exact_zeros(self, name):
@@ -358,6 +375,89 @@ class TestBitExactAcrossEnginesAndRegimes:
         # T evaluates its own gradient blocks and never reads an engine's:
         # run to run is all there is to vary.
         assert np.array_equal(builder.kinetic(), reference.kinetic())
+
+
+class TestMergeRule:
+    """Near-identical column sets fuse into their union only where the
+    rule's padded Gram work costs less than the view it saves."""
+
+    @given(
+        groups=st.lists(
+            st.tuples(st.integers(1, 6000), st.integers(1, 2**40 - 1)),
+            min_size=0, max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_merge_never_raises_the_rules_cost(self, groups):
+        rows = [r for r, _ in groups]
+        sets = [b for _, b in groups]
+        parts = merge_column_sets(rows, sets)
+        # A partition, each part in order, parts in order of their first.
+        assert sorted(g for part in parts for g in part) == list(range(len(groups)))
+        assert all(part == sorted(part) for part in parts)
+        assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+        alone = [view_cost(r, b.bit_count()) for r, b in groups]
+        total = 0.0
+        for part in parts:
+            union = functools.reduce(int.__or__, (sets[g] for g in part))
+            fused = view_cost(sum(rows[g] for g in part), union.bit_count())
+            assert fused <= sum(alone[g] for g in part)
+            if len(part) > 1:
+                assert fused < sum(alone[g] for g in part)
+            total += fused
+        assert total <= sum(alone)
+        assert merge_column_sets(rows, sets) == parts  # deterministic
+
+    def test_only_neighbours_in_batch_order_merge(self):
+        """Two identical sets further apart than the window stay apart
+        while the sets between them are far too different to join."""
+        wide = (1 << 300) - 1
+        for gap, want in ((MERGE_WINDOW, [0, MERGE_WINDOW]), (MERGE_WINDOW + 1, [0])):
+            sets = [0b1] + [wide << (300 * i + 1) for i in range(gap - 1)] + [0b1]
+            assert merge_column_sets([500] * (gap + 1), sets)[0] == want
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    @pytest.mark.parametrize("name", ["polyethylene2", "chain26"])
+    def test_merging_keeps_every_priced_number(self, name, threshold):
+        sub, pattern = _substrate(name), _pattern(name, threshold)
+        views = build_batch_views(sub.batches, sub.basis, pattern)
+        alone = [build_batch_views([b], sub.basis, pattern) for b in sub.batches]
+        assert views.padded_fraction > 0.0  # something merged
+        for field in ("n_points", "n_batches", "elements", "elements_sq"):
+            assert getattr(views, field) == sum(getattr(v, field) for v in alone), field
+        assert {v.matrix_nnz for v in alone} == {views.matrix_nnz}
+        assert sum(v.elements for v in views) == views.elements
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    def test_engines_are_bitwise_equal_on_merged_views(self, threshold):
+        reference = _builder("chain26", threshold)
+        assert reference.views.padded_fraction > 0.0
+        sub = _substrate("chain26")
+        p, v = _inputs(reference)
+        want = (reference.backend.density_on_grid(p), reference.potential_matrix(v))
+        for engine in ("device", BatchedBackend(max_cache_bytes=0)):
+            builder = MatrixBuilder(
+                sub.basis, sub.grid, batches=sub.batches, backend=engine,
+                screening_threshold=threshold,
+            )
+            got = (builder.backend.density_on_grid(p), builder.potential_matrix(v))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), engine
+
+    def test_the_profile_names_the_views_and_their_padding(self):
+        from repro.utils.reports import format_backend_profile
+
+        builder = _builder("chain26", 1e-6)
+        profile = builder.backend.profile
+        assert profile.view_count == len(builder.views) == 11
+        assert profile.view_padded_fraction == builder.views.padded_fraction > 0.0
+        assert profile.as_dict()["views"] == {
+            "count": 11, "padded_fraction": builder.views.padded_fraction,
+        }
+        assert (
+            f"views: 11 fused, {builder.views.padded_fraction:.1%} of block entries padding"
+            in format_backend_profile(profile)
+        )
 
 
 class TestKernelEdges:
@@ -627,6 +727,10 @@ class TestObservablesAgainstTheParent:
     and its alpha by 5-8e-9 through the CPSCF mixer (measured), so two
     commits that differ in any rounding sit that far apart and the bound
     against the second anchor is 5e-8 for H2.
+
+    Merged column sets hold both anchors too: against their own parent
+    H2 and water are bitwise, the 26-chain's energy is bitwise and its
+    polarizability moves by 4.7e-13 of its largest entry.
     """
 
     ANCHORS = ((PARENT, {}), (PARENT_OF_PR19, {"h2": 5e-8}))

@@ -192,7 +192,9 @@ class TestStackedEvaluation:
 def _assert_views_match_oracle(builder):
     """Every batch's chi and grad chi equal the per-shell loop's, a dense
     view's block is its batches' blocks stacked and cut to its columns,
-    and every screened view's block is a column slice of the dense ones."""
+    and every screened view's block is a column slice of the dense ones —
+    each member batch's padding (the view's columns outside its own set)
+    exactly zero."""
     basis, points = builder.basis, builder.grid.points
     dense = np.zeros((builder.grid.n_points, basis.n_basis))
     for batch in builder.batches:
@@ -204,9 +206,10 @@ def _assert_views_match_oracle(builder):
     assert builder.pattern is not None
     for views in (build_batch_views(builder.batches, basis), builder.views):
         for view in views:
-            assert np.array_equal(
-                builder.evaluate_view(view), dense[view.point_indices][:, view.cols]
-            )
+            want = dense[view.point_indices][:, view.cols]
+            for lo, hi, pad in zip(view.bounds, view.bounds[1:], view.padding):
+                want[lo:hi, pad] = 0.0
+            assert np.array_equal(builder.evaluate_view(view), want)
 
 
 # ----------------------------------------------------------------------
