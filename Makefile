@@ -3,26 +3,24 @@
 
 PYTHON ?= python
 
-.PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
+.PHONY: test smoke bench-smoke bench-check docs-check docs trace \
 	analyze service-check fleet-check e2e-check \
 	verify profile-model
 
-# Tier-1: the fast default profile (chaos sweeps deselected via addopts).
+# Tier-1: the fast default profile (service crash sweeps deselected via
+# addopts).
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=10
 
-# Full randomized fault-injection sweeps.
-chaos:
-	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
-
-# Just the fault/resilience smoke subset, the Hartree plan and
+# Just the worker-crash plan's tests, the Hartree plan and
 # Adams-Moulton parity tests, the basis evaluator's bitwise tests
 # against the per-shell loop, and the device layer's fast checks: the
 # ocl model's prices and counts, and the device backend's bitwise
 # parity with the host engine and its charges (all also part of
 # `make test`).
 smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py \
+		tests/test_fault_determinism.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_dft.py \
 		-k "MultipoleSolver or AdamsMoulton"
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_setup_primitives.py \

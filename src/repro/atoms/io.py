@@ -27,7 +27,10 @@ PathLike = Union[str, Path]
 def read_geometry_in(source: Union[PathLike, io.TextIOBase], name: str = "") -> Structure:
     """Parse a ``geometry.in`` file (or open text stream) into a Structure."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise GeometryError(f"cannot read {source}: {exc.strerror or exc}") from None
         name = name or Path(source).stem
     else:
         text = source.read()

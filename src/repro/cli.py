@@ -13,7 +13,6 @@ results out):
     python -m repro analyze scaling --atoms 3002
     python -m repro model geometry.in --machine hpc2 --ranks 2048
     python -m repro model --polyethylene 30002 --machine hpc1 --ranks 4096 --baseline
-    python -m repro chaos --seed 2023 --machine hpc2 --ranks 8
     python -m repro verify --molecule h2
     python -m repro submit --molecule h2 --level minimal --store service.jsonl
     python -m repro serve --store service.jsonl --workers 2 --fleet 4
@@ -256,34 +255,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.runtime.faults import FaultRates
-    from repro.testing.chaos import run_chaos
-
-    structure = BUILTIN_MOLECULES[args.molecule]()
-    rates = None
-    if args.corruption_rate or args.straggler_rate or args.cycle_fault_rate:
-        rates = FaultRates(
-            message_corruption=args.corruption_rate,
-            straggler=args.straggler_rate,
-            cycle_fault=args.cycle_fault_rate,
-        )
-    print(f"Running chaos harness on {structure} (seed={args.seed})")
-    report = run_chaos(
-        structure=structure,
-        level=args.level,
-        seed=args.seed,
-        machine=machine_by_name(args.machine),
-        n_ranks=args.ranks,
-        rates=rates,
-    )
-    print(report.summary())
-    if not report.bit_exact:
-        print("FAILED: faulted run diverged from the fault-free reference")
-        return 1
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """`repro trace`: a physics run that always emits the trace artifacts."""
     if not getattr(args, "trace", None):
@@ -481,15 +452,13 @@ def _print_service_result(result) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.runtime.faults import FaultPlan, FaultRates
     from repro.service import WorkerPool
+    from repro.service.faults import FaultPlan
     from repro.service.slo import journal_events, worker_spans
 
     plan = None
-    if args.crash_rate != 0.0:  # NaN included: FaultRates rejects it
-        plan = FaultPlan(
-            seed=args.seed, rates=FaultRates(worker_crash=args.crash_rate)
-        )
+    if args.crash_rate != 0.0:  # NaN included: FaultPlan rejects it
+        plan = FaultPlan(seed=args.seed, crash_rate=args.crash_rate)
     store = _open_store(args)
     # This drain's journal lines are the ones after what is there now.
     n_before = len(journal_events(args.store)) if args.trace else 0
@@ -732,23 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--cpu-only", action="store_true",
                          help="HPC#2 without its GPUs (Figs. 15-16 variant)")
     p_model.set_defaults(func=_cmd_model)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="fault-injection run with bit-exact recovery check"
-    )
-    p_chaos.add_argument("--seed", type=int, default=2023)
-    p_chaos.add_argument("--machine", default="hpc2", choices=["hpc1", "hpc2"])
-    p_chaos.add_argument("--ranks", type=int, default=8)
-    p_chaos.add_argument("--molecule", default="h2", choices=list(BUILTIN_MOLECULES))
-    p_chaos.add_argument("--level", default="minimal",
-                         choices=["minimal", "light", "tight"])
-    p_chaos.add_argument("--corruption-rate", type=float, default=0.0,
-                         help="per-collective corruption probability")
-    p_chaos.add_argument("--straggler-rate", type=float, default=0.0,
-                         help="per-collective straggler probability")
-    p_chaos.add_argument("--cycle-fault-rate", type=float, default=0.0,
-                         help="per-SCF/CPSCF-cycle fault probability")
-    p_chaos.set_defaults(func=_cmd_chaos)
 
     p_verify = sub.add_parser(
         "verify",

@@ -24,7 +24,6 @@ from repro.comm.schemes import (
     PACK_LIMIT_BYTES,
     rows_per_pack,
 )
-from repro.comm.resilient import ResilientReduction, default_ladder
 
 __all__ = [
     "ReductionReport",
@@ -32,8 +31,6 @@ __all__ = [
     "BaselineRowwiseAllreduce",
     "PackedAllreduce",
     "PackedHierarchicalAllreduce",
-    "ResilientReduction",
-    "default_ladder",
     "PACK_LIMIT_BYTES",
     "rows_per_pack",
 ]

@@ -25,7 +25,6 @@ from repro.atoms.structure import Structure
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import BackendProfile, ExecutionBackend
     from repro.dft.hamiltonian import Substrate
-    from repro.runtime.faults import CycleFaultInjector
     from repro.verify.invariants import VerifyReport
 from repro.config import RunSettings, get_settings
 from repro.core.flags import OptimizationFlags
@@ -53,7 +52,7 @@ class PhysicsResult:
     ``responses`` holds the three converged
     :class:`~repro.dfpt.response.ResponseResult` objects (x, y, z) the
     tensor was read from — by reference, never copied — so consumers
-    that need response matrices or restart counts read them here
+    that need response matrices or iteration counts read them here
     instead of re-running the CPSCF loop.
     """
 
@@ -73,7 +72,6 @@ def iter_physics(
     *,
     backend: Union[str, "ExecutionBackend", None] = None,
     substrate: Optional["Substrate"] = None,
-    fault_injector: Optional["CycleFaultInjector"] = None,
 ):
     """The SCF -> CPSCF -> polarizability pipeline, one cycle per ``next()``.
 
@@ -83,8 +81,7 @@ def iter_physics(
     the generator's return value.  A sequential run drains it
     (:meth:`PerturbationSimulator.run_physics`), so every consumer
     executes the same floating-point sequence.  *substrate* injects a
-    shared :func:`~repro.dft.hamiltonian.build_substrate` result;
-    *fault_injector* forces checkpoint-restarts of cycles in both loops.
+    shared :func:`~repro.dft.hamiltonian.build_substrate` result.
     """
     timer = PhaseTimer()
     sub = substrate
@@ -99,14 +96,8 @@ def iter_physics(
         batches=sub.batches if sub else None,
     )
     yield "constructed"
-    gs = yield from driver.iter_cycles(fault_injector=fault_injector)
-    solver = DFPTSolver(
-        gs,
-        settings.cpscf,
-        timer=timer,
-        fault_injector=fault_injector,
-        verifier=driver.verifier,
-    )
+    gs = yield from driver.iter_cycles()
+    solver = DFPTSolver(gs, settings.cpscf, timer=timer, verifier=driver.verifier)
     responses = yield from solver.iter_directions((0, 1, 2))
     alpha = polarizability_tensor(gs, responses=responses)
     if driver.verifier is not None:

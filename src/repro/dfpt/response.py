@@ -44,8 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.verify.invariants import Verifier
 from repro.dft.xc import lda_xc_kernel
 from repro.errors import CPSCFConvergenceError
-from repro.obs.tracer import obs_event, trace_context
-from repro.runtime.faults import CycleFaultInjector
+from repro.obs.tracer import trace_context
 from repro.utils import drain
 from repro.utils.timing import PhaseTimer
 
@@ -61,7 +60,6 @@ class ResponseResult:
     response_potential: np.ndarray  # v^(1)_es,tot + v^(1)_xc on the grid
     iterations: int
     residual: float
-    restarts: int = 0  # cycles redone after injected faults
 
     def polarizability_column(self, dipoles: np.ndarray) -> np.ndarray:
         """alpha_{I, J=direction} = Tr(P^(1) D_I) = int r_I n^(1) (Eq. 13).
@@ -83,14 +81,12 @@ class DFPTSolver:
         ground_state: GroundState,
         settings: Optional[CPSCFSettings] = None,
         timer: Optional[PhaseTimer] = None,
-        fault_injector: Optional[CycleFaultInjector] = None,
         backend: Union[str, "ExecutionBackend", None] = None,
         verifier: Optional["Verifier"] = None,
     ) -> None:
         self.gs = ground_state
         self.settings = settings or CPSCFSettings()
         self.timer = timer or PhaseTimer()
-        self.fault_injector = fault_injector
         self.verifier = verifier
         if backend is None:
             # Share the ground state's backend (and its profile), so SCF
@@ -193,8 +189,6 @@ class DFPTSolver:
         p1 = np.zeros((len(active),) + gs.density_matrix.shape)
         x1 = np.zeros((len(active),) + self._c_occ.shape)
         residual = dict.fromkeys(active, np.inf)
-        restarts = dict.fromkeys(active, 0)
-        attempts = dict.fromkeys(active, 0)
         results: Dict[int, ResponseResult] = {}
 
         iteration = 1
@@ -206,28 +200,6 @@ class DFPTSolver:
                 cycle=iteration,
             ):
                 v1_total, h1, c1, p1_new = self._block_cycle(x1, h1_ext)
-
-            # An injected fault on any direction loses the whole block
-            # cycle: nothing above touched p1 or x1, so dropping the cycle's
-            # work restarts every direction from the last completed cycle.
-            # Every active direction is polled, each with its own attempt
-            # count, so each is charged the restarts a run of its own makes.
-            if self.fault_injector is not None:
-                hits = [
-                    j for j in active
-                    if self.fault_injector.cycle_fault(f"cpscf{j}", iteration, attempts[j])
-                ]
-                for j in hits:
-                    obs_event(
-                        "cycle_fault", category="fault",
-                        site=f"cpscf{j}[{iteration}]", attempt=attempts[j],
-                    )
-                    restarts[j] += 1
-                    attempts[j] += 1
-                if hits:
-                    yield iteration
-                    continue
-            attempts = dict.fromkeys(active, 0)
 
             for row, j in enumerate(active):
                 residual[j] = float(np.abs(p1_new[row] - p1[row]).max())
@@ -250,7 +222,6 @@ class DFPTSolver:
                         response_potential=np.ascontiguousarray(v1_total.T[row]),
                         iterations=iteration,
                         residual=residual[j],
-                        restarts=restarts[j],
                     )
                 keep = [row for row in range(len(active)) if row not in done]
                 if not keep:

@@ -29,8 +29,7 @@ from repro.dft.mixing import PulayMixer
 from repro.dft.xc import lda_exchange_correlation
 from repro.errors import GeometryError, SCFConvergenceError
 from repro.grids.atom_grid import IntegrationGrid
-from repro.obs.tracer import obs_event, obs_span, trace_context
-from repro.runtime.faults import CycleFaultInjector
+from repro.obs.tracer import trace_context
 from repro.utils import drain
 from repro.utils.linalg import (
     GeneralizedEigensolver,
@@ -60,7 +59,6 @@ class GroundState:
     total_energy: float
     energy_components: Dict[str, float] = field(default_factory=dict)
     iterations: int = 0
-    restarts: int = 0  # cycles redone after injected faults
 
     @property
     def n_occupied(self) -> int:
@@ -76,16 +74,23 @@ class GroundState:
 
 
 def _reject_coincident_nuclei(structure: Structure) -> None:
-    """GeometryError naming two nuclei closer than 1e-6 Bohr, raised before
-    the Becke partition divides by their distance and the overlap loses rank."""
-    indptr, cols = sphere_overlaps(structure.coords, 5e-7, structure.coords, 5e-7)
+    """GeometryError naming two nuclei closer than a quarter of the sum of
+    their covalent radii, raised before any grid or basis is built.
+
+    The bound is far below any bond (H2 sits at 2.4x the sum) and far above
+    the distances where the Becke partition divides by ~0, the overlap
+    loses rank or the SCF "converges" on a ~1e6 Ha nuclear repulsion.
+    """
+    reach = 0.25 * np.array([e.covalent_radius for e in structure.elements])
+    indptr, cols = sphere_overlaps(structure.coords, reach, structure.coords, reach)
     rows = np.repeat(np.arange(structure.n_atoms), np.diff(indptr))
     pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
     if pairs:
         i, j = pairs[0]
         raise GeometryError(
             f"atoms {i} ({structure.symbols[i]}) and {j} ({structure.symbols[j]}) "
-            f"are {structure.distance(i, j):.3g} Bohr apart, closer than 1e-06"
+            f"are {structure.distance(i, j):.3g} Bohr apart, closer than "
+            f"{reach[i] + reach[j]:.3g} (0.25 x the sum of their covalent radii)"
         )
 
 
@@ -193,11 +198,7 @@ class SCFDriver:
         f[:n_occ] = 2.0
         return f
 
-    def run(
-        self,
-        external_field: Optional[np.ndarray] = None,
-        fault_injector: Optional[CycleFaultInjector] = None,
-    ) -> GroundState:
+    def run(self, external_field: Optional[np.ndarray] = None) -> GroundState:
         """Iterate to self-consistency; returns the converged state.
 
         Parameters
@@ -206,24 +207,14 @@ class SCFDriver:
             Optional homogeneous field xi (3-vector).  Adds the
             perturbation ``-xi . r`` of Eq. (11) to the Hamiltonian —
             used by finite-difference polarizability references.
-        fault_injector:
-            Optional :class:`~repro.runtime.faults.CycleFaultInjector`.
-            A fault fired mid-cycle discards that cycle's work; the
-            driver restores the last converged cycle's checkpoint and
-            redoes it, so converged results are bit-exact with a
-            fault-free run.
         """
-        return drain(self.iter_cycles(external_field, fault_injector))
+        return drain(self.iter_cycles(external_field))
 
-    def iter_cycles(
-        self,
-        external_field: Optional[np.ndarray] = None,
-        fault_injector: Optional[CycleFaultInjector] = None,
-    ):
+    def iter_cycles(self, external_field: Optional[np.ndarray] = None):
         """Generator form of :meth:`run`: one SCF cycle per ``next()``.
 
         The body is exactly :meth:`run`'s loop — same phase order, same
-        mixer pushes, same checkpoint/rollback — with a yield at every
+        mixer pushes — with a yield at every
         cycle boundary, so a fleet driver can interleave the cycles of
         several molecules (each molecule's floating-point sequence is
         untouched, keeping the interleaved results bit-exact with
@@ -249,14 +240,9 @@ class SCFDriver:
         e_old = np.inf
         residual_norm = np.inf
         w = self.grid.weights
-        restarts = 0
-        attempt = 0
 
         iteration = 1
         while iteration <= scf.max_iterations:
-            # Checkpoint of the last converged cycle; an injected fault
-            # below discards this cycle's work and restarts from here.
-            checkpoint = p.copy(), occupied
             with trace_context(
                 backend=self.backend.name, loop="scf", cycle=iteration
             ):
@@ -272,22 +258,6 @@ class SCFDriver:
                 with self.timer.phase("hamiltonian"):
                     v_eff = self.backend.potential_matrix(v_eff_values)
                 h = self._t + self._v_ext + v_eff + h_field
-
-                # Fault check sits before the DIIS push so a rolled-back
-                # cycle leaves the mixer history untouched (bit-exactness).
-                if fault_injector is not None and fault_injector.cycle_fault(
-                    "scf", iteration, attempt
-                ):
-                    obs_event(
-                        "cycle_fault", category="fault",
-                        site=f"scf[{iteration}]", attempt=attempt,
-                    )
-                    p, occupied = checkpoint
-                    restarts += 1
-                    attempt += 1
-                    yield iteration
-                    continue
-                attempt = 0
 
                 # DIIS on the Fock matrix with commutator residual.
                 commutator = h @ p @ self._s - self._s @ p @ h
@@ -338,7 +308,6 @@ class SCFDriver:
                         "nuclear": self._e_nn,
                     },
                     iterations=iteration,
-                    restarts=restarts,
                 )
                 if self.verifier is not None:
                     self.verifier.run_phase(

@@ -55,28 +55,7 @@ class CommunicationError(ReproError):
 
 
 class FaultInjectionError(ReproError):
-    """A fault-injection plan is malformed or its restart budget ran out."""
-
-
-class RankFailureError(CommunicationError):
-    """A simulated rank died and could not be brought back."""
-
-    def __init__(self, message: str, *, rank: int = -1):
-        super().__init__(message)
-        self.rank = rank
-
-
-class CollectiveTimeoutError(CommunicationError):
-    """A collective exhausted its retry/backoff budget under faults."""
-
-    def __init__(self, message: str, *, site: str = "", attempts: int = 0):
-        super().__init__(message)
-        self.site = site
-        self.attempts = attempts
-
-
-class ShmCorruptionError(CommunicationError):
-    """A shared-memory window was corrupted by an injected fault."""
+    """A worker-crash plan is malformed (a rate outside [0, 1], a negative claim)."""
 
 
 class BackendError(ReproError):

@@ -5,9 +5,9 @@ Four pieces, one taxonomy:
 * **spans** (:mod:`repro.obs.tracer`) — timed regions with phase /
   rank / cycle / backend / comm-scheme attributes, propagated
   ambiently through the SCF and CPSCF drivers, the execution backends,
-  the simulated collectives and the fault injectors;
+  the simulated collectives and the service's worker pool;
 * **metrics** (:mod:`repro.obs.metrics`) — deterministic counters
-  (bytes reduced, cache hits, blocks evaluated, retries; the service layer adds ``service.tasks_claimed`` /
+  (bytes reduced, cache hits, blocks evaluated; the service layer adds ``service.tasks_claimed`` /
   ``service.tasks_completed`` / ``service.tasks_failed`` /
   ``service.worker_crashes`` around its worker pool, and each task
   executes under a ``service``-category span carrying worker / task /

@@ -110,18 +110,11 @@ class RunDiff:
         return "\n".join(lines)
 
     def _linked_faults(self, c: Contribution) -> List[FaultMark]:
-        """Faults plausibly explaining one contribution.
-
-        A fault links to a slowdown cell when it hit the same rank, or
-        when the cell is one of the modeled fault phases (Idle/Retry).
-        """
+        """Faults plausibly explaining one contribution: a fault links to
+        a slowdown cell when it hit the same rank."""
         if c.delta <= 0:
             return []
-        return [
-            f
-            for f in self.new_faults
-            if f.rank == c.rank or c.phase in ("Idle", "Retry")
-        ]
+        return [f for f in self.new_faults if f.rank == c.rank]
 
 
 def diff_timelines(base: Timeline, fresh: Timeline) -> RunDiff:

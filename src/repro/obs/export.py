@@ -65,7 +65,7 @@ def span_events(
 
     A track is named by its spans' ``track`` attribute, else ``rank N``.
     Duration spans become complete (``ph="X"``) events; instant spans
-    (injected faults, degradations) become instant (``ph="i"``) events.
+    (injected worker crashes) become instant (``ph="i"``) events.
     """
     events: List[Dict[str, object]] = []
     seen_tids: Dict[int, str] = {}

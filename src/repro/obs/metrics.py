@@ -1,7 +1,7 @@
 """Counters for the observability layer (DESIGN §10.3).
 
 A *metric* is a named scalar accumulated over one run — bytes reduced,
-block-cache hits, basis blocks evaluated, collective retries — as
+block-cache hits, basis blocks evaluated, worker crashes — as
 opposed to a *span*, which is a timed region.  The registry is
 deliberately deterministic: metric values depend only on the work
 performed, never on wall-clock time, so two bit-identical runs (e.g.

@@ -1,14 +1,14 @@
 """Span-based tracing for the SCF/CPSCF pipeline (DESIGN §10.2).
 
 A :class:`Span` is one timed region with free-form attributes (phase,
-rank, cycle, backend, comm scheme, fault site …); a :class:`Tracer`
+rank, cycle, backend, comm scheme, worker …); a :class:`Tracer`
 collects spans and instant events and owns one
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Context propagation is *ambient*: a tracer is installed with
 :func:`activate`, and instrumentation points anywhere in the codebase
 (``PhaseTimer``, the execution backends, ``SimComm`` collectives, the
-fault injectors) call the module-level helpers :func:`obs_span`,
+service workers) call the module-level helpers :func:`obs_span`,
 :func:`obs_event`, :func:`obs_counter` and :func:`trace_context`.
 When no tracer is active every helper is a cheap no-op, so the physics
 hot loop pays nothing by default.

@@ -20,14 +20,6 @@ from repro.runtime.costmodel import (
     barrier_time,
     point_to_point_time,
 )
-from repro.runtime.faults import (
-    CycleFaultInjector,
-    FaultEvent,
-    FaultPlan,
-    FaultRates,
-    RetryPolicy,
-    ScheduledFault,
-)
 from repro.runtime.simmpi import SimCluster, SimComm, CommStats
 from repro.runtime.shm import SharedWindow
 
@@ -41,12 +33,6 @@ __all__ = [
     "allreduce_time",
     "barrier_time",
     "point_to_point_time",
-    "CycleFaultInjector",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultRates",
-    "RetryPolicy",
-    "ScheduledFault",
     "SimCluster",
     "SimComm",
     "CommStats",

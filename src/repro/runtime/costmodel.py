@@ -31,12 +31,6 @@ def barrier_time(p: int, alpha: float) -> float:
     return math.ceil(math.log2(p)) * alpha
 
 
-#: Fixed modeled cost of restarting one MPI process after a failure
-#: (process launch + rejoin of the communicator), before its state is
-#: re-fetched from a peer's checkpoint.
-RANK_RESTART_SECONDS = 5.0e-3
-
-
 def allreduce_time(p: int, nbytes: float, alpha: float, beta: float) -> float:
     """Rabenseifner-style allreduce estimate.
 
@@ -127,18 +121,6 @@ class CommCostModel:
         stream = m * nbytes * self.machine.intra_beta
         barriers = m * barrier_time(m, self.machine.intra_alpha)
         return stream + barriers
-
-    def rank_recovery(self, nbytes: float) -> float:
-        """Checkpoint-restore of one failed rank.
-
-        Process restart latency plus re-fetching ``nbytes`` of state
-        from a peer over the inter-node fabric.
-        """
-        if nbytes < 0:
-            raise CommunicationError(f"negative state size: {nbytes}")
-        return RANK_RESTART_SECONDS + point_to_point_time(
-            nbytes, self.machine.inter_alpha, self.machine.inter_beta
-        )
 
     def hierarchical_allreduce(self, p: int, nbytes: float, m: int) -> tuple:
         """(local_update_time, inter_node_time) of the hierarchical scheme.

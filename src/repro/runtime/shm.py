@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicationError, ShmCorruptionError
+from repro.errors import CommunicationError
 from repro.runtime.simmpi import SimCluster
 
 
@@ -54,26 +54,10 @@ class SharedWindow:
         contribution's chunk ``(r + k) % m`` — every chunk is touched by
         exactly one rank per round, so no write conflicts occur, matching
         Fig. 6's scheme.  Returns the node copy (flattened view reshaped).
-
-        Under a fault plan, the synthesis may be corrupted (a torn
-        write in the shared window); that raises
-        :class:`~repro.errors.ShmCorruptionError`, which the resilient
-        hierarchical scheme treats as a signal to degrade to a flat
-        collective.
         """
         m = len(contributions)
         if m == 0:
             raise CommunicationError("no contributions to accumulate")
-        plan = self.cluster.fault_plan
-        if plan is not None:
-            index = self.cluster.next_shm_index()
-            event = plan.shm_fault(f"shm[{index}]", index)
-            if event is not None:
-                self.cluster.record_event(event)
-                raise ShmCorruptionError(
-                    f"shared window synthesis {index} on node {node} was "
-                    f"corrupted ({event.detail})"
-                )
         target = self._node_copies[node].reshape(-1)
         flats = []
         for c in contributions:

@@ -15,7 +15,8 @@ service:
 * **workers** (:mod:`repro.service.worker`) — a deterministic worker
   pool that pulls claimed tasks, runs the SCF/DFPT drivers through the
   execution-backend seam under ``repro.obs`` service spans, and
-  streams provenance-stable result payloads back into the store.
+  streams provenance-stable result payloads back into the store;
+  :mod:`repro.service.faults` injects seeded worker crashes into it.
 
 The CLI front end is ``repro submit | serve | status``; the contract
 is pinned by ``tests/test_service_statestore.py`` (alchemiscale-style

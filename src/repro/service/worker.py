@@ -9,9 +9,8 @@ fields plus a quarantined ``timings`` subtree, so
 :func:`stable_result_bytes` is byte-identical across reruns, retries
 and crash recoveries (the service chaos suite's contract).
 
-Crash injection rides the existing fault layer: a
-:class:`~repro.runtime.faults.FaultPlan` whose ``worker_crash`` rate or
-schedule fires makes the worker abandon the claimed task without
+Crash injection: a :class:`~repro.service.faults.FaultPlan` whose
+crash rate or schedule fires makes the worker abandon the claimed task without
 completing or failing it — exactly what a dead process looks like to
 the store.  Recovery is the store's lease expiry + bounded retry.
 
@@ -37,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.obs import obs_counter, obs_event, obs_span
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.service.faults import FaultPlan
 from repro.service.statestore import StateStore, TaskRecord
 
 #: A task runner: payload-bearing task in, JSON-friendly result out.
@@ -132,8 +131,8 @@ class Worker:
         Task executor; defaults to :func:`run_physics_task`.  Tests
         substitute cheap deterministic stubs.
     fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan`; its
-        ``worker_crash`` decisions make :meth:`step` abandon claimed
+        Optional :class:`~repro.service.faults.FaultPlan`; its
+        crash decisions make :meth:`step` abandon claimed
         tasks mid-flight.
     """
 
@@ -150,7 +149,6 @@ class Worker:
         self.runner: TaskRunner = runner or run_physics_task
         self.fault_plan = fault_plan
         self.stats = WorkerStats()
-        self.events: List[FaultEvent] = []
         self._claim_counter = 0
         self._fleet_driver = None  # lazily built by fleet-mode waves
 
@@ -186,11 +184,10 @@ class Worker:
                     attempt=task.attempts - 1,
                 )
                 if ev is not None:
-                    self.events.append(ev)
                     self.stats.crashes += 1
                     obs_counter("service.worker_crashes")
                     obs_event("worker_crash", worker=self.worker_id,
-                              task=task.task_id)
+                              task=task.task_id, site=ev.site)
                     crashed = True
             if crashed:
                 outcomes.append("crashed")  # abandoned with the worker

@@ -1,6 +1,6 @@
 """Shared machine/cluster factories for the test and bench harnesses.
 
-The runtime, communication, fault and verification suites all need small
+The runtime, communication and verification suites all need small
 :class:`~repro.runtime.machines.MachineSpec` variants and
 :class:`~repro.runtime.cluster.SimCluster` instances.  These plain
 factories are the single source of truth; ``tests/conftest.py`` and
@@ -11,7 +11,6 @@ code (e.g. :mod:`repro.verify.differential`) can call them directly.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.runtime import HPC2_AMD, SimCluster
 from repro.runtime.machines import MachineSpec
@@ -29,19 +28,12 @@ def make_machine(base: MachineSpec = HPC2_AMD, **overrides) -> MachineSpec:
 
 
 def make_cluster(
-    n_ranks: int = 8,
-    fault_plan=None,
-    retry_policy=None,
-    base: MachineSpec = HPC2_AMD,
-    **machine_overrides,
+    n_ranks: int = 8, base: MachineSpec = HPC2_AMD, **machine_overrides
 ) -> SimCluster:
     """Build a small simulated cluster.
 
-    ``make_cluster(8)`` gives 8 ranks on HPC#2; keyword arguments are
-    split between MachineSpec overrides (``procs_per_node=...``) and
-    SimCluster options (``fault_plan=``, ``retry_policy=``, ``base=``).
+    ``make_cluster(8)`` gives 8 ranks on HPC#2; ``base=`` picks the
+    preset and the other keywords are MachineSpec overrides
+    (``procs_per_node=...``).
     """
-    machine = make_machine(base, **machine_overrides)
-    return SimCluster(
-        machine, n_ranks, fault_plan=fault_plan, retry_policy=retry_policy
-    )
+    return SimCluster(make_machine(base, **machine_overrides), n_ranks)

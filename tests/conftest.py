@@ -1,6 +1,6 @@
 """Shared fixtures: expensive physics objects built once per session,
-plus factories for the small machine/cluster instances the runtime,
-communication and fault suites all need (the factories themselves live
+plus factories for the small machine/cluster instances the runtime
+and communication suites all need (the factories themselves live
 in :mod:`repro.testing.fixtures`, shared with the bench harness)."""
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from repro.atoms import Structure
 from repro.cli import main
 from repro.config import get_settings
+from repro.constants import BOHR_IN_ANGSTROM
 from repro.core import PerturbationSimulator
 from repro.dft import SCFDriver
 from repro.errors import GeometryError
@@ -132,19 +133,21 @@ class TestScreeningFlag:
 
 
 class TestHostileGeometries:
-    """Non-finite and coincident nuclei are a GeometryError (exit 2 at the
-    CLI), not a LinAlgError traceback or a GridError after a stream of
-    RuntimeWarnings."""
+    """A missing file, non-finite and near-coincident nuclei are a
+    GeometryError (exit 2 at the CLI), not a traceback, a GridError after a
+    stream of RuntimeWarnings or an SCF that "converges" at +1e6 Ha."""
 
     @pytest.mark.parametrize("second, message", [
         ("0 0 0", "0 Bohr apart"),
         ("0 0 1e-7", "Bohr apart"),
         ("nan 0 0.7", "non-finite"),
         ("0 -inf 0.7", "non-finite"),
+        (None, "geometry.in: No such file or directory"),
     ])
     def test_physics_exits_2(self, tmp_path, capsys, second, message):
         path = tmp_path / "geometry.in"
-        path.write_text(f"atom 0 0 0 H\natom {second} H\n")
+        if second is not None:
+            path.write_text(f"atom 0 0 0 H\natom {second} H\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["physics", str(path), "--level", "minimal"]) == 2
@@ -167,9 +170,15 @@ class TestHostileGeometries:
         with pytest.raises(GeometryError, match=r"atoms 1 \(H\) and 2 \(H\) are 5e-07 Bohr"):
             SCFDriver(Structure(["H"] * 4, coords), get_settings("minimal"))
 
-    def test_the_bound_is_one_micro_bohr(self):
+    def test_the_bound_is_a_quarter_of_covalent_radii(self, tmp_path, capsys):
+        """H-H: 0.25 x (0.31 + 0.31) Angstrom = 0.293 Bohr, so H2 at its bond
+        length passes and H2 at 0.2 or 1.02e-6 Bohr exits 2."""
         from repro.dft.scf import _reject_coincident_nuclei
 
-        _reject_coincident_nuclei(Structure(["H"] * 3, [[0, 0, 0], [0, 0, 1.01e-6], [0, 0, 2.02e-6]]))
-        with pytest.raises(GeometryError, match=r"atoms 1 \(H\) and 2 \(H\) are 9.9e-07"):
-            _reject_coincident_nuclei(Structure(["H"] * 3, [[0, 0, 0], [0, 0, 1.01e-6], [0, 0, 2e-6]]))
+        _reject_coincident_nuclei(Structure(["H"] * 2, [[0, 0, 0], [0, 0, 1.4]]))
+        path = tmp_path / "geometry.in"
+        for d in (0.2, 1.02e-6):
+            path.write_text(f"atom 0 0 0 H\natom 0 0 {d * BOHR_IN_ANGSTROM!r} H\n")
+            assert main(["physics", str(path), "--level", "minimal"]) == 2
+            err = capsys.readouterr().err
+            assert f"atoms 0 (H) and 1 (H) are {d:.3g} Bohr apart, closer than 0.293" in err

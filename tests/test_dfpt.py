@@ -69,7 +69,7 @@ class TestDirectionBlock:
         assert [r.iterations for r in block] == [r.iterations for r in singles]
         dipoles = water_ground_state.dipoles
         for got, want in zip(block, singles):
-            assert got.restarts == 0 and got.residual < minimal_settings.cpscf.response_tolerance
+            assert got.residual < minimal_settings.cpscf.response_tolerance
             assert_close_at_scale(
                 got.polarizability_column(dipoles), want.polarizability_column(dipoles), self.RTOL
             )

@@ -1,11 +1,12 @@
-"""Cross-process determinism of the FaultPlan decision stream.
+"""Cross-process determinism of the worker-crash decision stream.
 
-The resilience suite's bit-exact recovery assertions rest on one
-contract: the same ``(seed, rates, schedule)`` produces the same fault
-decisions at the same sites *in any process* — the per-site RNG streams
-are seeded by ``(seed, crc32(site), attempt)``, never by interpreter
-state, hash randomization or call ordering.  An in-process check cannot
-establish that, so the probe also runs in a fresh subprocess.
+The service chaos suite's byte-identical recovery assertions, and the
+pinned ``repro status`` bytes of the telemetry suite's chaos drain, rest
+on one contract: the same ``(seed, crash_rate, schedule)`` crashes the
+same claims *in any process* — each decision's RNG stream is seeded by
+``(seed, crc32(site), attempt)``, never by interpreter state, hash
+randomization or call ordering.  An in-process check cannot establish
+that, so the probe also runs in a fresh subprocess.
 """
 
 import json
@@ -17,35 +18,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Probe shared by the in-process and subprocess runs: a fixed tour of
-#: (site, call_index, attempt) decisions under mixed fault rates.
+#: (worker, claim index, attempt) decisions at a mid crash rate.
 PROBE = """
 import json
-from repro.runtime.faults import FaultPlan, FaultRates
+from repro.service.faults import FaultPlan
 
 def decision_stream(seed):
-    plan = FaultPlan(
-        seed=seed,
-        rates=FaultRates(
-            message_corruption=0.1,
-            straggler=0.15,
-            message_drop=0.05,
-            cycle_fault=0.2,
-        ),
-        max_rank_failures=0,
-    )
+    plan = FaultPlan(seed=seed, crash_rate=0.3)
     stream = []
-    for site in ("scf/allreduce", "cpscf/gather", "sumup/h_reduce"):
+    for site in ("worker:w0", "worker:w1", "worker:w2"):
         for call_index in range(25):
-            for attempt in range(2):
-                ev = plan.collective_fault(
-                    site, call_index, attempt, ranks=list(range(8))
-                )
-                stream.append(
-                    None if ev is None else [ev.kind, ev.site, ev.rank]
-                )
-    for cycle in range(25):
-        ev = plan.cycle_fault("scf/cycle", cycle, attempt=0)
-        stream.append(None if ev is None else [ev.kind, ev.site])
+            for attempt in range(3):
+                ev = plan.worker_fault(site, call_index, attempt)
+                stream.append(None if ev is None else [ev.site, ev.detail])
     return stream
 """
 
@@ -98,19 +83,17 @@ def test_different_seeds_differ():
 
 def test_stream_independent_of_interleaving():
     """Decisions depend only on (site, index, attempt), not the order
-    other sites were queried in — the property that lets a recovered
-    rank replay its own faults without global coordination."""
-    from repro.runtime.faults import FaultPlan, FaultRates
-
-    rates = FaultRates(message_corruption=0.2, straggler=0.2)
+    other sites were queried in — the property that lets a requeued task
+    draw its own fresh decision whichever worker claims it next."""
+    from repro.service.faults import FaultPlan
 
     def probe(order):
-        plan = FaultPlan(seed=11, rates=rates, max_rank_failures=0)
+        plan = FaultPlan(seed=11, crash_rate=0.4)
         decisions = {}
         for site, idx in order:
-            ev = plan.collective_fault(site, idx, 0, ranks=[0, 1, 2, 3])
-            decisions[(site, idx)] = None if ev is None else ev.kind
+            decisions[(site, idx)] = plan.worker_fault(site, idx) is not None
         return decisions
 
-    forward = [(s, i) for s in ("a/x", "b/y") for i in range(20)]
+    forward = [(s, i) for s in ("worker:a", "worker:b") for i in range(20)]
     assert probe(forward) == probe(list(reversed(forward)))
+    assert any(probe(forward).values()) and not all(probe(forward).values())

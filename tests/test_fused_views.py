@@ -44,7 +44,6 @@ from repro.grids.sparsity import (
     merge_column_sets,
     view_cost,
 )
-from repro.runtime.faults import CycleFaultInjector, FaultPlan, ScheduledFault
 from repro.utils import drain
 from repro.utils import scratch as scratch_module
 from tests.setup_oracles import (
@@ -606,29 +605,6 @@ class TestFactoredSumup:
         DFPTSolver(gs, minimal.cpscf).solve_direction(0)
         assert len(seen) > gs.iterations + 1  # every SCF cycle, the re-evaluation, CPSCF
         assert set(seen) == {Factored}
-
-    def test_a_late_cycle_fault_restores_the_factors_too(self):
-        """A fault past the first cycle, where the factors are no longer
-        the initial guess: the rerun is bit-exact, grid densities included."""
-        minimal = get_settings("minimal")
-        structure = STRUCTURES["h2"]
-
-        def faults(site):
-            plan = FaultPlan(schedule=[ScheduledFault("cycle_fault", 3, site=site)])
-            return CycleFaultInjector(plan)
-
-        clean = SCFDriver(structure, minimal).run()
-        faulted = SCFDriver(structure, minimal).run(fault_injector=faults("scf"))
-        assert faulted.restarts == 1
-        assert faulted.total_energy == clean.total_energy
-        assert np.array_equal(faulted.density, clean.density)
-        want = DFPTSolver(clean, minimal.cpscf).solve_direction(2)
-        got = DFPTSolver(
-            clean, minimal.cpscf, fault_injector=faults("cpscf2")
-        ).solve_direction(2)
-        assert got.restarts == 1
-        assert np.array_equal(got.response_density, want.response_density)
-        assert np.array_equal(got.response_density_matrix, want.response_density_matrix)
 
 
 class TestNoRowsByColsAllocationPerSweep:

@@ -39,11 +39,11 @@ class TestTracer:
                 with trace_context(cycle=2):  # inner wins
                     with obs_span("H"):
                         pass
-                obs_event("cycle_fault", site="scf[1]")
+                obs_event("worker_crash", site="worker:w0[1]")
         assert t.spans[0].attrs == {"backend": "numpy", "cycle": 2}
         fault = t.spans[1]
         assert fault.instant and fault.duration == 0.0
-        assert fault.attrs == {"backend": "numpy", "cycle": 1, "site": "scf[1]"}
+        assert fault.attrs == {"backend": "numpy", "cycle": 1, "site": "worker:w0[1]"}
 
     def test_context_restored_after_block(self):
         with trace_context(cycle=1):

@@ -30,8 +30,9 @@ from repro.obs.analyze import (
     strong_scaling,
     weak_scaling,
 )
-from repro.runtime.faults import CycleFaultInjector, FaultPlan, ScheduledFault
 from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD
+from repro.service import StateStore, WorkerPool
+from repro.service.faults import FaultPlan, ScheduledFault
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.balance import max_mean_imbalance
 
@@ -119,15 +120,24 @@ class TestArtifactPaths:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def traced_runs(minimal_settings):
-    """Spans of a fault-free and a seeded-fault H2 SCF run."""
+    """Spans of a fault-free H2 SCF run, and of a service drain of the same
+    SCF whose worker crashes on its first claim and recovers on lease
+    expiry."""
     clean, faulted = Tracer(), Tracer()
     with activate(clean):
         SCFDriver(hydrogen_molecule(), minimal_settings).run()
-    plan = FaultPlan(schedule=[ScheduledFault("cycle_fault", 1, site="scf")])
+
+    def runner(task):
+        gs = SCFDriver(hydrogen_molecule(), minimal_settings).run()
+        return {"energy": gs.total_energy}
+
+    store = StateStore(lease_seconds=2.0)
+    store.submit({"molecule": "h2"}, key="h2", now=0.0)
+    plan = FaultPlan(schedule=[ScheduledFault(call_index=0, site="worker:w0")])
+    pool = WorkerPool(store, n_workers=1, runner=runner, fault_plan=plan, start_time=0.0)
     with activate(faulted):
-        SCFDriver(hydrogen_molecule(), minimal_settings).run(
-            fault_injector=CycleFaultInjector(plan)
-        )
+        report = pool.run_until_idle()
+    assert (report.crashes, report.completed) == (1, 1)
     return clean.spans, faulted.spans
 
 
@@ -201,28 +211,28 @@ class TestTimeline:
 
 
 class TestChaosAttribution:
-    """Seeded FaultPlan events must survive into the analytics."""
+    """A seeded worker crash, emitted live, must survive into the analytics."""
 
-    def test_fault_event_lands_in_timeline_with_cycle_site(self, traced_runs):
+    def test_fault_event_lands_in_timeline_with_its_claim_site(self, traced_runs):
         tl = Timeline.from_spans(traced_runs[1], label="faulted")
         assert len(tl.faults) == 1
         fault = tl.faults[0]
-        assert fault.kind == "cycle_fault"
-        assert fault.site == "scf[1]"  # deterministic seeded cycle
-        assert fault.segment == "scf[1]"  # from the ambient trace context
+        assert fault.kind == "worker_crash"
+        assert fault.site == "worker:w0[0]"  # the worker's first claim
+        assert fault.segment == ""  # the crash precedes every SCF cycle
+        assert {"scf[1]", "scf[2]"} <= set(tl.segments())  # the retry ran
 
     def test_fault_named_on_critical_path(self, traced_runs):
         tl = Timeline.from_spans(traced_runs[1])
         rendered = critical_path(tl).render()
-        assert "fault on path: cycle_fault" in rendered
-        assert "scf[1]" in rendered
+        assert "fault on path: worker_crash at worker:w0[0]" in rendered
 
     def test_fault_named_in_diff_narrative(self, traced_runs):
         base = Timeline.from_spans(traced_runs[0], label="clean")
         fresh = Timeline.from_spans(traced_runs[1], label="faulted")
         text = diff_timelines(base, fresh).narrative()
         assert "injected faults in fresh run only:" in text
-        assert "cycle_fault" in text and "scf[1]" in text
+        assert "worker_crash at worker:w0[0]" in text
 
 
 # ----------------------------------------------------------------------

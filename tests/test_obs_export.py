@@ -14,7 +14,7 @@ def _make_tracer() -> Tracer:
             pass
     with t.span("allreduce", category="comm", rank=1):
         pass
-    t.event("cycle_fault", category="fault", rank=1, site="scf[2]")
+    t.event("worker_crash", category="fault", rank=1, site="worker:w0[2]")
     return t
 
 
@@ -28,7 +28,7 @@ class TestChromeTrace:
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"] == {"commit": "abc"}
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] != "M"}
-        assert names == {"density", "Sumup", "allreduce", "cycle_fault"}
+        assert names == {"density", "Sumup", "allreduce", "worker_crash"}
 
     def test_timestamps_non_negative_and_monotonic_per_track(self):
         doc = chrome_trace(_make_tracer().spans)
@@ -55,9 +55,9 @@ class TestChromeTrace:
 
     def test_instant_events_use_instant_phase(self):
         doc = chrome_trace(_make_tracer().spans)
-        fault = next(e for e in doc["traceEvents"] if e["name"] == "cycle_fault")
+        fault = next(e for e in doc["traceEvents"] if e["name"] == "worker_crash")
         assert fault["ph"] == "i" and fault["s"] == "t"
-        assert fault["args"]["site"] == "scf[2]"
+        assert fault["args"]["site"] == "worker:w0[2]"
 
 
 class TestTraceCLI:

@@ -1,13 +1,13 @@
 """Service chaos integration: seeded worker crashes vs fault-free runs.
 
-Reuses the fault layer (:mod:`repro.runtime.faults`, ``worker_crash``
-kind) and the chaos harness (:func:`repro.testing.chaos.run_service_chaos`)
+Uses the worker-crash plan (:mod:`repro.service.faults`) and the chaos
+harness (:func:`repro.testing.chaos.run_service_chaos`)
 to prove the acceptance criterion: a worker crash mid-task is recovered
 by lease expiry + bounded retry, and the recomputed result converges to
 the **same provenance-stable bytes** as a run that never faulted.
 
-Marked ``service`` (default-off, mirroring the ``chaos`` marker); run
-with ``pytest -m service`` or ``make service-check``.
+Marked ``service`` (default-off); run with ``pytest -m service`` or
+``make service-check``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.config import get_settings
-from repro.runtime.faults import FaultPlan, FaultRates, ScheduledFault
+from repro.service.faults import FaultPlan, ScheduledFault
 from repro.service import (
     COMPLETE,
     ERRORED,
@@ -60,8 +60,8 @@ class TestScheduledCrashRecovery:
         report = run_service_chaos(
             requests=jobs(3),
             seed=11,
-            rates=FaultRates(),  # schedule-only: exactly one crash
-            schedule=[ScheduledFault("worker_crash", call_index=0,
+            crash_rate=0.0,  # schedule-only: exactly one crash
+            schedule=[ScheduledFault(call_index=0,
                                      site="worker:w0")],
             runner=stub_runner,
         )
@@ -76,10 +76,10 @@ class TestScheduledCrashRecovery:
         report = run_service_chaos(
             requests=jobs(4),
             seed=12,
-            rates=FaultRates(),
+            crash_rate=0.0,
             schedule=[
-                ScheduledFault("worker_crash", call_index=0, site="worker:w0"),
-                ScheduledFault("worker_crash", call_index=0, site="worker:w1"),
+                ScheduledFault(call_index=0, site="worker:w0"),
+                ScheduledFault(call_index=0, site="worker:w1"),
             ],
             runner=stub_runner,
         )
@@ -94,7 +94,7 @@ class TestScheduledCrashRecovery:
         plan = FaultPlan(
             seed=5,
             schedule=[
-                ScheduledFault("worker_crash", call_index=i,
+                ScheduledFault(call_index=i,
                                site="worker:w0", persistent=True)
                 for i in range(4)
             ],
@@ -139,7 +139,7 @@ class TestRandomizedCrashSweep:
         report = run_service_chaos(
             requests=jobs(4, max_retries=6),
             seed=seed,
-            rates=FaultRates(worker_crash=0.4),
+            crash_rate=0.4,
             schedule=[],
             runner=stub_runner,
         )
@@ -150,7 +150,7 @@ class TestRandomizedCrashSweep:
     def test_same_seed_same_fault_decisions(self):
         kwargs = dict(
             requests=jobs(3, max_retries=6),
-            rates=FaultRates(worker_crash=0.5),
+            crash_rate=0.5,
             schedule=[],
             runner=stub_runner,
         )
@@ -167,8 +167,8 @@ class TestJournaledChaos:
         report = run_service_chaos(
             requests=jobs(2),
             seed=11,
-            rates=FaultRates(),
-            schedule=[ScheduledFault("worker_crash", call_index=0,
+            crash_rate=0.0,
+            schedule=[ScheduledFault(call_index=0,
                                      site="worker:w0")],
             runner=stub_runner,
             store_path=path,
@@ -191,8 +191,8 @@ class TestPhysicsPayloadStability:
         report = run_service_chaos(
             requests=[JobRequest("h2", get_settings("minimal"))],
             seed=2023,
-            rates=FaultRates(),
-            schedule=[ScheduledFault("worker_crash", call_index=0,
+            crash_rate=0.0,
+            schedule=[ScheduledFault(call_index=0,
                                      site="worker:w0")],
             runner=None,  # the real physics runner
             n_workers=1,
@@ -220,8 +220,8 @@ class TestFleetCrashRecovery:
             seed=13,
             n_workers=1,
             fleet=4,
-            rates=FaultRates(),  # schedule-only: one mid-wave crash
-            schedule=[ScheduledFault("worker_crash", call_index=2,
+            crash_rate=0.0,  # schedule-only: one mid-wave crash
+            schedule=[ScheduledFault(call_index=2,
                                      site="worker:w0")],
             runner=stub_runner,
         )
@@ -239,7 +239,7 @@ class TestFleetCrashRecovery:
             seed=21,
             n_workers=2,
             fleet=3,
-            rates=FaultRates(worker_crash=0.4),
+            crash_rate=0.4,
             schedule=[],
             runner=stub_runner,
         )
@@ -260,8 +260,8 @@ class TestFleetCrashRecovery:
             seed=2023,
             n_workers=1,
             fleet=2,
-            rates=FaultRates(),
-            schedule=[ScheduledFault("worker_crash", call_index=0,
+            crash_rate=0.0,
+            schedule=[ScheduledFault(call_index=0,
                                      site="worker:w0")],
             runner=None,  # the real physics runner, fleet waves
         )

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Tracer, activate, chrome_trace
-from repro.runtime.faults import FaultPlan, ScheduledFault
+from repro.service.faults import FaultPlan, ScheduledFault
 from repro.service import StateStore, WorkerPool
 from repro.service.slo import (
     classify_heartbeat_age,
@@ -188,7 +188,7 @@ def chaos_drain(path, max_steps=10_000):
         store.submit({"index": i}, key=f"job-{i}", client=f"client-{i % 2}",
                      priority=i % 2, now=0.0)
     plan = FaultPlan(seed=2023, schedule=[
-        ScheduledFault("worker_crash", call_index=k, site="worker:w0")
+        ScheduledFault(call_index=k, site="worker:w0")
         for k in (0, 1)
     ])
     pool = WorkerPool(store, n_workers=2, runner=_runner, fault_plan=plan,
