@@ -15,9 +15,11 @@ test:
 # Just the worker-crash plan's tests, the Hartree plan and
 # Adams-Moulton parity tests, the basis evaluator's bitwise tests
 # against the per-shell loop, and the device layer's fast checks: the
-# ocl model's prices and counts, and the device backend's bitwise
-# parity with the host engine and its charges (all also part of
-# `make test`).
+# ocl model's prices and counts, the device backend's bitwise
+# parity with the host engine and its charges, and the model path's
+# bitwise tests: the mappings and per-rank reductions against their
+# loops, the summary batches against the per-batch objects and the
+# greedy rounds against the heap loop (all also part of `make test`).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py \
 		tests/test_fault_determinism.py
@@ -28,6 +30,8 @@ smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_ocl.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_backends.py \
 		-k "device or Device or PhaseParity"
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_mapping.py \
+		-k "equal_the_loops or SummaryBatchOracles"
 
 # Quick execution-backend comparison (the host engine with a warm and a
 # cold block cache, and the device model), plus the dense-vs-screened

@@ -16,7 +16,7 @@ One object, two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class PerturbationSimulator:
         self.charge = charge
         self.backend = backend
         self._workload: Optional[Workload] = None
-        self._batches: Optional[List[GridBatch]] = None
+        self._batches: Optional[Sequence[GridBatch]] = None
         self._assignments: Dict[tuple, BatchAssignment] = {}
         self._rank_quantities: Dict[tuple, tuple] = {}
         self._memory_model = None
@@ -179,7 +179,7 @@ class PerturbationSimulator:
         return self._workload
 
     @property
-    def batches(self) -> List[GridBatch]:
+    def batches(self) -> Sequence[GridBatch]:
         """Summary batches shared by every modeled configuration."""
         if self._batches is None:
             self._batches = synthetic_batches(self.workload)

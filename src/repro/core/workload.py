@@ -11,7 +11,7 @@ memory and phase models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,10 +19,16 @@ from repro.atoms.structure import Structure
 from repro.basis.ylm import n_lm
 from repro.config import GridSettings, RunSettings, get_settings
 from repro.grids.angular import angular_rule
-from repro.grids.batching import BatchArrays, BatchList, GridBatch
+from repro.grids.batching import (
+    SUMMARY_BATCH_RADIUS,
+    BatchArrays,
+    SummaryBatches,
+    fragments_per_atom,
+    summary_overlaps,
+)
 from repro.grids.shells import radial_shells_for_species
 from repro.mapping.memory_model import atom_basis_counts, atom_cutoffs_light
-from repro.utils.neighbors import sphere_overlaps
+from repro.utils.neighbors import ranges, sphere_overlaps
 
 
 @dataclass(frozen=True)
@@ -66,17 +72,14 @@ def _points_per_atom(structure: Structure, grids: GridSettings) -> np.ndarray:
 
 
 def _avg_interacting_atoms(structure: Structure, sample: int = 256) -> float:
-    """Mean number of atoms within basis reach of an atom (sampled)."""
-    cutoffs = atom_cutoffs_light(structure)
-    reach = 2.0 * float(cutoffs.max())
+    """Mean number of atoms within basis reach of an atom (sampled rows of
+    the one neighbour search: the same distances and comparison as a
+    distance row per sampled atom, at a tenth of the time)."""
+    reach = 2.0 * float(atom_cutoffs_light(structure).max())
     n = structure.n_atoms
     idx = np.linspace(0, n - 1, min(sample, n)).astype(np.int64)
     coords = structure.coords
-    counts = []
-    for i in idx:
-        d = np.linalg.norm(coords - coords[i], axis=1)
-        counts.append(int(np.count_nonzero(d <= reach)))
-    return float(np.mean(counts))
+    return float(np.mean(np.diff(sphere_overlaps(coords[idx], reach, coords, 0.0)[0])))
 
 
 def build_workload(
@@ -112,22 +115,20 @@ def build_workload(
 def synthetic_batches(
     workload: Workload,
     target_points: Optional[int] = None,
-) -> List[GridBatch]:
+) -> SummaryBatches:
     """Summary batches for systems too large to materialize the grid.
 
     Atoms are visited in spatially sorted order (widest bounding-box
     dimension); consecutive atoms' point masses are cut into batches of
     ~``target_points``.  Centroids are atom positions, radii the grid
     extent — the quantities the mapping strategies and memory models
-    read.  Relevant-atom sets are attached with the same cutoff logic
-    as the real batches, and the list carries its :class:`BatchArrays`.
+    read.  Relevant-atom sets follow the same cutoff logic as the real
+    batches.  The batches stay :class:`BatchArrays`; a :class:`GridBatch`
+    is built only for a batch that is read.
     """
     structure = workload.structure
     if target_points is None:
         target_points = workload.settings.grids.batch_target_points
-
-    coords = structure.coords
-    cutoffs = atom_cutoffs_light(structure)
 
     # Every atom's point mass exceeds the batch target at realistic
     # settings (a light H atom alone carries >1000 points), so the real
@@ -136,10 +137,11 @@ def synthetic_batches(
     # ceil(mass_a / target) batches located at the atom, never mixing
     # atoms (which would fabricate spatially extended batches).
     ppa = workload.points_per_atom.astype(np.int64)
-    n_frag = np.maximum(1, -(-ppa // target_points))
+    n_frag = fragments_per_atom(ppa, target_points)
 
     # Emit fragments in spatial order along the widest dimension so
     # batch ids correlate with space (as the real batch stream does).
+    coords = structure.coords
     lo, hi = structure.bounding_box()
     dim = int(np.argmax(hi - lo))
     order = np.argsort(coords[:, dim], kind="stable")
@@ -150,26 +152,14 @@ def synthetic_batches(
     k = np.arange(atom_of.shape[0]) - np.repeat(np.cumsum(frags) - frags, frags)
     base = ppa // n_frag
     points = base[atom_of] + (k < (ppa % n_frag)[atom_of])
-    centroids = coords[atom_of]
-    radii = np.full(atom_of.shape[0], 2.0)  # one atom's grid fragment envelope (Bohr)
-    indptr, indices = sphere_overlaps(centroids, radii, coords, cutoffs)
 
-    # The models read a summary batch's point count, never its indices: one
-    # read-only zero-stride buffer per distinct count, no bytes behind it.
-    zero = np.zeros((), dtype=np.int64)
-    no_indices = {n: np.broadcast_to(zero, (n,)) for n in np.unique(points).tolist()}
-    ends = indptr.tolist()
-    batches = (
-        GridBatch(
-            index=i,
-            point_indices=no_indices[n],
-            centroid=centroid,
-            radius=2.0,
-            owner_atoms=(a,),
-            relevant_atoms=tuple(indices[lo:hi].tolist()),
-        )
-        for i, (n, centroid, a, lo, hi) in enumerate(
-            zip(points.tolist(), centroids, atom_of.tolist(), ends, ends[1:])
-        )
+    # Every fragment sits on its atom with the same envelope: overlaps are
+    # found once per atom and each row repeated for the atom's fragments.
+    atom_ptr, atom_idx = summary_overlaps(coords, atom_cutoffs_light(structure))
+    counts = np.diff(atom_ptr)[atom_of]
+    indptr = np.append(0, np.cumsum(counts))
+    indices = atom_idx[ranges(atom_ptr[atom_of], counts)]
+    radii = np.full(atom_of.shape[0], SUMMARY_BATCH_RADIUS)
+    return SummaryBatches(
+        BatchArrays(points, coords[atom_of], radii, indptr, indices), atom_of
     )
-    return BatchList(batches, BatchArrays(points, centroids, radii, indptr, indices))

@@ -9,9 +9,11 @@ Section 3.1 distribute over MPI ranks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from repro.atoms.structure import Structure
 from repro.errors import GridError
 from repro.grids.atom_grid import IntegrationGrid
 from repro.utils.neighbors import sphere_overlaps
+
+#: Bounding radius of a summary batch: one atom's grid fragment envelope (Bohr).
+SUMMARY_BATCH_RADIUS: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,66 @@ class BatchList(List[GridBatch]):
     def __init__(self, batches, arrays: BatchArrays) -> None:
         super().__init__(batches)
         self.arrays = arrays
+
+
+class SummaryBatches(Sequence[GridBatch]):
+    """Summary batches kept as their :class:`BatchArrays` (carried as
+    ``.arrays``) plus each batch's atom: read-only, and a :class:`GridBatch`
+    is built only for the batches that are indexed, sliced or iterated."""
+
+    def __init__(self, arrays: BatchArrays, atom_of: np.ndarray) -> None:
+        self.arrays = arrays
+        self._atom_of = atom_of
+
+    def __len__(self) -> int:
+        return self._atom_of.shape[0]
+
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return [self._batch(j) for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"batch {i} of {len(self)}")
+        return self._batch(i % len(self))
+
+    def __iter__(self) -> Iterator[GridBatch]:
+        return map(self._batch, range(len(self)))
+
+    def _batch(self, i: int) -> GridBatch:
+        points, centroids, radii, indptr, indices = self.arrays
+        return GridBatch(
+            index=i,
+            point_indices=_no_indices(int(points[i])),
+            centroid=centroids[i],
+            radius=float(radii[i]),
+            owner_atoms=(int(self._atom_of[i]),),
+            relevant_atoms=tuple(indices[indptr[i] : indptr[i + 1]].tolist()),
+        )
+
+
+@lru_cache(maxsize=1024)
+def _no_indices(n: int) -> np.ndarray:
+    # The models read a summary batch's point count, never its indices: one
+    # read-only zero-stride buffer per distinct count, no bytes behind it.
+    return np.broadcast_to(np.zeros((), dtype=np.int64), (n,))
+
+
+def fragments_per_atom(points_per_atom: np.ndarray, target_points) -> np.ndarray:
+    """Summary batches per atom (int64 point counts in):
+    ``ceil(points / target_points)``, at least one."""
+    try:
+        target = operator.index(target_points)
+    except TypeError:
+        target = 0
+    if target < 1:
+        raise GridError(f"target_points must be >= 1 and whole, got {target_points!r}")
+    return np.maximum(1, -(-points_per_atom // target))
+
+
+def summary_overlaps(coords: np.ndarray, cutoffs) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR of the atoms whose cutoff sphere meets each atom's summary-batch
+    envelope: every summary batch of atom ``a`` has row ``a``."""
+    return sphere_overlaps(coords, SUMMARY_BATCH_RADIUS, coords, cutoffs)
 
 
 def csr_of_rows(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:

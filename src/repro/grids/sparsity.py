@@ -49,7 +49,12 @@ from repro.atoms.structure import Structure
 from repro.basis.basis_set import BasisSet, _species_shells, effective_shell_radius
 from repro.config import RunSettings, get_settings
 from repro.errors import GridError
-from repro.grids.batching import GridBatch, batch_arrays
+from repro.grids.batching import (
+    GridBatch,
+    batch_arrays,
+    fragments_per_atom,
+    summary_overlaps,
+)
 from repro.utils.neighbors import sphere_overlaps
 
 #: Threshold used when screening is requested without an explicit value
@@ -672,10 +677,6 @@ def screened_atom_cutoffs_light(
     return out
 
 
-#: Bounding radius of one summary batch (matches ``synthetic_batches``).
-_SUMMARY_BATCH_RADIUS: float = 2.0
-
-
 def modeled_block_counts(
     structure: Structure,
     settings: Optional[RunSettings] = None,
@@ -686,10 +687,10 @@ def modeled_block_counts(
 
     Applies the screening rule of :func:`build_sparsity_pattern` to the
     *summary* batches of :func:`repro.core.workload.synthetic_batches`
-    without materializing a single batch object: every summary batch
-    sits on its atom with a fixed 2.0 Bohr envelope, so a cell-list
-    neighbour count over atoms yields the (batch, atom) block and
-    element totals directly.  Near-linear in ``n_atoms`` — this is what
+    without building them: every summary batch sits on its atom with the
+    same ``SUMMARY_BATCH_RADIUS`` envelope, so the per-atom rows of
+    :func:`~repro.grids.batching.summary_overlaps` yield the (batch, atom)
+    block and element totals directly.  Near-linear in ``n_atoms`` — this is what
     carries the sparsity accounting past the paper's 200 012-atom
     ceiling toward the million-atom regime.
     """
@@ -703,13 +704,13 @@ def modeled_block_counts(
         target_points = settings.grids.batch_target_points
 
     ppa = _points_per_atom(structure, settings.grids).astype(np.int64)
-    n_frag = np.maximum(1, -(-ppa // int(target_points)))
+    n_frag = fragments_per_atom(ppa, target_points)
     basis_counts = atom_basis_counts(structure)
     n_basis = int(basis_counts.sum())
     cutoffs = screened_atom_cutoffs_light(structure, threshold)
 
     # Every summary batch of an atom sees what the atom's envelope sees.
-    indptr, indices = sphere_overlaps(coords, _SUMMARY_BATCH_RADIUS, coords, cutoffs)
+    indptr, indices = summary_overlaps(coords, cutoffs)
     nbr_basis = np.add.reduceat(basis_counts[indices], indptr[:-1])
     blocks_active = int((n_frag * np.diff(indptr)).sum())
     elements_active = int((ppa * nbr_basis).sum())

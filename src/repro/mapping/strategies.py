@@ -131,14 +131,65 @@ def load_balancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> BatchA
     rank cycles, so the batches of one rank end up scattered across the system.
     """
     _validate(batches, n_ranks)
-    heap: List[Tuple[int, int]] = [(0, r) for r in range(n_ranks)]  # sorted: a heap
-    owned: List[List[int]] = [[] for _ in range(n_ranks)]
     # Construction order, as FHI-aims' batch stream arrives atom by atom.
-    for b, n_points in enumerate(batch_points(batches).tolist()):
-        load, rank = heap[0]
-        owned[rank].append(b)
-        heapq.heapreplace(heap, (load + n_points, rank))
-    return BatchAssignment("load_balancing", n_ranks, tuple(map(tuple, owned)))
+    rank_of = _least_loaded_ranks(batch_points(batches), n_ranks)
+    order = np.argsort(rank_of, kind="stable").tolist()
+    ptr = np.append(0, np.cumsum(np.bincount(rank_of, minlength=n_ranks))).tolist()
+    owned = tuple(tuple(order[a:z]) for a, z in zip(ptr, ptr[1:]))
+    return BatchAssignment("load_balancing", n_ranks, owned)
+
+
+def _least_loaded_ranks(points: np.ndarray, n_ranks: int) -> np.ndarray:
+    """The rank each batch goes to when every batch in turn joins the rank with
+    the least ``(load, rank id)``: a heap pop + push per batch, in rounds.
+
+    A rank is the key ``load * n_ranks + rank``; ``keys`` holds them sorted.  A
+    round takes the next batches while the keys below ``keys[0] + s * n_ranks``
+    last — ``s`` the least nonzero size taken so far — and hands them the
+    nonzero batches in key order.  That is exactly the heap's pick: a key that
+    took one rose by at least ``s * n_ranks`` from at least ``keys[0]``, so it
+    ends at or above that line, and every other key is already there.  A
+    zero-size batch joins the rank next in line without moving it, as on the
+    heap.  A round shorter than ``64 + n_ranks / 16`` batches costs more than
+    the heap steps it saves, so it is followed by a stretch of heap steps
+    (EXPERIMENTS.md, "Summary batches as arrays, measured").
+    """
+    n, total = points.shape[0], int(points.sum())
+    if (total + 1) * n_ranks >= 2**62:
+        raise MappingError(f"{total} points over {n_ranks} ranks overflow the int64 keys")
+    keys = np.arange(n_ranks, dtype=np.int64)
+    rank_of = np.empty(n, dtype=np.int64)
+    b = 0
+    while b < n:
+        w = points[b : b + n_ranks]
+        nonzero = w > 0
+        line = keys[0] + np.minimum.accumulate(np.where(nonzero, w, w.max() + 1)) * n_ranks
+        slot = np.cumsum(nonzero) - nonzero  # batch i joins keys[slot[i]]
+        j = int(np.count_nonzero(slot < np.searchsorted(keys, line)))
+        rank_of[b : b + j] = keys[slot[:j]] % n_ranks
+        moved = int(slot[j - 1] + nonzero[j - 1])
+        keys[:moved] += w[:j][nonzero[:j]] * n_ranks
+        keys.sort(kind="stable")  # timsort: the untouched keys are one run
+        b += j
+        if j < 64 + n_ranks // 16:
+            end = min(n, b + 1024 + 4 * n_ranks)
+            rank_of[b:end], keys = _heap_steps(keys, points[b:end], n_ranks)
+            b = end
+    return rank_of
+
+
+def _heap_steps(keys: np.ndarray, points: np.ndarray, n_ranks: int):
+    """One heap pop + push per batch from the sorted *keys*: the batches' ranks
+    and the keys after them, sorted."""
+    heap = keys.tolist()  # sorted, so a heap
+    taken: List[int] = []
+    take, replace = taken.append, heapq.heapreplace
+    for n_points in points.tolist():
+        key = heap[0]
+        take(key)
+        replace(heap, key + n_points * n_ranks)
+    ranks = np.array(taken, dtype=np.int64) % n_ranks
+    return ranks, np.sort(np.array(heap, dtype=np.int64))
 
 
 def locality_enhancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> BatchAssignment:

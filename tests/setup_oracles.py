@@ -34,6 +34,12 @@ greedy mapping a heap pop + push per batch, a rank's atoms one
 ``np.unique`` per rank and its spline atoms one ``set.update`` per batch.
 The array programs in ``repro.mapping`` are held to these bodies with
 ``==``: the arithmetic and every tie-break are unchanged.
+
+The summary batches were once one ``GridBatch`` per batch in a list, their relevant atoms one neighbour search per batch, and the greedy
+mapping a heap step per batch.  ``synthetic_batches`` now keeps the
+arrays (``SummaryBatches``) and searches once per atom, and the greedy
+mapping assigns a round of ranks at a time; both are held ``==`` to the
+old body below and to the heap loop above.
 """
 
 from __future__ import annotations
@@ -490,3 +496,76 @@ def spline_counts_oracle(assignment, indptr, indices):
             atoms.update(indices[ends[b] : ends[b + 1]].tolist())
         counts[r] = len(atoms)
     return counts
+
+
+# ----------------------------------------------------------------------
+# Summary batches as one GridBatch object per batch, and their search per batch
+# ----------------------------------------------------------------------
+def synthetic_batches_oracle(
+    workload,
+    target_points=None,
+):
+    """Summary batches for systems too large to materialize the grid.
+
+    Atoms are visited in spatially sorted order (widest bounding-box
+    dimension); consecutive atoms' point masses are cut into batches of
+    ~``target_points``.  Centroids are atom positions, radii the grid
+    extent — the quantities the mapping strategies and memory models
+    read.  Relevant-atom sets are attached with the same cutoff logic
+    as the real batches, and the list carries its :class:`BatchArrays`.
+    """
+    from repro.grids.batching import BatchArrays, BatchList, GridBatch
+    from repro.mapping.memory_model import atom_cutoffs_light
+    from repro.utils.neighbors import sphere_overlaps
+
+    structure = workload.structure
+    if target_points is None:
+        target_points = workload.settings.grids.batch_target_points
+
+    coords = structure.coords
+    cutoffs = atom_cutoffs_light(structure)
+
+    # Every atom's point mass exceeds the batch target at realistic
+    # settings (a light H atom alone carries >1000 points), so the real
+    # cut planes always slice *within* atomic grids.  Summary batches
+    # are therefore per-atom fragments: atom a contributes
+    # ceil(mass_a / target) batches located at the atom, never mixing
+    # atoms (which would fabricate spatially extended batches).
+    ppa = workload.points_per_atom.astype(np.int64)
+    n_frag = np.maximum(1, -(-ppa // target_points))
+
+    # Emit fragments in spatial order along the widest dimension so
+    # batch ids correlate with space (as the real batch stream does).
+    lo, hi = structure.bounding_box()
+    dim = int(np.argmax(hi - lo))
+    order = np.argsort(coords[:, dim], kind="stable")
+
+    # Atom a's k-th fragment: base_a points, one more for the first mass_a mod n_frag_a.
+    frags = n_frag[order]
+    atom_of = np.repeat(order, frags)
+    k = np.arange(atom_of.shape[0]) - np.repeat(np.cumsum(frags) - frags, frags)
+    base = ppa // n_frag
+    points = base[atom_of] + (k < (ppa % n_frag)[atom_of])
+    centroids = coords[atom_of]
+    radii = np.full(atom_of.shape[0], 2.0)  # one atom's grid fragment envelope (Bohr)
+    indptr, indices = sphere_overlaps(centroids, radii, coords, cutoffs)
+
+    # The models read a summary batch's point count, never its indices: one
+    # read-only zero-stride buffer per distinct count, no bytes behind it.
+    zero = np.zeros((), dtype=np.int64)
+    no_indices = {n: np.broadcast_to(zero, (n,)) for n in np.unique(points).tolist()}
+    ends = indptr.tolist()
+    batches = (
+        GridBatch(
+            index=i,
+            point_indices=no_indices[n],
+            centroid=centroid,
+            radius=2.0,
+            owner_atoms=(a,),
+            relevant_atoms=tuple(indices[lo:hi].tolist()),
+        )
+        for i, (n, centroid, a, lo, hi) in enumerate(
+            zip(points.tolist(), centroids, atom_of.tolist(), ends, ends[1:])
+        )
+    )
+    return BatchList(batches, BatchArrays(points, centroids, radii, indptr, indices))

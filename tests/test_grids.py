@@ -1,5 +1,8 @@
 """Angular rules, radial shells, Becke partitioning, grids and batching."""
 
+import warnings
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from repro.grids import (
     build_batches,
     build_grid,
     cut_plane_partition,
+    modeled_block_counts,
     radial_shells_for_species,
 )
 from repro.grids.batching import BatchArrays, batch_arrays
@@ -215,21 +219,22 @@ class TestBatching:
             synthetic_batches(build_workload(s)) for s in (polyethylene(100), rbd_like_protein())
         ]
         for carried in cases:
-            assert isinstance(carried, list) and carried.arrays is batch_arrays(carried)
-            derived = batch_arrays(list(carried))
+            assert carried.arrays is batch_arrays(carried)
+            materialized = list(carried)  # no carried arrays: the derived path
+            derived = batch_arrays(materialized)
             for name, a, b in zip(BatchArrays._fields, carried.arrays, derived):
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert derived.points.tolist() == [b.n_points for b in carried]
+            assert derived.points.tolist() == [b.n_points for b in materialized]
             assert all(
                 b.relevant_atoms == tuple(derived.indices[lo:hi].tolist())
-                for b, lo, hi in zip(carried, derived.indptr, derived.indptr[1:])
+                for b, lo, hi in zip(materialized, derived.indptr, derived.indptr[1:])
             )
-        # A carried copy is a memo: once the list's length moves it is re-derived.
-        stale = cases[1].arrays
-        cases[1].append(cases[1][0])
-        fresh = batch_arrays(cases[1])
+        # A carried copy on a list is a memo: once its length moves it is re-derived.
+        stale = real.arrays
+        real.append(real[0])
+        fresh = batch_arrays(real)
         assert fresh is not stale and fresh.points.shape[0] == stale.points.shape[0] + 1
-        assert fresh.points[-1] == cases[1][0].n_points
+        assert fresh.points[-1] == real[0].n_points
 
     def test_batch_arrays_of_nothing(self):
         empty = batch_arrays([])
@@ -252,3 +257,29 @@ class TestBatching:
     def test_invalid_target(self, rng):
         with pytest.raises(GridError):
             cut_plane_partition(rng.normal(size=(10, 3)), 0)
+
+    @pytest.mark.parametrize("target", [0, -5, 2.5])
+    def test_invalid_summary_target(self, target):
+        # 0 used to warn about a division by zero and -5 to pass silently, each
+        # giving one batch per atom; 2.5 raised numpy's casting TypeError.
+        s = polyethylene(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="target_points must be >= 1"):
+                synthetic_batches(build_workload(s), target_points=target)
+            with pytest.raises(GridError, match="target_points must be >= 1"):
+                modeled_block_counts(s, target_points=target)
+
+    def test_summary_batches_are_a_read_only_sequence(self):
+        batches = synthetic_batches(build_workload(polyethylene(4)))
+        n = len(batches)
+        assert isinstance(batches, Sequence) and not hasattr(batches, "append")
+        assert [b.index for b in batches] == list(range(n))
+        assert [b.index for b in batches[2:9:3]] == [2, 5, 8]
+        assert batches[-1].index == n - 1 and batches[np.int64(3)].index == 3
+        assert batches[-1].relevant_atoms == batches[n - 1].relevant_atoms
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                batches[bad]
+        with pytest.raises(TypeError):
+            batches[0] = batches[1]

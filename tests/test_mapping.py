@@ -1,5 +1,7 @@
 """Task-mapping strategies (Alg. 1), memory model and spline counts."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from repro.config import get_settings
 from repro.core.workload import build_workload, synthetic_batches
 from repro.errors import MappingError
 from repro.grids import attach_relevant_atoms, build_batches, build_grid
+from repro.grids.batching import BatchArrays, SummaryBatches
 from repro.mapping import (
     HamiltonianMemoryModel,
     atom_basis_counts,
@@ -23,6 +26,7 @@ from tests.setup_oracles import (
     load_balancing_oracle,
     locality_mapping_oracle,
     spline_counts_oracle,
+    synthetic_batches_oracle,
 )
 
 
@@ -216,3 +220,84 @@ class TestSplineModel:
         sp = spline_counts_per_rank(a, batches, structure)
         assert np.all(sp <= structure.n_atoms)
         assert np.all(sp >= 1)
+
+
+def _sized(points) -> SummaryBatches:
+    """Batches of the given point counts, at the origin, with no atoms."""
+    n = len(points)
+    arrays = BatchArrays(
+        np.asarray(points, dtype=np.int64),
+        np.zeros((n, 3)),
+        np.zeros(n),
+        np.zeros(n + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
+    return SummaryBatches(arrays, np.zeros(n, dtype=np.int64))
+
+
+#: The greedy mapping's inputs: even rounds, zero-size batches (which join a
+#: rank without moving it), one tiny batch, and the sizes that make rounds short.
+_SIZES = {
+    "equal": lambda rng, n: np.full(n, 300),
+    "zeros": lambda rng, n: np.where(np.arange(n) % 7 == 3, 0, rng.integers(1, 401, n)),
+    "one_point": lambda rng, n: np.where(np.arange(n) == n // 2, 1, 300),
+    "random": lambda rng, n: rng.integers(1, 401, n),
+    "decreasing": lambda rng, n: np.sort(rng.integers(1, 401, n))[::-1],
+}
+
+
+@lru_cache(maxsize=None)
+def _size_case(kind: str):
+    batches = _sized(_SIZES[kind](np.random.default_rng(7), 24_000))
+    return batches, list(batches)
+
+
+class TestSummaryBatchOracles:
+    """Summary batches as arrays and the greedy mapping in rounds, held ``==``
+    to the per-batch objects and the heap loop they replaced."""
+
+    @pytest.mark.parametrize("make", [lambda: polyethylene(100), rbd_like_protein], ids=["chain602", "protein"])
+    def test_batches_equal_the_oracle(self, make):
+        workload = build_workload(make(), get_settings("light"))
+        got, want = synthetic_batches(workload), synthetic_batches_oracle(workload)
+        for name, a, b in zip(BatchArrays._fields, got.arrays, want.arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.index, g.radius, g.owner_atoms, g.relevant_atoms) == (
+                w.index, w.radius, w.owner_atoms, w.relevant_atoms,
+            )
+            assert type(g.radius) is type(w.radius)
+            assert {type(a) for a in g.owner_atoms + g.relevant_atoms} == {int}
+            assert g.centroid.dtype == w.centroid.dtype
+            assert np.array_equal(g.centroid, w.centroid)
+            gi, wi = g.point_indices, w.point_indices
+            assert (gi.dtype, gi.shape, gi.strides, gi.flags.writeable) == (
+                wi.dtype, wi.shape, wi.strides, wi.flags.writeable,
+            )
+
+    @pytest.mark.parametrize("n_ranks", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("kind", sorted(_SIZES))
+    def test_rounds_equal_the_heap_loop(self, kind, n_ranks):
+        batches, plain = _size_case(kind)
+        want = load_balancing_oracle(plain, n_ranks)
+        assert load_balancing_mapping(batches, n_ranks).batches_of_rank == want
+        assert load_balancing_mapping(plain, n_ranks).batches_of_rank == want
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 3_000),
+        n_ranks=st.integers(1, 400),
+        sizes=st.sampled_from([(0, 1), (0, 300), (1, 2, 300), (0, 5, 6, 400), (7,)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rounds_equal_the_heap_loop_on_few_sizes(self, seed, n, n_ranks, sizes):
+        rng = np.random.default_rng(seed)
+        batches = _sized(rng.choice(sizes, size=max(n, n_ranks)))
+        got = load_balancing_mapping(batches, n_ranks)
+        assert got.batches_of_rank == load_balancing_oracle(list(batches), n_ranks)
+        assert {type(b) for owned in got.batches_of_rank for b in owned} <= {int}
+
+    def test_overflowing_loads_rejected(self):
+        with pytest.raises(MappingError, match="overflow the int64 keys"):
+            load_balancing_mapping(_sized([2**61, 2**61]), 2)
