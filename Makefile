@@ -20,6 +20,10 @@ test:
 # bitwise tests: the mappings and per-rank reductions against their
 # loops, the summary batches against the per-batch objects and the
 # greedy rounds against the heap loop (all also part of `make test`).
+# Last, the two-core view sweep tests with BLAS pinned to one thread:
+# there the sweep helper is live by the module's own width derivation
+# (cores / BLAS threads), not only by the tests' patched width as in
+# `make test`.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_faults.py \
 		tests/test_fault_determinism.py
@@ -32,6 +36,8 @@ smoke:
 		-k "device or Device or PhaseParity"
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_mapping.py \
 		-k "equal_the_loops or SummaryBatchOracles"
+	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src $(PYTHON) -m pytest \
+		-q tests/test_view_sweep.py
 
 # Quick execution-backend comparison (the host engine with a warm and a
 # cold block cache, and the device model), plus the dense-vs-screened
@@ -61,7 +67,8 @@ docs-check:
 		src/repro/obs src/repro/service src/repro/utils/timing.py \
 		src/repro/utils/balance.py src/repro/utils/artifacts.py \
 		src/repro/utils/scratch.py src/repro/utils/journal.py \
-		src/repro/backends/batched.py src/repro/testing/docs.py \
+		src/repro/backends/batched.py src/repro/backends/sweep.py \
+		src/repro/testing/docs.py \
 		src/repro/grids/sparsity.py src/repro/utils/neighbors.py \
 		src/repro/fleet
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py

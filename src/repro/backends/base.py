@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.backends.sweep import ordered_sweep
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView, SparsityStats
 from repro.obs.tracer import obs_counter, obs_span
@@ -52,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # a quadratic form skips the zero quarter of its folded triangle, a
 # weighted Gram matrix is a symmetric rank-k update — and writes its one
 # rows x cols temporary into the caller's *work* block (the loops lease
-# the process's scratch block: repro.utils.scratch).
+# the running thread's scratch block: repro.utils.scratch).
 # ----------------------------------------------------------------------
 def fold_upper(matrix: np.ndarray) -> np.ndarray:
     """Upper-triangular ``T`` with ``x @ T @ x == x @ matrix @ x`` for any
@@ -437,7 +438,10 @@ class ExecutionBackend:
 
         Identical view order and identical block math across every
         backend, so engines stay bit-exact with each other; points of
-        batches without a view keep density exactly zero.
+        batches without a view keep density exactly zero.  The views are
+        walked by :func:`~repro.backends.sweep.ordered_sweep`: blocks on
+        the calling thread, kernels there or on the sweep helper, rows
+        scattered in view order.
         """
         builder = self._require_bound()
         factored = isinstance(density, Factored)
@@ -449,15 +453,20 @@ class ExecutionBackend:
         else:
             lefts, upper, factors = [density], fold_upper(density), np.empty((0, 0))
         out = np.zeros((len(lefts), builder.grid.n_points))  # direction-major
-        for view in builder.views:
-            phi = self.basis_block(view)
+
+        def kernel(view: BatchView, phi: np.ndarray) -> np.ndarray:
             with scratch((len(phi), max(phi.shape[1], factors.shape[1]))) as work:
-                rows = (
+                return (
                     factored_form_rows(phi, factors[view.cols], k, work) if factored
                     else quadratic_form_rows(phi, view.gather(upper, upper=True), work)[None]
                 )
+
+        def commit(view: BatchView, rows: np.ndarray) -> None:
             for out_j, rows_j in zip(out, rows):  # 1-D scatters: half a 2-D one's time
                 out_j[view.point_indices] = rows_j
+
+        views = builder.views
+        ordered_sweep(views, views.elements, self.basis_block, kernel, commit)
         return out.T if wide else out[0]
 
     def _potential_impl(self, v: np.ndarray) -> np.ndarray:
@@ -469,18 +478,24 @@ class ExecutionBackend:
         zero.  The blocks are exactly symmetric, so only their run pairs
         on and above the diagonal are added and the finished upper
         triangles are mirrored: half the scatter traffic, and results
-        that are symmetric by construction.
+        that are symmetric by construction.  Grams are added in view
+        order whichever thread computed them (``ordered_sweep``).
         """
         builder = self._require_bound()
         wv = v * builder.grid.weights
         nb = builder.basis.n_basis
         acc = np.zeros((len(wv), nb, nb))
-        for view in builder.views:
-            phi = self.basis_block(view)
+
+        def kernel(view: BatchView, phi: np.ndarray) -> list:
             with scratch(phi.shape) as work:
-                grams = [weighted_gram(phi, w[view.point_indices], work) for w in wv]
+                return [weighted_gram(phi, w[view.point_indices], work) for w in wv]
+
+        def commit(view: BatchView, grams: list) -> None:
             for acc_j, gram in zip(acc, grams):
                 view.scatter_add(acc_j, gram, upper=True)
+
+        views = builder.views
+        ordered_sweep(views, views.elements, self.basis_block, kernel, commit)
         for acc_j in acc:
             mirror_upper(acc_j, out=acc_j)
         return acc

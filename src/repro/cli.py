@@ -395,7 +395,6 @@ def _open_store(args: argparse.Namespace) -> "object":
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import JobRequest, WorkerPool, submit_job
 
-    store = _open_store(args)
     structure = _load_structure(args)
     settings = get_settings(args.level, backend=args.backend)
     request = JobRequest(
@@ -406,6 +405,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         priority=args.priority,
         max_retries=args.max_retries,
     )
+    store = _open_store(args)
     outcome = submit_job(store, request)
     key = outcome.task.key
     if outcome.cache_hit:

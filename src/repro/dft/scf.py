@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
-from repro.atoms.structure import Structure
+from repro.atoms.structure import Structure, reject_coincident_nuclei
 from repro.backends.base import Factored
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,7 +27,7 @@ from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.hartree import MultipoleSolver
 from repro.dft.mixing import PulayMixer
 from repro.dft.xc import lda_exchange_correlation
-from repro.errors import GeometryError, SCFConvergenceError
+from repro.errors import SCFConvergenceError
 from repro.grids.atom_grid import IntegrationGrid
 from repro.obs.tracer import trace_context
 from repro.utils import drain
@@ -35,7 +35,6 @@ from repro.utils.linalg import (
     GeneralizedEigensolver,
     density_matrix_from_orbitals,
 )
-from repro.utils.neighbors import sphere_overlaps
 from repro.utils.timing import PhaseTimer
 
 
@@ -71,27 +70,6 @@ class GroundState:
         )
         nuclear = self.structure.nuclear_charges @ self.structure.coords
         return electronic + nuclear
-
-
-def _reject_coincident_nuclei(structure: Structure) -> None:
-    """GeometryError naming two nuclei closer than a quarter of the sum of
-    their covalent radii, raised before any grid or basis is built.
-
-    The bound is far below any bond (H2 sits at 2.4x the sum) and far above
-    the distances where the Becke partition divides by ~0, the overlap
-    loses rank or the SCF "converges" on a ~1e6 Ha nuclear repulsion.
-    """
-    reach = 0.25 * np.array([e.covalent_radius for e in structure.elements])
-    indptr, cols = sphere_overlaps(structure.coords, reach, structure.coords, reach)
-    rows = np.repeat(np.arange(structure.n_atoms), np.diff(indptr))
-    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
-    if pairs:
-        i, j = pairs[0]
-        raise GeometryError(
-            f"atoms {i} ({structure.symbols[i]}) and {j} ({structure.symbols[j]}) "
-            f"are {structure.distance(i, j):.3g} Bohr apart, closer than "
-            f"{reach[i] + reach[j]:.3g} (0.25 x the sum of their covalent radii)"
-        )
 
 
 class SCFDriver:
@@ -132,7 +110,7 @@ class SCFDriver:
                 residual=0.0,
             )
         self.n_electrons = n_electrons
-        _reject_coincident_nuclei(structure)
+        reject_coincident_nuclei(structure)
 
         # A fleet driver may inject a shared basis/grid/batch substrate
         # (built once per distinct geometry); construction is identical

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.atoms.builders import BUILTIN_MOLECULES
-from repro.atoms.structure import Structure
+from repro.atoms.structure import Structure, reject_coincident_nuclei
 from repro.config import RunSettings, get_settings
 from repro.errors import ServiceError
 from repro.service.statestore import StateStore, SubmitOutcome
@@ -130,6 +130,12 @@ class JobRequest:
     priority: int = 0
     max_retries: int = 3
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # A geometry no worker can run is refused here, before it is keyed
+        # or journaled (built-in molecules are valid by construction).
+        if isinstance(self.molecule, Structure):
+            reject_coincident_nuclei(self.molecule)
 
     def structure(self) -> Structure:
         """The concrete geometry (resolving built-in names)."""

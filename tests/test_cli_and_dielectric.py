@@ -173,12 +173,48 @@ class TestHostileGeometries:
     def test_the_bound_is_a_quarter_of_covalent_radii(self, tmp_path, capsys):
         """H-H: 0.25 x (0.31 + 0.31) Angstrom = 0.293 Bohr, so H2 at its bond
         length passes and H2 at 0.2 or 1.02e-6 Bohr exits 2."""
-        from repro.dft.scf import _reject_coincident_nuclei
+        from repro.atoms.structure import reject_coincident_nuclei
 
-        _reject_coincident_nuclei(Structure(["H"] * 2, [[0, 0, 0], [0, 0, 1.4]]))
+        reject_coincident_nuclei(Structure(["H"] * 2, [[0, 0, 0], [0, 0, 1.4]]))
         path = tmp_path / "geometry.in"
         for d in (0.2, 1.02e-6):
             path.write_text(f"atom 0 0 0 H\natom 0 0 {d * BOHR_IN_ANGSTROM!r} H\n")
             assert main(["physics", str(path), "--level", "minimal"]) == 2
             err = capsys.readouterr().err
             assert f"atoms 0 (H) and 1 (H) are {d:.3g} Bohr apart, closer than 0.293" in err
+
+    @pytest.mark.parametrize("pairwise_atoms", [0, 1000], ids=["cell-list", "pairwise"])
+    def test_both_searches_name_the_first_close_pair(self, monkeypatch, pairwise_atoms):
+        from repro.atoms import polyethylene
+        from repro.atoms import structure as structure_module
+
+        monkeypatch.setattr(structure_module, "_PAIRWISE_ATOMS", pairwise_atoms)
+        chain = polyethylene(4)
+        coords = np.vstack([chain.coords, chain.coords[20] + [3e-7, 0, 0], chain.coords[5] + [0, 4e-7, 0]])
+        crowded = Structure(list(chain.symbols) + ["H", "H"], coords)
+        symbol = chain.symbols[5]
+        with pytest.raises(GeometryError, match=rf"atoms 5 \({symbol}\) and 27 \(H\) are 4e-07 Bohr"):
+            structure_module.reject_coincident_nuclei(crowded)
+        structure_module.reject_coincident_nuclei(chain)
+
+    def test_submit_job_refuses_coincident_nuclei_before_the_journal(self, tmp_path):
+        from repro.service import JobRequest, StateStore, submit_job
+
+        journal = tmp_path / "journal.jsonl"
+        store = StateStore(journal)
+        h2 = Structure(["H"] * 2, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-6]])
+        with pytest.raises(GeometryError, match=r"atoms 0 \(H\) and 1 \(H\) are 1e-06 Bohr"):
+            submit_job(store, JobRequest(h2, get_settings("minimal")))
+        assert not store.tasks() and "1e-06" not in journal.read_text()
+
+    def test_submit_exits_2_like_physics(self, tmp_path, capsys):
+        path = tmp_path / "geometry.in"
+        path.write_text(f"atom 0 0 0 H\natom 0 0 {1e-6 * BOHR_IN_ANGSTROM!r} H\n")
+        journal = tmp_path / "store" / "journal.jsonl"
+        errors = []
+        for command in ("physics", "submit"):
+            extra = ["--store", str(journal)] if command == "submit" else []
+            assert main([command, str(path), "--level", "minimal", *extra]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "are 1e-06 Bohr apart" in errors[0]
+        assert not journal.exists()

@@ -529,7 +529,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 
         solver, rho = plan_case
         solver.hartree_potential(rho)
-        held = scratch_module._block
+        held = scratch_module.held_block()
         leased = []
         monkeypatch.setattr(
             hartree_module, "scratch", lambda shape: leased.append(shape) or scratch_module.scratch(shape)
@@ -538,7 +538,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         # One lease per atom, four rows per near point (not 2 n_shells + 4),
         # on the block the process already holds.
         assert leased == [(4, p.near.shape[0]) for p in solver._plans]
-        assert scratch_module._block is held and held.size >= max(4 * n for _, n in leased)
+        assert scratch_module.held_block() is held and held.size >= max(4 * n for _, n in leased)
 
 
 class TestMultipoleSolverLinearity:

@@ -19,6 +19,7 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -608,25 +609,74 @@ class TestFactoredSumup:
 
 
 class TestNoRowsByColsAllocationPerSweep:
-    def test_a_warm_sweep_stays_inside_the_held_scratch(self):
-        """Sumup's ``phi @ T`` and H's scaled copy go to the process's one
-        scratch block; what a sweep allocates is ``n_basis^2``-sized."""
+    def test_a_warm_sweep_stays_inside_the_held_scratch(self, monkeypatch):
+        """Sumup's ``phi @ T`` and H's scaled copy go to the calling
+        thread's scratch block; what a sweep allocates is
+        ``n_basis^2``-sized."""
+        self._warm_sweep(monkeypatch, helper=False)
+
+    def test_a_warm_two_core_sweep_stays_inside_each_threads_scratch(self, monkeypatch):
+        """With the sweep helper on, each thread's held block is at least
+        the largest lease it served, and the sweep still allocates only
+        ``n_basis^2``-sized arrays."""
+        self._warm_sweep(monkeypatch, helper=True)
+
+    @staticmethod
+    def _warm_sweep(monkeypatch, helper):
+        from repro.backends import base as base_module, sweep
+
+        monkeypatch.setattr(sweep, "_WIDTH", 2 if helper else 1)
+        served = {}  # thread -> largest lease it served
+
+        def leasing(shape):
+            me = threading.get_ident()
+            served[me] = max(served.get(me, 0), int(np.prod(shape)))
+            return scratch_module.scratch(shape)
+
+        monkeypatch.setattr(base_module, "scratch", leasing)
         sub = _substrate("chain26")
         builder = MatrixBuilder(sub.basis, sub.grid, batches=sub.batches)
         p, v = _inputs(builder)
         backend = builder.backend
         backend.density_on_grid(p), backend.potential_matrix(v)  # warm
+
+        def held_blocks():
+            blocks = {threading.get_ident(): scratch_module.held_block()}
+            if helper:
+                on_helper = sweep._the_helper().submit(
+                    lambda: (threading.get_ident(), scratch_module.held_block())
+                )
+                blocks.update([on_helper.result()])
+            return blocks
+
+        held = held_blocks()
         largest = max(w.point_indices.size * w.cols.size for w in builder.views)
-        held = scratch_module._block
-        assert held.size >= largest
+        assert max(served.values()) >= largest
+        # The first view of a sweep always goes to an idle helper; which
+        # others each thread serves depends on timing.
+        assert set(served) <= set(held)
+        assert (set(served) - {threading.get_ident()} != set()) == helper
+        for thread, size in served.items():
+            assert held[thread].size >= size
+
+        def grow():  # size every block for whichever views it serves next
+            with scratch_module.scratch((max(served.values()),)):
+                pass
+
+        if helper:
+            sweep._the_helper().submit(grow).result()
+        grow()
+        held = held_blocks()
         tracemalloc.start()
         backend.density_on_grid(p), backend.potential_matrix(v)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert scratch_module._block is held
+        assert all(held_blocks()[t] is block for t, block in held.items())
         # Well under one rows x cols block (2.9 MB here): what is live at
         # once is a handful of n_basis^2 arrays of 253 kB — the fold of P,
-        # the accumulator, its mirror, a view's cols x cols block.
+        # the accumulator, its mirror, a view's cols x cols block (and,
+        # with a helper, the block it is computing and one finished
+        # ahead of it).
         assert peak < 8 * 8 * builder.basis.n_basis**2 < 0.75 * 8 * largest
 
     def test_the_block_is_lent_to_one_kernel_step_at_a_time(self):
@@ -642,9 +692,9 @@ class TestNoRowsByColsAllocationPerSweep:
         small = _builder("h2", 0.0)
         p, _ = _inputs(big)
         big.backend.density_on_grid(p)
-        held = scratch_module._block
+        held = scratch_module.held_block()
         small.backend.density_on_grid(np.eye(small.basis.n_basis))
-        assert scratch_module._block is held  # grown on demand, never shrunk
+        assert scratch_module.held_block() is held  # grown on demand, never shrunk
 
 
 # ----------------------------------------------------------------------
