@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.atoms.element import Element, element
-from repro.errors import GeometryError
+from repro.errors import GeometryError, SCFConvergenceError
 from repro.utils.neighbors import sphere_overlaps
 
 
@@ -162,6 +162,30 @@ class Structure:
 #: cell-list call costs ~0.3 ms however few the atoms (2-8 atoms: 2-10 us
 #: one by one).
 _PAIRWISE_ATOMS = 32
+
+
+def electrons_at_charge(structure: Structure, charge: int) -> int:
+    """Electrons of *structure* at *charge*: SCFConvergenceError when none
+    are left or more than its basis holds at two per function.
+
+    Called with :func:`reject_coincident_nuclei` before anything is built
+    or journaled.  An odd count is left to the restricted SCF driver,
+    which refuses it the same way.
+
+    >>> from repro.atoms import hydrogen_molecule
+    >>> electrons_at_charge(hydrogen_molecule(), -2)
+    4
+    """
+    n = structure.n_electrons - int(charge)
+    capacity = 2 * structure.n_basis_functions()
+    if not 0 < n <= capacity:
+        raise SCFConvergenceError(
+            f"no electrons left with charge {charge}" if n <= 0 else
+            f"{n} electrons at charge {charge}, more than the {capacity} "
+            "its basis holds",
+            iterations=0, residual=0.0,
+        )
+    return n
 
 
 def reject_coincident_nuclei(structure: Structure) -> None:

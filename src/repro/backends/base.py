@@ -365,6 +365,15 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    def offer_block(self, view: BatchView, block: np.ndarray, seconds: float) -> None:
+        """Take *view*'s chi *block*, evaluated elsewhere in *seconds*.
+
+        Set-up work that evaluates the values anyway (the kinetic sweep)
+        hands them over on the calling thread, so a backend that caches
+        blocks need not evaluate them again.  The base backend keeps
+        nothing.
+        """
+
     def _run_phase(self, phase: str, elements: int, impl, *args):
         """Run one phase implementation under its span and profile row."""
         start = time.perf_counter()
@@ -523,12 +532,14 @@ class ExecutionBackend:
         """
         start = time.perf_counter()
         phi = self._require_bound().evaluate_view(view)
-        self.profile.record(
-            "basis", view.elements, time.perf_counter() - start, len(view.batches)
-        )
+        self._record_evaluation(view, time.perf_counter() - start)
+        return phi
+
+    def _record_evaluation(self, view: BatchView, seconds: float) -> None:
+        """Charge one evaluation of *view*'s block to the ``basis`` row."""
+        self.profile.record("basis", view.elements, seconds, len(view.batches))
         obs_counter("backend.basis.blocks_evaluated", len(view.batches))
         obs_counter("backend.basis.elements", view.elements)
-        return phi
 
     def __repr__(self) -> str:
         bound = "bound" if self.builder is not None else "unbound"

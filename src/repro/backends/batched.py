@@ -88,6 +88,22 @@ class BlockCache:
         self.hits += 1
         return block
 
+    def add_missing(self, key: CacheKey, block: np.ndarray) -> bool:
+        """Count a miss and :meth:`put` *block*, as a :meth:`get` miss and
+        its evaluation would, unless *key* is cached; whether it was not.
+
+        >>> cache = BlockCache(1024)
+        >>> cache.add_missing(("s", 1, None), np.zeros(4)), cache.misses
+        (True, 1)
+        >>> cache.add_missing(("s", 1, None), np.ones(4)), cache.misses, cache.hits
+        (False, 1, 0)
+        """
+        if key in self._blocks:
+            return False
+        self.misses += 1
+        self.put(key, block)
+        return True
+
     def put(self, key: CacheKey, block: np.ndarray) -> None:
         """Insert a block, evicting least-recently-used ones over budget."""
         if key in self._blocks:
@@ -136,20 +152,37 @@ class BatchedBackend(ExecutionBackend):
         per backend (not copied from the cache, which may be shared
         across molecules — each molecule's profile must charge only its
         own traffic)."""
-        key = block_cache_key(view.rows_hash, self.scope, view.active_hash)
+        key = self._key(view)
         block = self.cache.get(key)
         if block is None:
-            obs_counter("backend.cache.misses")
-            self.profile.cache_misses += 1
             block = self._evaluate_block(view)
-            evictions_before = self.cache.evictions
+            evictions = self.cache.evictions
             self.cache.put(key, block)
-            self.profile.cache_evictions += (
-                self.cache.evictions - evictions_before
-            )
+            self._count_miss(evictions)
         else:
             obs_counter("backend.cache.hits")
             self.profile.cache_hits += 1
+            self.profile.cache_peak_bytes = self.cache.peak_bytes
+        return block
+
+    def offer_block(self, view: BatchView, block: np.ndarray, seconds: float) -> None:
+        """Keep an offered block only if its view's key is absent, counted
+        exactly as the :meth:`basis_block` miss it replaces: on the cache,
+        the profile's misses and ``basis`` row, the obs counters and any
+        evictions.  A block already cached is left as it is, uncounted."""
+        evictions = self.cache.evictions
+        if self.cache.add_missing(self._key(view), block):
+            self._record_evaluation(view, seconds)
+            self._count_miss(evictions)
+
+    def _key(self, view: BatchView) -> CacheKey:
+        return block_cache_key(view.rows_hash, self.scope, view.active_hash)
+
+    def _count_miss(self, evictions_before: int) -> None:
+        """Charge one miss, and the evictions its block caused, to this
+        backend's profile and the obs counters."""
+        obs_counter("backend.cache.misses")
+        self.profile.cache_misses += 1
+        self.profile.cache_evictions += self.cache.evictions - evictions_before
         # Peak occupancy is a property of the (possibly shared) cache.
         self.profile.cache_peak_bytes = self.cache.peak_bytes
-        return block

@@ -14,11 +14,13 @@ device-kernel path — bit-exact across both.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.backends.sweep import ordered_sweep
 from repro.basis.basis_set import BasisSet, build_basis
 from repro.config import checked_screening_threshold
 from repro.grids.atom_grid import IntegrationGrid, build_grid
@@ -175,30 +177,50 @@ class MatrixBuilder:
     def kinetic(self) -> np.ndarray:
         """T_mu_nu = (1/2) <grad chi_mu | grad chi_nu> (by parts).
 
-        Each view evaluates gradients only for its atoms and columns, a
-        slab of rows at a time (gradients are needed here once; memory
-        stays at 3 x slab rows x view columns), and adds its block at the
-        view's columns — the same locality rule and the same
-        weighted-Gram kernel as every other grid contraction, fed one
-        contiguous gradient component at a time.
+        Each view evaluates values and gradients only for its atoms and
+        columns, a slab of rows at a time (memory stays at 3 x slab rows
+        x view columns), and adds its gradients' weighted Grams at the
+        view's columns — the same locality rule and the same kernel as
+        every other grid contraction, fed one contiguous gradient
+        component at a time.  The views run as a two-core
+        :func:`~repro.backends.sweep.ordered_sweep`: blocks are added to
+        T in view order on the calling thread, which also offers each
+        view's value block to the backend
+        (:meth:`~repro.backends.base.ExecutionBackend.offer_block`) — the
+        block :meth:`evaluate_view` would return, so a caching backend's
+        first sweep after this one reads its cache instead of evaluating.
         """
         from repro.backends.base import weighted_gram
 
-        w = self.grid.weights
+        w, points = self.grid.weights, self.grid.points
         t = np.zeros((self.basis.n_basis, self.basis.n_basis))
-        for view in self.views:
-            cols = view.cols
+
+        def kernel(view: BatchView, _) -> Tuple[np.ndarray, np.ndarray, float]:
+            rows, cols = view.point_indices, view.cols
+            values = np.empty((rows.size, cols.size))
             block = np.zeros((cols.size, cols.size))
-            for lo in range(0, view.point_indices.size, _SLAB_ROWS):
-                idx = view.point_indices[lo : lo + _SLAB_ROWS]
-                _, grads = self.basis.evaluate_with_gradients(
-                    self.grid.points[idx], atoms=view.atoms, cols=cols
+            seconds = 0.0
+            for lo in range(0, rows.size, _SLAB_ROWS):
+                idx = rows[lo : lo + _SLAB_ROWS]
+                start = time.perf_counter()
+                values[lo : lo + idx.size], grads = self.basis.evaluate_with_gradients(
+                    points[idx], atoms=view.atoms, cols=cols
                 )
+                seconds += time.perf_counter() - start
                 view.zero_padding(grads, lo)
                 with scratch((idx.size, cols.size)) as work:
                     for k in range(3):
                         block += weighted_gram(grads[k], w[idx], work)
+            view.zero_padding(values)
+            return block, values, seconds
+
+        def commit(view: BatchView, result: Tuple[np.ndarray, np.ndarray, float]) -> None:
+            block, values, seconds = result
             view.scatter_add(t, block)
+            self.backend.offer_block(view, values, seconds)
+
+        views = self.views
+        ordered_sweep(views, views.elements, lambda view: None, kernel, commit)
         return symmetrize(0.5 * t)
 
     def nuclear_attraction(self) -> np.ndarray:
@@ -216,11 +238,9 @@ class MatrixBuilder:
         return v
 
     def dipole_matrices(self) -> np.ndarray:
-        """D^J_mu_nu = <chi_mu | r_J | chi_nu>, shape ``(3, n, n)``."""
-        out = np.empty((3, self.basis.n_basis, self.basis.n_basis))
-        for j in range(3):
-            out[j] = self.potential_matrix(self.grid.points[:, j])
-        return out
+        """D^J_mu_nu = <chi_mu | r_J | chi_nu>, shape ``(3, n, n)``: one
+        k = 3 H sweep, each slice the 1-D sweep of ``r_J`` bit for bit."""
+        return self.potential_matrix(self.grid.points)
 
     # ------------------------------------------------------------------
     # Density-dependent matrices (rebuilt every cycle)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
-from repro.atoms.structure import Structure, reject_coincident_nuclei
+from repro.atoms.structure import Structure, electrons_at_charge, reject_coincident_nuclei
 from repro.backends.base import Factored
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,11 +97,7 @@ class SCFDriver:
             verifier = _Verifier.from_level(self.settings.verify)
         self.verifier = verifier
 
-        n_electrons = structure.n_electrons - charge
-        if n_electrons <= 0:
-            raise SCFConvergenceError(
-                f"no electrons left with charge {charge}", iterations=0, residual=0.0
-            )
+        n_electrons = electrons_at_charge(structure, charge)
         if n_electrons % 2 != 0:
             raise SCFConvergenceError(
                 f"restricted closed-shell SCF needs an even electron count, "
@@ -135,11 +131,14 @@ class SCFDriver:
 
         with trace_context(backend=self.backend.name, loop="scf"), \
                 self.timer.phase("integrals"):
-            self._s = self.builder.overlap()
+            # T first: its sweep fills the block cache, so one k = 5 H
+            # sweep over cached blocks gives S, V_ext and D (DESIGN §5.2).
             self._t = self.builder.kinetic()
-            self._v_ext_values = self.builder.external_potential()
-            self._v_ext = self.builder.potential_matrix(self._v_ext_values)
-            self._dipoles = self.builder.dipole_matrices()
+            v_ext = self.builder.external_potential()
+            setup = self.builder.potential_matrix(
+                np.column_stack([np.ones_like(v_ext), v_ext, self.grid.points])
+            )
+            self._s, self._v_ext, self._dipoles = setup[0], setup[1], setup[2:]
 
         # S is constant over the cycles: orthogonalized once per driver.
         self._eigensolver = GeneralizedEigensolver(self._s)

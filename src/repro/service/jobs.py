@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.atoms.builders import BUILTIN_MOLECULES
-from repro.atoms.structure import Structure, reject_coincident_nuclei
+from repro.atoms.structure import Structure, electrons_at_charge, reject_coincident_nuclei
 from repro.config import RunSettings, get_settings
 from repro.errors import ServiceError
 from repro.service.statestore import StateStore, SubmitOutcome
@@ -132,10 +132,12 @@ class JobRequest:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # A geometry no worker can run is refused here, before it is keyed
-        # or journaled (built-in molecules are valid by construction).
+        # A geometry, or a charge leaving it no electrons or more than its
+        # basis holds, that no worker can run is refused here, before it is
+        # keyed or journaled (built-in molecules are left to the worker).
         if isinstance(self.molecule, Structure):
             reject_coincident_nuclei(self.molecule)
+            electrons_at_charge(self.molecule, self.charge)
 
     def structure(self) -> Structure:
         """The concrete geometry (resolving built-in names)."""

@@ -40,6 +40,11 @@ mapping a heap step per batch.  ``synthetic_batches`` now keeps the
 arrays (``SummaryBatches``) and searches once per atom, and the greedy
 mapping assigns a round of ranks at a time; both are held ``==`` to the
 old body below and to the heap loop above.
+
+Until the set-up sweep, ``MatrixBuilder.kinetic`` was a serial loop over
+the fused views that dropped the values it evaluated with the gradients;
+the two-core sweep that also fills the block cache is held
+``array_equal`` to that loop, kept below.
 """
 
 from __future__ import annotations
@@ -321,6 +326,34 @@ def oracle_kinetic(builder):
             t[pair] += gk.T @ (gk * w[idx][:, None])
     t = 0.5 * t
     return 0.5 * (t + t.T)
+
+
+def serial_kinetic_oracle(builder):
+    """T as ``MatrixBuilder.kinetic`` computed it until the set-up sweep:
+    one thread walking the fused views, the values evaluated along with
+    the gradients and dropped.  The sweep adds the same Grams in the same
+    order, so T is held ``array_equal`` to this."""
+    from repro.backends.base import weighted_gram
+    from repro.dft.hamiltonian import _SLAB_ROWS
+    from repro.utils.linalg import symmetrize
+    from repro.utils.scratch import scratch
+
+    w = builder.grid.weights
+    t = np.zeros((builder.basis.n_basis, builder.basis.n_basis))
+    for view in builder.views:
+        cols = view.cols
+        block = np.zeros((cols.size, cols.size))
+        for lo in range(0, view.point_indices.size, _SLAB_ROWS):
+            idx = view.point_indices[lo : lo + _SLAB_ROWS]
+            _, grads = builder.basis.evaluate_with_gradients(
+                builder.grid.points[idx], atoms=view.atoms, cols=cols
+            )
+            view.zero_padding(grads, lo)
+            with scratch((idx.size, cols.size)) as work:
+                for k in range(3):
+                    block += weighted_gram(grads[k], w[idx], work)
+        view.scatter_add(t, block)
+    return symmetrize(0.5 * t)
 
 
 # ----------------------------------------------------------------------

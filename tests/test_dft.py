@@ -585,6 +585,8 @@ class TestMultipoleSolver:
         v = solver.hartree_potential(n)
         e_h = 0.5 * float(np.sum(grid.weights * n * v))
         exact = np.sqrt(alpha / (2.0 * np.pi))  # self-energy of Gaussian
+        # Measured 1.12e-2 at minimal (5.7e-3 at light): no room to halve the
+        # band until the analytic mesh Jacobian lands (ROADMAP 2(b)).
         assert e_h == pytest.approx(exact, rel=2e-2)
 
     def test_far_field_is_coulombic(self, minimal_settings):
@@ -598,7 +600,8 @@ class TestMultipoleSolver:
         far = np.array([[25.0, 3.0, -4.0]])
         v = solver.evaluate(expansion, points=far)
         r = np.linalg.norm(far[0])
-        assert v[0] == pytest.approx(charge / r, rel=2e-2)
+        # Measured 5.52e-3 at minimal; the band is twice that.
+        assert v[0] == pytest.approx(charge / r, rel=1.1e-2)
 
     def test_expansion_nbytes_accounting(self, minimal_settings):
         grid = build_grid(water(), minimal_settings.grids, with_partition=True)
