@@ -38,15 +38,6 @@ class Element:
     covalent_radius: float
     n_basis_light: int
 
-    @property
-    def n_valence(self) -> int:
-        """Number of valence electrons (main-group count)."""
-        core = 0
-        for shell in (2, 10, 18, 36, 54):
-            if self.z > shell:
-                core = shell
-        return self.z - core
-
 
 def _bohr(angstrom: float) -> float:
     from repro.constants import ANGSTROM_IN_BOHR

@@ -114,15 +114,6 @@ class Structure:
         """Euclidean distance between atoms *i* and *j* (Bohr)."""
         return float(np.linalg.norm(self._coords[i] - self._coords[j]))
 
-    def distance_matrix(self) -> np.ndarray:
-        """Full ``(n, n)`` pairwise distance matrix (Bohr).
-
-        Quadratic in atom count — intended for small systems; large
-        systems should use :meth:`neighbors_within`.
-        """
-        diff = self._coords[:, None, :] - self._coords[None, :, :]
-        return np.linalg.norm(diff, axis=2)
-
     def neighbors_within(self, i: int, cutoff: float) -> np.ndarray:
         """Indices of atoms within *cutoff* Bohr of atom *i* (excluding *i*)."""
         d = np.linalg.norm(self._coords - self._coords[i], axis=1)

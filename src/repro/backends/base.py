@@ -34,7 +34,7 @@ import numpy as np
 from repro.backends.sweep import ordered_sweep
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView, SparsityStats
-from repro.obs.tracer import obs_counter, obs_span
+from repro.obs.tracer import obs_span
 from repro.utils.linalg import mirror_upper
 from repro.utils.scratch import scratch
 
@@ -380,8 +380,6 @@ class ExecutionBackend:
         with obs_span(phase, category="backend", backend=self.name):
             out = impl(*args)
         self.profile.record(phase, elements, time.perf_counter() - start)
-        obs_counter(f"backend.{phase}.calls")
-        obs_counter(f"backend.{phase}.elements", elements)
         return out
 
     def _grid_phase(self, phase: str, impl, arg, k: int = 1) -> np.ndarray:
@@ -397,9 +395,7 @@ class ExecutionBackend:
         builder = self._require_bound()
         out = self._run_phase(phase, k * builder.views.elements, impl, arg)
         if builder.pattern is not None:
-            stats = builder.pattern.stats
-            self.profile.record_screening(stats)
-            obs_counter("backend.screen.blocks_evaluated", stats.blocks_active)
+            self.profile.record_screening(builder.pattern.stats)
         return out
 
     def density_on_grid(self, density_matrix) -> np.ndarray:
@@ -538,8 +534,6 @@ class ExecutionBackend:
     def _record_evaluation(self, view: BatchView, seconds: float) -> None:
         """Charge one evaluation of *view*'s block to the ``basis`` row."""
         self.profile.record("basis", view.elements, seconds, len(view.batches))
-        obs_counter("backend.basis.blocks_evaluated", len(view.batches))
-        obs_counter("backend.basis.elements", view.elements)
 
     def __repr__(self) -> str:
         bound = "bound" if self.builder is not None else "unbound"

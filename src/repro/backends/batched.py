@@ -21,7 +21,6 @@ from repro.backends.base import ExecutionBackend
 from repro.backends.registry import register_backend
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView
-from repro.obs.tracer import obs_counter
 
 #: Default block-cache budget (bytes): 40 M float64 chi values, 320 MB.
 #: Every system the physics path targets fits (the 32-atom benchmark
@@ -160,7 +159,6 @@ class BatchedBackend(ExecutionBackend):
             self.cache.put(key, block)
             self._count_miss(evictions)
         else:
-            obs_counter("backend.cache.hits")
             self.profile.cache_hits += 1
             self.profile.cache_peak_bytes = self.cache.peak_bytes
         return block
@@ -168,8 +166,7 @@ class BatchedBackend(ExecutionBackend):
     def offer_block(self, view: BatchView, block: np.ndarray, seconds: float) -> None:
         """Keep an offered block only if its view's key is absent, counted
         exactly as the :meth:`basis_block` miss it replaces: on the cache,
-        the profile's misses and ``basis`` row, the obs counters and any
-        evictions.  A block already cached is left as it is, uncounted."""
+        the profile's misses and ``basis`` row, and any evictions.  A block already cached is left as it is, uncounted."""
         evictions = self.cache.evictions
         if self.cache.add_missing(self._key(view), block):
             self._record_evaluation(view, seconds)
@@ -180,8 +177,7 @@ class BatchedBackend(ExecutionBackend):
 
     def _count_miss(self, evictions_before: int) -> None:
         """Charge one miss, and the evictions its block caused, to this
-        backend's profile and the obs counters."""
-        obs_counter("backend.cache.misses")
+        backend's profile."""
         self.profile.cache_misses += 1
         self.profile.cache_evictions += self.cache.evictions - evictions_before
         # Peak occupancy is a property of the (possibly shared) cache.

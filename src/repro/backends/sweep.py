@@ -6,8 +6,8 @@ on the calling thread and one helper thread, and keeps everything but
 the kernels where the serial loop had it:
 
 - the caller walks the views in order and gets each block itself, so
-  the block cache, its evictions, the profile and the obs counters and
-  spans are touched by one thread only — no lock;
+  the block cache, its evictions, the profile and the obs spans are
+  touched by one thread only — no lock;
 - the helper runs kernels only: when it is idle the caller hands it the
   ready block's kernel, otherwise the caller runs that kernel itself —
   at most one helper job is outstanding;

@@ -9,7 +9,7 @@ real spherical harmonics for the multipole expansion, and the per-element
 
 from repro.basis.spline import CubicSpline, spline_coefficient_nbytes
 from repro.basis.radial import LogRadialGrid
-from repro.basis.ylm import real_spherical_harmonics, n_lm, lm_index, lm_pairs
+from repro.basis.ylm import real_spherical_harmonics, n_lm, lm_index
 from repro.basis.solid_harmonics import (
     MAX_BASIS_L,
     solid_harmonics,
@@ -25,7 +25,6 @@ __all__ = [
     "real_spherical_harmonics",
     "n_lm",
     "lm_index",
-    "lm_pairs",
     "MAX_BASIS_L",
     "solid_harmonics",
     "solid_harmonics_with_gradients",

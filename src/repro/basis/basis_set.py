@@ -140,19 +140,6 @@ class BasisSet:
         )
 
     # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def functions_of_atom(self, atom: int) -> range:
-        """Flat indices of the basis functions centred on *atom*."""
-        return range(int(self.atom_offsets[atom]), int(self.atom_offsets[atom + 1]))
-
-    def n_functions_of_atoms(self, atoms: Sequence[int]) -> int:
-        """Total basis size of an atom subset."""
-        return int(
-            sum(self.atom_offsets[a + 1] - self.atom_offsets[a] for a in atoms)
-        )
-
-    # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(

@@ -73,14 +73,3 @@ class LogRadialGrid:
         w = self.dr.reshape(-1, *([1] * (f.ndim - 1)))
         fw = f * w
         return np.trapz(fw, axis=0) if not hasattr(np, "trapezoid") else np.trapezoid(fw, axis=0)
-
-    def cumulative_integral(self, f: np.ndarray) -> np.ndarray:
-        """Running integral ``F_k = int_{r_0}^{r_k} f dr`` (trapezoid)."""
-        f = np.asarray(f)
-        if f.shape[0] != self.n:
-            raise ValueError(f"field has {f.shape[0]} radial values, grid has {self.n}")
-        w = self.dr.reshape(-1, *([1] * (f.ndim - 1)))
-        fw = f * w
-        out = np.zeros_like(fw)
-        np.cumsum(0.5 * (fw[1:] + fw[:-1]), axis=0, out=out[1:])
-        return out

@@ -14,8 +14,6 @@ parallelizes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 
@@ -31,11 +29,6 @@ def lm_index(l: int, m: int) -> int:
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid (l, m) = ({l}, {m})")
     return l * l + l + m
-
-
-def lm_pairs(l_max: int) -> List[Tuple[int, int]]:
-    """All (l, m) pairs in flat-index order."""
-    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
 def _normalized_legendre(cos_theta: np.ndarray, sin_theta: np.ndarray, l_max: int) -> np.ndarray:

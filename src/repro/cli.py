@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend the worker runs the job under",
     )
     p_submit.add_argument("--client", default="cli",
-                          help="client identity for quota accounting")
+                          help="client identity (shown by `repro status`)")
     p_submit.add_argument("--priority", type=int, default=0,
                           help="claim priority (higher first; default 0)")
     p_submit.add_argument("--max-retries", type=int, default=3,

@@ -89,7 +89,6 @@ class SCFSettings:
     energy_tolerance: float = 1e-8
     mixing_factor: float = 0.35
     pulay_history: int = 6
-    occupation_width: float = 0.0  # Hartree; 0 => integer occupations
 
     def __post_init__(self) -> None:
         _check_fields(
@@ -99,9 +98,6 @@ class SCFSettings:
             fractions=("mixing_factor",),
             least={"pulay_history": 2},
         )
-        width = self.occupation_width
-        if not (_number(width, numbers.Real) and math.isfinite(width) and width >= 0.0):
-            raise SettingsError(f"SCF occupation_width must be finite and >= 0, got {width!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +133,6 @@ class RunSettings:
     cpscf: CPSCFSettings = field(default_factory=CPSCFSettings)
     #: Maximum multipole angular momentum for the Hartree solver.
     l_max_hartree: int = 6
-    #: Exchange-correlation functional identifier (only LDA implemented).
-    xc: str = "lda"
     #: Execution backend for the grid-heavy phases: ``"numpy"`` (the
     #: host engine, basis blocks from a bounded LRU block cache) or
     #: ``"device"`` (priced OpenCL-model launches).
@@ -195,14 +189,25 @@ class RunSettings:
         """Rebuild settings from :meth:`as_canonical_dict` output.
 
         The round trip is exact: ``RunSettings.from_canonical_dict(
-        s.as_canonical_dict()) == s`` for every ``s``.
+        s.as_canonical_dict()) == s`` for every ``s``.  Payloads journaled
+        while settings carried a tuner block or a retired field still
+        decode; a retired field holding anything but the one value the
+        code ever ran raises :class:`~repro.errors.SettingsError`.
         """
         d = dict(data)
-        # Payloads journaled while settings carried a tuner block still decode.
         d.pop("tuning", None)
+        scf = dict(d.pop("scf"))
+        # ``dft/xc.py`` is LDA and ``dft/scf.py`` fills integer occupations.
+        for owner, name, ran in ((d, "xc", "lda"), (scf, "occupation_width", 0.0)):
+            value = owner.pop(name, ran)
+            if value != ran:
+                raise SettingsError(
+                    f"retired settings field {name!r} must be {ran!r} (the "
+                    f"only value ever computed), got {value!r}"
+                )
         return cls(
             grids=GridSettings(**d.pop("grids")),
-            scf=SCFSettings(**d.pop("scf")),
+            scf=SCFSettings(**scf),
             cpscf=CPSCFSettings(**d.pop("cpscf")),
             **d,
         )

@@ -3,7 +3,7 @@
 All quantum-mechanical quantities inside :mod:`repro` are expressed in
 Hartree atomic units: lengths in Bohr, energies in Hartree, electric
 fields in Hartree/(e*Bohr).  Geometry files (FHI-aims ``geometry.in``
-convention) use Angstrom; the converters below are the single source of
+convention) use Angstrom; the factors below are the single source of
 truth for crossing that boundary.
 """
 
@@ -26,18 +26,3 @@ POLARIZABILITY_AU_IN_A3: float = BOHR_IN_ANGSTROM**3
 
 #: Machine epsilon guard used when dividing by eigenvalue gaps.
 EIGENVALUE_GAP_FLOOR: float = 1e-10
-
-
-def angstrom_to_bohr(value: float) -> float:
-    """Convert a length from Angstrom to Bohr."""
-    return value * ANGSTROM_IN_BOHR
-
-
-def bohr_to_angstrom(value: float) -> float:
-    """Convert a length from Bohr to Angstrom."""
-    return value * BOHR_IN_ANGSTROM
-
-
-def hartree_to_ev(value: float) -> float:
-    """Convert an energy from Hartree to electronvolt."""
-    return value * HARTREE_IN_EV

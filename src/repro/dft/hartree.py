@@ -118,18 +118,6 @@ class MultipoleExpansion:
     far_moments: Optional[List[np.ndarray]] = None
     k: Optional[int] = None
 
-    @property
-    def rho_multipole_nbytes(self) -> int:
-        """Total bytes of the rho_multipole arrays."""
-        return int(sum(m.nbytes for m in self.moments))
-
-    @property
-    def potential_spline_nbytes(self) -> int:
-        """Total bytes of the delta_v_hart_part_spl coefficient tables."""
-        if self.potential_splines is None:
-            return 0
-        return int(sum(s.coefficient_nbytes for s in self.potential_splines))
-
 
 def _radial_operator(system: SplineSystem, dr: np.ndarray, l: int) -> np.ndarray:
     """Stage 2 of one ``l`` channel as a ``(2n + 1, n)`` matrix: moments on

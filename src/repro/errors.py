@@ -83,17 +83,6 @@ class TaskTransitionError(ServiceError):
     wrong claiming worker, or a state the operation is not valid in)."""
 
 
-class QuotaExceededError(ServiceError):
-    """A client submission would exceed its active-task quota."""
-
-    def __init__(self, message: str, *, client: str = "", active: int = 0,
-                 quota: int = 0):
-        super().__init__(message)
-        self.client = client
-        self.active = active
-        self.quota = quota
-
-
 class ArtifactError(ReproError):
     """An output artifact cannot be written safely (e.g. it already
     exists and overwriting was not explicitly requested)."""

@@ -1,17 +1,16 @@
 """repro.obs — the unified observability layer (DESIGN §10).
 
-Four pieces, one taxonomy:
+Three pieces, one taxonomy:
 
 * **spans** (:mod:`repro.obs.tracer`) — timed regions with phase /
   rank / cycle / backend / comm-scheme attributes, propagated
   ambiently through the SCF and CPSCF drivers, the execution backends,
-  the simulated collectives and the service's worker pool;
-* **metrics** (:mod:`repro.obs.metrics`) — deterministic counters
-  (bytes reduced, cache hits, blocks evaluated; the service layer adds ``service.tasks_claimed`` /
-  ``service.tasks_completed`` / ``service.tasks_failed`` /
-  ``service.worker_crashes`` around its worker pool, and each task
+  the simulated collectives and the service's worker pool (each task
   executes under a ``service``-category span carrying worker / task /
-  cache-key / attempt attributes);
+  cache-key / attempt attributes).  Counts live with the object that
+  does the work — :class:`~repro.backends.base.BackendProfile`,
+  ``CommStats``, the worker pool's report and the statestore journal —
+  never in a second registry;
 * **artifacts** (:mod:`repro.obs.export`, :mod:`repro.obs.report`) —
   a Perfetto-loadable Chrome trace-event file and the single
   :class:`RunReport` JSON/ASCII document that absorbs the legacy
@@ -31,14 +30,12 @@ the statestore journal by :mod:`repro.service.slo`.
 1
 """
 
-from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import (
     Span,
     Tracer,
     activate,
     current_context,
     current_tracer,
-    obs_counter,
     obs_event,
     obs_span,
     trace_context,
@@ -60,14 +57,11 @@ from repro.obs.regress import (
 )
 
 __all__ = [
-    "Counter",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "activate",
     "current_context",
     "current_tracer",
-    "obs_counter",
     "obs_event",
     "obs_span",
     "trace_context",

@@ -271,15 +271,6 @@ class Timeline:
             row[e.rank] = row.get(e.rank, 0.0) + e.duration
         return out
 
-    def phase_busy(
-        self, categories: Optional[Sequence[str]] = None
-    ) -> Dict[str, float]:
-        """``phase -> summed busy seconds`` across all ranks."""
-        return {
-            phase: sum(row.values())
-            for phase, row in self.busy_matrix(categories).items()
-        }
-
     def segments(self) -> List[str]:
         """Segment labels (SCF/CPSCF cycles) ordered by first start."""
         first: Dict[str, float] = {}

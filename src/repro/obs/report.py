@@ -1,10 +1,10 @@
 """The unified per-run artifact: :class:`RunReport` (DESIGN §10.5).
 
 One JSON/ASCII document absorbing everything a run previously scattered
-over four structures — :class:`~repro.utils.timing.PhaseTimer` phase
-walls, the backend's :class:`~repro.backends.base.BackendProfile`, the
-:class:`~repro.verify.invariants.VerifyReport`, and the tracer's
-metrics snapshot — plus a :class:`Provenance` block (commit, seed,
+over three structures — :class:`~repro.utils.timing.PhaseTimer` phase
+walls, the backend's :class:`~repro.backends.base.BackendProfile` and
+the :class:`~repro.verify.invariants.VerifyReport` — plus the tracer's
+span summary and a :class:`Provenance` block (commit, seed,
 ``REPRO_FULL_SCALE``, machine-model names) so a benchmark row is
 reproducible on its face.
 
@@ -157,7 +157,6 @@ class RunReport:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     backend: Optional[Dict[str, object]] = None
     verify: Optional[Dict[str, object]] = None
-    metrics: Dict[str, object] = field(default_factory=dict)
     trace: Dict[str, object] = field(default_factory=dict)
     provenance: Optional[Provenance] = None
     extra: Dict[str, object] = field(default_factory=dict)
@@ -179,7 +178,7 @@ class RunReport:
         seed: Optional[int] = None,
         **extra,
     ) -> "RunReport":
-        """Absorb the four legacy per-run structures into one report."""
+        """Absorb the per-run timer, profile, verify report and tracer into one report."""
         verify: Optional[Dict[str, object]] = None
         if verify_report is not None:
             verify = {
@@ -189,9 +188,7 @@ class RunReport:
                 "ok": verify_report.ok,
             }
         trace: Dict[str, object] = {}
-        metrics: Dict[str, object] = {}
         if tracer is not None:
-            metrics = tracer.metrics.as_dict()
             trace = {
                 "spans": len(tracer.spans),
                 "phase_wall_seconds": tracer.phase_wall("phase"),
@@ -202,7 +199,6 @@ class RunReport:
             phase_seconds=dict(timer.as_dict()) if timer is not None else {},
             backend=backend_profile.as_dict() if backend_profile is not None else None,
             verify=verify,
-            metrics=metrics,
             trace=trace,
             provenance=collect_provenance(seed=seed),
             extra=dict(extra),
@@ -217,7 +213,6 @@ class RunReport:
             "wall_seconds": self.wall_seconds,
             "backend": self.backend,
             "verify": self.verify,
-            "metrics": self.metrics,
             "trace": self.trace,
             "provenance": self.provenance.as_dict() if self.provenance else None,
             "extra": self.extra,
@@ -265,12 +260,6 @@ class RunReport:
                 f"verification [{self.verify.get('level')}]: "
                 f"{self.verify.get('checks')} checks — {status}",
             ]
-        counters = self.metrics.get("counters", {}) if self.metrics else {}
-        if counters:
-            table = TableFormatter(["metric", "value"], title="counters")
-            for name, value in counters.items():  # type: ignore[union-attr]
-                table.add_row([name, f"{value:,}"])
-            lines += ["", table.render()]
         if self.trace:
             lines += [
                 "",

@@ -2,14 +2,13 @@
 
 A :class:`Span` is one timed region with free-form attributes (phase,
 rank, cycle, backend, comm scheme, worker …); a :class:`Tracer`
-collects spans and instant events and owns one
-:class:`~repro.obs.metrics.MetricsRegistry`.
+collects spans and instant events.
 
 Context propagation is *ambient*: a tracer is installed with
 :func:`activate`, and instrumentation points anywhere in the codebase
 (``PhaseTimer``, the execution backends, ``SimComm`` collectives, the
 service workers) call the module-level helpers :func:`obs_span`,
-:func:`obs_event`, :func:`obs_counter` and :func:`trace_context`.
+:func:`obs_event` and :func:`trace_context`.
 When no tracer is active every helper is a cheap no-op, so the physics
 hot loop pays nothing by default.
 
@@ -17,13 +16,11 @@ hot loop pays nothing by default.
 >>> with activate(tracer):
 ...     with trace_context(cycle=1):
 ...         with obs_span("Sumup", category="phase"):
-...             obs_counter("bytes_reduced", 128)
+...             pass
 >>> [s.name for s in tracer.spans]
 ['Sumup']
 >>> tracer.spans[0].attrs["cycle"]
 1
->>> tracer.metrics.counter("bytes_reduced").value
-128
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
-
-from repro.obs.metrics import MetricsRegistry
 
 #: The ambient tracer (None = tracing disabled, helpers are no-ops).
 _ACTIVE: "ContextVar[Optional[Tracer]]" = ContextVar("repro_obs_tracer", default=None)
@@ -70,7 +65,7 @@ class Span:
 
 
 class Tracer:
-    """Collect spans, instant events and metrics for one run.
+    """Collect spans and instant events for one run.
 
     >>> t = Tracer()
     >>> with t.span("DM", cycle=3):
@@ -84,7 +79,6 @@ class Tracer:
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
         self.spans: List[Span] = []
-        self.metrics = MetricsRegistry()
 
     def _now(self) -> float:
         return time.perf_counter() - self.epoch
@@ -205,12 +199,3 @@ def obs_event(name: str, category: str = "fault", **attrs) -> Optional[Span]:
         return None
     return tracer.event(name, category=category, **attrs)
 
-
-def obs_counter(name: str, amount: int = 1) -> None:
-    """Increment a counter on the ambient tracer's metrics registry.
-
-    >>> obs_counter("noop.bytes", 4096)  # no tracer active: no-op
-    """
-    tracer = _ACTIVE.get()
-    if tracer is not None:
-        tracer.metrics.counter(name).inc(amount)

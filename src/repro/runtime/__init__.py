@@ -18,7 +18,6 @@ from repro.runtime.costmodel import (
     CommCostModel,
     allreduce_time,
     barrier_time,
-    point_to_point_time,
 )
 from repro.runtime.simmpi import SimCluster, SimComm, CommStats
 from repro.runtime.shm import SharedWindow
@@ -32,7 +31,6 @@ __all__ = [
     "CommCostModel",
     "allreduce_time",
     "barrier_time",
-    "point_to_point_time",
     "SimCluster",
     "SimComm",
     "CommStats",

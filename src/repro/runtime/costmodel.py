@@ -15,13 +15,6 @@ from repro.errors import CommunicationError
 from repro.runtime.machines import MachineSpec
 
 
-def point_to_point_time(nbytes: float, alpha: float, beta: float) -> float:
-    """One message: ``alpha + nbytes * beta``."""
-    if nbytes < 0:
-        raise CommunicationError(f"negative message size: {nbytes}")
-    return alpha + nbytes * beta
-
-
 def barrier_time(p: int, alpha: float) -> float:
     """Dissemination barrier: ``ceil(log2 p)`` rounds of latency."""
     if p < 1:

@@ -36,10 +36,6 @@ class SharedWindow:
             np.zeros(self.shape, dtype=self.dtype) for _ in range(cluster.n_nodes)
         ]
 
-    def node_copy(self, node: int) -> np.ndarray:
-        """The shared array of one node."""
-        return self._node_copies[node]
-
     def zero(self) -> None:
         """Reset every node's copy."""
         for arr in self._node_copies:

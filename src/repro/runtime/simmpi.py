@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import CommunicationError
-from repro.obs.tracer import obs_counter, obs_span
+from repro.obs.tracer import obs_span
 from repro.runtime.costmodel import CommCostModel
 from repro.runtime.machines import MachineSpec
 
@@ -70,10 +70,6 @@ class SimCluster:
         hi = min(lo + self.machine.procs_per_node, self.n_ranks)
         return range(lo, hi)
 
-    def accelerator_group_of(self, rank: int) -> int:
-        """Which accelerator (globally numbered) this rank shares."""
-        return rank // self.machine.ranks_per_accelerator
-
     def comm(self) -> "SimComm":
         """World communicator over all ranks."""
         return SimComm(self)
@@ -111,9 +107,6 @@ class SimComm:
     def _charge(self, messages: int, nbytes: int, seconds: float) -> None:
         self.stats.charge(messages, nbytes, seconds)
         self.cluster.stats.charge(messages, nbytes, seconds)
-        obs_counter("comm.collectives")
-        obs_counter("comm.messages", messages)
-        obs_counter("comm.bytes_moved", nbytes)
 
     # ------------------------------------------------------------------
     # Collectives (bit-exact over the actual data)
@@ -139,7 +132,6 @@ class SimComm:
             self._charge(
                 messages=2 * (self.size - 1), nbytes=int(result.nbytes), seconds=t
             )
-            obs_counter("comm.bytes_reduced", int(result.nbytes))
             return result
 
     def bcast(self, buffer: np.ndarray, root_to_all: bool = True) -> List[np.ndarray]:
@@ -171,13 +163,6 @@ class SimComm:
             self._charge(messages=self.size, nbytes=0, seconds=t)
 
     # ------------------------------------------------------------------
-    def node_subcomms(self) -> List["SimComm"]:
-        """One sub-communicator per node (for hierarchical schemes)."""
-        by_node = {}
-        for r in self.ranks:
-            by_node.setdefault(self.cluster.node_of(r), []).append(r)
-        return [SimComm(self.cluster, ranks) for _, ranks in sorted(by_node.items())]
-
     def leader_subcomm(self) -> "SimComm":
         """Communicator of each node's first rank."""
         seen = {}

@@ -10,8 +10,7 @@ service:
   content-addressed resubmission;
 * **jobs** (:mod:`repro.service.jobs`) — the ``JobRequest(molecule,
   RunSettings)`` client API with Provenance-derived cache keys
-  (commit, seed, settings hash), per-client quotas and batch
-  submission;
+  (commit, seed, settings hash) and batch submission;
 * **workers** (:mod:`repro.service.worker`) — a deterministic worker
   pool that pulls claimed tasks, runs the SCF/DFPT drivers through the
   execution-backend seam under ``repro.obs`` service spans, and
@@ -47,7 +46,6 @@ from repro.service.jobs import (
 )
 from repro.service.statestore import (
     ALL_STATUSES,
-    CANCELLED,
     CLAIMED,
     COMPLETE,
     ERRORED,
@@ -71,7 +69,6 @@ from repro.service.worker import (
 
 __all__ = [
     "ALL_STATUSES",
-    "CANCELLED",
     "CLAIMED",
     "COMPLETE",
     "ERRORED",

@@ -201,7 +201,7 @@ def submit_job(
     commit: Optional[str] = None,
     now: Optional[float] = None,
 ) -> SubmitOutcome:
-    """Submit one request to a statestore (idempotently, quota-checked)."""
+    """Submit one request to a statestore (idempotently)."""
     return store.submit(
         request.payload(),
         key=request.key(commit=commit),

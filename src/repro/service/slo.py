@@ -46,7 +46,6 @@ from repro.utils.journal import read_json_lines
 #: Count keys every window carries (zero counts included, so every
 #: window has the same shape).
 COUNT_KEYS = (
-    "cancelled",
     "claimed",
     "completed",
     "errored",
@@ -162,7 +161,7 @@ def _waiting_intervals(
         requeued = op == "requeue" and not ev.get("terminal", False)
         if op in ("submit", "resubmit") or requeued:
             entered[task] = t
-        elif op in ("claim", "cancel", "requeue") and task in entered:
+        elif op in ("claim", "requeue") and task in entered:
             intervals.append((entered.pop(task), t))
     intervals.extend((t0, math.inf) for t0 in entered.values())
     return sorted(intervals)
@@ -188,8 +187,7 @@ def rollup(
     Latency samples are attributed to the window of the *resolving*
     event (the claim for a queue wait, the completion for a time to
     result) even when the submission happened windows earlier.  Lines
-    without a timestamp (``set_quota``) and events before ``t0`` are
-    ignored.
+    without a timestamp and events before ``t0`` are ignored.
     """
     if not window > 0:
         raise ValueError(f"window must be > 0, got {window}")
@@ -235,9 +233,6 @@ def rollup(
             else:
                 w.counts["requeued"] += 1
                 entered[task] = t
-        elif op == "cancel":
-            w.counts["cancelled"] += 1
-            entered.pop(task, None)
 
     intervals = _waiting_intervals(live)
     for w in windows:
@@ -256,7 +251,7 @@ def window_origin(events: Sequence[Dict[str, Any]], window: float) -> float:
     boundary invariance: re-rolling the same journal yields the same
     windows.
 
-    >>> window_origin([{"now": 11.0}, {"now": 17.0}, {"op": "set_quota"}], 4.0)
+    >>> window_origin([{"now": 11.0}, {"now": 17.0}, {"op": "note"}], 4.0)
     8.0
     >>> window_origin([], 4.0)
     0.0

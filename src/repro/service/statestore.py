@@ -22,8 +22,9 @@ Design points, modeled on alchemiscale's Neo4j statestore contract
   crash-recovery path the chaos suite exercises.
 * **Bounded retry with backoff**: each claim consumes one attempt; a
   failed/expired task becomes eligible again only after an
-  exponentially growing delay, and exhausting ``max_retries`` parks it
-  in the terminal ``errored`` state.
+  exponentially growing delay (:data:`BACKOFF_BASE` seconds, times
+  :data:`BACKOFF_FACTOR` per attempt), and exhausting ``max_retries``
+  parks it in the terminal ``errored`` state.
 * **Idempotent resubmission**: tasks are content-addressed by a cache
   ``key`` (see :func:`repro.service.jobs.cache_key`).  Resubmitting a
   completed key is a **cache hit** (the stored result is returned, no
@@ -32,7 +33,7 @@ Design points, modeled on alchemiscale's Neo4j statestore contract
   budget.
 * **Persistence** is an append-only JSON journal: every transition is
   one line carrying its explicit timestamp, so replaying the journal
-  rebuilds the exact store state (same statuses, results, quotas) with
+  rebuilds the exact store state (same statuses, results, heartbeats) with
   no wall-clock dependence.  The journal path honours the repo-wide
   artifact overwrite guard
   (:func:`repro.utils.artifacts.prepare_artifact_path`).
@@ -52,11 +53,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.errors import QuotaExceededError, ServiceError, TaskTransitionError
+from repro.errors import ServiceError, TaskTransitionError
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.journal import (
     append_json_line,
@@ -70,17 +71,20 @@ CLAIMED = "claimed"
 RUNNING = "running"
 COMPLETE = "complete"
 ERRORED = "errored"
-CANCELLED = "cancelled"
 
 #: Every status a task may carry.
-ALL_STATUSES = (WAITING, CLAIMED, RUNNING, COMPLETE, ERRORED, CANCELLED)
+ALL_STATUSES = (WAITING, CLAIMED, RUNNING, COMPLETE, ERRORED)
 
-#: States that count against a client's active-task quota and that a
-#: same-key resubmission deduplicates onto.
+#: States a same-key resubmission deduplicates onto.
 LIVE_STATUSES = (WAITING, CLAIMED, RUNNING)
 
 #: States a task can never leave.
-TERMINAL_STATUSES = (COMPLETE, ERRORED, CANCELLED)
+TERMINAL_STATUSES = (COMPLETE, ERRORED)
+
+#: Retry eligibility delay: attempt *n* (1-based) of a failed or expired
+#: task waits ``BACKOFF_BASE * BACKOFF_FACTOR**(n - 1)`` seconds.
+BACKOFF_BASE = 1.0
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass
@@ -155,9 +159,6 @@ class StateStore:
         :class:`~repro.errors.ArtifactError` exit-2 contract).
     lease_seconds:
         How long a claim stays valid without a heartbeat.
-    backoff_base, backoff_factor:
-        Retry eligibility delay: attempt *n* (1-based) waits
-        ``backoff_base * backoff_factor**(n - 1)`` seconds.
     clock:
         Time source used when a mutator is called without an explicit
         ``now`` (defaults to :func:`time.time`); tests pass logical
@@ -171,29 +172,18 @@ class StateStore:
         fresh: bool = False,
         force: bool = False,
         lease_seconds: float = 30.0,
-        backoff_base: float = 1.0,
-        backoff_factor: float = 2.0,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        # Finite first: a NaN lease never expires and a NaN backoff is
-        # never eligible, and neither comparison below rejects NaN.
-        if not all(map(math.isfinite, (lease_seconds, backoff_base, backoff_factor))):
+        # A NaN lease never expires, and ``<= 0`` does not reject NaN.
+        if not (math.isfinite(lease_seconds) and lease_seconds > 0):
             raise ServiceError(
-                "lease_seconds, backoff_base and backoff_factor must be "
-                f"finite, got {lease_seconds}, {backoff_base}, {backoff_factor}"
+                f"lease_seconds must be finite and > 0, got {lease_seconds}"
             )
-        if lease_seconds <= 0:
-            raise ServiceError(f"lease_seconds must be > 0, got {lease_seconds}")
-        if backoff_base < 0 or backoff_factor < 1.0:
-            raise ServiceError("backoff_base must be >= 0 and backoff_factor >= 1")
         self.lease_seconds = float(lease_seconds)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
         self._clock = clock or time.time
         self._tasks: Dict[str, TaskRecord] = {}
         self._by_key: Dict[str, str] = {}
         self._results: Dict[str, Dict[str, Any]] = {}
-        self._quotas: Dict[str, int] = {}
         self._worker_heartbeats: Dict[str, float] = {}
         self._submit_counter = 0
         self._journal: Optional[Path] = None
@@ -308,19 +298,11 @@ class StateStore:
             task.not_before = float(ev["not_before"])
             task.waiting_since = float(ev["now"])
 
-    def _apply_cancel(self, ev: Dict[str, Any]) -> None:
-        task = self._tasks[ev["task_id"]]
-        task.status = CANCELLED
-        self._release_worker(task)
-
     @staticmethod
     def _release_worker(task: TaskRecord) -> None:
         """Drop a task's worker binding (shared by every leaving transition)."""
         task.worker = None
         task.lease_expires = None
-
-    def _apply_set_quota(self, ev: Dict[str, Any]) -> None:
-        self._quotas[ev["client"]] = int(ev["max_active"])
 
     # ------------------------------------------------------------------
     # Submission
@@ -338,9 +320,6 @@ class StateStore:
         """Enqueue one content-addressed task (idempotently).
 
         See :class:`SubmitOutcome` for the three possible resolutions.
-        Raises :class:`~repro.errors.QuotaExceededError` when the
-        client's active-task quota is full (cache hits and dedups never
-        count against it).
         """
         now = self._now(now)
         if max_retries < 0:
@@ -355,14 +334,11 @@ class StateStore:
                 )
             if existing.live:
                 return SubmitOutcome(task=existing, deduplicated=True)
-            if existing.status == ERRORED:
-                self._check_quota(client, now)
-                self._record(
-                    {"op": "resubmit", "task_id": existing.task_id, "now": now}
-                )
-                return SubmitOutcome(task=existing, resubmitted=True)
-            # cancelled: fall through and enqueue a brand-new task
-        self._check_quota(client, now)
+            # errored: revive it with a fresh retry budget
+            self._record(
+                {"op": "resubmit", "task_id": existing.task_id, "now": now}
+            )
+            return SubmitOutcome(task=existing, resubmitted=True)
         task_id = f"t-{self._submit_counter + 1:06d}"
         self._record(
             {
@@ -377,27 +353,6 @@ class StateStore:
             }
         )
         return SubmitOutcome(task=self._tasks[task_id])
-
-    def _check_quota(self, client: str, now: float) -> None:
-        quota = self._quotas.get(client)
-        if quota is None:
-            return
-        active = sum(
-            1 for t in self._tasks.values() if t.client == client and t.live
-        )
-        if active >= quota:
-            raise QuotaExceededError(
-                f"client {client!r} has {active} active task(s), "
-                f"quota is {quota}",
-                client=client, active=active, quota=quota,
-            )
-
-    def set_quota(self, client: str, max_active: int) -> None:
-        """Cap how many live (waiting/claimed/running) tasks ``client`` may hold."""
-        if max_active < 0:
-            raise ServiceError(f"quota must be >= 0, got {max_active}")
-        self._record({"op": "set_quota", "client": client,
-                      "max_active": int(max_active)})
 
     # ------------------------------------------------------------------
     # Claiming and the worker-side lifecycle
@@ -497,7 +452,7 @@ class StateStore:
         here, so the two failure paths cannot drift apart.
         """
         terminal = task.attempts > task.max_retries
-        delay = self.backoff_base * self.backoff_factor ** (task.attempts - 1)
+        delay = BACKOFF_BASE * BACKOFF_FACTOR ** (task.attempts - 1)
         self._record(
             {
                 "op": "requeue",
@@ -519,8 +474,6 @@ class StateStore:
         return to the queue here (or reach terminal ``errored`` once
         the retry budget is spent).
         """
-        from repro.obs import obs_counter
-
         now = self._now(now)
         expired = [
             t for t in self._tasks.values()
@@ -528,16 +481,9 @@ class StateStore:
             and t.lease_expires is not None and t.lease_expires < now
         ]
         for task in sorted(expired, key=lambda t: t.submit_index):
-            obs_counter("service.lease_expiries")
             self._requeue(task, error=f"lease expired (worker {task.worker})",
                           now=now, expired=True)
         return expired
-
-    def cancel(self, task_id: str, now: Optional[float] = None) -> None:
-        """Withdraw a live task (any of waiting/claimed/running)."""
-        self._checked(task_id, None, LIVE_STATUSES, "cancel")
-        self._record({"op": "cancel", "task_id": task_id,
-                      "now": self._now(now)})
 
     # ------------------------------------------------------------------
     # Queries
@@ -548,11 +494,6 @@ class StateStore:
         if task is None:
             raise TaskTransitionError(f"unknown task {task_id!r}")
         return task
-
-    def task_for_key(self, key: str) -> Optional[TaskRecord]:
-        """The task currently owning a cache key, if any."""
-        task_id = self._by_key.get(key)
-        return self._tasks.get(task_id) if task_id is not None else None
 
     def result_for_key(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result payload for a completed key, if any."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.obs import obs_counter, obs_event, obs_span
+from repro.obs import obs_event, obs_span
 from repro.service.faults import FaultPlan
 from repro.service.statestore import StateStore, TaskRecord
 
@@ -176,7 +176,6 @@ class Worker:
         for task in self.store.claim(self.worker_id, limit=limit, now=now):
             self.stats.claimed += 1
             self._claim_counter += 1
-            obs_counter("service.tasks_claimed")
             if not crashed and self.fault_plan is not None:
                 ev = self.fault_plan.worker_fault(
                     f"worker:{self.worker_id}",
@@ -185,7 +184,6 @@ class Worker:
                 )
                 if ev is not None:
                     self.stats.crashes += 1
-                    obs_counter("service.worker_crashes")
                     obs_event("worker_crash", worker=self.worker_id,
                               task=task.task_id, site=ev.site)
                     crashed = True
@@ -250,12 +248,10 @@ class Worker:
         if error is not None:
             self.store.fail(task.task_id, self.worker_id, error, now=now)
             self.stats.failed += 1
-            obs_counter("service.tasks_failed")
             return "failed"
         self.store.heartbeat(task.task_id, self.worker_id, now=now)
         self.store.complete(task.task_id, self.worker_id, result, now=now)
         self.stats.completed += 1
-        obs_counter("service.tasks_completed")
         return "completed"
 
 

@@ -20,7 +20,6 @@ from typing import List
 AUDITED_MODULES = (
     "repro.obs",
     "repro.obs.tracer",
-    "repro.obs.metrics",
     "repro.obs.export",
     "repro.obs.report",
     "repro.obs.regress",

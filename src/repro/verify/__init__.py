@@ -37,7 +37,6 @@ from repro.verify.golden import (
     load_golden,
     record_from_run,
     save_golden,
-    verify_golden,
 )
 from repro.verify.invariants import (
     InvariantResult,
@@ -81,5 +80,4 @@ __all__ = [
     "save_golden",
     "screening_conformance",
     "shift_hartree_interval",
-    "verify_golden",
 ]

@@ -167,22 +167,3 @@ def compare_to_golden(
             )
         )
     return report
-
-
-def verify_golden(
-    name: str,
-    structure: Optional[Structure] = None,
-    level: str = "minimal",
-    directory: Optional[Path] = None,
-) -> VerifyReport:
-    """Recompute one molecule's record and compare it to its golden."""
-    if structure is None:
-        try:
-            structure = GOLDEN_MOLECULES[name]()
-        except KeyError:
-            raise VerificationError(
-                f"unknown golden molecule {name!r}; "
-                f"expected one of {sorted(GOLDEN_MOLECULES)}"
-            ) from None
-    record = compute_golden_record(structure, level)
-    return compare_to_golden(name, record, directory)

@@ -136,17 +136,6 @@ class VerifyReport:
 
         return format_verify_report(self)
 
-    def raise_on_failure(self) -> None:
-        """Raise :class:`VerificationError` naming every failed check."""
-        if self.failures:
-            names = ", ".join(
-                f"{r.name} (residual {r.residual:.3g} > {r.tolerance:.3g})"
-                for r in self.failures
-            )
-            raise VerificationError(
-                f"{len(self.failures)} invariant(s) failed: {names}"
-            )
-
 
 # ----------------------------------------------------------------------
 # Registry

@@ -12,7 +12,6 @@ from repro.basis.solid_harmonics import (
 from repro.basis.ylm import (
     harmonics_by_channel,
     lm_index,
-    lm_pairs,
     n_lm,
     real_spherical_harmonics,
 )
@@ -26,7 +25,7 @@ class TestIndexing:
         assert n_lm(0) == 1 and n_lm(2) == 9 and n_lm(6) == 49
 
     def test_lm_index_enumeration(self):
-        pairs = lm_pairs(3)
+        pairs = [(l, m) for l in range(4) for m in range(-l, l + 1)]
         for i, (l, m) in enumerate(pairs):
             assert lm_index(l, m) == i
 

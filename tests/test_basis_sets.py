@@ -29,13 +29,6 @@ class TestLogRadialGrid:
         val = g.integrate(np.exp(-g.r))
         assert val == pytest.approx(1.0, abs=1e-4)
 
-    def test_cumulative_consistent_with_total(self):
-        g = LogRadialGrid.make(1e-4, 10.0, 200)
-        f = np.exp(-g.r) * g.r
-        cum = g.cumulative_integral(f)
-        assert cum[0] == 0.0
-        assert cum[-1] == pytest.approx(g.integrate(f), rel=1e-10)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LogRadialGrid.make(0.0, 1.0, 10)
@@ -90,8 +83,7 @@ class TestBasisSet:
     def test_counts(self):
         b = build_basis(water())
         assert b.n_basis == 11 + 5 + 5
-        assert list(b.functions_of_atom(0)) == list(range(11))
-        assert b.n_functions_of_atoms([1, 2]) == 10
+        assert list(b.atom_offsets) == [0, 11, 16, 21]
 
     def test_function_metadata(self):
         b = build_basis(hydrogen_molecule())

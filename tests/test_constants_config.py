@@ -15,13 +15,13 @@ from repro.grids.atom_grid import build_grid
 
 class TestConstants:
     def test_bohr_angstrom_roundtrip(self):
-        assert constants.angstrom_to_bohr(constants.bohr_to_angstrom(3.7)) == pytest.approx(3.7)
+        assert 3.7 * constants.BOHR_IN_ANGSTROM * constants.ANGSTROM_IN_BOHR == pytest.approx(3.7)
 
     def test_one_angstrom_in_bohr(self):
-        assert constants.angstrom_to_bohr(1.0) == pytest.approx(1.8897, abs=1e-3)
+        assert constants.ANGSTROM_IN_BOHR == pytest.approx(1.8897, abs=1e-3)
 
     def test_hartree_in_ev(self):
-        assert constants.hartree_to_ev(1.0) == pytest.approx(27.2114, abs=1e-3)
+        assert constants.HARTREE_IN_EV == pytest.approx(27.2114, abs=1e-3)
 
     def test_polarizability_conversion_is_bohr_cubed(self):
         assert constants.POLARIZABILITY_AU_IN_A3 == pytest.approx(
@@ -153,8 +153,8 @@ class TestCPSCFSettingsDomain:
 class TestSCFAndGridSettingsDomain:
     """The ground-state and grid knobs get the CPSCF checks: a count is an
     integer (not a bool) at least 1 — the DIIS history at least 2 — a
-    tolerance or the radial multiplier finite and positive, a mixing
-    factor in (0, 1] and a smearing width finite and non-negative."""
+    tolerance or the radial multiplier finite and positive, and a mixing
+    factor in (0, 1]."""
 
     BAD_SCF = [
         {"max_iterations": 0}, {"max_iterations": -3}, {"max_iterations": 60.0},
@@ -165,8 +165,6 @@ class TestSCFAndGridSettingsDomain:
         {"energy_tolerance": 0.0}, {"energy_tolerance": True},
         {"mixing_factor": math.nan}, {"mixing_factor": 0.0},
         {"mixing_factor": 1.5}, {"mixing_factor": -0.35}, {"mixing_factor": math.inf},
-        {"occupation_width": math.nan}, {"occupation_width": math.inf},
-        {"occupation_width": -0.01}, {"occupation_width": True},
     ]
     BAD_GRIDS = [
         {"n_radial_base": 0}, {"n_radial_base": -24}, {"n_radial_base": 24.0},
@@ -234,7 +232,7 @@ class TestSCFAndGridSettingsDomain:
             assert RunSettings.from_canonical_dict(s.as_canonical_dict()) == s
 
     @pytest.mark.parametrize("good", [
-        {"mixing_factor": 1.0}, {"occupation_width": 0.0}, {"occupation_width": 0.01},
+        {"mixing_factor": 1.0}, {"mixing_factor": 1e-300}, {"density_tolerance": 1e-300},
         {"max_iterations": 1}, {"pulay_history": 2}, {"energy_tolerance": 1e-300},
     ])
     def test_edge_values_pass(self, good):

@@ -603,13 +603,6 @@ class TestMultipoleSolver:
         # Measured 5.52e-3 at minimal; the band is twice that.
         assert v[0] == pytest.approx(charge / r, rel=1.1e-2)
 
-    def test_expansion_nbytes_accounting(self, minimal_settings):
-        grid = build_grid(water(), minimal_settings.grids, with_partition=True)
-        solver = MultipoleSolver(grid, l_max=4)
-        exp = solver.solve(solver.expand(np.ones(grid.n_points)))
-        assert exp.rho_multipole_nbytes > 0
-        assert exp.potential_spline_nbytes > 0
-
 
 class TestMatrixBuilder:
     def test_overlap_properties(self, minimal_settings):

@@ -1,20 +1,16 @@
-"""The observability layer: tracer, ambient context, metrics, RunReport."""
+"""The observability layer: tracer, ambient context, RunReport."""
 
 import json
-
-import pytest
 
 from repro.atoms import hydrogen_molecule
 from repro.config import get_settings
 from repro.dft import SCFDriver
 from repro.obs import (
-    MetricsRegistry,
     RunReport,
     Tracer,
     activate,
     current_context,
     current_tracer,
-    obs_counter,
     obs_event,
     obs_span,
     trace_context,
@@ -55,7 +51,6 @@ class TestTracer:
         with obs_span("Rho") as sp:
             assert sp is None
         assert obs_event("fault") is None
-        obs_counter("bytes", 10)  # must not raise
 
     def test_activate_restores_previous_tracer(self):
         outer, inner = Tracer(), Tracer()
@@ -77,66 +72,40 @@ class TestTracer:
         assert len(t.spans_of("comm")) == 1
 
 
-class TestMetricsRegistry:
-    def test_counter_accumulates_and_rejects_negative(self):
-        reg = MetricsRegistry()
-        reg.counter("retries").inc()
-        reg.counter("retries").inc(4)
-        assert reg.counter("retries").value == 5
-        with pytest.raises(ValueError):
-            reg.counter("retries").inc(-1)
-
-    def test_snapshot_is_sorted_and_json_stable(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        # Register in opposite orders: snapshots must still match.
-        for reg, order in ((a, ("z", "a")), (b, ("a", "z"))):
-            for name in order:
-                reg.counter(name).inc(3)
-        assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
-        assert list(a.as_dict()["counters"]) == ["a", "z"]
-
-
-def _traced_scf(backend: str) -> Tracer:
-    tracer = Tracer()
-    with activate(tracer):
-        SCFDriver(
-            hydrogen_molecule(), get_settings("minimal"), backend=backend
-        ).run()
-    return tracer
+def _scf_work(backend: str) -> dict:
+    """One H2 SCF's :class:`~repro.backends.base.BackendProfile`, without
+    its wall-clock seconds."""
+    driver = SCFDriver(hydrogen_molecule(), get_settings("minimal"), backend=backend)
+    driver.run()
+    doc = driver.backend.profile.as_dict()
+    for row in doc["phases"].values():
+        del row["seconds"]
+    return doc
 
 
 class TestCrossBackendDeterminism:
-    """Metric values depend only on the work, never on the clock."""
+    """Profile counts depend only on the work, never on the clock."""
 
     def test_same_backend_repeat_is_bit_identical(self):
-        first = _traced_scf("numpy").metrics.as_dict()
-        second = _traced_scf("numpy").metrics.as_dict()
+        first, second = _scf_work("numpy"), _scf_work("numpy")
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
 
     def test_shared_work_counters_identical_across_backends(self):
         # The backends are bit-exact over the same batch schedule, so
-        # the per-phase work counters must agree exactly; only the
-        # backend-private counters (cache hits, launches) may differ.
-        snaps = {b: _traced_scf(b).metrics.as_dict() for b in ("numpy", "device")}
-        shared = [
-            f"backend.{phase}.{leaf}"
-            for phase in ("Sumup", "H")
-            for leaf in ("calls", "elements")
-        ]
-        for key in shared:
-            assert (
-                snaps["numpy"]["counters"][key]
-                == snaps["device"]["counters"][key]
-            ), key
+        # the per-phase work counts must agree exactly; only the
+        # backend-private blocks (device launches) may differ.
+        snaps = {b: _scf_work(b) for b in ("numpy", "device")}
+        for phase in ("Sumup", "H"):
+            assert snaps["numpy"]["phases"][phase] == snaps["device"]["phases"][phase]
 
     def test_batched_backend_emits_cache_counters(self):
         """``BatchedBackend`` is the default host engine: its cache
-        traffic is on every default run's metrics."""
-        counters = _traced_scf("numpy").metrics.as_dict()["counters"]
-        assert counters.get("backend.cache.misses", 0) > 0
-        assert counters["backend.cache.hits"] > counters["backend.cache.misses"]
+        traffic is on every default run's profile."""
+        cache = _scf_work("numpy")["cache"]
+        assert cache["misses"] > 0
+        assert cache["hits"] > cache["misses"]
 
 
 class TestRunReport:
@@ -144,11 +113,10 @@ class TestRunReport:
         tracer = Tracer()
         with tracer.span("density", category="phase"):
             pass
-        tracer.metrics.counter("comm.bytes_reduced").inc(512)
         report = RunReport.from_run("unit", tracer=tracer, seed=7, note="x")
         doc = report.as_dict()
         assert doc["trace"]["spans"] == 1
-        assert doc["metrics"]["counters"]["comm.bytes_reduced"] == 512
+        assert doc["trace"]["categories"] == ["phase"]
         assert doc["extra"] == {"note": "x"}
         assert doc["provenance"]["seed"] == 7
         # JSON round-trip must be loadable and stable.
@@ -156,12 +124,13 @@ class TestRunReport:
 
     def test_render_ascii_includes_every_section(self):
         tracer = Tracer()
-        tracer.metrics.counter("backend.Sumup.calls").inc(8)
+        with tracer.span("Sumup", category="phase"):
+            pass
         report = RunReport.from_run("unit", tracer=tracer)
         report.phase_seconds = {"Sumup": 0.5, "H": 0.25}
         art = report.render_ascii()
         assert "run report [unit]" in art
-        assert "Sumup" in art and "backend.Sumup.calls" in art
+        assert "Sumup" in art and "trace: 1 spans" in art
         assert "> provenance:" in art
 
     def test_write_artifact(self, tmp_path):

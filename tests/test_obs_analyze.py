@@ -201,7 +201,9 @@ class TestTimeline:
         path.write_text(json.dumps(doc))
         tl = load_run(path)
         assert tl.wall_seconds == 5.0
-        assert tl.phase_busy() == {"scf": 2.0, "cpscf": 3.0}
+        assert {p: sum(row.values()) for p, row in tl.busy_matrix().items()} == {
+            "scf": 2.0, "cpscf": 3.0,
+        }
 
     def test_load_run_rejects_unknown_document(self, tmp_path):
         path = tmp_path / "junk.json"

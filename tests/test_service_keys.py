@@ -11,6 +11,7 @@ once per process and only from the checkout the package lives in.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 import shutil
@@ -29,9 +30,11 @@ from repro.config import (
     SCFSettings,
     get_settings,
 )
+from repro.errors import SettingsError
 from repro.obs import report
 from repro.obs.report import RunReport, collect_provenance
 from repro.service import (
+    ERRORED,
     JobRequest,
     StateStore,
     WorkerPool,
@@ -39,6 +42,7 @@ from repro.service import (
     physics_from_payload,
     result_payload,
     settings_fingerprint,
+    stable_result_bytes,
     structure_fingerprint,
     submit_job,
 )
@@ -88,7 +92,7 @@ def test_key_invariant_under_equal_value_reconstruction(s):
         level=s.level, grids=GridSettings(**dataclasses.asdict(s.grids)),
         scf=SCFSettings(**dataclasses.asdict(s.scf)),
         cpscf=CPSCFSettings(**dataclasses.asdict(s.cpscf)),
-        l_max_hartree=s.l_max_hartree, xc=s.xc, backend=s.backend,
+        l_max_hartree=s.l_max_hartree, backend=s.backend,
         verify=s.verify, screening_threshold=s.screening_threshold,
     )
     mol = hydrogen_molecule()
@@ -162,7 +166,6 @@ def test_key_distinct_under_any_single_field_change(s, data):
         "backend": st.sampled_from(["numpy", "device"]),
         "verify": st.sampled_from(["off", "cheap", "full"]),
         "screening_threshold": st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
-        "xc": st.sampled_from(["lda", "pbe"]),
         "grids.n_radial_base": st.integers(8, 49),
         "grids.n_angular": st.sampled_from([26, 50, 110, 194]),
         "scf.max_iterations": st.integers(10, 101),
@@ -222,21 +225,23 @@ def test_key_is_stable_across_processes_shape():
 
 
 @pytest.mark.parametrize("molecule,level,key", [
-    (hydrogen_molecule, "minimal", "ck-920bb577e2e472e2ec97f02d75e8444c"),
-    (hydrogen_molecule, "light", "ck-ec4b9c329257f7abc5b20fefc5129267"),
-    (water, "minimal", "ck-17c02024327ba9f3a2953d7eb11cece0"),
-    (water, "light", "ck-6f2d3e0303a71a35398f10ef337101f3"),
+    (hydrogen_molecule, "minimal", "ck-0f7bba237cdb3080db6b7c07dbff7dd9"),
+    (hydrogen_molecule, "light", "ck-eb5cd6feaed9137116606df27fca15d4"),
+    (water, "minimal", "ck-3d67a40a039b410f47a9d7f09fc18595"),
+    (water, "light", "ck-e2cb853992d7007da193fe099e412053"),
 ])
 def test_recorded_keys_hold(molecule, level, key):
     """Keys recorded before the signed-zero normalisation and the
-    declared-type one still match.  Re-pinned once, when the settings
-    dict lost its ``tuning`` block: a key also hashes the commit, so
-    keys already change with every commit and no cached result is
+    declared-type one still match.  Re-pinned twice, when the settings
+    dict lost its ``tuning`` block and when it lost the unread ``xc``
+    and ``scf.occupation_width`` fields: a key also hashes the commit,
+    so keys already change with every commit and no cached result is
     stranded that a new commit would not have stranded anyway."""
     assert cache_key(molecule(), get_settings(level), commit=COMMIT) == key
 
 
-#: A payload journaled while the settings still carried a ``tuning`` block.
+#: A payload journaled while the settings still carried a ``tuning`` block
+#: and the retired ``xc`` / ``scf.occupation_width`` fields.
 _PAYLOAD_WITH_TUNING = {
     "charge": 0, "kind": "physics", "seed": None,
     "settings": {
@@ -269,10 +274,47 @@ def test_a_payload_with_a_tuning_block_still_decodes():
     assert structure_fingerprint(structure) == structure_fingerprint(
         hydrogen_molecule()
     )
-    assert JobRequest("h2", settings).payload()["settings"] == {
-        k: v for k, v in _PAYLOAD_WITH_TUNING["settings"].items()
-        if k != "tuning"
-    }
+    legacy = _PAYLOAD_WITH_TUNING["settings"]
+    assert JobRequest("h2", settings).payload()["settings"] == dict(
+        {k: v for k, v in legacy.items() if k not in ("tuning", "xc")},
+        scf={k: v for k, v in legacy["scf"].items() if k != "occupation_width"},
+    )
+
+
+def _legacy_payload(xc="lda", occupation_width=0.0):
+    payload = copy.deepcopy(_PAYLOAD_WITH_TUNING)
+    payload["settings"]["xc"] = xc
+    payload["settings"]["scf"]["occupation_width"] = occupation_width
+    return payload
+
+
+def test_a_payload_with_the_retired_fields_runs_bit_identically():
+    """``xc="lda"`` and ``occupation_width=0.0`` were the only values
+    any run computed with: such a payload is today's request."""
+    legacy, today = StateStore(), StateStore()
+    legacy.submit(_legacy_payload(), key="ck-h2", now=0.0)
+    payload = JobRequest("h2", get_settings("minimal")).payload()
+    today.submit(payload, key="ck-h2", now=0.0)
+    for store in (legacy, today):
+        assert WorkerPool(store, n_workers=1).run_until_idle().completed == 1
+    assert stable_result_bytes(legacy.result_for_key("ck-h2")) == (
+        stable_result_bytes(today.result_for_key("ck-h2"))
+    )
+
+
+@pytest.mark.parametrize("retired", [
+    {"xc": "pbe"}, {"occupation_width": 0.01},
+], ids=["pbe", "smearing"])
+def test_a_payload_naming_physics_never_run_is_a_failed_attempt(retired):
+    payload = _legacy_payload(**retired)
+    with pytest.raises(SettingsError, match=next(iter(retired))):
+        physics_from_payload(payload)
+    store = StateStore()
+    store.submit(payload, key="ck-h2", max_retries=0, now=0.0)
+    report = WorkerPool(store, n_workers=1).run_until_idle()
+    assert (report.completed, report.failed) == (0, 1)
+    (task,) = store.tasks(ERRORED)
+    assert task.error.startswith("SettingsError: ")
 
 
 # ----------------------------------------------------------------------

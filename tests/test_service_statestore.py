@@ -3,8 +3,8 @@
 Pins the task-lifecycle semantics the whole service layer rests on
 (DESIGN §12.2): priority-then-FIFO claiming, impossible double-claims,
 lease expiry, bounded retry with backoff, terminal ``errored``,
-idempotent content-addressed resubmission, per-client quotas and
-byte-faithful journal replay.
+idempotent content-addressed resubmission and byte-faithful journal
+replay.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import pytest
 
 from repro.errors import (
     ArtifactError,
-    QuotaExceededError,
     ServiceError,
     TaskTransitionError,
 )
 from repro.service import (
-    CANCELLED,
     CLAIMED,
     COMPLETE,
     ERRORED,
@@ -34,8 +32,6 @@ from repro.service import (
 
 def make_store(**kwargs):
     kwargs.setdefault("lease_seconds", 10.0)
-    kwargs.setdefault("backoff_base", 1.0)
-    kwargs.setdefault("backoff_factor", 2.0)
     return StateStore(**kwargs)
 
 
@@ -317,77 +313,6 @@ class TestIdempotentResubmission:
         assert revived.error == ""
         assert revived.resubmissions == 1
 
-    def test_cancelled_key_resubmission_is_new_task(self):
-        store = make_store()
-        out = submit(store, "k1")
-        store.cancel(out.task.task_id, now=1.0)
-        fresh = submit(store, "k1", now=2.0)
-        assert fresh.fresh and not fresh.resubmitted
-        assert fresh.task.task_id != out.task.task_id
-
-
-class TestCancel:
-    def test_cancel_waiting_task(self):
-        store = make_store()
-        out = submit(store, "k1")
-        store.cancel(out.task.task_id, now=1.0)
-        assert store.get(out.task.task_id).status == CANCELLED
-        assert store.claim("w0", now=2.0) == []
-
-    def test_cancel_running_task(self):
-        store = make_store()
-        submit(store, "k1")
-        (task,) = store.claim("w0", now=1.0)
-        store.start(task.task_id, "w0", now=1.5)
-        store.cancel(task.task_id, now=2.0)
-        assert store.get(task.task_id).status == CANCELLED
-
-    def test_cancel_terminal_task_rejected(self):
-        store = make_store()
-        submit(store, "k1")
-        (task,) = store.claim("w0", now=1.0)
-        store.complete(task.task_id, "w0", {}, now=2.0)
-        with pytest.raises(TaskTransitionError):
-            store.cancel(task.task_id, now=3.0)
-
-
-class TestQuotas:
-    def test_quota_blocks_excess_live_submissions(self):
-        store = make_store()
-        store.set_quota("alice", 2)
-        submit(store, "k1", client="alice")
-        submit(store, "k2", client="alice")
-        with pytest.raises(QuotaExceededError) as exc:
-            submit(store, "k3", client="alice")
-        assert exc.value.client == "alice"
-        assert exc.value.active == 2 and exc.value.quota == 2
-
-    def test_quota_does_not_bind_other_clients(self):
-        store = make_store()
-        store.set_quota("alice", 1)
-        submit(store, "k1", client="alice")
-        assert submit(store, "k2", client="bob").fresh
-
-    def test_completed_tasks_free_quota(self):
-        store = make_store()
-        store.set_quota("alice", 1)
-        submit(store, "k1", client="alice")
-        (task,) = store.claim("w0", now=1.0)
-        store.complete(task.task_id, "w0", {}, now=2.0)
-        assert submit(store, "k2", client="alice", now=3.0).fresh
-
-    def test_cache_hits_and_dedups_do_not_consume_quota(self):
-        store = make_store()
-        store.set_quota("alice", 1)
-        submit(store, "k1", client="alice")
-        # dedup onto the live task is allowed even at the quota edge
-        assert submit(store, "k1", client="alice", now=1.0).deduplicated
-
-    def test_negative_quota_rejected(self):
-        store = make_store()
-        with pytest.raises(ServiceError):
-            store.set_quota("alice", -1)
-
 
 class TestJournalPersistence:
     def test_replay_reproduces_state(self, tmp_path):
@@ -395,7 +320,6 @@ class TestJournalPersistence:
         store = make_store(path=path)
         submit(store, "k1", priority=3)
         submit(store, "k2")
-        store.set_quota("alice", 2)
         (task,) = store.claim("w0", now=1.0)
         store.complete(task.task_id, "w0", {"alpha": 2.5}, now=2.0)
 
@@ -404,10 +328,20 @@ class TestJournalPersistence:
         assert replayed.result_for_key("k1") == {"alpha": 2.5}
         assert replayed.get("t-000002").status == WAITING
         assert [t.task_id for t in replayed.tasks()] == ["t-000001", "t-000002"]
-        with pytest.raises(QuotaExceededError):
-            submit(replayed, "k3", client="alice", now=3.0)
-            submit(replayed, "k4", client="alice", now=3.0)
-            submit(replayed, "k5", client="alice", now=3.0)
+
+    @pytest.mark.parametrize("line", [
+        {"op": "set_quota", "client": "alice", "max_active": 2},
+        {"op": "cancel", "task_id": "t-000001", "now": 1.0},
+    ], ids=["set_quota", "cancel"])
+    def test_a_retired_op_fails_replay(self, tmp_path, line):
+        """Per-client quotas and cancellation are gone; no command ever
+        journaled either op, and a journal that holds one is refused."""
+        path = tmp_path / "journal.jsonl"
+        submit(make_store(path=path), "k1")
+        with path.open("a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        with pytest.raises(ServiceError, match="unknown statestore journal op"):
+            make_store(path=path)
 
     def test_replay_preserves_claims_for_crash_recovery(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -545,15 +479,16 @@ class TestArtifactGuard:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("field", ["lease_seconds", "backoff_base", "backoff_factor"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_lease_or_backoff_refused_before_the_journal(
-        self, tmp_path, field, value
+        self, tmp_path, value
     ):
         """A NaN lease was journaled as a bare ``NaN`` token and never
-        expired; a NaN backoff made a failed task never eligible again."""
+        expired.  The backoff is no longer an argument (module constants
+        ``BACKOFF_BASE`` / ``BACKOFF_FACTOR``), so the lease is the one
+        number left to refuse."""
         with pytest.raises(ServiceError, match="finite"):
-            StateStore(tmp_path / "s.jsonl", **{field: value})
+            StateStore(tmp_path / "s.jsonl", lease_seconds=value)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -584,12 +519,6 @@ class TestQueriesAndRendering:
         assert store.counts() == {"waiting": 1, "claimed": 1}
         assert [t.key for t in store.tasks(WAITING)] == ["k2"]
 
-    def test_task_for_key_lookup(self):
-        store = make_store()
-        out = submit(store, "k1")
-        assert store.task_for_key("k1").task_id == out.task.task_id
-        assert store.task_for_key("missing") is None
-
     def test_render_status_mentions_tasks_and_journal(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         store = make_store(path=path)
@@ -601,8 +530,6 @@ class TestQueriesAndRendering:
     def test_invalid_construction_parameters(self):
         with pytest.raises(ServiceError):
             StateStore(lease_seconds=0.0)
-        with pytest.raises(ServiceError):
-            StateStore(backoff_factor=0.5)
 
     @pytest.mark.parametrize("fleet", [0, -1, "auto", "3"])
     def test_worker_pool_rejects_a_bad_fleet(self, fleet):

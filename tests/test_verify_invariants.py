@@ -8,7 +8,7 @@ from repro.config import get_settings
 from repro.core import PerturbationSimulator
 from repro.errors import VerificationError
 from repro.utils.reports import format_verify_report
-from repro.verify import InvariantResult, Verifier, VerifyReport
+from repro.verify import Verifier
 from repro.verify.invariants import (
     BIT_EXACT,
     PHASES,
@@ -68,21 +68,6 @@ class TestVerifier:
         assert results and all(not r.passed for r in results)
         assert all(r.residual == float("inf") for r in results)
         assert any("missing" in r.detail for r in results)
-
-    def test_raise_on_failure_names_the_check(self):
-        report = VerifyReport(level="cheap")
-        report.add(
-            InvariantResult(
-                name="dm_trace",
-                phase="scf",
-                tol_class="allclose",
-                residual=1.0,
-                tolerance=1e-8,
-                passed=False,
-            )
-        )
-        with pytest.raises(VerificationError, match="dm_trace"):
-            report.raise_on_failure()
 
 
 class TestHonestRun:
