@@ -84,8 +84,8 @@ docs:
 # Span trace of a real physics run, openable at https://ui.perfetto.dev.
 # --force: the artifacts are regenerated on every invocation.
 trace:
-	PYTHONPATH=src $(PYTHON) -m repro trace --molecule water --level minimal \
-		--out trace.json --report run_report.json --force
+	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
+		--trace trace.json --report run_report.json --force
 
 # Profile order of the scale models: one priced 10 004-atom configuration
 # under cProfile (the report first, then the top of the cumulative list).
@@ -93,12 +93,12 @@ profile-model:
 	PYTHONPATH=src $(PYTHON) -m cProfile -s cumulative -m repro model \
 		--polyethylene 10004 --ranks 2048 --baseline | head -60
 
-# Post-mortem analytics: record a trace, then render the timeline /
-# critical-path / imbalance dashboard and the scaling-attribution tables.
+# Post-mortem analytics: record a trace, then render its per-phase clock
+# table and the scaling-attribution tables.
 analyze:
-	PYTHONPATH=src $(PYTHON) -m repro trace --molecule water --level minimal \
-		--out trace.json --report run_report.json --force
-	PYTHONPATH=src $(PYTHON) -m repro analyze trace trace.json --top 12
+	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
+		--trace trace.json --report run_report.json --force
+	PYTHONPATH=src $(PYTHON) -m repro analyze trace trace.json
 	PYTHONPATH=src $(PYTHON) -m repro analyze scaling --atoms 602 \
 		--base-ranks 8 --points 2
 

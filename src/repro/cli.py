@@ -5,8 +5,7 @@ results out):
 
     python -m repro physics geometry.in --level minimal
     python -m repro physics geometry.in --backend device
-    python -m repro physics geometry.in --trace out.json
-    python -m repro trace --molecule water --out trace.json --force
+    python -m repro physics --molecule water --trace trace.json --force
     python -m repro bench-check --baseline BENCH_backends.json
     python -m repro analyze trace trace.json
     python -m repro analyze diff base.json fresh.json
@@ -255,13 +254,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """`repro trace`: a physics run that always emits the trace artifacts."""
-    if not getattr(args, "trace", None):
-        args.trace = "trace.json"
-    return _cmd_physics(args)
-
-
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
@@ -288,27 +280,12 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_trace(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import (
-        comm_matrix,
-        critical_path,
-        load_run,
-        phase_imbalances,
-        render_comm_matrix,
-        render_phase_imbalances,
-    )
+    from repro.obs.analyze import clock_table, load_run, render_clock_table
 
     timeline = load_run(args.trace)
     print(timeline.summary())
     print()
-    print(critical_path(timeline).render(top=args.top))
-    rows = phase_imbalances(timeline)
-    if rows:
-        print()
-        print(render_phase_imbalances(rows, label=timeline.label))
-    matrix = comm_matrix(timeline)
-    if matrix:
-        print()
-        print(render_comm_matrix(matrix, label=timeline.label))
+    print(render_clock_table(clock_table(timeline), label=timeline.label))
     return 0
 
 
@@ -603,28 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a Perfetto-loadable Chrome trace-event file here",
     )
-    p_phys.set_defaults(func=_cmd_physics)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="physics run that always writes the span trace "
-        "(Chrome trace-event JSON, Perfetto-loadable)",
-    )
-    add_common(p_trace, physics=True)
-    add_physics_opts(p_trace)
-    p_trace.add_argument(
-        "--out",
-        dest="trace",
-        default="trace.json",
-        metavar="PATH",
-        help="trace output path (default: trace.json)",
-    )
-    p_trace.add_argument(
+    p_phys.add_argument(
         "--molecule",
         choices=list(BUILTIN_MOLECULES),
         help="built-in molecule instead of a geometry.in path",
     )
-    p_trace.set_defaults(func=_cmd_trace)
+    p_phys.set_defaults(func=_cmd_physics)
 
     p_bench = sub.add_parser(
         "bench-check",
@@ -653,12 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_at = an_sub.add_parser(
         "trace",
-        help="timeline summary, critical path, per-phase imbalance and "
-        "communication matrix of one recorded run",
+        help="per-phase clock table (calls, total, p50, share of wall, "
+        "unattributed time) of one recorded run",
     )
     p_at.add_argument("trace", help="Chrome trace-event or RunReport JSON")
-    p_at.add_argument("--top", type=int, default=None, metavar="K",
-                      help="show only the K slowest critical-path steps")
     p_at.set_defaults(func=_cmd_analyze_trace)
 
     p_ad = an_sub.add_parser(

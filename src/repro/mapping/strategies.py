@@ -66,8 +66,7 @@ class BatchAssignment:
         """max/mean point-count ratio (1.0 = perfect balance).
 
         Delegates to :func:`repro.utils.balance.max_mean_imbalance`,
-        the repo-wide imbalance definition also used by the modeled
-        timelines and the analysis layer.
+        the repo-wide imbalance definition.
         """
         try:
             return max_mean_imbalance(self.points_per_rank(batches))

@@ -36,7 +36,6 @@ from repro.obs.tracer import (
     activate,
     current_context,
     current_tracer,
-    obs_event,
     obs_span,
     trace_context,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "activate",
     "current_context",
     "current_tracer",
-    "obs_event",
     "obs_span",
     "trace_context",
     "chrome_trace",

@@ -1,27 +1,17 @@
-"""Communication attribution (DESIGN §11.4, paper Fig. 10).
+"""Reduction-scheme cost tables (DESIGN §11.4, paper Fig. 10).
 
-Two complementary sources feed this module:
+The analytic estimators of :mod:`repro.comm.schemes` price what each
+reduction scheme *would* cost at a given scale, reproducing the paper's
+packed-vs-unpacked comparison for ``repro analyze scaling``.
 
-* recorded ``comm``-category spans / ``comm.*`` counters from the
-  simulated MPI layer — what one run actually moved;
-* the analytic reduction-scheme estimators of
-  :mod:`repro.comm.schemes` — what each scheme *would* cost at a given
-  scale, reproducing the paper's packed-vs-unpacked comparison.
-
->>> from repro.obs.analyze.timeline import Timeline, TimelineEvent
->>> tl = Timeline(events=[
-...     TimelineEvent(0, "allreduce", 0.0, 1.0, category="comm",
-...                   nbytes=4096, scheme="packed"),
-...     TimelineEvent(0, "allreduce", 1.0, 2.0, category="comm",
-...                   nbytes=4096, scheme="packed")])
->>> comm_matrix(tl)[("packed", "allreduce")]
-CommCell(calls=2, nbytes=8192, seconds=2.0)
+>>> from repro.runtime.machines import HPC2_AMD
+>>> [name for name, _ in scheme_cost_table(HPC2_AMD, 64, 512, 4096)][:2]
+['baseline', 'packed']
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.comm.schemes import (
     BaselineRowwiseAllreduce,
@@ -30,64 +20,7 @@ from repro.comm.schemes import (
     ReductionReport,
 )
 from repro.errors import CommunicationError
-from repro.obs.analyze.timeline import Timeline
 from repro.runtime.machines import MachineSpec
-
-
-@dataclass(frozen=True)
-class CommCell:
-    """Aggregate of one (scheme, operation) communication bucket."""
-
-    calls: int
-    nbytes: int
-    seconds: float
-
-
-def comm_matrix(
-    timeline: Timeline,
-) -> Dict[Tuple[str, str], CommCell]:
-    """Aggregate ``comm``-category events into a (scheme, op) matrix.
-
-    Events without an explicit ``scheme`` attribute land in the
-    ``"flat"`` bucket (the simulated MPI layer's direct collectives).
-    """
-    acc: Dict[Tuple[str, str], List[float]] = {}
-    for e in timeline.events:
-        if e.category != "comm":
-            continue
-        key = (e.scheme or "flat", e.phase)
-        cell = acc.setdefault(key, [0, 0, 0.0])
-        cell[0] += 1
-        cell[1] += e.nbytes
-        cell[2] += e.duration
-    return {
-        key: CommCell(calls=int(c[0]), nbytes=int(c[1]), seconds=c[2])
-        for key, c in acc.items()
-    }
-
-
-def render_comm_matrix(
-    matrix: Mapping[Tuple[str, str], CommCell],
-    counters: Mapping[str, float] = (),  # type: ignore[assignment]
-    label: str = "run",
-) -> str:
-    """Deterministic table of recorded communication, heaviest first."""
-    from repro.utils.reports import TableFormatter, format_bytes, format_seconds
-
-    table = TableFormatter(
-        ["scheme", "operation", "calls", "bytes", "time"],
-        title=f"recorded communication [{label}]",
-    )
-    for key in sorted(matrix, key=lambda k: (-matrix[k].nbytes, k)):
-        cell = matrix[key]
-        table.add_row(
-            [key[0], key[1], cell.calls, format_bytes(cell.nbytes),
-             format_seconds(cell.seconds)]
-        )
-    lines = [table.render()] if matrix else [f"no recorded communication [{label}]"]
-    for name, value in dict(counters).items():
-        lines.append(f"{name}: {value:g}")
-    return "\n".join(lines)
 
 
 def scheme_cost_table(

@@ -4,8 +4,7 @@ Given two recorded runs — a trusted base and a fresh candidate —
 :func:`diff_timelines` decomposes the wall-time delta per (phase, rank)
 and ranks the contributions, and :meth:`RunDiff.narrative` turns that
 into the deterministic "explain the regression" report the perf gate
-links to: the top entries name the perturbed phase and rank, injected
-faults present only in the fresh run are called out, and
+links to: the top entries name the perturbed phase and rank, and
 ``obs.regress`` offenders can be folded in.
 
 >>> from repro.obs.analyze.timeline import Timeline, TimelineEvent
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.analyze.timeline import FaultMark, Timeline
+from repro.obs.analyze.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class RunDiff:
     base_wall: float
     fresh_wall: float
     contributions: List[Contribution] = field(default_factory=list)
-    new_faults: List[FaultMark] = field(default_factory=list)
 
     @property
     def wall_delta(self) -> float:
@@ -91,30 +89,15 @@ class RunDiff:
                 if positive > 0 and c.delta > 0
                 else ""
             )
-            line = (
+            lines.append(
                 f"{i}. phase {c.phase} on rank {c.rank}: "
                 f"{format_seconds(c.base_seconds)} -> "
                 f"{format_seconds(c.fresh_seconds)} "
                 f"({c.delta:+.6g}s){share}"
             )
-            linked = self._linked_faults(c)
-            if linked:
-                line += "  <- " + "; ".join(f.describe() for f in linked)
-            lines.append(line)
-        if self.new_faults:
-            lines.append("injected faults in fresh run only:")
-            for f in self.new_faults:
-                lines.append(f"  - {f.describe()}")
         for d in offenders or ():
             lines.append(f"gate offender: {d.describe()}")  # type: ignore[attr-defined]
         return "\n".join(lines)
-
-    def _linked_faults(self, c: Contribution) -> List[FaultMark]:
-        """Faults plausibly explaining one contribution: a fault links to
-        a slowdown cell when it hit the same rank."""
-        if c.delta <= 0:
-            return []
-        return [f for f in self.new_faults if f.rank == c.rank]
 
 
 def diff_timelines(base: Timeline, fresh: Timeline) -> RunDiff:
@@ -122,7 +105,6 @@ def diff_timelines(base: Timeline, fresh: Timeline) -> RunDiff:
 
     Contributions are ranked largest-slowdown-first; ties break on
     (phase, rank) so repeated invocations emit identical bytes.
-    Faults recorded only in the fresh run ride along for linkage.
     """
     cells: Dict[Tuple[str, int], List[float]] = {}
     for which, tl in enumerate((base, fresh)):
@@ -135,15 +117,10 @@ def diff_timelines(base: Timeline, fresh: Timeline) -> RunDiff:
         for k, v in cells.items()
     ]
     contributions.sort(key=lambda c: (-c.delta, c.phase, c.rank))
-    base_keys = {(f.kind, f.rank, f.site) for f in base.faults}
-    new_faults = [
-        f for f in fresh.faults if (f.kind, f.rank, f.site) not in base_keys
-    ]
     return RunDiff(
         base_label=base.label,
         fresh_label=fresh.label,
         base_wall=base.wall_seconds,
         fresh_wall=fresh.wall_seconds,
         contributions=contributions,
-        new_faults=new_faults,
     )

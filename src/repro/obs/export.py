@@ -64,27 +64,23 @@ def span_events(
     """Trace events for spans, one track per ``rank`` attribute.
 
     A track is named by its spans' ``track`` attribute, else ``rank N``.
-    Duration spans become complete (``ph="X"``) events; instant spans
-    (injected worker crashes) become instant (``ph="i"``) events.
+    Every span becomes a complete (``ph="X"``) event.
     """
     events: List[Dict[str, object]] = []
     seen_tids: Dict[int, str] = {}
     for sp in spans:
         tid = int(sp.attrs.get("rank", 0))  # type: ignore[arg-type]
         seen_tids.setdefault(tid, str(sp.attrs.get("track", f"rank {tid}")))
-        base = {
+        events.append({
             "name": sp.name,
             "cat": sp.category,
+            "ph": "X",
             "pid": pid,
             "tid": tid,
             "ts": max(0.0, sp.start) * _US,
+            "dur": sp.duration * _US,
             "args": _clean_args(sp.attrs),
-        }
-        if sp.instant:
-            base.update({"ph": "i", "s": "t"})
-        else:
-            base.update({"ph": "X", "dur": sp.duration * _US})
-        events.append(base)
+        })
     metas = [_meta(pid, tid, name) for tid, name in sorted(seen_tids.items())]
     return metas + sorted(events, key=lambda e: (e["tid"], e["ts"]))
 

@@ -1,14 +1,13 @@
 """Span-based tracing for the SCF/CPSCF pipeline (DESIGN §10.2).
 
 A :class:`Span` is one timed region with free-form attributes (phase,
-rank, cycle, backend, comm scheme, worker …); a :class:`Tracer`
-collects spans and instant events.
+rank, cycle, backend, worker …); a :class:`Tracer` collects them.
 
 Context propagation is *ambient*: a tracer is installed with
 :func:`activate`, and instrumentation points anywhere in the codebase
 (``PhaseTimer``, the execution backends, ``SimComm`` collectives, the
-service workers) call the module-level helpers :func:`obs_span`,
-:func:`obs_event` and :func:`trace_context`.
+service workers) call the module-level helpers :func:`obs_span` and
+:func:`trace_context`.
 When no tracer is active every helper is a cheap no-op, so the physics
 hot loop pays nothing by default.
 
@@ -34,7 +33,7 @@ from typing import Dict, Iterator, List, Optional
 #: The ambient tracer (None = tracing disabled, helpers are no-ops).
 _ACTIVE: "ContextVar[Optional[Tracer]]" = ContextVar("repro_obs_tracer", default=None)
 
-#: Ambient attribute stack, merged into every span/event opened below it.
+#: Ambient attribute stack, merged into every span opened below it.
 _CONTEXT: "ContextVar[Dict[str, object]]" = ContextVar("repro_obs_context", default={})
 
 
@@ -56,16 +55,15 @@ class Span:
     start: float = 0.0
     end: float = 0.0
     attrs: Dict[str, object] = field(default_factory=dict)
-    instant: bool = False
 
     @property
     def duration(self) -> float:
-        """Elapsed seconds (0.0 for instant events)."""
+        """Elapsed seconds (never negative)."""
         return max(0.0, self.end - self.start)
 
 
 class Tracer:
-    """Collect spans and instant events for one run.
+    """Collect the spans of one run.
 
     >>> t = Tracer()
     >>> with t.span("DM", cycle=3):
@@ -94,18 +92,6 @@ class Tracer:
         finally:
             sp.end = self._now()
             self.spans.append(sp)
-
-    def event(self, name: str, category: str = "fault", **attrs) -> Span:
-        """Record an instant (zero-duration) event, e.g. an injected fault."""
-        merged = dict(_CONTEXT.get())
-        merged.update(attrs)
-        now = self._now()
-        sp = Span(
-            name=name, category=category, start=now, end=now,
-            attrs=merged, instant=True,
-        )
-        self.spans.append(sp)
-        return sp
 
     def wall_seconds(self) -> float:
         """Seconds since the tracer's epoch."""
@@ -190,12 +176,3 @@ def obs_span(name: str, category: str = "phase", **attrs) -> Iterator[Optional[S
         return
     with tracer.span(name, category=category, **attrs) as sp:
         yield sp
-
-
-def obs_event(name: str, category: str = "fault", **attrs) -> Optional[Span]:
-    """Instant event on the ambient tracer; None when tracing is off."""
-    tracer = _ACTIVE.get()
-    if tracer is None:
-        return None
-    return tracer.event(name, category=category, **attrs)
-

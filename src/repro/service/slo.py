@@ -389,15 +389,17 @@ def worker_spans(events: Sequence[Dict[str, Any]]) -> List[Span]:
     ``expired`` (the lease ran out: a crashed worker) or ``errored``
     (the retry budget is spent).  Worker ``w`` gets track ``rank`` =
     its sorted position + 1, named ``worker w``.  A claim the events do
-    not close draws nothing.
+    not close draws nothing.  Times are seconds since the first event
+    given, so a drain's trace starts at 0 whatever its clock's origin.
 
     >>> (sp,) = worker_spans([
     ...     {"op": "claim", "now": 1.0, "task_id": "t-1", "worker": "w0"},
     ...     {"op": "complete", "now": 3.0, "task_id": "t-1", "worker": "w0"},
     ... ])
-    >>> sp.name, sp.duration, sp.attrs["outcome"], sp.attrs["track"]
-    ('t-1', 2.0, 'completed', 'worker w0')
+    >>> sp.name, sp.start, sp.end, sp.attrs["outcome"], sp.attrs["track"]
+    ('t-1', 0.0, 2.0, 'completed', 'worker w0')
     """
+    t0 = float(events[0]["now"]) if events else 0.0
     workers = sorted({ev["worker"] for ev in events if ev["op"] == "claim"})
     tids = {w: i + 1 for i, w in enumerate(workers)}
     open_claims: Dict[str, Tuple[str, float]] = {}
@@ -405,7 +407,7 @@ def worker_spans(events: Sequence[Dict[str, Any]]) -> List[Span]:
     for ev in events:
         op, task = ev["op"], ev.get("task_id")
         if op == "claim":
-            open_claims[task] = (ev["worker"], float(ev["now"]))
+            open_claims[task] = (ev["worker"], float(ev["now"]) - t0)
         elif op in ("complete", "requeue") and task in open_claims:
             worker, start = open_claims.pop(task)
             if op == "complete":
@@ -416,7 +418,7 @@ def worker_spans(events: Sequence[Dict[str, Any]]) -> List[Span]:
                 outcome = "expired" if ev.get("expired") else "failed"
             spans.append(Span(
                 name=str(task), category="service", start=start,
-                end=float(ev["now"]),
+                end=float(ev["now"]) - t0,
                 attrs={"rank": tids[worker], "track": f"worker {worker}",
                        "worker": worker, "outcome": outcome},
             ))

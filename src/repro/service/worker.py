@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.obs import obs_event, obs_span
+from repro.obs import obs_span
 from repro.service.faults import FaultPlan
 from repro.service.statestore import StateStore, TaskRecord
 
@@ -177,15 +177,12 @@ class Worker:
             self.stats.claimed += 1
             self._claim_counter += 1
             if not crashed and self.fault_plan is not None:
-                ev = self.fault_plan.worker_fault(
+                if self.fault_plan.worker_fault(
                     f"worker:{self.worker_id}",
                     self._claim_counter - 1,
                     attempt=task.attempts - 1,
-                )
-                if ev is not None:
+                ) is not None:
                     self.stats.crashes += 1
-                    obs_event("worker_crash", worker=self.worker_id,
-                              task=task.task_id, site=ev.site)
                     crashed = True
             if crashed:
                 outcomes.append("crashed")  # abandoned with the worker

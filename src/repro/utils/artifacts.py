@@ -1,7 +1,7 @@
 """Safe handling of run-output artifact paths.
 
-Every CLI artifact writer (``repro trace``, ``repro physics --report``,
-the analysis dashboards) funnels its output path through
+Every CLI artifact writer (``repro physics --trace`` / ``--report``,
+``repro serve --trace``, the statestore journal) funnels its output path through
 :func:`prepare_artifact_path` so the behaviour is uniform:
 
 * missing parent directories are created;

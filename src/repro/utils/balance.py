@@ -1,12 +1,10 @@
 """The single load-imbalance definition shared across the codebase.
 
 Load imbalance is always the **max/mean ratio** of per-worker load
-(1.0 = perfect balance).  The batch mappings
+(1.0 = perfect balance).  The batch mappings delegate here
 (:meth:`repro.mapping.strategies.BatchAssignment.imbalance`, load =
-grid points) and the analysis layer
-(:mod:`repro.obs.analyze.imbalance`, load = busy seconds) both delegate
-here, so "imbalance" can never silently mean two different things in
-one report.
+grid points); ``repro analyze scaling``'s mapping attribution
+(:mod:`repro.obs.analyze.imbalance`) reads it through that method.
 
 >>> max_mean_imbalance([3.0, 1.0])
 1.5

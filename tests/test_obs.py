@@ -11,7 +11,6 @@ from repro.obs import (
     activate,
     current_context,
     current_tracer,
-    obs_event,
     obs_span,
     trace_context,
 )
@@ -35,11 +34,12 @@ class TestTracer:
                 with trace_context(cycle=2):  # inner wins
                     with obs_span("H"):
                         pass
-                obs_event("worker_crash", site="worker:w0[1]")
+                with obs_span("DM", site="worker:w0[1]"):
+                    pass
         assert t.spans[0].attrs == {"backend": "numpy", "cycle": 2}
-        fault = t.spans[1]
-        assert fault.instant and fault.duration == 0.0
-        assert fault.attrs == {"backend": "numpy", "cycle": 1, "site": "worker:w0[1]"}
+        assert t.spans[1].attrs == {
+            "backend": "numpy", "cycle": 1, "site": "worker:w0[1]",
+        }
 
     def test_context_restored_after_block(self):
         with trace_context(cycle=1):
@@ -50,7 +50,6 @@ class TestTracer:
         assert current_tracer() is None
         with obs_span("Rho") as sp:
             assert sp is None
-        assert obs_event("fault") is None
 
     def test_activate_restores_previous_tracer(self):
         outer, inner = Tracer(), Tracer()

@@ -3,9 +3,11 @@ the shared imbalance definition, artifact-path hardening and byte-stable
 bench emission."""
 
 import json
+import re
 import subprocess
 import sys
 import typing
+from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,18 +23,15 @@ from repro.obs import Span, Tracer, activate, write_chrome_trace
 from repro.obs.analyze import (
     Timeline,
     TimelineEvent,
-    critical_path,
+    clock_table,
     diff_timelines,
     load_run,
     mapping_attribution,
-    phase_imbalances,
     scheme_cost_table,
     strong_scaling,
     weak_scaling,
 )
 from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD
-from repro.service import StateStore, WorkerPool
-from repro.service.faults import FaultPlan, ScheduledFault
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.balance import max_mean_imbalance
 
@@ -65,13 +64,6 @@ class TestSharedImbalance:
                 [SimpleNamespace(n_points=0)]
             )
 
-    def test_timeline_phase_imbalance_uses_same_definition(self):
-        tl = Timeline(events=[TimelineEvent(0, "H", 0.0, 3.0),
-                              TimelineEvent(1, "H", 0.0, 1.0)])
-        rows = phase_imbalances(tl)
-        assert rows[0].imbalance == max_mean_imbalance([3.0, 1.0])
-        assert rows[0].hot_ranks[0] == 0
-
 
 # ----------------------------------------------------------------------
 # Satellite: artifact-path hardening
@@ -96,7 +88,7 @@ class TestArtifactPaths:
         self, tmp_path, capsys
     ):
         out = tmp_path / "nested" / "dir" / "trace.json"
-        argv = ["trace", "--molecule", "h2", "--out", str(out)]
+        argv = ["physics", "--molecule", "h2", "--trace", str(out)]
         assert cli_main(argv) == 0
         assert out.exists()
         capsys.readouterr()
@@ -109,52 +101,35 @@ class TestArtifactPaths:
     def test_cli_report_parent_dirs_created(self, tmp_path, capsys):
         report = tmp_path / "reports" / "run.json"
         assert cli_main([
-            "trace", "--molecule", "h2",
-            "--out", str(tmp_path / "t.json"), "--report", str(report),
+            "physics", "--molecule", "h2",
+            "--trace", str(tmp_path / "t.json"), "--report", str(report),
         ]) == 0
         assert json.loads(report.read_text())["label"].startswith("physics:H2")
 
 
 # ----------------------------------------------------------------------
-# Tentpole: timelines and the critical path
+# Tentpole: timelines and the per-phase clock table
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def traced_runs(minimal_settings):
-    """Spans of a fault-free H2 SCF run, and of a service drain of the same
-    SCF whose worker crashes on its first claim and recovers on lease
-    expiry."""
-    clean, faulted = Tracer(), Tracer()
-    with activate(clean):
+def traced_run(minimal_settings):
+    """Spans of an H2 SCF run."""
+    tracer = Tracer()
+    with activate(tracer):
         SCFDriver(hydrogen_molecule(), minimal_settings).run()
-
-    def runner(task):
-        gs = SCFDriver(hydrogen_molecule(), minimal_settings).run()
-        return {"energy": gs.total_energy}
-
-    store = StateStore(lease_seconds=2.0)
-    store.submit({"molecule": "h2"}, key="h2", now=0.0)
-    plan = FaultPlan(schedule=[ScheduledFault(call_index=0, site="worker:w0")])
-    pool = WorkerPool(store, n_workers=1, runner=runner, fault_plan=plan, start_time=0.0)
-    with activate(faulted):
-        report = pool.run_until_idle()
-    assert (report.crashes, report.completed) == (1, 1)
-    return clean.spans, faulted.spans
+    return tracer.spans
 
 
 class TestTimeline:
-    def test_from_spans_builds_segments_and_phases(self, traced_runs):
-        tl = Timeline.from_spans(traced_runs[0], label="clean")
-        assert tl.n_ranks == 1
+    def test_load_run_reads_one_track_of_phase_spans(self, traced_run, tmp_path):
+        tl = load_run(write_chrome_trace(tmp_path / "run.json", traced_run))
+        assert tl.tracks == [0]
         assert tl.primary_categories() == ("phase",)
-        segments = tl.segments()
-        assert "scf[1]" in segments and "scf[2]" in segments
-        assert segments.index("scf[1]") < segments.index("scf[2]")
         assert set(tl.busy_matrix()) >= {"density", "hartree", "eigensolver"}
 
     def test_a_cpscf_block_renders_as_one_lane(self, minimal_settings, tmp_path):
         """The three directions share one cycle: its spans carry the active
-        directions and the segment reads cpscf0+1+2[cycle]; once x and y
-        have converged (cycle 18 on H2), z runs alone as cpscf2[cycle]."""
+        directions; once x and y have converged (cycle 18 on H2), z runs
+        alone from cycle 19."""
         from repro.dfpt.response import DFPTSolver
 
         gs = SCFDriver(hydrogen_molecule(), minimal_settings).run()
@@ -163,37 +138,33 @@ class TestTimeline:
             DFPTSolver(gs, minimal_settings.cpscf).solve_all()
         sumup = [s for s in tracer.spans if s.name == "Sumup"]
         assert sumup[0].attrs["directions"] == [0, 1, 2]
-        segments = Timeline.from_spans(tracer.spans).segments()
-        assert segments[0] == "cpscf0+1+2[1]" and "cpscf0+1+2[18]" in segments
-        assert "cpscf2[19]" in segments and "cpscf0[19]" not in segments
-        loaded = load_run(write_chrome_trace(tmp_path / "block.json", tracer.spans))
-        assert loaded.segments() == segments
+        lanes = {(s.attrs["cycle"], tuple(s.attrs["directions"]))
+                 for s in sumup if "cycle" in s.attrs}
+        assert {(1, (0, 1, 2)), (18, (0, 1, 2)), (19, (2,))} <= lanes
+        assert {d for c, d in lanes if c >= 19} == {(2,)}
+        doc = json.loads(
+            write_chrome_trace(tmp_path / "block.json", tracer.spans).read_text()
+        )
+        exported = [e["args"].get("directions") for e in doc["traceEvents"]
+                    if e["ph"] == "X" and e["name"] == "Sumup"]
+        assert sorted(map(str, exported)) == sorted(
+            str(s.attrs.get("directions")) for s in sumup
+        )
 
     def test_chrome_trace_roundtrip_preserves_busy_accounting(
-        self, traced_runs, tmp_path
+        self, traced_run, tmp_path
     ):
-        tl = Timeline.from_spans(traced_runs[0])
-        path = write_chrome_trace(tmp_path / "run.json", traced_runs[0])
-        loaded = load_run(path)
-        for phase, row in tl.busy_matrix().items():
-            for rank, seconds in row.items():
-                assert loaded.busy_matrix()[phase][rank] == pytest.approx(
-                    seconds, rel=1e-6, abs=5e-6  # microsecond granularity
-                )
-
-    def test_critical_path_picks_max_busy_rank_with_deterministic_ties(self):
-        tl = Timeline(events=[
-            TimelineEvent(0, "Sumup", 0.0, 1.0, segment="c[1]"),
-            TimelineEvent(1, "Sumup", 0.0, 4.0, segment="c[1]"),
-            TimelineEvent(0, "DM", 4.0, 6.0, segment="c[2]"),
-            TimelineEvent(1, "DM", 4.0, 6.0, segment="c[2]"),  # tie
-        ])
-        cp = critical_path(tl)
-        assert [(s.segment, s.phase, s.rank) for s in cp.steps] == [
-            ("c[1]", "Sumup", 1), ("c[2]", "DM", 0),
-        ]
-        assert cp.bound_seconds == 6.0
-        assert cp.wall_seconds == 6.0
+        recorded = defaultdict(float)
+        for sp in traced_run:
+            if sp.category == "phase":
+                recorded[sp.name] += sp.duration
+        loaded = load_run(write_chrome_trace(tmp_path / "run.json", traced_run))
+        busy = loaded.busy_matrix()
+        assert set(busy) == set(recorded)
+        for phase, seconds in recorded.items():
+            assert busy[phase][0] == pytest.approx(
+                seconds, rel=1e-6, abs=5e-6  # microsecond granularity
+            )
 
     def test_load_run_degrades_run_report_to_phase_sequence(self, tmp_path):
         doc = {"label": "r", "phase_seconds": {"scf": 2.0, "cpscf": 3.0}}
@@ -212,29 +183,66 @@ class TestTimeline:
             load_run(path)
 
 
-class TestChaosAttribution:
-    """A seeded worker crash, emitted live, must survive into the analytics."""
+class TestClockTable:
+    def test_rows_count_the_outermost_family_then_unattributed_and_wall(self):
+        tl = Timeline(events=[
+            TimelineEvent(0, "Sumup", 1.0, 2.0),
+            TimelineEvent(0, "Sumup", 2.0, 2.5, category="backend"),
+            TimelineEvent(0, "H", 2.0, 3.0),
+            TimelineEvent(0, "H", 3.0, 5.0),
+            TimelineEvent(0, "H", 5.0, 9.0),
+        ])
+        rows = [(r.name, r.calls, r.seconds, r.p50) for r in clock_table(tl)]
+        assert rows == [
+            ("H", 3, 7.0, 2.0),
+            ("Sumup", 1, 1.0, 1.0),  # the nested backend span is not counted
+            ("unattributed", 0, 1.0, 0.0),  # before the first span
+            ("wall", 0, 9.0, 0.0),
+        ]
 
-    def test_fault_event_lands_in_timeline_with_its_claim_site(self, traced_runs):
-        tl = Timeline.from_spans(traced_runs[1], label="faulted")
-        assert len(tl.faults) == 1
-        fault = tl.faults[0]
-        assert fault.kind == "worker_crash"
-        assert fault.site == "worker:w0[0]"  # the worker's first claim
-        assert fault.segment == ""  # the crash precedes every SCF cycle
-        assert {"scf[1]", "scf[2]"} <= set(tl.segments())  # the retry ran
+    def test_h2_phase_totals_match_the_commands_phase_wall(self, tmp_path, capsys):
+        trace, report = tmp_path / "h2.json", tmp_path / "report.json"
+        assert cli_main(["physics", "--molecule", "h2", "--trace", str(trace),
+                         "--report", str(report)]) == 0
+        printed = re.search(r"phase spans sum to (\S+)s", capsys.readouterr().out)
+        phase_wall = json.loads(report.read_text())["trace"]["phase_wall_seconds"]
+        tl = load_run(trace)
+        rows = clock_table(tl)
+        phases = [r for r in rows if r.name not in ("unattributed", "wall")]
+        total = sum(r.seconds for r in phases)
+        n_spans = sum(r.calls for r in phases)
+        assert total == pytest.approx(phase_wall, rel=0, abs=1e-6 * n_spans)
+        assert f"{total:.4g}" == printed.group(1)
+        assert (rows[-2].name, rows[-1].name) == ("unattributed", "wall")
+        assert rows[-1].seconds == tl.wall_seconds
+        assert rows[-2].seconds == pytest.approx(tl.wall_seconds - total)
 
-    def test_fault_named_on_critical_path(self, traced_runs):
-        tl = Timeline.from_spans(traced_runs[1])
-        rendered = critical_path(tl).render()
-        assert "fault on path: worker_crash at worker:w0[0]" in rendered
+    def test_eight_atom_trace_prints_at_most_40_lines(self, tmp_path, capsys):
+        trace = tmp_path / "pe8.json"
+        assert cli_main(["physics", "--polyethylene", "8",
+                         "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze", "trace", str(trace)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) <= 40
+        assert lines[0].startswith("timeline [pe8]:") and "1 track(s)" in lines[0]
+        assert lines[-2].startswith("unattributed") and lines[-1].startswith("wall")
 
-    def test_fault_named_in_diff_narrative(self, traced_runs):
-        base = Timeline.from_spans(traced_runs[0], label="clean")
-        fresh = Timeline.from_spans(traced_runs[1], label="faulted")
-        text = diff_timelines(base, fresh).narrative()
-        assert "injected faults in fresh run only:" in text
-        assert "worker_crash at worker:w0[0]" in text
+    def test_two_worker_serve_trace_has_two_tracks_and_a_sane_wall(
+        self, tmp_path, capsys
+    ):
+        store, trace = str(tmp_path / "service.jsonl"), tmp_path / "serve.json"
+        for molecule in ("h2", "water"):
+            assert cli_main(["submit", "--molecule", molecule, "--no-run",
+                             "--store", store]) == 0
+        assert cli_main(["serve", "--store", store, "--workers", "2",
+                         "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze", "trace", str(trace)]) == 0
+        assert "2 track(s)" in capsys.readouterr().out.splitlines()[0]
+        tl = load_run(trace)
+        assert tl.tracks == [1, 2]
+        assert 0.0 <= tl.wall_seconds < 60.0
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +262,6 @@ def _straggler_pair(tmp_path):
                 out.append(Span("Sumup", "phase", t0, t0 + sumup, dict(attrs)))
                 out.append(Span("DM", "phase", t0 + sumup, t0 + sumup + 0.5,
                                 dict(attrs)))
-        if straggle:
-            out.append(Span("straggler", "fault", 2.5, 2.5,
-                            {"rank": 2, "site": "allreduce[2]", "delay": 3.0},
-                            instant=True))
         return out
 
     base = write_chrome_trace(tmp_path / "base.json", spans(False))
@@ -273,13 +277,6 @@ class TestDiffAttribution:
         assert (top.phase, top.rank) == ("Sumup", 2)
         assert top.delta == pytest.approx(3.0, rel=1e-5)
         assert diff.wall_delta == pytest.approx(3.0, rel=1e-5)
-
-    def test_narrative_links_fault_to_contribution(self, tmp_path):
-        base, fresh = _straggler_pair(tmp_path)
-        text = diff_timelines(load_run(base), load_run(fresh)).narrative()
-        first = [l for l in text.splitlines() if l.startswith("1.")][0]
-        assert "phase Sumup on rank 2" in first
-        assert "straggler" in first  # fault linked inline
 
     def test_cli_diff_is_deterministic_across_invocations(self, tmp_path):
         base, fresh = _straggler_pair(tmp_path)

@@ -14,7 +14,6 @@ def _make_tracer() -> Tracer:
             pass
     with t.span("allreduce", category="comm", rank=1):
         pass
-    t.event("worker_crash", category="fault", rank=1, site="worker:w0[2]")
     return t
 
 
@@ -28,7 +27,7 @@ class TestChromeTrace:
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"] == {"commit": "abc"}
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] != "M"}
-        assert names == {"density", "Sumup", "allreduce", "worker_crash"}
+        assert names == {"density", "Sumup", "allreduce"}
 
     def test_timestamps_non_negative_and_monotonic_per_track(self):
         doc = chrome_trace(_make_tracer().spans)
@@ -53,12 +52,6 @@ class TestChromeTrace:
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert {m["args"]["name"] for m in metas} == {"rank 0", "rank 1"}
 
-    def test_instant_events_use_instant_phase(self):
-        doc = chrome_trace(_make_tracer().spans)
-        fault = next(e for e in doc["traceEvents"] if e["name"] == "worker_crash")
-        assert fault["ph"] == "i" and fault["s"] == "t"
-        assert fault["args"]["site"] == "worker:w0[2]"
-
 
 class TestTraceCLI:
     def test_repro_trace_emits_consistent_artifacts(self, tmp_path, capsys):
@@ -66,10 +59,10 @@ class TestTraceCLI:
         report_path = tmp_path / "report.json"
         rc = cli_main(
             [
-                "trace",
+                "physics",
                 "--molecule", "h2",
                 "--level", "minimal",
-                "--out", str(trace_path),
+                "--trace", str(trace_path),
                 "--report", str(report_path),
             ]
         )
