@@ -6,7 +6,8 @@ loop) on water under three builders sharing one substrate:
 * ``warm``   — the host engine at its default block-cache budget: every
   basis block is evaluated once and served from the cache afterwards.
 * ``cold``   — the same engine at budget 0: every block is evaluated on
-  every pass (what any grid over the budget degrades towards).
+  every pass (over a budget only the views outside the resident set
+  are; at budget 0 no view is resident).
 * ``device`` — the ``warm`` engine, each phase charged as a priced
   OpenCL-model launch plus its transfer bytes.
 

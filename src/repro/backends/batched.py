@@ -1,19 +1,21 @@
-"""The host engine: basis blocks from a bounded LRU block cache.
+"""The host engine: basis blocks from a bounded block cache.
 
 The paper's Alg. 1 locality payoff applied to the single-node hot path:
 the unit of reuse is the view-resident chi block, not a grid-wide
-table.  Per-view blocks flow through a byte-bounded LRU
-cache: under the budget every block is evaluated once and served from
-the cache across SCF/CPSCF cycles; over it memory stays O(budget) and
-only what was evicted is evaluated again.  Registered as ``"numpy"``
-(the class and module keep their names — ``benchmarks/e2e`` imports
-them; DESIGN §8).
+table.  Per-view blocks flow through a byte-bounded LRU cache: under
+the budget every block is evaluated once and served from the cache
+across SCF/CPSCF cycles.  Over it, a *resident set* fixed at bind time
+— the views whose blocks fit the budget, first fit in sweep order —
+is kept and every other view is evaluated on each pass: a cyclic sweep
+under LRU would evict each block just before it is needed again and
+hit nothing.  Registered as ``"numpy"`` (the class and module keep
+their names — ``benchmarks/e2e`` imports them; DESIGN §8).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Optional, Tuple
+from typing import FrozenSet, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from repro.grids.sparsity import BatchView
 
 #: Default block-cache budget (bytes): 40 M float64 chi values, 320 MB.
 #: Every system the physics path targets fits (the 32-atom benchmark
-#: chain holds 28 MB), so by default no block is evaluated twice; a
-#: larger grid degrades to LRU eviction, never to an O(grid) table.
+#: chain holds 28 MB), so by default no block is evaluated twice; on a
+#: larger grid the views that fit stay resident and the rest are
+#: evaluated on every pass, never an O(grid) table.
 DEFAULT_CACHE_BYTES: int = 8 * 40_000_000
 
 
@@ -87,22 +90,6 @@ class BlockCache:
         self.hits += 1
         return block
 
-    def add_missing(self, key: CacheKey, block: np.ndarray) -> bool:
-        """Count a miss and :meth:`put` *block*, as a :meth:`get` miss and
-        its evaluation would, unless *key* is cached; whether it was not.
-
-        >>> cache = BlockCache(1024)
-        >>> cache.add_missing(("s", 1, None), np.zeros(4)), cache.misses
-        (True, 1)
-        >>> cache.add_missing(("s", 1, None), np.ones(4)), cache.misses, cache.hits
-        (False, 1, 0)
-        """
-        if key in self._blocks:
-            return False
-        self.misses += 1
-        self.put(key, block)
-        return True
-
     def put(self, key: CacheKey, block: np.ndarray) -> None:
         """Insert a block, evicting least-recently-used ones over budget."""
         if key in self._blocks:
@@ -145,6 +132,24 @@ class BatchedBackend(ExecutionBackend):
         self.cache = cache
         self.scope = scope
         self.profile.cache_max_bytes = self.cache.max_bytes
+        #: Keys of the views whose blocks are kept.  ``None`` keeps every
+        #: block: all the bound builder's views fit the budget, so views
+        #: fused from other batch lists (a rank's share) are kept too.
+        self._resident: Optional[FrozenSet[CacheKey]] = None
+
+    def _on_bind(self) -> None:
+        """Fix the resident set: the views, in sweep order, whose blocks
+        still fit the budget (first fit).  Sweeps walk the views in one
+        order, so over the budget this keeps a fixed share warm where
+        LRU would evict each block just before its next use."""
+        views = self._require_bound().views
+        free, resident = self.cache.max_bytes, []
+        for view in views:
+            nbytes = 8 * view.point_indices.size * view.cols.size
+            if nbytes <= free:
+                free -= nbytes
+                resident.append(self._key(view))
+        self._resident = None if len(resident) == len(views) else frozenset(resident)
 
     def basis_block(self, view: BatchView) -> np.ndarray:
         """Cached block of *view*, with hit/miss/eviction counters kept
@@ -155,30 +160,34 @@ class BatchedBackend(ExecutionBackend):
         block = self.cache.get(key)
         if block is None:
             block = self._evaluate_block(view)
-            evictions = self.cache.evictions
-            self.cache.put(key, block)
-            self._count_miss(evictions)
+            self._keep_missed(key, block)
         else:
             self.profile.cache_hits += 1
             self.profile.cache_peak_bytes = self.cache.peak_bytes
         return block
 
     def offer_block(self, view: BatchView, block: np.ndarray, seconds: float) -> None:
-        """Keep an offered block only if its view's key is absent, counted
+        """Take an offered block if its view's key is absent, counted
         exactly as the :meth:`basis_block` miss it replaces: on the cache,
-        the profile's misses and ``basis`` row, and any evictions.  A block already cached is left as it is, uncounted."""
-        evictions = self.cache.evictions
-        if self.cache.add_missing(self._key(view), block):
+        the profile's misses and ``basis`` row, and any evictions; kept
+        only if resident.  A block already cached is left as it is,
+        uncounted."""
+        key = self._key(view)
+        if key not in self.cache:
+            self.cache.misses += 1  # the miss the replaced get would count
             self._record_evaluation(view, seconds)
-            self._count_miss(evictions)
+            self._keep_missed(key, block)
 
     def _key(self, view: BatchView) -> CacheKey:
         return block_cache_key(view.rows_hash, self.scope, view.active_hash)
 
-    def _count_miss(self, evictions_before: int) -> None:
-        """Charge one miss, and the evictions its block caused, to this
-        backend's profile."""
+    def _keep_missed(self, key: CacheKey, block: np.ndarray) -> None:
+        """Put a missed block if its view is resident, and charge the miss
+        and the evictions its block caused to this backend's profile."""
+        evictions = self.cache.evictions
+        if self._resident is None or key in self._resident:
+            self.cache.put(key, block)
         self.profile.cache_misses += 1
-        self.profile.cache_evictions += self.cache.evictions - evictions_before
+        self.profile.cache_evictions += self.cache.evictions - evictions
         # Peak occupancy is a property of the (possibly shared) cache.
         self.profile.cache_peak_bytes = self.cache.peak_bytes

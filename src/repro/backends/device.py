@@ -40,6 +40,7 @@ class DeviceBackend(BatchedBackend):
 
     # ------------------------------------------------------------------
     def _on_bind(self) -> None:
+        super()._on_bind()
         builder = self._require_bound()
         # The density-independent tables staged into __global memory
         # once: the (n_points, n_basis) basis table and the weights.

@@ -47,8 +47,8 @@ def build_builders(level: str) -> Dict[str, object]:
 
     The host engine under its default cache budget (``warm`` — every
     block evaluated once), the same engine under budget 0 (``cold`` —
-    every block evaluated on every pass), and ``device``: the warm
-    engine with the device model's prices.
+    no view resident, every block evaluated on every pass), and
+    ``device``: the warm engine with the device model's prices.
     """
     from repro.atoms import water
     from repro.backends.batched import BatchedBackend

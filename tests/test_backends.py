@@ -396,6 +396,47 @@ class TestCacheRegimes:
         monkeypatch.setattr(builder.basis, "evaluate", no_evaluate)
         self._sweeps(builder)
 
+    def test_budget_under_the_views_keeps_a_fixed_resident_set(
+        self, chain_builder, monkeypatch
+    ):
+        """Over the budget the views that fit, first fit in sweep order,
+        stay resident: never evicted, hit on every later pass, while the
+        rest are evaluated on each one."""
+        views = list(chain_builder("numpy").views)
+        sizes = [8 * v.point_indices.size * v.cols.size for v in views]
+        budget = sum(sizes) // 2
+        free, resident = budget, []
+        for view, size in zip(views, sizes):
+            if size <= free:
+                free, resident = free - size, resident + [view]
+        n_views, n_resident, passes = len(views), len(resident), 2 * self.N_SWEEPS
+        assert 0 < n_resident < n_views
+        builder = chain_builder(BatchedBackend(max_cache_bytes=budget))
+        self._sweeps(builder)
+        profile = builder.backend.profile
+        assert profile.cache_misses == n_views + (passes - 1) * (n_views - n_resident)
+        assert profile.cache_hits == (passes - 1) * n_resident
+        assert profile.cache_evictions == 0
+        assert profile.cache_peak_bytes == 8 * sum(
+            v.point_indices.size * v.cols.size for v in resident
+        )
+
+        grid_points = builder.grid.points
+        resident_points = {
+            p.tobytes() for v in resident for p in grid_points[v.point_indices]
+        }
+        evaluate = builder.basis.evaluate
+
+        def evaluate_non_resident(points, *args, **kwargs):
+            if any(p.tobytes() in resident_points for p in points):
+                raise AssertionError("basis.evaluate called for a resident view")
+            return evaluate(points, *args, **kwargs)
+
+        monkeypatch.setattr(builder.basis, "evaluate", evaluate_non_resident)
+        self._sweeps(builder)
+        assert profile.cache_misses == n_views + (2 * passes - 1) * (n_views - n_resident)
+        assert profile.cache_hits == (2 * passes - 1) * n_resident
+
     def test_zero_budget_evaluates_every_view_every_pass(self, chain_builder):
         builder = chain_builder(BatchedBackend(max_cache_bytes=0))
         self._sweeps(builder)

@@ -1,19 +1,29 @@
-"""``tools/gen_cli_docs.py``: every settings field names a module that reads it."""
+"""``tools/gen_cli_docs.py``: every settings field names a module that reads
+it; ``tools/loc_table.py --check`` fails on a DESIGN.md over its line bound."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_cli_docs.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def gen_cli_docs():
-    spec = importlib.util.spec_from_file_location("gen_cli_docs", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("gen_cli_docs")
+
+
+@pytest.fixture(scope="module")
+def loc_table():
+    return _load("loc_table")
 
 
 def test_every_consumer_entry_names_a_reader(gen_cli_docs):
@@ -35,3 +45,10 @@ def test_an_entry_naming_a_non_reader_fails(gen_cli_docs, monkeypatch, key, modu
     monkeypatch.setitem(gen_cli_docs.CONSUMERS, key, ("role", module))
     with pytest.raises(SystemExit, match="does not read its field"):
         gen_cli_docs.render_settings_doc()
+
+
+def test_a_design_doc_over_its_bound_fails_the_check(loc_table, monkeypatch, capsys):
+    n_lines = len(loc_table.DESIGN_DOC.read_text().splitlines())
+    monkeypatch.setattr(loc_table, "DESIGN_MAX_LINES", n_lines - 1)
+    assert loc_table.main(["--check"]) == 1
+    assert f"DESIGN.md has {n_lines} lines" in capsys.readouterr().out
