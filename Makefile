@@ -14,7 +14,8 @@ test:
 
 # Just the worker-crash plan's tests, the Hartree plan and
 # Adams-Moulton parity tests, the basis evaluator's bitwise tests
-# against the per-shell loop, and the device layer's fast checks: the
+# against the per-shell loop and the spline's interval lookup against
+# the binary search on every mesh, and the device layer's fast checks: the
 # ocl model's prices and counts, the device backend's bitwise
 # parity with the host engine and its charges, and the model path's
 # bitwise tests: the mappings and per-rank reductions against their
@@ -31,6 +32,8 @@ smoke:
 		-k "MultipoleSolver or AdamsMoulton"
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_setup_primitives.py \
 		-k StackedEvaluation
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_basis_spline.py \
+		-k IntervalLookup
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_ocl.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_backends.py \
 		-k "device or Device or PhaseParity"
@@ -68,6 +71,7 @@ docs-check:
 		src/repro/utils/balance.py src/repro/utils/artifacts.py \
 		src/repro/utils/scratch.py src/repro/utils/journal.py \
 		src/repro/backends/batched.py src/repro/backends/sweep.py \
+		src/repro/basis/spline.py \
 		src/repro/testing/docs.py \
 		src/repro/grids/sparsity.py src/repro/utils/neighbors.py \
 		src/repro/fleet

@@ -174,11 +174,11 @@ class BasisSet:
         """Both faces of evaluation: one array program per species.
 
         Every (point, atom) pair of a species within its largest cutoff
-        is one row: one interval lookup serves all its shells, one
-        solid-harmonics call its ``l_max``, and one flat scatter per
-        component writes the block.  Elementwise the arithmetic is the
-        per-shell loop's, so blocks are bit-identical to it
-        (``tests/setup_oracles.py``).
+        is one column of channel-major ``(functions, pairs)`` arrays: one
+        interval lookup serves all its shells, one solid-harmonics call
+        its ``l_max``, and one flat scatter per component writes the
+        block.  Elementwise the arithmetic is the per-shell loop's, so
+        blocks are bit-identical to it (``tests/setup_oracles.py``).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n_pts = points.shape[0]
@@ -195,36 +195,51 @@ class BasisSet:
             shell, lm = table.shell_of_col, table.lm_of_col
             dest = slot[table.first_cols[:, None] + np.arange(shell.size)]
             keep = np.flatnonzero(wanted[table.atoms] & (dest >= 0).any(axis=1))
+            dest = dest[keep]
             centers = self.structure.coords[table.atoms[keep]]
-            d = (points[:, None, :] - centers[None, :, :]).reshape(-1, 3)
-            r = np.linalg.norm(d, axis=1)
+            # Component-major displacements, (3, atoms x points), and
+            # r = np.linalg.norm(d, axis=1) spelled out: the same sums in
+            # the same order on contiguous components.
+            d = (points.T[:, None, :] - centers.T[:, :, None]).reshape(3, -1)
+            r = d[0] * d[0]
+            r += d[1] * d[1]
+            r += d[2] * d[2]
+            np.sqrt(r, out=r)
             pairs = np.flatnonzero(r <= table.cutoffs.max())
             if not pairs.size:
                 continue
-            d, r = d[pairs], r[pairs]
-            row, atom = np.divmod(pairs, keep.size)
-            dest = dest[keep][atom]
-            flat = row[:, None] * cols.size + dest
-            flat[dest < 0] = size
+            d, r = np.take(d, pairs, axis=1), np.take(r, pairs)
+            atom, row = np.divmod(pairs, n_pts)
+            # Channel-major from here: (functions, pairs).
+            flat = np.take(dest.T, atom, axis=1)
+            flat += row * cols.size
+            if (dest < 0).any():
+                flat[np.take(dest.T < 0, atom, axis=1)] = size
             # Semantic, not cosmetic: a table is ~1e-8, not 0, at its cutoff.
-            inside = r[:, None] <= table.cutoffs
+            outside = r > table.cutoffs[:, None]
             if with_gradients:
-                g, dg = (
-                    np.where(inside, x, 0.0)[:, shell]
-                    for x in table.radial.value_and_derivative(r)
-                )
-                s, grad_s = solid_harmonics_with_gradients(d, table.l_max)
-                s = s[:, lm]
+                g, dg = (x.T for x in table.radial.value_and_derivative(r))
+                for x in (g, dg):
+                    np.copyto(x, 0.0, where=outside)
+                g, dg = np.take(g, shell, axis=0), np.take(dg, shell, axis=0)
+                s, grad_s = solid_harmonics_with_gradients(d.T, table.l_max)
+                s = np.take(s.T, lm, axis=0)
+                grad_s = grad_s.T
                 # Unit radial direction; safe at the nucleus because dg -> 0
                 # there for the splined smooth g_l.
-                rhat = d / np.maximum(r, 1e-12)[:, None]
-                dgs = dg * s
+                rhat = d / np.maximum(r, 1e-12)
+                dg *= s
                 for k in range(3):
-                    out[1 + k, flat] = dgs * rhat[:, k, None] + g * grad_s[:, lm, k]
+                    comp = dg * rhat[k]
+                    comp += g * np.take(grad_s[k], lm, axis=0)
+                    out[1 + k][flat] = comp
             else:
-                g = np.where(inside, table.radial(r), 0.0)[:, shell]
-                s = solid_harmonics(d, table.l_max)[:, lm]
-            out[0, flat] = g * s
+                g = table.radial(r).T
+                np.copyto(g, 0.0, where=outside)
+                g = np.take(g, shell, axis=0)
+                s = np.take(solid_harmonics(d.T, table.l_max).T, lm, axis=0)
+            g *= s
+            out[0][flat] = g
         blocks = out[:, :size].reshape(out.shape[0], n_pts, cols.size)
         return blocks[0], (blocks[1:] if with_gradients else None)
 

@@ -41,14 +41,16 @@ def solid_harmonics(rvec: np.ndarray, l_max: int = MAX_BASIS_L) -> np.ndarray:
     Returns
     -------
     ``(n, (l_max+1)^2)`` array in flat (l, m) order consistent with
-    :func:`repro.basis.ylm.lm_index`.
+    :func:`repro.basis.ylm.lm_index`, Fortran-ordered: each ``S_lm`` is
+    one contiguous column.
     """
     if not 0 <= l_max <= MAX_BASIS_L:
         raise ValueError(f"solid harmonics hard-coded for l <= {MAX_BASIS_L}, got {l_max}")
     rvec = np.atleast_2d(np.asarray(rvec, dtype=float))
     x, y, z = rvec[:, 0], rvec[:, 1], rvec[:, 2]
     n = rvec.shape[0]
-    out = np.empty((n, (l_max + 1) ** 2))
+    # Each harmonic a contiguous column (the array is Fortran-ordered).
+    out = np.empty(((l_max + 1) ** 2, n)).T
     out[:, 0] = _C00
     if l_max >= 1:
         out[:, 1] = _C1 * y  # (1,-1)
@@ -70,13 +72,13 @@ def solid_harmonics_with_gradients(
     """Values and Cartesian gradients of S_lm, l <= l_max.
 
     Returns ``(values, gradients)`` with shapes ``(n, n_lm)`` and
-    ``(n, n_lm, 3)``.
+    ``(n, n_lm, 3)``, Fortran-ordered like :func:`solid_harmonics`.
     """
     values = solid_harmonics(rvec, l_max)
     rvec = np.atleast_2d(np.asarray(rvec, dtype=float))
     x, y, z = rvec[:, 0], rvec[:, 1], rvec[:, 2]
     n = rvec.shape[0]
-    grads = np.zeros((n, (l_max + 1) ** 2, 3))
+    grads = np.zeros((3, (l_max + 1) ** 2, n)).T  # every grads[:, lm, k] contiguous
     # l = 0: gradient is zero.
     if l_max >= 1:
         grads[:, 1, 1] = _C1  # d(y)/dy

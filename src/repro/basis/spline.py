@@ -12,7 +12,7 @@ byte size that Fig. 12(a) reports.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class SplineSystem:
             if i > 0:
                 self._denom[i] -= h[i] * self._c_prime[i - 1]
             self._c_prime[i] = h[i + 1] / self._denom[i]
+        self._log_step = _log_step(x)
 
     @property
     def n_knots(self) -> int:
@@ -79,10 +80,37 @@ class SplineSystem:
         return m
 
     def locate(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Interval index of each *t* and *t* clamped to the knot range."""
-        idx = np.searchsorted(self.x, t, side="right") - 1
-        idx = np.clip(idx, 0, self.n_knots - 2)
-        return idx, np.clip(t, self.x[0], self.x[-1])
+        """Interval index of each *t* and *t* clamped to the knot range.
+
+        The index is ``searchsorted(x, t, side="right") - 1`` clipped to
+        ``[0, n - 2]``, for every *t* (NaN lands in the last interval).
+        On a geometric mesh it comes from the log of *t* in O(1) instead
+        of a binary search:
+
+        >>> x = 1e-4 * np.exp(0.05 * np.arange(320))
+        >>> t = np.concatenate([x, np.nextafter(x, 0.0), [-1.0, 0.0, 1e9, np.inf]])
+        >>> idx, tc = SplineSystem(x).locate(t)
+        >>> bool(np.array_equal(idx, np.clip(np.searchsorted(x, t, side="right") - 1, 0, 318)))
+        True
+        """
+        x, last = self.x, self.n_knots - 2
+        tc = np.clip(t, x[0], x[-1])
+        if self._log_step is None:
+            idx = np.searchsorted(x, t, side="right") - 1
+            return np.clip(idx, 0, last), tc
+        # floor(log(t / x0) / log q) is within one of the interval index
+        # (_log_step checks the mesh for that): one comparison each way
+        # corrects it.  fmin sends NaN to the last interval.
+        est = np.log(tc / x[0])
+        est /= self._log_step
+        np.floor(est, out=est)
+        np.fmin(est, last, out=est)
+        idx = est.astype(np.intp)
+        below = tc < np.take(x, idx)
+        above = tc >= np.take(x, idx + 1)
+        idx -= below
+        idx += above
+        return np.minimum(idx, last, out=idx), tc
 
     def interval(
         self, t: np.ndarray
@@ -95,8 +123,13 @@ class SplineSystem:
         alike, so one lookup serves every table stacked on the mesh.
         """
         idx, tc = self.locate(t)
-        h = self.h[idx]
-        return idx, (self.x[idx + 1] - tc) / h, (tc - self.x[idx]) / h, h
+        h = np.take(self.h, idx)
+        a = np.take(self.x, idx + 1)
+        a -= tc
+        a /= h
+        b = np.subtract(tc, np.take(self.x, idx))
+        b /= h
+        return idx, a, b, h
 
     def weights(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Interpolation as a linear map of the tables, for fixed 1-D *t*.
@@ -145,6 +178,7 @@ class CubicSpline:
         self.x = system.x
         self.y = y
         self.m = m  # second derivatives
+        self._channel_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def n_knots(self) -> int:
@@ -155,48 +189,105 @@ class CubicSpline:
         """Bytes held by the spline coefficient tables (x, y, y'')."""
         return self.x.nbytes + self.y.nbytes + self.m.nbytes
 
-    def _interval(self, t: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """:meth:`SplineSystem.interval` of the flattened *t*, with
-        ``a``, ``b``, ``h`` shaped to broadcast over the table columns."""
+    def _gather(self, idx: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``y[idx], y[idx+1], m[idx], m[idx+1]``, channel-major: ``(k, len(idx))``.
+
+        Channel-major, every operation of :meth:`_value_of` and
+        :meth:`_slope_of` runs along the points, not along ``k``.  The
+        transposed tables are built on first use (idempotent, so two
+        threads may race on it harmlessly).
+        """
+        if self._channel_tables is None:
+            n = self.n_knots
+            self._channel_tables = (
+                np.ascontiguousarray(self.y.reshape(n, -1).T),
+                np.ascontiguousarray(self.m.reshape(n, -1).T),
+            )
+        y, m = self._channel_tables
+        up = idx + 1
+        return (
+            np.take(y, idx, axis=1), np.take(y, up, axis=1),
+            np.take(m, idx, axis=1), np.take(m, up, axis=1),
+        )
+
+    # The formulas one pass per operation, in their order of evaluation,
+    # so results are bitwise those of the expressions in the comments.
+    # _value_of overwrites the gathered rows; _slope_of leaves them be.
+    @staticmethod
+    def _value_of(rows, a, b, h) -> np.ndarray:
+        # a y0 + b y1 + ((a**3 - a) m0 + (b**3 - b) m1) (h**2) / 6
+        y0, y1, m0, m1 = rows
+        y0 *= a
+        y1 *= b
+        y0 += y1
+        m0 *= a**3 - a
+        m1 *= b**3 - b
+        m0 += m1
+        m0 *= h**2
+        m0 /= 6.0
+        y0 += m0
+        return y0
+
+    @staticmethod
+    def _slope_of(rows, a, b, h) -> np.ndarray:
+        # (y1 - y0) / h + (-(3 a**2 - 1) m0 + (3 b**2 - 1) m1) h / 6
+        y0, y1, m0, m1 = rows
+        der = np.subtract(y1, y0)
+        der /= h
+        curv = np.multiply(m0, -(3.0 * a**2 - 1.0))
+        curv += np.multiply(m1, 3.0 * b**2 - 1.0)
+        curv *= h
+        curv /= 6.0
+        der += curv
+        return der
+
+    def _lookup(self, t: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], List[np.ndarray]]:
+        """The gathered rows and ``(a, b, h)`` of every *t*, flattened."""
         idx, *local = self.system.interval(t.ravel())
-        tail = (-1,) + (1,) * (self.y.ndim - 1)
-        return (idx, *(v.reshape(tail) for v in local))
+        return self._gather(idx), local
 
-    def _value(self, idx, a, b, h) -> np.ndarray:
-        return (
-            a * self.y[idx]
-            + b * self.y[idx + 1]
-            + ((a**3 - a) * self.m[idx] + (b**3 - b) * self.m[idx + 1])
-            * (h**2)
-            / 6.0
-        )
-
-    def _slope(self, idx, a, b, h) -> np.ndarray:
-        return (
-            (self.y[idx + 1] - self.y[idx]) / h
-            + (-(3.0 * a**2 - 1.0) * self.m[idx] + (3.0 * b**2 - 1.0) * self.m[idx + 1])
-            * h
-            / 6.0
-        )
+    def _shaped(self, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """A channel-major result as ``t.shape + y.shape[1:]`` (a view
+        where it can be: vector-valued results are Fortran-ordered)."""
+        return out.T.reshape(t.shape + self.y.shape[1:])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the spline at points *t* (any shape)."""
         t = np.asarray(t, dtype=float)
-        val = self._value(*self._interval(t))
-        return val.reshape(t.shape + self.y.shape[1:])
+        rows, local = self._lookup(t)
+        return self._shaped(self._value_of(rows, *local), t)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         """First derivative of the spline at points *t*."""
         t = np.asarray(t, dtype=float)
-        der = self._slope(*self._interval(t))
-        return der.reshape(t.shape + self.y.shape[1:])
+        rows, local = self._lookup(t)
+        return self._shaped(self._slope_of(rows, *local), t)
 
     def value_and_derivative(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(self(t), self.derivative(t))`` from one interval lookup."""
         t = np.asarray(t, dtype=float)
-        where = self._interval(t)
-        shape = t.shape + self.y.shape[1:]
-        return self._value(*where).reshape(shape), self._slope(*where).reshape(shape)
+        rows, local = self._lookup(t)
+        der = self._slope_of(rows, *local)  # before _value_of overwrites them
+        return self._shaped(self._value_of(rows, *local), t), self._shaped(der, t)
+
+
+def _log_step(x: np.ndarray) -> Optional[float]:
+    """``log q`` of a geometric mesh ``x_i = x_0 q^i``, else ``None``.
+
+    The mesh may end in one knot off the progression (a radial table's
+    appended zero).  Every knot of the progression must sit within 1e-3
+    of its index on the log scale; then ``log(t / x_0) / log q``, rounding
+    included, is within one of the interval index of every *t* inside
+    the progression and at least the last interval's index minus one
+    beyond it.
+    """
+    if x[0] <= 0.0 or x.shape[0] < 3:
+        return None
+    for n in (x.shape[0], x.shape[0] - 1):
+        log_q = np.log(x[n - 1] / x[0]) / (n - 1)
+        if np.abs(np.log(x[:n] / x[0]) / log_q - np.arange(n)).max() <= 1e-3:
+            return float(log_q)
+    return None
 
 
 def spline_coefficient_nbytes(n_knots: int, n_channels: int) -> int:

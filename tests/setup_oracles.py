@@ -93,9 +93,19 @@ def shell_instances(basis):
     return out
 
 
+def oracle_interval(x, t):
+    """The interval lookup as a literal binary search: ``(idx, t clamped)``.
+
+    Independent of ``SplineSystem.locate``, which may take the log mesh's
+    O(1) path: a wrong lookup there must not pass the oracles below.
+    """
+    idx = np.searchsorted(x, t, side="right") - 1
+    return np.clip(idx, 0, x.shape[0] - 2), np.clip(t, x[0], x[-1])
+
+
 def oracle_spline_value(spline, t):
     """``CubicSpline.__call__`` as it was: its own interval lookup."""
-    idx, tc = spline.system.locate(t)
+    idx, tc = oracle_interval(spline.x, t)
     x0 = spline.x[idx]
     x1 = spline.x[idx + 1]
     h = x1 - x0
@@ -112,7 +122,7 @@ def oracle_spline_value(spline, t):
 
 def oracle_spline_derivative(spline, t):
     """``CubicSpline.derivative`` as it was: a second interval lookup."""
-    idx, tc = spline.system.locate(t)
+    idx, tc = oracle_interval(spline.x, t)
     x0 = spline.x[idx]
     x1 = spline.x[idx + 1]
     h = x1 - x0

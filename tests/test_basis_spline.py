@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.basis.spline import CubicSpline, spline_coefficient_nbytes
+from repro.atoms.element import ELEMENTS
+from repro.basis.basis_set import _species_shells
+from repro.basis.spline import CubicSpline, SplineSystem, spline_coefficient_nbytes
+from repro.grids.shells import radial_shells_for_species
 
 
 class TestCubicSpline:
@@ -103,3 +106,75 @@ class TestCubicSpline:
             spline_coefficient_nbytes(1, 1)
         with pytest.raises(ValueError):
             spline_coefficient_nbytes(5, 0)
+
+
+def _searchsorted_rule(x, t):
+    """The lookup every mesh must reproduce, spelled out literally."""
+    return np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.shape[0] - 2)
+
+
+#: Every species' basis mesh (geometric), one with an appended end knot
+#: off the progression (what ``radial_function`` appends when a mesh
+#: ends before the confinement cut), and a Hartree shell mesh (not
+#: geometric: the binary-search fallback).
+_SPECIES_MESHES = {
+    sym: _species_shells(sym, elem.z)[0][1].system for sym, elem in ELEMENTS.items()
+}
+_MESHES = dict(
+    _SPECIES_MESHES,
+    appended_knot=SplineSystem(np.append(_SPECIES_MESHES["C"].x[:-40], 9.0)),
+    hartree_shells=SplineSystem(radial_shells_for_species(6, 24).r),
+)
+
+
+class TestIntervalLookup:
+    """``SplineSystem.locate`` is the binary search's answer on every mesh,
+    whether it takes the O(1) log path or falls back to the search."""
+
+    def test_which_meshes_take_the_log_path(self):
+        assert all(system._log_step is not None for system in _SPECIES_MESHES.values())
+        assert _MESHES["appended_knot"]._log_step is not None
+        assert _MESHES["hartree_shells"]._log_step is None
+
+    @pytest.mark.parametrize("name", sorted(_MESHES))
+    def test_knots_their_neighbours_and_the_ends(self, name):
+        system = _MESHES[name]
+        x = system.x
+        t = np.concatenate([
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            [-np.inf, -1.0, -0.0, 0.0, 5e-324, x[-1], 2.0 * x[-1], 1e300, np.inf],
+        ])
+        idx, tc = system.locate(t)
+        assert np.array_equal(idx, _searchsorted_rule(x, t))
+        assert np.array_equal(tc, np.clip(t, x[0], x[-1]))
+
+    @given(
+        name=st.sampled_from(sorted(_MESHES)),
+        t=st.lists(
+            st.floats(min_value=-1.0, max_value=40.0, allow_nan=False)
+            | st.floats(min_value=1e-7, max_value=1e-2),
+            min_size=1, max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_radii(self, name, t):
+        system, t = _MESHES[name], np.array(t)
+        assert np.array_equal(system.locate(t)[0], _searchsorted_rule(system.x, t))
+
+    @pytest.mark.parametrize("name", ["C", "hartree_shells"])
+    def test_non_finite_radii_keep_their_results(self, name):
+        """NaN gives NaN, +-inf the clamped end values, and nothing raises
+        (a bare log-index would cast log(nan) to INT_MIN)."""
+        system = _MESHES[name]
+        x = system.x
+        rng = np.random.default_rng(7)
+        spline = CubicSpline.from_tables(
+            system, rng.normal(size=(x.size, 3)), rng.normal(size=(x.size, 3))
+        )
+        t = np.array([np.nan, -np.inf, np.inf])
+        value, slope = spline.value_and_derivative(t)
+        assert np.isnan(value[0]).all() and np.isnan(slope[0]).all()
+        assert np.array_equal(spline(t), value, equal_nan=True)
+        assert np.array_equal(spline.derivative(t), slope, equal_nan=True)
+        assert np.array_equal(value[1:], spline(np.array([x[0], x[-1]])))
+        assert np.array_equal(slope[1:], spline.derivative(np.array([x[0], x[-1]])))
