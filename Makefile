@@ -97,12 +97,16 @@ profile-model:
 	PYTHONPATH=src $(PYTHON) -m cProfile -s cumulative -m repro model \
 		--polyethylene 10004 --ranks 2048 --baseline | head -60
 
-# Post-mortem analytics: record a trace, then render its per-phase clock
-# table and the scaling-attribution tables.
+# Post-mortem analytics: record a water trace on the host engine and one
+# on the device backend, then render the first's per-phase clock table,
+# the two tables joined by phase, and the scaling-attribution tables.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
 		--trace trace.json --report run_report.json --force
+	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
+		--backend device --trace trace_device.json --force
 	PYTHONPATH=src $(PYTHON) -m repro analyze trace trace.json
+	PYTHONPATH=src $(PYTHON) -m repro analyze diff trace.json trace_device.json
 	PYTHONPATH=src $(PYTHON) -m repro analyze scaling --atoms 602 \
 		--base-ranks 8 --points 2
 
@@ -110,7 +114,8 @@ analyze:
 # journal-reader (rollup / health / fleet trace) suites, the default-off
 # worker-crash chaos sweeps, and the end-to-end CLI demo (second
 # identical submit must be a cache hit served from the journal-replayed
-# result store, no recomputation; `repro slo` reads the demo's journal).
+# result store, no recomputation; `repro status` and `repro slo` read the
+# demo's journal, and its checksum must not move across `repro status`).
 service-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_service_statestore.py \
 		tests/test_service_keys.py tests/test_telemetry.py
@@ -120,7 +125,9 @@ service-check:
 		--store .service-demo/journal.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro submit --molecule h2 --level minimal \
 		--store .service-demo/journal.jsonl | grep -q "cache hit"
+	cksum < .service-demo/journal.jsonl > .service-demo/before.cksum
 	PYTHONPATH=src $(PYTHON) -m repro status --store .service-demo/journal.jsonl
+	cksum < .service-demo/journal.jsonl | cmp - .service-demo/before.cksum
 	PYTHONPATH=src $(PYTHON) -m repro slo --store .service-demo/journal.jsonl
 	rm -rf .service-demo
 

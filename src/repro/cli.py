@@ -163,8 +163,9 @@ def _cmd_physics(args: argparse.Namespace) -> int:
         if report_path:
             report.write(report_path)
             print(f"run report -> {report_path}")
-        print()
-        print(report.render_ascii())
+        if report.provenance is not None:
+            print()
+            print(report.provenance.footer_markdown())
 
     if result.verify_report is not None and not result.verify_report.ok:
         return 1
@@ -290,71 +291,42 @@ def _cmd_analyze_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_diff(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import diff_timelines, load_run
-    from repro.obs.regress import compare_reports, load_baseline
+    from repro.obs.analyze import load_run, render_clock_diff
 
-    diff = diff_timelines(load_run(args.base), load_run(args.fresh))
-    offenders = None
-    if args.gate:
-        gate = compare_reports(
-            load_baseline(args.gate[1]), load_baseline(args.gate[0])
-        )
-        offenders = gate.offenders
-    print(diff.narrative(top_k=args.top, offenders=offenders))
+    base, fresh = load_run(args.base), load_run(args.fresh)
+    print(base.summary())
+    print(fresh.summary())
+    print()
+    print(render_clock_diff(base, fresh))
     return 0
 
 
 def _cmd_analyze_scaling(args: argparse.Namespace) -> int:
+    from repro.experiments.common import polyethylene_simulator
+    from repro.experiments.fig10_allreduce import run_fig10_allreduce
     from repro.experiments.fig15_strong import run_fig15_strong
     from repro.experiments.fig16_weak import run_fig16_weak
-    from repro.obs.analyze import (
-        mapping_attribution,
-        render_mapping_attributions,
-        render_scaling,
-        render_scheme_costs,
-        scheme_cost_table,
-    )
-    from repro.experiments.common import polyethylene_simulator
+    from repro.obs.analyze import mapping_attribution, render_mapping_attributions
 
     ranks = [args.base_ranks * 2 ** i for i in range(args.points)]
-    print(f"strong scaling: {args.atoms} atoms, ranks {ranks}")
-    fig15 = run_fig15_strong(
-        n_atoms=args.atoms, ranks_hpc1=ranks, ranks_hpc2=ranks
-    )
-    for series in fig15.series:
-        print()
-        print(render_scaling(
-            series.points(),
-            title=f"strong scaling [{series.label}], {args.atoms} atoms",
-        ))
-    # Weak series doubles the chain; atom counts must stay of the
+    # The weak series doubles the chain; atom counts must stay of the
     # 6n+2 polyethylene form, so double the unit count instead.
     units = polyethylene_units_for_atoms(args.atoms)
-    cases = tuple(
+    weak_cases = tuple(
         (6 * units * 2 ** i + 2, ranks[i], ranks[i])
         for i in range(args.points)
     )
-    fig16 = run_fig16_weak(cases=cases)
-    for series in fig16.series:
-        print()
-        print(render_scaling(
-            series.points(),
-            title=f"weak scaling [{series.label}]",
-            weak=True,
-        ))
     sim = polyethylene_simulator(args.atoms)
-    rows = [
+    mappings = [
         mapping_attribution(sim.assignment(args.base_ranks, locality), sim.batches)
         for locality in (False, True)
     ]
-    print()
-    print(render_mapping_attributions(rows))
-    n_basis = sim.workload.n_basis
-    costs = scheme_cost_table(
-        HPC2_AMD, args.base_ranks, n_rows=n_basis, row_bytes=8 * n_basis
-    )
-    print()
-    print(render_scheme_costs(costs, HPC2_AMD.name, args.base_ranks))
+    print("\n\n".join([
+        run_fig15_strong(args.atoms, ranks_hpc1=ranks, ranks_hpc2=ranks).render(),
+        run_fig16_weak(cases=weak_cases).render(),
+        run_fig10_allreduce(HPC2_AMD, {args.atoms: ranks}).render(),
+        render_mapping_attributions(mappings),
+    ]))
     return 0
 
 
@@ -363,8 +335,8 @@ def _open_store(args: argparse.Namespace) -> "object":
 
     return StateStore(
         args.store,
-        fresh=getattr(args, "fresh", False),
-        force=getattr(args, "force", False),
+        fresh=args.fresh,
+        force=args.force,
         lease_seconds=getattr(args, "lease_seconds", 30.0),
     )
 
@@ -468,8 +440,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    if not getattr(args, "watch", False):
-        print(_open_store(args).render_status())
+    from repro.service import StateStore
+
+    if not args.watch:
+        print(StateStore.snapshot(args.store).render_status())
         return 0
     import itertools
     import time as _time
@@ -480,9 +454,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     for i in refreshes:
         if i:
             _time.sleep(args.interval)
-        # Re-open per refresh: journal replay picks up transitions other
+        # Re-read per refresh: the replay picks up transitions other
         # processes appended since the last render.
-        store = _open_store(args)
+        store = StateStore.snapshot(args.store)
         print(f"--- repro status --watch (refresh {i + 1}) ---")
         print(store.render_status())
         print(flush=True)
@@ -622,26 +596,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ad = an_sub.add_parser(
         "diff",
-        help="A/B wall-time attribution between two recorded runs "
-        "(explain the regression)",
+        help="two recorded runs' per-phase clock tables joined by phase "
+        "(calls, total, p50 of each, change in total)",
     )
-    p_ad.add_argument("base", help="trusted base run artifact")
-    p_ad.add_argument("fresh", help="candidate run artifact")
-    p_ad.add_argument("--top", type=int, default=5, metavar="K",
-                      help="ranked contributions to show (default: 5)")
-    p_ad.add_argument(
-        "--gate",
-        nargs=2,
-        metavar=("BASE_BENCH", "FRESH_BENCH"),
-        help="also run the perf gate on these two BENCH_*.json emissions "
-        "and fold its offenders into the narrative",
-    )
+    p_ad.add_argument("base", help="base run artifact")
+    p_ad.add_argument("fresh", help="fresh run artifact")
     p_ad.set_defaults(func=_cmd_analyze_diff)
 
     p_as = an_sub.add_parser(
         "scaling",
-        help="strong/weak scaling dashboards (Figs. 15/16) plus "
-        "mapping and reduction-scheme attribution (Figs. 9/10)",
+        help="the Fig. 15/16/10 tables (strong and weak scaling, "
+        "reduction schemes) plus the mapping attribution (Fig. 9)",
     )
     p_as.add_argument("--atoms", type=int, default=3002,
                       help="smallest polyethylene chain (default: 3002)")
@@ -764,7 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("--iterations", type=int, default=0, metavar="N",
                           help="stop --watch after N refreshes "
                           "(default: 0 = until interrupted)")
-    add_store_opts(p_status)
+    p_status.add_argument("--store", default="service.jsonl", metavar="PATH",
+                          help="statestore journal to read (default: "
+                          "./service.jsonl; never written)")
     p_status.set_defaults(func=_cmd_status)
 
     p_slo = sub.add_parser(

@@ -51,12 +51,13 @@ class StrongSeries:
 
 @dataclass
 class Fig15Result:
+    n_atoms: int
     series: List[StrongSeries]
 
     def render(self) -> str:
         t = TableFormatter(
             ["machine", "ranks", "cycle time", "speedup", "efficiency"],
-            title="Fig 15(a): strong scaling, 60 002 atoms",
+            title=f"Fig 15(a): strong scaling, {self.n_atoms:,} atoms",
         )
         for s in self.series:
             for p, ct, sp, eff in zip(
@@ -102,7 +103,7 @@ def run_fig15_strong(
             ],
         )
     )
-    return Fig15Result(series=series)
+    return Fig15Result(n_atoms=n_atoms, series=series)
 
 
 @dataclass

@@ -13,7 +13,7 @@ Three pieces, one taxonomy:
   never in a second registry;
 * **artifacts** (:mod:`repro.obs.export`, :mod:`repro.obs.report`) —
   a Perfetto-loadable Chrome trace-event file and the single
-  :class:`RunReport` JSON/ASCII document that absorbs the legacy
+  :class:`RunReport` JSON document that absorbs the legacy
   ``PhaseTimer`` / ``BackendProfile`` / ``VerifyReport`` trio;
 * **the gate** (:mod:`repro.obs.regress`) — per-metric tolerance-band
   comparison of a fresh benchmark emission against a committed

@@ -7,13 +7,10 @@ scale model, so every dashboard is deterministic: same input, same
 output bytes.
 
 * :mod:`~repro.obs.analyze.timeline` — one recorded run as a timeline,
-  and its per-phase clock table (``repro analyze trace``);
-* :mod:`~repro.obs.analyze.diff` — A/B wall-time attribution between
-  two recorded runs ("explain the regression");
+  its per-phase clock table (``repro analyze trace``) and two runs'
+  tables joined by phase (``repro analyze diff``);
 * :mod:`~repro.obs.analyze.imbalance` — mapping imbalance linked to
   its strategy (Fig. 9);
-* :mod:`~repro.obs.analyze.comms` — packed-vs-unpacked reduction cost
-  tables (Fig. 10);
 * :mod:`~repro.obs.analyze.scaling` — the one place strong/weak
   scaling ratios are defined (Figs. 15/16).
 
@@ -24,45 +21,36 @@ output bytes.
 ClockRow(name='H', calls=2, seconds=3.0, p50=1.5)
 """
 
-from repro.obs.analyze.comms import render_scheme_costs, scheme_cost_table
-from repro.obs.analyze.diff import Contribution, RunDiff, diff_timelines
 from repro.obs.analyze.imbalance import (
     MappingAttribution,
     mapping_attribution,
     render_mapping_attributions,
 )
-from repro.obs.analyze.scaling import (
-    ScalingPoint,
-    render_scaling,
-    strong_scaling,
-    weak_scaling,
-)
+from repro.obs.analyze.scaling import ScalingPoint, strong_scaling, weak_scaling
 from repro.obs.analyze.timeline import (
     ClockRow,
     Timeline,
     TimelineEvent,
+    clock_diff,
     clock_table,
     load_run,
+    render_clock_diff,
     render_clock_table,
 )
 
 __all__ = [
     "ClockRow",
-    "Contribution",
     "MappingAttribution",
-    "RunDiff",
     "ScalingPoint",
     "Timeline",
     "TimelineEvent",
+    "clock_diff",
     "clock_table",
-    "diff_timelines",
     "load_run",
     "mapping_attribution",
+    "render_clock_diff",
     "render_clock_table",
     "render_mapping_attributions",
-    "render_scaling",
-    "render_scheme_costs",
-    "scheme_cost_table",
     "strong_scaling",
     "weak_scaling",
 ]

@@ -1,8 +1,8 @@
-"""Strong/weak scaling math shared by the figures and the CLI (§11.6).
+"""Strong/weak scaling math of the Fig. 15/16 modules (DESIGN §11.4).
 
-The Fig. 15/16 experiment scripts and ``repro analyze scaling`` all
-compute speedups and efficiencies through these two functions, so the
-definitions exist exactly once:
+The Fig. 15/16 experiment modules, whose tables ``repro analyze
+scaling`` prints, compute speedups and efficiencies through these two
+functions, so the definitions exist exactly once:
 
 * strong scaling — fixed problem, growing ranks: ``speedup = t_0 / t``
   and ``efficiency = speedup / (p / p_0)``;
@@ -90,23 +90,3 @@ def weak_scaling(
         for a, p, t in zip(atoms, ranks, seconds)
     ]
 
-
-def render_scaling(
-    points: Sequence[ScalingPoint], title: str, weak: bool = False
-) -> str:
-    """Deterministic scaling table in the figures' house style."""
-    from repro.utils.reports import TableFormatter, format_seconds
-
-    headers = (["atoms"] if weak else []) + [
-        "ranks", "cycle time", "speedup", "efficiency"
-    ]
-    table = TableFormatter(headers, title=title)
-    for pt in points:
-        row = ([pt.atoms] if weak else []) + [
-            pt.ranks,
-            format_seconds(pt.cycle_seconds),
-            f"{pt.speedup:.2f}x",
-            f"{pt.efficiency * 100:.1f}%",
-        ]
-        table.add_row(row)
-    return table.render()

@@ -9,7 +9,8 @@ sequence of its ``phase_seconds``.
 
 :func:`clock_table` answers "where did this run's time go": per phase,
 the calls, total, median call and share of wall, then the wall time no
-span covers (``unattributed``) and the wall itself.
+span covers (``unattributed``) and the wall itself.  :func:`clock_diff`
+joins two runs' tables by phase (``repro analyze diff``).
 
 >>> tl = Timeline("demo", [TimelineEvent(0, "DM", 0.0, 1.0),
 ...                         TimelineEvent(0, "H", 1.0, 4.0)])
@@ -84,18 +85,6 @@ class Timeline:
         cats = self.primary_categories()
         return [e for e in self.events if e.category in cats]
 
-    def busy_matrix(self) -> Dict[str, Dict[int, float]]:
-        """``phase -> track -> busy seconds`` over the primary categories.
-
-        Every phase row covers all tracks (missing tracks count 0.0).
-        """
-        out: Dict[str, Dict[int, float]] = {}
-        tracks = self.tracks
-        for e in self._primary_events():
-            row = out.setdefault(e.phase, dict.fromkeys(tracks, 0.0))
-            row[e.rank] += e.duration
-        return out
-
     def summary(self) -> str:
         """One deterministic header line for dashboards."""
         return (
@@ -135,12 +124,16 @@ def clock_table(timeline: Timeline) -> List[ClockRow]:
     ]
 
 
+def _signed(s: float, plus: str = "") -> str:
+    """:func:`~repro.utils.reports.format_seconds` of a signed duration."""
+    from repro.utils.reports import format_seconds
+
+    return ("-" if s < 0 else plus if s > 0 else "") + format_seconds(abs(s))
+
+
 def render_clock_table(rows: Sequence[ClockRow], label: str = "run") -> str:
     """Deterministic ASCII rendering of :func:`clock_table`."""
-    from repro.utils.reports import TableFormatter, format_seconds
-
-    def seconds(s: float) -> str:
-        return ("-" if s < 0 else "") + format_seconds(abs(s))
+    from repro.utils.reports import TableFormatter
 
     wall = rows[-1].seconds
     table = TableFormatter(
@@ -149,8 +142,47 @@ def render_clock_table(rows: Sequence[ClockRow], label: str = "run") -> str:
     )
     for r in rows:
         share = r.seconds / wall * 100 if wall > 0 else 0.0
-        table.add_row([r.name, r.calls or "", seconds(r.seconds),
-                       seconds(r.p50) if r.calls else "", f"{share:.1f}%"])
+        table.add_row([r.name, r.calls or "", _signed(r.seconds),
+                       _signed(r.p50) if r.calls else "", f"{share:.1f}%"])
+    return table.render()
+
+
+def clock_diff(base: Timeline, fresh: Timeline) -> List[Tuple[ClockRow, ClockRow]]:
+    """Both runs' :func:`clock_table` rows joined by name.
+
+    Phases in base order, then the phases only *fresh* ran, then
+    ``unattributed`` and ``wall``; a phase one run lacks is a zero row
+    there.
+
+    >>> a = Timeline("a", [TimelineEvent(0, "H", 0.0, 1.0)])
+    >>> b = Timeline("b", [TimelineEvent(0, "DM", 0.0, 2.0)])
+    >>> [(x.name, x.seconds, y.seconds) for x, y in clock_diff(a, b)][:2]
+    [('H', 1.0, 0.0), ('DM', 0.0, 2.0)]
+    """
+    tables = clock_table(base), clock_table(fresh)
+    names = list(dict.fromkeys(r.name for t in tables for r in t[:-2]))
+    names += ["unattributed", "wall"]
+    by_name = [{r.name: r for r in t} for t in tables]
+    return [tuple(rows.get(n, ClockRow(n, 0, 0.0)) for rows in by_name)
+            for n in names]
+
+
+def render_clock_diff(base: Timeline, fresh: Timeline) -> str:
+    """Deterministic ASCII rendering of :func:`clock_diff`: calls, total
+    and p50 of each run, and the change in total."""
+    from repro.utils.reports import TableFormatter
+
+    table = TableFormatter(
+        ["phase", "base calls", "base total", "base p50",
+         "fresh calls", "fresh total", "fresh p50", "change"],
+        title=f"per-phase clock [{base.label} -> {fresh.label}]",
+    )
+    for a, b in clock_diff(base, fresh):
+        cells = [a.name]
+        for r in (a, b):
+            cells += [r.calls or "", _signed(r.seconds),
+                      _signed(r.p50) if r.calls else ""]
+        table.add_row(cells + [_signed(b.seconds - a.seconds, plus="+")])
     return table.render()
 
 

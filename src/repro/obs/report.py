@@ -1,6 +1,6 @@
 """The unified per-run artifact: :class:`RunReport` (DESIGN §10.5).
 
-One JSON/ASCII document absorbing everything a run previously scattered
+One JSON document absorbing everything a run previously scattered
 over three structures — :class:`~repro.utils.timing.PhaseTimer` phase
 walls, the backend's :class:`~repro.backends.base.BackendProfile` and
 the :class:`~repro.verify.invariants.VerifyReport` — plus the tracer's
@@ -11,8 +11,8 @@ reproducible on its face.
 >>> rep = RunReport(label="doctest", phase_seconds={"Sumup": 0.5, "H": 0.25})
 >>> round(rep.wall_seconds, 2)
 0.75
->>> "Sumup" in rep.render_ascii()
-True
+>>> json.loads(rep.to_json())["phase_seconds"]["Sumup"]
+0.5
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class RunReport:
     """Everything observable about one run, in one artifact.
 
     Build it from live objects with :meth:`from_run`; serialize with
-    :meth:`to_json` / :meth:`write`; render for humans with
-    :meth:`render_ascii`.
+    :meth:`to_json` / :meth:`write`.  ``repro physics`` prints its
+    tables once, from the objects that compute them, not from here.
     """
 
     label: str = "run"
@@ -227,45 +227,3 @@ class RunReport:
         path = Path(path)
         path.write_text(self.to_json())
         return path
-
-    def render_ascii(self) -> str:
-        """The unified human-readable report (tables + summary lines)."""
-        from repro.utils.reports import TableFormatter, format_seconds
-
-        lines: List[str] = [f"run report [{self.label}]"]
-        if self.phase_seconds:
-            table = TableFormatter(["phase", "wall"], title="per-phase wall time")
-            for phase, seconds in self.phase_seconds.items():
-                table.add_row([phase, format_seconds(seconds)])
-            table.add_row(["total", format_seconds(self.wall_seconds)])
-            lines += ["", table.render()]
-        if self.backend:
-            phases = self.backend.get("phases", {})
-            table = TableFormatter(
-                ["phase", "calls", "elements", "wall"],
-                title=f"backend profile [{self.backend.get('backend', '?')}]",
-            )
-            for name, s in phases.items():  # type: ignore[union-attr]
-                table.add_row(
-                    [name, s["calls"], f"{s['elements']:,}",
-                     format_seconds(s["seconds"])]
-                )
-            lines += ["", table.render()]
-        if self.verify:
-            status = "ok" if self.verify.get("ok") else (
-                "FAILED: " + ", ".join(self.verify.get("failures", []))  # type: ignore[arg-type]
-            )
-            lines += [
-                "",
-                f"verification [{self.verify.get('level')}]: "
-                f"{self.verify.get('checks')} checks — {status}",
-            ]
-        if self.trace:
-            lines += [
-                "",
-                f"trace: {self.trace.get('spans')} spans, phase wall "
-                f"{format_seconds(float(self.trace.get('phase_wall_seconds', 0.0)))}",
-            ]
-        if self.provenance is not None:
-            lines += ["", self.provenance.footer_markdown()]
-        return "\n".join(lines)

@@ -88,11 +88,6 @@ class CommCostModel:
             beta = beta * self._contention(p)
         return self.software_overhead(p) + allreduce_time(p, nbytes, alpha, beta)
 
-    def barrier(self, p: int) -> float:
-        """Barrier over p ranks."""
-        alpha, _ = self._effective_alpha_beta(p)
-        return barrier_time(p, alpha)
-
     def intra_node_reduce(self, m: int, nbytes: float) -> float:
         """Shared-memory reduction among m ranks of one node.
 

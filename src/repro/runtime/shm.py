@@ -36,11 +36,6 @@ class SharedWindow:
             np.zeros(self.shape, dtype=self.dtype) for _ in range(cluster.n_nodes)
         ]
 
-    def zero(self) -> None:
-        """Reset every node's copy."""
-        for arr in self._node_copies:
-            arr[...] = 0
-
     def accumulate_chunked(
         self, node: int, contributions: Sequence[np.ndarray]
     ) -> np.ndarray:

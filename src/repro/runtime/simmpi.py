@@ -5,7 +5,7 @@
 arrays* (index = rank).  Numerics are real — reductions are performed
 on the actual data so parallel decompositions can be asserted equal to
 serial references — while every call also charges the machine's cost
-model and updates byte/message counters for the scaling figures.
+model, which the reduction schemes report as their communication time.
 An in-process collective cannot lose, tear or delay a message, so none
 is modeled: every call runs its body once.
 """
@@ -13,7 +13,7 @@ is modeled: every call runs its body once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,22 +28,15 @@ class CommStats:
     """Accumulated communication accounting for one communicator."""
 
     calls: int = 0
-    messages: int = 0
-    bytes_moved: int = 0
     model_time: float = 0.0
 
-    def charge(self, messages: int, nbytes: int, seconds: float) -> None:
+    def charge(self, seconds: float) -> None:
         self.calls += 1
-        self.messages += messages
-        self.bytes_moved += nbytes
         self.model_time += seconds
 
 
 class SimCluster:
-    """N MPI ranks laid out over a machine's nodes (contiguous blocks).
-
-    ``stats`` aggregates the :class:`CommStats` of every communicator.
-    """
+    """N MPI ranks laid out over a machine's nodes (contiguous blocks)."""
 
     def __init__(self, machine: MachineSpec, n_ranks: int) -> None:
         if n_ranks < 1:
@@ -51,7 +44,6 @@ class SimCluster:
         self.machine = machine
         self.n_ranks = n_ranks
         self.n_nodes = machine.nodes_for(n_ranks)
-        self.stats = CommStats()
 
     def node_of(self, rank: int) -> int:
         """Hosting node of one rank."""
@@ -104,19 +96,11 @@ class SimComm:
                 )
         return arrs
 
-    def _charge(self, messages: int, nbytes: int, seconds: float) -> None:
-        self.stats.charge(messages, nbytes, seconds)
-        self.cluster.stats.charge(messages, nbytes, seconds)
-
     # ------------------------------------------------------------------
     # Collectives (bit-exact over the actual data)
     # ------------------------------------------------------------------
-    def allreduce(
-        self,
-        buffers: Sequence[np.ndarray],
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-    ) -> np.ndarray:
-        """Reduce all per-rank buffers with *op*; every rank gets the result.
+    def allreduce(self, buffers: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum all per-rank buffers; every rank gets the result.
 
         Reduction order is fixed (rank-ascending) so results are
         deterministic.  Returns one array (all ranks' copies are equal
@@ -127,40 +111,9 @@ class SimComm:
         with obs_span("allreduce", category="comm", ranks=self.size, nbytes=nbytes):
             result = arrs[0].copy()
             for a in arrs[1:]:
-                result = op(result, a)
-            t = self.cost.allreduce(self.size, int(result.nbytes))
-            self._charge(
-                messages=2 * (self.size - 1), nbytes=int(result.nbytes), seconds=t
-            )
+                result = result + a
+            self.stats.charge(self.cost.allreduce(self.size, int(result.nbytes)))
             return result
-
-    def bcast(self, buffer: np.ndarray, root_to_all: bool = True) -> List[np.ndarray]:
-        """Broadcast one buffer to every rank (returns per-rank copies)."""
-        arr = np.asarray(buffer)
-        nbytes = int(arr.nbytes)
-        with obs_span("bcast", category="comm", ranks=self.size, nbytes=nbytes):
-            t = self.cost.allreduce(self.size, nbytes) * 0.5  # tree bcast ~ half
-            self._charge(messages=self.size - 1, nbytes=nbytes, seconds=t)
-            return [arr.copy() for _ in self.ranks]
-
-    def gather(self, buffers: Sequence[np.ndarray]) -> np.ndarray:
-        """Concatenate per-rank buffers on a virtual root."""
-        arrs = [np.asarray(b) for b in buffers]
-        if len(arrs) != self.size:
-            raise CommunicationError(
-                f"{len(arrs)} buffers for a {self.size}-rank communicator"
-            )
-        nbytes = int(sum(a.nbytes for a in arrs))
-        with obs_span("gather", category="comm", ranks=self.size, nbytes=nbytes):
-            t = self.cost.allreduce(self.size, nbytes / max(self.size, 1))
-            self._charge(messages=self.size - 1, nbytes=nbytes, seconds=t)
-            return np.concatenate([a.ravel() for a in arrs])
-
-    def barrier(self) -> None:
-        """Synchronize all ranks (cost only)."""
-        with obs_span("barrier", category="comm", ranks=self.size):
-            t = self.cost.barrier(self.size)
-            self._charge(messages=self.size, nbytes=0, seconds=t)
 
     # ------------------------------------------------------------------
     def leader_subcomm(self) -> "SimComm":

@@ -186,7 +186,8 @@ class StateStore:
         self._results: Dict[str, Dict[str, Any]] = {}
         self._worker_heartbeats: Dict[str, float] = {}
         self._submit_counter = 0
-        self._journal: Optional[Path] = None
+        self._journal: Optional[Path] = None  # appended to by _record
+        self.path: Optional[Path] = None  # shown by render_status
         self.torn_tail_bytes = 0  # half-written last line dropped on open
         if path is not None:
             path = Path(path)
@@ -198,6 +199,25 @@ class StateStore:
             else:
                 self._journal = path
                 self._replay(path)
+            self.path = self._journal
+
+    @classmethod
+    def snapshot(cls, path: Union[str, Path]) -> "StateStore":
+        """The state the journal at *path* replays to, read without owning
+        it (``repro status``).
+
+        Nothing is written: a torn final line (a live ``repro serve``
+        mid-append) is skipped, not truncated; a missing journal is a
+        :class:`~repro.errors.ServiceError` and creates no file; and the
+        snapshot journals no transition of its own.
+        """
+        from repro.service.slo import journal_events
+
+        store = cls()
+        for event in journal_events(path):
+            store._apply(event)
+        store.path = Path(path)
+        return store
 
     # ------------------------------------------------------------------
     # Journal plumbing
@@ -567,7 +587,7 @@ class StateStore:
         lines = [
             f"statestore: {len(self._tasks)} task(s), "
             f"{len(self._results)} cached result(s)"
-            + (f" — journal {self._journal}" if self._journal else " (in-memory)")
+            + (f" — journal {self.path}" if self.path else " (in-memory)")
         ]
         counts = self.counts()
         if counts:

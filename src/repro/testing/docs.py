@@ -27,8 +27,6 @@ AUDITED_MODULES = (
     "repro.obs.analyze",
     "repro.obs.analyze.timeline",
     "repro.obs.analyze.imbalance",
-    "repro.obs.analyze.comms",
-    "repro.obs.analyze.diff",
     "repro.obs.analyze.scaling",
     "repro.service",
     "repro.service.statestore",

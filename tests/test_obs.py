@@ -121,16 +121,24 @@ class TestRunReport:
         # JSON round-trip must be loadable and stable.
         assert json.loads(report.to_json())["label"] == "unit"
 
-    def test_render_ascii_includes_every_section(self):
-        tracer = Tracer()
-        with tracer.span("Sumup", category="phase"):
-            pass
-        report = RunReport.from_run("unit", tracer=tracer)
-        report.phase_seconds = {"Sumup": 0.5, "H": 0.25}
-        art = report.render_ascii()
-        assert "run report [unit]" in art
-        assert "Sumup" in art and "trace: 1 spans" in art
-        assert "> provenance:" in art
+    def test_physics_prints_each_table_once(self, tmp_path, capsys):
+        """``repro physics --trace --report`` prints the phase table and the
+        backend profile once each, then the trace line, the report path and
+        the provenance footer; the report JSON keeps every section."""
+        from repro.cli import main
+
+        trace, report = tmp_path / "h2.json", tmp_path / "report.json"
+        assert main(["physics", "--molecule", "h2", "--trace", str(trace),
+                     "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        for heading in ("per-phase wall time", "backend profile [numpy]",
+                        "trace: ", "run report -> ", "> provenance:"):
+            assert out.count(heading) == 1, heading
+        assert out.rstrip().splitlines()[-1].startswith("> provenance:")
+        doc = json.loads(report.read_text())
+        assert sorted(doc) == ["backend", "extra", "label", "phase_seconds",
+                               "provenance", "trace", "verify", "wall_seconds"]
+        assert doc["trace"]["spans"] > 0
 
     def test_write_artifact(self, tmp_path):
         path = RunReport(label="t", phase_seconds={"H": 1.0}).write(

@@ -6,7 +6,6 @@ import json
 import re
 import subprocess
 import sys
-import typing
 from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,19 +18,18 @@ from repro.cli import main as cli_main
 from repro.dft.scf import SCFDriver
 from repro.errors import ArtifactError, ExperimentError, MappingError
 from repro.mapping.strategies import BatchAssignment
-from repro.obs import Span, Tracer, activate, write_chrome_trace
+from repro.obs import Tracer, activate, write_chrome_trace
 from repro.obs.analyze import (
     Timeline,
     TimelineEvent,
+    clock_diff,
     clock_table,
-    diff_timelines,
     load_run,
     mapping_attribution,
-    scheme_cost_table,
     strong_scaling,
     weak_scaling,
 )
-from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD
+from repro.runtime.machines import HPC2_AMD
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.balance import max_mean_imbalance
 
@@ -124,7 +122,8 @@ class TestTimeline:
         tl = load_run(write_chrome_trace(tmp_path / "run.json", traced_run))
         assert tl.tracks == [0]
         assert tl.primary_categories() == ("phase",)
-        assert set(tl.busy_matrix()) >= {"density", "hartree", "eigensolver"}
+        assert {r.name for r in clock_table(tl)} >= {
+            "density", "hartree", "eigensolver"}
 
     def test_a_cpscf_block_renders_as_one_lane(self, minimal_settings, tmp_path):
         """The three directions share one cycle: its spans carry the active
@@ -159,10 +158,10 @@ class TestTimeline:
             if sp.category == "phase":
                 recorded[sp.name] += sp.duration
         loaded = load_run(write_chrome_trace(tmp_path / "run.json", traced_run))
-        busy = loaded.busy_matrix()
+        busy = {r.name: r.seconds for r in clock_table(loaded)[:-2]}
         assert set(busy) == set(recorded)
         for phase, seconds in recorded.items():
-            assert busy[phase][0] == pytest.approx(
+            assert busy[phase] == pytest.approx(
                 seconds, rel=1e-6, abs=5e-6  # microsecond granularity
             )
 
@@ -172,7 +171,7 @@ class TestTimeline:
         path.write_text(json.dumps(doc))
         tl = load_run(path)
         assert tl.wall_seconds == 5.0
-        assert {p: sum(row.values()) for p, row in tl.busy_matrix().items()} == {
+        assert {r.name: r.seconds for r in clock_table(tl)[:-2]} == {
             "scf": 2.0, "cpscf": 3.0,
         }
 
@@ -246,61 +245,62 @@ class TestClockTable:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: A/B diff attribution
+# Tentpole: two runs' clock tables joined by phase
 # ----------------------------------------------------------------------
-def _straggler_pair(tmp_path):
-    """Two recorded runs; the fresh one has rank 2 straggling in Sumup."""
+@pytest.fixture(scope="module")
+def h2_backend_traces(tmp_path_factory):
+    """Two traces ``repro physics`` writes: H2 on numpy and on device."""
+    out = tmp_path_factory.mktemp("diff")
+    traces = []
+    for backend in ("numpy", "device"):
+        trace = out / f"h2_{backend}.json"
+        assert cli_main(["physics", "--molecule", "h2", "--backend", backend,
+                         "--trace", str(trace)]) == 0
+        traces.append(trace)
+    return traces
 
-    def spans(straggle):
-        out = []
-        for cycle in (1, 2):
-            t0 = (cycle - 1) * 2.0
-            for rank in range(4):
-                sumup = 0.5 + (3.0 if straggle and rank == 2 and cycle == 2 else 0.0)
-                attrs = {"rank": rank, "loop": "cpscf", "direction": 0,
-                         "cycle": cycle}
-                out.append(Span("Sumup", "phase", t0, t0 + sumup, dict(attrs)))
-                out.append(Span("DM", "phase", t0 + sumup, t0 + sumup + 0.5,
-                                dict(attrs)))
-        return out
 
-    base = write_chrome_trace(tmp_path / "base.json", spans(False))
-    fresh = write_chrome_trace(tmp_path / "fresh.json", spans(True))
-    return base, fresh
+def _analyze_diff(base, fresh):
+    """``repro analyze diff`` in a fresh interpreter: (returncode, stdout)."""
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "analyze", "diff", str(base), str(fresh)],
+        capture_output=True, text=True, cwd=root,
+        env={"PYTHONPATH": str(root / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 class TestDiffAttribution:
-    def test_top_contribution_names_perturbed_phase_and_rank(self, tmp_path):
-        base, fresh = _straggler_pair(tmp_path)
-        diff = diff_timelines(load_run(base), load_run(fresh))
-        top = diff.contributions[0]
-        assert (top.phase, top.rank) == ("Sumup", 2)
-        assert top.delta == pytest.approx(3.0, rel=1e-5)
-        assert diff.wall_delta == pytest.approx(3.0, rel=1e-5)
+    def test_rows_are_both_runs_clock_table_rows(self, h2_backend_traces):
+        base, fresh = map(load_run, h2_backend_traces)
+        rows = clock_diff(base, fresh)
+        assert [a for a, _ in rows] == clock_table(base)
+        assert {b for _, b in rows} == set(clock_table(fresh))
+        assert [a.name for a, _ in rows] == [b.name for _, b in rows]
+        assert [a.name for a, _ in rows[-2:]] == ["unattributed", "wall"]
 
-    def test_cli_diff_is_deterministic_across_invocations(self, tmp_path):
-        base, fresh = _straggler_pair(tmp_path)
-        argv = [sys.executable, "-m", "repro", "analyze", "diff",
-                str(base), str(fresh)]
-        env_root = Path(__file__).resolve().parent.parent
-        runs = [
-            subprocess.run(
-                argv, capture_output=True, text=True,
-                cwd=env_root, env={"PYTHONPATH": str(env_root / "src")},
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].returncode == 0, runs[0].stderr
-        assert runs[0].stdout == runs[1].stdout  # byte-identical
-        first = [l for l in runs[0].stdout.splitlines()
-                 if l.startswith("1.")][0]
-        assert "phase Sumup on rank 2" in first
+    def test_cli_diff_is_deterministic_across_invocations(
+        self, h2_backend_traces
+    ):
+        first, second = (_analyze_diff(*h2_backend_traces) for _ in range(2))
+        assert first == second  # byte-identical
+        lines = first.splitlines()
+        assert lines[3] == "per-phase clock [h2_numpy -> h2_device]"
+        table = lines[4:]
+        assert table[0].split(" | ")[-1].strip() == "change"
+        names = [line.split(" | ")[0].strip() for line in table[2:]]
+        assert names == [r.name for r in clock_table(
+            load_run(h2_backend_traces[0]))]
 
-    def test_identical_runs_diff_to_no_change(self, tmp_path):
-        base, _ = _straggler_pair(tmp_path)
-        diff = diff_timelines(load_run(base), load_run(base))
-        assert diff.wall_delta == 0.0
-        assert "no per-phase busy-time change" in diff.narrative()
+    def test_identical_runs_diff_to_no_change(self, h2_backend_traces):
+        base = h2_backend_traces[0]
+        rows = clock_diff(load_run(base), load_run(base))
+        assert all(a == b for a, b in rows)
+        table = _analyze_diff(base, base).splitlines()[6:]
+        assert len(table) == len(rows)
+        assert {line.split(" | ")[-1].strip() for line in table} == {"0.0 us"}
 
 
 # ----------------------------------------------------------------------
@@ -355,18 +355,20 @@ class TestScalingParity:
         for r in rows:
             assert r.imbalance >= 1.0
 
-    def test_scheme_cost_table_skips_unavailable_schemes(self):
-        # HPC#1 has no shared-memory windows: hierarchical is skipped.
-        with_shm = scheme_cost_table(HPC2_AMD, 64, 512, 4096)
-        without = scheme_cost_table(HPC1_SUNWAY, 64, 512, 4096)
-        assert len(with_shm) == len(without) + 1
-        assert all(rep.total_time > 0 for _, rep in with_shm)
+    def test_cli_reduction_rows_are_fig10s(self, capsys):
+        """``analyze scaling`` prints Fig. 10's own table, which prices
+        ``rho_multipole`` (one row per atom), not an ``n_basis``-square
+        matrix: 354.1 ms for the baseline at 3 002 atoms on 128 ranks."""
+        from repro.experiments.fig10_allreduce import run_fig10_allreduce
+        from repro.utils.reports import format_seconds
 
-    def test_scheme_cost_annotations_resolve(self):
-        # The machine annotation used to name a module that does not exist.
-        from repro.runtime.machines import MachineSpec
-
-        assert typing.get_type_hints(scheme_cost_table)["machine"] is MachineSpec
+        assert cli_main(["analyze", "scaling", "--points", "2"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        fig10 = run_fig10_allreduce(HPC2_AMD, {3002: [128, 256]})
+        assert fig10.render() in blocks
+        atoms, ranks, scheme, comm, local = fig10.rows[0]
+        assert (atoms, ranks, scheme) == (3002, 128, "baseline")
+        assert format_seconds(comm + local) == "354.12 ms"
 
 
 # ----------------------------------------------------------------------

@@ -441,7 +441,7 @@ class TestArtifactGuard:
 
         path = tmp_path / "journal.jsonl"
         make_store(path=path)
-        rc = main(["status", "--store", str(path), "--fresh"])
+        rc = main(["serve", "--store", str(path), "--fresh"])
         assert rc == 2
         assert "--force" in capsys.readouterr().err
 
@@ -502,6 +502,52 @@ class TestArtifactGuard:
                 "--crash-rate", "0.9", "--max-steps", "50"]
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStatusReadsWithoutOwning:
+    """``repro status`` replays the journal through the reader ``repro slo``
+    uses.  It used to open it as its owner: it created a missing journal,
+    cut a live writer's half-written last line and, under ``--fresh
+    --force``, emptied the journal."""
+
+    @staticmethod
+    def _journal(tmp_path):
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        submit(store, "k1")
+        (task,) = store.claim("w0", now=1.0)
+        store.complete(task.task_id, "w0", {"alpha": 2.5}, now=2.0)
+        submit(store, "k2")
+        return path
+
+    @pytest.mark.parametrize("tail", ["", '{"op": "claim", "task_id": "t-0000'],
+                             ids=["intact", "torn-tail"])
+    def test_journal_bytes_unchanged(self, tmp_path, capsys, tail):
+        from repro.cli import main
+
+        path = self._journal(tmp_path)
+        with path.open("a") as fh:
+            fh.write(tail)
+        before = path.read_bytes()
+        assert main(["status", "--store", str(path)]) == 0
+        assert main(["status", "--store", str(path), "--watch",
+                     "--iterations", "2", "--interval", "0"]) == 0
+        assert path.read_bytes() == before
+        out = capsys.readouterr().out
+        assert out.count("waiting=1  complete=1") == 3
+
+    def test_snapshot_renders_what_the_owner_renders(self, tmp_path):
+        path = self._journal(tmp_path)
+        snapshot = StateStore.snapshot(path)
+        assert snapshot.render_status(now=5.0) == make_store(
+            path=path).render_status(now=5.0)
+
+    def test_missing_journal_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["status", "--store", str(tmp_path / "none.jsonl")]) == 2
+        assert "no statestore journal" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
