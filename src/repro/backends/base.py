@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.backends.sweep import ordered_sweep
 from repro.errors import BackendError
-from repro.grids.sparsity import BatchView, SparsityStats
+from repro.grids.sparsity import BatchView
 from repro.obs.tracer import obs_span
 from repro.utils.linalg import mirror_upper
 from repro.utils.scratch import scratch
@@ -188,10 +188,9 @@ class BackendProfile:
     the grid), ``H`` (potential-matrix integration), ``DM`` (first-order
     density matrix) plus ``basis`` for actual basis-block evaluations
     (cache misses evaluate; hits do not).  Phase rows are what the cost
-    models price — a batch is the dispatch unit and a dense block is
-    ``n_basis`` wide — so they do not move when execution fuses batches
-    or drops zero columns; the cache counters are real traffic, one
-    lookup per fused view.
+    models price — a batch is the dispatch unit, its own columns wide —
+    so they do not move when execution fuses batches; the cache counters
+    are real traffic, one lookup per fused view.
     """
 
     backend: str
@@ -204,15 +203,11 @@ class BackendProfile:
     device_launches: int = 0
     device_modeled_seconds: float = 0.0
     device_bytes_transferred: int = 0
-    # Screening counters (all zero on dense runs): (batch, atom) basis
-    # blocks touched vs skipped by the pattern, compact vs dense element
-    # counts, and the pattern-level fill summary set at bind time.
+    # Screening counters (all zero on unscreened runs), charged once per
+    # Sumup/H pass: (batch, atom) basis blocks the mask kept, and the
+    # relevant-atom blocks it dropped.
     screen_blocks_evaluated: int = 0
     screen_blocks_skipped: int = 0
-    screen_elements_active: int = 0
-    screen_elements_dense: int = 0
-    screen_fill_fraction: float = 0.0
-    screen_histogram: Tuple[int, ...] = ()
     # The fused views every sweep iterates and the share of their block
     # entries that is merge padding (held, computed on, always zero),
     # set at bind time.
@@ -223,13 +218,6 @@ class BackendProfile:
         self, phase: str, elements: int, seconds: float, calls: int = 1
     ) -> None:
         self.phases.setdefault(phase, PhaseStats()).record(elements, seconds, calls)
-
-    def record_screening(self, stats: SparsityStats) -> None:
-        """Charge one screened Sumup/H pass: the pattern's own totals."""
-        self.screen_blocks_evaluated += stats.blocks_active
-        self.screen_blocks_skipped += stats.blocks_dense - stats.blocks_active
-        self.screen_elements_active += stats.elements_active
-        self.screen_elements_dense += stats.elements_dense
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON-friendly snapshot (used by the backend benchmark)."""
@@ -258,10 +246,6 @@ class BackendProfile:
             "sparsity": {
                 "blocks_evaluated": self.screen_blocks_evaluated,
                 "blocks_skipped": self.screen_blocks_skipped,
-                "elements_active": self.screen_elements_active,
-                "elements_dense": self.screen_elements_dense,
-                "fill_fraction": self.screen_fill_fraction,
-                "histogram": list(self.screen_histogram),
             },
             "views": {
                 "count": self.view_count,
@@ -307,10 +291,6 @@ class ExecutionBackend:
         self._on_bind()
         self.profile.view_count = len(builder.views)
         self.profile.view_padded_fraction = builder.views.padded_fraction
-        if builder.pattern is not None:
-            stats = builder.pattern.stats
-            self.profile.screen_fill_fraction = stats.fill_fraction
-            self.profile.screen_histogram = stats.histogram
         return self
 
     def _on_bind(self) -> None:
@@ -387,15 +367,18 @@ class ExecutionBackend:
         potentials, priced by the view set: one call of ``k x`` its
         elements.
 
-        Screening is charged here — once per pass, from the pattern's
-        totals — so every engine, including ones that override the
-        phase implementations, reports the same counters; dense runs
-        stay all-zero.
+        Screening is charged here — once per pass, from the views'
+        stats — so every engine, including ones that override the
+        phase implementations, reports the same counters; unscreened
+        runs stay all-zero.
         """
-        builder = self._require_bound()
-        out = self._run_phase(phase, k * builder.views.elements, impl, arg)
-        if builder.pattern is not None:
-            self.profile.record_screening(builder.pattern.stats)
+        views = self._require_bound().views
+        out = self._run_phase(phase, k * views.elements, impl, arg)
+        if views.screened:
+            self.profile.screen_blocks_evaluated += views.stats.blocks_active
+            self.profile.screen_blocks_skipped += (
+                views.stats.blocks_relevant - views.stats.blocks_active
+            )
         return out
 
     def density_on_grid(self, density_matrix) -> np.ndarray:
@@ -424,10 +407,9 @@ class ExecutionBackend:
         f_occ: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(U, C^(1), P^(1))`` from a response Hamiltonian (DM phase)."""
-        # The Sternheimer rotation itself stays dense (orbital space),
-        # but under screening the response Hamiltonian only carries the
-        # pattern's atom-pair blocks — charge just those elements.
-        elements = self._require_bound().views.matrix_nnz
+        # The Sternheimer rotation is a dense C_virt^T h1 C_occ product
+        # whatever the grid phases screened: n_basis**2 elements.
+        elements = self._require_bound().basis.n_basis ** 2
         return self._run_phase(
             "DM", elements, self._dm_impl, h1, inv_gaps, c_occ, c_virt, f_occ
         )
@@ -523,7 +505,7 @@ class ExecutionBackend:
         returned; see :meth:`basis_block` for why that is bitwise equal
         to slicing those columns out of a full evaluation.  The profile
         is charged what the view's batches are priced at — one call per
-        member batch, all columns wide when dense — like every other
+        member batch, each its own columns wide — like every other
         phase row.
         """
         start = time.perf_counter()

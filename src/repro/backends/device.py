@@ -91,9 +91,9 @@ class DeviceBackend(BatchedBackend):
         launch, priced from the view set at ``k x`` its items.
 
         Per grid point the contraction costs the mean ``cols x cols``
-        pair count and reads the mean column count — exactly
-        ``n_basis**2`` and ``n_basis`` on the dense views, so one pricing
-        rule serves both.  The fleet device fuses launches by *name*,
+        pair count and reads the mean column count, each batch at its own
+        width screened or not, so one pricing rule serves both.  The
+        fleet device fuses launches by *name*,
         hence the screened kernels keep their own.
         """
         views = self._require_bound().views
@@ -133,13 +133,10 @@ class DeviceBackend(BatchedBackend):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, c1, p1 = super()._dm_impl(h1, inv_gaps, c_occ, c_virt, f_occ)
         builder = self._require_bound()
-        # Under screening h1 only carries the pattern's atom-pair
-        # blocks, so the read side of the rotation is priced by the
-        # average nonzeros per row (``n_basis`` on the dense views).
-        nnz_per_row = builder.views.matrix_nnz / max(builder.basis.n_basis, 1)
+        # The rotation reads h1 whole: n_basis entries per row.
         kernel = Kernel(
             name="dm_response",
-            flops_per_item=2.0 * nnz_per_row,
+            flops_per_item=2.0 * builder.basis.n_basis,
             bytes_read_per_item=16.0,
             bytes_written_per_item=8.0,
         )

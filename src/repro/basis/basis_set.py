@@ -115,6 +115,7 @@ class BasisSet:
         self.atom_cutoffs = np.array(
             [max(cutoff for _, _, cutoff in species[sym]) for sym in structure.symbols]
         )
+        self._reach: Dict[float, np.ndarray] = {}
         symbols = np.array(structure.symbols)
         self._species = [
             self._stack(shells, np.nonzero(symbols == symbol)[0])
@@ -249,20 +250,24 @@ class BasisSet:
     def screened_function_cutoffs(self, threshold: float) -> np.ndarray:
         """Per-function effective reach at a screening threshold.
 
-        Shape ``(n_basis,)``; every function of a shell shares the
-        shell's :func:`effective_shell_radius`.  ``threshold <= 0``
-        reproduces the full cutoffs (no screening).
+        Shape ``(n_basis,)``, read-only; every function of a shell shares
+        the shell's :func:`effective_shell_radius`.  ``threshold <= 0``
+        reproduces the full cutoffs (no screening).  Computed once per
+        threshold: the reference seam asks again for every batch.
         """
-        out = np.empty(self.n_basis)
-        for table in self._species:
-            reach = np.array(
-                [
-                    effective_shell_radius(spline, cutoff, shell.l, threshold)
-                    for shell, spline, cutoff in table.shells
-                ]
-            )[table.shell_of_col]
-            out[table.first_cols[:, None] + np.arange(reach.size)] = reach
-        return out
+        if threshold not in self._reach:
+            out = np.empty(self.n_basis)
+            for table in self._species:
+                reach = np.array(
+                    [
+                        effective_shell_radius(spline, cutoff, shell.l, threshold)
+                        for shell, spline, cutoff in table.shells
+                    ]
+                )[table.shell_of_col]
+                out[table.first_cols[:, None] + np.arange(reach.size)] = reach
+            out.setflags(write=False)
+            self._reach[threshold] = out
+        return self._reach[threshold]
 
 
 # Species-level cache: the radial tables depend only on the element.

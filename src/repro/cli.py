@@ -531,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
             const=DEFAULT_SCREENING_THRESHOLD,
             default=0.0,
             metavar="THRESHOLD",
-            help="enable block-sparse basis screening (optional threshold; "
+            help="drop the basis functions whose screened reach misses a "
+            "grid batch from that batch's columns (optional threshold; "
             f"bare flag uses {DEFAULT_SCREENING_THRESHOLD:g}, 0 disables "
             "for the exact dense path)",
         )

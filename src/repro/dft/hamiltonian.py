@@ -25,7 +25,7 @@ from repro.basis.basis_set import BasisSet, build_basis
 from repro.config import checked_screening_threshold
 from repro.grids.atom_grid import IntegrationGrid, build_grid
 from repro.grids.batching import GridBatch, attach_relevant_atoms, build_batches
-from repro.grids.sparsity import BatchView, build_batch_views, build_sparsity_pattern
+from repro.grids.sparsity import BatchView, BatchViews, build_batch_views
 from repro.utils.linalg import symmetrize
 from repro.utils.scratch import scratch
 
@@ -92,13 +92,12 @@ class MatrixBuilder:
     screening_threshold:
         Batch-local basis-screening threshold
         (:mod:`repro.grids.sparsity`).  ``0.0`` (the default) disables
-        screening entirely — no pattern is built and a view carries the
-        columns of its batches' relevant atoms, outside which chi is
-        exactly zero there.  ``> 0`` builds a
-        :class:`~repro.grids.sparsity.SparsityPattern` once and every
-        layer below (backends, kinetic, reference paths) iterates views
-        that carry only active functions.  NaN, ``inf`` or a negative
-        value is a :class:`~repro.errors.SettingsError`.
+        screening: a view carries the columns of its batches' relevant
+        atoms, outside which chi is exactly zero there.  ``> 0`` masks
+        out the columns whose screened reach misses a batch, and every
+        layer below (backends, kinetic, reference paths) iterates those
+        views.  NaN, ``inf`` or a negative value is a
+        :class:`~repro.errors.SettingsError`.
     """
 
     def __init__(
@@ -121,18 +120,19 @@ class MatrixBuilder:
         self.batches = batches
 
         # The views must exist before the backend binds: device staging
-        # and profile fill counters read them at bind time.
-        self.pattern = None
-        if self.screening_threshold > 0.0:
-            self.pattern = build_sparsity_pattern(
-                basis, self.batches, self.screening_threshold
-            )
+        # and profile view counters read them at bind time.
         #: The fused views every contraction of this builder iterates.
-        self.views = build_batch_views(self.batches, basis, self.pattern)
+        self.views = build_batch_views(self.batches, basis, self.screening_threshold)
 
         from repro.backends.registry import resolve_backend
 
         self.backend = resolve_backend(backend, self)
+
+    @property
+    def pattern(self) -> Optional[BatchViews]:
+        """The views when screened, ``None`` when not (the benchmark
+        harness reads ``pattern.stats``)."""
+        return self.views if self.views.screened else None
 
     # ------------------------------------------------------------------
     # Basis tables
@@ -160,7 +160,7 @@ class MatrixBuilder:
         from unscreened views on every call, never held — engines read
         blocks, not this table."""
         views = self.views
-        if self.pattern is not None:
+        if views.screened:
             views = build_batch_views(self.batches, self.basis)
         values = np.zeros((self.grid.n_points, self.basis.n_basis))
         for view in views:
@@ -258,14 +258,14 @@ class MatrixBuilder:
     # invariant registry compares a backend's answers against an
     # independent derivation.  Honest backends agree with these to
     # summation-order noise (1e-13 of the array's scale; DESIGN §8).
-    # When a screening pattern is active the references honor it by
-    # default (so invariants stay tight against screened backends);
-    # ``screened=False`` ignores it — that is the seam the
-    # ``screening_vs_dense`` invariant compares against.
+    # When screening is on the references honor its mask by default (so
+    # invariants stay tight against screened backends); ``screened=False``
+    # drops it — that is the seam the ``screening_vs_dense`` invariant
+    # compares against.
     def _reference_views(self, screened: bool) -> Iterator[BatchView]:
-        pattern = self.pattern if screened else None
+        threshold = self.screening_threshold if screened else 0.0
         for batch in self.batches:
-            yield from build_batch_views([batch], self.basis, pattern)
+            yield from build_batch_views([batch], self.basis, threshold)
 
     def reference_density(
         self, density_matrix: np.ndarray, screened: bool = True

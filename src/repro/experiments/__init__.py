@@ -22,7 +22,6 @@ from repro.experiments.fig13_collapse import run_fig13_collapse
 from repro.experiments.fig14_overall import run_fig14_overall
 from repro.experiments.fig15_strong import run_fig15_strong, run_fig15b_time_per_cycle
 from repro.experiments.fig16_weak import run_fig16_weak
-from repro.experiments.beyond200k import run_beyond200k
 
 __all__ = [
     "POLY_ATOM_COUNTS",
@@ -39,5 +38,4 @@ __all__ = [
     "run_fig15_strong",
     "run_fig15b_time_per_cycle",
     "run_fig16_weak",
-    "run_beyond200k",
 ]

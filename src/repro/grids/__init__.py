@@ -16,12 +16,7 @@ from repro.grids.batching import (
     cut_plane_partition,
     attach_relevant_atoms,
 )
-from repro.grids.sparsity import (
-    SparsityPattern,
-    SparsityStats,
-    build_sparsity_pattern,
-    modeled_block_counts,
-)
+from repro.grids.sparsity import BatchViews, SparsityStats, build_batch_views
 
 __all__ = [
     "AngularRule",
@@ -36,8 +31,7 @@ __all__ = [
     "build_batches",
     "cut_plane_partition",
     "attach_relevant_atoms",
-    "SparsityPattern",
+    "BatchViews",
     "SparsityStats",
-    "build_sparsity_pattern",
-    "modeled_block_counts",
+    "build_batch_views",
 ]

@@ -1,39 +1,29 @@
-"""Batch-local basis screening: the block-sparsity seam of the pipeline.
+"""Batch-local basis screening: which columns each grid batch contracts.
 
-NAO basis functions have finite radial extent, so on any spatially
-compact :class:`~repro.grids.batching.GridBatch` only the functions
-whose screened reach touches the batch's bounding sphere are
-non-negligible (Huhn et al., arXiv:1912.06636).  A
-:class:`SparsityPattern` records exactly that — per-batch active
-function indices, per-batch active atoms, and the atom-pair block mask
-their union implies — built **once per structure** and shared by every
-execution backend, which is what turns the dense ``O(n_points x
-n_basis)`` contractions into block-sparse ones at scale.
+NAO basis functions have finite radial extent, so on a spatially compact
+:class:`~repro.grids.batching.GridBatch` only the functions of its
+``relevant_atoms`` can be nonzero — every other shell is exactly ``+0.0``
+on its points (Huhn et al., arXiv:1912.06636).  Those functions are a
+batch's columns.  Every grid contraction below the drivers is one loop
+over the :class:`BatchViews` of :func:`build_batch_views`: a view fuses
+the batches that share a column set along points and names their rows,
+their columns and so the matching ``P`` / ``H`` sub-block.
 
-Every grid contraction below the drivers is one loop over a
-:class:`BatchViews` list (:func:`build_batch_views`): a view fuses the
-batches that share one column set along points and names their rows,
-their basis columns and so the matching ``P`` / ``H`` sub-block.  Dense
-is the same loop with a different column rule — the functions of the
-batches' ``relevant_atoms``, outside which a full evaluation is exactly
-zero — so it drops no number, only flops on zeros.
+Screening is a mask on those columns (``RunSettings.screening_threshold``):
 
-Threshold semantics (``RunSettings.screening_threshold``):
+* ``0.0`` — no mask.  A batch contracts every function of its relevant
+  atoms, so nothing is approximated: dense is the all-active case.
+* ``> 0.0`` — a function ``f`` stays on batch ``b`` only while
+  ``|c_b - R_f| <= rho_b + r_eff(f, threshold)``, the batch's bounding
+  sphere against the function's screened reach.  Every engine shares the
+  views, so engines stay bit-identical to *each other*; agreement with the
+  unscreened views is a physics-tolerance statement checked by the
+  ``screening_vs_dense`` invariant and the differential-conformance
+  ``screening`` axis.
 
-* ``0.0`` — screening disabled.  No pattern is built and a view's
-  columns are those of its batches' relevant atoms: the only columns a
-  hard radial cutoff leaves nonzero there, so nothing is approximated.
-* ``> 0.0`` — functions whose amplitude proxy stays below the threshold
-  on a batch are dropped from that batch's view.  Both backends
-  share the same views and the same batch-ordered math, so they remain
-  bit-identical to *each other*; agreement with the dense path is a
-  physics-tolerance statement checked by the ``screening_vs_dense``
-  invariant and the differential-conformance ``screening`` axis.
-
-:func:`modeled_block_counts` applies the same screening rule to the
-summary batches of :func:`repro.core.workload.synthetic_batches`
-without materializing them, extending the modeled-scale experiments
-past the paper's 200 012-atom ceiling.
+Both builds are priced as they run: a view's :attr:`BatchView.elements`
+is each member's rows times its own column count, and
+:class:`SparsityStats` says what the mask kept of what compaction runs.
 """
 
 from __future__ import annotations
@@ -41,216 +31,56 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.atoms.structure import Structure
-from repro.basis.basis_set import BasisSet, _species_shells, effective_shell_radius
-from repro.config import RunSettings, get_settings
-from repro.errors import GridError
-from repro.grids.batching import (
-    GridBatch,
-    batch_arrays,
-    fragments_per_atom,
-    summary_overlaps,
-)
-from repro.utils.neighbors import sphere_overlaps
+from repro.basis.basis_set import BasisSet
+from repro.grids.batching import BatchArrays, GridBatch, batch_arrays
+from repro.utils.neighbors import ranges
 
 #: Threshold used when screening is requested without an explicit value
 #: (``repro physics --screening``): tight enough that light-basis
-#: physics stays within every golden tolerance, loose enough that long
-#: polymer chains screen away most of each batch's basis.
+#: physics stays within every golden tolerance.
 DEFAULT_SCREENING_THRESHOLD: float = 1e-6
-
-
-def active_fraction_histogram(
-    fractions: Sequence[float], bins: int = 10
-) -> Tuple[int, ...]:
-    """Histogram of per-batch active fractions over ``[0, 1]``.
-
-    The screened-elements histogram surfaced in backend profiles and run
-    reports: bin ``k`` counts batches whose active-function fraction
-    falls in ``[k/bins, (k+1)/bins)`` (last bin closed).
-
-    >>> active_fraction_histogram([0.0, 0.05, 0.5, 1.0], bins=4)
-    (2, 0, 1, 1)
-    """
-    counts, _ = np.histogram(
-        np.asarray(list(fractions), dtype=float), bins=bins, range=(0.0, 1.0)
-    )
-    return tuple(int(c) for c in counts)
 
 
 @dataclass(frozen=True)
 class SparsityStats:
-    """Structure-level size accounting of one :class:`SparsityPattern`.
+    """What the screening mask kept of what compaction runs.
 
-    ``blocks_*`` count (batch, atom) basis blocks — the unit of work a
-    screened phase launches; ``elements_*`` count grid-point x function
-    entries of the batch chi tables.  ``fill_fraction`` is
-    ``elements_active / elements_dense``; the payoff target of the
-    refactor is ``block_reduction >= 3`` on the polymer chain.
+    ``blocks_*`` count (batch, atom) basis blocks and ``elements_*``
+    grid-point x function entries, summed over the batches of one view
+    set: ``*_relevant`` over every function of each batch's
+    ``relevant_atoms``, ``*_active`` over the columns the mask keeps.
+    Unscreened views keep everything, so both ratios read 1.
     """
 
-    n_batches: int
-    n_atoms: int
-    n_basis: int
-    n_grid_points: int
     blocks_active: int
-    blocks_dense: int
+    blocks_relevant: int
     elements_active: int
-    elements_dense: int
-    fill_fraction: float
-    histogram: Tuple[int, ...]
+    elements_relevant: int
+
+    @property
+    def fill_fraction(self) -> float:
+        """Share of the relevant elements the mask keeps (<= 1)."""
+        return self.elements_active / max(self.elements_relevant, 1)
 
     @property
     def block_reduction(self) -> float:
-        """Dense over active block count (>= 1; higher is sparser)."""
-        return self.blocks_dense / max(self.blocks_active, 1)
+        """Relevant over active block count (>= 1; higher is sparser)."""
+        return self.blocks_relevant / max(self.blocks_active, 1)
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly snapshot (flows into profiles and reports)."""
+        """JSON-friendly snapshot (flows into the sparse benchmark)."""
         return {
-            "n_batches": self.n_batches,
-            "n_atoms": self.n_atoms,
-            "n_basis": self.n_basis,
-            "n_grid_points": self.n_grid_points,
             "blocks_active": self.blocks_active,
-            "blocks_dense": self.blocks_dense,
+            "blocks_relevant": self.blocks_relevant,
             "block_reduction": self.block_reduction,
             "elements_active": self.elements_active,
-            "elements_dense": self.elements_dense,
+            "elements_relevant": self.elements_relevant,
             "fill_fraction": self.fill_fraction,
-            "histogram": list(self.histogram),
         }
-
-
-class SparsityPattern:
-    """Who is non-negligible where: the structure's screening decisions.
-
-    Built once by :func:`build_sparsity_pattern` and handed to every
-    layer below the drivers as :func:`build_batch_views` views: blocks
-    carry only :attr:`active_functions`, evaluate only
-    :attr:`active_atoms`, key block caches on :meth:`active_hash`, and
-    add contributions into the atom-pair blocks of :attr:`block_mask`.
-    """
-
-    def __init__(
-        self,
-        threshold: float,
-        n_basis: int,
-        n_atoms: int,
-        active_functions: List[np.ndarray],
-        active_atoms: List[Tuple[int, ...]],
-        block_mask: np.ndarray,
-        batch_points: Sequence[int],
-        matrix_nnz: int = 0,
-    ) -> None:
-        self.threshold = float(threshold)
-        self.n_basis = int(n_basis)
-        self.n_atoms = int(n_atoms)
-        #: Per batch: sorted flat indices of the active basis functions.
-        self.active_functions = active_functions
-        #: Per batch: sorted atom ids owning at least one active function.
-        self.active_atoms = active_atoms
-        #: ``(n_atoms, n_atoms)`` bool — atom pairs co-active on >= 1 batch,
-        #: i.e. the H/S atom blocks that receive grid contributions.
-        self.block_mask = block_mask
-        #: Function-pair entries inside the block mask — the element
-        #: count of one block-sparse operator matrix (DM-phase pricing).
-        self.matrix_nnz = int(matrix_nnz)
-        self._hashes = [
-            hashlib.sha1(act.tobytes()).hexdigest()[:16] for act in active_functions
-        ]
-        batch_points = [int(n) for n in batch_points]
-        sizes = np.array([act.size for act in active_functions], dtype=np.int64)
-        pts = np.array(batch_points, dtype=np.int64)
-        self.stats = SparsityStats(
-            n_batches=len(active_functions),
-            n_atoms=self.n_atoms,
-            n_basis=self.n_basis,
-            n_grid_points=int(pts.sum()),
-            blocks_active=int(sum(len(a) for a in active_atoms)),
-            blocks_dense=len(active_functions) * self.n_atoms,
-            elements_active=int((pts * sizes).sum()),
-            elements_dense=int(pts.sum()) * self.n_basis,
-            fill_fraction=float((pts * sizes).sum())
-            / max(int(pts.sum()) * self.n_basis, 1),
-            histogram=active_fraction_histogram(sizes / max(self.n_basis, 1)),
-        )
-
-    @property
-    def n_batches(self) -> int:
-        """Number of batches the pattern covers."""
-        return len(self.active_functions)
-
-    def active_hash(self, batch_index: int) -> str:
-        """Stable digest of one batch's active set (block-cache key part).
-
-        Two pattern instances assigning the same active functions to a
-        batch share the hash, so LRU entries keyed on ``(batch,
-        active_hash)`` are reusable exactly when the cached compact
-        block is bitwise valid.
-        """
-        return self._hashes[batch_index]
-
-    def __repr__(self) -> str:
-        s = self.stats
-        return (
-            f"SparsityPattern(threshold={self.threshold:g}, "
-            f"batches={s.n_batches}, fill={s.fill_fraction:.3f}, "
-            f"block_reduction={s.block_reduction:.2f})"
-        )
-
-
-def build_sparsity_pattern(
-    basis: BasisSet,
-    batches: Sequence[GridBatch],
-    threshold: float,
-) -> SparsityPattern:
-    """Screen every batch against every function's effective reach.
-
-    A function ``mu`` is active on a batch when the batch's bounding
-    sphere intersects the function's screened cutoff sphere:
-    ``|centroid - R_mu| <= r_eff(mu, threshold) + batch.radius``.
-    Because ``r_eff`` never exceeds the hard cutoff, active atoms are
-    always a subset of the batch's geometric ``relevant_atoms`` — which
-    is what makes compact screened blocks bitwise slices of the dense
-    ones.
-    """
-    if threshold <= 0.0:
-        raise GridError(
-            f"screening threshold must be > 0 to build a pattern, got "
-            f"{threshold!r}; threshold 0 means screening is disabled"
-        )
-    fn_cut = basis.screened_function_cutoffs(threshold)
-    fn_atom = basis.function_atoms
-    coords = basis.structure.coords
-    n_atoms = basis.structure.n_atoms
-    # One search at function level: each function sits on its atom, and
-    # row b of the CSR *is* batch b's active set.
-    _, centroids, radii, _, _ = batch_arrays(batches)
-    indptr, indices = sphere_overlaps(centroids, radii, coords[fn_atom], fn_cut)
-    active_functions = np.split(indices, indptr[1:-1]) if len(batches) else []
-    active_atoms: List[Tuple[int, ...]] = []
-    block_mask = np.zeros((n_atoms, n_atoms), dtype=bool)
-    for act in active_functions:
-        aa = np.unique(fn_atom[act])
-        active_atoms.append(tuple(int(a) for a in aa))
-        block_mask[np.ix_(aa, aa)] = True
-
-    fn_counts = np.bincount(fn_atom, minlength=n_atoms)
-    return SparsityPattern(
-        threshold=threshold,
-        n_basis=basis.n_basis,
-        n_atoms=n_atoms,
-        active_functions=active_functions,
-        active_atoms=active_atoms,
-        block_mask=block_mask,
-        batch_points=[b.n_points for b in batches],
-        matrix_nnz=int(fn_counts @ block_mask @ fn_counts),
-    )
 
 
 #: Most grid points one fused view holds.  Measured on the 32-atom chain's
@@ -375,6 +205,13 @@ def _bits(cols: np.ndarray, n_basis: int) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _bits(cols: np.ndarray, n_basis: int) -> int:
+    """Sorted column indices as the bits of one integer."""
+    mask = np.zeros(n_basis, dtype=bool)
+    mask[cols] = True
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class BatchView:
     """Batches with near-identical column sets, fused along points.
@@ -383,16 +220,14 @@ class BatchView:
     chi block of :attr:`point_indices`, :meth:`gather` cuts the matching
     ``P`` sub-block and :meth:`scatter_add` is the H scatter.  *cols* is
     always a sorted index array, the union of its member batches' own
-    column sets — without a pattern the functions of a batch's
-    ``relevant_atoms`` (every other atom's shells are exactly ``+0.0`` on
-    its points: compaction, not screening), with one the pattern's active
-    functions.  A member's columns outside its own set are its *padding*
-    and are ``+0.0`` in the block (:meth:`zero_padding`), so a fused block
-    is its batches' blocks side by side, whatever was merged.  Both index
-    the operator matrix through *runs*, the maximal stretches of
-    consecutive columns as ``(matrix slice, block slice)`` pairs: O(cols)
-    to hold, never a ``cols**2`` index table, and a sub-block moves as a
-    few strided copies.
+    column sets (the functions of each batch's ``relevant_atoms``, masked
+    when screened).  A member's columns outside its own set are its
+    *padding* and are ``+0.0`` in the block (:meth:`zero_padding`), so a
+    fused block is its batches' blocks side by side, whatever was merged.
+    Both index the operator matrix through *runs*, the maximal stretches
+    of consecutive columns as ``(matrix slice, block slice)`` pairs:
+    O(cols) to hold, never a ``cols**2`` index table, and a sub-block
+    moves as a few strided copies.
     """
 
     #: Grid rows of the block, member batch after member batch.
@@ -403,12 +238,11 @@ class BatchView:
     #: Member batch ids in row order.  A batch is a member of one view,
     #: unless it alone exceeds the row cap.
     batches: Tuple[int, ...]
-    #: Priced point x function entries: ``rows * n_basis`` when dense,
-    #: each member's rows times its own column count when screened (what
-    #: the cost models charge; the block itself is ``rows * cols.size``).
+    #: Priced point x function entries: each member's rows times its own
+    #: column count, padding excluded (the block is ``rows * cols.size``).
     elements: int
-    #: Block-cache key parts: which rows, and — ``None`` when dense —
-    #: a digest of the members' active sets.
+    #: Block-cache key parts: which rows, and — ``None`` when unscreened —
+    #: a digest of the members' column sets.
     rows_hash: str
     active_hash: Optional[str]
     runs: Tuple[Tuple[slice, slice], ...]
@@ -483,12 +317,12 @@ class BatchViews:
     Batches whose column set is empty carry no view (nothing to
     contract, nothing to launch) but still count in *n_points*, so the
     per-point averages are over the whole grid.  The priced fields do
-    not know about fusion, merging or compaction: they are what one view
-    per batch, all columns wide when dense, would total.
+    not know about fusion or merging: they are what one view per batch,
+    each its own column set wide, would total.
     """
 
     views: Tuple[BatchView, ...]
-    #: Whether a pattern shaped the views (kernel names carry it).
+    #: Whether a screening mask shaped the views (kernel names carry it).
     screened: bool
     n_points: int
     #: Batches with work — the work-groups a device launch schedules.
@@ -497,8 +331,7 @@ class BatchViews:
     elements: int
     #: ``sum(points * n_cols**2)`` — the per-point ``cols x cols`` work.
     elements_sq: int
-    #: Function-pair entries an operator matrix carries (DM pricing).
-    matrix_nnz: int
+    stats: SparsityStats
 
     def __iter__(self) -> Iterator[BatchView]:
         return iter(self.views)
@@ -508,7 +341,7 @@ class BatchViews:
 
     @property
     def avg_cols(self) -> float:
-        """Mean column count per grid point (``n_basis`` when dense)."""
+        """Mean column count per grid point (batches without work count 0)."""
         return self.elements / max(self.n_points, 1)
 
     @property
@@ -550,45 +383,70 @@ def _pack_rows(
     return packs
 
 
+def batch_columns(
+    arrays: BatchArrays, basis: BasisSet, threshold: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, cols)``: row ``b`` lists, ascending, the columns batch
+    ``b`` contracts — every function of its relevant atoms, and when
+    *threshold* ``> 0`` only those with ``|c_b - R_f| <= rho_b + r_eff(f)``.
+
+    One array program over the batch -> atom CSR of *arrays*, expanded to
+    functions by ``basis.atom_offsets``.  The comparison is the one
+    :func:`~repro.utils.neighbors.sphere_overlaps` makes, and ``r_eff``
+    never exceeds an atom's cutoff, so the rows are exactly that search's
+    over all functions: the mask drops columns, never adds an atom.
+    """
+    atoms = arrays.indices
+    first = basis.atom_offsets[atoms]
+    width = basis.atom_offsets[atoms + 1] - first  # functions per (batch, atom)
+    pair_batch = np.repeat(np.arange(len(arrays.points)), np.diff(arrays.indptr))
+    cols = ranges(first, width).astype(np.int64, copy=False)
+    col_batch = np.repeat(pair_batch, width)
+    if threshold > 0.0:
+        reach = basis.screened_function_cutoffs(threshold)
+        dist = np.linalg.norm(
+            arrays.centroids[pair_batch] - basis.structure.coords[atoms], axis=1
+        )
+        keep = np.repeat(dist, width) <= arrays.radii[col_batch] + reach[cols]
+        cols, col_batch = cols[keep], col_batch[keep]
+    return np.searchsorted(col_batch, np.arange(len(arrays.points) + 1)), cols
+
+
 def build_batch_views(
-    batches: Sequence[GridBatch],
-    basis: BasisSet,
-    pattern: Optional[SparsityPattern] = None,
+    batches: Sequence[GridBatch], basis: BasisSet, threshold: float = 0.0
 ) -> BatchViews:
-    """Fuse *batches* into views: one group per column set, near-identical
-    sets merged (:func:`merge_column_sets`), cut at the cap.
+    """Fuse *batches* into views: one group per column set
+    (:func:`batch_columns`), near-identical sets merged
+    (:func:`merge_column_sets`), cut at the cap.
 
     Column sets form in first-appearance batch order, a merged group's
     members keep batch order, and they are packed whole into views of at
     most :data:`MAX_VIEW_ROWS` rows whose columns are the union of their
-    members' — so the result depends on the batch list alone.  This is
-    the only place that knows dense from screened; every consumer
-    iterates the result without branching, and a consumer whose unit is
-    a batch (the reference seam) or a rank's share (the conformance
-    matrix) calls it on just those batches.
+    members' — so the result depends on the batch list and the threshold
+    alone.  Every consumer iterates the result without branching; one
+    whose unit is a batch (the reference seam) or a rank's share (the
+    conformance matrix) calls it on just those batches.
     """
+    screened = threshold > 0.0
+    arrays = batch_arrays(batches)
+    indptr, cols = batch_columns(arrays, basis, threshold)
     # One entry per distinct column set, in first-appearance order: (cols,
-    # atoms, active-set digest, member batches); ``index`` finds it by key.
-    index: Dict[object, int] = {}
+    # atoms, set digest when screened, member batches); ``index`` finds it.
+    index: Dict[bytes, int] = {}
     sets: List[Tuple[np.ndarray, Tuple[int, ...], Optional[str], List[GridBatch]]] = []
-    for b in batches:
-        if pattern is None:
-            key: object = b.relevant_atoms
-            if key not in index:
-                cols = np.flatnonzero(np.isin(basis.function_atoms, key))
-                index[key] = len(sets)
-                sets.append((cols, key, None, []))
-        else:
-            act = pattern.active_functions[b.index]
-            key = act.tobytes()
-            if key not in index:
-                index[key] = len(sets)
-                sets.append(
-                    (act, pattern.active_atoms[b.index], pattern.active_hash(b.index), [])
-                )
+    ends = indptr.tolist()
+    for b, lo, hi in zip(batches, ends, ends[1:]):
+        own = cols[lo:hi]
+        key = own.tobytes()
+        if key not in index:
+            index[key] = len(sets)
+            owner = basis.function_atoms[own]  # ascending, like *own*
+            atoms = tuple(owner[np.diff(owner, prepend=-1) != 0].tolist())
+            digest = hashlib.sha1(key).hexdigest()[:16] if screened else None
+            sets.append((own.copy(), atoms, digest, []))  # not a view of *cols*
         sets[index[key]][3].append(b)
 
-    working = [s for s, (cols, *_) in enumerate(sets) if cols.size]
+    working = [s for s, (own, *_) in enumerate(sets) if own.size]
     parts = merge_column_sets(
         [sum(b.n_points for b in sets[s][3]) for s in working],
         [_bits(sets[s][0], basis.n_basis) for s in working],
@@ -601,25 +459,31 @@ def build_batch_views(
             key=lambda member: position[member[0].index],
         )
         for pack in _pack_rows(members):
-            views.append(_fused_view(pack, sets, basis.n_basis, pattern is None))
+            views.append(_fused_view(pack, sets, screened))
 
-    priced = [  # (points, priced width) per scheduled batch
-        (b.n_points, basis.n_basis if pattern is None else sets[s][0].size)
-        for s in working
-        for b in sets[s][3]
+    priced = [  # (points, own width) per scheduled batch
+        (b.n_points, sets[s][0].size) for s in working for b in sets[s][3]
     ]
+    elements = sum(n * c for n, c in priced)
+    pair_points = np.repeat(arrays.points, np.diff(arrays.indptr))
+    pair_width = np.diff(basis.atom_offsets)[arrays.indices]
     return BatchViews(
         views=tuple(views),
-        screened=pattern is not None,
-        n_points=sum(b.n_points for b in batches),
+        screened=screened,
+        n_points=int(arrays.points.sum()),
         n_batches=len(priced),
-        elements=sum(n * c for n, c in priced),
+        elements=elements,
         elements_sq=sum(n * c**2 for n, c in priced),
-        matrix_nnz=basis.n_basis**2 if pattern is None else pattern.matrix_nnz,
+        stats=SparsityStats(
+            blocks_active=sum(len(atoms) * len(members) for _, atoms, _, members in sets),
+            blocks_relevant=int(arrays.indices.size),
+            elements_active=elements,
+            elements_relevant=int(pair_points @ pair_width),
+        ),
     )
 
 
-def _fused_view(pack, sets, n_basis: int, dense: bool) -> BatchView:
+def _fused_view(pack, sets, screened: bool) -> BatchView:
     """One view of a pack of ``(batch id, rows, column set)`` pieces: the
     union of the pieces' column sets, and each piece's padding in it."""
     own = sorted({s for _, _, s in pack})
@@ -628,9 +492,9 @@ def _fused_view(pack, sets, n_basis: int, dense: bool) -> BatchView:
     else:
         cols = np.unique(np.concatenate([sets[s][0] for s in own]))
         atoms = tuple(sorted({a for s in own for a in sets[s][1]}))
-        active_hash = None if dense else hashlib.sha1(
+        active_hash = hashlib.sha1(
             " ".join(sets[s][2] for _, _, s in pack).encode()
-        ).hexdigest()[:16]
+        ).hexdigest()[:16] if screened else None
     padding = {}
     for s in own:
         outside = np.ones(cols.size, dtype=bool)
@@ -643,92 +507,10 @@ def _fused_view(pack, sets, n_basis: int, dense: bool) -> BatchView:
         cols=cols,
         atoms=atoms,
         batches=tuple(b for b, _, _ in pack),
-        elements=sum(
-            size * (n_basis if dense else sets[s][0].size)
-            for size, (_, _, s) in zip(sizes, pack)
-        ),
+        elements=sum(size * sets[s][0].size for size, (_, _, s) in zip(sizes, pack)),
         rows_hash=hashlib.sha1(rows.tobytes()).hexdigest()[:16],
         active_hash=active_hash,
         runs=_column_runs(cols),
         bounds=tuple(np.cumsum([0] + sizes).tolist()),
         padding=tuple(padding[s] for _, _, s in pack),
     )
-
-
-def screened_atom_cutoffs_light(
-    structure: Structure, threshold: float
-) -> np.ndarray:
-    """Per-atom screened reach from the species radial tables (Bohr).
-
-    The per-atom maximum of what
-    :meth:`~repro.basis.basis_set.BasisSet.screened_function_cutoffs`
-    gives per function, without a basis object: species-level, cheap for
-    million-atom chains.  ``threshold <= 0`` gives the unscreened reaches.
-    """
-    by_symbol: Dict[str, float] = {}
-    out = np.empty(structure.n_atoms)
-    for i, (sym, elem) in enumerate(zip(structure.symbols, structure.elements)):
-        if sym not in by_symbol:
-            by_symbol[sym] = max(
-                effective_shell_radius(spline, cutoff, shell.l, threshold)
-                for shell, spline, cutoff in _species_shells(sym, elem.z)
-            )
-        out[i] = by_symbol[sym]
-    return out
-
-
-def modeled_block_counts(
-    structure: Structure,
-    settings: Optional[RunSettings] = None,
-    threshold: float = 1e-6,
-    target_points: Optional[int] = None,
-) -> Dict[str, float]:
-    """Screened vs dense block counts for a modeled-scale structure.
-
-    Applies the screening rule of :func:`build_sparsity_pattern` to the
-    *summary* batches of :func:`repro.core.workload.synthetic_batches`
-    without building them: every summary batch sits on its atom with the
-    same ``SUMMARY_BATCH_RADIUS`` envelope, so the per-atom rows of
-    :func:`~repro.grids.batching.summary_overlaps` yield the (batch, atom)
-    block and element totals directly.  Near-linear in ``n_atoms`` — this is what
-    carries the sparsity accounting past the paper's 200 012-atom
-    ceiling toward the million-atom regime.
-    """
-    from repro.core.workload import _points_per_atom
-    from repro.mapping.memory_model import atom_basis_counts
-
-    settings = settings or get_settings("light")
-    coords = structure.coords
-    n_atoms = structure.n_atoms
-    if target_points is None:
-        target_points = settings.grids.batch_target_points
-
-    ppa = _points_per_atom(structure, settings.grids).astype(np.int64)
-    n_frag = fragments_per_atom(ppa, target_points)
-    basis_counts = atom_basis_counts(structure)
-    n_basis = int(basis_counts.sum())
-    cutoffs = screened_atom_cutoffs_light(structure, threshold)
-
-    # Every summary batch of an atom sees what the atom's envelope sees.
-    indptr, indices = summary_overlaps(coords, cutoffs)
-    nbr_basis = np.add.reduceat(basis_counts[indices], indptr[:-1])
-    blocks_active = int((n_frag * np.diff(indptr)).sum())
-    elements_active = int((ppa * nbr_basis).sum())
-
-    n_batches = int(n_frag.sum())
-    n_points = int(ppa.sum())
-    blocks_dense = n_batches * n_atoms
-    elements_dense = n_points * n_basis
-    return {
-        "n_atoms": n_atoms,
-        "n_basis": n_basis,
-        "n_batches": n_batches,
-        "n_grid_points": n_points,
-        "threshold": float(threshold),
-        "blocks_active": blocks_active,
-        "blocks_dense": blocks_dense,
-        "block_reduction": blocks_dense / max(blocks_active, 1),
-        "elements_active": elements_active,
-        "elements_dense": elements_dense,
-        "fill_fraction": elements_active / max(elements_dense, 1),
-    }

@@ -12,8 +12,8 @@ bit-identical) lives here so that both entry points produce the same
 
 :func:`sparse_emission` is the block-sparse sibling
 (``BENCH_sparse.json``, via ``benchmarks/bench_sparse.py``): dense vs
-screened sweeps on a polyethylene chain, pinning the screening
-pattern's block-evaluation reduction.  :func:`emission_for_baseline`
+screened sweeps on a polyethylene chain, pinning the blocks and
+elements the screening mask keeps.  :func:`emission_for_baseline`
 dispatches the gate to whichever emission a baseline came from.
 
 The emission carries a :class:`~repro.obs.report.Provenance` block, so
@@ -143,19 +143,20 @@ def sparse_emission(
     """Dense-vs-screened comparison; the ``BENCH_sparse.json`` document.
 
     A polyethylene chain (``H(C2H4)nH``, the paper's linear-scaling
-    workload shape) is long enough that batch-local screening actually
-    drops atom-pair blocks — unlike the water molecule of
-    :func:`backend_emission`, whose every function reaches every batch.
-    Two builders share one basis/grid/batch decomposition: the dense
-    reference (``screening_threshold = 0``) and the screened one at
-    *threshold*; both run ``n_sweeps`` Sumup + H sweeps.
+    workload shape) is long enough that the screening mask drops
+    columns — unlike the water molecule of :func:`backend_emission`,
+    whose every function reaches every batch.  Two builders share one
+    basis/grid/batch decomposition: the unscreened reference
+    (``screening_threshold = 0``) and the screened one at *threshold*;
+    both run ``n_sweeps`` Sumup + H sweeps.
 
     The screened outputs are checked against the dense ones within the
     physics tolerance (1e-4) before anything is reported, and the
-    pattern's block-evaluation reduction is recorded — the committed
-    baseline pins the >= 3x payoff the locality seam exists for.  The
-    measured dense-vs-screened wall is ``chain32_kernels``
-    ``op_a_ms`` / ``op_b_ms`` on the end-to-end benchmark.
+    screened views' :class:`~repro.grids.sparsity.SparsityStats` are
+    recorded: active against relevant-atom blocks and elements, so the
+    ratios say what screening drops beyond compaction.  The measured
+    dense-vs-screened wall is ``chain32_kernels`` ``op_a_ms`` /
+    ``op_b_ms`` on the end-to-end benchmark.
     """
     from repro.atoms import polyethylene
     from repro.config import get_settings
@@ -199,7 +200,7 @@ def sparse_emission(
             f"{density_diff:.3e}, potential diff {potential_diff:.3e}"
         )
 
-    stats = screened.pattern.stats
+    stats = screened.views.stats
     return {
         "benchmark": "sparse",
         "system": "polyethylene",
@@ -212,7 +213,6 @@ def sparse_emission(
         "threshold": threshold,
         "sparsity": stats.as_dict(),
         "block_reduction": stats.block_reduction,
-        "screen_counters": screened.backend.profile.as_dict()["sparsity"],
         "diff": {
             "density_max_diff": density_diff,
             "potential_max_diff": potential_diff,

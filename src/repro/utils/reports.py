@@ -75,11 +75,11 @@ def format_backend_profile(profile: "BackendProfile") -> str:
             f"{format_bytes(profile.device_bytes_transferred)} transferred"
         )
     if profile.screen_blocks_evaluated or profile.screen_blocks_skipped:
-        dense = profile.screen_blocks_evaluated + profile.screen_blocks_skipped
+        relevant = profile.screen_blocks_evaluated + profile.screen_blocks_skipped
         lines.append(
-            f"screening: {profile.screen_blocks_evaluated:,}/{dense:,} "
-            f"blocks evaluated ({profile.screen_blocks_skipped:,} skipped, "
-            f"fill {profile.screen_fill_fraction:.3f})"
+            f"screening: {profile.screen_blocks_evaluated:,}/{relevant:,} "
+            f"relevant-atom blocks evaluated "
+            f"({profile.screen_blocks_skipped:,} skipped)"
         )
     return "\n".join(lines)
 

@@ -242,7 +242,7 @@ def screening_conformance(
     """Dense-vs-screened phase traces, one row per threshold.
 
     The dense reference trace runs with ``screening_threshold = 0.0``
-    (no pattern, the exact pre-screening code path).  Each requested
+    (no mask: every function of each batch's relevant atoms).  Each requested
     threshold reruns the full pipeline with screening enabled and
     classifies its agreement with the dense trace:
 
@@ -253,7 +253,7 @@ def screening_conformance(
       sub-threshold tails plus BLAS summation-grouping noise on the
       compact blocks);
     * ``DIVERGENT`` rows are bisected to the first broken phase, so an
-      overscreened pattern is attributed to e.g. ``scf/density`` rather
+      overscreening mask is attributed to e.g. ``scf/density`` rather
       than "the polarizability differs".
     """
     from dataclasses import replace

@@ -506,18 +506,18 @@ def _screening_vs_dense(ctx: CheckContext) -> Tuple[float, str]:
     # The one invariant that crosses the screening seam: every other
     # full-tier check re-derives through ``screened=True`` references
     # (bit-tight against an honest screened backend), while this one
-    # forces the *dense* derivation — so a pattern that wrongly drops a
+    # forces the *dense* derivation — so a mask that wrongly drops a
     # non-negligible block shows up as a density defect, not as two
     # consistently-wrong screened quantities agreeing with each other.
     gs = ctx.gs
-    pattern = gs.builder.pattern
-    if pattern is None:
+    views = gs.builder.views
+    if not views.screened:
         return 0.0, "screening disabled (dense run)"
     dense = gs.builder.reference_density(gs.density_matrix, screened=False)
     residual = float(np.abs(gs.density - dense).max())
     return residual, (
         f"threshold = {gs.builder.screening_threshold:g}, "
-        f"fill = {pattern.stats.fill_fraction:.3f}"
+        f"fill = {views.stats.fill_fraction:.3f}"
     )
 
 

@@ -15,7 +15,7 @@ validation methodology (and this repo's invariant registry) must catch:
                           ``-f_xc n^(1)`` instead of ``+f_xc n^(1)``
 ``off_by_one_batch_slice`` the batch's basis block is shifted by one
                           point row (first row lost, last duplicated)
-``overscreened_block``    the screening pattern wrongly drops every
+``overscreened_block``    the screening mask wrongly drops every
                           function of one batch's first owner atom
 ``shifted_hartree_interval`` one atom's Hartree back-interpolation plan
                           looks every point up one radial interval low
@@ -104,7 +104,7 @@ class MutantBackend(BatchedBackend):
         """
         block = super().basis_block(view).copy()  # the cached array stays honest
         builder = self._require_bound()
-        for batch, lo, hi in zip(view.batches, view.bounds, view.bounds[1:]):
+        for i, (batch, lo, hi) in enumerate(zip(view.batches, view.bounds, view.bounds[1:])):
             rows = block[lo:hi]
             if self.mutation == "transposed_gather_map":
                 rows[:] = rows[::-1].copy()
@@ -116,12 +116,13 @@ class MutantBackend(BatchedBackend):
             elif (
                 self.mutation == "overscreened_block"
                 and batch == 0
-                and view.active_hash is not None
+                and builder.views.screened
             ):
                 # The batch's own first atom: a merged view's first
                 # column may be padding there, zero already.
                 fn_atom = builder.basis.function_atoms[view.cols]
-                rows[:, fn_atom == builder.pattern.active_atoms[batch][0]] = 0.0
+                first = fn_atom[np.delete(np.arange(view.cols.size), view.padding[i])].min()
+                rows[:, fn_atom == first] = 0.0
         return block
 
     def density_on_grid(self, density_matrix) -> np.ndarray:

@@ -59,6 +59,7 @@ from repro.basis.sets import RadialShell
 from repro.basis.solid_harmonics import solid_harmonics, solid_harmonics_with_gradients
 from repro.basis.spline import CubicSpline
 from repro.grids.partition import PARTNER_CUTOFF
+from repro.utils.neighbors import sphere_overlaps
 
 
 @dataclass(frozen=True)
@@ -275,18 +276,32 @@ def assert_close_at_scale(got, want, rtol=CONTRACTION_RTOL):
     assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
 
 
+def screened_columns(batches, basis, threshold):
+    """Per batch, the functions whose screened reach touches its bounding
+    sphere: one search over every function of the structure, as the
+    screening pattern found them before the mask moved onto the views."""
+    centroids = np.array([b.centroid for b in batches], dtype=float).reshape(-1, 3)
+    radii = np.array([b.radius for b in batches], dtype=float)
+    indptr, indices = sphere_overlaps(
+        centroids, radii, basis.structure.coords[basis.function_atoms],
+        basis.screened_function_cutoffs(threshold),
+    )
+    return np.split(indices, indptr[1:-1]) if len(batches) else []
+
+
 def _per_batch_views(builder, screened):
     """``(point_indices, atoms, cols, pair)`` per batch with work, as
     ``build_batch_views`` listed them before fusion."""
-    pattern = builder.pattern if screened else None
     everything = slice(None)
-    for b in builder.batches:
-        if pattern is None:
+    if not (screened and builder.views.screened):
+        for b in builder.batches:
             yield b.point_indices, b.relevant_atoms, everything, (everything, everything)
-        else:
-            act = pattern.active_functions[b.index]
-            if act.size:
-                yield b.point_indices, pattern.active_atoms[b.index], act, np.ix_(act, act)
+        return
+    columns = screened_columns(builder.batches, builder.basis, builder.screening_threshold)
+    for b, act in zip(builder.batches, columns):
+        if act.size:
+            atoms = tuple(np.unique(builder.basis.function_atoms[act]).tolist())
+            yield b.point_indices, atoms, act, np.ix_(act, act)
 
 
 _BLOCKS = {}
@@ -295,7 +310,7 @@ _BLOCKS = {}
 def _per_batch_blocks(builder, screened):
     """The views with their chi blocks, evaluated once per builder (the
     old engine's warm cache; a test contracts them many times)."""
-    key = (id(builder), bool(screened) and builder.pattern is not None)
+    key = (id(builder), bool(screened) and builder.views.screened)
     if key not in _BLOCKS:
         _BLOCKS[key] = builder, [
             (idx, pair, builder.basis.evaluate(builder.grid.points[idx], atoms=atoms)[:, cols])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    run_beyond200k,
     run_fig09a_memory,
     run_fig09b_dense_access,
     run_fig09c_splines,
@@ -126,28 +125,3 @@ class TestFig1516:
             eff = s.efficiencies()
             assert eff[0] == pytest.approx(1.0)
             assert 0.4 < eff[1] <= 1.05
-
-
-class TestBeyond200k:
-    def test_defaults_extend_past_the_paper_ceiling(self):
-        from repro.experiments.beyond200k import (
-            BEYOND_CASES_FULL,
-            BEYOND_CASES_QUICK,
-            PAPER_CEILING_ATOMS,
-        )
-        assert max(BEYOND_CASES_QUICK) > PAPER_CEILING_ATOMS
-        assert max(BEYOND_CASES_FULL) >= 1_000_000
-
-    def test_blocks_per_atom_stays_flat(self):
-        r = run_beyond200k(atom_counts=(602, 1202, 3002))
-        assert r.max_atoms == 3002
-        assert r.linearity() < 0.05
-        reductions = [p.block_reduction for p in r.points]
-        assert reductions == sorted(reductions)
-        assert all(p.blocks_active < p.blocks_dense for p in r.points)
-
-    def test_render_marks_points_past_the_ceiling(self):
-        r = run_beyond200k(atom_counts=(602,))
-        table = r.render()
-        assert "602" in table and "Fig. 16" in table
-        assert "602 *" not in table  # 602 is below the ceiling

@@ -41,7 +41,6 @@ from repro.grids.sparsity import (
     MAX_VIEW_ROWS,
     MERGE_WINDOW,
     build_batch_views,
-    build_sparsity_pattern,
     merge_column_sets,
     view_cost,
 )
@@ -52,6 +51,7 @@ from tests.setup_oracles import (
     oracle_density_on_grid,
     oracle_kinetic,
     oracle_potential_matrix,
+    screened_columns,
 )
 
 STRUCTURES = {name: make() for name, make in BUILTIN_MOLECULES.items()}
@@ -68,11 +68,9 @@ def _substrate(name):
 
 
 @functools.lru_cache(maxsize=None)
-def _pattern(name, threshold):
+def _screened_columns(name, threshold):
     sub = _substrate(name)
-    if threshold == 0.0:
-        return None
-    return build_sparsity_pattern(sub.basis, sub.batches, threshold)
+    return screened_columns(sub.batches, sub.basis, threshold)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,10 +84,9 @@ def _builder(name, threshold, backend="numpy"):
 
 def _column_set(name, threshold, batch):
     """The columns one batch contracts: its relevant atoms' functions, or
-    the pattern's active set."""
-    pattern = _pattern(name, threshold)
-    if pattern is not None:
-        return pattern.active_functions[batch.index]
+    those whose screened reach touches it."""
+    if threshold > 0.0:
+        return _screened_columns(name, threshold)[batch.index]
     fn_atom = _substrate(name).basis.function_atoms
     return np.flatnonzero(np.isin(fn_atom, batch.relevant_atoms))
 
@@ -128,7 +125,7 @@ class TestViewAlgebra:
     def test_views_partition_exactly_the_batches_they_were_given(
         self, name, threshold, data
     ):
-        sub, pattern = _substrate(name), _pattern(name, threshold)
+        sub = _substrate(name)
         picked = data.draw(
             st.one_of(
                 st.none(),
@@ -136,7 +133,7 @@ class TestViewAlgebra:
             )
         )
         batches = sub.batches if picked is None else [sub.batches[i] for i in picked]
-        views = build_batch_views(batches, sub.basis, pattern)
+        views = build_batch_views(batches, sub.basis, threshold)
         by_index = {b.index: b for b in batches}
         with_work = [b for b in batches if _column_set(name, threshold, b).size]
 
@@ -187,24 +184,13 @@ class TestViewAlgebra:
             assert np.array_equal(full, want)
             assert np.array_equal(np.triu(half), np.triu(want))
 
-        # The priced fields ignore fusion and compaction.
+        # The priced fields ignore fusion: each batch at its own width.
         n_points = sum(b.n_points for b in batches)
-        widths = [
-            sub.basis.n_basis if pattern is None
-            else _column_set(name, threshold, b).size
-            for b in with_work
-        ]
-        assert views.screened == (pattern is not None)
+        priced = sum(b.n_points * _column_set(name, threshold, b).size for b in with_work)
+        assert views.screened == (threshold > 0.0)
         assert views.n_points == n_points and views.n_batches == len(with_work)
-        if pattern is None:
-            assert views.elements == n_points * sub.basis.n_basis
-        else:
-            assert views.elements == sum(
-                b.n_points * c for b, c in zip(with_work, widths)
-            )
-        assert sum(v.elements for v in views) == sum(
-            b.n_points * c for b, c in zip(with_work, widths)
-        )
+        assert views.elements == priced == sum(v.elements for v in views)
+        assert views.elements == views.stats.elements_active
 
         # O(cols), never O(cols^2): all index data a view list holds.
         held = sum(
@@ -216,7 +202,7 @@ class TestViewAlgebra:
         assert held <= 16 * sum(v.point_indices.size + v.cols.size for v in views)
 
         # Same input, same views.
-        again = build_batch_views(batches, sub.basis, pattern)
+        again = build_batch_views(batches, sub.basis, threshold)
         assert _views_digest(again) == _views_digest(views)
 
     def test_view_counts_of_the_benchmark_molecules(self):
@@ -254,10 +240,10 @@ class TestViewAlgebra:
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_a_fused_block_is_its_batches_blocks_stacked(self, name, threshold):
         builder = _builder(name, threshold)
-        basis, pattern = builder.basis, builder.pattern
+        basis = builder.basis
         alone = {}
         for batch in builder.batches:
-            for view in build_batch_views([batch], basis, pattern):
+            for view in build_batch_views([batch], basis, threshold):
                 assert view.batches == (batch.index,)
                 alone[batch.index] = (
                     {int(p): i for i, p in enumerate(view.point_indices)},
@@ -419,13 +405,12 @@ class TestMergeRule:
     @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
     @pytest.mark.parametrize("name", ["polyethylene2", "chain26"])
     def test_merging_keeps_every_priced_number(self, name, threshold):
-        sub, pattern = _substrate(name), _pattern(name, threshold)
-        views = build_batch_views(sub.batches, sub.basis, pattern)
-        alone = [build_batch_views([b], sub.basis, pattern) for b in sub.batches]
+        sub = _substrate(name)
+        views = build_batch_views(sub.batches, sub.basis, threshold)
+        alone = [build_batch_views([b], sub.basis, threshold) for b in sub.batches]
         assert views.padded_fraction > 0.0  # something merged
         for field in ("n_points", "n_batches", "elements", "elements_sq"):
             assert getattr(views, field) == sum(getattr(v, field) for v in alone), field
-        assert {v.matrix_nnz for v in alone} == {views.matrix_nnz}
         assert sum(v.elements for v in views) == views.elements
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])

@@ -18,7 +18,6 @@ from repro.grids import (
     build_batches,
     build_grid,
     cut_plane_partition,
-    modeled_block_counts,
     radial_shells_for_species,
 )
 from repro.grids.batching import BatchArrays, batch_arrays
@@ -267,8 +266,6 @@ class TestBatching:
             warnings.simplefilter("error")
             with pytest.raises(GridError, match="target_points must be >= 1"):
                 synthetic_batches(build_workload(s), target_points=target)
-            with pytest.raises(GridError, match="target_points must be >= 1"):
-                modeled_block_counts(s, target_points=target)
 
     def test_summary_batches_are_a_read_only_sequence(self):
         batches = synthetic_batches(build_workload(polyethylene(4)))

@@ -203,7 +203,7 @@ def _assert_views_match_oracle(builder):
         values, grads = basis.evaluate_with_gradients(pts, atoms=batch.relevant_atoms)
         assert np.array_equal(values, want_v) and np.array_equal(grads, want_g)
         dense[batch.point_indices] = want_v
-    assert builder.pattern is not None
+    assert builder.views.screened
     for views in (build_batch_views(builder.batches, basis), builder.views):
         for view in views:
             want = dense[view.point_indices][:, view.cols]

@@ -1,8 +1,10 @@
-"""Block-sparse screening: pattern construction, equivalence, caches.
+"""Batch-local screening: the column mask, equivalence, caches.
 
 The locality seam's contract, pinned from four sides:
 
-* the pattern itself (thresholds, monotonicity, stats bookkeeping);
+* the mask itself: it picks exactly the sets a search over every
+  function of the structure picks, nests as the threshold loosens, and
+  its stats say what it kept of the relevant-atom blocks;
 * threshold ``0.0`` is *disabled* — bitwise identical to the dense
   pre-screening path on every backend (property-tested over random
   chain molecules);
@@ -10,29 +12,27 @@ The locality seam's contract, pinned from four sides:
   and within physics tolerance of dense;
 * the host block cache composes with screening: a cached compact block
   is bitwise the column slice of the dense table, is never re-evaluated
-  under the budget, and the LRU keys on the active-set hash.
+  under the budget, and the LRU keys on the column-set hash.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.atoms import Structure, hydrogen_molecule, polyethylene, water
+from repro.atoms import Structure, hydrogen_molecule, methane, polyethylene, water
 from repro.backends import BatchedBackend, available_backends
 from repro.basis import build_basis
 from repro.config import get_settings
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
-from repro.errors import GridError
-from repro.grids import (
-    build_grid,
-    build_sparsity_pattern,
-    modeled_block_counts,
-)
+from repro.grids import build_grid
+from repro.grids import sparsity
+from repro.grids.batching import batch_arrays
 from repro.grids.sparsity import (
     DEFAULT_SCREENING_THRESHOLD,
-    active_fraction_histogram,
+    batch_columns,
+    build_batch_views,
 )
-from tests.setup_oracles import assert_close_at_scale
+from tests.setup_oracles import assert_close_at_scale, screened_columns
 
 BACKENDS = tuple(available_backends())
 
@@ -80,15 +80,31 @@ def _probe_inputs(builder, seed=7):
     return p + p.T, rng.normal(size=builder.grid.n_points)
 
 
+def _columns(batches, basis, threshold):
+    """Per batch, its column set as :func:`batch_columns` gives it."""
+    indptr, cols = batch_columns(batch_arrays(batches), basis, threshold)
+    return np.split(cols, indptr[1:-1]) if len(batches) else []
+
+
+MASKED = {
+    "h2": hydrogen_molecule(), "water": water(), "methane": methane(),
+    "pe4": polyethylene(4), "pe5": polyethylene(5),
+}
+
+
 class TestPatternConstruction:
-    def test_zero_threshold_is_rejected(self):
-        structure = water()
-        settings = get_settings("minimal")
-        basis = build_basis(structure)
-        grid = build_grid(structure, settings.grids, with_partition=True)
-        builder = MatrixBuilder(basis, grid)
-        with pytest.raises(GridError):
-            build_sparsity_pattern(basis, builder.batches, 0.0)
+    def test_zero_threshold_masks_nothing(self):
+        sub = build_substrate(_chain(3, 6), get_settings("minimal").grids)
+        views = build_batch_views(sub.batches, sub.basis, 0.0)
+        fn_atom = sub.basis.function_atoms
+        for b, cols in zip(sub.batches, _columns(sub.batches, sub.basis, 0.0)):
+            assert np.array_equal(cols, np.flatnonzero(np.isin(fn_atom, b.relevant_atoms)))
+        stats = views.stats
+        assert not views.screened
+        assert (stats.blocks_active, stats.elements_active) == (
+            stats.blocks_relevant, stats.elements_relevant
+        )
+        assert stats.fill_fraction == 1.0 == stats.block_reduction
 
     def test_disabled_screening_builds_no_pattern(self):
         structure = water()
@@ -96,38 +112,28 @@ class TestPatternConstruction:
         basis = build_basis(structure)
         grid = build_grid(structure, settings.grids, with_partition=True)
         builder = MatrixBuilder(basis, grid, screening_threshold=0.0)
-        assert builder.pattern is None
+        assert builder.pattern is None and not builder.views.screened
         assert builder.screening_threshold == 0.0
 
     def test_stats_bookkeeping_is_consistent(self):
         _, screened = _builders(_chain(3, 6), DEFAULT_SCREENING_THRESHOLD)
-        pattern = screened.pattern
-        stats = pattern.stats
-        n_atoms = screened.grid.structure.n_atoms
-        assert stats.n_batches == len(screened.batches) == pattern.n_batches
-        assert stats.blocks_dense == stats.n_batches * n_atoms
-        assert stats.blocks_active == sum(
-            len(a) for a in pattern.active_atoms
+        views, basis = screened.views, screened.basis
+        stats = views.stats
+        assert screened.pattern is views
+        fn_atom = basis.function_atoms
+        columns = _columns(screened.batches, basis, DEFAULT_SCREENING_THRESHOLD)
+        assert stats.blocks_relevant == sum(len(b.relevant_atoms) for b in screened.batches)
+        assert stats.blocks_active == sum(np.unique(fn_atom[c]).size for c in columns)
+        assert stats.elements_active == views.elements == sum(
+            b.n_points * c.size for b, c in zip(screened.batches, columns)
         )
-        assert 0.0 < stats.fill_fraction <= 1.0
-        assert sum(stats.histogram) == stats.n_batches
-        assert stats.block_reduction >= 1.0
-        # Every active function's owner atom is in the batch's atom set.
-        fn_atom = screened.basis.function_atoms
-        for b in range(pattern.n_batches):
-            owners = set(fn_atom[pattern.active_functions[b]].tolist())
-            assert owners <= set(pattern.active_atoms[b])
-
-    def test_matrix_nnz_counts_block_mask_elements(self):
-        _, screened = _builders(_chain(4, 5), DEFAULT_SCREENING_THRESHOLD)
-        pattern = screened.pattern
-        fn_counts = np.bincount(
-            screened.basis.function_atoms,
-            minlength=screened.grid.structure.n_atoms,
+        assert stats.elements_relevant == sum(
+            b.n_points * np.isin(fn_atom, b.relevant_atoms).sum() for b in screened.batches
         )
-        expected = int(fn_counts @ pattern.block_mask @ fn_counts)
-        assert pattern.matrix_nnz == expected
-        assert pattern.matrix_nnz <= screened.basis.n_basis**2
+        assert 0.0 < stats.fill_fraction <= 1.0 <= stats.block_reduction
+        # Every kept function's owner atom is relevant to the batch.
+        for b, cols in zip(screened.batches, columns):
+            assert set(fn_atom[cols].tolist()) <= set(b.relevant_atoms)
 
     @given(
         seed=st.integers(0, 1000),
@@ -145,54 +151,79 @@ class TestPatternConstruction:
         assert np.all(r_tight <= basis.atom_cutoffs[basis.function_atoms])
 
     def test_active_sets_nest_as_threshold_loosens(self):
-        structure = _chain(11, 6)
-        settings = get_settings("minimal")
-        basis = build_basis(structure)
-        grid = build_grid(structure, settings.grids, with_partition=True)
-        builder = MatrixBuilder(basis, grid)
-        tight = build_sparsity_pattern(basis, builder.batches, 1e-9)
-        loose = build_sparsity_pattern(basis, builder.batches, 1e-4)
-        for b in range(tight.n_batches):
-            assert set(loose.active_functions[b]) <= set(
-                tight.active_functions[b]
-            )
-        assert loose.stats.blocks_active <= tight.stats.blocks_active
-        assert not np.any(loose.block_mask & ~tight.block_mask)
-
+        sub = build_substrate(_chain(11, 6), get_settings("minimal").grids)
+        tight = _columns(sub.batches, sub.basis, 1e-9)
+        loose = _columns(sub.batches, sub.basis, 1e-4)
+        for t, l in zip(tight, loose):
+            assert set(l.tolist()) <= set(t.tolist())
+        blocks = [
+            build_batch_views(sub.batches, sub.basis, t).stats.blocks_active
+            for t in (1e-9, 1e-4)
+        ]
+        assert blocks[1] <= blocks[0]
 
     # Recorded at the parent of PR 21 (253d9c2, per-chunk all-pairs loop),
-    # minimal grids: (threshold, blocks_active, elements_active, matrix_nnz,
-    # histogram).  The shared search must not move one of them.
+    # minimal grids: (threshold, blocks_active, elements_active).  The
+    # column mask must not move one of them.
     @pytest.mark.parametrize(
-        "structure, threshold, blocks, elements, nnz, histogram",
+        "structure, threshold, blocks, elements",
         [
-            (hydrogen_molecule(), 1e-6, 32, 8320, 100, [0] * 9 + [16]),
-            (water(), 1e-6, 96, 33306, 441, [0] * 9 + [32]),
-            (polyethylene(4), 1e-6, 5578, 1925444, 31684,
-             [0, 0, 0, 0, 6, 0, 49, 30, 69, 102]),
-            (polyethylene(4), 1e-3, 5441, 1753638, 31684,
-             [0, 0, 0, 0, 11, 47, 34, 57, 61, 46]),
+            (hydrogen_molecule(), 1e-6, 32, 8320),
+            (water(), 1e-6, 96, 33306),
+            (polyethylene(4), 1e-6, 5578, 1925444),
+            (polyethylene(4), 1e-3, 5441, 1753638),
         ],
         ids=["h2", "water", "pe4-1e-6", "pe4-1e-3"],
     )
-    def test_pattern_equals_the_parents(
-        self, structure, threshold, blocks, elements, nnz, histogram
-    ):
+    def test_pattern_equals_the_parents(self, structure, threshold, blocks, elements):
         sub = build_substrate(structure, get_settings("minimal").grids)
-        pattern = build_sparsity_pattern(sub.basis, sub.batches, threshold)
-        stats = pattern.stats
+        stats = build_batch_views(sub.batches, sub.basis, threshold).stats
         assert (stats.blocks_active, stats.elements_active) == (blocks, elements)
-        assert pattern.matrix_nnz == nnz
-        assert list(stats.histogram) == histogram
-        fn_atom = sub.basis.function_atoms
-        for act, atoms in zip(pattern.active_functions, pattern.active_atoms):
-            assert act.dtype == np.int64 and np.all(np.diff(act) > 0)
-            assert atoms == tuple(np.unique(fn_atom[act]).tolist())
+        for cols in _columns(sub.batches, sub.basis, threshold):
+            assert cols.dtype == np.int64 and np.all(np.diff(cols) > 0)
 
-class TestHistogramDoctestNeighbour:
-    def test_histogram_edge_cases(self):
-        assert active_fraction_histogram([], bins=4) == (0, 0, 0, 0)
-        assert active_fraction_histogram([1.0, 1.0], bins=2) == (0, 2)
+    @pytest.mark.parametrize("threshold", [1e-8, 1e-6, 1e-3, 1e-2])
+    @pytest.mark.parametrize("name", sorted(MASKED))
+    def test_the_mask_picks_the_old_sets(self, name, threshold, monkeypatch):
+        """Each batch's masked columns are row b of the search over every
+        function, and the views are field for field those a build on the
+        search's sets gives."""
+        sub = build_substrate(MASKED[name], get_settings("minimal").grids)
+        want = screened_columns(sub.batches, sub.basis, threshold)
+        got = _columns(sub.batches, sub.basis, threshold)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+        views = build_batch_views(sub.batches, sub.basis, threshold)
+        indptr = np.cumsum([0] + [w.size for w in want])
+        monkeypatch.setattr(
+            sparsity, "batch_columns",
+            lambda arrays, basis, threshold=0.0: (indptr, np.concatenate(want)),
+        )
+        oracle = build_batch_views(sub.batches, sub.basis, threshold)
+        assert len(views) == len(oracle) and views.stats == oracle.stats
+        for v, o in zip(views, oracle):
+            for field in ("cols", "point_indices"):
+                assert np.array_equal(getattr(v, field), getattr(o, field)), field
+            assert (v.batches, v.bounds, v.runs, v.atoms, v.active_hash, v.elements) == (
+                o.batches, o.bounds, o.runs, o.atoms, o.active_hash, o.elements
+            )
+            assert all(np.array_equal(a, b) for a, b in zip(v.padding, o.padding))
+
+
+class TestPricedAsRun:
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    def test_views_price_the_columns_they_contract(self, threshold):
+        """Elements are each member's rows times its own columns: the
+        block's entries less its padding, screened or not."""
+        sub = build_substrate(polyethylene(4), get_settings("minimal").grids)
+        views = build_batch_views(sub.batches, sub.basis, threshold)
+        for view in views:
+            held = view.point_indices.size * view.cols.size
+            assert view.elements == held - view.padded_elements
+        assert views.elements == sum(v.elements for v in views)
+        assert views.elements < sub.grid.n_points * sub.basis.n_basis
 
 
 class TestThresholdZeroBitIdentity:
@@ -332,13 +363,15 @@ class TestTableCacheCompose:
 
     def test_sliced_block_equals_fresh_compact_evaluation(self):
         _, screened = _builders(_chain(9, 4), DEFAULT_SCREENING_THRESHOLD)
-        pattern = screened.pattern
         table = screened.basis_values()
+        columns = screened_columns(
+            screened.batches, screened.basis, DEFAULT_SCREENING_THRESHOLD
+        )
         for b in screened.batches[:4]:
-            act = pattern.active_functions[b.index]
+            act = columns[b.index]
             fresh = screened.basis.evaluate(
                 screened.grid.points[b.point_indices],
-                atoms=pattern.active_atoms[b.index],
+                atoms=tuple(np.unique(screened.basis.function_atoms[act]).tolist()),
             )[:, act]
             np.testing.assert_array_equal(
                 table[b.point_indices][:, act], fresh
@@ -379,10 +412,7 @@ class TestBatchedLRUKeys:
         keys = list(screened.backend.cache._blocks.keys())
         assert keys, "host backend cached no blocks"
         assert all(scope is None and h is not None for scope, _, h in keys)
-        hashes = {screened.pattern.active_hash(i) for i, _ in enumerate(
-            screened.batches
-        )}
-        assert {h for _, _, h in keys} <= hashes
+        assert {h for _, _, h in keys} == {v.active_hash for v in screened.views}
 
     def test_second_sweep_hits_the_cache(self):
         _, screened = _builders(
@@ -404,16 +434,19 @@ class TestBatchedLRUKeys:
         basis = build_basis(structure)
         grid = build_grid(structure, settings.grids, with_partition=True)
         builder = MatrixBuilder(basis, grid)
-        tight = build_sparsity_pattern(basis, builder.batches, 1e-9)
-        loose = build_sparsity_pattern(basis, builder.batches, 1e-2)
+
+        def digests(threshold):  # per batch, its own view's key part
+            return [
+                [v.active_hash for v in build_batch_views([b], basis, threshold)]
+                for b in builder.batches
+            ]
+
         differing = [
-            b
-            for b in range(tight.n_batches)
-            if tight.active_functions[b].size != loose.active_functions[b].size
+            (t, l) for t, l in zip(digests(1e-9), digests(1e-2)) if t != l
         ]
-        assert differing, "thresholds produced identical active sets"
-        for b in differing:
-            assert tight.active_hash(b) != loose.active_hash(b)
+        assert differing, "thresholds produced identical column sets"
+        for tight, loose in differing:
+            assert not set(tight) & set(loose)
 
 
 class TestScreeningCounters:
@@ -423,16 +456,13 @@ class TestScreeningCounters:
         screened.backend.density_on_grid(p)
         screened.potential_matrix(v)
         doc = screened.backend.profile.as_dict()["sparsity"]
-        stats = screened.pattern.stats
+        stats = screened.views.stats
         # Two screened phase passes, each touching every batch once.
-        assert doc["blocks_evaluated"] == 2 * stats.blocks_active
-        assert (
-            doc["blocks_evaluated"] + doc["blocks_skipped"]
-            == 2 * stats.blocks_dense
-        )
-        assert doc["fill_fraction"] == pytest.approx(stats.fill_fraction)
-        assert tuple(doc["histogram"]) == stats.histogram
-        assert doc["elements_active"] > 0
+        assert doc == {
+            "blocks_evaluated": 2 * stats.blocks_active,
+            "blocks_skipped": 2 * (stats.blocks_relevant - stats.blocks_active),
+        }
+        assert stats.blocks_active > 0
 
     def test_blocks_evaluated_metric_is_linear_and_engine_independent(self):
         """k screened Sumup+H passes read ``2 k blocks_active`` on every
@@ -445,7 +475,7 @@ class TestScreeningCounters:
                 _chain(21, 5), DEFAULT_SCREENING_THRESHOLD, backend=name
             )
             p, v = _probe_inputs(screened)
-            active = screened.pattern.stats.blocks_active
+            active = screened.views.stats.blocks_active
             readings[name] = []
             for k in (1, 2, 3):
                 screened.backend.density_on_grid(p)
@@ -460,44 +490,19 @@ class TestScreeningCounters:
         p, _ = _probe_inputs(dense)
         dense.backend.density_on_grid(p)
         doc = dense.backend.profile.as_dict()["sparsity"]
-        assert doc["blocks_evaluated"] == 0
-        assert doc["fill_fraction"] == 0.0
+        assert doc == {"blocks_evaluated": 0, "blocks_skipped": 0}
 
-
-class TestModeledBlockCounts:
-    def test_polymer_reduction_grows_with_chain_length(self):
-        short = modeled_block_counts(polyethylene(8))
-        long = modeled_block_counts(polyethylene(32))
-        assert short["block_reduction"] > 1.0
-        assert long["block_reduction"] > short["block_reduction"]
-        assert long["fill_fraction"] < short["fill_fraction"]
-
-    def test_active_blocks_scale_linearly_not_quadratically(self):
-        a = modeled_block_counts(polyethylene(16))
-        b = modeled_block_counts(polyethylene(32))
-        dense_ratio = b["blocks_dense"] / a["blocks_dense"]
-        active_ratio = b["blocks_active"] / a["blocks_active"]
-        assert dense_ratio > 3.5  # ~4x: both factors doubled
-        assert active_ratio < 2.5  # ~2x: locality keeps it linear
-
-    def test_counts_match_a_real_pattern_shape(self):
-        doc = modeled_block_counts(polyethylene(4), threshold=1e-6)
-        assert doc["n_atoms"] == 26
-        assert doc["blocks_dense"] == doc["n_batches"] * doc["n_atoms"]
-        assert 0.0 < doc["fill_fraction"] <= 1.0
-        assert doc["threshold"] == 1e-6
-
-    # Recorded at the parent of PR 21 (253d9c2, bucket-dict cell list).
-    @pytest.mark.parametrize(
-        "structure, blocks, elements",
-        [
-            (hydrogen_molecule(), 24, 24000),
-            (water(), 69, 96600),
-            (polyethylene(4), 3928, 5251000),
-            (polyethylene(100), 123160, 166732600),
-        ],
-        ids=["h2", "water", "pe4", "chain602"],
-    )
-    def test_counts_equal_the_parents(self, structure, blocks, elements):
-        doc = modeled_block_counts(structure)
-        assert (doc["blocks_active"], doc["elements_active"]) == (blocks, elements)
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6], ids=["dense", "screened"])
+    def test_dm_phase_prices_the_dense_rotation(self, threshold):
+        """The Sternheimer rotation reads h1 whole, so the DM phase is
+        ``n_basis**2`` elements whatever the grid phases screened."""
+        dense, screened = _builders(_chain(4, 5), threshold or 1e-6)
+        builder = screened if threshold else dense
+        nb, n_occ = builder.basis.n_basis, 2
+        rng = np.random.default_rng(3)
+        c = np.linalg.qr(rng.normal(size=(nb, nb)))[0]
+        builder.backend.first_order_dm(
+            rng.normal(size=(nb, nb)), np.ones((nb - n_occ, n_occ)),
+            c[:, :n_occ], c[:, n_occ:], np.full(n_occ, 2.0),
+        )
+        assert builder.backend.profile.phases["DM"].elements == nb * nb

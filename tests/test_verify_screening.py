@@ -48,7 +48,7 @@ def screened_water_run():
 class TestScreenedWaterInvariants:
     def test_pattern_is_actually_active(self, screened_water_run):
         driver, _, _, _ = screened_water_run
-        assert driver.builder.pattern is not None
+        assert driver.builder.views.screened
         assert driver.builder.screening_threshold == (
             DEFAULT_SCREENING_THRESHOLD
         )

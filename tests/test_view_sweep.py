@@ -147,7 +147,7 @@ class TestTheHelperSweepIsTheInlineSweep:
         assert got.cache_misses > 0
         for name in (
             "cache_hits", "cache_misses", "cache_evictions", "cache_peak_bytes",
-            "screen_blocks_evaluated", "screen_elements_active",
+            "screen_blocks_evaluated", "screen_blocks_skipped",
             "device_launches", "device_modeled_seconds", "device_bytes_transferred",
         ):
             assert getattr(got, name) == getattr(want, name), name
