@@ -7,8 +7,7 @@ switched off alone and the per-cycle slowdown recorded.
 
 from conftest import emit
 
-from repro.core import OptimizationFlags
-from repro.experiments.common import polyethylene_simulator
+from repro.experiments.common import flag_pairs
 from repro.runtime import HPC2_AMD
 from repro.utils.reports import TableFormatter, format_seconds
 
@@ -22,13 +21,15 @@ FLAGS = (
 )
 
 
+def _cycle_seconds(model):
+    return sum(model.breakdown().per_cycle.values())
+
+
 def run_ablation(n_atoms: int = 30002, ranks: int = 2048):
-    sim = polyethylene_simulator(n_atoms)
-    full = sim.run_model(HPC2_AMD, ranks)
     rows = []
     for flag in FLAGS:
-        rep = sim.run_model(HPC2_AMD, ranks, OptimizationFlags.all().but(**{flag: False}))
-        rows.append((flag, rep.cycle_seconds, rep.cycle_seconds / full.cycle_seconds))
+        [(_, _, _, off, full)] = flag_pairs({n_atoms: (ranks,)}, (HPC2_AMD,), flag, _cycle_seconds)
+        rows.append((flag, off, off / full))
     return full, rows
 
 
@@ -38,7 +39,7 @@ def test_ablation_contributions(benchmark):
         ["disabled flag", "cycle time", "slowdown vs full"],
         title="Ablation: 30 002 atoms, 2 048 ranks, HPC#2",
     )
-    table.add_row(["(none - fully optimized)", format_seconds(full.cycle_seconds), "1.00x"])
+    table.add_row(["(none - fully optimized)", format_seconds(full), "1.00x"])
     for flag, seconds, slowdown in rows:
         table.add_row([flag, format_seconds(seconds), f"{slowdown:.2f}x"])
     emit(benchmark, table.render())

@@ -78,8 +78,8 @@ def test_bench_reduction_baseline_vs_packed(benchmark):
     data = [rng.normal(size=(200, 64)) for _ in range(16)]
 
     def run():
-        out_b, _ = BaselineRowwiseAllreduce().reduce(cluster, data)
-        out_p, _ = PackedAllreduce(rows_cap=50).reduce(cluster, data)
+        out_b = BaselineRowwiseAllreduce().reduce(cluster, data)
+        out_p = PackedAllreduce(rows_cap=50).reduce(cluster, data)
         return out_b, out_p
 
     out_b, out_p = benchmark(run)

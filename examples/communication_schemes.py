@@ -4,7 +4,7 @@
 Runs all three reduction schemes over actual per-rank rho_multipole
 partial arrays on a simulated 64-rank HPC#2 cluster, verifies the
 results agree bit-for-bit (packing) / to round-off (hierarchy), and
-prints the modeled times at paper scale.
+prints each scheme's price, here and at paper scale.
 
     python examples/communication_schemes.py
 """
@@ -35,8 +35,8 @@ def main() -> None:
         PackedAllreduce(rows_cap=64),
         PackedHierarchicalAllreduce(rows_cap=64),
     ):
-        out, rep = scheme.reduce(cluster, data)
-        err = np.abs(out - reference).max()
+        err = np.abs(scheme.reduce(cluster, data) - reference).max()
+        rep = scheme.estimate(HPC2_AMD, 64, n_rows, data[0][0].nbytes)
         print(f"  {rep.scheme:22s} {rep.n_collectives:4d} collectives, "
               f"max error {err:.2e}, modeled "
               f"{format_seconds(rep.communication_time + rep.local_update_time)}")

@@ -1,23 +1,18 @@
 #!/usr/bin/env python
 """Portability report: the Section 4 kernel optimizations on both devices.
 
-Exercises the executable OpenCL device model: vertical/horizontal fusion
-(with the 64 KB RMA gate), indirect-access elimination (with a real
-gather-map correctness check) and the (p, m) loop collapse (with the
-real index bijection).
+Prices each optimization on the OpenCL device model: vertical/horizontal
+fusion (with the 64 KB RMA gate), indirect-access elimination (the init
+kernel before and after) and the (p, m) loop collapse (Fig. 13's rows).
 
     python examples/portability_report.py
 """
 
-import numpy as np
-
+from repro.experiments import run_fig13_collapse
 from repro.ocl import (
     Device,
     Kernel,
     NDRange,
-    apply_gather_map,
-    build_gather_map,
-    collapse_pm_loop,
     eliminate_indirect_accesses,
     horizontal_fusion,
     vertical_fusion,
@@ -55,17 +50,8 @@ def main() -> None:
     print(table.render())
 
     # --- Indirect-access elimination (Section 4.3) --------------------
-    rng = np.random.default_rng(0)
-    coord_center = rng.normal(size=(3006, 3))          # per local atom id
-    atom_list = rng.permutation(3006)                  # global -> local
-    permuted = build_gather_map(coord_center, atom_list)
-    i_center = rng.integers(0, 3006, size=10)
-    assert np.array_equal(
-        apply_gather_map(permuted, i_center), coord_center[atom_list[i_center]]
-    )
     print("\nIndirect-access elimination "
-          "(coord_center[atom_list[i]] -> permuted[i]): verified exact")
-
+          "(coord_center[atom_list[i]] -> permuted[i]):")
     init = Kernel("grid_partition_init", flops_per_item=8000,
                   bytes_read_per_item=48, indirect_accesses_per_item=4)
     direct = eliminate_indirect_accesses(init)
@@ -77,10 +63,8 @@ def main() -> None:
               f"({t0 / t1:.1f}x)")
 
     # --- Fine-grained parallelization (Section 4.4) -------------------
-    table2 = collapse_pm_loop(9)
-    print(f"\nLoop collapse: (p, m) nest with p_max=9 exposes "
-          f"{len(table2)} parallel iterations instead of 10")
-    print(f"  first entries: {[tuple(r) for r in table2[:5]]}")
+    print()
+    print(run_fig13_collapse({30002: (256, 1024, 4096)}).render())
 
 
 if __name__ == "__main__":

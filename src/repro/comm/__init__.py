@@ -10,9 +10,9 @@ Three ways to synthesize the per-rank partial ``rho_multipole`` rows:
   each node through an MPI-SHM window, then across one leader per node
   (Section 3.2.2; requires shared-memory windows, hence HPC #2 only).
 
-Every scheme both *executes* on real per-rank numpy data (results are
-asserted equal across schemes in the tests) and *estimates* model time
-at arbitrary scale for the Fig. 10 sweeps.
+Every scheme *executes* on real per-rank numpy data (results are
+asserted equal across schemes in the tests) and has one price,
+``estimate``, at any scale: what Fig. 10 and the phase model read.
 """
 
 from repro.comm.schemes import (

@@ -38,12 +38,9 @@ def rows_per_pack(row_bytes: int, limit: int = PACK_LIMIT_BYTES) -> int:
 
 @dataclass
 class ReductionReport:
-    """Cost accounting of one scheme run/estimate (Fig. 10's two bars)."""
+    """A scheme's priced cost at one scale (Fig. 10's two bars)."""
 
     scheme: str
-    n_ranks: int
-    n_rows: int
-    row_bytes: int
     n_collectives: int
     communication_time: float  # "communication among all data copies"
     local_update_time: float  # "update local data copies"
@@ -55,25 +52,25 @@ class ReductionReport:
 
 
 class ReductionScheme(ABC):
-    """Interface: execute on real data and estimate at scale."""
+    """Interface: execute on real data; price at scale."""
 
     name: str = "abstract"
 
     @abstractmethod
     def reduce(
         self, cluster: SimCluster, per_rank_rows: Sequence[np.ndarray]
-    ) -> tuple:
-        """Synthesize real data: returns ``(result, report)``.
+    ) -> np.ndarray:
+        """Synthesize real data: the elementwise sum over ranks.
 
         ``per_rank_rows[r]`` is rank r's ``(n_rows, row_len)`` partial
-        array; the result is the elementwise sum over ranks.
+        array.  The cost is :meth:`estimate`'s, the scheme's one price.
         """
 
     @abstractmethod
     def estimate(
         self, machine: MachineSpec, n_ranks: int, n_rows: int, row_bytes: int
     ) -> ReductionReport:
-        """Model-only cost at arbitrary scale."""
+        """The scheme's cost at arbitrary scale."""
 
 
 def _check_rows(per_rank_rows: Sequence[np.ndarray], n_ranks: int) -> List[np.ndarray]:
@@ -103,26 +100,13 @@ class BaselineRowwiseAllreduce(ReductionScheme):
         out = np.empty_like(arrs[0])
         for row in range(n_rows):
             out[row] = comm.allreduce([a[row] for a in arrs])
-        report = ReductionReport(
-            scheme=self.name,
-            n_ranks=cluster.n_ranks,
-            n_rows=n_rows,
-            row_bytes=int(arrs[0][0].nbytes),
-            n_collectives=n_rows,
-            communication_time=comm.stats.model_time,
-            local_update_time=0.0,
-            peak_pack_bytes=int(arrs[0][0].nbytes),
-        )
-        return out, report
+        return out
 
     def estimate(self, machine, n_ranks, n_rows, row_bytes):
         cost = CommCostModel(machine)
         t = n_rows * cost.allreduce(n_ranks, row_bytes)
         return ReductionReport(
             scheme=self.name,
-            n_ranks=n_ranks,
-            n_rows=n_rows,
-            row_bytes=row_bytes,
             n_collectives=n_rows,
             communication_time=t,
             local_update_time=0.0,
@@ -155,25 +139,12 @@ class PackedAllreduce(ReductionScheme):
         arrs = _check_rows(per_rank_rows, cluster.n_ranks)
         comm = cluster.comm()
         n_rows = arrs[0].shape[0]
-        row_bytes = int(arrs[0][0].nbytes)
-        c = self._pack_rows(row_bytes)
+        c = self._pack_rows(int(arrs[0][0].nbytes))
         out = np.empty_like(arrs[0])
-        n_calls = 0
         for lo in range(0, n_rows, c):
             hi = min(lo + c, n_rows)
             out[lo:hi] = comm.allreduce([a[lo:hi] for a in arrs])
-            n_calls += 1
-        report = ReductionReport(
-            scheme=self.name,
-            n_ranks=cluster.n_ranks,
-            n_rows=n_rows,
-            row_bytes=row_bytes,
-            n_collectives=n_calls,
-            communication_time=comm.stats.model_time,
-            local_update_time=0.0,
-            peak_pack_bytes=min(c, n_rows) * row_bytes,
-        )
-        return out, report
+        return out
 
     def estimate(self, machine, n_ranks, n_rows, row_bytes):
         cost = CommCostModel(machine)
@@ -184,9 +155,6 @@ class PackedAllreduce(ReductionScheme):
         t += cost.allreduce(n_ranks, last * row_bytes)
         return ReductionReport(
             scheme=self.name,
-            n_ranks=n_ranks,
-            n_rows=n_rows,
-            row_bytes=row_bytes,
             n_collectives=n_calls,
             communication_time=t,
             local_update_time=0.0,
@@ -199,57 +167,36 @@ class PackedHierarchicalAllreduce(PackedAllreduce):
 
     name = "packed_hierarchical"
 
-    def reduce(self, cluster: SimCluster, per_rank_rows: Sequence[np.ndarray]):
-        machine = cluster.machine
+    @staticmethod
+    def _require_shm(machine: MachineSpec) -> None:
         if not machine.shm_windows:
             raise CommunicationError(
                 f"{machine.name} cannot run the hierarchical scheme "
                 "(no MPI shared-memory windows)"
             )
+
+    def reduce(self, cluster: SimCluster, per_rank_rows: Sequence[np.ndarray]):
+        self._require_shm(cluster.machine)
         arrs = _check_rows(per_rank_rows, cluster.n_ranks)
-        comm = cluster.comm()
-        cost = CommCostModel(machine)
         n_rows, row_len = arrs[0].shape
-        row_bytes = int(arrs[0][0].nbytes)
-        c = self._pack_rows(row_bytes)
+        c = self._pack_rows(int(arrs[0][0].nbytes))
 
         out = np.empty_like(arrs[0])
-        local_time = 0.0
-        n_calls = 0
-        leader_comm = comm.leader_subcomm()
+        leader_comm = cluster.comm().leader_subcomm()
         for lo in range(0, n_rows, c):
             hi = min(lo + c, n_rows)
             window = SharedWindow(cluster, shape=(hi - lo, row_len))
-            node_partials = []
-            for node in range(cluster.n_nodes):
-                ranks = cluster.ranks_of_node(node)
-                contribs = [arrs[r][lo:hi] for r in ranks]
-                node_partials.append(
-                    window.accumulate_chunked(node, contribs).copy()
-                )
-                local_time += cost.intra_node_reduce(len(ranks), (hi - lo) * row_bytes)
+            node_partials = [
+                window.accumulate_chunked(
+                    node, [arrs[r][lo:hi] for r in cluster.ranks_of_node(node)]
+                ).copy()
+                for node in range(cluster.n_nodes)
+            ]
             out[lo:hi] = leader_comm.allreduce(node_partials)
-            local_time += (hi - lo) * row_bytes * machine.intra_beta  # readback
-            n_calls += 1
-
-        report = ReductionReport(
-            scheme=self.name,
-            n_ranks=cluster.n_ranks,
-            n_rows=n_rows,
-            row_bytes=row_bytes,
-            n_collectives=n_calls,
-            communication_time=leader_comm.stats.model_time,
-            local_update_time=local_time,
-            peak_pack_bytes=min(c, n_rows) * row_bytes,
-        )
-        return out, report
+        return out
 
     def estimate(self, machine, n_ranks, n_rows, row_bytes):
-        if not machine.shm_windows:
-            raise CommunicationError(
-                f"{machine.name} cannot run the hierarchical scheme "
-                "(no MPI shared-memory windows)"
-            )
+        self._require_shm(machine)
         cost = CommCostModel(machine)
         m = min(machine.procs_per_node, n_ranks)
         if n_ranks % m != 0:
@@ -268,9 +215,6 @@ class PackedHierarchicalAllreduce(PackedAllreduce):
             inter_total += inter
         return ReductionReport(
             scheme=self.name,
-            n_ranks=n_ranks,
-            n_rows=n_rows,
-            row_bytes=row_bytes,
             n_collectives=n_calls,
             communication_time=inter_total,
             local_update_time=local_total,

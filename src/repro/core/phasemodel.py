@@ -9,10 +9,10 @@ paper describes — locality changes access patterns and spline counts,
 packing/hierarchy change the reduction, fusion/collapse/indirect change
 the kernel declarations.
 
-The shape of each term follows Sections 3-4; the dimensionless
-efficiency constants in :class:`PhaseCalibration` are fitted so the
-reproduced figures land in the paper's reported ranges (see
-EXPERIMENTS.md for measured-vs-paper numbers).
+The shape of each term follows Sections 3-4; the dimensionless module
+constants below are fitted so the reproduced figures land in the
+paper's reported ranges (see EXPERIMENTS.md for measured-vs-paper
+numbers).
 """
 
 from __future__ import annotations
@@ -49,42 +49,40 @@ CYCLE_PHASES = ("DM", "Sumup", "Rho", "H", "Comm")
 P_MAX = 9
 
 
-@dataclass(frozen=True)
-class PhaseCalibration:
-    """Dimensionless fit constants of the phase model."""
+# Dimensionless fit constants of the phase model.
 
-    #: Fraction of peak FLOP rate dense grid kernels sustain.
-    kernel_efficiency: float = 0.002
-    #: Extra CSR gathers per *basis pair* per point when the Hamiltonian
-    #: is sparse (locality mapping off): fetching one element through
-    #: (row_ptr, col, val) costs extra latency-bound reads — Fig. 9(b).
-    csr_gathers_per_pair: float = 0.005
-    #: Extra streamed bytes per basis pair for CSR index arrays.
-    csr_bytes_per_pair: float = 4.0
-    #: Host-side DM GEMM-equivalent seconds per atom^1.2 (O(N^1.2)).
-    dm_seconds_per_atom12: float = 8.0e-3
-    #: ScaLAPACK-style collectives per cycle in the DM phase; priced
-    #: with the machine's collective model, so the DM share grows with
-    #: rank count exactly as the paper observes (22.5% -> 39.1%).
-    dm_collectives_per_cycle: int = 60
-    #: Payload of one DM collective (distributed P^(1) panel).
-    dm_message_bytes: float = 1.0e6
-    #: CSR element-access penalty cap for the un-optimized DM phase.
-    dm_csr_latency_penalty_cap: float = 8.0
-    #: Far-field multipole flops per point ~ c * N_atoms^0.7 (O(N^1.7)).
-    farfield_flops_scale: float = 100.0
-    #: Producer flops per (atom, lm, knot): radial Poisson solve,
-    #: Adams-Moulton integration and spline coefficient factorization.
-    spline_flops_per_knot: float = 30000.0
-    #: Fraction of producer work inside the width-limited (p, m)
-    #: Adams-Moulton nest (the part Section 4.4 collapses).
-    am_loop_fraction: float = 0.1
-    #: Consumer interpolation flops per (point, near atom, lm).
-    interp_flops: float = 18.0
-    #: Init (grid partition) flops per point (raw index arithmetic).
-    init_flops_per_point: float = 8000.0
-    #: Init indirect gathers per point before elimination (Section 4.3).
-    init_indirect_per_point: float = 4.0
+#: Fraction of peak FLOP rate dense grid kernels sustain.
+KERNEL_EFFICIENCY = 0.002
+#: Extra CSR gathers per *basis pair* per point when the Hamiltonian is
+#: sparse (locality mapping off): fetching one element through
+#: (row_ptr, col, val) costs extra latency-bound reads — Fig. 9(b).
+CSR_GATHERS_PER_PAIR = 0.005
+#: Extra streamed bytes per basis pair for CSR index arrays.
+CSR_BYTES_PER_PAIR = 4.0
+#: Host-side DM GEMM-equivalent seconds per atom^1.2 (O(N^1.2)).
+DM_SECONDS_PER_ATOM12 = 8.0e-3
+#: ScaLAPACK-style collectives per cycle in the DM phase; priced with the
+#: machine's collective model, so the DM share grows with rank count
+#: exactly as the paper observes (22.5% -> 39.1%).
+DM_COLLECTIVES_PER_CYCLE = 60
+#: Payload of one DM collective (distributed P^(1) panel).
+DM_MESSAGE_BYTES = 1.0e6
+#: CSR element-access penalty cap for the un-optimized DM phase.
+DM_CSR_LATENCY_PENALTY_CAP = 8.0
+#: Far-field multipole flops per point ~ c * N_atoms^0.7 (O(N^1.7)).
+FARFIELD_FLOPS_SCALE = 100.0
+#: Producer flops per (atom, lm, knot): radial Poisson solve,
+#: Adams-Moulton integration and spline coefficient factorization.
+SPLINE_FLOPS_PER_KNOT = 30000.0
+#: Fraction of producer work inside the width-limited (p, m)
+#: Adams-Moulton nest (the part Section 4.4 collapses).
+AM_LOOP_FRACTION = 0.1
+#: Consumer interpolation flops per (point, near atom, lm).
+INTERP_FLOPS = 18.0
+#: Init (grid partition) flops per point (raw index arithmetic).
+INIT_FLOPS_PER_POINT = 8000.0
+#: Init indirect gathers per point before elimination (Section 4.3).
+INIT_INDIRECT_PER_POINT = 4.0
 
 
 @dataclass
@@ -119,7 +117,6 @@ class PhaseModel:
         self.flags = flags
         self.batches = batches
         self.assignment = assignment
-        self.cal = PhaseCalibration()
         self._memory_model = memory_model or HamiltonianMemoryModel(
             workload.structure
         )
@@ -196,14 +193,14 @@ class PhaseModel:
     def _grid_kernel(self, name: str, flops_scale: float) -> Kernel:
         """Sumup/H-type kernel: per point, touch all local basis pairs."""
         nb = self.basis_per_point
-        flops = flops_scale * nb * nb / self.cal.kernel_efficiency
+        flops = flops_scale * nb * nb / KERNEL_EFFICIENCY
         indirect = 0.0
         extra_bytes = 0.0
         if not self.flags.locality_mapping:
             # CSR Hamiltonian: extra pointer-chasing and index traffic
             # for every matrix element touched.
-            indirect = self.cal.csr_gathers_per_pair * nb * nb
-            extra_bytes = self.cal.csr_bytes_per_pair * nb * nb
+            indirect = CSR_GATHERS_PER_PAIR * nb * nb
+            extra_bytes = CSR_BYTES_PER_PAIR * nb * nb
         return Kernel(
             name=name,
             flops_per_item=flops,
@@ -218,15 +215,15 @@ class PhaseModel:
         The Adams-Moulton sub-loop can only occupy ``p_max + 1`` lanes
         until collapsed to ``(p_max + 1)^2`` (Section 4.4); its lane
         under-utilization is folded into the flop count so the fusion
-        transforms can treat the producer as one kernel.
+        transforms can treat the producer as one kernel.  This penalty
+        is the loop collapse's one price (Fig. 13).
         """
-        cal = self.cal
-        flops = cal.spline_flops_per_knot * self.w.spline_knots / cal.kernel_efficiency
+        flops = SPLINE_FLOPS_PER_KNOT * self.w.spline_knots / KERNEL_EFFICIENCY
         lanes = self.device.spec.lanes_per_unit
         width = (P_MAX + 1) ** 2 if self.flags.loop_collapse else P_MAX + 1
         am_penalty = lanes / max(1.0, min(width, lanes))
         flops = flops * (
-            (1.0 - cal.am_loop_fraction) + cal.am_loop_fraction * am_penalty
+            (1.0 - AM_LOOP_FRACTION) + AM_LOOP_FRACTION * am_penalty
         )
         return Kernel(
             name="rho_producer_splines",
@@ -237,11 +234,11 @@ class PhaseModel:
 
     def _rho_consumer_kernel(self) -> Kernel:
         lm = n_lm(self.w.settings.l_max_hartree)
-        near = self.cal.interp_flops * self.near_atoms_per_point * lm
-        far = self.cal.farfield_flops_scale * self.w.n_atoms**0.7
+        near = INTERP_FLOPS * self.near_atoms_per_point * lm
+        far = FARFIELD_FLOPS_SCALE * self.w.n_atoms**0.7
         return Kernel(
             name="rho_consumer_interp",
-            flops_per_item=(near + far) / self.cal.kernel_efficiency,
+            flops_per_item=(near + far) / KERNEL_EFFICIENCY,
             bytes_read_per_item=12.0 * self.near_atoms_per_point,
             bytes_written_per_item=8.0,
         )
@@ -251,10 +248,10 @@ class PhaseModel:
         # scaling — its cost is dominated by the indirect gathers.
         k = Kernel(
             name="grid_partition_init",
-            flops_per_item=self.cal.init_flops_per_point,
+            flops_per_item=INIT_FLOPS_PER_POINT,
             bytes_read_per_item=48.0,
             bytes_written_per_item=16.0,
-            indirect_accesses_per_item=self.cal.init_indirect_per_point,
+            indirect_accesses_per_item=INIT_INDIRECT_PER_POINT,
         )
         if self.flags.indirect_elimination:
             k = eliminate_indirect_accesses(k)
@@ -323,11 +320,10 @@ class PhaseModel:
     def dm_time(self) -> float:
         from repro.runtime.costmodel import CommCostModel
 
-        cal = self.cal
-        base = cal.dm_seconds_per_atom12 * self.w.n_atoms**1.2 / self.n_ranks
+        base = DM_SECONDS_PER_ATOM12 * self.w.n_atoms**1.2 / self.n_ranks
         cost = CommCostModel(self.machine)
-        sync = cal.dm_collectives_per_cycle * cost.allreduce(
-            self.n_ranks, cal.dm_message_bytes
+        sync = DM_COLLECTIVES_PER_CYCLE * cost.allreduce(
+            self.n_ranks, DM_MESSAGE_BYTES
         )
         t = base + sync
         if not self.flags.locality_mapping:
@@ -342,7 +338,7 @@ class PhaseModel:
             )
             stream = 8.0 / spec.offchip_bandwidth
             penalty = min(
-                cal.dm_csr_latency_penalty_cap, max(1.0, gather / stream / 8.0)
+                DM_CSR_LATENCY_PENALTY_CAP, max(1.0, gather / stream / 8.0)
             )
             t = base * max(1.0, nnz_ratio) * penalty + sync
         return t

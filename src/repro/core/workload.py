@@ -28,7 +28,7 @@ from repro.grids.batching import (
 )
 from repro.grids.shells import radial_shells_for_species
 from repro.mapping.memory_model import atom_basis_counts, atom_cutoffs_light
-from repro.utils.neighbors import ranges, sphere_overlaps
+from repro.utils.neighbors import ranges
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,11 @@ class Workload:
     settings: RunSettings
     n_atoms: int
     n_basis: int
-    n_electrons: int
     n_grid_points: int
     points_per_atom: np.ndarray  # (n_atoms,)
     rho_multipole_rows: int  # one AllReduce row per atom
     rho_multipole_row_bytes: int  # shells x lm x 8 (max over species)
     spline_knots: int  # radial shells (max over species)
-    avg_interacting_atoms: float  # atoms within basis reach of an atom
-
-    @property
-    def n_occupied(self) -> int:
-        return self.n_electrons // 2
 
 
 def _points_per_atom(structure: Structure, grids: GridSettings) -> np.ndarray:
@@ -69,17 +63,6 @@ def _points_per_atom(structure: Structure, grids: GridSettings) -> np.ndarray:
             cache[elem.z] = shells.n * rule.n_points
         out[i] = cache[elem.z]
     return out
-
-
-def _avg_interacting_atoms(structure: Structure, sample: int = 256) -> float:
-    """Mean number of atoms within basis reach of an atom (sampled rows of
-    the one neighbour search: the same distances and comparison as a
-    distance row per sampled atom, at a tenth of the time)."""
-    reach = 2.0 * float(atom_cutoffs_light(structure).max())
-    n = structure.n_atoms
-    idx = np.linspace(0, n - 1, min(sample, n)).astype(np.int64)
-    coords = structure.coords
-    return float(np.mean(np.diff(sphere_overlaps(coords[idx], reach, coords, 0.0)[0])))
 
 
 def build_workload(
@@ -102,13 +85,11 @@ def build_workload(
         settings=settings,
         n_atoms=structure.n_atoms,
         n_basis=int(atom_basis_counts(structure).sum()),
-        n_electrons=structure.n_electrons,
         n_grid_points=int(ppa.sum()),
         points_per_atom=ppa,
         rho_multipole_rows=structure.n_atoms,
         rho_multipole_row_bytes=row_bytes,
         spline_knots=shells_max,
-        avg_interacting_atoms=_avg_interacting_atoms(structure),
     )
 
 

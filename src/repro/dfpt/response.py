@@ -55,9 +55,7 @@ class ResponseResult:
 
     direction: int
     response_density_matrix: np.ndarray  # P^(1)
-    response_orbitals: np.ndarray  # C^(1), occupied columns
     response_density: np.ndarray  # n^(1) on the grid
-    response_potential: np.ndarray  # v^(1)_es,tot + v^(1)_xc on the grid
     iterations: int
     residual: float
 
@@ -130,12 +128,11 @@ class DFPTSolver:
 
     def _block_cycle(
         self, x1: np.ndarray, h1_ext: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One CPSCF cycle of a block, one row of *x1* per direction:
-        ``(v1_total (n_points, k), h1, C1, P1_new)``, the last three
-        ``(k, …)``.  Only these outlive the call, so a generator suspended
-        between cycles (a fleet holds one per molecule) keeps no k-wide
-        temporary alive."""
+        ``(h1, C1, P1_new)``, each ``(k, …)``.  Only these outlive the
+        call, so a generator suspended between cycles (a fleet holds one
+        per molecule) keeps no k-wide grid temporary alive."""
         factors = Factored(x1, self._c_occ)
         with self.timer.phase("Sumup"):
             n1 = self.backend.density_on_grid(factors)
@@ -152,7 +149,7 @@ class DFPTSolver:
         h1 = h1_ext + v1_matrix
         with self.timer.phase("DM"):
             dms = [self._first_order_dm(h) for h in h1]
-        return v1_total, h1, np.stack([c for _, c, _ in dms]), np.stack([p for _, _, p in dms])
+        return h1, np.stack([c for _, c, _ in dms]), np.stack([p for _, _, p in dms])
 
     def solve_direction(self, direction: int) -> ResponseResult:
         """Run the CPSCF loop for one Cartesian field direction."""
@@ -199,7 +196,7 @@ class DFPTSolver:
                 directions=list(active),
                 cycle=iteration,
             ):
-                v1_total, h1, c1, p1_new = self._block_cycle(x1, h1_ext)
+                h1, c1, p1_new = self._block_cycle(x1, h1_ext)
 
             for row, j in enumerate(active):
                 residual[j] = float(np.abs(p1_new[row] - p1[row]).max())
@@ -217,9 +214,7 @@ class DFPTSolver:
                     results[j] = ResponseResult(
                         direction=j,
                         response_density_matrix=p1[row],
-                        response_orbitals=c1[row],
                         response_density=np.ascontiguousarray(n1[col]),
-                        response_potential=np.ascontiguousarray(v1_total.T[row]),
                         iterations=iteration,
                         residual=residual[j],
                     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -123,6 +123,8 @@ class MatrixBuilder:
         # and profile view counters read them at bind time.
         #: The fused views every contraction of this builder iterates.
         self.views = build_batch_views(self.batches, basis, self.screening_threshold)
+        #: Per threshold, one unfused view per batch (the reference seam).
+        self._reference: Dict[float, List[BatchView]] = {}
 
         from repro.backends.registry import resolve_backend
 
@@ -261,11 +263,17 @@ class MatrixBuilder:
     # When screening is on the references honor its mask by default (so
     # invariants stay tight against screened backends); ``screened=False``
     # drops it — that is the seam the ``screening_vs_dense`` invariant
-    # compares against.
-    def _reference_views(self, screened: bool) -> Iterator[BatchView]:
+    # compares against.  Each threshold's views are built on first use and
+    # kept for the builder's life.
+    def _reference_views(self, screened: bool) -> List[BatchView]:
         threshold = self.screening_threshold if screened else 0.0
-        for batch in self.batches:
-            yield from build_batch_views([batch], self.basis, threshold)
+        if threshold not in self._reference:
+            self._reference[threshold] = [
+                view
+                for batch in self.batches
+                for view in build_batch_views([batch], self.basis, threshold)
+            ]
+        return self._reference[threshold]
 
     def reference_density(
         self, density_matrix: np.ndarray, screened: bool = True

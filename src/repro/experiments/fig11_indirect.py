@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.flags import OptimizationFlags
-from repro.core.simulator import PerturbationSimulator
-from repro.experiments.common import polyethylene_simulator
+from repro.core.phasemodel import PhaseModel
+from repro.experiments.common import flag_pairs
 from repro.runtime.machines import HPC1_SUNWAY, HPC2_AMD, MachineSpec
 from repro.utils.reports import TableFormatter
 
@@ -44,28 +43,17 @@ class Fig11Result:
         return [s for m, _, _, _, _, s in self.rows if m == machine_name]
 
 
-def _init_times(
-    sim: PerturbationSimulator, machine: MachineSpec, n_ranks: int
-) -> Tuple[float, float]:
-    times = []
-    for indirect in (False, True):
-        flags = OptimizationFlags.all().but(indirect_elimination=indirect)
-        times.append(sim.phase_model(machine, n_ranks, flags).init_time())
-    return times[0], times[1]  # (before, after)
-
-
 def run_fig11_indirect(
     sweep: Dict[int, Sequence[int]] = None,
     machines: Sequence[MachineSpec] = (HPC1_SUNWAY, HPC2_AMD),
 ) -> Fig11Result:
     """Init-phase before/after times across the sweep."""
-    sweep = sweep or PAPER_SWEEP
-    rows = []
-    for atoms, ranks in sorted(sweep.items()):
-        sim = polyethylene_simulator(atoms)
-        for machine in machines:
-            label = "HPC#1" if machine is HPC1_SUNWAY else "HPC#2"
-            for p in ranks:
-                before, after = _init_times(sim, machine, p)
-                rows.append((label, atoms, p, before, after, before / after))
-    return Fig11Result(rows=rows)
+    pairs = flag_pairs(
+        sweep or PAPER_SWEEP, machines, "indirect_elimination", PhaseModel.init_time
+    )
+    return Fig11Result(
+        rows=[
+            ("HPC#1" if m is HPC1_SUNWAY else "HPC#2", atoms, p, before, after, before / after)
+            for m, atoms, p, before, after in pairs
+        ]
+    )

@@ -16,8 +16,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.basis.spline import spline_coefficient_nbytes
 from repro.basis.ylm import n_lm
 from repro.config import get_settings
-from repro.core.flags import OptimizationFlags
-from repro.experiments.common import polyethylene_simulator
+from repro.core.phasemodel import PhaseModel
+from repro.experiments.common import flag_pairs
 from repro.grids.shells import radial_shells_for_species
 from repro.ocl.device import Device
 from repro.ocl.fusion import vertical_fusion
@@ -121,14 +121,9 @@ def run_fig12b_horizontal(
     sweep: Dict[int, Sequence[int]] = None
 ) -> Fig12bResult:
     """Rho-phase time with and without horizontal fusion across the sweep."""
-    sweep = sweep or PAPER_SWEEP_12B
-    rows = []
-    for atoms, ranks in sorted(sweep.items()):
-        sim = polyethylene_simulator(atoms)
-        for p in ranks:
-            times = []
-            for fusion in (False, True):
-                flags = OptimizationFlags.all().but(kernel_fusion=fusion)
-                times.append(sim.phase_model(HPC2_AMD, p, flags).rho_time())
-            rows.append((atoms, p, times[0], times[1], times[0] / times[1]))
-    return Fig12bResult(rows=rows)
+    pairs = flag_pairs(
+        sweep or PAPER_SWEEP_12B, (HPC2_AMD,), "kernel_fusion", PhaseModel.rho_time
+    )
+    return Fig12bResult(
+        rows=[(atoms, p, t0, t1, t0 / t1) for _, atoms, p, t0, t1 in pairs]
+    )

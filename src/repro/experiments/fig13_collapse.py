@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.flags import OptimizationFlags
-from repro.experiments.common import polyethylene_simulator
+from repro.core.phasemodel import PhaseModel
+from repro.experiments.common import flag_pairs
 from repro.runtime.machines import HPC2_AMD
 from repro.utils.reports import TableFormatter
 
@@ -47,14 +47,9 @@ class Fig13Result:
 
 def run_fig13_collapse(sweep: Dict[int, Sequence[int]] = None) -> Fig13Result:
     """Rho-phase time with the nested vs collapsed (p, m) loop."""
-    sweep = sweep or PAPER_SWEEP_13
-    rows = []
-    for atoms, ranks in sorted(sweep.items()):
-        sim = polyethylene_simulator(atoms)
-        for p in ranks:
-            times = []
-            for collapse in (False, True):
-                flags = OptimizationFlags.all().but(loop_collapse=collapse)
-                times.append(sim.phase_model(HPC2_AMD, p, flags).rho_time())
-            rows.append((atoms, p, times[0], times[1], times[0] / times[1]))
-    return Fig13Result(rows=rows)
+    pairs = flag_pairs(
+        sweep or PAPER_SWEEP_13, (HPC2_AMD,), "loop_collapse", PhaseModel.rho_time
+    )
+    return Fig13Result(
+        rows=[(atoms, p, t0, t1, t0 / t1) for _, atoms, p, t0, t1 in pairs]
+    )

@@ -45,8 +45,6 @@ class FleetDevice(Device):
         self.sequential_launches = 0
         #: Modeled seconds as an isolated sequential run would pay them.
         self.sequential_modeled_time = 0.0
-        #: Fused launches actually charged (== ``n_launches``).
-        self.fused_launches = 0
         #: Launch overhead the fusion avoided (seconds).
         self.overhead_saved = 0.0
         #: Rounds that priced at least one launch.
@@ -74,7 +72,6 @@ class FleetDevice(Device):
             overhead = max(r.launch_overhead for r in reports)
             work = sum(r.total_time - r.launch_overhead for r in reports)
             self.n_launches += 1
-            self.fused_launches += 1
             self.modeled_time += overhead + work
             self.overhead_saved += (
                 sum(r.launch_overhead for r in reports) - overhead
@@ -91,7 +88,7 @@ class FleetDevice(Device):
         return {
             "launches": {
                 "sequential": self.sequential_launches,
-                "fused": self.fused_launches,
+                "fused": self.n_launches,
             },
             "rounds": self.rounds,
             "modeled": {

@@ -205,13 +205,6 @@ def _bits(cols: np.ndarray, n_basis: int) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _bits(cols: np.ndarray, n_basis: int) -> int:
-    """Sorted column indices as the bits of one integer."""
-    mask = np.zeros(n_basis, dtype=bool)
-    mask[cols] = True
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 @dataclass(frozen=True)
 class BatchView:
     """Batches with near-identical column sets, fused along points.

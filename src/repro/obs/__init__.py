@@ -8,9 +8,9 @@ Three pieces, one taxonomy:
   the simulated collectives and the service's worker pool (each task
   executes under a ``service``-category span carrying worker / task /
   cache-key / attempt attributes).  Counts live with the object that
-  does the work — :class:`~repro.backends.base.BackendProfile`,
-  ``CommStats``, the worker pool's report and the statestore journal —
-  never in a second registry;
+  does the work — :class:`~repro.backends.base.BackendProfile`, the
+  worker pool's report and the statestore journal — never in a second
+  registry;
 * **artifacts** (:mod:`repro.obs.export`, :mod:`repro.obs.report`) —
   a Perfetto-loadable Chrome trace-event file and the single
   :class:`RunReport` JSON document that absorbs the legacy

@@ -2,28 +2,23 @@
 
 A kernel here is its declared work; the numerics it stands for run on
 the host, in the shared view loops of :mod:`repro.backends.base`, and
-are exact.  A per-launch performance model (launch overhead, compute
-width, off-chip traffic, indirect-access latency) prices each launch on
-a device preset, and the device counts launches and transferred bytes.
-The paper's four kernel optimizations are implemented as transforms
-over these kernel objects:
+are exact.  A per-launch performance model (launch overhead, compute,
+off-chip traffic, indirect-access latency) prices each launch on a
+device preset, and the device counts launches and transferred bytes.
+Three of the paper's kernel optimizations are transforms over these
+kernel objects:
 
 * vertical fusion via on-chip RMA (4.2.1, Sunway),
 * horizontal fusion across ranks sharing a GPU (4.2.2, AMD),
-* indirect-access elimination via a prebuilt gather map (4.3),
-* fine-grained parallelization by loop collapse (4.4).
+* indirect-access elimination (4.3).
+
+The fourth, the (p, m) loop collapse (4.4), is priced once, inside the
+phase model's Rho producer (:mod:`repro.core.phasemodel`).
 """
 
 from repro.ocl.kernel import Kernel, NDRange, LaunchReport
 from repro.ocl.device import Device
-from repro.ocl.transforms import (
-    collapse_pm_loop,
-    expand_pm_index,
-    collapse_kernel,
-    build_gather_map,
-    apply_gather_map,
-    eliminate_indirect_accesses,
-)
+from repro.ocl.transforms import eliminate_indirect_accesses
 from repro.ocl.fusion import (
     vertical_fusion,
     horizontal_fusion,
@@ -35,11 +30,6 @@ __all__ = [
     "NDRange",
     "LaunchReport",
     "Device",
-    "collapse_pm_loop",
-    "expand_pm_index",
-    "collapse_kernel",
-    "build_gather_map",
-    "apply_gather_map",
     "eliminate_indirect_accesses",
     "vertical_fusion",
     "horizontal_fusion",

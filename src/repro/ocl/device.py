@@ -34,12 +34,10 @@ class Device:
         """Price one launch without charging it."""
         n_items = ndrange.n_items
 
-        # Compute: items run on compute_units x lanes; a limited
-        # parallel_width idles the remaining lanes of each unit.
-        lanes = self.spec.lanes_per_unit
-        width = kernel.parallel_width
-        active_lanes = lanes if width is None else min(width, lanes)
-        throughput = self.spec.compute_units * active_lanes * self.spec.flop_rate
+        # Compute: items run on every lane of every compute unit.
+        throughput = (
+            self.spec.compute_units * self.spec.lanes_per_unit * self.spec.flop_rate
+        )
         compute_time = kernel.flops_per_item * n_items / throughput
 
         stream_bytes = n_items * (

@@ -8,8 +8,6 @@ Section 4.1 maps batches to work-groups and grid points to work-items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import DeviceError
 
 
@@ -50,10 +48,6 @@ class Kernel:
     indirect_accesses_per_item:
         Number of data-dependent (``A[B[i]]``) off-chip reads per item;
         each costs a full off-chip latency instead of streaming.
-    parallel_width:
-        Number of work-items that can make progress concurrently inside
-        a work-group; ``None`` means all of them.  The un-collapsed
-        (p, m) Adams-Moulton loop has width ``p_max + 1`` (Section 4.4).
     """
 
     name: str
@@ -61,7 +55,6 @@ class Kernel:
     bytes_read_per_item: float = 0.0
     bytes_written_per_item: float = 0.0
     indirect_accesses_per_item: float = 0.0
-    parallel_width: Optional[int] = None
 
     def with_updates(self, **kwargs) -> "Kernel":
         """Copy with some declarations replaced (used by transforms)."""

@@ -2,9 +2,9 @@
 
 The paper's experiments ran on two supercomputers we cannot access;
 this package substitutes an in-process SPMD simulator whose collectives
-operate on real numpy buffers (bit-exact numerics) while an alpha-beta
-latency/bandwidth model and hardware presets for the two machines
-produce the time/byte/message accounting the figures report.
+operate on real numpy buffers (bit-exact numerics), hardware presets for
+the two machines, and the alpha-beta latency/bandwidth model the
+reduction schemes' estimates (:mod:`repro.comm`) price collectives with.
 """
 
 from repro.runtime.machines import (
@@ -19,7 +19,7 @@ from repro.runtime.costmodel import (
     allreduce_time,
     barrier_time,
 )
-from repro.runtime.simmpi import SimCluster, SimComm, CommStats
+from repro.runtime.simmpi import SimCluster, SimComm
 from repro.runtime.shm import SharedWindow
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "barrier_time",
     "SimCluster",
     "SimComm",
-    "CommStats",
     "SharedWindow",
 ]

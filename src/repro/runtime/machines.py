@@ -45,8 +45,6 @@ class AcceleratorSpec:
     host_bandwidth:
         Host <-> device transfer bandwidth (PCIe on GPUs; the shared
         DDR path on Sunway core groups).
-    onchip_bytes:
-        On-chip scratch (LDS / CPE SPM) per compute unit (B).
     rma_max_bytes:
         Largest on-chip RMA transfer among compute units; 0 when the
         device has no such mechanism (then vertical fusion cannot keep
@@ -63,7 +61,6 @@ class AcceleratorSpec:
     kernel_launch_overhead: float
     offchip_latency: float
     offchip_bandwidth: float
-    onchip_bytes: int
     rma_max_bytes: int
     persistent_buffers: bool
     host_bandwidth: float = 1.6e10
@@ -148,7 +145,6 @@ HPC1_SUNWAY = MachineSpec(
         # CPEs have no data cache: a gather is a full DMA round trip.
         offchip_latency=1.0e-6,
         offchip_bandwidth=3.0e10,
-        onchip_bytes=256 * 1024,
         rma_max_bytes=64 * 1024,
         persistent_buffers=False,
         host_bandwidth=3.0e10,  # CPEs address the same DDR as the MPE
@@ -178,7 +174,6 @@ HPC2_AMD = MachineSpec(
         kernel_launch_overhead=1.2e-5,
         offchip_latency=4.0e-8,  # effective, after wavefront latency hiding
         offchip_bandwidth=1.0e12,  # HBM2
-        onchip_bytes=64 * 1024,
         rma_max_bytes=0,
         persistent_buffers=True,
         host_bandwidth=1.6e10,  # PCIe 3 x16
@@ -199,7 +194,6 @@ HPC2_CPU_CORE = AcceleratorSpec(
     kernel_launch_overhead=0.0,
     offchip_latency=9.0e-8,
     offchip_bandwidth=4.0e9,  # per-core share of the socket
-    onchip_bytes=512 * 1024,
     rma_max_bytes=0,
     persistent_buffers=True,
     host_bandwidth=4.0e9,

@@ -4,35 +4,21 @@
 :class:`SimComm` executes collectives over *lists of per-rank numpy
 arrays* (index = rank).  Numerics are real — reductions are performed
 on the actual data so parallel decompositions can be asserted equal to
-serial references — while every call also charges the machine's cost
-model, which the reduction schemes report as their communication time.
-An in-process collective cannot lose, tear or delay a message, so none
-is modeled: every call runs its body once.
+serial references.  Nothing is priced here: a reduction scheme's cost
+is its ``estimate`` (:mod:`repro.comm.schemes`).  An in-process
+collective cannot lose, tear or delay a message, so none is modeled:
+every call runs its body once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CommunicationError
 from repro.obs.tracer import obs_span
-from repro.runtime.costmodel import CommCostModel
 from repro.runtime.machines import MachineSpec
-
-
-@dataclass
-class CommStats:
-    """Accumulated communication accounting for one communicator."""
-
-    calls: int = 0
-    model_time: float = 0.0
-
-    def charge(self, seconds: float) -> None:
-        self.calls += 1
-        self.model_time += seconds
 
 
 class SimCluster:
@@ -68,15 +54,13 @@ class SimCluster:
 
 
 class SimComm:
-    """Collectives over per-rank buffer lists, with cost accounting."""
+    """Collectives over per-rank buffer lists."""
 
     def __init__(self, cluster: SimCluster, ranks: Optional[Sequence[int]] = None):
         self.cluster = cluster
         self.ranks = list(range(cluster.n_ranks)) if ranks is None else list(ranks)
         if not self.ranks:
             raise CommunicationError("communicator must contain at least one rank")
-        self.cost = CommCostModel(cluster.machine)
-        self.stats = CommStats()
 
     @property
     def size(self) -> int:
@@ -112,7 +96,6 @@ class SimComm:
             result = arrs[0].copy()
             for a in arrs[1:]:
                 result = result + a
-            self.stats.charge(self.cost.allreduce(self.size, int(result.nbytes)))
             return result
 
     # ------------------------------------------------------------------

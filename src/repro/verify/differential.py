@@ -407,7 +407,7 @@ def combo_conformance(
                 per_rank.append(partial)
             for comm_name in comms:
                 cluster = make_cluster(n_ranks)
-                reduced, _ = _comm_scheme(comm_name).reduce(cluster, per_rank)
+                reduced = _comm_scheme(comm_name).reduce(cluster, per_rank)
                 diff = float(np.abs(reduced - reference).max())
                 pairs.append(
                     PairResult(

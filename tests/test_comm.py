@@ -51,16 +51,14 @@ class TestNumericalEquivalence:
         cl = SimCluster(HPC1_SUNWAY, 12)
         data = [rng.normal(size=(25, 9)) for _ in range(12)]
         scheme = scheme_cls() if scheme_cls is BaselineRowwiseAllreduce else scheme_cls(rows_cap=6)
-        out, rep = scheme.reduce(cl, data)
+        out = scheme.reduce(cl, data)
         assert np.array_equal(out, sum(data[1:], data[0].copy()))
-        assert rep.n_ranks == 12
 
     def test_hierarchical_matches_sum(self, rng):
         cl = SimCluster(HPC2_AMD, 64)
         data = [rng.normal(size=(30, 5)) for _ in range(64)]
-        out, rep = PackedHierarchicalAllreduce(rows_cap=10).reduce(cl, data)
+        out = PackedHierarchicalAllreduce(rows_cap=10).reduce(cl, data)
         assert np.allclose(out, np.sum(data, axis=0), atol=1e-11)
-        assert rep.local_update_time > 0
 
     @given(p=st.integers(2, 16), rows=st.integers(1, 30), cap=st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
@@ -69,8 +67,8 @@ class TestNumericalEquivalence:
         rng = np.random.default_rng(p + rows * 100 + cap * 10000)
         data = [rng.normal(size=(rows, 4)) for _ in range(p)]
         cl = SimCluster(HPC1_SUNWAY, p)
-        out_b, _ = BaselineRowwiseAllreduce().reduce(cl, data)
-        out_p, _ = PackedAllreduce(rows_cap=cap).reduce(cl, data)
+        out_b = BaselineRowwiseAllreduce().reduce(cl, data)
+        out_p = PackedAllreduce(rows_cap=cap).reduce(cl, data)
         assert np.array_equal(out_b, out_p)
 
     def test_hierarchical_requires_shm(self, rng):

@@ -48,7 +48,7 @@ class TestWorkload:
         w = build_workload(polyethylene(10), get_settings("light"))
         assert w.n_atoms == 62
         assert w.n_basis == 20 * 11 + 42 * 5
-        assert w.n_electrons == 20 * 6 + 42
+        assert w.structure.n_electrons == 20 * 6 + 42
         assert w.n_grid_points == int(w.points_per_atom.sum())
         assert w.rho_multipole_rows == 62
         assert w.rho_multipole_row_bytes > 0

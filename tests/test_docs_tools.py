@@ -1,5 +1,6 @@
 """``tools/gen_cli_docs.py``: every settings field names a module that reads
-it; ``tools/loc_table.py --check`` fails on a DESIGN.md over its line bound."""
+it; ``tools/loc_table.py --check`` fails on a DESIGN.md over its line bound
+and on a DESIGN section citation that names no heading."""
 
 import importlib.util
 from pathlib import Path
@@ -52,3 +53,24 @@ def test_a_design_doc_over_its_bound_fails_the_check(loc_table, monkeypatch, cap
     monkeypatch.setattr(loc_table, "DESIGN_MAX_LINES", n_lines - 1)
     assert loc_table.main(["--check"]) == 1
     assert f"DESIGN.md has {n_lines} lines" in capsys.readouterr().out
+
+
+def test_every_design_citation_names_a_heading(loc_table):
+    assert loc_table.unresolved_design_citations() == []
+
+
+def test_a_citation_without_its_heading_fails_the_check(
+    loc_table, monkeypatch, capsys, tmp_path
+):
+    # Drop the §5.1 heading from a copy: utils/scratch.py cites it across
+    # a line break ("(DESIGN" ends one line, "§5.1)" starts the next).
+    text = loc_table.DESIGN_DOC.read_text()
+    assert "\n### 5.1 " in text
+    design = tmp_path / "DESIGN.md"
+    design.write_text(text.replace("\n### 5.1 ", "\n### "))
+    monkeypatch.setattr(loc_table, "DESIGN_DOC", design)
+    missing = loc_table.unresolved_design_citations()
+    assert any(c.startswith("src/repro/utils/scratch.py:") for c in missing)
+    assert all(c.endswith("§5.1") for c in missing)
+    assert loc_table.main(["--check"]) == 1
+    assert "DESIGN.md has no heading for these citations:" in capsys.readouterr().out

@@ -33,6 +33,7 @@ from repro.backends import BatchedBackend, BlockCache, Factored, available_backe
 from repro.config import get_settings
 from repro.core.simulator import iter_physics
 from repro.dfpt.response import DFPTSolver
+from repro.dft import hamiltonian
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.scf import SCFDriver
 from repro.errors import GridError
@@ -319,6 +320,32 @@ class TestAgainstThePerBatchDerivations:
         kinetic = builder.kinetic()
         assert np.array_equal(kinetic, kinetic.T)
         assert_close_at_scale(kinetic, oracle_kinetic(builder))
+
+    def test_reference_views_are_built_once_per_threshold(self, monkeypatch):
+        sub = _substrate("water")
+        builder = MatrixBuilder(
+            sub.basis, sub.grid, batches=sub.batches, screening_threshold=1e-6
+        )
+        calls = []
+        build = hamiltonian.build_batch_views
+        monkeypatch.setattr(
+            hamiltonian, "build_batch_views", lambda *a: calls.append(a) or build(*a)
+        )
+        p, v = _inputs(builder)
+        first = builder.reference_density(p)
+        n_batches = len(builder.batches)
+        assert len(calls) == n_batches  # one call per batch: views stay unfused
+        assert np.array_equal(builder.reference_density(p), first)
+        builder.reference_potential_matrix(v)
+        assert len(calls) == n_batches
+        builder.reference_density(p, screened=False)  # the other threshold
+        builder.reference_potential_matrix(v, screened=False)
+        assert len(calls) == 2 * n_batches
+        for screened in (True, False):
+            views = builder._reference_views(screened)
+            assert [b for view in views for b in view.batches] == [
+                b.index for b in builder.batches
+            ]
 
     def test_references_can_cross_the_screening_seam(self):
         builder = _builder("chain26", 1e-6)

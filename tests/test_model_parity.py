@@ -16,7 +16,14 @@ import pytest
 from repro.atoms import polyethylene
 from repro.config import get_settings
 from repro.core import PerturbationSimulator
+from repro.comm.schemes import (
+    BaselineRowwiseAllreduce,
+    PackedAllreduce,
+    PackedHierarchicalAllreduce,
+)
 from repro.core.flags import OptimizationFlags
+from repro.experiments import run_fig11_indirect, run_fig12b_horizontal, run_fig13_collapse
+from repro.experiments.fig10_allreduce import rho_multipole_row_bytes
 from repro.runtime import machines
 
 #: (machine, ranks, locality, memory_per_rank_bytes, splines_per_rank,
@@ -101,3 +108,75 @@ def test_report_equals_the_parents(simulator, row):
 def test_assignment_equals_the_parents(simulator, key):
     owned = simulator.assignment(*key).batches_of_rank
     assert hashlib.sha256(repr(owned).encode()).hexdigest() == ASSIGNMENTS[key]
+
+
+# Figure rows recorded at aa2a225, before the executed reductions stopped
+# charging a second cost model and the loop collapse was priced once; the
+# ladder above does not reach these calls.  Seconds at ``rel=1e-12``.
+
+#: (machine, atoms, ranks, scheme, n_collectives, communication, local_update)
+#: of ``scheme.estimate`` at Fig. 10's 16 072-byte rows.
+FIG10_ESTIMATES = [
+    ("HPC1_SUNWAY", 30002, 256, "baseline", 30002, 3.37004590475, 0.0),
+    ("HPC1_SUNWAY", 30002, 256, "packed", 59, 0.39011854475, 0.0),
+    ("HPC1_SUNWAY", 60002, 8192, "baseline", 60002, 31.470810820185935, 0.0),
+    ("HPC1_SUNWAY", 60002, 8192, "packed", 118, 0.8317610601859375, 0.0),
+    ("HPC2_AMD", 30002, 256, "baseline", 30002, 5.27272024125, 0.0),
+    ("HPC2_AMD", 30002, 256, "packed", 59, 0.6495210412499999, 0.0),
+    ("HPC2_AMD", 30002, 256, "packed_hierarchical", 59, 0.0716589876666666, 0.16289940751999987),
+    ("HPC2_AMD", 60002, 4096, "baseline", 60002, 104.27292174195313, 0.0),
+    ("HPC2_AMD", 60002, 4096, "packed", 118, 1.4880241419531248, 0.0),
+    ("HPC2_AMD", 60002, 4096, "packed_hierarchical", 118, 0.17088029047916667, 0.3257882075199999),
+    ("HPC2_AMD", 3002, 100, "baseline", 3002, 0.32035855008, 0.0),
+    ("HPC2_AMD", 3002, 100, "packed", 6, 0.06420055008, 0.0),
+    ("HPC2_AMD", 3002, 100, "packed_hierarchical", 6, 0.00797470304, 0.0024316072),
+]
+
+_SCHEMES = {
+    "baseline": BaselineRowwiseAllreduce,
+    "packed": PackedAllreduce,
+    "packed_hierarchical": PackedHierarchicalAllreduce,
+}
+
+
+@pytest.mark.parametrize("row", FIG10_ESTIMATES, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}-{r[3]}")
+def test_fig10_estimate_equals_the_parents(row):
+    machine, atoms, ranks, scheme, n_collectives, communication, local_update = row
+    report = _SCHEMES[scheme]().estimate(
+        getattr(machines, machine), ranks, atoms, rho_multipole_row_bytes()
+    )
+    assert (report.scheme, report.n_collectives) == (scheme, n_collectives)
+    assert report.communication_time == pytest.approx(communication, rel=1e-12)
+    assert report.local_update_time == pytest.approx(local_update, rel=1e-12, abs=0.0)
+
+
+#: Figure rows on the 602-atom chain at 16 and 64 ranks: (machine, atoms,
+#: ranks, init before, init after, speedup) for Fig. 11 and (atoms, ranks,
+#: rho_time off, rho_time on, speedup) for Figs. 12(b) and 13.
+FIGURE_ROWS = {
+    "fig11": (run_fig11_indirect, [
+        ("HPC#1", 602, 16, 0.004111062361904762, 0.0006844953285714286, 6.005975775590357),
+        ("HPC#1", 602, 64, 0.0010497836952380953, 0.00017976482857142857, 5.839761334742794),
+        ("HPC#2", 602, 16, 0.001784795089625, 0.000683534001625, 2.611128466735987),
+        ("HPC#2", 602, 64, 0.0005247917252500001, 0.00024517719725, 2.140458946167352),
+    ]),
+    "fig12b": (run_fig12b_horizontal, [
+        (602, 16, 3.015017632569003, 1.33856106516669, 2.2524318919985507),
+        (602, 64, 1.1265366876661023, 0.3849333597766178, 2.926575883991575),
+    ]),
+    "fig13": (run_fig13_collapse, [
+        (602, 16, 1.4676795344049711, 1.33856106516669, 1.0964606491241415),
+        (602, 64, 0.44204345193970374, 0.3849333597766178, 1.148363582195702),
+    ]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_ROWS))
+def test_figure_rows_equal_the_parents(figure):
+    run, expected = FIGURE_ROWS[figure]
+    rows = run(sweep={602: (16, 64)}).rows
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        n_keys = len(want) - 3
+        assert got[:n_keys] == want[:n_keys]
+        assert got[n_keys:] == pytest.approx(want[n_keys:], rel=1e-12)

@@ -1,20 +1,15 @@
 """OpenCL device model: launches, transfers, transforms, fusion."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.atoms import polyethylene
+from repro.core import OptimizationFlags, PerturbationSimulator
 from repro.errors import DeviceError, KernelFusionError
 from repro.ocl import (
     Device,
     Kernel,
     NDRange,
-    apply_gather_map,
-    build_gather_map,
-    collapse_kernel,
-    collapse_pm_loop,
     eliminate_indirect_accesses,
-    expand_pm_index,
     horizontal_fusion,
     vertical_fusion,
 )
@@ -73,10 +68,18 @@ class TestDevice:
         assert t2 > t1
 
     def test_limited_width_slower(self, mi50):
-        full = Kernel("k", flops_per_item=1e5)
-        narrow = full.with_updates(parallel_width=8)
-        nd = NDRange(64, 64)
-        assert mi50.estimate(narrow, nd).compute_time > mi50.estimate(full, nd).compute_time
+        """The un-collapsed (p, m) nest keeps p_max + 1 of a wavefront's 64
+        lanes busy; its one price is the Rho producer's Adams-Moulton
+        penalty (Section 4.4)."""
+        sim = PerturbationSimulator(polyethylene(10))
+        nested, collapsed = (
+            sim.phase_model(
+                HPC2_AMD, 4, OptimizationFlags.all().but(loop_collapse=collapse)
+            )._rho_producer_kernel()
+            for collapse in (False, True)
+        )
+        nd = NDRange(64, 49)
+        assert mi50.estimate(nested, nd).compute_time > mi50.estimate(collapsed, nd).compute_time
 
     def test_rma_window(self, sunway, mi50):
         assert sunway.rma_supported(28 * 1024)
@@ -84,50 +87,8 @@ class TestDevice:
         assert not mi50.rma_supported(1024)  # GPUs have no RMA mechanism
 
 
-class TestCollapseTransform:
-    @given(p_max=st.integers(0, 12))
-    @settings(max_examples=20, deadline=None)
-    def test_bijection_with_original_nest(self, p_max):
-        """Collapsed enumeration == the original (p, m in [-p, p]) nest."""
-        table = collapse_pm_loop(p_max)
-        expected = [(p, m) for p in range(p_max + 1) for m in range(-p, p + 1)]
-        assert [tuple(r) for r in table] == expected
-
-    @given(p=st.integers(0, 12))
-    @settings(max_examples=20, deadline=None)
-    def test_expand_inverts_collapse(self, p):
-        for m in range(-p, p + 1):
-            idx = expand_pm_index(p, m)
-            table = collapse_pm_loop(p)
-            assert tuple(table[idx]) == (p, m)
-
-    def test_expand_validation(self):
-        with pytest.raises(DeviceError):
-            expand_pm_index(1, 2)
-
-    def test_collapse_kernel_widens(self):
-        k = Kernel("am", flops_per_item=10, parallel_width=10)
-        kc = collapse_kernel(k, 9)
-        assert kc.parallel_width == 100
-
-    def test_collapse_requires_limited_width(self):
-        with pytest.raises(DeviceError):
-            collapse_kernel(Kernel("k"), 9)
-
-
 class TestGatherMap:
-    def test_matches_indirect_access(self, rng):
-        a = rng.normal(size=(50, 3))
-        b = rng.integers(0, 50, size=120)
-        c = build_gather_map(a, b)
-        i = rng.integers(0, 120, size=30)
-        assert np.array_equal(apply_gather_map(c, i), a[b][i])
-
-    def test_bounds_checked(self):
-        with pytest.raises(DeviceError):
-            build_gather_map(np.zeros(5), np.array([5]))
-        with pytest.raises(DeviceError):
-            build_gather_map(np.zeros(5), np.zeros((2, 2), dtype=int))
+    """Section 4.3's transform, as the model prices it."""
 
     def test_eliminate_updates_kernel_model(self):
         k = Kernel("init", indirect_accesses_per_item=4, bytes_read_per_item=48)

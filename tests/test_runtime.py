@@ -117,8 +117,6 @@ class TestSimComm:
         bufs = [rng.normal(size=(7, 3)) for _ in range(16)]
         out = comm.allreduce(bufs)
         assert np.array_equal(out, sum(bufs[1:], bufs[0].copy()))
-        assert comm.stats.calls == 1
-        assert comm.stats.model_time > 0
 
     @given(p=st.integers(2, 24), n=st.integers(1, 40))
     @settings(max_examples=25, deadline=None)
