@@ -132,10 +132,13 @@ service-check:
 	rm -rf .service-demo
 
 # Fleet contract: the bit-exactness parity suite (fleet-of-N vs N
-# sequential runs across backends/screening/submission order) plus the
+# sequential runs across backends/screening/submission order, one group
+# live at a time), the service chaos sweeps that drain in fleet waves
+# (crashed waves retried byte-identical to a sequential drain), plus the
 # fleet-throughput regression gate against the committed baseline.
 fleet-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fleet.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q -m service -k fleet tests/test_service_chaos.py
 	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json
 
 # End-to-end benchmark harness contract (BENCHMARK.json vs the harness)

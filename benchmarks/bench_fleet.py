@@ -4,19 +4,19 @@ A screening-service workload — many near-duplicate small jobs (H2
 bond-length variants, distinct request seeds) — executed twice:
 
 * ``sequential`` — one isolated ``run_physics`` per request, each
-  paying its own substrate build and every kernel-launch overhead;
-* ``fleet``      — the :class:`~repro.fleet.driver.FleetDriver`:
-  substrates built once per geometry, identical-physics requests
-  computed once per group, SCF/CPSCF cycles of the groups interleaved so the
-  shared device fuses same-name launches at every round boundary.
+  paying its own substrate build and every kernel launch;
+* ``fleet``      — :func:`~repro.fleet.driver.run_fleet`: substrates
+  built once per geometry, identical-physics requests computed once
+  per group, the groups run one after another.
 
 Every per-request result payload is asserted byte-identical between
 the two modes before any number is reported.  The measurement lives in
 :func:`repro.obs.bench.fleet_emission` (shared with the ``repro
 bench-check`` regression gate); this script prints the table, writes
 ``BENCH_fleet.json`` at the repo root — provenance block included —
-and fails unless the deterministic device-model account clears the
-committed throughput gate.  No clock is read: the measured
+and, when the distinct count divides the request count, fails unless
+the deterministic device-model speedup is the dedup factor, requests
+over distinct physics.  No clock is read: the measured
 sequential-vs-fleet wall is ``op_a_ms`` / ``op_b_ms`` of the
 ``service_mix`` workload of ``BENCHMARK.json``
 (``python benchmarks/e2e/run.py``).  Run::
@@ -43,8 +43,9 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 N_REQUESTS = 16
 N_DISTINCT = 4
 
-#: The committed throughput gate on the deterministic model account.
-MIN_MODEL_SPEEDUP = 10.0
+#: How far the model speedup may sit from the dedup factor: the two
+#: modeled sums only differ in float association.
+SPEEDUP_RTOL = 1e-9
 
 
 def run(n_requests: int, n_distinct: int, level: str) -> dict:
@@ -54,8 +55,7 @@ def run(n_requests: int, n_distinct: int, level: str) -> dict:
     print(
         f"fleet of {n_requests} H2 jobs over {n_distinct} bond-length "
         f"variant(s) ({level}, {report['backend']} backend): "
-        f"{report['groups']} physics group(s), {report['rounds']} "
-        f"interleaved round(s)"
+        f"{report['groups']} physics group(s)"
     )
     table = TableFormatter(
         ["mode", "modeled", "launches", "molecules/s (model)"],
@@ -76,7 +76,7 @@ def run(n_requests: int, n_distinct: int, level: str) -> dict:
         [
             "fleet",
             format_seconds(fleet_modeled),
-            f"{report['launches']['fused']:,}",
+            f"{report['launches']['fleet']:,}",
             f"{n_requests / fleet_modeled:,.0f}" if fleet_modeled > 0 else "-",
         ]
     )
@@ -104,12 +104,13 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
     speedup = report["model"]["molecules_per_second_speedup"]
-    # The quick fleet fuses fewer molecules per round; scale the gate.
-    gate = MIN_MODEL_SPEEDUP * n_requests / N_REQUESTS
-    if speedup < gate:
+    dedup = n_requests / n_distinct
+    # Equal-sized groups: each distinct physics is paid once instead of
+    # dedup times, so the model speedup is exactly that factor.
+    if n_requests % n_distinct == 0 and abs(speedup - dedup) > SPEEDUP_RTOL * dedup:
         print(
-            f"WARNING: model throughput speedup {speedup:.2f}x is below "
-            f"the {gate:g}x gate"
+            f"WARNING: model throughput speedup {speedup!r}x is not the "
+            f"dedup factor {dedup:g}x"
         )
         return 1
     return 0

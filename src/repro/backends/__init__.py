@@ -2,8 +2,8 @@
 
 One seam (:class:`ExecutionBackend`), one host engine, two names:
 
-* ``numpy`` — the host engine: per-view basis blocks through a bounded
-  LRU block cache, nothing recomputed while the cache holds it;
+* ``numpy`` — the host engine: per-view basis blocks kept under a byte
+  budget, nothing recomputed that the budget holds;
 * ``device`` — the same engine plus a price list: each phase it has run
   is charged as a launch, and its transfers as bytes, on the
   :mod:`repro.ocl` accelerator model.
@@ -30,13 +30,12 @@ from repro.backends.registry import (
 )
 
 # Importing the implementation modules registers the built-in backends.
-from repro.backends.batched import BatchedBackend, BlockCache, DEFAULT_CACHE_BYTES
+from repro.backends.batched import BatchedBackend, DEFAULT_CACHE_BYTES
 from repro.backends.device import DeviceBackend
 
 __all__ = [
     "BackendProfile",
     "BatchedBackend",
-    "BlockCache",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_BYTES",
     "DeviceBackend",

@@ -11,8 +11,8 @@ this reproduction: the four phase operations the drivers need
 one loop over the builder's fused batch views
 (:class:`~repro.grids.sparsity.BatchViews` — dense and screened differ
 in a view's columns, not in the code path).  Both registered backends
-read their basis blocks from one source, the host engine's bounded LRU
-block cache, and so are *bit-exact* with each other; the ``device``
+read their basis blocks from one source, the host engine's kept
+blocks, and so are *bit-exact* with each other; the ``device``
 backend differs only in the price it charges each phase on the
 :mod:`repro.ocl` accelerator model.
 
@@ -197,7 +197,6 @@ class BackendProfile:
     phases: Dict[str, PhaseStats] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
     cache_peak_bytes: int = 0
     cache_max_bytes: int = 0
     device_launches: int = 0
@@ -234,7 +233,6 @@ class BackendProfile:
             "cache": {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
-                "evictions": self.cache_evictions,
                 "peak_bytes": self.cache_peak_bytes,
                 "max_bytes": self.cache_max_bytes,
             },

@@ -3,8 +3,8 @@
 The paper's portability claim (§4.1) is one kernel source on every
 backend.  Here that source is the shared view loops of
 :mod:`repro.backends.base`, and :class:`DeviceBackend` *is* the host
-engine (:class:`~repro.backends.batched.BatchedBackend`: blocks from
-the one LRU block cache), so its results are the ``numpy`` engine's
+engine (:class:`~repro.backends.batched.BatchedBackend`: the same
+kept blocks), so its results are the ``numpy`` engine's
 bit for bit.  What it adds is the bill: after each Sumup / H / DM call
 it charges :class:`repro.ocl.device.Device` one priced launch — one
 work-group per scheduled batch, work-items sized by the *largest*
@@ -13,7 +13,7 @@ batch — and the host<->device bytes the phase moves.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,15 +28,11 @@ from repro.ocl.kernel import Kernel, NDRange
 class DeviceBackend(BatchedBackend):
     """The host engine, each phase charged as a priced launch."""
 
-    def __init__(
-        self, device: Optional[Device] = None, machine: str = "hpc2"
-    ) -> None:
-        super().__init__()
-        if device is None:
-            from repro.runtime.machines import machine_by_name
+    def __init__(self, machine: str = "hpc2") -> None:
+        from repro.runtime.machines import machine_by_name
 
-            device = Device(machine_by_name(machine).accelerator)
-        self.device = device
+        super().__init__()
+        self.device = Device(machine_by_name(machine).accelerator)
 
     # ------------------------------------------------------------------
     def _on_bind(self) -> None:
@@ -47,11 +43,7 @@ class DeviceBackend(BatchedBackend):
         self._transfer(8 * builder.grid.n_points * (builder.basis.n_basis + 1))
 
     def _transfer(self, nbytes: int) -> None:
-        """Charge *nbytes* to the device and to this backend's profile.
-
-        The device may be shared across molecules (the fleet driver);
-        each molecule's profile attributes only its own traffic.
-        """
+        """Charge *nbytes* to the device and to this backend's profile."""
         self.device.transfer(nbytes)
         self.profile.device_bytes_transferred += nbytes
 
@@ -92,13 +84,11 @@ class DeviceBackend(BatchedBackend):
 
         Per grid point the contraction costs the mean ``cols x cols``
         pair count and reads the mean column count, each batch at its own
-        width screened or not, so one pricing rule serves both.  The
-        fleet device fuses launches by *name*,
-        hence the screened kernels keep their own.
+        width screened or not, so one pricing rule serves both.
         """
         views = self._require_bound().views
         kernel = Kernel(
-            name=f"{name}_screened" if views.screened else name,
+            name=name,
             flops_per_item=flops_per_pair * views.avg_cols_sq,
             bytes_read_per_item=8.0 * views.avg_cols,
             bytes_written_per_item=8.0,

@@ -289,14 +289,12 @@ def _species_shells(symbol: str, z: int) -> List[_Shell]:
     return _SPECIES_CACHE[symbol]
 
 
-def build_basis(structure: Structure, level: str = "light") -> BasisSet:
-    """Construct the NAO basis for a structure.
+def build_basis(structure: Structure) -> BasisSet:
+    """Construct the NAO basis (FHI-aims ``light``) for a structure.
 
-    Currently only the ``"light"`` level exists; the count per element is
-    cross-checked against :attr:`Element.n_basis_light`.
+    The count per element is cross-checked against
+    :attr:`Element.n_basis_light`.
     """
-    if level != "light":
-        raise BasisError(f"only the 'light' basis level is implemented, got {level!r}")
     species: Dict[str, List[_Shell]] = {}
     for sym, elem in zip(structure.symbols, structure.elements):
         if sym in species:

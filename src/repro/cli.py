@@ -42,7 +42,7 @@ from repro.config import get_settings
 from repro.core import OptimizationFlags, PerturbationSimulator
 from repro.dfpt.polarizability import isotropic_polarizability
 from repro.backends import available_backends
-from repro.errors import ReproError
+from repro.errors import CPSCFConvergenceError, ReproError, SCFConvergenceError
 from repro.runtime import HPC1_SUNWAY, HPC2_AMD, machine_by_name
 from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.reports import format_backend_profile, format_bytes, format_seconds
@@ -92,8 +92,33 @@ def _load_structure(args: argparse.Namespace):
     return read_geometry_in(args.geometry)
 
 
+def _write_run_artifacts(report, tracer, trace_path, report_path) -> None:
+    """Write the span trace and the run report a physics run asked for."""
+    from repro.obs import write_chrome_trace
+
+    if trace_path:
+        write_chrome_trace(
+            trace_path, tracer.spans,
+            metadata=report.provenance.as_dict() if report.provenance else None,
+        )
+        phase_wall = tracer.phase_wall("phase")
+        reported = sum(report.phase_seconds.values())
+        gap = abs(phase_wall - reported) / reported * 100 if reported else 0.0
+        print()
+        print(f"trace: {len(tracer.spans)} spans -> {trace_path} "
+              f"(open in Perfetto); phase spans sum to "
+              f"{phase_wall:.4g}s vs reported {reported:.4g}s "
+              f"(gap {gap:.2f}%)")
+    if report_path:
+        report.write(report_path)
+        print(f"run report -> {report_path}")
+    if report.provenance is not None:
+        print()
+        print(report.provenance.footer_markdown())
+
+
 def _cmd_physics(args: argparse.Namespace) -> int:
-    from repro.obs import RunReport, Tracer, activate, write_chrome_trace
+    from repro.obs import RunReport, Tracer, activate
 
     structure = _load_structure(args)
     screening = float(getattr(args, "screening", 0.0) or 0.0)
@@ -115,8 +140,20 @@ def _cmd_physics(args: argparse.Namespace) -> int:
     if report_path:
         report_path = prepare_artifact_path(report_path, force=force)
     tracer = Tracer() if (trace_path or report_path) else None
-    with activate(tracer):
-        result = sim.run_physics()
+    label = f"physics:{structure.name}:{args.level}:{args.backend}"
+    try:
+        with activate(tracer):
+            result = sim.run_physics()
+    except (SCFConvergenceError, CPSCFConvergenceError) as exc:
+        # A failed run leaves its evidence: the spans so far and the error.
+        if tracer is not None:
+            error = {
+                "type": type(exc).__name__, "message": str(exc),
+                "iterations": exc.iterations, "residual": exc.residual,
+            }
+            report = RunReport.from_run(label=label, tracer=tracer, error=error)
+            _write_run_artifacts(report, tracer, trace_path, report_path)
+        raise
     gs = result.ground_state
     print(f"SCF converged in {gs.iterations} iterations: "
           f"E = {gs.total_energy:.6f} Ha")
@@ -140,32 +177,14 @@ def _cmd_physics(args: argparse.Namespace) -> int:
 
     if tracer is not None:
         report = RunReport.from_run(
-            label=f"physics:{structure.name}:{args.level}:{args.backend}",
+            label=label,
             timer=None,
             backend_profile=result.backend_profile,
             verify_report=result.verify_report,
             tracer=tracer,
         )
         report.phase_seconds = dict(result.phase_seconds)
-        if trace_path:
-            write_chrome_trace(
-                trace_path, tracer.spans,
-                metadata=report.provenance.as_dict() if report.provenance else None,
-            )
-            phase_wall = tracer.phase_wall("phase")
-            reported = sum(result.phase_seconds.values())
-            gap = abs(phase_wall - reported) / reported * 100 if reported else 0.0
-            print()
-            print(f"trace: {len(tracer.spans)} spans -> {trace_path} "
-                  f"(open in Perfetto); phase spans sum to "
-                  f"{phase_wall:.4g}s vs reported {reported:.4g}s "
-                  f"(gap {gap:.2f}%)")
-        if report_path:
-            report.write(report_path)
-            print(f"run report -> {report_path}")
-        if report.provenance is not None:
-            print()
-            print(report.provenance.footer_markdown())
+        _write_run_artifacts(report, tracer, trace_path, report_path)
 
     if result.verify_report is not None and not result.verify_report.ok:
         return 1

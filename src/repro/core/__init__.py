@@ -17,7 +17,7 @@ from repro.core.simulator import (
     PerturbationSimulator,
     SimulationReport,
     PhysicsResult,
-    iter_physics,
+    run_physics,
 )
 
 __all__ = [
@@ -29,5 +29,5 @@ __all__ = [
     "PerturbationSimulator",
     "SimulationReport",
     "PhysicsResult",
-    "iter_physics",
+    "run_physics",
 ]

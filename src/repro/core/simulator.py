@@ -4,9 +4,9 @@ One object, two modes:
 
 * ``run_physics()`` — real all-electron DFPT on the given molecule
   (small systems): returns ground state, polarizability tensor and
-  measured per-phase wall times.  It drains :func:`iter_physics`, the
+  measured per-phase wall times.  It calls :func:`run_physics`, the
   one place the SCF -> CPSCF -> alpha pipeline of Fig. 1 is written;
-  the fleet driver advances the same generator cycle by cycle.
+  a fleet wave calls it once per physics group.
 * ``run_model(machine, n_ranks, flags)`` — the exascale path: builds
   the workload summary, maps batches under the selected strategy and
   prices every phase with the device/communication models; used by all
@@ -41,7 +41,6 @@ from repro.mapping.strategies import (
     locality_enhancing_mapping,
 )
 from repro.runtime.machines import MachineSpec
-from repro.utils import drain
 from repro.utils.timing import PhaseTimer
 
 
@@ -65,21 +64,18 @@ class PhysicsResult:
     responses: List[ResponseResult] = field(default_factory=list)
 
 
-def iter_physics(
+def run_physics(
     structure: Structure,
     settings: RunSettings,
     charge: int = 0,
     *,
     backend: Union[str, "ExecutionBackend", None] = None,
     substrate: Optional["Substrate"] = None,
-):
-    """The SCF -> CPSCF -> polarizability pipeline, one cycle per ``next()``.
+) -> PhysicsResult:
+    """The SCF -> CPSCF -> polarizability pipeline, start to finish.
 
-    Yields once after driver construction (substrate, integrals) and
-    once per SCF / CPSCF cycle — the suspension points a fleet
-    scheduler interleaves molecules at; the :class:`PhysicsResult` is
-    the generator's return value.  A sequential run drains it
-    (:meth:`PerturbationSimulator.run_physics`), so every consumer
+    :meth:`PerturbationSimulator.run_physics` and every fleet group
+    (:func:`~repro.fleet.driver.run_fleet`) call it, so every consumer
     executes the same floating-point sequence.  *substrate* injects a
     shared :func:`~repro.dft.hamiltonian.build_substrate` result.
     """
@@ -95,10 +91,9 @@ def iter_physics(
         grid=sub.grid if sub else None,
         batches=sub.batches if sub else None,
     )
-    yield "constructed"
-    gs = yield from driver.iter_cycles()
+    gs = driver.run()
     solver = DFPTSolver(gs, settings.cpscf, timer=timer, verifier=driver.verifier)
-    responses = yield from solver.iter_directions((0, 1, 2))
+    responses = solver.solve_all()
     alpha = polarizability_tensor(gs, responses=responses)
     if driver.verifier is not None:
         driver.verifier.run_phase("polarizability", polarizability=alpha)
@@ -163,10 +158,8 @@ class PerturbationSimulator:
         Intended for molecules up to a few tens of atoms; the grid and
         basis grow quadratically beyond that.
         """
-        return drain(
-            iter_physics(
-                self.structure, self.settings, self.charge, backend=self.backend
-            )
+        return run_physics(
+            self.structure, self.settings, self.charge, backend=self.backend
         )
 
     # ------------------------------------------------------------------

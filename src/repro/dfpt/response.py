@@ -131,8 +131,8 @@ class DFPTSolver:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One CPSCF cycle of a block, one row of *x1* per direction:
         ``(h1, C1, P1_new)``, each ``(k, …)``.  Only these outlive the
-        call, so a generator suspended between cycles (a fleet holds one
-        per molecule) keeps no k-wide grid temporary alive."""
+        call, so a generator suspended between cycles keeps no k-wide
+        grid temporary alive."""
         factors = Factored(x1, self._c_occ)
         with self.timer.phase("Sumup"):
             n1 = self.backend.density_on_grid(factors)
@@ -170,10 +170,9 @@ class DFPTSolver:
         directions still active and k DM calls, so the block shares each
         view's basis block and the Hartree operators; every direction's
         floating-point sequence is otherwise its own, and a direction
-        leaves the block when its own residual converges.  A fleet driver
-        interleaves these cycles with other molecules' without touching
-        any one molecule's sequence.  The converged results, in the order
-        of *directions*, are the generator's return value.
+        leaves the block when its own residual converges.  The converged
+        results, in the order of *directions*, are the generator's return
+        value.
         """
         directions = checked_directions(directions)
         gs = self.gs

@@ -108,7 +108,7 @@ class SCFDriver:
         self.n_electrons = n_electrons
         reject_coincident_nuclei(structure)
 
-        # A fleet driver may inject a shared basis/grid/batch substrate
+        # A fleet wave may inject a shared basis/grid/batch substrate
         # (built once per distinct geometry); construction is identical
         # to building them here, so results are unaffected.
         if basis is None or grid is None:
@@ -191,12 +191,10 @@ class SCFDriver:
         """Generator form of :meth:`run`: one SCF cycle per ``next()``.
 
         The body is exactly :meth:`run`'s loop — same phase order, same
-        mixer pushes — with a yield at every
-        cycle boundary, so a fleet driver can interleave the cycles of
-        several molecules (each molecule's floating-point sequence is
-        untouched, keeping the interleaved results bit-exact with
-        isolated runs).  The converged :class:`GroundState` is the
-        generator's return value (``StopIteration.value``).
+        mixer pushes — with a yield at every cycle boundary, so a caller
+        can time each cycle (``benchmarks/e2e`` does).  The converged
+        :class:`GroundState` is the generator's return value
+        (``StopIteration.value``).
         """
         scf = self.settings.scf
         h_field = np.zeros_like(self._s)

@@ -1,17 +1,13 @@
-"""Fleet execution: many molecules through one backend, bit-exactly.
+"""Fleet execution: many physics requests in one wave, bit-exactly.
 
-Public surface of the cross-molecule batching layer:
+Public surface of the cross-request layer:
 
-* :class:`~repro.fleet.driver.FleetDriver` — round-robin pipeline
-  interleaving SCF/CPSCF cycles of deduplicated request groups;
-* :class:`~repro.fleet.device.FleetDevice` — shared device model that
-  fuses same-kernel launches across molecules at round boundaries;
+* :func:`~repro.fleet.driver.run_fleet` — deduplicated physics groups
+  run one after another, each its own sequential run;
 * :mod:`repro.fleet.shared` — per-geometry substrate sharing.
 """
 
-from repro.fleet.device import FleetDevice
 from repro.fleet.driver import (
-    FleetDriver,
     FleetOutcome,
     FleetPlan,
     FleetReport,
@@ -19,12 +15,11 @@ from repro.fleet.driver import (
     fleet_tasks_from_requests,
     physics_fingerprint,
     plan_fleet,
+    run_fleet,
 )
 from repro.fleet.shared import Substrate, SubstrateCache
 
 __all__ = [
-    "FleetDevice",
-    "FleetDriver",
     "FleetOutcome",
     "FleetPlan",
     "FleetReport",
@@ -34,4 +29,5 @@ __all__ = [
     "fleet_tasks_from_requests",
     "physics_fingerprint",
     "plan_fleet",
+    "run_fleet",
 ]

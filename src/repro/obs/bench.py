@@ -225,30 +225,29 @@ def fleet_emission(
     level: str = "minimal",
     n_requests: int = 16,
     n_distinct: int = 4,
-    backend: str = "device",
 ) -> dict:
     """Fleet-vs-sequential throughput; the ``BENCH_fleet.json`` document.
 
     ``n_requests`` jobs over ``n_distinct`` H2 bond-length variants (a
-    screening-service shape: many near-duplicate small systems) run
-    twice: once sequentially — one
+    screening-service shape: many near-duplicate small systems) on the
+    device backend run twice: once sequentially — one
     :meth:`~repro.core.simulator.PerturbationSimulator.run_physics` per
-    request — and once through the
-    :class:`~repro.fleet.driver.FleetDriver`.  Every per-request result
-    payload is asserted byte-identical between the two before any
-    number is reported: the benchmark never counts a wrong answer.
+    request — and once through :func:`~repro.fleet.driver.run_fleet`.
+    Every per-request result payload is asserted byte-identical between
+    the two before any number is reported: the benchmark never counts a
+    wrong answer.
 
     The gated headline is ``model.molecules_per_second_speedup`` — the
-    deterministic device-model account (sequential modeled seconds of
-    all requests over the fleet's fused modeled seconds), composing the
-    physics-dedup factor with cross-molecule launch fusion.  The
-    measured sequential-vs-fleet wall is ``service_mix``
-    ``op_a_ms`` / ``op_b_ms`` on the end-to-end benchmark.
+    device-model account of all sequential runs over the sum of the
+    fleet's per-group profiles, which is the dedup factor
+    ``n_requests / n_distinct`` up to float association.  The measured
+    sequential-vs-fleet wall is ``service_mix`` ``op_a_ms`` /
+    ``op_b_ms`` on the end-to-end benchmark.
     """
     from repro.atoms import hydrogen_molecule
     from repro.config import get_settings
     from repro.core import PerturbationSimulator
-    from repro.fleet import FleetDriver, fleet_tasks_from_requests
+    from repro.fleet import fleet_tasks_from_requests, run_fleet
     from repro.service.jobs import JobRequest, physics_from_payload
     from repro.service.worker import result_payload, stable_result_bytes
 
@@ -257,13 +256,7 @@ def fleet_emission(
             f"need 1 <= n_distinct <= n_requests, got "
             f"{n_distinct}/{n_requests}"
         )
-    if backend != "device":
-        raise ExperimentError(
-            f"the fleet benchmark measures the fused device model; "
-            f"got backend {backend!r} (parity across all backends is the "
-            f"test suite's job)"
-        )
-    settings = get_settings(level, backend=backend)
+    settings = get_settings(level, backend="device")
     requests = [
         JobRequest(
             hydrogen_molecule(bond_length=1.40 + 0.02 * (i % n_distinct)),
@@ -274,27 +267,30 @@ def fleet_emission(
     ]
     tasks = fleet_tasks_from_requests(requests, commit=f"bench-{BENCH_SEED}")
 
+    def device_totals(profiles) -> Dict[str, float]:
+        """Summed device accounts of some runs' backend profiles."""
+        devices = [profile["device"] for profile in profiles]
+        return {
+            "modeled_seconds": sum(d["modeled_seconds"] for d in devices),
+            "launches": sum(d["launches"] for d in devices),
+            "bytes": sum(d["bytes_transferred"] for d in devices),
+        }
+
     # Sequential reference: one isolated simulator per request.
-    sequential = {
-        "modeled_seconds": 0.0,
-        "launches": 0,
-        "bytes": 0,
-    }
+    sequential_profiles = []
     reference_bytes: Dict[str, bytes] = {}
     for task in tasks:
         structure, run_settings, charge = physics_from_payload(task.payload)
         sim = PerturbationSimulator(structure, run_settings, charge=charge)
         result = sim.run_physics()
-        profile = result.backend_profile.as_dict()["device"]
-        sequential["modeled_seconds"] += profile["modeled_seconds"]
-        sequential["launches"] += profile["launches"]
-        sequential["bytes"] += profile["bytes_transferred"]
+        sequential_profiles.append(result.backend_profile.as_dict())
         reference_bytes[task.key] = stable_result_bytes(
             result_payload(task, structure, run_settings, result)
         )
+    sequential = device_totals(sequential_profiles)
 
-    # Fleet run: shared substrates, dedup groups, fused launches.
-    outcome = FleetDriver().run_tasks(tasks)
+    # Fleet run: shared substrates, one run per distinct physics.
+    outcome = run_fleet(tasks)
     if outcome.errors:
         raise ExperimentError(f"fleet run failed: {outcome.errors}")
     for key, payload in outcome.results.items():
@@ -303,38 +299,32 @@ def fleet_emission(
                 f"fleet result for {key} diverged bitwise from the "
                 f"sequential reference"
             )
+    fleet = device_totals(outcome.report.profiles.values())
 
-    stats = outcome.report.device
-    fused_seconds = stats["modeled"]["fused"]["modeled_seconds"]
-    model_speedup = (
-        sequential["modeled_seconds"] / fused_seconds
-        if fused_seconds > 0
-        else float("inf")
-    )
     return {
         "benchmark": "fleet",
         "system": "h2-variants",
         "level": level,
-        "backend": backend,
+        "backend": "device",
         "n_sweeps": 1,
         "n_requests": n_requests,
         "n_distinct": n_distinct,
         "groups": outcome.report.n_groups,
-        "rounds": outcome.report.rounds,
         "substrates": outcome.report.substrates,
         "launches": {
             "sequential": sequential["launches"],
-            "fused": stats["launches"]["fused"],
+            "fleet": fleet["launches"],
         },
         "model": {
             "sequential": {"modeled_seconds": sequential["modeled_seconds"]},
-            "fleet": {"modeled_seconds": fused_seconds},
-            "overhead_saved": dict(stats["modeled"]["overhead_saved"]),
-            "molecules_per_second_speedup": model_speedup,
+            "fleet": {"modeled_seconds": fleet["modeled_seconds"]},
+            "molecules_per_second_speedup": (
+                sequential["modeled_seconds"] / fleet["modeled_seconds"]
+            ),
         },
         "transfers": {
             "sequential_bytes": sequential["bytes"],
-            "fleet_bytes": stats["bytes_transferred"],
+            "fleet_bytes": fleet["bytes"],
         },
         "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
     }
@@ -355,8 +345,7 @@ def _emissions() -> Dict[str, tuple]:
         ),
         "fleet": (
             fleet_emission,
-            (("level", str), ("n_requests", int), ("n_distinct", int),
-             ("backend", str)),
+            (("level", str), ("n_requests", int), ("n_distinct", int)),
         ),
     }
 

@@ -150,7 +150,6 @@ class Worker:
         self.fault_plan = fault_plan
         self.stats = WorkerStats()
         self._claim_counter = 0
-        self._fleet_driver = None  # lazily built by fleet-mode waves
 
     def step(self, now: Optional[float] = None, limit: int = 1) -> List[str]:
         """Claim up to *limit* tasks and run them as one wave.
@@ -166,9 +165,8 @@ class Worker:
 
         A sequential job is the wave of one: it and every task of a
         custom runner go through ``runner(task)``; a wave of several
-        physics tasks runs through the worker's shared
-        :class:`~repro.fleet.driver.FleetDriver`, byte-identical to
-        running them one by one.
+        physics tasks runs through :func:`~repro.fleet.driver.run_fleet`,
+        byte-identical to running them one by one.
         """
         outcomes: List[str] = []
         wave: List[TaskRecord] = []
@@ -215,16 +213,14 @@ class Worker:
         self, wave: List[TaskRecord]
     ) -> List[Tuple[Any, Optional[str]]]:
         """One ``(result, error)`` per task of a physics wave, fleet-run."""
-        from repro.fleet import FleetDriver, FleetTask
+        from repro.fleet import FleetTask, run_fleet
 
-        if self._fleet_driver is None:
-            self._fleet_driver = FleetDriver()
         with obs_span(
             "service.fleet", category="service", worker=self.worker_id,
             n_tasks=len(wave),
         ):
             try:
-                outcome = self._fleet_driver.run_tasks(
+                outcome = run_fleet(
                     FleetTask(key=t.key, payload=t.payload, task_id=t.task_id)
                     for t in wave
                 )

@@ -39,7 +39,6 @@ AUDITED_MODULES = (
     "repro.grids.sparsity",
     "repro.fleet",
     "repro.fleet.driver",
-    "repro.fleet.device",
     "repro.fleet.shared",
 )
 

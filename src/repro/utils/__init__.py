@@ -13,10 +13,9 @@ from repro.utils.linalg import (
 def drain(gen):
     """Run a generator to exhaustion; return its ``return`` value.
 
-    The eager form of every cycle generator in the pipeline
-    (``SCFDriver.iter_cycles``, ``DFPTSolver.iter_directions``,
-    ``iter_physics``): sequential execution *is* the generator path,
-    advanced by one caller instead of a round-robin scheduler.
+    The eager form of the pipeline's cycle generators
+    (``SCFDriver.iter_cycles``, ``DFPTSolver.iter_directions``), which
+    ``benchmarks/e2e`` advances one timed cycle at a time.
     """
     while True:
         try:

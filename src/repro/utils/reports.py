@@ -59,7 +59,6 @@ def format_backend_profile(profile: "BackendProfile") -> str:
         total = profile.cache_hits + profile.cache_misses
         lines.append(
             f"block cache: {profile.cache_hits}/{total} hits, "
-            f"{profile.cache_evictions} evictions, "
             f"peak {format_bytes(profile.cache_peak_bytes)} "
             f"(bound {format_bytes(profile.cache_max_bytes)})"
         )

@@ -9,13 +9,12 @@ freed, and page-faults it in on every allocation until then (DESIGN
 §5.1).  So the temporary lives in a block that is grown on demand and
 never shrunk.
 
-There is one block per thread, not one per backend or solver: kernels
-do not nest on one thread (a fleet interleaves molecules between kernel
-calls, never inside one — :func:`scratch` raises if that ever stops
-being true), so the largest request a thread serves sizes its block —
-2.9 MB on the 26-atom chain — instead of every live molecule holding its
-own (a fleet wave of eight small molecules held 6 MB of them, 5.5 % of
-that workload's peak RSS).  A process holds one block on its calling
+There is one block per thread, not one per backend or solver: a kernel
+never calls another kernel on its thread (:func:`scratch` raises if that
+ever stops being true), so the largest request a thread serves sizes its
+block — 2.9 MB on the 26-atom chain — and the molecules a process runs
+one after another, a fleet wave's groups included, reuse it instead of
+each allocating its own.  A process holds one block on its calling
 thread and, when its view sweeps run on two cores
 (:mod:`repro.backends.sweep`), one on the sweep helper.
 """

@@ -1,4 +1,4 @@
-"""Execution-backend seam: bit-exact parity, LRU cache, profiles, registry.
+"""Execution-backend seam: bit-exact parity, kept blocks, profiles, registry.
 
 The acceptance bar of the backend seam is *bitwise* equality — not
 ``allclose`` — between the ``numpy`` host engine (in every cache regime)
@@ -20,7 +20,6 @@ from repro.backends import (
     Factored,
     BackendProfile,
     BatchedBackend,
-    BlockCache,
     DeviceBackend,
     available_backends,
     create_backend,
@@ -327,7 +326,7 @@ class TestParityUnderBatchAndCacheVariation:
         want_m = default.potential_matrix(v)
         assert_close_at_scale(want_n, builder.reference_density(p))
         assert_close_at_scale(want_m, builder.reference_potential_matrix(v))
-        # Twice: the second pass exercises cache hits / evictions.
+        # Twice: the second pass exercises cache hits.
         for _ in range(2):
             assert np.array_equal(backend.density_on_grid(p), want_n)
             assert np.array_equal(builder.potential_matrix(v), want_m)
@@ -380,7 +379,6 @@ class TestCacheRegimes:
         assert profile.phases["basis"].calls == builder.views.n_batches
         assert profile.cache_misses == n_views
         assert profile.cache_hits == (2 * self.N_SWEEPS - 1) * n_views
-        assert profile.cache_evictions == 0
         # The cache holds every view's block, each the priced entries of its
         # members (fewer when dense: zero columns are dropped) plus the
         # merge padding.
@@ -416,7 +414,6 @@ class TestCacheRegimes:
         profile = builder.backend.profile
         assert profile.cache_misses == n_views + (passes - 1) * (n_views - n_resident)
         assert profile.cache_hits == (passes - 1) * n_resident
-        assert profile.cache_evictions == 0
         assert profile.cache_peak_bytes == 8 * sum(
             v.point_indices.size * v.cols.size for v in resident
         )
@@ -445,12 +442,12 @@ class TestCacheRegimes:
         assert profile.phases["basis"].calls == 2 * self.N_SWEEPS * builder.views.n_batches
         assert profile.cache_misses == lookups and profile.cache_hits == 0
         # A block larger than the whole budget is never kept.
-        assert profile.cache_evictions == 0 and len(builder.backend.cache) == 0
+        assert len(builder.backend.blocks) == 0
 
     def test_default_backend_is_the_default_budget(self, chain_builder):
         builder = chain_builder("numpy")
         assert isinstance(builder.backend, BatchedBackend)
-        assert builder.backend.cache.max_bytes == DEFAULT_CACHE_BYTES == 320_000_000
+        assert builder.backend.max_cache_bytes == DEFAULT_CACHE_BYTES == 320_000_000
         assert builder.backend.profile.cache_max_bytes == DEFAULT_CACHE_BYTES
 
     def test_basis_values_is_a_plain_uncached_assembly(self, chain_builder):
@@ -464,121 +461,47 @@ class TestCacheRegimes:
         assert first.shape == (builder.grid.n_points, builder.basis.n_basis)
         assert "basis" not in builder.backend.profile.phases
 
-    def test_budget_and_shared_cache_are_exclusive(self):
-        with pytest.raises(BackendError, match="not both"):
-            BatchedBackend(max_cache_bytes=4096, cache=BlockCache(max_bytes=4096))
-
 
 class TestBlockCache:
-    def _block(self, n_bytes):
-        return np.zeros(n_bytes // 8)
+    """The kept blocks: the resident views' only, within the budget."""
 
-    def test_hit_miss_counters(self):
-        cache = BlockCache(max_bytes=1 << 20)
-        assert cache.get(0) is None
-        cache.put(0, self._block(800))
-        assert cache.get(0) is not None
-        assert cache.hits == 1 and cache.misses == 1
+    @pytest.fixture
+    def chain_builder(self, minimal_settings):
+        structure = _h_chain()
+        basis = build_basis(structure)
+        grid = build_grid(structure, minimal_settings.grids, with_partition=True)
+        return lambda budget: MatrixBuilder(
+            basis, grid, backend=BatchedBackend(max_cache_bytes=budget)
+        )
 
-    def test_lru_eviction_order(self):
-        cache = BlockCache(max_bytes=2400)
-        for k in range(3):
-            cache.put(k, self._block(800))
-        cache.get(0)  # refresh 0 -> LRU order is now 1, 2, 0
-        cache.put(3, self._block(800))
-        assert 1 not in cache and 0 in cache and 2 in cache and 3 in cache
-        assert cache.evictions == 1
+    def test_hit_miss_counters(self, chain_builder):
+        builder = chain_builder(None)
+        view = next(iter(builder.views))
+        first = builder.backend.basis_block(view)
+        assert builder.backend.basis_block(view) is first
+        profile = builder.backend.profile
+        assert (profile.cache_hits, profile.cache_misses) == (1, 1)
 
-    def test_byte_bound_respected(self):
-        cache = BlockCache(max_bytes=2000)
-        for k in range(10):
-            cache.put(k, self._block(800))
-            assert cache.current_bytes <= 2000
-        assert len(cache) == 2
-        assert cache.peak_bytes <= 2000 + 800  # transiently one block over
+    def test_byte_bound_respected(self, chain_builder):
+        full = chain_builder(None)
+        budget = sum(8 * v.point_indices.size * v.cols.size for v in full.views) // 2
+        builder = chain_builder(budget)
+        for _ in range(2):
+            for view in builder.views:
+                builder.backend.basis_block(view)
+        kept = sum(block.nbytes for block in builder.backend.blocks.values())
+        assert 0 < kept == builder.backend.profile.cache_peak_bytes <= budget
 
-    def test_oversized_block_is_never_kept(self):
-        cache = BlockCache(max_bytes=1000)
-        cache.put(0, self._block(800))
-        cache.put(1, self._block(1600))  # larger than the whole budget
-        assert 0 in cache and 1 not in cache
-        assert cache.current_bytes == 800 and cache.evictions == 0
-        cache.put(0, self._block(1600))  # a re-put that no longer fits
-        assert len(cache) == 0 and cache.current_bytes == 0
-
-    def test_reinsert_updates_bytes(self):
-        cache = BlockCache(max_bytes=1 << 20)
-        cache.put(0, self._block(800))
-        cache.put(0, self._block(1600))
-        assert cache.current_bytes == 1600
+    def test_oversized_block_is_never_kept(self, chain_builder):
+        builder = chain_builder(0)
+        for view in builder.views:
+            builder.backend.basis_block(view)
+        assert builder.backend.blocks == {}
+        assert builder.backend.profile.cache_peak_bytes == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(BackendError):
-            BlockCache(max_bytes=-1)
-
-
-class TestSharedCacheAcrossMolecules:
-    """One BlockCache serving several molecules via scoped LRU keys."""
-
-    def _builder(self, structure, settings, backend):
-        return MatrixBuilder(
-            build_basis(structure),
-            build_grid(structure, settings.grids, with_partition=True),
-            backend=backend,
-        )
-
-    def test_scoped_keys_stay_disjoint_and_bit_exact(self, minimal_settings):
-        shared = BlockCache(max_bytes=64 << 20)
-        builders = {}
-        for scope, structure in (
-            ("mol-a", hydrogen_molecule(bond_length=1.40)),
-            ("mol-b", hydrogen_molecule(bond_length=1.60)),
-        ):
-            builders[scope] = self._builder(
-                structure,
-                minimal_settings,
-                BatchedBackend(cache=shared, scope=scope),
-            )
-        outputs = {}
-        for scope, builder in builders.items():
-            nb = builder.basis.n_basis
-            # Twice: the second pass must hit the shared cache under
-            # this molecule's own scoped keys, never its neighbour's.
-            outputs[scope] = [
-                builder.backend.density_on_grid(np.eye(nb)) for _ in range(2)
-            ]
-        for scope, builder in builders.items():
-            private = self._builder(
-                builder.grid.structure,
-                minimal_settings,
-                BatchedBackend(),
-            )
-            nb = private.basis.n_basis
-            reference = private.backend.density_on_grid(np.eye(nb))
-            for pass_result in outputs[scope]:
-                assert np.array_equal(pass_result, reference)
-
-    def test_per_backend_counter_attribution(self, minimal_settings):
-        """Shared-cache totals split exactly across the molecules'
-        profiles (the fleet per-molecule attribution contract)."""
-        shared = BlockCache(max_bytes=64 << 20)
-        backends = {}
-        for scope, bond in (("mol-a", 1.40), ("mol-b", 1.60)):
-            backend = BatchedBackend(cache=shared, scope=scope)
-            builder = self._builder(
-                hydrogen_molecule(bond_length=bond), minimal_settings, backend
-            )
-            nb = builder.basis.n_basis
-            for _ in range(2):
-                builder.backend.density_on_grid(np.eye(nb))
-            backends[scope] = backend
-        hits = sum(b.profile.cache_hits for b in backends.values())
-        misses = sum(b.profile.cache_misses for b in backends.values())
-        assert hits == shared.hits > 0
-        assert misses == shared.misses > 0
-        for backend in backends.values():
-            assert backend.profile.cache_hits > 0
-            assert backend.profile.cache_misses > 0
+            BatchedBackend(max_cache_bytes=-1)
 
 
 class TestBackendProfile:

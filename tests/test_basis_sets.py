@@ -132,7 +132,3 @@ class TestBasisSet:
                 for table in (spline.x, spline.y, spline.m):
                     with pytest.raises(ValueError, match="read-only"):
                         table[0] = 99.0
-
-    def test_unsupported_level(self):
-        with pytest.raises(BasisError):
-            build_basis(water(), level="tight")

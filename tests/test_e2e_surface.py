@@ -143,7 +143,7 @@ def test_pinned_attributes_and_constructor_arguments():
         for name in names:
             assert hasattr(probe, name), f"{cls.__name__}.{name}"
     # chain32_kernels builds its stream engine with a byte budget.
-    assert BatchedBackend(max_cache_bytes=1024).cache.max_bytes == 1024
+    assert BatchedBackend(max_cache_bytes=1024).max_cache_bytes == 1024
     # ...and its dense/screened builders by the registry name "numpy".
     assert isinstance(create_backend("numpy"), ExecutionBackend)
 

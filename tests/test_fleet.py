@@ -1,22 +1,21 @@
 """Fleet bit-exactness harness: fleet-of-N vs N sequential runs.
 
-The tentpole contract of the fleet driver: executing many molecules
-through one shared substrate — shared geometry substrates, deduplicated
-physics groups, interleaved SCF/CPSCF cycles, fused device launches —
-changes **no result bytes** relative to running each request through an
-isolated :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`.
+The contract of :func:`~repro.fleet.driver.run_fleet`: executing many
+requests as one wave — shared geometry substrates, deduplicated physics
+groups run one after another — changes **no result bytes** relative to
+running each request through an isolated
+:meth:`~repro.core.simulator.PerturbationSimulator.run_physics`.
 
 Pinned here:
 
 * per-request payloads (via :func:`stable_result_bytes`) byte-identical
   to sequential references across both backends, with screening on
   and off, under shuffled submission order;
-* a fleet-of-16 mixed-molecule acceptance run (device backend) with the
-  model-throughput account cleared;
-* per-molecule profile attribution: fleet per-group profiles sum to the
-  shared cache/device totals;
-* hypothesis properties: plan permutation-invariance, scoped LRU-key
-  distinctness;
+* a fleet-of-16 mixed-molecule acceptance run (device backend) whose
+  per-group profiles are the sequential runs' profiles;
+* one group live at a time: an earlier group's builder is garbage when
+  the next group's is constructed;
+* hypothesis properties: plan permutation-invariance, seed-blind groups;
 * one group per physics as the service keys it: a renamed request or
   one written with signed zeros joins its group and keeps its own name;
 * service integration: a fleet-mode worker pool drains a statestore to
@@ -25,29 +24,27 @@ Pinned here:
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
-from repro.backends.batched import block_cache_key
+from repro.atoms import hydrogen_molecule, methane, water
 from repro.config import RunSettings, get_settings
-from repro.core import PerturbationSimulator, iter_physics
+from repro.core import PerturbationSimulator
+from repro.dft.hamiltonian import MatrixBuilder
 from repro.fleet import (
-    FleetDriver,
     FleetTask,
     fleet_tasks_from_requests,
     physics_fingerprint,
     plan_fleet,
+    run_fleet,
 )
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
-from repro.service.jobs import (
-    JobRequest,
-    physics_from_payload,
-    structure_from_dict,
-)
+from repro.service.jobs import JobRequest, structure_from_dict
 from repro.service.worker import result_payload, stable_result_bytes
 
 
@@ -66,8 +63,8 @@ def h2_requests(n, n_distinct, backend, threshold=0.0, level="minimal"):
     ]
 
 
-def sequential_reference(tasks, dedup=False):
-    """Per-key stable bytes from isolated sequential runs.
+def sequential_runs(tasks, dedup=False):
+    """Per-key ``(stable bytes, backend profile)`` of isolated sequential runs.
 
     With ``dedup=False`` every task gets its own full ``run_physics``
     (the literal N-sequential-runs reference); ``dedup=True`` computes
@@ -87,10 +84,16 @@ def sequential_reference(tasks, dedup=False):
             )
             cache[fp] = (structure, settings, sim.run_physics())
         structure, settings, result = cache[fp]
-        out[task.key] = stable_result_bytes(
-            result_payload(task, structure, settings, result)
+        out[task.key] = (
+            stable_result_bytes(result_payload(task, structure, settings, result)),
+            result.backend_profile.as_dict(),
         )
     return out
+
+
+def sequential_reference(tasks, dedup=False):
+    """Per-key stable bytes from isolated sequential runs."""
+    return {key: ref for key, (ref, _) in sequential_runs(tasks, dedup).items()}
 
 
 def fleet_bytes(outcome):
@@ -114,64 +117,43 @@ class TestFleetParityMatrix:
         # not depend on request order.
         shuffled = list(tasks)
         random.Random(f"{backend}-{threshold}").shuffle(shuffled)
-        outcome = FleetDriver().run_tasks(shuffled)
+        outcome = run_fleet(shuffled)
         assert not outcome.errors
         assert fleet_bytes(outcome) == reference
 
-    def test_interleaving_actually_happened(self):
-        """The parity above must cover *interleaved* cycles, not a
-        degenerate one-group-at-a-time schedule."""
-        tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, "device"), commit="parity"
-        )
-        outcome = FleetDriver().run_tasks(tasks)
-        report = outcome.report
-        assert report.n_groups == 2
-        # More priced rounds than any single group could produce alone,
-        # and fused launch count strictly below the sequential account.
-        assert report.rounds > 1
-        assert (
-            report.device["launches"]["fused"]
-            < report.device["launches"]["sequential"]
-        )
 
-
-class TestOnePipeline:
-    """``iter_physics`` is the generator both execution modes advance."""
-
-    @pytest.mark.parametrize("backend", ["numpy", "device"])
-    def test_hand_interleaved_generators_match_eager_runs(self, backend):
-        tasks = fleet_tasks_from_requests(
-            h2_requests(2, 2, backend), commit="seam"
-        )
-        decoded = [physics_from_payload(t.payload) for t in tasks]
-        eager = [
-            PerturbationSimulator(s, cfg, charge=q).run_physics()
-            for s, cfg, q in decoded
+class TestOneGroupAtATime:
+    def test_each_groups_builder_is_dead_before_the_next_is_built(
+        self, monkeypatch
+    ):
+        """A wave holds one group's builder (and so its backend, kept
+        blocks and Hartree plans) at a time, not every group's."""
+        settings = get_settings("minimal")
+        requests = [
+            JobRequest(molecule, settings, seed=i)
+            for i, molecule in enumerate((hydrogen_molecule(), water(), methane()))
         ]
-        # Advance the two molecules alternately, one cycle each, the
-        # way the fleet's round-robin scheduler does.
-        live = {i: iter_physics(*args) for i, args in enumerate(decoded)}
-        interleaved = {}
-        while live:
-            for i in sorted(live):
-                try:
-                    next(live[i])
-                except StopIteration as stop:
-                    interleaved[i] = stop.value
-                    del live[i]
-        for i, (task, (structure, cfg, _)) in enumerate(zip(tasks, decoded)):
-            assert stable_result_bytes(
-                result_payload(task, structure, cfg, interleaved[i])
-            ) == stable_result_bytes(
-                result_payload(task, structure, cfg, eager[i])
-            )
+        built, live_at_construction = [], []
+        construct = MatrixBuilder.__init__
+
+        def tracked(self, *args, **kwargs):
+            gc.collect()
+            live_at_construction.append(sum(ref() is not None for ref in built))
+            construct(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(MatrixBuilder, "__init__", tracked)
+        outcome = run_fleet(fleet_tasks_from_requests(requests, commit="live"))
+        assert not outcome.errors and outcome.report.n_groups == 3
+        assert live_at_construction == [0, 0, 0]
 
 
 class TestFleetOf16Acceptance:
     """The issue's acceptance shape: 16 mixed molecules, one backend."""
 
     def test_mixed_fleet_byte_identical_and_fused(self):
+        """Sixteen requests fuse onto four computations: payloads equal
+        the sequential runs', and each group's profile is its run's."""
         settings = get_settings("minimal", backend="device")
         molecules = [
             hydrogen_molecule(bond_length=1.40),
@@ -183,99 +165,52 @@ class TestFleetOf16Acceptance:
             JobRequest(molecules[i % 4], settings, seed=i) for i in range(16)
         ]
         tasks = fleet_tasks_from_requests(requests, commit="accept")
-        reference = sequential_reference(tasks, dedup=True)
-        outcome = FleetDriver().run_tasks(tasks)
+        reference = sequential_runs(tasks, dedup=True)
+        outcome = run_fleet(tasks)
         assert not outcome.errors
-        assert fleet_bytes(outcome) == reference
+        assert fleet_bytes(outcome) == {k: ref for k, (ref, _) in reference.items()}
         report = outcome.report
         assert report.n_requests == 16
         assert report.n_groups == 4
         assert report.substrates == {"built": 4, "reused": 0}
-        # The fused model account beats per-group sequential pricing.
-        assert report.device["fusion_speedup"] > 1.0
+        # Each group is its sequential run: its profile counts that run's
+        # work, wall seconds aside, and is paid once for four requests.
+        for group in plan_fleet(tasks).groups:
+            _, want = reference[group.tasks[0].key]
+            assert _counters(report.profiles[group.fingerprint]) == _counters(want)
+
+
+def _counters(profile):
+    """A profile dict without its wall-clock seconds."""
+    phases = {
+        name: {k: v for k, v in row.items() if k != "seconds"}
+        for name, row in profile["phases"].items()
+    }
+    return {**profile, "phases": phases}
 
 
 class TestPerMoleculeProfiles:
-    """Fleet profiles attribute shared-resource traffic per molecule."""
-
-    def test_batched_cache_counters_sum_to_shared_totals(self):
-        tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, "numpy"), commit="prof"
-        )
-        outcome = FleetDriver().run_tasks(tasks)
-        assert not outcome.errors
-        report = outcome.report
-        assert len(report.profiles) == 2
-        hits = sum(p["cache"]["hits"] for p in report.profiles.values())
-        misses = sum(p["cache"]["misses"] for p in report.profiles.values())
-        evictions = sum(
-            p["cache"]["evictions"] for p in report.profiles.values()
-        )
-        assert hits == report.cache["hits"] > 0
-        assert misses == report.cache["misses"] > 0
-        assert evictions == report.cache["evictions"]
-        # Every per-molecule profile saw real traffic of its own.
-        assert all(
-            p["cache"]["hits"] > 0 and p["cache"]["misses"] > 0
-            for p in report.profiles.values()
-        )
-
-    # An H2 block is 66 560 bytes: 100 000 holds one molecule's, not both.
-    @pytest.mark.parametrize("budget", [None, 100_000], ids=["default", "lru"])
-    def test_default_backend_wave_shares_one_scoped_cache(self, budget):
-        """Every host molecule of a wave reads the run's one block
-        cache under its own scope — whatever the budget, the results
-        stay byte-identical to isolated sequential runs."""
-        tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, get_settings("minimal").backend), commit="share"
-        )
-        driver = FleetDriver() if budget is None else FleetDriver(
-            max_cache_bytes=budget
-        )
-        outcome = driver.run_tasks(tasks)
-        assert not outcome.errors
-        assert fleet_bytes(outcome) == sequential_reference(tasks, dedup=True)
-        cache = driver._cache
-        scopes = {key[0] for key in cache._blocks}
-        assert scopes <= set(outcome.report.profiles)
-        if budget is None:
-            # Both molecules' blocks are resident side by side.
-            assert scopes == set(outcome.report.profiles)
-            assert outcome.report.cache["evictions"] == 0
-            per_molecule = max(
-                p["phases"]["basis"]["elements"]
-                for p in outcome.report.profiles.values()
-            )
-            assert outcome.report.cache["peak_bytes"] > 8 * per_molecule
-        else:
-            assert outcome.report.cache["evictions"] > 0
-            assert cache.current_bytes <= budget and len(cache) == 1
+    """Each group's profile is its own sequential run's."""
 
     def test_device_counters_sum_to_shared_totals(self):
+        """The fleet's device account is the sum of its group profiles,
+        each the sequential run of that physics, paid once."""
         tasks = fleet_tasks_from_requests(
             h2_requests(4, 2, "device"), commit="prof"
         )
-        outcome = FleetDriver().run_tasks(tasks)
+        outcome = run_fleet(tasks)
         assert not outcome.errors
-        report = outcome.report
-        launches = sum(
-            p["device"]["launches"] for p in report.profiles.values()
-        )
-        transferred = sum(
-            p["device"]["bytes_transferred"] for p in report.profiles.values()
-        )
-        modeled = sum(
-            p["device"]["modeled_seconds"] for p in report.profiles.values()
-        )
-        assert launches == report.device["launches"]["sequential"] > 0
-        assert transferred == report.device["bytes_transferred"] > 0
-        # Per-molecule profiles carry the *unfused* prices; their sum is
-        # the device's sequential account (float association aside).
-        sequential = report.device["modeled"]["sequential"]["modeled_seconds"]
-        assert np.isclose(modeled, sequential, rtol=1e-12, atol=0.0)
-        assert (
-            report.device["modeled"]["fused"]["modeled_seconds"] < sequential
-        )
+        profiles = outcome.report.profiles
+        sequential = sequential_runs(tasks)
+        # Four requests, two groups: the fleet's device account is the
+        # sequential one of the two distinct runs, paid once each.
+        for group in plan_fleet(tasks).groups:
+            for task in group.tasks:
+                _, want = sequential[task.key]
+                assert profiles[group.fingerprint]["device"] == want["device"]
+        launches = sum(p["device"]["launches"] for p in profiles.values())
+        assert 2 * launches == sum(p["device"]["launches"] for _, p in sequential.values())
+        assert launches > 0
 
 
 class TestGroupIsolation:
@@ -285,7 +220,7 @@ class TestGroupIsolation:
         # charge=1 leaves one electron: the restricted driver refuses.
         bad = JobRequest(hydrogen_molecule(), settings, charge=1, seed=1)
         tasks = fleet_tasks_from_requests([good, bad], commit="iso")
-        outcome = FleetDriver().run_tasks(tasks)
+        outcome = run_fleet(tasks)
         assert set(outcome.results) == {tasks[0].key}
         assert set(outcome.errors) == {tasks[1].key}
         assert "SCFConvergenceError" in outcome.errors[tasks[1].key]
@@ -342,36 +277,10 @@ class TestOneGroupPerServicePhysics:
         ]
         tasks = fleet_tasks_from_requests(requests, commit="groups")
         assert len(plan_fleet(tasks).groups) == 1
-        outcome = FleetDriver().run_tasks(tasks)
+        outcome = run_fleet(tasks)
         assert not outcome.errors
         assert fleet_bytes(outcome) == sequential_reference(tasks)
         assert outcome.results[tasks[2].key]["molecule"] == "hydrogen"
-
-
-class TestScopedCacheKeys:
-    @given(
-        batch=st.integers(min_value=0, max_value=500),
-        scopes=st.lists(
-            st.text(
-                alphabet="abcdef0123456789", min_size=1, max_size=8
-            ),
-            min_size=2,
-            max_size=5,
-            unique=True,
-        ),
-        active_hash=st.one_of(st.none(), st.sampled_from(["a1", "b2"])),
-    )
-    @hsettings(max_examples=60, deadline=None)
-    def test_distinct_scopes_never_collide(self, batch, scopes, active_hash):
-        keys = {
-            block_cache_key(batch, scope=s, active_hash=active_hash)
-            for s in scopes
-        }
-        assert len(keys) == len(scopes)
-        # Scoped keys never collide with a private cache's unscoped
-        # ones either.
-        assert block_cache_key(batch) not in keys
-        assert block_cache_key(batch, active_hash="a1") not in keys
 
 
 class TestServiceFleetParity:

@@ -29,9 +29,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atoms import methane, polyethylene
 from repro.atoms.builders import BUILTIN_MOLECULES
-from repro.backends import BatchedBackend, BlockCache, Factored, available_backends
+from repro.backends import BatchedBackend, Factored, available_backends
 from repro.config import get_settings
-from repro.core.simulator import iter_physics
+from repro.core.simulator import run_physics
 from repro.dfpt.response import DFPTSolver
 from repro.dft import hamiltonian
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
@@ -45,7 +45,6 @@ from repro.grids.sparsity import (
     merge_column_sets,
     view_cost,
 )
-from repro.utils import drain
 from repro.utils import scratch as scratch_module
 from tests.setup_oracles import (
     assert_close_at_scale,
@@ -369,11 +368,9 @@ class TestBitExactAcrossEnginesAndRegimes:
         p, v = _inputs(reference)
         want = (reference.backend.density_on_grid(p), reference.potential_matrix(v))
         table_bytes = 8 * sub.grid.n_points * sub.basis.n_basis
-        shared = BlockCache(max_bytes=table_bytes)
         engines = [
             "device",
             *(BatchedBackend(max_cache_bytes=b) for b in (0, 4096, table_bytes, None)),
-            BatchedBackend(cache=shared, scope="mol-a"),
         ]
         for engine in engines:
             builder = MatrixBuilder(
@@ -384,7 +381,6 @@ class TestBitExactAcrossEnginesAndRegimes:
                 got = (builder.backend.density_on_grid(p), builder.potential_matrix(v))
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), engine
-        assert {key[0] for key in shared._blocks} == {"mol-a"}
         # T evaluates its own gradient blocks and never reads an engine's:
         # run to run is all there is to vary.
         assert np.array_equal(builder.kinetic(), reference.kinetic())
@@ -787,7 +783,7 @@ class TestObservablesAgainstTheParent:
 
     @pytest.mark.parametrize("name", ["h2", "water"])
     def test_energy_and_polarizability(self, name):
-        result = drain(iter_physics(STRUCTURES[name], get_settings("minimal")))
+        result = run_physics(STRUCTURES[name], get_settings("minimal"))
         self._assert_anchored(
             name, result.ground_state.total_energy, np.diag(result.polarizability)
         )

@@ -83,3 +83,39 @@ class TestTraceCLI:
         reported = report["wall_seconds"]
         assert reported > 0.0
         assert abs(spans_wall - reported) / reported < 0.05
+
+    def test_a_run_that_does_not_converge_leaves_its_evidence(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Two SCF cycles cannot converge H2: the run still exits 2, and
+        the trace holds the spans recorded so far, the report the error."""
+        import dataclasses
+
+        import repro.cli
+
+        real = repro.cli.get_settings
+
+        def two_cycles(*args, **kwargs):
+            settings = real(*args, **kwargs)
+            scf = dataclasses.replace(settings.scf, max_iterations=2)
+            return dataclasses.replace(settings, scf=scf)
+
+        monkeypatch.setattr(repro.cli, "get_settings", two_cycles)
+        trace_path = tmp_path / "trace.json"
+        report_path = tmp_path / "report.json"
+        rc = cli_main(
+            [
+                "physics", "--molecule", "h2", "--level", "minimal",
+                "--trace", str(trace_path), "--report", str(report_path),
+            ]
+        )
+        assert rc == 2
+        assert "did not converge" in capsys.readouterr().err
+
+        doc = json.loads(trace_path.read_text())
+        names = {e["name"] for e in doc["traceEvents"] if e["ph"] != "M"}
+        assert {"density", "hamiltonian", "Sumup", "H"} <= names
+        error = json.loads(report_path.read_text())["extra"]["error"]
+        assert error["type"] == "SCFConvergenceError"
+        assert error["iterations"] == 2 and error["residual"] > 0.0
+        assert "did not converge" in error["message"]

@@ -17,13 +17,12 @@ from repro.atoms import Structure, hydrogen_molecule, polyethylene, water
 from repro.atoms.builders import BUILTIN_MOLECULES
 from repro.basis.basis_set import BasisSet, build_basis
 from repro.basis.spline import SplineSystem
-from repro.core.simulator import iter_physics
+from repro.core.simulator import run_physics
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.scf import SCFDriver
 from repro.errors import GridError
 from repro.grids import becke_weights, build_grid
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD, build_batch_views
-from repro.utils import drain
 from tests.setup_oracles import (
     shell_instances,
     oracle_becke_weights,
@@ -266,10 +265,10 @@ class TestObservablesUnmoved:
 
     def test_h2_energy_and_polarizability(self, minimal_settings):
         structure = hydrogen_molecule()
-        ours = drain(iter_physics(structure, minimal_settings))
+        ours = run_physics(structure, minimal_settings)
         substrate = build_substrate(structure, minimal_settings.grids)
         substrate.grid.partition_weights = oracle_partition_weights(substrate.grid)
-        theirs = drain(iter_physics(structure, minimal_settings, substrate=substrate))
+        theirs = run_physics(structure, minimal_settings, substrate=substrate)
         assert abs(
             ours.ground_state.total_energy - theirs.ground_state.total_energy
         ) < 1e-10

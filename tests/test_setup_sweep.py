@@ -110,16 +110,11 @@ class TestDriverMatricesAreTheSeparateCalls:
 
 
 def _cache_state(backend):
-    cache = backend.cache
     basis = backend.profile.phases["basis"]
     return (
-        list(cache._blocks),
+        list(backend.blocks),
         (basis.calls, basis.elements),
-        (cache.misses, cache.evictions, cache.current_bytes, cache.peak_bytes),
-        (
-            backend.profile.cache_misses, backend.profile.cache_evictions,
-            backend.profile.cache_peak_bytes,
-        ),
+        (backend.profile.cache_misses, backend.profile.cache_peak_bytes),
     )
 
 
@@ -132,22 +127,22 @@ def test_the_cache_after_kinetic_is_a_cold_overlap_fill(mode, name, helper):
     with one_core():
         filled.overlap()
     assert _cache_state(swept.backend) == _cache_state(filled.backend)
-    assert swept.backend.cache.hits == swept.backend.profile.cache_hits == 0
-    for key, block in filled.backend.cache._blocks.items():
-        assert np.array_equal(swept.backend.cache._blocks[key], block)
+    assert swept.backend.profile.cache_hits == 0
+    for key, block in filled.backend.blocks.items():
+        assert np.array_equal(swept.backend.blocks[key], block)
     # Water is one view as large as the table: a quarter budget keeps none.
-    assert len(swept.backend.cache) > 0 or (mode, name) == ("stream", "water")
+    assert len(swept.backend.blocks) > 0 or (mode, name) == ("stream", "water")
 
 
 def test_an_offered_block_already_cached_is_left_alone():
     builder = _builder("dense", "water")
     builder.overlap()
     backend = builder.backend
-    before = _cache_state(backend), backend.cache.hits
+    before = _cache_state(backend), backend.profile.cache_hits
     view = next(iter(builder.views))
-    kept = backend.cache._blocks[next(iter(backend.cache._blocks))]
+    kept = backend.blocks[next(iter(backend.blocks))]
     backend.offer_block(view, np.zeros_like(kept), 1.0)
-    assert (_cache_state(backend), backend.cache.hits) == before
+    assert (_cache_state(backend), backend.profile.cache_hits) == before
     assert np.array_equal(backend.basis_block(view), builder.evaluate_view(view))
 
 

@@ -409,10 +409,10 @@ class TestBatchedLRUKeys:
         )
         p, _ = _probe_inputs(screened)
         screened.backend.density_on_grid(p)
-        keys = list(screened.backend.cache._blocks.keys())
+        keys = list(screened.backend.blocks)
         assert keys, "host backend cached no blocks"
-        assert all(scope is None and h is not None for scope, _, h in keys)
-        assert {h for _, _, h in keys} == {v.active_hash for v in screened.views}
+        assert all(h is not None for _, h in keys)
+        assert {h for _, h in keys} == {v.active_hash for v in screened.views}
 
     def test_second_sweep_hits_the_cache(self):
         _, screened = _builders(

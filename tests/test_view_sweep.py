@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.atoms import polyethylene, water
-from repro.backends import BatchedBackend, BlockCache, Factored
+from repro.backends import BatchedBackend, Factored
 from repro.backends import base as base_module
 from repro.backends import sweep
 from repro.config import get_settings
@@ -146,7 +146,7 @@ class TestTheHelperSweepIsTheInlineSweep:
         (*_, want, _, _), (*_, got, _, _) = _run(mode, False), _run(mode, True)
         assert got.cache_misses > 0
         for name in (
-            "cache_hits", "cache_misses", "cache_evictions", "cache_peak_bytes",
+            "cache_hits", "cache_misses", "cache_peak_bytes",
             "screen_blocks_evaluated", "screen_blocks_skipped",
             "device_launches", "device_modeled_seconds", "device_bytes_transferred",
         ):
@@ -173,10 +173,10 @@ RUN_PASSES = 2 * 6
 
 def test_stream_warm_passes_hit_exactly_the_resident_views():
     """The stream cache is over its budget: the views that fit, first fit
-    in sweep order, are resident and never evicted, every later pass hits
+    in sweep order, are resident, every later pass hits
     exactly them, and the helper sweep counts what the inline one does."""
     builder = _builder("stream")
-    free, n_resident = builder.backend.cache.max_bytes, 0
+    free, n_resident = builder.backend.max_cache_bytes, 0
     for view in builder.views:
         if _block_bytes(view) <= free:
             free, n_resident = free - _block_bytes(view), n_resident + 1
@@ -186,44 +186,6 @@ def test_stream_warm_passes_hit_exactly_the_resident_views():
         profile = _run("stream", helper)[2]
         assert profile.cache_misses == n_views + (RUN_PASSES - 1) * (n_views - n_resident)
         assert profile.cache_hits == (RUN_PASSES - 1) * n_resident
-        assert profile.cache_evictions == 0
-
-
-@functools.lru_cache(maxsize=None)
-def _shared_run(helper):
-    """Two dense builders on one shared cache that holds one builder's
-    blocks, swept in turn twice: each one's first pass evicts the other's
-    blocks.  Returns outputs, both profiles and the cache."""
-    sub = _substrate()
-    cache = BlockCache(sum(_block_bytes(v) for v in _builder("dense").views))
-    builders = [
-        MatrixBuilder(
-            sub.basis, sub.grid, batches=sub.batches,
-            backend=BatchedBackend(cache=cache, scope=scope),
-        )
-        for scope in ("a", "b")
-    ]
-    with (two_core() if helper else one_core()), kernel_threads() as names:
-        outputs = [_sweeps(b) for _ in range(2) for b in builders]
-    return outputs, [b.backend.profile for b in builders], cache, tuple(names)
-
-
-def test_a_shared_cache_evicts_what_the_inline_sweep_evicts():
-    (want, want_profiles, want_cache, inline_names) = _shared_run(False)
-    (got, got_profiles, got_cache, helper_names) = _shared_run(True)
-    assert _on_helper(helper_names) > 0 and _on_helper(inline_names) == 0
-    assert got_cache.evictions > 0
-    counters = ("hits", "misses", "evictions", "peak_bytes")
-    assert [getattr(got_cache, c) for c in counters] == [
-        getattr(want_cache, c) for c in counters
-    ]
-    for got_profile, want_profile in zip(got_profiles, want_profiles):
-        assert got_profile.cache_evictions > 0
-        for name in ("cache_hits", "cache_misses", "cache_evictions", "cache_peak_bytes"):
-            assert getattr(got_profile, name) == getattr(want_profile, name), name
-    for got_out, want_out in zip(got, want):
-        for key in want_out:
-            assert np.array_equal(got_out[key], want_out[key]), key
 
 
 class TestFailures:
