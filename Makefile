@@ -16,8 +16,9 @@ test:
 # Adams-Moulton parity tests, the basis evaluator's bitwise tests
 # against the per-shell loop and the spline's interval lookup against
 # the binary search on every mesh, and the device layer's fast checks: the
-# ocl model's prices and counts, the device backend's bitwise
-# parity with the host engine and its charges, and the model path's
+# ocl model's prices, the host engine's bitwise cache-regime parity and
+# the device bill of a run (launches, bytes, the scale model's kernels
+# and launch sizing), and the model path's
 # bitwise tests: the mappings and per-rank reductions against their
 # loops, the summary batches against the per-batch objects and the
 # greedy rounds against the heap loop (all also part of `make test`).
@@ -43,8 +44,8 @@ smoke:
 		-q tests/test_view_sweep.py tests/test_setup_sweep.py
 
 # Quick execution-backend comparison (the host engine with a warm and a
-# cold block cache, and the device model), plus the dense-vs-screened
-# block-sparse payoff on a polyethylene chain; writes
+# cold block cache, and the warm run's device bill on HPC#2), plus the
+# dense-vs-screened block-sparse payoff on a polyethylene chain; writes
 # BENCH_backends.json and BENCH_sparse.json at the repo root.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py --quick
@@ -97,16 +98,17 @@ profile-model:
 	PYTHONPATH=src $(PYTHON) -m cProfile -s cumulative -m repro model \
 		--polyethylene 10004 --ranks 2048 --baseline | head -60
 
-# Post-mortem analytics: record a water trace on the host engine and one
-# on the device backend, then render the first's per-phase clock table,
-# the two tables joined by phase, and the scaling-attribution tables.
+# Post-mortem analytics: record a dense water trace and a screened one
+# (the run prints its device bill beside the measured phases), then
+# render the first's per-phase clock table, the two tables joined by
+# phase, and the scaling-attribution tables.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
 		--trace trace.json --report run_report.json --force
 	PYTHONPATH=src $(PYTHON) -m repro physics --molecule water --level minimal \
-		--backend device --trace trace_device.json --force
+		--screening 1e-6 --trace trace_screened.json --force
 	PYTHONPATH=src $(PYTHON) -m repro analyze trace trace.json
-	PYTHONPATH=src $(PYTHON) -m repro analyze diff trace.json trace_device.json
+	PYTHONPATH=src $(PYTHON) -m repro analyze diff trace.json trace_screened.json
 	PYTHONPATH=src $(PYTHON) -m repro analyze scaling --atoms 602 \
 		--base-ranks 8 --points 2
 
@@ -132,8 +134,8 @@ service-check:
 	rm -rf .service-demo
 
 # Fleet contract: the bit-exactness parity suite (fleet-of-N vs N
-# sequential runs across backends/screening/submission order, one group
-# live at a time), the service chaos sweeps that drain in fleet waves
+# sequential runs across screening and submission order, device bills
+# included, one group live at a time), the service chaos sweeps that drain in fleet waves
 # (crashed waves retried byte-identical to a sequential drain), plus the
 # fleet-throughput regression gate against the committed baseline.
 fleet-check:

@@ -1,19 +1,20 @@
-"""The host engine in two cache regimes, plus the device model.
+"""The host engine in two cache regimes, plus the warm run's device bill.
 
 Counts the work of repeated Sumup + H phase sweeps (the SCF/CPSCF hot
-loop) on water under three builders sharing one substrate:
+loop) on water under two builders sharing one substrate, and prices it:
 
 * ``warm``   — the host engine at its default block-cache budget: every
   basis block is evaluated once and served from the cache afterwards.
 * ``cold``   — the same engine at budget 0: every block is evaluated on
   every pass (over a budget only the views outside the resident set
   are; at budget 0 no view is resident).
-* ``device`` — the ``warm`` engine, each phase charged as a priced
-  OpenCL-model launch plus its transfer bytes.
+* ``device`` — the bill of the ``warm`` run on the HPC#2 accelerator
+  (:func:`repro.backends.device.device_bill`): each Sumup / H call one
+  launch priced by the scale model's own kernel, plus the bytes moved.
 
 The measurement itself lives in :mod:`repro.obs.bench` (shared with the
 ``repro bench-check`` regression gate), which refuses to report unless
-all three outputs are bit-identical and each host row evaluated exactly
+both host rows' outputs are bit-identical and each evaluated exactly
 the number of blocks its regime defines.  This script prints the
 counter table and writes ``BENCH_backends.json`` at the repo root,
 including the provenance block the regression gate and EXPERIMENTS.md
@@ -47,11 +48,12 @@ def run(n_sweeps: int, level: str) -> dict:
         f"{report['n_basis']} basis functions, {n_sweeps} Sumup+H sweeps"
     )
     table = TableFormatter(
-        ["row", "blocks evaluated", "cache peak", "launches", "modeled"],
-        title="host cache regimes and device (bit-identical outputs)",
+        ["row", "blocks evaluated", "cache peak"],
+        title="host cache regimes (bit-identical outputs)",
     )
-    for name, entry in report["backends"].items():
-        profile = entry["profile"]
+    rows = report["backends"]
+    for name in ("warm", "cold"):
+        profile = rows[name]["profile"]
         table.add_row(
             [
                 name,
@@ -59,13 +61,16 @@ def run(n_sweeps: int, level: str) -> dict:
                 format_bytes(profile["cache"]["peak_bytes"])
                 if profile["cache"]["misses"]
                 else "-",
-                profile["device"]["launches"] or "-",
-                format_seconds(profile["device"]["modeled_seconds"])
-                if profile["device"]["launches"]
-                else "-",
             ]
         )
     print(table.render())
+    bill = rows["device"]["bill"]
+    print(
+        f"device bill of the warm run [{bill['machine']}]: "
+        f"{bill['launches']} launches, "
+        f"{format_seconds(bill['modeled_seconds'])} modeled, "
+        f"{format_bytes(bill['bytes_transferred'])} transferred"
+    )
     print(Provenance(**report["provenance"]).footer_markdown())
     return report
 

@@ -1,10 +1,10 @@
-"""Fleet throughput: N molecules through one backend vs N isolated runs.
+"""Fleet throughput: N molecules in one wave vs N isolated runs.
 
 A screening-service workload — many near-duplicate small jobs (H2
 bond-length variants, distinct request seeds) — executed twice:
 
 * ``sequential`` — one isolated ``run_physics`` per request, each
-  paying its own substrate build and every kernel launch;
+  paying its own substrate build and every phase call;
 * ``fleet``      — :func:`~repro.fleet.driver.run_fleet`: substrates
   built once per geometry, identical-physics requests computed once
   per group, the groups run one after another.
@@ -15,8 +15,8 @@ the two modes before any number is reported.  The measurement lives in
 bench-check`` regression gate); this script prints the table, writes
 ``BENCH_fleet.json`` at the repo root — provenance block included —
 and, when the distinct count divides the request count, fails unless
-the deterministic device-model speedup is the dedup factor, requests
-over distinct physics.  No clock is read: the measured
+the deterministic speedup of the runs' device bills (HPC#2) is the
+dedup factor, requests over distinct physics.  No clock is read: the measured
 sequential-vs-fleet wall is ``op_a_ms`` / ``op_b_ms`` of the
 ``service_mix`` workload of ``BENCHMARK.json``
 (``python benchmarks/e2e/run.py``).  Run::
@@ -54,7 +54,7 @@ def run(n_requests: int, n_distinct: int, level: str) -> dict:
     )
     print(
         f"fleet of {n_requests} H2 jobs over {n_distinct} bond-length "
-        f"variant(s) ({level}, {report['backend']} backend): "
+        f"variant(s) ({level}, billed on HPC#2): "
         f"{report['groups']} physics group(s)"
     )
     table = TableFormatter(

@@ -11,12 +11,7 @@ Public entry points:
 >>> result = sim.run_physics()          # doctest: +SKIP
 """
 
-from repro.backends import (
-    BackendProfile,
-    ExecutionBackend,
-    available_backends,
-    create_backend,
-)
+from repro.backends import BackendProfile, ExecutionBackend, device_bill
 from repro.atoms import (
     Structure,
     hiv_ligand,
@@ -53,8 +48,7 @@ __all__ = [
     "SCFDriver",
     "ExecutionBackend",
     "BackendProfile",
-    "available_backends",
-    "create_backend",
+    "device_bill",
     "polarizability_tensor",
     "isotropic_polarizability",
     "finite_difference_polarizability",

@@ -1,15 +1,9 @@
-"""Pluggable execution backends for the SCF/CPSCF hot phases.
+"""The execution engine for the SCF/CPSCF hot phases, and its price.
 
-One seam (:class:`ExecutionBackend`), one host engine, two names:
-
-* ``numpy`` — the host engine: per-view basis blocks kept under a byte
-  budget, nothing recomputed that the budget holds;
-* ``device`` — the same engine plus a price list: each phase it has run
-  is charged as a launch, and its transfers as bytes, on the
-  :mod:`repro.ocl` accelerator model.
-
-Select one end-to-end with ``SCFDriver(..., backend="device")`` /
-``DFPTSolver(..., backend=...)`` / ``repro physics ... --backend device``.
+One seam (:class:`ExecutionBackend`), one engine behind it
+(:class:`BatchedBackend`, named ``"numpy"``); drivers take
+``backend=None``, ``"numpy"`` or an instance.  What a run would cost on
+an accelerator is a bill on its profile, :func:`device_bill`.
 """
 
 from repro.backends.base import (
@@ -21,32 +15,20 @@ from repro.backends.base import (
     quadratic_form_rows,
     weighted_gram,
 )
-from repro.backends.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    create_backend,
-    register_backend,
-    resolve_backend,
-)
-
-# Importing the implementation modules registers the built-in backends.
-from repro.backends.batched import BatchedBackend, DEFAULT_CACHE_BYTES
-from repro.backends.device import DeviceBackend
+from repro.backends.batched import BatchedBackend, DEFAULT_CACHE_BYTES, resolve_backend
+from repro.backends.device import DeviceBill, device_bill
 
 __all__ = [
     "BackendProfile",
     "BatchedBackend",
-    "DEFAULT_BACKEND",
     "DEFAULT_CACHE_BYTES",
-    "DeviceBackend",
+    "DeviceBill",
     "ExecutionBackend",
     "Factored",
     "PhaseStats",
-    "available_backends",
-    "create_backend",
+    "device_bill",
     "first_order_dm_dense",
     "quadratic_form_rows",
-    "register_backend",
     "resolve_backend",
     "weighted_gram",
 ]

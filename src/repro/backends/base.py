@@ -10,15 +10,14 @@ this reproduction: the four phase operations the drivers need
 :meth:`~ExecutionBackend.first_order_dm`), implemented once as
 one loop over the builder's fused batch views
 (:class:`~repro.grids.sparsity.BatchViews` — dense and screened differ
-in a view's columns, not in the code path).  Both registered backends
-read their basis blocks from one source, the host engine's kept
-blocks, and so are *bit-exact* with each other; the ``device``
-backend differs only in the price it charges each phase on the
-:mod:`repro.ocl` accelerator model.
+in a view's columns, not in the code path).  One engine implements it,
+:class:`~repro.backends.batched.BatchedBackend`; an accelerator is a
+price on a finished run's profile
+(:func:`repro.backends.device.device_bill`), not a second engine.
 
 Every backend records a per-phase :class:`BackendProfile` (calls,
-elements processed, wall seconds, block-cache hits/misses, device
-launch and transfer statistics) which the CLI and
+elements processed, wall seconds, block-cache hits/misses, and the
+bound grid's sizes the bill prices from) which the CLI and
 :mod:`repro.utils.reports` surface — the repo's end-to-end
 observability of the phases the paper names.
 """
@@ -26,6 +25,7 @@ observability of the phases the paper names.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
@@ -45,10 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # ----------------------------------------------------------------------
 # The shared view-local kernel math.
 #
-# All backends call these exact functions in the exact same view order,
-# which is what makes the host/device parity *bitwise* rather
-# than merely approximate: given bit-identical basis blocks, the
-# floating-point operation sequence is identical.  Each skips the
+# Every engine (the host engine under any cache budget, the mutation
+# suite's broken ones) calls these exact functions in the exact same view
+# order, which is what makes engines agree *bitwise* rather than merely
+# approximately: given bit-identical basis blocks, the floating-point
+# operation sequence is identical.  Each skips the
 # flops the mathematics does not need, as far as numpy's BLAS lets it —
 # a quadratic form skips the zero quarter of its folded triangle, a
 # weighted Gram matrix is a symmetric rank-k update — and writes its one
@@ -157,7 +158,7 @@ class Factored:
         return cls(c[:, occ] * np.sqrt(occupations[occ]))
 
     def matrix(self) -> np.ndarray:
-        """The dense ``P`` (references, device pricing); ``(m, n_basis,
+        """The dense ``P`` (references); ``(m, n_basis,
         n_basis)`` for m densities."""
         half = self.left @ (self.left if self.right is None else self.right).T
         return half if self.right is None else half + np.swapaxes(half, -1, -2)
@@ -199,9 +200,6 @@ class BackendProfile:
     cache_misses: int = 0
     cache_peak_bytes: int = 0
     cache_max_bytes: int = 0
-    device_launches: int = 0
-    device_modeled_seconds: float = 0.0
-    device_bytes_transferred: int = 0
     # Screening counters (all zero on unscreened runs), charged once per
     # Sumup/H pass: (batch, atom) basis blocks the mask kept, and the
     # relevant-atom blocks it dropped.
@@ -212,6 +210,10 @@ class BackendProfile:
     # set at bind time.
     view_count: int = 0
     view_padded_fraction: float = 0.0
+    # The bound grid, set at bind time: what the device bill prices the
+    # phase rows from (atoms, basis size, points, batches with work and
+    # the elements of one Sumup/H pass).
+    grid: Dict[str, int] = field(default_factory=dict)
 
     def record(
         self, phase: str, elements: int, seconds: float, calls: int = 1
@@ -236,11 +238,6 @@ class BackendProfile:
                 "peak_bytes": self.cache_peak_bytes,
                 "max_bytes": self.cache_max_bytes,
             },
-            "device": {
-                "launches": self.device_launches,
-                "modeled_seconds": self.device_modeled_seconds,
-                "bytes_transferred": self.device_bytes_transferred,
-            },
             "sparsity": {
                 "blocks_evaluated": self.screen_blocks_evaluated,
                 "blocks_skipped": self.screen_blocks_skipped,
@@ -249,6 +246,7 @@ class BackendProfile:
                 "count": self.view_count,
                 "padded_fraction": self.view_padded_fraction,
             },
+            "grid": dict(self.grid),
         }
 
 
@@ -258,21 +256,26 @@ class BackendProfile:
 class ExecutionBackend:
     """One execution engine for the grid-heavy phase operations.
 
-    A backend is constructed unbound (so drivers can accept either a
-    name or a configured instance) and bound to one
-    :class:`~repro.dft.hamiltonian.MatrixBuilder` via :meth:`bind`
-    before use.  Subclasses override :meth:`basis_block` (where a
-    view's ``(batch_points, n_cols)`` chi table comes from) and may
-    charge a price after the phase implementations; the numerical work
-    itself is shared so results stay bit-identical across backends.
+    Constructed unbound and bound to one
+    :class:`~repro.dft.hamiltonian.MatrixBuilder` by :meth:`bind`.
+    Subclasses override :meth:`basis_block` (where a view's chi block
+    comes from); the numerical work is shared, so engines stay
+    bit-identical.  The builder owns its backend and is held weakly, so
+    the pair is no cycle: a finished builder is freed by reference
+    counting, blocks and plans with it.
     """
 
-    #: Registry name, set by ``@register_backend``.
+    #: The engine's name in profiles and trace spans.
     name: ClassVar[str] = "abstract"
 
     def __init__(self) -> None:
-        self.builder: Optional["MatrixBuilder"] = None
+        self._builder: Optional["weakref.ref[MatrixBuilder]"] = None
         self.profile = BackendProfile(backend=self.name)
+
+    @property
+    def builder(self) -> Optional["MatrixBuilder"]:
+        """The bound builder, or ``None`` (unbound, or the builder is gone)."""
+        return None if self._builder is None else self._builder()
 
     # ------------------------------------------------------------------
     # Binding
@@ -281,25 +284,32 @@ class ExecutionBackend:
         """Attach this backend to one matrix builder (idempotent)."""
         if self.builder is builder:
             return self
-        if self.builder is not None:
+        if self._builder is not None:
             raise BackendError(
                 f"backend {self.name!r} is already bound to another builder"
             )
-        self.builder = builder
+        self._builder = weakref.ref(builder)
         self._on_bind()
-        self.profile.view_count = len(builder.views)
-        self.profile.view_padded_fraction = builder.views.padded_fraction
+        views, profile = builder.views, self.profile
+        profile.view_count = len(views)
+        profile.view_padded_fraction = views.padded_fraction
+        profile.grid = {
+            "atoms": builder.grid.structure.n_atoms, "basis": builder.basis.n_basis,
+            "points": builder.grid.n_points, "batches": views.n_batches,
+            "pass_elements": views.elements,
+        }
         return self
 
     def _on_bind(self) -> None:
-        """Hook for subclasses (charge staged tables, size caches...)."""
+        """Hook for subclasses (the engine fixes its resident set)."""
 
     def _require_bound(self) -> "MatrixBuilder":
-        if self.builder is None:
-            raise BackendError(
-                f"backend {self.name!r} is not bound; call bind(builder) first"
-            )
-        return self.builder
+        builder = self.builder
+        if builder is None:
+            gone = self._builder is not None
+            state = "its builder is gone" if gone else "call bind(builder) first"
+            raise BackendError(f"backend {self.name!r} is not bound; {state}")
+        return builder
 
     # ------------------------------------------------------------------
     # Validation shared by all backends
@@ -409,11 +419,11 @@ class ExecutionBackend:
         # whatever the grid phases screened: n_basis**2 elements.
         elements = self._require_bound().basis.n_basis ** 2
         return self._run_phase(
-            "DM", elements, self._dm_impl, h1, inv_gaps, c_occ, c_virt, f_occ
+            "DM", elements, first_order_dm_dense, h1, inv_gaps, c_occ, c_virt, f_occ
         )
 
     # ------------------------------------------------------------------
-    # Shared implementations (view-ordered; overridable for devices)
+    # Shared implementations (view-ordered)
     # ------------------------------------------------------------------
     def _density_impl(self, density) -> np.ndarray:
         """Sumup: each view's block times its rows of a :class:`Factored`
@@ -484,16 +494,6 @@ class ExecutionBackend:
         for acc_j in acc:
             mirror_upper(acc_j, out=acc_j)
         return acc
-
-    def _dm_impl(
-        self,
-        h1: np.ndarray,
-        inv_gaps: np.ndarray,
-        c_occ: np.ndarray,
-        c_virt: np.ndarray,
-        f_occ: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return first_order_dm_dense(h1, inv_gaps, c_occ, c_virt, f_occ)
 
     # ------------------------------------------------------------------
     def _evaluate_block(self, view: BatchView) -> np.ndarray:

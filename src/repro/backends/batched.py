@@ -9,20 +9,23 @@ SCF/CPSCF cycles; under the budget that is every view.  Every other
 view, and any view fused from another batch list (a rank's share), is
 evaluated on each pass and not kept: a cyclic sweep under LRU would
 evict each block just before it is needed again and hit nothing.
-Registered as ``"numpy"`` (the class and module keep their names —
-``benchmarks/e2e`` imports them; DESIGN §8).
+It is the one engine, named ``"numpy"`` (the class and module keep
+their names — ``benchmarks/e2e`` imports them; DESIGN §8);
+:func:`resolve_backend` turns a driver's ``backend=`` into a bound one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.registry import register_backend
 from repro.errors import BackendError
 from repro.grids.sparsity import BatchView
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dft.hamiltonian import MatrixBuilder
 
 #: Default block budget (bytes): 40 M float64 chi values, 320 MB.
 #: Every system the physics path targets fits (the 32-atom benchmark
@@ -40,9 +43,10 @@ DEFAULT_CACHE_BYTES: int = 8 * 40_000_000
 CacheKey = Tuple[str, Optional[str]]
 
 
-@register_backend("numpy")
 class BatchedBackend(ExecutionBackend):
     """Host engine: the resident views' blocks kept, the rest evaluated."""
+
+    name = "numpy"
 
     def __init__(self, max_cache_bytes: Optional[int] = None) -> None:
         super().__init__()
@@ -99,3 +103,18 @@ class BatchedBackend(ExecutionBackend):
         if key in self._resident:
             self.blocks[key] = block
             self.profile.cache_peak_bytes += int(block.nbytes)
+
+
+def resolve_backend(
+    spec: Union[str, ExecutionBackend, None], builder: "MatrixBuilder"
+) -> ExecutionBackend:
+    """*spec* bound to *builder*: ``None`` or ``"numpy"`` is a fresh host
+    engine, an :class:`ExecutionBackend` instance is itself."""
+    if spec is None or spec == BatchedBackend.name:
+        spec = BatchedBackend()
+    elif not isinstance(spec, ExecutionBackend):
+        raise BackendError(
+            f"unknown execution backend {spec!r}; the one engine is 'numpy' "
+            "(or pass an ExecutionBackend instance)"
+        )
+    return spec.bind(builder)

@@ -4,7 +4,7 @@ Mirrors the artifact's workflow (geometry file in, timings and physical
 results out):
 
     python -m repro physics geometry.in --level minimal
-    python -m repro physics geometry.in --backend device
+    python -m repro physics geometry.in --screening 1e-6
     python -m repro physics --molecule water --trace trace.json --force
     python -m repro bench-check --baseline BENCH_backends.json
     python -m repro analyze trace trace.json
@@ -41,7 +41,6 @@ from repro.atoms.io import read_geometry_in
 from repro.config import get_settings
 from repro.core import OptimizationFlags, PerturbationSimulator
 from repro.dfpt.polarizability import isotropic_polarizability
-from repro.backends import available_backends
 from repro.errors import CPSCFConvergenceError, ReproError, SCFConvergenceError
 from repro.runtime import HPC1_SUNWAY, HPC2_AMD, machine_by_name
 from repro.utils.artifacts import prepare_artifact_path
@@ -123,11 +122,10 @@ def _cmd_physics(args: argparse.Namespace) -> int:
     structure = _load_structure(args)
     screening = float(getattr(args, "screening", 0.0) or 0.0)
     settings = get_settings(
-        args.level, backend=args.backend, verify=args.verify,
-        screening_threshold=screening,
+        args.level, verify=args.verify, screening_threshold=screening,
     )
     print(f"Running all-electron DFPT on {structure} "
-          f"(level={args.level}, backend={args.backend}"
+          f"(level={args.level}"
           + (f", screening={screening:g})" if screening > 0.0 else ")"))
     sim = PerturbationSimulator(structure, settings, charge=args.charge)
     # Validate every output path *before* the run: a doomed artifact
@@ -140,7 +138,7 @@ def _cmd_physics(args: argparse.Namespace) -> int:
     if report_path:
         report_path = prepare_artifact_path(report_path, force=force)
     tracer = Tracer() if (trace_path or report_path) else None
-    label = f"physics:{structure.name}:{args.level}:{args.backend}"
+    label = f"physics:{structure.name}:{args.level}"
     try:
         with activate(tracer):
             result = sim.run_physics()
@@ -167,8 +165,12 @@ def _cmd_physics(args: argparse.Namespace) -> int:
     for phase, seconds in result.phase_seconds.items():
         print(f"  {phase:12s} {format_seconds(seconds):>12s}")
     if result.backend_profile is not None:
+        from repro.backends.device import device_bill
+
         print()
-        print(format_backend_profile(result.backend_profile))
+        print(format_backend_profile(
+            result.backend_profile, device_bill(result.backend_profile)
+        ))
     if result.verify_report is not None:
         from repro.utils.reports import format_verify_report
 
@@ -364,7 +366,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import JobRequest, WorkerPool, submit_job
 
     structure = _load_structure(args)
-    settings = get_settings(args.level, backend=args.backend)
+    settings = get_settings(args.level)
     request = JobRequest(
         molecule=structure,
         settings=settings,
@@ -409,7 +411,7 @@ def _print_service_result(result) -> None:
     if not result:
         return
     print(f"  molecule: {result.get('molecule')}  "
-          f"level={result.get('level')}  backend={result.get('backend')}")
+          f"level={result.get('level')}")
     energy = result.get("total_energy")
     alpha = result.get("isotropic_alpha")
     if energy is not None:
@@ -529,12 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_physics_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--charge", type=int, default=0)
-        p.add_argument(
-            "--backend",
-            default="numpy",
-            choices=available_backends(),
-            help="execution backend for the DM/Sumup/H phases",
-        )
         p.add_argument(
             "--verify",
             default="off",
@@ -693,10 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--molecule", choices=list(BUILTIN_MOLECULES),
                           help="built-in molecule instead of a geometry.in path")
     p_submit.add_argument("--charge", type=int, default=0)
-    p_submit.add_argument(
-        "--backend", default="numpy", choices=available_backends(),
-        help="execution backend the worker runs the job under",
-    )
     p_submit.add_argument("--client", default="cli",
                           help="client identity (shown by `repro status`)")
     p_submit.add_argument("--priority", type=int, default=0,

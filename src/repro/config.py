@@ -133,10 +133,6 @@ class RunSettings:
     cpscf: CPSCFSettings = field(default_factory=CPSCFSettings)
     #: Maximum multipole angular momentum for the Hartree solver.
     l_max_hartree: int = 6
-    #: Execution backend for the grid-heavy phases: ``"numpy"`` (the
-    #: host engine, basis blocks from a bounded LRU block cache) or
-    #: ``"device"`` (priced OpenCL-model launches).
-    backend: str = "numpy"
     #: Physics-invariant verification level: ``"off"`` (no checks),
     #: ``"cheap"`` (O(n_basis^2) algebra at phase boundaries) or
     #: ``"full"`` (adds independent re-derivations: fresh basis
@@ -197,8 +193,12 @@ class RunSettings:
         d = dict(data)
         d.pop("tuning", None)
         scf = dict(d.pop("scf"))
-        # ``dft/xc.py`` is LDA and ``dft/scf.py`` fills integer occupations.
-        for owner, name, ran in ((d, "xc", "lda"), (scf, "occupation_width", 0.0)):
+        # ``dft/xc.py`` is LDA, ``dft/scf.py`` fills integer occupations and
+        # the host engine computed every result (a ``device`` run was its
+        # bill, which the settings no longer choose).
+        for owner, name, ran in (
+            (d, "xc", "lda"), (scf, "occupation_width", 0.0), (d, "backend", "numpy"),
+        ):
             value = owner.pop(name, ran)
             if value != ran:
                 raise SettingsError(

@@ -85,6 +85,43 @@ INIT_FLOPS_PER_POINT = 8000.0
 INIT_INDIRECT_PER_POINT = 4.0
 
 
+def grid_kernel(
+    name: str, flops_scale: float, basis_per_point: float, csr: bool = False
+) -> Kernel:
+    """Sumup/H-type kernel: per point, touch all *basis_per_point* pairs;
+    *csr* prices a CSR Hamiltonian (locality mapping off).  The scale
+    model and a run's device bill (:mod:`repro.backends.device`) price a
+    grid phase with this one kernel."""
+    nb = basis_per_point
+    flops = flops_scale * nb * nb / KERNEL_EFFICIENCY
+    indirect = 0.0
+    extra_bytes = 0.0
+    if csr:
+        # CSR Hamiltonian: extra pointer-chasing and index traffic
+        # for every matrix element touched.
+        indirect = CSR_GATHERS_PER_PAIR * nb * nb
+        extra_bytes = CSR_BYTES_PER_PAIR * nb * nb
+    return Kernel(
+        name=name,
+        flops_per_item=flops,
+        bytes_read_per_item=16.0 * nb + extra_bytes,
+        bytes_written_per_item=8.0,
+        indirect_accesses_per_item=indirect,
+    )
+
+
+def points_ndrange(n_points: int, n_batches: int) -> NDRange:
+    """A work-group per batch, a work-item per point of the mean batch."""
+    items = max(1, n_points // max(1, n_batches))
+    return NDRange(n_groups=n_batches, items_per_group=items)
+
+
+def dm_host_seconds(n_atoms: int, n_ranks: int) -> float:
+    """The DM phase's host GEMM seconds per rank, O(N^1.2) (also the
+    device bill's DM price)."""
+    return DM_SECONDS_PER_ATOM12 * n_atoms**1.2 / n_ranks
+
+
 @dataclass
 class PhaseBreakdown:
     """Modeled seconds per phase for one configuration."""
@@ -190,25 +227,6 @@ class PhaseModel:
     # ------------------------------------------------------------------
     # Kernel catalog
     # ------------------------------------------------------------------
-    def _grid_kernel(self, name: str, flops_scale: float) -> Kernel:
-        """Sumup/H-type kernel: per point, touch all local basis pairs."""
-        nb = self.basis_per_point
-        flops = flops_scale * nb * nb / KERNEL_EFFICIENCY
-        indirect = 0.0
-        extra_bytes = 0.0
-        if not self.flags.locality_mapping:
-            # CSR Hamiltonian: extra pointer-chasing and index traffic
-            # for every matrix element touched.
-            indirect = CSR_GATHERS_PER_PAIR * nb * nb
-            extra_bytes = CSR_BYTES_PER_PAIR * nb * nb
-        return Kernel(
-            name=name,
-            flops_per_item=flops,
-            bytes_read_per_item=16.0 * nb + extra_bytes,
-            bytes_written_per_item=8.0,
-            indirect_accesses_per_item=indirect,
-        )
-
     def _rho_producer_kernel(self) -> Kernel:
         """Spline-coefficient producer, one work-item per (atom, lm).
 
@@ -261,20 +279,21 @@ class PhaseModel:
     # Phase pricing
     # ------------------------------------------------------------------
     def _points_ndrange(self) -> NDRange:
-        items = max(
-            1, self.points_per_rank // max(1, self.batches_per_rank)
-        )
-        return NDRange(n_groups=self.batches_per_rank, items_per_group=items)
+        return points_ndrange(self.points_per_rank, self.batches_per_rank)
 
     def sumup_time(self) -> float:
+        csr = not self.flags.locality_mapping
         t = self.device.estimate(
-            self._grid_kernel("sumup_n1", 2.0), self._points_ndrange()
+            grid_kernel("sumup_n1", 2.0, self.basis_per_point, csr),
+            self._points_ndrange(),
         ).total_time
         return t * self._share
 
     def h_time(self) -> float:
+        csr = not self.flags.locality_mapping
         t = self.device.estimate(
-            self._grid_kernel("h1_integration", 3.0), self._points_ndrange()
+            grid_kernel("h1_integration", 3.0, self.basis_per_point, csr),
+            self._points_ndrange(),
         ).total_time
         return t * self._share
 
@@ -320,7 +339,7 @@ class PhaseModel:
     def dm_time(self) -> float:
         from repro.runtime.costmodel import CommCostModel
 
-        base = DM_SECONDS_PER_ATOM12 * self.w.n_atoms**1.2 / self.n_ranks
+        base = dm_host_seconds(self.w.n_atoms, self.n_ranks)
         cost = CommCostModel(self.machine)
         sync = DM_COLLECTIVES_PER_CYCLE * cost.allreduce(
             self.n_ranks, DM_MESSAGE_BYTES

@@ -91,7 +91,7 @@ class DFPTSolver:
             # and CPSCF run the same execution engine end to end.
             self.backend = ground_state.builder.backend
         else:
-            from repro.backends.registry import resolve_backend
+            from repro.backends.batched import resolve_backend
 
             self.backend = resolve_backend(backend, ground_state.builder)
         # The xc kernel is a ground-state property; compute it once.

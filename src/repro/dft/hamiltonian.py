@@ -7,9 +7,8 @@ matrices every SCF/CPSCF cycle — the computational pattern of the
 paper's "H" phase, executed fused view by fused view.
 
 All grid contractions dispatch through the builder's
-:class:`~repro.backends.base.ExecutionBackend` (``numpy`` by default),
-so the same driver code runs on the host block cache or the priced
-device-kernel path — bit-exact across both.
+:class:`~repro.backends.base.ExecutionBackend` — the host engine
+(``numpy``), or an instance handed in, as the mutation suite does.
 """
 
 from __future__ import annotations
@@ -85,10 +84,9 @@ class MatrixBuilder:
     batches:
         Optional pre-built batch list; built on demand otherwise.
     backend:
-        Execution backend for the grid contractions: a registry name
-        (``"numpy"``, ``"device"``), a configured
-        :class:`~repro.backends.base.ExecutionBackend` instance, or
-        ``None`` for the default host backend.
+        Execution backend for the grid contractions: ``None`` or
+        ``"numpy"`` for the host engine, or a configured
+        :class:`~repro.backends.base.ExecutionBackend` instance.
     screening_threshold:
         Batch-local basis-screening threshold
         (:mod:`repro.grids.sparsity`).  ``0.0`` (the default) disables
@@ -119,14 +117,14 @@ class MatrixBuilder:
             batches = attach_relevant_atoms(batches, grid.structure, basis.atom_cutoffs)
         self.batches = batches
 
-        # The views must exist before the backend binds: device staging
-        # and profile view counters read them at bind time.
+        # The views must exist before the backend binds: the resident set
+        # and the profile's view and grid counters read them at bind time.
         #: The fused views every contraction of this builder iterates.
         self.views = build_batch_views(self.batches, basis, self.screening_threshold)
         #: Per threshold, one unfused view per batch (the reference seam).
         self._reference: Dict[float, List[BatchView]] = {}
 
-        from repro.backends.registry import resolve_backend
+        from repro.backends.batched import resolve_backend
 
         self.backend = resolve_backend(backend, self)
 

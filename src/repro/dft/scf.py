@@ -123,7 +123,7 @@ class SCFDriver:
             self.basis,
             self.grid,
             batches=batches,
-            backend=backend if backend is not None else self.settings.backend,
+            backend=backend,
             screening_threshold=self.settings.screening_threshold,
         )
         self.backend = self.builder.backend

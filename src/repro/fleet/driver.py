@@ -18,10 +18,10 @@ change a single result bit:
 fingerprint order, each through :func:`~repro.core.simulator.run_physics`
 — the call an isolated
 :meth:`~repro.core.simulator.PerturbationSimulator.run_physics` makes —
-on the new backend its settings name.  Each group's payloads are its
-sequential run's byte for byte (what the fleet parity suite pins), and
-its builder, Hartree plans and kept blocks are dropped before the next
-group starts.
+on a fresh host engine.  Each group's payloads are its sequential run's
+byte for byte (what the fleet parity suite pins), and its builder,
+Hartree plans and kept blocks are freed by reference counting when the
+group returns, before the next group starts.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class FleetTask:
 
     key: str
     payload: Dict[str, Any]
-    task_id: str = ""
 
 
 def fleet_tasks_from_requests(requests, commit: str = "fleet") -> List[FleetTask]:

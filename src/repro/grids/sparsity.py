@@ -322,8 +322,6 @@ class BatchViews:
     n_batches: int
     #: Grid-point x function entries one Sumup/H pass contracts.
     elements: int
-    #: ``sum(points * n_cols**2)`` — the per-point ``cols x cols`` work.
-    elements_sq: int
     stats: SparsityStats
 
     def __iter__(self) -> Iterator[BatchView]:
@@ -331,16 +329,6 @@ class BatchViews:
 
     def __len__(self) -> int:
         return len(self.views)
-
-    @property
-    def avg_cols(self) -> float:
-        """Mean column count per grid point (batches without work count 0)."""
-        return self.elements / max(self.n_points, 1)
-
-    @property
-    def avg_cols_sq(self) -> float:
-        """Mean squared column count per grid point."""
-        return self.elements_sq / max(self.n_points, 1)
 
     @property
     def padded_fraction(self) -> float:
@@ -466,7 +454,6 @@ def build_batch_views(
         n_points=int(arrays.points.sum()),
         n_batches=len(priced),
         elements=elements,
-        elements_sq=sum(n * c**2 for n, c in priced),
         stats=SparsityStats(
             blocks_active=sum(len(atoms) * len(members) for _, atoms, _, members in sets),
             blocks_relevant=int(arrays.indices.size),

@@ -1,9 +1,9 @@
 """Backend-benchmark emission shared by the CLI gate and the bench script.
 
 The measurement itself (repeated Sumup + H sweeps over the host engine
-in its two cache regimes and the device model, all outputs asserted
-bit-identical) lives here so that both entry points produce the same
-``BENCH_backends.json`` shape:
+in its two cache regimes, outputs asserted bit-identical, and the warm
+run's device bill) lives here so that both entry points produce the
+same ``BENCH_backends.json`` shape:
 
 * ``benchmarks/bench_backends.py`` — prints the comparison table and
   (re)writes the committed baseline;
@@ -35,38 +35,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.backends.device import device_bill
 from repro.errors import ExperimentError
 from repro.obs.report import collect_provenance
 
 #: Seed of the random density/potential inputs the sweeps contract.
 BENCH_SEED = 2023
-
-
-def build_builders(level: str) -> Dict[str, object]:
-    """One MatrixBuilder per emission row, in table order, on one substrate.
-
-    The host engine under its default cache budget (``warm`` — every
-    block evaluated once), the same engine under budget 0 (``cold`` —
-    no view resident, every block evaluated on every pass), and
-    ``device``: the warm engine with the device model's prices.
-    """
-    from repro.atoms import water
-    from repro.backends.batched import BatchedBackend
-    from repro.config import get_settings
-    from repro.dft.hamiltonian import MatrixBuilder, build_substrate
-
-    sub = build_substrate(water(), get_settings(level).grids)
-
-    def builder(backend):
-        return MatrixBuilder(
-            sub.basis, sub.grid, batches=sub.batches, backend=backend
-        )
-
-    return {
-        "warm": builder(BatchedBackend()),
-        "cold": builder(BatchedBackend(max_cache_bytes=0)),
-        "device": builder("device"),
-    }
 
 
 def sweep(builder, n_sweeps: int, seed: int = BENCH_SEED) -> dict:
@@ -86,27 +60,38 @@ def sweep(builder, n_sweeps: int, seed: int = BENCH_SEED) -> dict:
 def backend_emission(level: str, n_sweeps: int) -> dict:
     """Run the full comparison; return the ``BENCH_backends.json`` document.
 
-    Raises :class:`~repro.errors.ExperimentError` if any row's outputs
-    diverge bitwise from the warm host engine, or if a row's ``basis``
-    evaluation count is not the one its cache regime defines
+    Raises :class:`~repro.errors.ExperimentError` if the cold row's
+    outputs diverge bitwise from the warm host engine, or if a row's
+    ``basis`` evaluation count is not the one its cache regime defines
     — a benchmark must never count a wrong answer or a wrong regime.
+    The ``device`` row is the warm run's :func:`device_bill` on HPC#2.
     """
+    from repro.atoms import water
+    from repro.backends.batched import BatchedBackend
+    from repro.config import get_settings
+    from repro.dft.hamiltonian import MatrixBuilder, build_substrate
+
     if n_sweeps < 1:
         raise ExperimentError(f"need >= 1 sweep, got {n_sweeps}")
-    builders = build_builders(level)
+    # One substrate; the host engine at its default budget (``warm``:
+    # every block evaluated once) and at budget 0 (``cold``: every block
+    # evaluated on every pass).
+    sub = build_substrate(water(), get_settings(level).grids)
+    builders = {
+        row: MatrixBuilder(sub.basis, sub.grid, batches=sub.batches, backend=engine)
+        for row, engine in (
+            ("warm", BatchedBackend()), ("cold", BatchedBackend(max_cache_bytes=0)),
+        )
+    }
     reference = builders["warm"]
-    results = {row: sweep(b, n_sweeps) for row, b in builders.items()}
-
-    ref = results["warm"]
-    for row in ("cold", "device"):
-        if not np.array_equal(ref["density"], results[row]["density"]):
-            raise ExperimentError(f"{row} density diverged from warm")
-        if not np.array_equal(ref["potential"], results[row]["potential"]):
-            raise ExperimentError(f"{row} potential matrix diverged from warm")
+    ref, cold = (sweep(b, n_sweeps) for b in builders.values())
+    for name in ("density", "potential"):
+        if not np.array_equal(ref[name], cold[name]):
+            raise ExperimentError(f"cold {name} diverged from warm")
     # One Sumup and one H pass per sweep, each looking up every fused
     # view; the basis row counts the batches of the views evaluated.
     n_views, n_batches = len(reference.views), reference.views.n_batches
-    for row, passes in (("warm", 1), ("device", 1), ("cold", 2 * n_sweeps)):
+    for row, passes in (("warm", 1), ("cold", 2 * n_sweeps)):
         profile = builders[row].backend.profile
         evaluated = profile.phases["basis"].calls
         if (evaluated, profile.cache_misses) != (passes * n_batches, passes * n_views):
@@ -131,6 +116,9 @@ def backend_emission(level: str, n_sweeps: int) -> dict:
         for stats in profile["phases"].values():
             del stats["seconds"]
         report["backends"][row] = {"profile": profile}
+    report["backends"]["device"] = {
+        "bill": device_bill(reference.backend.profile).as_dict()
+    }
     return report
 
 
@@ -229,8 +217,8 @@ def fleet_emission(
     """Fleet-vs-sequential throughput; the ``BENCH_fleet.json`` document.
 
     ``n_requests`` jobs over ``n_distinct`` H2 bond-length variants (a
-    screening-service shape: many near-duplicate small systems) on the
-    device backend run twice: once sequentially — one
+    screening-service shape: many near-duplicate small systems) run
+    twice: once sequentially — one
     :meth:`~repro.core.simulator.PerturbationSimulator.run_physics` per
     request — and once through :func:`~repro.fleet.driver.run_fleet`.
     Every per-request result payload is asserted byte-identical between
@@ -238,9 +226,9 @@ def fleet_emission(
     wrong answer.
 
     The gated headline is ``model.molecules_per_second_speedup`` — the
-    device-model account of all sequential runs over the sum of the
-    fleet's per-group profiles, which is the dedup factor
-    ``n_requests / n_distinct`` up to float association.  The measured
+    device bills (:func:`device_bill`, HPC#2) of all sequential runs
+    over those of the fleet's per-group profiles, which is the dedup
+    factor ``n_requests / n_distinct`` up to float association.  The measured
     sequential-vs-fleet wall is ``service_mix`` ``op_a_ms`` /
     ``op_b_ms`` on the end-to-end benchmark.
     """
@@ -256,7 +244,7 @@ def fleet_emission(
             f"need 1 <= n_distinct <= n_requests, got "
             f"{n_distinct}/{n_requests}"
         )
-    settings = get_settings(level, backend="device")
+    settings = get_settings(level)
     requests = [
         JobRequest(
             hydrogen_molecule(bond_length=1.40 + 0.02 * (i % n_distinct)),
@@ -268,12 +256,12 @@ def fleet_emission(
     tasks = fleet_tasks_from_requests(requests, commit=f"bench-{BENCH_SEED}")
 
     def device_totals(profiles) -> Dict[str, float]:
-        """Summed device accounts of some runs' backend profiles."""
-        devices = [profile["device"] for profile in profiles]
+        """Summed device bills of some runs' backend profiles."""
+        bills = [device_bill(profile) for profile in profiles]
         return {
-            "modeled_seconds": sum(d["modeled_seconds"] for d in devices),
-            "launches": sum(d["launches"] for d in devices),
-            "bytes": sum(d["bytes_transferred"] for d in devices),
+            "modeled_seconds": sum(b.modeled_seconds for b in bills),
+            "launches": sum(b.launches for b in bills),
+            "bytes": sum(b.bytes_transferred for b in bills),
         }
 
     # Sequential reference: one isolated simulator per request.
@@ -283,7 +271,7 @@ def fleet_emission(
         structure, run_settings, charge = physics_from_payload(task.payload)
         sim = PerturbationSimulator(structure, run_settings, charge=charge)
         result = sim.run_physics()
-        sequential_profiles.append(result.backend_profile.as_dict())
+        sequential_profiles.append(result.backend_profile)
         reference_bytes[task.key] = stable_result_bytes(
             result_payload(task, structure, run_settings, result)
         )
@@ -305,7 +293,6 @@ def fleet_emission(
         "benchmark": "fleet",
         "system": "h2-variants",
         "level": level,
-        "backend": "device",
         "n_sweeps": 1,
         "n_requests": n_requests,
         "n_distinct": n_distinct,

@@ -4,9 +4,8 @@ A kernel here is its declared work; the numerics it stands for run on
 the host, in the shared view loops of :mod:`repro.backends.base`, and
 are exact.  A per-launch performance model (launch overhead, compute,
 off-chip traffic, indirect-access latency) prices each launch on a
-device preset, and the device counts launches and transferred bytes.
-Three of the paper's kernel optimizations are transforms over these
-kernel objects:
+device preset.  Three of the paper's kernel optimizations are
+transforms over these kernel objects:
 
 * vertical fusion via on-chip RMA (4.2.1, Sunway),
 * horizontal fusion across ranks sharing a GPU (4.2.2, AMD),

@@ -1,11 +1,9 @@
-"""The simulated accelerator: prices every launch and counts it.
+"""The simulated accelerator: prices a launch.
 
-One :class:`Device` instance models one accelerator (a Sunway core
-group or an AMD GPU).  ``estimate`` prices one launch from the
-kernel's declarations; ``launch`` prices it *and* charges it to the
-device's counters, and ``transfer`` charges host<->device bytes.  The
-numerics themselves run on the host, in the shared view loops of
-:mod:`repro.backends.base`.
+One :class:`Device` models one accelerator (a Sunway core group or an
+AMD GPU); ``estimate`` prices one launch from the kernel's declarations
+and keeps no account (a run's launches and bytes are counted by its
+bill, :mod:`repro.backends.device`).
 """
 
 from __future__ import annotations
@@ -19,19 +17,12 @@ class Device:
 
     def __init__(self, spec: AcceleratorSpec) -> None:
         self.spec = spec
-        self.n_launches = 0
-        self.modeled_time = 0.0
-        self.bytes_transferred = 0
-
-    def transfer(self, nbytes: int) -> None:
-        """Charge *nbytes* moved between host and device memory."""
-        self.bytes_transferred += int(nbytes)
 
     # ------------------------------------------------------------------
     # Launch
     # ------------------------------------------------------------------
     def estimate(self, kernel: Kernel, ndrange: NDRange) -> LaunchReport:
-        """Price one launch without charging it."""
+        """Price one launch."""
         n_items = ndrange.n_items
 
         # Compute: items run on every lane of every compute unit.
@@ -60,13 +51,6 @@ class Device:
             stream_time=stream_time,
             indirect_time=indirect_time,
         )
-
-    def launch(self, kernel: Kernel, ndrange: NDRange) -> LaunchReport:
-        """Price one launch and charge it to the device's counters."""
-        report = self.estimate(kernel, ndrange)
-        self.n_launches += 1
-        self.modeled_time += report.total_time
-        return report
 
     # ------------------------------------------------------------------
     def rma_supported(self, nbytes: int) -> bool:

@@ -6,7 +6,8 @@ stamps on every RunReport (DESIGN §10.5): the **code commit**, the
 **seed**, and a canonical **settings hash** — plus the structure's own
 fingerprint and the charge.  Two requests with equal physics therefore
 share one key and one cached result, while changing *any* single
-ingredient (an SCF tolerance, one coordinate, the backend, the commit)
+ingredient (an SCF tolerance, one coordinate, the screening threshold,
+the commit)
 yields a different key — the property pinned by the hypothesis suite
 in ``tests/test_service_keys.py``.
 

@@ -78,7 +78,6 @@ def result_payload(task, structure, settings, physics_result) -> Dict[str, Any]:
         "task": {"key": task.key, "kind": task.payload.get("kind")},
         "molecule": structure.name,
         "level": settings.level,
-        "backend": settings.backend,
         "total_energy": gs.total_energy,
         "scf_iterations": gs.iterations,
         "cpscf_iterations": list(physics_result.cpscf_iterations_per_direction),
@@ -221,8 +220,7 @@ class Worker:
         ):
             try:
                 outcome = run_fleet(
-                    FleetTask(key=t.key, payload=t.payload, task_id=t.task_id)
-                    for t in wave
+                    FleetTask(key=t.key, payload=t.payload) for t in wave
                 )
             except Exception as exc:  # noqa: BLE001 — driver error requeues all
                 return [(None, f"{type(exc).__name__}: {exc}")] * len(wave)

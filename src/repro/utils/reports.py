@@ -6,10 +6,11 @@ the output uniform (fixed-width tables, human-readable byte/second units).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import BackendProfile
+    from repro.backends.device import DeviceBill
     from repro.verify.invariants import VerifyReport
 
 
@@ -39,21 +40,26 @@ def format_seconds(s: float) -> str:
     return f"{s / 60.0:.2f} min"
 
 
-def format_backend_profile(profile: "BackendProfile") -> str:
+def format_backend_profile(
+    profile: "BackendProfile", bill: Optional["DeviceBill"] = None
+) -> str:
     """Render a backend's per-phase profile as a fixed-width table.
 
     One row per phase (calls, elements processed, wall seconds), plus
-    block-cache and device-launch summary lines when those counters are
-    live — the CLI's per-phase observability of the DM/Sumup/H work.
+    block-cache and view summary lines when those counters are live —
+    the CLI's per-phase observability of the DM/Sumup/H work.  With a
+    device *bill* of the run, each billed phase's modeled seconds stand
+    beside its measured ones and a last line sums the bill.
     """
     table = TableFormatter(
-        ["phase", "calls", "elements", "wall"],
+        ["phase", "calls", "elements", "wall"] + ([] if bill is None else ["modeled"]),
         title=f"backend profile [{profile.backend}]",
     )
     for name, stats in profile.phases.items():
-        table.add_row(
-            [name, stats.calls, f"{stats.elements:,}", format_seconds(stats.seconds)]
-        )
+        row = [name, stats.calls, f"{stats.elements:,}", format_seconds(stats.seconds)]
+        if bill is not None:
+            row.append(format_seconds(bill.phases[name]) if name in bill.phases else "-")
+        table.add_row(row)
     lines = [table.render()]
     if profile.cache_hits or profile.cache_misses:
         total = profile.cache_hits + profile.cache_misses
@@ -67,18 +73,18 @@ def format_backend_profile(profile: "BackendProfile") -> str:
             f"views: {profile.view_count} fused, "
             f"{profile.view_padded_fraction:.1%} of block entries padding"
         )
-    if profile.device_launches:
-        lines.append(
-            f"device: {profile.device_launches} launches, "
-            f"{format_seconds(profile.device_modeled_seconds)} modeled, "
-            f"{format_bytes(profile.device_bytes_transferred)} transferred"
-        )
     if profile.screen_blocks_evaluated or profile.screen_blocks_skipped:
         relevant = profile.screen_blocks_evaluated + profile.screen_blocks_skipped
         lines.append(
             f"screening: {profile.screen_blocks_evaluated:,}/{relevant:,} "
             f"relevant-atom blocks evaluated "
             f"({profile.screen_blocks_skipped:,} skipped)"
+        )
+    if bill is not None:
+        lines.append(
+            f"device bill [{bill.machine}]: {bill.launches} launches, "
+            f"{format_seconds(bill.modeled_seconds)} modeled, "
+            f"{format_bytes(bill.bytes_transferred)} transferred"
         )
     return "\n".join(lines)
 

@@ -7,8 +7,8 @@ The repo's correctness story in one place (DESIGN §9):
   law, CPSCF stationarity...) that the SCF/CPSCF drivers run at phase
   boundaries when ``RunSettings.verify`` is ``"cheap"`` or ``"full"``.
 * :mod:`repro.verify.differential` — the conformance harness: one
-  workload across the {backend} x {mapping} x {comm-scheme} matrix plus
-  the block-sparse {screening} axis (dense vs screened traces), every
+  workload across the {mapping} x {comm-scheme} matrix plus the
+  block-sparse {screening} axis (dense vs screened traces), every
   configuration classified as bit-exact / tolerance-class / divergent,
   with divergences bisected to the first differing phase.
 * :mod:`repro.verify.golden` — tolerance-aware ``.npz`` golden

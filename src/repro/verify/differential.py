@@ -1,35 +1,29 @@
 """Differential-conformance harness (DESIGN §9.2).
 
-Runs one workload across the full configuration matrix —
-{execution backend} x {mapping strategy} x {comm scheme} — and
-classifies every configuration's agreement with the reference:
+Runs one workload across the configuration matrix — {screening} and
+{mapping strategy} x {comm scheme} — and classifies every
+configuration's agreement with the reference:
 
-* **bit-exact** — not one differing bit (the backends' shared
-  batch-ordered math, flat reductions in rank order);
+* **bit-exact** — not one differing bit (disabled screening, flat
+  reductions in rank order);
 * **allclose** — floating-point summation-order noise only (different
   mapping partitions, hierarchical node-local reductions);
 * **physics** — within grid-quadrature / convergence tolerance;
 * **DIVERGENT** — beyond every class: a real conformance bug.
 
-Two instruments:
+One engine runs every configuration (a device is its bill,
+:mod:`repro.backends.device`), so engines form no axis.  Two instruments:
 
-1. :func:`backend_conformance` captures an ordered *phase trace* of the
-   full SCF + CPSCF pipeline per backend (the same phase boundaries the
-   :class:`~repro.backends.base.BackendProfile` counts) and compares
-   traces pairwise.  On divergence, :func:`first_divergent_phase`
-   bisects to the earliest phase whose artifacts disagree — a wrong
-   polarizability is attributed to, say, ``scf/density`` rather than
-   just "the end differs".
-2. :func:`screening_conformance` runs the same phase-trace instrument
-   along the block-sparse *screening* axis: a dense reference trace
-   (threshold ``0.0``) against screened traces at requested thresholds.
-   Threshold ``0.0`` must classify bit-exact (disabled screening is the
-   dense code path); positive thresholds must stay within tolerance.
-3. :func:`combo_conformance` composes all three axes on one physical
-   quantity: per-rank partial overlap matrices built through a given
-   *backend*'s basis blocks, partitioned by a given *mapping* strategy,
-   synthesized by a given *comm scheme* on a fault-free simulated
-   cluster, compared against the serially integrated matrix.
+1. :func:`screening_conformance` compares ordered *phase traces* of the
+   full SCF + CPSCF pipeline (:func:`capture_physics_trace`), dense
+   against screened; threshold ``0.0`` must be bit-exact.  On
+   divergence :func:`first_divergent_phase` bisects to the earliest
+   phase whose artifacts disagree (the mutation suite's broken engines
+   are bisected the same way).
+2. :func:`combo_conformance` builds per-rank partial overlap matrices
+   from the engine's basis blocks, partitioned by a *mapping* strategy,
+   synthesized by a *comm scheme* on a fault-free simulated cluster, and
+   compares them with the serially integrated matrix.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ def classify(max_abs_diff: float) -> str:
 class PairResult:
     """Agreement between two configurations (or one vs the reference)."""
 
-    axis: str  # "backend" | "backend x mapping x comm"
+    axis: str  # "screening" | "mapping x comm"
     a: str
     b: str
     max_abs_diff: float
@@ -129,7 +123,7 @@ class ConformanceReport:
 
 
 # ----------------------------------------------------------------------
-# Phase traces (backend axis)
+# Phase traces
 # ----------------------------------------------------------------------
 def capture_physics_trace(
     structure: Structure,
@@ -191,45 +185,6 @@ def first_divergent_phase(
     return None
 
 
-def backend_conformance(
-    structure: Structure,
-    settings: Optional[RunSettings] = None,
-    backends: Optional[Sequence[str]] = None,
-) -> List[PairResult]:
-    """Pairwise end-to-end agreement of the execution backends."""
-    from repro.backends import available_backends
-
-    settings = settings or get_settings("minimal")
-    names = list(backends) if backends is not None else list(available_backends())
-    traces = {
-        name: capture_physics_trace(structure, settings, backend=name)
-        for name in names
-    }
-    pairs: List[PairResult] = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            diff = max(
-                float(np.abs(traces[a][k] - traces[b][k]).max())
-                for k in traces[a]
-            )
-            cls = classify(diff)
-            divergence = None
-            if cls == DIVERGENT:
-                hit = first_divergent_phase(traces[a], traces[b])
-                divergence = hit[0] if hit else None
-            pairs.append(
-                PairResult(
-                    axis="backend",
-                    a=a,
-                    b=b,
-                    max_abs_diff=diff,
-                    classification=cls,
-                    first_divergent_phase=divergence,
-                )
-            )
-    return pairs
-
-
 # ----------------------------------------------------------------------
 # The screening axis (dense vs block-sparse traces)
 # ----------------------------------------------------------------------
@@ -237,7 +192,6 @@ def screening_conformance(
     structure: Structure,
     settings: Optional[RunSettings] = None,
     thresholds: Optional[Sequence[float]] = None,
-    backend: Optional[str] = None,
 ) -> List[PairResult]:
     """Dense-vs-screened phase traces, one row per threshold.
 
@@ -263,15 +217,11 @@ def screening_conformance(
     settings = settings or get_settings("minimal")
     if thresholds is None:
         thresholds = (0.0, DEFAULT_SCREENING_THRESHOLD)
-    dense = capture_physics_trace(
-        structure, replace(settings, screening_threshold=0.0), backend=backend
-    )
+    dense = capture_physics_trace(structure, replace(settings, screening_threshold=0.0))
     pairs: List[PairResult] = []
     for t in thresholds:
         t = float(t)
-        trace = capture_physics_trace(
-            structure, replace(settings, screening_threshold=t), backend=backend
-        )
+        trace = capture_physics_trace(structure, replace(settings, screening_threshold=t))
         diff = max(float(np.abs(dense[k] - trace[k]).max()) for k in dense)
         cls = classify(diff)
         divergence = None
@@ -292,7 +242,7 @@ def screening_conformance(
 
 
 # ----------------------------------------------------------------------
-# The backend x mapping x comm matrix
+# The mapping x comm matrix
 # ----------------------------------------------------------------------
 def _mapping_fn(name: str):
     from repro.mapping.strategies import (
@@ -347,84 +297,72 @@ def _validate_partition(assignment, n_batches: int) -> None:
 def combo_conformance(
     structure: Structure,
     settings: Optional[RunSettings] = None,
-    backends: Optional[Sequence[str]] = None,
     mappings: Sequence[str] = MAPPING_STRATEGIES,
     comms: Sequence[str] = COMM_SCHEMES,
     n_ranks: int = 4,
 ) -> List[PairResult]:
-    """One row per (backend, mapping, comm) configuration.
+    """One row per (mapping, comm) configuration.
 
     The probe quantity is the overlap matrix: each rank integrates the
     partial S over the batches its mapping assigned to it (basis blocks
-    served by the backend under test), the comm scheme synthesizes the
-    per-rank partials on a fault-free cluster, and the result is
-    compared to the serially batch-ordered reference integration.
+    served by the engine), the comm scheme synthesizes the per-rank
+    partials on a fault-free cluster, and the result is compared to the
+    serially batch-ordered reference integration.
     """
-    from repro.backends import available_backends, weighted_gram
+    from repro.backends import weighted_gram
     from repro.dft.hamiltonian import MatrixBuilder, build_substrate
     from repro.grids.sparsity import build_batch_views
     from repro.testing.fixtures import make_cluster
     from repro.utils.scratch import scratch
 
     settings = settings or get_settings("minimal")
-    backend_names = (
-        list(backends) if backends is not None else list(available_backends())
-    )
     sub = build_substrate(structure, settings.grids)
     basis, grid = sub.basis, sub.grid
     weights = grid.weights
 
     pairs: List[PairResult] = []
-    reference: Optional[np.ndarray] = None
-    for backend_name in backend_names:
-        builder = MatrixBuilder(
-            basis, grid, batches=sub.batches, backend=backend_name
+    builder = MatrixBuilder(basis, grid, batches=sub.batches)
+    reference = builder.reference_potential_matrix(np.ones(grid.n_points))
+    n_batches = len(builder.batches)
+    if n_batches < n_ranks:
+        raise VerificationError(
+            f"{n_batches} batches cannot feed {n_ranks} ranks; "
+            "lower n_ranks for this workload"
         )
-        if reference is None:
-            reference = builder.reference_potential_matrix(
-                np.ones(grid.n_points)
-            )
-        n_batches = len(builder.batches)
-        if n_batches < n_ranks:
-            raise VerificationError(
-                f"{n_batches} batches cannot feed {n_ranks} ranks; "
-                "lower n_ranks for this workload"
-            )
-        for mapping_name in mappings:
-            assignment = _mapping_fn(mapping_name)(builder.batches, n_ranks)
-            _validate_partition(assignment, n_batches)
-            per_rank = []
-            for owned in assignment.batches_of_rank:
-                partial = np.zeros((basis.n_basis, basis.n_basis))
-                # A rank fuses the batches it owns, as a rank's engine would.
-                for view in build_batch_views(
-                    [builder.batches[b] for b in owned], basis
-                ):
-                    phi = builder.backend.basis_block(view)
-                    with scratch(phi.shape) as work:
-                        gram = weighted_gram(phi, weights[view.point_indices], work)
-                    view.scatter_add(partial, gram)
-                per_rank.append(partial)
-            for comm_name in comms:
-                cluster = make_cluster(n_ranks)
-                reduced = _comm_scheme(comm_name).reduce(cluster, per_rank)
-                diff = float(np.abs(reduced - reference).max())
-                pairs.append(
-                    PairResult(
-                        axis="backend x mapping x comm",
-                        a=f"{backend_name} x {mapping_name} x {comm_name}",
-                        b="serial reference",
-                        max_abs_diff=diff,
-                        classification=classify(diff),
-                    )
+    for mapping_name in mappings:
+        assignment = _mapping_fn(mapping_name)(builder.batches, n_ranks)
+        _validate_partition(assignment, n_batches)
+        per_rank = []
+        for owned in assignment.batches_of_rank:
+            partial = np.zeros((basis.n_basis, basis.n_basis))
+            # A rank fuses the batches it owns, as a rank's engine would.
+            for view in build_batch_views(
+                [builder.batches[b] for b in owned], basis
+            ):
+                phi = builder.backend.basis_block(view)
+                with scratch(phi.shape) as work:
+                    gram = weighted_gram(phi, weights[view.point_indices], work)
+                view.scatter_add(partial, gram)
+            per_rank.append(partial)
+        for comm_name in comms:
+            cluster = make_cluster(n_ranks)
+            reduced = _comm_scheme(comm_name).reduce(cluster, per_rank)
+            diff = float(np.abs(reduced - reference).max())
+            pairs.append(
+                PairResult(
+                    axis="mapping x comm",
+                    a=f"{mapping_name} x {comm_name}",
+                    b="serial reference",
+                    max_abs_diff=diff,
+                    classification=classify(diff),
                 )
+            )
     return pairs
 
 
 def run_conformance(
     structure: Structure,
     level: str = "minimal",
-    backends: Optional[Sequence[str]] = None,
     mappings: Sequence[str] = MAPPING_STRATEGIES,
     comms: Sequence[str] = COMM_SCHEMES,
     n_ranks: int = 4,
@@ -439,14 +377,11 @@ def run_conformance(
     """
     settings = get_settings(level)
     report = ConformanceReport(molecule=name or structure.name, level=level)
-    report.pairs.extend(backend_conformance(structure, settings, backends))
     if screenings is None or len(screenings) > 0:
         report.pairs.extend(
             screening_conformance(structure, settings, thresholds=screenings)
         )
     report.pairs.extend(
-        combo_conformance(
-            structure, settings, backends, mappings, comms, n_ranks
-        )
+        combo_conformance(structure, settings, mappings, comms, n_ranks)
     )
     return report

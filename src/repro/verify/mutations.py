@@ -79,8 +79,8 @@ SCREENING_MUTATIONS = ("overscreened_block",)
 class MutantBackend(BatchedBackend):
     """The host engine with exactly one seeded bug.
 
-    Not registered in the backend registry — pass an instance directly
-    as the ``backend=`` argument of a driver under test.
+    Pass an instance as the ``backend=`` argument of a driver under
+    test.
     """
 
     name = "mutant"

@@ -1,14 +1,18 @@
-"""Execution-backend seam: bit-exact parity, kept blocks, profiles, registry.
+"""Execution-backend seam: bit-exact parity, kept blocks, profiles, the bill.
 
 The acceptance bar of the backend seam is *bitwise* equality — not
-``allclose`` — between the ``numpy`` host engine (in every cache regime)
-and the ``device`` backend for every phase operation, end to end through
-SCF and CPSCF.  The backend-free per-batch ``reference_*`` seam sums in
-another order and is held to 1e-13 of each array's largest entry.
+``allclose`` — between the host engine's cache regimes for every phase
+operation, end to end through SCF and CPSCF.  The backend-free per-batch
+``reference_*`` seam sums in another order and is held to 1e-13 of each
+array's largest entry.  A device is a bill on a finished run's profile
+(:func:`repro.backends.device.device_bill`), priced by the scale model's
+own kernels.
 """
 
+import dataclasses
+import gc
+import json
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,25 +24,24 @@ from repro.backends import (
     Factored,
     BackendProfile,
     BatchedBackend,
-    DeviceBackend,
-    available_backends,
-    create_backend,
+    device_bill,
 )
 from repro.basis import build_basis
-from repro.config import get_settings
+from repro.config import RunSettings, get_settings
+from repro.core.phasemodel import grid_kernel, points_ndrange
 from repro.dfpt.response import DFPTSolver
 from repro.dft import SCFDriver
 from repro.dft.hamiltonian import MatrixBuilder
 from repro.errors import BackendError, DeviceError, GridError
 from repro.grids import build_batches, build_grid
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
-from repro.ocl.kernel import Kernel
+from repro.ocl.device import Device
+from repro.runtime.machines import HPC2_AMD, machine_by_name
 from tests.setup_oracles import assert_close_at_scale
 
-ALL_BACKENDS = ("numpy", "device")
 #: Builders compared against the default (warm) host engine: the same
-#: engine with a zero cache budget, and the device model.
-OTHERS = ("cold", "device")
+#: engine with a zero cache budget.
+OTHERS = ("cold",)
 
 
 @pytest.fixture(scope="module", params=["h2", "water"])
@@ -56,17 +59,15 @@ def builders(substrate):
     basis, grid = substrate
     reference = MatrixBuilder(basis, grid, backend="numpy")
     out = {"numpy": reference}
-    for name, backend in (
-        ("cold", BatchedBackend(max_cache_bytes=0)), ("device", "device"),
-    ):
-        out[name] = MatrixBuilder(
-            basis, grid, batches=reference.batches, backend=backend
-        )
+    out["cold"] = MatrixBuilder(
+        basis, grid, batches=reference.batches,
+        backend=BatchedBackend(max_cache_bytes=0),
+    )
     return out
 
 
 class TestPhaseParity:
-    """Warm host / cold host / device must agree to the last bit."""
+    """Warm host / cold host must agree to the last bit."""
 
     def test_overlap_bit_identical(self, builders):
         s_ref = builders["numpy"].overlap()
@@ -187,25 +188,33 @@ class TestKWideSeams:
             assert phases[phase].elements - elements == self.K * builder.views.elements
 
     def test_device_prices_a_k_wide_call_as_one_launch_of_k_times_the_items(
-        self, builders, rng, monkeypatch
+        self, builders, rng
     ):
-        backend = builders["device"].backend
-        ranges = []
-        price = backend.device.launch
-        monkeypatch.setattr(
-            backend.device, "launch",
-            lambda kernel, ndrange: ranges.append(ndrange) or price(kernel, ndrange),
-        )
-        x, c = self._factors(builders["device"], rng, self.K)
-        v = rng.normal(size=(builders["device"].grid.n_points, self.K))
-        backend.density_on_grid(Factored(x[0], c))
-        backend.density_on_grid(Factored(x, c))
-        backend.potential_matrix(v[:, 0])
-        backend.potential_matrix(v)
-        one_sumup, wide_sumup, one_h, wide_h = ranges
-        for one, wide in ((one_sumup, wide_sumup), (one_h, wide_h)):
-            assert wide.n_groups == one.n_groups
-            assert wide.items_per_group == self.K * one.items_per_group
+        """The bill of a k-wide Sumup or H is one launch carrying k times
+        the work and the bytes of a one-wide call."""
+        reference = builders["numpy"]
+        x, c = self._factors(reference, rng, self.K)
+        v = rng.normal(size=(reference.grid.n_points, self.K))
+
+        def billed(density, potential):
+            builder = MatrixBuilder(
+                reference.basis, reference.grid, batches=reference.batches
+            )
+            builder.backend.density_on_grid(density)
+            builder.backend.potential_matrix(potential)
+            return device_bill(builder.backend.profile)
+
+        one = billed(Factored(x[0], c), v[:, 0])
+        wide = billed(Factored(x, c), v)
+        assert one.launches == wide.launches == 2
+        staged = 8 * reference.grid.n_points * (reference.basis.n_basis + 1)
+        moved = (one.bytes_transferred - staged, wide.bytes_transferred - staged)
+        assert moved[1] == self.K * moved[0] > 0
+        overhead = HPC2_AMD.accelerator.kernel_launch_overhead
+        for phase in ("Sumup", "H"):
+            assert wide.phases[phase] - overhead == pytest.approx(
+                self.K * (one.phases[phase] - overhead), rel=1e-12
+            )
 
     def test_hostile_k_wide_inputs_are_refused(self, builders, rng):
         backend = builders["numpy"].backend
@@ -234,13 +243,13 @@ class TestKWideSeams:
 
 
 class TestEndToEndParity:
-    """Whole SCF + CPSCF trajectories must be bit-identical per backend."""
+    """Whole SCF + CPSCF trajectories must be bit-identical per cache regime."""
 
     @pytest.fixture(scope="class")
     def per_backend_runs(self, minimal_settings):
         out = {}
-        for name in ALL_BACKENDS:
-            gs = SCFDriver(hydrogen_molecule(), minimal_settings, backend=name).run()
+        for name, backend in (("numpy", None), ("cold", BatchedBackend(max_cache_bytes=0))):
+            gs = SCFDriver(hydrogen_molecule(), minimal_settings, backend=backend).run()
             solver = DFPTSolver(gs, minimal_settings.cpscf)
             alpha = np.empty((3, 3))
             for j in range(3):
@@ -252,30 +261,31 @@ class TestEndToEndParity:
 
     def test_total_energy_bit_identical(self, per_backend_runs):
         e_ref = per_backend_runs["numpy"][0].total_energy
-        assert per_backend_runs["device"][0].total_energy == e_ref
+        assert per_backend_runs["cold"][0].total_energy == e_ref
 
     def test_density_matrix_bit_identical(self, per_backend_runs):
         p_ref = per_backend_runs["numpy"][0].density_matrix
         assert np.array_equal(
-            p_ref, per_backend_runs["device"][0].density_matrix
+            p_ref, per_backend_runs["cold"][0].density_matrix
         )
 
     def test_polarizability_bit_identical(self, per_backend_runs):
         a_ref = per_backend_runs["numpy"][1]
-        assert np.array_equal(a_ref, per_backend_runs["device"][1])
+        assert np.array_equal(a_ref, per_backend_runs["cold"][1])
 
     def test_solver_inherits_ground_state_backend(self, minimal_settings):
-        gs = SCFDriver(
-            hydrogen_molecule(), minimal_settings, backend="device"
-        ).run()
+        engine = BatchedBackend(max_cache_bytes=0)
+        gs = SCFDriver(hydrogen_molecule(), minimal_settings, backend=engine).run()
         solver = DFPTSolver(gs, minimal_settings.cpscf)
-        assert solver.backend is gs.builder.backend
-        assert solver.backend.name == "device"
+        assert solver.backend is gs.builder.backend is engine
 
     def test_settings_select_backend(self, minimal_settings):
-        settings = get_settings("minimal", backend="device")
-        driver = SCFDriver(hydrogen_molecule(), settings)
-        assert driver.backend.name == "device"
+        """The settings name no backend (the field is retired): a driver
+        given settings alone runs the one host engine."""
+        assert "backend" not in {f.name for f in dataclasses.fields(RunSettings)}
+        driver = SCFDriver(hydrogen_molecule(), minimal_settings)
+        assert type(driver.backend) is BatchedBackend
+        assert driver.backend.name == "numpy"
 
 
 def _h_chain(n_atoms=5):
@@ -535,57 +545,57 @@ class TestBackendProfile:
 
     @pytest.mark.parametrize("machine", ["hpc1", "hpc2"])
     def test_device_launch_accounting(self, minimal_settings, machine):
+        """The bill launches each Sumup / H call once, on *machine*'s
+        accelerator; before any call it holds only the staged tables."""
         h2 = hydrogen_molecule()
         builder = MatrixBuilder(
             build_basis(h2),
             build_grid(h2, minimal_settings.grids, with_partition=True),
-            backend=DeviceBackend(machine=machine),
         )
-        backend = builder.backend
-        assert backend.profile.device_bytes_transferred > 0  # staged tables
+        profile = builder.backend.profile
+        staged = device_bill(profile, machine)
+        assert (staged.launches, staged.modeled_seconds) == (0, 0.0)
+        assert staged.bytes_transferred > 0
         h = builder.potential_matrix(np.ones(builder.grid.n_points))
         assert np.allclose(h, h.T)
-        assert backend.profile.device_launches == 1
-        assert backend.profile.device_modeled_seconds > 0.0
+        bill = device_bill(profile, machine)
+        assert bill.launches == 1 and bill.phases["H"] > 0.0
+        assert bill.machine == machine_by_name(machine).name
 
     def test_device_reads_the_host_engines_blocks(self, substrate):
-        """The device is the host engine plus a price: the same sweeps
-        evaluate the same blocks and hit the same cache entries."""
+        """The device is a price on the host engine's run: billing reads
+        the profile alone — no block evaluated, no counter moved — and the
+        profile's JSON snapshot bills the same as the live profile."""
         basis, grid = substrate
-        engines = {"numpy": MatrixBuilder(basis, grid, backend="numpy")}
-        engines["device"] = MatrixBuilder(
-            basis, grid, batches=engines["numpy"].batches, backend="device"
-        )
-        nb = basis.n_basis
-        for builder in engines.values():
-            for _ in range(2):
-                builder.backend.density_on_grid(np.eye(nb))
-                builder.potential_matrix(np.ones(grid.n_points))
-        host, device = (engines[n].backend.profile for n in ("numpy", "device"))
-        counts = [(p.phases["basis"].calls, p.phases["basis"].elements) for p in (host, device)]
-        assert counts[0] == counts[1]
-        assert (device.cache_hits, device.cache_misses) == (
-            host.cache_hits, host.cache_misses,
-        )
-        assert device.cache_hits > 0 and device.cache_misses > 0
+        builder = MatrixBuilder(basis, grid)
+        for _ in range(2):
+            builder.backend.density_on_grid(np.eye(basis.n_basis))
+            builder.potential_matrix(np.ones(grid.n_points))
+        profile = builder.backend.profile
+        snapshot = json.dumps(profile.as_dict(), sort_keys=True)
+        bill = device_bill(profile)
+        assert json.dumps(profile.as_dict(), sort_keys=True) == snapshot
+        assert device_bill(json.loads(snapshot)) == bill
+        assert profile.cache_hits > 0 and profile.cache_misses > 0
 
     def test_device_charges_its_staged_tables_and_phase_buffers(self, substrate):
-        """Bind moves the basis table and the weights; a phase moves its
-        input once and its output buffer twice (zeroed in, result out)."""
+        """The basis table and the weights are staged once; a phase moves
+        its input once and its output buffer twice (zeroed in, result
+        out)."""
         basis, grid = substrate
-        builder = MatrixBuilder(basis, grid, backend="device")
+        builder = MatrixBuilder(basis, grid)
         profile = builder.backend.profile
         nb, n_points = basis.n_basis, grid.n_points
         staged = 8 * n_points * (nb + 1)
-        assert profile.device_bytes_transferred == staged
+        assert device_bill(profile).bytes_transferred == staged
         builder.backend.density_on_grid(np.eye(nb))
         sumup = 8 * nb * nb + 2 * 8 * n_points
-        assert profile.device_bytes_transferred == staged + sumup
+        assert device_bill(profile).bytes_transferred == staged + sumup
         builder.potential_matrix(np.ones((n_points, 3)))
         h = 3 * (8 * n_points + 2 * 8 * nb * nb)
-        assert profile.device_bytes_transferred == staged + sumup + h
-        assert profile.device_launches == builder.backend.device.n_launches == 2
-        assert profile.device_bytes_transferred == builder.backend.device.bytes_transferred
+        bill = device_bill(profile)
+        assert bill.bytes_transferred == staged + sumup + h
+        assert bill.launches == 2
 
     def test_profile_as_dict_round_trip(self):
         profile = BackendProfile(backend="numpy")
@@ -605,73 +615,70 @@ class TestBackendProfile:
         )
         builder.overlap()
         builder.overlap()
-        text = format_backend_profile(builder.backend.profile)
+        profile = builder.backend.profile
+        text = format_backend_profile(profile)
         assert "backend profile [numpy]" in text
         assert "H" in text and "block cache" in text
+        assert "modeled" not in text and "device bill" not in text
+        billed = format_backend_profile(profile, device_bill(profile))
+        assert "modeled" in billed
+        assert "device bill [HPC#2 (AMD MI50 GPUs)]: 2 launches" in billed
 
 
 class TestDeviceLaunchSizing:
-    """One work-group per scheduled batch, work-items sized by the
-    *largest* batch (mean sizing starves uneven batches)."""
+    """The bill sizes a Sumup / H launch by the scale model's rule: one
+    work-group per batch, a work-item per point of the mean batch."""
 
     @pytest.fixture
-    def launched(self, minimal_settings, monkeypatch):
+    def launched(self, minimal_settings):
         h2 = hydrogen_molecule()
         builder = MatrixBuilder(
             build_basis(h2),
             build_grid(h2, minimal_settings.grids, with_partition=True),
-            backend="device",
         )
-        ranges = []
-        price = builder.backend.device.launch
-        monkeypatch.setattr(
-            builder.backend.device, "launch",
-            lambda kernel, ndrange: ranges.append(ndrange) or price(kernel, ndrange),
-        )
-
-        def launch(batches=None):
-            if batches is not None:
-                builder.batches = batches
-            builder.backend._launch(Kernel(name="probe"), n_groups=len(builder.batches))
-            return ranges[-1]
-
-        return builder, launch
-
-    def test_items_cover_largest_batch(self, launched):
-        _, launch = launched
-        nd = launch([
-            SimpleNamespace(n_points=n) for n in (4, 4, 4, 4, 4, 4, 4, 100)
-        ])
-        assert nd.n_groups == 8
-        # Mean sizing would give 128 // 8 = 16 items — too few for the
-        # 100-point batch; every batch must fit in one work-group.
-        assert nd.items_per_group == 100
+        builder.potential_matrix(np.ones(builder.grid.n_points))
+        return builder, builder.backend.profile.as_dict()
 
     def test_real_batches_cover_every_batch(self, launched):
-        builder, launch = launched
-        nd = launch()
-        assert nd.n_groups == len(builder.batches)
-        assert nd.items_per_group >= max(b.n_points for b in builder.batches)
+        builder, profile = launched
+        views, n_points = builder.views, builder.grid.n_points
+        ndrange = points_ndrange(n_points, views.n_batches)
+        assert ndrange.n_groups == views.n_batches == len(builder.batches)
+        kernel = grid_kernel("h1_integration", 3.0, views.elements / n_points)
+        price = Device(HPC2_AMD.accelerator).estimate(kernel, ndrange).total_time
+        assert device_bill(profile).phases["H"] == pytest.approx(price, rel=1e-14)
 
     def test_empty_batches_rejected(self, launched):
-        _, launch = launched
+        _, profile = launched
+        profile["grid"]["batches"] = 0
         with pytest.raises(DeviceError, match="NDRange must be positive"):
-            launch([])
+            device_bill(profile)
 
 
 class TestRegistryAndValidation:
-    def test_available_backends(self):
-        assert available_backends() == ("device", "numpy") == tuple(sorted(ALL_BACKENDS))
+    """What drivers accept as ``backend=``: ``None`` or ``"numpy"`` (the
+    one host engine) or an :class:`ExecutionBackend` instance."""
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            create_backend("cuda")
+    @pytest.fixture
+    def h2_substrate(self, minimal_settings):
+        h2 = hydrogen_molecule()
+        return build_basis(h2), build_grid(h2, minimal_settings.grids, with_partition=True)
 
-    def test_batched_is_not_a_registry_name(self):
-        """The class kept its name; the registry has one host engine."""
-        with pytest.raises(BackendError, match="available: device, numpy"):
-            create_backend("batched")
-        assert isinstance(create_backend("numpy"), BatchedBackend)
+    def test_available_backends(self, h2_substrate):
+        for spec in (None, "numpy"):
+            backend = MatrixBuilder(*h2_substrate, backend=spec).backend
+            assert type(backend) is BatchedBackend and backend.name == "numpy"
+
+    def test_unknown_name_raises(self, h2_substrate):
+        for name in ("device", "cuda"):
+            with pytest.raises(BackendError, match=f"unknown execution backend '{name}'"):
+                MatrixBuilder(*h2_substrate, backend=name)
+
+    def test_batched_is_not_a_registry_name(self, h2_substrate):
+        """The class kept its name; the engine's name is ``numpy``."""
+        with pytest.raises(BackendError, match="the one engine is 'numpy'"):
+            MatrixBuilder(*h2_substrate, backend="batched")
+        assert BatchedBackend.name == "numpy"
 
     def test_unbound_use_raises(self):
         with pytest.raises(BackendError, match="not bound"):
@@ -688,16 +695,32 @@ class TestRegistryAndValidation:
             MatrixBuilder(basis, grid, batches=first.batches, backend=backend)
 
     def test_instance_accepted_end_to_end(self, minimal_settings):
-        backend = DeviceBackend()
+        backend = BatchedBackend(max_cache_bytes=0)
         driver = SCFDriver(hydrogen_molecule(), minimal_settings, backend=backend)
         assert driver.backend is backend
         gs = driver.run()
-        assert backend.profile.device_launches > 0
+        assert backend.profile.cache_hits == 0 < backend.profile.cache_misses
+        assert device_bill(backend.profile).launches > 0
         assert gs.total_energy < -1.0
+
+    def test_a_backend_outliving_its_builder_says_so(self, h2_substrate):
+        """The engine holds its builder weakly: the builder is freed by
+        reference counting alone, and the orphaned engine names why it
+        cannot run."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            backend = MatrixBuilder(*h2_substrate).backend
+            assert backend.builder is None
+        finally:
+            if enabled:
+                gc.enable()
+        with pytest.raises(BackendError, match="its builder is gone"):
+            backend.density_on_grid(np.eye(2))
 
     def test_bad_spec_type_raises(self, minimal_settings):
         h2 = hydrogen_molecule()
-        with pytest.raises(BackendError, match="name or ExecutionBackend"):
+        with pytest.raises(BackendError, match="execution backend 42; the one engine"):
             MatrixBuilder(
                 build_basis(h2),
                 build_grid(h2, minimal_settings.grids, with_partition=True),

@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from repro.atoms import hydrogen_molecule
-from repro.backends import (
-    BackendProfile,
-    BatchedBackend,
-    ExecutionBackend,
-    create_backend,
-)
+from repro.backends import BackendProfile, BatchedBackend, ExecutionBackend
 from repro.basis.basis_set import BasisSet, build_basis
 from repro.config import get_settings
 from repro.core import PerturbationSimulator
@@ -144,8 +139,11 @@ def test_pinned_attributes_and_constructor_arguments():
             assert hasattr(probe, name), f"{cls.__name__}.{name}"
     # chain32_kernels builds its stream engine with a byte budget.
     assert BatchedBackend(max_cache_bytes=1024).max_cache_bytes == 1024
-    # ...and its dense/screened builders by the registry name "numpy".
-    assert isinstance(create_backend("numpy"), ExecutionBackend)
+    # ...and its dense/screened builders by the engine's name "numpy".
+    structure = hydrogen_molecule()
+    basis = build_basis(structure)
+    grid = build_grid(structure, get_settings("minimal").grids, with_partition=True)
+    assert isinstance(MatrixBuilder(basis, grid, backend="numpy").backend, BatchedBackend)
 
 
 def test_what_the_workloads_read_off_live_objects():

@@ -9,12 +9,12 @@ running each request through an isolated
 Pinned here:
 
 * per-request payloads (via :func:`stable_result_bytes`) byte-identical
-  to sequential references across both backends, with screening on
-  and off, under shuffled submission order;
-* a fleet-of-16 mixed-molecule acceptance run (device backend) whose
-  per-group profiles are the sequential runs' profiles;
-* one group live at a time: an earlier group's builder is garbage when
-  the next group's is constructed;
+  to sequential references, with screening on and off, under shuffled
+  submission order, and each group's device bill its sequential run's;
+* a fleet-of-16 mixed-molecule acceptance run whose per-group profiles
+  are the sequential runs' profiles;
+* one group live at a time: an earlier group's builder is dead when the
+  next group's is constructed, by reference counting alone;
 * hypothesis properties: plan permutation-invariance, seed-blind groups;
 * one group per physics as the service keys it: a renamed request or
   one written with signed zeros joins its group and keeps its own name;
@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.atoms import hydrogen_molecule, methane, water
+from repro.backends import device_bill
 from repro.config import RunSettings, get_settings
 from repro.core import PerturbationSimulator
 from repro.dft.hamiltonian import MatrixBuilder
@@ -48,11 +49,9 @@ from repro.service.jobs import JobRequest, structure_from_dict
 from repro.service.worker import result_payload, stable_result_bytes
 
 
-def h2_requests(n, n_distinct, backend, threshold=0.0, level="minimal"):
+def h2_requests(n, n_distinct, threshold=0.0, level="minimal"):
     """n requests over n_distinct H2 bond-length variants."""
-    settings = get_settings(
-        level, backend=backend, screening_threshold=threshold
-    )
+    settings = get_settings(level, screening_threshold=threshold)
     return [
         JobRequest(
             hydrogen_molecule(bond_length=1.40 + 0.02 * (i % n_distinct)),
@@ -101,7 +100,9 @@ def fleet_bytes(outcome):
 
 
 class TestFleetParityMatrix:
-    """Fleet-of-4 (2 distinct H2 variants) vs 4 isolated sequential runs."""
+    """Fleet-of-4 (2 distinct H2 variants) vs 4 isolated sequential runs:
+    the payloads (``numpy``), and each group's device bill too
+    (``device``, the same runs priced on HPC#2)."""
 
     @pytest.mark.parametrize("backend", ["numpy", "device"])
     @pytest.mark.parametrize(
@@ -110,24 +111,29 @@ class TestFleetParityMatrix:
     )
     def test_fleet_matches_sequential(self, backend, threshold):
         tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, backend, threshold), commit="parity"
+            h2_requests(4, 2, threshold), commit="parity"
         )
-        reference = sequential_reference(tasks)
+        sequential = sequential_runs(tasks)
         # Shuffled submission: the plan (and therefore the results) must
         # not depend on request order.
         shuffled = list(tasks)
         random.Random(f"{backend}-{threshold}").shuffle(shuffled)
         outcome = run_fleet(shuffled)
         assert not outcome.errors
-        assert fleet_bytes(outcome) == reference
+        assert fleet_bytes(outcome) == {k: ref for k, (ref, _) in sequential.items()}
+        if backend == "device":
+            for group in plan_fleet(tasks).groups:
+                bill = device_bill(outcome.report.profiles[group.fingerprint])
+                for task in group.tasks:
+                    assert device_bill(sequential[task.key][1]) == bill
 
 
 class TestOneGroupAtATime:
-    def test_each_groups_builder_is_dead_before_the_next_is_built(
-        self, monkeypatch
-    ):
-        """A wave holds one group's builder (and so its backend, kept
-        blocks and Hartree plans) at a time, not every group's."""
+    @staticmethod
+    def _live_at_each_construction(monkeypatch, collect):
+        """Earlier builders still alive as each group's builder is made,
+        over a three-group wave; *collect* runs the cyclic collector
+        first."""
         settings = get_settings("minimal")
         requests = [
             JobRequest(molecule, settings, seed=i)
@@ -137,7 +143,8 @@ class TestOneGroupAtATime:
         construct = MatrixBuilder.__init__
 
         def tracked(self, *args, **kwargs):
-            gc.collect()
+            if collect:
+                gc.collect()
             live_at_construction.append(sum(ref() is not None for ref in built))
             construct(self, *args, **kwargs)
             built.append(weakref.ref(self))
@@ -145,7 +152,27 @@ class TestOneGroupAtATime:
         monkeypatch.setattr(MatrixBuilder, "__init__", tracked)
         outcome = run_fleet(fleet_tasks_from_requests(requests, commit="live"))
         assert not outcome.errors and outcome.report.n_groups == 3
-        assert live_at_construction == [0, 0, 0]
+        return live_at_construction
+
+    def test_each_groups_builder_is_dead_before_the_next_is_built(
+        self, monkeypatch
+    ):
+        """A wave holds one group's builder (and so its backend, kept
+        blocks and Hartree plans) at a time, not every group's."""
+        assert self._live_at_each_construction(monkeypatch, collect=True) == [0, 0, 0]
+
+    def test_without_the_cyclic_collector_too(self, monkeypatch):
+        """No reference cycle keeps a finished group's builder: with the
+        collector off, each dies when its group returns (an engine that
+        held its builder strongly left [0, 1, 2] alive here)."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            live = self._live_at_each_construction(monkeypatch, collect=False)
+        finally:
+            if enabled:
+                gc.enable()
+        assert live == [0, 0, 0]
 
 
 class TestFleetOf16Acceptance:
@@ -154,7 +181,7 @@ class TestFleetOf16Acceptance:
     def test_mixed_fleet_byte_identical_and_fused(self):
         """Sixteen requests fuse onto four computations: payloads equal
         the sequential runs', and each group's profile is its run's."""
-        settings = get_settings("minimal", backend="device")
+        settings = get_settings("minimal")
         molecules = [
             hydrogen_molecule(bond_length=1.40),
             hydrogen_molecule(bond_length=1.42),
@@ -193,23 +220,20 @@ class TestPerMoleculeProfiles:
     """Each group's profile is its own sequential run's."""
 
     def test_device_counters_sum_to_shared_totals(self):
-        """The fleet's device account is the sum of its group profiles,
-        each the sequential run of that physics, paid once."""
-        tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, "device"), commit="prof"
-        )
+        """The fleet's device bill is the sum of its group profiles'
+        bills, each the sequential run of that physics, paid once."""
+        tasks = fleet_tasks_from_requests(h2_requests(4, 2), commit="prof")
         outcome = run_fleet(tasks)
         assert not outcome.errors
-        profiles = outcome.report.profiles
-        sequential = sequential_runs(tasks)
-        # Four requests, two groups: the fleet's device account is the
-        # sequential one of the two distinct runs, paid once each.
+        bills = {fp: device_bill(p) for fp, p in outcome.report.profiles.items()}
+        sequential = {k: device_bill(p) for k, (_, p) in sequential_runs(tasks).items()}
+        # Four requests, two groups: the fleet's bill is the sequential
+        # one of the two distinct runs, paid once each.
         for group in plan_fleet(tasks).groups:
             for task in group.tasks:
-                _, want = sequential[task.key]
-                assert profiles[group.fingerprint]["device"] == want["device"]
-        launches = sum(p["device"]["launches"] for p in profiles.values())
-        assert 2 * launches == sum(p["device"]["launches"] for _, p in sequential.values())
+                assert bills[group.fingerprint] == sequential[task.key]
+        launches = sum(b.launches for b in bills.values())
+        assert 2 * launches == sum(b.launches for b in sequential.values())
         assert launches > 0
 
 
@@ -290,7 +314,7 @@ class TestServiceFleetParity:
         from repro.service import StateStore, WorkerPool, submit_batch
         from repro.service.statestore import COMPLETE
 
-        requests = h2_requests(2, 2, "numpy")
+        requests = h2_requests(2, 2)
 
         def drain(fleet):
             store = StateStore(lease_seconds=5.0)

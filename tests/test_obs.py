@@ -3,6 +3,7 @@
 import json
 
 from repro.atoms import hydrogen_molecule
+from repro.backends import BatchedBackend
 from repro.config import get_settings
 from repro.dft import SCFDriver
 from repro.obs import (
@@ -71,7 +72,7 @@ class TestTracer:
         assert len(t.spans_of("comm")) == 1
 
 
-def _scf_work(backend: str) -> dict:
+def _scf_work(backend="numpy") -> dict:
     """One H2 SCF's :class:`~repro.backends.base.BackendProfile`, without
     its wall-clock seconds."""
     driver = SCFDriver(hydrogen_molecule(), get_settings("minimal"), backend=backend)
@@ -92,12 +93,14 @@ class TestCrossBackendDeterminism:
         )
 
     def test_shared_work_counters_identical_across_backends(self):
-        # The backends are bit-exact over the same batch schedule, so
-        # the per-phase work counts must agree exactly; only the
-        # backend-private blocks (device launches) may differ.
-        snaps = {b: _scf_work(b) for b in ("numpy", "device")}
+        # The cache regimes are bit-exact over the same batch schedule,
+        # so the per-phase work counts must agree exactly; only the
+        # cache counters (and the basis evaluations they save) differ.
+        warm, cold = _scf_work(), _scf_work(BatchedBackend(max_cache_bytes=0))
         for phase in ("Sumup", "H"):
-            assert snaps["numpy"]["phases"][phase] == snaps["device"]["phases"][phase]
+            assert warm["phases"][phase] == cold["phases"][phase]
+        assert warm["grid"] == cold["grid"]
+        assert warm["cache"]["hits"] > 0 == cold["cache"]["hits"]
 
     def test_batched_backend_emits_cache_counters(self):
         """``BatchedBackend`` is the default host engine: its cache

@@ -249,12 +249,12 @@ class TestClockTable:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def h2_backend_traces(tmp_path_factory):
-    """Two traces ``repro physics`` writes: H2 on numpy and on device."""
+    """Two traces ``repro physics`` writes: H2 dense and screened."""
     out = tmp_path_factory.mktemp("diff")
     traces = []
-    for backend in ("numpy", "device"):
-        trace = out / f"h2_{backend}.json"
-        assert cli_main(["physics", "--molecule", "h2", "--backend", backend,
+    for name, screening in (("dense", []), ("screened", ["--screening", "1e-6"])):
+        trace = out / f"h2_{name}.json"
+        assert cli_main(["physics", "--molecule", "h2", *screening,
                          "--trace", str(trace)]) == 0
         traces.append(trace)
     return traces
@@ -287,7 +287,7 @@ class TestDiffAttribution:
         first, second = (_analyze_diff(*h2_backend_traces) for _ in range(2))
         assert first == second  # byte-identical
         lines = first.splitlines()
-        assert lines[3] == "per-phase clock [h2_numpy -> h2_device]"
+        assert lines[3] == "per-phase clock [h2_dense -> h2_screened]"
         table = lines[4:]
         assert table[0].split(" | ")[-1].strip() == "change"
         names = [line.split(" | ")[0].strip() for line in table[2:]]

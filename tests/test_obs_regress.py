@@ -149,12 +149,12 @@ class TestEmissionGate:
         assert compare_reports(emission, emission).ok
 
     def test_injected_slowdown_fails_gate(self, emission):
-        """The device row's modeled seconds, 1 % slower."""
+        """The device bill's modeled seconds, 1 % slower."""
         slow = json.loads(json.dumps(emission))
-        slow["backends"]["device"]["profile"]["device"]["modeled_seconds"] *= 1.01
+        slow["backends"]["device"]["bill"]["modeled_seconds"] *= 1.01
         report = compare_reports(slow, emission)
         assert [d.key for d in report.offenders] == [
-            "backends.device.profile.device.modeled_seconds"
+            "backends.device.bill.modeled_seconds"
         ]
 
 

@@ -1,9 +1,14 @@
-"""OpenCL device model: launches, transfers, transforms, fusion."""
+"""OpenCL device model: launch prices, transfers, transforms, fusion."""
 
 import pytest
 
-from repro.atoms import polyethylene
+from repro.atoms import hydrogen_molecule, polyethylene
+from repro.backends import device_bill
+from repro.basis import build_basis
+from repro.config import get_settings
 from repro.core import OptimizationFlags, PerturbationSimulator
+from repro.dft.hamiltonian import MatrixBuilder
+from repro.grids import build_grid
 from repro.errors import DeviceError, KernelFusionError
 from repro.ocl import (
     Device,
@@ -45,21 +50,28 @@ class TestDevice:
     def test_launch_prices_and_counts(self, mi50):
         k = Kernel("k", flops_per_item=1000, bytes_read_per_item=64)
         nd = NDRange(4, 64)
-        first = mi50.launch(k, nd)
-        second = mi50.launch(k, nd)
-        # A launch is its estimate, charged: the price does not depend
-        # on what the device has already run.
-        assert first == second == mi50.estimate(k, nd)
-        assert mi50.n_launches == 2
-        assert mi50.modeled_time == first.total_time + second.total_time
-        assert mi50.bytes_transferred == 0
+        first, second = mi50.estimate(k, nd), mi50.estimate(k, nd)
+        # The price does not depend on what the device priced before,
+        # and counts every item of the launch.
+        assert first == second and first.n_items == 256
+        assert first.total_time == (
+            first.launch_overhead + first.compute_time + first.stream_time
+            + first.indirect_time
+        )
 
-    def test_transfer_accounting(self, mi50):
-        mi50.transfer(8192)
-        mi50.transfer(8192)
-        assert mi50.bytes_transferred == 16384
-        # Moving bytes is not a launch and costs no modeled time.
-        assert mi50.n_launches == 0 and mi50.modeled_time == 0.0
+    def test_transfer_accounting(self):
+        """Moving bytes is the bill's account, not the device's: a run
+        that staged its tables and launched nothing bills the bytes, no
+        launch and no modeled time."""
+        h2 = hydrogen_molecule()
+        settings = get_settings("minimal")
+        builder = MatrixBuilder(
+            build_basis(h2), build_grid(h2, settings.grids, with_partition=True)
+        )
+        bill = device_bill(builder.backend.profile)
+        nb, n_points = builder.basis.n_basis, builder.grid.n_points
+        assert bill.bytes_transferred == 8 * n_points * (nb + 1)
+        assert (bill.launches, bill.modeled_seconds) == (0, 0.0)
 
     def test_cost_scales_with_items(self, mi50):
         k = Kernel("k", flops_per_item=1000, bytes_read_per_item=64)

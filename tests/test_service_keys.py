@@ -78,7 +78,6 @@ _settings = st.builds(
     scf=_scf,
     cpscf=_cpscf,
     l_max_hartree=st.integers(2, 8),
-    backend=st.sampled_from(["numpy", "device"]),
     verify=st.sampled_from(["off", "cheap", "full"]),
     screening_threshold=st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
 )
@@ -92,7 +91,7 @@ def test_key_invariant_under_equal_value_reconstruction(s):
         level=s.level, grids=GridSettings(**dataclasses.asdict(s.grids)),
         scf=SCFSettings(**dataclasses.asdict(s.scf)),
         cpscf=CPSCFSettings(**dataclasses.asdict(s.cpscf)),
-        l_max_hartree=s.l_max_hartree, backend=s.backend,
+        l_max_hartree=s.l_max_hartree,
         verify=s.verify, screening_threshold=s.screening_threshold,
     )
     mol = hydrogen_molecule()
@@ -163,7 +162,6 @@ def test_key_distinct_under_any_single_field_change(s, data):
     flat = {
         "level": st.sampled_from(["minimal", "light", "tight", "custom"]),
         "l_max_hartree": st.integers(2, 9),
-        "backend": st.sampled_from(["numpy", "device"]),
         "verify": st.sampled_from(["off", "cheap", "full"]),
         "screening_threshold": st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
         "grids.n_radial_base": st.integers(8, 49),
@@ -225,23 +223,25 @@ def test_key_is_stable_across_processes_shape():
 
 
 @pytest.mark.parametrize("molecule,level,key", [
-    (hydrogen_molecule, "minimal", "ck-0f7bba237cdb3080db6b7c07dbff7dd9"),
-    (hydrogen_molecule, "light", "ck-eb5cd6feaed9137116606df27fca15d4"),
-    (water, "minimal", "ck-3d67a40a039b410f47a9d7f09fc18595"),
-    (water, "light", "ck-e2cb853992d7007da193fe099e412053"),
+    (hydrogen_molecule, "minimal", "ck-95349efbbb2b33f225201a07132e1536"),
+    (hydrogen_molecule, "light", "ck-baefa8157189146d3d663003465d947b"),
+    (water, "minimal", "ck-a2bff18a3ff4b95dc7ec710cdecca938"),
+    (water, "light", "ck-fca21863870c2adeb439ac57f05455c5"),
 ])
 def test_recorded_keys_hold(molecule, level, key):
     """Keys recorded before the signed-zero normalisation and the
-    declared-type one still match.  Re-pinned twice, when the settings
-    dict lost its ``tuning`` block and when it lost the unread ``xc``
-    and ``scf.occupation_width`` fields: a key also hashes the commit,
-    so keys already change with every commit and no cached result is
-    stranded that a new commit would not have stranded anyway."""
+    declared-type one still match.  Re-pinned three times, when the
+    settings dict lost its ``tuning`` block, when it lost the unread
+    ``xc`` and ``scf.occupation_width`` fields, and when it lost
+    ``backend`` (one engine computed every result): a key also hashes
+    the commit, so keys already change with every commit and no cached
+    result is stranded that a new commit would not have stranded
+    anyway."""
     assert cache_key(molecule(), get_settings(level), commit=COMMIT) == key
 
 
 #: A payload journaled while the settings still carried a ``tuning`` block
-#: and the retired ``xc`` / ``scf.occupation_width`` fields.
+#: and the retired ``xc`` / ``scf.occupation_width`` / ``backend`` fields.
 _PAYLOAD_WITH_TUNING = {
     "charge": 0, "kind": "physics", "seed": None,
     "settings": {
@@ -276,21 +276,23 @@ def test_a_payload_with_a_tuning_block_still_decodes():
     )
     legacy = _PAYLOAD_WITH_TUNING["settings"]
     assert JobRequest("h2", settings).payload()["settings"] == dict(
-        {k: v for k, v in legacy.items() if k not in ("tuning", "xc")},
+        {k: v for k, v in legacy.items() if k not in ("tuning", "xc", "backend")},
         scf={k: v for k, v in legacy["scf"].items() if k != "occupation_width"},
     )
 
 
-def _legacy_payload(xc="lda", occupation_width=0.0):
+def _legacy_payload(xc="lda", occupation_width=0.0, backend="numpy"):
     payload = copy.deepcopy(_PAYLOAD_WITH_TUNING)
+    payload["settings"]["backend"] = backend
     payload["settings"]["xc"] = xc
     payload["settings"]["scf"]["occupation_width"] = occupation_width
     return payload
 
 
 def test_a_payload_with_the_retired_fields_runs_bit_identically():
-    """``xc="lda"`` and ``occupation_width=0.0`` were the only values
-    any run computed with: such a payload is today's request."""
+    """``xc="lda"``, ``occupation_width=0.0`` and ``backend="numpy"``
+    were the only values any run computed with (a ``device`` run was the
+    host engine's, billed): such a payload is today's request."""
     legacy, today = StateStore(), StateStore()
     legacy.submit(_legacy_payload(), key="ck-h2", now=0.0)
     payload = JobRequest("h2", get_settings("minimal")).payload()
@@ -302,9 +304,20 @@ def test_a_payload_with_the_retired_fields_runs_bit_identically():
     )
 
 
+def test_the_retired_backend_field_decodes_by_the_xc_rule():
+    """A canonical dict written while settings named a backend: ``numpy``
+    decodes to today's settings; ``device`` is refused by name, as a
+    retired ``xc`` other than ``lda`` is."""
+    today = get_settings("minimal")
+    with_backend = dict(today.as_canonical_dict(), backend="numpy")
+    assert RunSettings.from_canonical_dict(with_backend) == today
+    with pytest.raises(SettingsError, match="retired settings field 'backend'"):
+        RunSettings.from_canonical_dict(dict(with_backend, backend="device"))
+
+
 @pytest.mark.parametrize("retired", [
-    {"xc": "pbe"}, {"occupation_width": 0.01},
-], ids=["pbe", "smearing"])
+    {"xc": "pbe"}, {"occupation_width": 0.01}, {"backend": "device"},
+], ids=["pbe", "smearing", "device"])
 def test_a_payload_naming_physics_never_run_is_a_failed_attempt(retired):
     payload = _legacy_payload(**retired)
     with pytest.raises(SettingsError, match=next(iter(retired))):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.atoms import polyethylene, water
-from repro.backends import BatchedBackend
+from repro.backends import BatchedBackend, device_bill
 from repro.config import get_settings
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
 from repro.dft.scf import SCFDriver
@@ -40,11 +40,12 @@ def _substrate(name):
 
 
 def _backend(mode, name):
-    """A fresh backend of *mode*; ``stream`` holds a quarter of the table."""
+    """A fresh backend of *mode*; ``stream`` holds a quarter of the table,
+    and ``device`` is the dense engine, whose profile the tests bill."""
     _, sub = _substrate(name)
     if mode == "stream":
         return BatchedBackend(max_cache_bytes=8 * sub.grid.n_points * sub.basis.n_basis // 4)
-    return "device" if mode == "device" else "numpy"
+    return "numpy"
 
 
 def _screening(mode):
@@ -132,6 +133,10 @@ def test_the_cache_after_kinetic_is_a_cold_overlap_fill(mode, name, helper):
         assert np.array_equal(swept.backend.blocks[key], block)
     # Water is one view as large as the table: a quarter budget keeps none.
     assert len(swept.backend.blocks) > 0 or (mode, name) == ("stream", "water")
+    if mode == "device":
+        # T is set-up work outside the billed phases; the fill is one H.
+        assert device_bill(swept.backend.profile).launches == 0
+        assert device_bill(filled.backend.profile).launches == 1
 
 
 def test_an_offered_block_already_cached_is_left_alone():
@@ -158,11 +163,18 @@ def test_set_up_and_the_first_scf_sumup_read_only_cached_blocks(mode, helper):
         assert profile.phases["basis"].calls == sum(
             len(view.batches) for view in driver.builder.views
         )
+        if mode == "device":
+            # S, V_ext and D are one launch of five passes' work.
+            bill = device_bill(profile)
+            assert bill.launches == 1 and set(bill.phases) == {"H"}
+            assert profile.phases["H"].elements == 5 * profile.grid["pass_elements"]
         cycles = driver.iter_cycles()
         next(cycles)
         cycles.close()
     assert profile.cache_misses == n_views
     assert profile.cache_hits == 3 * n_views  # + the cycle's Sumup and H
+    if mode == "device":
+        assert device_bill(profile).launches == 3
 
 
 @pytest.mark.parametrize("mutation", BACKEND_MUTATIONS)

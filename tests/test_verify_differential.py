@@ -1,4 +1,4 @@
-"""Differential conformance: backends x mappings x comm schemes."""
+"""Differential conformance: screening, and mappings x comm schemes."""
 
 import numpy as np
 import pytest
@@ -87,17 +87,11 @@ class TestConformanceMatrix:
         assert report.ok, report.render()
 
     def test_matrix_covers_every_axis(self, report):
-        combo = [p for p in report.pairs if p.axis == "backend x mapping x comm"]
+        combo = [p for p in report.pairs if p.axis == "mapping x comm"]
         labels = {p.a for p in combo}
-        # 2 backends x 2 mappings x 3 comm schemes
-        assert len(labels) == 2 * len(MAPPING_STRATEGIES) * len(COMM_SCHEMES)
-        backend_pairs = [p for p in report.pairs if p.axis == "backend"]
-        assert len(backend_pairs) == 1  # C(2, 2)
-
-    def test_backends_are_bit_exact(self, report):
-        for p in report.pairs:
-            if p.axis == "backend":
-                assert p.classification == "bit-exact", p.render if False else p
+        # 2 mappings x 3 comm schemes: one engine, so no backend axis
+        assert len(labels) == len(combo) == len(MAPPING_STRATEGIES) * len(COMM_SCHEMES) == 6
+        assert {p.axis for p in report.pairs} == {"screening", "mapping x comm"}
 
     def test_render_mentions_verdict(self, report):
         text = report.render()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.atoms import polyethylene, water
-from repro.backends import BatchedBackend, Factored
+from repro.backends import BatchedBackend, Factored, device_bill
 from repro.backends import base as base_module
 from repro.backends import sweep
 from repro.config import get_settings
@@ -80,14 +80,15 @@ def _substrate(name="chain26"):
 
 
 def _builder(mode, name="chain26"):
-    """A fresh builder (fresh cache and profile) on a shared substrate."""
+    """A fresh builder (fresh cache and profile) on a shared substrate;
+    ``device`` is the dense run, whose profile the tests also bill."""
     sub = _substrate(name)
     table_bytes = 8 * sub.grid.n_points * sub.basis.n_basis
     kwargs = {
         "dense": dict(backend="numpy"),
         "screened": dict(backend="numpy", screening_threshold=1e-6),
         "stream": dict(backend=BatchedBackend(max_cache_bytes=table_bytes // 4)),
-        "device": dict(backend="device"),
+        "device": dict(backend="numpy"),
     }[mode]
     return MatrixBuilder(sub.basis, sub.grid, batches=sub.batches, **kwargs)
 
@@ -148,9 +149,13 @@ class TestTheHelperSweepIsTheInlineSweep:
         for name in (
             "cache_hits", "cache_misses", "cache_peak_bytes",
             "screen_blocks_evaluated", "screen_blocks_skipped",
-            "device_launches", "device_modeled_seconds", "device_bytes_transferred",
         ):
             assert getattr(got, name) == getattr(want, name), name
+        if mode == "device":
+            # The bill prices the counters alone, so it cannot tell the
+            # two sweeps apart either.
+            assert device_bill(got) == device_bill(want)
+            assert device_bill(got).launches == RUN_PASSES
         assert got.phases.keys() == want.phases.keys()
         for phase, stats in want.phases.items():
             assert (got.phases[phase].calls, got.phases[phase].elements) == (

@@ -62,7 +62,6 @@ CONSUMERS: Dict[str, Tuple[str, str]] = {
     "RunSettings.scf": ("ground-state SCF", "repro.dft.scf"),
     "RunSettings.cpscf": ("DFPT response solver", "repro.core.simulator"),
     "RunSettings.l_max_hartree": ("Hartree multipole solver", "repro.dft.scf"),
-    "RunSettings.backend": ("execution-backend seam", "repro.dft.scf"),
     "RunSettings.verify": ("physics-invariant checks", "repro.dft.scf"),
     "RunSettings.screening_threshold": ("block-sparse screening", "repro.dft.scf"),
     "GridSettings.n_radial_base": ("radial grids", "repro.grids.atom_grid"),
