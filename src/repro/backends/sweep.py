@@ -8,9 +8,10 @@ the kernels where the serial loop had it:
 - the caller walks the views in order and gets each block itself, so
   the kept blocks, the profile and the obs spans are
   touched by one thread only — no lock;
-- the helper runs kernels only: when it is idle the caller hands it the
-  ready block's kernel, otherwise the caller runs that kernel itself —
-  at most one helper job is outstanding;
+- the fetched blocks form one kernel queue, and whichever thread is
+  free claims its oldest kernel: the helper whenever it has none, the
+  caller only when :data:`_LOOKAHEAD` views are in flight (fetched, not
+  yet committed) or it has fetched every block;
 - results are committed on the caller in view order, so every
   scatter and every floating-point sum happens in the serial loop's
   order and the outputs are that loop's bit for bit.
@@ -27,8 +28,8 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Collection, Deque, Mapping, Optional, Tuple, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Collection, Deque, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.grids.sparsity import BatchView
 
@@ -39,7 +40,11 @@ _BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: a two-core VM: with methane (73 k) and ethane (203 k) on two cores a
 #: small-molecule job mix ran 13 % slower (H2, 8 k, and water, 33 k,
 #: are one view); the 26- and 32-atom chains (2.33 M, 3.56 M) gain
-#: 18-30 % per sweep.
+#: 18-30 % per sweep.  Re-measured on the kernel queue: methane's and
+#: ethane's two-view Sumup + H take 1.73 / 2.58 ms on two cores against
+#: 1.09 / 2.22 ms inline (300 alternations), and with no floor the mix
+#: read screened sweeps +8 %, time to solution +6 % and peak RSS +2.7 %
+#: (six alternating pairs).
 _SWEEP_ELEMENTS = 500_000
 
 R = TypeVar("R")
@@ -74,6 +79,20 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+#: Views in flight — fetched, not yet committed — at which the caller
+#: stops fetching and runs the oldest unclaimed kernel itself, or waits
+#: for the oldest result: the bound on the blocks a stream sweep holds
+#: and on the results (Gram blocks) waiting to commit behind a slow one.
+#: The 32-atom chain's warm dense Sumup + H (15 views), one pinned
+#: process, 60 alternations, medians: inline 65.7 ms, an idle-only
+#: hand-off to the helper 47.4, 2 → 47.3, 3 → 42.3, 4 → 36.9 (the helper
+#: busy 90 % of the sweep), 6 → 37.0.  The warm sweep's memory bound
+#: (``tests/test_fused_views.py``, 2.03 MB on the 26-atom chain) sets
+#: the top: the H sweep's traced peak over 120 sweeps is 1.94 MB at 4,
+#: 2.05 MB at 5, and 2.10 MB over 30 when only unclaimed blocks are
+#: bounded (up to seven Grams then wait behind a slow front kernel).
+_LOOKAHEAD = 4
+
 #: This process's width, fixed at import like the BLAS pins it reads.
 _WIDTH = sweep_width(_usable_cores(), os.environ)
 #: The process's one helper, started by the first two-core sweep.
@@ -98,6 +117,58 @@ def _the_helper() -> ThreadPoolExecutor:
         return _helper
 
 
+class _Queue:
+    """One sweep's kernels: the fetched, unclaimed ones, claimed oldest
+    first, and the finished results until they commit."""
+
+    def __init__(self, kernel: Callable[[BatchView, object], object]) -> None:
+        self.kernel = kernel
+        self.cond = threading.Condition()
+        self.unclaimed: Deque[Tuple[int, BatchView, object]] = deque()
+        self.done: Dict[int, Tuple[object, Optional[BaseException]]] = {}
+        self.closed = False
+
+    def put(self, job: Tuple[int, BatchView, object]) -> None:
+        with self.cond:
+            self.unclaimed.append(job)
+            self.cond.notify_all()
+
+    def claim(self, wait: bool) -> Optional[Tuple[int, BatchView, object]]:
+        with self.cond:
+            if wait:
+                self.cond.wait_for(lambda: self.unclaimed or self.closed)
+            return self.unclaimed.popleft() if self.unclaimed else None
+
+    def run(self, job: Tuple[int, BatchView, object]) -> None:
+        i, view, phi = job
+        try:
+            done: Tuple[object, Optional[BaseException]] = (self.kernel(view, phi), None)
+        except BaseException as error:  # re-raised on the caller, in view order
+            done = (None, error)
+        with self.cond:
+            self.done[i] = done
+            self.cond.notify_all()
+
+    def take(self, i: int, wait: bool) -> Optional[Tuple[object, Optional[BaseException]]]:
+        """Kernel *i*'s ``(result, error)``, or None while it is not done."""
+        with self.cond:
+            if wait:
+                self.cond.wait_for(lambda: i in self.done)
+            return self.done.pop(i, None)
+
+    def serve(self) -> None:
+        """The helper's part: run the oldest kernel until the queue closes."""
+        while (job := self.claim(wait=True)) is not None:
+            self.run(job)
+
+    def close(self) -> None:
+        """Drop what nobody claimed; the helper returns after its kernel."""
+        with self.cond:
+            self.unclaimed.clear()
+            self.closed = True
+            self.cond.notify_all()
+
+
 def ordered_sweep(
     views: Collection[BatchView],
     elements: int,
@@ -112,34 +183,48 @@ def ordered_sweep(
     what the sweep shares and write its own result and the thread's
     scratch block.  A sweep
     priced under :data:`_SWEEP_ELEMENTS` *elements*, of fewer than two
-    views, or at width 1 runs inline.  A kernel that raises on the
-    helper raises here, after the helper is idle again.
+    views, or at width 1 runs inline.  An error in *block* or *commit*,
+    or in a kernel on either thread (at its view's turn to commit),
+    raises here, after the helper is idle again.
     """
     if _WIDTH < 2 or len(views) < 2 or elements < _SWEEP_ELEMENTS:
         for view in views:
             commit(view, kernel(view, block(view)))
         return
-    helper = _the_helper()
-    queued: Deque[Tuple[BatchView, Future]] = deque()
-    outstanding: Optional[Future] = None
+    views = list(views)
+    queue = _Queue(kernel)
+    serving = _the_helper().submit(queue.serve)
+    committed = 0
+
+    def commit_done(wait: bool) -> None:
+        """Commit the finished results at the front, first waiting for
+        the front one if *wait*."""
+        nonlocal committed
+        while committed < len(views) and (done := queue.take(committed, wait)):
+            result, error = done
+            if error is not None:
+                raise error
+            commit(views[committed], result)
+            committed, wait = committed + 1, False
+
+    def work() -> None:
+        """Run the oldest unclaimed kernel here, or wait for the front one."""
+        job = queue.claim(wait=False)
+        if job is not None:
+            queue.run(job)
+        commit_done(wait=job is None)
+
     try:
-        for view in views:
-            phi = block(view)
-            while queued and queued[0][1].done():
-                done, result = queued.popleft()
-                commit(done, result.result())
-            if outstanding is None or outstanding.done():
-                outstanding = helper.submit(kernel, view, phi)
-                queued.append((view, outstanding))
-            else:
-                inline: Future = Future()
-                inline.set_result(kernel(view, phi))
-                queued.append((view, inline))
-        while queued:
-            done, result = queued.popleft()
-            commit(done, result.result())
+        for i, view in enumerate(views):
+            queue.put((i, view, block(view)))
+            commit_done(wait=False)
+            while i + 1 - committed >= _LOOKAHEAD:  # views in flight
+                work()
+        while committed < len(views):
+            work()
     finally:
-        if outstanding is not None:
-            # Leave the helper idle for the next sweep.  Its own error, if
-            # any, was raised above or gives way to the one in flight.
-            outstanding.exception()
+        # Leave the helper idle for the next sweep: a serve still queued
+        # behind another caller's sweep never starts.
+        queue.close()
+        if not serving.cancel():
+            serving.exception()

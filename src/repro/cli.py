@@ -148,6 +148,7 @@ def _cmd_physics(args: argparse.Namespace) -> int:
             error = {
                 "type": type(exc).__name__, "message": str(exc),
                 "iterations": exc.iterations, "residual": exc.residual,
+                "history": exc.history,
             }
             report = RunReport.from_run(label=label, tracer=tracer, error=error)
             _write_run_artifacts(report, tracer, trace_path, report_path)

@@ -185,6 +185,7 @@ class DFPTSolver:
         p1 = np.zeros((len(active),) + gs.density_matrix.shape)
         x1 = np.zeros((len(active),) + self._c_occ.shape)
         residual = dict.fromkeys(active, np.inf)
+        history = []  # per cycle, the largest residual of the active block
         results: Dict[int, ResponseResult] = {}
 
         iteration = 1
@@ -199,6 +200,7 @@ class DFPTSolver:
 
             for row, j in enumerate(active):
                 residual[j] = float(np.abs(p1_new[row] - p1[row]).max())
+            history.append({"residual": max(residual[j] for j in active)})
             p1 = p1 + cfg.mixing_factor * (p1_new - p1)
             x1 = x1 + cfg.mixing_factor * (c1 * self._f_occ - x1)
             done = [row for row, j in enumerate(active) if residual[j] < cfg.response_tolerance]
@@ -231,6 +233,7 @@ class DFPTSolver:
             f"{cfg.max_iterations} iterations (residual {residual[first]:.2e})",
             iterations=cfg.max_iterations,
             residual=residual[first],
+            history=history,
         )
 
     def solve_all(self) -> List[ResponseResult]:

@@ -214,6 +214,7 @@ class SCFDriver:
         mixer = PulayMixer(history=scf.pulay_history, linear_factor=scf.mixing_factor)
         e_old = np.inf
         residual_norm = np.inf
+        history = []  # per cycle, for the error if the loop runs out
         w = self.grid.weights
 
         iteration = 1
@@ -253,6 +254,7 @@ class SCFDriver:
             if external_field is not None:
                 e_total -= float(np.sum((p * h_field)))  # note: h_field = -xi.D
 
+            history.append({"residual": residual_norm, "energy": e_total})
             delta_e = abs(e_total - e_old)
             delta_p = float(np.abs(p_new - p).max())
             e_old = e_total
@@ -301,4 +303,5 @@ class SCFDriver:
             f"(last residual {residual_norm:.2e})",
             iterations=scf.max_iterations,
             residual=residual_norm,
+            history=history,
         )

@@ -7,6 +7,8 @@ still being able to discriminate by subsystem.
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
 
 class ReproError(Exception):
     """Base class of all :mod:`repro` exceptions."""
@@ -28,22 +30,34 @@ class GridError(ReproError):
     """Integration-grid construction failure (bad rule order, empty batch...)."""
 
 
-class SCFConvergenceError(ReproError):
+class _ConvergenceError(ReproError):
+    """A self-consistency loop that stopped short of its tolerance.
+
+    ``history`` holds one dict per cycle run, in order: the cycle's
+    ``residual``, and for the SCF its total ``energy`` (Ha).  Errors
+    raised before the first cycle carry none.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        iterations: int,
+        residual: float,
+        history: Sequence[Dict[str, float]] = (),
+    ):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
+        self.history = list(history)
+
+
+class SCFConvergenceError(_ConvergenceError):
     """The ground-state SCF cycle failed to reach the requested tolerance."""
 
-    def __init__(self, message: str, *, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
 
-
-class CPSCFConvergenceError(ReproError):
+class CPSCFConvergenceError(_ConvergenceError):
     """The coupled-perturbed SCF (DFPT) cycle failed to converge."""
-
-    def __init__(self, message: str, *, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
 
 
 class MappingError(ReproError):

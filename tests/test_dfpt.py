@@ -136,8 +136,11 @@ class TestDirectionBlock:
 
     def test_nonconvergence_names_the_first_direction_left(self, h2_ground_state):
         settings = CPSCFSettings(max_iterations=20)  # x and y converge at 18, z needs 23
-        with pytest.raises(CPSCFConvergenceError, match="direction 2 did not converge"):
+        with pytest.raises(CPSCFConvergenceError, match="direction 2 did not converge") as exc:
             DFPTSolver(h2_ground_state, settings).solve_all()
+        # One residual per cycle: the block's largest, z's alone at the end.
+        history = exc.value.history
+        assert len(history) == 20 and history[-1] == {"residual": exc.value.residual}
 
 
 class TestPolarizability:

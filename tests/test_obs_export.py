@@ -88,7 +88,8 @@ class TestTraceCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         """Two SCF cycles cannot converge H2: the run still exits 2, and
-        the trace holds the spans recorded so far, the report the error."""
+        the trace holds the spans recorded so far, the report the error
+        with one residual and energy per cycle."""
         import dataclasses
 
         import repro.cli
@@ -118,4 +119,7 @@ class TestTraceCLI:
         error = json.loads(report_path.read_text())["extra"]["error"]
         assert error["type"] == "SCFConvergenceError"
         assert error["iterations"] == 2 and error["residual"] > 0.0
+        history = error["history"]
+        assert len(history) == 2 and history[-1]["residual"] == error["residual"]
+        assert all(set(cycle) == {"residual", "energy"} for cycle in history)
         assert "did not converge" in error["message"]

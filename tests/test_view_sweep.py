@@ -1,10 +1,14 @@
 """Two-core view sweeps: the caller plus one helper thread, bit for bit.
 
 Every Sumup / H sweep runs through :func:`repro.backends.sweep.ordered_sweep`:
-the calling thread walks the views and gets each block, the helper runs
-kernels only, and results are committed in view order.  These tests pin
-that the helper path is the inline loop's outputs, cache traffic,
-profile rows and obs counters exactly, on every engine.
+the calling thread walks the views and gets each block, both threads
+claim kernels from one queue, oldest first, and results are committed
+in view order.  These tests pin that the two-core path is the inline
+loop's outputs, cache traffic, profile rows and obs counters exactly,
+on every engine, and the queue's own rules on fake blocks and kernels:
+both threads work, the caller holds at most ``_LOOKAHEAD`` views in
+flight, commits keep view order, and an error on either thread reaches
+the caller and leaves the helper idle.
 
 Tier-1 runs with BLAS unpinned, where the real width is 1, so the
 ``two_core`` helper here forces width 2 and no element floor by patching
@@ -275,6 +279,124 @@ def test_commits_keep_view_order_under_contention():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert not failures
+
+
+def _fake_sweep(n, kernel, block=lambda v: v, commit=None):
+    """:func:`ordered_sweep` over views ``0 … n-1`` on two cores, called
+    from a thread joined with a timeout; the committed ``(view, result)``
+    pairs, or the sweep's error raised here."""
+    got, raised = [], []
+
+    def caller():
+        try:
+            sweep.ordered_sweep(
+                range(n), 0, block, kernel, commit or (lambda v, r: got.append((v, r)))
+            )
+        except Exception as error:
+            raised.append(error)
+
+    with two_core():
+        thread = threading.Thread(target=caller)
+        thread.start()
+        thread.join(timeout=60)
+    assert not thread.is_alive(), "the sweep hung"
+    if raised:
+        raise raised[0]
+    return got
+
+
+class TestTheKernelQueue:
+    """Fake kernels sleep, which frees the GIL as BLAS does."""
+
+    def test_both_threads_run_kernels_in_one_sweep_of_resident_views(self):
+        names = []
+
+        def kernel(v, phi):
+            names.append(threading.current_thread().name)
+            time.sleep(0.01)
+            return v * v
+
+        got = _fake_sweep(4, kernel)
+        assert got == [(v, v * v) for v in range(4)]
+        assert 0 < _on_helper(names) < len(names)
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 4])
+    def test_the_caller_holds_at_most_the_lookahead_of_views_in_flight(
+        self, lookahead, monkeypatch
+    ):
+        """At each *block* call, the views fetched before it and not yet
+        committed: with the one being fetched, never more than the
+        lookahead — so never more unclaimed blocks (a stream sweep's
+        memory) nor results waiting to commit — and the lookahead fills."""
+        monkeypatch.setattr(sweep, "_LOOKAHEAD", lookahead)
+        fetched, in_flight, got = [0], [], []
+
+        def block(v):
+            in_flight.append(fetched[0] - len(got))
+            fetched[0] += 1
+            return v
+
+        def kernel(v, phi):
+            time.sleep(0.001 * (1 + v % 3))
+            return v * v
+
+        _fake_sweep(24, kernel, block, lambda v, r: got.append((v, r)))
+        assert got == [(v, v * v) for v in range(24)]
+        assert max(in_flight) == lookahead - 1
+
+    def test_kernels_that_finish_out_of_order_commit_in_view_order(self):
+        finished = []
+
+        def kernel(v, phi):
+            time.sleep(0.002 * (12 - v))
+            finished.append(v)
+            return v * v
+
+        assert _fake_sweep(12, kernel) == [(v, v * v) for v in range(12)]
+        assert finished != sorted(finished)
+
+    @pytest.mark.parametrize("where", ["block", "commit", "caller", "helper"])
+    def test_an_error_reaches_the_caller_and_leaves_the_helper_idle(self, where):
+        """*where* raises: the sweep's *block*, its *commit*, or a kernel
+        on the caller or on the helper thread."""
+        runs = []
+
+        def block(v):
+            if where == "block" and v == 5:
+                raise LookupError(where)
+            return v
+
+        def kernel(v, phi):
+            runs.append(v)
+            time.sleep(0.003)
+            thread = "helper" if _on_helper([threading.current_thread().name]) else "caller"
+            if where == thread:
+                raise LookupError(where)
+            return np.sqrt(np.arange(v, v + 64.0))
+
+        def commit(v, r):
+            if where == "commit" and v == 2:
+                raise LookupError(where)
+
+        with pytest.raises(LookupError, match=where):
+            _fake_sweep(8, kernel, block, commit)
+        n_runs = len(runs)
+        # Idle: the helper takes a new job at once, and no kernel of the
+        # failed sweep runs after it returned.
+        assert sweep._the_helper().submit(lambda: 7).result(timeout=10) == 7
+        time.sleep(0.02)
+        assert len(runs) == n_runs
+
+        def clean(v, phi):
+            time.sleep(0.003)
+            return np.sqrt(np.arange(v, v + 64.0))
+
+        with one_core():
+            want = []
+            sweep.ordered_sweep(range(8), 0, lambda v: v, clean, lambda v, r: want.append(r))
+        got = _fake_sweep(8, clean)
+        assert [v for v, _ in got] == list(range(8))
+        assert all(np.array_equal(r, w) for (_, r), w in zip(got, want))
 
 
 class TestWhenTheHelperRuns:
