@@ -20,8 +20,10 @@ test:
 # the device bill of a run (launches, bytes, the scale model's kernels
 # and launch sizing), and the model path's
 # bitwise tests: the mappings and per-rank reductions against their
-# loops, the summary batches against the per-batch objects and the
-# greedy rounds against the heap loop (all also part of `make test`).
+# loops, the summary batches against the per-batch objects, the
+# greedy rounds against the heap loop, the scale-model ladder against
+# its recorded reports and the per-rank atom CSR over shared rows
+# against the expanded rows (all also part of `make test`).
 # Last, the two-core view sweep and set-up sweep tests with BLAS pinned
 # to one thread: there the sweep helper is live by the module's own
 # width derivation (cores / BLAS threads), not only by the tests'
@@ -40,6 +42,8 @@ smoke:
 		-k "device or Device or PhaseParity"
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_mapping.py \
 		-k "equal_the_loops or SummaryBatchOracles"
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_model_parity.py \
+		tests/test_mapping_properties.py::TestRankAtomCsr
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		-q tests/test_view_sweep.py tests/test_setup_sweep.py
 

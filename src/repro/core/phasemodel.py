@@ -205,16 +205,20 @@ class PhaseModel:
         # Spline constructions per rank under this mapping (Fig. 9(c)),
         # computed for the representative (max-loaded) rank only so huge
         # batch sets stay cheap.
-        sub = [self.batches[b] for b in self.assignment.batches_of_rank[int(np.argmax(pts))]]
-        one_rank = BatchAssignment(self.assignment.strategy, 1, (tuple(range(len(sub))),))
+        rank_ptr, ids = self.assignment.rank_ptr, self.assignment.batch_ids
+        r = int(np.argmax(pts))
+        sub = [self.batches[b] for b in ids[rank_ptr[r] : rank_ptr[r + 1]].tolist()]
+        whole = np.array([0, len(sub)], dtype=np.int64)
+        one_rank = BatchAssignment(self.assignment.strategy, 1, whole, np.arange(len(sub)))
         sc = spline_counts_per_rank(one_rank, sub, self.w.structure)
         # Memory footprint per rank (feasibility; Figs. 9(a), weak scaling).
         memory = self._memory_model.per_rank_bytes(self.assignment, self.batches)
         # Basis functions of the first rank with the most atoms (DM, locality off).
         dm_local_basis = 1
         if not self.flags.locality_mapping:
-            rep = max(self.assignment.atoms_per_rank(self.batches), key=len)
-            dm_local_basis = max(1, int(counts[rep].sum()))
+            atom_ptr, atoms = self.assignment.rank_atoms(self.batches)
+            r = int(np.argmax(np.diff(atom_ptr)))
+            dm_local_basis = max(1, int(counts[atoms[atom_ptr[r] : atom_ptr[r + 1]]].sum()))
         return (
             int(pts.max()),
             max(1.0, float(np.mean(per_batch))),

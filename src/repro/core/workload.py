@@ -28,7 +28,6 @@ from repro.grids.batching import (
 )
 from repro.grids.shells import radial_shells_for_species
 from repro.mapping.memory_model import atom_basis_counts, atom_cutoffs_light
-from repro.utils.neighbors import ranges
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,9 @@ def synthetic_batches(
     points = base[atom_of] + (k < (ppa % n_frag)[atom_of])
 
     # Every fragment sits on its atom with the same envelope: overlaps are
-    # found once per atom and each row repeated for the atom's fragments.
-    atom_ptr, atom_idx = summary_overlaps(coords, atom_cutoffs_light(structure))
-    counts = np.diff(atom_ptr)[atom_of]
-    indptr = np.append(0, np.cumsum(counts))
-    indices = atom_idx[ranges(atom_ptr[atom_of], counts)]
+    # found once per atom, and each fragment reads its atom's row.
+    indptr, indices = summary_overlaps(coords, atom_cutoffs_light(structure))
     radii = np.full(atom_of.shape[0], SUMMARY_BATCH_RADIUS)
     return SummaryBatches(
-        BatchArrays(points, coords[atom_of], radii, indptr, indices), atom_of
+        BatchArrays(points, coords[atom_of], radii, atom_of, indptr, indices), atom_of
     )

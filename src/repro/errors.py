@@ -7,6 +7,7 @@ still being able to discriminate by subsystem.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Sequence
 
 
@@ -50,6 +51,11 @@ class _ConvergenceError(ReproError):
         self.iterations = iterations
         self.residual = residual
         self.history = list(history)
+
+    def __reduce__(self):
+        # Exception pickles as ``cls(*args)``, which drops the keyword-only fields.
+        fields = dict(iterations=self.iterations, residual=self.residual)
+        return partial(type(self), **fields), self.args, self.__dict__
 
 
 class SCFConvergenceError(_ConvergenceError):

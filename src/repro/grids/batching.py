@@ -62,13 +62,16 @@ class GridBatch:
 
 
 class BatchArrays(NamedTuple):
-    """What the mapping and the per-rank models read off ``n`` batches; row
-    ``b`` of the CSR ``(indptr, indices)`` is ``batches[b].relevant_atoms``."""
+    """What the mapping and the per-rank models read off ``n`` batches:
+    ``batches[b].relevant_atoms`` is row ``rows[b]`` of the CSR ``(indptr,
+    indices)``.  Batches may share a row: every summary batch of an atom
+    reads that atom's; real batches each have their own (``rows[b] == b``)."""
 
     points: np.ndarray  # (n,) int64
     centroids: np.ndarray  # (n, 3)
     radii: np.ndarray  # (n,)
-    indptr: np.ndarray  # (n + 1,) int64
+    rows: np.ndarray  # (n,) int64 CSR row of each batch
+    indptr: np.ndarray  # (n_rows + 1,) int64
     indices: np.ndarray  # int64 atom ids
 
 
@@ -105,14 +108,15 @@ class SummaryBatches(Sequence[GridBatch]):
         return map(self._batch, range(len(self)))
 
     def _batch(self, i: int) -> GridBatch:
-        points, centroids, radii, indptr, indices = self.arrays
+        points, centroids, radii, rows, indptr, indices = self.arrays
+        row = rows[i]
         return GridBatch(
             index=i,
             point_indices=_no_indices(int(points[i])),
             centroid=centroids[i],
             radius=float(radii[i]),
             owner_atoms=(int(self._atom_of[i]),),
-            relevant_atoms=tuple(indices[indptr[i] : indptr[i + 1]].tolist()),
+            relevant_atoms=tuple(indices[indptr[row] : indptr[row + 1]].tolist()),
         )
 
 
@@ -137,7 +141,7 @@ def fragments_per_atom(points_per_atom: np.ndarray, target_points) -> np.ndarray
 
 def summary_overlaps(coords: np.ndarray, cutoffs) -> Tuple[np.ndarray, np.ndarray]:
     """CSR of the atoms whose cutoff sphere meets each atom's summary-batch
-    envelope: every summary batch of atom ``a`` has row ``a``."""
+    envelope: every summary batch of atom ``a`` reads row ``a``."""
     return sphere_overlaps(coords, SUMMARY_BATCH_RADIUS, coords, cutoffs)
 
 
@@ -167,6 +171,7 @@ def batch_arrays(batches: Sequence[GridBatch]) -> BatchArrays:
         batch_points(batches),
         np.array([b.centroid for b in batches], dtype=float).reshape(-1, 3),
         np.array([b.radius for b in batches], dtype=float),
+        np.arange(len(batches), dtype=np.int64),
         *csr_of_rows([b.relevant_atoms for b in batches]),
     )
 
@@ -265,4 +270,5 @@ def attach_relevant_atoms(
         )
         for b, lo, hi in zip(batches, ends, ends[1:])
     )
-    return BatchList(attached, base._replace(indptr=indptr, indices=indices))
+    own = np.arange(base.points.shape[0], dtype=np.int64)  # a row per batch
+    return BatchList(attached, base._replace(rows=own, indptr=indptr, indices=indices))

@@ -377,10 +377,12 @@ def batch_columns(
     never exceeds an atom's cutoff, so the rows are exactly that search's
     over all functions: the mask drops columns, never adds an atom.
     """
-    atoms = arrays.indices
+    row_start = arrays.indptr[arrays.rows]
+    row_len = arrays.indptr[arrays.rows + 1] - row_start
+    atoms = arrays.indices[ranges(row_start, row_len)]  # each batch's row, as read
     first = basis.atom_offsets[atoms]
     width = basis.atom_offsets[atoms + 1] - first  # functions per (batch, atom)
-    pair_batch = np.repeat(np.arange(len(arrays.points)), np.diff(arrays.indptr))
+    pair_batch = np.repeat(np.arange(len(arrays.points)), row_len)
     cols = ranges(first, width).astype(np.int64, copy=False)
     col_batch = np.repeat(pair_batch, width)
     if threshold > 0.0:

@@ -37,6 +37,6 @@ def spline_counts_per_rank(
     rank's batch bounding spheres (reuse within a rank is free — the
     paper's Fig. 4(b) insight).
     """
-    _, centroids, radii, _, _ = batch_arrays(batches)
-    reach = sphere_overlaps(centroids, radii, structure.coords, mesh_radius)
+    arrays = batch_arrays(batches)
+    reach = sphere_overlaps(arrays.centroids, arrays.radii, structure.coords, mesh_radius)
     return np.diff(rank_atom_csr(assignment, *reach)[0])

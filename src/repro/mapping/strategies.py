@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from repro.utils.neighbors import ranges
 #: Window of ``(rank, atom)`` keys :func:`rank_atom_csr` sorts at once.  A
 #: constant, not a setting: a slab is whole ranks, so its distinct pairs are its
 #: own and results are bit-for-bit independent of it; it only bounds the
-#: key-length temporaries.  2^14 / 2^18 / 2^22 on the 2 069 374 keys of a scattered
-#: 2 048-rank assignment (10 004 atoms): 61 / 56 / 62 ms, peak RSS +34 / +39 / +63 MB.
-_SLAB_ELEMENTS: int = 1 << 18
+#: key-length temporaries.  10 004 atoms at 2 048 ranks, int32 keys, median of 15
+#: calls: 2^15 / 2^16 / 2^17 / 2^18 / 2^20 give 4.3 / 4.3 / 4.7 / 6.0 / 6.5 ms on
+#: Alg. 1's 316 883 keys and 29.4 / 23.4 / 23.8 / 24.5 / 27.6 ms on a scattered
+#: assignment's 2 069 374 (EXPERIMENTS.md, "A mapping priced over atom rows").
+_SLAB_ELEMENTS: int = 1 << 16
 
 
 def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -36,13 +38,31 @@ def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.diff(np.append(0, np.cumsum(values, dtype=np.int64))[ptr])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchAssignment:
-    """Result of a mapping: rank -> batch ids, plus convenience metrics."""
+    """Result of a mapping: rank ``r`` owns batches
+    ``batch_ids[rank_ptr[r]:rank_ptr[r + 1]]``, plus convenience metrics."""
 
     strategy: str
     n_ranks: int
-    batches_of_rank: Tuple[Tuple[int, ...], ...]
+    rank_ptr: np.ndarray  # (n_ranks + 1,) int64
+    batch_ids: np.ndarray  # int64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BatchAssignment):
+            return NotImplemented
+        return (self.strategy, self.n_ranks) == (other.strategy, other.n_ranks) and all(
+            np.array_equal(a, b)
+            for a, b in ((self.rank_ptr, other.rank_ptr), (self.batch_ids, other.batch_ids))
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # arrays: equal, never hashed
+
+    @property
+    def batches_of_rank(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each rank's batch ids as a tuple of Python ints, built on every read."""
+        ids, ptr = self.batch_ids.tolist(), self.rank_ptr.tolist()
+        return tuple(tuple(ids[a:z]) for a, z in zip(ptr, ptr[1:]))
 
     def points_per_rank(self, batches: Sequence[GridBatch]) -> np.ndarray:
         """Grid points owned by each rank."""
@@ -52,15 +72,9 @@ class BatchAssignment:
     def rank_atoms(self, batches: Sequence[GridBatch], use_relevant: bool = True):
         """:func:`rank_atom_csr` over the batches' relevant (or owner) atoms."""
         if use_relevant:
-            return rank_atom_csr(self, *batch_arrays(batches)[3:])
+            arrays = batch_arrays(batches)
+            return rank_atom_csr(self, arrays.indptr, arrays.indices, arrays.rows)
         return rank_atom_csr(self, *csr_of_rows([b.owner_atoms for b in batches]))
-
-    def atoms_per_rank(
-        self, batches: Sequence[GridBatch], use_relevant: bool = True
-    ) -> List[np.ndarray]:
-        """Union of (relevant or owner) atom ids per rank (sorted arrays)."""
-        rank_ptr, atoms = self.rank_atoms(batches, use_relevant)
-        return np.split(atoms, rank_ptr[1:-1])
 
     def imbalance(self, batches: Sequence[GridBatch]) -> float:
         """max/mean point-count ratio (1.0 = perfect balance).
@@ -75,43 +89,69 @@ class BatchAssignment:
 
 
 def _owned_slots(assignment: BatchAssignment, n_batches: int):
-    """``(slot_ptr, ids)``: rank ``r`` owns ``ids[slot_ptr[r]:slot_ptr[r + 1]]``,
-    every id checked against *n_batches*.  Pairs of (rank of slot, batch id),
-    not a rank-of-batch scatter: an assignment need not be a partition."""
-    owned = assignment.batches_of_rank
-    if len(owned) != assignment.n_ranks:
-        raise MappingError(f"{len(owned)} batch lists for {assignment.n_ranks} ranks")
-    slot_ptr, ids = csr_of_rows(owned)
+    """``(rank_ptr, batch_ids)`` with every id checked against *n_batches*.
+    Pairs of (rank of slot, batch id), not a rank-of-batch scatter: an
+    assignment need not be a partition."""
+    slot_ptr, ids = assignment.rank_ptr, assignment.batch_ids
+    if slot_ptr.shape[0] != assignment.n_ranks + 1:
+        raise MappingError(
+            f"{slot_ptr.shape[0] - 1} batch lists for {assignment.n_ranks} ranks"
+        )
     bad = ids[(ids < 0) | (ids >= n_batches)]
     if bad.size:
         raise MappingError(f"batch id {bad[0]} is not one of {n_batches} batches")
     return slot_ptr, ids
 
 
-def rank_atom_csr(assignment: BatchAssignment, indptr: np.ndarray, indices: np.ndarray):
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The sorted *key* without repeats (sort in place, then a neighbour mask)."""
+    key.sort()
+    distinct = np.ones(key.shape[0], dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    return key[distinct]
+
+
+def rank_atom_csr(
+    assignment: BatchAssignment,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+):
     """Distinct ``(rank, atom)`` pairs of *assignment* as CSR ``(rank_ptr, atoms)``:
-    ``(indptr, indices)`` is a batch -> atom CSR; rank ``r``'s atoms, ascending,
-    are ``atoms[rank_ptr[r]:rank_ptr[r + 1]]``.  Sort and a neighbour mask: numpy
-    2.4's hash-based unique takes 1.2 s against 23 ms on the 2 M all-distinct
-    keys of a scattered assignment (EXPERIMENTS.md)."""
+    ``(indptr, indices)`` is a row -> atom CSR, batch ``b`` reads row ``rows[b]``
+    (row ``b`` when *rows* is None); rank ``r``'s atoms, ascending, are
+    ``atoms[rank_ptr[r]:rank_ptr[r + 1]]``.
+
+    A rank's batches that share a row add nothing: the distinct ``(rank, row)``
+    pairs are taken first, and only their rows are expanded into ``(rank, atom)``
+    keys, sorted and deduplicated per slab.  Sort and a neighbour mask: numpy
+    2.4's hash-based unique takes 1.2 s against 23 ms on 2 M all-distinct keys
+    (EXPERIMENTS.md)."""
     n_ranks = assignment.n_ranks
-    slot_ptr, ids = _owned_slots(assignment, indptr.shape[0] - 1)
-    starts, lens = indptr[ids], indptr[ids + 1] - indptr[ids]
+    n_rows = indptr.shape[0] - 1
+    slot_ptr, ids = _owned_slots(assignment, n_rows if rows is None else rows.shape[0])
+    row = ids if rows is None else rows[ids]
+    pair = np.repeat(np.arange(n_ranks, dtype=np.int64) * n_rows, np.diff(slot_ptr))
+    pair = _distinct(pair + row)
+    pair_rank, row = np.divmod(pair, max(n_rows, 1))
+    pair_ptr = np.searchsorted(pair_rank, np.arange(n_ranks + 1))
+    starts, lens = indptr[row], indptr[row + 1] - indptr[row]
     n_atoms = int(indices.max()) + 1 if indices.size else 1
-    key_ptr = np.append(0, np.cumsum(lens))[slot_ptr]  # keys before each rank
+    key_ptr = np.append(0, np.cumsum(lens))[pair_ptr]  # keys before each rank
     counts, parts = np.zeros(n_ranks, dtype=np.int64), [np.empty(0, dtype=np.int64)]
-    # A slab: the whole ranks whose first key falls in one _SLAB_ELEMENTS window.
+    # A slab: the whole ranks whose first key falls in one _SLAB_ELEMENTS window,
+    # keyed ``local rank * n_atoms + atom`` in int32 whenever that fits.
     cuts = np.flatnonzero(np.diff(key_ptr[:-1] // _SLAB_ELEMENTS, prepend=-1))
     for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [n_ranks]):
-        slots = slice(slot_ptr[lo], slot_ptr[hi])
-        key = np.repeat(np.arange(lo, hi) * n_atoms, np.diff(key_ptr[lo : hi + 1]))
-        key += indices[ranges(starts[slots], lens[slots])]
-        key.sort()
-        distinct = np.ones(key.shape[0], dtype=bool)
-        distinct[1:] = key[1:] != key[:-1]
-        key = key[distinct]
-        counts[lo:hi] = np.diff(np.searchsorted(key, np.arange(lo, hi + 1) * n_atoms))
-        parts.append(key % n_atoms)
+        pairs = slice(pair_ptr[lo], pair_ptr[hi])
+        dtype = np.int32 if (hi - lo + 1) * n_atoms < 2**31 else np.int64
+        base = np.arange(hi - lo + 1, dtype=dtype) * dtype(n_atoms)
+        key = np.repeat(base[:-1], np.diff(key_ptr[lo : hi + 1]))
+        key += np.take(indices, ranges(starts[pairs], lens[pairs]))
+        key = _distinct(key)
+        counts[lo:hi] = np.diff(np.searchsorted(key, base))
+        key -= np.repeat(base[:-1], counts[lo:hi])  # the atom ids
+        parts.append(key)
     return np.append(0, np.cumsum(counts)), np.concatenate(parts)
 
 
@@ -132,10 +172,9 @@ def load_balancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> BatchA
     _validate(batches, n_ranks)
     # Construction order, as FHI-aims' batch stream arrives atom by atom.
     rank_of = _least_loaded_ranks(batch_points(batches), n_ranks)
-    order = np.argsort(rank_of, kind="stable").tolist()
-    ptr = np.append(0, np.cumsum(np.bincount(rank_of, minlength=n_ranks))).tolist()
-    owned = tuple(tuple(order[a:z]) for a, z in zip(ptr, ptr[1:]))
-    return BatchAssignment("load_balancing", n_ranks, owned)
+    order = np.argsort(rank_of, kind="stable")
+    ptr = np.append(0, np.cumsum(np.bincount(rank_of, minlength=n_ranks)))
+    return BatchAssignment("load_balancing", n_ranks, ptr, order)
 
 
 def _least_loaded_ranks(points: np.ndarray, n_ranks: int) -> np.ndarray:
@@ -202,7 +241,9 @@ def locality_enhancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> Ba
     """
     _validate(batches, n_ranks)
     arrays, n = batch_arrays(batches), len(batches)
-    order = np.arange(n, dtype=np.int64)  # batch ids, segment after segment
+    columns = np.ascontiguousarray(arrays.centroids.T)  # (3, n): a row per dimension
+    at = np.arange(n, dtype=np.int64)
+    order = at.copy()  # batch ids, segment after segment
     # Segment s is order[starts[s]:starts[s + 1]] and feeds ranks lo[s]..hi[s].
     starts, lo, hi = (np.array([v], dtype=np.int64) for v in (0, 0, n_ranks))
     while (hi - lo).max() > 1:
@@ -214,19 +255,21 @@ def locality_enhancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> Ba
             raise MappingError(f"bisection ran out of batches ({size} for {need} ranks)")
         left = (procs + 1) // 2  # ceil(n/2), paper line 5
         seg = np.repeat(np.arange(starts.shape[0]), sizes)
-        # Line 7: dimension of largest centroid spread, per segment.
-        sub = arrays.centroids[order]
-        spans = np.maximum.reduceat(sub, starts) - np.minimum.reduceat(sub, starts)
-        dim = np.argmax(spans, axis=1)
+        # Line 7: dimension of largest centroid spread, per segment.  np.take and
+        # reduceat along the contiguous axis: centroids[order] is 4x slower.
+        sub = np.take(columns, order, axis=1)
+        spans = np.maximum.reduceat(sub, starts, axis=1) - np.minimum.reduceat(sub, starts, axis=1)
+        dim = np.argmax(spans, axis=0)
         # Line 8: sort by projection within each segment.  lexsort is stable: ties
         # (one atom's fragments) and a finished segment's constant key keep their order.
-        value = np.where(split[seg], sub[np.arange(n), dim[seg]], 0.0)
-        order = order[np.lexsort((value, seg))]
+        value = np.take(sub.ravel(), np.take(dim * n, seg) + at)
+        value = np.where(np.take(split, seg), value, 0.0)
+        order = np.take(order, np.lexsort((value, seg)))
         # Lines 9-11: point-count pivot, proportional to |P_l|.
-        cum = np.cumsum(arrays.points[order])
-        cum -= np.append(0, cum)[starts][seg]
+        cum = np.cumsum(np.take(arrays.points, order))
+        cum -= np.take(np.append(0, cum)[starts], seg)
         pivot = cum[starts + sizes - 1] * left / procs
-        p = np.bincount(seg[cum <= pivot[seg]], minlength=starts.shape[0])
+        p = np.bincount(seg[cum <= np.take(pivot, seg)], minlength=starts.shape[0])
         # Both sides must receive at least as many batches as ranks.
         p = np.minimum(np.maximum(p, left), sizes - (procs - left))
         # Children in order: (start, lo, lo + left), (start + p, lo + left, hi).
@@ -234,6 +277,4 @@ def locality_enhancing_mapping(batches: Sequence[GridBatch], n_ranks: int) -> Ba
         mid = np.where(split, lo + left, hi)
         starts = np.stack((starts, starts + p), axis=1).ravel()[keep]
         lo, hi = (np.stack(pair, axis=1).ravel()[keep] for pair in ((lo, mid), (mid, hi)))
-    order, ptr = order.tolist(), np.append(starts, n).tolist()
-    owned = tuple(tuple(order[a:z]) for a, z in zip(ptr, ptr[1:]))
-    return BatchAssignment("locality_enhancing", n_ranks, owned)
+    return BatchAssignment("locality_enhancing", n_ranks, np.append(starts, n), order)

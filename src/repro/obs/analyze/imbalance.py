@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.grids.batching import GridBatch
     from repro.mapping.strategies import BatchAssignment
@@ -44,7 +46,7 @@ def mapping_attribution(
     communication).
     """
     points = assignment.points_per_rank(batches)
-    atoms = [len(a) for a in assignment.atoms_per_rank(batches)]
+    atoms = np.diff(assignment.rank_atoms(batches)[0]).tolist()
     order = sorted(range(len(points)), key=lambda r: (-int(points[r]), r))
     return MappingAttribution(
         strategy=assignment.strategy,

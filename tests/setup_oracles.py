@@ -544,6 +544,30 @@ def atoms_per_rank_oracle(assignment, batches, use_relevant=True):
     return out
 
 
+def rows_as_read(arrays):
+    """Each batch's atom ids as :class:`BatchArrays` hands them out: its
+    ``rows`` entry's slice of ``(indptr, indices)``."""
+    ptr = arrays.indptr.tolist()
+    return [arrays.indices[ptr[r] : ptr[r + 1]] for r in arrays.rows.tolist()]
+
+
+def split_rank_atoms(assignment, batches, use_relevant=True):
+    """``assignment.rank_atoms`` cut into one array per rank, the shape
+    :func:`atoms_per_rank_oracle` returns."""
+    rank_ptr, atoms = assignment.rank_atoms(batches, use_relevant)
+    return np.split(atoms, rank_ptr[1:-1])
+
+
+def rank_atom_csr_oracle(owned, rows, indptr, indices):
+    """Per rank, ``np.unique`` of its batches' rows expanded in full, as CSR."""
+    empty = np.empty(0, dtype=np.int64)
+    per_rank = [
+        np.unique(np.concatenate([indices[indptr[rows[b]] : indptr[rows[b] + 1]] for b in o] + [empty]))
+        for o in owned
+    ]
+    return np.append(0, np.cumsum([len(a) for a in per_rank])), np.concatenate(per_rank + [empty])
+
+
 def spline_counts_oracle(assignment, indptr, indices):
     """Distinct atoms per rank of a batch -> atom CSR, one ``set`` per rank."""
     ends = indptr.tolist()
@@ -626,4 +650,5 @@ def synthetic_batches_oracle(
             zip(points.tolist(), centroids, atom_of.tolist(), ends, ends[1:])
         )
     )
-    return BatchList(batches, BatchArrays(points, centroids, radii, indptr, indices))
+    rows = np.arange(atom_of.shape[0], dtype=np.int64)  # a row per batch
+    return BatchList(batches, BatchArrays(points, centroids, radii, rows, indptr, indices))

@@ -142,6 +142,16 @@ class TestDirectionBlock:
         history = exc.value.history
         assert len(history) == 20 and history[-1] == {"residual": exc.value.residual}
 
+    def test_nonconvergence_survives_pickle(self, h2_ground_state):
+        import pickle
+
+        with pytest.raises(CPSCFConvergenceError) as exc:
+            DFPTSolver(h2_ground_state, CPSCFSettings(max_iterations=3)).solve_all()
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is CPSCFConvergenceError and str(back) == str(exc.value)
+        assert (back.iterations, back.residual) == (3, exc.value.residual)
+        assert back.history == exc.value.history and len(back.history) == 3
+
 
 class TestPolarizability:
     def test_h2_dfpt_matches_finite_difference(self, h2_ground_state, minimal_settings):

@@ -709,6 +709,19 @@ class TestSCF:
         with pytest.raises(SCFConvergenceError):
             SCFDriver(water(), settings).run()
 
+    def test_convergence_failure_survives_pickle(self, minimal_settings):
+        """A worker process hands its failure back pickled: the message,
+        ``iterations``, ``residual`` and the per-cycle history come through."""
+        import pickle
+
+        settings = minimal_settings.with_scf(max_iterations=2)
+        with pytest.raises(SCFConvergenceError) as exc:
+            SCFDriver(water(), settings).run()
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is SCFConvergenceError and str(back) == str(exc.value)
+        assert (back.iterations, back.residual) == (2, exc.value.residual)
+        assert back.history == exc.value.history and len(back.history) == 2
+
     def test_overlap_is_orthogonalized_once_per_driver(self, minimal_settings, monkeypatch):
         """The factored-once eigensolver: one Lowdin per SCFDriver, and
         every cycle's eigenpairs bit-identical to the free function,

@@ -22,7 +22,7 @@ from repro.grids import (
 )
 from repro.grids.batching import BatchArrays, batch_arrays
 from repro.mapping import atom_cutoffs_light
-from tests.setup_oracles import sphere_overlaps_oracle
+from tests.setup_oracles import rows_as_read, sphere_overlaps_oracle
 
 
 class TestAngularRules:
@@ -222,7 +222,13 @@ class TestBatching:
             materialized = list(carried)  # no carried arrays: the derived path
             derived = batch_arrays(materialized)
             for name, a, b in zip(BatchArrays._fields, carried.arrays, derived):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert a.dtype == b.dtype, name
+                if name not in ("rows", "indptr", "indices"):  # shared rows: read below
+                    assert np.array_equal(a, b), name
+            got, want = rows_as_read(carried.arrays), rows_as_read(derived)
+            assert len(got) == len(want) == len(materialized)
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+            assert derived.rows.tolist() == list(range(len(materialized)))
             assert derived.points.tolist() == [b.n_points for b in materialized]
             assert all(
                 b.relevant_atoms == tuple(derived.indices[lo:hi].tolist())
@@ -237,7 +243,7 @@ class TestBatching:
 
     def test_batch_arrays_of_nothing(self):
         empty = batch_arrays([])
-        assert [a.shape for a in empty] == [(0,), (0, 3), (0,), (1,), (0,)]
+        assert [a.shape for a in empty] == [(0,), (0, 3), (0,), (0,), (1,), (0,)]
         assert empty.indptr.tolist() == [0]
 
     def test_summary_batches_hold_no_index_bytes(self):

@@ -25,7 +25,9 @@ from tests.setup_oracles import (
     atoms_per_rank_oracle,
     load_balancing_oracle,
     locality_mapping_oracle,
+    rows_as_read,
     spline_counts_oracle,
+    split_rank_atoms,
     synthetic_batches_oracle,
 )
 
@@ -70,8 +72,8 @@ class TestStrategies:
         structure, batches = chain_batches
         a_ex = load_balancing_mapping(batches, 16)
         a_lo = locality_enhancing_mapping(batches, 16)
-        ex_atoms = np.mean([len(s) for s in a_ex.atoms_per_rank(batches)])
-        lo_atoms = np.mean([len(s) for s in a_lo.atoms_per_rank(batches)])
+        ex_atoms = np.mean([len(s) for s in split_rank_atoms(a_ex, batches)])
+        lo_atoms = np.mean([len(s) for s in split_rank_atoms(a_lo, batches)])
         assert lo_atoms < 0.5 * ex_atoms
 
     def test_locality_ranks_are_contiguous_along_chain(self, chain_batches):
@@ -99,7 +101,7 @@ class TestStrategies:
                 [b.centroid for b in batches], 2.0, structure.coords, 10.0
             )
             for a in (lo, ex):
-                got, want = a.atoms_per_rank(batches), atoms_per_rank_oracle(a, plain)
+                got, want = split_rank_atoms(a, batches), atoms_per_rank_oracle(a, plain)
                 assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
                 assert np.array_equal(
                     spline_counts_per_rank(a, batches, structure),
@@ -173,7 +175,7 @@ class TestMemoryModel:
         model = HamiltonianMemoryModel(structure)
         a = locality_enhancing_mapping(batches, 4)
         dense = model.dense_local_bytes(a, batches)
-        atoms = a.atoms_per_rank(batches)
+        atoms = split_rank_atoms(a, batches)
         counts = atom_basis_counts(structure)
         for r in range(4):
             n_loc = int(counts[np.asarray(list(atoms[r]), dtype=int)].sum())
@@ -229,6 +231,7 @@ def _sized(points) -> SummaryBatches:
         np.asarray(points, dtype=np.int64),
         np.zeros((n, 3)),
         np.zeros(n),
+        np.arange(n),
         np.zeros(n + 1, dtype=np.int64),
         np.empty(0, dtype=np.int64),
     )
@@ -261,7 +264,12 @@ class TestSummaryBatchOracles:
         workload = build_workload(make(), get_settings("light"))
         got, want = synthetic_batches(workload), synthetic_batches_oracle(workload)
         for name, a, b in zip(BatchArrays._fields, got.arrays, want.arrays):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.dtype == b.dtype, name
+            if name not in ("rows", "indptr", "indices"):  # shared rows: read below
+                assert np.array_equal(a, b), name
+        read, want_read = rows_as_read(got.arrays), rows_as_read(want.arrays)
+        assert len(read) == len(want_read) == len(want)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(read, want_read))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g.index, g.radius, g.owner_atoms, g.relevant_atoms) == (

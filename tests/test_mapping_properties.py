@@ -22,7 +22,9 @@ from tests.setup_oracles import (
     atoms_per_rank_oracle,
     load_balancing_oracle,
     locality_mapping_oracle,
+    rank_atom_csr_oracle,
     spline_counts_oracle,
+    split_rank_atoms,
 )
 
 
@@ -128,7 +130,7 @@ def _loose_assignment(rng: np.random.Generator, n: int, n_ranks: int) -> BatchAs
     for b in range(n):
         for r in rng.choice(max(1, n_ranks - 1), size=rng.integers(0, 3)).tolist():
             owned[r].append(b)
-    return BatchAssignment("loose", n_ranks, tuple(tuple(o) for o in owned))
+    return BatchAssignment("loose", n_ranks, *csr_of_rows(owned))
 
 
 class TestArrayProgramsAgainstOracles:
@@ -166,7 +168,7 @@ class TestArrayProgramsAgainstOracles:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(strategies, "_SLAB_ELEMENTS", slab)
                 for use_relevant in (True, False):
-                    got = a.atoms_per_rank(batches, use_relevant)
+                    got = split_rank_atoms(a, batches, use_relevant)
                     want = atoms_per_rank_oracle(a, batches, use_relevant)
                     assert len(got) == n_ranks
                     for g, w in zip(got, want):
@@ -194,11 +196,11 @@ class TestArrayProgramsAgainstOracles:
             (((0,), (-1,)), "batch id -1 is not one of 4 batches"),
             (((0, 1, 2),), "1 batch lists for 2 ranks"),
         ):
-            a = BatchAssignment("loose", 2, owned)
+            a = BatchAssignment("loose", 2, *csr_of_rows(owned))
             for call in (
                 lambda: a.points_per_rank(batches),
-                lambda: a.atoms_per_rank(batches),
-                lambda: a.atoms_per_rank(batches, use_relevant=False),
+                lambda: a.rank_atoms(batches),
+                lambda: a.rank_atoms(batches, use_relevant=False),
                 lambda: model.dense_local_bytes(a, batches),
                 lambda: spline_counts_per_rank(a, batches, structure),
             ):
@@ -212,6 +214,67 @@ class TestArrayProgramsAgainstOracles:
                 fn(batches, 4)
             with pytest.raises(MappingError, match="need >= 1 rank, got 0"):
                 fn(batches, 0)
+
+
+def _row_table(rng: np.random.Generator, n_rows: int, n_atoms: int):
+    """A row -> atom CSR of *n_rows* ascending rows, some of them empty."""
+    return csr_of_rows(
+        [np.sort(rng.choice(n_atoms, size=rng.integers(0, 6), replace=False)).tolist()
+         for _ in range(n_rows)]
+    )
+
+
+class TestRankAtomCsr:
+    """:func:`rank_atom_csr` over rows that batches share, held to one
+    ``np.unique`` per rank of its batches' rows expanded in full: ranks that
+    own nothing, ids listed twice, batches nobody owns; every slab width; keys
+    in int32 and, with atom ids past 2^30, in int64."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_batches=st.integers(1, 40),
+        n_rows=st.integers(1, 8),
+        n_ranks=st.integers(1, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_expanded_oracle(self, seed, n_batches, n_rows, n_ranks):
+        rng = np.random.default_rng(seed)
+        indptr, indices = _row_table(rng, n_rows, n_atoms=9)
+        rows = rng.integers(0, n_rows, size=n_batches)  # rows repeat
+        owned = [
+            rng.choice(n_batches, size=rng.integers(0, 6)).tolist()  # duplicates, gaps
+            for _ in range(n_ranks)
+        ]
+        a = BatchAssignment("loose", n_ranks, *csr_of_rows(owned))
+        for offset in (0, 2**30):  # int32 keys; ids too large for them
+            shifted = indices + offset
+            want = rank_atom_csr_oracle(owned, rows, indptr, shifted)
+            expanded = csr_of_rows(
+                [shifted[indptr[r] : indptr[r + 1]].tolist() for r in rows.tolist()]
+            )
+            for slab in (1, 7, strategies._SLAB_ELEMENTS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(strategies, "_SLAB_ELEMENTS", slab)
+                    for got in (
+                        rank_atom_csr(a, indptr, shifted, rows),
+                        rank_atom_csr(a, *expanded),
+                    ):
+                        assert [g.dtype for g in got] == [np.int64, np.int64]
+                        assert got[0].tolist() == want[0].tolist()
+                        assert got[1].tolist() == want[1].tolist()
+
+    def test_ids_that_are_not_ids(self):
+        rng = np.random.default_rng(3)
+        indptr, indices = _row_table(rng, 3, n_atoms=9)
+        rows = np.array([2, 0, 2, 1, 0])
+        for owned, message in (
+            (((0, 5), (1,)), "batch id 5 is not one of 5 batches"),
+            (((0,), (-1,)), "batch id -1 is not one of 5 batches"),
+            (((0, 1, 2),), "1 batch lists for 2 ranks"),
+        ):
+            a = BatchAssignment("loose", 2, *csr_of_rows(owned))
+            with pytest.raises(MappingError, match=message):
+                rank_atom_csr(a, indptr, indices, rows)
 
 
 class TestModelInvariants:

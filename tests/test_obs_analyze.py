@@ -17,6 +17,7 @@ from repro.atoms import hydrogen_molecule
 from repro.cli import main as cli_main
 from repro.dft.scf import SCFDriver
 from repro.errors import ArtifactError, ExperimentError, MappingError
+from repro.grids.batching import csr_of_rows
 from repro.mapping.strategies import BatchAssignment
 from repro.obs import Tracer, activate, write_chrome_trace
 from repro.obs.analyze import (
@@ -52,13 +53,13 @@ class TestSharedImbalance:
     def test_mapping_agrees_with_helper_on_identical_loads(self):
         # The mapping call site delegates to the shared helper.
         loads = [3, 1]
-        assignment = BatchAssignment("test", 2, ((0,), (1,)))
+        assignment = BatchAssignment("test", 2, *csr_of_rows(((0,), (1,))))
         batches = [SimpleNamespace(n_points=n) for n in loads]
         assert assignment.imbalance(batches) == max_mean_imbalance(loads)
 
     def test_domain_specific_errors_preserved(self):
         with pytest.raises(MappingError, match="no grid points"):
-            BatchAssignment("test", 1, ((0,),)).imbalance(
+            BatchAssignment("test", 1, *csr_of_rows(((0,),))).imbalance(
                 [SimpleNamespace(n_points=0)]
             )
 
