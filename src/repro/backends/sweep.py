@@ -1,18 +1,19 @@
-"""Ordered view sweeps on two cores: the calling thread plus one helper.
+"""Ordered sweeps on two cores: the calling thread plus one helper.
 
-A Sumup or H sweep is a loop over independent views whose kernels are
-BLAS calls that release the GIL.  :func:`ordered_sweep` runs that loop
-on the calling thread and one helper thread, and keeps everything but
-the kernels where the serial loop had it:
+A Sumup or H sweep is a loop over independent views, and a Hartree
+back-interpolation one over independent atoms, whose kernels are BLAS
+calls that release the GIL.  :func:`ordered_sweep` runs that loop on the
+calling thread and one helper thread, and keeps everything but the
+kernels where the serial loop had it:
 
-- the caller walks the views in order and gets each block itself, so
-  the kept blocks, the profile and the obs spans are
-  touched by one thread only — no lock;
+- the caller walks the items (views or atoms) in order and gets each
+  block itself, so the kept blocks, the cached plans, the profile and
+  the obs spans are touched by one thread only — no lock;
 - the fetched blocks form one kernel queue, and whichever thread is
   free claims its oldest kernel: the helper whenever it has none, the
-  caller only when :data:`_LOOKAHEAD` views are in flight (fetched, not
+  caller only when :data:`_LOOKAHEAD` items are in flight (fetched, not
   yet committed) or it has fetched every block;
-- results are committed on the caller in view order, so every
+- results are committed on the caller in item order, so every
   scatter and every floating-point sum happens in the serial loop's
   order and the outputs are that loop's bit for bit.
 
@@ -31,12 +32,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Collection, Deque, Dict, Mapping, Optional, Tuple, TypeVar
 
-from repro.grids.sparsity import BatchView
-
 #: The BLAS thread pins, in the order a BLAS reads them.
 _BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: Sweeps over fewer priced elements than this run inline.  Measured on
+#: Sweeps over fewer priced elements than this run inline (a view's
+#: elements are its block's; a Hartree solve prices its plan floats in
+#: the same unit, ``dft/hartree._PLAN_FLOATS_PER_ELEMENT``).  Measured on
 #: a two-core VM: with methane (73 k) and ethane (203 k) on two cores a
 #: small-molecule job mix ran 13 % slower (H2, 8 k, and water, 33 k,
 #: are one view); the 26- and 32-atom chains (2.33 M, 3.56 M) gain
@@ -48,6 +49,7 @@ _BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _SWEEP_ELEMENTS = 500_000
 
 R = TypeVar("R")
+T = TypeVar("T")
 
 
 def sweep_width(cores: int, environ: Mapping[str, str]) -> int:
@@ -79,7 +81,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-#: Views in flight — fetched, not yet committed — at which the caller
+#: Items in flight — fetched, not yet committed — at which the caller
 #: stops fetching and runs the oldest unclaimed kernel itself, or waits
 #: for the oldest result: the bound on the blocks a stream sweep holds
 #: and on the results (Gram blocks) waiting to commit behind a slow one.
@@ -121,29 +123,29 @@ class _Queue:
     """One sweep's kernels: the fetched, unclaimed ones, claimed oldest
     first, and the finished results until they commit."""
 
-    def __init__(self, kernel: Callable[[BatchView, object], object]) -> None:
+    def __init__(self, kernel: Callable[[object, object], object]) -> None:
         self.kernel = kernel
         self.cond = threading.Condition()
-        self.unclaimed: Deque[Tuple[int, BatchView, object]] = deque()
+        self.unclaimed: Deque[Tuple[int, object, object]] = deque()
         self.done: Dict[int, Tuple[object, Optional[BaseException]]] = {}
         self.closed = False
 
-    def put(self, job: Tuple[int, BatchView, object]) -> None:
+    def put(self, job: Tuple[int, object, object]) -> None:
         with self.cond:
             self.unclaimed.append(job)
             self.cond.notify_all()
 
-    def claim(self, wait: bool) -> Optional[Tuple[int, BatchView, object]]:
+    def claim(self, wait: bool) -> Optional[Tuple[int, object, object]]:
         with self.cond:
             if wait:
                 self.cond.wait_for(lambda: self.unclaimed or self.closed)
             return self.unclaimed.popleft() if self.unclaimed else None
 
-    def run(self, job: Tuple[int, BatchView, object]) -> None:
-        i, view, phi = job
+    def run(self, job: Tuple[int, object, object]) -> None:
+        i, item, phi = job
         try:
-            done: Tuple[object, Optional[BaseException]] = (self.kernel(view, phi), None)
-        except BaseException as error:  # re-raised on the caller, in view order
+            done: Tuple[object, Optional[BaseException]] = (self.kernel(item, phi), None)
+        except BaseException as error:  # re-raised on the caller, in item order
             done = (None, error)
         with self.cond:
             self.done[i] = done
@@ -170,28 +172,28 @@ class _Queue:
 
 
 def ordered_sweep(
-    views: Collection[BatchView],
+    items: Collection[T],
     elements: int,
-    block: Callable[[BatchView], object],
-    kernel: Callable[[BatchView, object], R],
-    commit: Callable[[BatchView, R], None],
+    block: Callable[[T], object],
+    kernel: Callable[[T, object], R],
+    commit: Callable[[T, R], None],
 ) -> None:
-    """``commit(view, kernel(view, block(view)))`` for every view, in order.
+    """``commit(item, kernel(item, block(item)))`` for every item, in order.
 
-    *block* and *commit* run on the calling thread, in view order;
-    *kernel* runs on the caller or on the helper, so it may only read
-    what the sweep shares and write its own result and the thread's
-    scratch block.  A sweep
-    priced under :data:`_SWEEP_ELEMENTS` *elements*, of fewer than two
-    views, or at width 1 runs inline.  An error in *block* or *commit*,
-    or in a kernel on either thread (at its view's turn to commit),
-    raises here, after the helper is idle again.
+    The items are a sweep's views or a Hartree solve's atoms.  *block*
+    and *commit* run on the calling thread, in item order; *kernel* runs
+    on the caller or on the helper, so it may only read what the sweep
+    shares and write its own result and the thread's scratch block.  A
+    sweep priced under :data:`_SWEEP_ELEMENTS` *elements*, of fewer than
+    two items, or at width 1 runs inline.  An error in *block* or
+    *commit*, or in a kernel on either thread (at its item's turn to
+    commit), raises here, after the helper is idle again.
     """
-    if _WIDTH < 2 or len(views) < 2 or elements < _SWEEP_ELEMENTS:
-        for view in views:
-            commit(view, kernel(view, block(view)))
+    if _WIDTH < 2 or len(items) < 2 or elements < _SWEEP_ELEMENTS:
+        for item in items:
+            commit(item, kernel(item, block(item)))
         return
-    views = list(views)
+    items = list(items)
     queue = _Queue(kernel)
     serving = _the_helper().submit(queue.serve)
     committed = 0
@@ -200,11 +202,11 @@ def ordered_sweep(
         """Commit the finished results at the front, first waiting for
         the front one if *wait*."""
         nonlocal committed
-        while committed < len(views) and (done := queue.take(committed, wait)):
+        while committed < len(items) and (done := queue.take(committed, wait)):
             result, error = done
             if error is not None:
                 raise error
-            commit(views[committed], result)
+            commit(items[committed], result)
             committed, wait = committed + 1, False
 
     def work() -> None:
@@ -215,12 +217,12 @@ def ordered_sweep(
         commit_done(wait=job is None)
 
     try:
-        for i, view in enumerate(views):
-            queue.put((i, view, block(view)))
+        for i, item in enumerate(items):
+            queue.put((i, item, block(item)))
             commit_done(wait=False)
-            while i + 1 - committed >= _LOOKAHEAD:  # views in flight
+            while i + 1 - committed >= _LOOKAHEAD:  # items in flight
                 work()
-        while committed < len(views):
+        while committed < len(items):
             work()
     finally:
         # Leave the helper idle for the next sweep: a serve still queued

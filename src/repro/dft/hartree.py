@@ -35,11 +35,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.sweep import ordered_sweep
 from repro.basis.spline import CubicSpline, SplineSystem
 from repro.basis.ylm import harmonics_by_channel, n_lm, real_spherical_harmonics
 from repro.errors import GridError
 from repro.grids.atom_grid import IntegrationGrid
 from repro.utils.scratch import scratch
+
+
+#: Plan floats a Hartree back-interpolation sweep streams per element
+#: of a Sumup / H view sweep's price.  A plan holds ``n_lm`` floats per
+#: point (the near harmonics and the far table), and stage 3 runs each
+#: through a 4k-row product, lighter work than a view's Gram, so a solve
+#: is priced at plan floats x k / 8 and the sweep's own floor
+#: (``_SWEEP_ELEMENTS``, 500 000) puts its two-core crossover at 4 M
+#: plan floats.  Measured on a two-core VM, one pinned process, 60
+#: alternations of a warm ``evaluate``, two cores over inline: H2 (41.6 k
+#: plan floats) 1.64, water (119 k) 1.39, methane (296 k) 1.28,
+#: ``polyethylene(1)`` 1.25 at k = 1 (780 k) and 1.10 at k = 3 (2.34 M);
+#: the 26-atom chain 0.84 at k = 1 (8.52 M) and 0.78 at k = 3.
+_PLAN_FLOATS_PER_ELEMENT = 8
 
 
 def adams_moulton_cumulative(f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -332,11 +347,6 @@ class MultipoleSolver:
             far_table=far_table,
         )
 
-    def _plan(self, atom: int) -> _AtomPlan:
-        if self._plans[atom] is None:
-            self._plans[atom] = self._build_plan(atom, self.grid.points)
-        return self._plans[atom]
-
     def evaluate(
         self,
         expansion: MultipoleExpansion,
@@ -351,6 +361,12 @@ class MultipoleSolver:
         throwaway plan from the same builder.  A k-wide expansion gives
         ``(n_points, k)``: each run product is ``(4k, n_lm)`` rows, one
         call for all k, and each density is accumulated on its own.
+
+        The atoms are one :func:`~repro.backends.sweep.ordered_sweep`:
+        an atom's kernel builds its plan if none is cached and computes
+        its near and far terms on either thread; the caller stores the
+        plan and scatters the terms in atom order, so every point's sum
+        is the serial loop's.
         """
         if expansion.potential_splines is None:
             raise GridError("expansion not solved; call solve() first")
@@ -358,19 +374,25 @@ class MultipoleSolver:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             if points.shape[1:] != (3,) or not np.isfinite(points).all():
                 raise GridError(f"points must be finite (n, 3), got shape {points.shape}")
+        cached = points is None
+        if cached:
+            points = self.grid.points
         k = expansion.k or 1
-        v = np.zeros((k, self.grid.n_points if points is None else points.shape[0]))
+        v = np.zeros((k, points.shape[0]))
         v_rows = list(v)  # one accumulator per density
         step, height = 2 * k, 4 * k  # table rows per knot, per interval
-        atom_iter = range(self.structure.n_atoms) if atoms is None else atoms
-        for a in atom_iter:
-            plan = self._plan(a) if points is None else self._build_plan(a, points)
-            spline = expansion.potential_splines[a]
+        splines, far_moments = expansion.potential_splines, expansion.far_moments
+        atom_list = range(self.structure.n_atoms) if atoms is None else atoms
+
+        def kernel(a: int, plan: Optional[_AtomPlan]) -> Tuple[_AtomPlan, np.ndarray, np.ndarray]:
+            if plan is None:
+                plan = self._build_plan(a, points)
+            spline = splines[a]
             # Rows y_0, m_0, y_1, m_1, ... each k densities deep: interval i
             # reads the 4k rows from 2ik.
             table = np.stack([spline.y, spline.m], axis=1).reshape(-1, self._n_lm)
             # Nothing of order n_near x n_lm is allocated per call: the
-            # run products go to the process's scratch block.
+            # run products go to the thread's scratch block.
             with scratch((height, plan.near.shape[0])) as z:
                 for i, lo, hi in plan.runs:
                     np.matmul(
@@ -379,15 +401,29 @@ class MultipoleSolver:
                     )
                 taps = z.reshape(4, k, -1)
                 taps *= plan.tap_weights[:, None]
-                taps[:2] += taps[2:]  # the four terms summed in place, pairwise
-                taps[0] += taps[1]
-                # No point repeats in a plan, so this is v_j[near] += taps[0, j];
-                # ufunc.at does it in half the time for int32 indices.
-                for v_j, near_j in zip(v_rows, taps[0]):
-                    np.add.at(v_j, plan.near, near_j)
-            far = (expansion.far_moments[a] @ plan.far_table).reshape(k, -1)
+                taps[:2] += taps[2:]  # the four terms summed pairwise
+                near = taps[0] + taps[1]  # (k, n_near), off the scratch block
+            far = (far_moments[a] @ plan.far_table).reshape(k, -1)
+            return plan, near, far
+
+        def commit(a: int, result: Tuple[_AtomPlan, np.ndarray, np.ndarray]) -> None:
+            plan, near, far = result
+            if cached:
+                self._plans[a] = plan
+            # No point repeats in a plan, so this is v_j[near] += near_j;
+            # ufunc.at does it in half the time for int32 indices.
+            for v_j, near_j in zip(v_rows, near):
+                np.add.at(v_j, plan.near, near_j)
             for v_j, far_j in zip(v_rows, far):
                 np.add.at(v_j, plan.far, far_j)
+
+        ordered_sweep(
+            atom_list,
+            k * len(atom_list) * self._n_lm * points.shape[0] // _PLAN_FLOATS_PER_ELEMENT,
+            (lambda a: self._plans[a]) if cached else (lambda a: None),
+            kernel,
+            commit,
+        )
         return v.T if expansion.k is not None else v[0]
 
     def hartree_potential(self, density_values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ ever stops being true), so the largest request a thread serves sizes its
 block — 2.9 MB on the 26-atom chain — and the molecules a process runs
 one after another, a fleet wave's groups included, reuse it instead of
 each allocating its own.  A process holds one block on its calling
-thread and, when its view sweeps run on two cores
+thread and, when its view or Hartree sweeps run on two cores
 (:mod:`repro.backends.sweep`), one on the sweep helper.
 """
 

@@ -150,7 +150,7 @@ def shift_hartree_interval(solver, atom: int = 0) -> None:
     The solver stays self-consistent (every call goes through the same
     plan), so only a check that bypasses the plan can see it.
     """
-    plan = solver._plan(atom)
+    plan = solver._plans[atom] or solver._build_plan(atom, solver.grid.points)
     low = tuple((max(i - 1, 0), lo, hi) for i, lo, hi in plan.runs)
     solver._plans[atom] = replace(plan, runs=low)
 

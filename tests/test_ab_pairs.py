@@ -1,5 +1,6 @@
 """``tools/ab_pairs.py``: the verdict arithmetic of alternating benchmark
-pairs, on made-up result lines (no harness run, no subprocess)."""
+pairs, on made-up result lines, and the byte-compiled state both trees
+start from (no harness run)."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,42 @@ def test_a_run_with_failed_operations_gets_no_verdict(ab):
     change[4] = _doc(1, 1.0)
     with pytest.raises(SystemExit, match="1 run"):
         ab.report(parent, change, {"op_a_ms": "lower"})
+
+
+def _fake_tree(root, cached):
+    """A checkout with one module under each compiled directory; *cached*
+    trees already hold a ``__pycache__`` for the first."""
+    for rel in ("src/pkg/mod.py", "benchmarks/e2e/harness.py"):
+        path = root / rel
+        path.parent.mkdir(parents=True)
+        path.write_text("VALUE = 1\n")
+    if cached:
+        cache = root / "src" / "pkg" / "__pycache__"
+        cache.mkdir()
+        (cache / "mod.stale.pyc").write_bytes(b"")
+    return root
+
+
+def _caches(tree):
+    return sorted(p.name.split(".")[0] for p in tree.rglob("__pycache__/*.cpython-*.pyc"))
+
+
+def test_both_trees_are_byte_compiled_before_the_first_pair(ab, tmp_path, monkeypatch):
+    """With ``PYTHONDONTWRITEBYTECODE=1`` and a cache in one tree only,
+    both trees hold a cache of every compiled module when the first run
+    starts."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = (_fake_tree(tmp_path / "parent", True), _fake_tree(tmp_path / "change", False))
+    seen = []
+
+    def run_once(tree, workload, seed):
+        seen.append((tree.name, seed, _caches(trees[0]), _caches(trees[1])))
+        return _doc(0, 1.0)
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    ab.collect(trees, "w", [1, 2])
+    both = ["harness", "mod"]
+    assert seen[0] == ("parent", 1, both, both)
+    assert [(name, seed) for name, seed, *_ in seen] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2)
+    ]

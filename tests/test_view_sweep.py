@@ -1,11 +1,13 @@
-"""Two-core view sweeps: the caller plus one helper thread, bit for bit.
+"""Two-core sweeps: the caller plus one helper thread, bit for bit.
 
 Every Sumup / H sweep runs through :func:`repro.backends.sweep.ordered_sweep`:
 the calling thread walks the views and gets each block, both threads
 claim kernels from one queue, oldest first, and results are committed
-in view order.  These tests pin that the two-core path is the inline
+in view order.  The Hartree solver's back-interpolation is the same
+sweep over atoms.  These tests pin that the two-core path is the inline
 loop's outputs, cache traffic, profile rows and obs counters exactly,
-on every engine, and the queue's own rules on fake blocks and kernels:
+on every engine, the Hartree potential byte for byte, and the queue's
+own rules on fake blocks and kernels:
 both threads work, the caller holds at most ``_LOOKAHEAD`` views in
 flight, commits keep view order, and an error on either thread reaches
 the caller and leaves the helper idle.
@@ -19,6 +21,7 @@ machine.
 """
 
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -28,15 +31,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.atoms import polyethylene, water
+from repro.atoms import hydrogen_molecule, polyethylene, water
 from repro.backends import BatchedBackend, Factored, device_bill
 from repro.backends import base as base_module
 from repro.backends import sweep
 from repro.config import get_settings
 from repro.dfpt.response import DFPTSolver
+from repro.dft import hartree as hartree_module
 from repro.dft.hamiltonian import MatrixBuilder, build_substrate
+from repro.dft.hartree import MultipoleSolver
 from repro.dft.scf import SCFDriver
+from repro.grids import build_grid
 from repro.obs.tracer import Tracer, activate
+from repro.verify import Verifier
+from repro.verify.mutations import shift_hartree_interval
 
 MODES = ("dense", "screened", "stream", "device")
 
@@ -59,17 +67,18 @@ def one_core():
 
 
 @contextlib.contextmanager
-def kernel_threads():
-    """Record the name of every thread that leases a kernel's scratch."""
+def kernel_threads(module=base_module):
+    """Record the name of every thread that leases a kernel's scratch
+    through *module* (the Sumup / H kernels', or the Hartree solver's)."""
     names = []
 
     def leasing(shape):
         names.append(threading.current_thread().name)
         return lease(shape)
 
-    lease = base_module.scratch
+    lease = module.scratch
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base_module, "scratch", leasing)
+        mp.setattr(module, "scratch", leasing)
         yield names
 
 
@@ -457,3 +466,121 @@ def test_scf_and_cpscf_are_identical_with_the_helper_on_and_off(name):
     assert (_on_helper(names) > 0) == (name == "chain26")
     assert got[0] == e and np.array_equal(got[1], alpha)
     assert (got[2], got[3]) == (scf_its, cpscf_its)
+
+
+# ----------------------------------------------------------------------
+# The Hartree back-interpolation: a sweep over atoms
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _grid(name):
+    structure = {"chain26": lambda: polyethylene(4), "c2h6": lambda: polyethylene(1)}[name]()
+    return build_grid(structure, get_settings("minimal").grids, with_partition=True)
+
+
+def _density(grid, k):
+    """A bumpy density, or k of them as ``(n_points, k)``."""
+    rng = np.random.default_rng(53)
+    rho = np.exp(-0.05 * ((grid.points - grid.points.mean(axis=0)) ** 2).sum(axis=1))
+    rho = rho * (1.0 + 0.2 * rng.random(grid.n_points))
+    if k == 1:
+        return rho
+    return np.stack([rho, rho * grid.points[:, 0], rho * grid.points[:, 2] ** 2], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _hartree_run(k, helper):
+    """A fresh 26-chain solver's potentials: cold (every plan built in a
+    kernel), warm, at explicit points (throwaway plans) and for a subset
+    of atoms; its plans; and the threads that ran the kernels."""
+    grid = _grid("chain26")
+    solver = MultipoleSolver(grid, l_max=4)
+    expansion = solver.solve(solver.expand(_density(grid, k)))
+    with (two_core() if helper else one_core()), kernel_threads(hartree_module) as names:
+        potentials = {
+            "cold": solver.evaluate(expansion),
+            "warm": solver.evaluate(expansion),
+            "points": solver.evaluate(expansion, points=grid.points[::5] + 0.05),
+            "atoms": solver.evaluate(expansion, atoms=[25, 3, 0]),
+        }
+    return potentials, solver._plans, tuple(names)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+class TestTheHartreeSweepIsTheInlineLoop:
+    def test_potentials_are_byte_equal(self, k):
+        (want, _, inline), (got, _, helper) = _hartree_run(k, False), _hartree_run(k, True)
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+        assert _on_helper(helper) > 0 and _on_helper(inline) == 0
+
+    def test_plans_built_in_kernels_are_the_inline_plans(self, k):
+        want, got = _hartree_run(k, False)[1], _hartree_run(k, True)[1]
+        for a, (p, q) in enumerate(zip(want, got)):
+            assert p.runs == q.runs, a
+            for field in ("near", "far", "y_near", "tap_weights", "far_table"):
+                assert np.array_equal(getattr(p, field), getattr(q, field)), (a, field)
+
+
+class _RaisingOnTheHelper(tuple):
+    """A plan's runs that cannot be read on the sweep's helper thread."""
+
+    def __iter__(self):
+        if _on_helper([threading.current_thread().name]):
+            raise FloatingPointError("corrupted plan")
+        return super().__iter__()
+
+
+def test_a_failing_hartree_kernel_raises_on_the_caller_and_the_next_call_is_right():
+    grid = _grid("chain26")
+    solver = MultipoleSolver(grid, l_max=4)
+    expansion = solver.solve(solver.expand(_density(grid, 1)))
+    with one_core():
+        want = solver.evaluate(expansion)
+    plans = list(solver._plans)
+    solver._plans = [dataclasses.replace(p, runs=_RaisingOnTheHelper(p.runs)) for p in plans]
+    with two_core():
+        with pytest.raises(FloatingPointError, match="corrupted plan"):
+            solver.evaluate(expansion)
+        solver._plans = plans
+        assert solver.evaluate(expansion).tobytes() == want.tobytes()
+
+
+def test_a_shifted_plan_is_what_the_two_core_sweep_reads_and_is_killed():
+    """The mutation replaces a cached plan: the sweep hands it to the
+    kernels instead of building a clean one, so every call agrees with
+    the inline mutant and only the plan-bypassing check fails."""
+    grid = _grid("chain26")
+    solver = MultipoleSolver(grid, l_max=4)
+    expansion = solver.solve(solver.expand(_density(grid, 1)))
+    clean = solver.evaluate(expansion)
+    shift_hartree_interval(solver, atom=5)
+    with one_core():
+        want = solver.evaluate(expansion)
+    with two_core():
+        got = solver.evaluate(expansion)
+    assert got.tobytes() == want.tobytes() and not np.array_equal(got, clean)
+
+    verifier = Verifier("full")
+    with two_core():
+        driver = SCFDriver(hydrogen_molecule(), get_settings("minimal"), verifier=verifier)
+        shift_hartree_interval(driver.solver)
+        driver.run()
+    assert verifier.report.failed_names == ["hartree_plan_parity"]
+
+
+class TestTheHartreeFloor:
+    def _threads(self, name, k, monkeypatch):
+        monkeypatch.setattr(sweep, "_WIDTH", 2)
+        grid = _grid(name)
+        solver = MultipoleSolver(grid, l_max=4)
+        with kernel_threads(hartree_module) as names:
+            solver.hartree_potential(_density(grid, k))
+        return names
+
+    def test_small_molecules_stay_inline_even_three_wide(self, monkeypatch):
+        names = self._threads("c2h6", 3, monkeypatch)
+        assert names and _on_helper(names) == 0
+
+    def test_the_chain_solve_is_over_the_floor(self, monkeypatch):
+        assert _on_helper(self._threads("chain26", 1, monkeypatch)) > 0
