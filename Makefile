@@ -54,8 +54,6 @@ smoke:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py --quick
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sparse.py --quick
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --quick \
-		--output /tmp/BENCH_fleet_quick.json
 
 # Counter and cost-model regression gate: re-run each benchmark at its
 # committed baseline's own parameters and compare metric-by-metric
@@ -79,7 +77,7 @@ docs-check:
 		src/repro/basis/spline.py \
 		src/repro/testing/docs.py \
 		src/repro/grids/sparsity.py src/repro/utils/neighbors.py \
-		src/repro/fleet
+		src/repro/fleet.py
 	PYTHONPATH=src $(PYTHON) tools/check_docstrings.py
 	PYTHONPATH=src $(PYTHON) tools/gen_cli_docs.py --check
 	$(PYTHON) tools/loc_table.py --check
@@ -137,15 +135,14 @@ service-check:
 	PYTHONPATH=src $(PYTHON) -m repro slo --store .service-demo/journal.jsonl
 	rm -rf .service-demo
 
-# Fleet contract: the bit-exactness parity suite (fleet-of-N vs N
+# Fleet contract: the bit-exactness parity suite (a wave of N vs N
 # sequential runs across screening and submission order, device bills
-# included, one group live at a time), the service chaos sweeps that drain in fleet waves
-# (crashed waves retried byte-identical to a sequential drain), plus the
-# fleet-throughput regression gate against the committed baseline.
+# included, one group live at a time, both pools through the one wave
+# function) and the service chaos sweeps that drain in waves (crashed
+# waves retried byte-identical to a sequential drain).
 fleet-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fleet.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m service -k fleet tests/test_service_chaos.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_fleet.json
 
 # End-to-end benchmark harness contract (BENCHMARK.json vs the harness)
 # plus a 2-atom smoke of all four workloads (~15 s): catches a module

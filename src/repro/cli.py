@@ -284,8 +284,8 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     from repro.obs.bench import baseline_run_parameters, emission_for_baseline
     from repro.obs.regress import compare_reports, load_baseline
 
-    # The gate re-runs whichever emission kind ("backends", "sparse",
-    # "fleet") the baseline came from.
+    # The gate re-runs whichever emission kind ("backends" or "sparse")
+    # the baseline came from.
     baseline = load_baseline(args.baseline)
     kind, parameters = baseline_run_parameters(baseline)
     settings = ", ".join(f"{k}={v}" for k, v in parameters.items())

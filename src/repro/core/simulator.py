@@ -74,8 +74,8 @@ def run_physics(
 ) -> PhysicsResult:
     """The SCF -> CPSCF -> polarizability pipeline, start to finish.
 
-    :meth:`PerturbationSimulator.run_physics` and every fleet group
-    (:func:`~repro.fleet.driver.run_fleet`) call it, so every consumer
+    :meth:`PerturbationSimulator.run_physics` and every physics wave's
+    groups (:func:`~repro.fleet.run_wave`) call it, so every consumer
     executes the same floating-point sequence.  *substrate* injects a
     shared :func:`~repro.dft.hamiltonian.build_substrate` result.
     """

@@ -209,114 +209,6 @@ def sparse_emission(
     }
 
 
-def fleet_emission(
-    level: str = "minimal",
-    n_requests: int = 16,
-    n_distinct: int = 4,
-) -> dict:
-    """Fleet-vs-sequential throughput; the ``BENCH_fleet.json`` document.
-
-    ``n_requests`` jobs over ``n_distinct`` H2 bond-length variants (a
-    screening-service shape: many near-duplicate small systems) run
-    twice: once sequentially — one
-    :meth:`~repro.core.simulator.PerturbationSimulator.run_physics` per
-    request — and once through :func:`~repro.fleet.driver.run_fleet`.
-    Every per-request result payload is asserted byte-identical between
-    the two before any number is reported: the benchmark never counts a
-    wrong answer.
-
-    The gated headline is ``model.molecules_per_second_speedup`` — the
-    device bills (:func:`device_bill`, HPC#2) of all sequential runs
-    over those of the fleet's per-group profiles, which is the dedup
-    factor ``n_requests / n_distinct`` up to float association.  The measured
-    sequential-vs-fleet wall is ``service_mix`` ``op_a_ms`` /
-    ``op_b_ms`` on the end-to-end benchmark.
-    """
-    from repro.atoms import hydrogen_molecule
-    from repro.config import get_settings
-    from repro.core import PerturbationSimulator
-    from repro.fleet import fleet_tasks_from_requests, run_fleet
-    from repro.service.jobs import JobRequest, physics_from_payload
-    from repro.service.worker import result_payload, stable_result_bytes
-
-    if n_requests < 1 or n_distinct < 1 or n_distinct > n_requests:
-        raise ExperimentError(
-            f"need 1 <= n_distinct <= n_requests, got "
-            f"{n_distinct}/{n_requests}"
-        )
-    settings = get_settings(level)
-    requests = [
-        JobRequest(
-            hydrogen_molecule(bond_length=1.40 + 0.02 * (i % n_distinct)),
-            settings,
-            seed=i,
-        )
-        for i in range(n_requests)
-    ]
-    tasks = fleet_tasks_from_requests(requests, commit=f"bench-{BENCH_SEED}")
-
-    def device_totals(profiles) -> Dict[str, float]:
-        """Summed device bills of some runs' backend profiles."""
-        bills = [device_bill(profile) for profile in profiles]
-        return {
-            "modeled_seconds": sum(b.modeled_seconds for b in bills),
-            "launches": sum(b.launches for b in bills),
-            "bytes": sum(b.bytes_transferred for b in bills),
-        }
-
-    # Sequential reference: one isolated simulator per request.
-    sequential_profiles = []
-    reference_bytes: Dict[str, bytes] = {}
-    for task in tasks:
-        structure, run_settings, charge = physics_from_payload(task.payload)
-        sim = PerturbationSimulator(structure, run_settings, charge=charge)
-        result = sim.run_physics()
-        sequential_profiles.append(result.backend_profile)
-        reference_bytes[task.key] = stable_result_bytes(
-            result_payload(task, structure, run_settings, result)
-        )
-    sequential = device_totals(sequential_profiles)
-
-    # Fleet run: shared substrates, one run per distinct physics.
-    outcome = run_fleet(tasks)
-    if outcome.errors:
-        raise ExperimentError(f"fleet run failed: {outcome.errors}")
-    for key, payload in outcome.results.items():
-        if stable_result_bytes(payload) != reference_bytes[key]:
-            raise ExperimentError(
-                f"fleet result for {key} diverged bitwise from the "
-                f"sequential reference"
-            )
-    fleet = device_totals(outcome.report.profiles.values())
-
-    return {
-        "benchmark": "fleet",
-        "system": "h2-variants",
-        "level": level,
-        "n_sweeps": 1,
-        "n_requests": n_requests,
-        "n_distinct": n_distinct,
-        "groups": outcome.report.n_groups,
-        "substrates": outcome.report.substrates,
-        "launches": {
-            "sequential": sequential["launches"],
-            "fleet": fleet["launches"],
-        },
-        "model": {
-            "sequential": {"modeled_seconds": sequential["modeled_seconds"]},
-            "fleet": {"modeled_seconds": fleet["modeled_seconds"]},
-            "molecules_per_second_speedup": (
-                sequential["modeled_seconds"] / fleet["modeled_seconds"]
-            ),
-        },
-        "transfers": {
-            "sequential_bytes": sequential["bytes"],
-            "fleet_bytes": fleet["bytes"],
-        },
-        "provenance": collect_provenance(seed=BENCH_SEED).as_dict(),
-    }
-
-
 def _emissions() -> Dict[str, tuple]:
     """kind -> (emission, ((run parameter, type), ...)), one row per baseline.
 
@@ -329,10 +221,6 @@ def _emissions() -> Dict[str, tuple]:
             sparse_emission,
             (("n_units", int), ("n_sweeps", int), ("threshold", float),
              ("level", str)),
-        ),
-        "fleet": (
-            fleet_emission,
-            (("level", str), ("n_requests", int), ("n_distinct", int)),
         ),
     }
 

@@ -77,9 +77,9 @@ def default_band(key: str) -> Band:
 
     >>> default_band("backends.warm.profile.phases.H.calls").kind
     'exact'
-    >>> default_band("model.fleet.modeled_seconds").kind
+    >>> default_band("backends.device.bill.modeled_seconds").kind
     'relative'
-    >>> default_band("model.molecules_per_second_speedup").kind
+    >>> default_band("model.speedup").kind
     'relative'
     >>> default_band("diff.density_max_diff").kind
     'ignore'

@@ -176,7 +176,7 @@ def physics_from_payload(
     """Decode a task payload into the ``(structure, settings, charge)`` it runs.
 
     The inverse of :meth:`JobRequest.payload`, shared by every consumer
-    of a payload (worker, fleet driver, benchmarks).
+    of a payload (the physics wave, benchmarks).
     Raises :class:`~repro.errors.ServiceError` for any other ``kind``.
 
     >>> s, cfg, q = physics_from_payload(JobRequest("h2").payload())

@@ -453,15 +453,21 @@ class StateStore:
                       "now": self._now(now), "result": result})
 
     def fail(self, task_id: str, worker: str, error: str,
-             now: Optional[float] = None) -> TaskRecord:
-        """Report a task failure; requeues with backoff or errors out terminally."""
+             now: Optional[float] = None, *,
+             history: Optional[List[Dict[str, float]]] = None) -> TaskRecord:
+        """Report a task failure; requeues with backoff or errors out terminally.
+
+        *history* is a convergence error's per-cycle record; a non-empty
+        one is journaled on the ``requeue`` line.
+        """
         now = self._now(now)
         task = self._checked(task_id, worker, (CLAIMED, RUNNING), "fail")
-        self._requeue(task, error=error, now=now)
+        self._requeue(task, error=error, now=now, history=history)
         return task
 
     def _requeue(
-        self, task: TaskRecord, error: str, now: float, *, expired: bool = False
+        self, task: TaskRecord, error: str, now: float, *, expired: bool = False,
+        history: Optional[List[Dict[str, float]]] = None,
     ) -> None:
         """The one requeue/backoff path shared by ``fail`` and lease expiry.
 
@@ -473,18 +479,19 @@ class StateStore:
         """
         terminal = task.attempts > task.max_retries
         delay = BACKOFF_BASE * BACKOFF_FACTOR ** (task.attempts - 1)
-        self._record(
-            {
-                "op": "requeue",
-                "task_id": task.task_id,
-                "worker": task.worker,
-                "error": error,
-                "terminal": terminal,
-                "expired": expired,
-                "not_before": now + delay,
-                "now": now,
-            }
-        )
+        event = {
+            "op": "requeue",
+            "task_id": task.task_id,
+            "worker": task.worker,
+            "error": error,
+            "terminal": terminal,
+            "expired": expired,
+            "not_before": now + delay,
+            "now": now,
+        }
+        if history:
+            event["history"] = history
+        self._record(event)
 
     def expire_leases(self, now: Optional[float] = None) -> List[TaskRecord]:
         """Requeue every claimed/running task whose lease deadline passed.

@@ -44,19 +44,17 @@ TaskRunner = Callable[[TaskRecord], Dict[str, Any]]
 
 
 def run_physics_task(task: TaskRecord) -> Dict[str, Any]:
-    """Execute one ``kind == "physics"`` task payload end to end.
+    """Execute one ``kind == "physics"`` task end to end: the wave of one.
 
-    Rebuilds the structure and :class:`~repro.config.RunSettings` from
-    the payload, runs the real pipeline through the configured
-    execution backend, and returns the result payload described in
-    :func:`result_payload`.
+    Returns the task's payload from :func:`repro.fleet.run_wave` (see
+    :func:`result_payload`), or raises the exception the wave recorded.
     """
-    from repro.core import PerturbationSimulator
-    from repro.service.jobs import physics_from_payload
+    from repro import fleet
 
-    structure, settings, charge = physics_from_payload(task.payload)
-    result = PerturbationSimulator(structure, settings, charge=charge).run_physics()
-    return result_payload(task, structure, settings, result)
+    ((payload, error),) = fleet.run_wave([task])
+    if error is not None:
+        raise error
+    return payload
 
 
 def result_payload(task, structure, settings, physics_result) -> Dict[str, Any]:
@@ -162,10 +160,9 @@ class Worker:
         is silent: no ``complete``/``fail`` reaches the store, and
         recovery is entirely the store's lease expiry.
 
-        A sequential job is the wave of one: it and every task of a
-        custom runner go through ``runner(task)``; a wave of several
-        physics tasks runs through :func:`~repro.fleet.driver.run_fleet`,
-        byte-identical to running them one by one.
+        The default runner's tasks go through :func:`repro.fleet.run_wave`
+        as one wave, whatever its size (a sequential job is the wave of
+        one); a custom runner is called once per task.
         """
         outcomes: List[str] = []
         wave: List[TaskRecord] = []
@@ -189,16 +186,22 @@ class Worker:
             return outcomes
         for task in wave:
             self.store.start(task.task_id, self.worker_id, now=now)
-        if len(wave) > 1 and self.runner is run_physics_task:
-            results = self._run_fleet(wave)
+        if self.runner is run_physics_task:
+            from repro import fleet
+
+            with obs_span(
+                "service.wave", category="service", worker=self.worker_id,
+                n_tasks=len(wave),
+            ):
+                results = fleet.run_wave(wave)
         else:
             results = [self._run_one(task) for task in wave]
         for task, (result, error) in zip(wave, results):
             outcomes.append(self._settle(task, result, error, now))
         return outcomes
 
-    def _run_one(self, task: TaskRecord) -> Tuple[Any, Optional[str]]:
-        """``(result, None)`` of ``runner(task)``, or ``(None, error)``."""
+    def _run_one(self, task: TaskRecord) -> Tuple[Any, Optional[Exception]]:
+        """``(result, None)`` of ``runner(task)``, or ``(None, exception)``."""
         with obs_span(
             "service.task", category="service", worker=self.worker_id,
             task=task.task_id, key=task.key, attempt=task.attempts,
@@ -206,38 +209,23 @@ class Worker:
             try:
                 return self.runner(task), None
             except Exception as exc:  # noqa: BLE001 — any task error requeues
-                return None, f"{type(exc).__name__}: {exc}"
-
-    def _run_fleet(
-        self, wave: List[TaskRecord]
-    ) -> List[Tuple[Any, Optional[str]]]:
-        """One ``(result, error)`` per task of a physics wave, fleet-run."""
-        from repro.fleet import FleetTask, run_fleet
-
-        with obs_span(
-            "service.fleet", category="service", worker=self.worker_id,
-            n_tasks=len(wave),
-        ):
-            try:
-                outcome = run_fleet(
-                    FleetTask(key=t.key, payload=t.payload) for t in wave
-                )
-            except Exception as exc:  # noqa: BLE001 — driver error requeues all
-                return [(None, f"{type(exc).__name__}: {exc}")] * len(wave)
-        return [
-            (outcome.results[t.key], None)
-            if t.key in outcome.results
-            else (None, outcome.errors.get(t.key, "fleet group failed"))
-            for t in wave
-        ]
+                return None, exc
 
     def _settle(
-        self, task: TaskRecord, result: Any, error: Optional[str],
+        self, task: TaskRecord, result: Any, error: Optional[Exception],
         now: Optional[float],
     ) -> str:
-        """Report one executed task's terminal state; count it once."""
+        """Report one executed task's terminal state; count it once.
+
+        A failure is journaled as ``"TypeName: message"``, with the
+        per-cycle ``history`` a convergence error carries.
+        """
         if error is not None:
-            self.store.fail(task.task_id, self.worker_id, error, now=now)
+            self.store.fail(
+                task.task_id, self.worker_id,
+                f"{type(error).__name__}: {error}", now=now,
+                history=getattr(error, "history", None),
+            )
             self.stats.failed += 1
             return "failed"
         self.store.heartbeat(task.task_id, self.worker_id, now=now)

@@ -38,8 +38,6 @@ AUDITED_MODULES = (
     "repro.utils.timing",
     "repro.grids.sparsity",
     "repro.fleet",
-    "repro.fleet.driver",
-    "repro.fleet.shared",
 )
 
 

@@ -85,23 +85,3 @@ def density_matrix_from_orbitals(
     occ = occupations > 0.0
     c_occ = c[:, occ]
     return (c_occ * occupations[occ]) @ c_occ.T
-
-
-def pack_lower_triangle(a: np.ndarray) -> np.ndarray:
-    """Pack the lower triangle (including diagonal) of a symmetric matrix."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
-    idx = np.tril_indices(a.shape[0])
-    return a[idx]
-
-
-def unpack_lower_triangle(packed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_lower_triangle` producing a symmetric matrix."""
-    expected = n * (n + 1) // 2
-    if packed.shape[0] != expected:
-        raise ValueError(f"packed length {packed.shape[0]} != n(n+1)/2 = {expected}")
-    out = np.zeros((n, n), dtype=packed.dtype)
-    idx = np.tril_indices(n)
-    out[idx] = packed
-    out.T[idx] = packed
-    return out

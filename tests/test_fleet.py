@@ -1,25 +1,29 @@
-"""Fleet bit-exactness harness: fleet-of-N vs N sequential runs.
+"""Fleet bit-exactness harness: a wave of N vs N sequential runs.
 
-The contract of :func:`~repro.fleet.driver.run_fleet`: executing many
-requests as one wave — shared geometry substrates, deduplicated physics
-groups run one after another — changes **no result bytes** relative to
-running each request through an isolated
+The contract of :func:`~repro.fleet.run_wave`: executing many requests
+as one wave — shared geometry substrates, deduplicated physics groups
+run one after another — changes **no result bytes** relative to running
+each request through an isolated
 :meth:`~repro.core.simulator.PerturbationSimulator.run_physics`.
 
-Pinned here:
+The wave reports nothing but its payloads, so these tests observe it
+through wrapped :func:`repro.core.simulator.run_physics` and
+:func:`repro.dft.hamiltonian.build_substrate` (:func:`recording`), which
+note each call.  Pinned here:
 
 * per-request payloads (via :func:`stable_result_bytes`) byte-identical
   to sequential references, with screening on and off, under shuffled
   submission order, and each group's device bill its sequential run's;
-* a fleet-of-16 mixed-molecule acceptance run whose per-group profiles
-  are the sequential runs' profiles;
+* a wave-of-16 mixed-molecule acceptance run: four groups on four
+  freshly built substrates, none reused, each group's profile its
+  sequential run's;
 * one group live at a time: an earlier group's builder is dead when the
   next group's is constructed, by reference counting alone;
-* hypothesis properties: plan permutation-invariance, seed-blind groups;
+* hypothesis properties: groups permutation-invariant, seed-blind;
 * one group per physics as the service keys it: a renamed request or
   one written with signed zeros joins its group and keeps its own name;
-* service integration: a fleet-mode worker pool drains a statestore to
-  the same bytes as a sequential pool (the cache-key path included).
+* service integration: a wave pool drains a statestore to the same
+  bytes as a sequential pool, and both reach the one wave function.
 """
 
 from __future__ import annotations
@@ -27,26 +31,32 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from repro import fleet
 from repro.atoms import hydrogen_molecule, methane, water
 from repro.backends import device_bill
 from repro.config import RunSettings, get_settings
-from repro.core import PerturbationSimulator
+from repro.core import PerturbationSimulator, simulator
 from repro.dft.hamiltonian import MatrixBuilder
-from repro.fleet import (
-    FleetTask,
-    fleet_tasks_from_requests,
-    physics_fingerprint,
-    plan_fleet,
-    run_fleet,
-)
+from repro.errors import SCFConvergenceError
+from repro.fleet import physics_fingerprint, run_wave
 from repro.grids.sparsity import DEFAULT_SCREENING_THRESHOLD
 from repro.service.jobs import JobRequest, structure_from_dict
-from repro.service.worker import result_payload, stable_result_bytes
+from repro.service.statestore import TaskRecord
+from repro.service.worker import result_payload, run_physics_task, stable_result_bytes
+
+
+def tasks_of(requests, commit):
+    """Statestore tasks (key and payload are all a wave reads) for requests."""
+    return [
+        TaskRecord(task_id=f"t{i}", key=req.key(commit), payload=req.payload())
+        for i, req in enumerate(requests)
+    ]
 
 
 def h2_requests(n, n_distinct, threshold=0.0, level="minimal"):
@@ -95,12 +105,45 @@ def sequential_reference(tasks, dedup=False):
     return {key: ref for key, (ref, _) in sequential_runs(tasks, dedup).items()}
 
 
-def fleet_bytes(outcome):
-    return {k: stable_result_bytes(v) for k, v in outcome.results.items()}
+def recording(monkeypatch):
+    """Wrap ``run_physics`` and ``build_substrate``; return their call log.
+
+    ``runs`` holds one ``(substrate, profile dict)`` per group the wave
+    ran, in run order; ``built`` every substrate built.  Start it after
+    the sequential references: those call ``run_physics`` too.
+    """
+    log = SimpleNamespace(runs=[], built=[])
+    run_physics, build_substrate = simulator.run_physics, fleet.build_substrate
+
+    def run(*args, substrate=None, **kwargs):
+        result = run_physics(*args, substrate=substrate, **kwargs)
+        log.runs.append((substrate, result.backend_profile.as_dict()))
+        return result
+
+    def build(*args):
+        log.built.append(build_substrate(*args))
+        return log.built[-1]
+
+    monkeypatch.setattr(simulator, "run_physics", run)
+    monkeypatch.setattr(fleet, "build_substrate", build)
+    return log
+
+
+def group_profiles(tasks, log):
+    """fingerprint -> profile of the run of that group (groups run sorted)."""
+    fingerprints = sorted({physics_fingerprint(t.payload) for t in tasks})
+    assert len(fingerprints) == len(log.runs)
+    return {fp: profile for fp, (_, profile) in zip(fingerprints, log.runs)}
+
+
+def wave_bytes(tasks, outcomes):
+    """Per-key stable bytes of a wave that must not have failed anywhere."""
+    assert [error for _, error in outcomes] == [None] * len(tasks)
+    return {t.key: stable_result_bytes(p) for t, (p, _) in zip(tasks, outcomes)}
 
 
 class TestFleetParityMatrix:
-    """Fleet-of-4 (2 distinct H2 variants) vs 4 isolated sequential runs:
+    """Wave-of-4 (2 distinct H2 variants) vs 4 isolated sequential runs:
     the payloads (``numpy``), and each group's device bill too
     (``device``, the same runs priced on HPC#2)."""
 
@@ -109,32 +152,30 @@ class TestFleetParityMatrix:
         "threshold", [0.0, DEFAULT_SCREENING_THRESHOLD],
         ids=["dense", "screened"],
     )
-    def test_fleet_matches_sequential(self, backend, threshold):
-        tasks = fleet_tasks_from_requests(
-            h2_requests(4, 2, threshold), commit="parity"
-        )
+    def test_fleet_matches_sequential(self, backend, threshold, monkeypatch):
+        tasks = tasks_of(h2_requests(4, 2, threshold), commit="parity")
         sequential = sequential_runs(tasks)
-        # Shuffled submission: the plan (and therefore the results) must
-        # not depend on request order.
+        log = recording(monkeypatch)
+        # Shuffled submission: the groups (and therefore the results)
+        # must not depend on request order.
         shuffled = list(tasks)
         random.Random(f"{backend}-{threshold}").shuffle(shuffled)
-        outcome = run_fleet(shuffled)
-        assert not outcome.errors
-        assert fleet_bytes(outcome) == {k: ref for k, (ref, _) in sequential.items()}
+        got = wave_bytes(shuffled, run_wave(shuffled))
+        assert got == {k: ref for k, (ref, _) in sequential.items()}
         if backend == "device":
-            for group in plan_fleet(tasks).groups:
-                bill = device_bill(outcome.report.profiles[group.fingerprint])
-                for task in group.tasks:
-                    assert device_bill(sequential[task.key][1]) == bill
+            profiles = group_profiles(tasks, log)
+            for task in tasks:
+                bill = device_bill(profiles[physics_fingerprint(task.payload)])
+                assert device_bill(sequential[task.key][1]) == bill
 
 
 class TestOneGroupAtATime:
     @staticmethod
-    def _live_at_each_construction(monkeypatch, collect):
+    def _live_at_each_construction(monkeypatch, collect, settings=None):
         """Earlier builders still alive as each group's builder is made,
-        over a three-group wave; *collect* runs the cyclic collector
-        first."""
-        settings = get_settings("minimal")
+        over a three-group wave, and the wave's outcomes; *collect* runs
+        the cyclic collector first."""
+        settings = settings or get_settings("minimal")
         requests = [
             JobRequest(molecule, settings, seed=i)
             for i, molecule in enumerate((hydrogen_molecule(), water(), methane()))
@@ -150,16 +191,17 @@ class TestOneGroupAtATime:
             built.append(weakref.ref(self))
 
         monkeypatch.setattr(MatrixBuilder, "__init__", tracked)
-        outcome = run_fleet(fleet_tasks_from_requests(requests, commit="live"))
-        assert not outcome.errors and outcome.report.n_groups == 3
-        return live_at_construction
+        tasks = tasks_of(requests, commit="live")
+        return live_at_construction, tasks, run_wave(tasks)
 
     def test_each_groups_builder_is_dead_before_the_next_is_built(
         self, monkeypatch
     ):
         """A wave holds one group's builder (and so its backend, kept
         blocks and Hartree plans) at a time, not every group's."""
-        assert self._live_at_each_construction(monkeypatch, collect=True) == [0, 0, 0]
+        live, tasks, outcomes = self._live_at_each_construction(monkeypatch, collect=True)
+        wave_bytes(tasks, outcomes)
+        assert live == [0, 0, 0]
 
     def test_without_the_cyclic_collector_too(self, monkeypatch):
         """No reference cycle keeps a finished group's builder: with the
@@ -168,17 +210,31 @@ class TestOneGroupAtATime:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            live = self._live_at_each_construction(monkeypatch, collect=False)
+            live, tasks, outcomes = self._live_at_each_construction(
+                monkeypatch, collect=False
+            )
         finally:
             if enabled:
                 gc.enable()
+        wave_bytes(tasks, outcomes)
+        assert live == [0, 0, 0]
+
+    def test_a_failed_groups_builder_dies_with_it(self, monkeypatch):
+        """Three groups whose SCF runs out of cycles: the wave keeps each
+        error for its tasks, but not the frames it was raised in (with
+        their tracebacks the errors kept [0, 1, 2] builders alive)."""
+        settings = get_settings("minimal").with_scf(max_iterations=1)
+        live, _, outcomes = self._live_at_each_construction(
+            monkeypatch, collect=True, settings=settings
+        )
+        assert all(isinstance(error, SCFConvergenceError) for _, error in outcomes)
         assert live == [0, 0, 0]
 
 
 class TestFleetOf16Acceptance:
     """The issue's acceptance shape: 16 mixed molecules, one backend."""
 
-    def test_mixed_fleet_byte_identical_and_fused(self):
+    def test_mixed_fleet_byte_identical_and_fused(self, monkeypatch):
         """Sixteen requests fuse onto four computations: payloads equal
         the sequential runs', and each group's profile is its run's."""
         settings = get_settings("minimal")
@@ -191,20 +247,24 @@ class TestFleetOf16Acceptance:
         requests = [
             JobRequest(molecules[i % 4], settings, seed=i) for i in range(16)
         ]
-        tasks = fleet_tasks_from_requests(requests, commit="accept")
+        tasks = tasks_of(requests, commit="accept")
         reference = sequential_runs(tasks, dedup=True)
-        outcome = run_fleet(tasks)
-        assert not outcome.errors
-        assert fleet_bytes(outcome) == {k: ref for k, (ref, _) in reference.items()}
-        report = outcome.report
-        assert report.n_requests == 16
-        assert report.n_groups == 4
-        assert report.substrates == {"built": 4, "reused": 0}
+        log = recording(monkeypatch)
+        outcomes = run_wave(tasks)
+        assert len(outcomes) == 16
+        assert wave_bytes(tasks, outcomes) == {k: ref for k, (ref, _) in reference.items()}
+        # Four groups, four substrates built and none reused: each run
+        # got the substrate built for it.
+        assert len(log.runs) == 4
+        assert len(log.built) == 4
+        assert all(sub is built for (sub, _), built in zip(log.runs, log.built))
         # Each group is its sequential run: its profile counts that run's
         # work, wall seconds aside, and is paid once for four requests.
-        for group in plan_fleet(tasks).groups:
-            _, want = reference[group.tasks[0].key]
-            assert _counters(report.profiles[group.fingerprint]) == _counters(want)
+        profiles = group_profiles(tasks, log)
+        for task in tasks:
+            _, want = reference[task.key]
+            got = profiles[physics_fingerprint(task.payload)]
+            assert _counters(got) == _counters(want)
 
 
 def _counters(profile):
@@ -219,19 +279,18 @@ def _counters(profile):
 class TestPerMoleculeProfiles:
     """Each group's profile is its own sequential run's."""
 
-    def test_device_counters_sum_to_shared_totals(self):
-        """The fleet's device bill is the sum of its group profiles'
+    def test_device_counters_sum_to_shared_totals(self, monkeypatch):
+        """The wave's device bill is the sum of its group profiles'
         bills, each the sequential run of that physics, paid once."""
-        tasks = fleet_tasks_from_requests(h2_requests(4, 2), commit="prof")
-        outcome = run_fleet(tasks)
-        assert not outcome.errors
-        bills = {fp: device_bill(p) for fp, p in outcome.report.profiles.items()}
+        tasks = tasks_of(h2_requests(4, 2), commit="prof")
         sequential = {k: device_bill(p) for k, (_, p) in sequential_runs(tasks).items()}
-        # Four requests, two groups: the fleet's bill is the sequential
+        log = recording(monkeypatch)
+        wave_bytes(tasks, run_wave(tasks))
+        bills = {fp: device_bill(p) for fp, p in group_profiles(tasks, log).items()}
+        # Four requests, two groups: the wave's bill is the sequential
         # one of the two distinct runs, paid once each.
-        for group in plan_fleet(tasks).groups:
-            for task in group.tasks:
-                assert bills[group.fingerprint] == sequential[task.key]
+        for task in tasks:
+            assert bills[physics_fingerprint(task.payload)] == sequential[task.key]
         launches = sum(b.launches for b in bills.values())
         assert 2 * launches == sum(b.launches for b in sequential.values())
         assert launches > 0
@@ -243,11 +302,12 @@ class TestGroupIsolation:
         good = JobRequest(hydrogen_molecule(), settings, seed=0)
         # charge=1 leaves one electron: the restricted driver refuses.
         bad = JobRequest(hydrogen_molecule(), settings, charge=1, seed=1)
-        tasks = fleet_tasks_from_requests([good, bad], commit="iso")
-        outcome = run_fleet(tasks)
-        assert set(outcome.results) == {tasks[0].key}
-        assert set(outcome.errors) == {tasks[1].key}
-        assert "SCFConvergenceError" in outcome.errors[tasks[1].key]
+        (payload, error), (no_payload, bad_error) = run_wave(
+            tasks_of([good, bad], commit="iso")
+        )
+        assert payload is not None and error is None
+        assert no_payload is None
+        assert isinstance(bad_error, SCFConvergenceError)
 
 
 class TestPlanProperties:
@@ -259,17 +319,38 @@ class TestPlanProperties:
     )
     @hsettings(max_examples=40, deadline=None)
     def test_plan_is_permutation_invariant(self, payload_ids, seed):
+        """One run per distinct payload, the same runs in the same order
+        for any submission order, and each task poisoned by its own
+        group's run (the runs are stubs that raise their index)."""
         payloads = [
             JobRequest(m, charge=q).payload() for m in ("h2", "water") for q in (0, 2)
         ]
         tasks = [
-            FleetTask(key=f"k{i}", payload=payloads[pid])
+            SimpleNamespace(key=f"k{i}", payload=payloads[pid])
             for i, pid in enumerate(payload_ids)
         ]
         shuffled = list(tasks)
         random.Random(seed).shuffle(shuffled)
-        assert plan_fleet(tasks).canonical() == plan_fleet(shuffled).canonical()
-        assert len(plan_fleet(tasks).groups) == len(set(payload_ids))
+
+        def groups(order):
+            runs = []
+
+            def run(structure, settings, charge, substrate):
+                runs.append((structure.name, charge))
+                raise RuntimeError(str(len(runs)))
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulator, "run_physics", run)
+                mp.setattr(fleet, "build_substrate", lambda *args: None)
+                outcomes = run_wave(order)
+            by_run = {}
+            for task, (payload, error) in zip(order, outcomes):
+                assert payload is None
+                by_run.setdefault(str(error), []).append(task.key)
+            return runs, {run: sorted(keys) for run, keys in by_run.items()}
+
+        assert groups(tasks) == groups(shuffled)
+        assert len(groups(tasks)[0]) == len(set(payload_ids))
 
     @given(
         seeds=st.lists(
@@ -283,10 +364,10 @@ class TestPlanProperties:
 
 
 class TestOneGroupPerServicePhysics:
-    """The fleet groups by the service's own fingerprints: name, signed
+    """The wave groups by the service's own fingerprints: name, signed
     zeros and seed never split one physics into several groups."""
 
-    def test_renamed_and_signed_zero_requests_share_one_group(self):
+    def test_renamed_and_signed_zero_requests_share_one_group(self, monkeypatch):
         settings = get_settings("minimal")
         h2 = hydrogen_molecule()
         flipped = structure_from_dict(
@@ -299,16 +380,17 @@ class TestOneGroupPerServicePhysics:
             JobRequest(molecule, settings, seed=seed)
             for seed, molecule in enumerate((h2, flipped, renamed))
         ]
-        tasks = fleet_tasks_from_requests(requests, commit="groups")
-        assert len(plan_fleet(tasks).groups) == 1
-        outcome = run_fleet(tasks)
-        assert not outcome.errors
-        assert fleet_bytes(outcome) == sequential_reference(tasks)
-        assert outcome.results[tasks[2].key]["molecule"] == "hydrogen"
+        tasks = tasks_of(requests, commit="groups")
+        reference = sequential_reference(tasks)
+        log = recording(monkeypatch)
+        outcomes = run_wave(tasks)
+        assert len(log.runs) == 1
+        assert wave_bytes(tasks, outcomes) == reference
+        assert outcomes[2][0]["molecule"] == "hydrogen"
 
 
 class TestServiceFleetParity:
-    """The statestore cache-key path: fleet pool == sequential pool."""
+    """The statestore cache-key path: wave pool == sequential pool."""
 
     def test_fleet_pool_drains_to_sequential_bytes(self):
         from repro.service import StateStore, WorkerPool, submit_batch
@@ -332,7 +414,7 @@ class TestServiceFleetParity:
     def test_failures_read_the_same_through_both_pools(self):
         """One decode and one settle routine: a task that fails records
         the same typed ``TypeName: message`` string whether it ran as a
-        wave of one or inside a fleet wave."""
+        wave of one or inside a larger wave."""
         from repro.service import StateStore, WorkerPool, submit_job
         from repro.service.statestore import ERRORED
 
@@ -354,3 +436,50 @@ class TestServiceFleetParity:
         assert sequential == fleet
         assert sequential["ck-noop"].startswith("ServiceError: ")
         assert any(e.startswith("SCFConvergenceError: ") for e in fleet.values())
+
+
+class TestOneWaveFunction:
+    """A sequential job is the wave of one: there is no second path."""
+
+    def test_both_pools_reach_the_one_wave_function(self, monkeypatch):
+        """Without ``fleet`` each job is a wave of one; with ``fleet=16``
+        the two jobs are one wave of two — both through ``run_wave``."""
+        from repro.service import StateStore, WorkerPool, submit_batch
+        from repro.service.statestore import COMPLETE
+
+        waves = []
+        run = fleet.run_wave
+
+        def counted(tasks):
+            waves.append(len(tasks))
+            return run(tasks)
+
+        monkeypatch.setattr(fleet, "run_wave", counted)
+
+        def drain(size):
+            store = StateStore(lease_seconds=5.0)
+            submit_batch(store, h2_requests(2, 1), commit="one", now=0.0)
+            WorkerPool(store, n_workers=1, fleet=size).run_until_idle()
+            return {
+                t.key: stable_result_bytes(store.result_for_key(t.key))
+                for t in store.tasks(COMPLETE)
+            }
+
+        sequential = drain(None)
+        assert waves == [1, 1]
+        assert drain(16) == sequential and len(sequential) == 2
+        assert waves == [1, 1, 2]
+
+    def test_run_physics_task_raises_what_the_wave_records(self):
+        """An undecodable payload: ``run_physics_task`` raises the very
+        ``TypeName: message`` the wave records for it."""
+        task = TaskRecord(task_id="t0", key="ck-noop", payload={"kind": "noop"})
+        ((payload, recorded),) = run_wave([task])
+        assert payload is None
+        with pytest.raises(type(recorded)) as raised:
+            run_physics_task(task)
+        assert (
+            f"{type(raised.value).__name__}: {raised.value}"
+            == f"{type(recorded).__name__}: {recorded}"
+        )
+        assert str(recorded)

@@ -404,6 +404,50 @@ class TestJournalPersistence:
         assert "torn_tail_bytes" not in again.render_status(now=4.0)
         assert again.get("t-000002").status == CLAIMED
 
+    @staticmethod
+    def _requeues(path):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        return [line for line in lines if line["op"] == "requeue"]
+
+    def test_a_failed_attempt_journals_its_convergence_history(self, tmp_path):
+        """An SCF that runs out of cycles: the job ends errored, and each
+        attempt's requeue line holds the per-cycle history ``repro
+        physics --report`` writes under ``extra["error"]``."""
+        from repro.config import get_settings
+        from repro.service import submit_job
+        from repro.service.jobs import JobRequest
+
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        settings = get_settings("minimal").with_scf(max_iterations=1)
+        task = submit_job(
+            store, JobRequest("h2", settings, max_retries=1), commit="h", now=0.0
+        ).task
+        WorkerPool(store, n_workers=1).run_until_idle()
+        assert store.get(task.task_id).status == ERRORED
+        requeues = self._requeues(path)
+        assert [line["terminal"] for line in requeues] == [False, True]
+        for line in requeues:
+            assert line["error"].startswith("SCFConvergenceError: ")
+            (cycle,) = line["history"]
+            assert set(cycle) == {"residual", "energy"}
+        assert make_store(path=path).counts() == store.counts()
+
+    def test_a_failure_without_history_journals_none(self, tmp_path):
+        """Only a non-empty history reaches the journal: every other
+        failure's line keeps its bytes."""
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        submit(store, "k1", max_retries=1)
+        (task,) = store.claim("w0", now=1.0)
+        store.fail(task.task_id, "w0", "ServiceError: no", now=2.0, history=[])
+        (task,) = store.claim("w0", now=10.0)
+        store.fail(task.task_id, "w0", "ServiceError: no", now=11.0)
+        assert [sorted(line) for line in self._requeues(path)] == [
+            ["error", "expired", "not_before", "now", "op", "task_id",
+             "terminal", "worker"],
+        ] * 2
+
     def test_journal_lines_are_valid_sorted_json(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         store = make_store(path=path)

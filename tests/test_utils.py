@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.utils.linalg import (
     density_matrix_from_orbitals,
     lowdin_orthogonalization,
-    pack_lower_triangle,
     solve_generalized_eigenproblem,
     symmetrize,
-    unpack_lower_triangle,
 )
 from repro.utils.reports import TableFormatter, format_bytes, format_seconds
 from repro.utils.timing import PhaseTimer
@@ -111,11 +108,3 @@ class TestLinalg:
         c = rng.normal(size=(4, 3))
         with pytest.raises(ValueError):
             density_matrix_from_orbitals(c, np.ones(2))
-
-    @given(n=st.integers(min_value=1, max_value=12))
-    def test_pack_unpack_roundtrip(self, n):
-        rng = np.random.default_rng(n)
-        a = symmetrize(rng.normal(size=(n, n)))
-        packed = pack_lower_triangle(a)
-        assert packed.shape[0] == n * (n + 1) // 2
-        assert np.allclose(unpack_lower_triangle(packed, n), a)
