@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test smoke bench-smoke bench-check docs-check docs trace \
+.PHONY: test smoke docs-check docs trace \
 	analyze service-check fleet-check e2e-check \
 	verify profile-model
 
@@ -46,23 +46,6 @@ smoke:
 		tests/test_mapping_properties.py::TestRankAtomCsr
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		-q tests/test_view_sweep.py tests/test_setup_sweep.py
-
-# Quick execution-backend comparison (the host engine with a warm and a
-# cold block cache, and the warm run's device bill on HPC#2), plus the
-# dense-vs-screened block-sparse payoff on a polyethylene chain; writes
-# BENCH_backends.json and BENCH_sparse.json at the repo root.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py --quick
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_sparse.py --quick
-
-# Counter and cost-model regression gate: re-run each benchmark at its
-# committed baseline's own parameters and compare metric-by-metric
-# (exact bands for deterministic counters, 1e-9 relative for modeled
-# seconds and their speedup ratios).  The emissions read no clock and
-# the gate writes nothing; wall time is gated by BENCHMARK.json.
-bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_backends.json
-	PYTHONPATH=src $(PYTHON) -m repro bench-check --baseline BENCH_sparse.json
 
 # Documentation gate: every doctest in the observability-facing modules
 # must run, every audited public object must carry a docstring, and the
@@ -152,7 +135,9 @@ e2e-check:
 
 # Physics-invariant + golden + differential-conformance check on both
 # reference molecules (H2, and water for its two species' radial meshes),
-# plus the counter/model-regression, documentation, service, fleet and
-# e2e-harness gates (all tier-1 sized).
-verify: bench-check docs-check service-check fleet-check e2e-check
+# plus the documentation, service, fleet and e2e-harness gates (all
+# tier-1 sized).  Deterministic counters and modeled seconds are pinned
+# by parity tests in `make test` (tests/test_counter_parity.py,
+# tests/test_model_parity.py).
+verify: docs-check service-check fleet-check e2e-check
 	PYTHONPATH=src $(PYTHON) -m repro verify

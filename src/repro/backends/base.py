@@ -221,7 +221,7 @@ class BackendProfile:
         self.phases.setdefault(phase, PhaseStats()).record(elements, seconds, calls)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-friendly snapshot (used by the backend benchmark)."""
+        """JSON-friendly snapshot (run reports, the device bill)."""
         return {
             "backend": self.backend,
             "phases": {

@@ -48,19 +48,6 @@ class DeviceBill:
         """The whole bill: the billed phases' seconds summed."""
         return sum(self.phases.values())
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly snapshot (the ``BENCH_*.json`` emissions)."""
-        return {
-            "machine": self.machine,
-            "launches": self.launches,
-            "modeled_seconds": self.modeled_seconds,
-            "bytes_transferred": self.bytes_transferred,
-            "phases": {
-                phase: {"modeled_seconds": seconds}
-                for phase, seconds in self.phases.items()
-            },
-        }
-
 
 def device_bill(
     profile: Union["BackendProfile", Mapping[str, Any]],

@@ -6,7 +6,6 @@ results out):
     python -m repro physics geometry.in --level minimal
     python -m repro physics geometry.in --screening 1e-6
     python -m repro physics --molecule water --trace trace.json --force
-    python -m repro bench-check --baseline BENCH_backends.json
     python -m repro analyze trace trace.json
     python -m repro analyze diff base.json fresh.json
     python -m repro analyze scaling --atoms 3002
@@ -47,17 +46,24 @@ from repro.utils.artifacts import prepare_artifact_path
 from repro.utils.reports import format_backend_profile, format_bytes, format_seconds
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for sizes: a bad value exits 2 before any file opens."""
+def _count(value: str, *, positive: bool) -> int:
+    """argparse type for an integer >= 0 (>= 1 if *positive*).
+
+    A bad value exits 2 before any file opens or any run starts.
+    """
     try:
         n = int(value)
     except ValueError:
-        n = 0  # rejected below with the same message
-    if n < 1:
+        n = -1  # rejected below with the same message
+    if n < int(positive):
+        kind = "positive" if positive else "non-negative"
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}"
+            f"expected a {kind} integer, got {value!r}"
         )
     return n
+
+
+_positive_int = functools.partial(_count, positive=True)
 
 
 def _finite_float(value: str, *, positive: bool) -> float:
@@ -275,31 +281,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
               f"({format_bytes(machine.per_proc_memory)}) — this "
               "configuration would fail on the real system")
     return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.obs.bench import baseline_run_parameters, emission_for_baseline
-    from repro.obs.regress import compare_reports, load_baseline
-
-    # The gate re-runs whichever emission kind ("backends" or "sparse")
-    # the baseline came from.
-    baseline = load_baseline(args.baseline)
-    kind, parameters = baseline_run_parameters(baseline)
-    settings = ", ".join(f"{k}={v}" for k, v in parameters.items())
-    print(f"bench-check: fresh {kind} emission ({settings}) "
-          f"vs baseline {args.baseline}")
-    fresh = emission_for_baseline(baseline)
-    if args.write_fresh:
-        Path(args.write_fresh).write_text(
-            _json.dumps(fresh, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"fresh emission -> {args.write_fresh}")
-    report = compare_reports(fresh, baseline)
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_analyze_trace(args: argparse.Namespace) -> int:
@@ -578,24 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_phys.set_defaults(func=_cmd_physics)
 
-    p_bench = sub.add_parser(
-        "bench-check",
-        help="counter and cost-model regression gate: fresh benchmark "
-        "emission vs a committed BENCH_*.json baseline with per-metric "
-        "tolerance bands (wall time is gated by BENCHMARK.json)",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        default="BENCH_backends.json",
-        help="committed baseline artifact (default: ./BENCH_backends.json)",
-    )
-    p_bench.add_argument(
-        "--write-fresh",
-        metavar="PATH",
-        help="also write the fresh emission JSON here (baseline updates)",
-    )
-    p_bench.set_defaults(func=_cmd_bench_check)
-
     p_an = sub.add_parser(
         "analyze",
         help="post-mortem analytics over recorded artifacts (traces, "
@@ -636,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="price a configuration at scale")
     add_common(p_model, physics=False)
     p_model.add_argument("--machine", default="hpc2", choices=["hpc1", "hpc2"])
-    p_model.add_argument("--ranks", type=int, default=1024)
+    p_model.add_argument("--ranks", type=_positive_int, default=1024)
     p_model.add_argument("--baseline", action="store_true",
                          help="disable all of the paper's innovations")
     p_model.add_argument("--cpu-only", action="store_true",
@@ -652,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=[*BUILTIN_MOLECULES, "all"])
     p_verify.add_argument("--level", default="minimal",
                           choices=["minimal", "light", "tight"])
-    p_verify.add_argument("--ranks", type=int, default=4,
+    p_verify.add_argument("--ranks", type=_positive_int, default=4,
                           help="simulated ranks for the comm-scheme axis")
     p_verify.add_argument("--update-golden", action="store_true",
                           help="regenerate the committed golden snapshots "
@@ -739,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
                           type=functools.partial(_finite_float, positive=False),
                           metavar="SECONDS",
                           help="--watch refresh period (default: 2.0)")
-    p_status.add_argument("--iterations", type=int, default=0, metavar="N",
+    p_status.add_argument("--iterations", default=0, metavar="N",
+                          type=functools.partial(_count, positive=False),
                           help="stop --watch after N refreshes "
                           "(default: 0 = until interrupted)")
     p_status.add_argument("--store", default="service.jsonl", metavar="PATH",

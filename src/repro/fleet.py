@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.dft.hamiltonian import Substrate, build_substrate
 
@@ -56,6 +56,22 @@ def physics_fingerprint(payload: Dict[str, Any]) -> str:
     >>> a == b, a == c
     (True, False)
     """
+    return _decode(payload).fingerprint
+
+
+class _Decoded(NamedTuple):
+    """One payload decoded once for its whole wave."""
+
+    #: The dedup key (:func:`physics_fingerprint`).
+    fingerprint: str
+    #: The structure's service fingerprint, or ``None`` if undecodable.
+    structure_key: Optional[str]
+    #: ``(structure, settings, charge)``, or the error decoding raised.
+    physics: Union[Tuple[Any, Any, int], Exception]
+
+
+def _decode(payload: Dict[str, Any]) -> _Decoded:
+    """Decode *payload* and key it; an undecodable one carries its error."""
     from repro.service.jobs import (
         physics_from_payload,
         settings_fingerprint,
@@ -63,13 +79,15 @@ def physics_fingerprint(payload: Dict[str, Any]) -> str:
     )
 
     try:
-        structure, settings, charge = physics_from_payload(payload)
-        doc = [structure_fingerprint(structure), settings_fingerprint(settings), charge]
-    except Exception:  # noqa: BLE001 — its own group, whose run raises it
-        doc = ["undecodable", payload]
-    return hashlib.sha256(
+        physics = physics_from_payload(payload)
+        structure_key = structure_fingerprint(physics[0])
+        doc = [structure_key, settings_fingerprint(physics[1]), physics[2]]
+    except Exception as exc:  # noqa: BLE001 — its own group, whose run raises it
+        physics, structure_key, doc = exc, None, ["undecodable", payload]
+    fingerprint = hashlib.sha256(
         json.dumps(doc, sort_keys=True, default=repr).encode()
     ).hexdigest()[:16]
+    return _Decoded(fingerprint, structure_key, physics)
 
 
 class SubstrateCache:
@@ -86,14 +104,16 @@ class SubstrateCache:
     def __init__(self) -> None:
         self._substrates: Dict[Tuple[str, str], Substrate] = {}
 
-    def substrate(self, structure, settings) -> Substrate:
-        """The (possibly shared) substrate for one structure + settings."""
-        from repro.service.jobs import structure_fingerprint
+    def substrate(self, structure_key: str, structure, settings) -> Substrate:
+        """The (possibly shared) substrate for one structure + settings.
 
+        *structure_key* is the structure's service fingerprint, computed
+        once per task when its payload is decoded.
+        """
         grids_key = json.dumps(
             settings.as_canonical_dict().get("grids", {}), sort_keys=True
         )
-        key = (structure_fingerprint(structure), grids_key)
+        key = (structure_key, grids_key)
         if key not in self._substrates:
             self._substrates[key] = build_substrate(structure, settings.grids)
         return self._substrates[key]
@@ -113,15 +133,18 @@ def run_wave(tasks: Sequence[Any]) -> List[Outcome]:
     >>> payload, type(exc).__name__
     (None, 'ServiceError')
     """
+    decoded = [_decode(task.payload) for task in tasks]
     groups: Dict[str, List[int]] = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault(physics_fingerprint(task.payload), []).append(i)
+    for i, entry in enumerate(decoded):
+        groups.setdefault(entry.fingerprint, []).append(i)
     substrates = SubstrateCache()
     outcomes: List[Outcome] = [(None, None)] * len(tasks)
     for fingerprint in sorted(groups):
         members = groups[fingerprint]
         try:
-            payloads = _run_group([tasks[i] for i in members], substrates)
+            payloads = _run_group(
+                [tasks[i] for i in members], [decoded[i] for i in members], substrates
+            )
         except Exception as exc:  # noqa: BLE001 — isolate group failures
             # Without its traceback the error holds none of the group's
             # frames, so a failed group's builder dies here too.
@@ -133,26 +156,28 @@ def run_wave(tasks: Sequence[Any]) -> List[Outcome]:
     return outcomes
 
 
-def _run_group(tasks: Sequence[Any], substrates: SubstrateCache) -> List[Dict[str, Any]]:
+def _run_group(
+    tasks: Sequence[Any], decoded: Sequence[_Decoded], substrates: SubstrateCache
+) -> List[Dict[str, Any]]:
     """One group's stamped payloads, in the group's task order.
 
     Everything the run built is local to this call, so it is garbage as
     soon as the call returns.
     """
     from repro.core import simulator
-    from repro.service.jobs import physics_from_payload, structure_from_dict
     from repro.service.worker import result_payload
 
-    structure, settings, charge = physics_from_payload(tasks[0].payload)
+    first = decoded[0]
+    if isinstance(first.physics, Exception):
+        raise first.physics
+    structure, settings, charge = first.physics
     physics = simulator.run_physics(
         structure, settings, charge,
-        substrate=substrates.substrate(structure, settings),
+        substrate=substrates.substrate(first.structure_key, structure, settings),
     )
     # Each task is stamped with its own structure: a renamed request in
     # a group keeps its name.
     return [
-        result_payload(
-            task, structure_from_dict(task.payload["structure"]), settings, physics
-        )
-        for task in tasks
+        result_payload(task, own.physics[0], settings, physics)
+        for task, own in zip(tasks, decoded)
     ]

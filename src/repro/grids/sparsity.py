@@ -71,17 +71,6 @@ class SparsityStats:
         """Relevant over active block count (>= 1; higher is sparser)."""
         return self.blocks_relevant / max(self.blocks_active, 1)
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly snapshot (flows into the sparse benchmark)."""
-        return {
-            "blocks_active": self.blocks_active,
-            "blocks_relevant": self.blocks_relevant,
-            "block_reduction": self.block_reduction,
-            "elements_active": self.elements_active,
-            "elements_relevant": self.elements_relevant,
-            "fill_fraction": self.fill_fraction,
-        }
-
 
 #: Most grid points one fused view holds.  Measured on the 32-atom chain's
 #: warm dense Sumup + H sweep before column sets merged (BLAS on one

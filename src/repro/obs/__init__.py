@@ -15,9 +15,8 @@ Three pieces, one taxonomy:
   a Perfetto-loadable Chrome trace-event file and the single
   :class:`RunReport` JSON document that absorbs the legacy
   ``PhaseTimer`` / ``BackendProfile`` / ``VerifyReport`` trio;
-* **the gate** (:mod:`repro.obs.regress`) — per-metric tolerance-band
-  comparison of a fresh benchmark emission against a committed
-  ``BENCH_*.json`` baseline (``repro bench-check`` / ``make bench-check``).
+* **analytics** (:mod:`repro.obs.analyze`) — per-phase clock tables,
+  run diffs and scaling attribution over recorded artifacts.
 
 The service's SLO rollups, worker health and fleet trace are read off
 the statestore journal by :mod:`repro.service.slo`.
@@ -45,15 +44,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.report import Provenance, RunReport, collect_provenance
-from repro.obs.regress import (
-    Band,
-    MetricDelta,
-    RegressionReport,
-    compare_reports,
-    default_band,
-    flatten,
-    load_baseline,
-)
 
 __all__ = [
     "Span",
@@ -69,11 +59,4 @@ __all__ = [
     "Provenance",
     "RunReport",
     "collect_provenance",
-    "Band",
-    "MetricDelta",
-    "RegressionReport",
-    "compare_reports",
-    "default_band",
-    "flatten",
-    "load_baseline",
 ]

@@ -1,7 +1,7 @@
 """Post-mortem trace analytics and scaling attribution (DESIGN §11).
 
 The :mod:`repro.obs` layer *records* (spans, Chrome traces, run
-reports, benchmark emissions); this package *explains*.  Every
+reports); this package *explains*.  Every
 function here is a pure transformation of recorded artifacts or of the
 scale model, so every dashboard is deterministic: same input, same
 output bytes.

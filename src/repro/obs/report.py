@@ -5,8 +5,8 @@ over three structures — :class:`~repro.utils.timing.PhaseTimer` phase
 walls, the backend's :class:`~repro.backends.base.BackendProfile` and
 the :class:`~repro.verify.invariants.VerifyReport` — plus the tracer's
 span summary and a :class:`Provenance` block (commit, seed,
-``REPRO_FULL_SCALE``, machine-model names) so a benchmark row is
-reproducible on its face.
+``REPRO_FULL_SCALE``, machine-model names) so a run is reproducible
+on its face.
 
 >>> rep = RunReport(label="doctest", phase_seconds={"Sumup": 0.5, "H": 0.25})
 >>> round(rep.wall_seconds, 2)
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class Provenance:
-    """Where and how one benchmark emission was produced.
+    """Where and how one run report or result was produced.
 
     >>> p = Provenance(commit="abc1234", seed=2023, full_scale=False)
     >>> "abc1234" in p.footer_markdown()

@@ -22,7 +22,6 @@ AUDITED_MODULES = (
     "repro.obs.tracer",
     "repro.obs.export",
     "repro.obs.report",
-    "repro.obs.regress",
     "repro.obs.bench",
     "repro.obs.analyze",
     "repro.obs.analyze.timeline",

@@ -94,6 +94,34 @@ class TestCLI:
             main(["model"])
 
 
+class TestCountsAtParseTime:
+    """A bad count exits 2 before any run: a negative ``--iterations``
+    used to refresh ``status --watch`` forever (the ``0`` branch), and
+    ``verify --ranks 0`` ran the whole H2 SCF + CPSCF, the invariants and
+    the golden comparison before refusing."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["status", "--watch", "--iterations", "-3"], "non-negative"),
+        (["verify", "--molecule", "h2", "--ranks", "0"], "positive"),
+        (["model", "--polyethylene", "8", "--ranks", "0"], "positive"),
+        (["model", "--polyethylene", "8", "--ranks", "two"], "positive"),
+    ], ids=["status-iterations", "verify-ranks", "model-ranks", "model-ranks-word"])
+    def test_a_bad_count_exits_2_before_any_run(self, argv, kind, tmp_path,
+                                                 monkeypatch, capsys):
+        from repro.core import simulator
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(simulator, "run_physics", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"expected a {kind} integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScreeningFlag:
     """``--screening`` takes a finite threshold >= 0: NaN and negative
     values used to run the dense path silently, ``inf`` screened out every

@@ -470,6 +470,52 @@ class TestOneWaveFunction:
         assert drain(16) == sequential and len(sequential) == 2
         assert waves == [1, 1, 2]
 
+    def test_each_payload_is_decoded_once(self, monkeypatch):
+        """One ``physics_from_payload`` and one ``structure_from_dict``
+        per task (the grouping, the group's run and the stamp share
+        them); an undecodable payload still raises in its own group."""
+        from repro.errors import ServiceError
+        from repro.service import jobs, worker
+
+        calls = {"physics_from_payload": 0, "structure_from_dict": 0}
+
+        def counted(name):
+            original = getattr(jobs, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(jobs, name, wrapper)
+
+        renamed = structure_from_dict({
+            "symbols": ["H", "H"], "coords": hydrogen_molecule().coords, "name": "hydrogen",
+        })
+        payloads = [
+            JobRequest(molecule).payload()
+            for molecule in ("h2", renamed, "water")
+        ] + [{"kind": "noop"}]
+        tasks = [SimpleNamespace(key=f"k{i}", payload=p) for i, p in enumerate(payloads)]
+        runs = []
+        monkeypatch.setattr(
+            simulator, "run_physics",
+            lambda structure, *args, substrate: runs.append(structure.name),
+        )
+        monkeypatch.setattr(fleet, "build_substrate", lambda *args: None)
+        monkeypatch.setattr(
+            worker, "result_payload",
+            lambda task, structure, settings, physics: {"molecule": structure.name},
+        )
+        for name in calls:
+            counted(name)
+        outcomes = run_wave(tasks)
+        assert calls == {"physics_from_payload": 4, "structure_from_dict": 3}
+        assert sorted(runs) == ["H2", "H2O"]
+        assert [payload for payload, _ in outcomes[:3]] == [
+            {"molecule": "H2"}, {"molecule": "hydrogen"}, {"molecule": "H2O"},
+        ]
+        assert outcomes[3][0] is None and isinstance(outcomes[3][1], ServiceError)
+
     def test_run_physics_task_raises_what_the_wave_records(self):
         """An undecodable payload: ``run_physics_task`` raises the very
         ``TypeName: message`` the wave records for it."""

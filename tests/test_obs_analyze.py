@@ -1,6 +1,5 @@
 """Trace analytics & scaling attribution (repro.obs.analyze) + satellites:
-the shared imbalance definition, artifact-path hardening and byte-stable
-bench emission."""
+the shared imbalance definition and artifact-path hardening."""
 
 import json
 import re
@@ -370,41 +369,3 @@ class TestScalingParity:
         atoms, ranks, scheme, comm, local = fig10.rows[0]
         assert (atoms, ranks, scheme) == (3002, 128, "baseline")
         assert format_seconds(comm + local) == "354.12 ms"
-
-
-# ----------------------------------------------------------------------
-# The clock-free bench emission
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def emission_pair():
-    from repro.obs.bench import backend_emission
-
-    return (backend_emission("minimal", 1), backend_emission("minimal", 1))
-
-
-class TestByteStableEmission:
-    def test_stable_view_bytes_identical_across_runs(self, emission_pair):
-        """Byte-stable by construction: ``stable_view`` finds nothing to
-        strip, and the whole documents already agree."""
-        from repro.obs.bench import stable_view
-
-        a, b = emission_pair
-        assert stable_view(a) == a
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_gate_still_sees_timings_via_flatten(self):
-        """A ``timings`` subtree in a baseline (no ``BENCH_*.json`` carries
-        one today) is not skipped by ``flatten``: its numeric leaves are
-        gated, and gated exact."""
-        from repro.obs.regress import default_band, flatten
-
-        doc = {"scenarios": {"steady": {"overall": {"completed": 8, "timings": {
-            "phase_seconds": {"scf": 1.5, "cpscf": 0.75}}}}}}
-        flat = flatten(doc)
-        keys = [k for k in flat if ".timings." in k]
-        assert sorted(keys) == [
-            "scenarios.steady.overall.timings.phase_seconds.cpscf",
-            "scenarios.steady.overall.timings.phase_seconds.scf",
-        ]
-        assert flat["scenarios.steady.overall.timings.phase_seconds.scf"] == 1.5
-        assert {default_band(k).kind for k in keys} == {"exact"}

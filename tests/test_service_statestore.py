@@ -28,6 +28,7 @@ from repro.service import (
     StateStore,
     WorkerPool,
 )
+from repro.utils.journal import truncate_torn_tail
 
 
 def make_store(**kwargs):
@@ -625,3 +626,53 @@ class TestQueriesAndRendering:
     def test_worker_pool_rejects_a_bad_fleet(self, fleet):
         with pytest.raises(ServiceError, match="wave size"):
             WorkerPool(make_store(), fleet=fleet)
+
+
+# ----------------------------------------------------------------------
+# Torn tails: half a line, reopen, append, load — for the journal owner.
+# ----------------------------------------------------------------------
+def _statestore(path):
+    def open_and_append(n):
+        StateStore(path, lease_seconds=10.0).submit({"j": n}, key=f"k{n}", now=float(n))
+
+    def load():
+        return sorted(t.key for t in StateStore(path, lease_seconds=10.0).tasks())
+
+    return open_and_append, load, lambda n: f"k{n}"
+
+
+@pytest.mark.parametrize("owner", [_statestore])
+def test_torn_tail_then_append_loads_every_whole_line(owner, tmp_path):
+    """Without the repair at open the append fuses with the half line
+    into a corrupt line *inside* the file."""
+    path = tmp_path / "journal.jsonl"
+    open_and_append, load, name = owner(path)
+    open_and_append(1)
+    whole = path.read_bytes()
+    with path.open("a") as fh:
+        fh.write('{"op": "claim", "kind": "cache_h')
+    open_and_append(2)
+    assert load() == [name(1), name(2)]
+    assert path.read_bytes().startswith(whole + b"{")  # the half line is gone
+    open_and_append(3)  # and a clean reopen cuts nothing
+    assert load() == [name(1), name(2), name(3)]
+
+
+def test_truncate_torn_tail_cuts_only_a_half_line(tmp_path):
+    path = tmp_path / "j.jsonl"
+    path.write_text('{"a": 1}\n')
+    assert truncate_torn_tail(path) == 0
+    # A whole line that only lost its newline is terminated, not cut...
+    path.write_text('{"a": 1}\n{"b": 2}')
+    assert truncate_torn_tail(path) == 0
+    assert path.read_text() == '{"a": 1}\n{"b": 2}\n'
+    # ...a half line longer than one read block is cut whole...
+    torn = '{"c": "' + "x" * 10_000
+    path.write_text('{"a": 1}\n' + torn)
+    assert truncate_torn_tail(path) == len(torn)
+    assert path.read_text() == '{"a": 1}\n'
+    # ...and so is a file that is nothing but a half line.
+    path.write_text('{"a"')
+    assert truncate_torn_tail(path) == 4 and path.read_text() == ""
+    path.write_text("")
+    assert truncate_torn_tail(path) == 0

@@ -35,7 +35,7 @@ BEGIN = "<!-- loc-table:begin (generated by tools/loc_table.py; `make docs`) -->
 END = "<!-- loc-table:end -->"
 #: DESIGN.md may shrink but not grow: ROADMAP item 13 takes it to
 #: <= 1 000 lines.  Lower this when a change shortens the document.
-DESIGN_MAX_LINES = 1915
+DESIGN_MAX_LINES = 1883
 #: Row for the modules sitting directly in ``src/repro``.
 TOP_LEVEL = "(top-level modules)"
 #: Trees whose ``*.py`` files may cite DESIGN.md sections.
